@@ -238,18 +238,23 @@ def cmd_scan(args) -> int:
     config = _config(args)
     started = time.strftime("%Y%m%dT%H%M%S")
     if args.kind == "minors":
-        report = minors_split_equivalence_scan(
-            config.n_max, args.spread, tuple(int(s) for s in args.sizes.split(","))
-        )
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+            if min(sizes) < 1:
+                raise ValueError(f"sizes must be positive, got {args.sizes!r}")
+        except ValueError as exc:
+            print(f"error: --sizes: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        report = minors_split_equivalence_scan(config.n_max, args.spread, sizes)
         payload = {"kind": "minors", "report": report.to_json()}
     elif args.kind == "strata":
         try:
             pair = _pair_from_args(args)
             label = parse_label(args.label)
+            report = scan_corank_strata(pair, label, config.n_max, seed=config.seed)
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        report = scan_corank_strata(pair, label, config.n_max, seed=config.seed)
         payload = {"kind": "strata", "report": report.to_json()}
     elif args.kind == "codim":
         try:

@@ -11,17 +11,20 @@ bound on the codimension, while the claimed lower bound stays heuristic.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .exact import CycloElement, exact_rank, kernel_basis, solve_exact
+from . import kernels
+from .exact import CycloElement, exact_rank, exact_rref, kernel_basis, solve_exact
 from .laurent import LaurentPoly, ProjPoint, common_roots, ord_at
 from .minors import RootOfUnity
 from .supports import SupportPair, SupportSet, gap_gcd
@@ -287,8 +290,9 @@ def _is_float_matrix(rows):
 def corank_kernel(rows, rtol=SVD_RTOL):
     """(corank, kernel basis) of the linear map f -> M f.
 
-    corank = rows - rank; exact elimination for rational / cyclotomic
-    entries, thresholded SVD for floats.
+    corank = rows - rank; thresholded SVD for floats, and for rational /
+    cyclotomic entries one exact elimination (kernel_basis), whose kernel
+    dimension gives the rank as columns - kernel dimension.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -299,16 +303,16 @@ def corank_kernel(rows, rtol=SVD_RTOL):
         rank = int(np.sum(s > cut))
         kernel = [vh[i].conj() for i in range(rank, vh.shape[0])]
         return len(rows) - rank, kernel
-    rank = None
-    if any(isinstance(v, CycloElement) for r in rows for v in r):
-        from .exact import exact_rref
+    kernel = kernel_basis(rows)
+    return len(rows) - (len(rows[0]) - len(kernel)), kernel
 
-        rank, _, _ = exact_rref(rows)
-        kernel = kernel_basis(rows)
-    else:
-        rank = exact_rank(rows)
-        kernel = kernel_basis(rows)
-    return len(rows) - rank, kernel
+
+def _exact_corank(rows):
+    """rows - rank of a nonempty exact matrix, by one elimination: Bareiss
+    rank for rationals, a single RREF for cyclotomic entries."""
+    if any(isinstance(v, CycloElement) for r in rows for v in r):
+        return len(rows) - exact_rref(rows)[0]
+    return len(rows) - exact_rank(rows)
 
 
 # --- locus descriptions ----------------------------------------------------
@@ -663,8 +667,10 @@ def _span_dimension_float(pair, label, pts, dirs, rtol=SVD_RTOL):
     return int(np.sum(s > cut))
 
 
+@lru_cache(maxsize=None)
 def _unity_configs(k, n_max):
-    """Distinct projectivized root-of-unity tuples (exponents with x1 = 1)."""
+    """Distinct projectivized root-of-unity tuples (exponents with x1 = 1),
+    as a tuple of (n, exponents) in increasing n."""
     seen = set()
     out = []
     for n in range(2, n_max + 1):
@@ -680,7 +686,22 @@ def _unity_configs(k, n_max):
                 continue
             seen.add(key)
             out.append((n, (0,) + exps))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _scan_config_groups(k, n_max):
+    """The corank scan's root-of-unity tuples grouped by modulus, in scan
+    order: (n, configs, read-only exponent array of shape (len(configs), k))
+    per n.  A single root is projectivized to the one tuple (1,), n = 1."""
+    configs = ((1, (0,)),) if k == 1 else _unity_configs(k, n_max)
+    groups = []
+    for n, group in itertools.groupby(configs, key=lambda config: config[0]):
+        group = tuple(group)
+        exps = np.array([e for _, e in group], dtype=np.int64)
+        exps.setflags(write=False)
+        groups.append((n, group, exps))
+    return tuple(groups)
 
 
 def estimate_codim(
@@ -790,6 +811,9 @@ class ScanSReport:
     mismatches: list = field(default_factory=list)
     generic_corank: tuple | None = None
     wall_time: float = 0.0
+    configs_scanned: int = 0
+    kernel_backend: str = ""
+    timings: dict = field(default_factory=dict)
 
     def found_coranks(self):
         return set(self.found.keys())
@@ -816,12 +840,18 @@ class ScanSReport:
             "mismatches": self.mismatches,
             "generic_corank": self.generic_corank,
             "wall_time_s": self.wall_time,
+            "configs_scanned": self.configs_scanned,
+            "kernel_backend": self.kernel_backend,
+            "timings": self.timings,
         }
 
 
 def _unity_corank_monomial(b_elems, exps, n):
     """Exact corank of the k x |B| matrix with rows zeta^(p*e) over e in B
-    (multiplicity-free case), via congruences and minor tests."""
+    (multiplicity-free case), via congruences and minor tests.
+
+    One configuration per call; the scan uses the batched
+    _unity_coranks_monomial, which must agree with this."""
     k = len(exps)
     # rank 1 iff every row is constant (the first row, exps[0]=0, is ones)
     if all((p * (e - b_elems[0])) % n == 0 for p in exps for e in b_elems):
@@ -831,13 +861,34 @@ def _unity_corank_monomial(b_elems, exps, n):
     # k == 3: rank <= 2 iff all 3x3 minors vanish
     if len(b_elems) < 3:
         return 1
-    from . import kernels
-
     table = kernels.reduction_table_array(n)
     p, q = exps[1], exps[2]
     if kernels.all_minors_vanish_kernel(table, b_elems, p, q):
         return 1
     return 0
+
+
+def _unity_coranks_monomial(b_elems, n, exps):
+    """_unity_corank_monomial for every row of the (configs, k) exponent
+    array exps at one modulus n, as one array pass; returns an int array.
+
+    Rank 1 (every row constant) is one congruence test over the batch; for
+    k = 3 the remaining configurations go to one batched all-minors call.
+    """
+    k = exps.shape[1]
+    diffs = np.asarray(b_elems, dtype=np.int64) - b_elems[0]
+    rank1 = ((exps[:, :, None] * diffs) % n == 0).all(axis=(1, 2))
+    cork = np.where(rank1, k - 1, 0)
+    if k == 3:
+        rest = ~rank1
+        if len(b_elems) < 3:
+            cork[rest] = 1
+        elif rest.any():
+            table = kernels.reduction_table_array(n)
+            cork[rest] = kernels.all_minors_vanish_batch(
+                table, b_elems, exps[rest, 1], exps[rest, 2]
+            )
+    return cork
 
 
 def _unity_corank_general(b: SupportSet, exps, n, js):
@@ -847,51 +898,60 @@ def _unity_corank_general(b: SupportSet, exps, n, js):
         [v if isinstance(v, CycloElement) else CycloElement.from_int(n, v) for v in r]
         for r in rows
     ]
-    cork, _ = corank_kernel(cyc_rows)
-    return cork
+    return _exact_corank(cyc_rows)
 
 
 def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, seed: int = 0):
     """Enumerate projectivized root-of-unity tuples (x1 = 1, others n-th
-    roots, n <= n_max) plus random generic tuples, compute both coranks
-    exactly, and compare the nonempty corank strata against the predicted
-    ones (gap-gcd and split criteria)."""
+    roots, n <= n_max) plus four random generic tuples, compute both
+    coranks exactly, and compare the nonempty corank strata against the
+    predicted ones (gap-gcd and split criteria).
+
+    For multiplicity-free labels each side's unity coranks come from one
+    array pass per modulus n over all of that n's tuples
+    (_unity_coranks_monomial: a congruence test for rank 1, then one
+    batched all-minors call); labels with multiplicities eliminate one
+    cyclotomic matrix per tuple.  When both sides have the same support
+    and orders, each corank is computed once and used for both.  Exact
+    eliminations (the multiplicity labels and the generic tuples) compute
+    the rank only, one elimination per matrix.
+
+    The report records the tuples scanned, the kernel backend and the time
+    spent on the unity and the generic tuples.
+    """
     if label.k < 1 or label.k > 3:
         raise ValueError("scan supports labels with 1..3 roots")
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
+    report.kernel_backend = kernels.backend_name()
     k = label.k
     js1, js2 = label.side_orders(1), label.side_orders(2)
     multiplicity_free = all(j == 1 for j in js1 + js2)
+    same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
 
-    def coranks_at(n, exps):
+    def side_coranks(b, js, n, group, exps):
         if multiplicity_free:
-            c1 = _unity_corank_monomial(pair.b1.elements, exps, n)
-            c2 = _unity_corank_monomial(pair.b2.elements, exps, n)
-            return c1, c2
-        return (
-            _unity_corank_general(pair.b1, exps, n, js1),
-            _unity_corank_general(pair.b2, exps, n, js2),
-        )
+            return _unity_coranks_monomial(b.elements, n, exps).tolist()
+        return [_unity_corank_general(b, e, n, js) for _, e in group]
 
     def note(key, payload):
         rec = report.found.setdefault(key, {"count": 0, "witness": payload})
         rec["count"] += 1
 
-    if k == 1:
-        configs = [(1, (0,))]
-    else:
-        configs = _unity_configs(k, n_max)
-    for n, exps in configs:
-        c1, c2 = coranks_at(max(n, 1), exps)
-        if (c1, c2) != (0, 0):
-            note((c1, c2), {"kind": "unity", "n": n, "exponents": list(exps)})
-        if multiplicity_free and k == 3 and c1 == 2:
-            g = gap_gcd(pair.b1)
-            if not all((p * g) % n == 0 for p in exps):
-                report.mismatches.append(
-                    {"reason": "corank-2 witness not of root-of-unity gap form", "n": n}
-                )
+    g1 = gap_gcd(pair.b1)
+    for n, group, exps in _scan_config_groups(k, n_max):
+        cork1 = side_coranks(pair.b1, js1, n, group, exps)
+        cork2 = cork1 if same_sides else side_coranks(pair.b2, js2, n, group, exps)
+        report.configs_scanned += len(group)
+        for (_, tup), c1, c2 in zip(group, cork1, cork2):
+            if (c1, c2) != (0, 0):
+                note((c1, c2), {"kind": "unity", "n": n, "exponents": list(tup)})
+            if multiplicity_free and k == 3 and c1 == 2:
+                if not all((p * g1) % n == 0 for p in tup):
+                    report.mismatches.append(
+                        {"reason": "corank-2 witness not of root-of-unity gap form", "n": n}
+                    )
+    unity_done = time.perf_counter()
 
     # generic random rational tuples
     rng = random.Random(seed)
@@ -902,14 +962,14 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
             x = _random_fraction(rng)
             if x not in pts:
                 pts.append(x)
-        rows1 = multiplicity_vandermonde(pair.b1, pts, js1)
-        rows2 = multiplicity_vandermonde(pair.b2, pts, js2)
-        c1, _ = corank_kernel(rows1)
-        c2, _ = corank_kernel(rows2)
+        c1 = _exact_corank(multiplicity_vandermonde(pair.b1, pts, js1))
+        c2 = c1 if same_sides else _exact_corank(multiplicity_vandermonde(pair.b2, pts, js2))
         gen_cork = (c1, c2) if gen_cork is None else (min(gen_cork[0], c1), min(gen_cork[1], c2))
         if (c1, c2) != (0, 0):
             note((c1, c2), {"kind": "generic", "points": [str(x) for x in pts]})
     report.generic_corank = gen_cork
+    generic_done = time.perf_counter()
+    report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}
 
     report.predictions = _stratum_predictions(pair, label)
     for key, predicted in report.predictions.items():

@@ -177,6 +177,20 @@ class TestScan:
         data = json.loads(out)
         assert "2,2" in data["report"]["found"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("minors", "--sizes", "3,x"),
+            ("minors", "--sizes", "0"),
+            ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--label", "N(1,1,1,1)"),
+            ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--label", "N(1,1"),
+        ],
+    )
+    def test_input_errors_exit_2(self, capsys, argv):
+        code = main(["scan", *argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_codim_scan(self, capsys):
         code, out = run(
             capsys,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singres.exact import CycloElement
+from singres import kernels
 from singres.kernels import det3_unity_is_zero, reduction_table_array, unity_combo_is_zero
 from singres.minors import (
     RootOfUnity,
@@ -249,3 +250,37 @@ class TestBackendsAgree:
             for e, c in zip(exps, coefs):
                 acc = acc + CycloElement.root_power(n, e) * c
             assert unity_combo_is_zero(table, exps, coefs) == acc.is_zero
+
+
+class TestBatchKernel:
+    @staticmethod
+    def _agrees(n, elems):
+        table = reduction_table_array(n)
+        pairs = [(p, q) for p in range(1, n) for q in range(1, n)]
+        ps, qs = zip(*pairs)
+        batch = kernels.all_minors_vanish_batch(table, elems, ps, qs)
+        single = [kernels.all_minors_vanish_kernel(table, elems, p, q) for p, q in pairs]
+        return batch.tolist() == single
+
+    def test_matches_per_call_kernel(self):
+        for n in range(3, 13):
+            for size in range(3, 6):
+                for elems in itertools.combinations(range(9), size):
+                    assert self._agrees(n, elems), (n, elems)
+
+    def test_chunked(self, monkeypatch):
+        # six det3 terms x 10 triples x phi(7) = 360 entries per pair: 2 pairs a chunk
+        monkeypatch.setattr(kernels, "BATCH_ELEMENTS", 720)
+        for elems in [(0, 1, 3, 4, 6), (0, 2, 3, 5, 7), (-2, 0, 5, 7, 12)]:
+            assert self._agrees(7, elems)
+
+    def test_small_support_vacuous(self):
+        out = kernels.all_minors_vanish_batch(reduction_table_array(5), (0, 4), [1, 2], [3, 4])
+        assert out.tolist() == [True, True]
+
+    def test_cached_table_is_read_only(self):
+        table = reduction_table_array(9)
+        assert reduction_table_array(9) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 7
+

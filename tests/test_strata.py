@@ -22,7 +22,14 @@ from singres.strata import (
     sample_filtration_subset,
     scan_corank_strata,
 )
+from singres.strata import (
+    _random_fraction,
+    _unity_configs,
+    _unity_corank_general,
+    _unity_corank_monomial,
+)
 from singres.supports import SupportPair, SupportSet, gap_gcd
+from singres.verify import _normalized_supports
 
 
 def S(*xs):
@@ -245,6 +252,65 @@ class TestScan:
         rep = scan_corank_strata(pair((0, 3, 6), (0, 3, 6)), parse_label("N(2,1;1,1)"), 6)
         # derivative rows break row-constancy; scan must still run exactly
         assert rep.label == "N(2,1;1,1)"
+
+    def test_matches_per_config_reference(self):
+        rng = random.Random(5)
+        cases = [(b, b, "N(1,1,1)", 12) for b in _normalized_supports(10)[::23]]
+        cases += [((0, 3, 6), (0, 3, 6), "N(1,1)", 12), ((0, 2, 4, 6), (0, 2, 4, 6), "N(1)", 12)]
+        for i in range(30):
+            b1 = tuple(sorted({0, 9, *rng.sample(range(1, 9), rng.randint(1, 4))}))
+            b2 = tuple(sorted({0, 8, *rng.sample(range(1, 8), rng.randint(1, 4))}))
+            cases.append((b1, b2, ("N(1)", "N(1,1)", "N(1,1,1)")[i % 3], 12))
+        cases += [((0, 3, 6), (0, 3, 6), "N(2,1)", 7), ((0, 2, 4, 7), (0, 1, 5, 7), "N(2,1)", 7)]
+        for b1, b2, name, n_max in cases:
+            p, label = pair(b1, b2), parse_label(name)
+            rep = scan_corank_strata(p, label, n_max, seed=3)
+            found, generic = reference_scan(p, label, n_max, seed=3)
+            assert (rep.found, rep.generic_corank) == (found, generic), (b1, b2, name)
+            assert rep.mismatches == []
+
+    def test_report_observability(self):
+        rep = scan_corank_strata(pair((0, 3, 6), (0, 1, 3)), parse_label("N(1,1,1)"), 12)
+        data = rep.to_json()
+        assert data["configs_scanned"] == len(_unity_configs(3, 12))
+        assert data["kernel_backend"] in ("python", "compiled")
+        assert set(data["timings"]) == {"unity_s", "generic_s"}
+        assert all(t >= 0 for t in data["timings"].values())
+
+
+def reference_scan(p, label, n_max, seed):
+    """The found strata and generic corank of scan_corank_strata, computed
+    one configuration and one side at a time with corank_kernel."""
+    js = label.side_orders(1), label.side_orders(2)
+    sides = (p.b1, p.b2)
+    found = {}
+
+    def note(key, payload):
+        found.setdefault(key, {"count": 0, "witness": payload})["count"] += 1
+
+    configs = [(1, (0,))] if label.k == 1 else _unity_configs(label.k, n_max)
+    for n, exps in configs:
+        if all(j == 1 for j in js[0] + js[1]):
+            key = tuple(_unity_corank_monomial(b.elements, exps, n) for b in sides)
+        else:
+            key = tuple(_unity_corank_general(b, exps, n, j) for b, j in zip(sides, js))
+        if key != (0, 0):
+            note(key, {"kind": "unity", "n": n, "exponents": list(exps)})
+    rng = random.Random(seed)
+    generic = None
+    for _ in range(4):
+        pts = []
+        while len(pts) < label.k:
+            x = _random_fraction(rng)
+            if x not in pts:
+                pts.append(x)
+        key = tuple(
+            corank_kernel(multiplicity_vandermonde(b, pts, j))[0] for b, j in zip(sides, js)
+        )
+        generic = key if generic is None else tuple(map(min, generic, key))
+        if key != (0, 0):
+            note(key, {"kind": "generic", "points": [str(x) for x in pts]})
+    return found, generic
 
 
 class TestEstimates:
