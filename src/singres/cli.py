@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import verify
+from . import __version__, verify
 from .germs import PlaneGerm, classify_germ
 from .laurent import LaurentPoly, classify_point
 from .minors import minors_split_equivalence_scan
@@ -123,7 +123,9 @@ def cmd_resultant(args) -> int:
     config = _config(args)
     try:
         pair = _pair_from_args(args)
+        start = time.perf_counter()
         poly = resultant_poly(pair, bound=config.det_bound)
+        det_s = time.perf_counter() - start
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -132,6 +134,10 @@ def cmd_resultant(args) -> int:
             "pair": pair.to_json(),
             "resultant": poly.to_json(),
             "pretty": poly.pretty(),
+            "sylvester_size": pair.b1.spread + pair.b2.spread,
+            "terms": len(poly.terms),
+            "timings": {"det_s": det_s},
+            "version": __version__,
             "config": config.to_json(),
         },
         config,

@@ -3,9 +3,11 @@ resultant of a support pair with symbolic coefficients.
 
 Coefficient variables are named f<b> / g<b> after the exponents of the two
 supports.  The resultant is the determinant of the classical Sylvester
-matrix of the two homogenized forms; for small sizes it is expanded with a
-memoized minor recursion, above that by fraction-free elimination with exact
-polynomial division.
+matrix of the two homogenized forms, computed by fraction-free (Bareiss)
+elimination with exact polynomial division.  Elimination and division run on
+Kronecker-packed monomials: each exponent tuple becomes one int, so a
+monomial product is one addition and a divisibility test one subtraction
+plus a guard-bit mask.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "determinant",
 ]
 
-MINOR_EXPANSION_MAX = 10
 DEFAULT_DET_BOUND = 16
 
 
@@ -158,32 +159,20 @@ class MPoly:
             out[key] = out.get(key, 0) + val
         return MPoly(self.vars, out)
 
-    def leading_term(self):
-        """(exponent, coefficient) maximal in (total degree, exponent) order."""
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
-
     def divexact(self, other):
-        """Exact division; raises if the division leaves a remainder."""
+        """Exact division; raises if the division leaves a remainder.
+
+        An int quotient coefficient stays int when it divides exactly and
+        becomes a Fraction otherwise.
+        """
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = MPoly(self.vars, dict(self.terms))
-        quo = {}
-        de, dc = other.leading_term()
-        while rem.terms:
-            re, rc = rem.leading_term()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
-                raise ArithmeticError("inexact polynomial division")
-            if isinstance(rc, int) and isinstance(dc, int):
-                q, r = divmod(rc, dc)
-                qc = q if r == 0 else Fraction(rc, dc)
-            else:
-                qc = rc / dc
-            quo[qe] = quo.get(qe, 0) + qc
-            piece = MPoly(self.vars, {qe: qc}) * other
-            rem = rem - piece
-        return MPoly(self.vars, quo)
+        if other.vars != self.vars:
+            raise ValueError("mixed variable sets")
+        packing = _Packing(len(self.vars), _max_exponent((self, other)))
+        divisor = _divisor(packing.pack(other))
+        quo = _divexact_packed(packing.pack(self), divisor, packing.guard)
+        return packing.unpack(self.vars, quo)
 
     def to_json(self):
         return {
@@ -226,11 +215,112 @@ class MPoly:
         return f"MPoly({self.pretty()})"
 
 
-def determinant(entries, bound=DEFAULT_DET_BOUND):
-    """Determinant of a square MPoly matrix.
+def _max_exponent(polys):
+    return max((max(e, default=0) for p in polys for e in p.terms), default=0)
 
-    Memoized minor expansion up to MINOR_EXPANSION_MAX (symbolic Sylvester
-    entries repeat minors heavily), fraction-free elimination above.
+
+class _Packing:
+    """Kronecker packing of exponent tuples into single ints.
+
+    Variable i occupies bits [i*width, (i+1)*width); the top bit of every
+    field is a guard bit that is clear in every packed monomial whose
+    exponents are at most `max_exp`.  Packed ints add as exponent tuples do
+    while no field carries out of its width, and compare in the
+    lexicographic order with the last variable most significant, which is a
+    monomial order.
+    """
+
+    def __init__(self, nvars, max_exp):
+        width = max_exp.bit_length() + 1
+        self.shifts = tuple(i * width for i in range(nvars))
+        self.mask = (1 << (width - 1)) - 1
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def pack(self, poly):
+        shifts = self.shifts
+        return {sum(k << s for k, s in zip(e, shifts)): c for e, c in poly.terms.items()}
+
+    def unpack(self, vars, terms):
+        shifts, mask = self.shifts, self.mask
+        return MPoly(vars, {tuple((m >> s) & mask for s in shifts): c for m, c in terms.items()})
+
+
+def _coef_div(c, d):
+    if isinstance(c, int) and isinstance(d, int):
+        q, r = divmod(c, d)
+        return q if r == 0 else Fraction(c, d)
+    return c / d
+
+
+def _divisor(div):
+    """(lead monomial, lead coefficient, the other terms as offsets from the
+    lead) of a nonzero packed divisor."""
+    lead = max(div)
+    return lead, div[lead], [(d - lead, c) for d, c in div.items() if d != lead]
+
+
+def _divexact_packed(rem, divisor, guard):
+    """Exact quotient of packed polynomials; `rem` is consumed as the remainder.
+
+    A quotient monomial q = lead(rem) - lead(div) is valid iff q >= 0 and no
+    field borrowed, i.e. no guard bit is set; otherwise the division is
+    inexact.  Valid q plus a divisor monomial cannot carry out of a field, so
+    the remainder's monomials stay faithful even where they leave the
+    dividend's exponent range (which only an inexact division does).
+    """
+    lead, lc, tail = divisor
+    quo = {}
+    if not tail:
+        for m, c in rem.items():
+            q = m - lead
+            if q < 0 or q & guard:
+                raise ArithmeticError("inexact polynomial division")
+            quo[q] = _coef_div(c, lc)
+        return quo
+    get, pop = rem.get, rem.pop
+    while rem:
+        m = max(rem)
+        c = pop(m)
+        q = m - lead
+        if q < 0 or q & guard:
+            raise ArithmeticError("inexact polynomial division")
+        qc = _coef_div(c, lc)
+        quo[q] = qc
+        for off, dc in tail:
+            t = m + off
+            v = get(t, 0) - qc * dc
+            if v:
+                rem[t] = v
+            else:
+                pop(t, None)
+    return quo
+
+
+def _mul_sub(a, b, c, d):
+    """a*b - c*d on packed polynomials, skipping products with a zero factor."""
+    out = {}
+    get = out.get
+    if a and b:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+    if c and d:
+        for mc, cc in c.items():
+            for md, cd in d.items():
+                m = mc + md
+                out[m] = get(m, 0) - cc * cd
+    return {m: v for m, v in out.items() if v}
+
+
+def determinant(entries, bound=DEFAULT_DET_BOUND):
+    """Determinant of a square MPoly matrix by fraction-free elimination.
+
+    Bareiss's recurrence a_ij <- (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) keeps
+    every entry a minor of the input, so each division is exact.  A zero
+    pivot is replaced by the first nonzero entry below it (a row swap, which
+    flips the sign); a column with no nonzero pivot makes the matrix
+    singular.
     """
     n = len(entries)
     if n > bound:
@@ -238,51 +328,37 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
     if n == 0:
         raise ValueError("empty matrix")
     vars = entries[0][0].vars
-    if n <= MINOR_EXPANSION_MAX:
-        memo = {}
-
-        def minor(rows, col):
-            # det of the submatrix with these rows and columns col..n-1
-            if not rows:
-                return MPoly.const(vars, 1)
-            key = rows
-            got = memo.get(key)
-            if got is not None:
-                return got
-            acc = MPoly.zero(vars)
-            sign = 1
-            for t, r in enumerate(rows):
-                cell = entries[r][col]
-                if cell:
-                    sub = minor(rows[:t] + rows[t + 1 :], col + 1)
-                    acc = acc + sign * cell * sub
-                sign = -sign
-            memo[key] = acc
-            return acc
-
-        return minor(tuple(range(n)), 0)
-    return _det_bareiss(entries, vars)
-
-
-def _det_bareiss(entries, vars):
-    a = [[entries[i][j] for j in range(len(entries))] for i in range(len(entries))]
-    n = len(a)
+    # every entry stays a minor, so its exponents are at most n * (largest
+    # input exponent); a product of two entries may set guard bits but cannot
+    # carry, and its exact quotient is again a valid minor
+    packing = _Packing(len(vars), n * _max_exponent(cell for row in entries for cell in row))
+    guard = packing.guard
+    a = [[packing.pack(cell) for cell in row] for row in entries]
     sign = 1
-    prev = MPoly.const(vars, 1)
+    prev, divisor = None, None  # the previous pivot; None stands for 1
     for k in range(n - 1):
-        if a[k][k].is_zero:
-            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
                 return MPoly.zero(vars)
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        top = a[k]
+        pivot = top[k]
         for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            if not lead and pivot == prev:
+                continue  # the row is scaled by pivot / prev = 1
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = MPoly.zero(vars)
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+                if row[j] or lead and top[j]:
+                    num = _mul_sub(pivot, row[j], lead, top[j])
+                    row[j] = _divexact_packed(num, divisor, guard) if divisor and num else num
+        prev, divisor = pivot, _divisor(pivot)
+    det = a[n - 1][n - 1]
+    if sign < 0:
+        det = {m: -c for m, c in det.items()}
+    return packing.unpack(vars, det)
 
 
 @dataclass(frozen=True)

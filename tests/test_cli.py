@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import singres
 from singres.cli import main
 
 
@@ -50,6 +51,15 @@ class TestResultant:
     def test_bound(self, capsys):
         code = main(["resultant", "--b1", "0,10", "--b2", "0,10", "--det-bound", "8"])
         assert code == 2
+
+    def test_report_observability(self, capsys):
+        code, out = run(capsys, "resultant", "--b1", "0,1,3", "--b2", "0,3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["sylvester_size"] == 6
+        assert data["terms"] == len(data["resultant"]["terms"]) == 5
+        assert set(data["timings"]) == {"det_s"} and data["timings"]["det_s"] >= 0
+        assert data["version"] == singres.__version__
 
 
 class TestPointAndGerm:

@@ -45,6 +45,39 @@ class TestMPoly:
         p = (x + y) * (x * x + 3 * y)
         assert p.divexact(x + y) == x * x + 3 * y
 
+    def test_divexact_one_term_divisor(self):
+        v = ("x", "y", "z")
+        x, y, z = (MPoly.var(v, n) for n in v)
+        q = 2 * x**3 * z - 5 * y + 7 * x * y * z**2
+        d = -3 * x**2 * y**4
+        got = (q * d).divexact(d)
+        assert got == q
+        assert all(type(c) is int for c in got.terms.values())
+
+    def test_divexact_fraction_quotient(self):
+        v = ("x", "y")
+        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        got = (3 * x * y + 6 * y + 2).divexact(MPoly.const(v, 4))
+        assert got.terms == {(1, 1): Fraction(3, 4), (0, 1): Fraction(3, 2), (0, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in got.terms.values())
+        exact = (4 * x * y - 8).divexact(MPoly.const(v, 4))
+        assert exact.terms == {(1, 1): 1, (0, 0): -2}
+        assert all(type(c) is int for c in exact.terms.values())
+
+    def test_divexact_errors(self):
+        v = ("x", "y")
+        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        with pytest.raises(ArithmeticError, match="inexact"):
+            (x * x + y).divexact(x + y)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            (x**3 * y + 1).divexact(x * y**2)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            (x * y**2).divexact(x**2 * y)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            (x * y**2 + x).divexact(x**2 * y + x)
+        with pytest.raises(ZeroDivisionError):
+            x.divexact(MPoly.zero(v))
+
 
 class TestSylvester:
     def test_degree_one(self):
@@ -116,6 +149,42 @@ def small_pairs(max_total_spread):
     return out
 
 
+# the resultant shapes of the pair-queries benchmark workload, Sylvester sizes 5 to 40
+PAIR_QUERY_SHAPES = (
+    ((0, 1, 3), (0, 2)), ((0, 2, 5), (0, 3)), ((0, 1, 4), (0, 2, 5)),
+    ((0, 3, 6), (0, 1, 4)), ((0, 1, 5), (0, 3, 5)), ((0, 1, 2), (0, 1, 8)),
+    ((0, 3, 7), (0, 3)), ((0, 2, 7), (0, 1, 8)), ((0, 4, 9), (0, 9)),
+    ((0, 5, 10), (0, 10)), ((0, 1, 12), (0, 12)), ((0, 5, 13), (0, 13)),
+    ((0, 7, 14), (0, 14)), ((0, 11, 16), (0, 16)), ((0, 3, 20), (0, 20)),
+)
+
+
+def laplace_det(rows):
+    """Reference determinant: cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = MPoly.zero(rows[0][0].vars)
+    for j, cell in enumerate(rows[0]):
+        if cell:
+            term = cell * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def _random_entry(rng, vars, fractions):
+    """Sparse random MPoly of total degree at most 3, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return MPoly.zero(vars)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * len(vars)
+        for _ in range(rng.randint(0, 3)):
+            exp[rng.randrange(len(vars))] += 1
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        terms[tuple(exp)] = Fraction(c, rng.randint(1, 3)) if fractions else c
+    return MPoly(vars, terms)
+
+
 class TestResultant:
     def test_closed_form(self):
         r = resultant_poly(pair((0, 1, 3), (0, 3)))
@@ -174,15 +243,89 @@ class TestResultant:
             scaled_g = LaurentPoly(p.b2, {b: lam * c for b, c in g.coeffs.items()})
             assert _specialize_at(poly, p, f, scaled_g) == lam**d1 * base
 
-    def test_det_engines_agree(self):
-        from singres.mpoly import _det_bareiss
-
+    def test_det_matches_laplace(self):
         for p in small_pairs(6):
-            syl = sylvester_matrix(p)
-            rows = [list(r) for r in syl.entries]
-            a = determinant(rows)
-            b = _det_bareiss(rows, syl.vars)
-            assert a == b
+            rows = [list(r) for r in sylvester_matrix(p).entries]
+            assert determinant(rows) == laplace_det(rows)
+
+    def test_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(14)
+        for b1, b2 in PAIR_QUERY_SHAPES:
+            p = pair(b1, b2)
+            poly = resultant_poly(p, bound=40)
+            for _ in range(2):
+                values = {f"f{b}": rng.choice((-1, 1)) * rng.randint(1, 4) for b in b1}
+                values.update({f"g{b}": rng.choice((-1, 1)) * rng.randint(1, 4) for b in b2})
+                f = sum(values[f"f{b}"] * x ** (b - b1[0]) for b in b1)
+                g = sum(values[f"g{b}"] * x ** (b - b2[0]) for b in b2)
+                want = int(sympy.resultant(f, g, x))
+                assert specialize(poly, values) in (want, -want)
+
+
+class TestDeterminant:
+    VARS = ("x", "y", "z")
+
+    def _matrix(self, rng, n, fractions=False):
+        return [[_random_entry(rng, self.VARS, fractions) for _ in range(n)] for _ in range(n)]
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(21)
+        for trial in range(36):
+            n = 1 + trial % 6
+            rows = self._matrix(rng, n, fractions=trial % 3 == 0)
+            assert determinant(rows) == laplace_det(rows)
+
+    def test_zero_leading_pivot(self):
+        rng = random.Random(22)
+        for n in (2, 4, 6):
+            rows = self._matrix(rng, n)
+            rows[0][0] = MPoly.zero(self.VARS)
+            rows[-1][0] = MPoly.var(self.VARS, "x")
+            assert determinant(rows) == laplace_det(rows)
+
+    def test_zero_pivot_mid_elimination(self):
+        v = self.VARS
+        x, y, one, zero = MPoly.var(v, "x"), MPoly.var(v, "y"), MPoly.const(v, 1), MPoly.zero(v)
+        # after the first step the (1, 1) entry is x*y - x*y = 0: a row swap at step 1
+        rows = [[x, y, one], [x, y, zero], [one, zero, y]]
+        got = determinant(rows)
+        assert got == laplace_det(rows)
+        assert got == -y
+
+    def test_fraction_entries(self):
+        v = self.VARS
+        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        rows = [[Fraction(1, 2) * x, y], [Fraction(-2, 3) * y, 3 * x + Fraction(1, 5)]]
+        assert determinant(rows) == Fraction(3, 2) * x * x + Fraction(1, 10) * x + Fraction(2, 3) * y * y
+
+    def test_high_degree_entries(self):
+        # entries of total degree 3 in one variable: exponents up to 2 * n * 3 while eliminating
+        v = self.VARS
+        x, y, z = (MPoly.var(v, n) for n in v)
+        rows = [
+            [x**3, y**3 + 1, z**3],
+            [z**3 - x, x**3, 2 * y**3],
+            [y**3, z**3 + x * y * z, x**3 - 1],
+        ]
+        assert determinant(rows) == laplace_det(rows)
+
+    def test_singular_matrix(self):
+        rng = random.Random(23)
+        for n in (2, 3, 5):
+            rows = self._matrix(rng, n)
+            rows[1] = [MPoly.var(self.VARS, "y") * c for c in rows[0]]  # row 1 = y * row 0
+            assert determinant(rows).is_zero
+        empty_column = [[MPoly.zero(self.VARS), MPoly.var(self.VARS, "x")]] * 2
+        assert determinant(empty_column).is_zero
+
+    def test_one_by_one(self):
+        v = self.VARS
+        cell = 2 * MPoly.var(v, "x") ** 3 - Fraction(1, 3)
+        assert determinant([[cell]]) == cell
+        with pytest.raises(ValueError, match="determinant too large"):
+            determinant([[cell]], bound=0)
 
 
 class TestSpecializeJacobian:
