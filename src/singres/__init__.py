@@ -17,7 +17,6 @@ from .exact import (
     squarefree_decomposition,
 )
 from .germs import GermClass, PlaneGerm, classify_germ, slice_germ
-from .kernels import COMPILED, backend_name
 from .laurent import (
     LaurentPoly,
     PointClass,

@@ -1,12 +1,12 @@
-"""Backend selection for the minor-scan kernels.
+"""The cyclotomic zero-test kernel behind every 3x3 unity-minor question.
 
-Prefers the compiled extension `singres._kernels`; falls back to the
-pure-Python/numpy twin `singres._kernels_py` when the extension was not
-built.  Both expose the same per-call functions over the same
-reduction-table convention, and the test suite asserts they agree.
-
-`all_minors_vanish_batch` answers the all-minors question for many (p, q)
-pairs at once; it is plain numpy and runs the same whatever the backend.
+A reduction table for zeta_n has shape (n, phi(n)); its row j is zeta_n^j
+reduced modulo the n-th cyclotomic polynomial.  A signed integer combination
+sum_t c_t zeta_n^(e_t) is therefore zero in Z[zeta_n] iff the same
+combination of table rows is the zero vector.  `unity_combos_vanish` asks
+that question for a whole array of combinations at once, and
+`all_minors_vanish_batch` phrases the all-3x3-minors test of the power
+matrices as such an array.  Both are plain numpy.
 """
 
 from __future__ import annotations
@@ -18,25 +18,16 @@ import numpy as np
 
 from .exact import unity_reduction_table
 
-try:  # pragma: no cover - depends on whether the extension was built
-    from . import _kernels as _impl
-
-    COMPILED = True
-except ImportError:  # pragma: no cover
-    from . import _kernels_py as _impl
-
-    COMPILED = False
-
-BACKEND = _impl.BACKEND
-
-
-def backend_name() -> str:
-    return BACKEND
-
-
-# Upper bound on the int64 entries of the gathered (pairs, 6, triples, phi(n))
-# block in all_minors_vanish_batch: pairs are processed in chunks below it.
+# Upper bound on the int64 entries of one gathered block of table rows in
+# unity_combos_vanish: the leading axis is processed in chunks below it.
 BATCH_ELEMENTS = 1 << 15
+
+# det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] with x = z^p, y = z^q is
+# z^(pb+qc) - z^(pc+qb) - z^(pa+qc) + z^(pc+qa) + z^(pa+qb) - z^(pb+qa):
+# term t is DET3_SIGNS[t] * z^(p * triple[_DET3_X[t]] + q * triple[_DET3_Y[t]]).
+_DET3_X = (1, 2, 0, 2, 0, 1)
+_DET3_Y = (2, 1, 2, 0, 1, 0)
+DET3_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
 @lru_cache(maxsize=None)
@@ -55,53 +46,48 @@ def reduction_table_array(n: int) -> np.ndarray:
     return arr
 
 
-def unity_combo_is_zero(table, exps, coefs) -> bool:
-    return bool(_impl.unity_combo_is_zero(table, list(exps), list(coefs)))
+def unity_combos_vanish(table, exps, coefs) -> np.ndarray:
+    """Is sum_t coefs[..., t] * zeta_n^exps[..., t] zero in Z[zeta_n]?
+
+    `exps` is an integer array of at least two axes whose last axis runs
+    over the terms of one combination (any exponent, reduced mod n here);
+    `coefs` broadcasts against it.  Returns a bool array of shape
+    exps.shape[:-1].  The leading axis is processed in chunks so that a
+    gathered block of table rows holds at most BATCH_ELEMENTS entries.
+    """
+    n, phi = table.shape
+    exps = np.asarray(exps, dtype=np.int64)
+    coefs = np.broadcast_to(np.asarray(coefs, dtype=np.int64), exps.shape)
+    out = np.empty(exps.shape[:-1], dtype=bool)
+    chunk = max(1, BATCH_ELEMENTS // max(1, phi * int(np.prod(exps.shape[1:]))))
+    for start in range(0, len(exps), chunk):
+        stop = start + chunk
+        rows = np.take(table, exps[start:stop] % n, axis=0)
+        acc = (coefs[start:stop, ..., None, :] @ rows)[..., 0, :]
+        out[start:stop] = ~acc.any(axis=-1)
+    return out
 
 
-def det3_unity_is_zero(table, a, b, c, p, q) -> bool:
-    return bool(_impl.det3_unity_is_zero(table, a, b, c, p, q))
-
-
-def all_minors_vanish_kernel(table, bexps, p, q) -> bool:
-    b = np.ascontiguousarray(np.asarray(bexps, dtype=np.int64))
-    return bool(_impl.all_minors_vanish(table, b, p, q))
+def det3_exponents(triples, ps, qs) -> np.ndarray:
+    """Exponents of the six det3 terms for every pair (ps[i], qs[i]) and
+    every row (a, b, c) of `triples`: an int array (pairs, triples, 6),
+    to be weighted by DET3_SIGNS."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    p = np.asarray(ps, dtype=np.int64)[:, None, None]
+    q = np.asarray(qs, dtype=np.int64)[:, None, None]
+    exps = p * np.ascontiguousarray(triples[:, _DET3_X])
+    exps += q * np.ascontiguousarray(triples[:, _DET3_Y])
+    return exps
 
 
 def all_minors_vanish_batch(table, bexps, ps, qs) -> np.ndarray:
-    """all_minors_vanish_kernel(table, bexps, p, q) for every pair (ps[i], qs[i]).
+    """Do all 3x3 minors of [[1...1], [x^b]_b, [y^b]_b], x = zeta_n^p,
+    y = zeta_n^q, b in bexps, vanish?  One answer per pair (ps[i], qs[i]).
 
-    One gather of the reduction-table rows of the six det3 terms, for every
-    pair and every 3-subset of bexps, then the signed six-term sum and a
-    zero test over the minors and phi(n) axes.  Pairs are processed in
-    chunks so that a gathered block holds at most BATCH_ELEMENTS entries.
-    Returns a bool array; vacuously true for fewer than three exponents.
+    The six det3 terms of every pair and 3-subset of bexps go to one
+    unity_combos_vanish call.  Vacuously true for fewer than three exponents.
     """
-    n, phi = table.shape
-    ps = np.asarray(ps, dtype=np.int64)
-    qs = np.asarray(qs, dtype=np.int64)
-    out = np.ones(len(ps), dtype=bool)
     if len(bexps) < 3:
-        return out
-    a, b, c = np.array(list(combinations(bexps, 3)), dtype=np.int64).T
-    # det3 = z^(pb+qc) - z^(pc+qb) - z^(pa+qc) + z^(pc+qa) + z^(pa+qb) - z^(pb+qa)
-    u = np.stack([b, c, a, c, a, b])
-    v = np.stack([c, b, c, a, b, a])
-    chunk = max(1, BATCH_ELEMENTS // (u.size * phi))
-    for start in range(0, len(ps), chunk):
-        p = ps[start : start + chunk, None, None]
-        q = qs[start : start + chunk, None, None]
-        rows = table[(p * u + q * v) % n]
-        acc = rows[:, 0] - rows[:, 1] - rows[:, 2] + rows[:, 3] + rows[:, 4] - rows[:, 5]
-        out[start : start + chunk] = ~acc.any(axis=(1, 2))
-    return out
-
-
-def get_backends():
-    """(name, module) pairs of every available backend, for benchmarks/tests."""
-    from . import _kernels_py
-
-    out = [("python", _kernels_py)]
-    if COMPILED:
-        out.append(("compiled", _impl))
-    return out
+        return np.ones(len(ps), dtype=bool)
+    exps = det3_exponents(list(combinations(bexps, 3)), ps, qs)
+    return unity_combos_vanish(table, exps, DET3_SIGNS).all(axis=1)

@@ -6,19 +6,23 @@ two-residue-class split of B; the scan below checks that equivalence
 exhaustively, and the single-minor checkers explain every vanishing
 determinant by row/column proportionality.
 
-All zero tests are exact in Z[zeta_n]; negative exponents are harmless since
-exponents reduce mod n.
+All zero tests are exact in Z[zeta_n]; the all-minors tests go through the
+batched kernel `kernels.all_minors_vanish_batch`.  Negative exponents are
+harmless since exponents reduce mod n.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from . import kernels
 from .exact import CycloElement
-from .supports import SupportSet
+from .supports import SupportSet, gap_gcd
 
 __all__ = [
     "RootOfUnity",
@@ -99,8 +103,6 @@ class SplitCertificate:
     part_rest: tuple
 
     def verify(self, b: SupportSet, n: int) -> bool:
-        from .supports import gap_gcd
-
         if self.k < 3 or n % self.k:
             return False
         merged = tuple(sorted(self.part_main + self.part_rest))
@@ -117,12 +119,17 @@ class SplitCertificate:
         return {"k": self.k, "part_main": list(self.part_main), "part_rest": list(self.part_rest)}
 
 
+def admissible_pairs(n: int):
+    """Every admissible (p, q) at modulus n up to swapping, 1 <= p < q < n,
+    as two int arrays in p-major order."""
+    ps, qs = np.triu_indices(n - 1, k=1)
+    return ps + 1, qs + 1
+
+
 def all_minors_vanish(b: SupportSet, u: UnityPair) -> bool:
     """Do all 3x3 minors of M(B; x, y) vanish?  Vacuously true for |B| < 3."""
-    if b.size < 3:
-        return True
     table = kernels.reduction_table_array(u.n)
-    return kernels.all_minors_vanish_kernel(table, b.elements, u.p, u.q)
+    return bool(kernels.all_minors_vanish_batch(table, b.elements, [u.p], [u.q])[0])
 
 
 def two_class_split(b: SupportSet, n: int):
@@ -191,23 +198,19 @@ class ScanReport:
         }
 
 
-def _order2_mechanism(elems, n, p, q):
+def _order2_mechanism(g, n, p, q):
     """Does one of x, y, x/y equal -1 with its power row constant over B?
 
-    Returns the responsible exponent difference class or None.  (A constant
-    power row of order m >= 3 always yields the trivial split B' = B, so only
-    the order-2 case can defeat the split criterion.)
+    `g` is the gap gcd of B.  Returns the responsible exponent difference
+    class or None.  (A constant power row of order m >= 3 always yields the
+    trivial split B' = B, so only the order-2 case can defeat the split
+    criterion.)
     """
-    from math import gcd as _gcd
-
-    g = 0
-    for a, c in zip(elems, elems[1:]):
-        g = _gcd(g, c - a)
     for name, r in (("x", p), ("y", q), ("x/y", p - q)):
         r %= n
         if r == 0:
             continue
-        order = n // _gcd(r, n)
+        order = n // math.gcd(r, n)
         if order == 2 and g % 2 == 0:
             return name
     return None
@@ -218,10 +221,12 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
     [a two-class split certificate exists], plus the per-pair forward
     direction (minors vanish implies split exists).
 
-    n <= 2 admits no pair with x, y != 1, x != y and is skipped.  Every
-    forward counterexample is classified (see ScanReport): the order-2
-    family is a real gap between the minors condition and the split
-    criterion, witnessed e.g. by B = {0,2,4}, n = 6, (p, q) = (1, 3).
+    Each (B, n) is one batched kernel call over every admissible pair, and
+    its counterexamples are listed pair-major.  n <= 2 admits no pair with
+    x, y != 1, x != y and is skipped.  Every forward counterexample is
+    classified (see ScanReport): the order-2 family is a real gap between
+    the minors condition and the split criterion, witnessed e.g. by
+    B = {0,2,4}, n = 6, (p, q) = (1, 3).
     """
     sizes = tuple(sorted(set(sizes)))
     report = ScanReport(n_max, spread_max, sizes)
@@ -234,25 +239,24 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
     ]
     for n in range(3, n_max + 1):
         table = kernels.reduction_table_array(n)
-        pairs = [(p, q) for p in range(1, n) for q in range(p + 1, n)]
+        ps, qs = admissible_pairs(n)
         for elems in subsets:
             b = SupportSet(elems)
             split = two_class_split(b, n)
-            any_vanish = False
-            for p, q in pairs:
-                vanish = kernels.all_minors_vanish_kernel(table, elems, p, q)
-                report.pairs_checked += 1
-                if vanish:
-                    any_vanish = True
-                    if split is None:
-                        cex = {"n": n, "B": list(elems), "p": p, "q": q}
-                        report.forward_counterexamples.append(cex)
-                        mech = _order2_mechanism(elems, n, p, q)
-                        if mech is not None:
-                            report.order2_explained.append({**cex, "mechanism": mech})
-                        else:
-                            report.unexplained.append(cex)
-            if split is not None and not any_vanish:
+            vanish = kernels.all_minors_vanish_batch(table, elems, ps, qs)
+            report.pairs_checked += len(ps)
+            if split is None:
+                g = gap_gcd(b)
+                for i in np.flatnonzero(vanish):
+                    p, q = int(ps[i]), int(qs[i])
+                    cex = {"n": n, "B": list(elems), "p": p, "q": q}
+                    report.forward_counterexamples.append(cex)
+                    mech = _order2_mechanism(g, n, p, q)
+                    if mech is not None:
+                        report.order2_explained.append({**cex, "mechanism": mech})
+                    else:
+                        report.unexplained.append(cex)
+            if split is not None and not vanish.any():
                 report.converse_counterexamples.append({"n": n, "B": list(elems)})
             if split is not None and not split.verify(b, n):
                 report.unexplained.append(
@@ -290,8 +294,6 @@ def unity_minor_check(a: int, b: int, c: int, x, y, tol=1e-9) -> MinorCheck:
     if _is_unity(x) and _is_unity(y):
         if x.n != y.n:
             # lift to the common modulus
-            import math
-
             n = x.n * y.n // math.gcd(x.n, y.n)
             x = RootOfUnity(n, x.k * (n // x.n))
             y = RootOfUnity(n, y.k * (n // y.n))

@@ -812,7 +812,6 @@ class ScanSReport:
     generic_corank: tuple | None = None
     wall_time: float = 0.0
     configs_scanned: int = 0
-    kernel_backend: str = ""
     timings: dict = field(default_factory=dict)
 
     def found_coranks(self):
@@ -831,6 +830,8 @@ class ScanSReport:
         return (c1, c2) in self.found
 
     def to_json(self):
+        from . import __version__  # the package imports this module before defining it
+
         return {
             "pair": self.pair,
             "label": self.label,
@@ -841,7 +842,7 @@ class ScanSReport:
             "generic_corank": self.generic_corank,
             "wall_time_s": self.wall_time,
             "configs_scanned": self.configs_scanned,
-            "kernel_backend": self.kernel_backend,
+            "version": __version__,
             "timings": self.timings,
         }
 
@@ -862,10 +863,7 @@ def _unity_corank_monomial(b_elems, exps, n):
     if len(b_elems) < 3:
         return 1
     table = kernels.reduction_table_array(n)
-    p, q = exps[1], exps[2]
-    if kernels.all_minors_vanish_kernel(table, b_elems, p, q):
-        return 1
-    return 0
+    return int(kernels.all_minors_vanish_batch(table, b_elems, [exps[1]], [exps[2]])[0])
 
 
 def _unity_coranks_monomial(b_elems, n, exps):
@@ -916,14 +914,13 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     eliminations (the multiplicity labels and the generic tuples) compute
     the rank only, one elimination per matrix.
 
-    The report records the tuples scanned, the kernel backend and the time
+    The report records the tuples scanned, the package version and the time
     spent on the unity and the generic tuples.
     """
     if label.k < 1 or label.k > 3:
         raise ValueError("scan supports labels with 1..3 roots")
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
-    report.kernel_backend = kernels.backend_name()
     k = label.k
     js1, js2 = label.side_orders(1), label.side_orders(2)
     multiplicity_free = all(j == 1 for j in js1 + js2)

@@ -3,7 +3,8 @@ facts at desk scale and reports pass/fail with timings.
 
 The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
-computed by the stated independent oracles.
+computed by the stated independent oracles.  The root-of-unity minor checks
+make one batched kernel call per modulus (see `singres.kernels`).
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .exact import exact_rank
 from .germs import PlaneGerm, classify_germ, slice_germ
-from .kernels import det3_unity_is_zero, reduction_table_array, unity_combo_is_zero
+from .kernels import DET3_SIGNS, det3_exponents, reduction_table_array, unity_combos_vanish
 from .laurent import LaurentPoly, classify_point
-from .minors import minors_split_equivalence_scan
+from .minors import admissible_pairs, minors_split_equivalence_scan
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
@@ -152,32 +155,45 @@ def _explained_power_matrix_zero(n, p, q, a, b, c):
 
 
 def check_unity_minor_explanations(n_max=24, span=5):
-    triples = list(itertools.combinations(range(-span, span + 1), 3))
+    """Every vanishing 3x3 minor over roots of unity is explained.
+
+    Two sweeps over the triples a < b < c of [-span, span]: the power matrix
+    [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] for x = z^p, y = z^q with
+    1 <= p < q < n, and the ones/exponents/powers matrix
+    [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for x = z^p, 0 <= p < n.  Each sweep
+    makes one batched zero test per modulus n; the zeros are then explained
+    in (n, p, q, triple) order.
+    """
+    triple_list = list(itertools.combinations(range(-span, span + 1), 3))
+    triples = np.array(triple_list, dtype=np.int64)
+    a, b, c = triples.T
     unexplained = []
     zeros = 0
     checked = 0
     for n in range(3, n_max + 1):
+        ps, qs = admissible_pairs(n)
         table = reduction_table_array(n)
-        for p in range(1, n):
-            for q in range(p + 1, n):
-                for a, b, c in triples:
-                    checked += 1
-                    if det3_unity_is_zero(table, a, b, c, p, q):
-                        zeros += 1
-                        if not _explained_power_matrix_zero(n, p, q, a, b, c):
-                            unexplained.append({"n": n, "p": p, "q": q, "triple": [a, b, c]})
+        vanish = unity_combos_vanish(table, det3_exponents(triples, ps, qs), DET3_SIGNS)
+        checked += vanish.size
+        for i, t in np.argwhere(vanish).tolist():
+            zeros += 1
+            p, q = int(ps[i]), int(qs[i])
+            if not _explained_power_matrix_zero(n, p, q, *triple_list[t]):
+                unexplained.append({"n": n, "p": p, "q": q, "triple": list(triple_list[t])})
     # ones / exponents / powers matrix: det = (b-a) x^c + (a-c) x^b + (c-b) x^a
     zeros65 = 0
+    row_exps = np.stack([c, b, a], axis=1)
+    coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
         table = reduction_table_array(n)
-        for p in range(n):
-            for a, b, c in triples:
-                checked += 1
-                if unity_combo_is_zero(table, [p * c, p * b, p * a], [b - a, a - c, c - b]):
-                    zeros65 += 1
-                    powers_equal = (p * (a - b)) % n == 0 and (p * (b - c)) % n == 0
-                    if not powers_equal:
-                        unexplained.append({"n": n, "p": p, "triple": [a, b, c], "kind": "exponent-row"})
+        vanish = unity_combos_vanish(table, np.arange(n)[:, None, None] * row_exps, coefs)
+        checked += vanish.size
+        for p, t in np.argwhere(vanish).tolist():
+            zeros65 += 1
+            a_, b_, c_ = triple_list[t]
+            powers_equal = (p * (a_ - b_)) % n == 0 and (p * (b_ - c_)) % n == 0
+            if not powers_equal:
+                unexplained.append({"n": n, "p": p, "triple": [a_, b_, c_], "kind": "exponent-row"})
     ok = not unexplained
     return ok, {
         "checked": checked,

@@ -7,10 +7,11 @@ import pytest
 
 from singres.exact import CycloElement
 from singres import kernels
-from singres.kernels import det3_unity_is_zero, reduction_table_array, unity_combo_is_zero
+from singres.kernels import DET3_SIGNS, det3_exponents, reduction_table_array, unity_combos_vanish
 from singres.minors import (
     RootOfUnity,
     UnityPair,
+    admissible_pairs,
     all_minors_vanish,
     exponent_power_minor_check,
     minors_split_equivalence_scan,
@@ -19,6 +20,7 @@ from singres.minors import (
     unity_minor_check,
 )
 from singres.supports import SupportSet
+from singres.verify import check_unity_minor_explanations
 
 
 def S(*xs):
@@ -33,6 +35,11 @@ class TestUnityPair:
             UnityPair(6, 2, 2)
         u = UnityPair(6, 7, 2)  # reduces mod 6
         assert (u.p, u.q) == (1, 2)
+
+    def test_admissible_pairs(self):
+        ps, qs = admissible_pairs(5)
+        assert list(zip(ps.tolist(), qs.tolist())) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        assert [len(admissible_pairs(n)[0]) for n in (2, 3, 12)] == [0, 1, 55]
 
 
 class TestAllMinorsVanish:
@@ -92,8 +99,14 @@ class TestEquivalenceScan:
         rep = minors_split_equivalence_scan(8, 8, (3, 4))
         assert rep.unexplained == []
         assert rep.converse_counterexamples == []
-        # every literal counterexample is an order-2 row degeneracy
-        assert len(rep.order2_explained) == len(rep.forward_counterexamples)
+        # every literal counterexample is an order-2 row degeneracy, listed
+        # by n, then B, then pair (p-major)
+        assert len(rep.order2_explained) == len(rep.forward_counterexamples) == 66
+        assert rep.order2_explained[:3] == [
+            {"n": 6, "B": [0, 2, 4], "p": 1, "q": 3, "mechanism": "y"},
+            {"n": 6, "B": [0, 2, 4], "p": 1, "q": 4, "mechanism": "x/y"},
+            {"n": 6, "B": [0, 2, 4], "p": 2, "q": 3, "mechanism": "y"},
+        ]
 
     def test_known_order2_witness(self):
         b = S(0, 2, 4)
@@ -126,14 +139,28 @@ class TestMinorChecks:
 
     def test_power_matrix_property(self):
         # every vanishing determinant over roots of unity is explained
+        triples = list(itertools.combinations(range(-6, 7), 3))
         for n in range(3, 31):
-            table = reduction_table_array(n)
-            for p in range(1, n):
-                for q in range(p + 1, n):
-                    for a, b, c in itertools.combinations(range(-6, 7), 3):
-                        if det3_unity_is_zero(table, a, b, c, p, q):
-                            out = unity_minor_check(a, b, c, RootOfUnity(n, p), RootOfUnity(n, q))
-                            assert out.tag in ("PropRows", "PropCols"), (n, p, q, a, b, c)
+            ps, qs = admissible_pairs(n)
+            exps = det3_exponents(triples, ps, qs)
+            vanish = unity_combos_vanish(reduction_table_array(n), exps, DET3_SIGNS)
+            for i, t in np.argwhere(vanish).tolist():
+                p, q = int(ps[i]), int(qs[i])
+                out = unity_minor_check(*triples[t], RootOfUnity(n, p), RootOfUnity(n, q))
+                assert out.tag in ("PropRows", "PropCols"), (n, p, q, triples[t])
+
+    def test_unity_sweep_counts(self):
+        # frozen (checked, power-matrix zeros, exponent-row zeros) of small sweeps
+        expected = {
+            (8, 4): (7728, 1149, 744),
+            (10, 3): (6125, 450, 381),
+            (12, 2): (2980, 87, 126),
+            (14, 2): (4690, 105, 147),
+        }
+        for args, counts in expected.items():
+            ok, d = check_unity_minor_explanations(*args)
+            assert ok and d["unexplained"] == []
+            assert (d["checked"], d["zeros_power_matrix"], d["zeros_exponent_matrix"]) == counts
 
     def test_power_matrix_float(self):
         out = unity_minor_check(0, 1, 2, cmath.exp(0.7j), cmath.exp(1.9j))
@@ -208,48 +235,75 @@ class TestProportionalityStructure:
         assert found >= 10
 
 
-class TestBackendsAgree:
-    def test_kernels_match(self):
-        from singres.kernels import get_backends
+def cyclo_det3(n, a, b, c, p, q):
+    """det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]], x = z^p, y = z^q, in exact
+    Z[zeta_n] arithmetic: cofactor expansion along the row of ones."""
+    x = [CycloElement.root_power(n, p * e) for e in (a, b, c)]
+    y = [CycloElement.root_power(n, q * e) for e in (a, b, c)]
+    return (x[1] * y[2] - x[2] * y[1]) - (x[0] * y[2] - x[2] * y[0]) + (x[0] * y[1] - x[1] * y[0])
 
-        backends = get_backends()
+
+def det3_vanishes(table, a, b, c, p, q):
+    """Reference det3 zero test over the reduction table, one minor per call:
+    cofactor expansion along the row of ones, x^s y^t = z^(ps + qt)."""
+    n = table.shape[0]
+
+    def minor(s, t):  # x^s y^t - x^t y^s
+        return table[(p * s + q * t) % n] - table[(p * t + q * s) % n]
+
+    return not (minor(b, c) - minor(a, c) + minor(a, b)).any()
+
+
+def all_minors_reference(table, elems, p, q):
+    m = len(elems)
+    return all(
+        det3_vanishes(table, elems[i], elems[j], elems[k], p, q)
+        for i in range(m - 2)
+        for j in range(i + 1, m - 1)
+        for k in range(j + 1, m)
+    )
+
+
+class TestComboKernel:
+    def test_det3_matches_cyclo_arithmetic(self):
         rng = random.Random(43)
         for _ in range(150):
             n = rng.randint(3, 14)
             table = reduction_table_array(n)
             p = rng.randint(1, n - 1)
             q = rng.randint(1, n - 1)
-            elems = np.array(sorted(rng.sample(range(-5, 10), rng.randint(3, 5))), dtype=np.int64)
-            results = {
-                name: bool(mod.all_minors_vanish(table, elems, p, q))
-                for name, mod in backends
-            }
-            assert len(set(results.values())) == 1, results
-            a, b, c = map(int, elems[:3])
-            single = {
-                name: bool(mod.det3_unity_is_zero(table, a, b, c, p, q))
-                for name, mod in backends
-            }
-            assert len(set(single.values())) == 1
-            exps = [int(e) for e in elems[:3]]
-            coefs = [rng.randint(-3, 3) for _ in exps]
-            combo = {
-                name: bool(mod.unity_combo_is_zero(table, exps, coefs))
-                for name, mod in backends
-            }
-            assert len(set(combo.values())) == 1
+            elems = sorted(rng.sample(range(-5, 10), rng.randint(3, 5)))
+            triples = list(itertools.combinations(elems, 3))
+            got = unity_combos_vanish(table, det3_exponents(triples, [p], [q]), DET3_SIGNS)[0]
+            exact = [cyclo_det3(n, *t, p, q).is_zero for t in triples]
+            assert got.tolist() == exact, (n, p, q, elems)
+            batch = kernels.all_minors_vanish_batch(table, elems, [p], [q])
+            assert batch.tolist() == [all(exact)]
 
-    def test_combo_matches_cyclo_arithmetic(self):
+    def test_combo_matches_cyclo_arithmetic(self, monkeypatch):
         rng = random.Random(44)
+        cases = {}
         for _ in range(100):
             n = rng.randint(2, 15)
-            table = reduction_table_array(n)
             exps = [rng.randint(-8, 8) for _ in range(4)]
             coefs = [rng.randint(-4, 4) for _ in range(4)]
             acc = CycloElement.zero(n)
             for e, c in zip(exps, coefs):
                 acc = acc + CycloElement.root_power(n, e) * c
-            assert unity_combo_is_zero(table, exps, coefs) == acc.is_zero
+            table = reduction_table_array(n)
+            assert unity_combos_vanish(table, [exps], [coefs]).tolist() == [acc.is_zero]
+            cases.setdefault(n, []).append((exps, coefs, acc.is_zero))
+        # the same combinations, one batch per modulus, whole and one row a chunk
+        for budget in (kernels.BATCH_ELEMENTS, 1):
+            monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
+            for n, group in cases.items():
+                exps, coefs, expect = zip(*group)
+                got = unity_combos_vanish(reduction_table_array(n), exps, coefs)
+                assert got.tolist() == list(expect)
+
+    def test_empty_batch(self):
+        out = unity_combos_vanish(reduction_table_array(5), np.zeros((0, 4, 6), dtype=np.int64), DET3_SIGNS)
+        assert out.shape == (0, 4)
 
 
 class TestBatchKernel:
@@ -259,7 +313,7 @@ class TestBatchKernel:
         pairs = [(p, q) for p in range(1, n) for q in range(1, n)]
         ps, qs = zip(*pairs)
         batch = kernels.all_minors_vanish_batch(table, elems, ps, qs)
-        single = [kernels.all_minors_vanish_kernel(table, elems, p, q) for p, q in pairs]
+        single = [all_minors_reference(table, elems, p, q) for p, q in pairs]
         return batch.tolist() == single
 
     def test_matches_per_call_kernel(self):
