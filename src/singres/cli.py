@@ -67,12 +67,31 @@ def _parse_support(text: str) -> SupportSet:
 
 
 def _load_json_input(args):
-    if getattr(args, "input", None):
+    """The JSON object named by --input ('-' for stdin), or None without
+    --input.  A missing or unreadable file, malformed JSON and JSON that is
+    not an object raise ValueError."""
+    if not getattr(args, "input", None):
+        return None
+    try:
         if args.input == "-":
-            return json.load(sys.stdin)
-        with open(args.input) as fh:
-            return json.load(fh)
-    return None
+            data = json.load(sys.stdin)
+        else:
+            with open(args.input) as fh:
+                data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"--input: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--input: malformed JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"--input: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _require_input(args, command):
+    data = _load_json_input(args)
+    if data is None:
+        raise ValueError(f"{command} requires --input")
+    return data
 
 
 def _pair_from_args(args) -> SupportPair:
@@ -102,7 +121,7 @@ def cmd_classify(args) -> int:
     config = _config(args)
     try:
         pair = _pair_from_args(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = check_conditions(pair)
@@ -126,7 +145,7 @@ def cmd_resultant(args) -> int:
         start = time.perf_counter()
         poly = resultant_poly(pair, bound=config.det_bound)
         det_s = time.perf_counter() - start
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(
@@ -147,11 +166,8 @@ def cmd_resultant(args) -> int:
 
 def cmd_point_classify(args) -> int:
     config = _config(args)
-    data = _load_json_input(args)
-    if data is None:
-        print("error: point-classify requires --input", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        data = _require_input(args, "point-classify")
         f = LaurentPoly.from_json(data["f"])
         g = LaurentPoly.from_json(data["g"])
         result = classify_point(f, g, tol=config.tolerance)
@@ -164,11 +180,8 @@ def cmd_point_classify(args) -> int:
 
 def cmd_germ_classify(args) -> int:
     config = _config(args)
-    data = _load_json_input(args)
-    if data is None:
-        print("error: germ-classify requires --input", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        data = _require_input(args, "germ-classify")
         germ = PlaneGerm.from_json(data)
         result = classify_germ(germ)
     except (ValueError, KeyError) as exc:
@@ -208,11 +221,8 @@ def _parse_coeffs(mapping):
 
 def cmd_project3d(args) -> int:
     config = _config(args)
-    data = _load_json_input(args)
-    if data is None:
-        print("error: project3d requires --input", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        data = _require_input(args, "project3d")
         a1 = Support3D.from_json(data["a1"])
         a2 = Support3D.from_json(data["a2"])
     except (ValueError, KeyError) as exc:

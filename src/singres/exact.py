@@ -63,10 +63,6 @@ class UniPoly:
         return cls((1,))
 
     @classmethod
-    def x_power(cls, k, scale=1):
-        return cls((0,) * k + (scale,))
-
-    @classmethod
     def from_roots(cls, roots):
         p = cls.one()
         for r in roots:

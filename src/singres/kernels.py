@@ -4,9 +4,10 @@ A reduction table for zeta_n has shape (n, phi(n)); its row j is zeta_n^j
 reduced modulo the n-th cyclotomic polynomial.  A signed integer combination
 sum_t c_t zeta_n^(e_t) is therefore zero in Z[zeta_n] iff the same
 combination of table rows is the zero vector.  `unity_combos_vanish` asks
-that question for a whole array of combinations at once, and
-`all_minors_vanish_batch` phrases the all-3x3-minors test of the power
-matrices as such an array.  Both are plain numpy.
+that question for a whole array of combinations at once.  `det3_vanish`
+phrases the 3x3 power-matrix minors as such arrays, built chunk by chunk,
+and `all_minors_vanish_batch` reduces them to the all-minors test.  All are
+plain numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ def reduction_table_array(n: int) -> np.ndarray:
     return arr
 
 
+def _chunk_length(row_elements):
+    """Leading-axis rows per chunk when one row gathers `row_elements`
+    table entries: as many as fit in BATCH_ELEMENTS, at least one."""
+    return max(1, BATCH_ELEMENTS // max(1, row_elements))
+
+
 def unity_combos_vanish(table, exps, coefs) -> np.ndarray:
     """Is sum_t coefs[..., t] * zeta_n^exps[..., t] zero in Z[zeta_n]?
 
@@ -59,7 +66,7 @@ def unity_combos_vanish(table, exps, coefs) -> np.ndarray:
     exps = np.asarray(exps, dtype=np.int64)
     coefs = np.broadcast_to(np.asarray(coefs, dtype=np.int64), exps.shape)
     out = np.empty(exps.shape[:-1], dtype=bool)
-    chunk = max(1, BATCH_ELEMENTS // max(1, phi * int(np.prod(exps.shape[1:]))))
+    chunk = _chunk_length(phi * int(np.prod(exps.shape[1:])))
     for start in range(0, len(exps), chunk):
         stop = start + chunk
         rows = np.take(table, exps[start:stop] % n, axis=0)
@@ -80,14 +87,34 @@ def det3_exponents(triples, ps, qs) -> np.ndarray:
     return exps
 
 
+def det3_vanish(table, triples, ps, qs) -> np.ndarray:
+    """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish, x = zeta_n^p,
+    y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
+    `triples`?  A bool array (pairs, triples).
+
+    The exponents are built and tested in chunks of pairs, so neither a
+    chunk's exponent block nor its gathered table rows exceed
+    BATCH_ELEMENTS entries.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    ps = np.asarray(ps, dtype=np.int64)
+    qs = np.asarray(qs, dtype=np.int64)
+    out = np.empty((len(ps), len(triples)), dtype=bool)
+    chunk = _chunk_length(table.shape[1] * len(triples) * len(DET3_SIGNS))
+    for start in range(0, len(ps), chunk):
+        stop = start + chunk
+        exps = det3_exponents(triples, ps[start:stop], qs[start:stop])
+        out[start:stop] = unity_combos_vanish(table, exps, DET3_SIGNS)
+    return out
+
+
 def all_minors_vanish_batch(table, bexps, ps, qs) -> np.ndarray:
     """Do all 3x3 minors of [[1...1], [x^b]_b, [y^b]_b], x = zeta_n^p,
     y = zeta_n^q, b in bexps, vanish?  One answer per pair (ps[i], qs[i]).
 
-    The six det3 terms of every pair and 3-subset of bexps go to one
-    unity_combos_vanish call.  Vacuously true for fewer than three exponents.
+    The det3 of every pair and 3-subset of bexps goes to det3_vanish.
+    Vacuously true for fewer than three exponents.
     """
     if len(bexps) < 3:
         return np.ones(len(ps), dtype=bool)
-    exps = det3_exponents(list(combinations(bexps, 3)), ps, qs)
-    return unity_combos_vanish(table, exps, DET3_SIGNS).all(axis=1)
+    return det3_vanish(table, list(combinations(bexps, 3)), ps, qs).all(axis=1)

@@ -59,10 +59,6 @@ class ProjPoint:
             raise ValueError("finite projective point must be nonzero")
         return cls("finite", value)
 
-    @property
-    def is_boundary(self):
-        return self.kind != "finite"
-
     def __repr__(self):
         if self.kind == "finite":
             return f"ProjPoint({self.value!r})"
@@ -86,9 +82,6 @@ class RootRecord:
     @property
     def pair_ord(self):
         return min(self.ord1, self.ord2)
-
-    def swapped(self):
-        return RootRecord(self.point, self.ord2, self.ord1, self.min_poly)
 
 
 @dataclass(frozen=True)
@@ -122,10 +115,6 @@ class LaurentPoly:
         self.support = support
         self.coeffs = coeffs
 
-    @classmethod
-    def from_vector(cls, support: SupportSet, vec):
-        return cls(support, {b: v for b, v in zip(support, vec)})
-
     def coeff(self, b):
         return self.coeffs.get(b, 0)
 
@@ -136,9 +125,6 @@ class LaurentPoly:
     @property
     def is_exact(self):
         return all(_is_exact_scalar(c) for c in self.coeffs.values())
-
-    def coeff_vector(self):
-        return [self.coeff(b) for b in self.support]
 
     def x_part(self) -> UniPoly:
         """The polynomial sum c_b x^(b - min B); exact scalars only."""

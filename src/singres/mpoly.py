@@ -137,9 +137,6 @@ class MPoly:
                 out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[i]
         return MPoly(self.vars, out)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def substitute(self, assignment):
         """Substitute scalars for a subset of the variables.
 

@@ -7,6 +7,9 @@ The codimension estimator parameterizes each probed locus component by
 (solution tuple, kernel coordinates) and reports the rank of the
 parameterization's differential: the dimension found certifies an upper
 bound on the codimension, while the claimed lower bound stays heuristic.
+Generic tuples are ranked exactly; the float samples of the root-of-unity
+and minor-curve components are drawn first and evaluated as stacks
+(`_span_dimensions`), one stacked SVD per side and per final matrix shape.
 """
 
 from __future__ import annotations
@@ -521,6 +524,9 @@ class CodimEstimate:
 
     best_dim_found is the certified side (a dimension actually realized);
     codim_lower_bound_claimed = ambient - best_dim_found is heuristic.
+    `samples` maps each probed component to its per-sample dimensions (None
+    where a sample failed), and `timings` gives the seconds spent in the
+    generic, root-of-unity and minor-curve phases.
     """
 
     ambient_dim: int
@@ -530,6 +536,8 @@ class CodimEstimate:
     seed: int = 0
     label: str = ""
     pair: dict | None = None
+    samples: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     @property
     def estimate(self):
@@ -542,19 +550,30 @@ class CodimEstimate:
         return self.estimate
 
     def to_json(self):
+        from . import __version__  # the package imports this module before defining it
+
+        def component(desc, dim):
+            dims = self.samples.get(desc, [])
+            return {
+                "component": desc,
+                "dim_found": dim,
+                "votes": [list(v) for v in sorted(Counter(d for d in dims if d is not None).items())],
+                "none_samples": dims.count(None),
+            }
+
         return {
             "ambient_dim": self.ambient_dim,
             "best_dim_found": self.best_dim_found,
             "codim_estimate": self.estimate,
             "codim_lower_bound_claimed": self.estimate,
             "heuristic_lower_bound": True,
-            "components_probed": [
-                {"component": desc, "dim_found": dim} for desc, dim in self.components_probed
-            ],
+            "components_probed": [component(desc, dim) for desc, dim in self.components_probed],
             "sample_count": self.sample_count,
             "seed": self.seed,
             "label": self.label,
             "pair": self.pair,
+            "version": __version__,
+            "timings": self.timings,
         }
 
 
@@ -607,64 +626,113 @@ def _span_dimension_exact(pair, label, pts, dirs):
     return exact_rank(rows) if rows else 0
 
 
-def _span_dimension_float(pair, label, pts, dirs, rtol=SVD_RTOL):
-    sides = _side_matrices(pair, label, pts)
-    if sides is None:
-        return None
-    eff1, eff2, m1, m2 = sides
-    a1 = np.array([[complex(v) for v in r] for r in m1]) if m1 else np.zeros((0, len(eff1)))
-    a2 = np.array([[complex(v) for v in r] for r in m2]) if m2 else np.zeros((0, len(eff2)))
+@lru_cache(maxsize=None)
+def _vandermonde_tables(eff, js):
+    """Row layout of the multiplicity Vandermonde of the exponents `eff` at
+    len(js) points with orders js, as read-only arrays: the point of each
+    row, falling(e, d) and e - d for its entries, and falling(e, d + 1) and
+    e - d - 1 for the entries of its derivative in that point."""
+    rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
+    derivs = np.array([d for _, d in rows])[:, None]
+    tables = (
+        np.array([m for m, _ in rows]),
+        np.array([[_falling(e, d) for e in eff] for _, d in rows], dtype=float),
+        np.array(eff) - derivs,
+        np.array([[_falling(e, d + 1) for e in eff] for _, d in rows], dtype=float),
+        np.array(eff) - derivs - 1,
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
-    def kern(a, ncols):
-        if a.shape[0] == 0:
-            return np.eye(ncols, dtype=complex)
-        u, s, vh = np.linalg.svd(a)
-        cut = rtol * (s[0] if len(s) else 0)
-        rank = int(np.sum(s > cut))
-        return vh[rank:].conj()
 
-    k1 = kern(a1, len(eff1))
-    k2 = kern(a2, len(eff2))
-    if k1.shape[0] == 0 or k2.shape[0] == 0:
+def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
+    """Span dimension of the locus parameterization's differential at each
+    tuple of a stack, or None where a side kernel is empty or a tangent
+    solve is inconsistent.
+
+    `pts` is an (S, k) complex array of solution tuples (k >= 1) and
+    dirs[s] a sequence of length-k tangent directions of the locus at tuple
+    s.  Each side's multiplicity Vandermonde is built for the whole stack
+    and factored by one stacked SVD: the right singular vectors past the
+    thresholded rank span the side's kernel, and the same factors give the
+    minimum-norm tangent solves (what lstsq returns, with its default
+    cutoff).  The kernel combinations f1, f2 are drawn per tuple from a
+    generator seeded by the tuple's hash.  The final ranks, of the
+    row-normalized kernel and tangent rows, take one stacked SVD per matrix
+    shape.
+    """
+    count = len(pts)
+    dims = [None] * count
+    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
+    if not count or not all(effs):
+        return dims
+    ndirs = np.array([len(d) for d in dirs])
+    tangents = np.zeros((count, ndirs.max(), label.k), dtype=complex)
+    for s, d in enumerate(dirs):
+        tangents[s, : len(d)] = d
+    live = np.ones(count, dtype=bool)
+    sides, kdims = [], []
+    for side, eff in ((1, effs[0]), (2, effs[1])):
+        tables = _vandermonde_tables(eff, label.side_orders(side))
+        point, fall, exps = tables[:3]
+        mat = fall * pts[:, point, None] ** exps
+        u, sv, vh = np.linalg.svd(mat)
+        kdim = len(eff) - np.sum(sv > rtol * sv[:, :1], axis=1)
+        live &= kdim > 0
+        sides.append((tables, mat, u, sv, vh))
+        kdims.append(kdim)
+    weights = [np.zeros((count, len(eff)), dtype=complex) for eff in effs]
+    for s in np.flatnonzero(live):
+        rng = np.random.default_rng(abs(hash(tuple(map(complex, pts[s])))) % (2**32))
+        for w, kdim in zip(weights, kdims):
+            kd = kdim[s]
+            w[s, w.shape[1] - kd :] = rng.normal(size=kd) + 1j * rng.normal(size=kd)
+    kernels, solutions = [], []
+    while sides:  # consumed side by side, so each side's factors are freed once solved
+        (point, _, _, dfall, dexps), mat, u, sv, vh = sides.pop(0)
+        kernels.append(vh.conj())
+        f = (weights.pop(0)[:, None, :] @ kernels[-1])[:, 0, :]
+        # rhs[s, :, i] = -(derivative of the matrix along tangent i) @ f
+        dmat = dfall * pts[:, point, None] ** dexps
+        rhs = -(dmat @ f[:, :, None]) * tangents[:, :, point].swapaxes(1, 2)
+        q = sv.shape[1]
+        cut = np.finfo(float).eps * max(mat.shape[1:]) * sv[:, :1]
+        inv = np.divide(1, sv, out=np.zeros_like(sv), where=sv > cut)
+        sol = kernels[-1][:, :q].swapaxes(1, 2) @ (inv[:, :, None] * (u[:, :, :q].conj().swapaxes(1, 2) @ rhs))
+        resid = np.linalg.norm(mat @ sol - rhs, axis=1)
+        live &= ~np.any(resid > 1e-6 * np.maximum(1, np.linalg.norm(rhs, axis=1)), axis=1)
+        solutions.append(sol.swapaxes(1, 2))
+    n1 = len(pair.b1.elements)
+    cols = (
+        [pair.b1.elements.index(e) for e in effs[0]],
+        [n1 + pair.b2.elements.index(e) for e in effs[1]],
+    )
+    kernels1, kernels2 = kernels
+    shapes = np.stack([*kdims, ndirs], axis=1)
+    for k1, k2, nd in {tuple(row) for row in shapes[live].tolist()}:
+        idx = np.flatnonzero(live & (shapes == (k1, k2, nd)).all(axis=1))
+        rows = np.zeros((len(idx), k1 + k2 + nd, n1 + len(pair.b2.elements)), dtype=complex)
+        rows[:, :k1, cols[0]] = kernels1[idx, len(cols[0]) - k1 :]
+        rows[:, k1 : k1 + k2, cols[1]] = kernels2[idx, len(cols[1]) - k2 :]
+        rows[:, k1 + k2 :, cols[0]] = solutions[0][idx, :nd]
+        rows[:, k1 + k2 :, cols[1]] = solutions[1][idx, :nd]
+        norms = np.linalg.norm(rows, axis=2, keepdims=True)
+        norms[norms == 0] = 1.0
+        rows /= norms
+        sv = np.linalg.svd(rows, compute_uv=False)
+        for i, rank in zip(idx.tolist(), np.sum(sv > rtol * sv[:, :1], axis=1).tolist()):
+            dims[i] = rank
+    return dims
+
+
+def _vote(dims):
+    """Majority of the non-None sample dimensions, ties broken to the
+    smallest; None when every sample failed."""
+    votes = Counter(d for d in dims if d is not None).most_common()
+    if not votes:
         return None
-    rng = np.random.default_rng(abs(hash(tuple(map(complex, pts)))) % (2**32))
-    f1 = (rng.normal(size=k1.shape[0]) + 1j * rng.normal(size=k1.shape[0])) @ k1
-    f2 = (rng.normal(size=k2.shape[0]) + 1j * rng.normal(size=k2.shape[0])) @ k2
-    n1, n2 = len(pair.b1.elements), len(pair.b2.elements)
-    rows = []
-    for v in k1:
-        rows.append(_embed(list(v), eff1, pair.b1) + [0] * n2)
-    for w in k2:
-        rows.append([0] * n1 + _embed(list(w), eff2, pair.b2))
-    js1, js2 = label.side_orders(1), label.side_orders(2)
-    pow_ = lambda x, e: complex(x) ** e
-    xs = [complex(x) for x in pts]
-    for direction in dirs:
-        rhs1 = np.zeros(a1.shape[0], dtype=complex)
-        rhs2 = np.zeros(a2.shape[0], dtype=complex)
-        for m, d in enumerate(direction):
-            if not d:
-                continue
-            rhs1 += np.array(
-                _derivative_rhs(f1, eff1, js1, m, xs, pow_), dtype=complex
-            ) * complex(d)
-            rhs2 += np.array(
-                _derivative_rhs(f2, eff2, js2, m, xs, pow_), dtype=complex
-            ) * complex(d)
-        df = np.linalg.lstsq(a1, rhs1, rcond=None)[0] if a1.shape[0] else np.zeros(len(eff1))
-        dg = np.linalg.lstsq(a2, rhs2, rcond=None)[0] if a2.shape[0] else np.zeros(len(eff2))
-        if a1.shape[0] and np.linalg.norm(a1 @ df - rhs1) > 1e-6 * max(1, np.linalg.norm(rhs1)):
-            return None
-        if a2.shape[0] and np.linalg.norm(a2 @ dg - rhs2) > 1e-6 * max(1, np.linalg.norm(rhs2)):
-            return None
-        rows.append(_embed(list(df), eff1, pair.b1) + _embed(list(dg), eff2, pair.b2))
-    mat = np.array([[complex(v) for v in r] for r in rows])
-    norms = np.linalg.norm(mat, axis=1)
-    norms[norms == 0] = 1.0
-    mat = mat / norms[:, None]
-    s = np.linalg.svd(mat, compute_uv=False)
-    cut = rtol * (s[0] if len(s) else 0)
-    return int(np.sum(s > cut))
+    return min(d for d, cnt in votes if cnt == votes[0][1])
 
 
 @lru_cache(maxsize=None)
@@ -713,9 +781,15 @@ def estimate_codim(
     max_minor_curves: int = 48,
 ) -> CodimEstimate:
     """Estimate the codimension of the filtration subset by probing locus
-    components: generic tuples (exact rank at rational points), every
-    root-of-unity configuration with n <= n_max, and single-minor curves
-    (thresholded SVD with a majority vote over VOTE_SAMPLES draws)."""
+    components: generic tuples (exact rank at rational points, the best of
+    `trials`), every root-of-unity configuration with n <= n_max, and
+    single-minor curves (thresholded SVD with a majority vote over
+    VOTE_SAMPLES draws).
+
+    Every float sample of a phase is drawn first, in the order of the rng
+    stream, and the phase's stack is then evaluated at once by
+    `_span_dimensions`.  The report records each component's per-sample
+    dimensions and the time of each phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -726,51 +800,63 @@ def estimate_codim(
         pair=pair.to_json(),
     )
 
-    def record(desc, dim):
+    def record(desc, dim, dims):
         est.components_probed.append((desc, dim))
+        est.samples[desc] = dims
         if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
             est.best_dim_found = dim
+
+    def vote_stack(descs, owners, pts, dirs):
+        """Evaluate one phase's stack and record each component's vote."""
+        dims = _span_dimensions(pair, label, np.array(pts, dtype=complex).reshape(-1, k), dirs)
+        est.sample_count += len(dims)
+        votes = [[] for _ in descs]
+        for owner, dim in zip(owners, dims):
+            votes[owner].append(dim)
+        for desc, own in zip(descs, votes):
+            top = _vote(own)
+            if top is not None:
+                record(desc, top, own)
 
     k = label.k
     if k == 0:
         eff1 = _effective_elements(pair.b1, label.j0, label.jinf)
         eff2 = _effective_elements(pair.b2, label.j0, label.jinf)
         dim = len(eff1) + len(eff2) if eff1 and eff2 else None
-        record("coordinate-subspace", dim)
+        record("coordinate-subspace", dim, [dim])
         est.sample_count = 1
         return est
 
     # generic component, exact at rational tuples
-    best = None
+    start = time.perf_counter()
+    dims = []
     for _ in range(max(1, trials)):
         pts, dirs = _draw_tuple(pair, label, GenericPoints(), rng)
-        dim = _span_dimension_exact(pair, label, pts, dirs)
+        dims.append(_span_dimension_exact(pair, label, pts, dirs))
         est.sample_count += 1
-        if dim is not None and (best is None or dim > best):
-            best = dim
-    record("generic", best)
+    record("generic", max((d for d in dims if d is not None), default=None), dims)
+    est.timings["generic_s"] = time.perf_counter() - start
 
-    # root-of-unity components
+    # root-of-unity components: the tuples c * omega, tangent omega
+    start = time.perf_counter()
+    descs, owners, pts, dirs = [], [], [], []
     for n, exps in _unity_configs(k, n_max):
         if n < k:  # need k distinct n-th roots
             continue
         if len(set(e % n for e in exps)) < len(exps):
             continue
-        dims = []
+        omega = [np.exp(2j * np.pi * e / n) for e in exps]
         for _ in range(VOTE_SAMPLES):
             c = _random_unit_annulus(rng)
-            omega = [np.exp(2j * np.pi * e / n) for e in exps]
-            pts = [c * w for w in omega]
-            dim = _span_dimension_float(pair, label, pts, [list(omega)])
-            est.sample_count += 1
-            if dim is not None:
-                dims.append(dim)
-        if dims:
-            vote = Counter(dims).most_common()
-            top = min(d for d, cnt in vote if cnt == vote[0][1])
-            record(f"unity(n={n}, exps={list(exps)})", top)
+            owners.append(len(descs))
+            pts.append([c * w for w in omega])
+            dirs.append([omega])
+        descs.append(f"unity(n={n}, exps={list(exps)})")
+    vote_stack(descs, owners, pts, dirs)
+    est.timings["unity_s"] = time.perf_counter() - start
 
     # single-minor curves (three-point labels only)
+    start = time.perf_counter()
     if k == 3:
         curves = []
         for side, b in ((1, pair.b1), (2, pair.b2)):
@@ -780,21 +866,18 @@ def estimate_codim(
                     for l in range(j + 1, len(elems)):
                         curves.append(MinorCurve(side, (elems[i], elems[j], elems[l])))
         rng.shuffle(curves)
-        for curve in curves[:max_minor_curves]:
-            dims = []
+        curves = curves[:max_minor_curves]
+        owners, pts, dirs = [], [], []
+        for i, curve in enumerate(curves):
             for _ in range(VOTE_SAMPLES):
                 drawn = _draw_tuple(pair, label, curve, rng)
-                if drawn is None:
-                    continue
-                pts, dirs = drawn
-                dim = _span_dimension_float(pair, label, pts, dirs)
-                est.sample_count += 1
-                if dim is not None:
-                    dims.append(dim)
-            if dims:
-                vote = Counter(dims).most_common()
-                top = min(d for d, cnt in vote if cnt == vote[0][1])
-                record(f"minor-curve(side={curve.side}, triple={curve.triple})", top)
+                if drawn is not None:
+                    owners.append(i)
+                    pts.append(drawn[0])
+                    dirs.append(drawn[1])
+        descs = [f"minor-curve(side={c.side}, triple={c.triple})" for c in curves]
+        vote_stack(descs, owners, pts, dirs)
+    est.timings["minor_curve_s"] = time.perf_counter() - start
     return est
 
 
@@ -813,9 +896,6 @@ class ScanSReport:
     wall_time: float = 0.0
     configs_scanned: int = 0
     timings: dict = field(default_factory=dict)
-
-    def found_coranks(self):
-        return set(self.found.keys())
 
     def side_observed(self, side: int, corank: int) -> bool:
         """Did any probed tuple realize the given corank on the given side?"""

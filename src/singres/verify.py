@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import exact_rank
 from .germs import PlaneGerm, classify_germ, slice_germ
-from .kernels import DET3_SIGNS, det3_exponents, reduction_table_array, unity_combos_vanish
+from .kernels import det3_vanish, reduction_table_array, unity_combos_vanish
 from .laurent import LaurentPoly, classify_point
 from .minors import admissible_pairs, minors_split_equivalence_scan
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
@@ -173,7 +173,7 @@ def check_unity_minor_explanations(n_max=24, span=5):
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
         table = reduction_table_array(n)
-        vanish = unity_combos_vanish(table, det3_exponents(triples, ps, qs), DET3_SIGNS)
+        vanish = det3_vanish(table, triples, ps, qs)
         checked += vanish.size
         for i, t in np.argwhere(vanish).tolist():
             zeros += 1

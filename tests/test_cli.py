@@ -84,6 +84,23 @@ class TestPointAndGerm:
         assert got["tag"] == "UniTangent" and got["slope"] == "2/3"
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "command",
+        [("point-classify",), ("germ-classify",), ("project3d",), ("classify",), ("resultant",), ("scan", "codim")],
+        ids=lambda argv: "-".join(argv),
+    )
+    @pytest.mark.parametrize("content", [None, '{"f": ', "[1, 2]"], ids=["missing", "malformed", "list"])
+    def test_bad_input_exits_2(self, capsys, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        code = main([*command, "--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input") and "Traceback" not in err
+
+
 class TestVerifyPaper:
     def test_single_check(self, capsys):
         code, out = run(capsys, "verify-paper", "--only", "closed-form-resultant")
@@ -225,5 +242,6 @@ class TestScan:
             capsys, "scan", "codim", "--b1", "0,1,2,3", "--b2", "0,1,2", "--label", "N(1,1)", "--seed", "5"
         )
         d1, d2 = json.loads(out1), json.loads(out2)
-        d1.pop("started"), d2.pop("started")
+        for d in (d1, d2):
+            d.pop("started"), d["report"].pop("timings")
         assert d1 == d2

@@ -1,5 +1,9 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 
@@ -24,13 +28,26 @@ from singres.strata import (
     scan_corank_strata,
 )
 from singres.strata import (
+    SVD_RTOL,
+    VOTE_SAMPLES,
+    CodimEstimate,
+    _derivative_rhs,
+    _draw_tuple,
+    _embed,
+    _effective_elements,
     _random_fraction,
+    _random_unit_annulus,
+    _side_matrices,
+    _span_dimension_exact,
+    _span_dimensions,
     _unity_configs,
     _unity_corank_general,
     _unity_corank_monomial,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports
+from test_guarantees import LABELS as GUARANTEE_LABELS
+from test_guarantees import PAIRS as GUARANTEE_PAIRS
 
 
 def S(*xs):
@@ -343,6 +360,215 @@ class TestEstimates:
         # two-element supports cannot vanish at two points with orders (2, 2)
         est = estimate_codim(pair((0, 1), (0, 1)), parse_label("N(2,2)"), seed=75)
         assert est.best_dim_found is None and est.estimate is None
+
+    def test_report_observability(self):
+        est = estimate_codim(pair((0, 1, 2, 3), (0, 1, 2, 3)), parse_label("N(1,1,1)"), seed=7)
+        data = est.to_json()
+        assert data["version"] == singres.__version__
+        assert set(data["timings"]) == {"generic_s", "unity_s", "minor_curve_s"}
+        assert all(t >= 0 for t in data["timings"].values())
+        comps = data["components_probed"]
+        assert comps[0]["component"] == "generic"
+        assert sum(n for _, n in comps[0]["votes"]) + comps[0]["none_samples"] == 3
+        for comp in comps[1:]:
+            votes = dict(comp["votes"])
+            assert comp["dim_found"] == min(d for d, n in votes.items() if n == max(votes.values()))
+            assert 1 <= sum(votes.values()) + comp["none_samples"] <= VOTE_SAMPLES
+        assert sum(sum(n for _, n in c["votes"]) + c["none_samples"] for c in comps) <= est.sample_count
+
+
+# The paper's six codim cases (verify-paper's check 07); with the pairs x
+# labels of test_guarantees, the sets the batched estimator must reproduce.
+VERIFY_CODIM_CASES = [
+    ((0, 1, 2, 3), (0, 1, 2, 3), "N(1)"),
+    ((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)"),
+    ((0, 1, 2, 3), (0, 1, 2, 3), "N(2)"),
+    ((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)"),
+    ((0, 3, 6), (0, 3, 6), "N(1,1)"),
+    ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)"),
+]
+
+
+def reference_span_dimension(pair, label, pts, dirs, rtol=SVD_RTOL):
+    """One sample of the span dimension, with per-sample SVDs and lstsq."""
+    sides = _side_matrices(pair, label, pts)
+    if sides is None:
+        return None
+    eff1, eff2, m1, m2 = sides
+    a1 = np.array([[complex(v) for v in r] for r in m1]) if m1 else np.zeros((0, len(eff1)))
+    a2 = np.array([[complex(v) for v in r] for r in m2]) if m2 else np.zeros((0, len(eff2)))
+
+    def kern(a, ncols):
+        if a.shape[0] == 0:
+            return np.eye(ncols, dtype=complex)
+        u, s, vh = np.linalg.svd(a)
+        cut = rtol * (s[0] if len(s) else 0)
+        rank = int(np.sum(s > cut))
+        return vh[rank:].conj()
+
+    k1 = kern(a1, len(eff1))
+    k2 = kern(a2, len(eff2))
+    if k1.shape[0] == 0 or k2.shape[0] == 0:
+        return None
+    rng = np.random.default_rng(abs(hash(tuple(map(complex, pts)))) % (2**32))
+    f1 = (rng.normal(size=k1.shape[0]) + 1j * rng.normal(size=k1.shape[0])) @ k1
+    f2 = (rng.normal(size=k2.shape[0]) + 1j * rng.normal(size=k2.shape[0])) @ k2
+    n1, n2 = len(pair.b1.elements), len(pair.b2.elements)
+    rows = []
+    for v in k1:
+        rows.append(_embed(list(v), eff1, pair.b1) + [0] * n2)
+    for w in k2:
+        rows.append([0] * n1 + _embed(list(w), eff2, pair.b2))
+    js1, js2 = label.side_orders(1), label.side_orders(2)
+    pow_ = lambda x, e: complex(x) ** e
+    xs = [complex(x) for x in pts]
+    for direction in dirs:
+        rhs1 = np.zeros(a1.shape[0], dtype=complex)
+        rhs2 = np.zeros(a2.shape[0], dtype=complex)
+        for m, d in enumerate(direction):
+            if not d:
+                continue
+            rhs1 += np.array(_derivative_rhs(f1, eff1, js1, m, xs, pow_), dtype=complex) * complex(d)
+            rhs2 += np.array(_derivative_rhs(f2, eff2, js2, m, xs, pow_), dtype=complex) * complex(d)
+        df = np.linalg.lstsq(a1, rhs1, rcond=None)[0] if a1.shape[0] else np.zeros(len(eff1))
+        dg = np.linalg.lstsq(a2, rhs2, rcond=None)[0] if a2.shape[0] else np.zeros(len(eff2))
+        if a1.shape[0] and np.linalg.norm(a1 @ df - rhs1) > 1e-6 * max(1, np.linalg.norm(rhs1)):
+            return None
+        if a2.shape[0] and np.linalg.norm(a2 @ dg - rhs2) > 1e-6 * max(1, np.linalg.norm(rhs2)):
+            return None
+        rows.append(_embed(list(df), eff1, pair.b1) + _embed(list(dg), eff2, pair.b2))
+    mat = np.array([[complex(v) for v in r] for r in rows])
+    norms = np.linalg.norm(mat, axis=1)
+    norms[norms == 0] = 1.0
+    mat = mat / norms[:, None]
+    s = np.linalg.svd(mat, compute_uv=False)
+    cut = rtol * (s[0] if len(s) else 0)
+    return int(np.sum(s > cut))
+
+
+def reference_estimate_codim(pair, label, trials=3, seed=0, n_max=12, max_minor_curves=48):
+    """estimate_codim one sample at a time, with reference_span_dimension."""
+    rng = random.Random(seed)
+    ambient = len(pair.b1.elements) + len(pair.b2.elements)
+    est = CodimEstimate(ambient, None, seed=seed, label=label.notation(), pair=pair.to_json())
+
+    def record(desc, dim):
+        est.components_probed.append((desc, dim))
+        if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
+            est.best_dim_found = dim
+
+    def majority(dims):
+        vote = Counter(dims).most_common()
+        return min(d for d, cnt in vote if cnt == vote[0][1])
+
+    k = label.k
+    if k == 0:
+        eff1 = _effective_elements(pair.b1, label.j0, label.jinf)
+        eff2 = _effective_elements(pair.b2, label.j0, label.jinf)
+        record("coordinate-subspace", len(eff1) + len(eff2) if eff1 and eff2 else None)
+        est.sample_count = 1
+        return est
+    best = None
+    for _ in range(max(1, trials)):
+        pts, dirs = _draw_tuple(pair, label, GenericPoints(), rng)
+        dim = _span_dimension_exact(pair, label, pts, dirs)
+        est.sample_count += 1
+        if dim is not None and (best is None or dim > best):
+            best = dim
+    record("generic", best)
+    for n, exps in _unity_configs(k, n_max):
+        if n < k or len(set(e % n for e in exps)) < len(exps):
+            continue
+        dims = []
+        for _ in range(VOTE_SAMPLES):
+            c = _random_unit_annulus(rng)
+            omega = [np.exp(2j * np.pi * e / n) for e in exps]
+            dim = reference_span_dimension(pair, label, [c * w for w in omega], [list(omega)])
+            est.sample_count += 1
+            if dim is not None:
+                dims.append(dim)
+        if dims:
+            record(f"unity(n={n}, exps={list(exps)})", majority(dims))
+    if k == 3:
+        curves = []
+        for side, b in ((1, pair.b1), (2, pair.b2)):
+            for triple in itertools.combinations(b.elements, 3):
+                curves.append(MinorCurve(side, triple))
+        rng.shuffle(curves)
+        for curve in curves[:max_minor_curves]:
+            dims = []
+            for _ in range(VOTE_SAMPLES):
+                drawn = _draw_tuple(pair, label, curve, rng)
+                if drawn is None:
+                    continue
+                dim = reference_span_dimension(pair, label, *drawn)
+                est.sample_count += 1
+                if dim is not None:
+                    dims.append(dim)
+            if dims:
+                record(f"minor-curve(side={curve.side}, triple={curve.triple})", majority(dims))
+    return est
+
+
+def without_vote_fields(data):
+    data = {key: val for key, val in data.items() if key not in ("version", "timings")}
+    data["components_probed"] = [
+        {"component": c["component"], "dim_found": c["dim_found"]} for c in data["components_probed"]
+    ]
+    return data
+
+
+class TestBatchedEstimate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("b1,b2,name", VERIFY_CODIM_CASES)
+    def test_verify_cases_match_reference(self, b1, b2, name, seed):
+        p, label = pair(b1, b2), parse_label(name)
+        got = without_vote_fields(estimate_codim(p, label, seed=seed).to_json())
+        assert got == without_vote_fields(reference_estimate_codim(p, label, seed=seed).to_json())
+
+    @pytest.mark.parametrize("p", GUARANTEE_PAIRS, ids=lambda p: f"{p.b1.elements}-{p.b2.elements}")
+    def test_guarantee_cases_match_reference(self, p):
+        for name, label in GUARANTEE_LABELS.items():
+            got = estimate_codim(p, label, trials=2, seed=17, n_max=8).to_json()
+            want = reference_estimate_codim(p, label, trials=2, seed=17, n_max=8).to_json()
+            assert without_vote_fields(got) == without_vote_fields(want), name
+
+    def test_failed_samples_are_reported(self):
+        # most side-1 minor curves of this pair fail their tangent solve
+        p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label("N(1,1,1)")
+        est = estimate_codim(p, label, seed=4)
+        data = est.to_json()
+        assert without_vote_fields(data) == without_vote_fields(reference_estimate_codim(p, label, seed=4).to_json())
+        curve = next(c for c in data["components_probed"] if c["component"] == "minor-curve(side=1, triple=(1, 3, 4))")
+        assert (curve["dim_found"], curve["votes"], curve["none_samples"]) == (8, [[8, 1]], 4)
+
+    def test_samples_match_reference(self):
+        """The batched evaluator against the per-sample reference, tuple by
+        tuple, on a stack mixing unity tuples and minor-curve tuples with
+        one and two tangent directions."""
+        rng = random.Random(11)
+        outcomes = []
+        for b1, b2, name in [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)"), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)"),
+                             ((0, 2, 3, 5), (0, 1, 4, 5), "N(2,1;1,1)"), ((0, 3, 6), (0, 3, 6), "N(1,1)")]:
+            p, label = pair(b1, b2), parse_label(name)
+            stack = []
+            for n, exps in _unity_configs(label.k, 9):
+                if n >= label.k and len(set(e % n for e in exps)) == len(exps):
+                    c = _random_unit_annulus(rng)
+                    omega = [np.exp(2j * np.pi * e / n) for e in exps]
+                    stack.append(([c * w for w in omega], [omega]))
+            if label.k == 3:
+                for triple in itertools.combinations(p.b1.elements, 3):
+                    for _ in range(2):
+                        drawn = _draw_tuple(p, label, MinorCurve(1, triple), rng)
+                        if drawn is not None:
+                            stack.append(drawn)
+            pts = np.array([s[0] for s in stack], dtype=complex)
+            got = _span_dimensions(p, label, pts, [s[1] for s in stack])
+            want = [reference_span_dimension(p, label, *s) for s in stack]
+            assert got == want, name
+            outcomes += want
+        assert None in outcomes
 
 
 class TestMonotonicity:
