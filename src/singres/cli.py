@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -94,10 +95,21 @@ def _require_input(args, command):
     return data
 
 
+@contextmanager
+def _typed_input():
+    """Report the TypeError or AttributeError that a from_json raises on
+    wrongly typed --input fields as a ValueError (a usage error)."""
+    try:
+        yield
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"--input: wrongly typed field: {exc}") from exc
+
+
 def _pair_from_args(args) -> SupportPair:
     data = _load_json_input(args)
     if data is not None:
-        return SupportPair.from_json(data)
+        with _typed_input():
+            return SupportPair.from_json(data)
     if args.b1 is None or args.b2 is None:
         raise ValueError("provide --input JSON or both --b1 and --b2")
     return SupportPair(_parse_support(args.b1), _parse_support(args.b2))
@@ -168,8 +180,9 @@ def cmd_point_classify(args) -> int:
     config = _config(args)
     try:
         data = _require_input(args, "point-classify")
-        f = LaurentPoly.from_json(data["f"])
-        g = LaurentPoly.from_json(data["g"])
+        with _typed_input():
+            f = LaurentPoly.from_json(data["f"])
+            g = LaurentPoly.from_json(data["g"])
         result = classify_point(f, g, tol=config.tolerance)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -182,7 +195,8 @@ def cmd_germ_classify(args) -> int:
     config = _config(args)
     try:
         data = _require_input(args, "germ-classify")
-        germ = PlaneGerm.from_json(data)
+        with _typed_input():
+            germ = PlaneGerm.from_json(data)
         result = classify_germ(germ)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -223,8 +237,9 @@ def cmd_project3d(args) -> int:
     config = _config(args)
     try:
         data = _require_input(args, "project3d")
-        a1 = Support3D.from_json(data["a1"])
-        a2 = Support3D.from_json(data["a2"])
+        with _typed_input():
+            a1 = Support3D.from_json(data["a1"])
+            a2 = Support3D.from_json(data["a2"])
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

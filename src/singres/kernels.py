@@ -1,19 +1,18 @@
-"""The cyclotomic zero-test kernel behind every 3x3 unity-minor question.
+"""The cyclotomic zero-test kernel behind the single-minor unity sweeps.
 
 A reduction table for zeta_n has shape (n, phi(n)); its row j is zeta_n^j
 reduced modulo the n-th cyclotomic polynomial.  A signed integer combination
 sum_t c_t zeta_n^(e_t) is therefore zero in Z[zeta_n] iff the same
 combination of table rows is the zero vector.  `unity_combos_vanish` asks
-that question for a whole array of combinations at once.  `det3_vanish`
-phrases the 3x3 power-matrix minors as such arrays, built chunk by chunk,
-and `all_minors_vanish_batch` reduces them to the all-minors test.  All are
-plain numpy.
+that question for a whole array of combinations at once, and `det3_vanish`
+phrases the 3x3 power-matrix minors as such arrays, built chunk by chunk.
+Both are plain numpy.  Whether all minors of a power matrix vanish needs no
+table: `minors.unity_power_rank` answers it in closed form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -107,14 +106,3 @@ def det3_vanish(table, triples, ps, qs) -> np.ndarray:
         out[start:stop] = unity_combos_vanish(table, exps, DET3_SIGNS)
     return out
 
-
-def all_minors_vanish_batch(table, bexps, ps, qs) -> np.ndarray:
-    """Do all 3x3 minors of [[1...1], [x^b]_b, [y^b]_b], x = zeta_n^p,
-    y = zeta_n^q, b in bexps, vanish?  One answer per pair (ps[i], qs[i]).
-
-    The det3 of every pair and 3-subset of bexps goes to det3_vanish.
-    Vacuously true for fewer than three exponents.
-    """
-    if len(bexps) < 3:
-        return np.ones(len(ps), dtype=bool)
-    return det3_vanish(table, list(combinations(bexps, 3)), ps, qs).all(axis=1)

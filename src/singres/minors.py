@@ -1,14 +1,16 @@
 """Exact root-of-unity analysis of the 3-row power matrices.
 
 The central object is M(B; x, y) with rows (1...1), (x^b)_b, (y^b)_b for
-roots of unity x, y.  Vanishing of all its 3x3 minors is equivalent to a
-two-residue-class split of B; the scan below checks that equivalence
-exhaustively, and the single-minor checkers explain every vanishing
-determinant by row/column proportionality.
+roots of unity x = zeta_n^p, y = zeta_n^q.  Its rank has a closed form in
+integer congruences (`unity_power_rank`): all 3x3 minors vanish iff one of
+p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or the columns
+(p*b mod n, q*b mod n) take at most two values over B.  That is not the
+same as a two-residue-class split of B: an order-2 root with x^g, y^g or
+(x/y)^g = 1 kills every minor without a split.  The scan below checks the
+two against each other exhaustively, and the single-minor checkers explain
+every vanishing determinant by row/column proportionality.
 
-All zero tests are exact in Z[zeta_n]; the all-minors tests go through the
-batched kernel `kernels.all_minors_vanish_batch`.  Negative exponents are
-harmless since exponents reduce mod n.
+Negative exponents are harmless since exponents reduce mod n.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from itertools import combinations
 
 import numpy as np
 
-from . import kernels
 from .exact import CycloElement
-from .supports import SupportSet, gap_gcd
+from .supports import SupportSet, _residue_split, gap_gcd
 
 __all__ = [
     "RootOfUnity",
     "UnityPair",
     "SplitCertificate",
+    "unity_power_rank",
     "all_minors_vanish",
     "two_class_split",
     "minors_split_equivalence_scan",
@@ -126,10 +128,42 @@ def admissible_pairs(n: int):
     return ps + 1, qs + 1
 
 
+def unity_power_rank(b: SupportSet, n: int, ps, qs) -> np.ndarray:
+    """Rank of M(B; x, y), x = zeta_n^p, y = zeta_n^q, for every pair
+    (ps[i], qs[i]): an int array with entries 1, 2 or 3.
+
+    Lemma.  Let g be the gap gcd of B and call (p*b mod n, q*b mod n) the
+    key of the column b.  The rank is 1 iff the key is constant over B, and
+    at most 2 iff p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, or the key takes
+    at most two values over B.
+
+    Proof.  The rank is at most 2 iff some nonzero (alpha, beta, gamma) has
+    alpha + beta x^b + gamma y^b = 0 for every b in B.  gamma = 0 forces x^b
+    to be constant on B, that is x^g = 1; beta = 0 gives y^g = 1, and
+    alpha = 0 gives (x/y)^g = 1.  If all three are nonzero, u = x^b lies on
+    the unit circle and on the circle |alpha + beta u| = |gamma|; the two
+    differ because alpha != 0, so u takes at most two values, and
+    y^b = -(alpha + beta u)/gamma is fixed by u: at most two distinct
+    columns.  Each condition plainly gives rank <= 2.  Two distinct columns
+    (1, x^a, y^a), (1, x^b, y^b) are independent, so the rank is 1 exactly
+    when every column is the same.
+    """
+    g = gap_gcd(b)
+    elems = np.asarray(b.elements, dtype=np.int64)
+    ps = np.asarray(ps, dtype=np.int64)[:, None]
+    qs = np.asarray(qs, dtype=np.int64)[:, None]
+    keys = (ps * elems) % n * n + (qs * elems) % n
+    first = keys[:, :1]
+    other = keys != first
+    second = np.take_along_axis(keys, other.argmax(axis=1)[:, None], axis=1)
+    two_keys = ((keys == first) | (keys == second)).all(axis=1)
+    gap = (np.hstack([ps, qs, ps - qs]) * g % n == 0).any(axis=1)
+    return np.where(other.any(axis=1), np.where(two_keys | gap, 2, 3), 1)
+
+
 def all_minors_vanish(b: SupportSet, u: UnityPair) -> bool:
     """Do all 3x3 minors of M(B; x, y) vanish?  Vacuously true for |B| < 3."""
-    table = kernels.reduction_table_array(u.n)
-    return bool(kernels.all_minors_vanish_batch(table, b.elements, [u.p], [u.q])[0])
+    return bool(unity_power_rank(b, u.n, [u.p], [u.q])[0] <= 2)
 
 
 def two_class_split(b: SupportSet, n: int):
@@ -141,14 +175,9 @@ def two_class_split(b: SupportSet, n: int):
     for k in range(3, n + 1):
         if n % k:
             continue
-        classes = {}
-        for e in b.elements:
-            classes.setdefault(e % k, []).append(e)
-        if len(classes) <= 2:
-            main_res = b.min % k
-            main = tuple(classes.pop(main_res))
-            rest = tuple(next(iter(classes.values()))) if classes else ()
-            cert = SplitCertificate(k, main, rest)
+        w = _residue_split(b, k)
+        if w is not None:
+            cert = SplitCertificate(k, w.part_main, w.part_rest)
             if not cert.verify(b, n):
                 raise AssertionError(f"invalid split certificate for B={b.elements}, n={n}")
             return cert
@@ -221,9 +250,9 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
     [a two-class split certificate exists], plus the per-pair forward
     direction (minors vanish implies split exists).
 
-    Each (B, n) is one batched kernel call over every admissible pair, and
-    its counterexamples are listed pair-major.  n <= 2 admits no pair with
-    x, y != 1, x != y and is skipped.  Every forward counterexample is
+    Each (B, n) is one unity_power_rank call over every admissible pair,
+    and its counterexamples are listed pair-major.  n <= 2 admits no pair
+    with x, y != 1, x != y and is skipped.  Every forward counterexample is
     classified (see ScanReport): the order-2 family is a real gap between
     the minors condition and the split criterion, witnessed e.g. by
     B = {0,2,4}, n = 6, (p, q) = (1, 3).
@@ -238,12 +267,11 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
         for comb in combinations(universe, size)
     ]
     for n in range(3, n_max + 1):
-        table = kernels.reduction_table_array(n)
         ps, qs = admissible_pairs(n)
         for elems in subsets:
             b = SupportSet(elems)
             split = two_class_split(b, n)
-            vanish = kernels.all_minors_vanish_batch(table, elems, ps, qs)
+            vanish = unity_power_rank(b, n, ps, qs) <= 2
             report.pairs_checked += len(ps)
             if split is None:
                 g = gap_gcd(b)

@@ -26,11 +26,10 @@ from math import gcd
 
 import numpy as np
 
-from . import kernels
 from .exact import CycloElement, exact_rank, exact_rref, kernel_basis, solve_exact
 from .laurent import LaurentPoly, ProjPoint, common_roots, ord_at
-from .minors import RootOfUnity
-from .supports import SupportPair, SupportSet, gap_gcd
+from .minors import RootOfUnity, unity_power_rank
+from .supports import SupportPair, SupportSet, _residue_split, gap_gcd
 
 __all__ = [
     "StratumLabel",
@@ -927,46 +926,16 @@ class ScanSReport:
         }
 
 
-def _unity_corank_monomial(b_elems, exps, n):
-    """Exact corank of the k x |B| matrix with rows zeta^(p*e) over e in B
-    (multiplicity-free case), via congruences and minor tests.
+def _unity_coranks_monomial(b: SupportSet, n, exps):
+    """Exact corank k - rank of the k x |B| matrix with rows zeta_n^(p*e),
+    e in B, for every row (0, p[, q]) of the (configs, k) exponent array
+    exps at one modulus n (multiplicity-free case); an int array.
 
-    One configuration per call; the scan uses the batched
-    _unity_coranks_monomial, which must agree with this."""
-    k = len(exps)
-    # rank 1 iff every row is constant (the first row, exps[0]=0, is ones)
-    if all((p * (e - b_elems[0])) % n == 0 for p in exps for e in b_elems):
-        return k - 1
-    if k == 2:
-        return 0
-    # k == 3: rank <= 2 iff all 3x3 minors vanish
-    if len(b_elems) < 3:
-        return 1
-    table = kernels.reduction_table_array(n)
-    return int(kernels.all_minors_vanish_batch(table, b_elems, [exps[1]], [exps[2]])[0])
-
-
-def _unity_coranks_monomial(b_elems, n, exps):
-    """_unity_corank_monomial for every row of the (configs, k) exponent
-    array exps at one modulus n, as one array pass; returns an int array.
-
-    Rank 1 (every row constant) is one congruence test over the batch; for
-    k = 3 the remaining configurations go to one batched all-minors call.
+    One unity_power_rank call; for k < 3 the last row is repeated, which
+    leaves the rank alone.
     """
     k = exps.shape[1]
-    diffs = np.asarray(b_elems, dtype=np.int64) - b_elems[0]
-    rank1 = ((exps[:, :, None] * diffs) % n == 0).all(axis=(1, 2))
-    cork = np.where(rank1, k - 1, 0)
-    if k == 3:
-        rest = ~rank1
-        if len(b_elems) < 3:
-            cork[rest] = 1
-        elif rest.any():
-            table = kernels.reduction_table_array(n)
-            cork[rest] = kernels.all_minors_vanish_batch(
-                table, b_elems, exps[rest, 1], exps[rest, 2]
-            )
-    return cork
+    return k - unity_power_rank(b, n, exps[:, min(k, 2) - 1], exps[:, k - 1])
 
 
 def _unity_corank_general(b: SupportSet, exps, n, js):
@@ -985,14 +954,14 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     coranks exactly, and compare the nonempty corank strata against the
     predicted ones (gap-gcd and split criteria).
 
-    For multiplicity-free labels each side's unity coranks come from one
-    array pass per modulus n over all of that n's tuples
-    (_unity_coranks_monomial: a congruence test for rank 1, then one
-    batched all-minors call); labels with multiplicities eliminate one
-    cyclotomic matrix per tuple.  When both sides have the same support
-    and orders, each corank is computed once and used for both.  Exact
-    eliminations (the multiplicity labels and the generic tuples) compute
-    the rank only, one elimination per matrix.
+    For multiplicity-free labels each side's unity coranks come from the
+    closed-form rank of minors.unity_power_rank, one array pass per modulus
+    n over all of that n's tuples, with no cyclotomic arithmetic; labels
+    with multiplicities eliminate one cyclotomic matrix per tuple.  When
+    both sides have the same support and orders, each corank is computed
+    once and used for both.  Exact eliminations (the multiplicity labels
+    and the generic tuples) compute the rank only, one elimination per
+    matrix.
 
     The report records the tuples scanned, the package version and the time
     spent on the unity and the generic tuples.
@@ -1008,7 +977,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
 
     def side_coranks(b, js, n, group, exps):
         if multiplicity_free:
-            return _unity_coranks_monomial(b.elements, n, exps).tolist()
+            return _unity_coranks_monomial(b, n, exps).tolist()
         return [_unity_corank_general(b, e, n, js) for _, e in group]
 
     def note(key, payload):
@@ -1072,8 +1041,8 @@ def _split_with_modulus(target: SupportSet, g_other: int):
     for k in range(3, g_other + 1):
         if g_other % k:
             continue
-        residues = {e % k for e in target.elements}
-        if len(residues) == 2:
+        w = _residue_split(target, k)
+        if w is not None and w.part_rest:
             return k
     return None
 

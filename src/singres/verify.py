@@ -3,7 +3,7 @@ facts at desk scale and reports pass/fail with timings.
 
 The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
-computed by the stated independent oracles.  The root-of-unity minor checks
+computed by the stated independent oracles.  The single-minor unity sweeps
 make one batched kernel call per modulus (see `singres.kernels`).
 """
 

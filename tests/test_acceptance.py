@@ -63,14 +63,32 @@ def test_criterion_04_minors_split_equivalence():
 def test_minors_split_equivalence_regression():
     """Frozen oracle truth for the equivalence scan: every literal
     counterexample is an order-2 row degeneracy, the converse direction is
-    clean, and the known witness reproduces."""
+    clean, and the known witness reproduces.
+
+    Census by the clauses of minors.unity_power_rank: each counterexample
+    meets exactly one gap clause (x^g, y^g or (x/y)^g = 1, g the gap gcd of
+    B), its root has order 2, and none meets the two-column clause."""
+    import math
+    from collections import Counter
+
     from singres.minors import UnityPair, all_minors_vanish, minors_split_equivalence_scan, two_class_split
-    from singres.supports import SupportSet
+    from singres.supports import SupportSet, gap_gcd
 
     rep = minors_split_equivalence_scan(10, 8, (3, 4))
     assert rep.unexplained == []
     assert rep.converse_counterexamples == []
     assert len(rep.order2_explained) == len(rep.forward_counterexamples) == 306
+    census = Counter()
+    for cex in rep.forward_counterexamples:
+        n, elems, p, q = cex["n"], cex["B"], cex["p"], cex["q"]
+        g = gap_gcd(SupportSet(tuple(elems)))
+        met = [(name, r % n) for name, r in (("x", p), ("y", q), ("x/y", p - q)) if (r * g) % n == 0]
+        assert len(met) == 1, cex
+        name, r = met[0]
+        assert n // math.gcd(r, n) == 2, cex
+        assert len({(p * b % n, q * b % n) for b in elems}) > 2, cex
+        census[name] += 1
+    assert census == {"x": 102, "y": 102, "x/y": 102}
     witness = SupportSet.of(0, 2, 4)
     assert all_minors_vanish(witness, UnityPair(6, 1, 3))
     assert two_class_split(witness, 6) is None

@@ -100,6 +100,29 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: --input") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            (("point-classify",), {"f": 3, "g": 4}),
+            (("point-classify",), {"f": {"support": [0, 1], "coeffs": [1, 2]}, "g": 4}),
+            (("germ-classify",), {"terms": 5}),
+            (("germ-classify",), {"terms": [3]}),
+            (("project3d",), {"a1": 3, "a2": 4}),
+            (("project3d",), {"a1": [1, 2], "a2": [[0, 0, 0]]}),
+            (("classify",), {"b1": 3, "b2": 4}),
+            (("resultant",), {"b1": 3, "b2": [0, 1]}),
+            (("scan", "strata"), {"b1": [0, 1], "b2": 7}),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_wrongly_typed_fields_exit_2(self, capsys, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code = main([*command, "--input", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input: wrongly typed field") and "Traceback" not in err
+
 
 class TestVerifyPaper:
     def test_single_check(self, capsys):

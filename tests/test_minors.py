@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from singres.exact import CycloElement
+from singres.exact import CycloElement, exact_rref
 from singres import kernels
-from singres.kernels import DET3_SIGNS, det3_exponents, reduction_table_array, unity_combos_vanish
+from singres.kernels import DET3_SIGNS, det3_exponents, det3_vanish, reduction_table_array, unity_combos_vanish
 from singres.minors import (
     RootOfUnity,
     UnityPair,
@@ -18,6 +18,7 @@ from singres.minors import (
     proportionality_structure,
     two_class_split,
     unity_minor_check,
+    unity_power_rank,
 )
 from singres.supports import SupportSet
 from singres.verify import check_unity_minor_explanations
@@ -174,14 +175,18 @@ class TestMinorChecks:
         assert exponent_power_minor_check(0, 2, 4, RootOfUnity(2, 1)).tag == "EqualRows13"
 
     def test_exponent_matrix_property(self):
+        # every vanishing ones/exponents/powers determinant
+        # (b-a) x^c + (a-c) x^b + (c-b) x^a has x^a = x^b = x^c
+        triples = list(itertools.combinations(range(-6, 7), 3))
+        a, b, c = np.array(triples).T
+        row_exps = np.stack([c, b, a], axis=1)
+        coefs = np.stack([b - a, a - c, c - b], axis=1)
         for n in range(1, 31):
-            for p in range(n):
-                x = RootOfUnity(n, p)
-                for a, b, c in itertools.combinations(range(-6, 7), 3):
-                    out = exponent_power_minor_check(a, b, c, x)
-                    if out.tag != "Nondegenerate":
-                        assert out.tag == "EqualRows13"
-                        assert x.pow_equal(a, b) and x.pow_equal(b, c)
+            exps = np.arange(n)[:, None, None] * row_exps
+            vanish = unity_combos_vanish(reduction_table_array(n), exps, coefs)
+            for p, t in np.argwhere(vanish).tolist():
+                out = exponent_power_minor_check(*triples[t], RootOfUnity(n, p))
+                assert out.tag == "EqualRows13", (n, p, triples[t])
 
     def test_distinct_exponents_required(self):
         with pytest.raises(ValueError):
@@ -243,25 +248,12 @@ def cyclo_det3(n, a, b, c, p, q):
     return (x[1] * y[2] - x[2] * y[1]) - (x[0] * y[2] - x[2] * y[0]) + (x[0] * y[1] - x[1] * y[0])
 
 
-def det3_vanishes(table, a, b, c, p, q):
-    """Reference det3 zero test over the reduction table, one minor per call:
-    cofactor expansion along the row of ones, x^s y^t = z^(ps + qt)."""
-    n = table.shape[0]
-
-    def minor(s, t):  # x^s y^t - x^t y^s
-        return table[(p * s + q * t) % n] - table[(p * t + q * s) % n]
-
-    return not (minor(b, c) - minor(a, c) + minor(a, b)).any()
-
-
-def all_minors_reference(table, elems, p, q):
-    m = len(elems)
-    return all(
-        det3_vanishes(table, elems[i], elems[j], elems[k], p, q)
-        for i in range(m - 2)
-        for j in range(i + 1, m - 1)
-        for k in range(j + 1, m)
-    )
+def all_minors_oracle(n, elems, ps, qs):
+    """Per pair (ps[i], qs[i]): does every 3x3 minor of M(B; zeta_n^p,
+    zeta_n^q) vanish in Z[zeta_n]?  One det3 zero test per 3-subset of B,
+    so vacuously true below three exponents."""
+    triples = list(itertools.combinations(elems, 3))
+    return det3_vanish(reduction_table_array(n), triples, ps, qs).all(axis=1)
 
 
 class TestComboKernel:
@@ -277,8 +269,8 @@ class TestComboKernel:
             got = unity_combos_vanish(table, det3_exponents(triples, [p], [q]), DET3_SIGNS)[0]
             exact = [cyclo_det3(n, *t, p, q).is_zero for t in triples]
             assert got.tolist() == exact, (n, p, q, elems)
-            batch = kernels.all_minors_vanish_batch(table, elems, [p], [q])
-            assert batch.tolist() == [all(exact)]
+            assert all_minors_oracle(n, elems, [p], [q]).tolist() == [all(exact)]
+            assert (unity_power_rank(SupportSet(tuple(elems)), n, [p], [q]) <= 2).tolist() == [all(exact)]
 
     def test_combo_matches_cyclo_arithmetic(self, monkeypatch):
         rng = random.Random(44)
@@ -307,20 +299,36 @@ class TestComboKernel:
 
 
 class TestBatchKernel:
+    """The closed-form rank of minors.unity_power_rank against the
+    all-minors oracle, over every p and q in [0, n)."""
+
     @staticmethod
     def _agrees(n, elems):
-        table = reduction_table_array(n)
-        pairs = [(p, q) for p in range(1, n) for q in range(1, n)]
-        ps, qs = zip(*pairs)
-        batch = kernels.all_minors_vanish_batch(table, elems, ps, qs)
-        single = [all_minors_reference(table, elems, p, q) for p, q in pairs]
-        return batch.tolist() == single
+        ps, qs = np.divmod(np.arange(n * n), n)
+        lemma = unity_power_rank(SupportSet(elems), n, ps, qs) <= 2
+        return lemma.tolist() == all_minors_oracle(n, elems, ps, qs).tolist()
 
     def test_matches_per_call_kernel(self):
         for n in range(3, 13):
             for size in range(3, 6):
                 for elems in itertools.combinations(range(9), size):
                     assert self._agrees(n, elems), (n, elems)
+
+    def test_negative_exponents(self):
+        for n in range(3, 19):
+            for size in range(3, 6):
+                for elems in itertools.combinations(range(-4, 3), size):
+                    assert self._agrees(n, elems), (n, elems)
+
+    def test_rank_matches_cyclotomic_elimination(self):
+        rng = random.Random(45)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            p, q = rng.randrange(n), rng.randrange(n)
+            elems = tuple(sorted(rng.sample(range(-5, 9), rng.randint(1, 5))))
+            rows = [[CycloElement.root_power(n, r * e) for e in elems] for r in (0, p, q)]
+            rank = unity_power_rank(SupportSet(elems), n, [p], [q])
+            assert rank.tolist() == [exact_rref(rows)[0]], (n, p, q, elems)
 
     def test_chunked(self, monkeypatch):
         # six det3 terms x 10 triples x phi(7) = 360 entries per pair: 2 pairs a chunk
@@ -329,8 +337,8 @@ class TestBatchKernel:
             assert self._agrees(7, elems)
 
     def test_small_support_vacuous(self):
-        out = kernels.all_minors_vanish_batch(reduction_table_array(5), (0, 4), [1, 2], [3, 4])
-        assert out.tolist() == [True, True]
+        assert all_minors_oracle(5, (0, 4), [1, 2], [3, 4]).tolist() == [True, True]
+        assert unity_power_rank(S(0, 4), 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
 
     def test_cached_table_is_read_only(self):
         table = reduction_table_array(9)

@@ -42,12 +42,12 @@ from singres.strata import (
     _span_dimensions,
     _unity_configs,
     _unity_corank_general,
-    _unity_corank_monomial,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports
 from test_guarantees import LABELS as GUARANTEE_LABELS
 from test_guarantees import PAIRS as GUARANTEE_PAIRS
+from test_minors import all_minors_oracle
 
 
 def S(*xs):
@@ -287,6 +287,17 @@ class TestScan:
             assert (rep.found, rep.generic_corank) == (found, generic), (b1, b2, name)
             assert rep.mismatches == []
 
+    def test_multiplicity_free_scan_reads_no_reduction_table(self, monkeypatch):
+        # the closed-form rank needs no cyclotomic arithmetic
+        def forbidden(n):
+            raise AssertionError(f"reduction table read for n={n}")
+
+        monkeypatch.setattr(singres.kernels, "reduction_table_array", forbidden)
+        monkeypatch.setattr(singres.exact, "unity_reduction_table", forbidden)
+        for name in ("N(1,1)", "N(1,1,1)"):
+            rep = scan_corank_strata(pair((0, 3, 6, 7), (0, 2, 4)), parse_label(name), 12)
+            assert rep.mismatches == []
+
     def test_report_observability(self):
         rep = scan_corank_strata(pair((0, 3, 6), (0, 1, 3)), parse_label("N(1,1,1)"), 12)
         data = rep.to_json()
@@ -294,6 +305,18 @@ class TestScan:
         assert data["version"] == singres.__version__
         assert set(data["timings"]) == {"unity_s", "generic_s"}
         assert all(t >= 0 for t in data["timings"].values())
+
+
+def reference_corank_monomial(b_elems, exps, n):
+    """Corank of the k x |B| matrix with rows zeta_n^(p*e), e in B, for one
+    configuration exps = (0, p[, q]): k - 1 when every row is constant,
+    else for k = 3 whether all 3x3 minors vanish (the cyclotomic oracle)."""
+    k = len(exps)
+    if all((p * (e - b_elems[0])) % n == 0 for p in exps for e in b_elems):
+        return k - 1
+    if k < 3:
+        return 0
+    return int(all_minors_oracle(n, b_elems, [exps[1]], [exps[2]])[0])
 
 
 def reference_scan(p, label, n_max, seed):
@@ -309,7 +332,7 @@ def reference_scan(p, label, n_max, seed):
     configs = [(1, (0,))] if label.k == 1 else _unity_configs(label.k, n_max)
     for n, exps in configs:
         if all(j == 1 for j in js[0] + js[1]):
-            key = tuple(_unity_corank_monomial(b.elements, exps, n) for b in sides)
+            key = tuple(reference_corank_monomial(b.elements, exps, n) for b in sides)
         else:
             key = tuple(_unity_corank_general(b, exps, n, j) for b, j in zip(sides, js))
         if key != (0, 0):
