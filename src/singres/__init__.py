@@ -31,7 +31,6 @@ from .laurent import (
 from .minors import (
     MinorCheck,
     RootOfUnity,
-    SplitCertificate,
     UnityPair,
     all_minors_vanish,
     exponent_power_minor_check,

@@ -225,11 +225,21 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_SUITE_FAILURE
 
 
-def _parse_coeffs(mapping):
+def _parse_coeffs(data, name, support: Support3D):
+    """The --input coefficient map `name` ({"i,j,k": [re, im] or a number}),
+    or None when absent; a malformed key or value, or a key that is not a
+    point of `support`, raises ValueError."""
+    if name not in data:
+        return None
     out = {}
-    for key, val in mapping.items():
-        triple = tuple(int(t) for t in key.replace(" ", "").split(","))
-        out[triple] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
+    for key, val in data[name].items():
+        try:
+            u, v, w = (int(t) for t in key.split(","))
+            if (u, v, w) not in support.points:
+                raise ValueError("not a point of the support")
+            out[u, v, w] = complex(*val) if isinstance(val, list) and len(val) == 2 else complex(val)
+        except ValueError as exc:
+            raise ValueError(f"--input: {name}[{key!r}]: {exc}") from exc
     return out
 
 
@@ -240,6 +250,9 @@ def cmd_project3d(args) -> int:
         with _typed_input():
             a1 = Support3D.from_json(data["a1"])
             a2 = Support3D.from_json(data["a2"])
+            coeffs = [_parse_coeffs(data, f"coeffs{i}", a) for i, a in ((1, a1), (2, a2))] if args.scan else []
+        if coeffs.count(None) == 1:
+            raise ValueError("--input: give both coeffs1 and coeffs2 or neither")
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -250,11 +263,7 @@ def cmd_project3d(args) -> int:
         return EXIT_DEGENERATE
     if args.scan:
         grid = GridConfig(args.rho_min, args.rho_max, args.rho_steps, args.theta_steps)
-        coeffs1 = _parse_coeffs(data["coeffs1"]) if "coeffs1" in data else None
-        coeffs2 = _parse_coeffs(data["coeffs2"]) if "coeffs2" in data else None
-        outcome.scan = grid_scan(
-            a1, a2, coeffs1, coeffs2, grid, threshold=config.tolerance, seed=config.seed
-        )
+        outcome.scan = grid_scan(a1, a2, *coeffs, grid, threshold=config.tolerance, seed=config.seed)
         if args.csv:
             csv_path = Path(args.csv)
             csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -241,7 +241,8 @@ def squarefree_decomposition(p: UniPoly):
     return out
 
 
-def _divisors(n):
+def divisors(n):
+    """Positive divisors of n >= 1, ascending."""
     out = []
     for d in range(1, int(math.isqrt(n)) + 1):
         if n % d == 0:
@@ -276,7 +277,7 @@ def cyclotomic_polynomial(n: int) -> UniPoly:
     if n < 1:
         raise ValueError("n must be positive")
     poly = UniPoly((-1,) + (0,) * (n - 1) + (1,))
-    for d in _divisors(n):
+    for d in divisors(n):
         if d < n:
             poly = poly // cyclotomic_polynomial(d)
     return poly
@@ -439,17 +440,20 @@ class CycloElement:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def to_complex(self):
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.n)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
     def __repr__(self):
         return f"CycloElement(n={self.n}, {list(self.coeffs)!r})"
+
+
+def clear_denominators(values):
+    """The ints and Fractions `values` times the lcm of their denominators,
+    as ints (a rank- and root-preserving rescaling)."""
+    lcm = 1
+    for c in values:
+        if isinstance(c, Fraction):
+            lcm = math.lcm(lcm, c.denominator)
+    if lcm == 1:
+        return [int(c) for c in values]
+    return [c.numerator * (lcm // c.denominator) for c in values]
 
 
 def exact_rank(matrix) -> int:
@@ -458,20 +462,9 @@ def exact_rank(matrix) -> int:
     Rows are scaled to integers first (rank-invariant), so intermediate
     entries stay integral and divisions are exact.
     """
-    rows = [list(r) for r in matrix]
+    rows = [clear_denominators(r) for r in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    for r in rows:
-        lcm = 1
-        for c in r:
-            if isinstance(c, Fraction):
-                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        if lcm != 1:
-            for i, c in enumerate(r):
-                r[i] = int(c * lcm)
-        else:
-            for i, c in enumerate(r):
-                r[i] = int(c)
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     prev = 1

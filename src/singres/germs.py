@@ -60,21 +60,12 @@ class PlaneGerm:
         acc = {}
         s_new = {(1, 0): Fraction(a), (0, 1): Fraction(b)}
         t_new = {(1, 0): Fraction(c), (0, 1): Fraction(d)}
-
-        def mul(p, q):
-            res = {}
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    key = (e1[0] + e2[0], e1[1] + e2[1])
-                    res[key] = res.get(key, Fraction(0)) + c1 * c2
-            return res
-
         for (i, j), coef in self.terms.items():
             term = {(0, 0): Fraction(coef)}
             for _ in range(i):
-                term = mul(term, s_new)
+                term = _germ_mul(term, s_new)
             for _ in range(j):
-                term = mul(term, t_new)
+                term = _germ_mul(term, t_new)
             for e, c in term.items():
                 acc[e] = acc.get(e, Fraction(0)) + c
         return PlaneGerm(acc)
@@ -132,25 +123,24 @@ def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> PlaneGerm:
         for v, e in zip(poly.vars, exp):
             if not e:
                 continue
-            base = var_germ(v)
+            base = var_germ(v).terms
             power = base
             for _ in range(e - 1):
                 power = _germ_mul(power, base)
-            term = _germ_mul(term, power.terms)
+            term = _germ_mul(term, power)
         for e, c in term.items():
             acc[e] = acc.get(e, Fraction(0)) + c
     return PlaneGerm(acc)
 
 
 def _germ_mul(a, b):
-    a_terms = a.terms if isinstance(a, PlaneGerm) else a
-    b_terms = b.terms if isinstance(b, PlaneGerm) else b
+    """Product of two bivariate term dicts {(i, j): coefficient}."""
     out = {}
-    for e1, c1 in a_terms.items():
-        for e2, c2 in b_terms.items():
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
             key = (e1[0] + e2[0], e1[1] + e2[1])
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return PlaneGerm(out) if isinstance(a, PlaneGerm) else out
+    return out
 
 
 def _form_profile(lowest, m):

@@ -9,13 +9,12 @@ x-part.  Two scalar instantiations share the contract: exact rationals
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import UniPoly, exact_rank, poly_gcd, squarefree_decomposition
+from .exact import UniPoly, clear_denominators, divisors, exact_rank, poly_gcd, squarefree_decomposition
 from .supports import SupportSet
 
 __all__ = [
@@ -32,6 +31,15 @@ __all__ = [
 ]
 
 CLUSTER_TOL = 1e-8
+
+
+def falling(b, d):
+    """Falling factorial b(b-1)...(b-d+1): the factor the d-th derivative
+    puts on x^b (any integer b, so Laurent exponents too)."""
+    out = 1
+    for t in range(d):
+        out *= b - t
+    return out
 
 
 def _is_exact_scalar(c):
@@ -143,9 +151,7 @@ class LaurentPoly:
         for b, c in self.coeffs.items():
             if not c:
                 continue
-            fall = 1
-            for t in range(order):
-                fall *= b - t
+            fall = falling(b, order)
             if fall:
                 acc += c * fall * x ** (b - order)
         return acc
@@ -282,27 +288,12 @@ def _roots_of_squarefree(h: UniPoly):
 def _rational_roots(h: UniPoly):
     """All rational roots of a rational polynomial, by clearing denominators
     and scanning divisors of the constant/leading coefficients."""
-    lcm = 1
-    for c in h.coeffs:
-        if isinstance(c, Fraction):
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in h.coeffs]
+    ints = clear_denominators(h.coeffs)
     while ints and ints[0] == 0:
         ints = ints[1:]  # x = 0 roots never occur here (stripped earlier)
     if not ints:
         return []
     a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
     roots = []
     for p in divisors(a0):
         for q in divisors(an):

@@ -7,8 +7,11 @@ p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or the columns
 (p*b mod n, q*b mod n) take at most two values over B.  That is not the
 same as a two-residue-class split of B: an order-2 root with x^g, y^g or
 (x/y)^g = 1 kills every minor without a split.  The scan below checks the
-two against each other exhaustively, and the single-minor checkers explain
-every vanishing determinant by row/column proportionality.
+two against each other exhaustively; its splits come from the one split
+search of `singres.supports`.  Every vanishing single minor is explained by
+row/column proportionality in integer congruences
+(`power_minor_explanation`, `exponent_minor_explanation`), which the
+single-minor checkers and the verification sweeps share.
 
 Negative exponents are harmless since exponents reduce mod n.
 """
@@ -23,18 +26,19 @@ from itertools import combinations
 import numpy as np
 
 from .exact import CycloElement
-from .supports import SupportSet, _residue_split, gap_gcd
+from .supports import SupportSet, gap_gcd, split_dividing
 
 __all__ = [
     "RootOfUnity",
     "UnityPair",
-    "SplitCertificate",
     "unity_power_rank",
     "all_minors_vanish",
     "two_class_split",
     "minors_split_equivalence_scan",
     "unity_minor_check",
     "exponent_power_minor_check",
+    "power_minor_explanation",
+    "exponent_minor_explanation",
     "proportionality_structure",
     "MinorCheck",
     "ScanReport",
@@ -55,15 +59,6 @@ class RootOfUnity:
 
     def power(self, e: int) -> CycloElement:
         return CycloElement.root_power(self.n, self.k * e)
-
-    def pow_equal(self, e1: int, e2: int) -> bool:
-        """zeta^(k*e1) == zeta^(k*e2), as an integer congruence."""
-        return (self.k * (e1 - e2)) % self.n == 0
-
-    def to_complex(self):
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * self.k / self.n)
 
 
 @dataclass(frozen=True)
@@ -91,34 +86,6 @@ class UnityPair:
     @property
     def y(self):
         return RootOfUnity(self.n, self.q)
-
-
-@dataclass(frozen=True)
-class SplitCertificate:
-    """Partition B = B' | B'' with gap gcds of both parts divisible by k >= 3.
-
-    The empty part is allowed (its gap gcd 0 is divisible by everything).
-    """
-
-    k: int
-    part_main: tuple
-    part_rest: tuple
-
-    def verify(self, b: SupportSet, n: int) -> bool:
-        if self.k < 3 or n % self.k:
-            return False
-        merged = tuple(sorted(self.part_main + self.part_rest))
-        if merged != b.elements:
-            return False
-        for part in (self.part_main, self.part_rest):
-            if part:
-                g = gap_gcd(SupportSet(part))
-                if g % self.k:
-                    return False
-        return True
-
-    def to_json(self):
-        return {"k": self.k, "part_main": list(self.part_main), "part_rest": list(self.part_rest)}
 
 
 def admissible_pairs(n: int):
@@ -167,21 +134,16 @@ def all_minors_vanish(b: SupportSet, u: UnityPair) -> bool:
 
 
 def two_class_split(b: SupportSet, n: int):
-    """Smallest k >= 3 dividing n with B in at most two residue classes mod k.
+    """Smallest k >= 3 dividing n with B in at most two residue classes mod
+    k, as a SplitWitness; None if none.
 
-    Every returned certificate is re-verified against its definitional
-    predicates before being handed out.
+    Every returned witness is re-verified against its definitional
+    predicate (each part's gap gcd divisible by k, and k | n).
     """
-    for k in range(3, n + 1):
-        if n % k:
-            continue
-        w = _residue_split(b, k)
-        if w is not None:
-            cert = SplitCertificate(k, w.part_main, w.part_rest)
-            if not cert.verify(b, n):
-                raise AssertionError(f"invalid split certificate for B={b.elements}, n={n}")
-            return cert
-    return None
+    w = split_dividing(b, n)
+    if w is not None and not (w.verify(b) and n % w.k == 0):
+        raise AssertionError(f"invalid split certificate for B={b.elements}, n={n}")
+    return w
 
 
 @dataclass
@@ -286,10 +248,6 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
                         report.unexplained.append(cex)
             if split is not None and not vanish.any():
                 report.converse_counterexamples.append({"n": n, "B": list(elems)})
-            if split is not None and not split.verify(b, n):
-                report.unexplained.append(
-                    {"n": n, "B": list(elems), "bad_certificate": split.to_json()}
-                )
             report.sets_checked += 1
     report.wall_time = time.perf_counter() - start
     return report
@@ -307,8 +265,40 @@ class MinorCheck:
         return {"tag": self.tag, "rows": self.rows, "cols": self.cols}
 
 
-def _is_unity(x):
-    return isinstance(x, RootOfUnity)
+def power_minor_explanation(n, p, q, a, b, c):
+    """Why det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanishes at x = zeta_n^p,
+    y = zeta_n^q, from integer congruences: a MinorCheck naming two
+    proportional rows or columns, or None when no such pair exists.
+
+    By the dichotomy behind `unity_power_rank` every vanishing determinant
+    has one.
+    """
+    exps = (a, b, c)
+    pairs = list(combinations(range(3), 2))
+
+    def const(r):  # zeta_n^(r*e) takes one value over the three exponents
+        return all((r * (exps[i] - exps[j])) % n == 0 for i, j in pairs)
+
+    if const(p):
+        return MinorCheck("PropRows", rows=(1, 2))
+    if const(q):
+        return MinorCheck("PropRows", rows=(1, 3))
+    if const(p - q):  # (x/y)^a = (x/y)^b = (x/y)^c
+        return MinorCheck("PropRows", rows=(2, 3))
+    for i, j in pairs:
+        d = exps[i] - exps[j]
+        if (p * d) % n == 0 and (q * d) % n == 0:
+            return MinorCheck("PropCols", cols=(i + 1, j + 1))
+    return None
+
+
+def exponent_minor_explanation(n, p, a, b, c):
+    """Why det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] vanishes at x = zeta_n^p:
+    EqualRows13 when x^a = x^b = x^c (rows 1 and 3 equal up to the factor
+    x^a), else None."""
+    if (p * (a - b)) % n == 0 and (p * (b - c)) % n == 0:
+        return MinorCheck("EqualRows13", rows=(1, 3))
+    return None
 
 
 def unity_minor_check(a: int, b: int, c: int, x, y, tol=1e-9) -> MinorCheck:
@@ -319,7 +309,7 @@ def unity_minor_check(a: int, b: int, c: int, x, y, tol=1e-9) -> MinorCheck:
     Exact for RootOfUnity inputs, tolerance-based for complex ones.
     """
     exps = (a, b, c)
-    if _is_unity(x) and _is_unity(y):
+    if isinstance(x, RootOfUnity) and isinstance(y, RootOfUnity):
         if x.n != y.n:
             # lift to the common modulus
             n = x.n * y.n // math.gcd(x.n, y.n)
@@ -330,22 +320,8 @@ def unity_minor_check(a: int, b: int, c: int, x, y, tol=1e-9) -> MinorCheck:
         det = (xb * yc - xc * yb) - (xa * yc - xc * ya) + (xa * yb - xb * ya)
         if not det.is_zero:
             return MinorCheck("Nondegenerate")
-        x_eq = {(i, j) for i, j in combinations(range(3), 2) if x.pow_equal(exps[i], exps[j])}
-        y_eq = {(i, j) for i, j in combinations(range(3), 2) if y.pow_equal(exps[i], exps[j])}
-        if len(x_eq) == 3:  # x^a = x^b = x^c: rows 1, 2 proportional
-            return MinorCheck("PropRows", rows=(1, 2))
-        if len(y_eq) == 3:
-            return MinorCheck("PropRows", rows=(1, 3))
-        ratio_eq = {
-            (i, j)
-            for i, j in combinations(range(3), 2)
-            if ((x.k - y.k) * (exps[i] - exps[j])) % x.n == 0
-        }
-        if len(ratio_eq) == 3:  # (x/y)^a = (x/y)^b = (x/y)^c: rows 2, 3 proportional
-            return MinorCheck("PropRows", rows=(2, 3))
-        for i, j in sorted(x_eq & y_eq):
-            return MinorCheck("PropCols", cols=(i + 1, j + 1))
-        return MinorCheck("Degenerate-unexplained")  # impossible per the dichotomy
+        explained = power_minor_explanation(x.n, x.k, y.k, a, b, c)
+        return explained or MinorCheck("Degenerate-unexplained")  # impossible per the dichotomy
     # float path
     xv, yv = complex(x), complex(y)
     m = [
@@ -382,15 +358,12 @@ def exponent_power_minor_check(a: int, b: int, c: int, x, tol=1e-9) -> MinorChec
     """
     if len({a, b, c}) != 3:
         raise ValueError("exponents must be distinct")
-    exps = (a, b, c)
-    if _is_unity(x):
-        xa, xb, xc = (x.power(e) for e in exps)
+    if isinstance(x, RootOfUnity):
+        xa, xb, xc = (x.power(e) for e in (a, b, c))
         det = (b * xc - c * xb) - (a * xc - c * xa) + (a * xb - b * xa)
         if not det.is_zero:
             return MinorCheck("Nondegenerate")
-        if x.pow_equal(a, b) and x.pow_equal(b, c):
-            return MinorCheck("EqualRows13", rows=(1, 3))
-        return MinorCheck("Degenerate-unexplained")
+        return exponent_minor_explanation(x.n, x.k, a, b, c) or MinorCheck("Degenerate-unexplained")
     xv = complex(x)
     det = (
         (b * xv**c - c * xv**b)

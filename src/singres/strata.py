@@ -27,9 +27,9 @@ from math import gcd
 import numpy as np
 
 from .exact import CycloElement, exact_rank, exact_rref, kernel_basis, solve_exact
-from .laurent import LaurentPoly, ProjPoint, common_roots, ord_at
+from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import RootOfUnity, unity_power_rank
-from .supports import SupportPair, SupportSet, _residue_split, gap_gcd
+from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
     "StratumLabel",
@@ -253,13 +253,6 @@ class SolutionTuple:
         return len(self.points)
 
 
-def _falling(b, d):
-    out = 1
-    for t in range(d):
-        out *= b - t
-    return out
-
-
 def _point_power(x, e):
     if isinstance(x, RootOfUnity):
         return x.power(e)
@@ -281,7 +274,7 @@ def multiplicity_vandermonde(b: SupportSet, xs, js):
     rows = []
     for x, j in zip(pts, js):
         for d in range(j):
-            rows.append([_falling(e, d) * _point_power(x, e - d) for e in b.elements])
+            rows.append([falling(e, d) * _point_power(x, e - d) for e in b.elements])
     return rows
 
 
@@ -587,7 +580,7 @@ def _derivative_rhs(poly_coeffs, eff, js, point_index, x_values, scalar_pow):
             else:
                 val = 0
                 for e, cf in zip(eff, poly_coeffs):
-                    val += cf * _falling(e, d + 1) * scalar_pow(x_values[m], e - d - 1)
+                    val += cf * falling(e, d + 1) * scalar_pow(x_values[m], e - d - 1)
                 rhs.append(-val)
     return rhs
 
@@ -635,9 +628,9 @@ def _vandermonde_tables(eff, js):
     derivs = np.array([d for _, d in rows])[:, None]
     tables = (
         np.array([m for m, _ in rows]),
-        np.array([[_falling(e, d) for e in eff] for _, d in rows], dtype=float),
+        np.array([[falling(e, d) for e in eff] for _, d in rows], dtype=float),
         np.array(eff) - derivs,
-        np.array([[_falling(e, d + 1) for e in eff] for _, d in rows], dtype=float),
+        np.array([[falling(e, d + 1) for e in eff] for _, d in rows], dtype=float),
         np.array(eff) - derivs - 1,
     )
     for table in tables:
@@ -840,10 +833,6 @@ def estimate_codim(
     start = time.perf_counter()
     descs, owners, pts, dirs = [], [], [], []
     for n, exps in _unity_configs(k, n_max):
-        if n < k:  # need k distinct n-th roots
-            continue
-        if len(set(e % n for e in exps)) < len(exps):
-            continue
         omega = [np.exp(2j * np.pi * e / n) for e in exps]
         for _ in range(VOTE_SAMPLES):
             c = _random_unit_annulus(rng)
@@ -1035,18 +1024,6 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     return report
 
 
-def _split_with_modulus(target: SupportSet, g_other: int):
-    """Is there k >= 3 dividing g_other with target in exactly two residue
-    classes mod k?  (The exactly-two case excludes a full common sublattice.)"""
-    for k in range(3, g_other + 1):
-        if g_other % k:
-            continue
-        w = _residue_split(target, k)
-        if w is not None and w.part_rest:
-            return k
-    return None
-
-
 def _stratum_predictions(pair, label):
     """Nonemptiness predictions for the characterized corank strata.
 
@@ -1070,8 +1047,8 @@ def _stratum_predictions(pair, label):
         out["joint:2,2"] = gcd(g1, g2) >= 3
         # the split criterion characterizes the mixed strata only when the
         # supports share no sublattice; order-2 row degeneracies defeat it
-        # otherwise, so those pairs are left uncharacterized
+        # otherwise.  Coprime gap gcds also rule out a one-class split.
         if gcd(g1, g2) == 1:
-            out["joint:1,2"] = _split_with_modulus(pair.b1, g2) is not None
-            out["joint:2,1"] = _split_with_modulus(pair.b2, g1) is not None
+            out["joint:1,2"] = split_witness(pair.b1, pair.b2) is not None
+            out["joint:2,1"] = split_witness(pair.b2, pair.b1) is not None
     return out

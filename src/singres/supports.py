@@ -19,6 +19,7 @@ __all__ = [
     "SubsetGuarantee",
     "Verdict",
     "gap_gcd",
+    "split_dividing",
     "split_witness",
     "check_conditions",
     "classify",
@@ -112,7 +113,11 @@ def gap_gcd(b: SupportSet) -> int:
 
 @dataclass(frozen=True)
 class SplitWitness:
-    """Certificate that `target` occupies at most two residue classes mod k."""
+    """Partition target = part_main | part_rest with the gap gcd of each part
+    divisible by k >= 3: target occupies at most two residue classes mod k.
+
+    The empty part is allowed (its gap gcd 0 is divisible by everything).
+    """
 
     k: int
     part_main: tuple
@@ -124,42 +129,37 @@ class SplitWitness:
         merged = tuple(sorted(self.part_main + self.part_rest))
         if merged != target.elements:
             return False
-        mains = {e % self.k for e in self.part_main}
-        rests = {e % self.k for e in self.part_rest}
-        return len(mains) <= 1 and len(rests) <= 1
+        parts = (self.part_main, self.part_rest)
+        return all(gap_gcd(SupportSet.of(*part)) % self.k == 0 for part in parts if part)
 
     def to_json(self):
         return {"k": self.k, "part_main": list(self.part_main), "part_rest": list(self.part_rest)}
 
 
-def _residue_split(target: SupportSet, k: int):
-    """Partition of target by residue mod k if it fits in <= 2 classes."""
-    classes = {}
-    for e in target.elements:
-        classes.setdefault(e % k, []).append(e)
-    if len(classes) > 2:
-        return None
-    main_res = target.min % k
-    main = tuple(classes.pop(main_res))
-    rest = tuple(next(iter(classes.values()))) if classes else ()
-    return SplitWitness(k, main, rest)
+def split_dividing(target: SupportSet, m: int):
+    """Smallest k >= 3 dividing m whose residues split target into at most
+    two classes, with the residue-class partition (part_main holds the class
+    of the minimum); None if none."""
+    for k in range(3, m + 1):
+        if m % k:
+            continue
+        classes = {}
+        for e in target.elements:
+            classes.setdefault(e % k, []).append(e)
+        if len(classes) <= 2:
+            main = tuple(classes.pop(target.min % k))
+            rest = tuple(next(iter(classes.values()), ()))
+            return SplitWitness(k, main, rest)
+    return None
 
 
 def split_witness(target: SupportSet, other: SupportSet):
-    """Smallest k >= 3 dividing gap_gcd(other) whose residues split target
-    into at most two classes, with the residue-class partition; None if none.
+    """`split_dividing(target, gap_gcd(other))`: the split behind cond2.
 
     A set shifts into kZ iff it lies in a single residue class mod k iff k
     divides its gap gcd, so searching divisors of gap_gcd(other) is complete.
     """
-    g = gap_gcd(other)
-    for k in range(3, g + 1):
-        if g % k:
-            continue
-        w = _residue_split(target, k)
-        if w is not None:
-            return w
-    return None
+    return split_dividing(target, gap_gcd(other))
 
 
 @dataclass(frozen=True)

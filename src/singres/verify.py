@@ -4,7 +4,8 @@ facts at desk scale and reports pass/fail with timings.
 The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
 computed by the stated independent oracles.  The single-minor unity sweeps
-make one batched kernel call per modulus (see `singres.kernels`).
+make one batched kernel call per modulus (see `singres.kernels`) and explain
+each zero with the congruence explanations of `singres.minors`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -22,7 +22,12 @@ from .exact import exact_rank
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import det3_vanish, reduction_table_array, unity_combos_vanish
 from .laurent import LaurentPoly, classify_point
-from .minors import admissible_pairs, minors_split_equivalence_scan
+from .minors import (
+    admissible_pairs,
+    exponent_minor_explanation,
+    minors_split_equivalence_scan,
+    power_minor_explanation,
+)
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
@@ -139,21 +144,6 @@ def check_minors_split_equivalence():
     return ok, details, note
 
 
-def _explained_power_matrix_zero(n, p, q, a, b, c):
-    """Zero of the all-powers minor explained by proportional rows/columns."""
-    exps = (a, b, c)
-
-    def const(r):
-        return all((r * (e1 - e2)) % n == 0 for e1, e2 in itertools.combinations(exps, 2))
-
-    if const(p) or const(q) or const(p - q):
-        return True
-    for e1, e2 in itertools.combinations(exps, 2):
-        if (p * (e1 - e2)) % n == 0 and (q * (e1 - e2)) % n == 0:
-            return True
-    return False
-
-
 def check_unity_minor_explanations(n_max=24, span=5):
     """Every vanishing 3x3 minor over roots of unity is explained.
 
@@ -178,7 +168,7 @@ def check_unity_minor_explanations(n_max=24, span=5):
         for i, t in np.argwhere(vanish).tolist():
             zeros += 1
             p, q = int(ps[i]), int(qs[i])
-            if not _explained_power_matrix_zero(n, p, q, *triple_list[t]):
+            if power_minor_explanation(n, p, q, *triple_list[t]) is None:
                 unexplained.append({"n": n, "p": p, "q": q, "triple": list(triple_list[t])})
     # ones / exponents / powers matrix: det = (b-a) x^c + (a-c) x^b + (c-b) x^a
     zeros65 = 0
@@ -190,10 +180,8 @@ def check_unity_minor_explanations(n_max=24, span=5):
         checked += vanish.size
         for p, t in np.argwhere(vanish).tolist():
             zeros65 += 1
-            a_, b_, c_ = triple_list[t]
-            powers_equal = (p * (a_ - b_)) % n == 0 and (p * (b_ - c_)) % n == 0
-            if not powers_equal:
-                unexplained.append({"n": n, "p": p, "triple": [a_, b_, c_], "kind": "exponent-row"})
+            if exponent_minor_explanation(n, p, *triple_list[t]) is None:
+                unexplained.append({"n": n, "p": p, "triple": list(triple_list[t]), "kind": "exponent-row"})
     ok = not unexplained
     return ok, {
         "checked": checked,

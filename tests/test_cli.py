@@ -123,6 +123,35 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: --input: wrongly typed field") and "Traceback" not in err
 
+    SCAN_SUPPORTS = {"a1": [[1, 0, 0], [0, 0, 2]], "a2": [[0, 1, 0], [0, 0, 1]]}
+    SCAN_ARGS = ["--scan", "--rho-steps", "1", "--theta-steps", "1"]
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {"coeffs1": {"0,0,0": "x"}, "coeffs2": {"0,1,0": [-1, 0]}},
+            {"coeffs1": {"1,0,0": [-1, 0]}, "coeffs2": {"a,b,c": 1}},
+            {"coeffs1": {"1, 0": [-1, 0]}, "coeffs2": {"0,0,1": 1}},
+            {"coeffs1": {"0,0,7": 1}, "coeffs2": {"0,0,1": 1}},
+            {"coeffs1": {"1,0,0": 1}, "coeffs2": {"3,3,1": 1}},
+        ],
+        ids=["value", "key", "arity", "off-support", "off-support-same-degree"],
+    )
+    def test_malformed_scan_coefficients_exit_2(self, capsys, tmp_path, coeffs):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**self.SCAN_SUPPORTS, **coeffs}))
+        assert main(["project3d", "--input", str(path), *self.SCAN_ARGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input") and "Traceback" not in err
+
+    @pytest.mark.parametrize("given", [{"coeffs1": {"0,0,2": [1, 0]}}, {"coeffs2": {"0,0,1": [1, 0]}}], ids=["1", "2"])
+    def test_one_sided_scan_coefficients_exit_2(self, capsys, tmp_path, given):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**self.SCAN_SUPPORTS, **given}))
+        assert main(["project3d", "--input", str(path), *self.SCAN_ARGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input: give both coeffs1 and coeffs2 or neither")
+
 
 class TestVerifyPaper:
     def test_single_check(self, capsys):

@@ -92,7 +92,7 @@ class TestTwoClassSplit:
             for elems in itertools.combinations(range(9), 3):
                 c = two_class_split(SupportSet(elems), n)
                 if c is not None:
-                    assert c.verify(SupportSet(elems), n)
+                    assert c.verify(SupportSet(elems)) and n % c.k == 0
 
 
 class TestEquivalenceScan:

@@ -1,10 +1,15 @@
-"""Repository hygiene: what git tracks."""
+"""Repository hygiene: what git tracks, and what the package exports."""
 
+import ast
+import importlib
+import pkgutil
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import singres
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,3 +27,26 @@ def test_no_tracked_file_is_ignored():
     if proc.returncode:
         pytest.skip(f"git cannot read the checkout: {proc.stderr.strip()}")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(singres.__path__)])
+def test_module_exports_resolve(name):
+    """Every name in a module's __all__ exists (a deleted class left in an
+    export list fails here)."""
+    module = importlib.import_module(f"singres.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_imports_are_exported():
+    """Every name singres/__init__.py imports from a submodule is in that
+    submodule's __all__, so with the test above it resolves too."""
+    tree = ast.parse(Path(singres.__file__).read_text())
+    stray = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"singres.{node.module}").__all__
+    ]
+    assert stray == []

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from singres.strata import (
     _side_matrices,
     _span_dimension_exact,
     _span_dimensions,
+    _stratum_predictions,
     _unity_configs,
     _unity_corank_general,
 )
@@ -265,6 +267,31 @@ class TestScan:
             rep = scan_corank_strata(pair(b, b), parse_label("N(1,1)"), 12)
             assert rep.side_observed(1, 1) == (gap_gcd(S(*b)) >= 2)
             assert rep.mismatches == []
+
+    def test_mixed_predictions_match_two_class_oracle(self):
+        # with coprime gap gcds, joint:1,2 is predicted iff B1 falls into
+        # exactly two residue classes mod some k >= 3 dividing gap_gcd(B2)
+        def two_classes(target, g_other):
+            return any(len({e % k for e in target}) == 2 for k in range(3, g_other + 1) if g_other % k == 0)
+
+        label = parse_label("N(1,1,1)")
+        sups = [
+            (0, *mid, top)
+            for top in range(1, 13)
+            for size in range(3)
+            for mid in itertools.combinations(range(1, top), size)
+        ]
+        gaps = {b: gap_gcd(S(*b)) for b in sups}
+        checked = 0
+        for b1, b2 in itertools.product(sups, repeat=2):
+            g1, g2 = gaps[b1], gaps[b2]
+            if gcd(g1, g2) != 1:
+                continue
+            pred = _stratum_predictions(pair(b1, b2), label)
+            assert pred["joint:1,2"] == two_classes(b1, g2), (b1, b2)
+            assert pred["joint:2,1"] == two_classes(b2, g1), (b1, b2)
+            checked += 1
+        assert (len(sups), checked) == (298, 86926)
 
     def test_multiplicity_label_uses_cyclo_elimination(self):
         rep = scan_corank_strata(pair((0, 3, 6), (0, 3, 6)), parse_label("N(2,1;1,1)"), 6)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from singres.supports import (
     SupportPair,
     SupportSet,
+    SplitWitness,
     check_conditions,
     classify,
     gap_gcd,
@@ -92,6 +93,14 @@ class TestSplitWitness:
                 w = split_witness(SupportSet(b1), SupportSet(b2))
                 if w is not None:
                     assert w.verify(SupportSet(b1))
+
+    def test_verify_checks_part_gap_gcds(self):
+        b = S(0, 1, 3, 4)
+        assert SplitWitness(3, (0, 3), (1, 4)).verify(b)
+        assert not SplitWitness(3, (0, 1), (3, 4)).verify(b)  # part gap gcds are 1
+        assert not SplitWitness(3, (0, 3), (1,)).verify(b)  # not a partition of b
+        assert not SplitWitness(2, (0, 4), (1, 3)).verify(b)  # k < 3
+        assert SplitWitness(3, (0, 3, 6), ()).verify(S(0, 3, 6))  # empty part
 
     def test_against_brute_force(self):
         import itertools
