@@ -457,21 +457,24 @@ def clear_denominators(values):
 
 
 def exact_rank(matrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+    """Rank over Q or Q(zeta_n) by fraction-free elimination.
 
-    Rows are scaled to integers first (rank-invariant), so intermediate
-    entries stay integral and divisions are exact.
+    Rational rows are scaled to integers (rank-invariant) and eliminated by
+    Bareiss, whose divisions by the previous pivot are exact.  CycloElement
+    matrices are eliminated over Z[zeta_n] by cross-multiplication alone
+    (row_i <- pivot * row_i - a_i * pivot_row), so nothing is inverted.
     """
-    rows = [clear_denominators(r) for r in matrix]
-    if not rows or not rows[0]:
+    if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
+    cyclo = any(isinstance(v, CycloElement) for r in matrix for v in r)
+    rows = [list(r) for r in matrix] if cyclo else [clear_denominators(r) for r in matrix]
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     prev = 1
     for col in range(ncols):
         piv = None
         for i in range(rank, nrows):
-            if rows[i][col] != 0:
+            if rows[i][col]:
                 piv = i
                 break
         if piv is None:
@@ -480,6 +483,10 @@ def exact_rank(matrix) -> int:
         pval = rows[rank][col]
         for i in range(rank + 1, nrows):
             ival = rows[i][col]
+            if cyclo:
+                if ival:
+                    rows[i][col:] = [pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])]
+                continue
             for j in range(col + 1, ncols):
                 rows[i][j] = (pval * rows[i][j] - ival * rows[rank][j]) // prev
             rows[i][col] = 0
@@ -520,15 +527,6 @@ def _is_nonzero(x):
     return bool(x)
 
 
-def _field_div(a, b):
-    """a / b in the exact field generated by the entries (never float)."""
-    if isinstance(b, CycloElement):
-        return b.inverse() * a
-    if isinstance(a, CycloElement):
-        return a * (Fraction(1) / Fraction(b))
-    return Fraction(a) / Fraction(b)
-
-
 def exact_rref(matrix):
     """Reduced row echelon form over an exact field (Fraction or CycloElement).
 
@@ -551,7 +549,8 @@ def exact_rref(matrix):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pval = rows[r][col]
-        rows[r] = [_field_div(c, pval) for c in rows[r]]
+        inv = pval.inverse() if isinstance(pval, CycloElement) else Fraction(1) / Fraction(pval)
+        rows[r] = [c * inv for c in rows[r]]
         for i in range(len(rows)):
             if i != r and _is_nonzero(rows[i][col]):
                 f = rows[i][col]

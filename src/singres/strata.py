@@ -10,6 +10,9 @@ bound on the codimension, while the claimed lower bound stays heuristic.
 Generic tuples are ranked exactly; the float samples of the root-of-unity
 and minor-curve components are drawn first and evaluated as stacks
 (`_span_dimensions`), one stacked SVD per side and per final matrix shape.
+The corank-strata scan ranks root-of-unity tuples exactly (closed form, or
+division-free elimination over Z[zeta_n]) and certifies the generic corank
+by Descartes' rule of signs; its seed only picks witness tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import CycloElement, exact_rank, exact_rref, kernel_basis, solve_exact
+from .exact import exact_rank, kernel_basis, solve_exact
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import RootOfUnity, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
@@ -300,14 +303,6 @@ def corank_kernel(rows, rtol=SVD_RTOL):
         return len(rows) - rank, kernel
     kernel = kernel_basis(rows)
     return len(rows) - (len(rows[0]) - len(kernel)), kernel
-
-
-def _exact_corank(rows):
-    """rows - rank of a nonempty exact matrix, by one elimination: Bareiss
-    rank for rationals, a single RREF for cyclotomic entries."""
-    if any(isinstance(v, CycloElement) for r in rows for v in r):
-        return len(rows) - exact_rref(rows)[0]
-    return len(rows) - exact_rank(rows)
 
 
 # --- locus descriptions ----------------------------------------------------
@@ -928,29 +923,34 @@ def _unity_coranks_monomial(b: SupportSet, n, exps):
 
 
 def _unity_corank_general(b: SupportSet, exps, n, js):
-    pts = [RootOfUnity(n, p) for p in exps]
-    rows = multiplicity_vandermonde(b, pts, js)
-    cyc_rows = [
-        [v if isinstance(v, CycloElement) else CycloElement.from_int(n, v) for v in r]
-        for r in rows
-    ]
-    return _exact_corank(cyc_rows)
+    """Exact corank of the multiplicity Vandermonde at the tuple zeta_n^p,
+    p in exps: one fraction-free elimination over Z[zeta_n]."""
+    rows = multiplicity_vandermonde(b, [RootOfUnity(n, p) for p in exps], js)
+    return len(rows) - exact_rank(rows)
 
 
 def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, seed: int = 0):
     """Enumerate projectivized root-of-unity tuples (x1 = 1, others n-th
-    roots, n <= n_max) plus four random generic tuples, compute both
-    coranks exactly, and compare the nonempty corank strata against the
+    roots, n <= n_max), compute both coranks exactly, add the certified
+    generic corank, and compare the nonempty corank strata against the
     predicted ones (gap-gcd and split criteria).
 
-    For multiplicity-free labels each side's unity coranks come from the
+    A side whose orders all equal 1 takes its unity coranks from the
     closed-form rank of minors.unity_power_rank, one array pass per modulus
-    n over all of that n's tuples, with no cyclotomic arithmetic; labels
-    with multiplicities eliminate one cyclotomic matrix per tuple.  When
-    both sides have the same support and orders, each corank is computed
-    once and used for both.  Exact eliminations (the multiplicity labels
-    and the generic tuples) compute the rank only, one elimination per
-    matrix.
+    n over all of that n's tuples, with no cyclotomic arithmetic; a side
+    with multiplicities runs one fraction-free exact_rank over Z[zeta_n]
+    per tuple.  When both sides have the same support and orders, each
+    corank is computed once and used for both.
+
+    The generic corank is certified as max(0, sum(js) - |B|) per side, with
+    no elimination.  By Descartes' rule of signs a nonzero Laurent
+    polynomial with m terms has at most m - 1 positive roots counted with
+    multiplicity.  So at distinct positive points any r = min(sum(js), |B|)
+    columns of the multiplicity Vandermonde, with the first derivative rows
+    of each point up to r rows, form a nonsingular block (the total
+    positivity of generalized Vandermonde matrices): the rank is r.  `seed`
+    only picks the four positive rational witness tuples counted under
+    that corank in `found`.
 
     The report records the tuples scanned, the package version and the time
     spent on the unity and the generic tuples.
@@ -965,7 +965,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
 
     def side_coranks(b, js, n, group, exps):
-        if multiplicity_free:
+        if all(j == 1 for j in js):
             return _unity_coranks_monomial(b, n, exps).tolist()
         return [_unity_corank_general(b, e, n, js) for _, e in group]
 
@@ -988,20 +988,17 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
                     )
     unity_done = time.perf_counter()
 
-    # generic random rational tuples
-    rng = random.Random(seed)
-    gen_cork = None
-    for _ in range(4):
-        pts = []
-        while len(pts) < k:
-            x = _random_fraction(rng)
-            if x not in pts:
-                pts.append(x)
-        c1 = _exact_corank(multiplicity_vandermonde(pair.b1, pts, js1))
-        c2 = c1 if same_sides else _exact_corank(multiplicity_vandermonde(pair.b2, pts, js2))
-        gen_cork = (c1, c2) if gen_cork is None else (min(gen_cork[0], c1), min(gen_cork[1], c2))
-        if (c1, c2) != (0, 0):
-            note((c1, c2), {"kind": "generic", "points": [str(x) for x in pts]})
+    # generic tuples: Descartes' rule, with positive rational witnesses
+    gen_cork = (max(0, sum(js1) - len(pair.b1)), max(0, sum(js2) - len(pair.b2)))
+    if gen_cork != (0, 0):
+        rng = random.Random(seed)
+        for _ in range(4):
+            pts = []
+            while len(pts) < k:
+                x = abs(_random_fraction(rng))
+                if x not in pts:
+                    pts.append(x)
+            note(gen_cork, {"kind": "generic", "points": [str(x) for x in pts]})
     report.generic_corank = gen_cork
     generic_done = time.perf_counter()
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}

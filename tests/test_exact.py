@@ -12,6 +12,7 @@ from singres.exact import (
     cyclotomic_polynomial,
     euler_phi,
     exact_rank,
+    exact_rref,
     kernel_basis,
     poly_gcd,
     poly_xgcd,
@@ -197,8 +198,6 @@ class TestRank:
 
     def test_cyclo_elimination(self):
         # rows of unity powers for B = {0,3,6} at (1, w, w^2), w^3 = 1: rank 1
-        from singres.exact import exact_rref
-
         n = 3
         rows = [
             [CycloElement.root_power(n, p * b) for b in (0, 3, 6)]
@@ -206,3 +205,31 @@ class TestRank:
         ]
         rank, _, _ = exact_rref(rows)
         assert rank == 1
+        assert exact_rank(rows) == 1
+
+    def test_cyclo_rank_matches_rref(self):
+        # the division-free elimination over Z[zeta_n] against the field RREF,
+        # with planted dependent rows so that rank deficiency is common
+        rng = random.Random(9)
+        deficient = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+
+            def entry():
+                if rng.random() < 0.3:
+                    return CycloElement.zero(n)
+                return sum(
+                    (rng.randint(-3, 3) * CycloElement.root_power(n, rng.randrange(n)) for _ in range(2)),
+                    CycloElement.zero(n),
+                )
+
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            for i in range(1, nrows):
+                if rng.random() < 0.4:
+                    a, b = entry(), entry()
+                    rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+            want = exact_rref(rows)[0]
+            assert exact_rank(rows) == want, (n, rows)
+            deficient += want < min(nrows, ncols)
+        assert deficient > 50

@@ -14,6 +14,7 @@ from singres.minors import (
     admissible_pairs,
     all_minors_vanish,
     exponent_power_minor_check,
+    power_minor_explanation,
     minors_split_equivalence_scan,
     proportionality_structure,
     two_class_split,
@@ -147,8 +148,18 @@ class TestMinorChecks:
             vanish = unity_combos_vanish(reduction_table_array(n), exps, DET3_SIGNS)
             for i, t in np.argwhere(vanish).tolist():
                 p, q = int(ps[i]), int(qs[i])
-                out = unity_minor_check(*triples[t], RootOfUnity(n, p), RootOfUnity(n, q))
-                assert out.tag in ("PropRows", "PropCols"), (n, p, q, triples[t])
+                assert power_minor_explanation(n, p, q, *triples[t]) is not None, (n, p, q, triples[t])
+        # the exact determinant path, once per outcome
+        spot = [
+            ((0, 1, 2), 4, 1, 2, ("Nondegenerate", None, None)),
+            ((0, 2, 4), 4, 2, 1, ("PropRows", (1, 2), None)),
+            ((0, 2, 4), 4, 1, 2, ("PropRows", (1, 3), None)),
+            ((0, 2, 4), 6, 1, 4, ("PropRows", (2, 3), None)),
+            ((0, 1, 4), 3, 1, 2, ("PropCols", None, (2, 3))),
+        ]
+        for triple, n, p, q, want in spot:
+            out = unity_minor_check(*triple, RootOfUnity(n, p), RootOfUnity(n, q))
+            assert (out.tag, out.rows, out.cols) == want, (triple, n, p, q)
 
     def test_unity_sweep_counts(self):
         # frozen (checked, power-matrix zeros, exponent-row zeros) of small sweeps

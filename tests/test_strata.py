@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import singres
+from singres.exact import exact_rank, exact_rref
 from singres.laurent import LaurentPoly
 from singres.minors import RootOfUnity
 from singres.strata import (
@@ -43,7 +44,6 @@ from singres.strata import (
     _span_dimensions,
     _stratum_predictions,
     _unity_configs,
-    _unity_corank_general,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports
@@ -293,10 +293,64 @@ class TestScan:
             checked += 1
         assert (len(sups), checked) == (298, 86926)
 
-    def test_multiplicity_label_uses_cyclo_elimination(self):
+    def test_multiplicity_label_scans_exactly(self):
         rep = scan_corank_strata(pair((0, 3, 6), (0, 3, 6)), parse_label("N(2,1;1,1)"), 6)
         # derivative rows break row-constancy; scan must still run exactly
         assert rep.label == "N(2,1;1,1)"
+
+    def test_multiplicity_scan_inverts_nothing(self, monkeypatch):
+        # unity coranks by division-free elimination, generic ones by formula
+        def forbidden(*args):
+            raise AssertionError("field elimination in the corank scan")
+
+        monkeypatch.setattr(singres.exact.CycloElement, "inverse", forbidden)
+        monkeypatch.setattr(singres.exact, "exact_rref", forbidden)
+        for name in ("N(2,1)", "N(2,1;1,1)", "N(2,2)"):
+            for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1, 4, 6), (0, 2, 5))]:
+                rep = scan_corank_strata(pair(b1, b2), parse_label(name), 8, seed=1)
+                assert rep.configs_scanned == len(_unity_configs(2, 8))
+        assert not hasattr(singres.strata, "exact_rref")
+
+    def test_generic_corank_is_descartes_bound(self):
+        # at distinct positive points the multiplicity Vandermonde has rank
+        # min(sum(js), |B|), negative exponents included
+        rng = random.Random(11)
+        deficient = 0
+        for _ in range(150):
+            lo = rng.randint(-6, 0)
+            b = S(*rng.sample(range(lo, lo + 10), rng.randint(1, 6)))
+            js = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            pts = []
+            while len(pts) < len(js):
+                x = abs(_random_fraction(rng))
+                if x not in pts:
+                    pts.append(x)
+            rows = multiplicity_vandermonde(b, pts, js)
+            want = max(0, sum(js) - len(b))
+            assert len(rows) - exact_rank(rows) == want, (b, pts, js)
+            deficient += want > 0
+        assert deficient > 20
+        # signed points are not covered: (1, -1) on B = (0, 2, 4) repeats a row
+        assert corank_kernel(multiplicity_vandermonde(S(0, 2, 4), [1, -1], [1, 1]))[0] == 1
+
+    def test_multiplicity_rank_matches_rref(self):
+        # every multiplicity Vandermonde the scan eliminates for these labels,
+        # with n <= 8, against the CycloElement RREF oracle
+        sups = [S(0, 2, 4, 6), S(-2, 0, 3), S(0, 3, 6, 8, 9)]
+        checked = deficient = 0
+        for name in ("N(2,1)", "N(2,2)", "N(3,1)", "N(2,1,1)"):
+            label = parse_label(name)
+            js = label.side_orders(1)
+            for n, exps in _unity_configs(label.k, 8):
+                pts = [RootOfUnity(n, p) for p in exps]
+                for b in sups:
+                    rows = multiplicity_vandermonde(b, pts, js)
+                    rank = exact_rref(rows)[0]
+                    assert exact_rank(rows) == rank, (name, n, exps, b)
+                    checked += 1
+                    deficient += rank < min(len(rows), len(b))
+        assert checked == 3 * (3 * len(_unity_configs(2, 8)) + len(_unity_configs(3, 8)))
+        assert deficient > 10
 
     def test_matches_per_config_reference(self):
         rng = random.Random(5)
@@ -307,6 +361,14 @@ class TestScan:
             b2 = tuple(sorted({0, 8, *rng.sample(range(1, 8), rng.randint(1, 4))}))
             cases.append((b1, b2, ("N(1)", "N(1,1)", "N(1,1,1)")[i % 3], 12))
         cases += [((0, 3, 6), (0, 3, 6), "N(2,1)", 7), ((0, 2, 4, 7), (0, 1, 5, 7), "N(2,1)", 7)]
+        cases += [
+            ((0, 2, 4, 6), (0, 2, 4, 6), "N(2,2)", 7),
+            ((0, 1, 3), (0, 2, 5, 6), "N(2,2)", 7),
+            ((0, 3, 6, 9), (0, 1, 4), "N(3,1)", 7),
+            ((0, 2, 4), (0, 1, 2, 6), "N(3,1)", 7),
+            ((0, 2, 4, 6), (0, 3, 6), "N(1,1;2,1)", 7),
+            ((0, 1, 5), (0, 4, 8), "N(1,1;2,1)", 7),
+        ]
         for b1, b2, name, n_max in cases:
             p, label = pair(b1, b2), parse_label(name)
             rep = scan_corank_strata(p, label, n_max, seed=3)
@@ -346,9 +408,18 @@ def reference_corank_monomial(b_elems, exps, n):
     return int(all_minors_oracle(n, b_elems, [exps[1]], [exps[2]])[0])
 
 
+def reference_corank_elimination(b, exps, n, js):
+    """Corank of the multiplicity Vandermonde at the tuple zeta_n^p, p in
+    exps, by the CycloElement RREF oracle."""
+    rows = multiplicity_vandermonde(b, [RootOfUnity(n, p) for p in exps], js)
+    return len(rows) - exact_rref(rows)[0]
+
+
 def reference_scan(p, label, n_max, seed):
     """The found strata and generic corank of scan_corank_strata, computed
-    one configuration and one side at a time with corank_kernel."""
+    one configuration and one side at a time: unity coranks from the
+    cyclotomic oracles, generic coranks by eliminating the four positive
+    witness tuples with corank_kernel."""
     js = label.side_orders(1), label.side_orders(2)
     sides = (p.b1, p.b2)
     found = {}
@@ -361,7 +432,7 @@ def reference_scan(p, label, n_max, seed):
         if all(j == 1 for j in js[0] + js[1]):
             key = tuple(reference_corank_monomial(b.elements, exps, n) for b in sides)
         else:
-            key = tuple(_unity_corank_general(b, exps, n, j) for b, j in zip(sides, js))
+            key = tuple(reference_corank_elimination(b, exps, n, j) for b, j in zip(sides, js))
         if key != (0, 0):
             note(key, {"kind": "unity", "n": n, "exponents": list(exps)})
     rng = random.Random(seed)
@@ -369,7 +440,7 @@ def reference_scan(p, label, n_max, seed):
     for _ in range(4):
         pts = []
         while len(pts) < label.k:
-            x = _random_fraction(rng)
+            x = abs(_random_fraction(rng))
             if x not in pts:
                 pts.append(x)
         key = tuple(
