@@ -42,7 +42,6 @@ class RunConfig:
     seed: int = 0
     tolerance: float = 1e-8
     n_max: int = 12
-    trials: int = 3
     det_bound: int = DEFAULT_DET_BOUND
     out: str | None = None
 
@@ -54,13 +53,12 @@ def _global_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--trials", type=int, default=3)
     p.add_argument("--det-bound", type=int, default=DEFAULT_DET_BOUND, dest="det_bound")
     p.add_argument("--out", type=str, default=None, help="output file or directory")
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(args.seed, args.tolerance, args.n_max, args.trials, args.det_bound, args.out)
+    return RunConfig(args.seed, args.tolerance, args.n_max, args.det_bound, args.out)
 
 
 def _parse_support(text: str) -> SupportSet:
@@ -303,9 +301,7 @@ def cmd_scan(args) -> int:
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        est = estimate_codim(
-            pair, label, trials=config.trials, seed=config.seed, n_max=config.n_max
-        )
+        est = estimate_codim(pair, label, seed=config.seed, n_max=config.n_max)
         payload = {"kind": "codim", "report": est.to_json()}
     else:
         print(f"error: unknown scan kind {args.kind!r}", file=sys.stderr)

@@ -7,12 +7,14 @@ The codimension estimator parameterizes each probed locus component by
 (solution tuple, kernel coordinates) and reports the rank of the
 parameterization's differential: the dimension found certifies an upper
 bound on the codimension, while the claimed lower bound stays heuristic.
-Generic tuples are ranked exactly; the float samples of the root-of-unity
-and minor-curve components are drawn first and evaluated as stacks
-(`_span_dimensions`), one stacked SVD per side and per final matrix shape.
+The generic component's dimension is certified by a closed form
+(`_generic_kernel_dims`, Descartes' rule of signs), with no sampling; the
+float samples of the root-of-unity and minor-curve components are drawn
+first and evaluated as stacks (`_span_dimensions`), one stacked SVD per
+side and per final matrix shape, all ranked by one threshold (`_svd_rank`).
 The corank-strata scan ranks root-of-unity tuples exactly (closed form, or
-division-free elimination over Z[zeta_n]) and certifies the generic corank
-by Descartes' rule of signs; its seed only picks witness tuples.
+division-free elimination over Z[zeta_n]) and takes the generic corank
+from the same closed form; its seed only picks witness tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import exact_rank, kernel_basis, solve_exact
+from .exact import exact_rank, kernel_basis
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import RootOfUnity, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
@@ -285,6 +287,13 @@ def _is_float_matrix(rows):
     return any(isinstance(v, (complex, float, np.complexfloating)) for r in rows for v in r)
 
 
+def _svd_rank(sv, rtol=SVD_RTOL):
+    """Numeric rank of each matrix of a stack from its singular values
+    (shape (..., q), each row descending): the number above rtol times the
+    largest."""
+    return np.sum(sv > rtol * sv[..., :1], axis=-1)
+
+
 def corank_kernel(rows, rtol=SVD_RTOL):
     """(corank, kernel basis) of the linear map f -> M f.
 
@@ -297,8 +306,7 @@ def corank_kernel(rows, rtol=SVD_RTOL):
     if _is_float_matrix(rows):
         m = np.array([[complex(v) for v in r] for r in rows])
         u, s, vh = np.linalg.svd(m)
-        cut = rtol * (s[0] if len(s) else 0.0)
-        rank = int(np.sum(s > cut))
+        rank = int(_svd_rank(s, rtol))
         kernel = [vh[i].conj() for i in range(rank, vh.shape[0])]
         return len(rows) - rank, kernel
     kernel = kernel_basis(rows)
@@ -564,53 +572,38 @@ class CodimEstimate:
         }
 
 
-def _derivative_rhs(poly_coeffs, eff, js, point_index, x_values, scalar_pow):
-    """-(dM/dx_m) f for the tangent solve: rows of point m step one
-    derivative order up, other rows vanish."""
-    rhs = []
-    for m, j in enumerate(js):
-        for d in range(j):
-            if m != point_index:
-                rhs.append(0)
-            else:
-                val = 0
-                for e, cf in zip(eff, poly_coeffs):
-                    val += cf * falling(e, d + 1) * scalar_pow(x_values[m], e - d - 1)
-                rhs.append(-val)
-    return rhs
+def _generic_kernel_dims(pair, label):
+    """(|eff1| - sum(j1), |eff2| - sum(j2)): per side, the label's effective
+    support size minus the sum of that side's root orders.
 
+    Where positive it is the kernel dimension of the side's multiplicity
+    Vandermonde M_i (rows f^(d)(x_m), d < j_m; columns eff_i) at a generic
+    tuple of distinct points x_1..x_k; where negative, minus its corank.  By
+    Descartes' rule of signs a nonzero Laurent polynomial with m terms has
+    at most m - 1 positive roots counted with multiplicity.  So any r <= m
+    Hermite conditions at distinct positive points are independent (the
+    total positivity of generalized Vandermonde matrices, Gantmacher-Krein):
+    there M_i has rank min(sum(j_i), |eff_i|), the largest any tuple allows.
+    Signed points are not safe: (1, -1) on B = (0, 2, 4) repeats a row.
 
-def _span_dimension_exact(pair, label, pts, dirs):
-    sides = _side_matrices(pair, label, pts)
-    if sides is None:
-        return None
-    eff1, eff2, m1, m2 = sides
-    k1 = _kernel_of(m1, len(eff1))
-    k2 = _kernel_of(m2, len(eff2))
-    if not k1 or not k2:
-        return None
-    rng = random.Random(1234577)
-    f1 = [sum(_random_fraction(rng) * v[i] for v in k1) for i in range(len(eff1))]
-    f2 = [sum(_random_fraction(rng) * v[i] for v in k2) for i in range(len(eff2))]
-    n1, n2 = len(pair.b1.elements), len(pair.b2.elements)
-    rows = []
-    for v in k1:
-        rows.append(_embed(v, eff1, pair.b1) + [0] * n2)
-    for w in k2:
-        rows.append([0] * n1 + _embed(w, eff2, pair.b2))
-    js1, js2 = label.side_orders(1), label.side_orders(2)
-    pow_ = lambda x, e: Fraction(x) ** e
-    for direction in dirs:
-        # direction is a coordinate tangent e_m for the generic locus
-        m = next(i for i, d in enumerate(direction) if d)
-        rhs1 = _derivative_rhs(f1, eff1, js1, m, pts, pow_)
-        rhs2 = _derivative_rhs(f2, eff2, js2, m, pts, pow_)
-        df = solve_exact(m1, rhs1) if m1 else [0] * len(eff1)
-        dg = solve_exact(m2, rhs2) if m2 else [0] * len(eff2)
-        if df is None or dg is None:
-            return None
-        rows.append(_embed(df, eff1, pair.b1) + _embed(dg, eff2, pair.b2))
-    return exact_rank(rows) if rows else 0
+    It also gives the dimension of the label's generic locus component.  The
+    parameters (x, f1, f2) with f_i in ker M_i(x) span k + dims[0] + dims[1]
+    dimensions when both kernels are nonempty, and the differential of
+    (x, f1, f2) -> (f1, f2) reaches that rank at positive points.  Its image
+    is ker M1 + ker M2 plus one tangent row (df1, df2) per point x_m, where
+    M_i df_i = -(dM_i/dx_m) f_i.  The right side vanishes outside point m's
+    last row, where it is -f_i^(j_i,m)(x_m), and M_i is injective modulo its
+    kernel; so modulo the kernels the row of point m is
+    (f1^(j1_m)(x_m), f2^(j2_m)(x_m)), placed in point m's rows only.  It is
+    nonzero for generic f_i: with sum(j_i) + 1 <= |eff_i| the Hermite
+    conditions plus f^(j_m)(x_m) = 0 are independent at positive points, so
+    that derivative is not identically zero on ker M_i.  Rows of distinct
+    points are thus independent.
+    """
+    return tuple(
+        len(_effective_elements(b, label.j0, label.jinf)) - sum(label.side_orders(side))
+        for side, b in ((1, pair.b1), (2, pair.b2))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -665,7 +658,7 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
         point, fall, exps = tables[:3]
         mat = fall * pts[:, point, None] ** exps
         u, sv, vh = np.linalg.svd(mat)
-        kdim = len(eff) - np.sum(sv > rtol * sv[:, :1], axis=1)
+        kdim = len(eff) - _svd_rank(sv, rtol)
         live &= kdim > 0
         sides.append((tables, mat, u, sv, vh))
         kdims.append(kdim)
@@ -708,7 +701,7 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
         norms[norms == 0] = 1.0
         rows /= norms
         sv = np.linalg.svd(rows, compute_uv=False)
-        for i, rank in zip(idx.tolist(), np.sum(sv > rtol * sv[:, :1], axis=1).tolist()):
+        for i, rank in zip(idx.tolist(), _svd_rank(sv, rtol).tolist()):
             dims[i] = rank
     return dims
 
@@ -762,21 +755,24 @@ def _scan_config_groups(k, n_max):
 def estimate_codim(
     pair: SupportPair,
     label: StratumLabel,
-    trials: int = 3,
     seed: int = 0,
     n_max: int = 12,
     max_minor_curves: int = 48,
 ) -> CodimEstimate:
     """Estimate the codimension of the filtration subset by probing locus
-    components: generic tuples (exact rank at rational points, the best of
-    `trials`), every root-of-unity configuration with n <= n_max, and
-    single-minor curves (thresholded SVD with a majority vote over
-    VOTE_SAMPLES draws).
+    components: generic tuples, every root-of-unity configuration with
+    n <= n_max, and single-minor curves.
 
-    Every float sample of a phase is drawn first, in the order of the rng
-    stream, and the phase's stack is then evaluated at once by
-    `_span_dimensions`.  The report records each component's per-sample
-    dimensions and the time of each phase."""
+    The generic component (the coordinate subspace of the effective
+    supports when the label has no finite roots) is certified, not
+    sampled: its dimension is (|eff1| - sum(j1)) + (|eff2| - sum(j2)) + k
+    when both side kernels are nonempty, and it is empty otherwise (see
+    `_generic_kernel_dims`); it counts as one sample.  The root-of-unity and
+    minor-curve components take a majority vote over VOTE_SAMPLES float
+    draws each (thresholded SVD).  Every float sample of a phase is drawn
+    first, in the order of the rng stream, and the phase's stack is then
+    evaluated at once by `_span_dimensions`.  The report records each
+    component's per-sample dimensions and the time of each phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -806,23 +802,14 @@ def estimate_codim(
                 record(desc, top, own)
 
     k = label.k
-    if k == 0:
-        eff1 = _effective_elements(pair.b1, label.j0, label.jinf)
-        eff2 = _effective_elements(pair.b2, label.j0, label.jinf)
-        dim = len(eff1) + len(eff2) if eff1 and eff2 else None
-        record("coordinate-subspace", dim, [dim])
-        est.sample_count = 1
-        return est
-
-    # generic component, exact at rational tuples
     start = time.perf_counter()
-    dims = []
-    for _ in range(max(1, trials)):
-        pts, dirs = _draw_tuple(pair, label, GenericPoints(), rng)
-        dims.append(_span_dimension_exact(pair, label, pts, dirs))
-        est.sample_count += 1
-    record("generic", max((d for d in dims if d is not None), default=None), dims)
+    dims = _generic_kernel_dims(pair, label)
+    dim = sum(dims) + k if min(dims) > 0 else None
+    record("generic" if k else "coordinate-subspace", dim, [dim])
+    est.sample_count = 1
     est.timings["generic_s"] = time.perf_counter() - start
+    if k == 0:
+        return est
 
     # root-of-unity components: the tuples c * omega, tangent omega
     start = time.perf_counter()
@@ -943,20 +930,18 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     corank is computed once and used for both.
 
     The generic corank is certified as max(0, sum(js) - |B|) per side, with
-    no elimination.  By Descartes' rule of signs a nonzero Laurent
-    polynomial with m terms has at most m - 1 positive roots counted with
-    multiplicity.  So at distinct positive points any r = min(sum(js), |B|)
-    columns of the multiplicity Vandermonde, with the first derivative rows
-    of each point up to r rows, form a nonsingular block (the total
-    positivity of generalized Vandermonde matrices): the rank is r.  `seed`
-    only picks the four positive rational witness tuples counted under
-    that corank in `found`.
+    no elimination, by Descartes' rule of signs (`_generic_kernel_dims`).
+    `seed` only picks the four positive rational witness tuples counted
+    under that corank in `found`.
 
     The report records the tuples scanned, the package version and the time
-    spent on the unity and the generic tuples.
+    spent on the unity and the generic tuples.  Labels with boundary orders
+    j0 or jinf raise ValueError: the scan ranks finite tuples only.
     """
     if label.k < 1 or label.k > 3:
         raise ValueError("scan supports labels with 1..3 roots")
+    if label.j0 or label.jinf:
+        raise ValueError(f"scan supports labels without boundary orders, got {label.notation()}")
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
     k = label.k
@@ -989,7 +974,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     unity_done = time.perf_counter()
 
     # generic tuples: Descartes' rule, with positive rational witnesses
-    gen_cork = (max(0, sum(js1) - len(pair.b1)), max(0, sum(js2) - len(pair.b2)))
+    gen_cork = tuple(max(0, -d) for d in _generic_kernel_dims(pair, label))
     if gen_cork != (0, 0):
         rng = random.Random(seed)
         for _ in range(4):

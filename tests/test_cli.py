@@ -263,6 +263,7 @@ class TestScan:
             ("minors", "--sizes", "0"),
             ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--label", "N(1,1,1,1)"),
             ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--label", "N(1,1"),
+            ("strata", "--b1", "0,1,3,6", "--b2", "0,2,3", "--label", "N_1(1,1)"),
         ],
     )
     def test_input_errors_exit_2(self, capsys, argv):

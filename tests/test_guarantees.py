@@ -45,7 +45,7 @@ def test_guaranteed_subsets_never_exceed_expected_dimension():
                 continue  # guarantee withdrawn; nothing to check
             label = LABELS[name]
             assert expected_codim(label) == want_codim
-            est = estimate_codim(p, label, trials=2, seed=17, n_max=8)
+            est = estimate_codim(p, label, seed=17, n_max=8)
             assert est.estimate is None or est.estimate >= want_codim, (
                 p.to_json(),
                 name,

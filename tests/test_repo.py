@@ -1,8 +1,11 @@
-"""Repository hygiene: what git tracks, and what the package exports."""
+"""Repository hygiene: what git tracks, what the package exports, and what
+the README says the CLI accepts."""
 
+import argparse
 import ast
 import importlib
 import pkgutil
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import singres
+from singres import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +54,14 @@ def test_package_imports_are_exported():
         if alias.name not in importlib.import_module(f"singres.{node.module}").__all__
     ]
     assert stray == []
+
+
+def test_readme_lists_the_global_flags():
+    """The README's "Global flags:" sentence names exactly the options
+    cli._global_flags registers, so a removed flag cannot linger there."""
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme[readme.index("Global flags:") :].split(".\n", 1)[0]
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._global_flags(parser)
+    registered = {opt for action in parser._actions for opt in action.option_strings}
+    assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == registered
