@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 __all__ = [
     "UniPoly",
@@ -19,14 +18,12 @@ __all__ = [
     "poly_xgcd",
     "squarefree_decomposition",
     "cyclotomic_polynomial",
-    "euler_phi",
     "CycloElement",
     "unity_reduction_table",
     "exact_rank",
     "exact_rref",
     "kernel_basis",
     "solve_exact",
-    "brute_force_rank",
 ]
 
 
@@ -252,21 +249,6 @@ def divisors(n):
     return sorted(out)
 
 
-def euler_phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> UniPoly:
     """Monic n-th cyclotomic polynomial with integer coefficients.
@@ -456,13 +438,27 @@ def clear_denominators(values):
     return [c.numerator * (lcm // c.denominator) for c in values]
 
 
+def _primitive(row):
+    """A row of ints and integer CycloElements divided by the gcd of all
+    their coefficients; a row holding a Fraction is returned unchanged."""
+    coeffs = [c for v in row for c in (v.coeffs if isinstance(v, CycloElement) else (v,))]
+    if not all(isinstance(c, int) for c in coeffs):
+        return row
+    g = math.gcd(*coeffs)
+    if g <= 1:
+        return row
+    return [CycloElement(v.n, [c // g for c in v.coeffs]) if isinstance(v, CycloElement) else v // g for v in row]
+
+
 def exact_rank(matrix) -> int:
     """Rank over Q or Q(zeta_n) by fraction-free elimination.
 
     Rational rows are scaled to integers (rank-invariant) and eliminated by
     Bareiss, whose divisions by the previous pivot are exact.  CycloElement
     matrices are eliminated over Z[zeta_n] by cross-multiplication alone
-    (row_i <- pivot * row_i - a_i * pivot_row), so nothing is inverted.
+    (row_i <- pivot * row_i - a_i * pivot_row), so nothing is inverted; each
+    updated row is divided by the integer gcd of its coefficients, a nonzero
+    scalar, which bounds coefficient growth and leaves the rank unchanged.
     """
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
@@ -485,7 +481,7 @@ def exact_rank(matrix) -> int:
             ival = rows[i][col]
             if cyclo:
                 if ival:
-                    rows[i][col:] = [pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])]
+                    rows[i][col:] = _primitive([pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])])
                 continue
             for j in range(col + 1, ncols):
                 rows[i][j] = (pval * rows[i][j] - ival * rows[rank][j]) // prev
@@ -495,30 +491,6 @@ def exact_rank(matrix) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def brute_force_rank(matrix) -> int:
-    """Independent rank oracle: largest k with a nonvanishing k×k minor."""
-    rows = [list(r) for r in matrix]
-    n, m = len(rows), len(rows[0])
-
-    def det(idx_r, idx_c):
-        k = len(idx_r)
-        if k == 1:
-            return Fraction(rows[idx_r[0]][idx_c[0]])
-        acc = Fraction(0)
-        sign = 1
-        for t, c in enumerate(idx_c):
-            acc += sign * Fraction(rows[idx_r[0]][c]) * det(idx_r[1:], idx_c[:t] + idx_c[t + 1 :])
-            sign = -sign
-        return acc
-
-    for k in range(min(n, m), 0, -1):
-        for ir in combinations(range(n), k):
-            for ic in combinations(range(m), k):
-                if det(tuple(ir), tuple(ic)) != 0:
-                    return k
-    return 0
 
 
 def _is_nonzero(x):

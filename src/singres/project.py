@@ -12,7 +12,6 @@ criterion is one-directional).
 
 from __future__ import annotations
 
-import cmath
 import random
 from dataclasses import dataclass, field
 
@@ -82,6 +81,8 @@ class CurveScan:
     rows: list = field(default_factory=list)  # (rho1, theta1, rho2, theta2, absR)
     near_zero_cells: list = field(default_factory=list)
     max_abs: float = 0.0
+    retries: int = 0
+    near_zero_margin: float | None = None
     coverage_note: str = "compact torus patch only; roots escaping to the boundary are not seen"
 
     def to_csv_lines(self):
@@ -96,6 +97,8 @@ class CurveScan:
             "max_abs": self.max_abs,
             "cells": len(self.rows),
             "near_zero_cells": self.near_zero_cells,
+            "near_zero_margin": self.near_zero_margin,
+            "retries": self.retries,
             "coverage": self.coverage_note,
         }
 
@@ -162,32 +165,38 @@ def random_coefficients(a: Support3D, rng: random.Random):
     return out
 
 
-def _specialized_coeffs(a: Support3D, coeffs, support, x1, x2):
-    """Coefficient vector of f(x1, x2, t) over the projected t-support."""
-    vec = {b: 0j for b in support}
+def _specialized_coeffs(coeffs, support, x1, x2):
+    """Coefficient vectors of f(x1, x2, t) over the projected t-support, one
+    row per cell: shape (cells, len(support)) for the cell arrays x1, x2."""
+    out = np.zeros((len(x1), len(support)), dtype=complex)
     for (u, v, w), c in coeffs.items():
-        vec[w] += complex(c) * x1**u * x2**v
-    return [vec[b] for b in support]
+        out[:, support.index(w)] += complex(c) * x1**u * x2**v
+    return out
 
 
-def _sylvester_det(coeffs1, coeffs2):
-    """Numeric Sylvester determinant of two coefficient vectors (ascending
-    exponent along the convex hull of the projected support)."""
-    d1, d2 = len(coeffs1) - 1, len(coeffs2) - 1
+def _sylvester_dets(coeffs1, coeffs2):
+    """Numeric Sylvester determinants of two stacks of coefficient vectors,
+    one determinant per row pair (ascending exponent along the convex hull
+    of the projected support)."""
+    d1, d2 = coeffs1.shape[1] - 1, coeffs2.shape[1] - 1
     n = d1 + d2
-    m = np.zeros((n, n), dtype=complex)
-    r1 = list(reversed(coeffs1))
-    r2 = list(reversed(coeffs2))
+    m = np.zeros((len(coeffs1), n, n), dtype=complex)
+    r1, r2 = coeffs1[:, ::-1], coeffs2[:, ::-1]
     for i in range(d2):
-        m[i, i : i + d1 + 1] = r1
+        m[:, i, i : i + d1 + 1] = r1
     for i in range(d1):
-        m[d2 + i, i : i + d2 + 1] = r2
+        m[:, d2 + i, i : i + d2 + 1] = r2
     return np.linalg.det(m)
 
 
 def _dense_support(values):
     lo, hi = min(values), max(values)
     return list(range(lo, hi + 1))
+
+
+def _collapses(coeffs):
+    """Whether the specialized polynomial vanishes numerically at some cell."""
+    return bool((np.abs(coeffs).max(axis=1) < 1e-12).any())
 
 
 def grid_scan(
@@ -203,9 +212,12 @@ def grid_scan(
     """Evaluate |det Sylvester| of the specialized third-variable polynomials
     over the log-polar grid.
 
-    Coefficients default to seeded random generic draws; degenerate draws
-    (a specialized polynomial collapsing numerically) trigger a reseeded
-    retry, at most max_retries times.  Explicit coefficient maps are never
+    Cells run over (rho1, theta1, rho2, theta2) in row-major order and are
+    evaluated together: one coefficient stack per side and one stacked
+    determinant.  Coefficients default to seeded random generic draws;
+    degenerate draws (a specialized polynomial collapsing numerically at
+    some cell) trigger a reseeded retry, at most max_retries times, and the
+    report counts the retries used.  Explicit coefficient maps are never
     retried.
     """
     grid = grid or GridConfig()
@@ -213,34 +225,31 @@ def grid_scan(
     rng = random.Random(seed)
     sup1 = _dense_support(Support3D(a1.points).last_coordinates())
     sup2 = _dense_support(Support3D(a2.points).last_coordinates())
+    rhos, thetas = grid.axis_points()
+    rho, theta = (axis.ravel() for axis in np.meshgrid(rhos, thetas, indexing="ij"))
+    # cell i * g + j pairs point i of the patch for x1 with point j for x2
+    g = rho.size
+    rho1, theta1, rho2, theta2 = np.repeat(rho, g), np.repeat(theta, g), np.tile(rho, g), np.tile(theta, g)
+    x1, x2 = np.exp(rho1 + 1j * theta1), np.exp(rho2 + 1j * theta2)
     attempt = 0
     while True:
         c1 = coeffs1 if explicit else random_coefficients(a1, rng)
         c2 = coeffs2 if explicit else random_coefficients(a2, rng)
-        scan = CurveScan(grid=grid, threshold=threshold)
-        rhos, thetas = grid.axis_points()
-        degenerate = False
-        for r1 in rhos:
-            for t1 in thetas:
-                x1 = cmath.exp(complex(r1, t1))
-                for r2 in rhos:
-                    for t2 in thetas:
-                        x2 = cmath.exp(complex(r2, t2))
-                        v1 = _specialized_coeffs(a1, c1, sup1, x1, x2)
-                        v2 = _specialized_coeffs(a2, c2, sup2, x1, x2)
-                        if max(abs(z) for z in v1) < 1e-12 or max(abs(z) for z in v2) < 1e-12:
-                            degenerate = True
-                        val = abs(_sylvester_det(v1, v2))
-                        scan.rows.append((float(r1), float(t1), float(r2), float(t2), float(val)))
-        if degenerate and not explicit and attempt < max_retries:
+        v1 = _specialized_coeffs(c1, sup1, x1, x2)
+        v2 = _specialized_coeffs(c2, sup2, x1, x2)
+        if (_collapses(v1) or _collapses(v2)) and not explicit and attempt < max_retries:
             attempt += 1
             continue
         break
-    scan.max_abs = max((r[4] for r in scan.rows), default=0.0)
-    cut = threshold * max(scan.max_abs, 1e-300)
-    for i, row in enumerate(scan.rows):
-        if row[4] <= cut:
-            scan.near_zero_cells.append(
-                {"index": i, "rho1": row[0], "theta1": row[1], "rho2": row[2], "theta2": row[3], "absR": row[4]}
-            )
+    abs_r = np.abs(_sylvester_dets(v1, v2))
+    scan = CurveScan(grid=grid, threshold=threshold, retries=attempt)
+    scan.rows = list(zip(*(col.tolist() for col in (rho1, theta1, rho2, theta2, abs_r))))
+    scan.max_abs = float(abs_r.max()) if abs_r.size else 0.0
+    near = abs_r <= threshold * max(scan.max_abs, 1e-300)
+    scan.near_zero_cells = [
+        dict(zip(("index", "rho1", "theta1", "rho2", "theta2", "absR"), (i, *scan.rows[i])))
+        for i in np.flatnonzero(near).tolist()
+    ]
+    if near.any() and not near.all():
+        scan.near_zero_margin = float(abs_r[near].max() / abs_r[~near].min())
     return scan

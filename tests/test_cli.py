@@ -225,6 +225,8 @@ class TestProject3d:
         assert len(lines) == 1 + (3 * 4) ** 2
         data = json.loads(out)
         assert data["curve_scan"]["near_zero_cells"]
+        assert data["curve_scan"]["retries"] == 0
+        assert 0 <= data["curve_scan"]["near_zero_margin"] <= data["curve_scan"]["threshold"]
 
 
 class TestScan:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,7 @@ from hypothesis import strategies as st
 from singres.exact import (
     CycloElement,
     UniPoly,
-    brute_force_rank,
     cyclotomic_polynomial,
-    euler_phi,
     exact_rank,
     exact_rref,
     kernel_basis,
@@ -20,6 +19,46 @@ from singres.exact import (
     squarefree_decomposition,
     unity_reduction_table,
 )
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient by trial division: the oracle for cyclotomic degrees."""
+    out = n
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+def brute_force_rank(matrix) -> int:
+    """Independent rank oracle: largest k with a nonvanishing k×k minor."""
+    rows = [list(r) for r in matrix]
+    n, m = len(rows), len(rows[0])
+
+    def det(idx_r, idx_c):
+        k = len(idx_r)
+        if k == 1:
+            return Fraction(rows[idx_r[0]][idx_c[0]])
+        acc = Fraction(0)
+        sign = 1
+        for t, c in enumerate(idx_c):
+            acc += sign * Fraction(rows[idx_r[0]][c]) * det(idx_r[1:], idx_c[:t] + idx_c[t + 1 :])
+            sign = -sign
+        return acc
+
+    for k in range(min(n, m), 0, -1):
+        for ir in combinations(range(n), k):
+            for ic in combinations(range(m), k):
+                if det(tuple(ir), tuple(ic)) != 0:
+                    return k
+    return 0
 
 
 def poly(*coeffs):
@@ -206,6 +245,15 @@ class TestRank:
         rank, _, _ = exact_rref(rows)
         assert rank == 1
         assert exact_rank(rows) == 1
+
+    def test_cyclo_rank_with_integer_content_and_fractions(self):
+        # rows sharing integer content are divided by it; a Fraction entry
+        # skips the division; neither changes the rank
+        z = CycloElement.root_power(6, 1)
+        rows = [[6 * z, 4, 2 * z * z], [3 * z, 2, z * z], [Fraction(1, 2) * z, Fraction(1, 3), 1]]
+        assert exact_rank(rows) == exact_rref(rows)[0] == 2
+        content = [[12 * z, 8 * z * z], [18 * z * z, 30]]
+        assert exact_rank(content) == exact_rref(content)[0] == 2
 
     def test_cyclo_rank_matches_rref(self):
         # the division-free elimination over Z[zeta_n] against the field RREF,

@@ -1,12 +1,108 @@
+import cmath
+import random
+
+import numpy as np
 import pytest
 
+from singres import project
 from singres.project import (
+    CurveScan,
     DegenerateProjectionError,
     GridConfig,
     Support3D,
     grid_scan,
     project_supports,
     random_coefficients,
+)
+
+
+def _reference_coeffs(coeffs, support, x1, x2):
+    vec = {b: 0j for b in support}
+    for (u, v, w), c in coeffs.items():
+        vec[w] += complex(c) * x1**u * x2**v
+    return [vec[b] for b in support]
+
+
+def _reference_det(coeffs1, coeffs2):
+    d1, d2 = len(coeffs1) - 1, len(coeffs2) - 1
+    n = d1 + d2
+    m = np.zeros((n, n), dtype=complex)
+    for i in range(d2):
+        m[i, i : i + d1 + 1] = list(reversed(coeffs1))
+    for i in range(d1):
+        m[d2 + i, i : i + d2 + 1] = list(reversed(coeffs2))
+    return np.linalg.det(m)
+
+
+def reference_grid_scan(a1, a2, coeffs1=None, coeffs2=None, grid=None, threshold=1e-8, seed=0, max_retries=5):
+    """Per-cell oracle for grid_scan: one Sylvester matrix and one det per
+    cell, with the same draws, retry rule and cut."""
+    grid = grid or GridConfig()
+    explicit = coeffs1 is not None and coeffs2 is not None
+    rng = random.Random(seed)
+    sup1 = list(range(min(a1.last_coordinates()), max(a1.last_coordinates()) + 1))
+    sup2 = list(range(min(a2.last_coordinates()), max(a2.last_coordinates()) + 1))
+    rhos, thetas = grid.axis_points()
+    attempt = 0
+    while True:
+        c1 = coeffs1 if explicit else project.random_coefficients(a1, rng)
+        c2 = coeffs2 if explicit else project.random_coefficients(a2, rng)
+        scan = CurveScan(grid=grid, threshold=threshold, retries=attempt)
+        degenerate = False
+        for r1 in rhos:
+            for t1 in thetas:
+                x1 = cmath.exp(complex(r1, t1))
+                for r2 in rhos:
+                    for t2 in thetas:
+                        x2 = cmath.exp(complex(r2, t2))
+                        v1 = _reference_coeffs(c1, sup1, x1, x2)
+                        v2 = _reference_coeffs(c2, sup2, x1, x2)
+                        if max(abs(z) for z in v1) < 1e-12 or max(abs(z) for z in v2) < 1e-12:
+                            degenerate = True
+                        val = abs(_reference_det(v1, v2))
+                        scan.rows.append((float(r1), float(t1), float(r2), float(t2), float(val)))
+        if degenerate and not explicit and attempt < max_retries:
+            attempt += 1
+            continue
+        break
+    scan.max_abs = max((r[4] for r in scan.rows), default=0.0)
+    cut = threshold * max(scan.max_abs, 1e-300)
+    for i, row in enumerate(scan.rows):
+        if row[4] <= cut:
+            scan.near_zero_cells.append(
+                {"index": i, "rho1": row[0], "theta1": row[1], "rho2": row[2], "theta2": row[3], "absR": row[4]}
+            )
+    return scan
+
+
+def assert_scans_agree(got, want):
+    """Same cells, near-zero indices and retries; every |R| within 1e-12
+    relative, floored at the rounding level of the scan's largest |R|."""
+    assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
+    assert [c["index"] for c in got.near_zero_cells] == [c["index"] for c in want.near_zero_cells]
+    assert got.retries == want.retries
+    floor = np.finfo(float).eps * want.max_abs
+    for g, w in zip(got.rows, want.rows):
+        assert abs(g[4] - w[4]) <= 1e-12 * max(w[4], floor)
+
+
+def _random_support(rng):
+    size = rng.randint(2, 4)
+    points = set()
+    while len(points) < size:
+        points.add((rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 3)))
+    return Support3D(tuple(sorted(points)))
+
+
+def _random_coeffs(a, rng):
+    return {p: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for p in a.points}
+
+
+CONSTRUCTED = (
+    Support3D(((1, 0, 0), (0, 0, 2))),
+    Support3D(((0, 1, 0), (0, 0, 1))),
+    {(1, 0, 0): -1 + 0j, (0, 0, 2): 1 + 0j},
+    {(0, 1, 0): -1 + 0j, (0, 0, 1): 1 + 0j},
 )
 
 
@@ -41,10 +137,7 @@ class TestProjection:
 
 class TestGridScan:
     def test_constructed_common_root_cell(self):
-        a1 = Support3D(((1, 0, 0), (0, 0, 2)))
-        a2 = Support3D(((0, 1, 0), (0, 0, 1)))
-        c1 = {(1, 0, 0): -1 + 0j, (0, 0, 2): 1 + 0j}
-        c2 = {(0, 1, 0): -1 + 0j, (0, 0, 1): 1 + 0j}
+        a1, a2, c1, c2 = CONSTRUCTED
         grid = GridConfig(-0.4, 0.4, 3, 4)
         scan = grid_scan(a1, a2, c1, c2, grid, threshold=1e-8)
         assert len(scan.rows) == (3 * 4) ** 2
@@ -82,3 +175,67 @@ class TestGridScan:
         lines = list(scan.to_csv_lines())
         assert lines[0] == "rho1,theta1,rho2,theta2,absR"
         assert len(lines) == 1 + (2 * 2) ** 2
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_per_cell_reference(self, case):
+        rng = random.Random(case)
+        a1, a2 = _random_support(rng), _random_support(rng)
+        grid = GridConfig() if case < 2 else GridConfig(-0.3, 0.3, 3, 4)
+        coeffs = (_random_coeffs(a1, rng), _random_coeffs(a2, rng)) if case % 2 else (None, None)
+        seed = rng.randrange(2**31)
+        got = grid_scan(a1, a2, *coeffs, grid, seed=seed)
+        assert_scans_agree(got, reference_grid_scan(a1, a2, *coeffs, grid, seed=seed))
+
+    def test_constructed_root_matches_reference(self):
+        grid = GridConfig(-0.4, 0.4, 3, 4)
+        got = grid_scan(*CONSTRUCTED, grid)
+        assert got.near_zero_cells
+        assert_scans_agree(got, reference_grid_scan(*CONSTRUCTED, grid))
+
+    def test_margin_and_retries_in_report(self):
+        scan = grid_scan(*CONSTRUCTED, GridConfig(-0.4, 0.4, 3, 4))
+        near = {c["index"] for c in scan.near_zero_cells}
+        above = [r[4] for i, r in enumerate(scan.rows) if i not in near]
+        out = scan.to_json()
+        assert out["retries"] == 0
+        assert out["near_zero_margin"] == max(c["absR"] for c in scan.near_zero_cells) / min(above)
+        assert out["near_zero_margin"] <= scan.threshold
+        a1 = Support3D(((0, 0, 0), (1, 0, 1)))
+        a2 = Support3D(((0, 0, 0), (0, 1, 1)))
+        generic = grid_scan(a1, a2, grid=GridConfig(-0.1, 0.1, 2, 2), seed=1).to_json()
+        assert generic["near_zero_cells"] == [] and generic["near_zero_margin"] is None
+
+    def test_collapsed_draw_is_retried(self, monkeypatch):
+        # the first draw makes f1 = (x1 - 1)(1 + 2t): it collapses only on
+        # the cells with x1 = 1, which the grid's rho = theta = 0 point hits
+        a1 = Support3D(((1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 1)))
+        a2 = Support3D(((0, 0, 0), (0, 1, 1), (1, 0, 2)))
+        collapsing = {(1, 0, 0): 1, (0, 0, 0): -1, (1, 0, 1): 2, (0, 0, 1): -2}
+        draws = []
+
+        def first_collapses(a, rng):
+            coeffs = collapsing if not draws else random_coefficients(a, rng)
+            draws.append(coeffs)
+            return coeffs
+
+        monkeypatch.setattr(project, "random_coefficients", first_collapses)
+        grid = GridConfig(-0.2, 0.2, 3, 3)
+        first = grid_scan(a1, a2, collapsing, random_coefficients(a2, random.Random(0)), grid)
+        assert sum(r[4] == 0 for r in first.rows) == 3 * 3  # x1 = 1 against every x2
+        scan = grid_scan(a1, a2, grid=grid, seed=4)
+        assert scan.retries == 1 and len(draws) == 4
+        assert scan.rows == grid_scan(a1, a2, draws[2], draws[3], grid).rows
+        draws.clear()
+        assert_scans_agree(scan, reference_grid_scan(a1, a2, grid=grid, seed=4))
+
+    def test_retries_are_bounded_and_explicit_never_retried(self, monkeypatch):
+        a1 = Support3D(((0, 0, 0), (1, 0, 1)))
+        a2 = Support3D(((0, 0, 0), (0, 1, 1)))
+
+        def zeros(a, rng):
+            return {p: 0j for p in a.points}
+
+        grid = GridConfig(-0.1, 0.1, 2, 2)
+        assert grid_scan(a1, a2, zeros(a1, None), zeros(a2, None), grid).retries == 0
+        monkeypatch.setattr(project, "random_coefficients", zeros)
+        assert grid_scan(a1, a2, grid=grid, max_retries=3).retries == 3
