@@ -275,6 +275,12 @@ def cmd_project3d(args) -> int:
 def cmd_scan(args) -> int:
     config = _config(args)
     started = time.strftime("%Y%m%dT%H%M%S")
+    if config.n_max < 1:
+        print(f"error: --n-max must be at least 1, got {config.n_max}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.spread < 0:
+        print(f"error: --spread must be nonnegative, got {args.spread}", file=sys.stderr)
+        return EXIT_USAGE
     if args.kind == "minors":
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))

@@ -7,13 +7,15 @@ p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or the columns
 (p*b mod n, q*b mod n) take at most two values over B.  That is not the
 same as a two-residue-class split of B: an order-2 root with x^g, y^g or
 (x/y)^g = 1 kills every minor without a split.  The scan below checks the
-two against each other exhaustively; its splits come from the one split
-search of `singres.supports`.  Every vanishing single minor is explained by
-row/column proportionality in integer congruences
-(`power_minor_explanation`, `exponent_minor_explanation`), which the
-single-minor checkers and the verification sweeps share.
+two against each other exhaustively: one closed-form pass per support over
+the admissible pairs of every modulus, and one split certificate per
+(B, n) from the one split search of `singres.supports`.  Every vanishing
+single minor is explained by row/column proportionality in integer
+congruences (`power_minor_explanation`, `exponent_minor_explanation`),
+which the single-minor checkers and the verification sweeps share.
 
-Negative exponents are harmless since exponents reduce mod n.
+Negative and arbitrarily large exponents are harmless: exponents reduce
+mod n exactly before any product.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from itertools import combinations
 
 import numpy as np
 
+from . import kernels
 from .exact import CycloElement
 from .supports import SupportSet, gap_gcd, split_dividing
 
 __all__ = [
     "RootOfUnity",
     "UnityPair",
+    "residues",
     "unity_power_rank",
     "all_minors_vanish",
     "two_class_split",
@@ -95,9 +99,31 @@ def admissible_pairs(n: int):
     return ps + 1, qs + 1
 
 
-def unity_power_rank(b: SupportSet, n: int, ps, qs) -> np.ndarray:
+def residues(values, moduli) -> np.ndarray:
+    """values[j] mod moduli[i] for every modulus, exactly: an int64 array of
+    shape (len(moduli), len(values)) whose entries lie in [0, moduli[i]).
+
+    Values that fit in int64 are reduced by numpy's exact integer
+    remainder; larger ones in Python ints, once per distinct modulus.
+    """
+    moduli = np.asarray(moduli, dtype=np.int64)
+    try:
+        return np.array(values, dtype=np.int64) % moduli[:, None]
+    except OverflowError:
+        distinct, inverse = np.unique(moduli, return_inverse=True)
+        table = np.array(values, dtype=object) % distinct.astype(object)[:, None]
+        return table.astype(np.int64)[inverse]
+
+
+def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     """Rank of M(B; x, y), x = zeta_n^p, y = zeta_n^q, for every pair
     (ps[i], qs[i]): an int array with entries 1, 2 or 3.
+
+    `n` is one modulus for every pair or an int array aligned with ps/qs,
+    one modulus per pair.  The exponents, the gap gcd and p, q are reduced
+    mod each modulus (`residues`) before any product, so no product
+    exceeds n^2.  The pairs are ranked in blocks of at most
+    kernels.BATCH_ELEMENTS key entries.
 
     Lemma.  Let g be the gap gcd of B and call (p*b mod n, q*b mod n) the
     key of the column b.  The rank is 1 iff the key is constant over B, and
@@ -115,17 +141,25 @@ def unity_power_rank(b: SupportSet, n: int, ps, qs) -> np.ndarray:
     (1, x^a, y^a), (1, x^b, y^b) are independent, so the rank is 1 exactly
     when every column is the same.
     """
-    g = gap_gcd(b)
-    elems = np.asarray(b.elements, dtype=np.int64)
-    ps = np.asarray(ps, dtype=np.int64)[:, None]
-    qs = np.asarray(qs, dtype=np.int64)[:, None]
-    keys = (ps * elems) % n * n + (qs * elems) % n
-    first = keys[:, :1]
-    other = keys != first
-    second = np.take_along_axis(keys, other.argmax(axis=1)[:, None], axis=1)
-    two_keys = ((keys == first) | (keys == second)).all(axis=1)
-    gap = (np.hstack([ps, qs, ps - qs]) * g % n == 0).any(axis=1)
-    return np.where(other.any(axis=1), np.where(two_keys | gap, 2, 3), 1)
+    values = (*b.elements, gap_gcd(b))
+    ps = np.asarray(ps, dtype=np.int64)
+    qs = np.asarray(qs, dtype=np.int64)
+    ns = np.broadcast_to(np.asarray(n, dtype=np.int64), ps.shape)
+    out = np.empty(len(ps), dtype=np.int64)
+    chunk = kernels._chunk_length(len(b.elements))
+    for start in range(0, len(ps), chunk):
+        stop = start + chunk
+        m = ns[start:stop, None]
+        reduced = residues(values, ns[start:stop])
+        x = ps[start:stop, None] % m * reduced % m  # p*b, then p*g, mod n
+        y = qs[start:stop, None] % m * reduced % m
+        keys = np.sort(x[:, :-1] * m + y[:, :-1], axis=1)
+        distinct = 1 + np.count_nonzero(np.diff(keys, axis=1), axis=1)
+        xg, yg = x[:, -1], y[:, -1]
+        gap = (xg == 0) | (yg == 0) | (xg == yg)
+        # rank 1 for one key; else 2 for two keys or a gap root, else 3
+        out[start:stop] = np.minimum(distinct, 3 - gap)
+    return out
 
 
 def all_minors_vanish(b: SupportSet, u: UnityPair) -> bool:
@@ -207,48 +241,59 @@ def _order2_mechanism(g, n, p, q):
     return None
 
 
+def _admissible_table(n_max: int):
+    """Every admissible (n, p, q) with n <= n_max, 1 <= p < q < n, ordered by
+    n, then p, then q: three int arrays (ns, ps, qs)."""
+    n, p, q = np.ogrid[: n_max + 1, :n_max, :n_max]
+    return np.nonzero((0 < p) & (p < q) & (q < n))
+
+
 def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanReport:
     """Exhaustive check: [some admissible pair kills all minors] iff
     [a two-class split certificate exists], plus the per-pair forward
     direction (minors vanish implies split exists).
 
-    Each (B, n) is one unity_power_rank call over every admissible pair,
-    and its counterexamples are listed pair-major.  n <= 2 admits no pair
-    with x, y != 1, x != y and is skipped.  Every forward counterexample is
-    classified (see ScanReport): the order-2 family is a real gap between
-    the minors condition and the split criterion, witnessed e.g. by
-    B = {0,2,4}, n = 6, (p, q) = (1, 3).
+    Each B is one unity_power_rank call over the admissible pairs of every
+    modulus n <= n_max at once; each (B, n) gets one split certificate.
+    Counterexamples are listed by n, then B, then pair (p-major).  n <= 2
+    admits no pair with x, y != 1, x != y and is skipped.  Every forward
+    counterexample is classified (see ScanReport): the order-2 family is a
+    real gap between the minors condition and the split criterion,
+    witnessed e.g. by B = {0,2,4}, n = 6, (p, q) = (1, 3).
     """
     sizes = tuple(sorted(set(sizes)))
     report = ScanReport(n_max, spread_max, sizes)
     start = time.perf_counter()
     universe = range(0, spread_max + 1)
     subsets = [
-        comb
+        SupportSet(comb)
         for size in sizes
         for comb in combinations(universe, size)
     ]
-    for n in range(3, n_max + 1):
-        ps, qs = admissible_pairs(n)
-        for elems in subsets:
-            b = SupportSet(elems)
-            split = two_class_split(b, n)
-            vanish = unity_power_rank(b, n, ps, qs) <= 2
-            report.pairs_checked += len(ps)
-            if split is None:
-                g = gap_gcd(b)
-                for i in np.flatnonzero(vanish):
-                    p, q = int(ps[i]), int(qs[i])
-                    cex = {"n": n, "B": list(elems), "p": p, "q": q}
-                    report.forward_counterexamples.append(cex)
-                    mech = _order2_mechanism(g, n, p, q)
-                    if mech is not None:
-                        report.order2_explained.append({**cex, "mechanism": mech})
-                    else:
-                        report.unexplained.append(cex)
-            if split is not None and not vanish.any():
-                report.converse_counterexamples.append({"n": n, "B": list(elems)})
-            report.sets_checked += 1
+    ns, ps, qs = _admissible_table(n_max)
+    moduli = np.arange(3, n_max + 1)  # the (B, n) cell of a pair is ns - 3
+    forward, converse = [], []
+    for s, b in enumerate(subsets):
+        split = np.array([two_class_split(b, n) is not None for n in moduli.tolist()], dtype=bool)
+        vanish = unity_power_rank(b, ns, ps, qs) <= 2
+        hit = np.bincount(ns[vanish] - 3, minlength=len(moduli)) > 0
+        forward += [(int(ns[i]), s, i) for i in np.flatnonzero(vanish & ~split[ns - 3]).tolist()]
+        converse += [(n, s) for n in moduli[split & ~hit].tolist()]
+    report.pairs_checked = len(ns) * len(subsets)
+    report.sets_checked = len(moduli) * len(subsets)
+    for n, s, i in sorted(forward):
+        b = subsets[s]
+        p, q = int(ps[i]), int(qs[i])
+        cex = {"n": n, "B": list(b.elements), "p": p, "q": q}
+        report.forward_counterexamples.append(cex)
+        mech = _order2_mechanism(gap_gcd(b), n, p, q)
+        if mech is not None:
+            report.order2_explained.append({**cex, "mechanism": mech})
+        else:
+            report.unexplained.append(cex)
+    report.converse_counterexamples = [
+        {"n": n, "B": list(subsets[s].elements)} for n, s in sorted(converse)
+    ]
     report.wall_time = time.perf_counter() - start
     return report
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .supports import SupportPair, SupportSet, check_conditions, classify
 
 __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project_supports", "grid_scan", "random_coefficients"]
@@ -177,16 +178,26 @@ def _specialized_coeffs(coeffs, support, x1, x2):
 def _sylvester_dets(coeffs1, coeffs2):
     """Numeric Sylvester determinants of two stacks of coefficient vectors,
     one determinant per row pair (ascending exponent along the convex hull
-    of the projected support)."""
+    of the projected support).
+
+    The matrices are built and evaluated in blocks of rows, each block
+    holding at most kernels.BATCH_ELEMENTS matrix entries; a stacked
+    determinant is computed matrix by matrix, so the blocking changes no
+    value."""
     d1, d2 = coeffs1.shape[1] - 1, coeffs2.shape[1] - 1
     n = d1 + d2
-    m = np.zeros((len(coeffs1), n, n), dtype=complex)
     r1, r2 = coeffs1[:, ::-1], coeffs2[:, ::-1]
-    for i in range(d2):
-        m[:, i, i : i + d1 + 1] = r1
-    for i in range(d1):
-        m[:, d2 + i, i : i + d2 + 1] = r2
-    return np.linalg.det(m)
+    out = np.empty(len(coeffs1), dtype=complex)
+    chunk = kernels._chunk_length(n * n)
+    for start in range(0, len(out), chunk):
+        stop = start + chunk
+        m = np.zeros((len(r1[start:stop]), n, n), dtype=complex)
+        for i in range(d2):
+            m[:, i, i : i + d1 + 1] = r1[start:stop]
+        for i in range(d1):
+            m[:, d2 + i, i : i + d2 + 1] = r2[start:stop]
+        out[start:stop] = np.linalg.det(m)
+    return out
 
 
 def _dense_support(values):
@@ -213,12 +224,12 @@ def grid_scan(
     over the log-polar grid.
 
     Cells run over (rho1, theta1, rho2, theta2) in row-major order and are
-    evaluated together: one coefficient stack per side and one stacked
-    determinant.  Coefficients default to seeded random generic draws;
-    degenerate draws (a specialized polynomial collapsing numerically at
-    some cell) trigger a reseeded retry, at most max_retries times, and the
-    report counts the retries used.  Explicit coefficient maps are never
-    retried.
+    evaluated together: one coefficient stack per side, and stacked
+    determinants over blocks of cells of bounded size (`_sylvester_dets`).
+    Coefficients default to seeded random generic draws; degenerate draws
+    (a specialized polynomial collapsing numerically at some cell) trigger
+    a reseeded retry, at most max_retries times, and the report counts the
+    retries used.  Explicit coefficient maps are never retried.
     """
     grid = grid or GridConfig()
     explicit = coeffs1 is not None and coeffs2 is not None

@@ -19,7 +19,6 @@ from the same closed form; its seed only picks witness tuples.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
 import time
@@ -33,7 +32,7 @@ import numpy as np
 
 from .exact import exact_rank, kernel_basis
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
-from .minors import RootOfUnity, unity_power_rank
+from .minors import RootOfUnity, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
@@ -738,18 +737,18 @@ def _unity_configs(k, n_max):
 
 
 @lru_cache(maxsize=None)
-def _scan_config_groups(k, n_max):
-    """The corank scan's root-of-unity tuples grouped by modulus, in scan
-    order: (n, configs, read-only exponent array of shape (len(configs), k))
-    per n.  A single root is projectivized to the one tuple (1,), n = 1."""
+def _scan_table(k, n_max):
+    """The corank scan's root-of-unity tuples in scan order, flat:
+    (ns, exps, configs) with ns the read-only modulus array, exps the
+    read-only (len(configs), k) exponent array and configs the (n,
+    exponents) tuples.  A single root is projectivized to the one tuple
+    (1,), n = 1."""
     configs = ((1, (0,)),) if k == 1 else _unity_configs(k, n_max)
-    groups = []
-    for n, group in itertools.groupby(configs, key=lambda config: config[0]):
-        group = tuple(group)
-        exps = np.array([e for _, e in group], dtype=np.int64)
-        exps.setflags(write=False)
-        groups.append((n, group, exps))
-    return tuple(groups)
+    ns = np.array([n for n, _ in configs], dtype=np.int64)
+    exps = np.array([e for _, e in configs], dtype=np.int64).reshape(len(configs), k)
+    ns.setflags(write=False)
+    exps.setflags(write=False)
+    return ns, exps, configs
 
 
 def estimate_codim(
@@ -897,16 +896,16 @@ class ScanSReport:
         }
 
 
-def _unity_coranks_monomial(b: SupportSet, n, exps):
+def _unity_coranks_monomial(b: SupportSet, ns, exps):
     """Exact corank k - rank of the k x |B| matrix with rows zeta_n^(p*e),
     e in B, for every row (0, p[, q]) of the (configs, k) exponent array
-    exps at one modulus n (multiplicity-free case); an int array.
+    exps, at the moduli ns (multiplicity-free case); an int array.
 
     One unity_power_rank call; for k < 3 the last row is repeated, which
     leaves the rank alone.
     """
     k = exps.shape[1]
-    return k - unity_power_rank(b, n, exps[:, min(k, 2) - 1], exps[:, k - 1])
+    return k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
 
 
 def _unity_corank_general(b: SupportSet, exps, n, js):
@@ -923,11 +922,12 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     predicted ones (gap-gcd and split criteria).
 
     A side whose orders all equal 1 takes its unity coranks from the
-    closed-form rank of minors.unity_power_rank, one array pass per modulus
-    n over all of that n's tuples, with no cyclotomic arithmetic; a side
+    closed-form rank of minors.unity_power_rank, one array pass over the
+    tuples of every modulus at once, with no cyclotomic arithmetic; a side
     with multiplicities runs one fraction-free exact_rank over Z[zeta_n]
     per tuple.  When both sides have the same support and orders, each
-    corank is computed once and used for both.
+    corank is computed once and used for both.  The strata counts, first
+    witnesses and gap-form mismatches are read off the corank arrays.
 
     The generic corank is certified as max(0, sum(js) - |B|) per side, with
     no elimination, by Descartes' rule of signs (`_generic_kernel_dims`).
@@ -949,28 +949,35 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     multiplicity_free = all(j == 1 for j in js1 + js2)
     same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
 
-    def side_coranks(b, js, n, group, exps):
+    ns, exps, configs = _scan_table(k, n_max)
+
+    def side_coranks(b, js):
         if all(j == 1 for j in js):
-            return _unity_coranks_monomial(b, n, exps).tolist()
-        return [_unity_corank_general(b, e, n, js) for _, e in group]
+            return _unity_coranks_monomial(b, ns, exps)
+        return np.array([_unity_corank_general(b, e, n, js) for n, e in configs], dtype=np.int64)
 
-    def note(key, payload):
-        rec = report.found.setdefault(key, {"count": 0, "witness": payload})
-        rec["count"] += 1
-
-    g1 = gap_gcd(pair.b1)
-    for n, group, exps in _scan_config_groups(k, n_max):
-        cork1 = side_coranks(pair.b1, js1, n, group, exps)
-        cork2 = cork1 if same_sides else side_coranks(pair.b2, js2, n, group, exps)
-        report.configs_scanned += len(group)
-        for (_, tup), c1, c2 in zip(group, cork1, cork2):
-            if (c1, c2) != (0, 0):
-                note((c1, c2), {"kind": "unity", "n": n, "exponents": list(tup)})
-            if multiplicity_free and k == 3 and c1 == 2:
-                if not all((p * g1) % n == 0 for p in tup):
-                    report.mismatches.append(
-                        {"reason": "corank-2 witness not of root-of-unity gap form", "n": n}
-                    )
+    cork1 = side_coranks(pair.b1, js1)
+    cork2 = cork1 if same_sides else side_coranks(pair.b2, js2)
+    report.configs_scanned = len(configs)
+    # each nonzero (c1, c2) under its first tuple, in scan order; a corank
+    # is at most the row count sum(js)
+    codes = cork1 * (sum(js2) + 1) + cork2
+    live = np.flatnonzero(codes)
+    _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
+    for f, count in sorted(zip(first.tolist(), counts.tolist())):
+        i = int(live[f])
+        n, tup = configs[i]
+        report.found[(int(cork1[i]), int(cork2[i]))] = {
+            "count": count,
+            "witness": {"kind": "unity", "n": n, "exponents": list(tup)},
+        }
+    if multiplicity_free and k == 3:
+        g1 = residues((gap_gcd(pair.b1),), ns)
+        gap_form = (exps * g1 % ns[:, None] == 0).all(axis=1)
+        report.mismatches += [
+            {"reason": "corank-2 witness not of root-of-unity gap form", "n": configs[i][0]}
+            for i in np.flatnonzero((cork1 == 2) & ~gap_form).tolist()
+        ]
     unity_done = time.perf_counter()
 
     # generic tuples: Descartes' rule, with positive rational witnesses
@@ -983,7 +990,8 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
                 x = abs(_random_fraction(rng))
                 if x not in pts:
                     pts.append(x)
-            note(gen_cork, {"kind": "generic", "points": [str(x) for x in pts]})
+            witness = {"kind": "generic", "points": [str(x) for x in pts]}
+            report.found.setdefault(gen_cork, {"count": 0, "witness": witness})["count"] += 1
     report.generic_corank = gen_cork
     generic_done = time.perf_counter()
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}

@@ -273,6 +273,41 @@ class TestScan:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("minors", "--n-max", "-3"),
+            ("minors", "--n-max", "0"),
+            ("minors", "--spread", "-1"),
+            ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--n-max", "-3"),
+            ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--spread", "-1"),
+            ("codim", "--b1", "0,1,3", "--b2", "0,1,3", "--n-max", "0"),
+        ],
+    )
+    def test_negative_bounds_exit_2(self, capsys, argv):
+        code = main(["scan", *argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --")
+
+    def test_bounds_at_their_minimum(self, capsys):
+        code, out = run(capsys, "scan", "minors", "--n-max", "1", "--spread", "0", "--sizes", "1")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert (report["pairs_checked"], report["sets_checked"]) == (0, 0)
+
+    def test_strata_scan_huge_exponents(self, capsys):
+        # exponents past int64 reduce exactly: 2^63 + 5 = 1 mod 3, so the
+        # report is that of the congruent support (0, 2, 1) mod 3
+        huge = ("scan", "strata", "--b2", "0,3", "--n-max", "3")
+        reports = []
+        for b1 in (f"0,2,{2**63 + 5}", "0,1,2"):
+            code, out = run(capsys, *huge, "--b1", b1)
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        assert reports[0]["found"] == reports[1]["found"]
+        assert reports[0]["mismatches"] == reports[1]["mismatches"] == []
+
     def test_codim_scan(self, capsys):
         code, out = run(
             capsys,

@@ -9,7 +9,9 @@ from singres.exact import CycloElement, exact_rref
 from singres import kernels
 from singres.kernels import DET3_SIGNS, det3_exponents, det3_vanish, reduction_table_array, unity_combos_vanish
 from singres.minors import (
+    _order2_mechanism,
     RootOfUnity,
+    ScanReport,
     UnityPair,
     admissible_pairs,
     all_minors_vanish,
@@ -17,11 +19,12 @@ from singres.minors import (
     power_minor_explanation,
     minors_split_equivalence_scan,
     proportionality_structure,
+    residues,
     two_class_split,
     unity_minor_check,
     unity_power_rank,
 )
-from singres.supports import SupportSet
+from singres.supports import SupportSet, gap_gcd
 from singres.verify import check_unity_minor_explanations
 
 
@@ -80,6 +83,36 @@ class TestAllMinorsVanish:
             assert exact == approx
 
 
+def reference_equivalence_scan(n_max, spread_max, sizes):
+    """minors_split_equivalence_scan one (B, n) at a time: one
+    unity_power_rank call per support and modulus over that modulus's
+    admissible pairs, the report filled in n, B, pair order as it goes."""
+    sizes = tuple(sorted(set(sizes)))
+    report = ScanReport(n_max, spread_max, sizes)
+    subsets = [comb for size in sizes for comb in itertools.combinations(range(spread_max + 1), size)]
+    for n in range(3, n_max + 1):
+        ps, qs = admissible_pairs(n)
+        for elems in subsets:
+            b = SupportSet(elems)
+            split = two_class_split(b, n)
+            vanish = unity_power_rank(b, n, ps, qs) <= 2
+            report.pairs_checked += len(ps)
+            if split is None:
+                for i in np.flatnonzero(vanish):
+                    p, q = int(ps[i]), int(qs[i])
+                    cex = {"n": n, "B": list(elems), "p": p, "q": q}
+                    report.forward_counterexamples.append(cex)
+                    mech = _order2_mechanism(gap_gcd(b), n, p, q)
+                    if mech is not None:
+                        report.order2_explained.append({**cex, "mechanism": mech})
+                    else:
+                        report.unexplained.append(cex)
+            if split is not None and not vanish.any():
+                report.converse_counterexamples.append({"n": n, "B": list(elems)})
+            report.sets_checked += 1
+    return report
+
+
 class TestTwoClassSplit:
     def test_examples(self):
         c = two_class_split(S(0, 3, 6, 9), 3)
@@ -118,6 +151,17 @@ class TestEquivalenceScan:
     def test_degenerate_n_skipped(self):
         rep = minors_split_equivalence_scan(2, 4, (3,))
         assert rep.pairs_checked == 0 and rep.counterexamples == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [(10, 8, (3, 4))] + [(n, 5, sizes) for n in (6, 7, 8) for sizes in ((3,), (4,), (3, 4))],
+    )
+    def test_matches_per_modulus_reference(self, args):
+        got, want = minors_split_equivalence_scan(*args), reference_equivalence_scan(*args)
+        for rep in (got, want):
+            rep.wall_time = 0.0
+        assert got.to_json() == want.to_json()
+        assert (got.order2_explained, got.unexplained) == (want.order2_explained, want.unexplained)
 
     def test_hand_enumeration_n3_size3(self):
         # triples of [0, 8] mod 3: minors vanish for some admissible pair
@@ -346,6 +390,38 @@ class TestBatchKernel:
         monkeypatch.setattr(kernels, "BATCH_ELEMENTS", 720)
         for elems in [(0, 1, 3, 4, 6), (0, 2, 3, 5, 7), (-2, 0, 5, 7, 12)]:
             assert self._agrees(7, elems)
+
+    def test_mixed_moduli_match_per_modulus_calls(self, monkeypatch):
+        rng = random.Random(46)
+        supports = [S(0, 1, 3, 4, 6), S(-2, 0, 5, 7, 12), S(0, 3, 6), S(0, 4), S(5)]
+        ns = np.array([rng.randint(1, 14) for _ in range(400)])
+        ps = np.array([rng.randrange(-20, 20) for _ in ns])
+        qs = np.array([rng.randrange(-20, 20) for _ in ns])
+        for budget in (kernels.BATCH_ELEMENTS, 1):
+            monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
+            for b in supports:
+                want = np.empty(len(ns), dtype=np.int64)
+                for n in set(ns.tolist()):
+                    rows = np.flatnonzero(ns == n)
+                    want[rows] = unity_power_rank(b, n, ps[rows], qs[rows])
+                assert unity_power_rank(b, ns, ps, qs).tolist() == want.tolist(), (budget, b)
+        assert unity_power_rank(S(0, 1, 3), np.zeros(0, dtype=np.int64), [], []).shape == (0,)
+
+    def test_huge_exponents_reduce_exactly(self):
+        # products of unreduced exponents would wrap in int64; the reference
+        # eliminates over Z[zeta_n] with Python-int exponents
+        rng = random.Random(47)
+        for big in (2**62 + 1, 2**63 - 1, 2**63 + 5, 3 * 2**64 + 7, -(2**70) + 3):
+            elems = tuple(sorted({0, 2, big}))
+            for _ in range(30):
+                n = rng.randint(2, 12)
+                p, q = rng.randrange(n), rng.randrange(n)
+                rows = [[CycloElement.root_power(n, r * e) for e in elems] for r in (0, p, q)]
+                rank = unity_power_rank(SupportSet(elems), n, [p], [q])
+                assert rank.tolist() == [exact_rref(rows)[0]], (big, n, p, q)
+            values = [big, -big, 2, rng.randrange(2**80)]
+            moduli = np.array([3, 7, 3, 1, 12])
+            assert residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
 
     def test_small_support_vacuous(self):
         assert all_minors_oracle(5, (0, 4), [1, 2], [3, 4]).tolist() == [True, True]

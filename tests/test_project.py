@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from singres import project
+from singres import kernels, project
 from singres.project import (
     CurveScan,
     DegenerateProjectionError,
@@ -191,6 +191,22 @@ class TestGridScan:
         got = grid_scan(*CONSTRUCTED, grid)
         assert got.near_zero_cells
         assert_scans_agree(got, reference_grid_scan(*CONSTRUCTED, grid))
+
+    def test_blocked_determinants_change_nothing(self, monkeypatch):
+        # one matrix a block against the default blocks: |R| bit for bit
+        rng = random.Random(50)
+        a1, a2 = _random_support(rng), _random_support(rng)
+        cases = [(CONSTRUCTED, GridConfig(-0.4, 0.4, 3, 4)), ((a1, a2), GridConfig())]
+        for supports, grid in cases:
+            scans = []
+            for budget in (kernels.BATCH_ELEMENTS, 1):
+                monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
+                scans.append(grid_scan(*supports, grid=grid, seed=3))
+            assert [r[4] for r in scans[0].rows] == [r[4] for r in scans[1].rows]
+            assert scans[0].near_zero_cells == scans[1].near_zero_cells
+            assert len(scans[0].rows) == (grid.rho_steps * grid.theta_steps) ** 2
+            if supports is CONSTRUCTED:
+                assert scans[0].near_zero_cells
 
     def test_margin_and_retries_in_report(self):
         scan = grid_scan(*CONSTRUCTED, GridConfig(-0.4, 0.4, 3, 4))

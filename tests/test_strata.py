@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -376,6 +377,50 @@ class TestScan:
             assert (rep.found, rep.generic_corank) == (found, generic), (b1, b2, name)
             assert rep.mismatches == []
 
+    def test_scans_without_unity_tuples(self):
+        # k = 3 below n = 3 and k = 2 below n = 2 have no tuple to rank; the
+        # report still carries the generic corank and the predictions
+        cases = [("N(1,1,1)", 2), ("N(1,1,1)", 1), ("N(1,1)", 1), ("N(2,1)", 1), ("N(1,1,1)", 0)]
+        for name, n_max in cases:
+            for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1), (0, 2, 5, 6))]:
+                p, label = pair(b1, b2), parse_label(name)
+                rep = scan_corank_strata(p, label, n_max, seed=2)
+                assert rep.configs_scanned == 0, (name, n_max)
+                assert all(v["witness"]["kind"] == "generic" for v in rep.found.values())
+                assert (rep.found, rep.generic_corank) == reference_scan(p, label, n_max, seed=2)
+                assert json.loads(json.dumps(rep.to_json()))["configs_scanned"] == 0
+
+    def test_single_root_scans(self):
+        # k = 1 ranks the one projectivized tuple (1,), n = 1, whatever n_max
+        for name in ("N(1)", "N(2)", "N(3)", "N(1;2)"):
+            for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1), (0, 2, 5, 6)), ((-4, 2), (0, 2))]:
+                p, label = pair(b1, b2), parse_label(name)
+                for n_max in (1, 12):
+                    rep = scan_corank_strata(p, label, n_max, seed=4)
+                    assert rep.configs_scanned == 1
+                    assert (rep.found, rep.generic_corank) == reference_scan(p, label, n_max, seed=4)
+                    assert rep.mismatches == [], (name, b1, b2)
+
+    def test_huge_exponents_match_python_int_reference(self):
+        # p*b in int64 would wrap for these exponents (and fail to convert
+        # past 2^63); (0, 2, 2^62 + 1) is (0, 2, 2) mod 3, so its first
+        # side has corank 1 at zeta_3, not 0
+        p = pair((0, 2, 2**62 + 1), (0, 3))
+        rep = scan_corank_strata(p, parse_label("N(1,1,1)"), 3)
+        assert list(rep.found) == [(1, 2), (0, 1)]
+        # at least k exponents a side, so the generic corank is (0, 0) and
+        # found holds unity strata only
+        big = (2**62 + 1, 2**63 + 5, 2**64 + 1, -(2**70) - 1)
+        cases = [((0, 2, b), (0, 3, 6)) for b in big] + [((0, 1, big[2]), (0, big[1], 2**66 + 4))]
+        for b1, b2 in cases:
+            for name in ("N(1,1)", "N(1,1,1)"):
+                p, label = pair(b1, b2), parse_label(name)
+                rep = scan_corank_strata(p, label, 12, seed=6)
+                assert rep.generic_corank == (0, 0)
+                want, _ = reference_scan(p, label, 12, seed=6, generic_tuples=False)
+                assert rep.found == want, (b1, b2, name)
+                assert rep.mismatches == [], (b1, b2, name)
+
     def test_multiplicity_free_scan_reads_no_reduction_table(self, monkeypatch):
         # the closed-form rank needs no cyclotomic arithmetic
         def forbidden(n):
@@ -406,13 +451,15 @@ class TestScan:
 def reference_corank_monomial(b_elems, exps, n):
     """Corank of the k x |B| matrix with rows zeta_n^(p*e), e in B, for one
     configuration exps = (0, p[, q]): k - 1 when every row is constant,
-    else for k = 3 whether all 3x3 minors vanish (the cyclotomic oracle)."""
+    else for k = 3 whether all 3x3 minors vanish (the cyclotomic oracle).
+    Exact for exponents of any size."""
     k = len(exps)
     if all((p * (e - b_elems[0])) % n == 0 for p in exps for e in b_elems):
         return k - 1
     if k < 3:
         return 0
-    return int(all_minors_oracle(n, b_elems, [exps[1]], [exps[2]])[0])
+    # zeta_n^e depends on e mod n only: reduce in Python ints, whatever the size
+    return int(all_minors_oracle(n, [e % n for e in b_elems], [exps[1]], [exps[2]])[0])
 
 
 def reference_corank_elimination(b, exps, n, js):
@@ -422,11 +469,13 @@ def reference_corank_elimination(b, exps, n, js):
     return len(rows) - exact_rref(rows)[0]
 
 
-def reference_scan(p, label, n_max, seed):
+def reference_scan(p, label, n_max, seed, generic_tuples=True):
     """The found strata and generic corank of scan_corank_strata, computed
     one configuration and one side at a time: unity coranks from the
     cyclotomic oracles, generic coranks by eliminating the four positive
-    witness tuples with corank_kernel."""
+    witness tuples with corank_kernel.  generic_tuples=False leaves the
+    generic tuples out (their exact powers are out of reach for huge
+    exponents) and returns None for the generic corank."""
     js = label.side_orders(1), label.side_orders(2)
     sides = (p.b1, p.b2)
     found = {}
@@ -444,7 +493,7 @@ def reference_scan(p, label, n_max, seed):
             note(key, {"kind": "unity", "n": n, "exponents": list(exps)})
     rng = random.Random(seed)
     generic = None
-    for _ in range(4):
+    for _ in range(4 if generic_tuples else 0):
         pts = []
         while len(pts) < label.k:
             x = abs(_random_fraction(rng))
