@@ -3,7 +3,9 @@
 Dense univariate polynomials over the rationals, cyclotomic integers with a
 decidable zero test, and exact rank / kernel computations.  Scalars are
 `int` / `fractions.Fraction` throughout; nothing in this module touches
-floating point.
+floating point.  Stacks of matrices over a prime field F_p, p < 2^31, are
+ranked in int64 arrays (`modular_rank`); with `split_prime` they give
+certified lower bounds on ranks over Z[zeta_n].
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "UniPoly",
@@ -21,6 +25,8 @@ __all__ = [
     "CycloElement",
     "unity_reduction_table",
     "exact_rank",
+    "split_prime",
+    "modular_rank",
     "exact_rref",
     "kernel_basis",
     "solve_exact",
@@ -490,6 +496,81 @@ def exact_rank(matrix) -> int:
         rank += 1
         if rank == nrows:
             break
+    return rank
+
+
+def _is_prime(m):
+    """Deterministic Miller-Rabin for m < 3,215,031,751 (bases 2, 3, 5, 7)."""
+    if m < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def split_prime(n: int):
+    """(p, z): the largest prime p < 2^31 with p = 1 mod n, and an element z
+    of order exactly n in F_p.
+
+    z is a root of Phi_n mod p, so zeta_n -> z is a ring map Z[zeta_n] ->
+    F_p.  A minor that is nonzero mod p is then nonzero over Z[zeta_n]: the
+    rank of a reduced matrix is at most the rank over Q(zeta_n) (Cohen, A
+    Course in Computational Algebraic Number Theory, on reduction modulo
+    primes that split completely in Q(zeta_n)).
+    """
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    p = (2**31 - 2) // n * n + 1
+    while not _is_prime(p):
+        p -= n
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    for a in range(2, p):
+        z = pow(a, (p - 1) // n, p)
+        if all(pow(z, n // q, p) != 1 for q in factors):
+            return p, z
+    raise ArithmeticError(f"no element of order {n} mod {p}")  # unreachable: F_p* is cyclic
+
+
+def modular_rank(stack, primes) -> np.ndarray:
+    """Rank of each matrix of an int64 stack (S, rows, cols) over F_p, p =
+    primes[s] < 2^31, the entries lying in [0, p): an int array.
+
+    One elimination for the whole stack, column by column, division-free:
+    every row not yet used as a pivot becomes piv * row - a * pivrow mod p,
+    which scales it by the unit piv and so leaves the rank; no product
+    exceeds 2^62.
+    """
+    a = np.array(stack, dtype=np.int64)
+    count, nrows, ncols = a.shape
+    primes = np.asarray(primes, dtype=np.int64)[:, None, None]
+    idx = np.arange(count)
+    free = np.ones((count, nrows), dtype=bool)
+    rank = np.zeros(count, dtype=np.int64)
+    for col in range(ncols):
+        cand = free & (a[:, :, col] != 0)
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        pivrow = a[idx, piv]
+        pval = np.where(has, pivrow[:, col], 1)
+        free[idx[has], piv[has]] = False
+        coef = np.where(free, a[:, :, col], 0)
+        a = (pval[:, None, None] * a - coef[:, :, None] * pivrow[:, None, :]) % primes
+        rank += has
     return rank
 
 

@@ -8,13 +8,15 @@ The codimension estimator parameterizes each probed locus component by
 parameterization's differential: the dimension found certifies an upper
 bound on the codimension, while the claimed lower bound stays heuristic.
 The generic component's dimension is certified by a closed form
-(`_generic_kernel_dims`, Descartes' rule of signs), with no sampling; the
-float samples of the root-of-unity and minor-curve components are drawn
-first and evaluated as stacks (`_span_dimensions`), one stacked SVD per
-side and per final matrix shape, all ranked by one threshold (`_svd_rank`).
-The corank-strata scan ranks root-of-unity tuples exactly (closed form, or
-division-free elimination over Z[zeta_n]) and takes the generic corank
-from the same closed form; its seed only picks witness tuples.
+(`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
+so is every root-of-unity component (`_unity_components`: the side coranks
+plus one orbit direction).  The float samples of the minor-curve components
+are drawn first and evaluated as one stack (`_span_dimensions`), one
+stacked SVD per side and per final matrix shape, all ranked by one
+threshold (`_svd_rank`).  The corank-strata scan ranks root-of-unity tuples
+exactly (closed form, or a rank mod a split prime with division-free
+elimination over Z[zeta_n] where that is not full) and takes the generic
+corank from the same closed form; its seed only picks witness tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import exact_rank, kernel_basis
+from .exact import exact_rank, kernel_basis, modular_rank, split_prime
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import RootOfUnity, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
@@ -57,6 +59,11 @@ __all__ = [
 
 SVD_RTOL = 1e-7
 VOTE_SAMPLES = 5
+# Largest exponent spread of a minor curve that is drawn.  Its parameter t
+# lies in the annulus e^(+-0.6); past 0.6 * 60, about ln(1/eps), the terms of
+# the curve's polynomial (and of one float row) can differ by more than
+# 1/eps, and np.roots's companion eigenproblem grows as the spread cubed.
+MINOR_SPREAD_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -358,7 +365,9 @@ def _draw_tuple(pair, label, locus, rng):
     """Sample a solution tuple from the requested locus.
 
     Returns (points, tangent_directions) where each direction is a length-k
-    vector spanning the locus's tangent at the sample.
+    vector spanning the locus's tangent at the sample, or None when the
+    locus yields no tuple (among others, a minor curve whose triple spreads
+    wider than MINOR_SPREAD_MAX).
     """
     k = label.k
     if isinstance(locus, GenericPoints):
@@ -386,6 +395,8 @@ def _draw_tuple(pair, label, locus, rng):
             return None
         triple = locus.triple or tuple(sorted(rng.sample(b, 3)))
         a_, b_, c_ = triple
+        if c_ - a_ > MINOR_SPREAD_MAX:
+            return None
         for _ in range(12):
             t = _random_unit_annulus(rng)
             coeffs = _minor_poly_in_u(a_, b_, c_, t)
@@ -514,13 +525,15 @@ def sample_filtration_subset(pair: SupportPair, label: StratumLabel, locus, seed
 
 @dataclass
 class CodimEstimate:
-    """Sampling-based codimension report for one filtration subset.
+    """Codimension report for one filtration subset.
 
     best_dim_found is the certified side (a dimension actually realized);
     codim_lower_bound_claimed = ambient - best_dim_found is heuristic.
-    `samples` maps each probed component to its per-sample dimensions (None
-    where a sample failed), and `timings` gives the seconds spent in the
-    generic, root-of-unity and minor-curve phases.
+    `samples` maps each voted component (generic and minor-curve) to its
+    per-sample dimensions (None where a sample failed); `exact` maps each
+    root-of-unity component, decided exactly, to its kd1, kd2 and r (see
+    `_unity_components`); `timings` gives the seconds spent in the generic,
+    root-of-unity and minor-curve phases.
     """
 
     ambient_dim: int
@@ -531,6 +544,7 @@ class CodimEstimate:
     label: str = ""
     pair: dict | None = None
     samples: dict = field(default_factory=dict)
+    exact: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     @property
@@ -547,6 +561,8 @@ class CodimEstimate:
         from . import __version__  # the package imports this module before defining it
 
         def component(desc, dim):
+            if desc in self.exact:
+                return {"component": desc, "dim_found": dim, "exact": True, **self.exact[desc]}
             dims = self.samples.get(desc, [])
             return {
                 "component": desc,
@@ -632,14 +648,21 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
 
     `pts` is an (S, k) complex array of solution tuples (k >= 1) and
     dirs[s] a sequence of length-k tangent directions of the locus at tuple
-    s.  Each side's multiplicity Vandermonde is built for the whole stack
-    and factored by one stacked SVD: the right singular vectors past the
-    thresholded rank span the side's kernel, and the same factors give the
-    minimum-norm tangent solves (what lstsq returns, with its default
-    cutoff).  The kernel combinations f1, f2 are drawn per tuple from a
-    generator seeded by the tuple's hash.  The final ranks, of the
-    row-normalized kernel and tangent rows, take one stacked SVD per matrix
-    shape.
+    s.  Each side's multiplicity Vandermonde is built for the whole stack.
+    A tuple whose rows, or their derivatives, are not finite (x^e past the
+    float range) is a failed sample, None, before any SVD.  Every row, and
+    the same row of the tangent right-hand side, is divided by the row's
+    largest modulus: a nonsingular diagonal left factor, so every kernel
+    and every consistent solve is unchanged, while a row of large points no
+    longer dwarfs the others below the rank threshold (van der Sluis;
+    Higham, Accuracy and Stability of Numerical Algorithms, 7.3).  The
+    scaled matrix is factored by one stacked SVD: the right singular
+    vectors past the thresholded rank span the side's kernel, and the same
+    factors give the minimum-norm tangent solves (what lstsq returns, with
+    its default cutoff), whose residual is tested on the scaled rows.  The
+    kernel combinations f1, f2 are drawn per tuple from a generator seeded
+    by the tuple's hash.  The final ranks, of the row-normalized kernel and
+    tangent rows, take one stacked SVD per matrix shape.
     """
     count = len(pts)
     dims = [None] * count
@@ -653,13 +676,21 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
     live = np.ones(count, dtype=bool)
     sides, kdims = [], []
     for side, eff in ((1, effs[0]), (2, effs[1])):
-        tables = _vandermonde_tables(eff, label.side_orders(side))
-        point, fall, exps = tables[:3]
-        mat = fall * pts[:, point, None] ** exps
+        point, fall, exps, dfall, dexps = _vandermonde_tables(eff, label.side_orders(side))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = fall * pts[:, point, None] ** exps
+            dmat = dfall * pts[:, point, None] ** dexps
+        finite = np.isfinite(mat).all(axis=(1, 2)) & np.isfinite(dmat).all(axis=(1, 2))
+        live &= finite
+        mat[~finite] = dmat[~finite] = 0
+        scale = np.abs(mat).max(axis=2, keepdims=True)
+        scale[scale == 0] = 1.0
+        mat /= scale
+        dmat /= scale
         u, sv, vh = np.linalg.svd(mat)
         kdim = len(eff) - _svd_rank(sv, rtol)
         live &= kdim > 0
-        sides.append((tables, mat, u, sv, vh))
+        sides.append((point, mat, dmat, u, sv, vh))
         kdims.append(kdim)
     weights = [np.zeros((count, len(eff)), dtype=complex) for eff in effs]
     for s in np.flatnonzero(live):
@@ -669,11 +700,10 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
             w[s, w.shape[1] - kd :] = rng.normal(size=kd) + 1j * rng.normal(size=kd)
     kernels, solutions = [], []
     while sides:  # consumed side by side, so each side's factors are freed once solved
-        (point, _, _, dfall, dexps), mat, u, sv, vh = sides.pop(0)
+        point, mat, dmat, u, sv, vh = sides.pop(0)
         kernels.append(vh.conj())
         f = (weights.pop(0)[:, None, :] @ kernels[-1])[:, 0, :]
         # rhs[s, :, i] = -(derivative of the matrix along tangent i) @ f
-        dmat = dfall * pts[:, point, None] ** dexps
         rhs = -(dmat @ f[:, :, None]) * tangents[:, :, point].swapaxes(1, 2)
         q = sv.shape[1]
         cut = np.finfo(float).eps * max(mat.shape[1:]) * sv[:, :1]
@@ -766,12 +796,16 @@ def estimate_codim(
     supports when the label has no finite roots) is certified, not
     sampled: its dimension is (|eff1| - sum(j1)) + (|eff2| - sum(j2)) + k
     when both side kernels are nonempty, and it is empty otherwise (see
-    `_generic_kernel_dims`); it counts as one sample.  The root-of-unity and
-    minor-curve components take a majority vote over VOTE_SAMPLES float
-    draws each (thresholded SVD).  Every float sample of a phase is drawn
-    first, in the order of the rng stream, and the phase's stack is then
-    evaluated at once by `_span_dimensions`.  The report records each
-    component's per-sample dimensions and the time of each phase."""
+    `_generic_kernel_dims`); it counts as one sample.  Every root-of-unity
+    tuple is decided exactly, with no sampling and no rng draw: its
+    component has dimension kd1 + kd2 + 1 when both side kernels are
+    nonempty, and is empty otherwise (see `_unity_components`); each tuple
+    counts as one sample.  The minor-curve components take a majority vote
+    over VOTE_SAMPLES float draws each (thresholded SVD); every draw comes
+    first, in the order of the rng stream, and the stack is then evaluated
+    at once by `_span_dimensions`.  The report marks the exact components
+    with their kd1, kd2 and r, records each voted component's per-sample
+    dimensions, and gives the time of each phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -782,23 +816,12 @@ def estimate_codim(
         pair=pair.to_json(),
     )
 
-    def record(desc, dim, dims):
+    def record(desc, dim, dims=None):
         est.components_probed.append((desc, dim))
-        est.samples[desc] = dims
+        if dims is not None:
+            est.samples[desc] = dims
         if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
             est.best_dim_found = dim
-
-    def vote_stack(descs, owners, pts, dirs):
-        """Evaluate one phase's stack and record each component's vote."""
-        dims = _span_dimensions(pair, label, np.array(pts, dtype=complex).reshape(-1, k), dirs)
-        est.sample_count += len(dims)
-        votes = [[] for _ in descs]
-        for owner, dim in zip(owners, dims):
-            votes[owner].append(dim)
-        for desc, own in zip(descs, votes):
-            top = _vote(own)
-            if top is not None:
-                record(desc, top, own)
 
     k = label.k
     start = time.perf_counter()
@@ -810,18 +833,14 @@ def estimate_codim(
     if k == 0:
         return est
 
-    # root-of-unity components: the tuples c * omega, tangent omega
+    # root-of-unity components: decided exactly, one sample per tuple
     start = time.perf_counter()
-    descs, owners, pts, dirs = [], [], [], []
-    for n, exps in _unity_configs(k, n_max):
-        omega = [np.exp(2j * np.pi * e / n) for e in exps]
-        for _ in range(VOTE_SAMPLES):
-            c = _random_unit_annulus(rng)
-            owners.append(len(descs))
-            pts.append([c * w for w in omega])
-            dirs.append([omega])
-        descs.append(f"unity(n={n}, exps={list(exps)})")
-    vote_stack(descs, owners, pts, dirs)
+    decided, components = _unity_components(pair, label, n_max)
+    est.sample_count += decided
+    for (n, exps), kd1, kd2 in components:
+        desc = f"unity(n={n}, exps={list(exps)})"
+        est.exact[desc] = {"kd1": kd1, "kd2": kd2, "r": 1}
+        record(desc, kd1 + kd2 + 1)
     est.timings["unity_s"] = time.perf_counter() - start
 
     # single-minor curves (three-point labels only)
@@ -844,8 +863,15 @@ def estimate_codim(
                     owners.append(i)
                     pts.append(drawn[0])
                     dirs.append(drawn[1])
-        descs = [f"minor-curve(side={c.side}, triple={c.triple})" for c in curves]
-        vote_stack(descs, owners, pts, dirs)
+        dims = _span_dimensions(pair, label, np.array(pts, dtype=complex).reshape(-1, k), dirs)
+        est.sample_count += len(dims)
+        votes = [[] for _ in curves]
+        for owner, dim in zip(owners, dims):
+            votes[owner].append(dim)
+        for curve, own in zip(curves, votes):
+            top = _vote(own)
+            if top is not None:
+                record(f"minor-curve(side={curve.side}, triple={curve.triple})", top, own)
     est.timings["minor_curve_s"] = time.perf_counter() - start
     return est
 
@@ -915,6 +941,94 @@ def _unity_corank_general(b: SupportSet, exps, n, js):
     return len(rows) - exact_rank(rows)
 
 
+def _unity_coranks(b: SupportSet, js, ns, exps, configs):
+    """Exact corank sum(js) - rank of the multiplicity Vandermonde of b with
+    orders js at every root-of-unity tuple of a scan table (ns, exps,
+    configs); an int array.
+
+    An order-1 side takes the closed form, one unity_power_rank call.  A side
+    with multiplicities is ranked mod p for every tuple at once
+    (`_unity_stack`, `modular_rank`): rank_p <= rank <= min(rows, |B|), so a
+    full rank_p is the rank, and only the other tuples take exact_rank over
+    Z[zeta_n].
+    """
+    if all(j == 1 for j in js):
+        return _unity_coranks_monomial(b, ns, exps)
+    cork = sum(js) - modular_rank(*_unity_stack(b.elements, js, ns, exps))
+    for i in np.flatnonzero(cork > max(0, sum(js) - len(b))).tolist():
+        n, tup = configs[i]
+        cork[i] = _unity_corank_general(b, tup, n, js)
+    return cork
+
+
+def _unity_stack(eff, js, ns, exps):
+    """The multiplicity Vandermonde of the exponents eff at every
+    root-of-unity tuple zeta_n^p, p in exps[s], n = ns[s], sent to F_p by
+    zeta_n -> z of split_prime(n): the int64 stack (S, sum(js), len(eff))
+    and the primes.
+
+    Exponents reduce mod n (`residues`) and falling(e, d) mod p in Python
+    ints, so exponents of any size stay exact.  One array pass per modulus.
+    """
+    rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
+    point = np.array([m for m, _ in rows])
+    derivs = np.array([d for _, d in rows])[:, None]
+    reduced = residues(eff, ns)
+    stack = np.empty((len(ns), len(rows), len(eff)), dtype=np.int64)
+    primes = np.empty(len(ns), dtype=np.int64)
+    for n in sorted(set(ns.tolist())):
+        p, z = split_prime(n)
+        sel = np.flatnonzero(ns == n)
+        powers = np.array([pow(z, t, p) for t in range(n)], dtype=np.int64)
+        fall = np.array([[falling(e, d) % p for e in eff] for _, d in rows], dtype=np.int64)
+        # zeta_n^(p_m * (e - d)) for row (m, d), column e
+        stack[sel] = fall * powers[exps[sel][:, point, None] * ((reduced[sel][:, None, :] - derivs) % n) % n] % p
+        primes[sel] = p
+    return stack, primes
+
+
+def _unity_components(pair, label, n_max):
+    """The nonempty root-of-unity components of the label, decided exactly:
+    (tuples decided, [((n, exps), kd1, kd2) for each]), in the order of
+    _unity_configs(k, n_max).  Each has dimension kd1 + kd2 + 1.
+
+    Claim.  Let omega be a tuple with x1 = 1, M_i = M_i(omega) side i's
+    multiplicity Vandermonde on eff_i and kd_i = |eff_i| - rank M_i.  When
+    both kd_i > 0 the component through omega has dimension kd1 + kd2 + r
+    with r = 1; otherwise it is empty.
+
+    Proof.  T_c maps f to f(x/c), that is f_b to c^(-b) f_b.  Since
+    (T_c f)^(d)(c x) = c^(-d) f^(d)(x), ker M_i(c omega) = T_c ker M_i(omega),
+    so the component is the orbit {(T_c f1, T_c f2)}: f_i in ker M_i(omega),
+    c nonzero.  Its dimension is constant along the orbit, so c = 1
+    suffices, and a random annulus factor c, as a float sample draws it,
+    adds nothing.  At c = 1 the differential spans ker M1 + ker M2 and the
+    orbit's tangent row d/dc (T_c f1, T_c f2) = -(D f1, D f2), D = diag(b),
+    b in eff_i.  For generic (f1, f2) that row lies in ker M1 + ker M2 iff
+    M_i D vanishes on ker M_i on both sides, that is iff rank [M_i; M_i D]
+    = rank M_i, and then D maps ker M_i into itself.  It never does: D has
+    the distinct eigenvalues b, so a nonzero D-invariant subspace contains
+    some coordinate vector e_b, while M_i e_b, the column of b, holds the
+    entry x_m^b != 0 of every order-0 row.  So r = 1.
+
+    So only rank M_i is computed, for every tuple at once, by the scan's
+    `_unity_coranks`.
+    """
+    k = label.k
+    if k not in (2, 3):
+        return 0, []
+    ns, exps, configs = _scan_table(k, n_max)
+    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
+    if not all(effs):
+        return len(configs), []
+    kds = [
+        len(eff) - sum(js) + _unity_coranks(SupportSet(eff), js, ns, exps, configs)
+        for eff, js in zip(effs, (label.side_orders(1), label.side_orders(2)))
+    ]
+    live = np.flatnonzero((kds[0] > 0) & (kds[1] > 0)).tolist()
+    return len(configs), [(configs[i], int(kds[0][i]), int(kds[1][i])) for i in live]
+
+
 def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, seed: int = 0):
     """Enumerate projectivized root-of-unity tuples (x1 = 1, others n-th
     roots, n <= n_max), compute both coranks exactly, add the certified
@@ -924,9 +1038,11 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     A side whose orders all equal 1 takes its unity coranks from the
     closed-form rank of minors.unity_power_rank, one array pass over the
     tuples of every modulus at once, with no cyclotomic arithmetic; a side
-    with multiplicities runs one fraction-free exact_rank over Z[zeta_n]
-    per tuple.  When both sides have the same support and orders, each
-    corank is computed once and used for both.  The strata counts, first
+    with multiplicities is ranked mod a split prime in one array pass, and
+    only the tuples where that rank is not full run a fraction-free
+    exact_rank over Z[zeta_n] (`_unity_coranks`).  When both sides have the
+    same support and orders, each corank is computed once and used for
+    both.  The strata counts, first
     witnesses and gap-form mismatches are read off the corank arrays.
 
     The generic corank is certified as max(0, sum(js) - |B|) per side, with
@@ -950,14 +1066,8 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
 
     ns, exps, configs = _scan_table(k, n_max)
-
-    def side_coranks(b, js):
-        if all(j == 1 for j in js):
-            return _unity_coranks_monomial(b, ns, exps)
-        return np.array([_unity_corank_general(b, e, n, js) for n, e in configs], dtype=np.int64)
-
-    cork1 = side_coranks(pair.b1, js1)
-    cork2 = cork1 if same_sides else side_coranks(pair.b2, js2)
+    cork1 = _unity_coranks(pair.b1, js1, ns, exps, configs)
+    cork2 = cork1 if same_sides else _unity_coranks(pair.b2, js2, ns, exps, configs)
     report.configs_scanned = len(configs)
     # each nonzero (c1, c2) under its first tuple, in scan order; a corank
     # is at most the row count sum(js)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,21 @@ class TestScan:
         assert reports[0]["found"] == reports[1]["found"]
         assert reports[0]["mismatches"] == reports[1]["mismatches"] == []
 
+    @pytest.mark.parametrize("label", ["N(1,1)", "N(1,1,1)"])
+    @pytest.mark.parametrize("top", [2001, 2**62 + 1])
+    def test_codim_scan_huge_exponents(self, capsys, top, label):
+        # float rows past the float range are failed samples, not a crash;
+        # the root-of-unity components are exact, so they equal those of the
+        # support congruent mod 27720 = lcm(2..12)
+        reports = []
+        for e in (top, 27720 + top % 27720):
+            code, out = run(capsys, "scan", "codim", "--b1", f"0,2,{e}", "--b2", "0,3,6", "--label", label)
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        unity = [[c for c in r["components_probed"] if c["component"].startswith("unity")] for r in reports]
+        assert unity[0] and unity[0] == unity[1]
+        assert all(c["exact"] for c in unity[0])
+
     def test_codim_scan(self, capsys):
         code, out = run(
             capsys,
@@ -335,3 +354,18 @@ class TestScan:
         for d in (d1, d2):
             d.pop("started"), d["report"].pop("timings")
         assert d1 == d2
+
+
+def test_python_m_singres():
+    """`python -m singres` runs the CLI from a checkout."""
+    src = str(Path(singres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "singres", "classify", "--b1", "0,1,3", "--b2", "0,3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["conditions"]["cond2"] is True

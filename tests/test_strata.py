@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import singres
-from singres.exact import exact_rank, exact_rref, solve_exact
+from singres.exact import CycloElement, cyclotomic_polynomial, exact_rank, exact_rref, modular_rank, solve_exact, split_prime
 from singres.laurent import LaurentPoly, falling
 from singres.minors import RootOfUnity
 from singres.strata import (
@@ -44,10 +44,11 @@ from singres.strata import (
     _side_matrices,
     _span_dimensions,
     _stratum_predictions,
+    _unity_components,
     _unity_configs,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
-from singres.verify import _normalized_supports
+from singres.verify import _normalized_supports, check_codim_estimates
 from test_guarantees import LABELS as GUARANTEE_LABELS
 from test_guarantees import PAIRS as GUARANTEE_PAIRS
 from test_minors import all_minors_oracle
@@ -547,11 +548,29 @@ class TestEstimates:
         comps = data["components_probed"]
         assert comps[0]["component"] == "generic"
         assert (comps[0]["votes"], comps[0]["none_samples"]) == ([[comps[0]["dim_found"], 1]], 0)
-        for comp in comps[1:]:
+        exact = [c for c in comps if c.get("exact")]
+        voted = [c for c in comps[1:] if not c.get("exact")]
+        assert exact and voted
+        for comp in exact:
+            # decided exactly: no votes, the kernels plus one orbit direction
+            assert comp["component"].startswith("unity") and "votes" not in comp
+            assert comp["kd1"] > 0 and comp["kd2"] > 0 and comp["r"] == 1
+            assert comp["dim_found"] == comp["kd1"] + comp["kd2"] + comp["r"]
+        for comp in voted:
+            assert comp["component"].startswith("minor-curve")
             votes = dict(comp["votes"])
             assert comp["dim_found"] == min(d for d, n in votes.items() if n == max(votes.values()))
             assert 1 <= sum(votes.values()) + comp["none_samples"] <= VOTE_SAMPLES
-        assert sum(sum(n for _, n in c["votes"]) + c["none_samples"] for c in comps) <= est.sample_count
+        # one sample for the generic component and for each unity tuple, live
+        # or not, plus every minor-curve draw
+        drawn = sum(sum(n for _, n in c["votes"]) + c["none_samples"] for c in voted)
+        assert est.sample_count == 1 + len(_unity_configs(3, 12)) + drawn
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_paper_values_at_every_seed(self, seed):
+        # the six verify-paper codim cases; never shrink this seed range
+        ok, details = check_codim_estimates(seed)
+        assert ok, details
 
 
 # The paper's six codim cases (verify-paper's check 07); with the pairs x
@@ -625,6 +644,9 @@ def reference_span_dimension(pair, label, pts, dirs, rtol=SVD_RTOL):
     eff1, eff2, m1, m2 = sides
     a1 = np.array([[complex(v) for v in r] for r in m1]) if m1 else np.zeros((0, len(eff1)))
     a2 = np.array([[complex(v) for v in r] for r in m2]) if m2 else np.zeros((0, len(eff2)))
+    # rows, and the same rows of the right-hand sides, over their largest modulus
+    s1, s2 = (np.where(a.any(axis=1), np.abs(a).max(axis=1), 1.0) for a in (a1, a2))
+    a1, a2 = a1 / s1[:, None], a2 / s2[:, None]
 
     def kern(a, ncols):
         if a.shape[0] == 0:
@@ -658,6 +680,7 @@ def reference_span_dimension(pair, label, pts, dirs, rtol=SVD_RTOL):
                 continue
             rhs1 += np.array(reference_derivative_rhs(f1, eff1, js1, m, xs, pow_), dtype=complex) * complex(d)
             rhs2 += np.array(reference_derivative_rhs(f2, eff2, js2, m, xs, pow_), dtype=complex) * complex(d)
+        rhs1, rhs2 = rhs1 / s1, rhs2 / s2
         df = np.linalg.lstsq(a1, rhs1, rcond=None)[0] if a1.shape[0] else np.zeros(len(eff1))
         dg = np.linalg.lstsq(a2, rhs2, rcond=None)[0] if a2.shape[0] else np.zeros(len(eff2))
         if a1.shape[0] and np.linalg.norm(a1 @ df - rhs1) > 1e-6 * max(1, np.linalg.norm(rhs1)):
@@ -674,10 +697,45 @@ def reference_span_dimension(pair, label, pts, dirs, rtol=SVD_RTOL):
     return int(np.sum(s > cut))
 
 
+def majority(dims):
+    """Majority of the sample dimensions, ties to the smallest."""
+    vote = Counter(dims).most_common()
+    return min(d for d, cnt in vote if cnt == vote[0][1])
+
+
+def reference_unity_votes(pair, label, seed, n_max, stacked=False):
+    """Float votes of the root-of-unity components, the float path the exact
+    one replaced: VOTE_SAMPLES tuples c * omega per configuration, c drawn
+    from random.Random(seed), with tangent omega; each component records the
+    majority of its non-None samples, none when all failed.  The samples
+    are evaluated one at a time by reference_span_dimension, or with
+    stacked=True as one stack by _span_dimensions."""
+    rng = random.Random(seed)
+    descs, samples = [], []
+    for n, exps in _unity_configs(label.k, n_max):
+        omega = [np.exp(2j * np.pi * e / n) for e in exps]
+        descs.append(f"unity(n={n}, exps={list(exps)})")
+        for _ in range(VOTE_SAMPLES):
+            c = _random_unit_annulus(rng)
+            samples.append(([c * w for w in omega], [omega]))
+    if stacked and samples:
+        dims = _span_dimensions(pair, label, np.array([s[0] for s in samples]), [s[1] for s in samples])
+    else:
+        dims = [reference_span_dimension(pair, label, *s) for s in samples]
+    out = []
+    for i, desc in enumerate(descs):
+        live = [d for d in dims[i * VOTE_SAMPLES : (i + 1) * VOTE_SAMPLES] if d is not None]
+        if live:
+            out.append((desc, majority(live)))
+    return out
+
+
 def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48):
     """estimate_codim one sample at a time, with reference_span_dimension;
     the generic component is the best of three exact samples at signed
-    rational tuples, drawn from a generator of their own."""
+    rational tuples, and the root-of-unity components are float votes
+    (reference_unity_votes), each drawn from a generator of its own; the
+    minor curves take the estimator's stream, random.Random(seed)."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(ambient, None, seed=seed, label=label.notation(), pair=pair.to_json())
@@ -686,10 +744,6 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48)
         est.components_probed.append((desc, dim))
         if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
             est.best_dim_found = dim
-
-    def majority(dims):
-        vote = Counter(dims).most_common()
-        return min(d for d, cnt in vote if cnt == vote[0][1])
 
     k = label.k
     if k == 0:
@@ -705,19 +759,9 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48)
     ]
     record("generic", max((d for d in dims if d is not None), default=None))
     est.sample_count += 1
-    for n, exps in _unity_configs(k, n_max):
-        if n < k or len(set(e % n for e in exps)) < len(exps):
-            continue
-        dims = []
-        for _ in range(VOTE_SAMPLES):
-            c = _random_unit_annulus(rng)
-            omega = [np.exp(2j * np.pi * e / n) for e in exps]
-            dim = reference_span_dimension(pair, label, [c * w for w in omega], [list(omega)])
-            est.sample_count += 1
-            if dim is not None:
-                dims.append(dim)
-        if dims:
-            record(f"unity(n={n}, exps={list(exps)})", majority(dims))
+    for desc, dim in reference_unity_votes(pair, label, seed, n_max):
+        record(desc, dim)
+    est.sample_count += len(_unity_configs(k, n_max))  # one per tuple, decided exactly
     if k == 3:
         curves = []
         for side, b in ((1, pair.b1), (2, pair.b2)):
@@ -763,13 +807,26 @@ class TestBatchedEstimate:
             assert without_vote_fields(got) == without_vote_fields(want), name
 
     def test_failed_samples_are_reported(self):
-        # most side-1 minor curves of this pair fail their tangent solve
+        # most side-1 minor curves of this pair fail their tangent solve.  At
+        # seed 11, unscaled rows gave curve (3, 6, 7) one spurious 8-vote (a
+        # side-2 kernel from row scale alone) beside four failed samples, and
+        # the estimate 1; with equilibrated rows all five samples fail
         p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label("N(1,1,1)")
-        est = estimate_codim(p, label, seed=5)
+        est = estimate_codim(p, label, seed=11)
         data = est.to_json()
-        assert without_vote_fields(data) == without_vote_fields(reference_estimate_codim(p, label, seed=5).to_json())
-        curve = next(c for c in data["components_probed"] if c["component"] == "minor-curve(side=1, triple=(0, 3, 4))")
-        assert (curve["dim_found"], curve["votes"], curve["none_samples"]) == (8, [[8, 1]], 4)
+        assert without_vote_fields(data) == without_vote_fields(reference_estimate_codim(p, label, seed=11).to_json())
+        voted = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
+        assert "minor-curve(side=1, triple=(3, 6, 7))" not in voted
+        assert all(d != 8 for c in voted.values() for d, _ in c["votes"])
+        assert (data["codim_estimate"], data["best_dim_found"]) == (2, 7)
+        # all 21 curves drew five tuples each and count them; only three
+        # curves have a live sample
+        assert data["sample_count"] == 1 + len(_unity_configs(3, 12)) + 21 * VOTE_SAMPLES
+        assert sorted(voted) == [
+            "minor-curve(side=1, triple=(0, 3, 6))",
+            "minor-curve(side=1, triple=(1, 4, 7))",
+            "minor-curve(side=2, triple=(0, 3, 6))",
+        ]
 
     def test_generic_closed_form_matches_exact_samples(self):
         """The certified generic dimension against the exact span dimension
@@ -828,6 +885,159 @@ class TestBatchedEstimate:
             assert got == want, name
             outcomes += want
         assert None in outcomes
+
+
+def unity_components(p, label, n_max=12):
+    """The estimator's root-of-unity components, (desc, dim) in order."""
+    est = estimate_codim(p, label, n_max=n_max)
+    return [(desc, dim) for desc, dim in est.components_probed if desc.startswith("unity")]
+
+
+def cyclo_mod(value, p, z):
+    """The image of a CycloElement (or int) under zeta_n -> z in F_p."""
+    coeffs = value.coeffs if isinstance(value, CycloElement) else (value,)
+    return sum(c * pow(z, i, p) for i, c in enumerate(coeffs)) % p
+
+
+class TestExactUnity:
+    """The root-of-unity components decided exactly (_unity_components)
+    against the float votes they replaced and against exact_rank alone."""
+
+    @pytest.mark.parametrize("b1,b2,name", VERIFY_CODIM_CASES)
+    def test_verify_cases_match_float_votes(self, b1, b2, name):
+        # the exact answer does not depend on the seed; the float votes
+        # draw other annulus factors at every seed
+        p, label = pair(b1, b2), parse_label(name)
+        got = unity_components(p, label)
+        assert bool(got) == (label.k > 1)
+        for seed in range(20):
+            assert got == reference_unity_votes(p, label, seed, 12, stacked=True), seed
+
+    @pytest.mark.parametrize("p", GUARANTEE_PAIRS, ids=lambda p: f"{p.b1.elements}-{p.b2.elements}")
+    def test_guarantee_cases_match_float_votes(self, p):
+        # multiplicity labels (N(2,1;1,1), N(1,1;2,1)) and boundary orders included
+        for name, label in GUARANTEE_LABELS.items():
+            assert unity_components(p, label, 8) == reference_unity_votes(p, label, 17, 8), name
+
+    def test_uncertified_tuples_take_exact_rank(self, monkeypatch):
+        # with a modular rank that certifies nothing, every multiplicity-side
+        # rank comes from exact_rank over Z[zeta_n], with identical components
+        labels = [parse_label(name) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)", "N(2,2)", "N(2,1,1)", "N_1(2,1)")]
+        cases = [(p, label, 8) for p in GUARANTEE_PAIRS for label in labels]
+        cases += [(pair((0, 3, 6), (0, 1, 3, 6, 9)), label, 9) for label in labels]
+        want = [_unity_components(*case) for case in cases]
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return exact_rank(rows)
+
+        monkeypatch.setattr(singres.strata, "modular_rank", lambda stack, primes: np.zeros(len(stack), dtype=np.int64))
+        monkeypatch.setattr(singres.strata, "exact_rank", counted)
+        assert [_unity_components(*case) for case in cases] == want
+        # one exact rank per tuple and multiplicity side (none where a side's
+        # effective support is empty)
+        ranked = 0
+        for (p, label, _), (decided, _) in zip(cases, want):
+            if all(_effective_elements(b, label.j0, label.jinf) for b in (p.b1, p.b2)):
+                ranked += decided * sum(max(label.side_orders(side)) > 1 for side in (1, 2))
+        assert len(calls) == ranked > 1000
+        assert sum(len(comps) for _, comps in want) > 100
+
+    def test_orbit_direction_is_never_in_the_kernels(self):
+        # the lemma behind r = 1: on every nonempty component, exact_rank of
+        # [M_i; M_i D] exceeds rank M_i on each side with a kernel
+        cases = [(pair(b1, b2), parse_label(name), 8) for b1, b2, name in VERIFY_CODIM_CASES]
+        cases += [(p, label, 6) for p in GUARANTEE_PAIRS for label in GUARANTEE_LABELS.values()]
+        checked = 0
+        for p, label, n_max in cases:
+            for (n, exps), *kds in _unity_components(p, label, n_max)[1]:
+                for b, side, kd in ((p.b1, 1, kds[0]), (p.b2, 2, kds[1])):
+                    eff = _effective_elements(b, label.j0, label.jinf)
+                    rows = multiplicity_vandermonde(S(*eff), [RootOfUnity(n, q) for q in exps], label.side_orders(side))
+                    assert len(eff) - exact_rank(rows) == kd > 0
+                    scaled = [[v * e for v, e in zip(row, eff)] for row in rows]
+                    assert exact_rank(rows + scaled) > exact_rank(rows), (p, label, n, exps)
+                    checked += 1
+        assert checked > 400
+
+    def test_empty_and_rank_deficient_components(self):
+        # (0, 3, 6) takes one value at all cube roots: kd = 2 on both sides
+        # at (1, zeta_3), and 1 at (1, -1)
+        decided, comps = _unity_components(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)"), 3)
+        assert decided == len(_unity_configs(2, 3)) == 3
+        assert comps == [((2, (0, 1)), 1, 1), ((3, (0, 1)), 2, 2), ((3, (0, 2)), 2, 2)]
+        assert _unity_components(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)"), 6) == (len(_unity_configs(2, 6)), [])
+        assert _unity_components(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)"), 12) == (0, [])
+        assert _unity_components(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)"), 2) == (0, [])
+
+    def test_huge_exponents_reduce_exactly(self):
+        # 2^62 + 1 = 13865 mod 27720 = lcm(2..12): the same components as
+        # the congruent support, and exponents past int64 decide as well
+        label = parse_label("N(1,1)")
+        want = unity_components(pair((0, 2, 13865), (0, 3, 6)), label)
+        assert want and unity_components(pair((0, 2, 2**62 + 1), (0, 3, 6)), label) == want
+        big = unity_components(pair((0, 2, 2**63 + 5), (0, 3, 6)), label)
+        assert big and big == unity_components(pair((0, 2, (2**63 + 5) % 27720), (0, 3, 6)), label)
+        # multiplicity rows carry falling factorials of the huge exponents,
+        # which reduce mod p in Python ints; exact_rank is the oracle
+        for name in ("N(2,1)", "N(2,1;1,1)"):
+            label = parse_label(name)
+            b1 = S(0, 1, 2, 2**62 + 1)
+            decided, comps = _unity_components(SupportPair(b1, S(0, 3, 6, 9)), label, 12)
+            assert comps
+            for (n, exps), kd1, _ in comps:
+                rows = multiplicity_vandermonde(b1, [RootOfUnity(n, q) for q in exps], label.side_orders(1))
+                assert kd1 == len(b1) - exact_rank(rows)
+
+    def test_split_prime(self):
+        for n in range(1, 41):
+            p, z = split_prime(n)
+            assert p < 2**31 and (p - 1) % n == 0
+            assert all(p % q for q in range(2, 46341) if q * q <= p)
+            assert pow(z, n, p) == 1 and all(pow(z, d, p) != 1 for d in range(1, n))
+
+    def test_modular_rank_matches_exact_rank(self):
+        # seeded random matrices over Z[zeta_n], n 2..12, up to 5 x 6, many
+        # with planted dependent rows, ranked as one padded stack
+        rng = random.Random(29)
+        mats, primes, want = [], [], []
+        deficient = 0
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            deg = cyclotomic_polynomial(n).degree
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+
+            def entry():
+                if rng.random() < 0.3:
+                    return CycloElement.zero(n)
+                return CycloElement(n, [rng.randint(-3, 3) for _ in range(deg)])
+
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            for i in range(1, nrows):
+                if rng.random() < 0.5:
+                    a, b = entry(), entry()
+                    j = rng.randrange(i)
+                    rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[rng.randrange(i)])]
+            p, z = split_prime(n)
+            mat = np.zeros((5, 6), dtype=np.int64)
+            mat[:nrows, :ncols] = [[cyclo_mod(v, p, z) for v in row] for row in rows]
+            mats.append(mat)
+            primes.append(p)
+            want.append(exact_rank(rows))
+            deficient += want[-1] < min(nrows, ncols)
+        got = modular_rank(np.array(mats), primes)
+        assert got.tolist() == want
+        assert deficient > 100 and len(set(want)) == 6
+
+    def test_report_marks_exact_components(self):
+        est = estimate_codim(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)"), seed=73)
+        data = est.to_json()
+        unity = [c for c in data["components_probed"] if c["component"].startswith("unity")]
+        assert unity and all(c["exact"] is True and "votes" not in c for c in unity)
+        assert {(c["kd1"], c["kd2"], c["r"], c["dim_found"]) for c in unity} == {(2, 2, 1, 5), (1, 1, 1, 3)}
+        assert data["sample_count"] == 1 + len(_unity_configs(2, 12))
+        assert set(data["timings"]) == {"generic_s", "unity_s", "minor_curve_s"}
 
 
 class TestMonotonicity:
