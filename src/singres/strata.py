@@ -64,6 +64,9 @@ VOTE_SAMPLES = 5
 # the curve's polynomial (and of one float row) can differ by more than
 # 1/eps, and np.roots's companion eigenproblem grows as the spread cubed.
 MINOR_SPREAD_MAX = 60
+# Largest row exponent that a float holds exactly.  Past it x^e rounds its
+# exponent, so a sample row carries no information even where it is finite.
+FLOAT_EXACT_EXPONENT = 2**53
 
 
 @dataclass(frozen=True)
@@ -650,7 +653,9 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
     dirs[s] a sequence of length-k tangent directions of the locus at tuple
     s.  Each side's multiplicity Vandermonde is built for the whole stack.
     A tuple whose rows, or their derivatives, are not finite (x^e past the
-    float range) is a failed sample, None, before any SVD.  Every row, and
+    float range) is a failed sample, None, before any SVD; so is every tuple
+    when a row exponent e - d or e - d - 1 exceeds FLOAT_EXACT_EXPONENT in
+    modulus (x^e past the float precision).  Every row, and
     the same row of the tangent right-hand side, is divided by the row's
     largest modulus: a nonsingular diagonal left factor, so every kernel
     and every consistent solve is unchanged, while a row of large points no
@@ -669,14 +674,16 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
     effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
     if not count or not all(effs):
         return dims
+    tables = [_vandermonde_tables(eff, label.side_orders(side)) for side, eff in enumerate(effs, 1)]
+    if any(np.abs(t[i]).max() > FLOAT_EXACT_EXPONENT for t in tables for i in (2, 4)):
+        return dims
     ndirs = np.array([len(d) for d in dirs])
     tangents = np.zeros((count, ndirs.max(), label.k), dtype=complex)
     for s, d in enumerate(dirs):
         tangents[s, : len(d)] = d
     live = np.ones(count, dtype=bool)
     sides, kdims = [], []
-    for side, eff in ((1, effs[0]), (2, effs[1])):
-        point, fall, exps, dfall, dexps = _vandermonde_tables(eff, label.side_orders(side))
+    for eff, (point, fall, exps, dfall, dexps) in zip(effs, tables):
         with np.errstate(over="ignore", invalid="ignore"):
             mat = fall * pts[:, point, None] ** exps
             dmat = dfall * pts[:, point, None] ** dexps

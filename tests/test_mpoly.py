@@ -6,8 +6,14 @@ import pytest
 
 from singres.laurent import LaurentPoly, common_roots
 from singres.mpoly import (
+    DEFAULT_DET_BOUND,
     MPoly,
-    determinant,
+    _divexact_packed,
+    _divisor,
+    _dot,
+    _max_exponent,
+    _neg,
+    _Packing,
     jacobian_vanishes,
     resultant_poly,
     specialize,
@@ -159,6 +165,13 @@ PAIR_QUERY_SHAPES = (
 )
 
 
+def binomial_trinomial_supports(max_spread):
+    """Every support {0, s} and {0, m, s} with 0 < m < s <= max_spread."""
+    out = [(0, s) for s in range(1, max_spread + 1)]
+    out += [(0, m, s) for s in range(2, max_spread + 1) for m in range(1, s)]
+    return out
+
+
 def laplace_det(rows):
     """Reference determinant: cofactor expansion along the first row."""
     if len(rows) == 1:
@@ -169,6 +182,58 @@ def laplace_det(rows):
             term = cell * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
             acc = acc - term if j % 2 else acc + term
     return acc
+
+
+def determinant(entries, bound=DEFAULT_DET_BOUND):
+    """Reference determinant of a square MPoly matrix by fraction-free
+    elimination, the oracle for `resultant_poly`.
+
+    Bareiss's recurrence a_ij <- (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) keeps
+    every entry a minor of the input, so each division is exact.  A zero
+    pivot is replaced by the first nonzero entry below it (a row swap, which
+    flips the sign); a column with no nonzero pivot makes the matrix
+    singular.
+    """
+    n = len(entries)
+    if n > bound:
+        raise ValueError("determinant too large")
+    if n == 0:
+        raise ValueError("empty matrix")
+    vars = entries[0][0].vars
+    # every entry stays a minor, so its exponents are at most n * (largest
+    # input exponent); a product of two entries may set guard bits but cannot
+    # carry, and its exact quotient is again a valid minor
+    packing = _Packing(len(vars), n * _max_exponent(cell for row in entries for cell in row))
+    guard = packing.guard
+    a = [[packing.pack(cell) for cell in row] for row in entries]
+    sign = 1
+    prev, divisor = None, None  # the previous pivot; None stands for 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return MPoly.zero(vars)
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            if not lead and pivot == prev:
+                continue  # the row is scaled by pivot / prev = 1
+            for j in range(k + 1, n):
+                if row[j] or lead and top[j]:
+                    num = _dot([(pivot, row[j]), (_neg(lead), top[j])])
+                    row[j] = _divexact_packed(num, divisor, guard) if divisor and num else num
+        prev, divisor = pivot, _divisor(pivot)
+    det = a[n - 1][n - 1]
+    return packing.unpack(vars, _neg(det) if sign < 0 else det)
+
+
+def sylvester_det(p, bound=DEFAULT_DET_BOUND):
+    """The resultant as the Bareiss determinant of the Sylvester matrix."""
+    return determinant([list(r) for r in sylvester_matrix(p).entries], bound=bound)
 
 
 def _random_entry(rng, vars, fractions):
@@ -243,6 +308,48 @@ class TestResultant:
             scaled_g = LaurentPoly(p.b2, {b: lam * c for b, c in g.coeffs.items()})
             assert _specialize_at(poly, p, f, scaled_g) == lam**d1 * base
 
+    def assert_matches_oracle(self, pairs, bound=DEFAULT_DET_BOUND):
+        for p in pairs:
+            assert resultant_poly(p, bound=bound).to_json() == sylvester_det(p, bound).to_json(), p.to_json()
+
+    def test_oracle_small_pairs(self):
+        self.assert_matches_oracle(small_pairs(6))
+
+    def test_oracle_pair_query_shapes(self):
+        self.assert_matches_oracle([pair(b1, b2) for b1, b2 in PAIR_QUERY_SHAPES], bound=40)
+
+    def test_oracle_binomial_trinomial_pairs(self):
+        supports = binomial_trinomial_supports(6)
+        assert len(supports) == 21
+        self.assert_matches_oracle([pair(b1, b2) for b1 in supports for b2 in supports])
+
+    def test_oracle_every_support_to_spread_four(self):
+        # dense supports too, with normal and defective remainder steps
+        supports = [(0, *mid, s) for s in range(1, 5) for k in range(s) for mid in combinations(range(1, s), k)]
+        assert len(supports) == 15
+        self.assert_matches_oracle([pair(b1, b2) for b1 in supports for b2 in supports])
+
+    def test_oracle_swapped_degrees(self):
+        # d1 * d2 odd, either side the larger: the sign (-1)^(d1 d2) of the swap
+        # shows; shifted and negative exponents homogenize the same way
+        shapes = [((0, 1), (0, 7)), ((0, 7), (0, 1)), ((0, 3), (0, 5)), ((0, 2, 5), (0, 1, 3)),
+                  ((0, 1, 3), (0, 4, 5)), ((-2, 1, 4), (3, 6, 9)), ((0, 5, 9), (-3, 0))]
+        self.assert_matches_oracle([pair(b1, b2) for b1, b2 in shapes])
+
+    def test_anchor_sympy(self):
+        # the 80 x 80 anchor resultant of the pair-queries benchmark
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(15)
+        b1, b2 = (0, 1, 40), (0, 40)
+        poly = resultant_poly(pair(b1, b2), bound=80)
+        for _ in range(2):
+            values = {f"f{b}": rng.choice((-1, 1)) * rng.randint(1, 4) for b in b1}
+            values.update({f"g{b}": rng.choice((-1, 1)) * rng.randint(1, 4) for b in b2})
+            f = sum(values[f"f{b}"] * x**b for b in b1)
+            g = sum(values[f"g{b}"] * x**b for b in b2)
+            assert specialize(poly, values) == int(sympy.resultant(f, g, x))
+
     def test_det_matches_laplace(self):
         for p in small_pairs(6):
             rows = [list(r) for r in sylvester_matrix(p).entries]
@@ -260,8 +367,7 @@ class TestResultant:
                 values.update({f"g{b}": rng.choice((-1, 1)) * rng.randint(1, 4) for b in b2})
                 f = sum(values[f"f{b}"] * x ** (b - b1[0]) for b in b1)
                 g = sum(values[f"g{b}"] * x ** (b - b2[0]) for b in b2)
-                want = int(sympy.resultant(f, g, x))
-                assert specialize(poly, values) in (want, -want)
+                assert specialize(poly, values) == int(sympy.resultant(f, g, x))
 
 
 class TestDeterminant:

@@ -828,6 +828,20 @@ class TestBatchedEstimate:
             "minor-curve(side=2, triple=(0, 3, 6))",
         ]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exponents_past_float_precision_give_no_votes(self, seed):
+        # side 1 holds x^(2^62+1): a float row of it that stays finite (|x| <= 1)
+        # has lost the exponent, and such rows once gave the side-2 curve
+        # (0, 3, 6) dimension-4 votes; every sample of the stack is now None
+        p, label = pair((0, 2, 2**62 + 1), (0, 3, 6)), parse_label("N(1,1,1)")
+        data = estimate_codim(p, label, seed=seed).to_json()
+        assert [c["component"] for c in data["components_probed"] if c["component"].startswith("minor")] == []
+        assert data["codim_estimate"] == 2
+        rng = random.Random(seed)
+        stack = [_draw_tuple(p, label, MinorCurve(2, (0, 3, 6)), rng) for _ in range(VOTE_SAMPLES)]
+        pts = np.array([s[0] for s in stack], dtype=complex)
+        assert _span_dimensions(p, label, pts, [s[1] for s in stack]) == [None] * VOTE_SAMPLES
+
     def test_generic_closed_form_matches_exact_samples(self):
         """The certified generic dimension against the exact span dimension
         at positive rational tuples: negative exponents, multiplicities,
