@@ -51,7 +51,6 @@ from .strata import (
     CodimEstimate,
     GenericPoints,
     MinorCurve,
-    RootsOfUnity,
     SolutionTuple,
     StratumLabel,
     actual_label,

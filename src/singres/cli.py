@@ -2,18 +2,19 @@
 
 Subcommands: classify, resultant, point-classify, germ-classify,
 verify-paper, project3d, scan.  Outputs are machine-readable JSON (and CSV
-for grid scans); every report embeds the run configuration.  Exit codes:
-0 success, 1 verification-suite failure, 2 usage error, 3 degenerate input.
+for grid scans); every report embeds the flags its subcommand read.
+Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
+3 degenerate input.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, verify
@@ -37,28 +38,15 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tolerance: float = 1e-8
-    n_max: int = 12
-    det_bound: int = DEFAULT_DET_BOUND
-    out: str | None = None
-
-    def to_json(self):
-        return asdict(self)
-
-
-def _global_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--det-bound", type=int, default=DEFAULT_DET_BOUND, dest="det_bound")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(args.seed, args.tolerance, args.n_max, args.det_bound, args.out)
+# The flags a report echoes in its `config`: dest -> (option, type, default,
+# help).  A subcommand registers only those it reads.
+SHARED_FLAGS = {
+    "seed": ("--seed", int, 0, "seed of the random draws"),
+    "tolerance": ("--tolerance", float, 1e-8, "numeric zero tolerance"),
+    "n_max": ("--n-max", int, 12, "largest root-of-unity order scanned"),
+    "det_bound": ("--det-bound", int, DEFAULT_DET_BOUND, "largest Sylvester size d1 + d2"),
+    "out": ("--out", str, None, "report file, or directory of timestamped reports"),
+}
 
 
 def _parse_support(text: str) -> SupportSet:
@@ -113,22 +101,38 @@ def _pair_from_args(args) -> SupportPair:
     return SupportPair(_parse_support(args.b1), _parse_support(args.b2))
 
 
-def _emit(payload, config: RunConfig, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    target = path or config.out
-    if target:
-        p = Path(target)
-        if p.is_dir():
-            p = p / f"report-{int(time.time())}.json"
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text + "\n")
-        print(str(p))
-    else:
-        print(text)
+def _emit(payload, args):
+    """Print the report, with its `config`, or write it to --out.
+
+    An existing directory or a suffix-less path is a directory, created if
+    missing, that receives <command>[-<kind>]-<timestamp>.json; a report
+    there never replaces an existing file, but takes the next free -<i>
+    suffix.  Any other path is the report file itself."""
+    payload["config"] = {dest: getattr(args, dest) for dest in args.shared}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not args.out:
+        print(text, end="")
+        return
+    out = Path(args.out)
+    if out.suffix and not out.is_dir():
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+        print(str(out))
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    stem = "-".join(filter(None, (args.command, getattr(args, "kind", None), time.strftime("%Y%m%dT%H%M%S"))))
+    for i in itertools.count():
+        path = out / f"{stem}{f'-{i}' if i else ''}.json"
+        try:
+            with open(path, "x") as fh:
+                fh.write(text)
+        except FileExistsError:
+            continue
+        print(str(path))
+        return
 
 
 def cmd_classify(args) -> int:
-    config = _config(args)
     try:
         pair = _pair_from_args(args)
     except (ValueError, KeyError) as exc:
@@ -136,24 +140,15 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     report = check_conditions(pair)
     verdict = classify(pair)
-    _emit(
-        {
-            "pair": pair.to_json(),
-            "conditions": report.to_json(),
-            "verdict": verdict.to_json(),
-            "config": config.to_json(),
-        },
-        config,
-    )
+    _emit({"pair": pair.to_json(), "conditions": report.to_json(), "verdict": verdict.to_json()}, args)
     return EXIT_OK
 
 
 def cmd_resultant(args) -> int:
-    config = _config(args)
     try:
         pair = _pair_from_args(args)
         start = time.perf_counter()
-        poly = resultant_poly(pair, bound=config.det_bound)
+        poly = resultant_poly(pair, bound=args.det_bound)
         det_s = time.perf_counter() - start
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -167,30 +162,27 @@ def cmd_resultant(args) -> int:
             "terms": len(poly.terms),
             "timings": {"det_s": det_s},
             "version": __version__,
-            "config": config.to_json(),
         },
-        config,
+        args,
     )
     return EXIT_OK
 
 
 def cmd_point_classify(args) -> int:
-    config = _config(args)
     try:
         data = _require_input(args, "point-classify")
         with _typed_input():
             f = LaurentPoly.from_json(data["f"])
             g = LaurentPoly.from_json(data["g"])
-        result = classify_point(f, g, tol=config.tolerance)
+        result = classify_point(f, g, tol=args.tolerance)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({"classification": result.to_json(), "config": config.to_json()}, config)
+    _emit({"classification": result.to_json()}, args)
     return EXIT_OK
 
 
 def cmd_germ_classify(args) -> int:
-    config = _config(args)
     try:
         data = _require_input(args, "germ-classify")
         with _typed_input():
@@ -199,12 +191,11 @@ def cmd_germ_classify(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({"classification": result.to_json(), "config": config.to_json()}, config)
+    _emit({"classification": result.to_json()}, args)
     return EXIT_OK
 
 
 def cmd_verify_paper(args) -> int:
-    config = _config(args)
     only = [args.only] if args.only else None
     try:
         results = verify.run_checks(only)
@@ -213,13 +204,9 @@ def cmd_verify_paper(args) -> int:
         return EXIT_USAGE
     for r in results:
         print(r.line())
-    payload = {
-        "results": [r.to_json() for r in results],
-        "all_passed": all(r.passed for r in results),
-        "config": config.to_json(),
-    }
-    if config.out:
-        _emit(payload, config)
+    payload = {"results": [r.to_json() for r in results], "all_passed": all(r.passed for r in results)}
+    if args.out:
+        _emit(payload, args)
     return EXIT_OK if payload["all_passed"] else EXIT_SUITE_FAILURE
 
 
@@ -242,7 +229,9 @@ def _parse_coeffs(data, name, support: Support3D):
 
 
 def cmd_project3d(args) -> int:
-    config = _config(args)
+    if args.csv and not args.scan:
+        print("error: --csv needs --scan", file=sys.stderr)
+        return EXIT_USAGE
     try:
         data = _require_input(args, "project3d")
         with _typed_input():
@@ -261,22 +250,19 @@ def cmd_project3d(args) -> int:
         return EXIT_DEGENERATE
     if args.scan:
         grid = GridConfig(args.rho_min, args.rho_max, args.rho_steps, args.theta_steps)
-        outcome.scan = grid_scan(a1, a2, *coeffs, grid, threshold=config.tolerance, seed=config.seed)
+        outcome.scan = grid_scan(a1, a2, *coeffs, grid, threshold=args.tolerance, seed=args.seed)
         if args.csv:
             csv_path = Path(args.csv)
             csv_path.parent.mkdir(parents=True, exist_ok=True)
             csv_path.write_text("\n".join(outcome.scan.to_csv_lines()) + "\n")
-    payload = outcome.to_json()
-    payload["config"] = config.to_json()
-    _emit(payload, config)
+    _emit(outcome.to_json(), args)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    config = _config(args)
     started = time.strftime("%Y%m%dT%H%M%S")
-    if config.n_max < 1:
-        print(f"error: --n-max must be at least 1, got {config.n_max}", file=sys.stderr)
+    if args.n_max < 1:
+        print(f"error: --n-max must be at least 1, got {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
     if args.spread < 0:
         print(f"error: --spread must be nonnegative, got {args.spread}", file=sys.stderr)
@@ -289,13 +275,13 @@ def cmd_scan(args) -> int:
         except ValueError as exc:
             print(f"error: --sizes: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        report = minors_split_equivalence_scan(config.n_max, args.spread, sizes)
+        report = minors_split_equivalence_scan(args.n_max, args.spread, sizes)
         payload = {"kind": "minors", "report": report.to_json()}
     elif args.kind == "strata":
         try:
             pair = _pair_from_args(args)
             label = parse_label(args.label)
-            report = scan_corank_strata(pair, label, config.n_max, seed=config.seed)
+            report = scan_corank_strata(pair, label, args.n_max, seed=args.seed)
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -307,25 +293,24 @@ def cmd_scan(args) -> int:
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        est = estimate_codim(pair, label, seed=config.seed, n_max=config.n_max)
+        est = estimate_codim(pair, label, seed=args.seed, n_max=args.n_max)
         payload = {"kind": "codim", "report": est.to_json()}
     else:
         print(f"error: unknown scan kind {args.kind!r}", file=sys.stderr)
         return EXIT_USAGE
-    payload["config"] = config.to_json()
     payload["started"] = started
-    if config.out:
-        out_dir = Path(config.out)
-        if out_dir.suffix:  # looks like a file
-            _emit(payload, config)
-        else:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / f"scan-{args.kind}-{started}.json"
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            print(str(path))
-    else:
-        _emit(payload, config)
+    _emit(payload, args)
     return EXIT_OK
+
+
+def _subcommand(sub, name, fn, shared, help):
+    """Add subcommand `name`, run by `fn`, with the SHARED_FLAGS in `shared`."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn, shared=shared)
+    for dest in shared:
+        option, type_, default, help_ = SHARED_FLAGS[dest]
+        p.add_argument(option, type=type_, default=default, dest=dest, help=help_)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,47 +320,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="condition report and verdict for a support pair")
+    p = _subcommand(sub, "classify", cmd_classify, ("out",), "condition report and verdict for a support pair")
     p.add_argument("--input", help="JSON file with {'b1': [...], 'b2': [...]} ('-' for stdin)")
     p.add_argument("--b1", help="comma-separated exponents")
     p.add_argument("--b2", help="comma-separated exponents")
-    _global_flags(p)
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("resultant", help="symbolic sparse resultant of a support pair")
+    p = _subcommand(sub, "resultant", cmd_resultant, ("det_bound", "out"), "symbolic sparse resultant of a support pair")
     p.add_argument("--input")
     p.add_argument("--b1")
     p.add_argument("--b2")
-    _global_flags(p)
-    p.set_defaults(fn=cmd_resultant)
 
-    p = sub.add_parser("point-classify", help="classify a coefficient pair on the resultant")
+    p = _subcommand(
+        sub, "point-classify", cmd_point_classify, ("tolerance", "out"), "classify a coefficient pair on the resultant"
+    )
     p.add_argument("--input", required=False)
-    _global_flags(p)
-    p.set_defaults(fn=cmd_point_classify)
 
-    p = sub.add_parser("germ-classify", help="classify a plane-curve germ at the origin")
+    p = _subcommand(sub, "germ-classify", cmd_germ_classify, ("out",), "classify a plane-curve germ at the origin")
     p.add_argument("--input", required=False)
-    _global_flags(p)
-    p.set_defaults(fn=cmd_germ_classify)
 
-    p = sub.add_parser("verify-paper", help="run the canned verification suite")
+    p = _subcommand(sub, "verify-paper", cmd_verify_paper, ("out",), "run the canned verification suite")
     p.add_argument("--only", help=f"run a single check; one of: {', '.join(verify.CHECK_IDS)}")
-    _global_flags(p)
-    p.set_defaults(fn=cmd_verify_paper)
 
-    p = sub.add_parser("project3d", help="project 3d supports and scan the plane curve")
+    p = _subcommand(
+        sub, "project3d", cmd_project3d, ("tolerance", "seed", "out"), "project 3d supports and scan the plane curve"
+    )
     p.add_argument("--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)")
     p.add_argument("--scan", action="store_true", help="evaluate |R| over the torus grid")
-    p.add_argument("--csv", help="CSV output path for the grid scan")
+    p.add_argument("--csv", help="CSV output path for the grid scan (needs --scan)")
     p.add_argument("--rho-min", type=float, default=-0.5, dest="rho_min")
     p.add_argument("--rho-max", type=float, default=0.5, dest="rho_max")
     p.add_argument("--rho-steps", type=int, default=5, dest="rho_steps")
     p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps")
-    _global_flags(p)
-    p.set_defaults(fn=cmd_project3d)
 
-    p = sub.add_parser("scan", help="exhaustive scans: minors, strata, codim")
+    p = _subcommand(sub, "scan", cmd_scan, ("n_max", "seed", "out"), "exhaustive scans: minors, strata, codim")
     p.add_argument("kind", choices=("minors", "strata", "codim"))
     p.add_argument("--input")
     p.add_argument("--b1")
@@ -383,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="N(1,1,1)")
     p.add_argument("--spread", type=int, default=8)
     p.add_argument("--sizes", default="3,4")
-    _global_flags(p)
-    p.set_defaults(fn=cmd_scan)
 
     return parser
 

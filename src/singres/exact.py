@@ -459,9 +459,8 @@ def _primitive(row):
 def exact_rank(matrix) -> int:
     """Rank over Q or Q(zeta_n) by fraction-free elimination.
 
-    Rational rows are scaled to integers (rank-invariant) and eliminated by
-    Bareiss, whose divisions by the previous pivot are exact.  CycloElement
-    matrices are eliminated over Z[zeta_n] by cross-multiplication alone
+    Rational rows are scaled to integers (rank-invariant).  The rows are
+    then eliminated over Z or Z[zeta_n] by cross-multiplication alone
     (row_i <- pivot * row_i - a_i * pivot_row), so nothing is inverted; each
     updated row is divided by the integer gcd of its coefficients, a nonzero
     scalar, which bounds coefficient growth and leaves the rank unchanged.
@@ -472,7 +471,6 @@ def exact_rank(matrix) -> int:
     rows = [list(r) for r in matrix] if cyclo else [clear_denominators(r) for r in matrix]
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
-    prev = 1
     for col in range(ncols):
         piv = None
         for i in range(rank, nrows):
@@ -485,14 +483,8 @@ def exact_rank(matrix) -> int:
         pval = rows[rank][col]
         for i in range(rank + 1, nrows):
             ival = rows[i][col]
-            if cyclo:
-                if ival:
-                    rows[i][col:] = _primitive([pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])])
-                continue
-            for j in range(col + 1, ncols):
-                rows[i][j] = (pval * rows[i][j] - ival * rows[rank][j]) // prev
-            rows[i][col] = 0
-        prev = pval
+            if ival:
+                rows[i][col:] = _primitive([pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])])
         rank += 1
         if rank == nrows:
             break

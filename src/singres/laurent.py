@@ -410,7 +410,7 @@ def _covector_for_record(f, g, rec: RootRecord):
     return boundary_covector(f, g, rec.point.kind == "zero")
 
 
-def _covectors_independent(f, g, r1, r2, tol=CLUSTER_TOL):
+def _covectors_independent(f, g, r1, r2):
     v1 = _covector_for_record(f, g, r1)
     v2 = _covector_for_record(f, g, r2)
     if all(_is_exact_scalar(c) for c in v1 + v2):
@@ -442,7 +442,7 @@ def classify_point(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL) -> PointClas
     both_interior = r1.point.kind == "finite" and r2.point.kind == "finite"
     if both_interior and ((r1.ord1 >= 2 and r2.ord1 >= 2) or (r1.ord2 >= 2 and r2.ord2 >= 2)):
         return PointClass("Degenerate", "TwoDoubleForSameFactor")
-    if not _covectors_independent(f, g, r1, r2, tol):
+    if not _covectors_independent(f, g, r1, r2):
         raise ValueError(
             "branch covectors are proportional; the supports violate the "
             "no-common-sublattice hypothesis"

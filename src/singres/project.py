@@ -22,6 +22,9 @@ from .supports import SupportPair, SupportSet, check_conditions, classify
 
 __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project_supports", "grid_scan", "random_coefficients"]
 
+# Most reseeded draws grid_scan makes after a degenerate one.
+GRID_MAX_RETRIES = 5
+
 
 @dataclass(frozen=True)
 class Support3D:
@@ -218,7 +221,6 @@ def grid_scan(
     grid: GridConfig | None = None,
     threshold: float = 1e-8,
     seed: int = 0,
-    max_retries: int = 5,
 ) -> CurveScan:
     """Evaluate |det Sylvester| of the specialized third-variable polynomials
     over the log-polar grid.
@@ -228,7 +230,7 @@ def grid_scan(
     determinants over blocks of cells of bounded size (`_sylvester_dets`).
     Coefficients default to seeded random generic draws; degenerate draws
     (a specialized polynomial collapsing numerically at some cell) trigger
-    a reseeded retry, at most max_retries times, and the report counts the
+    a reseeded retry, at most GRID_MAX_RETRIES times, and the report counts the
     retries used.  Explicit coefficient maps are never retried.
     """
     grid = grid or GridConfig()
@@ -248,7 +250,7 @@ def grid_scan(
         c2 = coeffs2 if explicit else random_coefficients(a2, rng)
         v1 = _specialized_coeffs(c1, sup1, x1, x2)
         v2 = _specialized_coeffs(c2, sup2, x1, x2)
-        if (_collapses(v1) or _collapses(v2)) and not explicit and attempt < max_retries:
+        if (_collapses(v1) or _collapses(v2)) and not explicit and attempt < GRID_MAX_RETRIES:
             attempt += 1
             continue
         break

@@ -42,7 +42,6 @@ __all__ = [
     "SolutionTuple",
     "CodimEstimate",
     "GenericPoints",
-    "RootsOfUnity",
     "MinorCurve",
     "expected_codim",
     "label_dominates",
@@ -64,6 +63,8 @@ VOTE_SAMPLES = 5
 # the curve's polynomial (and of one float row) can differ by more than
 # 1/eps, and np.roots's companion eigenproblem grows as the spread cubed.
 MINOR_SPREAD_MAX = 60
+# Most minor curves that estimate_codim draws, after shuffling them.
+MINOR_CURVES_MAX = 48
 # Largest row exponent that a float holds exactly.  Past it x^e rounds its
 # exponent, so a sample row carries no information even where it is finite.
 FLOAT_EXACT_EXPONENT = 2**53
@@ -296,14 +297,14 @@ def _is_float_matrix(rows):
     return any(isinstance(v, (complex, float, np.complexfloating)) for r in rows for v in r)
 
 
-def _svd_rank(sv, rtol=SVD_RTOL):
+def _svd_rank(sv):
     """Numeric rank of each matrix of a stack from its singular values
-    (shape (..., q), each row descending): the number above rtol times the
-    largest."""
-    return np.sum(sv > rtol * sv[..., :1], axis=-1)
+    (shape (..., q), each row descending): the number above SVD_RTOL times
+    the largest."""
+    return np.sum(sv > SVD_RTOL * sv[..., :1], axis=-1)
 
 
-def corank_kernel(rows, rtol=SVD_RTOL):
+def corank_kernel(rows):
     """(corank, kernel basis) of the linear map f -> M f.
 
     corank = rows - rank; thresholded SVD for floats, and for rational /
@@ -315,7 +316,7 @@ def corank_kernel(rows, rtol=SVD_RTOL):
     if _is_float_matrix(rows):
         m = np.array([[complex(v) for v in r] for r in rows])
         u, s, vh = np.linalg.svd(m)
-        rank = int(_svd_rank(s, rtol))
+        rank = int(_svd_rank(s))
         kernel = [vh[i].conj() for i in range(rank, vh.shape[0])]
         return len(rows) - rank, kernel
     kernel = kernel_basis(rows)
@@ -328,11 +329,6 @@ def corank_kernel(rows, rtol=SVD_RTOL):
 @dataclass(frozen=True)
 class GenericPoints:
     pass
-
-
-@dataclass(frozen=True)
-class RootsOfUnity:
-    n: int
 
 
 @dataclass(frozen=True)
@@ -381,15 +377,6 @@ def _draw_tuple(pair, label, locus, rng):
                 pts.append(x)
         dirs = [[1 if i == m else 0 for i in range(k)] for m in range(k)]
         return pts, dirs
-    if isinstance(locus, RootsOfUnity):
-        n = locus.n
-        if k < 2 or n < 2 or n < k:
-            return None
-        exps = [0] + rng.sample(range(1, n), k - 1)
-        c = _random_unit_annulus(rng)
-        omega = [np.exp(2j * np.pi * e / n) for e in exps]
-        pts = [c * w for w in omega]
-        return pts, [list(omega)]
     if isinstance(locus, MinorCurve):
         if k != 3:
             return None
@@ -477,10 +464,10 @@ def _side_matrices(pair, label, pts):
     return eff1, eff2, m1, m2
 
 
-def _kernel_of(mat, ncols, rtol=SVD_RTOL):
+def _kernel_of(mat, ncols):
     if not mat:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    _, kern = corank_kernel(mat, rtol)
+    _, kern = corank_kernel(mat)
     return kern
 
 
@@ -644,7 +631,7 @@ def _vandermonde_tables(eff, js):
     return tables
 
 
-def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
+def _span_dimensions(pair, label, pts, dirs):
     """Span dimension of the locus parameterization's differential at each
     tuple of a stack, or None where a side kernel is empty or a tangent
     solve is inconsistent.
@@ -695,7 +682,7 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
         mat /= scale
         dmat /= scale
         u, sv, vh = np.linalg.svd(mat)
-        kdim = len(eff) - _svd_rank(sv, rtol)
+        kdim = len(eff) - _svd_rank(sv)
         live &= kdim > 0
         sides.append((point, mat, dmat, u, sv, vh))
         kdims.append(kdim)
@@ -737,7 +724,7 @@ def _span_dimensions(pair, label, pts, dirs, rtol=SVD_RTOL):
         norms[norms == 0] = 1.0
         rows /= norms
         sv = np.linalg.svd(rows, compute_uv=False)
-        for i, rank in zip(idx.tolist(), _svd_rank(sv, rtol).tolist()):
+        for i, rank in zip(idx.tolist(), _svd_rank(sv).tolist()):
             dims[i] = rank
     return dims
 
@@ -793,7 +780,6 @@ def estimate_codim(
     label: StratumLabel,
     seed: int = 0,
     n_max: int = 12,
-    max_minor_curves: int = 48,
 ) -> CodimEstimate:
     """Estimate the codimension of the filtration subset by probing locus
     components: generic tuples, every root-of-unity configuration with
@@ -861,7 +847,7 @@ def estimate_codim(
                     for l in range(j + 1, len(elems)):
                         curves.append(MinorCurve(side, (elems[i], elems[j], elems[l])))
         rng.shuffle(curves)
-        curves = curves[:max_minor_curves]
+        curves = curves[:MINOR_CURVES_MAX]
         owners, pts, dirs = [], [], []
         for i, curve in enumerate(curves):
             for _ in range(VOTE_SAMPLES):

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,84 @@ class TestProject3d:
         assert data["curve_scan"]["near_zero_cells"]
         assert data["curve_scan"]["retries"] == 0
         assert 0 <= data["curve_scan"]["near_zero_margin"] <= data["curve_scan"]["threshold"]
+
+
+    def test_csv_without_scan_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "pos.json"
+        path.write_text(json.dumps({"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}))
+        csv_path = tmp_path / "grid.csv"
+        code = main(["project3d", "--input", str(path), "--csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: --csv needs --scan\n")
+        assert not csv_path.exists()
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize(
+        "argv, shared",
+        [
+            (("classify", "--b1", "0,1,3", "--b2", "0,3"), {"out": None}),
+            (("germ-classify", "--input", "-"), {"out": None}),
+            (("resultant", "--b1", "0,1", "--b2", "0,1", "--det-bound", "9"), {"det_bound": 9, "out": None}),
+            (("point-classify", "--input", "-", "--tolerance", "1e-6"), {"tolerance": 1e-6, "out": None}),
+            (("project3d", "--input", "-", "--seed", "3"), {"tolerance": 1e-8, "seed": 3, "out": None}),
+            (("scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3"), {"n_max": 2, "seed": 0, "out": None}),
+        ],
+    )
+    def test_config_echoes_exactly_the_flags_taken(self, capsys, monkeypatch, argv, shared):
+        stdin = {
+            "germ-classify": {"terms": [{"exp": [2, 0], "coef": "1"}, {"exp": [0, 2], "coef": "1"}]},
+            "point-classify": {
+                "f": {"support": [0, 1, 2], "coeffs": {"0": "2", "1": "-3", "2": "1"}},
+                "g": {"support": [0, 1, 2], "coeffs": {"0": "3", "1": "-4", "2": "1"}},
+            },
+            "project3d": {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]},
+        }
+        if argv[0] in stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin[argv[0]])))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"] == shared
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--b1", "0,1", "--b2", "0,1", "--seed", "1"),
+            ("verify-paper", "--tolerance", "1e-6"),
+            ("resultant", "--b1", "0,1", "--b2", "0,1", "--n-max", "3"),
+            ("point-classify", "--input", "-", "--det-bound", "9"),
+            ("project3d", "--input", "-", "--n-max", "3"),
+            ("scan", "minors", "--tolerance", "1e-6"),
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+
+class TestOut:
+    def test_suffix_is_the_report_file(self, capsys, tmp_path):
+        target = tmp_path / "sub" / "pair.json"
+        code, out = run(capsys, "classify", "--b1", "0,1,3", "--b2", "0,3", "--out", str(target))
+        assert (code, out) == (0, f"{target}\n")
+        assert json.loads(target.read_text())["config"] == {"out": str(target)}
+
+    def test_suffixless_is_a_new_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101T000000")
+        target = tmp_path / "reports"
+        code, out = run(capsys, "resultant", "--b1", "0,1", "--b2", "0,1", "--out", str(target))
+        assert (code, out) == (0, f"{target / 'resultant-20260101T000000.json'}\n")
+
+    def test_directory_reports_never_overwrite(self, capsys, tmp_path, monkeypatch):
+        # two scans in the same second get two files
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101T000000")
+        argv = ("scan", "minors", "--n-max", "3", "--spread", "2", "--sizes", "3", "--out", str(tmp_path))
+        paths = [run(capsys, *argv)[1].strip() for _ in range(2)]
+        assert paths == [str(tmp_path / f"scan-minors-20260101T000000{s}.json") for s in ("", "-1")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in paths)
+        for path in paths:
+            assert json.loads(Path(path).read_text())["kind"] == "minors"
 
 
 class TestScan:

@@ -254,4 +254,6 @@ class TestGridScan:
         grid = GridConfig(-0.1, 0.1, 2, 2)
         assert grid_scan(a1, a2, zeros(a1, None), zeros(a2, None), grid).retries == 0
         monkeypatch.setattr(project, "random_coefficients", zeros)
-        assert grid_scan(a1, a2, grid=grid, max_retries=3).retries == 3
+        assert grid_scan(a1, a2, grid=grid).retries == project.GRID_MAX_RETRIES
+        monkeypatch.setattr(project, "GRID_MAX_RETRIES", 3)
+        assert grid_scan(a1, a2, grid=grid).retries == 3

@@ -56,12 +56,21 @@ def test_package_imports_are_exported():
     assert stray == []
 
 
-def test_readme_lists_the_global_flags():
-    """The README's "Global flags:" sentence names exactly the options
-    cli._global_flags registers, so a removed flag cannot linger there."""
+def test_readme_lists_each_subcommands_flags():
+    """For every subcommand, the README's flag list names exactly the
+    options its parser registers (--help aside), and it lists no other
+    subcommand, so a flag cannot be added, moved or removed without the
+    README following."""
     readme = (ROOT / "README.md").read_text()
-    sentence = readme[readme.index("Global flags:") :].split(".\n", 1)[0]
-    parser = argparse.ArgumentParser(add_help=False)
-    cli._global_flags(parser)
-    registered = {opt for action in parser._actions for opt in action.option_strings}
-    assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == registered
+    block = readme[readme.index("Each subcommand takes only the flags it reads:") :].split("\n\n", 2)[1]
+    documented = {
+        re.match(r"`([a-z0-9-]+)", item)[1]: set(re.findall(r"`(--[a-z0-9-]+)`", item))
+        for item in block.removeprefix("- ").split("\n- ")
+    }
+    parser = cli.build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert documented == registered

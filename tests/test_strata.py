@@ -16,7 +16,6 @@ from singres.minors import RootOfUnity
 from singres.strata import (
     GenericPoints,
     MinorCurve,
-    RootsOfUnity,
     SolutionTuple,
     StratumLabel,
     actual_label,
@@ -224,13 +223,6 @@ class TestSampling:
         p = pair((0, 1), (0, 1))
         label = parse_label("N(1,1)")  # two roots need kernel dim >= 1 each
         assert sample_filtration_subset(p, label, GenericPoints(), seed=62) is None
-
-    def test_unity_locus_corank_sample(self):
-        p = pair((0, 3, 6), (0, 3, 6))
-        got = sample_filtration_subset(p, parse_label("N(1,1)"), RootsOfUnity(3), seed=63)
-        assert got is not None
-        f, g, pts = got
-        assert in_filtration_subset(f, g, parse_label("N(1,1)"))
 
     def test_minor_curve_sample(self):
         p = pair((0, 1, 2, 3), (0, 1, 2, 3))
