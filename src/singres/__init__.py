@@ -4,14 +4,13 @@ univariate (Laurent) polynomial supports.
 The package decides, for a pair of finite integer support sets, whether the
 sparse resultant's singular locus is generically of nodal type and of
 codimension 2, and verifies the underlying stratification, rank, and
-singularity-type facts with exact (rational / cyclotomic) and numeric
-computation.
+singularity-type facts with exact and numeric computation: rational
+arithmetic, and cyclotomic facts decided modulo primes that split
+completely in Q(zeta_n).
 """
 
 from .exact import (
-    CycloElement,
     UniPoly,
-    cyclotomic_polynomial,
     exact_rank,
     poly_gcd,
     squarefree_decomposition,
@@ -30,9 +29,6 @@ from .laurent import (
 )
 from .minors import (
     MinorCheck,
-    RootOfUnity,
-    UnityPair,
-    all_minors_vanish,
     exponent_power_minor_check,
     minors_split_equivalence_scan,
     proportionality_structure,

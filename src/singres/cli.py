@@ -277,6 +277,7 @@ def cmd_scan(args) -> int:
             return EXIT_USAGE
         report = minors_split_equivalence_scan(args.n_max, args.spread, sizes)
         payload = {"kind": "minors", "report": report.to_json()}
+        args.shared = ("n_max", "out")  # the minors scan draws nothing: no seed in its config
     elif args.kind == "strata":
         try:
             pair = _pair_from_args(args)
@@ -286,7 +287,7 @@ def cmd_scan(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         payload = {"kind": "strata", "report": report.to_json()}
-    elif args.kind == "codim":
+    else:  # codim; argparse admits no other kind
         try:
             pair = _pair_from_args(args)
             label = parse_label(args.label)
@@ -295,9 +296,6 @@ def cmd_scan(args) -> int:
             return EXIT_USAGE
         est = estimate_codim(pair, label, seed=args.seed, n_max=args.n_max)
         payload = {"kind": "codim", "report": est.to_json()}
-    else:
-        print(f"error: unknown scan kind {args.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
     payload["started"] = started
     _emit(payload, args)
     return EXIT_OK

@@ -1,11 +1,13 @@
 """Exact arithmetic substrate.
 
-Dense univariate polynomials over the rationals, cyclotomic integers with a
-decidable zero test, and exact rank / kernel computations.  Scalars are
-`int` / `fractions.Fraction` throughout; nothing in this module touches
-floating point.  Stacks of matrices over a prime field F_p, p < 2^31, are
-ranked in int64 arrays (`modular_rank`); with `split_prime` they give
-certified lower bounds on ranks over Z[zeta_n].
+Dense univariate polynomials over the rationals, and exact rank / kernel
+computations over Q.  Scalars are `int` / `fractions.Fraction` throughout;
+nothing in this module touches floating point.  Facts in Z[zeta_n] are
+decided modulo primes p = 1 mod n (`split_primes`), which split completely
+in Q(zeta_n): the phi(n) maps zeta_n -> z^k mod p, k a unit mod n, are the
+reductions at the primes above p, so a norm bound turns their values into
+exact answers.  Stacks of matrices over F_p, p < 2^31, are ranked in int64
+arrays (`modular_rank`).
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ import numpy as np
 __all__ = [
     "UniPoly",
     "poly_gcd",
-    "poly_xgcd",
     "squarefree_decomposition",
-    "cyclotomic_polynomial",
-    "CycloElement",
-    "unity_reduction_table",
     "exact_rank",
+    "split_primes",
     "split_prime",
     "modular_rank",
     "exact_rref",
@@ -198,23 +197,6 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def poly_xgcd(p: UniPoly, q: UniPoly):
-    """Extended gcd: returns (g, u, v) monic with u*p + v*q = g."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("undefined gcd")
-    a, b = p, q
-    ua, va = UniPoly.one(), UniPoly.zero()
-    ub, vb = UniPoly.zero(), UniPoly.one()
-    while not b.is_zero:
-        quo, rem = divmod(a, b)
-        a, b = b, rem
-        ua, ub = ub, ua - quo * ub
-        va, vb = vb, va - quo * vb
-    l = a.lead
-    inv = Fraction(1) / l
-    return a.monic(), ua * inv, va * inv
-
-
 def squarefree_decomposition(p: UniPoly):
     """Yun's algorithm: list of (monic squarefree factor, multiplicity).
 
@@ -255,183 +237,6 @@ def divisors(n):
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> UniPoly:
-    """Monic n-th cyclotomic polynomial with integer coefficients.
-
-    Computed as (x^n - 1) divided by the product of the proper-divisor
-    cyclotomics; all intermediate divisions are exact over the integers.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    poly = UniPoly((-1,) + (0,) * (n - 1) + (1,))
-    for d in divisors(n):
-        if d < n:
-            poly = poly // cyclotomic_polynomial(d)
-    return poly
-
-
-@lru_cache(maxsize=None)
-def unity_reduction_table(n: int):
-    """Rows x^j mod Phi_n for j = 0..n-1, as integer tuples of length phi(n).
-
-    Since Phi_n divides x^n - 1, exponents reduce mod n; this table therefore
-    resolves zeta_n^j for every integer j via j % n.
-    """
-    phi = cyclotomic_polynomial(n)
-    deg = phi.degree
-    # -(low part of Phi_n) = x^deg mod Phi_n, used for the iterative shift
-    wrap = tuple(-c for c in phi.coeffs[:deg])
-    rows = []
-    cur = [0] * deg
-    if deg > 0:
-        cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
-        top = cur[deg - 1] if deg > 0 else 0
-        nxt = [0] * deg
-        for i in range(1, deg):
-            nxt[i] = cur[i - 1]
-        if top:
-            for i in range(deg):
-                nxt[i] += top * wrap[i]
-        cur = nxt
-    return tuple(rows)
-
-
-class CycloElement:
-    """Element of Z[zeta_n] (Q[zeta_n] after division), reduced mod Phi_n.
-
-    The representation is canonical, so the zero test and equality are
-    structural.  n = 1 is the degenerate field Q (phi(1) = 1 with zeta = 1).
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs):
-        self.n = n
-        deg = cyclotomic_polynomial(n).degree
-        coeffs = tuple(coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"residue must have length {deg} for n={n}")
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, (0,) * cyclotomic_polynomial(n).degree)
-
-    @classmethod
-    def from_int(cls, n, value):
-        deg = cyclotomic_polynomial(n).degree
-        return cls(n, (value,) + (0,) * (deg - 1))
-
-    @classmethod
-    def root_power(cls, n, k):
-        """zeta_n^k as a reduced element."""
-        return cls(n, unity_reduction_table(n)[k % n])
-
-    @classmethod
-    def from_poly(cls, n, coeffs):
-        """Reduce an arbitrary-degree integer/rational polynomial mod Phi_n."""
-        rem = UniPoly(coeffs) % cyclotomic_polynomial(n)
-        deg = cyclotomic_polynomial(n).degree
-        padded = list(rem.coeffs) + [0] * (deg - len(rem.coeffs))
-        return cls(n, padded)
-
-    @property
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def _check(self, other):
-        if isinstance(other, CycloElement):
-            if other.n != self.n:
-                raise ValueError("mixed cyclotomic moduli")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloElement.from_int(self.n, other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElement.from_int(self.n, other)
-        return (
-            isinstance(other, CycloElement)
-            and other.n == self.n
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
-    def __neg__(self):
-        return CycloElement(self.n, tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloElement(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElement(self.n, tuple(c * other for c in self.coeffs))
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        deg = len(self.coeffs)
-        conv = [0] * (2 * deg - 1 if deg else 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                conv[i + j] += a * b
-        table = unity_reduction_table(self.n)
-        out = list(conv[:deg]) + [0] * (deg - min(deg, len(conv)))
-        for e in range(deg, len(conv)):
-            c = conv[e]
-            if c:
-                row = table[e % self.n]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return CycloElement(self.n, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        g, u, _ = poly_xgcd(UniPoly(self.coeffs), cyclotomic_polynomial(self.n))
-        if g.degree != 0:
-            raise ArithmeticError("element not invertible (unreduced input?)")
-        return CycloElement.from_poly(self.n, u.coeffs)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __repr__(self):
-        return f"CycloElement(n={self.n}, {list(self.coeffs)!r})"
-
-
 def clear_denominators(values):
     """The ints and Fractions `values` times the lcm of their denominators,
     as ints (a rank- and root-preserving rescaling)."""
@@ -444,31 +249,18 @@ def clear_denominators(values):
     return [c.numerator * (lcm // c.denominator) for c in values]
 
 
-def _primitive(row):
-    """A row of ints and integer CycloElements divided by the gcd of all
-    their coefficients; a row holding a Fraction is returned unchanged."""
-    coeffs = [c for v in row for c in (v.coeffs if isinstance(v, CycloElement) else (v,))]
-    if not all(isinstance(c, int) for c in coeffs):
-        return row
-    g = math.gcd(*coeffs)
-    if g <= 1:
-        return row
-    return [CycloElement(v.n, [c // g for c in v.coeffs]) if isinstance(v, CycloElement) else v // g for v in row]
-
-
 def exact_rank(matrix) -> int:
-    """Rank over Q or Q(zeta_n) by fraction-free elimination.
+    """Rank over Q by fraction-free elimination.
 
-    Rational rows are scaled to integers (rank-invariant).  The rows are
-    then eliminated over Z or Z[zeta_n] by cross-multiplication alone
-    (row_i <- pivot * row_i - a_i * pivot_row), so nothing is inverted; each
-    updated row is divided by the integer gcd of its coefficients, a nonzero
-    scalar, which bounds coefficient growth and leaves the rank unchanged.
+    Rows are scaled to integers (rank-invariant), then eliminated over Z by
+    cross-multiplication alone (row_i <- pivot * row_i - a_i * pivot_row), so
+    nothing is inverted; each updated row is divided by the gcd of its
+    entries, a nonzero scalar, which bounds coefficient growth and leaves
+    the rank unchanged.
     """
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
-    cyclo = any(isinstance(v, CycloElement) for r in matrix for v in r)
-    rows = [list(r) for r in matrix] if cyclo else [clear_denominators(r) for r in matrix]
+    rows = [clear_denominators(r) for r in matrix]
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     for col in range(ncols):
@@ -484,7 +276,9 @@ def exact_rank(matrix) -> int:
         for i in range(rank + 1, nrows):
             ival = rows[i][col]
             if ival:
-                rows[i][col:] = _primitive([pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])])
+                row = [pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])]
+                g = math.gcd(*row)
+                rows[i][col:] = [a // g for a in row] if g > 1 else row
         rank += 1
         if rank == nrows:
             break
@@ -514,28 +308,35 @@ def _is_prime(m):
     return True
 
 
-@lru_cache(maxsize=None)
-def split_prime(n: int):
-    """(p, z): the largest prime p < 2^31 with p = 1 mod n, and an element z
-    of order exactly n in F_p.
+def split_primes(n: int):
+    """Yield (p, z) for every prime p < 2^31 with p = 1 mod n, largest
+    first, z an element of order exactly n in F_p.
 
-    z is a root of Phi_n mod p, so zeta_n -> z is a ring map Z[zeta_n] ->
-    F_p.  A minor that is nonzero mod p is then nonzero over Z[zeta_n]: the
-    rank of a reduced matrix is at most the rank over Q(zeta_n) (Cohen, A
-    Course in Computational Algebraic Number Theory, on reduction modulo
-    primes that split completely in Q(zeta_n)).
+    z is a root of Phi_n mod p, and so is z^k for every unit k mod n: the
+    phi(n) maps zeta_n -> z^k are ring maps Z[zeta_n] -> F_p, the reductions
+    at the phi(n) primes above p, which splits completely in Q(zeta_n)
+    (Cohen, A Course in Computational Algebraic Number Theory).  An element
+    that vanishes under all of them lies in pZ[zeta_n].
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    p = (2**31 - 2) // n * n + 1
-    while not _is_prime(p):
-        p -= n
     factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
-    for a in range(2, p):
-        z = pow(a, (p - 1) // n, p)
-        if all(pow(z, n // q, p) != 1 for q in factors):
-            return p, z
-    raise ArithmeticError(f"no element of order {n} mod {p}")  # unreachable: F_p* is cyclic
+    for p in range((2**31 - 2) // n * n + 1, n, -n):
+        if not _is_prime(p):
+            continue
+        for a in range(2, p):  # F_p* is cyclic, so some a^((p-1)/n) has order n
+            z = pow(a, (p - 1) // n, p)
+            if all(pow(z, n // q, p) != 1 for q in factors):
+                yield p, z
+                break
+
+
+@lru_cache(maxsize=None)
+def split_prime(n: int):
+    """The first (p, z) of split_primes(n): a minor that is nonzero under
+    zeta_n -> z is nonzero over Z[zeta_n], so the rank of a reduced matrix
+    is at most the rank over Q(zeta_n)."""
+    return next(split_primes(n))
 
 
 def modular_rank(stack, primes) -> np.ndarray:
@@ -566,17 +367,10 @@ def modular_rank(stack, primes) -> np.ndarray:
     return rank
 
 
-def _is_nonzero(x):
-    if isinstance(x, CycloElement):
-        return not x.is_zero
-    return bool(x)
-
-
 def exact_rref(matrix):
-    """Reduced row echelon form over an exact field (Fraction or CycloElement).
+    """Reduced row echelon form over Q (ints and Fractions).
 
-    Returns (rank, pivot_columns, rref_rows).  Entries must support exact
-    division; the input is not modified.
+    Returns (rank, pivot_columns, rref_rows); the input is not modified.
     """
     rows = [list(r) for r in matrix]
     if not rows:
@@ -587,17 +381,17 @@ def exact_rref(matrix):
     for col in range(ncols):
         piv = None
         for i in range(r, len(rows)):
-            if _is_nonzero(rows[i][col]):
+            if rows[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pval = rows[r][col]
-        inv = pval.inverse() if isinstance(pval, CycloElement) else Fraction(1) / Fraction(pval)
+        inv = Fraction(1) / Fraction(pval)
         rows[r] = [c * inv for c in rows[r]]
         for i in range(len(rows)):
-            if i != r and _is_nonzero(rows[i][col]):
+            if i != r and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
@@ -608,9 +402,9 @@ def exact_rref(matrix):
 
 
 def kernel_basis(matrix):
-    """Basis of the right kernel {v : M v = 0} over an exact field.
+    """Basis of the right kernel {v : M v = 0} over Q.
 
-    Basis vectors use 1/0/(-pivot entries); entry types follow the matrix.
+    Basis vectors use 1/0/(-pivot entries).
     """
     rows = [list(r) for r in matrix]
     if not rows:

@@ -1,22 +1,25 @@
 """The cyclotomic zero-test kernel behind the single-minor unity sweeps.
 
-A reduction table for zeta_n has shape (n, phi(n)); its row j is zeta_n^j
-reduced modulo the n-th cyclotomic polynomial.  A signed integer combination
-sum_t c_t zeta_n^(e_t) is therefore zero in Z[zeta_n] iff the same
-combination of table rows is the zero vector.  `unity_combos_vanish` asks
-that question for a whole array of combinations at once, and `det3_vanish`
-phrases the 3x3 power-matrix minors as such arrays, built chunk by chunk.
-Both are plain numpy.  Whether all minors of a power matrix vanish needs no
-table: `minors.unity_power_rank` answers it in closed form.
+An evaluation table for zeta_n has shape (n, phi(n)); its row j holds the
+images of zeta_n^j under the phi(n) maps zeta_n -> z^k mod p of a split
+prime (p, z) = `split_prime(n)`.  A signed integer combination
+sum_t c_t zeta_n^(e_t) with sum |c_t| < p is therefore zero in Z[zeta_n]
+iff the same combination of table rows is 0 mod p.  `unity_combos_vanish`
+asks that question for a whole array of combinations at once, and
+`det3_vanish` phrases the 3x3 power-matrix minors as such arrays, built
+chunk by chunk.  Both are plain numpy.  Whether all minors of a power
+matrix vanish needs no table: `minors.unity_power_rank` answers it in
+closed form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
-from .exact import unity_reduction_table
+from .exact import split_prime
 
 # Upper bound on the int64 entries of one gathered block of table rows in
 # unity_combos_vanish: the leading axis is processed in chunks below it.
@@ -31,17 +34,14 @@ DET3_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
 @lru_cache(maxsize=None)
-def reduction_table_array(n: int) -> np.ndarray:
-    """Reduction table for zeta_n as a C-contiguous, read-only int64 array.
-
-    Cached per n, so every caller shares one array.  Cyclotomic coefficient
-    growth is mild for desk-scale n, but guard the int64 cast anyway.
-    """
-    rows = unity_reduction_table(n)
-    arr = np.array(rows, dtype=np.int64)
-    if arr.size and np.abs(arr).max() > 2**40:
-        raise OverflowError(f"reduction table coefficients too large for n={n}")
-    arr = np.ascontiguousarray(arr)
+def evaluation_table(n: int) -> np.ndarray:
+    """Evaluation table for zeta_n as a C-contiguous, read-only int64 array
+    (n, phi(n)): row j, column i is z^(k_i * j) mod p, (p, z) =
+    split_prime(n), k_i the i-th unit mod n.  Cached per n, so every caller
+    shares one array."""
+    p, z = split_prime(n)
+    units = [k for k in range(n) if gcd(k, n) == 1]
+    arr = np.array([[pow(z, k * j, p) for k in units] for j in range(n)], dtype=np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -53,24 +53,47 @@ def _chunk_length(row_elements):
 
 
 def unity_combos_vanish(table, exps, coefs) -> np.ndarray:
-    """Is sum_t coefs[..., t] * zeta_n^exps[..., t] zero in Z[zeta_n]?
+    """Is alpha = sum_t coefs[..., t] * zeta_n^exps[..., t] zero in Z[zeta_n]?
 
-    `exps` is an integer array of at least two axes whose last axis runs
-    over the terms of one combination (any exponent, reduced mod n here);
-    `coefs` broadcasts against it.  Returns a bool array of shape
-    exps.shape[:-1].  The leading axis is processed in chunks so that a
-    gathered block of table rows holds at most BATCH_ELEMENTS entries.
+    `table` is evaluation_table(n).  `exps` is an integer array of at least
+    two axes whose last axis runs over the terms of one combination (any
+    exponent, reduced mod n here); `coefs` broadcasts against it.  Returns
+    a bool array of shape exps.shape[:-1].  The leading axis is processed in
+    chunks so that a gathered block of table rows holds at most
+    BATCH_ELEMENTS entries.
+
+    Claim.  With p the table's prime and sum_t |coefs[..., t]| < p, alpha
+    is zero iff every column of coefs @ rows is 0 mod p.
+
+    Proof.  Column i is alpha's image under zeta_n -> z^(k_i) in F_p, so a
+    zero alpha gives zero columns.  Conversely, the phi(n) maps are the
+    reductions at the phi(n) distinct primes P_i above p; p = 1 mod n is
+    unramified, so pZ[zeta_n] is their product and also their intersection.
+    Zero columns put alpha in every P_i, hence alpha = p * beta with beta
+    in Z[zeta_n].  If alpha were nonzero, its norm p^phi(n) N(beta) would
+    be at least p^phi(n) in absolute value, so some embedding would give
+    |sigma(alpha)| >= p; but |sigma(alpha)| <= sum_t |coefs[..., t]| < p,
+    since every sigma(zeta_n^e) has modulus 1.  So alpha = 0.
+
+    A combination with sum |coefs| >= p raises ValueError.  Below that
+    bound |coefs @ rows| < p^2 < 2^62, so the int64 products are exact.
     """
     n, phi = table.shape
+    p, _ = split_prime(n)
     exps = np.asarray(exps, dtype=np.int64)
-    coefs = np.broadcast_to(np.asarray(coefs, dtype=np.int64), exps.shape)
+    coefs = np.atleast_1d(np.asarray(coefs, dtype=np.int64))
+    # a term axis of length 1 broadcasts its coefficient to every term
+    norm = int(np.abs(coefs).sum(axis=-1).max(initial=0)) * (exps.shape[-1] // max(1, coefs.shape[-1]))
+    if norm >= p:
+        raise ValueError(f"combination with sum |coefs| = {norm} >= p = {p}: no exact zero test")
+    coefs = np.broadcast_to(coefs, exps.shape)
     out = np.empty(exps.shape[:-1], dtype=bool)
     chunk = _chunk_length(phi * int(np.prod(exps.shape[1:])))
     for start in range(0, len(exps), chunk):
         stop = start + chunk
         rows = np.take(table, exps[start:stop] % n, axis=0)
         acc = (coefs[start:stop, ..., None, :] @ rows)[..., 0, :]
-        out[start:stop] = ~acc.any(axis=-1)
+        out[start:stop] = ~(acc % p).any(axis=-1)
     return out
 
 
@@ -89,7 +112,8 @@ def det3_exponents(triples, ps, qs) -> np.ndarray:
 def det3_vanish(table, triples, ps, qs) -> np.ndarray:
     """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish, x = zeta_n^p,
     y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
-    `triples`?  A bool array (pairs, triples).
+    `triples`?  A bool array (pairs, triples).  Six unit terms, so
+    `unity_combos_vanish` decides each exactly.
 
     The exponents are built and tested in chunks of pairs, so neither a
     chunk's exponent block nor its gathered table rows exceed
@@ -105,4 +129,3 @@ def det3_vanish(table, triples, ps, qs) -> np.ndarray:
         exps = det3_exponents(triples, ps[start:stop], qs[start:stop])
         out[start:stop] = unity_combos_vanish(table, exps, DET3_SIGNS)
     return out
-

@@ -12,7 +12,8 @@ the admissible pairs of every modulus, and one split certificate per
 (B, n) from the one split search of `singres.supports`.  Every vanishing
 single minor is explained by row/column proportionality in integer
 congruences (`power_minor_explanation`, `exponent_minor_explanation`),
-which the single-minor checkers and the verification sweeps share.
+which the verification sweeps apply to every zero of the split-prime zero
+test of `singres.kernels`.
 
 Negative and arbitrarily large exponents are harmless: exponents reduce
 mod n exactly before any product.
@@ -28,15 +29,11 @@ from itertools import combinations
 import numpy as np
 
 from . import kernels
-from .exact import CycloElement
 from .supports import SupportSet, gap_gcd, split_dividing
 
 __all__ = [
-    "RootOfUnity",
-    "UnityPair",
     "residues",
     "unity_power_rank",
-    "all_minors_vanish",
     "two_class_split",
     "minors_split_equivalence_scan",
     "unity_minor_check",
@@ -47,49 +44,6 @@ __all__ = [
     "MinorCheck",
     "ScanReport",
 ]
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """Exact root of unity zeta_n^k (no admissibility constraints)."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "k", self.k % self.n)
-
-    def power(self, e: int) -> CycloElement:
-        return CycloElement.root_power(self.n, self.k * e)
-
-
-@dataclass(frozen=True)
-class UnityPair:
-    """Admissible pair x = zeta_n^p, y = zeta_n^q: x, y != 1 and x != y."""
-
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ValueError("modulus must be positive")
-        p, q = self.p % n, self.q % n
-        if p == 0 or q == 0 or p == q:
-            raise ValueError("unity pair requires x != 1, y != 1, x != y")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def x(self):
-        return RootOfUnity(self.n, self.p)
-
-    @property
-    def y(self):
-        return RootOfUnity(self.n, self.q)
 
 
 def admissible_pairs(n: int):
@@ -160,11 +114,6 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
         # rank 1 for one key; else 2 for two keys or a gap root, else 3
         out[start:stop] = np.minimum(distinct, 3 - gap)
     return out
-
-
-def all_minors_vanish(b: SupportSet, u: UnityPair) -> bool:
-    """Do all 3x3 minors of M(B; x, y) vanish?  Vacuously true for |B| < 3."""
-    return bool(unity_power_rank(b, u.n, [u.p], [u.q])[0] <= 2)
 
 
 def two_class_split(b: SupportSet, n: int):
@@ -350,24 +299,10 @@ def unity_minor_check(a: int, b: int, c: int, x, y, tol=1e-9) -> MinorCheck:
     """Structure of det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]].
 
     For unit-modulus x, y a vanishing determinant always comes with two
-    proportional rows or two proportional columns; this returns which.
-    Exact for RootOfUnity inputs, tolerance-based for complex ones.
+    proportional rows or two proportional columns; this returns which, with
+    tolerance `tol`, for complex x and y.  At roots of unity the exact
+    answer is kernels.det3_vanish plus power_minor_explanation.
     """
-    exps = (a, b, c)
-    if isinstance(x, RootOfUnity) and isinstance(y, RootOfUnity):
-        if x.n != y.n:
-            # lift to the common modulus
-            n = x.n * y.n // math.gcd(x.n, y.n)
-            x = RootOfUnity(n, x.k * (n // x.n))
-            y = RootOfUnity(n, y.k * (n // y.n))
-        xa, xb, xc = (x.power(e) for e in exps)
-        ya, yb, yc = (y.power(e) for e in exps)
-        det = (xb * yc - xc * yb) - (xa * yc - xc * ya) + (xa * yb - xb * ya)
-        if not det.is_zero:
-            return MinorCheck("Nondegenerate")
-        explained = power_minor_explanation(x.n, x.k, y.k, a, b, c)
-        return explained or MinorCheck("Degenerate-unexplained")  # impossible per the dichotomy
-    # float path
     xv, yv = complex(x), complex(y)
     m = [
         [1, 1, 1],
@@ -399,16 +334,12 @@ def exponent_power_minor_check(a: int, b: int, c: int, x, tol=1e-9) -> MinorChec
     """Structure of det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for distinct a, b, c.
 
     A vanishing determinant forces x^a = x^b = x^c (rows 1 and 3 equal up to
-    the factor x^a).
+    the factor x^a); tested with tolerance `tol` for complex x.  At roots of
+    unity the exact answer is kernels.unity_combos_vanish plus
+    exponent_minor_explanation.
     """
     if len({a, b, c}) != 3:
         raise ValueError("exponents must be distinct")
-    if isinstance(x, RootOfUnity):
-        xa, xb, xc = (x.power(e) for e in (a, b, c))
-        det = (b * xc - c * xb) - (a * xc - c * xa) + (a * xb - b * xa)
-        if not det.is_zero:
-            return MinorCheck("Nondegenerate")
-        return exponent_minor_explanation(x.n, x.k, a, b, c) or MinorCheck("Degenerate-unexplained")
     xv = complex(x)
     det = (
         (b * xv**c - c * xv**b)
@@ -422,27 +353,25 @@ def exponent_power_minor_check(a: int, b: int, c: int, x, tol=1e-9) -> MinorChec
     return MinorCheck("Degenerate-unexplained")
 
 
-def proportionality_structure(matrix, is_zero=None):
+def proportionality_structure(matrix):
     """Row/column proportionality structure of a matrix with nonzero entries.
 
     Returns ("TwoPropRows", (i, j)), ("ColumnGroups", partition) when the
     columns fall into at most two proportionality classes, or ("Neither",).
-    Works over any exact scalar type; pass `is_zero` for custom zero tests.
+    Works over any exact scalar type whose truth value is nonzeroness.
     """
-    if is_zero is None:
-        is_zero = lambda v: (v.is_zero if isinstance(v, CycloElement) else not v)
     rows = [list(r) for r in matrix]
     nr, nc = len(rows), len(rows[0])
     if nc < 3:
         raise ValueError("need at least three columns")
     for r in rows:
         for v in r:
-            if is_zero(v):
+            if not v:
                 raise ValueError("matrix entries must be nonzero")
 
     def vec_prop(u, v):
-        return all(
-            is_zero(u[i] * v[j] - u[j] * v[i])
+        return not any(
+            u[i] * v[j] - u[j] * v[i]
             for i, j in combinations(range(len(u)), 2)
         )
 

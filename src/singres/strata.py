@@ -14,9 +14,9 @@ plus one orbit direction).  The float samples of the minor-curve components
 are drawn first and evaluated as one stack (`_span_dimensions`), one
 stacked SVD per side and per final matrix shape, all ranked by one
 threshold (`_svd_rank`).  The corank-strata scan ranks root-of-unity tuples
-exactly (closed form, or a rank mod a split prime with division-free
-elimination over Z[zeta_n] where that is not full) and takes the generic
-corank from the same closed form; its seed only picks witness tuples.
+exactly (closed form, or a rank mod a split prime, with the conjugates at
+several split primes where that is not full) and takes the generic corank
+from the same closed form; its seed only picks witness tuples.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .exact import exact_rank, kernel_basis, modular_rank, split_prime
+from .exact import kernel_basis, modular_rank, split_prime, split_primes
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
-from .minors import RootOfUnity, residues, unity_power_rank
+from .minors import residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
@@ -248,16 +248,9 @@ class SolutionTuple:
 
     def __post_init__(self):
         pts = tuple(self.points)
-        keys = []
-        for x in pts:
-            if isinstance(x, RootOfUnity):
-                g = gcd(x.k, x.n) if x.k else x.n
-                keys.append(("unity", x.k // g, x.n // g))
-            else:
-                if not x:
-                    raise ValueError("solution points must be nonzero")
-                keys.append(("scalar", complex(x)))
-        if len(set(keys)) != len(keys):
+        if not all(pts):
+            raise ValueError("solution points must be nonzero")
+        if len({complex(x) for x in pts}) != len(pts):
             raise ValueError("solution points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 
@@ -269,8 +262,6 @@ class SolutionTuple:
 
 
 def _point_power(x, e):
-    if isinstance(x, RootOfUnity):
-        return x.power(e)
     if isinstance(x, (int, Fraction)):
         return Fraction(x) ** e
     return complex(x) ** e
@@ -307,9 +298,9 @@ def _svd_rank(sv):
 def corank_kernel(rows):
     """(corank, kernel basis) of the linear map f -> M f.
 
-    corank = rows - rank; thresholded SVD for floats, and for rational /
-    cyclotomic entries one exact elimination (kernel_basis), whose kernel
-    dimension gives the rank as columns - kernel dimension.
+    corank = rows - rank; thresholded SVD for floats, and for rational
+    entries one exact elimination (kernel_basis), whose kernel dimension
+    gives the rank as columns - kernel dimension.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -927,57 +918,95 @@ def _unity_coranks_monomial(b: SupportSet, ns, exps):
     return k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
 
 
-def _unity_corank_general(b: SupportSet, exps, n, js):
-    """Exact corank of the multiplicity Vandermonde at the tuple zeta_n^p,
-    p in exps: one fraction-free elimination over Z[zeta_n]."""
-    rows = multiplicity_vandermonde(b, [RootOfUnity(n, p) for p in exps], js)
-    return len(rows) - exact_rank(rows)
-
-
-def _unity_coranks(b: SupportSet, js, ns, exps, configs):
+def _unity_coranks(b: SupportSet, js, ns, exps):
     """Exact corank sum(js) - rank of the multiplicity Vandermonde of b with
-    orders js at every root-of-unity tuple of a scan table (ns, exps,
-    configs); an int array.
+    orders js at every root-of-unity tuple of a scan table (ns, exps); an
+    int array.
 
     An order-1 side takes the closed form, one unity_power_rank call.  A side
-    with multiplicities is ranked mod p for every tuple at once
+    with multiplicities is ranked mod split_prime(n) for every tuple at once
     (`_unity_stack`, `modular_rank`): rank_p <= rank <= min(rows, |B|), so a
-    full rank_p is the rank, and only the other tuples take exact_rank over
-    Z[zeta_n].
+    full rank_p is the rank, and only the other tuples take the conjugate
+    ranks of `_conjugate_ranks`.
     """
     if all(j == 1 for j in js):
         return _unity_coranks_monomial(b, ns, exps)
-    cork = sum(js) - modular_rank(*_unity_stack(b.elements, js, ns, exps))
-    for i in np.flatnonzero(cork > max(0, sum(js) - len(b))).tolist():
-        n, tup = configs[i]
-        cork[i] = _unity_corank_general(b, tup, n, js)
-    return cork
+    primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
+    rank = modular_rank(_unity_stack(b.elements, js, ns, exps, primes, roots), primes)
+    short = np.flatnonzero(rank < min(sum(js), len(b)))
+    if len(short):
+        rank[short] = _conjugate_ranks(b.elements, js, ns[short], exps[short])
+    return sum(js) - rank
 
 
-def _unity_stack(eff, js, ns, exps):
+def _conjugate_ranks(eff, js, ns, exps):
+    """Exact rank over Q(zeta_n) of the multiplicity Vandermonde of the
+    exponents eff at every root-of-unity tuple zeta_n^p, p in exps[s], n =
+    ns[s]: the largest rank mod p of its phi(n) conjugates (the tuple times
+    each unit k mod n) at each of the first m primes p = 1 mod n of
+    split_primes(n), m the least with prod(p) > H.  One modular_rank call.
+
+    Claim.  Let r be the rank and H the product of the R = min(rows, |eff|)
+    largest row bounds isqrt(sum_e falling(e, d)^2) + 1, e unreduced, and
+    let prod p > H.  Then the largest of those ranks is r.
+
+    Proof.  Each conjugate at p is the image of the matrix under a ring map
+    Z[zeta_n] -> F_p, so every rank mod p is at most r.  Some r-minor delta
+    is nonzero.  An entry falling(e, d) x^(e-d) has |sigma(entry)| =
+    |falling(e, d)| under every embedding sigma, so Hadamard's inequality
+    gives |sigma(delta)| <= H: the row bounds exceed the row norms and are
+    at least 1, so H covers any r <= R rows.  If delta vanished under every
+    map zeta_n -> z^k mod p of every prime used, it would lie in pZ[zeta_n]
+    for each p (`split_primes`), hence in (prod p)Z[zeta_n], and being
+    nonzero its norm would force |sigma(delta)| >= prod p > H for some
+    sigma.  So delta survives some (p, k), where the rank is at least r.
+    """
+    rows = [d for j in js for d in range(j)]
+    norms = sorted((isqrt(sum(falling(e, d) ** 2 for e in eff)) + 1 for d in rows), reverse=True)
+    bound = prod(norms[: min(len(rows), len(eff))])
+    chosen = {}
+    for n in set(ns.tolist()):
+        chosen[n], modulus = [], 1
+        for p, z in split_primes(n):
+            chosen[n].append((p, z))
+            modulus *= p
+            if modulus > bound:
+                break
+    cases = [
+        (s, n, [t * k % n for t in tup], p, z)
+        for s, (n, tup) in enumerate(zip(ns.tolist(), exps.tolist()))
+        for p, z in chosen[n]
+        for k in range(n)
+        if gcd(k, n) == 1
+    ]
+    owner, cns, cexps, primes, roots = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    ranks = modular_rank(_unity_stack(eff, js, cns, cexps, primes, roots), primes)
+    out = np.zeros(len(ns), dtype=np.int64)
+    np.maximum.at(out, owner, ranks)
+    return out
+
+
+def _unity_stack(eff, js, ns, exps, primes, roots):
     """The multiplicity Vandermonde of the exponents eff at every
-    root-of-unity tuple zeta_n^p, p in exps[s], n = ns[s], sent to F_p by
-    zeta_n -> z of split_prime(n): the int64 stack (S, sum(js), len(eff))
-    and the primes.
+    root-of-unity tuple zeta_n^p, p in exps[s], n = ns[s], sent to F_p, p =
+    primes[s], by zeta_n -> roots[s]: the int64 stack (S, sum(js), len(eff)).
 
     Exponents reduce mod n (`residues`) and falling(e, d) mod p in Python
-    ints, so exponents of any size stay exact.  One array pass per modulus.
+    ints, so exponents of any size stay exact.  One array pass per modulus
+    and prime.
     """
     rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
     point = np.array([m for m, _ in rows])
     derivs = np.array([d for _, d in rows])[:, None]
     reduced = residues(eff, ns)
     stack = np.empty((len(ns), len(rows), len(eff)), dtype=np.int64)
-    primes = np.empty(len(ns), dtype=np.int64)
-    for n in sorted(set(ns.tolist())):
-        p, z = split_prime(n)
-        sel = np.flatnonzero(ns == n)
+    for n, p, z in sorted(set(zip(ns.tolist(), primes.tolist(), roots.tolist()))):
+        sel = np.flatnonzero((ns == n) & (primes == p) & (roots == z))
         powers = np.array([pow(z, t, p) for t in range(n)], dtype=np.int64)
         fall = np.array([[falling(e, d) % p for e in eff] for _, d in rows], dtype=np.int64)
         # zeta_n^(p_m * (e - d)) for row (m, d), column e
         stack[sel] = fall * powers[exps[sel][:, point, None] * ((reduced[sel][:, None, :] - derivs) % n) % n] % p
-        primes[sel] = p
-    return stack, primes
+    return stack
 
 
 def _unity_components(pair, label, n_max):
@@ -1015,7 +1044,7 @@ def _unity_components(pair, label, n_max):
     if not all(effs):
         return len(configs), []
     kds = [
-        len(eff) - sum(js) + _unity_coranks(SupportSet(eff), js, ns, exps, configs)
+        len(eff) - sum(js) + _unity_coranks(SupportSet(eff), js, ns, exps)
         for eff, js in zip(effs, (label.side_orders(1), label.side_orders(2)))
     ]
     live = np.flatnonzero((kds[0] > 0) & (kds[1] > 0)).tolist()
@@ -1032,11 +1061,11 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     closed-form rank of minors.unity_power_rank, one array pass over the
     tuples of every modulus at once, with no cyclotomic arithmetic; a side
     with multiplicities is ranked mod a split prime in one array pass, and
-    only the tuples where that rank is not full run a fraction-free
-    exact_rank over Z[zeta_n] (`_unity_coranks`).  When both sides have the
-    same support and orders, each corank is computed once and used for
-    both.  The strata counts, first
-    witnesses and gap-form mismatches are read off the corank arrays.
+    only the tuples where that rank is not full take the largest rank of
+    their conjugates at several split primes, in one more pass
+    (`_unity_coranks`).  When both sides have the same support and orders,
+    each corank is computed once and used for both.  The strata counts,
+    first witnesses and gap-form mismatches are read off the corank arrays.
 
     The generic corank is certified as max(0, sum(js) - |B|) per side, with
     no elimination, by Descartes' rule of signs (`_generic_kernel_dims`).
@@ -1059,8 +1088,8 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
 
     ns, exps, configs = _scan_table(k, n_max)
-    cork1 = _unity_coranks(pair.b1, js1, ns, exps, configs)
-    cork2 = cork1 if same_sides else _unity_coranks(pair.b2, js2, ns, exps, configs)
+    cork1 = _unity_coranks(pair.b1, js1, ns, exps)
+    cork2 = cork1 if same_sides else _unity_coranks(pair.b2, js2, ns, exps)
     report.configs_scanned = len(configs)
     # each nonzero (c1, c2) under its first tuple, in scan order; a corank
     # is at most the row count sum(js)

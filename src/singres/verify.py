@@ -4,8 +4,8 @@ facts at desk scale and reports pass/fail with timings.
 The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
 computed by the stated independent oracles.  The single-minor unity sweeps
-make one batched kernel call per modulus (see `singres.kernels`) and explain
-each zero with the congruence explanations of `singres.minors`.
+make one batched split-prime zero test per modulus (see `singres.kernels`)
+and explain each zero with the congruence explanations of `singres.minors`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import exact_rank
 from .germs import PlaneGerm, classify_germ, slice_germ
-from .kernels import det3_vanish, reduction_table_array, unity_combos_vanish
+from .kernels import det3_vanish, evaluation_table, unity_combos_vanish
 from .laurent import LaurentPoly, classify_point
 from .minors import (
     admissible_pairs,
@@ -162,7 +162,7 @@ def check_unity_minor_explanations(n_max=24, span=5):
     checked = 0
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
-        table = reduction_table_array(n)
+        table = evaluation_table(n)
         vanish = det3_vanish(table, triples, ps, qs)
         checked += vanish.size
         for i, t in np.argwhere(vanish).tolist():
@@ -175,7 +175,7 @@ def check_unity_minor_explanations(n_max=24, span=5):
     row_exps = np.stack([c, b, a], axis=1)
     coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
-        table = reduction_table_array(n)
+        table = evaluation_table(n)
         vanish = unity_combos_vanish(table, np.arange(n)[:, None, None] * row_exps, coefs)
         checked += vanish.size
         for p, t in np.argwhere(vanish).tolist():

@@ -1,0 +1,369 @@
+"""Exact Z[zeta_n] arithmetic by reduction modulo the cyclotomic polynomial:
+the independent oracle for the split-prime decisions of the package.
+
+`CycloElement` keeps a canonical residue mod Phi_n, so its zero test is
+structural.  On top of it sit the field RREF and the fraction-free rank over
+Q(zeta_n), exact roots of unity, the multiplicity Vandermonde at them, the
+all-minors test of the power matrix and the exact single-minor checks.  The
+package decides the same facts modulo primes that split completely in
+Q(zeta_n) (`singres.kernels`, `singres.strata._conjugate_ranks`); these
+tests compare the two.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
+from singres.exact import UniPoly, clear_denominators, divisors
+from singres.laurent import falling
+from singres.minors import MinorCheck, exponent_minor_explanation, power_minor_explanation
+
+
+def poly_xgcd(p: UniPoly, q: UniPoly):
+    """Extended gcd: returns (g, u, v) monic with u*p + v*q = g."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("undefined gcd")
+    a, b = p, q
+    ua, va = UniPoly.one(), UniPoly.zero()
+    ub, vb = UniPoly.zero(), UniPoly.one()
+    while not b.is_zero:
+        quo, rem = divmod(a, b)
+        a, b = b, rem
+        ua, ub = ub, ua - quo * ub
+        va, vb = vb, va - quo * vb
+    inv = Fraction(1) / a.lead
+    return a.monic(), ua * inv, va * inv
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> UniPoly:
+    """Monic n-th cyclotomic polynomial with integer coefficients.
+
+    Computed as (x^n - 1) divided by the product of the proper-divisor
+    cyclotomics; all intermediate divisions are exact over the integers.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    poly = UniPoly((-1,) + (0,) * (n - 1) + (1,))
+    for d in divisors(n):
+        if d < n:
+            poly = poly // cyclotomic_polynomial(d)
+    return poly
+
+
+@lru_cache(maxsize=None)
+def unity_reduction_table(n: int):
+    """Rows x^j mod Phi_n for j = 0..n-1, as integer tuples of length phi(n).
+
+    Since Phi_n divides x^n - 1, exponents reduce mod n; this table therefore
+    resolves zeta_n^j for every integer j via j % n.
+    """
+    phi = cyclotomic_polynomial(n)
+    deg = phi.degree
+    # -(low part of Phi_n) = x^deg mod Phi_n, used for the iterative shift
+    wrap = tuple(-c for c in phi.coeffs[:deg])
+    rows = []
+    cur = [0] * deg
+    if deg > 0:
+        cur[0] = 1
+    for _ in range(n):
+        rows.append(tuple(cur))
+        top = cur[deg - 1] if deg > 0 else 0
+        nxt = [0] * deg
+        for i in range(1, deg):
+            nxt[i] = cur[i - 1]
+        if top:
+            for i in range(deg):
+                nxt[i] += top * wrap[i]
+        cur = nxt
+    return tuple(rows)
+
+
+class CycloElement:
+    """Element of Z[zeta_n] (Q[zeta_n] after division), reduced mod Phi_n.
+
+    The representation is canonical, so the zero test and equality are
+    structural.  n = 1 is the degenerate field Q (phi(1) = 1 with zeta = 1).
+    """
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n, coeffs):
+        self.n = n
+        deg = cyclotomic_polynomial(n).degree
+        coeffs = tuple(coeffs)
+        if len(coeffs) != deg:
+            raise ValueError(f"residue must have length {deg} for n={n}")
+        self.coeffs = coeffs
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n, (0,) * cyclotomic_polynomial(n).degree)
+
+    @classmethod
+    def from_int(cls, n, value):
+        deg = cyclotomic_polynomial(n).degree
+        return cls(n, (value,) + (0,) * (deg - 1))
+
+    @classmethod
+    def root_power(cls, n, k):
+        """zeta_n^k as a reduced element."""
+        return cls(n, unity_reduction_table(n)[k % n])
+
+    @classmethod
+    def from_poly(cls, n, coeffs):
+        """Reduce an arbitrary-degree integer/rational polynomial mod Phi_n."""
+        rem = UniPoly(coeffs) % cyclotomic_polynomial(n)
+        deg = cyclotomic_polynomial(n).degree
+        padded = list(rem.coeffs) + [0] * (deg - len(rem.coeffs))
+        return cls(n, padded)
+
+    @property
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def _check(self, other):
+        if isinstance(other, CycloElement):
+            if other.n != self.n:
+                raise ValueError("mixed cyclotomic moduli")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CycloElement.from_int(self.n, other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = CycloElement.from_int(self.n, other)
+        return (
+            isinstance(other, CycloElement)
+            and other.n == self.n
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+    def __neg__(self):
+        return CycloElement(self.n, tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CycloElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CycloElement(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CycloElement(self.n, tuple(c * other for c in self.coeffs))
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        deg = len(self.coeffs)
+        conv = [0] * (2 * deg - 1 if deg else 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                conv[i + j] += a * b
+        table = unity_reduction_table(self.n)
+        out = list(conv[:deg]) + [0] * (deg - min(deg, len(conv)))
+        for e in range(deg, len(conv)):
+            c = conv[e]
+            if c:
+                row = table[e % self.n]
+                for i in range(deg):
+                    out[i] += c * row[i]
+        return CycloElement(self.n, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        g, u, _ = poly_xgcd(UniPoly(self.coeffs), cyclotomic_polynomial(self.n))
+        if g.degree != 0:
+            raise ArithmeticError("element not invertible (unreduced input?)")
+        return CycloElement.from_poly(self.n, u.coeffs)
+
+    def __repr__(self):
+        return f"CycloElement(n={self.n}, {list(self.coeffs)!r})"
+
+
+def _primitive(row):
+    """A row of ints and integer CycloElements divided by the gcd of all
+    their coefficients; a row holding a Fraction is returned unchanged."""
+    coeffs = [c for v in row for c in (v.coeffs if isinstance(v, CycloElement) else (v,))]
+    if not all(isinstance(c, int) for c in coeffs):
+        return row
+    g = math.gcd(*coeffs)
+    if g <= 1:
+        return row
+    return [CycloElement(v.n, [c // g for c in v.coeffs]) if isinstance(v, CycloElement) else v // g for v in row]
+
+
+def cyclo_rank(matrix) -> int:
+    """Rank over Q or Q(zeta_n) by fraction-free elimination.
+
+    Rational rows are scaled to integers (rank-invariant).  The rows are
+    then eliminated over Z or Z[zeta_n] by cross-multiplication alone
+    (row_i <- pivot * row_i - a_i * pivot_row), so nothing is inverted; each
+    updated row is divided by the integer gcd of its coefficients, a nonzero
+    scalar, which bounds coefficient growth and leaves the rank unchanged.
+    """
+    if not matrix or not matrix[0]:
+        raise ValueError("matrix must be nonempty")
+    cyclo = any(isinstance(v, CycloElement) for r in matrix for v in r)
+    rows = [list(r) for r in matrix] if cyclo else [clear_denominators(r) for r in matrix]
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pval = rows[rank][col]
+        for i in range(rank + 1, nrows):
+            ival = rows[i][col]
+            if ival:
+                rows[i][col:] = _primitive([pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])])
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def cyclo_rref(matrix):
+    """Reduced row echelon form over Q or Q(zeta_n) (Fraction or
+    CycloElement entries): (rank, pivot_columns, rref_rows)."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return 0, [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pval = rows[r][col]
+        inv = pval.inverse() if isinstance(pval, CycloElement) else Fraction(1) / Fraction(pval)
+        rows[r] = [c * inv for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots, rows
+
+
+@dataclass(frozen=True)
+class RootOfUnity:
+    """Exact root of unity zeta_n^k (no admissibility constraints)."""
+
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("modulus must be positive")
+        object.__setattr__(self, "k", self.k % self.n)
+
+    def power(self, e: int) -> CycloElement:
+        return CycloElement.root_power(self.n, self.k * e)
+
+
+@dataclass(frozen=True)
+class UnityPair:
+    """Admissible pair x = zeta_n^p, y = zeta_n^q: x, y != 1 and x != y."""
+
+    n: int
+    p: int
+    q: int
+
+    def __post_init__(self):
+        n = self.n
+        if n < 1:
+            raise ValueError("modulus must be positive")
+        p, q = self.p % n, self.q % n
+        if p == 0 or q == 0 or p == q:
+            raise ValueError("unity pair requires x != 1, y != 1, x != y")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+
+def cyclo_det3(n, a, b, c, p, q):
+    """det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]], x = zeta_n^p, y = zeta_n^q,
+    in Z[zeta_n]: cofactor expansion along the row of ones."""
+    x = [CycloElement.root_power(n, p * e) for e in (a, b, c)]
+    y = [CycloElement.root_power(n, q * e) for e in (a, b, c)]
+    return (x[1] * y[2] - x[2] * y[1]) - (x[0] * y[2] - x[2] * y[0]) + (x[0] * y[1] - x[1] * y[0])
+
+
+def all_minors_vanish(b, u: UnityPair) -> bool:
+    """Do all 3x3 minors of M(B; x, y) vanish in Z[zeta_n]?  Vacuously true
+    for |B| < 3."""
+    return all(cyclo_det3(u.n, *t, u.p, u.q).is_zero for t in combinations(b.elements, 3))
+
+
+def unity_vandermonde(b, pts, js):
+    """The multiplicity Vandermonde of b at pairwise distinct RootOfUnity
+    points with orders js: rows falling(e, d) * x^(e - d), d < j, over
+    Z[zeta_n] (every point lifted to the lcm of the moduli)."""
+    n = math.lcm(*(x.n for x in pts))
+    lifted = [RootOfUnity(n, x.k * (n // x.n)) for x in pts]
+    if len({x.k for x in lifted}) != len(pts) or len(pts) != len(js):
+        raise ValueError("one multiplicity per pairwise distinct point required")
+    return [
+        [falling(e, d) * x.power(e - d) for e in b.elements]
+        for x, j in zip(lifted, js)
+        for d in range(j)
+    ]
+
+
+def unity_minor_check(a, b, c, x: RootOfUnity, y: RootOfUnity) -> MinorCheck:
+    """Structure of det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] at exact roots
+    of unity: Nondegenerate, or the proportional rows or columns."""
+    n = math.lcm(x.n, y.n)
+    p, q = x.k * (n // x.n), y.k * (n // y.n)
+    if not cyclo_det3(n, a, b, c, p, q).is_zero:
+        return MinorCheck("Nondegenerate")
+    return power_minor_explanation(n, p, q, a, b, c) or MinorCheck("Degenerate-unexplained")
+
+
+def exponent_power_minor_check(a, b, c, x: RootOfUnity) -> MinorCheck:
+    """Structure of det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] at an exact root of
+    unity, for distinct a, b, c."""
+    if len({a, b, c}) != 3:
+        raise ValueError("exponents must be distinct")
+    xa, xb, xc = (x.power(e) for e in (a, b, c))
+    if not ((b * xc - c * xb) - (a * xc - c * xa) + (a * xb - b * xa)).is_zero:
+        return MinorCheck("Nondegenerate")
+    return exponent_minor_explanation(x.n, x.k, a, b, c) or MinorCheck("Degenerate-unexplained")
+
+
+def power_rank(b, n, p, q) -> int:
+    """Rank of M(B; zeta_n^p, zeta_n^q) over Q(zeta_n), by the RREF."""
+    return cyclo_rref([[CycloElement.root_power(n, r * e) for e in b.elements] for r in (0, p, q)])[0]
+

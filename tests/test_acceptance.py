@@ -71,7 +71,8 @@ def test_minors_split_equivalence_regression():
     import math
     from collections import Counter
 
-    from singres.minors import UnityPair, all_minors_vanish, minors_split_equivalence_scan, two_class_split
+    from cyclo_oracle import UnityPair, all_minors_vanish
+    from singres.minors import minors_split_equivalence_scan, two_class_split, unity_power_rank
     from singres.supports import SupportSet, gap_gcd
 
     rep = minors_split_equivalence_scan(10, 8, (3, 4))
@@ -91,6 +92,7 @@ def test_minors_split_equivalence_regression():
     assert census == {"x": 102, "y": 102, "x/y": 102}
     witness = SupportSet.of(0, 2, 4)
     assert all_minors_vanish(witness, UnityPair(6, 1, 3))
+    assert unity_power_rank(witness, 6, [1], [3]).tolist() == [2]
     assert two_class_split(witness, 6) is None
 
 

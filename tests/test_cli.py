@@ -254,7 +254,8 @@ class TestSharedFlags:
             (("resultant", "--b1", "0,1", "--b2", "0,1", "--det-bound", "9"), {"det_bound": 9, "out": None}),
             (("point-classify", "--input", "-", "--tolerance", "1e-6"), {"tolerance": 1e-6, "out": None}),
             (("project3d", "--input", "-", "--seed", "3"), {"tolerance": 1e-8, "seed": 3, "out": None}),
-            (("scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3"), {"n_max": 2, "seed": 0, "out": None}),
+            (("scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3"), {"n_max": 2, "out": None}),
+            (("scan", "strata", "--b1", "0,1,3", "--b2", "0,3", "--label", "N(1)", "--n-max", "2"), {"n_max": 2, "seed": 0, "out": None}),
         ],
     )
     def test_config_echoes_exactly_the_flags_taken(self, capsys, monkeypatch, argv, shared):
@@ -332,7 +333,8 @@ class TestScan:
         report_path = out.strip()
         data = json.loads(open(report_path).read())
         assert data["kind"] == "minors"
-        assert data["config"]["n_max"] == 4
+        # the minors scan reads --n-max and --out; it draws nothing, so no seed
+        assert data["config"] == {"n_max": 4, "out": str(tmp_path)}
 
     def test_strata_scan(self, capsys):
         code, out = run(

@@ -6,19 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singres.exact import (
+from cyclo_oracle import (
     CycloElement,
-    UniPoly,
+    cyclo_rank,
+    cyclo_rref,
     cyclotomic_polynomial,
-    exact_rank,
-    exact_rref,
-    kernel_basis,
-    poly_gcd,
     poly_xgcd,
-    solve_exact,
-    squarefree_decomposition,
     unity_reduction_table,
 )
+from singres.exact import (
+    UniPoly,
+    exact_rank,
+    kernel_basis,
+    poly_gcd,
+    solve_exact,
+    squarefree_decomposition,
+)
+from singres.minors import unity_power_rank
+from singres.supports import SupportSet
 
 
 def euler_phi(n: int) -> int:
@@ -242,21 +247,22 @@ class TestRank:
             [CycloElement.root_power(n, p * b) for b in (0, 3, 6)]
             for p in (0, 1, 2)
         ]
-        rank, _, _ = exact_rref(rows)
+        rank, _, _ = cyclo_rref(rows)
         assert rank == 1
-        assert exact_rank(rows) == 1
+        assert cyclo_rank(rows) == 1
+        assert unity_power_rank(SupportSet((0, 3, 6)), n, [1], [2]).tolist() == [1]
 
     def test_cyclo_rank_with_integer_content_and_fractions(self):
         # rows sharing integer content are divided by it; a Fraction entry
         # skips the division; neither changes the rank
         z = CycloElement.root_power(6, 1)
         rows = [[6 * z, 4, 2 * z * z], [3 * z, 2, z * z], [Fraction(1, 2) * z, Fraction(1, 3), 1]]
-        assert exact_rank(rows) == exact_rref(rows)[0] == 2
+        assert cyclo_rank(rows) == cyclo_rref(rows)[0] == 2
         content = [[12 * z, 8 * z * z], [18 * z * z, 30]]
-        assert exact_rank(content) == exact_rref(content)[0] == 2
+        assert cyclo_rank(content) == cyclo_rref(content)[0] == 2
 
     def test_cyclo_rank_matches_rref(self):
-        # the division-free elimination over Z[zeta_n] against the field RREF,
+        # the oracle's division-free elimination over Z[zeta_n] against its field RREF,
         # with planted dependent rows so that rank deficiency is common
         rng = random.Random(9)
         deficient = 0
@@ -277,7 +283,7 @@ class TestRank:
                 if rng.random() < 0.4:
                     a, b = entry(), entry()
                     rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
-            want = exact_rref(rows)[0]
-            assert exact_rank(rows) == want, (n, rows)
+            want = cyclo_rref(rows)[0]
+            assert cyclo_rank(rows) == want, (n, rows)
             deficient += want < min(nrows, ncols)
         assert deficient > 50

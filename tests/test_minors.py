@@ -5,16 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from singres.exact import CycloElement, exact_rref
+import cyclo_oracle
+from cyclo_oracle import CycloElement, RootOfUnity, UnityPair, cyclo_det3, power_rank
 from singres import kernels
-from singres.kernels import DET3_SIGNS, det3_exponents, det3_vanish, reduction_table_array, unity_combos_vanish
+from singres.exact import split_prime
+from singres.kernels import DET3_SIGNS, det3_exponents, det3_vanish, evaluation_table, unity_combos_vanish
 from singres.minors import (
     _order2_mechanism,
-    RootOfUnity,
+    MinorCheck,
     ScanReport,
-    UnityPair,
     admissible_pairs,
-    all_minors_vanish,
+    exponent_minor_explanation,
     exponent_power_minor_check,
     power_minor_explanation,
     minors_split_equivalence_scan,
@@ -30,6 +31,14 @@ from singres.verify import check_unity_minor_explanations
 
 def S(*xs):
     return SupportSet.of(*xs)
+
+
+def all_minors_vanish(b, u):
+    """The oracle's all-minors test in Z[zeta_n], asserted equal to the
+    closed-form rank of unity_power_rank."""
+    want = cyclo_oracle.all_minors_vanish(b, u)
+    assert (unity_power_rank(b, u.n, [u.p], [u.q]) <= 2).tolist() == [want], (b, u)
+    return want
 
 
 class TestUnityPair:
@@ -179,9 +188,15 @@ class TestEquivalenceScan:
 
 class TestMinorChecks:
     def test_power_matrix_examples(self):
-        assert unity_minor_check(0, 1, 2, RootOfUnity(4, 1), RootOfUnity(4, 2)).tag == "Nondegenerate"
-        out = unity_minor_check(0, 2, 4, RootOfUnity(4, 2), RootOfUnity(4, 1))
+        assert cyclo_oracle.unity_minor_check(0, 1, 2, RootOfUnity(4, 1), RootOfUnity(4, 2)).tag == "Nondegenerate"
+        out = cyclo_oracle.unity_minor_check(0, 2, 4, RootOfUnity(4, 2), RootOfUnity(4, 1))
         assert (out.tag, out.rows) == ("PropRows", (1, 2))
+        # the package's exact path: the split-prime zero test, then the explanation
+        assert det3_vanish(evaluation_table(4), [(0, 1, 2), (0, 2, 4)], [1, 2], [2, 1]).tolist() == [
+            [False, True],
+            [False, True],
+        ]
+        assert power_minor_explanation(4, 2, 1, 0, 2, 4) == out
 
     def test_power_matrix_property(self):
         # every vanishing determinant over roots of unity is explained
@@ -189,11 +204,11 @@ class TestMinorChecks:
         for n in range(3, 31):
             ps, qs = admissible_pairs(n)
             exps = det3_exponents(triples, ps, qs)
-            vanish = unity_combos_vanish(reduction_table_array(n), exps, DET3_SIGNS)
+            vanish = unity_combos_vanish(evaluation_table(n), exps, DET3_SIGNS)
             for i, t in np.argwhere(vanish).tolist():
                 p, q = int(ps[i]), int(qs[i])
                 assert power_minor_explanation(n, p, q, *triples[t]) is not None, (n, p, q, triples[t])
-        # the exact determinant path, once per outcome
+        # the oracle's determinant against the package's path, once per outcome
         spot = [
             ((0, 1, 2), 4, 1, 2, ("Nondegenerate", None, None)),
             ((0, 2, 4), 4, 2, 1, ("PropRows", (1, 2), None)),
@@ -202,8 +217,11 @@ class TestMinorChecks:
             ((0, 1, 4), 3, 1, 2, ("PropCols", None, (2, 3))),
         ]
         for triple, n, p, q, want in spot:
-            out = unity_minor_check(*triple, RootOfUnity(n, p), RootOfUnity(n, q))
+            out = cyclo_oracle.unity_minor_check(*triple, RootOfUnity(n, p), RootOfUnity(n, q))
             assert (out.tag, out.rows, out.cols) == want, (triple, n, p, q)
+            vanish = det3_vanish(evaluation_table(n), [triple], [p], [q])[0, 0]
+            assert vanish == (out.tag != "Nondegenerate")
+            assert power_minor_explanation(n, p, q, *triple) == (out if vanish else None)
 
     def test_unity_sweep_counts(self):
         # frozen (checked, power-matrix zeros, exponent-row zeros) of small sweeps
@@ -225,9 +243,13 @@ class TestMinorChecks:
         assert out2.tag == "PropRows"
 
     def test_exponent_matrix_examples(self):
-        assert exponent_power_minor_check(0, 1, 2, RootOfUnity(1, 0)).tag == "EqualRows13"
-        assert exponent_power_minor_check(0, 1, 2, RootOfUnity(4, 1)).tag == "Nondegenerate"
-        assert exponent_power_minor_check(0, 2, 4, RootOfUnity(2, 1)).tag == "EqualRows13"
+        cases = [((0, 1, 2), 1, 0, "EqualRows13"), ((0, 1, 2), 4, 1, "Nondegenerate"), ((0, 2, 4), 2, 1, "EqualRows13")]
+        for (a, b, c), n, p, tag in cases:
+            assert cyclo_oracle.exponent_power_minor_check(a, b, c, RootOfUnity(n, p)).tag == tag
+            # the package's exact path: (b-a) x^c + (a-c) x^b + (c-b) x^a
+            vanish = unity_combos_vanish(evaluation_table(n), [[p * c, p * b, p * a]], [b - a, a - c, c - b])
+            assert vanish.tolist() == [tag == "EqualRows13"]
+            assert (exponent_minor_explanation(n, p, a, b, c) is not None) == (tag == "EqualRows13")
 
     def test_exponent_matrix_property(self):
         # every vanishing ones/exponents/powers determinant
@@ -238,14 +260,16 @@ class TestMinorChecks:
         coefs = np.stack([b - a, a - c, c - b], axis=1)
         for n in range(1, 31):
             exps = np.arange(n)[:, None, None] * row_exps
-            vanish = unity_combos_vanish(reduction_table_array(n), exps, coefs)
+            vanish = unity_combos_vanish(evaluation_table(n), exps, coefs)
             for p, t in np.argwhere(vanish).tolist():
-                out = exponent_power_minor_check(*triples[t], RootOfUnity(n, p))
-                assert out.tag == "EqualRows13", (n, p, triples[t])
+                out = exponent_minor_explanation(n, p, *triples[t])
+                assert out == MinorCheck("EqualRows13", rows=(1, 3)), (n, p, triples[t])
 
     def test_distinct_exponents_required(self):
         with pytest.raises(ValueError):
-            exponent_power_minor_check(1, 1, 2, RootOfUnity(5, 1))
+            exponent_power_minor_check(1, 1, 2, cmath.exp(0.4j))
+        with pytest.raises(ValueError):
+            cyclo_oracle.exponent_power_minor_check(1, 1, 2, RootOfUnity(5, 1))
 
 
 class TestProportionalityStructure:
@@ -295,20 +319,12 @@ class TestProportionalityStructure:
         assert found >= 10
 
 
-def cyclo_det3(n, a, b, c, p, q):
-    """det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]], x = z^p, y = z^q, in exact
-    Z[zeta_n] arithmetic: cofactor expansion along the row of ones."""
-    x = [CycloElement.root_power(n, p * e) for e in (a, b, c)]
-    y = [CycloElement.root_power(n, q * e) for e in (a, b, c)]
-    return (x[1] * y[2] - x[2] * y[1]) - (x[0] * y[2] - x[2] * y[0]) + (x[0] * y[1] - x[1] * y[0])
-
-
 def all_minors_oracle(n, elems, ps, qs):
     """Per pair (ps[i], qs[i]): does every 3x3 minor of M(B; zeta_n^p,
     zeta_n^q) vanish in Z[zeta_n]?  One det3 zero test per 3-subset of B,
     so vacuously true below three exponents."""
     triples = list(itertools.combinations(elems, 3))
-    return det3_vanish(reduction_table_array(n), triples, ps, qs).all(axis=1)
+    return det3_vanish(evaluation_table(n), triples, ps, qs).all(axis=1)
 
 
 class TestComboKernel:
@@ -316,7 +332,7 @@ class TestComboKernel:
         rng = random.Random(43)
         for _ in range(150):
             n = rng.randint(3, 14)
-            table = reduction_table_array(n)
+            table = evaluation_table(n)
             p = rng.randint(1, n - 1)
             q = rng.randint(1, n - 1)
             elems = sorted(rng.sample(range(-5, 10), rng.randint(3, 5)))
@@ -337,7 +353,7 @@ class TestComboKernel:
             acc = CycloElement.zero(n)
             for e, c in zip(exps, coefs):
                 acc = acc + CycloElement.root_power(n, e) * c
-            table = reduction_table_array(n)
+            table = evaluation_table(n)
             assert unity_combos_vanish(table, [exps], [coefs]).tolist() == [acc.is_zero]
             cases.setdefault(n, []).append((exps, coefs, acc.is_zero))
         # the same combinations, one batch per modulus, whole and one row a chunk
@@ -345,11 +361,47 @@ class TestComboKernel:
             monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
             for n, group in cases.items():
                 exps, coefs, expect = zip(*group)
-                got = unity_combos_vanish(reduction_table_array(n), exps, coefs)
+                got = unity_combos_vanish(evaluation_table(n), exps, coefs)
                 assert got.tolist() == list(expect)
 
+    def test_split_prime_zero_test_matches_oracle(self):
+        # random signed combinations of up to eight terms, n 1..30, with
+        # planted zeros (a combination minus its own rotation by a period)
+        rng = random.Random(48)
+        zeros = 0
+        for n in range(1, 31):
+            exps, coefs, want = [], [], []
+            for _ in range(40):
+                terms = rng.randint(1, 4)
+                e = [rng.randint(-40, 40) for _ in range(terms)]
+                c = [rng.randint(-9, 9) for _ in range(terms)]
+                if rng.random() < 0.3:
+                    e, c = e + [t + n for t in e], c + [-v for v in c]
+                if rng.random() < 0.2 and n % 2 == 0:  # zeta^(n/2) = -1
+                    e, c = e + [t + n // 2 for t in e], c + c
+                e, c = (e + [0] * 8)[:8], (c + [0] * 8)[:8]
+                acc = CycloElement.zero(n)
+                for t, v in zip(e, c):
+                    acc = acc + CycloElement.root_power(n, t) * v
+                exps.append(e)
+                coefs.append(c)
+                want.append(acc.is_zero)
+            assert unity_combos_vanish(evaluation_table(n), exps, coefs).tolist() == want, n
+            zeros += sum(want)
+        assert zeros > 100
+
+    def test_norm_bound_raises(self):
+        # sum |coefs| must stay below the split prime
+        p, _ = split_prime(7)
+        table = evaluation_table(7)
+        assert unity_combos_vanish(table, [[0, 1]], [[p - 2, 1]]).tolist() == [False]
+        with pytest.raises(ValueError, match="sum"):
+            unity_combos_vanish(table, [[0, 1]], [[p - 1, 1]])
+        with pytest.raises(ValueError, match="sum"):
+            unity_combos_vanish(table, [[0, 0], [0, 1]], [[1, -1], [-p, 0]])
+
     def test_empty_batch(self):
-        out = unity_combos_vanish(reduction_table_array(5), np.zeros((0, 4, 6), dtype=np.int64), DET3_SIGNS)
+        out = unity_combos_vanish(evaluation_table(5), np.zeros((0, 4, 6), dtype=np.int64), DET3_SIGNS)
         assert out.shape == (0, 4)
 
 
@@ -381,9 +433,8 @@ class TestBatchKernel:
             n = rng.randint(2, 12)
             p, q = rng.randrange(n), rng.randrange(n)
             elems = tuple(sorted(rng.sample(range(-5, 9), rng.randint(1, 5))))
-            rows = [[CycloElement.root_power(n, r * e) for e in elems] for r in (0, p, q)]
             rank = unity_power_rank(SupportSet(elems), n, [p], [q])
-            assert rank.tolist() == [exact_rref(rows)[0]], (n, p, q, elems)
+            assert rank.tolist() == [power_rank(SupportSet(elems), n, p, q)], (n, p, q, elems)
 
     def test_chunked(self, monkeypatch):
         # six det3 terms x 10 triples x phi(7) = 360 entries per pair: 2 pairs a chunk
@@ -416,9 +467,8 @@ class TestBatchKernel:
             for _ in range(30):
                 n = rng.randint(2, 12)
                 p, q = rng.randrange(n), rng.randrange(n)
-                rows = [[CycloElement.root_power(n, r * e) for e in elems] for r in (0, p, q)]
                 rank = unity_power_rank(SupportSet(elems), n, [p], [q])
-                assert rank.tolist() == [exact_rref(rows)[0]], (big, n, p, q)
+                assert rank.tolist() == [power_rank(SupportSet(elems), n, p, q)], (big, n, p, q)
             values = [big, -big, 2, rng.randrange(2**80)]
             moduli = np.array([3, 7, 3, 1, 12])
             assert residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
@@ -428,8 +478,8 @@ class TestBatchKernel:
         assert unity_power_rank(S(0, 4), 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
 
     def test_cached_table_is_read_only(self):
-        table = reduction_table_array(9)
-        assert reduction_table_array(9) is table
+        table = evaluation_table(9)
+        assert evaluation_table(9) is table
         with pytest.raises(ValueError):
             table[0, 0] = 7
 

@@ -74,3 +74,31 @@ def test_readme_lists_each_subcommands_flags():
         for name, sub in subcommands.choices.items()
     }
     assert documented == registered
+
+
+def test_no_cyclotomic_element_arithmetic_in_src():
+    """Z[zeta_n] facts are decided modulo split primes: no module of the
+    package defines or imports the cyclotomic-polynomial representation,
+    which lives on as the test oracle (tests/cyclo_oracle.py)."""
+    retired = {
+        "CycloElement",
+        "cyclotomic_polynomial",
+        "unity_reduction_table",
+        "poly_xgcd",
+        "RootOfUnity",
+        "UnityPair",
+        "all_minors_vanish",
+    }
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in sorted(names & retired)]
+    assert found == []

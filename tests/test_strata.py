@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import singres
-from singres.exact import CycloElement, cyclotomic_polynomial, exact_rank, exact_rref, modular_rank, solve_exact, split_prime
+from cyclo_oracle import CycloElement, RootOfUnity, cyclo_rank, cyclo_rref, cyclotomic_polynomial, unity_vandermonde
+from singres.exact import exact_rank, modular_rank, solve_exact, split_prime, split_primes
 from singres.laurent import LaurentPoly, falling
-from singres.minors import RootOfUnity
 from singres.strata import (
     GenericPoints,
     MinorCurve,
@@ -33,6 +33,7 @@ from singres.strata import (
     SVD_RTOL,
     VOTE_SAMPLES,
     CodimEstimate,
+    _conjugate_ranks,
     _draw_tuple,
     _embed,
     _effective_elements,
@@ -40,11 +41,14 @@ from singres.strata import (
     _kernel_of,
     _random_fraction,
     _random_unit_annulus,
+    _scan_table,
     _side_matrices,
     _span_dimensions,
     _stratum_predictions,
     _unity_components,
     _unity_configs,
+    _unity_coranks,
+    _unity_stack,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports, check_codim_estimates
@@ -149,10 +153,13 @@ class TestVandermonde:
         assert rows == [[1, 1, 1], [0, 1, 2]]
 
     def test_unity_corank(self):
+        # the float path at the cube roots of unity against the oracle's RREF
         pts = [RootOfUnity(3, 0), RootOfUnity(3, 1), RootOfUnity(3, 2)]
-        rows = multiplicity_vandermonde(S(0, 3, 6), pts, (1, 1, 1))
-        cork, _ = corank_kernel(rows)
-        assert cork == 2
+        rows = unity_vandermonde(S(0, 3, 6), pts, (1, 1, 1))
+        assert len(rows) - cyclo_rref(rows)[0] == 2
+        floats = [np.exp(2j * np.pi * x.k / x.n) for x in pts]
+        cork, kernel = corank_kernel(multiplicity_vandermonde(S(0, 3, 6), floats, (1, 1, 1)))
+        assert cork == 2 and len(kernel) == 2
 
     def test_pm_one(self):
         rows = multiplicity_vandermonde(S(0, 2), (Fraction(1), Fraction(-1)), (1, 1))
@@ -293,17 +300,17 @@ class TestScan:
         assert rep.label == "N(2,1;1,1)"
 
     def test_multiplicity_scan_inverts_nothing(self, monkeypatch):
-        # unity coranks by division-free elimination, generic ones by formula
+        # unity coranks by division-free elimination mod p, generic ones by formula
         def forbidden(*args):
             raise AssertionError("field elimination in the corank scan")
 
-        monkeypatch.setattr(singres.exact.CycloElement, "inverse", forbidden)
         monkeypatch.setattr(singres.exact, "exact_rref", forbidden)
+        monkeypatch.setattr(singres.exact, "exact_rank", forbidden)
         for name in ("N(2,1)", "N(2,1;1,1)", "N(2,2)"):
             for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1, 4, 6), (0, 2, 5))]:
                 rep = scan_corank_strata(pair(b1, b2), parse_label(name), 8, seed=1)
                 assert rep.configs_scanned == len(_unity_configs(2, 8))
-        assert not hasattr(singres.strata, "exact_rref")
+        assert not hasattr(singres.strata, "exact_rref") and not hasattr(singres.strata, "exact_rank")
 
     def test_generic_corank_is_descartes_bound(self):
         # at distinct positive points the multiplicity Vandermonde has rank
@@ -328,23 +335,76 @@ class TestScan:
         assert corank_kernel(multiplicity_vandermonde(S(0, 2, 4), [1, -1], [1, 1]))[0] == 1
 
     def test_multiplicity_rank_matches_rref(self):
-        # every multiplicity Vandermonde the scan eliminates for these labels,
-        # with n <= 8, against the CycloElement RREF oracle
+        # every multiplicity Vandermonde the scan ranks for these labels,
+        # with n <= 8, against the CycloElement RREF oracle: the scan's
+        # coranks, and the conjugate ranks on every tuple, fallback or not
         sups = [S(0, 2, 4, 6), S(-2, 0, 3), S(0, 3, 6, 8, 9)]
         checked = deficient = 0
         for name in ("N(2,1)", "N(2,2)", "N(3,1)", "N(2,1,1)"):
             label = parse_label(name)
             js = label.side_orders(1)
-            for n, exps in _unity_configs(label.k, 8):
-                pts = [RootOfUnity(n, p) for p in exps]
-                for b in sups:
-                    rows = multiplicity_vandermonde(b, pts, js)
-                    rank = exact_rref(rows)[0]
-                    assert exact_rank(rows) == rank, (name, n, exps, b)
-                    checked += 1
-                    deficient += rank < min(len(rows), len(b))
+            ns, exps, configs = _scan_table(label.k, 8)
+            for b in sups:
+                want = []
+                for n, tup in configs:
+                    rows = unity_vandermonde(b, [RootOfUnity(n, p) for p in tup], js)
+                    want.append(cyclo_rref(rows)[0])
+                    assert cyclo_rank(rows) == want[-1], (name, n, tup, b)
+                assert _conjugate_ranks(b.elements, js, ns, exps).tolist() == want, (name, b)
+                assert (sum(js) - _unity_coranks(b, js, ns, exps)).tolist() == want, (name, b)
+                checked += len(want)
+                deficient += sum(rank < min(sum(js), len(b)) for rank in want)
         assert checked == 3 * (3 * len(_unity_configs(2, 8)) + len(_unity_configs(3, 8)))
         assert deficient > 10
+
+    def test_fallback_tuples_match_rref(self):
+        # every tuple whose first rank mod p is not full, on the symmetric
+        # pairs (b, b) of spread <= 7 at n_max 12, against the oracle's RREF
+        checked = 0
+        for name in ("N(2,1)", "N(2,1;1,1)", "N(3)", "N(2,2)"):
+            label = parse_label(name)
+            ns, exps, configs = _scan_table(label.k, 12)
+            primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
+            for b in _normalized_supports(7):
+                for js in {label.side_orders(1), label.side_orders(2)}:
+                    if all(j == 1 for j in js):
+                        continue
+                    first = modular_rank(_unity_stack(b.elements, js, ns, exps, primes, roots), primes)
+                    cork = _unity_coranks(b, js, ns, exps)
+                    for i in np.flatnonzero(first < min(sum(js), len(b))).tolist():
+                        n, tup = configs[i]
+                        rows = unity_vandermonde(b, [RootOfUnity(n, p) for p in tup], js)
+                        assert cork[i] == len(rows) - cyclo_rref(rows)[0], (name, b, n, tup)
+                        checked += 1
+        assert checked == 51
+
+    def test_fallback_takes_several_primes_for_huge_exponents(self):
+        # (0, 3, 2^62 + 3) under N(2,1): the Hadamard bound passes 2^62, so
+        # the conjugates are taken at three split primes
+        b = S(0, 3, 2**62 + 3)
+        label = parse_label("N(2,1)")
+        js = label.side_orders(1)
+        ns, exps, configs = _scan_table(2, 12)
+        primes_used = []
+        real = singres.strata.split_primes
+
+        def counted(n):
+            for prime in real(n):
+                primes_used.append((n, prime[0]))
+                yield prime
+
+        for n in (3, 6, 9, 12):
+            sel = np.flatnonzero(ns == n)
+            want = []
+            for i in sel.tolist():
+                rows = unity_vandermonde(b, [RootOfUnity(n, p) for p in configs[i][1]], js)
+                want.append(cyclo_rref(rows)[0])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(singres.strata, "split_primes", counted)
+                got = _conjugate_ranks(b.elements, js, ns[sel], exps[sel])
+            assert got.tolist() == want, n
+            assert (sum(js) - _unity_coranks(b, js, ns[sel], exps[sel])).tolist() == want, n
+            assert [p for m, p in primes_used if m == n] == [p for p, _ in itertools.islice(real(n), 3)]
 
     def test_matches_per_config_reference(self):
         rng = random.Random(5)
@@ -414,13 +474,14 @@ class TestScan:
                 assert rep.found == want, (b1, b2, name)
                 assert rep.mismatches == [], (b1, b2, name)
 
-    def test_multiplicity_free_scan_reads_no_reduction_table(self, monkeypatch):
-        # the closed-form rank needs no cyclotomic arithmetic
-        def forbidden(n):
-            raise AssertionError(f"reduction table read for n={n}")
+    def test_multiplicity_free_scan_needs_no_split_prime(self, monkeypatch):
+        # the closed-form rank needs no arithmetic mod p
+        def forbidden(*args):
+            raise AssertionError(f"split-prime arithmetic in a multiplicity-free scan: {args}")
 
-        monkeypatch.setattr(singres.kernels, "reduction_table_array", forbidden)
-        monkeypatch.setattr(singres.exact, "unity_reduction_table", forbidden)
+        monkeypatch.setattr(singres.kernels, "evaluation_table", forbidden)
+        monkeypatch.setattr(singres.strata, "split_prime", forbidden)
+        monkeypatch.setattr(singres.strata, "modular_rank", forbidden)
         for name in ("N(1,1)", "N(1,1,1)"):
             rep = scan_corank_strata(pair((0, 3, 6, 7), (0, 2, 4)), parse_label(name), 12)
             assert rep.mismatches == []
@@ -458,8 +519,8 @@ def reference_corank_monomial(b_elems, exps, n):
 def reference_corank_elimination(b, exps, n, js):
     """Corank of the multiplicity Vandermonde at the tuple zeta_n^p, p in
     exps, by the CycloElement RREF oracle."""
-    rows = multiplicity_vandermonde(b, [RootOfUnity(n, p) for p in exps], js)
-    return len(rows) - exact_rref(rows)[0]
+    rows = unity_vandermonde(b, [RootOfUnity(n, p) for p in exps], js)
+    return len(rows) - cyclo_rref(rows)[0]
 
 
 def reference_scan(p, label, n_max, seed, generic_tuples=True):
@@ -907,7 +968,8 @@ def cyclo_mod(value, p, z):
 
 class TestExactUnity:
     """The root-of-unity components decided exactly (_unity_components)
-    against the float votes they replaced and against exact_rank alone."""
+    against the float votes they replaced and against the CycloElement
+    oracle."""
 
     @pytest.mark.parametrize("b1,b2,name", VERIFY_CODIM_CASES)
     def test_verify_cases_match_float_votes(self, b1, b2, name):
@@ -925,24 +987,34 @@ class TestExactUnity:
         for name, label in GUARANTEE_LABELS.items():
             assert unity_components(p, label, 8) == reference_unity_votes(p, label, 17, 8), name
 
-    def test_uncertified_tuples_take_exact_rank(self, monkeypatch):
-        # with a modular rank that certifies nothing, every multiplicity-side
-        # rank comes from exact_rank over Z[zeta_n], with identical components
+    def test_uncertified_tuples_take_conjugate_rank(self, monkeypatch):
+        # with a first rank mod p that certifies nothing, every
+        # multiplicity-side rank comes from the conjugate ranks, with
+        # identical components
         labels = [parse_label(name) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)", "N(2,2)", "N(2,1,1)", "N_1(2,1)")]
         cases = [(p, label, 8) for p in GUARANTEE_PAIRS for label in labels]
         cases += [(pair((0, 3, 6), (0, 1, 3, 6, 9)), label, 9) for label in labels]
         want = [_unity_components(*case) for case in cases]
-        calls = []
+        calls, inside = [], []
+        real_rank, real_conjugates = singres.strata.modular_rank, singres.strata._conjugate_ranks
 
-        def counted(rows):
-            calls.append(len(rows))
-            return exact_rank(rows)
+        def counted(eff, js, ns, exps):
+            calls.extend(ns.tolist())
+            inside.append(True)
+            try:
+                return real_conjugates(eff, js, ns, exps)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(singres.strata, "modular_rank", lambda stack, primes: np.zeros(len(stack), dtype=np.int64))
-        monkeypatch.setattr(singres.strata, "exact_rank", counted)
+        def first_pass_fails(stack, primes):
+            # only the conjugate pass, inside counted(), ranks for real
+            return real_rank(stack, primes) if inside else np.zeros(len(stack), dtype=np.int64)
+
+        monkeypatch.setattr(singres.strata, "modular_rank", first_pass_fails)
+        monkeypatch.setattr(singres.strata, "_conjugate_ranks", counted)
         assert [_unity_components(*case) for case in cases] == want
-        # one exact rank per tuple and multiplicity side (none where a side's
-        # effective support is empty)
+        # one conjugate rank per tuple and multiplicity side (none where a
+        # side's effective support is empty)
         ranked = 0
         for (p, label, _), (decided, _) in zip(cases, want):
             if all(_effective_elements(b, label.j0, label.jinf) for b in (p.b1, p.b2)):
@@ -951,8 +1023,8 @@ class TestExactUnity:
         assert sum(len(comps) for _, comps in want) > 100
 
     def test_orbit_direction_is_never_in_the_kernels(self):
-        # the lemma behind r = 1: on every nonempty component, exact_rank of
-        # [M_i; M_i D] exceeds rank M_i on each side with a kernel
+        # the lemma behind r = 1: on every nonempty component, the oracle
+        # rank of [M_i; M_i D] exceeds rank M_i on each side with a kernel
         cases = [(pair(b1, b2), parse_label(name), 8) for b1, b2, name in VERIFY_CODIM_CASES]
         cases += [(p, label, 6) for p in GUARANTEE_PAIRS for label in GUARANTEE_LABELS.values()]
         checked = 0
@@ -960,10 +1032,10 @@ class TestExactUnity:
             for (n, exps), *kds in _unity_components(p, label, n_max)[1]:
                 for b, side, kd in ((p.b1, 1, kds[0]), (p.b2, 2, kds[1])):
                     eff = _effective_elements(b, label.j0, label.jinf)
-                    rows = multiplicity_vandermonde(S(*eff), [RootOfUnity(n, q) for q in exps], label.side_orders(side))
-                    assert len(eff) - exact_rank(rows) == kd > 0
+                    rows = unity_vandermonde(S(*eff), [RootOfUnity(n, q) for q in exps], label.side_orders(side))
+                    assert len(eff) - cyclo_rank(rows) == kd > 0
                     scaled = [[v * e for v, e in zip(row, eff)] for row in rows]
-                    assert exact_rank(rows + scaled) > exact_rank(rows), (p, label, n, exps)
+                    assert cyclo_rank(rows + scaled) > cyclo_rank(rows), (p, label, n, exps)
                     checked += 1
         assert checked > 400
 
@@ -986,15 +1058,15 @@ class TestExactUnity:
         big = unity_components(pair((0, 2, 2**63 + 5), (0, 3, 6)), label)
         assert big and big == unity_components(pair((0, 2, (2**63 + 5) % 27720), (0, 3, 6)), label)
         # multiplicity rows carry falling factorials of the huge exponents,
-        # which reduce mod p in Python ints; exact_rank is the oracle
+        # which reduce mod p in Python ints; the oracle's rank decides
         for name in ("N(2,1)", "N(2,1;1,1)"):
             label = parse_label(name)
             b1 = S(0, 1, 2, 2**62 + 1)
             decided, comps = _unity_components(SupportPair(b1, S(0, 3, 6, 9)), label, 12)
             assert comps
             for (n, exps), kd1, _ in comps:
-                rows = multiplicity_vandermonde(b1, [RootOfUnity(n, q) for q in exps], label.side_orders(1))
-                assert kd1 == len(b1) - exact_rank(rows)
+                rows = unity_vandermonde(b1, [RootOfUnity(n, q) for q in exps], label.side_orders(1))
+                assert kd1 == len(b1) - cyclo_rank(rows)
 
     def test_split_prime(self):
         for n in range(1, 41):
@@ -1002,10 +1074,17 @@ class TestExactUnity:
             assert p < 2**31 and (p - 1) % n == 0
             assert all(p % q for q in range(2, 46341) if q * q <= p)
             assert pow(z, n, p) == 1 and all(pow(z, d, p) != 1 for d in range(1, n))
+            # the successive primes: descending, each the next p = 1 mod n
+            primes = list(itertools.islice(split_primes(n), 3))
+            assert primes[0] == (p, z)
+            for (hi, _), (lo, w) in zip(primes, primes[1:]):
+                assert lo < hi and (hi - lo) % n == 0 and pow(w, n, lo) == 1
+                assert not any(all(m % q for q in range(2, 46341) if q * q <= m) for m in range(lo + n, hi, n))
 
     def test_modular_rank_matches_exact_rank(self):
         # seeded random matrices over Z[zeta_n], n 2..12, up to 5 x 6, many
-        # with planted dependent rows, ranked as one padded stack
+        # with planted dependent rows, ranked as one padded stack against
+        # the oracle's exact rank
         rng = random.Random(29)
         mats, primes, want = [], [], []
         deficient = 0
@@ -1030,7 +1109,7 @@ class TestExactUnity:
             mat[:nrows, :ncols] = [[cyclo_mod(v, p, z) for v in row] for row in rows]
             mats.append(mat)
             primes.append(p)
-            want.append(exact_rank(rows))
+            want.append(cyclo_rank(rows))
             deficient += want[-1] < min(nrows, ncols)
         got = modular_rank(np.array(mats), primes)
         assert got.tolist() == want
