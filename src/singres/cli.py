@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -264,10 +265,10 @@ def cmd_scan(args) -> int:
     if args.n_max < 1:
         print(f"error: --n-max must be at least 1, got {args.n_max}", file=sys.stderr)
         return EXIT_USAGE
-    if args.spread < 0:
-        print(f"error: --spread must be nonnegative, got {args.spread}", file=sys.stderr)
-        return EXIT_USAGE
     if args.kind == "minors":
+        if args.spread < 0:
+            print(f"error: --spread must be nonnegative, got {args.spread}", file=sys.stderr)
+            return EXIT_USAGE
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
             if min(sizes) < 1:
@@ -277,7 +278,6 @@ def cmd_scan(args) -> int:
             return EXIT_USAGE
         report = minors_split_equivalence_scan(args.n_max, args.spread, sizes)
         payload = {"kind": "minors", "report": report.to_json()}
-        args.shared = ("n_max", "out")  # the minors scan draws nothing: no seed in its config
     elif args.kind == "strata":
         try:
             pair = _pair_from_args(args)
@@ -350,21 +350,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-steps", type=int, default=5, dest="rho_steps")
     p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps")
 
-    p = _subcommand(sub, "scan", cmd_scan, ("n_max", "seed", "out"), "exhaustive scans: minors, strata, codim")
-    p.add_argument("kind", choices=("minors", "strata", "codim"))
-    p.add_argument("--input")
-    p.add_argument("--b1")
-    p.add_argument("--b2")
-    p.add_argument("--label", default="N(1,1,1)")
+    scan = sub.add_parser("scan", help="exhaustive scans: minors, strata, codim")
+    kinds = scan.add_subparsers(dest="kind", required=True)
+    p = _subcommand(kinds, "minors", cmd_scan, ("n_max", "out"), "minors/split equivalence over small supports")
     p.add_argument("--spread", type=int, default=8)
     p.add_argument("--sizes", default="3,4")
+    for kind, help_ in (("strata", "corank strata of a support pair"), ("codim", "codimension estimate of a stratum")):
+        p = _subcommand(kinds, kind, cmd_scan, ("n_max", "seed", "out"), help_)
+        p.add_argument("--input")
+        p.add_argument("--b1")
+        p.add_argument("--b2")
+        p.add_argument("--label", default="N(1,1,1)")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by `build_parser` on first use.
+
+    Sharing it between `main` calls is safe: parsing mutates nothing on a
+    parser.  `parse_args` (Python 3.11 argparse) writes every value, every
+    action default and every `set_defaults` entry into the Namespace it
+    returns; `_SubParsersAction.__call__` parses the chosen subparser into
+    a fresh Namespace and copies it over; the store actions only `setattr`
+    on the Namespace; `set_defaults` itself runs only while building.  No
+    action has a mutable default, so no value outlives its call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

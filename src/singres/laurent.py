@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import UniPoly, clear_denominators, divisors, exact_rank, poly_gcd, squarefree_decomposition
+from .exact import UniPoly, clear_denominators, divisors, poly_gcd, squarefree_decomposition
 from .supports import SupportSet
 
 __all__ = [
@@ -410,11 +410,20 @@ def _covector_for_record(f, g, rec: RootRecord):
     return boundary_covector(f, g, rec.point.kind == "zero")
 
 
+def _rank_two(v1, v2) -> bool:
+    """Whether the exact rows v1, v2 have rank 2: some 2x2 minor
+    v1[k]*v2[j] - v1[j]*v2[k] is nonzero.  The minors at one column k with
+    v1[k] != 0 decide it: if they all vanish, v2 = (v2[k]/v1[k]) v1.  A
+    zero v1 gives rank at most 1."""
+    k = next((i for i, a in enumerate(v1) if a), None)
+    return k is not None and any(v1[k] * b != a * v2[k] for a, b in zip(v1, v2))
+
+
 def _covectors_independent(f, g, r1, r2):
     v1 = _covector_for_record(f, g, r1)
     v2 = _covector_for_record(f, g, r2)
     if all(_is_exact_scalar(c) for c in v1 + v2):
-        return exact_rank([v1, v2]) == 2
+        return _rank_two(v1, v2)
     m = np.array([[complex(c) for c in v1], [complex(c) for c in v2]])
     s = np.linalg.svd(m, compute_uv=False)
     return s[-1] > 1e-9 * max(s[0], 1e-300)

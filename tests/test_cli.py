@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import singres
+from singres import cli
 from singres.cli import main
 
 
@@ -282,6 +283,14 @@ class TestSharedFlags:
             ("point-classify", "--input", "-", "--det-bound", "9"),
             ("project3d", "--input", "-", "--n-max", "3"),
             ("scan", "minors", "--tolerance", "1e-6"),
+            # each scan kind takes only its own flags
+            ("scan", "minors", "--seed", "5"),
+            ("scan", "minors", "--b1", "0,1", "--b2", "0,1"),
+            ("scan", "minors", "--label", "N(1)"),
+            ("scan", "strata", "--b1", "0,1", "--b2", "0,1", "--spread", "3"),
+            ("scan", "codim", "--b1", "0,1", "--b2", "0,1", "--sizes", "3"),
+            ("scan", "--n-max", "3", "minors"),
+            ("scan",),
         ],
     )
     def test_flags_a_subcommand_does_not_read_are_usage_errors(self, argv):
@@ -371,6 +380,14 @@ class TestScan:
         ],
     )
     def test_negative_bounds_exit_2(self, capsys, argv):
+        if argv[0] == "strata" and "--spread" in argv:
+            # strata takes no --spread: argparse refuses it before any check
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", *argv])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert "error: unrecognized arguments: --spread -1" in err
+            return
         code = main(["scan", *argv])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
@@ -436,6 +453,69 @@ class TestScan:
         for d in (d1, d2):
             d.pop("started"), d["report"].pop("timings")
         assert d1 == d2
+
+
+class TestSharedParser:
+    """`main` parses every call with one parser built once per process."""
+
+    CLASSIFY = ("classify", "--b1", "0,1,3", "--b2", "0,3")
+    PROJECT = {"a1": [[1, 0, 0], [0, 0, 2]], "a2": [[0, 1, 0], [0, 0, 1]]}
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return real_build()
+
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        first = run(capsys, *self.CLASSIFY)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--nonsense"])
+        assert exc.value.code == 2
+        assert main(["resultant", "--b1", "0,10", "--b2", "0,10", "--det-bound", "8"]) == 2
+        capsys.readouterr()
+        assert run(capsys, *self.CLASSIFY) == first
+        assert len(builds) == 1
+
+    def _project3d(self, capsys, monkeypatch, *flags):
+        """stdout of a successful `project3d --scan` on PROJECT."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.PROJECT)))
+        code, out = run(capsys, "project3d", "--input", "-", "--scan", *flags)
+        assert code == 0
+        return out
+
+    def test_defaults_come_back_after_a_flag(self, capsys, monkeypatch):
+        out = self._project3d(capsys, monkeypatch, "--rho-steps", "3", "--theta-steps", "2")
+        grid = json.loads(out)["curve_scan"]["grid"]
+        assert (grid["rho_steps"], grid["theta_steps"]) == (3, 2)
+        grid = json.loads(self._project3d(capsys, monkeypatch))["curve_scan"]["grid"]
+        assert (grid["rho_steps"], grid["theta_steps"]) == (5, 8)
+
+    def test_seed_does_not_stick_across_scan_kinds(self, capsys):
+        pair = ("--b1", "0,1,3", "--b2", "0,3", "--label", "N(1)", "--n-max", "2")
+        code, out = run(capsys, "scan", "strata", *pair, "--seed", "9")
+        assert (code, json.loads(out)["config"]["seed"]) == (0, 9)
+        code, out = run(capsys, "scan", "codim", *pair)
+        data = json.loads(out)
+        assert (code, data["kind"], data["config"]) == (0, "codim", {"n_max": 2, "seed": 0, "out": None})
+        code, out = run(capsys, "scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3")
+        assert (code, json.loads(out)["config"]) == (0, {"n_max": 2, "out": None})
+
+    def test_out_and_csv_do_not_stick(self, capsys, monkeypatch, tmp_path):
+        report = tmp_path / "pair.json"
+        assert run(capsys, *self.CLASSIFY, "--out", str(report)) == (0, f"{report}\n")
+        code, out = run(capsys, *self.CLASSIFY)
+        assert (code, json.loads(out)["config"]) == (0, {"out": None})
+        csv_path = tmp_path / "grid.csv"
+        flags = ("--rho-steps", "1", "--theta-steps", "1")
+        self._project3d(capsys, monkeypatch, *flags, "--csv", str(csv_path), "--out", str(tmp_path / "p.json"))
+        csv_path.unlink()
+        assert json.loads(self._project3d(capsys, monkeypatch, *flags))["config"]["out"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "pair.json"]
 
 
 def test_python_m_singres():

@@ -7,6 +7,7 @@ from singres.exact import UniPoly, exact_rank
 from singres.laurent import (
     LaurentPoly,
     ProjPoint,
+    _rank_two,
     branch_covector,
     classify_point,
     common_roots,
@@ -182,6 +183,33 @@ class TestCovector:
         g = lp((0, 1, 2), {0: 1, 1: -2, 2: 1})
         with pytest.raises(ValueError, match="covector undefined"):
             branch_covector(f, g, Fraction(1))
+
+    def test_rank_two_matches_exact_rank(self):
+        """The 2x2-minor test equals the rational rank on random pairs,
+        with dependent pairs (zero rows, multiples, sparse rows) planted."""
+        rng = random.Random(17)
+
+        def entry():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+
+        kinds = {"random": 0, "multiple": 0, "zero": 0}
+        for _ in range(600):
+            n = rng.randint(1, 7)
+            v1 = [entry() for _ in range(n)]
+            kind = rng.choice(tuple(kinds))
+            if kind == "random":
+                v2 = [entry() for _ in range(n)]
+            elif kind == "multiple":
+                lam = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                v2 = [lam * a for a in v1]
+            else:
+                v2 = [0] * n
+            if rng.random() < 0.5:
+                v1, v2 = v2, v1
+            want = exact_rank([v1, v2]) == 2
+            kinds[kind] += want
+            assert _rank_two(v1, v2) is want, (v1, v2)
+        assert kinds["multiple"] == kinds["zero"] == 0 < kinds["random"]
 
 
 class TestClassifyPoint:

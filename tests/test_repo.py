@@ -56,23 +56,34 @@ def test_package_imports_are_exported():
     assert stray == []
 
 
+def _leaf_commands(parser, prefix=()):
+    """(command words, options) for every command path that runs something,
+    nested subcommands included; a path's options are those of every parser
+    along it, --help aside."""
+    own = {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), own
+    for action in subs:
+        for name, sub in action.choices.items():
+            for path, opts in _leaf_commands(sub, (*prefix, name)):
+                yield path, own | opts
+
+
 def test_readme_lists_each_subcommands_flags():
-    """For every subcommand, the README's flag list names exactly the
-    options its parser registers (--help aside), and it lists no other
-    subcommand, so a flag cannot be added, moved or removed without the
-    README following."""
+    """For every subcommand, nested ones (`scan minors`) included, the
+    README's flag list names exactly the options its parser registers
+    (--help aside), and it lists no other subcommand, so a flag cannot be
+    added, moved or removed without the README following."""
     readme = (ROOT / "README.md").read_text()
     block = readme[readme.index("Each subcommand takes only the flags it reads:") :].split("\n\n", 2)[1]
-    documented = {
-        re.match(r"`([a-z0-9-]+)", item)[1]: set(re.findall(r"`(--[a-z0-9-]+)`", item))
-        for item in block.removeprefix("- ").split("\n- ")
-    }
-    parser = cli.build_parser()
-    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    registered = {
-        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
-        for name, sub in subcommands.choices.items()
-    }
+    documented = {}
+    for item in block.removeprefix("- ").split("\n- "):
+        names, _, flags = item.partition(":")
+        for name in re.findall(r"`([a-z0-9 -]+)`", names):
+            documented[name] = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
+    registered = dict(_leaf_commands(cli.build_parser()))
+    assert "scan minors" in registered
     assert documented == registered
 
 
