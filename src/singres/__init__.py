@@ -9,12 +9,7 @@ arithmetic, and cyclotomic facts decided modulo primes that split
 completely in Q(zeta_n).
 """
 
-from .exact import (
-    UniPoly,
-    exact_rank,
-    poly_gcd,
-    squarefree_decomposition,
-)
+from .exact import UniPoly, exact_rank, poly_gcd
 from .germs import GermClass, PlaneGerm, classify_germ, slice_germ
 from .laurent import (
     LaurentPoly,

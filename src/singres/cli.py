@@ -233,6 +233,10 @@ def cmd_project3d(args) -> int:
     if args.csv and not args.scan:
         print("error: --csv needs --scan", file=sys.stderr)
         return EXIT_USAGE
+    for flag, steps in (("--rho-steps", args.rho_steps), ("--theta-steps", args.theta_steps)):
+        if steps < 1:
+            print(f"error: {flag} must be at least 1, got {steps}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         data = _require_input(args, "project3d")
         with _typed_input():
@@ -302,13 +306,21 @@ def cmd_scan(args) -> int:
 
 
 def _subcommand(sub, name, fn, shared, help):
-    """Add subcommand `name`, run by `fn`, with the SHARED_FLAGS in `shared`."""
+    """Add subcommand `name`, run by `fn`, with the SHARED_FLAGS in `shared`;
+    its parser rides along in the Namespace as `parser`."""
     p = sub.add_parser(name, help=help)
-    p.set_defaults(fn=fn, shared=shared)
+    p.set_defaults(fn=fn, shared=shared, parser=p)
     for dest in shared:
         option, type_, default, help_ = SHARED_FLAGS[dest]
         p.add_argument(option, type=type_, default=default, dest=dest, help=help_)
     return p
+
+
+def _pair_flags(p):
+    """Register the support-pair flags that `_pair_from_args` reads."""
+    p.add_argument("--input", help="JSON file with {'b1': [...], 'b2': [...]} ('-' for stdin)")
+    p.add_argument("--b1", help="comma-separated exponents of the first support")
+    p.add_argument("--b2", help="comma-separated exponents of the second support")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,22 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _subcommand(sub, "classify", cmd_classify, ("out",), "condition report and verdict for a support pair")
-    p.add_argument("--input", help="JSON file with {'b1': [...], 'b2': [...]} ('-' for stdin)")
-    p.add_argument("--b1", help="comma-separated exponents")
-    p.add_argument("--b2", help="comma-separated exponents")
+    _pair_flags(p)
 
     p = _subcommand(sub, "resultant", cmd_resultant, ("det_bound", "out"), "symbolic sparse resultant of a support pair")
-    p.add_argument("--input")
-    p.add_argument("--b1")
-    p.add_argument("--b2")
+    _pair_flags(p)
 
     p = _subcommand(
         sub, "point-classify", cmd_point_classify, ("tolerance", "out"), "classify a coefficient pair on the resultant"
     )
-    p.add_argument("--input", required=False)
+    p.add_argument("--input", help="JSON file with Laurent polynomials {'f': {...}, 'g': {...}} ('-' for stdin)")
 
     p = _subcommand(sub, "germ-classify", cmd_germ_classify, ("out",), "classify a plane-curve germ at the origin")
-    p.add_argument("--input", required=False)
+    p.add_argument("--input", help="JSON file with {'terms': [{'exp': [i, j], 'coef': ...}]} ('-' for stdin)")
 
     p = _subcommand(sub, "verify-paper", cmd_verify_paper, ("out",), "run the canned verification suite")
     p.add_argument("--only", help=f"run a single check; one of: {', '.join(verify.CHECK_IDS)}")
@@ -345,22 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)")
     p.add_argument("--scan", action="store_true", help="evaluate |R| over the torus grid")
     p.add_argument("--csv", help="CSV output path for the grid scan (needs --scan)")
-    p.add_argument("--rho-min", type=float, default=-0.5, dest="rho_min")
-    p.add_argument("--rho-max", type=float, default=0.5, dest="rho_max")
-    p.add_argument("--rho-steps", type=int, default=5, dest="rho_steps")
-    p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps")
+    p.add_argument("--rho-min", type=float, default=-0.5, dest="rho_min", help="smallest log-modulus rho of the grid")
+    p.add_argument("--rho-max", type=float, default=0.5, dest="rho_max", help="largest log-modulus rho of the grid")
+    p.add_argument("--rho-steps", type=int, default=5, dest="rho_steps", help="grid points in rho, at least 1")
+    p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps", help="grid points in theta, at least 1")
 
     scan = sub.add_parser("scan", help="exhaustive scans: minors, strata, codim")
     kinds = scan.add_subparsers(dest="kind", required=True)
     p = _subcommand(kinds, "minors", cmd_scan, ("n_max", "out"), "minors/split equivalence over small supports")
-    p.add_argument("--spread", type=int, default=8)
-    p.add_argument("--sizes", default="3,4")
+    p.add_argument("--spread", type=int, default=8, help="largest support exponent scanned (supports lie in 0..spread)")
+    p.add_argument("--sizes", default="3,4", help="comma-separated support sizes scanned")
     for kind, help_ in (("strata", "corank strata of a support pair"), ("codim", "codimension estimate of a stratum")):
         p = _subcommand(kinds, kind, cmd_scan, ("n_max", "seed", "out"), help_)
-        p.add_argument("--input")
-        p.add_argument("--b1")
-        p.add_argument("--b2")
-        p.add_argument("--label", default="N(1,1,1)")
+        _pair_flags(p)
+        p.add_argument("--label", default="N(1,1,1)", help="stratum label, such as N(1,1,1) or N_1^0(1)")
 
     return parser
 
@@ -375,12 +381,17 @@ def _parser() -> argparse.ArgumentParser:
     returns; `_SubParsersAction.__call__` parses the chosen subparser into
     a fresh Namespace and copies it over; the store actions only `setattr`
     on the Namespace; `set_defaults` itself runs only while building.  No
-    action has a mutable default, so no value outlives its call."""
+    action has a mutable default, so no value outlives its call.  The
+    Namespace's `parser` is the chosen subcommand's own parser (stored by
+    `_subcommand`), which `main` uses to report a flag that subcommand
+    does not take under its own usage line."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.fn(args)
 
 

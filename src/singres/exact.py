@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "UniPoly",
     "poly_gcd",
-    "squarefree_decomposition",
     "exact_rank",
     "split_primes",
     "split_prime",
@@ -197,35 +196,6 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def squarefree_decomposition(p: UniPoly):
-    """Yun's algorithm: list of (monic squarefree factor, multiplicity).
-
-    Factors are pairwise coprime and their weighted product is p up to the
-    leading coefficient.  Characteristic zero only.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    p = p.monic()
-    if p.degree <= 0:
-        return []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d) if not d.is_zero else b.monic()
-        if g.degree > 0:
-            out.append((g, i))
-        b = b // g
-        c = d // g
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 def divisors(n):
     """Positive divisors of n >= 1, ascending."""
     out = []
@@ -247,42 +217,6 @@ def clear_denominators(values):
     if lcm == 1:
         return [int(c) for c in values]
     return [c.numerator * (lcm // c.denominator) for c in values]
-
-
-def exact_rank(matrix) -> int:
-    """Rank over Q by fraction-free elimination.
-
-    Rows are scaled to integers (rank-invariant), then eliminated over Z by
-    cross-multiplication alone (row_i <- pivot * row_i - a_i * pivot_row), so
-    nothing is inverted; each updated row is divided by the gcd of its
-    entries, a nonzero scalar, which bounds coefficient growth and leaves
-    the rank unchanged.
-    """
-    if not matrix or not matrix[0]:
-        raise ValueError("matrix must be nonempty")
-    rows = [clear_denominators(r) for r in matrix]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            ival = rows[i][col]
-            if ival:
-                row = [pval * a - ival * b for a, b in zip(rows[i][col:], rows[rank][col:])]
-                g = math.gcd(*row)
-                rows[i][col:] = [a // g for a in row] if g > 1 else row
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _is_prime(m):
@@ -399,6 +333,13 @@ def exact_rref(matrix):
         if r == len(rows):
             break
     return r, pivots, rows
+
+
+def exact_rank(matrix) -> int:
+    """Rank over Q: the number of pivots of `exact_rref`."""
+    if not matrix or not matrix[0]:
+        raise ValueError("matrix must be nonempty")
+    return exact_rref(matrix)[0]
 
 
 def kernel_basis(matrix):

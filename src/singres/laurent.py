@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import UniPoly, clear_denominators, divisors, poly_gcd, squarefree_decomposition
+from .exact import UniPoly, clear_denominators, divisors, poly_gcd
 from .supports import SupportSet
 
 __all__ = [
@@ -77,9 +77,10 @@ class ProjPoint:
 class RootRecord:
     """Common root with its per-polynomial vanishing orders.
 
-    For exact irrational roots `min_poly` holds the squarefree factor the
-    root came from and `value` a numeric approximation; order bookkeeping
-    never depends on the approximation.
+    For exact irrational roots `min_poly` holds the root's order-class
+    factor with its rational roots divided out: the monic product of x - r
+    over the irrational common roots r with the same (ord1, ord2).  `value`
+    is a numeric approximation; order bookkeeping never depends on it.
     """
 
     point: ProjPoint
@@ -239,36 +240,50 @@ def ord_at(f: LaurentPoly, p: ProjPoint, tol=CLUSTER_TOL) -> int:
 def _exact_finite_common_roots(f: LaurentPoly, g: LaurentPoly):
     """RootRecords over nonzero finite points, exact path.
 
-    Strips the x-part's root at 0, takes squarefree layers of both sides and
-    pairs them by gcd, so every common root lands in exactly one (a, b)
-    order class.  Irrational roots keep their squarefree factor and get a
-    numeric approximation per root.
+    Every common root is a root of h = gcd(pf, pg).  The root at 0 is
+    stripped from h (it belongs to the boundary bookkeeping), and the
+    squarefree part s = h / gcd(h, h') is split by root order in pf, then
+    each class by order in pg, so every common root lands in exactly one
+    (a, b) order class.  Irrational roots keep the irrational part of their
+    class factor and get a numeric approximation per root.
     """
     pf, pg = f.x_part(), g.x_part()
-    for p in (pf, pg):
-        if p.is_zero:
-            raise ValueError("zero polynomial")
-    # remove roots at x = 0 (they belong to the boundary bookkeeping)
-    while pf.coeffs and not pf.coeffs[0]:
-        pf = UniPoly(pf.coeffs[1:])
-    while pg.coeffs and not pg.coeffs[0]:
-        pg = UniPoly(pg.coeffs[1:])
-    if pf.degree <= 0 or pg.degree <= 0:
+    h = poly_gcd(pf, pg)
+    while not h.coeffs[0]:
+        h = UniPoly(h.coeffs[1:])
+    if h.degree <= 0:
         return []
-    sf = squarefree_decomposition(pf)
-    sg = squarefree_decomposition(pg)
     records = []
-    for fa, a in sf:
-        for gb, b in sg:
-            h = poly_gcd(fa, gb)
-            if h.degree <= 0:
-                continue
-            for factor, root in _roots_of_squarefree(h):
+    for a, fa in _split_by_order(h // poly_gcd(h, h.derivative()), pf):
+        for b, q in _split_by_order(fa, pg):
+            for factor, root in _roots_of_squarefree(q):
                 if isinstance(root, (int, Fraction)):
                     records.append(RootRecord(ProjPoint.finite(root), a, b))
                 else:
                     records.append(RootRecord(ProjPoint.finite(root), a, b, min_poly=factor))
     return records
+
+
+def _split_by_order(s: UniPoly, p: UniPoly):
+    """Yield (a, q_a) for a = 1, 2, ..., q_a the monic product of x - r over
+    the roots r of s of order exactly a in p, skipping empty classes.
+
+    s is monic and squarefree, and each of its roots is a root of p.  With
+    s_1 = s, p_a = p_{a-1} / s_a and s_{a+1} = gcd(s_a, p_a), s_a is the
+    product of x - r over the roots of s of order >= a in p, each of order
+    ord_p(r) - a + 1 in p_{a-1}.  Induction: true for a = 1; s_a divides
+    p_{a-1} (its roots are simple and have order >= 1 there), so p_a is
+    exact and lowers each of their orders by one, and gcd(s_a, p_a) keeps
+    those of order >= a + 1.  So q_a = s_a / s_{a+1} is exact as well.
+    """
+    a = 1
+    while s.degree > 0:
+        p = p // s
+        nxt = poly_gcd(s, p)
+        q = s // nxt
+        if q.degree > 0:
+            yield a, q
+        s, a = nxt, a + 1
 
 
 def _roots_of_squarefree(h: UniPoly):
@@ -286,13 +301,10 @@ def _roots_of_squarefree(h: UniPoly):
 
 
 def _rational_roots(h: UniPoly):
-    """All rational roots of a rational polynomial, by clearing denominators
-    and scanning divisors of the constant/leading coefficients."""
+    """All rational roots of a rational polynomial with h(0) != 0, by
+    clearing denominators and scanning divisors of the constant/leading
+    coefficients."""
     ints = clear_denominators(h.coeffs)
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # x = 0 roots never occur here (stripped earlier)
-    if not ints:
-        return []
     a0, an = abs(ints[0]), abs(ints[-1])
     roots = []
     for p in divisors(a0):

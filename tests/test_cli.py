@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -236,6 +237,23 @@ class TestProject3d:
         assert 0 <= data["curve_scan"]["near_zero_margin"] <= data["curve_scan"]["threshold"]
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--theta-steps", "-1"), ("--rho-steps", "-2"), ("--rho-steps", "0"), ("--theta-steps", "0")]
+    )
+    def test_grid_bounds_exit_2(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps({"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}))
+        code = main(["project3d", "--input", str(path), "--scan", flag, value])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {flag} must be at least 1, got {value}\n")
+
+    def test_grid_bounds_at_their_minimum(self, capsys, tmp_path):
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps({"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}))
+        code, out = run(capsys, "project3d", "--input", str(path), "--scan", "--rho-steps", "1", "--theta-steps", "1")
+        assert code == 0
+        assert json.loads(out)["curve_scan"]["cells"] == 1
+
     def test_csv_without_scan_exit_2(self, capsys, tmp_path):
         path = tmp_path / "pos.json"
         path.write_text(json.dumps({"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}))
@@ -244,6 +262,41 @@ class TestProject3d:
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: --csv needs --scan\n")
         assert not csv_path.exists()
+
+
+# (argv, the usage line its refusal prints)
+REFUSED_FLAGS = [
+    (("classify", "--b1", "0,1", "--b2", "0,1", "--seed", "1"), "usage: singres classify"),
+    (("verify-paper", "--tolerance", "1e-6"), "usage: singres verify-paper"),
+    (("resultant", "--b1", "0,1", "--b2", "0,1", "--n-max", "3"), "usage: singres resultant"),
+    (("point-classify", "--input", "-", "--det-bound", "9"), "usage: singres point-classify"),
+    (("project3d", "--input", "-", "--n-max", "3"), "usage: singres project3d"),
+    (("scan", "minors", "--tolerance", "1e-6"), "usage: singres scan minors"),
+    # each scan kind takes only its own flags
+    (("scan", "minors", "--seed", "5"), "usage: singres scan minors"),
+    (("scan", "minors", "--b1", "0,1", "--b2", "0,1"), "usage: singres scan minors"),
+    (("scan", "minors", "--label", "N(1)"), "usage: singres scan minors"),
+    (("scan", "strata", "--b1", "0,1", "--b2", "0,1", "--spread", "3"), "usage: singres scan strata"),
+    (("scan", "codim", "--b1", "0,1", "--b2", "0,1", "--sizes", "3"), "usage: singres scan codim"),
+    (("scan", "--n-max", "3", "minors"), "usage: singres scan"),
+    (("scan",), "usage: singres scan"),
+]
+
+
+def test_every_option_has_help():
+    """Every option of every parser, nested scan kinds included, says in
+    its -h what it does."""
+
+    def options(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from options(sub, f"{path} {name}")
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield path, action
+
+    missing = [f"{path} {a.option_strings[0]}" for path, a in options(cli.build_parser(), "singres") if not a.help]
+    assert missing == []
 
 
 class TestSharedFlags:
@@ -274,29 +327,13 @@ class TestSharedFlags:
         assert code == 0
         assert json.loads(out)["config"] == shared
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("classify", "--b1", "0,1", "--b2", "0,1", "--seed", "1"),
-            ("verify-paper", "--tolerance", "1e-6"),
-            ("resultant", "--b1", "0,1", "--b2", "0,1", "--n-max", "3"),
-            ("point-classify", "--input", "-", "--det-bound", "9"),
-            ("project3d", "--input", "-", "--n-max", "3"),
-            ("scan", "minors", "--tolerance", "1e-6"),
-            # each scan kind takes only its own flags
-            ("scan", "minors", "--seed", "5"),
-            ("scan", "minors", "--b1", "0,1", "--b2", "0,1"),
-            ("scan", "minors", "--label", "N(1)"),
-            ("scan", "strata", "--b1", "0,1", "--b2", "0,1", "--spread", "3"),
-            ("scan", "codim", "--b1", "0,1", "--b2", "0,1", "--sizes", "3"),
-            ("scan", "--n-max", "3", "minors"),
-            ("scan",),
-        ],
-    )
-    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, argv):
+    @pytest.mark.parametrize("argv, usage", REFUSED_FLAGS, ids=[f"argv{i}" for i in range(len(REFUSED_FLAGS))])
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv, usage):
+        """The refusal prints the usage of the subcommand that refused."""
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage + " [-h]")
 
 
 class TestOut:

@@ -20,7 +20,6 @@ from singres.exact import (
     kernel_basis,
     poly_gcd,
     solve_exact,
-    squarefree_decomposition,
 )
 from singres.minors import unity_power_rank
 from singres.supports import SupportSet
@@ -125,15 +124,6 @@ class TestGcd:
         left = poly_gcd(p * h, q * h)
         right = (h * poly_gcd(p, q)).monic()
         assert left == right
-
-
-class TestSquarefree:
-    def test_layers(self):
-        p = UniPoly.from_roots([1, 1, 2, 2, 2, 5])
-        layers = dict((m, f) for f, m in squarefree_decomposition(p))
-        assert layers[1] == poly(-5, 1)
-        assert layers[2] == poly(-1, 1)
-        assert layers[3] == poly(-2, 1)
 
 
 class TestCyclotomic:

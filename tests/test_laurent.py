@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from singres.exact import UniPoly, exact_rank
+from singres.exact import UniPoly, exact_rank, poly_gcd
 from singres.laurent import (
     LaurentPoly,
     ProjPoint,
@@ -30,6 +30,18 @@ def from_roots_on(support, roots, rng=None):
     p = UniPoly.from_roots([Fraction(r) for r in roots])
     sup = S(*range(len(roots) + 1))
     return LaurentPoly(sup, {i: c for i, c in enumerate(p.coeffs)})
+
+
+def on_dense(p):
+    """The exact polynomial p on the dense support {0, ..., deg p}."""
+    return LaurentPoly(S(*range(p.degree + 1)), dict(enumerate(p.coeffs)))
+
+
+def power(q, m):
+    out = UniPoly.one()
+    for _ in range(m):
+        out = out * q
+    return out
 
 
 class TestHomogenize:
@@ -162,6 +174,45 @@ class TestCommonRoots:
             assert r.min_poly is not None
             assert (r.ord1, r.ord2) == (1, 1)
             assert abs(abs(complex(r.point.value)) - 2**0.5) < 1e-9
+
+    def test_one_layer_of_h_mixes_orders(self):
+        # h = (x^2-2)(x^2-3) is squarefree, yet its roots have orders 2 and 1 in pf
+        q2, q3 = UniPoly((-2, 0, 1)), UniPoly((-3, 0, 1))
+        f = on_dense(q2 * q2 * q3)
+        g = on_dense(q2 * q3 * q3)
+        got = [(r.ord1, r.ord2, r.min_poly) for r in common_roots(f, g)]
+        assert got == [(1, 2, q3), (1, 2, q3), (2, 1, q2), (2, 1, q2)]
+
+    def test_class_factors_against_the_gcd(self):
+        """Each record's class factor q with orders (a, b) divides pf exactly
+        a times and pg exactly b times, and the product of q^min(a, b) over
+        the classes is gcd(pf, pg) without its root at 0."""
+        rng = random.Random(18)
+        quads = [UniPoly((-2, 0, 1)), UniPoly((-3, 0, 1)), UniPoly((1, 1, 1)), UniPoly((-5, 0, 1))]
+        for _ in range(150):
+            lin = [UniPoly((-r, 1)) for r in {Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)} - {0}]
+            pf, pg = UniPoly.one(), UniPoly.one()
+            for q in lin + quads + [UniPoly((0, 1))]:
+                pf = pf * power(q, rng.randint(0, 3))
+                pg = pg * power(q, rng.randint(0, 3))
+            pf, pg = pf * Fraction(rng.randint(1, 5), rng.randint(1, 4)), pg * rng.randint(-3, -1)
+            if pf.degree <= 0 or pg.degree <= 0:
+                continue
+            classes = set()
+            for r in common_roots(on_dense(pf), on_dense(pg)):
+                if r.point.kind == "finite":
+                    q = r.min_poly if r.min_poly is not None else UniPoly((-r.point.value, 1))
+                    classes.add((q, r.ord1, r.ord2))
+            prod = UniPoly.one()
+            for q, a, b in classes:
+                for p, m in ((pf, a), (pg, b)):
+                    rest, rem = divmod(p, power(q, m))
+                    assert rem.is_zero and poly_gcd(q, rest).degree == 0
+                prod = prod * power(q, min(a, b))
+            h = poly_gcd(pf, pg)
+            while not h.coeffs[0]:
+                h = UniPoly(h.coeffs[1:])
+            assert prod == h
 
     def test_numeric_path(self):
         f = lp((0, 1, 2), {0: complex(2), 1: complex(-3), 2: complex(1)})
