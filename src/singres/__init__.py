@@ -40,9 +40,6 @@ from .mpoly import (
 )
 from .strata import (
     CodimEstimate,
-    GenericPoints,
-    MinorCurve,
-    SolutionTuple,
     StratumLabel,
     actual_label,
     corank_kernel,

@@ -27,7 +27,6 @@ __all__ = [
     "modular_rank",
     "exact_rref",
     "kernel_basis",
-    "solve_exact",
 ]
 
 
@@ -361,16 +360,3 @@ def kernel_basis(matrix):
             v[pc] = -rref[ri][fc]
         basis.append(v)
     return basis
-
-
-def solve_exact(matrix, rhs):
-    """One exact solution of M x = rhs, or None when inconsistent."""
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    rank, pivots, rref = exact_rref(rows)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = rref[ri][ncols]
-    return x

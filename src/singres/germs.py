@@ -40,18 +40,6 @@ class PlaneGerm:
         m = self.multiplicity()
         return {e: c for e, c in self.terms.items() if sum(e) == m}
 
-    def substitute_t_shift(self, r):
-        """Germ of p(s, t + r*s); linear change keeping s."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            # (t + r s)^j expanded binomially
-            binom = 1
-            for k in range(j + 1):
-                out_key = (i + (j - k), k)
-                out[out_key] = out.get(out_key, Fraction(0)) + c * binom * (Fraction(r) ** (j - k))
-                binom = binom * (j - k) // (k + 1)
-        return PlaneGerm(out)
-
     def swap_axes(self):
         return PlaneGerm({(j, i): c for (i, j), c in self.terms.items()})
 
@@ -202,7 +190,7 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
         # swapping axes turns it into (t - r*s), then shift t -> t + r*s
         deg = q.degree
         r = -Fraction(q.coeffs[deg - 1], deg * q.coeffs[deg])
-        normalized = germ.swap_axes().substitute_t_shift(r)
+        normalized = germ.swap_axes().linear_change(1, 0, r, 1)
     slope = None
     for (i, j), _ in normalized.terms.items():
         if j < m and i > 0:

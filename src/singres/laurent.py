@@ -4,7 +4,8 @@ Multiplicity bookkeeping runs on the projective line: the order at 0 (resp.
 infinity) counts vanishing leftmost (rightmost) coefficients along the
 convex hull of the support, and finite orders are root multiplicities of the
 x-part.  Two scalar instantiations share the contract: exact rationals
-(authoritative) and complex floats (for samplers and grid scans).
+(authoritative) and complex floats.  Nothing in the package builds a complex
+polynomial; only JSON input that gives a coefficient as [re, im] does.
 """
 
 from __future__ import annotations
@@ -380,11 +381,14 @@ def branch_covector(f: LaurentPoly, g: LaurentPoly, x):
     og = ord_at(g, ProjPoint.finite(x))
     if min(of, og) != 1:
         raise ValueError("covector undefined")
-    gp = g.derivative_value(x)
-    fp = f.derivative_value(x)
-    row = [gp * x**i for i in f.support]
-    row += [-fp * x**j for j in g.support]
-    return row
+    return _covector(f, g, x)
+
+
+def _covector(f, g, x):
+    """The covector g'(x)*x^i, i in B1, then -f'(x)*x^j, j in B2, with no
+    check of the root's orders."""
+    gp, fp = g.derivative_value(x), f.derivative_value(x)
+    return [gp * x**i for i in f.support] + [-fp * x**j for j in g.support]
 
 
 def boundary_covector(f: LaurentPoly, g: LaurentPoly, at_zero: bool):
@@ -412,13 +416,13 @@ def boundary_covector(f: LaurentPoly, g: LaurentPoly, at_zero: bool):
 
 
 def _covector_for_record(f, g, rec: RootRecord):
+    """The branch covector at a common root of pair order 1, whose orders
+    the record already carries; irrational and complex roots in floats."""
     if rec.point.kind == "finite":
         value = rec.point.value
         if rec.min_poly is not None or not _is_exact_scalar(value):
-            x = complex(value)
-            gp, fp = g.derivative_value(x), f.derivative_value(x)
-            return [gp * x**i for i in f.support] + [-fp * x**j for j in g.support]
-        return branch_covector(f, g, value)
+            value = complex(value)
+        return _covector(f, g, value)
     return boundary_covector(f, g, rec.point.kind == "zero")
 
 

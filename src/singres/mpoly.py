@@ -18,6 +18,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import _exact_div
 from .supports import SupportPair
 
 __all__ = [
@@ -244,13 +245,6 @@ class _Packing:
         return MPoly(vars, {tuple((m >> s) & mask for s in shifts): c for m, c in terms.items()})
 
 
-def _coef_div(c, d):
-    if isinstance(c, int) and isinstance(d, int):
-        q, r = divmod(c, d)
-        return q if r == 0 else Fraction(c, d)
-    return c / d
-
-
 def _divisor(div):
     """(lead monomial, lead coefficient, the other terms as offsets from the
     lead) of a nonzero packed divisor."""
@@ -278,7 +272,7 @@ def _divexact_packed(rem, divisor, guard):
             q = m - lead
             if q < 0 or q & guard:
                 raise ArithmeticError("inexact polynomial division")
-            quo[q] = _coef_div(c, lc)
+            quo[q] = _exact_div(c, lc)
         return quo
     get, pop = rem.get, rem.pop
     heap = [-m for m in rem]
@@ -292,7 +286,7 @@ def _divexact_packed(rem, divisor, guard):
         q = m - lead
         if q < 0 or q & guard:
             raise ArithmeticError("inexact polynomial division")
-        qc = _coef_div(c, lc)
+        qc = _exact_div(c, lc)
         quo[q] = qc
         for off, dc in tail:
             t = m + off

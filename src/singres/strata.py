@@ -1,5 +1,5 @@
-"""Filtration-subset labels, multiplicity Vandermonde matrices, kernel
-samplers, and Monte-Carlo codimension estimation.
+"""Filtration-subset labels, multiplicity Vandermonde matrices, the exact
+kernel sampler, and Monte-Carlo codimension estimation.
 
 A label (j0, jinf, multiset of per-root order pairs) indexes the subset of
 coefficient pairs whose common roots have at least the prescribed orders.
@@ -7,6 +7,9 @@ The codimension estimator parameterizes each probed locus component by
 (solution tuple, kernel coordinates) and reports the rank of the
 parameterization's differential: the dimension found certifies an upper
 bound on the codimension, while the claimed lower bound stays heuristic.
+The sampler of a filtration subset is exact: distinct rational points,
+rational kernels of the multiplicity Vandermonde matrices and rational
+kernel combinations.
 The generic component's dimension is certified by a closed form
 (`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
 so is every root-of-unity component (`_unity_components`: the side coranks
@@ -39,10 +42,7 @@ from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
     "StratumLabel",
-    "SolutionTuple",
     "CodimEstimate",
-    "GenericPoints",
-    "MinorCurve",
     "expected_codim",
     "label_dominates",
     "actual_label",
@@ -240,27 +240,6 @@ def in_filtration_subset(f: LaurentPoly, g: LaurentPoly, label: StratumLabel, to
     return _match_size(adj, len(finite)) == label.k
 
 
-@dataclass(frozen=True)
-class SolutionTuple:
-    """Tuple of pairwise distinct nonzero points of the solution space."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if not all(pts):
-            raise ValueError("solution points must be nonzero")
-        if len({complex(x) for x in pts}) != len(pts):
-            raise ValueError("solution points must be pairwise distinct")
-        object.__setattr__(self, "points", pts)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
 def _point_power(x, e):
     if isinstance(x, (int, Fraction)):
         return Fraction(x) ** e
@@ -273,19 +252,16 @@ def multiplicity_vandermonde(b: SupportSet, xs, js):
     Entry for exponent col b and derivative d is b(b-1)...(b-d+1) * x^(b-d)
     (falling-factorial convention, valid for negative Laurent exponents).
     """
-    pts = list(xs.points if isinstance(xs, SolutionTuple) else xs)
+    pts = list(xs)
     if len(pts) != len(js):
         raise ValueError("one multiplicity per point required")
-    SolutionTuple(tuple(pts))  # validates distinctness / nonzero
+    if not all(pts) or len({complex(x) for x in pts}) != len(pts):
+        raise ValueError("points must be nonzero and pairwise distinct")
     rows = []
     for x, j in zip(pts, js):
         for d in range(j):
             rows.append([falling(e, d) * _point_power(x, e - d) for e in b.elements])
     return rows
-
-
-def _is_float_matrix(rows):
-    return any(isinstance(v, (complex, float, np.complexfloating)) for r in rows for v in r)
 
 
 def _svd_rank(sv):
@@ -296,36 +272,15 @@ def _svd_rank(sv):
 
 
 def corank_kernel(rows):
-    """(corank, kernel basis) of the linear map f -> M f.
+    """(corank, kernel basis) of the linear map f -> M f, M rational.
 
-    corank = rows - rank; thresholded SVD for floats, and for rational
-    entries one exact elimination (kernel_basis), whose kernel dimension
-    gives the rank as columns - kernel dimension.
+    corank = rows - rank, by one exact elimination (kernel_basis), whose
+    kernel dimension gives the rank as columns - kernel dimension.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
-    if _is_float_matrix(rows):
-        m = np.array([[complex(v) for v in r] for r in rows])
-        u, s, vh = np.linalg.svd(m)
-        rank = int(_svd_rank(s))
-        kernel = [vh[i].conj() for i in range(rank, vh.shape[0])]
-        return len(rows) - rank, kernel
     kernel = kernel_basis(rows)
     return len(rows) - (len(rows[0]) - len(kernel)), kernel
-
-
-# --- locus descriptions ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenericPoints:
-    pass
-
-
-@dataclass(frozen=True)
-class MinorCurve:
-    side: int = 1
-    triple: tuple | None = None
 
 
 def _effective_elements(b: SupportSet, j0, jinf):
@@ -351,57 +306,41 @@ def _random_unit_annulus(rng):
     return complex(np.exp(rho) * np.cos(theta), np.exp(rho) * np.sin(theta))
 
 
-def _draw_tuple(pair, label, locus, rng):
-    """Sample a solution tuple from the requested locus.
+def _draw_minor_tuple(triple, rng):
+    """A float point tuple (c, c t, c u) on the minor curve of the exponent
+    triple, where det[[1,1,1],[t^a,t^b,t^c],[u^a,u^b,u^c]] vanishes.
 
-    Returns (points, tangent_directions) where each direction is a length-k
-    vector spanning the locus's tangent at the sample, or None when the
-    locus yields no tuple (among others, a minor curve whose triple spreads
-    wider than MINOR_SPREAD_MAX).
+    Returns (points, tangent_directions), each direction a length-3 vector
+    spanning the curve's tangent at the sample, or None when no tuple is
+    found (among others, for a triple that spreads wider than
+    MINOR_SPREAD_MAX).
     """
-    k = label.k
-    if isinstance(locus, GenericPoints):
-        pts = []
-        while len(pts) < k:
-            x = _random_fraction(rng)
-            if x and x not in pts:
-                pts.append(x)
-        dirs = [[1 if i == m else 0 for i in range(k)] for m in range(k)]
-        return pts, dirs
-    if isinstance(locus, MinorCurve):
-        if k != 3:
-            return None
-        b = (pair.b1 if locus.side == 1 else pair.b2).elements
-        if len(b) < 3:
-            return None
-        triple = locus.triple or tuple(sorted(rng.sample(b, 3)))
-        a_, b_, c_ = triple
-        if c_ - a_ > MINOR_SPREAD_MAX:
-            return None
-        for _ in range(12):
-            t = _random_unit_annulus(rng)
-            coeffs = _minor_poly_in_u(a_, b_, c_, t)
-            if coeffs is None:
-                continue
-            roots = np.roots(coeffs)
-            good = [
-                u
-                for u in roots
-                if abs(u) > 1e-9 and abs(u - 1) > 1e-9 and abs(u - t) > 1e-9
-            ]
-            if not good:
-                continue
-            u = complex(good[0])
-            c = _random_unit_annulus(rng)
-            pts = [c, c * t, c * u]
-            dpdt = _minor_du_dt(a_, b_, c_, t, u)
-            if dpdt is None:
-                dirs = [[1, t, u]]
-            else:
-                dirs = [[1, t, u], [0, c, c * dpdt]]
-            return pts, dirs
+    a_, b_, c_ = triple
+    if c_ - a_ > MINOR_SPREAD_MAX:
         return None
-    raise ValueError(f"unknown locus {locus!r}")
+    for _ in range(12):
+        t = _random_unit_annulus(rng)
+        coeffs = _minor_poly_in_u(a_, b_, c_, t)
+        if coeffs is None:
+            continue
+        roots = np.roots(coeffs)
+        good = [
+            u
+            for u in roots
+            if abs(u) > 1e-9 and abs(u - 1) > 1e-9 and abs(u - t) > 1e-9
+        ]
+        if not good:
+            continue
+        u = complex(good[0])
+        c = _random_unit_annulus(rng)
+        pts = [c, c * t, c * u]
+        dpdt = _minor_du_dt(a_, b_, c_, t, u)
+        if dpdt is None:
+            dirs = [[1, t, u]]
+        else:
+            dirs = [[1, t, u], [0, c, c * dpdt]]
+        return pts, dirs
+    return None
 
 
 def _minor_poly_in_u(a, b, c, t):
@@ -458,25 +397,25 @@ def _side_matrices(pair, label, pts):
 def _kernel_of(mat, ncols):
     if not mat:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    _, kern = corank_kernel(mat)
-    return kern
+    return kernel_basis(mat)
 
 
-def sample_filtration_subset(pair: SupportPair, label: StratumLabel, locus, seed=0):
-    """Draw (f, g, xs) from the kernel construction over the locus, or None.
+def sample_filtration_subset(pair: SupportPair, label: StratumLabel, seed=0):
+    """Draw an exact (f, g, xs) from the filtration subset, or None.
 
-    The pair is built from random kernel combinations over the effective
-    supports (boundary orders are imposed by zeroing convex-hull coefficients)
-    and verified to lie in the filtration subset.
+    xs are label.k distinct nonzero rationals, and f, g random rational
+    combinations of the kernels of the multiplicity Vandermonde matrices at
+    xs over the effective supports (boundary orders are imposed by zeroing
+    convex-hull coefficients).  The pair is verified to lie in the
+    filtration subset; None when a side kernel is empty or eight draws of
+    the combinations miss.
     """
     rng = random.Random(seed)
-    if label.k == 0:
-        drawn = ([], [])
-    else:
-        drawn = _draw_tuple(pair, label, locus, rng)
-        if drawn is None:
-            return None
-    pts, _dirs = drawn
+    pts = []
+    while len(pts) < label.k:
+        x = _random_fraction(rng)
+        if x not in pts:
+            pts.append(x)
     sides = _side_matrices(pair, label, pts)
     if sides is None:
         return None
@@ -485,14 +424,10 @@ def sample_filtration_subset(pair: SupportPair, label: StratumLabel, locus, seed
     k2 = _kernel_of(m2, len(eff2))
     if not k1 or not k2:
         return None
-    exact = isinstance(locus, GenericPoints)
 
     def combo(kern, rng):
-        if exact:
-            w = [_random_fraction(rng) for _ in kern]
-            return [sum(wi * v[i] for wi, v in zip(w, kern)) for i in range(len(kern[0]))]
-        w = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in kern]
-        return [sum(wi * complex(v[i]) for wi, v in zip(w, kern)) for i in range(len(kern[0]))]
+        w = [_random_fraction(rng) for _ in kern]
+        return [sum(wi * v[i] for wi, v in zip(w, kern)) for i in range(len(kern[0]))]
 
     for _ in range(8):
         f = LaurentPoly(pair.b1, dict(zip(pair.b1.elements, _embed(combo(k1, rng), eff1, pair.b1))))
@@ -836,13 +771,13 @@ def estimate_codim(
             for i in range(len(elems) - 2):
                 for j in range(i + 1, len(elems) - 1):
                     for l in range(j + 1, len(elems)):
-                        curves.append(MinorCurve(side, (elems[i], elems[j], elems[l])))
+                        curves.append((side, (elems[i], elems[j], elems[l])))
         rng.shuffle(curves)
         curves = curves[:MINOR_CURVES_MAX]
         owners, pts, dirs = [], [], []
-        for i, curve in enumerate(curves):
+        for i, (_, triple) in enumerate(curves):
             for _ in range(VOTE_SAMPLES):
-                drawn = _draw_tuple(pair, label, curve, rng)
+                drawn = _draw_minor_tuple(triple, rng)
                 if drawn is not None:
                     owners.append(i)
                     pts.append(drawn[0])
@@ -852,10 +787,10 @@ def estimate_codim(
         votes = [[] for _ in curves]
         for owner, dim in zip(owners, dims):
             votes[owner].append(dim)
-        for curve, own in zip(curves, votes):
+        for (side, triple), own in zip(curves, votes):
             top = _vote(own)
             if top is not None:
-                record(f"minor-curve(side={curve.side}, triple={curve.triple})", top, own)
+                record(f"minor-curve(side={side}, triple={triple})", top, own)
     est.timings["minor_curve_s"] = time.perf_counter() - start
     return est
 

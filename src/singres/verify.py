@@ -31,7 +31,6 @@ from .minors import (
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
-    GenericPoints,
     StratumLabel,
     estimate_codim,
     in_filtration_subset,
@@ -270,7 +269,7 @@ def check_stratum_order(seed=11):
     loose = parse_label("N(2,1;1,1)")
     sampled = 0
     for s in range(20):
-        drawn = sample_filtration_subset(classical, tight, GenericPoints(), seed=seed + s)
+        drawn = sample_filtration_subset(classical, tight, seed=seed + s)
         if drawn is None:
             continue
         f, g, _ = drawn

@@ -19,7 +19,6 @@ from singres.exact import (
     exact_rank,
     kernel_basis,
     poly_gcd,
-    solve_exact,
 )
 from singres.minors import unity_power_rank
 from singres.supports import SupportSet
@@ -223,12 +222,6 @@ class TestRank:
             for v in kernel_basis(m):
                 for r in m:
                     assert sum(a * b for a, b in zip(r, v)) == 0
-
-    def test_solve(self):
-        m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-        x = solve_exact(m, [Fraction(3), Fraction(1)])
-        assert x == [Fraction(2), Fraction(1)]
-        assert solve_exact([[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], [Fraction(0), Fraction(1)]) is None
 
     def test_cyclo_elimination(self):
         # rows of unity powers for B = {0,3,6} at (1, w, w^2), w^3 = 1: rank 1

@@ -113,3 +113,28 @@ def test_no_cyclotomic_element_arithmetic_in_src():
                 continue
             found += [f"{path.name}: {name}" for name in sorted(names & retired)]
     assert found == []
+
+
+
+def test_every_export_is_used():
+    """Every name in a submodule's __all__ is read somewhere in the package
+    besides its definition (by another module, by its own module's code, or
+    as a re-export in singres/__init__.py): an export that only the tests
+    reach is dead code."""
+    package = Path(singres.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [
+        f"{m.name}.{name}"
+        for m in pkgutil.iter_modules(singres.__path__)
+        for name in getattr(importlib.import_module(f"singres.{m.name}"), "__all__", ())
+        if name not in used
+    ]
+    assert unused == []
