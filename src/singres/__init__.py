@@ -24,24 +24,18 @@ from .laurent import (
 )
 from .minors import (
     MinorCheck,
-    exponent_power_minor_check,
     minors_split_equivalence_scan,
-    proportionality_structure,
     two_class_split,
-    unity_minor_check,
 )
 from .mpoly import (
     MPoly,
-    SylvesterMatrix,
     jacobian_vanishes,
     resultant_poly,
     specialize,
-    sylvester_matrix,
 )
 from .strata import (
     CodimEstimate,
     StratumLabel,
-    actual_label,
     corank_kernel,
     estimate_codim,
     expected_codim,
@@ -60,7 +54,6 @@ from .supports import (
     check_conditions,
     classify,
     gap_gcd,
-    reduce_common_scale,
     split_witness,
 )
 

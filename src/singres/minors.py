@@ -36,11 +36,8 @@ __all__ = [
     "unity_power_rank",
     "two_class_split",
     "minors_split_equivalence_scan",
-    "unity_minor_check",
-    "exponent_power_minor_check",
     "power_minor_explanation",
     "exponent_minor_explanation",
-    "proportionality_structure",
     "MinorCheck",
     "ScanReport",
 ]
@@ -255,9 +252,6 @@ class MinorCheck:
     rows: tuple | None = None
     cols: tuple | None = None
 
-    def to_json(self):
-        return {"tag": self.tag, "rows": self.rows, "cols": self.cols}
-
 
 def power_minor_explanation(n, p, q, a, b, c):
     """Why det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanishes at x = zeta_n^p,
@@ -293,100 +287,3 @@ def exponent_minor_explanation(n, p, a, b, c):
     if (p * (a - b)) % n == 0 and (p * (b - c)) % n == 0:
         return MinorCheck("EqualRows13", rows=(1, 3))
     return None
-
-
-def unity_minor_check(a: int, b: int, c: int, x, y, tol=1e-9) -> MinorCheck:
-    """Structure of det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]].
-
-    For unit-modulus x, y a vanishing determinant always comes with two
-    proportional rows or two proportional columns; this returns which, with
-    tolerance `tol`, for complex x and y.  At roots of unity the exact
-    answer is kernels.det3_vanish plus power_minor_explanation.
-    """
-    xv, yv = complex(x), complex(y)
-    m = [
-        [1, 1, 1],
-        [xv**a, xv**b, xv**c],
-        [yv**a, yv**b, yv**c],
-    ]
-    det = (
-        m[1][1] * m[2][2]
-        - m[1][2] * m[2][1]
-        - (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if abs(det) > tol:
-        return MinorCheck("Nondegenerate")
-    if abs(m[1][0] - m[1][1]) <= tol and abs(m[1][1] - m[1][2]) <= tol:
-        return MinorCheck("PropRows", rows=(1, 2))
-    if abs(m[2][0] - m[2][1]) <= tol and abs(m[2][1] - m[2][2]) <= tol:
-        return MinorCheck("PropRows", rows=(1, 3))
-    r = [m[1][i] / m[2][i] for i in range(3)]
-    if abs(r[0] - r[1]) <= tol and abs(r[1] - r[2]) <= tol:
-        return MinorCheck("PropRows", rows=(2, 3))
-    for i, j in combinations(range(3), 2):
-        if abs(m[1][i] - m[1][j]) <= tol and abs(m[2][i] - m[2][j]) <= tol:
-            return MinorCheck("PropCols", cols=(i + 1, j + 1))
-    return MinorCheck("Degenerate-unexplained")
-
-
-def exponent_power_minor_check(a: int, b: int, c: int, x, tol=1e-9) -> MinorCheck:
-    """Structure of det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for distinct a, b, c.
-
-    A vanishing determinant forces x^a = x^b = x^c (rows 1 and 3 equal up to
-    the factor x^a); tested with tolerance `tol` for complex x.  At roots of
-    unity the exact answer is kernels.unity_combos_vanish plus
-    exponent_minor_explanation.
-    """
-    if len({a, b, c}) != 3:
-        raise ValueError("exponents must be distinct")
-    xv = complex(x)
-    det = (
-        (b * xv**c - c * xv**b)
-        - (a * xv**c - c * xv**a)
-        + (a * xv**b - b * xv**a)
-    )
-    if abs(det) > tol * max(abs(a), abs(b), abs(c), 1):
-        return MinorCheck("Nondegenerate")
-    if abs(xv**a - xv**b) <= tol and abs(xv**b - xv**c) <= tol:
-        return MinorCheck("EqualRows13", rows=(1, 3))
-    return MinorCheck("Degenerate-unexplained")
-
-
-def proportionality_structure(matrix):
-    """Row/column proportionality structure of a matrix with nonzero entries.
-
-    Returns ("TwoPropRows", (i, j)), ("ColumnGroups", partition) when the
-    columns fall into at most two proportionality classes, or ("Neither",).
-    Works over any exact scalar type whose truth value is nonzeroness.
-    """
-    rows = [list(r) for r in matrix]
-    nr, nc = len(rows), len(rows[0])
-    if nc < 3:
-        raise ValueError("need at least three columns")
-    for r in rows:
-        for v in r:
-            if not v:
-                raise ValueError("matrix entries must be nonzero")
-
-    def vec_prop(u, v):
-        return not any(
-            u[i] * v[j] - u[j] * v[i]
-            for i, j in combinations(range(len(u)), 2)
-        )
-
-    for i, j in combinations(range(nr), 2):
-        if vec_prop(rows[i], rows[j]):
-            return ("TwoPropRows", (i + 1, j + 1))
-    cols = [[rows[r][c] for r in range(nr)] for c in range(nc)]
-    groups = []
-    for ci, col in enumerate(cols):
-        for grp in groups:
-            if vec_prop(cols[grp[0]], col):
-                grp.append(ci)
-                break
-        else:
-            groups.append([ci])
-    if len(groups) <= 2:
-        return ("ColumnGroups", tuple(tuple(g + 1 for g in grp) for grp in groups))
-    return ("Neither",)

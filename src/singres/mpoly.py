@@ -15,7 +15,6 @@ and a divisibility test one subtraction plus a guard-bit mask.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import _exact_div
@@ -23,8 +22,6 @@ from .supports import SupportPair
 
 __all__ = [
     "MPoly",
-    "SylvesterMatrix",
-    "sylvester_matrix",
     "resultant_poly",
     "specialize",
     "jacobian_vanishes",
@@ -159,21 +156,6 @@ class MPoly:
             out[key] = out.get(key, 0) + val
         return MPoly(self.vars, out)
 
-    def divexact(self, other):
-        """Exact division; raises if the division leaves a remainder.
-
-        An int quotient coefficient stays int when it divides exactly and
-        becomes a Fraction otherwise.
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if other.vars != self.vars:
-            raise ValueError("mixed variable sets")
-        packing = _Packing(len(self.vars), _max_exponent((self, other)))
-        divisor = _divisor(packing.pack(other))
-        quo = _divexact_packed(packing.pack(self), divisor, packing.guard)
-        return packing.unpack(self.vars, quo)
-
     def to_json(self):
         return {
             "vars": list(self.vars),
@@ -215,19 +197,15 @@ class MPoly:
         return f"MPoly({self.pretty()})"
 
 
-def _max_exponent(polys):
-    return max((max(e, default=0) for p in polys for e in p.terms), default=0)
-
-
 class _Packing:
     """Kronecker packing of exponent tuples into single ints.
 
-    Variable i occupies bits [i*width, (i+1)*width); the top bit of every
-    field is a guard bit that is clear in every packed monomial whose
-    exponents are at most `max_exp`.  Packed ints add as exponent tuples do
-    while no field carries out of its width, and compare in the
-    lexicographic order with the last variable most significant, which is a
-    monomial order.
+    Variable i occupies bits [i*width, (i+1)*width), so the exponent tuple e
+    packs to sum(e[i] << shifts[i]); the top bit of every field is a guard
+    bit that is clear in every packed monomial whose exponents are at most
+    `max_exp`.  Packed ints add as exponent tuples do while no field carries
+    out of its width, and compare in the lexicographic order with the last
+    variable most significant, which is a monomial order.
     """
 
     def __init__(self, nvars, max_exp):
@@ -235,10 +213,6 @@ class _Packing:
         self.shifts = tuple(i * width for i in range(nvars))
         self.mask = (1 << (width - 1)) - 1
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-
-    def pack(self, poly):
-        shifts = self.shifts
-        return {sum(k << s for k, s in zip(e, shifts)): c for e, c in poly.terms.items()}
 
     def unpack(self, vars, terms):
         shifts, mask = self.shifts, self.mask
@@ -315,52 +289,8 @@ def _dot(terms):
     return {m: v for m, v in out.items() if v}
 
 
-@dataclass(frozen=True)
-class SylvesterMatrix:
-    size: int
-    entries: tuple  # tuple of tuples of MPoly
-    vars: tuple
-
-    def row(self, i):
-        return self.entries[i]
-
-
 def _coefficient_vars(pair: SupportPair):
     return tuple(f"f{b}" for b in pair.b1) + tuple(f"g{b}" for b in pair.b2)
-
-
-def sylvester_matrix(pair: SupportPair) -> SylvesterMatrix:
-    """Sylvester matrix of the two homogenized forms with symbolic entries.
-
-    Homogenization maps exponent b to x-degree b - min B, so the form of side
-    i has degree d_i = spread(B_i); row blocks are d_2 shifted copies of the
-    f coefficients (descending x-degree) over d_1 copies of the g rows.
-    Exponents absent from the support contribute zero entries.
-    """
-    vars = _coefficient_vars(pair)
-    d1, d2 = pair.b1.spread, pair.b2.spread
-    size = d1 + d2
-
-    def coeff_row(support, prefix, degree):
-        # descending x-degree: position t holds the coefficient of x^(degree-t)
-        row = []
-        for t in range(degree + 1):
-            b = support.min + degree - t
-            if b in support:
-                row.append(MPoly.var(vars, f"{prefix}{b}"))
-            else:
-                row.append(MPoly.zero(vars))
-        return row
-
-    frow = coeff_row(pair.b1, "f", d1)
-    grow = coeff_row(pair.b2, "g", d2)
-    zero = MPoly.zero(vars)
-    entries = []
-    for i in range(d2):
-        entries.append(tuple([zero] * i + frow + [zero] * (size - d1 - 1 - i)))
-    for i in range(d1):
-        entries.append(tuple([zero] * i + grow + [zero] * (size - d2 - 1 - i)))
-    return SylvesterMatrix(size, tuple(entries), vars)
 
 
 def _neg(a):

@@ -45,7 +45,6 @@ __all__ = [
     "CodimEstimate",
     "expected_codim",
     "label_dominates",
-    "actual_label",
     "in_filtration_subset",
     "multiplicity_vandermonde",
     "corank_kernel",
@@ -95,18 +94,8 @@ class StratumLabel:
     def is_symmetric(self):
         return all(j1 == j2 for j1, j2 in self.roots)
 
-    def symmetrized(self):
-        return StratumLabel(self.j0, self.jinf, tuple((min(r), min(r)) for r in self.roots))
-
     def side_orders(self, side):
         return tuple(r[side - 1] for r in self.roots)
-
-    def to_json(self):
-        return {"j0": self.j0, "jinf": self.jinf, "roots": [list(r) for r in self.roots]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["j0"], data["jinf"], tuple(tuple(r) for r in data["roots"]))
 
     @classmethod
     def symmetric(cls, j0, jinf, orders):
@@ -187,23 +176,6 @@ def label_dominates(q: StratumLabel, p: StratumLabel) -> bool:
     return assign(0, targets)
 
 
-def actual_label(f: LaurentPoly, g: LaurentPoly, tol=1e-8) -> StratumLabel:
-    """General label of (f, g): boundary pair orders plus per-root order pairs."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("label of a zero polynomial is undefined")
-    records = common_roots(f, g, tol)
-    j0 = jinf = 0
-    roots = []
-    for r in records:
-        if r.point.kind == "zero":
-            j0 = r.pair_ord
-        elif r.point.kind == "infinity":
-            jinf = r.pair_ord
-        else:
-            roots.append((r.ord1, r.ord2))
-    return StratumLabel(j0, jinf, tuple(roots))
-
-
 def _match_size(left_adj, n_right):
     match_r = [-1] * n_right
 
@@ -223,16 +195,16 @@ def _match_size(left_adj, n_right):
     return count
 
 
-def in_filtration_subset(f: LaurentPoly, g: LaurentPoly, label: StratumLabel, tol=1e-8) -> bool:
+def in_filtration_subset(f: LaurentPoly, g: LaurentPoly, label: StratumLabel) -> bool:
     """Membership test: boundary orders and an injective assignment of the
     label's root pairs to distinct finite common roots (bipartite matching)."""
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
-    if min(ord_at(f, ProjPoint.zero(), tol), ord_at(g, ProjPoint.zero(), tol)) < label.j0:
+    if min(ord_at(f, ProjPoint.zero()), ord_at(g, ProjPoint.zero())) < label.j0:
         return False
-    if min(ord_at(f, ProjPoint.infinity(), tol), ord_at(g, ProjPoint.infinity(), tol)) < label.jinf:
+    if min(ord_at(f, ProjPoint.infinity()), ord_at(g, ProjPoint.infinity())) < label.jinf:
         return False
-    finite = [r for r in common_roots(f, g, tol) if r.point.kind == "finite"]
+    finite = [r for r in common_roots(f, g) if r.point.kind == "finite"]
     adj = [
         [ri for ri, rec in enumerate(finite) if rec.ord1 >= j1 and rec.ord2 >= j2]
         for j1, j2 in label.roots
@@ -468,10 +440,6 @@ class CodimEstimate:
         if self.best_dim_found is None:
             return None
         return self.ambient_dim - self.best_dim_found
-
-    @property
-    def codim_lower_bound_claimed(self):
-        return self.estimate
 
     def to_json(self):
         from . import __version__  # the package imports this module before defining it

@@ -1,9 +1,8 @@
 """Support-set combinatorics for pairs of sparse univariate polynomials.
 
 A support set is a finite strictly increasing tuple of integer exponents.
-This module decides the six degeneracy conditions on a support pair, builds
-the per-filtration-subset guarantee table, and reduces a pair by its common
-arithmetic-progression scale.
+This module decides the six degeneracy conditions on a support pair and
+builds the per-filtration-subset guarantee table.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "split_witness",
     "check_conditions",
     "classify",
-    "reduce_common_scale",
     "GUARANTEE_TABLE",
 ]
 
@@ -70,9 +68,6 @@ class SupportSet:
     @property
     def spread(self):
         return self.elements[-1] - self.elements[0]
-
-    def shifted(self, m):
-        return SupportSet(tuple(e + m for e in self.elements))
 
     def to_json(self):
         return list(self.elements)
@@ -187,10 +182,6 @@ class ConditionReport:
     def flag(self, i: int) -> bool:
         return getattr(self, f"cond{i}")
 
-    @property
-    def true_conditions(self):
-        return tuple(i for i in range(1, 7) if self.flag(i))
-
     def to_json(self):
         out = {f"cond{i}": self.flag(i) for i in range(1, 7)}
         out["witnesses"] = {
@@ -301,17 +292,3 @@ def classify(pair: SupportPair) -> Verdict:
     part_i = not any(report.flag(i) for i in range(1, 6))
     part_ii = not report.cond6
     return Verdict(part_i, part_ii, tuple(rows))
-
-
-def reduce_common_scale(pair: SupportPair):
-    """Largest k with B_i = k*B'_i + m_i; returns ((B'_1, B'_2), k, (m1, m2)).
-
-    The reduced pair is normalized to min 0 and has coprime gap gcds, so
-    reducing again is the identity.
-    """
-    k = math.gcd(gap_gcd(pair.b1), gap_gcd(pair.b2))
-    k = max(k, 1)
-    m1, m2 = pair.b1.min, pair.b2.min
-    r1 = SupportSet(tuple((e - m1) // k for e in pair.b1.elements))
-    r2 = SupportSet(tuple((e - m2) // k for e in pair.b2.elements))
-    return SupportPair(r1, r2), k, (m1, m2)

