@@ -15,8 +15,8 @@ congruences (`power_minor_explanation`, `exponent_minor_explanation`),
 which the verification sweeps apply to every zero of the split-prime zero
 test of `singres.kernels`.
 
-Negative and arbitrarily large exponents are harmless: exponents reduce
-mod n exactly before any product.
+Negative and arbitrarily large exponents are harmless: they are reduced in
+Python ints, and the rank multiplies no two residues.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import kernels
 from .supports import SupportSet, gap_gcd, split_dividing
 
 __all__ = [
@@ -71,15 +70,14 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     (ps[i], qs[i]): an int array with entries 1, 2 or 3.
 
     `n` is one modulus for every pair or an int array aligned with ps/qs,
-    one modulus per pair.  The exponents, the gap gcd and p, q are reduced
-    mod each modulus (`residues`) before any product, so no product
-    exceeds n^2.  The pairs are ranked in blocks of at most
-    kernels.BATCH_ELEMENTS key entries.
+    one modulus per pair.  Only (pairs,) arrays are built: the periods, one
+    residue count |B mod m| per period m that occurs (in Python ints, so
+    exponents of any size stay exact) and the gap test, with no product.
 
-    Lemma.  Let g be the gap gcd of B and call (p*b mod n, q*b mod n) the
-    key of the column b.  The rank is 1 iff the key is constant over B, and
-    at most 2 iff p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, or the key takes
-    at most two values over B.
+    Lemma (rank).  Let g be the gap gcd of B and call (p*b mod n, q*b mod n)
+    the key of the column b.  The rank is 1 iff the key is constant over B,
+    and at most 2 iff p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, or the key
+    takes at most two values over B.
 
     Proof.  The rank is at most 2 iff some nonzero (alpha, beta, gamma) has
     alpha + beta x^b + gamma y^b = 0 for every b in B.  gamma = 0 forces x^b
@@ -91,26 +89,25 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     columns.  Each condition plainly gives rank <= 2.  Two distinct columns
     (1, x^a, y^a), (1, x^b, y^b) are independent, so the rank is 1 exactly
     when every column is the same.
+
+    Lemma (period).  Columns b, b' share a key iff m = n/gcd(n, p, q)
+    divides b - b', so the key takes |B mod m| values.  Proof: n | p*d iff
+    n/gcd(n, p) | d, likewise for q, and lcm(n/gcd(n, p), n/gcd(n, q)) =
+    n/gcd(n, p, q), as at each prime l both have the valuation
+    v(n) - min(v(n), v(p), v(q)).  Likewise r*g = 0 mod n iff h | r, with
+    h = n/gcd(n, g) the order of zeta_n^g.
     """
-    values = (*b.elements, gap_gcd(b))
     ps = np.asarray(ps, dtype=np.int64)
     qs = np.asarray(qs, dtype=np.int64)
-    ns = np.broadcast_to(np.asarray(n, dtype=np.int64), ps.shape)
-    out = np.empty(len(ps), dtype=np.int64)
-    chunk = kernels._chunk_length(len(b.elements))
-    for start in range(0, len(ps), chunk):
-        stop = start + chunk
-        m = ns[start:stop, None]
-        reduced = residues(values, ns[start:stop])
-        x = ps[start:stop, None] % m * reduced % m  # p*b, then p*g, mod n
-        y = qs[start:stop, None] % m * reduced % m
-        keys = np.sort(x[:, :-1] * m + y[:, :-1], axis=1)
-        distinct = 1 + np.count_nonzero(np.diff(keys, axis=1), axis=1)
-        xg, yg = x[:, -1], y[:, -1]
-        gap = (xg == 0) | (yg == 0) | (xg == yg)
-        # rank 1 for one key; else 2 for two keys or a gap root, else 3
-        out[start:stop] = np.minimum(distinct, 3 - gap)
-    return out
+    ns = np.asarray(n, dtype=np.int64)
+    m = ns // np.gcd(ns, np.gcd(ps, qs))  # the period of the column keys
+    periods = sorted(set(m.tolist()))  # np.unique would import numpy.ma, about 0.5 MB
+    counts = np.array([len({e % k for e in b.elements}) for k in periods], dtype=np.int64)
+    h = ns // np.gcd(ns, residues((gap_gcd(b),), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
+    xg, yg = ps % h, qs % h
+    gap = (xg == 0) | (yg == 0) | (xg == yg)
+    # rank 1 for one key; else 2 for two keys or a gap root, else 3
+    return np.minimum(counts[np.searchsorted(periods, m)], 3 - gap)
 
 
 def two_class_split(b: SupportSet, n: int):

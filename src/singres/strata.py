@@ -285,13 +285,16 @@ def _draw_minor_tuple(triple, rng):
     Returns (points, tangent_directions), each direction a length-3 vector
     spanning the curve's tangent at the sample, or None when no tuple is
     found (among others, for a triple that spreads wider than
-    MINOR_SPREAD_MAX).
+    MINOR_SPREAD_MAX, and for (a, a+1, a+2): its det t^a u^a (t-1)(u-1)(u-t)
+    has no root off {0, 1, t}, so its twelve t are drawn and no root solved).
     """
     a_, b_, c_ = triple
     if c_ - a_ > MINOR_SPREAD_MAX:
         return None
     for _ in range(12):
         t = _random_unit_annulus(rng)
+        if c_ - a_ == 2:
+            continue
         coeffs = _minor_poly_in_u(a_, b_, c_, t)
         if coeffs is None:
             continue

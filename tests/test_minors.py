@@ -433,9 +433,28 @@ class TestComboKernel:
         assert out.shape == (0, 4)
 
 
+def sorted_key_rank(b, n, ps, qs):
+    """The rank of M(B; zeta_n^p, zeta_n^q) from the rank lemma of
+    unity_power_rank alone, without the period lemma: every column key
+    (p*b mod n, q*b mod n) is formed, the keys are sorted and their distinct
+    values counted, and the gap test reduces p*g and q*g mod n.  Python ints
+    throughout, so products past int64 stay exact at any modulus."""
+    values = np.array([*b.elements, gap_gcd(b)], dtype=object)
+    ps = np.asarray(ps, dtype=object)
+    m = np.broadcast_to(np.asarray(n, dtype=object), ps.shape)[:, None]
+    x = ps[:, None] % m * (values % m) % m  # p*b, then p*g, mod n
+    y = np.asarray(qs, dtype=object)[:, None] % m * (values % m) % m
+    keys = np.sort(x[:, :-1] * m + y[:, :-1], axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(keys, axis=1), axis=1)
+    xg, yg = x[:, -1], y[:, -1]
+    gap = ((xg == 0) | (yg == 0) | (xg == yg)).astype(np.int64)
+    return np.minimum(distinct, 3 - gap)
+
+
 class TestBatchKernel:
     """The closed-form rank of minors.unity_power_rank against the
-    all-minors oracle, over every p and q in [0, n)."""
+    all-minors oracle, over every p and q in [0, n), and against the
+    sorted column keys of sorted_key_rank where no oracle reaches."""
 
     @staticmethod
     def _agrees(n, elems):
@@ -463,6 +482,7 @@ class TestBatchKernel:
             elems = tuple(sorted(rng.sample(range(-5, 9), rng.randint(1, 5))))
             rank = unity_power_rank(SupportSet(elems), n, [p], [q])
             assert rank.tolist() == [power_rank(SupportSet(elems), n, p, q)], (n, p, q, elems)
+            assert sorted_key_rank(SupportSet(elems), n, [p], [q]).tolist() == rank.tolist()
 
     def test_chunked(self, monkeypatch):
         # six det3 terms x 10 triples x phi(7) = 360 entries per pair: 2 pairs a chunk
@@ -470,20 +490,18 @@ class TestBatchKernel:
         for elems in [(0, 1, 3, 4, 6), (0, 2, 3, 5, 7), (-2, 0, 5, 7, 12)]:
             assert self._agrees(7, elems)
 
-    def test_mixed_moduli_match_per_modulus_calls(self, monkeypatch):
+    def test_mixed_moduli_match_per_modulus_calls(self):
         rng = random.Random(46)
         supports = [S(0, 1, 3, 4, 6), S(-2, 0, 5, 7, 12), S(0, 3, 6), S(0, 4), S(5)]
         ns = np.array([rng.randint(1, 14) for _ in range(400)])
         ps = np.array([rng.randrange(-20, 20) for _ in ns])
         qs = np.array([rng.randrange(-20, 20) for _ in ns])
-        for budget in (kernels.BATCH_ELEMENTS, 1):
-            monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
-            for b in supports:
-                want = np.empty(len(ns), dtype=np.int64)
-                for n in set(ns.tolist()):
-                    rows = np.flatnonzero(ns == n)
-                    want[rows] = unity_power_rank(b, n, ps[rows], qs[rows])
-                assert unity_power_rank(b, ns, ps, qs).tolist() == want.tolist(), (budget, b)
+        for b in supports:
+            want = np.empty(len(ns), dtype=np.int64)
+            for n in set(ns.tolist()):
+                rows = np.flatnonzero(ns == n)
+                want[rows] = unity_power_rank(b, n, ps[rows], qs[rows])
+            assert unity_power_rank(b, ns, ps, qs).tolist() == want.tolist(), b
         assert unity_power_rank(S(0, 1, 3), np.zeros(0, dtype=np.int64), [], []).shape == (0,)
 
     def test_huge_exponents_reduce_exactly(self):
@@ -500,6 +518,32 @@ class TestBatchKernel:
             values = [big, -big, 2, rng.randrange(2**80)]
             moduli = np.array([3, 7, 3, 1, 12])
             assert residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
+
+    def test_large_moduli_match_sorted_keys(self):
+        # moduli near 2^40 with gcd(n, p, q) > 1, huge and negative exponents:
+        # each support is a few residue classes mod a divisor of n plus
+        # multiples of it, so every rank and the gap roots all occur; every
+        # support is ranked at the pairs of all four moduli in one call
+        rng = random.Random(49)
+        ns, ps, qs, supports = [], [], [], []
+        for n in (2**40, 3**25, 2**20 * 3**6 * 5**3 * 7, 2**40 - 87):
+            divisors = [d for d in (1, 2, 3, 4, 8, 9, 2**20, 3**12, 5**3, 7 * 2**15, n) if n % d == 0]
+            for _ in range(40):
+                d = rng.choice(divisors)
+                step = n // rng.choice(divisors)
+                bases = [rng.randrange(-n, n) for _ in range(rng.randint(1, 3))]
+                size = rng.randint(1, 5)
+                elems = {rng.choice(bases) + step * rng.randrange(-(2**70), 2**70) for _ in range(size)}
+                supports.append(SupportSet.of(*elems))
+                ns.append(n)
+                ps.append(d * rng.randrange(-(2**20), 2**20))
+                qs.append(rng.choice([d, n // rng.choice(divisors)]) * rng.randrange(-(2**20), 2**20))
+        ranks = set()
+        for b in supports:
+            got = unity_power_rank(b, np.array(ns), ps, qs)
+            assert got.tolist() == sorted_key_rank(b, ns, ps, qs).tolist(), b
+            ranks.update(got.tolist())
+        assert ranks == {1, 2, 3}
 
     def test_small_support_vacuous(self):
         assert all_minors_oracle(5, (0, 4), [1, 2], [3, 4]).tolist() == [True, True]

@@ -35,6 +35,7 @@ from singres.strata import (
     _effective_elements,
     _generic_kernel_dims,
     _kernel_of,
+    _minor_poly_in_u,
     _random_fraction,
     _random_unit_annulus,
     _scan_table,
@@ -936,6 +937,29 @@ class TestBatchedEstimate:
         stack = [_draw_minor_tuple((0, 3, 6), rng) for _ in range(VOTE_SAMPLES)]
         pts = np.array([s[0] for s in stack], dtype=complex)
         assert _span_dimensions(p, label, pts, [s[1] for s in stack]) == [None] * VOTE_SAMPLES
+
+    @pytest.mark.parametrize("triple", [(0, 1, 2), (-3, -2, -1), (5, 6, 7)])
+    def test_spread_two_draw_solves_no_roots(self, triple, monkeypatch):
+        # det = t^a u^a (t-1)(u-1)(u-t): the draw fails without a root solve
+        # and leaves the rng where twelve failed tries leave it
+        def no_roots(coeffs):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", no_roots)
+        rng, twin = random.Random(5), random.Random(5)
+        assert _draw_minor_tuple(triple, rng) is None
+        for _ in range(12):
+            _random_unit_annulus(twin)
+        assert rng.getstate() == twin.getstate()
+
+    def test_spread_two_minor_has_no_root_off_one_and_t(self):
+        # the factorisation behind the skipped draw, on the float polynomial
+        rng = random.Random(6)
+        for a in (-4, 0, 3):
+            for _ in range(200):
+                t = _random_unit_annulus(rng)
+                roots = np.roots(_minor_poly_in_u(a, a + 1, a + 2, t))
+                assert all(min(abs(u), abs(u - 1), abs(u - t)) < 1e-9 for u in roots), (a, t, roots)
 
     def test_generic_closed_form_matches_exact_samples(self):
         """The certified generic dimension against the exact span dimension
