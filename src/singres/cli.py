@@ -4,7 +4,10 @@ Subcommands: classify, resultant, point-classify, germ-classify,
 verify-paper, project3d, scan.  Outputs are machine-readable JSON (and CSV
 for grid scans); every report embeds the flags its subcommand read.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
-3 degenerate input.
+3 degenerate projection.  A subcommand refuses its input by raising; `main`
+alone maps the exception to its exit code (DegenerateProjectionError 3,
+any other ValueError or KeyError 2) and prints one `error: <message>` line
+on stderr, with no traceback.
 """
 
 from __future__ import annotations
@@ -134,11 +137,7 @@ def _emit(payload, args):
 
 
 def cmd_classify(args) -> int:
-    try:
-        pair = _pair_from_args(args)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    pair = _pair_from_args(args)
     report = check_conditions(pair)
     verdict = classify(pair)
     _emit({"pair": pair.to_json(), "conditions": report.to_json(), "verdict": verdict.to_json()}, args)
@@ -146,14 +145,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_resultant(args) -> int:
-    try:
-        pair = _pair_from_args(args)
-        start = time.perf_counter()
-        poly = resultant_poly(pair, bound=args.det_bound)
-        det_s = time.perf_counter() - start
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    pair = _pair_from_args(args)
+    start = time.perf_counter()
+    poly = resultant_poly(pair, bound=args.det_bound)
+    det_s = time.perf_counter() - start
     _emit(
         {
             "pair": pair.to_json(),
@@ -170,39 +165,24 @@ def cmd_resultant(args) -> int:
 
 
 def cmd_point_classify(args) -> int:
-    try:
-        data = _require_input(args, "point-classify")
-        with _typed_input():
-            f = LaurentPoly.from_json(data["f"])
-            g = LaurentPoly.from_json(data["g"])
-        result = classify_point(f, g, tol=args.tolerance)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit({"classification": result.to_json()}, args)
+    data = _require_input(args, "point-classify")
+    with _typed_input():
+        f = LaurentPoly.from_json(data["f"])
+        g = LaurentPoly.from_json(data["g"])
+    _emit({"classification": classify_point(f, g, tol=args.tolerance).to_json()}, args)
     return EXIT_OK
 
 
 def cmd_germ_classify(args) -> int:
-    try:
-        data = _require_input(args, "germ-classify")
-        with _typed_input():
-            germ = PlaneGerm.from_json(data)
-        result = classify_germ(germ)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit({"classification": result.to_json()}, args)
+    data = _require_input(args, "germ-classify")
+    with _typed_input():
+        germ = PlaneGerm.from_json(data)
+    _emit({"classification": classify_germ(germ).to_json()}, args)
     return EXIT_OK
 
 
 def cmd_verify_paper(args) -> int:
-    only = [args.only] if args.only else None
-    try:
-        results = verify.run_checks(only)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = verify.run_checks([args.only] if args.only else None)
     for r in results:
         print(r.line())
     payload = {"results": [r.to_json() for r in results], "all_passed": all(r.passed for r in results)}
@@ -231,28 +211,18 @@ def _parse_coeffs(data, name, support: Support3D):
 
 def cmd_project3d(args) -> int:
     if args.csv and not args.scan:
-        print("error: --csv needs --scan", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--csv needs --scan")
     for flag, steps in (("--rho-steps", args.rho_steps), ("--theta-steps", args.theta_steps)):
         if steps < 1:
-            print(f"error: {flag} must be at least 1, got {steps}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        data = _require_input(args, "project3d")
-        with _typed_input():
-            a1 = Support3D.from_json(data["a1"])
-            a2 = Support3D.from_json(data["a2"])
-            coeffs = [_parse_coeffs(data, f"coeffs{i}", a) for i, a in ((1, a1), (2, a2))] if args.scan else []
-        if coeffs.count(None) == 1:
-            raise ValueError("--input: give both coeffs1 and coeffs2 or neither")
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        outcome = project_supports(a1, a2)
-    except DegenerateProjectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+            raise ValueError(f"{flag} must be at least 1, got {steps}")
+    data = _require_input(args, "project3d")
+    with _typed_input():
+        a1 = Support3D.from_json(data["a1"])
+        a2 = Support3D.from_json(data["a2"])
+        coeffs = [_parse_coeffs(data, f"coeffs{i}", a) for i, a in ((1, a1), (2, a2))] if args.scan else []
+    if coeffs.count(None) == 1:
+        raise ValueError("--input: give both coeffs1 and coeffs2 or neither")
+    outcome = project_supports(a1, a2)
     if args.scan:
         grid = GridConfig(args.rho_min, args.rho_max, args.rho_steps, args.theta_steps)
         outcome.scan = grid_scan(a1, a2, *coeffs, grid, threshold=args.tolerance, seed=args.seed)
@@ -267,41 +237,25 @@ def cmd_project3d(args) -> int:
 def cmd_scan(args) -> int:
     started = time.strftime("%Y%m%dT%H%M%S")
     if args.n_max < 1:
-        print(f"error: --n-max must be at least 1, got {args.n_max}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     if args.kind == "minors":
         if args.spread < 0:
-            print(f"error: --spread must be nonnegative, got {args.spread}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--spread must be nonnegative, got {args.spread}")
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
             if min(sizes) < 1:
                 raise ValueError(f"sizes must be positive, got {args.sizes!r}")
         except ValueError as exc:
-            print(f"error: --sizes: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--sizes: {exc}") from exc
         report = minors_split_equivalence_scan(args.n_max, args.spread, sizes)
-        payload = {"kind": "minors", "report": report.to_json()}
-    elif args.kind == "strata":
-        try:
-            pair = _pair_from_args(args)
-            label = parse_label(args.label)
+    else:
+        pair = _pair_from_args(args)
+        label = parse_label(args.label)
+        if args.kind == "strata":
             report = scan_corank_strata(pair, label, args.n_max, seed=args.seed)
-        except (ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        payload = {"kind": "strata", "report": report.to_json()}
-    else:  # codim; argparse admits no other kind
-        try:
-            pair = _pair_from_args(args)
-            label = parse_label(args.label)
-        except (ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        est = estimate_codim(pair, label, seed=args.seed, n_max=args.n_max)
-        payload = {"kind": "codim", "report": est.to_json()}
-    payload["started"] = started
-    _emit(payload, args)
+        else:  # codim; argparse admits no other kind
+            report = estimate_codim(pair, label, seed=args.seed, n_max=args.n_max)
+    _emit({"kind": args.kind, "report": report.to_json(), "started": started}, args)
     return EXIT_OK
 
 
@@ -392,7 +346,11 @@ def main(argv=None) -> int:
     args, extra = _parser().parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError) as exc:  # DegenerateProjectionError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateProjectionError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -186,9 +186,13 @@ def _order2_mechanism(g, n, p, q):
 
 def _admissible_table(n_max: int):
     """Every admissible (n, p, q) with n <= n_max, 1 <= p < q < n, ordered by
-    n, then p, then q: three int arrays (ns, ps, qs)."""
-    n, p, q = np.ogrid[: n_max + 1, :n_max, :n_max]
-    return np.nonzero((0 < p) & (p < q) & (q < n))
+    n, then p, then q: `admissible_pairs(n)` stacked over n, as three int
+    arrays (ns, ps, qs)."""
+    # n = 2 admits no pair; it keeps the list nonempty when n_max < 3
+    moduli = range(2, max(n_max, 2) + 1)
+    pairs = [admissible_pairs(n) for n in moduli]
+    ns = np.repeat(np.array(moduli, dtype=np.int64), [len(ps) for ps, _ in pairs])
+    return ns, np.concatenate([ps for ps, _ in pairs]), np.concatenate([qs for _, qs in pairs])
 
 
 def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanReport:

@@ -35,15 +35,15 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
+from . import __version__
 from .exact import kernel_basis, modular_rank, split_prime, split_primes
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
-from .minors import residues, unity_power_rank
+from .minors import admissible_pairs, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
     "StratumLabel",
     "CodimEstimate",
-    "expected_codim",
     "label_dominates",
     "in_filtration_subset",
     "multiplicity_vandermonde",
@@ -139,11 +139,6 @@ def parse_label(text: str) -> StratumLabel:
     return StratumLabel.symmetric(j0, jinf, js)
 
 
-def expected_codim(label: StratumLabel) -> int:
-    """2*j0 + 2*jinf + sum over roots of (j1 + j2 - 1)."""
-    return 2 * label.j0 + 2 * label.jinf + sum(j1 + j2 - 1 for j1, j2 in label.roots)
-
-
 def label_dominates(q: StratumLabel, p: StratumLabel) -> bool:
     """Degeneration partial order on symmetric labels.
 
@@ -212,27 +207,22 @@ def in_filtration_subset(f: LaurentPoly, g: LaurentPoly, label: StratumLabel) ->
     return _match_size(adj, len(finite)) == label.k
 
 
-def _point_power(x, e):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x) ** e
-    return complex(x) ** e
-
-
 def multiplicity_vandermonde(b: SupportSet, xs, js):
-    """Rows f^(d)(x_m) for d < j_m, columns indexed by the support.
+    """Rows f^(d)(x_m) for d < j_m at rational points x_m (ints or
+    Fractions, compared exactly), columns indexed by the support.
 
     Entry for exponent col b and derivative d is b(b-1)...(b-d+1) * x^(b-d)
     (falling-factorial convention, valid for negative Laurent exponents).
     """
-    pts = list(xs)
+    pts = [Fraction(x) for x in xs]
     if len(pts) != len(js):
         raise ValueError("one multiplicity per point required")
-    if not all(pts) or len({complex(x) for x in pts}) != len(pts):
+    if not all(pts) or len(set(pts)) != len(pts):
         raise ValueError("points must be nonzero and pairwise distinct")
     rows = []
     for x, j in zip(pts, js):
         for d in range(j):
-            rows.append([falling(e, d) * _point_power(x, e - d) for e in b.elements])
+            rows.append([falling(e, d) * x ** (e - d) for e in b.elements])
     return rows
 
 
@@ -445,8 +435,6 @@ class CodimEstimate:
         return self.ambient_dim - self.best_dim_found
 
     def to_json(self):
-        from . import __version__  # the package imports this module before defining it
-
         def component(desc, dim):
             if desc in self.exact:
                 return {"component": desc, "dim_found": dim, "exact": True, **self.exact[desc]}
@@ -645,7 +633,7 @@ def _unity_configs(k, n_max):
         if k == 2:
             combos = [(p,) for p in range(1, n)]
         elif k == 3:
-            combos = [(p, q) for p in range(1, n) for q in range(p + 1, n)]
+            combos = zip(*(e.tolist() for e in admissible_pairs(n)))
         else:
             combos = []
         for exps in combos:
@@ -795,8 +783,6 @@ class ScanSReport:
         return (c1, c2) in self.found
 
     def to_json(self):
-        from . import __version__  # the package imports this module before defining it
-
         return {
             "pair": self.pair,
             "label": self.label,

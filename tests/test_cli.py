@@ -12,6 +12,8 @@ import pytest
 import singres
 from singres import cli
 from singres.cli import main
+from singres.project import DegenerateProjectionError
+from test_repo import _leaf_commands
 
 
 def run(capsys, *argv):
@@ -159,6 +161,53 @@ class TestInputErrors:
         assert main(["project3d", "--input", str(path), *self.SCAN_ARGS]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --input: give both coeffs1 and coeffs2 or neither")
+
+
+PAIR_ARGS = ["--b1", "0,1,3", "--b2", "0,3"]
+SUPPORTS_3D = {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}
+# leaf command -> (its arguments, its --input JSON on stdin, the module
+# attribute it computes with)
+COMPUTES_WITH = {
+    "classify": (PAIR_ARGS, None, (cli, "check_conditions")),
+    "resultant": (PAIR_ARGS, None, (cli, "resultant_poly")),
+    "point-classify": (
+        ["--input", "-"],
+        {"f": {"support": [0, 1], "coeffs": {"0": "1", "1": "-1"}}, "g": {"support": [0, 1], "coeffs": {"0": "2", "1": "-2"}}},
+        (cli, "classify_point"),
+    ),
+    "germ-classify": (["--input", "-"], {"terms": [{"exp": [0, 2], "coef": "1"}]}, (cli, "classify_germ")),
+    "verify-paper": ([], None, (cli.verify, "run_checks")),
+    "project3d": (["--input", "-", "--scan", "--rho-steps", "1", "--theta-steps", "1"], SUPPORTS_3D, (cli, "grid_scan")),
+    "scan minors": ([], None, (cli, "minors_split_equivalence_scan")),
+    "scan strata": (PAIR_ARGS, None, (cli, "scan_corank_strata")),
+    "scan codim": (PAIR_ARGS, None, (cli, "estimate_codim")),
+}
+
+
+class TestErrorContract:
+    """`main` alone maps an exception to an exit code, for every command."""
+
+    @staticmethod
+    def _raise(exc):
+        def raiser(*args, **kwargs):
+            raise exc
+
+        return raiser
+
+    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
+    def test_value_error_of_the_computation_exits_2(self, capsys, monkeypatch, command):
+        args, stdin, (owner, name) = COMPUTES_WITH[command]
+        monkeypatch.setattr(owner, name, self._raise(ValueError("boom")))
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        code = main([*command.split(), *args])
+        assert (code, *capsys.readouterr()) == (2, "", "error: boom\n")
+
+    def test_degenerate_projection_exits_3(self, capsys, monkeypatch):
+        args, stdin, _ = COMPUTES_WITH["project3d"]
+        monkeypatch.setattr(cli, "project_supports", self._raise(DegenerateProjectionError("boom")))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        assert (main(["project3d", *args]), *capsys.readouterr()) == (3, "", "error: boom\n")
 
 
 class TestVerifyPaper:

@@ -8,7 +8,7 @@ be found.  This ties the combinatorial verdicts to the sampling machinery.
 
 from singres.germs import classify_germ, slice_germ
 from singres.mpoly import resultant_poly
-from singres.strata import estimate_codim, expected_codim, parse_label
+from singres.strata import StratumLabel, estimate_codim, parse_label
 from singres.supports import GUARANTEE_TABLE, SupportPair, SupportSet, check_conditions
 
 
@@ -37,15 +37,26 @@ LABELS = {
 }
 
 
+def expected_codim(label: StratumLabel) -> int:
+    """The expected codimension of a filtration subset, the oracle for the
+    codim column of GUARANTEE_TABLE: 2*j0 + 2*jinf + sum over roots of
+    (j1 + j2 - 1)."""
+    return 2 * label.j0 + 2 * label.jinf + sum(j1 + j2 - 1 for j1, j2 in label.roots)
+
+
+def test_codim_column_is_the_label_formula():
+    assert [(name, expected_codim(LABELS[name])) for name, _, _ in GUARANTEE_TABLE] == [
+        (name, codim) for name, codim, _ in GUARANTEE_TABLE
+    ]
+
+
 def test_guaranteed_subsets_never_exceed_expected_dimension():
     for p in PAIRS:
         report = check_conditions(p)
         for name, want_codim, breaking in GUARANTEE_TABLE:
             if any(report.flag(i) for i in breaking):
                 continue  # guarantee withdrawn; nothing to check
-            label = LABELS[name]
-            assert expected_codim(label) == want_codim
-            est = estimate_codim(p, label, seed=17, n_max=8)
+            est = estimate_codim(p, LABELS[name], seed=17, n_max=8)
             assert est.estimate is None or est.estimate >= want_codim, (
                 p.to_json(),
                 name,

@@ -17,7 +17,6 @@ from singres.strata import (
     StratumLabel,
     corank_kernel,
     estimate_codim,
-    expected_codim,
     in_filtration_subset,
     label_dominates,
     multiplicity_vandermonde,
@@ -51,6 +50,7 @@ from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports, check_codim_estimates, check_stratum_order
 from test_guarantees import LABELS as GUARANTEE_LABELS
 from test_guarantees import PAIRS as GUARANTEE_PAIRS
+from test_guarantees import expected_codim
 from test_minors import all_minors_oracle
 
 
@@ -181,6 +181,14 @@ class TestVandermonde:
             multiplicity_vandermonde(S(0, 1), (Fraction(1), Fraction(1)), (1, 1))
         with pytest.raises(ValueError):
             multiplicity_vandermonde(S(0, 1), (Fraction(0), Fraction(1)), (1, 1))
+
+    def test_distinct_rationals_of_one_float(self):
+        # distinctness is exact: these two points round to the same float
+        pts = (Fraction(1, 10**20), Fraction(1, 10**20 + 1))
+        assert float(pts[0]) == float(pts[1])
+        rows = multiplicity_vandermonde(S(0, 1, 2), pts, (1, 1))
+        assert rows == [[1, x, x**2] for x in pts]
+        assert corank_kernel(rows)[0] == 0
 
     def test_scaling_invariance(self):
         rng = random.Random(51)
@@ -732,9 +740,23 @@ def reference_span_dimension_exact(pair, label, pts, dirs):
     return exact_rank(rows) if rows else 0
 
 
+def complex_side_matrices(pair, label, pts):
+    """_side_matrices at complex points, whose multiplicity Vandermonde rows
+    `multiplicity_vandermonde` (rational points only) does not build."""
+    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
+    if not all(effs):
+        return None
+    xs = [complex(x) for x in pts]
+    m1, m2 = (
+        [[falling(e, d) * x ** (e - d) for e in eff] for x, j in zip(xs, label.side_orders(side)) for d in range(j)]
+        for side, eff in zip((1, 2), effs)
+    )
+    return (*effs, m1, m2)
+
+
 def reference_span_dimension(pair, label, pts, dirs, rtol=SVD_RTOL):
     """One sample of the span dimension, with per-sample SVDs and lstsq."""
-    sides = _side_matrices(pair, label, pts)
+    sides = complex_side_matrices(pair, label, pts)
     if sides is None:
         return None
     eff1, eff2, m1, m2 = sides
