@@ -59,8 +59,8 @@ def _parse_support(text: str) -> SupportSet:
 
 def _load_json_input(args):
     """The JSON object named by --input ('-' for stdin), or None without
-    --input.  A missing or unreadable file, malformed JSON and JSON that is
-    not an object raise ValueError."""
+    --input.  A missing or unreadable file, bytes that do not decode as
+    text, malformed JSON and JSON that is not an object raise ValueError."""
     if not getattr(args, "input", None):
         return None
     try:
@@ -71,6 +71,8 @@ def _load_json_input(args):
                 data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"--input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"--input: not text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"--input: malformed JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -1,8 +1,11 @@
 """Exact arithmetic substrate.
 
-Dense univariate polynomials over the rationals, and exact rank / kernel
-computations over Q.  Scalars are `int` / `fractions.Fraction` throughout;
-nothing in this module touches floating point.  Facts in Z[zeta_n] are
+An integer-primitive univariate core, and exact rank / kernel computations
+over Q.  A polynomial over Q enters the univariate core as its primitive
+part in Z[x] (content and primitive part, pseudo-remainders, the primitive
+PRS gcd, exact division), and a `Fraction` appears only in an answer, the
+monic gcd; the matrices are over Q, in ints and `fractions.Fraction`s.
+Nothing in this module touches floating point.  Facts in Z[zeta_n] are
 decided modulo primes p = 1 mod n (`split_primes`), which split completely
 in Q(zeta_n): the phi(n) maps zeta_n -> z^k mod p, k a unit mod n, are the
 reductions at the primes above p, so a norm bound turns their values into
@@ -20,6 +23,11 @@ import numpy as np
 
 __all__ = [
     "UniPoly",
+    "primitive",
+    "prs_gcd",
+    "exact_quo",
+    "root_multiplicity",
+    "is_prime",
     "poly_gcd",
     "exact_rank",
     "split_primes",
@@ -39,11 +47,10 @@ def _exact_div(a, b):
 
 
 class UniPoly:
-    """Dense univariate polynomial, coefficients indexed by ascending degree.
+    """Dense univariate polynomial, coefficients indexed by ascending degree:
+    the answer type of the univariate core (`poly_gcd`, class factors).
 
     The zero polynomial is the empty coefficient tuple and has degree -1.
-    Coefficients may be ints or Fractions; operations that divide promote to
-    Fraction as needed.
     """
 
     __slots__ = ("coeffs",)
@@ -54,21 +61,6 @@ class UniPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def from_roots(cls, roots):
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-r, 1))
-        return p
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -77,148 +69,139 @@ class UniPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @property
-    def lead(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly(())
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        return UniPoly(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dl = other.lead
-        dd = other.degree
-        quo = [0] * max(0, len(rem) - dd)
-        while len(rem) > dd and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) <= dd:
-                break
-            q = _exact_div(rem[-1], dl)
-            pos = len(rem) - 1 - dd
-            quo[pos] = q
-            for j, c in enumerate(other.coeffs):
-                rem[pos + j] -= q * c
-            rem.pop()
-        return UniPoly(quo), UniPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def derivative(self):
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        l = self.lead
-        if l == 1:
-            return self
-        return UniPoly(tuple(Fraction(c) / l for c in self.coeffs))
-
-    def root_multiplicity(self, x):
-        """Multiplicity of x as a root (0 when not a root)."""
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        m = 0
-        p = self
-        lin = UniPoly((-x, 1))
-        while True:
-            q, r = divmod(p, lin)
-            if not r.is_zero:
-                return m
-            m += 1
-            p = q
-            if p.is_zero:
-                return m
-
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals by the Euclidean algorithm."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("undefined gcd")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def divisors(n):
-    """Positive divisors of n >= 1, ascending."""
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
 def clear_denominators(values):
-    """The ints and Fractions `values` times the lcm of their denominators,
-    as ints (a rank- and root-preserving rescaling)."""
+    """(ints, D): the ints and Fractions `values` times D, the lcm of their
+    denominators (a rank- and root-preserving rescaling)."""
     lcm = 1
     for c in values:
         if isinstance(c, Fraction):
             lcm = math.lcm(lcm, c.denominator)
     if lcm == 1:
-        return [int(c) for c in values]
-    return [c.numerator * (lcm // c.denominator) for c in values]
+        return [int(c) for c in values], 1
+    return [c.numerator * (lcm // c.denominator) for c in values], lcm
 
 
-def _is_prime(m):
+# The univariate core works in Z[x] on coefficient sequences, ascending in
+# degree, with no trailing zero.  A polynomial over Q enters as its
+# primitive part, which has the same roots with the same multiplicities; by
+# Gauss's lemma a primitive divisor over Q of an integer polynomial divides
+# it over Z, so every division below is exact over Z (Knuth, TAOCP vol. 2,
+# 4.6.1).
+
+
+def primitive(values):
+    """The primitive part of a nonzero polynomial with int / Fraction
+    coefficients: integer coefficients with gcd 1 and a positive leading
+    one, as a tuple."""
+    ints = clear_denominators(values)[0]
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        raise ValueError("zero polynomial has no primitive part")
+    return _primitive(ints)
+
+
+def _primitive(a):
+    """The primitive part of a nonzero integer polynomial."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return tuple(a) if g == 1 else tuple(c // g for c in a)
+
+
+def derivative(a):
+    """The derivative of the coefficient sequence a."""
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
+def _pseudo_rem(a, b):
+    """A multiple lc(b)^k * (a mod b) with k >= 0, in Z[x]: the remainder
+    of a after scaling it by lc(b) before each elimination step."""
+    r = list(a)
+    n, lb = len(b) - 1, b[-1]
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            shift = len(r) - n
+            r = [lb * x for x in r]
+            for j in range(n):
+                r[shift + j] -= c * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def prs_gcd(a, b):
+    """gcd in Z[x] of two nonzero integer polynomials by the primitive PRS:
+    primitive, with a positive leading coefficient."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
+
+
+def exact_quo(a, b):
+    """a / b in Z[x] for integer polynomials where b divides a over Z."""
+    r = list(a)
+    n, lb = len(b) - 1, b[-1]
+    quo = [0] * (len(r) - n)
+    for pos in range(len(quo) - 1, -1, -1):
+        q, m = divmod(r[pos + n], lb)
+        if m:
+            raise ArithmeticError("inexact polynomial division")
+        quo[pos] = q
+        if q:
+            for j in range(n):
+                r[pos + j] -= q * b[j]
+    if any(r[:n]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
+
+
+def root_multiplicity(a, x) -> int:
+    """Multiplicity of the rational x as a root of the nonzero integer
+    polynomial a (0 when not a root).  With x = u/d in lowest terms, d*x - u
+    is primitive, so it divides a over Q iff `exact_quo`, a synthetic
+    division whose every step divides by d, divides it out over Z."""
+    if not a:
+        raise ValueError("zero polynomial")
+    x = Fraction(x)
+    lin, m = (-x.numerator, x.denominator), 0
+    try:
+        while True:
+            a, m = exact_quo(a, lin), m + 1
+    except ArithmeticError:
+        return m
+
+
+def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd over the rationals: `prs_gcd` of the primitive parts, made
+    monic."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("undefined gcd")
+    if p.is_zero or q.is_zero:
+        g = primitive(p.coeffs or q.coeffs)
+    else:
+        g = prs_gcd(primitive(p.coeffs), primitive(q.coeffs))
+    return UniPoly(Fraction(c, g[-1]) for c in g)
+
+
+def is_prime(m):
     """Deterministic Miller-Rabin for m < 3,215,031,751 (bases 2, 3, 5, 7)."""
     if m < 2:
         return False
@@ -253,9 +236,9 @@ def split_primes(n: int):
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    factors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
     for p in range((2**31 - 2) // n * n + 1, n, -n):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         for a in range(2, p):  # F_p* is cyclic, so some a^((p-1)/n) has order n
             z = pow(a, (p - 1) // n, p)

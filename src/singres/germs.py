@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import UniPoly, poly_gcd
+from .exact import UniPoly, clear_denominators, derivative, poly_gcd
 from .mpoly import MPoly
 
 __all__ = ["PlaneGerm", "GermClass", "slice_germ", "classify_germ"]
@@ -55,7 +55,7 @@ class PlaneGerm:
             for _ in range(j):
                 term = _germ_mul(term, t_new)
             for e, c in term.items():
-                acc[e] = acc.get(e, Fraction(0)) + c
+                acc[e] = acc.get(e, 0) + c
         return PlaneGerm(acc)
 
     def to_json(self):
@@ -87,38 +87,40 @@ class GermClass:
 def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> PlaneGerm:
     """Restrict a polynomial to the plane point + s*dir1 + t*dir2, exactly.
 
-    Directions must be linearly independent as coefficient vectors.
+    Directions must be linearly independent as coefficient vectors.  Each
+    variable is (P + s*U + t*W) / D in ints, D one common denominator, so a
+    term c * x^e of total degree k is (L*c) * D^(top - k) * prod (P + s*U +
+    t*W)^e over L * D^top, L that of the coefficients: the germ is computed
+    in ints, each power of a linear germ once, with one Fraction per term.
     """
-    vecs = [[Fraction(dir1.get(v, 0)), Fraction(dir2.get(v, 0))] for v in poly.vars]
-    rank2 = any(
-        u[0] * w[1] - u[1] * w[0] != 0 for i, u in enumerate(vecs) for w in vecs[i + 1 :]
-    )
-    if not rank2:
+    values = [Fraction(d.get(v, 0)) for v in poly.vars for d in (point, dir1, dir2)]
+    ints, den = clear_denominators(values)
+    lin = {v: ints[3 * i : 3 * i + 3] for i, v in enumerate(poly.vars)}
+    vecs = [w[1:] for w in lin.values()]
+    if not any(u[0] * w[1] != u[1] * w[0] for i, u in enumerate(vecs) for w in vecs[i + 1 :]):
         raise ValueError("slice directions are linearly dependent")
+    coefs, lcd = clear_denominators(list(poly.terms.values()))
+    top = max((sum(e) for e in poly.terms), default=0)
+    powers = {}
 
-    def var_germ(v):
-        return PlaneGerm(
-            {
-                (0, 0): Fraction(point.get(v, 0)),
-                (1, 0): Fraction(dir1.get(v, 0)),
-                (0, 1): Fraction(dir2.get(v, 0)),
-            }
-        )
+    def power(v, e):
+        key = (v, e)
+        if key not in powers:
+            p, u, w = lin[v]
+            base = {k: c for k, c in (((0, 0), p), ((1, 0), u), ((0, 1), w)) if c}
+            powers[key] = base if e == 1 else _germ_mul(power(v, e - 1), base)
+        return powers[key]
 
     acc = {}
-    for exp, coef in poly.terms.items():
-        term = {(0, 0): Fraction(coef)}
+    for exp, coef in zip(poly.terms, coefs):
+        term = {(0, 0): coef * den ** (top - sum(exp))}
         for v, e in zip(poly.vars, exp):
-            if not e:
-                continue
-            base = var_germ(v).terms
-            power = base
-            for _ in range(e - 1):
-                power = _germ_mul(power, base)
-            term = _germ_mul(term, power)
+            if e:
+                term = _germ_mul(term, power(v, e))
         for e, c in term.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-    return PlaneGerm(acc)
+            acc[e] = acc.get(e, 0) + c
+    scale = lcd * den**top
+    return PlaneGerm({e: Fraction(c, scale) for e, c in acc.items()})
 
 
 def _germ_mul(a, b):
@@ -127,7 +129,7 @@ def _germ_mul(a, b):
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = (e1[0] + e2[0], e1[1] + e2[1])
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
@@ -168,7 +170,7 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
     lowest = germ.lowest_form()
     t_mult, s_mult, q = _form_profile(lowest, m)
     if q.degree > 0:
-        qsq = poly_gcd(q, q.derivative())
+        qsq = poly_gcd(q, UniPoly(derivative(q.coeffs)))
         q_distinct = q.degree - qsq.degree
         q_squarefree = qsq.degree == 0
     else:

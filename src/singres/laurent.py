@@ -4,8 +4,9 @@ Multiplicity bookkeeping runs on the projective line: the order at 0 (resp.
 infinity) counts vanishing leftmost (rightmost) coefficients along the
 convex hull of the support, and finite orders are root multiplicities of the
 x-part.  Two scalar instantiations share the contract: exact rationals
-(authoritative) and complex floats.  Nothing in the package builds a complex
-polynomial; only JSON input that gives a coefficient as [re, im] does.
+(authoritative), decided on the primitive integer x-parts, and complex
+floats.  Nothing in the package builds a complex polynomial; only JSON
+input that gives a coefficient as [re, im] does.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import UniPoly, clear_denominators, divisors, poly_gcd
+from .exact import UniPoly, derivative, exact_quo, is_prime, primitive, prs_gcd, root_multiplicity
 from .supports import SupportSet
 
 __all__ = [
@@ -225,7 +226,7 @@ def ord_at(f: LaurentPoly, p: ProjPoint, tol=CLUSTER_TOL) -> int:
         return len(form) - 1 - nonzero[-1]
     x = p.value
     if f.is_exact and _is_exact_scalar(x):
-        return f.x_part().root_multiplicity(Fraction(x))
+        return root_multiplicity(primitive(f.x_part().coeffs), x)
     # float path: deflate by evaluating successive derivatives
     scale = max(abs(complex(c)) for c in form)
     m = 0
@@ -239,81 +240,122 @@ def ord_at(f: LaurentPoly, p: ProjPoint, tol=CLUSTER_TOL) -> int:
 
 
 def _exact_finite_common_roots(f: LaurentPoly, g: LaurentPoly):
-    """RootRecords over nonzero finite points, exact path.
+    """RootRecords over nonzero finite points, exact path, in Z[x].
 
-    Every common root is a root of h = gcd(pf, pg).  The root at 0 is
-    stripped from h (it belongs to the boundary bookkeeping), and the
-    squarefree part s = h / gcd(h, h') is split by root order in pf, then
-    each class by order in pg, so every common root lands in exactly one
-    (a, b) order class.  Irrational roots keep the irrational part of their
-    class factor and get a numeric approximation per root.
+    Every common root is a root of h = gcd(pf, pg), pf and pg the primitive
+    x-parts.  The root at 0 is stripped from h (it belongs to the boundary
+    bookkeeping), and the squarefree part s = h / gcd(h, h') is split by
+    root order in pf, then each class by order in pg, so every common root
+    lands in exactly one (a, b) order class.  Irrational roots keep the
+    irrational part of their class factor, made monic, and get a numeric
+    approximation per root.
     """
-    pf, pg = f.x_part(), g.x_part()
-    h = poly_gcd(pf, pg)
-    while not h.coeffs[0]:
-        h = UniPoly(h.coeffs[1:])
-    if h.degree <= 0:
+    pf, pg = primitive(f.x_part().coeffs), primitive(g.x_part().coeffs)
+    h = prs_gcd(pf, pg)
+    h = h[next(i for i, c in enumerate(h) if c) :]
+    if len(h) <= 1:
         return []
     records = []
-    for a, fa in _split_by_order(h // poly_gcd(h, h.derivative()), pf):
+    for a, fa in _split_by_order(exact_quo(h, prs_gcd(h, derivative(h))), pf):
         for b, q in _split_by_order(fa, pg):
-            for factor, root in _roots_of_squarefree(q):
-                if isinstance(root, (int, Fraction)):
-                    records.append(RootRecord(ProjPoint.finite(root), a, b))
-                else:
-                    records.append(RootRecord(ProjPoint.finite(root), a, b, min_poly=factor))
+            for root, min_poly in _roots_of_squarefree(q):
+                records.append(RootRecord(ProjPoint.finite(root), a, b, min_poly))
     return records
 
 
-def _split_by_order(s: UniPoly, p: UniPoly):
-    """Yield (a, q_a) for a = 1, 2, ..., q_a the monic product of x - r over
-    the roots r of s of order exactly a in p, skipping empty classes.
+def _split_by_order(s, p):
+    """Yield (a, q_a) for a = 1, 2, ..., q_a the factor of s whose roots are
+    those of order exactly a in p, skipping empty classes.
 
-    s is monic and squarefree, and each of its roots is a root of p.  With
-    s_1 = s, p_a = p_{a-1} / s_a and s_{a+1} = gcd(s_a, p_a), s_a is the
-    product of x - r over the roots of s of order >= a in p, each of order
+    s is primitive and squarefree, and each of its roots is a root of p.
+    With s_1 = s, p_a = p_{a-1} / s_a and s_{a+1} = gcd(s_a, p_a), s_a is
+    the product over the roots of s of order >= a in p, each of order
     ord_p(r) - a + 1 in p_{a-1}.  Induction: true for a = 1; s_a divides
     p_{a-1} (its roots are simple and have order >= 1 there), so p_a is
     exact and lowers each of their orders by one, and gcd(s_a, p_a) keeps
-    those of order >= a + 1.  So q_a = s_a / s_{a+1} is exact as well.
+    those of order >= a + 1.  So q_a = s_a / s_{a+1} is exact as well, and
+    all of them are in Z[x] by Gauss's lemma.
     """
     a = 1
-    while s.degree > 0:
-        p = p // s
-        nxt = poly_gcd(s, p)
-        q = s // nxt
-        if q.degree > 0:
+    while len(s) > 1:
+        p = exact_quo(p, s)
+        nxt = prs_gcd(s, p)
+        q = exact_quo(s, nxt)
+        if len(q) > 1:
             yield a, q
         s, a = nxt, a + 1
 
 
-def _roots_of_squarefree(h: UniPoly):
-    """(factor, root) pairs: rational roots exactly, the rest numerically."""
+def _roots_of_squarefree(q):
+    """(root, min_poly): rational roots exactly, with no min_poly, then the
+    others numerically, with the monic quotient by the rational factors."""
     out = []
-    rem = h
-    for r in _rational_roots(h):
-        out.append((UniPoly((-r, 1)), r))
-        rem = rem // UniPoly((-r, 1))
-    if rem.degree > 0:
-        coeffs = [complex(c) for c in reversed(rem.coeffs)]
-        for z in np.roots(coeffs):
-            out.append((rem, complex(z)))
+    rem = q
+    for r in _rational_roots(q):
+        out.append((r, None))
+        rem = exact_quo(rem, (-r.numerator, r.denominator))
+    if len(rem) > 1:
+        monic = UniPoly(Fraction(c, rem[-1]) for c in rem)
+        for z in np.roots([complex(c) for c in reversed(monic.coeffs)]):
+            out.append((complex(z), monic))
     return out
 
 
-def _rational_roots(h: UniPoly):
-    """All rational roots of a rational polynomial with h(0) != 0, by
-    clearing denominators and scanning divisors of the constant/leading
-    coefficients."""
-    ints = clear_denominators(h.coeffs)
-    a0, an = abs(ints[0]), abs(ints[-1])
+def _rational_roots(q):
+    """All rational roots of a squarefree integer polynomial q with
+    q(0) != 0, sorted by (|numerator|, denominator, positive first).
+
+    A root u/d in lowest terms has u | q(0) and d | lc(q), so |u| <= N =
+    |q(0)| and 0 < d <= D = |lc(q)|.  Two such fractions that agree modulo
+    m > 2ND are equal, since |u d' - u' d| <= 2ND.  So take the first prime
+    p not dividing lc(q) at which every root of q mod p is simple (found by
+    trying all of F_p); each rational root reduces to one of them, whose
+    Newton (Hensel) lift modulo m = p^k > 2ND determines it, and rational
+    reconstruction recovers it (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 5.10).  Each candidate is tested exactly.  The cost is
+    polynomial in the coefficient length.
+    """
+    if len(q) == 2:  # a linear factor's root is read off
+        return [Fraction(-q[0], q[1])]
+    bound_n, bound_d = abs(q[0]), abs(q[-1])
+    dq = derivative(q)
+    p = 2
+    while True:
+        if bound_d % p and is_prime(p):
+            lifts = [x for x in range(p) if not _eval_mod(q, x, p)]
+            if all(_eval_mod(dq, x, p) for x in lifts):
+                break
+        p += 1
     roots = []
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if h.evaluate(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
+    for x in lifts:
+        m = p
+        while m <= 2 * bound_n * bound_d:
+            m *= m
+            x = (x - _eval_mod(q, x, m) * pow(_eval_mod(dq, x, m), -1, m)) % m
+        r = _reconstruct(x, m, bound_n, bound_d)
+        if r is not None and root_multiplicity(q, r):
+            roots.append(r)
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+
+
+def _eval_mod(a, x, m):
+    """a(x) mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _reconstruct(x, m, bound_n, bound_d):
+    """The fraction u/d with |u| <= bound_n, 0 < d <= bound_d and
+    u = d*x mod m, if there is one (2 * bound_n * bound_d < m), else None."""
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound_n:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if not r1 or abs(t1) > bound_d:
+        return None
+    return Fraction(r1, t1)
 
 
 def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, tol):

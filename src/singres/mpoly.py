@@ -15,15 +15,15 @@ and a divisibility test one subtraction plus a guard-bit mask.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
-from .exact import _exact_div
+from .exact import _exact_div, clear_denominators
 from .supports import SupportPair
 
 __all__ = [
     "MPoly",
     "resultant_poly",
-    "specialize",
     "jacobian_vanishes",
 ]
 
@@ -126,35 +126,6 @@ class MPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def derivative(self, name):
-        i = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[i]
-        return MPoly(self.vars, out)
-
-    def substitute(self, assignment):
-        """Substitute scalars for a subset of the variables.
-
-        Returns an MPoly over the same variable tuple (substituted variables
-        get exponent 0); use `specialize` for the scalar-producing wrapper.
-        """
-        idx = {self.vars.index(name): value for name, value in assignment.items()}
-        out = {}
-        for e, c in self.terms.items():
-            val = c
-            ne = list(e)
-            for i, v in idx.items():
-                if e[i]:
-                    val = val * v ** e[i]
-                    ne[i] = 0
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + val
-        return MPoly(self.vars, out)
 
     def to_json(self):
         return {
@@ -448,18 +419,21 @@ def resultant_poly(pair: SupportPair, bound=DEFAULT_DET_BOUND) -> MPoly:
     return packing.unpack(vars, res)
 
 
-def specialize(poly: MPoly, assignment):
-    """Substitute scalars; a full assignment yields a scalar."""
-    res = poly.substitute(assignment)
-    if len(assignment) == len(poly.vars):
-        return res.terms.get((0,) * len(poly.vars), 0)
-    return res
-
-
 def jacobian_vanishes(poly: MPoly, point) -> bool:
-    """Do the polynomial and all first partials vanish at the point? Exact."""
-    if len(point) != len(poly.vars):
+    """Do the polynomial and all first partials vanish at the point? Exact:
+    with the point X / D, X integral, D^top times the value and D^(top - 1)
+    times each partial (top the largest total degree) are sums in ints."""
+    if set(point) != set(poly.vars):
         raise ValueError("full assignment required")
-    if specialize(poly, point) != 0:
-        return False
-    return all(specialize(poly.derivative(v), point) == 0 for v in poly.vars)
+    xs, den = clear_denominators([point[v] for v in poly.vars])
+    top = max((sum(e) for e in poly.terms), default=0)
+    value, grad = 0, [0] * len(xs)
+    for e, c in poly.terms.items():
+        c = c * den ** (top - sum(e))
+        pows = [x**k for x, k in zip(xs, e)]
+        value += c * math.prod(pows)
+        for i, k in enumerate(e):
+            if k:
+                rest = math.prod(pows[:i]) * math.prod(pows[i + 1 :])
+                grad[i] += c * k * xs[i] ** (k - 1) * rest
+    return value == 0 and not any(grad)

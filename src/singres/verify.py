@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import exact_rank
+from .exact import exact_rank, primitive, prs_gcd, root_multiplicity
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import det3_vanish, evaluation_table, unity_combos_vanish
 from .laurent import LaurentPoly, classify_point
@@ -392,19 +392,15 @@ def _construction_is_clean(f, g, needed):
     """Independent sanity of a constructed pair: exactly the prescribed
     common roots, with exactly the prescribed orders, and nothing at the
     boundary."""
-    from .exact import poly_gcd
-
     pf, pg = f.x_part(), g.x_part()
     if not pf.coeffs or not pf.coeffs[0] or not pg.coeffs or not pg.coeffs[0]:
         return False  # wandered onto the boundary
-    if not pf.coeffs[-1] or not pg.coeffs[-1]:
-        return False
-    h = poly_gcd(pf, pg)
+    pf, pg = primitive(pf.coeffs), primitive(pg.coeffs)
     want_deg = sum(min(o1, o2) for _, o1, o2 in needed)
-    if h.degree != want_deg:
+    if len(prs_gcd(pf, pg)) - 1 != want_deg:
         return False
     for r, o1, o2 in needed:
-        if pf.root_multiplicity(r) != o1 or pg.root_multiplicity(r) != o2:
+        if root_multiplicity(pf, r) != o1 or root_multiplicity(pg, r) != o2:
             return False
     return True
 

@@ -4,7 +4,10 @@ the independent oracle for the split-prime decisions of the package.
 `CycloElement` keeps a canonical residue mod Phi_n, so its zero test is
 structural.  On top of it sit the field RREF and the fraction-free rank over
 Q(zeta_n), exact roots of unity, the multiplicity Vandermonde at them, the
-all-minors test of the power matrix and the exact single-minor checks.  The
+all-minors test of the power matrix and the exact single-minor checks.
+`QPoly` keeps the Fraction univariate arithmetic (long division, the
+Euclidean gcd `q_gcd`) that the cyclotomic reduction needs; it is also the
+oracle for the package's integer-primitive univariate core.  The
 package decides the same facts modulo primes that split completely in
 Q(zeta_n) (`singres.kernels`, `singres.strata._conjugate_ranks`); these
 tests compare the two.
@@ -18,18 +21,159 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from singres.exact import UniPoly, clear_denominators, divisors
+from singres.exact import UniPoly, _exact_div, clear_denominators
 from singres.laurent import falling
 from singres.minors import MinorCheck, exponent_minor_explanation, power_minor_explanation
+
+
+def divisors(n):
+    """Positive divisors of n >= 1, ascending."""
+    out = []
+    for d in range(1, int(math.isqrt(n)) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
+    return sorted(out)
+
+
+class QPoly(UniPoly):
+    """Dense polynomial over Q with Fraction arithmetic: long division, the
+    Euclidean gcd and root multiplicity by repeated division.  The oracle
+    for the package's integer-primitive univariate core, and the Q-division
+    that `poly_xgcd` and the cyclotomic reduction need.  Operands may be any
+    UniPoly; results are QPolys."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    @classmethod
+    def from_roots(cls, roots):
+        p = cls.one()
+        for r in roots:
+            p = p * cls((-r, 1))
+        return p
+
+    @property
+    def lead(self):
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __neg__(self):
+        return QPoly(tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return QPoly(out)
+
+    def __sub__(self, other):
+        return self + (-QPoly(other.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, UniPoly):
+            if not self.coeffs or not other.coeffs:
+                return QPoly(())
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if not a:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return QPoly(out)
+        return QPoly(tuple(c * other for c in self.coeffs))
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dl = other.coeffs[-1]
+        dd = other.degree
+        quo = [0] * max(0, len(rem) - dd)
+        while len(rem) > dd and any(rem):
+            while rem and not rem[-1]:
+                rem.pop()
+            if len(rem) <= dd:
+                break
+            q = _exact_div(rem[-1], dl)
+            pos = len(rem) - 1 - dd
+            quo[pos] = q
+            for j, c in enumerate(other.coeffs):
+                rem[pos + j] -= q * c
+            rem.pop()
+        return QPoly(quo), QPoly(rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def derivative(self):
+        return QPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+
+    def evaluate(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        l = self.lead
+        if l == 1:
+            return self
+        return QPoly(tuple(Fraction(c) / l for c in self.coeffs))
+
+    def root_multiplicity(self, x):
+        """Multiplicity of x as a root (0 when not a root)."""
+        if self.is_zero:
+            raise ValueError("zero polynomial")
+        m = 0
+        p = self
+        lin = QPoly((-x, 1))
+        while True:
+            q, r = divmod(p, lin)
+            if not r.is_zero:
+                return m
+            m += 1
+            p = q
+            if p.is_zero:
+                return m
+
+
+def q_gcd(p: UniPoly, q: UniPoly) -> QPoly:
+    """Monic gcd over the rationals by the Euclidean algorithm."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("undefined gcd")
+    a, b = QPoly(p.coeffs), QPoly(q.coeffs)
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 def poly_xgcd(p: UniPoly, q: UniPoly):
     """Extended gcd: returns (g, u, v) monic with u*p + v*q = g."""
     if p.is_zero and q.is_zero:
         raise ValueError("undefined gcd")
-    a, b = p, q
-    ua, va = UniPoly.one(), UniPoly.zero()
-    ub, vb = UniPoly.zero(), UniPoly.one()
+    a, b = QPoly(p.coeffs), QPoly(q.coeffs)
+    ua, va = QPoly.one(), QPoly.zero()
+    ub, vb = QPoly.zero(), QPoly.one()
     while not b.is_zero:
         quo, rem = divmod(a, b)
         a, b = b, rem
@@ -40,7 +184,7 @@ def poly_xgcd(p: UniPoly, q: UniPoly):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> UniPoly:
+def cyclotomic_polynomial(n: int) -> QPoly:
     """Monic n-th cyclotomic polynomial with integer coefficients.
 
     Computed as (x^n - 1) divided by the product of the proper-divisor
@@ -48,7 +192,7 @@ def cyclotomic_polynomial(n: int) -> UniPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = UniPoly((-1,) + (0,) * (n - 1) + (1,))
+    poly = QPoly((-1,) + (0,) * (n - 1) + (1,))
     for d in divisors(n):
         if d < n:
             poly = poly // cyclotomic_polynomial(d)
@@ -117,7 +261,7 @@ class CycloElement:
     @classmethod
     def from_poly(cls, n, coeffs):
         """Reduce an arbitrary-degree integer/rational polynomial mod Phi_n."""
-        rem = UniPoly(coeffs) % cyclotomic_polynomial(n)
+        rem = QPoly(coeffs) % cyclotomic_polynomial(n)
         deg = cyclotomic_polynomial(n).degree
         padded = list(rem.coeffs) + [0] * (deg - len(rem.coeffs))
         return cls(n, padded)
@@ -231,7 +375,7 @@ def cyclo_rank(matrix) -> int:
     if not matrix or not matrix[0]:
         raise ValueError("matrix must be nonempty")
     cyclo = any(isinstance(v, CycloElement) for r in matrix for v in r)
-    rows = [list(r) for r in matrix] if cyclo else [clear_denominators(r) for r in matrix]
+    rows = [list(r) for r in matrix] if cyclo else [clear_denominators(r)[0] for r in matrix]
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     for col in range(ncols):

@@ -110,6 +110,21 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: --input") and "Traceback" not in err
 
+    UTF16_BYTES = b"\xff\xfe{\x00}\x00"  # '{}' in UTF-16 with its byte-order mark
+
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.UTF16_BYTES)
+        assert main(["classify", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input: not text") and "Traceback" not in err
+
+    def test_undecodable_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(self.UTF16_BYTES), encoding="utf-8"))
+        assert main(["point-classify", "--input", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input: not text") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, content",
         [

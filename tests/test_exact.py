@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import (
     CycloElement,
+    QPoly,
     cyclo_rank,
     cyclo_rref,
     cyclotomic_polynomial,
@@ -16,9 +17,13 @@ from cyclo_oracle import (
 )
 from singres.exact import (
     UniPoly,
+    derivative,
+    exact_quo,
     exact_rank,
     kernel_basis,
     poly_gcd,
+    primitive,
+    root_multiplicity,
 )
 from singres.minors import unity_power_rank
 from singres.supports import SupportSet
@@ -65,25 +70,29 @@ def brute_force_rank(matrix) -> int:
 
 
 def poly(*coeffs):
-    return UniPoly(coeffs)
+    return QPoly(coeffs)
 
 
 class TestUniPoly:
+    """The integer-primitive univariate core."""
+
     def test_divmod_roundtrip(self):
-        p = poly(Fraction(1), Fraction(2), Fraction(1))
-        d = poly(Fraction(1), Fraction(1))
-        q, r = divmod(p, d)
-        assert q * d + r == p
-        assert r.is_zero
+        assert exact_quo((1, 2, 1), (1, 1)) == (1, 1)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_quo((1, 0, 1), (1, 1))
+
+    def test_primitive_clears_denominators_and_sign(self):
+        assert primitive((Fraction(-1, 2), 0, Fraction(-3, 4))) == (2, 0, 3)
+        assert primitive((6, -4, 0)) == (-3, 2)
 
     def test_from_roots_and_multiplicity(self):
-        p = UniPoly.from_roots([Fraction(2), Fraction(2), Fraction(3)])
-        assert p.root_multiplicity(Fraction(2)) == 2
-        assert p.root_multiplicity(Fraction(3)) == 1
-        assert p.root_multiplicity(Fraction(5)) == 0
+        p = primitive(QPoly.from_roots([Fraction(2), Fraction(2), Fraction(3)]).coeffs)
+        assert root_multiplicity(p, Fraction(2)) == 2
+        assert root_multiplicity(p, Fraction(3)) == 1
+        assert root_multiplicity(p, Fraction(5)) == 0
 
     def test_derivative(self):
-        assert poly(1, 2, 3).derivative() == poly(2, 6)
+        assert derivative((1, 2, 3)) == (2, 6)
 
 
 class TestGcd:
@@ -96,13 +105,13 @@ class TestGcd:
 
     def test_factored_oracle(self):
         # gcd((x-2)^2 (x-3), (x-2)(x-5)) = x - 2
-        p = UniPoly.from_roots([2, 2, 3])
-        q = UniPoly.from_roots([2, 5])
+        p = QPoly.from_roots([2, 2, 3])
+        q = QPoly.from_roots([2, 5])
         assert poly_gcd(p, q) == poly(-2, 1)
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError, match="undefined gcd"):
-            poly_gcd(UniPoly.zero(), UniPoly.zero())
+            poly_gcd(UniPoly(), UniPoly())
 
     def test_xgcd_identity(self):
         p, q = poly(2, 0, 1), poly(1, 1)
@@ -117,7 +126,7 @@ class TestGcd:
             coeffs = [data.draw(st.integers(-4, 4)) for _ in range(deg)] + [
                 data.draw(st.integers(1, 4))
             ]
-            return UniPoly(coeffs)
+            return QPoly(coeffs)
 
         p, q, h = rand_poly(), rand_poly(), rand_poly()
         left = poly_gcd(p * h, q * h)
@@ -135,7 +144,7 @@ class TestCyclotomic:
 
     def test_product_identity_up_to_60(self):
         for n in range(1, 61):
-            prod = UniPoly.one()
+            prod = QPoly.one()
             for d in range(1, n + 1):
                 if n % d == 0:
                     prod = prod * cyclotomic_polynomial(d)

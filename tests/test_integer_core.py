@@ -1,0 +1,270 @@
+"""The integer-primitive univariate core, the germ slice and the Jacobian test
+against Fraction oracles: `QPoly` long division and Euclidean gcd, the
+divisor-scan root search, Fraction germ products and Fraction substitution."""
+
+import math
+import random
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclo_oracle import QPoly, divisors, q_gcd
+from singres.exact import UniPoly, exact_quo, poly_gcd, primitive, prs_gcd, root_multiplicity
+from singres.germs import PlaneGerm, slice_germ
+from singres.laurent import LaurentPoly, ProjPoint, RootRecord, classify_point, common_roots
+from singres.mpoly import jacobian_vanishes, resultant_poly
+from singres.supports import SupportPair, SupportSet
+
+# irreducible factors over Q that give the class factors irrational roots
+IRREDUCIBLE = ((-2, 0, 1), (1, 0, 1), (1, 1, 1), (-3, 0, 0, 1))
+
+
+def _root(num_max, den_max):
+    return st.builds(
+        Fraction,
+        st.integers(1, num_max).flatmap(lambda n: st.sampled_from((n, -n))),
+        st.integers(1, den_max),
+    )
+
+
+@st.composite
+def poly_pairs(draw, num_max=10**6, den_max=50):
+    """Two polynomials over Q sharing some of their rational roots, each
+    root of order 0-4 in each, with irreducible factors, a power of x and
+    a scale of up to 30 digits: (pf, pg, the rational roots used)."""
+    roots = draw(st.lists(_root(num_max, den_max), min_size=1, max_size=4, unique=True))
+    out = []
+    for _ in range(2):
+        p = QPoly.one()
+        for r in roots:
+            p = p * QPoly.from_roots([r] * draw(st.integers(0, 4)))
+        for q in draw(st.lists(st.sampled_from(IRREDUCIBLE), max_size=2)):
+            p = p * QPoly(q)
+        p = p * QPoly((0,) * draw(st.integers(0, 3)) + (1,))
+        scale = Fraction(draw(st.integers(1, 10**30)), draw(st.integers(1, 10**6)))
+        out.append(p * (scale if draw(st.booleans()) else -scale))
+    return out[0], out[1], roots
+
+
+class TestAgainstQOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs())
+    def test_gcd(self, data):
+        pf, pg, _ = data
+        assert poly_gcd(pf, pg) == q_gcd(pf, pg)
+        assert prs_gcd(primitive(pf.coeffs), primitive(pg.coeffs)) == primitive(q_gcd(pf, pg).coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs())
+    def test_exact_division(self, data):
+        pf, pg, _ = data
+        prod = pf * pg
+        want = primitive((prod // pg).coeffs)
+        assert exact_quo(primitive(prod.coeffs), primitive(pg.coeffs)) == want == primitive(pf.coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs(), st.integers(1, 9))
+    def test_root_multiplicity(self, data, shift_den):
+        pf, _, roots = data
+        p = primitive(pf.coeffs)
+        for r in roots + [r + Fraction(1, shift_den) for r in roots] + [Fraction(0)]:
+            assert root_multiplicity(p, r) == pf.root_multiplicity(r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs(num_max=40, den_max=9))
+    def test_common_roots_records(self, data):
+        pf, pg, _ = data
+        f, g = _dense(pf), _dense(pg)
+        got = [r for r in common_roots(f, g) if r.point.kind == "finite"]
+        assert got == q_finite_common_roots(pf, pg)
+
+
+    def test_rational_root_order(self):
+        """Roots in one order class come in the divisor scan's order: by
+        |numerator|, then denominator, the positive one first."""
+        roots = sorted({Fraction(p, q) for p in (1, 2, 3, 6) for q in (1, 2, 5)})
+        roots += [-r for r in roots]
+        random.Random(4).shuffle(roots)
+        pf = QPoly.from_roots(roots) * 3
+        pg = QPoly.from_roots(roots[:15] + [Fraction(7)]) * QPoly(IRREDUCIBLE[2])
+        got = [r for r in common_roots(_dense(pf), _dense(pg)) if r.point.kind == "finite"]
+        assert got == q_finite_common_roots(pf, pg)
+        assert len(got) == 15
+
+
+class TestLargeRoots:
+    """Roots with 15-31 digits: the root search is polynomial in the
+    coefficient length."""
+
+    def test_common_roots_of_thirty_digits(self):
+        r1, r2 = Fraction(10**30), Fraction(10**30, 7)
+        pf = QPoly.from_roots([r1, r2, r2, -3])
+        pg = QPoly.from_roots([r1, r1, r2, 5]) * QPoly(IRREDUCIBLE[0])
+        start = time.perf_counter()
+        recs = common_roots(_dense(pf), _dense(pg))
+        assert time.perf_counter() - start < 1.0
+        assert recs == [
+            RootRecord(ProjPoint.finite(r1), 1, 2),
+            RootRecord(ProjPoint.finite(r2), 2, 1),
+        ]
+
+    def test_classify_in_under_a_second(self):
+        start = time.perf_counter()
+        for r1, r2 in ((Fraction(10**30), Fraction(10**30, 7)), (Fraction(-(10**30), 7), Fraction(10**30))):
+            smooth = classify_point(_dense(QPoly.from_roots([r1, 2])), _dense(QPoly.from_roots([r1, -1])))
+            node = classify_point(_dense(QPoly.from_roots([r1, r2, 2])), _dense(QPoly.from_roots([r1, r2, -1])))
+            double = classify_point(_dense(QPoly.from_roots([r2, r2, 1])), _dense(QPoly.from_roots([r2, r2])))
+            assert (smooth.tag, node.tag, double.reason) == ("SmoothPoint", "NodeA1", "MultipleRoot")
+        f = LaurentPoly(SupportSet.of(0, 1), {0: -(10**14), 1: 1})
+        g = LaurentPoly(SupportSet.of(0, 2), {0: -(10**28), 2: 1})
+        assert classify_point(f, g).tag == "SmoothPoint"
+        assert time.perf_counter() - start < 1.0
+
+
+def _dense(p):
+    return LaurentPoly(SupportSet.of(*range(p.degree + 1)), dict(enumerate(p.coeffs)))
+
+
+def q_finite_common_roots(pf, pg):
+    """The finite nonzero common roots of pf and pg as RootRecords, over Q:
+    Euclidean gcds, long division and the divisor scan for rational roots."""
+    h = q_gcd(pf, pg)
+    while not h.coeffs[0]:
+        h = QPoly(h.coeffs[1:])
+    if h.degree <= 0:
+        return []
+    records = []
+    for a, fa in _q_split_by_order(h // q_gcd(h, h.derivative()), pf):
+        for b, q in _q_split_by_order(fa, pg):
+            rem = q
+            for r in _q_rational_roots(q):
+                records.append(RootRecord(ProjPoint.finite(r), a, b))
+                rem = rem // QPoly((-r, 1))
+            if rem.degree > 0:
+                for z in np.roots([complex(c) for c in reversed(rem.coeffs)]):
+                    records.append(RootRecord(ProjPoint.finite(complex(z)), a, b, min_poly=rem))
+    return records
+
+
+def _q_split_by_order(s, p):
+    a = 1
+    while s.degree > 0:
+        p = p // s
+        nxt = q_gcd(s, p)
+        q = s // nxt
+        if q.degree > 0:
+            yield a, q
+        s, a = nxt, a + 1
+
+
+def _q_rational_roots(h):
+    """Rational roots by testing every +-p/q with p | a0 and q | an."""
+    lcm = math.lcm(*(Fraction(c).denominator for c in h.coeffs))
+    a0, an = abs(h.coeffs[0] * lcm), abs(h.coeffs[-1] * lcm)
+    roots = []
+    for p in divisors(int(a0)):
+        for q in divisors(int(an)):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if h.evaluate(cand) == 0 and cand not in roots:
+                    roots.append(cand)
+    return roots
+
+
+# --- germ slices and the Jacobian test -----------------------------------------
+
+SLICE_PAIRS = (((0, 1, 3), (0, 3)), ((0, 1), (0, 1, 2)), ((0, 2, 3), (0, 1)))
+
+
+def _rational(rng, zero_ok=True):
+    while True:
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        if x or zero_ok:
+            return x
+
+
+def slice_oracle(poly, point, dir1, dir2):
+    """The germ of poly on point + s*dir1 + t*dir2 by Fraction products,
+    each power of a linear germ rebuilt per term."""
+
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = (e1[0] + e2[0], e1[1] + e2[1])
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return out
+
+    acc = {}
+    for exp, coef in poly.terms.items():
+        term = {(0, 0): Fraction(coef)}
+        for v, e in zip(poly.vars, exp):
+            base = {(0, 0): Fraction(point.get(v, 0)), (1, 0): Fraction(dir1.get(v, 0)), (0, 1): Fraction(dir2.get(v, 0))}
+            for _ in range(e):
+                term = mul(term, base)
+        for e, c in term.items():
+            acc[e] = acc.get(e, Fraction(0)) + c
+    return PlaneGerm(acc)
+
+
+def jacobian_oracle(poly, point):
+    """Whether poly and its first partials vanish at the point, by Fraction
+    evaluation of each term and each term's derivatives."""
+
+    def value(exp_coef):
+        total = Fraction(0)
+        for exp, c in exp_coef:
+            term = Fraction(c)
+            for v, k in zip(poly.vars, exp):
+                term *= Fraction(point[v]) ** k
+            total += term
+        return total
+
+    terms = list(poly.terms.items())
+    partials = [
+        [(exp[:i] + (exp[i] - 1,) + exp[i + 1 :], c * exp[i]) for exp, c in terms if exp[i]]
+        for i in range(len(poly.vars))
+    ]
+    return value(terms) == 0 and all(value(p) == 0 for p in partials)
+
+
+class TestSliceAndJacobian:
+    def test_slice_matches_oracle(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            b1, b2 = rng.choice(SLICE_PAIRS)
+            r = resultant_poly(SupportPair(SupportSet.of(*b1), SupportSet.of(*b2)))
+            point = {v: _rational(rng) for v in r.vars}
+            while True:
+                d1 = {v: _rational(rng) for v in rng.sample(r.vars, 2)}
+                d2 = {v: _rational(rng) for v in rng.sample(r.vars, 2)}
+                try:
+                    got = slice_germ(r, point, d1, d2)
+                except ValueError:
+                    continue
+                break
+            want = slice_oracle(r, point, d1, d2)
+            assert got.terms == want.terms
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_jacobian_matches_oracle(self):
+        rng = random.Random(31)
+        singular = 0
+        for i in range(600):
+            b1, b2 = SLICE_PAIRS[i % len(SLICE_PAIRS)]
+            r = resultant_poly(SupportPair(SupportSet.of(*b1), SupportSet.of(*b2)))
+            point = {v: _rational(rng) for v in r.vars}
+            if i % 3 == 0 and b1 == (0, 1, 3):
+                # the singular locus of (f3 g0 - f0 g3)^3 + f1^3 g3^2 g0
+                a, d, e = (_rational(rng, zero_ok=False) for _ in range(3))
+                point = {"f3": a, "f1": 0, "f0": a * e / d, "g3": d, "g0": e}
+            elif i % 3 == 1 and b1 == (0, 1):
+                # R = f0^2 g2 - f0 f1 g1 + f1^2 g0 is a quadratic form in (f0, f1)
+                point = {**point, "f1": 0, "f0": 0}
+            want = jacobian_oracle(r, point)
+            assert jacobian_vanishes(r, point) == want
+            singular += want
+        assert singular >= 100

