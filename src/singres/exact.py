@@ -33,6 +33,7 @@ __all__ = [
     "split_primes",
     "split_prime",
     "modular_rank",
+    "modular_kernel_vector",
     "exact_rref",
     "kernel_basis",
 ]
@@ -255,21 +256,23 @@ def split_prime(n: int):
     return next(split_primes(n))
 
 
-def modular_rank(stack, primes) -> np.ndarray:
-    """Rank of each matrix of an int64 stack (S, rows, cols) over F_p, p =
-    primes[s] < 2^31, the entries lying in [0, p): an int array.
+def _modular_echelon(stack, primes):
+    """(a, pivots): an echelon form over F_p, p = primes[s] < 2^31, of each
+    matrix of an int64 stack (S, rows, cols) with entries in [0, p), and
+    pivots[s, col], the row of a[s] whose pivot lies in column col, or -1.
 
     One elimination for the whole stack, column by column, division-free:
     every row not yet used as a pivot becomes piv * row - a * pivrow mod p,
-    which scales it by the unit piv and so leaves the rank; no product
-    exceeds 2^62.
+    which scales it by the unit piv and so leaves the row space; no product
+    exceeds 2^62.  A pivot row is zero left of its pivot column, and the
+    rows that never pivot end zero.
     """
     a = np.array(stack, dtype=np.int64)
     count, nrows, ncols = a.shape
     primes = np.asarray(primes, dtype=np.int64)[:, None, None]
     idx = np.arange(count)
     free = np.ones((count, nrows), dtype=bool)
-    rank = np.zeros(count, dtype=np.int64)
+    pivots = np.full((count, ncols), -1, dtype=np.int64)
     for col in range(ncols):
         cand = free & (a[:, :, col] != 0)
         has = cand.any(axis=1)
@@ -277,10 +280,43 @@ def modular_rank(stack, primes) -> np.ndarray:
         pivrow = a[idx, piv]
         pval = np.where(has, pivrow[:, col], 1)
         free[idx[has], piv[has]] = False
+        pivots[has, col] = piv[has]
         coef = np.where(free, a[:, :, col], 0)
         a = (pval[:, None, None] * a - coef[:, :, None] * pivrow[:, None, :]) % primes
-        rank += has
-    return rank
+    return a, pivots
+
+
+def modular_rank(stack, primes) -> np.ndarray:
+    """Rank of each matrix of an int64 stack (S, rows, cols) over F_p, p =
+    primes[s] < 2^31, the entries lying in [0, p): an int array, the pivot
+    count of `_modular_echelon`."""
+    return (_modular_echelon(stack, primes)[1] >= 0).sum(axis=1)
+
+
+def modular_kernel_vector(stack, primes, weights):
+    """(rank, v): the rank over F_p of each matrix of an int64 stack (S,
+    rows, cols), as `modular_rank` gives it, and a vector v[s] of its
+    kernel, from one elimination (`_modular_echelon`).
+
+    Its free coordinates (the columns without a pivot) are weights[s] mod
+    p, times a unit, so v[s] is nonzero when the kernel is and those weights
+    are not all 0 mod p.  Each pivot coordinate is solved from its row, last
+    pivot first, without a division: for a pivot row with value piv at
+    column c and sum s over its other columns, v becomes piv * v and then
+    v_c = -s, which keeps every row solved so far (a unit multiple of a
+    solution is one).
+    """
+    a, pivots = _modular_echelon(stack, primes)
+    primes = np.asarray(primes, dtype=np.int64)[:, None]
+    idx = np.arange(len(a))
+    v = np.where(pivots < 0, np.asarray(weights, dtype=np.int64) % primes, 0)
+    for col in range(a.shape[2] - 1, -1, -1):
+        has = pivots[:, col] >= 0
+        row = a[idx, np.maximum(pivots[:, col], 0)]
+        dot = (row * v % primes).sum(axis=1) % primes[:, 0]
+        v = np.where(has[:, None], row[:, col : col + 1] * v % primes, v)
+        v[has, col] = -dot[has] % primes[has, 0]
+    return (pivots >= 0).sum(axis=1), v
 
 
 def exact_rref(matrix):

@@ -1,5 +1,5 @@
 """Filtration-subset labels, multiplicity Vandermonde matrices, the exact
-kernel sampler, and Monte-Carlo codimension estimation.
+kernel sampler, and codimension estimation.
 
 A label (j0, jinf, multiset of per-root order pairs) indexes the subset of
 coefficient pairs whose common roots have at least the prescribed orders.
@@ -13,10 +13,9 @@ kernel combinations.
 The generic component's dimension is certified by a closed form
 (`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
 so is every root-of-unity component (`_unity_components`: the side coranks
-plus one orbit direction).  The float samples of the minor-curve components
-are drawn first and evaluated as one stack (`_span_dimensions`), one
-stacked SVD per side and per final matrix shape, all ranked by one
-threshold (`_svd_rank`).  The corank-strata scan ranks root-of-unity tuples
+plus one orbit direction).  Each minor curve is decided mod small primes at
+Hensel-liftable points of its branches (`_minor_certificates`), with no
+floating point.  The corank-strata scan ranks root-of-unity tuples
 exactly (closed form, or a rank mod a split prime, with the conjugates at
 several split primes where that is not full) and takes the generic corank
 from the same closed form; its seed only picks witness tuples.
@@ -27,7 +26,6 @@ from __future__ import annotations
 import random
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +34,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from . import __version__
-from .exact import kernel_basis, modular_rank, split_prime, split_primes
+from .exact import is_prime, kernel_basis, modular_kernel_vector, modular_rank, split_prime, split_primes
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import admissible_pairs, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
@@ -55,18 +53,18 @@ __all__ = [
     "ScanSReport",
 ]
 
-SVD_RTOL = 1e-7
-VOTE_SAMPLES = 5
-# Largest exponent spread of a minor curve that is drawn.  Its parameter t
-# lies in the annulus e^(+-0.6); past 0.6 * 60, about ln(1/eps), the terms of
-# the curve's polynomial (and of one float row) can differ by more than
-# 1/eps, and np.roots's companion eigenproblem grows as the spread cubed.
+# Largest exponent spread of a minor curve that estimate_codim probes; a
+# wider curve is skipped.
 MINOR_SPREAD_MAX = 60
-# Most minor curves that estimate_codim draws, after shuffling them.
+# Most minor curves that estimate_codim probes, after shuffling them.
 MINOR_CURVES_MAX = 48
-# Largest row exponent that a float holds exactly.  Past it x^e rounds its
-# exponent, so a sample row carries no information even where it is finite.
-FLOAT_EXACT_EXPONENT = 2**53
+# The minor-curve certificate draws up to CERT_T_TRIES * g parameters t0 at
+# each of CERT_PRIMES primes p = 1 mod g, the triple's gap gcd, above
+# CERT_PRIME_MIN; a class that none of them decides leaves its curve
+# undecided.
+CERT_PRIME_MIN = 1000
+CERT_PRIMES = 3
+CERT_T_TRIES = 8
 
 
 @dataclass(frozen=True)
@@ -226,13 +224,6 @@ def multiplicity_vandermonde(b: SupportSet, xs, js):
     return rows
 
 
-def _svd_rank(sv):
-    """Numeric rank of each matrix of a stack from its singular values
-    (shape (..., q), each row descending): the number above SVD_RTOL times
-    the largest."""
-    return np.sum(sv > SVD_RTOL * sv[..., :1], axis=-1)
-
-
 def corank_kernel(rows):
     """(corank, kernel basis) of the linear map f -> M f, M rational.
 
@@ -260,85 +251,6 @@ def _random_fraction(rng, lo=-9, hi=9):
         num = rng.randint(lo, hi)
         if num:
             return Fraction(num, rng.randint(1, 6))
-
-
-def _random_unit_annulus(rng):
-    rho = rng.uniform(-0.6, 0.6)
-    theta = rng.uniform(0, 2 * np.pi)
-    return complex(np.exp(rho) * np.cos(theta), np.exp(rho) * np.sin(theta))
-
-
-def _draw_minor_tuple(triple, rng):
-    """A float point tuple (c, c t, c u) on the minor curve of the exponent
-    triple, where det[[1,1,1],[t^a,t^b,t^c],[u^a,u^b,u^c]] vanishes.
-
-    Returns (points, tangent_directions), each direction a length-3 vector
-    spanning the curve's tangent at the sample, or None when no tuple is
-    found (among others, for a triple that spreads wider than
-    MINOR_SPREAD_MAX, and for (a, a+1, a+2): its det t^a u^a (t-1)(u-1)(u-t)
-    has no root off {0, 1, t}, so its twelve t are drawn and no root solved).
-    """
-    a_, b_, c_ = triple
-    if c_ - a_ > MINOR_SPREAD_MAX:
-        return None
-    for _ in range(12):
-        t = _random_unit_annulus(rng)
-        if c_ - a_ == 2:
-            continue
-        coeffs = _minor_poly_in_u(a_, b_, c_, t)
-        if coeffs is None:
-            continue
-        roots = np.roots(coeffs)
-        good = [
-            u
-            for u in roots
-            if abs(u) > 1e-9 and abs(u - 1) > 1e-9 and abs(u - t) > 1e-9
-        ]
-        if not good:
-            continue
-        u = complex(good[0])
-        c = _random_unit_annulus(rng)
-        pts = [c, c * t, c * u]
-        dpdt = _minor_du_dt(a_, b_, c_, t, u)
-        if dpdt is None:
-            dirs = [[1, t, u]]
-        else:
-            dirs = [[1, t, u], [0, c, c * dpdt]]
-        return pts, dirs
-    return None
-
-
-def _minor_poly_in_u(a, b, c, t):
-    """Coefficients (descending) of det[[1,1,1],[t^a,t^b,t^c],[u^a,u^b,u^c]]
-    as a polynomial in u, exponents shifted to be non-negative."""
-    lo = min(a, b, c)
-    a, b, c = a - lo, b - lo, c - lo
-    deg = max(a, b, c)
-    coeffs = [0j] * (deg + 1)
-    # det = (t^b - t^c) u^a + (t^c - t^a) u^b + (t^a - t^b) u^c
-    coeffs[deg - a] += t**b - t**c
-    coeffs[deg - b] += t**c - t**a
-    coeffs[deg - c] += t**a - t**b
-    if all(abs(x) < 1e-14 for x in coeffs):
-        return None
-    return coeffs
-
-
-def _minor_du_dt(a, b, c, t, u):
-    """Implicit derivative du/dt on the minor curve, None at critical points."""
-    dd_dt = (
-        (b * t ** (b - 1) - c * t ** (c - 1)) * u**a
-        + (c * t ** (c - 1) - a * t ** (a - 1)) * u**b
-        + (a * t ** (a - 1) - b * t ** (b - 1)) * u**c
-    )
-    dd_du = (
-        (t**b - t**c) * a * u ** (a - 1)
-        + (t**c - t**a) * b * u ** (b - 1)
-        + (t**a - t**b) * c * u ** (c - 1)
-    )
-    if abs(dd_du) < 1e-12:
-        return None
-    return -dd_dt / dd_du
 
 
 def _side_matrices(pair, label, pts):
@@ -410,11 +322,11 @@ class CodimEstimate:
 
     best_dim_found is the certified side (a dimension actually realized);
     codim_lower_bound_claimed = ambient - best_dim_found is heuristic.
-    `samples` maps each voted component (generic and minor-curve) to its
-    per-sample dimensions (None where a sample failed); `exact` maps each
-    root-of-unity component, decided exactly, to its kd1, kd2 and r (see
-    `_unity_components`); `timings` gives the seconds spent in the generic,
-    root-of-unity and minor-curve phases.
+    `exact` maps each decided component (generic, root-of-unity and
+    minor-curve) to its kd1, kd2 and r, and a minor curve also to its
+    certificate (see `estimate_codim`); a component outside it is a minor
+    curve left undecided, listed with dimension None.  `timings` gives the
+    seconds spent in the generic, root-of-unity and minor-curve phases.
     """
 
     ambient_dim: int
@@ -424,7 +336,6 @@ class CodimEstimate:
     seed: int = 0
     label: str = ""
     pair: dict | None = None
-    samples: dict = field(default_factory=dict)
     exact: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
@@ -436,15 +347,8 @@ class CodimEstimate:
 
     def to_json(self):
         def component(desc, dim):
-            if desc in self.exact:
-                return {"component": desc, "dim_found": dim, "exact": True, **self.exact[desc]}
-            dims = self.samples.get(desc, [])
-            return {
-                "component": desc,
-                "dim_found": dim,
-                "votes": [list(v) for v in sorted(Counter(d for d in dims if d is not None).items())],
-                "none_samples": dims.count(None),
-            }
+            decided = desc in self.exact
+            return {"component": desc, "dim_found": dim, "exact": decided, **self.exact.get(desc, {})}
 
         return {
             "ambient_dim": self.ambient_dim,
@@ -494,133 +398,6 @@ def _generic_kernel_dims(pair, label):
         len(_effective_elements(b, label.j0, label.jinf)) - sum(label.side_orders(side))
         for side, b in ((1, pair.b1), (2, pair.b2))
     )
-
-
-@lru_cache(maxsize=None)
-def _vandermonde_tables(eff, js):
-    """Row layout of the multiplicity Vandermonde of the exponents `eff` at
-    len(js) points with orders js, as read-only arrays: the point of each
-    row, falling(e, d) and e - d for its entries, and falling(e, d + 1) and
-    e - d - 1 for the entries of its derivative in that point."""
-    rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
-    derivs = np.array([d for _, d in rows])[:, None]
-    tables = (
-        np.array([m for m, _ in rows]),
-        np.array([[falling(e, d) for e in eff] for _, d in rows], dtype=float),
-        np.array(eff) - derivs,
-        np.array([[falling(e, d + 1) for e in eff] for _, d in rows], dtype=float),
-        np.array(eff) - derivs - 1,
-    )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _span_dimensions(pair, label, pts, dirs):
-    """Span dimension of the locus parameterization's differential at each
-    tuple of a stack, or None where a side kernel is empty or a tangent
-    solve is inconsistent.
-
-    `pts` is an (S, k) complex array of solution tuples (k >= 1) and
-    dirs[s] a sequence of length-k tangent directions of the locus at tuple
-    s.  Each side's multiplicity Vandermonde is built for the whole stack.
-    A tuple whose rows, or their derivatives, are not finite (x^e past the
-    float range) is a failed sample, None, before any SVD; so is every tuple
-    when a row exponent e - d or e - d - 1 exceeds FLOAT_EXACT_EXPONENT in
-    modulus (x^e past the float precision).  Every row, and
-    the same row of the tangent right-hand side, is divided by the row's
-    largest modulus: a nonsingular diagonal left factor, so every kernel
-    and every consistent solve is unchanged, while a row of large points no
-    longer dwarfs the others below the rank threshold (van der Sluis;
-    Higham, Accuracy and Stability of Numerical Algorithms, 7.3).  The
-    scaled matrix is factored by one stacked SVD: the right singular
-    vectors past the thresholded rank span the side's kernel, and the same
-    factors give the minimum-norm tangent solves (what lstsq returns, with
-    its default cutoff), whose residual is tested on the scaled rows.  The
-    kernel combinations f1, f2 are drawn per tuple from a generator seeded
-    by the tuple's hash.  The final ranks, of the row-normalized kernel and
-    tangent rows, take one stacked SVD per matrix shape.
-    """
-    count = len(pts)
-    dims = [None] * count
-    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
-    if not count or not all(effs):
-        return dims
-    tables = [_vandermonde_tables(eff, label.side_orders(side)) for side, eff in enumerate(effs, 1)]
-    if any(np.abs(t[i]).max() > FLOAT_EXACT_EXPONENT for t in tables for i in (2, 4)):
-        return dims
-    ndirs = np.array([len(d) for d in dirs])
-    tangents = np.zeros((count, ndirs.max(), label.k), dtype=complex)
-    for s, d in enumerate(dirs):
-        tangents[s, : len(d)] = d
-    live = np.ones(count, dtype=bool)
-    sides, kdims = [], []
-    for eff, (point, fall, exps, dfall, dexps) in zip(effs, tables):
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = fall * pts[:, point, None] ** exps
-            dmat = dfall * pts[:, point, None] ** dexps
-        finite = np.isfinite(mat).all(axis=(1, 2)) & np.isfinite(dmat).all(axis=(1, 2))
-        live &= finite
-        mat[~finite] = dmat[~finite] = 0
-        scale = np.abs(mat).max(axis=2, keepdims=True)
-        scale[scale == 0] = 1.0
-        mat /= scale
-        dmat /= scale
-        u, sv, vh = np.linalg.svd(mat)
-        kdim = len(eff) - _svd_rank(sv)
-        live &= kdim > 0
-        sides.append((point, mat, dmat, u, sv, vh))
-        kdims.append(kdim)
-    weights = [np.zeros((count, len(eff)), dtype=complex) for eff in effs]
-    for s in np.flatnonzero(live):
-        rng = np.random.default_rng(abs(hash(tuple(map(complex, pts[s])))) % (2**32))
-        for w, kdim in zip(weights, kdims):
-            kd = kdim[s]
-            w[s, w.shape[1] - kd :] = rng.normal(size=kd) + 1j * rng.normal(size=kd)
-    kernels, solutions = [], []
-    while sides:  # consumed side by side, so each side's factors are freed once solved
-        point, mat, dmat, u, sv, vh = sides.pop(0)
-        kernels.append(vh.conj())
-        f = (weights.pop(0)[:, None, :] @ kernels[-1])[:, 0, :]
-        # rhs[s, :, i] = -(derivative of the matrix along tangent i) @ f
-        rhs = -(dmat @ f[:, :, None]) * tangents[:, :, point].swapaxes(1, 2)
-        q = sv.shape[1]
-        cut = np.finfo(float).eps * max(mat.shape[1:]) * sv[:, :1]
-        inv = np.divide(1, sv, out=np.zeros_like(sv), where=sv > cut)
-        sol = kernels[-1][:, :q].swapaxes(1, 2) @ (inv[:, :, None] * (u[:, :, :q].conj().swapaxes(1, 2) @ rhs))
-        resid = np.linalg.norm(mat @ sol - rhs, axis=1)
-        live &= ~np.any(resid > 1e-6 * np.maximum(1, np.linalg.norm(rhs, axis=1)), axis=1)
-        solutions.append(sol.swapaxes(1, 2))
-    n1 = len(pair.b1.elements)
-    cols = (
-        [pair.b1.elements.index(e) for e in effs[0]],
-        [n1 + pair.b2.elements.index(e) for e in effs[1]],
-    )
-    kernels1, kernels2 = kernels
-    shapes = np.stack([*kdims, ndirs], axis=1)
-    for k1, k2, nd in {tuple(row) for row in shapes[live].tolist()}:
-        idx = np.flatnonzero(live & (shapes == (k1, k2, nd)).all(axis=1))
-        rows = np.zeros((len(idx), k1 + k2 + nd, n1 + len(pair.b2.elements)), dtype=complex)
-        rows[:, :k1, cols[0]] = kernels1[idx, len(cols[0]) - k1 :]
-        rows[:, k1 : k1 + k2, cols[1]] = kernels2[idx, len(cols[1]) - k2 :]
-        rows[:, k1 + k2 :, cols[0]] = solutions[0][idx, :nd]
-        rows[:, k1 + k2 :, cols[1]] = solutions[1][idx, :nd]
-        norms = np.linalg.norm(rows, axis=2, keepdims=True)
-        norms[norms == 0] = 1.0
-        rows /= norms
-        sv = np.linalg.svd(rows, compute_uv=False)
-        for i, rank in zip(idx.tolist(), _svd_rank(sv).tolist()):
-            dims[i] = rank
-    return dims
-
-
-def _vote(dims):
-    """Majority of the non-None sample dimensions, ties broken to the
-    smallest; None when every sample failed."""
-    votes = Counter(d for d in dims if d is not None).most_common()
-    if not votes:
-        return None
-    return min(d for d, cnt in votes if cnt == votes[0][1])
 
 
 @lru_cache(maxsize=None)
@@ -678,12 +455,15 @@ def estimate_codim(
     tuple is decided exactly, with no sampling and no rng draw: its
     component has dimension kd1 + kd2 + 1 when both side kernels are
     nonempty, and is empty otherwise (see `_unity_components`); each tuple
-    counts as one sample.  The minor-curve components take a majority vote
-    over VOTE_SAMPLES float draws each (thresholded SVD); every draw comes
-    first, in the order of the rng stream, and the stack is then evaluated
-    at once by `_span_dimensions`.  The report marks the exact components
-    with their kd1, kd2 and r, records each voted component's per-sample
-    dimensions, and gives the time of each phase."""
+    counts as one sample.  The minor curves of a three-point label (the
+    first MINOR_CURVES_MAX of a seeded shuffle, spread at most
+    MINOR_SPREAD_MAX) are decided mod small primes at points drawn from the
+    same seeded stream (`_minor_certificates`); each certified point counts
+    as one sample.  A curve that no retry decides is listed with no
+    dimension.  The report gives every decided component's kd1, kd2 and r
+    (k, 1 and 2 for the generic, root-of-unity and minor-curve components),
+    each minor curve's certificate (p, t0, u0), and the time of each
+    phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -694,18 +474,18 @@ def estimate_codim(
         pair=pair.to_json(),
     )
 
-    def record(desc, dim, dims=None):
+    def record(desc, dim, exact=None):
         est.components_probed.append((desc, dim))
-        if dims is not None:
-            est.samples[desc] = dims
+        if exact is not None:
+            est.exact[desc] = exact
         if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
             est.best_dim_found = dim
 
     k = label.k
     start = time.perf_counter()
     dims = _generic_kernel_dims(pair, label)
-    dim = sum(dims) + k if min(dims) > 0 else None
-    record("generic" if k else "coordinate-subspace", dim, [dim])
+    kd1, kd2 = (max(d, 0) for d in dims)
+    record("generic" if k else "coordinate-subspace", kd1 + kd2 + k if min(dims) > 0 else None, {"kd1": kd1, "kd2": kd2, "r": k})
     est.sample_count = 1
     est.timings["generic_s"] = time.perf_counter() - start
     if k == 0:
@@ -716,9 +496,7 @@ def estimate_codim(
     decided, components = _unity_components(pair, label, n_max)
     est.sample_count += decided
     for (n, exps), kd1, kd2 in components:
-        desc = f"unity(n={n}, exps={list(exps)})"
-        est.exact[desc] = {"kd1": kd1, "kd2": kd2, "r": 1}
-        record(desc, kd1 + kd2 + 1)
+        record(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1, {"kd1": kd1, "kd2": kd2, "r": 1})
     est.timings["unity_s"] = time.perf_counter() - start
 
     # single-minor curves (three-point labels only)
@@ -733,23 +511,15 @@ def estimate_codim(
                         curves.append((side, (elems[i], elems[j], elems[l])))
         rng.shuffle(curves)
         curves = curves[:MINOR_CURVES_MAX]
-        owners, pts, dirs = [], [], []
-        for i, (_, triple) in enumerate(curves):
-            for _ in range(VOTE_SAMPLES):
-                drawn = _draw_minor_tuple(triple, rng)
-                if drawn is not None:
-                    owners.append(i)
-                    pts.append(drawn[0])
-                    dirs.append(drawn[1])
-        dims = _span_dimensions(pair, label, np.array(pts, dtype=complex).reshape(-1, k), dirs)
-        est.sample_count += len(dims)
-        votes = [[] for _ in curves]
-        for owner, dim in zip(owners, dims):
-            votes[owner].append(dim)
-        for (side, triple), own in zip(curves, votes):
-            top = _vote(own)
-            if top is not None:
-                record(f"minor-curve(side={side}, triple={triple})", top, own)
+        decided, points = _minor_certificates(pair, label, curves, rng)
+        est.sample_count += points
+        for i, (side, triple) in enumerate(curves):
+            desc = f"minor-curve(side={side}, triple={triple})"
+            if i not in decided:
+                record(desc, None)
+            elif decided[i] is not None:
+                dim, kd1, kd2, p, t0, u0 = decided[i]
+                record(desc, dim, {"kd1": kd1, "kd2": kd2, "r": 2, "certificate": {"p": p, "t0": t0, "u0": u0}})
     est.timings["minor_curve_s"] = time.perf_counter() - start
     return est
 
@@ -941,6 +711,303 @@ def _unity_components(pair, label, n_max):
     ]
     live = np.flatnonzero((kds[0] > 0) & (kds[1] > 0)).tolist()
     return len(configs), [(configs[i], int(kds[0][i]), int(kds[1][i])) for i in live]
+
+
+# --- minor-curve certificate -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _certificate_prime(g, index):
+    """The index-th prime p = 1 mod g above CERT_PRIME_MIN (index from 0)."""
+    p, found = CERT_PRIME_MIN // g * g + 1, -1
+    while True:
+        if p > CERT_PRIME_MIN and is_prime(p):
+            found += 1
+            if found == index:
+                return p
+        p += g
+
+
+@lru_cache(maxsize=None)
+def _log_powers(p):
+    """powers[k] = gamma^k mod p for k < p - 1, gamma the least generator of
+    F_p^*, as a read-only int64 array.  A point of F_p^* is named by its
+    logarithm k, and x^e is powers[k * e mod (p - 1)] for every integer e."""
+    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    gamma = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in factors))
+    powers = np.empty(p - 1, dtype=np.int64)
+    x = 1
+    for k in range(p - 1):
+        powers[k] = x
+        x = x * gamma % p
+    powers.setflags(write=False)
+    return powers
+
+
+@lru_cache(maxsize=None)
+def _certificate_rows(eff, js, p):
+    """Row layout of a side's multiplicity Vandermonde mod p, as read-only
+    arrays: the point of each row (m, d), e - d and e - d - 1 mod p - 1 for
+    its entries and for their derivatives in x_m, falling(e, d) and
+    falling(e, d + 1) mod p, and e mod p per column.  Huge exponents reduce
+    in Python ints."""
+    rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
+    tables = (
+        np.array([m for m, _ in rows]),
+        np.array([[(e - d) % (p - 1) for e in eff] for _, d in rows], dtype=np.int64),
+        np.array([[(e - d - 1) % (p - 1) for e in eff] for _, d in rows], dtype=np.int64),
+        np.array([[falling(e, d) % p for e in eff] for _, d in rows], dtype=np.int64),
+        np.array([[falling(e, d + 1) % p for e in eff] for _, d in rows], dtype=np.int64),
+        np.array([e % p for e in eff], dtype=np.int64),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _class_key(coincide, order, gaps):
+    """Per side, the pair of points whose g_s-th powers agree along a line
+    branch of the given root-of-unity order (ord | g_s), or None."""
+    return tuple(coincide if coincide is not None and g % order == 0 else None for g in gaps)
+
+
+def _branch_classes(triple, gaps):
+    """The class keys of the minor curve's branches over t: one per line
+    u = zeta t and u = zeta, zeta^g = 1 != zeta (g the triple's gap gcd),
+    merged by key, and (None, None) for the other branches, which exist iff
+    the triple is no arithmetic progression (see `_minor_certificates`)."""
+    a, b, c = triple
+    g = gcd(b - a, c - a)
+    keys = {_class_key(pair, d, gaps) for d in range(2, g + 1) if g % d == 0 for pair in ((1, 2), (0, 2))}
+    if c - a > 2 * g:
+        keys.add((None, None))
+    return keys
+
+
+def _kernel_floor(eff, js, triple, coincide):
+    """L_s = |eff_s| - (a rank cap of side s along a branch class): the
+    cap is the row count sum(js), less min(j_m, j_n) when points m and n
+    coincide in their g_s-th powers (their rows of each order are then
+    proportional), and 2 for three order-1 rows when eff_s is a translate
+    of the triple (the curve's minor, times a monomial per row)."""
+    cap = sum(js) - (min(js[m] for m in coincide) if coincide else 0)
+    if all(j == 1 for j in js) and len(eff) == 3 and {e - eff[0] for e in eff} == {e - triple[0] for e in triple}:
+        cap = min(cap, 2)
+    return len(eff) - min(cap, len(eff))
+
+
+def _branch_points(triples, gaps, p, taus):
+    """Per triple, (class key, log i) for every simple root u0 = gamma^i of
+    its minor polynomial at t0 = gamma^tau mod p with u0 not in {1, t0}
+    whose coincidences x_m^(g_s) = x_n^(g_s) mod p are those of its class, in
+    increasing i, from one evaluation at every point of F_p^* for all the
+    triples at once.
+
+    The minor divided by u^a is A + B u^(b - a) + C u^(c - a) with A = t^b -
+    t^c, B = t^c - t^a, C = t^a - t^b; a root u0 is simple iff u0 times the
+    derivative, (b - a) B u0^(b - a) + (c - a) C u0^(c - a), is nonzero."""
+    powers, n = _log_powers(p), p - 1
+    shifts = [(b - a, c - a) for a, b, c in triples]
+    taus = np.asarray(taus, dtype=np.int64)
+    ta, tb, tc = powers[taus[:, None] * [[e % n for e in triple] for triple in triples] % n].T
+    # int32 holds A + B v + C w < 3 p^2 for the primes used (p < 2^15)
+    coef = (np.stack([tb - tc, tc - ta, ta - tb]) % p).astype(np.int32)
+    residues = sorted({d % n for pair in shifts for d in pair})
+    rows = powers[np.outer(residues, np.arange(n)) % n].astype(np.int32)
+    at = {d: k for k, d in enumerate(residues)}
+    v = rows[[at[d % n] for d, _ in shifts]]
+    w = rows[[at[d % n] for _, d in shifts]]
+    value = (coef[0][:, None] + coef[1][:, None] * v + coef[2][:, None] * w) % p
+    value[:, 0] = value[np.arange(len(taus)), taus] = 1  # drop u0 = 1 = gamma^0 and u0 = t0
+    out = [[] for _ in triples]
+    for c, i in zip(*(x.tolist() for x in np.nonzero(value == 0))):
+        (d1, d2), tau = shifts[c], int(taus[c])
+        if (d1 * int(coef[1][c]) * int(v[c, i]) + d2 * int(coef[2][c]) * int(w[c, i])) % p == 0:
+            continue
+        g = gcd(d1, d2)
+        if (i - tau) * g % n == 0:
+            key = _class_key((1, 2), n // gcd(i - tau, n), gaps)
+        elif i * g % n == 0:
+            key = _class_key((0, 2), n // gcd(i, n), gaps)
+        else:
+            key = (None, None)
+        # skip a point whose powers x^(g_s) agree mod p where its branch's do
+        # not: its rank mod p drops, and it would certify nothing
+        if any((tau * h % n == 0, (i - tau) * h % n == 0, i * h % n == 0) != (False, k == (1, 2), k == (0, 2)) for h, k in zip(gaps, key) if h):
+            continue
+        out[c].append((key, i))
+    return out
+
+
+def _minor_slope(triple, p, tau, i):
+    """du/dt = -P_t / P_u at (t0, u0) = (gamma^tau, gamma^i) mod p, a simple
+    root (P_u a unit)."""
+    powers, n = _log_powers(p), p - 1
+    t, u = ([int(powers[k * (e % n) % n]) for e in triple] for k in (tau, i))
+    t1, u1 = ([e % p * int(powers[k * ((e - 1) % n) % n]) for e in triple] for k in (tau, i))
+    # P = sum over the cyclic (x, y, z) of (t^y - t^z) u^x
+    p_t = (t1[1] - t1[2]) * u[0] + (t1[2] - t1[0]) * u[1] + (t1[0] - t1[1]) * u[2]
+    p_u = (t[1] - t[2]) * u1[0] + (t[2] - t[0]) * u1[1] + (t[0] - t[1]) * u1[2]
+    return -p_t * pow(p_u, -1, p) % p
+
+
+def _certify_points(pair, label, points, seed):
+    """(kd1, kd2, rank) mod p at every point (p, logs, du/dt) of a stack,
+    logs = (0, tau, i) naming x0 = (1, t0, u0) in F_p^*: per side the kernel
+    dimension |eff_s| - rank_p M_s(x0), from one `modular_kernel_vector` call
+    per side that also draws f_s in ker M_s(x0) (free coordinates from a
+    generator seeded by `seed`), and the rank mod p of the two rows
+    (dM1/dt f1, dM2/dt f2) and (M1 D f1, M2 D f2), D = diag(e), ranked by
+    one `modular_rank` call on their transpose.  dM/dt moves x2 by 1 and x3 by du/dt."""
+    count = len(points)
+    primes = np.array([p for p, _, _ in points], dtype=np.int64)
+    logs = np.array([lg for _, lg, _ in points], dtype=np.int64)
+    moves = np.array([[0, 1, dudt] for _, _, dudt in points], dtype=np.int64)
+    gen = np.random.default_rng(seed)
+    kds, rows = [], []
+    for side, b in ((1, pair.b1), (2, pair.b2)):
+        eff = _effective_elements(b, label.j0, label.jinf)
+        js = label.side_orders(side)
+        mat = np.empty((count, sum(js), len(eff)), dtype=np.int64)
+        dmat = np.empty_like(mat)
+        emod = np.empty((count, len(eff)), dtype=np.int64)
+        dx = np.empty((count, sum(js)), dtype=np.int64)
+        for p in set(primes.tolist()):
+            sel = np.flatnonzero(primes == p)
+            point, exps, dexps, fall, dfall, emod[sel] = _certificate_rows(eff, js, p)
+            powers, at = _log_powers(p), logs[sel][:, point, None]
+            mat[sel] = fall * powers[at * exps % (p - 1)] % p
+            dmat[sel] = dfall * powers[at * dexps % (p - 1)] % p
+            dx[sel] = moves[sel][:, point]
+        rank, f = modular_kernel_vector(mat, primes, gen.integers(0, 2**31, size=(count, len(eff))))
+        kds.append(len(eff) - rank)
+        col = primes[:, None]
+        rows.append(dx * ((dmat @ f[:, :, None])[:, :, 0] % col) % col)
+        rows.append((mat @ (emod * f % col)[:, :, None])[:, :, 0] % col)
+    tangent, orbit = np.concatenate(rows[0::2], axis=1), np.concatenate(rows[1::2], axis=1)
+    return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
+
+
+def _minor_certificates(pair, label, curves, rng):
+    """Decide the minor curves of a three-point label mod small primes:
+    (decided, points) with decided[i] the best certified class of curve i,
+    (dim, kd1, kd2, p, t0, u0), or None when every class is empty; a curve
+    no retry decides is absent.  `points` counts the certified points.
+
+    The curve of the triple (a, b, c) is P(t, u) = 0, P the minor
+    (t^b - t^c) u^a + (t^c - t^a) u^b + (t^a - t^b) u^c at x = (1, t, u);
+    the torus factor c is 1 by the orbit argument of `_unity_components`,
+    and its direction is the orbit row below.  Each curve takes t0 =
+    gamma^tau from rng at a prime p = 1 mod g, g = gcd(b - a, c - a) (the
+    index-th of `_certificate_prime`, CERT_PRIMES primes with up to
+    CERT_T_TRIES * g draws each), and on each class that is still open,
+    the first simple root u0 of P(t0, .) with u0 not in {0, 1, t0}
+    (`_branch_points`).  All points of a prime index are decided by one
+    `_certify_points` call; each decided point counts once.
+
+    Lemma (lines).  P(t, zeta t) and P(t, zeta) vanish identically iff
+    zeta^g = 1: the coefficients of P(t, zeta t) at the distinct powers
+    t^(a+b), t^(a+c), t^(b+c) are zeta^a - zeta^b, zeta^c - zeta^a, zeta^b -
+    zeta^c (up to sign), and likewise for P(t, zeta).  An irreducible
+    branch along which u^h = t^h or u^h = 1 holds is one line u = zeta t or
+    u = zeta with zeta^h = 1, so it is one of these lines; the other branches
+    carry no coincidence of powers, and their degree in u is (c - a) - 2 -
+    2(g - 1) = (c - a) - 2g, none when the triple is an arithmetic
+    progression.  The lines t = zeta are not met: t^0 below is no root of
+    unity.
+
+    Class.  The simple root u0 lifts (Hensel) to the one root u^ in Z_p of
+    P(t^0, .) with u^ = u0 mod p, t^0 the integer in [2, p) with t^0 = t0;
+    x^ = (1, t^0, u^) is a smooth point of exactly one branch.  If (u0 /
+    t0)^g = 1 mod p, the Teichmueller lift zeta of u0 / t0 has zeta^g = 1,
+    so zeta t^0 is a root of P(t^0, .) (lemma) congruent to u0, hence it is
+    u^: x^ lies on the line u = zeta t, zeta of the order of u0 / t0 in
+    F_p^* (reduction is injective on the (p - 1)-th roots of unity).  The
+    same holds for u0^g = 1 mod p and the line u = zeta.  Otherwise x^ is on
+    no such line, hence on a branch with no coincidence.  Along the line u =
+    zeta t of order d, x3^(g_s) = x2^(g_s) iff d | g_s, g_s the gap gcd of
+    eff_s; never from a congruence of u0 on another branch.
+
+    Claim.  Let L_s (`_kernel_floor`) bound kd_s from below along the class
+    of x^, kd_p,s = |eff_s| - rank M_s(x0) mod p, and rho the rank mod p of
+    the two rows of `_certify_points`.  If some kd_p,s = 0, the branch of
+    x^ has kd_s = 0 generically and adds nothing.  If kd_p,s = L_s on both
+    sides and rho = 2, the branch's component has dimension L1 + L2 + 2.
+
+    Proof.  M_s(x^) has entries in Z_p, so rank M_s(x0) mod p <= rank M_s(x^)
+    and kd(x^) <= kd_p; kernel dimension is upper semicontinuous, so
+    kd_gen <= kd(x^) on the branch.  So L_s <= kd_gen <= kd(x^) <= kd_p,s
+    = L_s forces equality, and kd_p = 0 forces kd_gen = 0.  Then the
+    saturated lattice ker M_s(x^) cap Z_p^n reduces onto ker M_s(x0), so f_s
+    lifts to f^_s in ker M_s(x^), and near x^ the kernels form a bundle of
+    rank L_s over the branch times the torus.  The differential of (x, f1,
+    f2) -> (f1, f2) at (x^, f^) spans ker M1 + ker M2 and one row (w1, w2)
+    per tangent, M_s w_s = -(dM_s) f^_s: the t-tangent, consistent because
+    the bundle is smooth, with du/dt = -P_t / P_u (P_u(x^) a unit), and the
+    orbit row -(D f^1, D f^2).  Modulo the kernels, (w1, w2) -> (M1 w1, M2
+    w2) is injective, so the rank is L1 + L2 + the rank of the two image
+    rows over Q_p, at least their rank rho = 2 mod p.  It is at most the
+    bundle's dimension L1 + L2 + 2, and the rank at a point bounds the
+    generic rank, the component's dimension, from below.
+    """
+    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
+    if not all(effs):
+        return {i: None for i in range(len(curves))}, 0
+    sides = [(eff, label.side_orders(side)) for side, eff in enumerate(effs, 1)]
+    gaps = [gap_gcd(SupportSet(eff)) for eff in effs]
+    open_ = {
+        i: _branch_classes(triple, gaps) for i, (_, triple) in enumerate(curves) if triple[2] - triple[0] <= MINOR_SPREAD_MAX
+    }
+    found = {i: [] for i in open_}
+    points = 0
+    for index in range(CERT_PRIMES):
+        # per open class, the first simple root over CERT_T_TRIES * g draws
+        # of t0, in stages of 1, 1, 2, 4, ... draws for the curves with a
+        # class still unmet.  Off the lines, P(t, u) = P'(t^g, u^g) for the
+        # reduced triple's minor P', so a draw meets such a branch with odds
+        # of about 1/g, those of v0 being a g-th power
+        probes, wanted = [], {i: set(keys) for i, keys in open_.items() if keys}
+        drawn = dict.fromkeys(wanted, 0)
+        while wanted:
+            by_prime = {}
+            for i in wanted:
+                triple = curves[i][1]
+                g = gcd(triple[1] - triple[0], triple[2] - triple[0])
+                p = _certificate_prime(g, index)
+                draws = min(max(drawn[i], 1), CERT_T_TRIES * g - drawn[i])
+                if draws:
+                    drawn[i] += draws
+                    by_prime.setdefault(p, []).extend((i, rng.randrange(1, p - 1)) for _ in range(draws))
+            if not by_prime:
+                break
+            for p, draws in by_prime.items():
+                for start in range(0, len(draws), 64):  # bounds the (draws, p - 1) arrays
+                    chunk = draws[start : start + 64]
+                    roots = _branch_points([curves[i][1] for i, _ in chunk], gaps, p, [tau for _, tau in chunk])
+                    for (i, tau), found_roots in zip(chunk, roots):
+                        for key, iu in found_roots:
+                            if key in wanted[i]:
+                                wanted[i].discard(key)
+                                probes.append((i, key, p, tau, iu))
+            wanted = {i: keys for i, keys in wanted.items() if keys}
+        if not probes:
+            continue
+        points_mod_p = [(p, (0, tau, iu), _minor_slope(curves[i][1], p, tau, iu)) for i, _, p, tau, iu in probes]
+        kd1, kd2, rho = _certify_points(pair, label, points_mod_p, rng.getrandbits(64))
+        for (i, key, p, tau, iu), k1, k2, r in zip(probes, kd1.tolist(), kd2.tolist(), rho.tolist()):
+            floors = [_kernel_floor(eff, js, curves[i][1], coincide) for (eff, js), coincide in zip(sides, key)]
+            if min(k1, k2) == 0:
+                open_[i].discard(key)
+            elif [k1, k2] == floors and r == 2:
+                powers = _log_powers(p)
+                found[i].append((k1 + k2 + 2, k1, k2, p, int(powers[tau]), int(powers[iu])))
+                open_[i].discard(key)
+            else:
+                continue
+            points += 1
+    decided = {i: max(found[i], default=None, key=lambda c: c[0]) for i, keys in open_.items() if not keys}
+    decided.update({i: None for i in range(len(curves)) if i not in open_})
+    return decided, points
 
 
 def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, seed: int = 0):

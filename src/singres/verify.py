@@ -393,8 +393,9 @@ def _construction_is_clean(f, g, needed):
     common roots, with exactly the prescribed orders, and nothing at the
     boundary."""
     pf, pg = f.x_part(), g.x_part()
-    if not pf.coeffs or not pf.coeffs[0] or not pg.coeffs or not pg.coeffs[0]:
-        return False  # wandered onto the boundary
+    # a zero constant term is a root at 0, a degree below the spread one at infinity
+    if any(part.degree != h.support.spread or not part.coeffs[0] for h, part in ((f, pf), (g, pg))):
+        return False
     pf, pg = primitive(pf.coeffs), primitive(pg.coeffs)
     want_deg = sum(min(o1, o2) for _, o1, o2 in needed)
     if len(prs_gcd(pf, pg)) - 1 != want_deg:

@@ -515,9 +515,9 @@ class TestScan:
     @pytest.mark.parametrize("label", ["N(1,1)", "N(1,1,1)"])
     @pytest.mark.parametrize("top", [2001, 2**62 + 1])
     def test_codim_scan_huge_exponents(self, capsys, top, label):
-        # float rows past the float range are failed samples, not a crash;
-        # the root-of-unity components are exact, so they equal those of the
-        # support congruent mod 27720 = lcm(2..12)
+        # exponents past the float range reduce exactly, with no crash; the
+        # root-of-unity components equal those of the support congruent mod
+        # 27720 = lcm(2..12)
         reports = []
         for e in (top, 27720 + top % 27720):
             code, out = run(capsys, "scan", "codim", "--b1", f"0,2,{e}", "--b2", "0,3,6", "--label", label)

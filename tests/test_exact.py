@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from singres.exact import (
     exact_quo,
     exact_rank,
     kernel_basis,
+    modular_kernel_vector,
+    modular_rank,
     poly_gcd,
     primitive,
     root_multiplicity,
@@ -200,6 +203,24 @@ class TestCycloElement:
                 acc = acc * z
 
 
+def rank_mod_p(rows, p):
+    """Rank over F_p by Gauss-Jordan elimination with inverses."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 class TestRank:
     def test_identity(self):
         assert exact_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
@@ -231,6 +252,35 @@ class TestRank:
             for v in kernel_basis(m):
                 for r in m:
                     assert sum(a * b for a, b in zip(r, v)) == 0
+
+    def test_modular_kernel_vector(self):
+        # random stacks over F_p at mixed primes, many with planted dependent
+        # rows: one elimination gives modular_rank's rank (a Gauss-Jordan
+        # oracle's, at most the rank over Q) and a kernel vector, nonzero
+        # exactly when the kernel is (the weights are units mod p)
+        rng = random.Random(31)
+        mats, primes = [], []
+        for _ in range(300):
+            p = rng.choice((7, 1009, 2**31 - 1))
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(6)] for _ in range(nrows)]
+            for i in range(1, nrows):
+                if rng.random() < 0.5:
+                    a, j = rng.randrange(p), rng.randrange(i)
+                    rows[i] = [(a * x + y) % p for x, y in zip(rows[j], rows[rng.randrange(i)])]
+            mat = [[x if c < ncols else 0 for c, x in enumerate(row)] for row in rows]
+            mats.append(mat + [[0] * 6] * (5 - nrows))
+            primes.append(p)
+        weights = [[rng.randrange(1, 7) for _ in range(6)] for _ in mats]
+        rank, vecs = modular_kernel_vector(np.array(mats, dtype=np.int64), primes, weights)
+        assert rank.tolist() == modular_rank(np.array(mats, dtype=np.int64), primes).tolist()
+        deficient = 0
+        for mat, p, r, v in zip(mats, primes, rank.tolist(), vecs.tolist()):
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in mat)
+            assert any(v) == (r < 6)
+            assert r == rank_mod_p(mat, p) <= exact_rank(mat)
+            deficient += r < min(sum(any(row) for row in mat), 6)
+        assert deficient > 30
 
     def test_cyclo_elimination(self):
         # rows of unity powers for B = {0,3,6} at (1, w, w^2), w^3 = 1: rank 1

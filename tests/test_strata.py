@@ -11,7 +11,9 @@ import pytest
 
 import singres
 from cyclo_oracle import CycloElement, RootOfUnity, cyclo_rank, cyclo_rref, cyclotomic_polynomial, unity_vandermonde
-from singres.exact import exact_rank, exact_rref, modular_rank, split_prime, split_primes
+import float_oracle
+from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
+from singres.exact import exact_quo, exact_rank, exact_rref, modular_rank, prs_gcd, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
 from singres.strata import (
     StratumLabel,
@@ -25,21 +27,24 @@ from singres.strata import (
     scan_corank_strata,
 )
 from singres.strata import (
-    SVD_RTOL,
-    VOTE_SAMPLES,
+    CERT_PRIME_MIN,
+    MINOR_CURVES_MAX,
     CodimEstimate,
+    _branch_classes,
+    _branch_points,
+    _certificate_prime,
+    _certify_points,
     _conjugate_ranks,
-    _draw_minor_tuple,
     _embed,
     _effective_elements,
     _generic_kernel_dims,
+    _kernel_floor,
     _kernel_of,
-    _minor_poly_in_u,
+    _log_powers,
+    _minor_certificates,
     _random_fraction,
-    _random_unit_annulus,
     _scan_table,
     _side_matrices,
-    _span_dimensions,
     _stratum_predictions,
     _unity_components,
     _unity_configs,
@@ -589,6 +594,21 @@ def reference_scan(p, label, n_max, seed, generic_tuples=True):
     return found, generic
 
 
+def counted_certified_points(monkeypatch):
+    """Patch the estimator's minor-curve certificate to record the number of
+    points it certifies, one entry per call; returns that list."""
+    counts = []
+    real = singres.strata._minor_certificates
+
+    def counted(*args):
+        decided, points = real(*args)
+        counts.append(points)
+        return decided, points
+
+    monkeypatch.setattr(singres.strata, "_minor_certificates", counted)
+    return counts
+
+
 class TestEstimates:
     def test_classical(self):
         p = pair((0, 1, 2, 3), (0, 1, 2, 3))
@@ -619,32 +639,35 @@ class TestEstimates:
         est = estimate_codim(pair((0, 1), (0, 1)), parse_label("N(2,2)"), seed=75)
         assert est.best_dim_found is None and est.estimate is None
 
-    def test_report_observability(self):
+    def test_report_observability(self, monkeypatch):
+        points = counted_certified_points(monkeypatch)
         est = estimate_codim(pair((0, 1, 2, 3), (0, 1, 2, 3)), parse_label("N(1,1,1)"), seed=7)
         data = est.to_json()
         assert data["version"] == singres.__version__
         assert set(data["timings"]) == {"generic_s", "unity_s", "minor_curve_s"}
         assert all(t >= 0 for t in data["timings"].values())
         comps = data["components_probed"]
-        assert comps[0]["component"] == "generic"
-        assert (comps[0]["votes"], comps[0]["none_samples"]) == ([[comps[0]["dim_found"], 1]], 0)
-        exact = [c for c in comps if c.get("exact")]
-        voted = [c for c in comps[1:] if not c.get("exact")]
-        assert exact and voted
-        for comp in exact:
-            # decided exactly: no votes, the kernels plus one orbit direction
-            assert comp["component"].startswith("unity") and "votes" not in comp
-            assert comp["kd1"] > 0 and comp["kd2"] > 0 and comp["r"] == 1
-            assert comp["dim_found"] == comp["kd1"] + comp["kd2"] + comp["r"]
-        for comp in voted:
-            assert comp["component"].startswith("minor-curve")
-            votes = dict(comp["votes"])
-            assert comp["dim_found"] == min(d for d, n in votes.items() if n == max(votes.values()))
-            assert 1 <= sum(votes.values()) + comp["none_samples"] <= VOTE_SAMPLES
+        # every component is decided: no votes, kernels plus r directions
+        assert all(c["exact"] is True and "votes" not in c for c in comps)
+        assert all(c["dim_found"] == c["kd1"] + c["kd2"] + c["r"] for c in comps)
+        assert comps[0]["component"] == "generic" and comps[0]["r"] == 3
+        unity = [c for c in comps if c["component"].startswith("unity")]
+        minors = [c for c in comps if c["component"].startswith("minor-curve")]
+        assert unity and minors and len(comps) == 1 + len(unity) + len(minors)
+        assert all(c["kd1"] > 0 and c["kd2"] > 0 and c["r"] == 1 for c in unity)
+        for comp in minors:
+            # the certificate names a simple root u0 of the curve at t0 mod p
+            assert comp["r"] == 2
+            cert = comp["certificate"]
+            p, t0, u0 = cert["p"], cert["t0"], cert["u0"]
+            a, b, c = (int(e) for e in comp["component"].split("triple=(")[1].rstrip(")").split(","))
+            assert p > CERT_PRIME_MIN and (p - 1) % gcd(b - a, c - a) == 0
+            value = (pow(t0, b, p) - pow(t0, c, p)) * pow(u0, a, p) + (pow(t0, c, p) - pow(t0, a, p)) * pow(u0, b, p)
+            assert (value + (pow(t0, a, p) - pow(t0, b, p)) * pow(u0, c, p)) % p == 0
+            assert u0 not in (0, 1, t0)
         # one sample for the generic component and for each unity tuple, live
-        # or not, plus every minor-curve draw
-        drawn = sum(sum(n for _, n in c["votes"]) + c["none_samples"] for c in voted)
-        assert est.sample_count == 1 + len(_unity_configs(3, 12)) + drawn
+        # or not, plus one per certified point of the minor curves
+        assert est.sample_count == 1 + len(_unity_configs(3, 12)) + points[-1] and points[-1] >= len(minors)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_paper_values_at_every_seed(self, seed):
@@ -707,7 +730,7 @@ def draw_generic_tuple(k, rng):
 
 def reference_span_dimension_exact(pair, label, pts, dirs):
     """One exact sample of the span dimension at a rational tuple, with
-    coordinate tangent directions: Fraction kernels, solve_exact tangent
+    rational tangent directions: Fraction kernels, solve_exact tangent
     solves and exact_rank."""
     sides = _side_matrices(pair, label, pts)
     if sides is None:
@@ -729,9 +752,11 @@ def reference_span_dimension_exact(pair, label, pts, dirs):
     js1, js2 = label.side_orders(1), label.side_orders(2)
     pow_ = lambda x, e: Fraction(x) ** e
     for direction in dirs:
-        m = next(i for i, d in enumerate(direction) if d)
-        rhs1 = reference_derivative_rhs(f1, eff1, js1, m, pts, pow_)
-        rhs2 = reference_derivative_rhs(f2, eff2, js2, m, pts, pow_)
+        rhs1, rhs2 = [0] * len(m1), [0] * len(m2)
+        for m, d in enumerate(direction):
+            if d:
+                rhs1 = [a + d * b for a, b in zip(rhs1, reference_derivative_rhs(f1, eff1, js1, m, pts, pow_))]
+                rhs2 = [a + d * b for a, b in zip(rhs2, reference_derivative_rhs(f2, eff2, js2, m, pts, pow_))]
         df = solve_exact(m1, rhs1) if m1 else [0] * len(eff1)
         dg = solve_exact(m2, rhs2) if m2 else [0] * len(eff2)
         if df is None or dg is None:
@@ -827,17 +852,17 @@ def reference_unity_votes(pair, label, seed, n_max, stacked=False):
     from random.Random(seed), with tangent omega; each component records the
     majority of its non-None samples, none when all failed.  The samples
     are evaluated one at a time by reference_span_dimension, or with
-    stacked=True as one stack by _span_dimensions."""
+    stacked=True as one stack by span_dimensions."""
     rng = random.Random(seed)
     descs, samples = [], []
     for n, exps in _unity_configs(label.k, n_max):
         omega = [np.exp(2j * np.pi * e / n) for e in exps]
         descs.append(f"unity(n={n}, exps={list(exps)})")
         for _ in range(VOTE_SAMPLES):
-            c = _random_unit_annulus(rng)
+            c = random_unit_annulus(rng)
             samples.append(([c * w for w in omega], [omega]))
     if stacked and samples:
-        dims = _span_dimensions(pair, label, np.array([s[0] for s in samples]), [s[1] for s in samples])
+        dims = span_dimensions(pair, label, np.array([s[0] for s in samples]), [s[1] for s in samples])
     else:
         dims = [reference_span_dimension(pair, label, *s) for s in samples]
     out = []
@@ -889,7 +914,7 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48)
         for side, triple in curves[:max_minor_curves]:
             dims = []
             for _ in range(VOTE_SAMPLES):
-                drawn = _draw_minor_tuple(triple, rng)
+                drawn = draw_minor_tuple(triple, rng)
                 if drawn is None:
                     continue
                 dim = reference_span_dimension(pair, label, *drawn)
@@ -902,7 +927,10 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48)
 
 
 def without_vote_fields(data):
-    data = {key: val for key, val in data.items() if key not in ("version", "timings")}
+    """A report without the fields that depend on how the components were
+    decided: version, timings, the sample count and each component's
+    details beyond its dimension."""
+    data = {key: val for key, val in data.items() if key not in ("version", "timings", "sample_count")}
     data["components_probed"] = [
         {"component": c["component"], "dim_found": c["dim_found"]} for c in data["components_probed"]
     ]
@@ -924,23 +952,28 @@ class TestBatchedEstimate:
             want = reference_estimate_codim(p, label, seed=17, n_max=8).to_json()
             assert without_vote_fields(got) == without_vote_fields(want), name
 
-    def test_failed_samples_are_reported(self):
-        # most side-1 minor curves of this pair fail their tangent solve.  At
-        # seed 11, unscaled rows gave curve (3, 6, 7) one spurious 8-vote (a
-        # side-2 kernel from row scale alone) beside four failed samples, and
-        # the estimate 1; with equilibrated rows all five samples fail
+    def test_failed_samples_are_reported(self, monkeypatch):
+        # most side-1 minor curves of this pair fail their float tangent
+        # solve.  At seed 11, unscaled float rows gave curve (3, 6, 7) one
+        # spurious 8-vote (a side-2 kernel from row scale alone) and the
+        # estimate 1; the certificate decides it empty, as the float oracle's
+        # equilibrated rows, whose five samples all fail
+        points = counted_certified_points(monkeypatch)
         p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label("N(1,1,1)")
         est = estimate_codim(p, label, seed=11)
         data = est.to_json()
         assert without_vote_fields(data) == without_vote_fields(reference_estimate_codim(p, label, seed=11).to_json())
-        voted = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
-        assert "minor-curve(side=1, triple=(3, 6, 7))" not in voted
-        assert all(d != 8 for c in voted.values() for d, _ in c["votes"])
+        minors = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
+        assert "minor-curve(side=1, triple=(3, 6, 7))" not in minors
+        assert all(c["exact"] and c["dim_found"] == 6 for c in minors.values())
         assert (data["codim_estimate"], data["best_dim_found"]) == (2, 7)
-        # all 21 curves drew five tuples each and count them; only three
-        # curves have a live sample
-        assert data["sample_count"] == 1 + len(_unity_configs(3, 12)) + 21 * VOTE_SAMPLES
-        assert sorted(voted) == [
+        # all 21 curves are decided, each class at one certified point; only
+        # three curves have a nonempty class
+        gaps = [gap_gcd(p.b1), gap_gcd(p.b2)]
+        classes = sum(len(_branch_classes(t, gaps)) for t in itertools.combinations(p.b1.elements, 3))
+        assert points[-1] == classes + len(_branch_classes((0, 3, 6), gaps)) == 24
+        assert data["sample_count"] == 1 + len(_unity_configs(3, 12)) + points[-1]
+        assert sorted(minors) == [
             "minor-curve(side=1, triple=(0, 3, 6))",
             "minor-curve(side=1, triple=(1, 4, 7))",
             "minor-curve(side=2, triple=(0, 3, 6))",
@@ -950,15 +983,22 @@ class TestBatchedEstimate:
     def test_exponents_past_float_precision_give_no_votes(self, seed):
         # side 1 holds x^(2^62+1): a float row of it that stays finite (|x| <= 1)
         # has lost the exponent, and such rows once gave the side-2 curve
-        # (0, 3, 6) dimension-4 votes; every sample of the stack is now None
+        # (0, 3, 6) dimension-4 votes.  The certificate reduces the exponent
+        # mod p - 1 exactly and decides that curve empty: on both its line
+        # classes side 1 keeps rank 3, kd1 = 0; the side-1 curve spreads past
+        # MINOR_SPREAD_MAX and is not probed
         p, label = pair((0, 2, 2**62 + 1), (0, 3, 6)), parse_label("N(1,1,1)")
         data = estimate_codim(p, label, seed=seed).to_json()
         assert [c["component"] for c in data["components_probed"] if c["component"].startswith("minor")] == []
         assert data["codim_estimate"] == 2
+        curves = [(2, (0, 3, 6)), (1, (0, 2, 2**62 + 1))]
+        assert _branch_classes((0, 3, 6), [1, 3]) == {(None, (1, 2)), (None, (0, 2))}
+        assert _minor_certificates(p, label, curves, random.Random(seed)) == ({0: None, 1: None}, 2)
+        # the float oracle's samples of that curve all fail
         rng = random.Random(seed)
-        stack = [_draw_minor_tuple((0, 3, 6), rng) for _ in range(VOTE_SAMPLES)]
+        stack = [draw_minor_tuple((0, 3, 6), rng) for _ in range(VOTE_SAMPLES)]
         pts = np.array([s[0] for s in stack], dtype=complex)
-        assert _span_dimensions(p, label, pts, [s[1] for s in stack]) == [None] * VOTE_SAMPLES
+        assert span_dimensions(p, label, pts, [s[1] for s in stack]) == [None] * VOTE_SAMPLES
 
     @pytest.mark.parametrize("triple", [(0, 1, 2), (-3, -2, -1), (5, 6, 7)])
     def test_spread_two_draw_solves_no_roots(self, triple, monkeypatch):
@@ -969,9 +1009,9 @@ class TestBatchedEstimate:
 
         monkeypatch.setattr(np, "roots", no_roots)
         rng, twin = random.Random(5), random.Random(5)
-        assert _draw_minor_tuple(triple, rng) is None
+        assert draw_minor_tuple(triple, rng) is None
         for _ in range(12):
-            _random_unit_annulus(twin)
+            random_unit_annulus(twin)
         assert rng.getstate() == twin.getstate()
 
     def test_spread_two_minor_has_no_root_off_one_and_t(self):
@@ -979,8 +1019,8 @@ class TestBatchedEstimate:
         rng = random.Random(6)
         for a in (-4, 0, 3):
             for _ in range(200):
-                t = _random_unit_annulus(rng)
-                roots = np.roots(_minor_poly_in_u(a, a + 1, a + 2, t))
+                t = random_unit_annulus(rng)
+                roots = np.roots(minor_poly_in_u(a, a + 1, a + 2, t))
                 assert all(min(abs(u), abs(u - 1), abs(u - t)) < 1e-9 for u in roots), (a, t, roots)
 
     def test_generic_closed_form_matches_exact_samples(self):
@@ -1025,21 +1065,212 @@ class TestBatchedEstimate:
             stack = []
             for n, exps in _unity_configs(label.k, 9):
                 if n >= label.k and len(set(e % n for e in exps)) == len(exps):
-                    c = _random_unit_annulus(rng)
+                    c = random_unit_annulus(rng)
                     omega = [np.exp(2j * np.pi * e / n) for e in exps]
                     stack.append(([c * w for w in omega], [omega]))
             if label.k == 3:
                 for triple in itertools.combinations(p.b1.elements, 3):
                     for _ in range(2):
-                        drawn = _draw_minor_tuple(triple, rng)
+                        drawn = draw_minor_tuple(triple, rng)
                         if drawn is not None:
                             stack.append(drawn)
             pts = np.array([s[0] for s in stack], dtype=complex)
-            got = _span_dimensions(p, label, pts, [s[1] for s in stack])
+            got = span_dimensions(p, label, pts, [s[1] for s in stack])
             want = [reference_span_dimension(p, label, *s) for s in stack]
             assert got == want, name
             outcomes += want
         assert None in outcomes
+
+
+def float_minor_votes(p, label, seed):
+    """The float oracle's minor-curve components, {desc: majority dim}: the
+    estimator's seeded shuffle of the curves, VOTE_SAMPLES draws per curve
+    from the same stream, evaluated as one stack (the float path the
+    certificate replaced)."""
+    rng = random.Random(seed)
+    curves = [(side, triple) for side, b in ((1, p.b1), (2, p.b2)) for triple in itertools.combinations(b.elements, 3)]
+    rng.shuffle(curves)
+    owners, stack = [], []
+    for i, (_, triple) in enumerate(curves[:MINOR_CURVES_MAX]):
+        for _ in range(VOTE_SAMPLES):
+            drawn = draw_minor_tuple(triple, rng)
+            if drawn is not None:
+                owners.append(i)
+                stack.append(drawn)
+    pts = np.array([s[0] for s in stack], dtype=complex).reshape(-1, 3)
+    dims = span_dimensions(p, label, pts, [s[1] for s in stack])
+    out = {}
+    for i, (side, triple) in enumerate(curves[:MINOR_CURVES_MAX]):
+        top = vote([d for owner, d in zip(owners, dims) if owner == i])
+        if top is not None:
+            out[f"minor-curve(side={side}, triple={triple})"] = top
+    return out
+
+
+class PlantedRandom(random.Random):
+    """random.Random whose first randrange calls return planted values."""
+
+    def __init__(self, seed, planted):
+        super().__init__(seed)
+        self.planted = list(planted)
+
+    def randrange(self, *args):
+        return self.planted.pop(0) if self.planted else super().randrange(*args)
+
+
+class TestMinorCertificate:
+    """The minor curves decided mod p (`_minor_certificates`) against the
+    float oracle's votes, with planted bad reductions and the branch-class
+    lemma checked over Z."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_grid_matches_float_votes(self, seed):
+        # every pair of supports {0} u S of spread <= 4 with at least three
+        # points under N(1,1,1): every minor curve is certified, and the
+        # certified components are exactly the float oracle's voted ones
+        label = parse_label("N(1,1,1)")
+        supports = [(0,) + s for r in (2, 3, 4) for s in itertools.combinations(range(1, 5), r)]
+        compared = 0
+        for i, b1 in enumerate(supports):
+            for b2 in supports[i:]:
+                p = pair(b1, b2)
+                comps = estimate_codim(p, label, seed=seed, n_max=4).to_json()["components_probed"]
+                minors = {c["component"]: c for c in comps if c["component"].startswith("minor")}
+                assert all(c["exact"] for c in minors.values()), (b1, b2)
+                assert {d: c["dim_found"] for d, c in minors.items()} == float_minor_votes(p, label, seed), (b1, b2)
+                compared += len(minors)
+        assert len(supports) == 11 and compared > 150
+
+    def test_line_classes_over_z(self):
+        # the lemma behind _branch_classes, by prs_gcd over Z at integer t:
+        # the minor over (u - 1)(u - t) shares exactly the g - 1 roots zeta t
+        # and the g - 1 roots zeta (zeta^g = 1 != zeta) with the binomials
+        # u^h - t^h and u^h - 1 for every multiple h of g, and its remaining
+        # degree (c - a) - 2g is nonzero iff the generic class exists
+        checked = 0
+        for triple in itertools.combinations(range(11), 3):
+            a, b, c = triple
+            g = gcd(b - a, c - a)
+            for t in (2, 3, -5):
+                poly = [0] * (c - a + 1)
+                for e, coef in zip(triple, (t**b - t**c, t**c - t**a, t**a - t**b)):
+                    poly[e - a] += coef
+                rest = exact_quo(exact_quo(poly, (-1, 1)), (-t, 1))
+                for h in (g, 2 * g, 6 * g):
+                    for root in (t, 1):
+                        binomial = (-(root**h),) + (0,) * (h - 1) + (1,)
+                        assert len(prs_gcd(rest, binomial)) - 1 == g - 1, (triple, t, h)
+                assert ((None, None) in _branch_classes(triple, [g, g])) == (len(rest) - 1 > 2 * (g - 1))
+                checked += 1
+        assert checked == 495
+
+    def test_planted_rank_drop_is_retried(self, monkeypatch):
+        # (0, 2, 3) is no translate of the curve's triple (0, 1, 3), so side 2
+        # has L2 = 0 and is generically empty along the curve.  At a planted
+        # t0 where its 3 x 3 minor vanishes mod p at the curve's root, kd2 = 1
+        # mod p: the point certifies nothing, and the next prime decides the
+        # curve empty
+        p_, label, curve = pair((0, 1, 3), (0, 2, 3)), parse_label("N(1,1,1)"), (1, (0, 1, 3))
+        prime = _certificate_prime(1, 0)
+        taus = list(range(1, prime - 1))
+        roots = _branch_points([curve[1]] * len(taus), [1, 1], prime, taus)
+        probes = [(tau, i) for tau, found in zip(taus, roots) for key, i in found]
+        points = [(prime, (0, tau, i), 0) for tau, i in probes]
+        kd1, kd2, _ = _certify_points(p_, label, points, 0)
+        floors = [_kernel_floor((0, 1, 3), (1, 1, 1), (0, 1, 3), None), _kernel_floor((0, 2, 3), (1, 1, 1), (0, 1, 3), None)]
+        assert floors == [1, 0] and set(kd1.tolist()) == {1}
+        bad = [probe for probe, k2 in zip(probes, kd2.tolist()) if k2 > 0]
+        assert bad and len(bad) < len(probes) // 50
+        clean = _minor_certificates(p_, label, [curve], random.Random(3))
+        assert clean == ({0: None}, 1)
+        # planted as the first draw, the bad point is probed, certifies
+        # nothing, and the next prime decides the curve
+        rounds = []
+
+        def recorded(*args):
+            rounds.append(_certify_points(*args))
+            return rounds[-1]
+
+        monkeypatch.setattr(singres.strata, "_certify_points", recorded)
+        assert _minor_certificates(p_, label, [curve], PlantedRandom(3, [bad[0][0]])) == clean
+        assert [(k1.tolist(), k2.tolist()) for k1, k2, _ in rounds] == [([1], [1]), ([1], [0])]
+
+    def test_spurious_coincidence_mod_p_is_not_certified(self):
+        # (0, 1, 3) has gap gcd 1, so its curve has no line: its one other root
+        # is u = -1 - t.  At t0 = omega, a cube root of unity mod p, the point
+        # (1, omega, omega^2) has equal cubes mod p only; side 2, (0, 3, 6),
+        # then has rank 1 mod p, kd2 = 2.  Reading that coincidence as a class
+        # would certify dimension 1 + 2 + 2.  The point's class is that of its
+        # branch, with L2 = 0, so it certifies nothing, and _branch_points
+        # skips it before any rank is taken
+        p_, label, curve = pair((0, 1, 3), (0, 3, 6)), parse_label("N(1,1,1)"), (1, (0, 1, 3))
+        prime = _certificate_prime(1, 0)
+        powers = _log_powers(prime).tolist()
+        n = prime - 1
+        assert n % 3 == 0
+        tau = n // 3
+        iu = powers.index(powers[tau] ** 2 % prime)
+        assert (1 + powers[tau] + powers[iu]) % prime == 0  # u0 = -1 - t0
+        assert _branch_points([curve[1]], [1, 3], prime, [tau]) == [[]]
+        assert _branch_points([curve[1]], [1, 1], prime, [tau]) == [[((None, None), iu)]]
+        kd1, kd2, _ = _certify_points(p_, label, [(prime, (0, tau, iu), 0)], 0)
+        assert (kd1.tolist(), kd2.tolist()) == ([1], [2])
+        assert [_kernel_floor(eff, (1, 1, 1), (0, 1, 3), None) for eff in ((0, 1, 3), (0, 3, 6))] == [1, 0]
+        clean = _minor_certificates(p_, label, [curve], random.Random(4))
+        assert _minor_certificates(p_, label, [curve], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
+        # (0, 2, 8) has the lines u = -t and u = -1 and other branches.  At t0 =
+        # gamma^126 mod 1009 the root u0 = gamma^252 is on no line (u0^2 != 1,
+        # (u0 / t0)^2 != 1), yet u0^4 = 1 mod p; beside side 2's gap 4 that
+        # reads like the line u = -1, whose class it must not join
+        prime, tau, iu = _certificate_prime(2, 0), 126, 252
+        assert prime == 1009 and iu * 4 % (prime - 1) == 0 and iu * 2 % (prime - 1) and (iu - tau) * 2 % (prime - 1)
+        assert ((None, None), iu) in _branch_points([(0, 2, 8)], [1, 1], prime, [tau])[0]
+        (found,) = _branch_points([(0, 2, 8)], [2, 4], prime, [tau])
+        assert found and all(key[1] is None or i != iu for key, i in found)
+
+    def test_even_lines_match_exact_rational_samples(self):
+        # (a, a + 2, a + 4) has only the lines u = -t and u = -1, which carry
+        # rational points: the certified dimension of its curve is the best
+        # exact span dimension at (1, t, -t) and (1, t, -1), t = 7/5, with the
+        # orbit and t tangents; multiplicities and boundary orders included
+        rng = random.Random(41)
+        t = Fraction(7, 5)
+        checked = set()
+        for _ in range(60):
+            sides = [sorted({0, 6} | set(rng.sample(range(1, 6), rng.randint(1, 4)))) for _ in range(2)]
+            p = pair(*sides)
+            name = rng.choice(("N(1,1,1)", "N(2,1,1)", "N(1,1,1;1,2,1)", "N_1(1,1,1)"))
+            label = parse_label(name)
+            for side, b in ((1, p.b1), (2, p.b2)):
+                for triple in itertools.combinations(b.elements, 3):
+                    if triple[1] - triple[0] != 2 or triple[2] - triple[1] != 2:
+                        continue
+                    dims = [
+                        reference_span_dimension_exact(p, label, [1, t, u], [[1, t, u], [0, 1, dudt]])
+                        for u, dudt in ((-t, -1), (Fraction(-1), 0))
+                    ]
+                    want = max((d for d in dims if d is not None), default=None)
+                    decided, _ = _minor_certificates(p, label, [(side, triple)], random.Random(0))
+                    assert (decided[0] and decided[0][0]) == want, (sides, name, triple, dims)
+                    checked.add((name, want))
+        assert len(checked) > 8
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_verify_cases_run_no_float_path(self, seed, monkeypatch):
+        # the six verify-paper codim cases decide every component exactly:
+        # no root solve, no eigenproblem, no SVD and no float oracle call
+        def banned(*args, **kwargs):
+            raise AssertionError("float path called")
+
+        for owner, name in ((np, "roots"), (np.linalg, "svd"), (np.linalg, "eigvals"), (np.linalg, "lstsq")):
+            monkeypatch.setattr(owner, name, banned)
+        for name in ("span_dimensions", "draw_minor_tuple"):
+            monkeypatch.setattr(float_oracle, name, banned)
+        ok, details = check_codim_estimates(seed)
+        assert ok, details
+        for b1, b2, name in VERIFY_CODIM_CASES:
+            comps = estimate_codim(pair(b1, b2), parse_label(name), seed=seed).to_json()["components_probed"]
+            assert all(c["exact"] for c in comps), (b1, b2, name)
 
 
 def unity_components(p, label, n_max=12):
