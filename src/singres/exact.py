@@ -9,8 +9,10 @@ Nothing in this module touches floating point.  Facts in Z[zeta_n] are
 decided modulo primes p = 1 mod n (`split_primes`), which split completely
 in Q(zeta_n): the phi(n) maps zeta_n -> z^k mod p, k a unit mod n, are the
 reductions at the primes above p, so a norm bound turns their values into
-exact answers.  Stacks of matrices over F_p, p < 2^31, are ranked in int64
-arrays (`modular_rank`).
+exact answers.  Every element of a given order in F_p^* comes from one
+search (`root_of_order`) and every table of its powers from one cached
+constructor (`power_table`).  Stacks of matrices over F_p, p < 2^31, are
+ranked in int64 arrays (`modular_rank`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "exact_rank",
     "split_primes",
     "split_prime",
+    "root_of_order",
+    "power_table",
     "modular_rank",
     "modular_kernel_vector",
     "exact_rref",
@@ -227,7 +231,7 @@ def is_prime(m):
 
 def split_primes(n: int):
     """Yield (p, z) for every prime p < 2^31 with p = 1 mod n, largest
-    first, z an element of order exactly n in F_p.
+    first, z = root_of_order(n, p).
 
     z is a root of Phi_n mod p, and so is z^k for every unit k mod n: the
     phi(n) maps zeta_n -> z^k are ring maps Z[zeta_n] -> F_p, the reductions
@@ -237,15 +241,38 @@ def split_primes(n: int):
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    factors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
     for p in range((2**31 - 2) // n * n + 1, n, -n):
-        if not is_prime(p):
-            continue
-        for a in range(2, p):  # F_p* is cyclic, so some a^((p-1)/n) has order n
-            z = pow(a, (p - 1) // n, p)
-            if all(pow(z, n // q, p) != 1 for q in factors):
-                yield p, z
-                break
+        if is_prime(p):
+            yield p, root_of_order(n, p)
+
+
+@lru_cache(maxsize=None)
+def root_of_order(n: int, p: int) -> int:
+    """An element of order exactly n in F_p^*, p prime, n | p - 1:
+    a^((p - 1)/n) for the least a >= 1 that has that order (a = 1 only for
+    n = 1).  F_p^* is cyclic, so some a works; for n = p - 1 it is the least
+    generator of F_p^*."""
+    if (p - 1) % n:
+        raise ValueError(f"{n} does not divide {p} - 1")
+    factors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    for a in range(1, p):
+        z = pow(a, (p - 1) // n, p)
+        if all(pow(z, n // q, p) != 1 for q in factors):
+            return z
+
+
+@lru_cache(maxsize=None)
+def power_table(z: int, n: int, p: int) -> np.ndarray:
+    """powers[k] = z^k mod p for k < n, as a read-only int64 array, cached
+    per (z, n, p).  With z of order n, x^e for x = z^i is powers[i * e mod
+    n], for every integer e."""
+    powers = np.empty(n, dtype=np.int64)
+    x = 1
+    for k in range(n):
+        powers[k] = x
+        x = x * z % p
+    powers.setflags(write=False)
+    return powers
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,9 @@ images of zeta_n^j under the phi(n) maps zeta_n -> z^k mod p of a split
 prime (p, z) = `split_prime(n)`.  A signed integer combination
 sum_t c_t zeta_n^(e_t) with sum |c_t| < p is therefore zero in Z[zeta_n]
 iff the same combination of table rows is 0 mod p.  `unity_combos_vanish`
-asks that question for a whole array of combinations at once, and
-`det3_vanish` phrases the 3x3 power-matrix minors as such arrays, built
-chunk by chunk.  Both are plain numpy.  Whether all minors of a power
+asks that question for a whole array of combinations at once, in plain
+numpy, and `det3_exponents` phrases the 3x3 power-matrix minors as such an
+array, to be weighted by `DET3_SIGNS`.  Whether all minors of a power
 matrix vanish needs no table: `minors.unity_power_rank` answers it in
 closed form.
 """
@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import split_prime
+from .exact import power_table, split_prime
 
 # Upper bound on the int64 entries of one gathered block of table rows in
 # unity_combos_vanish: the leading axis is processed in chunks below it.
@@ -37,11 +37,12 @@ DET3_SIGNS = (1, -1, -1, 1, 1, -1)
 def evaluation_table(n: int) -> np.ndarray:
     """Evaluation table for zeta_n as a C-contiguous, read-only int64 array
     (n, phi(n)): row j, column i is z^(k_i * j) mod p, (p, z) =
-    split_prime(n), k_i the i-th unit mod n.  Cached per n, so every caller
+    split_prime(n), k_i the i-th unit mod n: z has order n, so the entry is
+    `power_table(z, n, p)` at k_i * j mod n.  Cached per n, so every caller
     shares one array."""
     p, z = split_prime(n)
     units = [k for k in range(n) if gcd(k, n) == 1]
-    arr = np.array([[pow(z, k * j, p) for k in units] for j in range(n)], dtype=np.int64)
+    arr = power_table(z, n, p)[np.outer(np.arange(n), units) % n]
     arr.setflags(write=False)
     return arr
 
@@ -107,25 +108,3 @@ def det3_exponents(triples, ps, qs) -> np.ndarray:
     exps = p * np.ascontiguousarray(triples[:, _DET3_X])
     exps += q * np.ascontiguousarray(triples[:, _DET3_Y])
     return exps
-
-
-def det3_vanish(table, triples, ps, qs) -> np.ndarray:
-    """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish, x = zeta_n^p,
-    y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
-    `triples`?  A bool array (pairs, triples).  Six unit terms, so
-    `unity_combos_vanish` decides each exactly.
-
-    The exponents are built and tested in chunks of pairs, so neither a
-    chunk's exponent block nor its gathered table rows exceed
-    BATCH_ELEMENTS entries.
-    """
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    ps = np.asarray(ps, dtype=np.int64)
-    qs = np.asarray(qs, dtype=np.int64)
-    out = np.empty((len(ps), len(triples)), dtype=bool)
-    chunk = _chunk_length(table.shape[1] * len(triples) * len(DET3_SIGNS))
-    for start in range(0, len(ps), chunk):
-        stop = start + chunk
-        exps = det3_exponents(triples, ps[start:stop], qs[start:stop])
-        out[start:stop] = unity_combos_vanish(table, exps, DET3_SIGNS)
-    return out

@@ -16,7 +16,8 @@ which the verification sweeps apply to every zero of the split-prime zero
 test of `singres.kernels`.
 
 Negative and arbitrarily large exponents are harmless: they are reduced in
-Python ints, and the rank multiplies no two residues.
+Python ints (`residues`, which `singres.strata` also uses for its corank
+scan and its mod-p certificates), and the rank multiplies no two residues.
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ floating point.  The corank-strata scan ranks root-of-unity tuples
 exactly (closed form, or a rank mod a split prime, with the conjugates at
 several split primes where that is not full) and takes the generic corank
 from the same closed form; its seed only picks witness tuples.
+Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
+split prime or at a point of a minor curve in F_p^*, comes from one
+builder (`_hermite_stack`), and the scan and the estimator read their
+root-of-unity tuples from one table that lists each tuple once
+(`_scan_table`).
 """
 
 from __future__ import annotations
@@ -29,14 +34,24 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 import numpy as np
 
 from . import __version__
-from .exact import is_prime, kernel_basis, modular_kernel_vector, modular_rank, split_prime, split_primes
+from .exact import (
+    is_prime,
+    kernel_basis,
+    modular_kernel_vector,
+    modular_rank,
+    power_table,
+    root_of_order,
+    split_prime,
+    split_primes,
+)
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
-from .minors import admissible_pairs, residues, unity_power_rank
+from .minors import residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
@@ -45,7 +60,6 @@ __all__ = [
     "label_dominates",
     "in_filtration_subset",
     "multiplicity_vandermonde",
-    "corank_kernel",
     "sample_filtration_subset",
     "estimate_codim",
     "scan_corank_strata",
@@ -224,18 +238,6 @@ def multiplicity_vandermonde(b: SupportSet, xs, js):
     return rows
 
 
-def corank_kernel(rows):
-    """(corank, kernel basis) of the linear map f -> M f, M rational.
-
-    corank = rows - rank, by one exact elimination (kernel_basis), whose
-    kernel dimension gives the rank as columns - kernel dimension.
-    """
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    kernel = kernel_basis(rows)
-    return len(rows) - (len(rows[0]) - len(kernel)), kernel
-
-
 def _effective_elements(b: SupportSet, j0, jinf):
     lo, hi = b.min + j0, b.max - jinf
     return tuple(e for e in b.elements if lo <= e <= hi)
@@ -401,35 +403,26 @@ def _generic_kernel_dims(pair, label):
 
 
 @lru_cache(maxsize=None)
-def _unity_configs(k, n_max):
-    """Distinct projectivized root-of-unity tuples (exponents with x1 = 1),
-    as a tuple of (n, exponents) in increasing n."""
-    seen = set()
-    out = []
-    for n in range(2, n_max + 1):
-        if k == 2:
-            combos = [(p,) for p in range(1, n)]
-        elif k == 3:
-            combos = zip(*(e.tolist() for e in admissible_pairs(n)))
-        else:
-            combos = []
-        for exps in combos:
-            key = tuple(sorted((e // gcd(e, n), n // gcd(e, n)) for e in exps))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((n, (0,) + exps))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _scan_table(k, n_max):
-    """The corank scan's root-of-unity tuples in scan order, flat:
-    (ns, exps, configs) with ns the read-only modulus array, exps the
-    read-only (len(configs), k) exponent array and configs the (n,
-    exponents) tuples.  A single root is projectivized to the one tuple
-    (1,), n = 1."""
-    configs = ((1, (0,)),) if k == 1 else _unity_configs(k, n_max)
+    """The projectivized root-of-unity tuples (x1 = 1) of k points with n <=
+    n_max, in scan order: (ns, exps, configs) with configs the (n, (0, p[,
+    q])) with 0 < p [< q] < n and gcd(n, p[, q]) = 1, in (n, p, q) order, ns
+    the read-only modulus array and exps the read-only (len(configs), k)
+    exponent array.  A single root is the one tuple (1,), n = 1.
+
+    Lemma.  Each tuple appears once, at the least n that gives it.  Proof:
+    (1, zeta_n^p, zeta_n^q) = (1, zeta_m^(p/d), zeta_m^(q/d)) with d =
+    gcd(n, p, q) and m = n/d, so every tuple appears with d = 1.  A modulus
+    m gives the tuple iff n | m p and n | m q, that is (the period lemma of
+    `unity_power_rank`) iff n/d | m; with d = 1 no m < n does.  Distinct
+    exponents at one modulus give distinct tuples.
+    """
+    configs = tuple(
+        (n, (0, *tup))
+        for n in range(1, n_max + 1)
+        for tup in combinations(range(1, n), k - 1)
+        if gcd(n, *tup) == 1
+    )
     ns = np.array([n for n, _ in configs], dtype=np.int64)
     exps = np.array([e for _, e in configs], dtype=np.int64).reshape(len(configs), k)
     ns.setflags(write=False)
@@ -587,14 +580,14 @@ def _unity_coranks(b: SupportSet, js, ns, exps):
 
     An order-1 side takes the closed form, one unity_power_rank call.  A side
     with multiplicities is ranked mod split_prime(n) for every tuple at once
-    (`_unity_stack`, `modular_rank`): rank_p <= rank <= min(rows, |B|), so a
+    (`_hermite_stack`, `modular_rank`): rank_p <= rank <= min(rows, |B|), so a
     full rank_p is the rank, and only the other tuples take the conjugate
     ranks of `_conjugate_ranks`.
     """
     if all(j == 1 for j in js):
         return _unity_coranks_monomial(b, ns, exps)
     primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
-    rank = modular_rank(_unity_stack(b.elements, js, ns, exps, primes, roots), primes)
+    rank = modular_rank(_hermite_stack(b.elements, js, exps, ns, primes, roots), primes)
     short = np.flatnonzero(rank < min(sum(js), len(b)))
     if len(short):
         rank[short] = _conjugate_ranks(b.elements, js, ns[short], exps[short])
@@ -642,39 +635,53 @@ def _conjugate_ranks(eff, js, ns, exps):
         if gcd(k, n) == 1
     ]
     owner, cns, cexps, primes, roots = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    ranks = modular_rank(_unity_stack(eff, js, cns, cexps, primes, roots), primes)
+    ranks = modular_rank(_hermite_stack(eff, js, cexps, cns, primes, roots), primes)
     out = np.zeros(len(ns), dtype=np.int64)
     np.maximum.at(out, owner, ranks)
     return out
 
 
-def _unity_stack(eff, js, ns, exps, primes, roots):
-    """The multiplicity Vandermonde of the exponents eff at every
-    root-of-unity tuple zeta_n^p, p in exps[s], n = ns[s], sent to F_p, p =
-    primes[s], by zeta_n -> roots[s]: the int64 stack (S, sum(js), len(eff)).
+@lru_cache(maxsize=None)
+def _hermite_layout(eff, js, n, p, shift):
+    """The layout of `_hermite_stack` at one (n, p), as read-only arrays: the
+    point m of each row (m, d), e - d - shift mod n and falling(e, d + shift)
+    mod p for its entries.  Huge exponents reduce in Python ints."""
+    rows = [(m, d + shift) for m, j in enumerate(js) for d in range(j)]
+    tables = (
+        np.array([m for m, _ in rows]),
+        np.array([[(e - d) % n for e in eff] for _, d in rows], dtype=np.int64),
+        np.array([[falling(e, d) % p for e in eff] for _, d in rows], dtype=np.int64),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
-    Exponents reduce mod n (`residues`) and falling(e, d) mod p in Python
-    ints, so exponents of any size stay exact.  One array pass per modulus
-    and prime.
+
+def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
+    """The multiplicity Vandermonde of the exponents eff with orders js mod
+    p at every point x = (z^logs[s, m])_m, z = roots[s] of order n =
+    orders[s] in F_p^*, p = primes[s]: the int64 stack (S, sum(js),
+    len(eff)) whose row (m, d) holds falling(e, d + shift) x_m^(e - d -
+    shift) mod p.  shift=1 gives its derivative in x_m, row by row.
+
+    A root-of-unity tuple (zeta_n^(a_m))_m passes logs (a_m), order n and
+    a split prime with its root z of order n: zeta_n -> z is a reduction of
+    Z[zeta_n].  A point of F_p^* passes its logarithms to a generator of
+    F_p^*, with n = p - 1.  One array pass per (n, p, z), on the cached
+    `_hermite_layout` and `power_table`.
     """
-    rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
-    point = np.array([m for m, _ in rows])
-    derivs = np.array([d for _, d in rows])[:, None]
-    reduced = residues(eff, ns)
-    stack = np.empty((len(ns), len(rows), len(eff)), dtype=np.int64)
-    for n, p, z in sorted(set(zip(ns.tolist(), primes.tolist(), roots.tolist()))):
-        sel = np.flatnonzero((ns == n) & (primes == p) & (roots == z))
-        powers = np.array([pow(z, t, p) for t in range(n)], dtype=np.int64)
-        fall = np.array([[falling(e, d) % p for e in eff] for _, d in rows], dtype=np.int64)
-        # zeta_n^(p_m * (e - d)) for row (m, d), column e
-        stack[sel] = fall * powers[exps[sel][:, point, None] * ((reduced[sel][:, None, :] - derivs) % n) % n] % p
+    stack = np.empty((len(logs), sum(js), len(eff)), dtype=np.int64)
+    for n, p, z in sorted(set(zip(orders.tolist(), primes.tolist(), roots.tolist()))):
+        sel = np.flatnonzero((orders == n) & (primes == p) & (roots == z))
+        point, exps, fall = _hermite_layout(eff, js, n, p, shift)
+        stack[sel] = fall * power_table(z, n, p)[logs[sel][:, point, None] * exps % n] % p
     return stack
 
 
 def _unity_components(pair, label, n_max):
     """The nonempty root-of-unity components of the label, decided exactly:
     (tuples decided, [((n, exps), kd1, kd2) for each]), in the order of
-    _unity_configs(k, n_max).  Each has dimension kd1 + kd2 + 1.
+    _scan_table(k, n_max).  Each has dimension kd1 + kd2 + 1.
 
     Claim.  Let omega be a tuple with x1 = 1, M_i = M_i(omega) side i's
     multiplicity Vandermonde on eff_i and kd_i = |eff_i| - rank M_i.  When
@@ -728,41 +735,11 @@ def _certificate_prime(g, index):
         p += g
 
 
-@lru_cache(maxsize=None)
 def _log_powers(p):
     """powers[k] = gamma^k mod p for k < p - 1, gamma the least generator of
     F_p^*, as a read-only int64 array.  A point of F_p^* is named by its
     logarithm k, and x^e is powers[k * e mod (p - 1)] for every integer e."""
-    factors = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
-    gamma = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in factors))
-    powers = np.empty(p - 1, dtype=np.int64)
-    x = 1
-    for k in range(p - 1):
-        powers[k] = x
-        x = x * gamma % p
-    powers.setflags(write=False)
-    return powers
-
-
-@lru_cache(maxsize=None)
-def _certificate_rows(eff, js, p):
-    """Row layout of a side's multiplicity Vandermonde mod p, as read-only
-    arrays: the point of each row (m, d), e - d and e - d - 1 mod p - 1 for
-    its entries and for their derivatives in x_m, falling(e, d) and
-    falling(e, d + 1) mod p, and e mod p per column.  Huge exponents reduce
-    in Python ints."""
-    rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
-    tables = (
-        np.array([m for m, _ in rows]),
-        np.array([[(e - d) % (p - 1) for e in eff] for _, d in rows], dtype=np.int64),
-        np.array([[(e - d - 1) % (p - 1) for e in eff] for _, d in rows], dtype=np.int64),
-        np.array([[falling(e, d) % p for e in eff] for _, d in rows], dtype=np.int64),
-        np.array([[falling(e, d + 1) % p for e in eff] for _, d in rows], dtype=np.int64),
-        np.array([e % p for e in eff], dtype=np.int64),
-    )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return power_table(root_of_order(p - 1, p), p - 1, p)
 
 
 def _class_key(coincide, order, gaps):
@@ -858,32 +835,24 @@ def _certify_points(pair, label, points, seed):
     per side that also draws f_s in ker M_s(x0) (free coordinates from a
     generator seeded by `seed`), and the rank mod p of the two rows
     (dM1/dt f1, dM2/dt f2) and (M1 D f1, M2 D f2), D = diag(e), ranked by
-    one `modular_rank` call on their transpose.  dM/dt moves x2 by 1 and x3 by du/dt."""
+    one `modular_rank` call on their transpose.  dM/dt moves x2 by 1 and x3
+    by du/dt; M and its derivatives in x_m come from `_hermite_stack`."""
     count = len(points)
     primes = np.array([p for p, _, _ in points], dtype=np.int64)
     logs = np.array([lg for _, lg, _ in points], dtype=np.int64)
     moves = np.array([[0, 1, dudt] for _, _, dudt in points], dtype=np.int64)
+    roots = np.array([root_of_order(p - 1, p) for p in primes.tolist()], dtype=np.int64)
+    col = primes[:, None]
     gen = np.random.default_rng(seed)
     kds, rows = [], []
     for side, b in ((1, pair.b1), (2, pair.b2)):
         eff = _effective_elements(b, label.j0, label.jinf)
         js = label.side_orders(side)
-        mat = np.empty((count, sum(js), len(eff)), dtype=np.int64)
-        dmat = np.empty_like(mat)
-        emod = np.empty((count, len(eff)), dtype=np.int64)
-        dx = np.empty((count, sum(js)), dtype=np.int64)
-        for p in set(primes.tolist()):
-            sel = np.flatnonzero(primes == p)
-            point, exps, dexps, fall, dfall, emod[sel] = _certificate_rows(eff, js, p)
-            powers, at = _log_powers(p), logs[sel][:, point, None]
-            mat[sel] = fall * powers[at * exps % (p - 1)] % p
-            dmat[sel] = dfall * powers[at * dexps % (p - 1)] % p
-            dx[sel] = moves[sel][:, point]
+        mat, dmat = (_hermite_stack(eff, js, logs, primes - 1, primes, roots, shift) for shift in (0, 1))
         rank, f = modular_kernel_vector(mat, primes, gen.integers(0, 2**31, size=(count, len(eff))))
         kds.append(len(eff) - rank)
-        col = primes[:, None]
-        rows.append(dx * ((dmat @ f[:, :, None])[:, :, 0] % col) % col)
-        rows.append((mat @ (emod * f % col)[:, :, None])[:, :, 0] % col)
+        rows.append(np.repeat(moves, js, axis=1) * ((dmat @ f[:, :, None])[:, :, 0] % col) % col)
+        rows.append((mat @ (residues(eff, primes) * f % col)[:, :, None])[:, :, 0] % col)
     tangent, orbit = np.concatenate(rows[0::2], axis=1), np.concatenate(rows[1::2], axis=1)
     return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
 

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import exact_rank, primitive, prs_gcd, root_multiplicity
+from .exact import exact_rank, kernel_basis, primitive, prs_gcd, root_multiplicity
 from .germs import PlaneGerm, classify_germ, slice_germ
-from .kernels import det3_vanish, evaluation_table, unity_combos_vanish
-from .laurent import LaurentPoly, classify_point
+from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
+from .laurent import LaurentPoly, branch_covector, classify_point
 from .minors import (
     admissible_pairs,
     exponent_minor_explanation,
@@ -39,7 +39,6 @@ from .strata import (
     parse_label,
     sample_filtration_subset,
     scan_corank_strata,
-    corank_kernel,
 )
 from .supports import SupportPair, SupportSet, gap_gcd
 
@@ -162,7 +161,7 @@ def check_unity_minor_explanations(n_max=24, span=5):
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
         table = evaluation_table(n)
-        vanish = det3_vanish(table, triples, ps, qs)
+        vanish = unity_combos_vanish(table, det3_exponents(triples, ps, qs), DET3_SIGNS)
         checked += vanish.size
         for i, t in np.argwhere(vanish).tolist():
             zeros += 1
@@ -203,8 +202,9 @@ def _normalized_supports(max_spread):
 
 def check_corank2_dichotomy(max_spread=10, n_max=12):
     label = StratumLabel.symmetric(0, 0, (1, 1, 1))
+    supports = _normalized_supports(max_spread)
     bad = []
-    for b in _normalized_supports(max_spread):
+    for b in supports:
         rep = scan_corank_strata(SupportPair(b, b), label, n_max)
         observed = rep.side_observed(1, 2)
         predicted = gap_gcd(b) >= 3
@@ -212,7 +212,7 @@ def check_corank2_dichotomy(max_spread=10, n_max=12):
             bad.append({"B": list(b.elements), "observed": observed, "predicted": predicted})
         if rep.mismatches:
             bad.append({"B": list(b.elements), "mismatches": rep.mismatches})
-    return not bad, {"supports_checked": len(_normalized_supports(max_spread)), "failures": bad[:5]}
+    return not bad, {"supports_checked": len(supports), "failures": bad[:5]}
 
 
 def check_codim_estimates(seed=7):
@@ -307,14 +307,10 @@ def check_stratum_order(seed=11):
 
 def _random_kernel_poly(support, constraints, rng):
     """Random exact polynomial on the support vanishing to the prescribed
-    orders: constraints = [(point, order), ...]."""
+    orders: constraints = [(point, order), ...], at least one."""
     pts = [p for p, _ in constraints]
     js = [j for _, j in constraints]
-    rows = multiplicity_vandermonde(support, pts, js) if pts else []
-    if rows:
-        _, kern = corank_kernel(rows)
-    else:
-        kern = [[1 if i == j else 0 for i in range(len(support.elements))] for j in range(len(support.elements))]
+    kern = kernel_basis(multiplicity_vandermonde(support, pts, js))
     if not kern:
         return None
     for _ in range(6):
@@ -380,8 +376,6 @@ def check_point_classifier(per_scenario=67, seed=23):
             else:
                 counts[want] += 1
             if want == "NodeA1" and got.tag == "NodeA1":
-                from .laurent import branch_covector
-
                 cov = [branch_covector(f, g, x) for x, _, _ in needed]
                 if exact_rank(cov) != 2:
                     mis.append({"family": fam, "want": "rank-2 covectors"})

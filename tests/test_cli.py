@@ -50,6 +50,17 @@ class TestClassify:
             main(["classify", "--nonsense"])
         assert exc.value.code == 2
 
+    def test_negative_first_exponent_takes_equals(self, capsys):
+        # after a space, "-3,1,2" reads as an option, not as --b1's value
+        code, out = run(capsys, "classify", "--b1=-3,1,2", "--b2", "0,2")
+        assert code == 0 and "verdict" in json.loads(out)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--b1", "-3,1,2", "--b2", "0,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: singres classify ")
+        assert "singres classify: error: argument --b1: expected one argument" in err
+
 
 class TestResultant:
     def test_degree_one(self, capsys):

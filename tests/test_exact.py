@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -24,10 +24,15 @@ from singres.exact import (
     kernel_basis,
     modular_kernel_vector,
     modular_rank,
+    is_prime,
     poly_gcd,
+    power_table,
     primitive,
     root_multiplicity,
+    root_of_order,
+    split_primes,
 )
+from singres.strata import _certificate_prime
 from singres.minors import unity_power_rank
 from singres.supports import SupportSet
 
@@ -329,3 +334,44 @@ class TestRank:
             assert cyclo_rank(rows) == want, (n, rows)
             deficient += want < min(nrows, ncols)
         assert deficient > 50
+
+
+def prime_factors(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+
+
+class TestRootOfOrder:
+    """The one search for an element of order n in F_p^*, against the two
+    searches it replaced: the split primes' a^((p - 1)/n) and the
+    certificates' least generator."""
+
+    def test_split_primes(self):
+        for n in range(1, 41):
+            for p, z in islice(split_primes(n), 3):
+                candidates = (pow(a, (p - 1) // n, p) for a in range(2, p))
+                want = next(w for w in candidates if all(pow(w, n // q, p) != 1 for q in prime_factors(n)))
+                assert z == root_of_order(n, p) == want, (n, p)
+                assert pow(z, n, p) == 1 and all(pow(z, n // q, p) != 1 for q in prime_factors(n))
+
+    def test_certificate_generators(self):
+        for g in range(1, 31):
+            for index in range(3):
+                p = _certificate_prime(g, index)
+                want = next(a for a in range(2, p) if all(pow(a, (p - 1) // q, p) != 1 for q in prime_factors(p - 1)))
+                assert root_of_order(p - 1, p) == want, (g, index)
+                # order exactly p - 1: its powers run over all of F_p^*
+                assert sorted(power_table(want, p - 1, p).tolist()) == list(range(1, p))
+
+    def test_order_must_divide(self):
+        with pytest.raises(ValueError):
+            root_of_order(5, 13)
+
+    def test_power_table(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            p = rng.choice((7, 1009, 2**31 - 1))
+            z, n = rng.randrange(p), rng.randint(1, 50)
+            table = power_table(z, n, p)
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert table.tolist() == [pow(z, k, p) for k in range(n)]
+            assert power_table(z, n, p) is table

@@ -9,7 +9,7 @@ import cyclo_oracle
 from cyclo_oracle import CycloElement, RootOfUnity, UnityPair, cyclo_det3, power_rank
 from singres import kernels
 from singres.exact import split_prime
-from singres.kernels import DET3_SIGNS, det3_exponents, det3_vanish, evaluation_table, unity_combos_vanish
+from singres.kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from singres.minors import (
     _order2_mechanism,
     MinorCheck,
@@ -181,6 +181,14 @@ class TestEquivalenceScan:
                 for p, q in [(1, 2)]
             )
             assert got == expect
+
+
+def det3_vanish(table, triples, ps, qs):
+    """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish, x = zeta_n^p,
+    y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
+    `triples`?  A bool array (pairs, triples), from one zero test of the six
+    det3 terms."""
+    return unity_combos_vanish(table, det3_exponents(triples, ps, qs), DET3_SIGNS)
 
 
 class TestMinorChecks:

@@ -4,12 +4,14 @@ the README says the CLI accepts."""
 import argparse
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -142,3 +144,60 @@ def test_importing_the_package_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_benchmark_calls_resolve():
+    """The benchmark's request code (perfbench/workloads.py, and the child
+    process that runs it) reaches singres by module attribute and keyword,
+    so a deleted module or function, or a renamed parameter such as
+    `scan_corank_strata(..., seed=)`, would fail every benchmark request.
+    Parsed read-only: every singres module they import exists, every
+    attribute they read of one resolves, and every keyword they pass to a
+    singres callable is one of its parameters."""
+    problems, keywords = [], set()
+    for rel in ("perfbench/workloads.py", "perfbench/child.py"):
+        tree = ast.parse((ROOT / rel).read_text())
+        bound = {}  # local name -> the singres module or object it names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update({a.asname or a.name: singres for a in node.names if a.name == "singres"})
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "singres":
+                for a in node.names:
+                    name = f"{node.module}.{a.name}" if node.module == "singres" else node.module
+                    try:
+                        module = importlib.import_module(name)
+                    except ModuleNotFoundError:
+                        problems.append(f"{rel}: no module {name}")
+                        continue
+                    if node.module == "singres":
+                        bound[a.asname or a.name] = module
+                    elif hasattr(module, a.name):
+                        bound[a.asname or a.name] = getattr(module, a.name)
+                    else:
+                        problems.append(f"{rel}: {name} has no {a.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner = bound.get(node.value.id)
+                if isinstance(owner, types.ModuleType) and not hasattr(owner, node.attr):
+                    problems.append(f"{rel}:{node.lineno}: {node.value.id}.{node.attr} does not resolve")
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+                owner = bound.get(node.func.value.id)
+                fn = getattr(owner, node.func.attr, None) if isinstance(owner, types.ModuleType) else None
+                label = f"{node.func.value.id}.{node.func.attr}"
+            elif isinstance(node.func, ast.Name):
+                fn, label = bound.get(node.func.id), node.func.id
+            else:
+                continue
+            if not callable(fn):
+                continue
+            params = inspect.signature(fn).parameters
+            takes_any = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    keywords.add((label, kw.arg))
+                    if kw.arg not in params and not takes_any:
+                        problems.append(f"{rel}:{node.lineno}: {label}() takes no {kw.arg}=")
+    assert problems == []
+    assert ("strata.scan_corank_strata", "seed") in keywords

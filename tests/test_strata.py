@@ -13,11 +13,11 @@ import singres
 from cyclo_oracle import CycloElement, RootOfUnity, cyclo_rank, cyclo_rref, cyclotomic_polynomial, unity_vandermonde
 import float_oracle
 from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
-from singres.exact import exact_quo, exact_rank, exact_rref, modular_rank, prs_gcd, split_prime, split_primes
+from singres.exact import exact_quo, exact_rank, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
+from singres.minors import admissible_pairs
 from singres.strata import (
     StratumLabel,
-    corank_kernel,
     estimate_codim,
     in_filtration_subset,
     label_dominates,
@@ -38,6 +38,7 @@ from singres.strata import (
     _embed,
     _effective_elements,
     _generic_kernel_dims,
+    _hermite_stack,
     _kernel_floor,
     _kernel_of,
     _log_powers,
@@ -47,9 +48,7 @@ from singres.strata import (
     _side_matrices,
     _stratum_predictions,
     _unity_components,
-    _unity_configs,
     _unity_coranks,
-    _unity_stack,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports, check_codim_estimates, check_stratum_order
@@ -65,6 +64,35 @@ def S(*xs):
 
 def pair(b1, b2):
     return SupportPair(S(*b1), S(*b2))
+
+
+def corank_kernel(rows):
+    """(corank, kernel basis) of a nonempty rational matrix, from one exact
+    elimination: rows - rank, the rank being columns - kernel dimension."""
+    kernel = kernel_basis(rows)
+    return len(rows) - (len(rows[0]) - len(kernel)), kernel
+
+
+def unity_configs(k, n_max):
+    """The distinct projectivized root-of-unity tuples (x1 = 1) of k = 2 or 3
+    points with 2 <= n <= n_max, as (n, exponents) in increasing n,
+    deduplicated by their sorted reduced fractions e/n: the oracle of
+    `_scan_table`.  Empty for any other k."""
+    seen = set()
+    out = []
+    for n in range(2, n_max + 1):
+        if k == 2:
+            combos = [(p,) for p in range(1, n)]
+        elif k == 3:
+            combos = zip(*(e.tolist() for e in admissible_pairs(n)))
+        else:
+            combos = []
+        for exps in combos:
+            key = tuple(sorted((e // gcd(e, n), n // gcd(e, n)) for e in exps))
+            if key not in seen:
+                seen.add(key)
+                out.append((n, (0,) + exps))
+    return tuple(out)
 
 
 class TestLabels:
@@ -341,7 +369,7 @@ class TestScan:
         for name in ("N(2,1)", "N(2,1;1,1)", "N(2,2)"):
             for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1, 4, 6), (0, 2, 5))]:
                 rep = scan_corank_strata(pair(b1, b2), parse_label(name), 8, seed=1)
-                assert rep.configs_scanned == len(_unity_configs(2, 8))
+                assert rep.configs_scanned == len(_scan_table(2, 8)[2])
         assert not hasattr(singres.strata, "exact_rref") and not hasattr(singres.strata, "exact_rank")
 
     def test_generic_corank_is_descartes_bound(self):
@@ -386,7 +414,7 @@ class TestScan:
                 assert (sum(js) - _unity_coranks(b, js, ns, exps)).tolist() == want, (name, b)
                 checked += len(want)
                 deficient += sum(rank < min(sum(js), len(b)) for rank in want)
-        assert checked == 3 * (3 * len(_unity_configs(2, 8)) + len(_unity_configs(3, 8)))
+        assert checked == 3 * (3 * len(_scan_table(2, 8)[2]) + len(_scan_table(3, 8)[2]))
         assert deficient > 10
 
     def test_fallback_tuples_match_rref(self):
@@ -401,7 +429,7 @@ class TestScan:
                 for js in {label.side_orders(1), label.side_orders(2)}:
                     if all(j == 1 for j in js):
                         continue
-                    first = modular_rank(_unity_stack(b.elements, js, ns, exps, primes, roots), primes)
+                    first = modular_rank(_hermite_stack(b.elements, js, exps, ns, primes, roots), primes)
                     cork = _unity_coranks(b, js, ns, exps)
                     for i in np.flatnonzero(first < min(sum(js), len(b))).tolist():
                         n, tup = configs[i]
@@ -525,10 +553,20 @@ class TestScan:
             with pytest.raises(ValueError, match="boundary orders"):
                 scan_corank_strata(pair((0, 1, 3, 6), (0, 2, 3)), parse_label(name), 8)
 
+    def test_scan_table_matches_fraction_dedup(self):
+        # gcd(n, p[, q]) = 1 lists each tuple once, at its least n, in the
+        # order that deduplicating reduced fractions finds them
+        for k in (1, 2, 3):
+            for n_max in range(1, 31):
+                ns, exps, configs = _scan_table(k, n_max)
+                assert configs == (((1, (0,)),) if k == 1 else unity_configs(k, n_max)), (k, n_max)
+                assert ns.tolist() == [n for n, _ in configs]
+                assert exps.tolist() == [list(e) for _, e in configs]
+
     def test_report_observability(self):
         rep = scan_corank_strata(pair((0, 3, 6), (0, 1, 3)), parse_label("N(1,1,1)"), 12)
         data = rep.to_json()
-        assert data["configs_scanned"] == len(_unity_configs(3, 12))
+        assert data["configs_scanned"] == len(_scan_table(3, 12)[2])
         assert data["version"] == singres.__version__
         assert set(data["timings"]) == {"unity_s", "generic_s"}
         assert all(t >= 0 for t in data["timings"].values())
@@ -569,7 +607,7 @@ def reference_scan(p, label, n_max, seed, generic_tuples=True):
     def note(key, payload):
         found.setdefault(key, {"count": 0, "witness": payload})["count"] += 1
 
-    configs = [(1, (0,))] if label.k == 1 else _unity_configs(label.k, n_max)
+    configs = [(1, (0,))] if label.k == 1 else unity_configs(label.k, n_max)
     for n, exps in configs:
         if all(j == 1 for j in js[0] + js[1]):
             key = tuple(reference_corank_monomial(b.elements, exps, n) for b in sides)
@@ -667,7 +705,7 @@ class TestEstimates:
             assert u0 not in (0, 1, t0)
         # one sample for the generic component and for each unity tuple, live
         # or not, plus one per certified point of the minor curves
-        assert est.sample_count == 1 + len(_unity_configs(3, 12)) + points[-1] and points[-1] >= len(minors)
+        assert est.sample_count == 1 + len(_scan_table(3, 12)[2]) + points[-1] and points[-1] >= len(minors)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_paper_values_at_every_seed(self, seed):
@@ -855,7 +893,7 @@ def reference_unity_votes(pair, label, seed, n_max, stacked=False):
     stacked=True as one stack by span_dimensions."""
     rng = random.Random(seed)
     descs, samples = [], []
-    for n, exps in _unity_configs(label.k, n_max):
+    for n, exps in unity_configs(label.k, n_max):
         omega = [np.exp(2j * np.pi * e / n) for e in exps]
         descs.append(f"unity(n={n}, exps={list(exps)})")
         for _ in range(VOTE_SAMPLES):
@@ -904,7 +942,7 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48)
     est.sample_count += 1
     for desc, dim in reference_unity_votes(pair, label, seed, n_max):
         record(desc, dim)
-    est.sample_count += len(_unity_configs(k, n_max))  # one per tuple, decided exactly
+    est.sample_count += len(unity_configs(k, n_max))  # one per tuple, decided exactly
     if k == 3:
         curves = []
         for side, b in ((1, pair.b1), (2, pair.b2)):
@@ -972,7 +1010,7 @@ class TestBatchedEstimate:
         gaps = [gap_gcd(p.b1), gap_gcd(p.b2)]
         classes = sum(len(_branch_classes(t, gaps)) for t in itertools.combinations(p.b1.elements, 3))
         assert points[-1] == classes + len(_branch_classes((0, 3, 6), gaps)) == 24
-        assert data["sample_count"] == 1 + len(_unity_configs(3, 12)) + points[-1]
+        assert data["sample_count"] == 1 + len(_scan_table(3, 12)[2]) + points[-1]
         assert sorted(minors) == [
             "minor-curve(side=1, triple=(0, 3, 6))",
             "minor-curve(side=1, triple=(1, 4, 7))",
@@ -1063,7 +1101,7 @@ class TestBatchedEstimate:
                              ((0, 2, 3, 5), (0, 1, 4, 5), "N(2,1;1,1)"), ((0, 3, 6), (0, 3, 6), "N(1,1)")]:
             p, label = pair(b1, b2), parse_label(name)
             stack = []
-            for n, exps in _unity_configs(label.k, 9):
+            for n, exps in unity_configs(label.k, 9):
                 if n >= label.k and len(set(e % n for e in exps)) == len(exps):
                     c = random_unit_annulus(rng)
                     omega = [np.exp(2j * np.pi * e / n) for e in exps]
@@ -1122,6 +1160,26 @@ class TestMinorCertificate:
     """The minor curves decided mod p (`_minor_certificates`) against the
     float oracle's votes, with planted bad reductions and the branch-class
     lemma checked over Z."""
+
+    def test_hermite_stack_derivative(self):
+        # at random points of F_p^*, named by logarithms to the least
+        # generator: the shift-0 entries are falling(e, d) x_m^(e - d), and
+        # shift=1 gives their x_m-derivative, the entry times (e - d) / x_m
+        rng = random.Random(19)
+        for _ in range(40):
+            eff = tuple(sorted(rng.sample(range(-4, 12), rng.randint(2, 6)) + [2**62 + rng.randint(1, 9)]))
+            js = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            primes = np.array([_certificate_prime(rng.randint(1, 4), rng.randrange(3)) for _ in range(6)])
+            logs = np.array([[rng.randrange(p - 1) for _ in js] for p in primes.tolist()])
+            roots = np.array([root_of_order(p - 1, p) for p in primes.tolist()])
+            m0, m1 = (_hermite_stack(eff, js, logs, primes - 1, primes, roots, shift).tolist() for shift in (0, 1))
+            rows = [(m, d) for m, j in enumerate(js) for d in range(j)]
+            for s, p in enumerate(primes.tolist()):
+                xs = [pow(int(roots[s]), lg, p) for lg in logs[s].tolist()]
+                for r, (m, d) in enumerate(rows):
+                    for c, e in enumerate(eff):
+                        assert m0[s][r][c] == falling(e, d) * pow(xs[m], e - d, p) % p
+                        assert m1[s][r][c] == m0[s][r][c] * (e - d) * pow(xs[m], -1, p) % p
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_grid_matches_float_votes(self, seed):
@@ -1362,9 +1420,9 @@ class TestExactUnity:
         # (0, 3, 6) takes one value at all cube roots: kd = 2 on both sides
         # at (1, zeta_3), and 1 at (1, -1)
         decided, comps = _unity_components(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)"), 3)
-        assert decided == len(_unity_configs(2, 3)) == 3
+        assert decided == len(_scan_table(2, 3)[2]) == 3
         assert comps == [((2, (0, 1)), 1, 1), ((3, (0, 1)), 2, 2), ((3, (0, 2)), 2, 2)]
-        assert _unity_components(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)"), 6) == (len(_unity_configs(2, 6)), [])
+        assert _unity_components(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)"), 6) == (len(_scan_table(2, 6)[2]), [])
         assert _unity_components(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)"), 12) == (0, [])
         assert _unity_components(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)"), 2) == (0, [])
 
@@ -1440,7 +1498,7 @@ class TestExactUnity:
         unity = [c for c in data["components_probed"] if c["component"].startswith("unity")]
         assert unity and all(c["exact"] is True and "votes" not in c for c in unity)
         assert {(c["kd1"], c["kd2"], c["r"], c["dim_found"]) for c in unity} == {(2, 2, 1, 5), (1, 1, 1, 3)}
-        assert data["sample_count"] == 1 + len(_unity_configs(2, 12))
+        assert data["sample_count"] == 1 + len(_scan_table(2, 12)[2])
         assert set(data["timings"]) == {"generic_s", "unity_s", "minor_curve_s"}
 
 
