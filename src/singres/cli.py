@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -107,15 +108,24 @@ def _pair_from_args(args) -> SupportPair:
     return SupportPair(_parse_support(args.b1), _parse_support(args.b2))
 
 
+def _require_finite(args, *dests):
+    """Refuse (ValueError) a float flag among `dests` that is not finite."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not math.isfinite(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+
+
 def _emit(payload, args):
-    """Print the report, with its `config`, or write it to --out.
+    """Print the report, with its `config`, or write it to --out.  A report
+    holding a NaN or an infinity raises ValueError: it would not be JSON.
 
     An existing directory or a suffix-less path is a directory, created if
     missing, that receives <command>[-<kind>]-<timestamp>.json; a report
     there never replaces an existing file, but takes the next free -<i>
     suffix.  Any other path is the report file itself."""
     payload["config"] = {dest: getattr(args, dest) for dest in args.shared}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if not args.out:
         print(text, end="")
         return
@@ -167,6 +177,7 @@ def cmd_resultant(args) -> int:
 
 
 def cmd_point_classify(args) -> int:
+    _require_finite(args, "tolerance")
     data = _require_input(args, "point-classify")
     with _typed_input():
         f = LaurentPoly.from_json(data["f"])
@@ -195,8 +206,8 @@ def cmd_verify_paper(args) -> int:
 
 def _parse_coeffs(data, name, support: Support3D):
     """The --input coefficient map `name` ({"i,j,k": [re, im] or a number}),
-    or None when absent; a malformed key or value, or a key that is not a
-    point of `support`, raises ValueError."""
+    or None when absent; a malformed key or value, a value that is not
+    finite, or a key that is not a point of `support`, raises ValueError."""
     if name not in data:
         return None
     out = {}
@@ -205,7 +216,10 @@ def _parse_coeffs(data, name, support: Support3D):
             u, v, w = (int(t) for t in key.split(","))
             if (u, v, w) not in support.points:
                 raise ValueError("not a point of the support")
-            out[u, v, w] = complex(*val) if isinstance(val, list) and len(val) == 2 else complex(val)
+            value = complex(*val) if isinstance(val, list) and len(val) == 2 else complex(val)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"not finite: {val!r}")
+            out[u, v, w] = value
         except ValueError as exc:
             raise ValueError(f"--input: {name}[{key!r}]: {exc}") from exc
     return out
@@ -217,6 +231,7 @@ def cmd_project3d(args) -> int:
     for flag, steps in (("--rho-steps", args.rho_steps), ("--theta-steps", args.theta_steps)):
         if steps < 1:
             raise ValueError(f"{flag} must be at least 1, got {steps}")
+    _require_finite(args, "tolerance", "rho_min", "rho_max")
     data = _require_input(args, "project3d")
     with _typed_input():
         a1 = Support3D.from_json(data["a1"])

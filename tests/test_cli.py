@@ -208,6 +208,14 @@ COMPUTES_WITH = {
     "scan strata": (PAIR_ARGS, None, (cli, "scan_corank_strata")),
     "scan codim": (PAIR_ARGS, None, (cli, "estimate_codim")),
 }
+# leaf command -> (the arguments of a small real run, its --input JSON on stdin)
+STRICT_RUNS = {
+    **{command: (args, stdin) for command, (args, stdin, _) in COMPUTES_WITH.items()},
+    "verify-paper": (["--only", "projection-pipeline"], None),
+    "project3d": (["--input", "-", "--scan", "--rho-steps", "3", "--theta-steps", "4"], SUPPORTS_3D),
+    "scan minors": (["--n-max", "4", "--spread", "4"], None),
+    "scan strata": ([*PAIR_ARGS, "--n-max", "4"], None),
+}
 
 
 class TestErrorContract:
@@ -234,6 +242,64 @@ class TestErrorContract:
         monkeypatch.setattr(cli, "project_supports", self._raise(DegenerateProjectionError("boom")))
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
         assert (main(["project3d", *args]), *capsys.readouterr()) == (3, "", "error: boom\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["point-classify", "--input", "-"], "--tolerance", "nan"),
+            (["project3d", "--input", "-"], "--tolerance", "inf"),
+            (["project3d", "--input", "-", "--scan"], "--rho-min", "nan"),
+            (["project3d", "--input", "-", "--scan"], "--rho-max", "-inf"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, capsys, monkeypatch, argv, flag, value):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SUPPORTS_3D)))
+        code = main([*argv, f"{flag}={value}"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {flag} must be finite, got {value}\n")
+
+    @pytest.mark.parametrize("side, value", [(1, "nan"), (1, "inf"), (2, [0, "NaN"]), (2, "-1e400")])
+    def test_non_finite_coefficient_exits_2(self, capsys, monkeypatch, side, value):
+        coeffs = {"coeffs1": {"0,0,0": 1, "1,0,1": 1}, "coeffs2": {"0,0,0": 1, "0,1,1": 1}}
+        coeffs[f"coeffs{side}"]["0,0,0"] = value
+        text = json.dumps({**SUPPORTS_3D, **coeffs}).replace('"NaN"', "NaN")  # a bare NaN token
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(["project3d", "--input", "-", "--scan"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --input: coeffs{side}['0,0,0']: not finite") and err.count("\n") == 1
+
+    def test_overflowed_scan_exits_2(self, capsys, monkeypatch):
+        coeffs = {f"coeffs{i}": {",".join(map(str, p)): 1e200 for p in SUPPORTS_3D[f"a{i}"]} for i in (1, 2)}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**SUPPORTS_3D, **coeffs})))
+        code = main(["project3d", "--input", "-", "--scan"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: |R| overflows double precision at 1600 of 1600 grid cells")
+        assert err.count("\n") == 1
+
+    def test_non_finite_report_exits_2(self, capsys, monkeypatch):
+        class Report:
+            def to_json(self):
+                return {"value": float("nan")}
+
+        monkeypatch.setattr(cli, "check_conditions", lambda pair: Report())
+        code = main(["classify", *PAIR_ARGS])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
+    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
+    def test_every_report_is_strict_json(self, capsys, monkeypatch, tmp_path, command):
+        args, stdin = STRICT_RUNS[command]
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        report = tmp_path / "report.json"
+        if command == "verify-paper":  # prints one line per check; the report goes to --out
+            args = [*args, "--out", str(report)]
+        assert main([*command.split(), *args]) == 0
+        out = capsys.readouterr().out
+        text = report.read_text() if command == "verify-paper" else out
+        json.loads(text, parse_constant=self._raise(AssertionError("NaN or Infinity in the report")))
 
 
 class TestVerifyPaper:

@@ -1,5 +1,6 @@
 import cmath
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,15 +24,37 @@ def _reference_coeffs(coeffs, support, x1, x2):
     return [vec[b] for b in support]
 
 
-def _reference_det(coeffs1, coeffs2):
+def _reference_sylvester(coeffs1, coeffs2, dtype=complex):
     d1, d2 = len(coeffs1) - 1, len(coeffs2) - 1
     n = d1 + d2
-    m = np.zeros((n, n), dtype=complex)
+    m = np.zeros((n, n), dtype=dtype)
     for i in range(d2):
         m[i, i : i + d1 + 1] = list(reversed(coeffs1))
     for i in range(d1):
         m[d2 + i, i : i + d2 + 1] = list(reversed(coeffs2))
-    return np.linalg.det(m)
+    return m
+
+
+def _reference_det(coeffs1, coeffs2):
+    return np.linalg.det(_reference_sylvester(coeffs1, coeffs2))
+
+
+def _exact_det(matrix):
+    """Determinant by Gaussian elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det
 
 
 def reference_grid_scan(a1, a2, coeffs1=None, coeffs2=None, grid=None, threshold=1e-8, seed=0, max_retries=5):
@@ -133,6 +156,22 @@ class TestProjection:
         assert not out.positive and out.conditions.cond5
         three = Support3D(((0, 0, 0), (1, 0, 1), (0, 1, 2)))
         assert project_supports(three, wide).positive
+
+
+class TestHybridBezout:
+    @pytest.mark.parametrize("d1", range(7))
+    def test_matches_sylvester_exactly(self, d1):
+        # |det H| = |det S| on integer pairs of degrees d1 and 0..6, leading
+        # coefficients zero in a third of the draws
+        rng = random.Random(d1)
+        for d2 in range(7):
+            for _ in range(20):
+                f, g = ([rng.randint(-3, 3) for _ in range(d + 1)] for d in (d1, d2))
+                if rng.random() < 1 / 3:
+                    (f if rng.random() < 0.5 else g)[-1] = 0
+                h = project._hybrid_bezout(np.array([f], dtype=object), np.array([g], dtype=object))
+                assert h.shape == (1, max(d1, d2), max(d1, d2))
+                assert abs(_exact_det(h[0])) == abs(_exact_det(_reference_sylvester(f, g, object)))
 
 
 class TestGridScan:
