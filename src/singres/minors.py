@@ -33,6 +33,7 @@ from .supports import SupportSet, gap_gcd, split_dividing
 
 __all__ = [
     "residues",
+    "gap_root",
     "unity_power_rank",
     "two_class_split",
     "minors_split_equivalence_scan",
@@ -105,10 +106,17 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     periods = sorted(set(m.tolist()))  # np.unique would import numpy.ma, about 0.5 MB
     counts = np.array([len({e % k for e in b.elements}) for k in periods], dtype=np.int64)
     h = ns // np.gcd(ns, residues((gap_gcd(b),), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
-    xg, yg = ps % h, qs % h
-    gap = (xg == 0) | (yg == 0) | (xg == yg)
     # rank 1 for one key; else 2 for two keys or a gap root, else 3
-    return np.minimum(counts[np.searchsorted(periods, m)], 3 - gap)
+    return np.minimum(counts[np.searchsorted(periods, m)], 3 - gap_root(h, ps, qs))
+
+
+def gap_root(h, p, q):
+    """The gap test of `unity_power_rank`: is x^g, y^g or (x/y)^g equal to 1
+    at x = zeta_n^p, y = zeta_n^q, given h = n/gcd(n, g), the order of
+    zeta_n^g?  That is, does h divide p, q or p - q?  Elementwise on int
+    arrays; a bool on ints."""
+    xg, yg = p % h, q % h
+    return (xg == 0) | (yg == 0) | (xg == yg)
 
 
 def two_class_split(b: SupportSet, n: int):

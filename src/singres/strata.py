@@ -16,9 +16,10 @@ so is every root-of-unity component (`_unity_components`: the side coranks
 plus one orbit direction).  Each minor curve is decided mod small primes at
 Hensel-liftable points of its branches (`_minor_certificates`), with no
 floating point.  The corank-strata scan ranks root-of-unity tuples
-exactly (closed form, or a rank mod a split prime, with the conjugates at
-several split primes where that is not full) and takes the generic corank
-from the same closed form; its seed only picks witness tuples.
+exactly (the closed form, tallied per modulus, or a rank mod a split prime,
+with the conjugates at several split primes where that is not full) and
+takes the generic corank from Descartes' rule; its seed only picks witness
+tuples.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -51,7 +52,7 @@ from .exact import (
     split_primes,
 )
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
-from .minors import residues, unity_power_rank
+from .minors import gap_root, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, gap_gcd, split_witness
 
 __all__ = [
@@ -430,6 +431,77 @@ def _scan_table(k, n_max):
     return ns, exps, configs
 
 
+@lru_cache(maxsize=None)
+def _modulus_slices(k, n_max):
+    """{n: (first, stop)} for every modulus n of _scan_table(k, n_max), in
+    increasing n: configs[first:stop] are the tuples at n."""
+    configs = _scan_table(k, n_max)[2]
+    out = {}
+    for i, (n, _) in enumerate(configs):
+        out[n] = (out[n][0] if n in out else i, i + 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _tuple_groups(k, n_max, n, h1, h2):
+    """The tuples of _scan_table(k, n_max) at modulus n grouped by their
+    gap flags at h1 and h2 and their gap form at h1: ((flag1, flag2, form1),
+    size, first scan index) per group, in order of first index.
+
+    A tuple's flag at h is gap_root(h, p, q) and its gap form h | p and h | q,
+    with (p, q) the exponent columns that `_unity_coranks_monomial` ranks:
+    (p, q) for k = 3, (p, p) for k = 2 and (0, 0) for k = 1.
+    """
+    configs = _scan_table(k, n_max)[2]
+    first, stop = _modulus_slices(k, n_max)[n]
+    groups = {}
+    for i in range(first, stop):
+        tup = configs[i][1]
+        p, q = tup[min(k, 2) - 1], tup[k - 1]
+        key = (gap_root(h1, p, q), gap_root(h2, p, q), p % h1 == 0 and q % h1 == 0)
+        size, least = groups.get(key, (0, i))
+        groups[key] = (size + 1, least)
+    return tuple((key, size, least) for key, (size, least) in groups.items())
+
+
+def _corank_tally(pair, k, n_max, same_sides):
+    """The multiplicity-free corank strata of _scan_table(k, n_max), read off
+    per-modulus group tallies: ({(c1, c2): (count, first scan index)} for
+    every nonzero corank pair, [n of each corank-2 side-1 tuple not of gap
+    form, in scan order]).
+
+    Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
+    corank k - min(|B_s mod n|, 3 - gap_root(h_s, p, q)), h_s = n/gcd(n, g_s)
+    and g_s the gap gcd of B_s, with (p, q) as in `_tuple_groups`.  Proof:
+    this is `unity_power_rank` at that tuple (as `_unity_coranks_monomial`
+    calls it), whose period n/gcd(n, p, q) is n because the table lists
+    gcd(n, p, q) = 1 only; for k = 2 the gap flag is always set.  So at
+    modulus n a tuple's corank pair depends only on its two gap flags, and
+    the sizes and first indices of the groups of `_tuple_groups` give each
+    pair's count and first witness: O(n_max) work, with no per-tuple array.
+
+    Lemma (gap form).  The second list is empty.  A corank-2 tuple on side
+    1 (k = 3) has min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n
+    divides g_1, so h_1 = 1, which divides p and q.  Conversely h | p and
+    h | q with h | n give h | gcd(n, p, q) = 1, so the gap form at h_1
+    holds exactly when h_1 = 1 and splits no group.  The list is still
+    computed, from each tuple's exponents, as a check.
+    """
+    sides = [(b.elements, gap_gcd(b)) for b in ((pair.b1,) if same_sides else (pair.b1, pair.b2))]
+    strata, broken = {}, []
+    for n in _modulus_slices(k, n_max):
+        cuts = [(len({e % n for e in elems}), n // gcd(n, g)) for elems, g in sides]
+        (c1, h1), (c2, h2) = cuts if len(cuts) == 2 else cuts * 2
+        for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
+            key = (k - min(c1, 3 - flag1), k - min(c2, 3 - flag2))
+            if key != (0, 0):
+                count, least = strata.get(key, (0, first))
+                strata[key] = (count + size, min(least, first))
+            if key[0] == 2 and not form1:
+                broken += [n] * size
+    return strata, broken
+
+
 def estimate_codim(
     pair: SupportPair,
     label: StratumLabel,
@@ -703,21 +775,22 @@ def _unity_components(pair, label, n_max):
     entry x_m^b != 0 of every order-0 row.  So r = 1.
 
     So only rank M_i is computed, for every tuple at once, by the scan's
-    `_unity_coranks`.
+    `_unity_coranks`, and once when both sides have the same effective
+    support and orders.
     """
     k = label.k
     if k not in (2, 3):
         return 0, []
     ns, exps, configs = _scan_table(k, n_max)
-    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
-    if not all(effs):
-        return len(configs), []
-    kds = [
-        len(eff) - sum(js) + _unity_coranks(SupportSet(eff), js, ns, exps)
-        for eff, js in zip(effs, (label.side_orders(1), label.side_orders(2)))
+    (eff1, js1), (eff2, js2) = sides = [
+        (_effective_elements(b, label.j0, label.jinf), label.side_orders(side)) for side, b in ((1, pair.b1), (2, pair.b2))
     ]
-    live = np.flatnonzero((kds[0] > 0) & (kds[1] > 0)).tolist()
-    return len(configs), [(configs[i], int(kds[0][i]), int(kds[1][i])) for i in live]
+    if not (eff1 and eff2):
+        return len(configs), []
+    kd1 = len(eff1) - sum(js1) + _unity_coranks(SupportSet(eff1), js1, ns, exps)
+    kd2 = kd1 if sides[0] == sides[1] else len(eff2) - sum(js2) + _unity_coranks(SupportSet(eff2), js2, ns, exps)
+    live = np.flatnonzero((kd1 > 0) & (kd2 > 0)).tolist()
+    return len(configs), [(configs[i], int(kd1[i]), int(kd2[i])) for i in live]
 
 
 # --- minor-curve certificate -------------------------------------------------
@@ -832,8 +905,8 @@ def _certify_points(pair, label, points, seed):
     """(kd1, kd2, rank) mod p at every point (p, logs, du/dt) of a stack,
     logs = (0, tau, i) naming x0 = (1, t0, u0) in F_p^*: per side the kernel
     dimension |eff_s| - rank_p M_s(x0), from one `modular_kernel_vector` call
-    per side that also draws f_s in ker M_s(x0) (free coordinates from a
-    generator seeded by `seed`), and the rank mod p of the two rows
+    per side that also draws f_s in ker M_s(x0) (free coordinates from
+    random.Random(seed)), and the rank mod p of the two rows
     (dM1/dt f1, dM2/dt f2) and (M1 D f1, M2 D f2), D = diag(e), ranked by
     one `modular_rank` call on their transpose.  dM/dt moves x2 by 1 and x3
     by du/dt; M and its derivatives in x_m come from `_hermite_stack`."""
@@ -843,13 +916,13 @@ def _certify_points(pair, label, points, seed):
     moves = np.array([[0, 1, dudt] for _, _, dudt in points], dtype=np.int64)
     roots = np.array([root_of_order(p - 1, p) for p in primes.tolist()], dtype=np.int64)
     col = primes[:, None]
-    gen = np.random.default_rng(seed)
+    gen = random.Random(seed)
     kds, rows = [], []
     for side, b in ((1, pair.b1), (2, pair.b2)):
         eff = _effective_elements(b, label.j0, label.jinf)
         js = label.side_orders(side)
         mat, dmat = (_hermite_stack(eff, js, logs, primes - 1, primes, roots, shift) for shift in (0, 1))
-        rank, f = modular_kernel_vector(mat, primes, gen.integers(0, 2**31, size=(count, len(eff))))
+        rank, f = modular_kernel_vector(mat, primes, [[gen.getrandbits(31) for _ in eff] for _ in range(count)])
         kds.append(len(eff) - rank)
         rows.append(np.repeat(moves, js, axis=1) * ((dmat @ f[:, :, None])[:, :, 0] % col) % col)
         rows.append((mat @ (residues(eff, primes) * f % col)[:, :, None])[:, :, 0] % col)
@@ -985,15 +1058,21 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     generic corank, and compare the nonempty corank strata against the
     predicted ones (gap-gcd and split criteria).
 
-    A side whose orders all equal 1 takes its unity coranks from the
-    closed-form rank of minors.unity_power_rank, one array pass over the
-    tuples of every modulus at once, with no cyclotomic arithmetic; a side
-    with multiplicities is ranked mod a split prime in one array pass, and
-    only the tuples where that rank is not full take the largest rank of
-    their conjugates at several split primes, in one more pass
-    (`_unity_coranks`).  When both sides have the same support and orders,
-    each corank is computed once and used for both.  The strata counts,
-    first witnesses and gap-form mismatches are read off the corank arrays.
+    A label whose orders all equal 1 reads its strata off per-modulus group
+    tallies (`_corank_tally`), with no per-tuple array and no cyclotomic
+    arithmetic: at modulus n the closed-form rank of
+    minors.unity_power_rank depends on a tuple only through its gap flags
+    at n/gcd(n, g_s), so per modulus it takes |B_s mod n| and gcd(n, g_s)
+    and the cached group sizes and first indices (`_tuple_groups`).  The
+    gap-form mismatch check is computed from the same groups; it is empty
+    by the lemma of `_corank_tally`.  A label with multiplicities ranks
+    each side mod a split prime in one array pass, and only the tuples
+    where that rank is not full take the largest rank of their conjugates
+    at several split primes, in one more pass (`_unity_coranks`); its
+    strata are read off the corank arrays.  When both sides have the same
+    support and orders, each side is ranked once.  Either way `found` holds
+    each nonzero corank pair with its tuple count and first tuple, in scan
+    order.
 
     The generic corank is certified as max(0, sum(js) - |B|) per side, with
     no elimination, by Descartes' rule of signs (`_generic_kernel_dims`).
@@ -1016,28 +1095,23 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
 
     ns, exps, configs = _scan_table(k, n_max)
-    cork1 = _unity_coranks(pair.b1, js1, ns, exps)
-    cork2 = cork1 if same_sides else _unity_coranks(pair.b2, js2, ns, exps)
     report.configs_scanned = len(configs)
-    # each nonzero (c1, c2) under its first tuple, in scan order; a corank
-    # is at most the row count sum(js)
-    codes = cork1 * (sum(js2) + 1) + cork2
-    live = np.flatnonzero(codes)
-    _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
-    for f, count in sorted(zip(first.tolist(), counts.tolist())):
-        i = int(live[f])
-        n, tup = configs[i]
-        report.found[(int(cork1[i]), int(cork2[i]))] = {
-            "count": count,
-            "witness": {"kind": "unity", "n": n, "exponents": list(tup)},
-        }
-    if multiplicity_free and k == 3:
-        g1 = residues((gap_gcd(pair.b1),), ns)
-        gap_form = (exps * g1 % ns[:, None] == 0).all(axis=1)
-        report.mismatches += [
-            {"reason": "corank-2 witness not of root-of-unity gap form", "n": configs[i][0]}
-            for i in np.flatnonzero((cork1 == 2) & ~gap_form).tolist()
-        ]
+    if multiplicity_free:
+        strata, broken = _corank_tally(pair, k, n_max, same_sides)
+    else:
+        cork1 = _unity_coranks(pair.b1, js1, ns, exps)
+        cork2 = cork1 if same_sides else _unity_coranks(pair.b2, js2, ns, exps)
+        # a corank is at most the row count sum(js)
+        codes = cork1 * (sum(js2) + 1) + cork2
+        live = np.flatnonzero(codes)
+        _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
+        strata = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
+        broken = []
+    # each nonzero (c1, c2) under its first tuple, in scan order
+    for key, (count, first) in sorted(strata.items(), key=lambda item: item[1][1]):
+        n, tup = configs[first]
+        report.found[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
+    report.mismatches += [{"reason": "corank-2 witness not of root-of-unity gap form", "n": n} for n in broken]
     unity_done = time.perf_counter()
 
     # generic tuples: Descartes' rule, with positive rational witnesses

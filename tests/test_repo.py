@@ -5,6 +5,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import re
@@ -103,6 +104,44 @@ def test_no_cyclotomic_element_arithmetic_in_src():
                 continue
             found += [f"{path.name}: {name}" for name in sorted(names & retired)]
     assert found == []
+
+
+def test_no_numpy_random_in_src():
+    """Every draw comes from a seeded `random.Random`: no module of the
+    package imports or reads `numpy.random`, whose import costs a process
+    about 15 ms (see the subprocess test below)."""
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hits = [a.name for a in node.names if a.name.startswith("numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                hits = [node.module] if node.module.startswith("numpy.random") else []
+                hits += [f"{node.module}.{a.name}" for a in node.names if node.module == "numpy" and a.name == "random"]
+            elif isinstance(node, ast.Attribute) and node.attr == "random" and isinstance(node.value, ast.Name):
+                hits = [f"{node.value.id}.random"] if node.value.id in ("np", "numpy") else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {hit}" for hit in hits]
+    assert found == []
+
+
+def test_codim_scan_leaves_numpy_random_unloaded():
+    """A three-point `scan codim`, whose minor-curve certificate draws
+    kernel vectors, runs in a fresh interpreter without importing
+    numpy.random."""
+    src = str(Path(singres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["scan", "codim", "--b1", "0,1,3,4,6,7", "--b2", "0,3,6", "--label", "N(1,1,1)", "--seed", "3"]
+    code = (
+        "import json, sys; from singres.cli import main; status = main(sys.argv[1:]); "
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('numpy.random'))]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report, verdict = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    assert any(c.get("certificate") for c in json.loads(report)["report"]["components_probed"])
+    assert json.loads(verdict) == [0, []]
 
 
 def test_every_export_is_used():

@@ -15,7 +15,7 @@ import float_oracle
 from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
 from singres.exact import exact_quo, exact_rank, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
-from singres.minors import admissible_pairs
+from singres.minors import admissible_pairs, residues
 from singres.strata import (
     StratumLabel,
     estimate_codim,
@@ -35,6 +35,7 @@ from singres.strata import (
     _certificate_prime,
     _certify_points,
     _conjugate_ranks,
+    _corank_tally,
     _embed,
     _effective_elements,
     _generic_kernel_dims,
@@ -49,6 +50,7 @@ from singres.strata import (
     _stratum_predictions,
     _unity_components,
     _unity_coranks,
+    _unity_coranks_monomial,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports, check_codim_estimates, check_stratum_order
@@ -535,16 +537,20 @@ class TestScan:
                 assert rep.mismatches == [], (b1, b2, name)
 
     def test_multiplicity_free_scan_needs_no_split_prime(self, monkeypatch):
-        # the closed-form rank needs no arithmetic mod p
+        # the closed-form rank needs no arithmetic mod p, and the tally
+        # (`_corank_tally`) ranks no tuple: it reads |B mod n| and gcd(n, g)
+        # per modulus
         def forbidden(*args):
-            raise AssertionError(f"split-prime arithmetic in a multiplicity-free scan: {args}")
+            raise AssertionError(f"split-prime arithmetic or a per-tuple rank in a multiplicity-free scan: {args}")
 
         monkeypatch.setattr(singres.kernels, "evaluation_table", forbidden)
         monkeypatch.setattr(singres.strata, "split_prime", forbidden)
         monkeypatch.setattr(singres.strata, "modular_rank", forbidden)
-        for name in ("N(1,1)", "N(1,1,1)"):
-            rep = scan_corank_strata(pair((0, 3, 6, 7), (0, 2, 4)), parse_label(name), 12)
-            assert rep.mismatches == []
+        monkeypatch.setattr(singres.strata, "unity_power_rank", forbidden)
+        for name in ("N(1)", "N(1,1)", "N(1,1,1)"):
+            for b1, b2 in [((0, 3, 6, 7), (0, 2, 4)), ((0, 3, 6), (0, 3, 6)), ((0, 2, 2**62 + 1), (0, 3))]:
+                rep = scan_corank_strata(pair(b1, b2), parse_label(name), 12)
+                assert rep.mismatches == []
 
     def test_boundary_orders_rejected(self):
         # the scan ranks finite tuples only, so a j0/jinf label would be
@@ -571,6 +577,116 @@ class TestScan:
         assert set(data["timings"]) == {"unity_s", "generic_s"}
         assert all(t >= 0 for t in data["timings"].values())
 
+
+def supports_up_to(spread):
+    """Every support with min 0 and spread 1..spread."""
+    return [S(0, *mid, top) for top in range(1, spread + 1) for size in range(top) for mid in itertools.combinations(range(1, top), size)]
+
+
+class PerTupleScan:
+    """The per-tuple oracle of the multiplicity-free scan: each support's
+    coranks at every tuple of _scan_table(k, 12), from one
+    `_unity_coranks_monomial` call (the closed-form rank, tuple by tuple),
+    and its gap form there; the strata at n_max <= 12 come from the
+    table's prefix with n <= n_max, by np.unique, as the scan read them
+    before its tally by modulus."""
+
+    def __init__(self, k):
+        self.k = k
+        self.ns, self.exps, self.configs = _scan_table(k, 12)
+        self.sides = {}
+
+    def side(self, b):
+        if b not in self.sides:
+            gap_form = (self.exps * residues((gap_gcd(b),), self.ns) % self.ns[:, None] == 0).all(axis=1)
+            self.sides[b] = (_unity_coranks_monomial(b, self.ns, self.exps), gap_form)
+        return self.sides[b]
+
+    def tally(self, p, n_max):
+        """({(c1, c2): (count, first scan index)}, [n of each corank-2
+        side-1 tuple not of gap form]), as `_corank_tally` returns them."""
+        stop = len(_scan_table(self.k, n_max)[2])
+        (cork1, gap_form), (cork2, _) = self.side(p.b1), self.side(p.b2)
+        cork1, cork2, gap_form = cork1[:stop], cork2[:stop], gap_form[:stop]
+        codes = cork1 * (self.k + 1) + cork2
+        live = np.flatnonzero(codes)
+        _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
+        strata = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
+        broken = self.ns[:stop][(cork1 == 2) & ~gap_form].tolist() if self.k == 3 else []
+        return strata, broken
+
+    def found(self, p, n_max, rep):
+        """The scan's `found`: each nonzero corank pair with its count and
+        first witness, in order of first witness, then the four generic
+        tuples of the report rep under its generic corank."""
+        strata, _ = self.tally(p, n_max)
+        out = {}
+        for key, (count, i) in sorted(strata.items(), key=lambda item: item[1][1]):
+            n, tup = self.configs[i]
+            out[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
+        if rep.generic_corank != (0, 0):
+            witness = rep.found[rep.generic_corank]["witness"]
+            out.setdefault(rep.generic_corank, {"count": 0, "witness": witness})["count"] += 4
+        return out
+
+
+class TestCorankTally:
+    """The multiplicity-free scan's per-modulus group tallies
+    (`_corank_tally`) against the per-tuple coranks."""
+
+    LABELS = ("N(1)", "N(1,1)", "N(1,1,1)")
+
+    def test_tables_are_prefixes(self):
+        # the oracle reads the table at n_max <= 12 as a prefix of the one at 12
+        for k in (1, 2, 3):
+            full = _scan_table(k, 12)[2]
+            for n_max in range(0, 13):
+                configs = _scan_table(k, n_max)[2]
+                assert configs == full[: len(configs)] == tuple(c for c in full if c[0] <= n_max)
+
+    def test_symmetric_supports_match_per_tuple_scan(self):
+        # every symmetric support of the corank2-dichotomy check, whole
+        # reports: counts, witnesses, their order, and the mismatch list
+        oracle, label = PerTupleScan(3), parse_label("N(1,1,1)")
+        sups = _normalized_supports(10)
+        for b in sups:
+            p = SupportPair(b, b)
+            rep = scan_corank_strata(p, label, 12, seed=5)
+            assert list(rep.found.items()) == list(oracle.found(p, 12, rep).items()), b.elements
+            assert rep.mismatches == [] and oracle.tally(p, 12)[1] == [], b.elements
+        assert len(sups) == 1013
+
+    @pytest.mark.parametrize("name", LABELS)
+    def test_asymmetric_pairs_match_per_tuple_scan(self, name):
+        # every ordered pair of supports of spread <= 6 at n_max 12, and at
+        # every n_max from 1 to 11 on every seventh pair
+        label = parse_label(name)
+        oracle, sups = PerTupleScan(label.k), supports_up_to(6)
+        pairs = list(itertools.product(sups, repeat=2))
+        checked = 0
+        for i, (b1, b2) in enumerate(pairs):
+            p = SupportPair(b1, b2)
+            for n_max in range(1, 13) if i % 7 == 0 else (12,):
+                assert _corank_tally(p, label.k, n_max, b1 == b2) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
+                checked += 1
+        assert (len(sups), checked) == (63, 3969 + 567 * 11)
+        # whole reports on a sample
+        for b1, b2 in pairs[::97]:
+            p = SupportPair(b1, b2)
+            rep = scan_corank_strata(p, label, 12, seed=1)
+            assert list(rep.found.items()) == list(oracle.found(p, 12, rep).items()), (b1.elements, b2.elements)
+
+    def test_negative_and_huge_exponents(self):
+        # residues and gap gcds of exponents past int64, and below zero
+        big = (2**62 + 1, 2**63 + 5, 2**64 + 1, -(2**70) - 1)
+        sides = [S(0, 2, b) for b in big] + [S(-7, -2, 0, 5), S(-(2**65), 3, 2**63), S(-12, -6, 0, 6), S(0, 3)]
+        for name in self.LABELS:
+            label = parse_label(name)
+            oracle = PerTupleScan(label.k)
+            for b1, b2 in itertools.product(sides, repeat=2):
+                p = SupportPair(b1, b2)
+                for n_max in range(1, 13):
+                    assert _corank_tally(p, label.k, n_max, b1 == b2) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
 
 def reference_corank_monomial(b_elems, exps, n):
     """Corank of the k x |B| matrix with rows zeta_n^(p*e), e in B, for one
@@ -1390,14 +1506,34 @@ class TestExactUnity:
         monkeypatch.setattr(singres.strata, "modular_rank", first_pass_fails)
         monkeypatch.setattr(singres.strata, "_conjugate_ranks", counted)
         assert [_unity_components(*case) for case in cases] == want
-        # one conjugate rank per tuple and multiplicity side (none where a
-        # side's effective support is empty)
+        # one conjugate rank per tuple and distinct multiplicity side (none
+        # where a side's effective support is empty; a side with the first
+        # side's effective support and orders is ranked once)
         ranked = 0
         for (p, label, _), (decided, _) in zip(cases, want):
-            if all(_effective_elements(b, label.j0, label.jinf) for b in (p.b1, p.b2)):
-                ranked += decided * sum(max(label.side_orders(side)) > 1 for side in (1, 2))
+            sides = {(_effective_elements(b, label.j0, label.jinf), label.side_orders(side)) for side, b in ((1, p.b1), (2, p.b2))}
+            if all(eff for eff, _ in sides):
+                ranked += decided * sum(max(js) > 1 for _, js in sides)
         assert len(calls) == ranked > 1000
         assert sum(len(comps) for _, comps in want) > 100
+
+    def test_equal_sides_are_ranked_once(self, monkeypatch):
+        # as in the scan, a side equal to the first is ranked once
+        calls = []
+        real = singres.strata._unity_coranks
+
+        def counted(b, js, ns, exps):
+            calls.append(b.elements)
+            return real(b, js, ns, exps)
+
+        monkeypatch.setattr(singres.strata, "_unity_coranks", counted)
+        cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 1), ((0, 3, 6), (0, 3, 6), "N(2,1)", 1)]
+        cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 2), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 2)]
+        for b1, b2, name, ranked in cases:
+            calls.clear()
+            decided, components = _unity_components(pair(b1, b2), parse_label(name), 12)
+            assert len(calls) == ranked, (b1, b2, name)
+            assert decided == len(_scan_table(parse_label(name).k, 12)[2]) and components, (b1, b2, name)
 
     def test_orbit_direction_is_never_in_the_kernels(self):
         # the lemma behind r = 1: on every nonempty component, the oracle
