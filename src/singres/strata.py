@@ -24,7 +24,9 @@ Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
 root-of-unity tuples from one table that lists each tuple once
-(`_scan_table`).
+(`_scan_table`).  Each request derives a side's effective support, root
+orders and gap gcd once, into the side record (`_sides`) that every helper
+reads; equal records are ranked once (`_side_coranks`).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from .exact import (
 )
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import gap_root, residues, unity_power_rank
-from .supports import SupportPair, SupportSet, gap_gcd, split_witness
+from .supports import SupportPair, SupportSet, gap_gcd, split_dividing
 
 __all__ = [
     "StratumLabel",
@@ -244,6 +247,28 @@ def _effective_elements(b: SupportSet, j0, jinf):
     return tuple(e for e in b.elements if lo <= e <= hi)
 
 
+class _Side(NamedTuple):
+    """One side s of a (pair, label): its effective support (the exponents
+    of B_s that the boundary orders j0, jinf leave free; None when they
+    leave none), its root orders js and the effective support's gap gcd."""
+
+    support: SupportSet | None
+    js: tuple
+    gap: int
+
+
+def _sides(pair, label):
+    """The two `_Side` records of (pair, label), each fact derived once;
+    with no boundary orders the effective support is B_s itself."""
+    out = []
+    for side, b in ((1, pair.b1), (2, pair.b2)):
+        if label.j0 or label.jinf:
+            eff = _effective_elements(b, label.j0, label.jinf)
+            b = SupportSet(eff) if eff else None
+        out.append(_Side(b, label.side_orders(side), gap_gcd(b) if b else 0))
+    return tuple(out)
+
+
 def _embed(vec, eff, b: SupportSet):
     pos = {e: i for i, e in enumerate(eff)}
     return [vec[pos[e]] if e in pos else 0 for e in b.elements]
@@ -256,22 +281,12 @@ def _random_fraction(rng, lo=-9, hi=9):
             return Fraction(num, rng.randint(1, 6))
 
 
-def _side_matrices(pair, label, pts):
-    eff1 = _effective_elements(pair.b1, label.j0, label.jinf)
-    eff2 = _effective_elements(pair.b2, label.j0, label.jinf)
-    if not eff1 or not eff2:
+def _side_matrices(sides, pts):
+    """(eff1, eff2, M1, M2) at the points pts; None for an empty side."""
+    if not (sides[0].support and sides[1].support):
         return None
-    m1 = (
-        multiplicity_vandermonde(SupportSet(eff1), pts, label.side_orders(1))
-        if label.k
-        else []
-    )
-    m2 = (
-        multiplicity_vandermonde(SupportSet(eff2), pts, label.side_orders(2))
-        if label.k
-        else []
-    )
-    return eff1, eff2, m1, m2
+    m1, m2 = (multiplicity_vandermonde(s.support, pts, s.js) if s.js else [] for s in sides)
+    return sides[0].support.elements, sides[1].support.elements, m1, m2
 
 
 def _kernel_of(mat, ncols):
@@ -296,10 +311,10 @@ def sample_filtration_subset(pair: SupportPair, label: StratumLabel, seed=0):
         x = _random_fraction(rng)
         if x not in pts:
             pts.append(x)
-    sides = _side_matrices(pair, label, pts)
-    if sides is None:
+    mats = _side_matrices(_sides(pair, label), pts)
+    if mats is None:
         return None
-    eff1, eff2, m1, m2 = sides
+    eff1, eff2, m1, m2 = mats
     k1 = _kernel_of(m1, len(eff1))
     k2 = _kernel_of(m2, len(eff2))
     if not k1 or not k2:
@@ -369,7 +384,7 @@ class CodimEstimate:
         }
 
 
-def _generic_kernel_dims(pair, label):
+def _generic_kernel_dims(sides):
     """(|eff1| - sum(j1), |eff2| - sum(j2)): per side, the label's effective
     support size minus the sum of that side's root orders.
 
@@ -397,10 +412,7 @@ def _generic_kernel_dims(pair, label):
     that derivative is not identically zero on ker M_i.  Rows of distinct
     points are thus independent.
     """
-    return tuple(
-        len(_effective_elements(b, label.j0, label.jinf)) - sum(label.side_orders(side))
-        for side, b in ((1, pair.b1), (2, pair.b2))
-    )
+    return tuple((len(s.support) if s.support else 0) - sum(s.js) for s in sides)
 
 
 @lru_cache(maxsize=None)
@@ -449,7 +461,7 @@ def _tuple_groups(k, n_max, n, h1, h2):
     size, first scan index) per group, in order of first index.
 
     A tuple's flag at h is gap_root(h, p, q) and its gap form h | p and h | q,
-    with (p, q) the exponent columns that `_unity_coranks_monomial` ranks:
+    with (p, q) the exponent columns that `_unity_coranks` ranks at order 1:
     (p, q) for k = 3, (p, p) for k = 2 and (0, 0) for k = 1.
     """
     configs = _scan_table(k, n_max)[2]
@@ -464,17 +476,17 @@ def _tuple_groups(k, n_max, n, h1, h2):
     return tuple((key, size, least) for key, (size, least) in groups.items())
 
 
-def _corank_tally(pair, k, n_max, same_sides):
+def _corank_tally(sides, n_max):
     """The multiplicity-free corank strata of _scan_table(k, n_max), read off
     per-modulus group tallies: ({(c1, c2): (count, first scan index)} for
     every nonzero corank pair, [n of each corank-2 side-1 tuple not of gap
-    form, in scan order]).
+    form, in scan order]).  Equal side records are cut once per modulus.
 
     Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
     corank k - min(|B_s mod n|, 3 - gap_root(h_s, p, q)), h_s = n/gcd(n, g_s)
     and g_s the gap gcd of B_s, with (p, q) as in `_tuple_groups`.  Proof:
-    this is `unity_power_rank` at that tuple (as `_unity_coranks_monomial`
-    calls it), whose period n/gcd(n, p, q) is n because the table lists
+    this is `unity_power_rank` at that tuple (as `_unity_coranks` calls it),
+    whose period n/gcd(n, p, q) is n because the table lists
     gcd(n, p, q) = 1 only; for k = 2 the gap flag is always set.  So at
     modulus n a tuple's corank pair depends only on its two gap flags, and
     the sizes and first indices of the groups of `_tuple_groups` give each
@@ -487,10 +499,11 @@ def _corank_tally(pair, k, n_max, same_sides):
     holds exactly when h_1 = 1 and splits no group.  The list is still
     computed, from each tuple's exponents, as a check.
     """
-    sides = [(b.elements, gap_gcd(b)) for b in ((pair.b1,) if same_sides else (pair.b1, pair.b2))]
+    k = len(sides[0].js)
+    distinct = sides[:1] if sides[0] == sides[1] else sides
     strata, broken = {}, []
     for n in _modulus_slices(k, n_max):
-        cuts = [(len({e % n for e in elems}), n // gcd(n, g)) for elems, g in sides]
+        cuts = [(len({e % n for e in s.support.elements}), n // gcd(n, s.gap)) for s in distinct]
         (c1, h1), (c2, h2) = cuts if len(cuts) == 2 else cuts * 2
         for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
             key = (k - min(c1, 3 - flag1), k - min(c2, 3 - flag2))
@@ -548,7 +561,8 @@ def estimate_codim(
 
     k = label.k
     start = time.perf_counter()
-    dims = _generic_kernel_dims(pair, label)
+    sides = _sides(pair, label)
+    dims = _generic_kernel_dims(sides)
     kd1, kd2 = (max(d, 0) for d in dims)
     record("generic" if k else "coordinate-subspace", kd1 + kd2 + k if min(dims) > 0 else None, {"kd1": kd1, "kd2": kd2, "r": k})
     est.sample_count = 1
@@ -558,7 +572,7 @@ def estimate_codim(
 
     # root-of-unity components: decided exactly, one sample per tuple
     start = time.perf_counter()
-    decided, components = _unity_components(pair, label, n_max)
+    decided, components = _unity_components(sides, n_max)
     est.sample_count += decided
     for (n, exps), kd1, kd2 in components:
         record(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1, {"kd1": kd1, "kd2": kd2, "r": 1})
@@ -567,16 +581,10 @@ def estimate_codim(
     # single-minor curves (three-point labels only)
     start = time.perf_counter()
     if k == 3:
-        curves = []
-        for side, b in ((1, pair.b1), (2, pair.b2)):
-            elems = b.elements
-            for i in range(len(elems) - 2):
-                for j in range(i + 1, len(elems) - 1):
-                    for l in range(j + 1, len(elems)):
-                        curves.append((side, (elems[i], elems[j], elems[l])))
+        curves = [(side, triple) for side, b in ((1, pair.b1), (2, pair.b2)) for triple in combinations(b.elements, 3)]
         rng.shuffle(curves)
         curves = curves[:MINOR_CURVES_MAX]
-        decided, points = _minor_certificates(pair, label, curves, rng)
+        decided, points = _minor_certificates(sides, curves, rng)
         est.sample_count += points
         for i, (side, triple) in enumerate(curves):
             desc = f"minor-curve(side={side}, triple={triple})"
@@ -633,37 +641,35 @@ class ScanSReport:
         }
 
 
-def _unity_coranks_monomial(b: SupportSet, ns, exps):
-    """Exact corank k - rank of the k x |B| matrix with rows zeta_n^(p*e),
-    e in B, for every row (0, p[, q]) of the (configs, k) exponent array
-    exps, at the moduli ns (multiplicity-free case); an int array.
+def _unity_coranks(side, ns, exps):
+    """Exact corank sum(js) - rank of the multiplicity Vandermonde of a side
+    record's support b and orders js at every root-of-unity tuple of a scan
+    table (ns, exps); an int array.
 
-    One unity_power_rank call; for k < 3 the last row is repeated, which
-    leaves the rank alone.
+    An order-1 side takes the closed form, one unity_power_rank call on the
+    columns (p, q) of each row (0, p[, q]), for k < 3 the last repeated.  A
+    side with multiplicities is ranked mod split_prime(n) for every tuple at
+    once (`_hermite_stack`, `modular_rank`): rank_p <= rank <= min(rows,
+    |b|), so a full rank_p is the rank, and only the other tuples take the
+    conjugate ranks of `_conjugate_ranks`.
     """
-    k = exps.shape[1]
-    return k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
-
-
-def _unity_coranks(b: SupportSet, js, ns, exps):
-    """Exact corank sum(js) - rank of the multiplicity Vandermonde of b with
-    orders js at every root-of-unity tuple of a scan table (ns, exps); an
-    int array.
-
-    An order-1 side takes the closed form, one unity_power_rank call.  A side
-    with multiplicities is ranked mod split_prime(n) for every tuple at once
-    (`_hermite_stack`, `modular_rank`): rank_p <= rank <= min(rows, |B|), so a
-    full rank_p is the rank, and only the other tuples take the conjugate
-    ranks of `_conjugate_ranks`.
-    """
+    b, js, _ = side
     if all(j == 1 for j in js):
-        return _unity_coranks_monomial(b, ns, exps)
+        k = exps.shape[1]
+        return k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
     primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
     rank = modular_rank(_hermite_stack(b.elements, js, exps, ns, primes, roots), primes)
     short = np.flatnonzero(rank < min(sum(js), len(b)))
     if len(short):
         rank[short] = _conjugate_ranks(b.elements, js, ns[short], exps[short])
     return sum(js) - rank
+
+
+def _side_coranks(sides, ns, exps):
+    """The `_unity_coranks` of both sides at every tuple of a scan table:
+    side 2 reuses side 1's when the two records are equal."""
+    cork1 = _unity_coranks(sides[0], ns, exps)
+    return cork1, cork1 if sides[1] == sides[0] else _unity_coranks(sides[1], ns, exps)
 
 
 def _conjugate_ranks(eff, js, ns, exps):
@@ -750,7 +756,7 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
     return stack
 
 
-def _unity_components(pair, label, n_max):
+def _unity_components(sides, n_max):
     """The nonempty root-of-unity components of the label, decided exactly:
     (tuples decided, [((n, exps), kd1, kd2) for each]), in the order of
     _scan_table(k, n_max).  Each has dimension kd1 + kd2 + 1.
@@ -775,20 +781,15 @@ def _unity_components(pair, label, n_max):
     entry x_m^b != 0 of every order-0 row.  So r = 1.
 
     So only rank M_i is computed, for every tuple at once, by the scan's
-    `_unity_coranks`, and once when both sides have the same effective
-    support and orders.
+    `_side_coranks`.
     """
-    k = label.k
+    k = len(sides[0].js)
     if k not in (2, 3):
         return 0, []
     ns, exps, configs = _scan_table(k, n_max)
-    (eff1, js1), (eff2, js2) = sides = [
-        (_effective_elements(b, label.j0, label.jinf), label.side_orders(side)) for side, b in ((1, pair.b1), (2, pair.b2))
-    ]
-    if not (eff1 and eff2):
+    if not (sides[0].support and sides[1].support):
         return len(configs), []
-    kd1 = len(eff1) - sum(js1) + _unity_coranks(SupportSet(eff1), js1, ns, exps)
-    kd2 = kd1 if sides[0] == sides[1] else len(eff2) - sum(js2) + _unity_coranks(SupportSet(eff2), js2, ns, exps)
+    kd1, kd2 = (len(s.support) - sum(s.js) + cork for s, cork in zip(sides, _side_coranks(sides, ns, exps)))
     live = np.flatnonzero((kd1 > 0) & (kd2 > 0)).tolist()
     return len(configs), [(configs[i], int(kd1[i]), int(kd2[i])) for i in live]
 
@@ -901,7 +902,7 @@ def _minor_slope(triple, p, tau, i):
     return -p_t * pow(p_u, -1, p) % p
 
 
-def _certify_points(pair, label, points, seed):
+def _certify_points(sides, points, seed):
     """(kd1, kd2, rank) mod p at every point (p, logs, du/dt) of a stack,
     logs = (0, tau, i) naming x0 = (1, t0, u0) in F_p^*: per side the kernel
     dimension |eff_s| - rank_p M_s(x0), from one `modular_kernel_vector` call
@@ -918,9 +919,8 @@ def _certify_points(pair, label, points, seed):
     col = primes[:, None]
     gen = random.Random(seed)
     kds, rows = [], []
-    for side, b in ((1, pair.b1), (2, pair.b2)):
-        eff = _effective_elements(b, label.j0, label.jinf)
-        js = label.side_orders(side)
+    for b, js, _ in sides:
+        eff = b.elements
         mat, dmat = (_hermite_stack(eff, js, logs, primes - 1, primes, roots, shift) for shift in (0, 1))
         rank, f = modular_kernel_vector(mat, primes, [[gen.getrandbits(31) for _ in eff] for _ in range(count)])
         kds.append(len(eff) - rank)
@@ -930,7 +930,7 @@ def _certify_points(pair, label, points, seed):
     return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
 
 
-def _minor_certificates(pair, label, curves, rng):
+def _minor_certificates(sides, curves, rng):
     """Decide the minor curves of a three-point label mod small primes:
     (decided, points) with decided[i] the best certified class of curve i,
     (dim, kd1, kd2, p, t0, u0), or None when every class is empty; a curve
@@ -992,11 +992,9 @@ def _minor_certificates(pair, label, curves, rng):
     bundle's dimension L1 + L2 + 2, and the rank at a point bounds the
     generic rank, the component's dimension, from below.
     """
-    effs = [_effective_elements(b, label.j0, label.jinf) for b in (pair.b1, pair.b2)]
-    if not all(effs):
+    if not (sides[0].support and sides[1].support):
         return {i: None for i in range(len(curves))}, 0
-    sides = [(eff, label.side_orders(side)) for side, eff in enumerate(effs, 1)]
-    gaps = [gap_gcd(SupportSet(eff)) for eff in effs]
+    gaps = [s.gap for s in sides]
     open_ = {
         i: _branch_classes(triple, gaps) for i, (_, triple) in enumerate(curves) if triple[2] - triple[0] <= MINOR_SPREAD_MAX
     }
@@ -1035,9 +1033,9 @@ def _minor_certificates(pair, label, curves, rng):
         if not probes:
             continue
         points_mod_p = [(p, (0, tau, iu), _minor_slope(curves[i][1], p, tau, iu)) for i, _, p, tau, iu in probes]
-        kd1, kd2, rho = _certify_points(pair, label, points_mod_p, rng.getrandbits(64))
+        kd1, kd2, rho = _certify_points(sides, points_mod_p, rng.getrandbits(64))
         for (i, key, p, tau, iu), k1, k2, r in zip(probes, kd1.tolist(), kd2.tolist(), rho.tolist()):
-            floors = [_kernel_floor(eff, js, curves[i][1], coincide) for (eff, js), coincide in zip(sides, key)]
+            floors = [_kernel_floor(b.elements, js, curves[i][1], coincide) for (b, js, _), coincide in zip(sides, key)]
             if min(k1, k2) == 0:
                 open_[i].discard(key)
             elif [k1, k2] == floors and r == 2:
@@ -1069,8 +1067,8 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     each side mod a split prime in one array pass, and only the tuples
     where that rank is not full take the largest rank of their conjugates
     at several split primes, in one more pass (`_unity_coranks`); its
-    strata are read off the corank arrays.  When both sides have the same
-    support and orders, each side is ranked once.  Either way `found` holds
+    strata are read off the corank arrays.  A side whose record equals the
+    first's is ranked (or cut) once.  Either way `found` holds
     each nonzero corank pair with its tuple count and first tuple, in scan
     order.
 
@@ -1090,19 +1088,15 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
     k = label.k
-    js1, js2 = label.side_orders(1), label.side_orders(2)
-    multiplicity_free = all(j == 1 for j in js1 + js2)
-    same_sides = pair.b1.elements == pair.b2.elements and js1 == js2
-
+    sides = _sides(pair, label)
     ns, exps, configs = _scan_table(k, n_max)
     report.configs_scanned = len(configs)
-    if multiplicity_free:
-        strata, broken = _corank_tally(pair, k, n_max, same_sides)
+    if all(j == 1 for s in sides for j in s.js):
+        strata, broken = _corank_tally(sides, n_max)
     else:
-        cork1 = _unity_coranks(pair.b1, js1, ns, exps)
-        cork2 = cork1 if same_sides else _unity_coranks(pair.b2, js2, ns, exps)
+        cork1, cork2 = _side_coranks(sides, ns, exps)
         # a corank is at most the row count sum(js)
-        codes = cork1 * (sum(js2) + 1) + cork2
+        codes = cork1 * (sum(sides[1].js) + 1) + cork2
         live = np.flatnonzero(codes)
         _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
         strata = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
@@ -1115,7 +1109,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     unity_done = time.perf_counter()
 
     # generic tuples: Descartes' rule, with positive rational witnesses
-    gen_cork = tuple(max(0, -d) for d in _generic_kernel_dims(pair, label))
+    gen_cork = tuple(max(0, -d) for d in _generic_kernel_dims(sides))
     if gen_cork != (0, 0):
         rng = random.Random(seed)
         for _ in range(4):
@@ -1130,7 +1124,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     generic_done = time.perf_counter()
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}
 
-    report.predictions = _stratum_predictions(pair, label)
+    report.predictions = _stratum_predictions(sides)
     for key, predicted in report.predictions.items():
         kind, spec = key.split(":")
         if kind == "side1":
@@ -1148,18 +1142,17 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     return report
 
 
-def _stratum_predictions(pair, label):
+def _stratum_predictions(sides):
     """Nonemptiness predictions for the characterized corank strata.
 
     Side predictions cover the one-polynomial strata (corank c on side i for
     some tuple); joint predictions cover the two-polynomial intersections.
     Strata without a sharp criterion are omitted.
     """
-    js1, js2 = label.side_orders(1), label.side_orders(2)
+    (b1, js1, g1), (b2, js2, g2) = sides
     if any(j != 1 for j in js1 + js2):
         return {}
-    g1, g2 = gap_gcd(pair.b1), gap_gcd(pair.b2)
-    k = label.k
+    k = len(js1)
     out = {}
     if k == 2:
         out["side1:1"] = g1 >= 2
@@ -1173,6 +1166,6 @@ def _stratum_predictions(pair, label):
         # supports share no sublattice; order-2 row degeneracies defeat it
         # otherwise.  Coprime gap gcds also rule out a one-class split.
         if gcd(g1, g2) == 1:
-            out["joint:1,2"] = split_witness(pair.b1, pair.b2) is not None
-            out["joint:2,1"] = split_witness(pair.b2, pair.b1) is not None
+            out["joint:1,2"] = split_dividing(b1, g2) is not None
+            out["joint:2,1"] = split_dividing(b2, g1) is not None
     return out

@@ -46,11 +46,12 @@ from singres.strata import (
     _minor_certificates,
     _random_fraction,
     _scan_table,
+    _Side,
     _side_matrices,
+    _sides,
     _stratum_predictions,
     _unity_components,
     _unity_coranks,
-    _unity_coranks_monomial,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _normalized_supports, check_codim_estimates, check_stratum_order
@@ -350,7 +351,7 @@ class TestScan:
             g1, g2 = gaps[b1], gaps[b2]
             if gcd(g1, g2) != 1:
                 continue
-            pred = _stratum_predictions(pair(b1, b2), label)
+            pred = _stratum_predictions(_sides(pair(b1, b2), label))
             assert pred["joint:1,2"] == two_classes(b1, g2), (b1, b2)
             assert pred["joint:2,1"] == two_classes(b2, g1), (b1, b2)
             checked += 1
@@ -413,7 +414,7 @@ class TestScan:
                     want.append(cyclo_rref(rows)[0])
                     assert cyclo_rank(rows) == want[-1], (name, n, tup, b)
                 assert _conjugate_ranks(b.elements, js, ns, exps).tolist() == want, (name, b)
-                assert (sum(js) - _unity_coranks(b, js, ns, exps)).tolist() == want, (name, b)
+                assert (sum(js) - _unity_coranks(_Side(b, js, gap_gcd(b)), ns, exps)).tolist() == want, (name, b)
                 checked += len(want)
                 deficient += sum(rank < min(sum(js), len(b)) for rank in want)
         assert checked == 3 * (3 * len(_scan_table(2, 8)[2]) + len(_scan_table(3, 8)[2]))
@@ -432,7 +433,7 @@ class TestScan:
                     if all(j == 1 for j in js):
                         continue
                     first = modular_rank(_hermite_stack(b.elements, js, exps, ns, primes, roots), primes)
-                    cork = _unity_coranks(b, js, ns, exps)
+                    cork = _unity_coranks(_Side(b, js, gap_gcd(b)), ns, exps)
                     for i in np.flatnonzero(first < min(sum(js), len(b))).tolist():
                         n, tup = configs[i]
                         rows = unity_vandermonde(b, [RootOfUnity(n, p) for p in tup], js)
@@ -465,7 +466,7 @@ class TestScan:
                 mp.setattr(singres.strata, "split_primes", counted)
                 got = _conjugate_ranks(b.elements, js, ns[sel], exps[sel])
             assert got.tolist() == want, n
-            assert (sum(js) - _unity_coranks(b, js, ns[sel], exps[sel])).tolist() == want, n
+            assert (sum(js) - _unity_coranks(_Side(b, js, gap_gcd(b)), ns[sel], exps[sel])).tolist() == want, n
             assert [p for m, p in primes_used if m == n] == [p for p, _ in itertools.islice(real(n), 3)]
 
     def test_matches_per_config_reference(self):
@@ -585,8 +586,8 @@ def supports_up_to(spread):
 
 class PerTupleScan:
     """The per-tuple oracle of the multiplicity-free scan: each support's
-    coranks at every tuple of _scan_table(k, 12), from one
-    `_unity_coranks_monomial` call (the closed-form rank, tuple by tuple),
+    coranks at every tuple of _scan_table(k, 12), from one order-1
+    `_unity_coranks` call (the closed-form rank, tuple by tuple),
     and its gap form there; the strata at n_max <= 12 come from the
     table's prefix with n <= n_max, by np.unique, as the scan read them
     before its tally by modulus."""
@@ -599,7 +600,7 @@ class PerTupleScan:
     def side(self, b):
         if b not in self.sides:
             gap_form = (self.exps * residues((gap_gcd(b),), self.ns) % self.ns[:, None] == 0).all(axis=1)
-            self.sides[b] = (_unity_coranks_monomial(b, self.ns, self.exps), gap_form)
+            self.sides[b] = (_unity_coranks(_Side(b, (1,) * self.k, gap_gcd(b)), self.ns, self.exps), gap_form)
         return self.sides[b]
 
     def tally(self, p, n_max):
@@ -667,7 +668,7 @@ class TestCorankTally:
         for i, (b1, b2) in enumerate(pairs):
             p = SupportPair(b1, b2)
             for n_max in range(1, 13) if i % 7 == 0 else (12,):
-                assert _corank_tally(p, label.k, n_max, b1 == b2) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
+                assert _corank_tally(_sides(p, label), n_max) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
                 checked += 1
         assert (len(sups), checked) == (63, 3969 + 567 * 11)
         # whole reports on a sample
@@ -686,7 +687,7 @@ class TestCorankTally:
             for b1, b2 in itertools.product(sides, repeat=2):
                 p = SupportPair(b1, b2)
                 for n_max in range(1, 13):
-                    assert _corank_tally(p, label.k, n_max, b1 == b2) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
+                    assert _corank_tally(_sides(p, label), n_max) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
 
 def reference_corank_monomial(b_elems, exps, n):
     """Corank of the k x |B| matrix with rows zeta_n^(p*e), e in B, for one
@@ -886,7 +887,7 @@ def reference_span_dimension_exact(pair, label, pts, dirs):
     """One exact sample of the span dimension at a rational tuple, with
     rational tangent directions: Fraction kernels, solve_exact tangent
     solves and exact_rank."""
-    sides = _side_matrices(pair, label, pts)
+    sides = _side_matrices(_sides(pair, label), pts)
     if sides is None:
         return None
     eff1, eff2, m1, m2 = sides
@@ -1147,7 +1148,7 @@ class TestBatchedEstimate:
         assert data["codim_estimate"] == 2
         curves = [(2, (0, 3, 6)), (1, (0, 2, 2**62 + 1))]
         assert _branch_classes((0, 3, 6), [1, 3]) == {(None, (1, 2)), (None, (0, 2))}
-        assert _minor_certificates(p, label, curves, random.Random(seed)) == ({0: None, 1: None}, 2)
+        assert _minor_certificates(_sides(p, label), curves, random.Random(seed)) == ({0: None, 1: None}, 2)
         # the float oracle's samples of that curve all fail
         rng = random.Random(seed)
         stack = [draw_minor_tuple((0, 3, 6), rng) for _ in range(VOTE_SAMPLES)]
@@ -1198,7 +1199,7 @@ class TestBatchedEstimate:
                 if x not in pts:
                     pts.append(x)
             dirs = [[int(i == m) for i in range(k)] for m in range(k)]
-            dims = _generic_kernel_dims(p, label)
+            dims = _generic_kernel_dims(_sides(p, label))
             want = sum(dims) + k if min(dims) > 0 else None
             assert reference_span_dimension_exact(p, label, pts, dirs) == want, (p.to_json(), label, pts)
             if want is None:
@@ -1350,12 +1351,12 @@ class TestMinorCertificate:
         roots = _branch_points([curve[1]] * len(taus), [1, 1], prime, taus)
         probes = [(tau, i) for tau, found in zip(taus, roots) for key, i in found]
         points = [(prime, (0, tau, i), 0) for tau, i in probes]
-        kd1, kd2, _ = _certify_points(p_, label, points, 0)
+        kd1, kd2, _ = _certify_points(_sides(p_, label), points, 0)
         floors = [_kernel_floor((0, 1, 3), (1, 1, 1), (0, 1, 3), None), _kernel_floor((0, 2, 3), (1, 1, 1), (0, 1, 3), None)]
         assert floors == [1, 0] and set(kd1.tolist()) == {1}
         bad = [probe for probe, k2 in zip(probes, kd2.tolist()) if k2 > 0]
         assert bad and len(bad) < len(probes) // 50
-        clean = _minor_certificates(p_, label, [curve], random.Random(3))
+        clean = _minor_certificates(_sides(p_, label), [curve], random.Random(3))
         assert clean == ({0: None}, 1)
         # planted as the first draw, the bad point is probed, certifies
         # nothing, and the next prime decides the curve
@@ -1366,7 +1367,7 @@ class TestMinorCertificate:
             return rounds[-1]
 
         monkeypatch.setattr(singres.strata, "_certify_points", recorded)
-        assert _minor_certificates(p_, label, [curve], PlantedRandom(3, [bad[0][0]])) == clean
+        assert _minor_certificates(_sides(p_, label), [curve], PlantedRandom(3, [bad[0][0]])) == clean
         assert [(k1.tolist(), k2.tolist()) for k1, k2, _ in rounds] == [([1], [1]), ([1], [0])]
 
     def test_spurious_coincidence_mod_p_is_not_certified(self):
@@ -1387,11 +1388,11 @@ class TestMinorCertificate:
         assert (1 + powers[tau] + powers[iu]) % prime == 0  # u0 = -1 - t0
         assert _branch_points([curve[1]], [1, 3], prime, [tau]) == [[]]
         assert _branch_points([curve[1]], [1, 1], prime, [tau]) == [[((None, None), iu)]]
-        kd1, kd2, _ = _certify_points(p_, label, [(prime, (0, tau, iu), 0)], 0)
+        kd1, kd2, _ = _certify_points(_sides(p_, label), [(prime, (0, tau, iu), 0)], 0)
         assert (kd1.tolist(), kd2.tolist()) == ([1], [2])
         assert [_kernel_floor(eff, (1, 1, 1), (0, 1, 3), None) for eff in ((0, 1, 3), (0, 3, 6))] == [1, 0]
-        clean = _minor_certificates(p_, label, [curve], random.Random(4))
-        assert _minor_certificates(p_, label, [curve], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
+        clean = _minor_certificates(_sides(p_, label), [curve], random.Random(4))
+        assert _minor_certificates(_sides(p_, label), [curve], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
         # (0, 2, 8) has the lines u = -t and u = -1 and other branches.  At t0 =
         # gamma^126 mod 1009 the root u0 = gamma^252 is on no line (u0^2 != 1,
         # (u0 / t0)^2 != 1), yet u0^4 = 1 mod p; beside side 2's gap 4 that
@@ -1424,7 +1425,7 @@ class TestMinorCertificate:
                         for u, dudt in ((-t, -1), (Fraction(-1), 0))
                     ]
                     want = max((d for d in dims if d is not None), default=None)
-                    decided, _ = _minor_certificates(p, label, [(side, triple)], random.Random(0))
+                    decided, _ = _minor_certificates(_sides(p, label), [(side, triple)], random.Random(0))
                     assert (decided[0] and decided[0][0]) == want, (sides, name, triple, dims)
                     checked.add((name, want))
         assert len(checked) > 8
@@ -1487,7 +1488,7 @@ class TestExactUnity:
         labels = [parse_label(name) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)", "N(2,2)", "N(2,1,1)", "N_1(2,1)")]
         cases = [(p, label, 8) for p in GUARANTEE_PAIRS for label in labels]
         cases += [(pair((0, 3, 6), (0, 1, 3, 6, 9)), label, 9) for label in labels]
-        want = [_unity_components(*case) for case in cases]
+        want = [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases]
         calls, inside = [], []
         real_rank, real_conjugates = singres.strata.modular_rank, singres.strata._conjugate_ranks
 
@@ -1505,7 +1506,7 @@ class TestExactUnity:
 
         monkeypatch.setattr(singres.strata, "modular_rank", first_pass_fails)
         monkeypatch.setattr(singres.strata, "_conjugate_ranks", counted)
-        assert [_unity_components(*case) for case in cases] == want
+        assert [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases] == want
         # one conjugate rank per tuple and distinct multiplicity side (none
         # where a side's effective support is empty; a side with the first
         # side's effective support and orders is ranked once)
@@ -1522,16 +1523,16 @@ class TestExactUnity:
         calls = []
         real = singres.strata._unity_coranks
 
-        def counted(b, js, ns, exps):
-            calls.append(b.elements)
-            return real(b, js, ns, exps)
+        def counted(side, ns, exps):
+            calls.append(side.support.elements)
+            return real(side, ns, exps)
 
         monkeypatch.setattr(singres.strata, "_unity_coranks", counted)
         cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 1), ((0, 3, 6), (0, 3, 6), "N(2,1)", 1)]
         cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 2), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 2)]
         for b1, b2, name, ranked in cases:
             calls.clear()
-            decided, components = _unity_components(pair(b1, b2), parse_label(name), 12)
+            decided, components = _unity_components(_sides(pair(b1, b2), parse_label(name)), 12)
             assert len(calls) == ranked, (b1, b2, name)
             assert decided == len(_scan_table(parse_label(name).k, 12)[2]) and components, (b1, b2, name)
 
@@ -1542,7 +1543,7 @@ class TestExactUnity:
         cases += [(p, label, 6) for p in GUARANTEE_PAIRS for label in GUARANTEE_LABELS.values()]
         checked = 0
         for p, label, n_max in cases:
-            for (n, exps), *kds in _unity_components(p, label, n_max)[1]:
+            for (n, exps), *kds in _unity_components(_sides(p, label), n_max)[1]:
                 for b, side, kd in ((p.b1, 1, kds[0]), (p.b2, 2, kds[1])):
                     eff = _effective_elements(b, label.j0, label.jinf)
                     rows = unity_vandermonde(S(*eff), [RootOfUnity(n, q) for q in exps], label.side_orders(side))
@@ -1555,12 +1556,12 @@ class TestExactUnity:
     def test_empty_and_rank_deficient_components(self):
         # (0, 3, 6) takes one value at all cube roots: kd = 2 on both sides
         # at (1, zeta_3), and 1 at (1, -1)
-        decided, comps = _unity_components(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)"), 3)
+        decided, comps = _unity_components(_sides(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)")), 3)
         assert decided == len(_scan_table(2, 3)[2]) == 3
         assert comps == [((2, (0, 1)), 1, 1), ((3, (0, 1)), 2, 2), ((3, (0, 2)), 2, 2)]
-        assert _unity_components(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)"), 6) == (len(_scan_table(2, 6)[2]), [])
-        assert _unity_components(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)"), 12) == (0, [])
-        assert _unity_components(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)"), 2) == (0, [])
+        assert _unity_components(_sides(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)")), 6) == (len(_scan_table(2, 6)[2]), [])
+        assert _unity_components(_sides(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)")), 12) == (0, [])
+        assert _unity_components(_sides(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)")), 2) == (0, [])
 
     def test_huge_exponents_reduce_exactly(self):
         # 2^62 + 1 = 13865 mod 27720 = lcm(2..12): the same components as
@@ -1575,7 +1576,7 @@ class TestExactUnity:
         for name in ("N(2,1)", "N(2,1;1,1)"):
             label = parse_label(name)
             b1 = S(0, 1, 2, 2**62 + 1)
-            decided, comps = _unity_components(SupportPair(b1, S(0, 3, 6, 9)), label, 12)
+            decided, comps = _unity_components(_sides(SupportPair(b1, S(0, 3, 6, 9)), label), 12)
             assert comps
             for (n, exps), kd1, _ in comps:
                 rows = unity_vandermonde(b1, [RootOfUnity(n, q) for q in exps], label.side_orders(1))
@@ -1650,3 +1651,32 @@ class TestMonotonicity:
             got = actual_label(f, g)
             sym = StratumLabel.symmetric(got.j0, got.jinf, [min(r) for r in got.roots])
             assert label_dominates(sym, n11)
+
+
+class TestSideRecord:
+    @pytest.mark.parametrize("name", ["N(1,1,1)", "N(1,1)", "N(2,1;1,1)", "N_1(1,1)"])
+    def test_each_side_is_derived_once(self, name, monkeypatch):
+        # one scan and one codim estimate derive each side's effective
+        # support, root orders and gap gcd once (`_sides`), however many
+        # helpers read them; the scan refuses the boundary-order label
+        counts = Counter()
+
+        def count(owner, attr):
+            real = getattr(owner, attr)
+
+            def counted(*args):
+                counts[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for owner, attr in ((singres.strata, "gap_gcd"), (singres.strata, "_effective_elements"), (StratumLabel, "side_orders")):
+            count(owner, attr)
+        p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label(name)
+        runs = {"estimate_codim": lambda: estimate_codim(p, label)}
+        if not label.j0:
+            runs["scan_corank_strata"] = lambda: scan_corank_strata(p, label, 12)
+        for entry, run in runs.items():
+            counts.clear()
+            run()
+            assert counts["side_orders"] == 2 and max(counts.values()) <= 2, (name, entry, counts)
