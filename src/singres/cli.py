@@ -109,11 +109,14 @@ def _pair_from_args(args) -> SupportPair:
 
 
 def _require_finite(args, *dests):
-    """Refuse (ValueError) a float flag among `dests` that is not finite."""
+    """Refuse (ValueError) a float flag among `dests` that is not finite, and
+    a negative --tolerance among them."""
     for dest in dests:
         value = getattr(args, dest)
         if not math.isfinite(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+    if "tolerance" in dests and args.tolerance < 0:
+        raise ValueError(f"--tolerance must be nonnegative, got {args.tolerance}")
 
 
 def _emit(payload, args):
@@ -151,7 +154,7 @@ def _emit(payload, args):
 def cmd_classify(args) -> int:
     pair = _pair_from_args(args)
     report = check_conditions(pair)
-    verdict = classify(pair)
+    verdict = classify(report)
     _emit({"pair": pair.to_json(), "conditions": report.to_json(), "verdict": verdict.to_json()}, args)
     return EXIT_OK
 

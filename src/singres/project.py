@@ -167,7 +167,7 @@ def project_supports(a1: Support3D, a2: Support3D) -> ProjectionOutcome:
         )
     pair = SupportPair(SupportSet(tuple(c1)), SupportSet(tuple(c2)))
     report = check_conditions(pair)
-    verdict = classify(pair)
+    verdict = classify(report)
     positive = verdict.part_i_generic_a1
     if positive:
         interpretation = (

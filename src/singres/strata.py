@@ -15,11 +15,11 @@ The generic component's dimension is certified by a closed form
 so is every root-of-unity component (`_unity_components`: the side coranks
 plus one orbit direction).  Each minor curve is decided mod small primes at
 Hensel-liftable points of its branches (`_minor_certificates`), with no
-floating point.  The corank-strata scan ranks root-of-unity tuples
-exactly (the closed form, tallied per modulus, or a rank mod a split prime,
-with the conjugates at several split primes where that is not full) and
-takes the generic corank from Descartes' rule; its seed only picks witness
-tuples.
+floating point.  The corank-strata scan and the estimator read one set of
+root-of-unity corank classes (`_corank_classes`: the closed form tallied
+per modulus, or a rank mod a split prime, with the conjugates at several
+split primes where that is not full); the scan takes the generic corank
+from Descartes' rule, and its seed only picks witness tuples.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -477,7 +477,7 @@ def _tuple_groups(k, n_max, n, h1, h2):
 
 
 def _corank_tally(sides, n_max):
-    """The multiplicity-free corank strata of _scan_table(k, n_max), read off
+    """The `_corank_classes` of a label whose orders are all 1, from
     per-modulus group tallies: ({(c1, c2): (count, first scan index)} for
     every nonzero corank pair, [n of each corank-2 side-1 tuple not of gap
     form, in scan order]).  Equal side records are cut once per modulus.
@@ -530,18 +530,18 @@ def estimate_codim(
     sampled: its dimension is (|eff1| - sum(j1)) + (|eff2| - sum(j2)) + k
     when both side kernels are nonempty, and it is empty otherwise (see
     `_generic_kernel_dims`); it counts as one sample.  Every root-of-unity
-    tuple is decided exactly, with no sampling and no rng draw: its
-    component has dimension kd1 + kd2 + 1 when both side kernels are
-    nonempty, and is empty otherwise (see `_unity_components`); each tuple
-    counts as one sample.  The minor curves of a three-point label (the
-    first MINOR_CURVES_MAX of a seeded shuffle, spread at most
-    MINOR_SPREAD_MAX) are decided mod small primes at points drawn from the
-    same seeded stream (`_minor_certificates`); each certified point counts
-    as one sample.  A curve that no retry decides is listed with no
-    dimension.  The report gives every decided component's kd1, kd2 and r
+    tuple is decided exactly, with no sampling and no rng draw, by its corank
+    class (`_unity_components`): one entry per class, under its first tuple,
+    of dimension kd1 + kd2 + 1 when both side kernels are nonempty, none for
+    an empty kernel or the coranks (0, 0); each tuple counts as one sample.
+    The minor curves of a three-point label (the first MINOR_CURVES_MAX of a
+    seeded shuffle, spread at most MINOR_SPREAD_MAX) are decided mod small
+    primes at points drawn from the same seeded stream
+    (`_minor_certificates`); each certified point counts as one sample.  A
+    curve that no retry decides is listed with no dimension.  The report gives every decided component's kd1, kd2 and r
     (k, 1 and 2 for the generic, root-of-unity and minor-curve components),
-    each minor curve's certificate (p, t0, u0), and the time of each
-    phase."""
+    each root-of-unity class's tuple count, each minor curve's certificate
+    (p, t0, u0), and the time of each phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -570,12 +570,12 @@ def estimate_codim(
     if k == 0:
         return est
 
-    # root-of-unity components: decided exactly, one sample per tuple
+    # root-of-unity components: decided exactly per corank class, one sample per tuple
     start = time.perf_counter()
     decided, components = _unity_components(sides, n_max)
     est.sample_count += decided
-    for (n, exps), kd1, kd2 in components:
-        record(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1, {"kd1": kd1, "kd2": kd2, "r": 1})
+    for (n, exps), kd1, kd2, count in components:
+        record(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1, {"kd1": kd1, "kd2": kd2, "r": 1, "tuples": count})
     est.timings["unity_s"] = time.perf_counter() - start
 
     # single-minor curves (three-point labels only)
@@ -646,9 +646,10 @@ def _unity_coranks(side, ns, exps):
     record's support b and orders js at every root-of-unity tuple of a scan
     table (ns, exps); an int array.
 
-    An order-1 side takes the closed form, one unity_power_rank call on the
-    columns (p, q) of each row (0, p[, q]), for k < 3 the last repeated.  A
-    side with multiplicities is ranked mod split_prime(n) for every tuple at
+    An order-1 side of a mixed label such as N(2,1;1,1) takes the closed
+    form, one unity_power_rank call on the columns (p, q) of each row (0, p[,
+    q]), for k < 3 the last repeated.  A side with multiplicities is ranked
+    mod split_prime(n) for every tuple at
     once (`_hermite_stack`, `modular_rank`): rank_p <= rank <= min(rows,
     |b|), so a full rank_p is the rank, and only the other tuples take the
     conjugate ranks of `_conjugate_ranks`.
@@ -666,8 +667,8 @@ def _unity_coranks(side, ns, exps):
 
 
 def _side_coranks(sides, ns, exps):
-    """The `_unity_coranks` of both sides at every tuple of a scan table:
-    side 2 reuses side 1's when the two records are equal."""
+    """The `_unity_coranks` of both sides of a label with multiplicities at
+    every tuple of a scan table: side 2 reuses side 1's when they are equal."""
     cork1 = _unity_coranks(sides[0], ns, exps)
     return cork1, cork1 if sides[1] == sides[0] else _unity_coranks(sides[1], ns, exps)
 
@@ -758,8 +759,9 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
 
 def _unity_components(sides, n_max):
     """The nonempty root-of-unity components of the label, decided exactly:
-    (tuples decided, [((n, exps), kd1, kd2) for each]), in the order of
-    _scan_table(k, n_max).  Each has dimension kd1 + kd2 + 1.
+    (tuples decided, [((n, exps), kd1, kd2, tuples)]), one per nonzero class
+    (c1, c2) of `_corank_classes` under its first tuple, in scan order, with
+    kd_s = |eff_s| - sum(js_s) + c_s.  Each has dimension kd1 + kd2 + 1.
 
     Claim.  Let omega be a tuple with x1 = 1, M_i = M_i(omega) side i's
     multiplicity Vandermonde on eff_i and kd_i = |eff_i| - rank M_i.  When
@@ -780,18 +782,45 @@ def _unity_components(sides, n_max):
     some coordinate vector e_b, while M_i e_b, the column of b, holds the
     entry x_m^b != 0 of every order-0 row.  So r = 1.
 
-    So only rank M_i is computed, for every tuple at once, by the scan's
-    `_side_coranks`.
+    So a component depends on its tuple only through the coranks.  The class
+    (0, 0) is not listed, as it never sets the estimate: there kd_s = d_s,
+    the generic kernel dimension (`_generic_kernel_dims`), so its component
+    is empty or has dimension d1 + d2 + 1 < d1 + d2 + k (k >= 2), that of
+    the generic component, which `estimate_codim` records first and which
+    only a larger dimension replaces.
     """
     k = len(sides[0].js)
     if k not in (2, 3):
         return 0, []
-    ns, exps, configs = _scan_table(k, n_max)
+    configs = _scan_table(k, n_max)[2]
     if not (sides[0].support and sides[1].support):
         return len(configs), []
-    kd1, kd2 = (len(s.support) - sum(s.js) + cork for s, cork in zip(sides, _side_coranks(sides, ns, exps)))
-    live = np.flatnonzero((kd1 > 0) & (kd2 > 0)).tolist()
-    return len(configs), [(configs[i], int(kd1[i]), int(kd2[i])) for i in live]
+    d1, d2 = _generic_kernel_dims(sides)
+    classes = [(configs[first], d1 + c1, d2 + c2, count) for (c1, c2), (count, first) in _corank_classes(sides, n_max)[0].items()]
+    return len(configs), [c for c in classes if min(c[1], c[2]) > 0]
+
+
+def _corank_classes(sides, n_max):
+    """The nonzero corank classes of _scan_table(k, n_max), for the scan and
+    the estimator: ({(c1, c2): (count, first scan index)} in scan order, [n
+    of each corank-2 side-1 tuple not of gap form]).  A label whose orders
+    all equal 1 reads them off per-modulus group tallies (`_corank_tally`),
+    with no per-tuple array: at modulus n the closed-form rank depends on a
+    tuple only through its gap flags at n/gcd(n, g_s), and the gap-form list
+    is empty by the tally's lemma.  A label with multiplicities reads them
+    off both sides' corank arrays (`_side_coranks`)."""
+    if all(j == 1 for s in sides for j in s.js):
+        classes, broken = _corank_tally(sides, n_max)
+    else:
+        ns, exps, _ = _scan_table(len(sides[0].js), n_max)
+        cork1, cork2 = _side_coranks(sides, ns, exps)
+        # a corank is at most the row count sum(js)
+        codes = cork1 * (sum(sides[1].js) + 1) + cork2
+        live = np.flatnonzero(codes)
+        _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
+        classes = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
+        broken = []
+    return dict(sorted(classes.items(), key=lambda item: item[1][1])), broken
 
 
 # --- minor-curve certificate -------------------------------------------------
@@ -1056,21 +1085,9 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     generic corank, and compare the nonempty corank strata against the
     predicted ones (gap-gcd and split criteria).
 
-    A label whose orders all equal 1 reads its strata off per-modulus group
-    tallies (`_corank_tally`), with no per-tuple array and no cyclotomic
-    arithmetic: at modulus n the closed-form rank of
-    minors.unity_power_rank depends on a tuple only through its gap flags
-    at n/gcd(n, g_s), so per modulus it takes |B_s mod n| and gcd(n, g_s)
-    and the cached group sizes and first indices (`_tuple_groups`).  The
-    gap-form mismatch check is computed from the same groups; it is empty
-    by the lemma of `_corank_tally`.  A label with multiplicities ranks
-    each side mod a split prime in one array pass, and only the tuples
-    where that rank is not full take the largest rank of their conjugates
-    at several split primes, in one more pass (`_unity_coranks`); its
-    strata are read off the corank arrays.  A side whose record equals the
-    first's is ranked (or cut) once.  Either way `found` holds
-    each nonzero corank pair with its tuple count and first tuple, in scan
-    order.
+    `found` holds each nonzero corank class of `_corank_classes` with its
+    tuple count and first tuple, in scan order; the gap-form list becomes
+    the mismatch check.
 
     The generic corank is certified as max(0, sum(js) - |B|) per side, with
     no elimination, by Descartes' rule of signs (`_generic_kernel_dims`).
@@ -1089,20 +1106,10 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
     k = label.k
     sides = _sides(pair, label)
-    ns, exps, configs = _scan_table(k, n_max)
+    configs = _scan_table(k, n_max)[2]
     report.configs_scanned = len(configs)
-    if all(j == 1 for s in sides for j in s.js):
-        strata, broken = _corank_tally(sides, n_max)
-    else:
-        cork1, cork2 = _side_coranks(sides, ns, exps)
-        # a corank is at most the row count sum(js)
-        codes = cork1 * (sum(sides[1].js) + 1) + cork2
-        live = np.flatnonzero(codes)
-        _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
-        strata = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
-        broken = []
-    # each nonzero (c1, c2) under its first tuple, in scan order
-    for key, (count, first) in sorted(strata.items(), key=lambda item: item[1][1]):
+    classes, broken = _corank_classes(sides, n_max)
+    for key, (count, first) in classes.items():
         n, tup = configs[first]
         report.found[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
     report.mismatches += [{"reason": "corank-2 witness not of root-of-unity gap form", "n": n} for n in broken]

@@ -19,7 +19,6 @@ __all__ = [
     "Verdict",
     "gap_gcd",
     "split_dividing",
-    "split_witness",
     "check_conditions",
     "classify",
     "GUARANTEE_TABLE",
@@ -148,15 +147,6 @@ def split_dividing(target: SupportSet, m: int):
     return None
 
 
-def split_witness(target: SupportSet, other: SupportSet):
-    """`split_dividing(target, gap_gcd(other))`: the split behind cond2.
-
-    A set shifts into kZ iff it lies in a single residue class mod k iff k
-    divides its gap gcd, so searching divisors of gap_gcd(other) is complete.
-    """
-    return split_dividing(target, gap_gcd(other))
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Flags for the six degeneracy conditions, each with its witness.
@@ -201,8 +191,10 @@ def check_conditions(pair: SupportPair) -> ConditionReport:
     if cond1:
         witnesses["cond1"] = {"k": common}
 
-    w12 = split_witness(b1, b2)
-    w21 = split_witness(b2, b1)
+    # a set shifts into kZ iff it lies in one residue class mod k iff k divides
+    # its gap gcd, so searching the divisors of the other gap gcd is complete
+    w12 = split_dividing(b1, g2)
+    w21 = split_dividing(b2, g1)
     cond2 = w12 is not None or w21 is not None
     if w12 is not None:
         witnesses["cond2"] = {"side_split": 1, **w12.to_json()}
@@ -283,8 +275,7 @@ class Verdict:
         }
 
 
-def classify(pair: SupportPair) -> Verdict:
-    report = check_conditions(pair)
+def classify(report: ConditionReport) -> Verdict:
     rows = []
     for name, codim, breaking in GUARANTEE_TABLE:
         blocking = tuple(i for i in breaking if report.flag(i))

@@ -257,6 +257,13 @@ class TestErrorContract:
         code = main([*argv, f"{flag}={value}"])
         assert (code, *capsys.readouterr()) == (2, "", f"error: {flag} must be finite, got {value}\n")
 
+    @pytest.mark.parametrize("argv", [["point-classify", "--input", "-"], ["project3d", "--input", "-", "--scan"]])
+    def test_negative_tolerance_exits_2(self, capsys, monkeypatch, argv):
+        # a negative threshold would find no near-zero cell, silently
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SUPPORTS_3D)))
+        code = main([*argv, "--tolerance=-1e-8"])
+        assert (code, *capsys.readouterr()) == (2, "", "error: --tolerance must be nonnegative, got -1e-08\n")
+
     @pytest.mark.parametrize("side, value", [(1, "nan"), (1, "inf"), (2, [0, "NaN"]), (2, "-1e400")])
     def test_non_finite_coefficient_exits_2(self, capsys, monkeypatch, side, value):
         coeffs = {"coeffs1": {"0,0,0": 1, "1,0,1": 1}, "coeffs2": {"0,0,0": 1, "0,1,1": 1}}
@@ -282,7 +289,7 @@ class TestErrorContract:
             def to_json(self):
                 return {"value": float("nan")}
 
-        monkeypatch.setattr(cli, "check_conditions", lambda pair: Report())
+        monkeypatch.setattr(cli, "classify", lambda report: Report())
         code = main(["classify", *PAIR_ARGS])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")

@@ -15,7 +15,7 @@ import float_oracle
 from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
 from singres.exact import exact_quo, exact_rank, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
-from singres.minors import admissible_pairs, residues
+from singres.minors import admissible_pairs, residues, unity_power_rank
 from singres.strata import (
     StratumLabel,
     estimate_codim,
@@ -47,6 +47,7 @@ from singres.strata import (
     _random_fraction,
     _scan_table,
     _Side,
+    _side_coranks,
     _side_matrices,
     _sides,
     _stratum_predictions,
@@ -796,20 +797,28 @@ class TestEstimates:
 
     def test_report_observability(self, monkeypatch):
         points = counted_certified_points(monkeypatch)
-        est = estimate_codim(pair((0, 1, 2, 3), (0, 1, 2, 3)), parse_label("N(1,1,1)"), seed=7)
+        p, label = pair((0, 1, 2, 3), (0, 1, 2, 3)), parse_label("N(1,1,1)")
+        est = estimate_codim(p, label, seed=7)
         data = est.to_json()
         assert data["version"] == singres.__version__
         assert set(data["timings"]) == {"generic_s", "unity_s", "minor_curve_s"}
         assert all(t >= 0 for t in data["timings"].values())
+        # the same fields on a pair whose tuples fall into nonzero classes
+        split = estimate_codim(pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), label, seed=7).to_json()["components_probed"]
+        points.pop()
         comps = data["components_probed"]
         # every component is decided: no votes, kernels plus r directions
-        assert all(c["exact"] is True and "votes" not in c for c in comps)
+        assert all(c["exact"] is True and "votes" not in c for c in comps + split)
         assert all(c["dim_found"] == c["kd1"] + c["kd2"] + c["r"] for c in comps)
         assert comps[0]["component"] == "generic" and comps[0]["r"] == 3
         unity = [c for c in comps if c["component"].startswith("unity")]
         minors = [c for c in comps if c["component"].startswith("minor-curve")]
-        assert unity and minors and len(comps) == 1 + len(unity) + len(minors)
-        assert all(c["kd1"] > 0 and c["kd2"] > 0 and c["r"] == 1 for c in unity)
+        assert minors and len(comps) == 1 + len(unity) + len(minors)
+        # all 196 live tuples have the generic coranks (0, 0): no class is listed
+        assert len(live_tuple_components(p, label)) == 196 and unity == grouped_classes(p, label) == []
+        unity = [c for c in split if c["component"].startswith("unity")]
+        assert len(unity) == 2 and all(c["kd1"] > 0 and c["kd2"] > 0 and c["r"] == 1 for c in unity)
+        assert all(c["dim_found"] == c["kd1"] + c["kd2"] + 1 and c["tuples"] > 0 for c in unity)
         for comp in minors:
             # the certificate names a simple root u0 of the curve at t0 mod p
             assert comp["r"] == 2
@@ -1092,20 +1101,33 @@ def without_vote_fields(data):
     return data
 
 
+def with_unity_classes(data, p, label, n_max=12):
+    """A reference report from without_vote_fields whose root-of-unity
+    entries, one per tuple, are checked tuple by tuple against the per-tuple
+    kernel dimensions, then replaced by their classes (class_components),
+    as the estimator lists them."""
+    comps = data["components_probed"]
+    unity = [(c["component"], c["dim_found"]) for c in comps if c["component"].startswith("unity")]
+    assert unity == live_tuple_components(p, label, n_max)
+    rest = [c for c in comps if not c["component"].startswith("unity")]
+    classes = [{"component": desc, "dim_found": dim} for desc, dim in class_components(p, label, n_max)]
+    return {**data, "components_probed": rest[:1] + classes + rest[1:]}
+
+
 class TestBatchedEstimate:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("b1,b2,name", VERIFY_CODIM_CASES)
     def test_verify_cases_match_reference(self, b1, b2, name, seed):
         p, label = pair(b1, b2), parse_label(name)
         got = without_vote_fields(estimate_codim(p, label, seed=seed).to_json())
-        assert got == without_vote_fields(reference_estimate_codim(p, label, seed=seed).to_json())
+        assert got == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=seed).to_json()), p, label)
 
     @pytest.mark.parametrize("p", GUARANTEE_PAIRS, ids=lambda p: f"{p.b1.elements}-{p.b2.elements}")
     def test_guarantee_cases_match_reference(self, p):
         for name, label in GUARANTEE_LABELS.items():
             got = estimate_codim(p, label, seed=17, n_max=8).to_json()
             want = reference_estimate_codim(p, label, seed=17, n_max=8).to_json()
-            assert without_vote_fields(got) == without_vote_fields(want), name
+            assert without_vote_fields(got) == with_unity_classes(without_vote_fields(want), p, label, 8), name
 
     def test_failed_samples_are_reported(self, monkeypatch):
         # most side-1 minor curves of this pair fail their float tangent
@@ -1117,7 +1139,7 @@ class TestBatchedEstimate:
         p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label("N(1,1,1)")
         est = estimate_codim(p, label, seed=11)
         data = est.to_json()
-        assert without_vote_fields(data) == without_vote_fields(reference_estimate_codim(p, label, seed=11).to_json())
+        assert without_vote_fields(data) == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=11).to_json()), p, label)
         minors = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
         assert "minor-curve(side=1, triple=(3, 6, 7))" not in minors
         assert all(c["exact"] and c["dim_found"] == 6 for c in minors.values())
@@ -1454,6 +1476,51 @@ def unity_components(p, label, n_max=12):
     return [(desc, dim) for desc, dim in est.components_probed if desc.startswith("unity")]
 
 
+def tuple_kernel_dims(p, label, n_max=12):
+    """The side kernel dimensions kd_s = |eff_s| - rank M_s at every tuple
+    of _scan_table(k, n_max), [((n, exps), kd1, kd2)] in scan order; empty
+    for k = 1 or an empty side.  An order-1 side is ranked tuple by tuple by
+    minors.unity_power_rank, a side with multiplicities by `_side_coranks`."""
+    sides, k = _sides(p, label), label.k
+    if k not in (2, 3) or not (sides[0].support and sides[1].support):
+        return []
+    ns, exps, configs = _scan_table(k, n_max)
+    kds, ranked = [], None
+    for i, (b, js, _) in enumerate(sides):
+        if set(js) == {1}:
+            cork = k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
+        else:
+            ranked = _side_coranks(sides, ns, exps) if ranked is None else ranked
+            cork = ranked[i]
+        kds.append((len(b) - sum(js) + cork).tolist())
+    return list(zip(configs, *kds))
+
+
+def live_tuple_components(p, label, n_max=12):
+    """(desc, kd1 + kd2 + 1) of every tuple with both kernels nonempty, in
+    scan order: the per-tuple components."""
+    live = [(c, kd1, kd2) for c, kd1, kd2 in tuple_kernel_dims(p, label, n_max) if kd1 > 0 and kd2 > 0]
+    return [(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1) for (n, exps), kd1, kd2 in live]
+
+
+def grouped_classes(p, label, n_max=12):
+    """tuple_kernel_dims grouped by (kd1, kd2), each group under its first
+    tuple with its size, in scan order, less the groups with an empty kernel
+    and the group of coranks (0, 0), whose kd are the generic
+    `_generic_kernel_dims`: the oracle of `_unity_components`."""
+    generic = _generic_kernel_dims(_sides(p, label))
+    groups = {}
+    for config, kd1, kd2 in tuple_kernel_dims(p, label, n_max):
+        first, size = groups.get((kd1, kd2), (config, 0))
+        groups[kd1, kd2] = (first, size + 1)
+    return [(first, kd1, kd2, size) for (kd1, kd2), (first, size) in groups.items() if min(kd1, kd2) > 0 and (kd1, kd2) != generic]
+
+
+def class_components(p, label, n_max=12):
+    """grouped_classes as (desc, dim) report entries."""
+    return [(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1) for (n, exps), kd1, kd2, _ in grouped_classes(p, label, n_max)]
+
+
 def cyclo_mod(value, p, z):
     """The image of a CycloElement (or int) under zeta_n -> z in F_p."""
     coeffs = value.coeffs if isinstance(value, CycloElement) else (value,)
@@ -1470,16 +1537,18 @@ class TestExactUnity:
         # the exact answer does not depend on the seed; the float votes
         # draw other annulus factors at every seed
         p, label = pair(b1, b2), parse_label(name)
-        got = unity_components(p, label)
-        assert bool(got) == (label.k > 1)
+        live = live_tuple_components(p, label)
+        assert bool(live) == (label.k > 1)
         for seed in range(20):
-            assert got == reference_unity_votes(p, label, seed, 12, stacked=True), seed
+            assert live == reference_unity_votes(p, label, seed, 12, stacked=True), seed
+        assert unity_components(p, label) == class_components(p, label)
 
     @pytest.mark.parametrize("p", GUARANTEE_PAIRS, ids=lambda p: f"{p.b1.elements}-{p.b2.elements}")
     def test_guarantee_cases_match_float_votes(self, p):
         # multiplicity labels (N(2,1;1,1), N(1,1;2,1)) and boundary orders included
         for name, label in GUARANTEE_LABELS.items():
-            assert unity_components(p, label, 8) == reference_unity_votes(p, label, 17, 8), name
+            assert live_tuple_components(p, label, 8) == reference_unity_votes(p, label, 17, 8), name
+            assert unity_components(p, label, 8) == class_components(p, label, 8), name
 
     def test_uncertified_tuples_take_conjugate_rank(self, monkeypatch):
         # with a first rank mod p that certifies nothing, every
@@ -1489,6 +1558,8 @@ class TestExactUnity:
         cases = [(p, label, 8) for p in GUARANTEE_PAIRS for label in labels]
         cases += [(pair((0, 3, 6), (0, 1, 3, 6, 9)), label, 9) for label in labels]
         want = [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases]
+        tuples = [tuple_kernel_dims(p, label, n_max) for p, label, n_max in cases]
+        assert [comps for _, comps in want] == [grouped_classes(p, label, n_max) for p, label, n_max in cases]
         calls, inside = [], []
         real_rank, real_conjugates = singres.strata.modular_rank, singres.strata._conjugate_ranks
 
@@ -1516,7 +1587,11 @@ class TestExactUnity:
             if all(eff for eff, _ in sides):
                 ranked += decided * sum(max(js) > 1 for _, js in sides)
         assert len(calls) == ranked > 1000
-        assert sum(len(comps) for _, comps in want) > 100
+        # and tuple by tuple
+        calls.clear()
+        assert [tuple_kernel_dims(p, label, n_max) for p, label, n_max in cases] == tuples
+        assert len(calls) == ranked
+        assert sum(kd1 > 0 and kd2 > 0 for dims in tuples for _, kd1, kd2 in dims) > 100
 
     def test_equal_sides_are_ranked_once(self, monkeypatch):
         # as in the scan, a side equal to the first is ranked once
@@ -1528,13 +1603,17 @@ class TestExactUnity:
             return real(side, ns, exps)
 
         monkeypatch.setattr(singres.strata, "_unity_coranks", counted)
-        cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 1), ((0, 3, 6), (0, 3, 6), "N(2,1)", 1)]
-        cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 2), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 2)]
+        # an order-1 label ranks no tuple: its classes are tallied, each
+        # distinct side cut once per modulus (TestCorankTally)
+        cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 0), ((0, 3, 6), (0, 3, 6), "N(2,1)", 1)]
+        cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 2), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 0)]
         for b1, b2, name, ranked in cases:
             calls.clear()
-            decided, components = _unity_components(_sides(pair(b1, b2), parse_label(name)), 12)
+            p, label = pair(b1, b2), parse_label(name)
+            decided, components = _unity_components(_sides(p, label), 12)
             assert len(calls) == ranked, (b1, b2, name)
-            assert decided == len(_scan_table(parse_label(name).k, 12)[2]) and components, (b1, b2, name)
+            assert decided == len(_scan_table(label.k, 12)[2]) and live_tuple_components(p, label), (b1, b2, name)
+            assert components == grouped_classes(p, label), (b1, b2, name)
 
     def test_orbit_direction_is_never_in_the_kernels(self):
         # the lemma behind r = 1: on every nonempty component, the oracle
@@ -1543,7 +1622,10 @@ class TestExactUnity:
         cases += [(p, label, 6) for p in GUARANTEE_PAIRS for label in GUARANTEE_LABELS.values()]
         checked = 0
         for p, label, n_max in cases:
-            for (n, exps), *kds in _unity_components(_sides(p, label), n_max)[1]:
+            assert _unity_components(_sides(p, label), n_max)[1] == grouped_classes(p, label, n_max)
+            for (n, exps), *kds in tuple_kernel_dims(p, label, n_max):
+                if min(kds) <= 0:
+                    continue
                 for b, side, kd in ((p.b1, 1, kds[0]), (p.b2, 2, kds[1])):
                     eff = _effective_elements(b, label.j0, label.jinf)
                     rows = unity_vandermonde(S(*eff), [RootOfUnity(n, q) for q in exps], label.side_orders(side))
@@ -1555,10 +1637,13 @@ class TestExactUnity:
 
     def test_empty_and_rank_deficient_components(self):
         # (0, 3, 6) takes one value at all cube roots: kd = 2 on both sides
-        # at (1, zeta_3), and 1 at (1, -1)
-        decided, comps = _unity_components(_sides(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)")), 3)
+        # at (1, zeta_3), one class of two tuples, and 1 at (1, -1), the
+        # generic kernels, which is not listed
+        p, label = pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)")
+        decided, comps = _unity_components(_sides(p, label), 3)
         assert decided == len(_scan_table(2, 3)[2]) == 3
-        assert comps == [((2, (0, 1)), 1, 1), ((3, (0, 1)), 2, 2), ((3, (0, 2)), 2, 2)]
+        assert tuple_kernel_dims(p, label, 3) == [((2, (0, 1)), 1, 1), ((3, (0, 1)), 2, 2), ((3, (0, 2)), 2, 2)]
+        assert comps == [((3, (0, 1)), 2, 2, 2)]
         assert _unity_components(_sides(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)")), 6) == (len(_scan_table(2, 6)[2]), [])
         assert _unity_components(_sides(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)")), 12) == (0, [])
         assert _unity_components(_sides(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)")), 2) == (0, [])
@@ -1567,18 +1652,22 @@ class TestExactUnity:
         # 2^62 + 1 = 13865 mod 27720 = lcm(2..12): the same components as
         # the congruent support, and exponents past int64 decide as well
         label = parse_label("N(1,1)")
-        want = unity_components(pair((0, 2, 13865), (0, 3, 6)), label)
-        assert want and unity_components(pair((0, 2, 2**62 + 1), (0, 3, 6)), label) == want
-        big = unity_components(pair((0, 2, 2**63 + 5), (0, 3, 6)), label)
-        assert big and big == unity_components(pair((0, 2, (2**63 + 5) % 27720), (0, 3, 6)), label)
+        for huge in (2**62 + 1, 2**63 + 5):
+            p, small = pair((0, 2, huge), (0, 3, 6)), pair((0, 2, huge % 27720), (0, 3, 6))
+            want = tuple_kernel_dims(small, label)
+            assert live_tuple_components(small, label) and tuple_kernel_dims(p, label) == want
+            assert unity_components(p, label) == unity_components(small, label) == class_components(small, label)
         # multiplicity rows carry falling factorials of the huge exponents,
         # which reduce mod p in Python ints; the oracle's rank decides
         for name in ("N(2,1)", "N(2,1;1,1)"):
             label = parse_label(name)
             b1 = S(0, 1, 2, 2**62 + 1)
-            decided, comps = _unity_components(_sides(SupportPair(b1, S(0, 3, 6, 9)), label), 12)
-            assert comps
-            for (n, exps), kd1, _ in comps:
+            p = SupportPair(b1, S(0, 3, 6, 9))
+            decided, comps = _unity_components(_sides(p, label), 12)
+            assert comps and comps == grouped_classes(p, label)
+            live = [(config, kd1) for config, kd1, kd2 in tuple_kernel_dims(p, label) if kd1 > 0 and kd2 > 0]
+            assert live
+            for (n, exps), kd1 in live:
                 rows = unity_vandermonde(b1, [RootOfUnity(n, q) for q in exps], label.side_orders(1))
                 assert kd1 == len(b1) - cyclo_rank(rows)
 
@@ -1630,11 +1719,17 @@ class TestExactUnity:
         assert deficient > 100 and len(set(want)) == 6
 
     def test_report_marks_exact_components(self):
-        est = estimate_codim(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)"), seed=73)
+        p, label = pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)")
+        est = estimate_codim(p, label, seed=73)
         data = est.to_json()
         unity = [c for c in data["components_probed"] if c["component"].startswith("unity")]
         assert unity and all(c["exact"] is True and "votes" not in c for c in unity)
-        assert {(c["kd1"], c["kd2"], c["r"], c["dim_found"]) for c in unity} == {(2, 2, 1, 5), (1, 1, 1, 3)}
+        # per tuple kd is (2, 2) or the generic (1, 1); only the first is a class
+        assert {(kd1, kd2) for _, kd1, kd2 in tuple_kernel_dims(p, label)} == {(2, 2), (1, 1)}
+        assert [(c["kd1"], c["kd2"], c["r"], c["dim_found"]) for c in unity] == [(2, 2, 1, 5)]
+        assert [(c["component"], c["kd1"], c["kd2"], c["tuples"]) for c in unity] == [
+            (f"unity(n={n}, exps={list(exps)})", kd1, kd2, size) for (n, exps), kd1, kd2, size in grouped_classes(p, label)
+        ]
         assert data["sample_count"] == 1 + len(_scan_table(2, 12)[2])
         assert set(data["timings"]) == {"generic_s", "unity_s", "minor_curve_s"}
 
@@ -1680,3 +1775,49 @@ class TestSideRecord:
             counts.clear()
             run()
             assert counts["side_orders"] == 2 and max(counts.values()) <= 2, (name, entry, counts)
+
+
+class TestUnityClasses:
+    """The estimator's root-of-unity entries are the scan's corank classes."""
+
+    CASES = [(pair(b1, b2), parse_label(name)) for b1, b2, name in VERIFY_CODIM_CASES]
+    CASES += [(p, label) for p in GUARANTEE_PAIRS for label in GUARANTEE_LABELS.values() if not (label.j0 or label.jinf)]
+
+    def test_entries_are_the_scan_classes(self):
+        # one entry per unity-witnessed class of scan_corank_strata with both
+        # kernels nonempty, under the class's first tuple, with its count
+        listed = 0
+        for p, label in self.CASES:
+            for n_max in (8, 12):
+                comps = estimate_codim(p, label, n_max=n_max).to_json()["components_probed"]
+                got = [(c["component"], c["kd1"], c["kd2"], c["tuples"]) for c in comps if c["component"].startswith("unity")]
+                d1, d2 = _generic_kernel_dims(_sides(p, label))
+                want = []
+                for (c1, c2), val in scan_corank_strata(p, label, n_max).found.items():
+                    witness = val["witness"]
+                    if witness["kind"] == "unity" and d1 + c1 > 0 and d2 + c2 > 0:
+                        want.append((f"unity(n={witness['n']}, exps={witness['exponents']})", d1 + c1, d2 + c2, val["count"]))
+                assert got == want, (p, label, n_max)
+                listed += len(got)
+        assert (len(self.CASES), listed) == (30, 16)
+
+    @pytest.mark.parametrize("name", ["N(1,1)", "N(1,1,1)", "N_1(1,1)"])
+    def test_order_one_estimate_ranks_no_tuple(self, name, monkeypatch):
+        # an order-1 label reads the scan's tally; a mixed label still ranks
+        # per tuple, which shows that the wraps count
+        calls = Counter()
+        for attr in ("unity_power_rank", "_side_coranks"):
+            real = getattr(singres.strata, attr, None)
+
+            def counted(*args, attr=attr, real=real):
+                calls[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(singres.strata, attr, counted, raising=False)
+        pairs = [pair((0, 1, 2, 3), (0, 1, 2, 3)), pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), pair((0, 3, 6), (0, 3, 6))]
+        for p in pairs:
+            estimate_codim(p, parse_label(name))
+        assert calls == Counter(), name
+        for p in pairs:
+            estimate_codim(p, parse_label("N(2,1;1,1)"))
+        assert calls == Counter(unity_power_rank=3, _side_coranks=3)

@@ -11,7 +11,7 @@ from singres.supports import (
     check_conditions,
     classify,
     gap_gcd,
-    split_witness,
+    split_dividing,
 )
 
 
@@ -80,16 +80,16 @@ def brute_force_split(target: SupportSet, other: SupportSet):
 
 class TestSplitWitness:
     def test_examples(self):
-        w = split_witness(S(0, 1, 3), S(0, 3))
+        w = split_dividing(S(0, 1, 3), gap_gcd(S(0, 3)))
         assert (w.k, w.part_main, w.part_rest) == (3, (0, 3), (1,))
-        assert split_witness(S(0, 1, 2), S(0, 3)) is None
-        w2 = split_witness(S(0, 3, 6), S(0, 6))
+        assert split_dividing(S(0, 1, 2), gap_gcd(S(0, 3))) is None
+        w2 = split_dividing(S(0, 3, 6), gap_gcd(S(0, 6)))
         assert (w2.k, w2.part_main, w2.part_rest) == (3, (0, 3, 6), ())
 
     def test_witness_reverifies(self):
         for b1 in combinations(range(7), 3):
             for b2 in combinations(range(0, 9, 2), 2):
-                w = split_witness(SupportSet(b1), SupportSet(b2))
+                w = split_dividing(SupportSet(b1), gap_gcd(SupportSet(b2)))
                 if w is not None:
                     assert w.verify(SupportSet(b1))
 
@@ -108,7 +108,7 @@ class TestSplitWitness:
         others = [S(0, 3), S(0, 6), S(0, 4, 8), S(2, 5), S(0, 12)]
         for t in targets:
             for o in others:
-                assert (split_witness(t, o) is not None) == brute_force_split(t, o)
+                assert (split_dividing(t, gap_gcd(o)) is not None) == brute_force_split(t, o)
 
     def test_against_brute_force_larger_targets(self):
         import itertools
@@ -118,7 +118,7 @@ class TestSplitWitness:
             for c in itertools.combinations(range(0, 11), size):
                 t = SupportSet(c)
                 for o in others:
-                    assert (split_witness(t, o) is not None) == brute_force_split(t, o)
+                    assert (split_dividing(t, gap_gcd(o)) is not None) == brute_force_split(t, o)
 
 
 class TestConditions:
@@ -149,24 +149,24 @@ class TestConditions:
 
 class TestClassify:
     def test_classical_all_guaranteed(self):
-        v = classify(pair((0, 1, 2, 3), (0, 1, 2, 3)))
+        v = classify(check_conditions(pair((0, 1, 2, 3), (0, 1, 2, 3))))
         assert v.part_i_generic_a1
         assert all(row.guaranteed for row in v.per_subset)
 
     def test_sublattice_blocks(self):
-        v = classify(pair((0, 3, 6), (0, 3)))
+        v = classify(check_conditions(pair((0, 3, 6), (0, 3))))
         rows = {r.subset: r for r in v.per_subset}
         assert not rows["N(1,1)"].guaranteed
         assert 1 in rows["N(1,1)"].blocking_conditions
 
     def test_common_gap_pair(self):
-        v = classify(pair((0, 1), (0, 1)))
+        v = classify(check_conditions(pair((0, 1), (0, 1))))
         assert not v.part_ii_codim2
         assert v.part_i_generic_a1
 
     def test_two_element_spread(self):
         for b2 in [(0, 1, 3), (0, 4), (0, 2, 5)]:
-            v = classify(pair((0, 1), b2))
+            v = classify(check_conditions(pair((0, 1), b2)))
             spread = max(b2) - min(b2)
             assert v.part_i_generic_a1 == (spread <= 2)
 
@@ -175,6 +175,6 @@ class TestClassify:
 
         for b1 in itertools.combinations(range(5), 3):
             for b2 in itertools.combinations(range(5), 2):
-                v = classify(SupportPair(SupportSet(b1), SupportSet(b2)))
+                v = classify(check_conditions(SupportPair(SupportSet(b1), SupportSet(b2))))
                 if v.part_i_generic_a1:
                     assert all(r.guaranteed for r in v.per_subset)
