@@ -1,4 +1,4 @@
-"""The cyclotomic zero-test kernel behind the single-minor unity sweeps.
+"""The cyclotomic zero-test kernel: the independent side of the unity check.
 
 An evaluation table for zeta_n has shape (n, phi(n)); its row j holds the
 images of zeta_n^j under the phi(n) maps zeta_n -> z^k mod p of a split
@@ -8,8 +8,8 @@ iff the same combination of table rows is 0 mod p.  `unity_combos_vanish`
 asks that question for a whole array of combinations at once, in plain
 numpy, and `det3_exponents` phrases the 3x3 power-matrix minors as such an
 array, to be weighted by `DET3_SIGNS`.  Whether all minors of a power
-matrix vanish needs no table: `minors.unity_power_rank` answers it in
-closed form.
+matrix, or one, vanish needs no table: `minors.unity_power_rank` and
+`minors.power_minor_vanishes` answer it in closed form.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ same as a two-residue-class split of B: an order-2 root with x^g, y^g or
 (x/y)^g = 1 kills every minor without a split.  The scan below checks the
 two against each other exhaustively: one closed-form pass per support over
 the admissible pairs of every modulus, and one split certificate per
-(B, n) from the one split search of `singres.supports`.  Every vanishing
-single minor is explained by row/column proportionality in integer
-congruences (`power_minor_explanation`, `exponent_minor_explanation`),
-which the verification sweeps apply to every zero of the split-prime zero
-test of `singres.kernels`.
+(B, n) from the one split search of `singres.supports`.  A single minor has
+a closed form too (`power_minor_vanishes`, `exponent_minor_vanishes`), which
+the verification sweeps compare with the zero test of `singres.kernels`.
 
 Negative and arbitrarily large exponents are harmless: they are reduced in
 Python ints (`residues`, which `singres.strata` also uses for its corank
@@ -22,7 +20,6 @@ scan and its mod-p certificates), and the rank multiplies no two residues.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -36,10 +33,9 @@ __all__ = [
     "gap_root",
     "unity_power_rank",
     "two_class_split",
+    "power_minor_vanishes",
+    "exponent_minor_vanishes",
     "minors_split_equivalence_scan",
-    "power_minor_explanation",
-    "exponent_minor_explanation",
-    "MinorCheck",
     "ScanReport",
 ]
 
@@ -102,12 +98,17 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     ps = np.asarray(ps, dtype=np.int64)
     qs = np.asarray(qs, dtype=np.int64)
     ns = np.asarray(n, dtype=np.int64)
-    m = ns // np.gcd(ns, np.gcd(ps, qs))  # the period of the column keys
+    m = _order(ns, np.gcd(ps, qs))  # the period of the column keys
     periods = sorted(set(m.tolist()))  # np.unique would import numpy.ma, about 0.5 MB
     counts = np.array([len({e % k for e in b.elements}) for k in periods], dtype=np.int64)
-    h = ns // np.gcd(ns, residues((gap_gcd(b),), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
+    h = _order(ns, residues((gap_gcd(b),), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
     # rank 1 for one key; else 2 for two keys or a gap root, else 3
     return np.minimum(counts[np.searchsorted(periods, m)], 3 - gap_root(h, ps, qs))
+
+
+def _order(n, r):
+    """n/gcd(n, r), the order of zeta_n^r, elementwise."""
+    return n // np.gcd(n, r)
 
 
 def gap_root(h, p, q):
@@ -117,6 +118,55 @@ def gap_root(h, p, q):
     arrays; a bool on ints."""
     xg, yg = p % h, q % h
     return (xg == 0) | (yg == 0) | (xg == yg)
+
+
+def _triple_gaps(n, triples):
+    """The differences b - a, c - b, c - a of each row (a, b, c) of
+    `triples`, an int array (triples, 3), and h = n/gcd(n, g) per row,
+    g = gcd(b - a, c - b)."""
+    t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    gaps = t[:, [1, 2, 2]] - t[:, [0, 1, 0]]
+    return gaps, _order(n, np.gcd(gaps[:, 0], gaps[:, 1]))
+
+
+def power_minor_vanishes(n: int, ps, qs, triples) -> np.ndarray:
+    """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish at x = zeta_n^p,
+    y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
+    `triples`?  A bool array (pairs, triples).
+
+    Corollary (the rank lemma at B = {a, b, c}).  With g = gcd(b - a, c - b)
+    and h = n/gcd(n, g), it vanishes iff h divides p, q or p - q (two
+    proportional rows, `gap_root`) or the period m = n/gcd(n, p, q) divides
+    b - a, c - b or c - a (two equal columns).  Proof: the minor is
+    det M(B; x, y), zero iff the rank is at most 2.  By the rank lemma of
+    `unity_power_rank`, proved for any x, y on the unit circle, that holds
+    iff x^g, y^g or (x/y)^g is 1 or the column keys take at most two values
+    over B; by the period lemma two keys agree iff m divides the difference
+    of their exponents.
+    """
+    gaps, h = _triple_gaps(n, triples)
+    ps = np.asarray(ps, dtype=np.int64)[:, None]
+    qs = np.asarray(qs, dtype=np.int64)[:, None]
+    m = _order(n, np.gcd(ps, qs))  # the period, per pair
+    return gap_root(h, ps, qs) | (gaps % m[..., None] == 0).any(axis=-1)
+
+
+def exponent_minor_vanishes(n: int, ps, triples) -> np.ndarray:
+    """Does det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] = (b-a) x^c + (a-c) x^b +
+    (c-b) x^a vanish at x = zeta_n^p, for every p of `ps` and row (a, b, c)
+    of `triples`, a, b, c distinct?  A bool array (ps, triples).
+
+    Corollary.  It vanishes iff x^a = x^b = x^c, that is iff h = n/gcd(n, g)
+    divides p, g = gcd(b - a, c - b).  Proof: the weights are nonzero reals
+    with sum 0, so equal powers give 0.  If exactly two powers coincide, the
+    sum is a nonzero weight times the difference of two distinct powers.  If
+    u, v, w are distinct, alpha u + beta v + gamma w = 0 with
+    alpha + beta + gamma = 0 gives alpha (u - w) = -beta (v - w), so the
+    three lie on one line, which meets the unit circle in at most two
+    points.  And x^a = x^b = x^c iff x^g = 1 iff h divides p.
+    """
+    _, h = _triple_gaps(n, triples)
+    return np.asarray(ps, dtype=np.int64)[:, None] % h == 0
 
 
 def two_class_split(b: SupportSet, n: int):
@@ -183,13 +233,10 @@ def _order2_mechanism(g, n, p, q):
     trivial split B' = B, so only the order-2 case can defeat the split
     criterion.)
     """
-    for name, r in (("x", p), ("y", q), ("x/y", p - q)):
-        r %= n
-        if r == 0:
-            continue
-        order = n // math.gcd(r, n)
-        if order == 2 and g % 2 == 0:
-            return name
+    if g % 2 == 0:
+        for name, r in (("x", p), ("y", q), ("x/y", p - q)):
+            if r % n and 2 * r % n == 0:  # zeta_n^r has order 2
+                return name
     return None
 
 
@@ -252,48 +299,3 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
     ]
     report.wall_time = time.perf_counter() - start
     return report
-
-
-@dataclass(frozen=True)
-class MinorCheck:
-    """Outcome of a single 3x3 minor check."""
-
-    tag: str  # Nondegenerate | PropRows | PropCols | EqualRows13
-    rows: tuple | None = None
-    cols: tuple | None = None
-
-
-def power_minor_explanation(n, p, q, a, b, c):
-    """Why det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanishes at x = zeta_n^p,
-    y = zeta_n^q, from integer congruences: a MinorCheck naming two
-    proportional rows or columns, or None when no such pair exists.
-
-    By the dichotomy behind `unity_power_rank` every vanishing determinant
-    has one.
-    """
-    exps = (a, b, c)
-    pairs = list(combinations(range(3), 2))
-
-    def const(r):  # zeta_n^(r*e) takes one value over the three exponents
-        return all((r * (exps[i] - exps[j])) % n == 0 for i, j in pairs)
-
-    if const(p):
-        return MinorCheck("PropRows", rows=(1, 2))
-    if const(q):
-        return MinorCheck("PropRows", rows=(1, 3))
-    if const(p - q):  # (x/y)^a = (x/y)^b = (x/y)^c
-        return MinorCheck("PropRows", rows=(2, 3))
-    for i, j in pairs:
-        d = exps[i] - exps[j]
-        if (p * d) % n == 0 and (q * d) % n == 0:
-            return MinorCheck("PropCols", cols=(i + 1, j + 1))
-    return None
-
-
-def exponent_minor_explanation(n, p, a, b, c):
-    """Why det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] vanishes at x = zeta_n^p:
-    EqualRows13 when x^a = x^b = x^c (rows 1 and 3 equal up to the factor
-    x^a), else None."""
-    if (p * (a - b)) % n == 0 and (p * (b - c)) % n == 0:
-        return MinorCheck("EqualRows13", rows=(1, 3))
-    return None

@@ -5,7 +5,7 @@ The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
 computed by the stated independent oracles.  The single-minor unity sweeps
 make one batched split-prime zero test per modulus (see `singres.kernels`)
-and explain each zero with the congruence explanations of `singres.minors`.
+and compare its zero set with the closed forms of `singres.minors`.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .exact import exact_rank, kernel_basis, primitive, prs_gcd, root_multiplici
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from .laurent import LaurentPoly, branch_covector, classify_point
-from .minors import (
-    admissible_pairs,
-    exponent_minor_explanation,
-    minors_split_equivalence_scan,
-    power_minor_explanation,
-)
+from .minors import admissible_pairs, exponent_minor_vanishes, minors_split_equivalence_scan, power_minor_vanishes
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
@@ -137,7 +132,8 @@ def check_minors_split_equivalence():
         note = (
             "known defect of the split criterion as stated: all "
             f"{len(rep.order2_explained)} counterexamples are order-2 row "
-            "degeneracies; see the decisions ledger"
+            "degeneracies; see test_minors_split_equivalence_regression and "
+            "the ScanReport docstring"
         )
     return ok, details, note
 
@@ -149,39 +145,37 @@ def check_unity_minor_explanations(n_max=24, span=5):
     [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] for x = z^p, y = z^q with
     1 <= p < q < n, and the ones/exponents/powers matrix
     [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for x = z^p, 0 <= p < n.  Each sweep
-    makes one batched zero test per modulus n; the zeros are then explained
-    in (n, p, q, triple) order.
+    makes one batched split-prime zero test per modulus n, and a zero is
+    explained when the closed form of `minors.power_minor_vanishes` or
+    `minors.exponent_minor_vanishes` also says it vanishes: one array pass
+    per modulus, listing the unexplained zeros in (n, p, q, triple) order.
     """
-    triple_list = list(itertools.combinations(range(-span, span + 1), 3))
-    triples = np.array(triple_list, dtype=np.int64)
+    triples = np.array(list(itertools.combinations(range(-span, span + 1), 3)), dtype=np.int64)
     a, b, c = triples.T
     unexplained = []
-    zeros = 0
-    checked = 0
+    zeros = checked = 0
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
-        table = evaluation_table(n)
-        vanish = unity_combos_vanish(table, det3_exponents(triples, ps, qs), DET3_SIGNS)
+        vanish = unity_combos_vanish(evaluation_table(n), det3_exponents(triples, ps, qs), DET3_SIGNS)
         checked += vanish.size
-        for i, t in np.argwhere(vanish).tolist():
-            zeros += 1
-            p, q = int(ps[i]), int(qs[i])
-            if power_minor_explanation(n, p, q, *triple_list[t]) is None:
-                unexplained.append({"n": n, "p": p, "q": q, "triple": list(triple_list[t])})
+        zeros += int(vanish.sum())
+        unexplained += [
+            {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()}
+            for i, t in np.argwhere(vanish & ~power_minor_vanishes(n, ps, qs, triples)).tolist()
+        ]
     # ones / exponents / powers matrix: det = (b-a) x^c + (a-c) x^b + (c-b) x^a
     zeros65 = 0
-    row_exps = np.stack([c, b, a], axis=1)
     coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
-        table = evaluation_table(n)
-        vanish = unity_combos_vanish(table, np.arange(n)[:, None, None] * row_exps, coefs)
+        ps = np.arange(n)
+        vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
         checked += vanish.size
-        for p, t in np.argwhere(vanish).tolist():
-            zeros65 += 1
-            if exponent_minor_explanation(n, p, *triple_list[t]) is None:
-                unexplained.append({"n": n, "p": p, "triple": list(triple_list[t]), "kind": "exponent-row"})
-    ok = not unexplained
-    return ok, {
+        zeros65 += int(vanish.sum())
+        unexplained += [
+            {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"}
+            for p, t in np.argwhere(vanish & ~exponent_minor_vanishes(n, ps, triples)).tolist()
+        ]
+    return not unexplained, {
         "checked": checked,
         "zeros_power_matrix": zeros,
         "zeros_exponent_matrix": zeros65,

@@ -4,7 +4,10 @@ the independent oracle for the split-prime decisions of the package.
 `CycloElement` keeps a canonical residue mod Phi_n, so its zero test is
 structural.  On top of it sit the field RREF and the fraction-free rank over
 Q(zeta_n), exact roots of unity, the multiplicity Vandermonde at them, the
-all-minors test of the power matrix and the exact single-minor checks.
+all-minors test of the power matrix and the exact single-minor checks,
+with the congruence explanations that name two proportional rows or
+columns of a vanishing minor (`power_minor_explanation`,
+`exponent_minor_explanation`).
 `QPoly` keeps the Fraction univariate arithmetic (long division, the
 Euclidean gcd `q_gcd`) that the cyclotomic reduction needs; it is also the
 oracle for the package's integer-primitive univariate core.  The
@@ -23,7 +26,6 @@ from itertools import combinations
 
 from singres.exact import UniPoly, _exact_div, clear_denominators
 from singres.laurent import falling
-from singres.minors import MinorCheck, exponent_minor_explanation, power_minor_explanation
 
 
 def divisors(n):
@@ -484,6 +486,49 @@ def unity_vandermonde(b, pts, js):
         for x, j in zip(lifted, js)
         for d in range(j)
     ]
+
+
+@dataclass(frozen=True)
+class MinorCheck:
+    """Outcome of a single 3x3 minor check."""
+
+    tag: str  # Nondegenerate | PropRows | PropCols | EqualRows13 | Degenerate-unexplained
+    rows: tuple | None = None
+    cols: tuple | None = None
+
+
+def power_minor_explanation(n, p, q, a, b, c):
+    """Why det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanishes at x = zeta_n^p,
+    y = zeta_n^q, from integer congruences: a MinorCheck naming two
+    proportional rows or columns, or None when no such pair exists.  The
+    six congruences are those of `singres.minors.power_minor_vanishes`, one
+    at a time, named."""
+    exps = (a, b, c)
+    pairs = list(combinations(range(3), 2))
+
+    def const(r):  # zeta_n^(r*e) takes one value over the three exponents
+        return all((r * (exps[i] - exps[j])) % n == 0 for i, j in pairs)
+
+    if const(p):
+        return MinorCheck("PropRows", rows=(1, 2))
+    if const(q):
+        return MinorCheck("PropRows", rows=(1, 3))
+    if const(p - q):  # (x/y)^a = (x/y)^b = (x/y)^c
+        return MinorCheck("PropRows", rows=(2, 3))
+    for i, j in pairs:
+        d = exps[i] - exps[j]
+        if (p * d) % n == 0 and (q * d) % n == 0:
+            return MinorCheck("PropCols", cols=(i + 1, j + 1))
+    return None
+
+
+def exponent_minor_explanation(n, p, a, b, c):
+    """Why det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] vanishes at x = zeta_n^p:
+    EqualRows13 when x^a = x^b = x^c (rows 1 and 3 equal up to the factor
+    x^a), else None."""
+    if (p * (a - b)) % n == 0 and (p * (b - c)) % n == 0:
+        return MinorCheck("EqualRows13", rows=(1, 3))
+    return None
 
 
 def unity_minor_check(a, b, c, x: RootOfUnity, y: RootOfUnity) -> MinorCheck:

@@ -56,7 +56,8 @@ def test_criterion_04_minors_split_equivalence():
         f"{result.details['counterexamples']} counterexamples "
         f"({result.details['order2_explained']} order-2 explained, "
         f"{result.details['unexplained']} unexplained); "
-        "known statement defect - see the decisions ledger"
+        "known statement defect - see test_minors_split_equivalence_regression "
+        "and the ScanReport docstring"
     )
 
 

@@ -12,12 +12,11 @@ from singres.exact import split_prime
 from singres.kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from singres.minors import (
     _order2_mechanism,
-    MinorCheck,
     ScanReport,
     admissible_pairs,
-    exponent_minor_explanation,
-    power_minor_explanation,
+    exponent_minor_vanishes,
     minors_split_equivalence_scan,
+    power_minor_vanishes,
     residues,
     two_class_split,
     unity_power_rank,
@@ -196,24 +195,27 @@ class TestMinorChecks:
         assert cyclo_oracle.unity_minor_check(0, 1, 2, RootOfUnity(4, 1), RootOfUnity(4, 2)).tag == "Nondegenerate"
         out = cyclo_oracle.unity_minor_check(0, 2, 4, RootOfUnity(4, 2), RootOfUnity(4, 1))
         assert (out.tag, out.rows) == ("PropRows", (1, 2))
-        # the package's exact path: the split-prime zero test, then the explanation
-        assert det3_vanish(evaluation_table(4), [(0, 1, 2), (0, 2, 4)], [1, 2], [2, 1]).tolist() == [
-            [False, True],
-            [False, True],
-        ]
-        assert power_minor_explanation(4, 2, 1, 0, 2, 4) == out
+        # the package's two paths: the split-prime zero test and the closed form
+        want = [[False, True], [False, True]]
+        assert det3_vanish(evaluation_table(4), [(0, 1, 2), (0, 2, 4)], [1, 2], [2, 1]).tolist() == want
+        assert power_minor_vanishes(4, [1, 2], [2, 1], [(0, 1, 2), (0, 2, 4)]).tolist() == want
 
     def test_power_matrix_property(self):
-        # every vanishing determinant over roots of unity is explained
-        triples = list(itertools.combinations(range(-6, 7), 3))
-        for n in range(3, 31):
+        # the closed form equals the split-prime zero set, both ways, at every
+        # residue: n <= 36, 1 <= p < q < n and (0, b, c) with 0 < b < c < n.
+        # a = 0 loses nothing: shifting every exponent by s scales the
+        # determinant by (xy)^s
+        zeros = 0
+        for n in range(3, 37):
             ps, qs = admissible_pairs(n)
-            exps = det3_exponents(triples, ps, qs)
-            vanish = unity_combos_vanish(evaluation_table(n), exps, DET3_SIGNS)
-            for i, t in np.argwhere(vanish).tolist():
-                p, q = int(ps[i]), int(qs[i])
-                assert power_minor_explanation(n, p, q, *triples[t]) is not None, (n, p, q, triples[t])
-        # the oracle's determinant against the package's path, once per outcome
+            triples = [(0, b, c) for b, c in itertools.combinations(range(1, n), 2)]
+            vanish = det3_vanish(evaluation_table(n), triples, ps, qs)
+            closed = power_minor_vanishes(n, ps, qs, triples)
+            wrong = [(int(ps[i]), int(qs[i]), triples[t]) for i, t in np.argwhere(closed != vanish)[:3].tolist()]
+            assert wrong == [], n
+            zeros += int(vanish.sum())
+        assert zeros == 123244
+        # the oracle's determinant against the package's paths, once per outcome
         spot = [
             ((0, 1, 2), 4, 1, 2, ("Nondegenerate", None, None)),
             ((0, 2, 4), 4, 2, 1, ("PropRows", (1, 2), None)),
@@ -226,7 +228,7 @@ class TestMinorChecks:
             assert (out.tag, out.rows, out.cols) == want, (triple, n, p, q)
             vanish = det3_vanish(evaluation_table(n), [triple], [p], [q])[0, 0]
             assert vanish == (out.tag != "Nondegenerate")
-            assert power_minor_explanation(n, p, q, *triple) == (out if vanish else None)
+            assert power_minor_vanishes(n, [p], [q], [triple])[0, 0] == vanish
 
     def test_unity_sweep_counts(self):
         # frozen (checked, power-matrix zeros, exponent-row zeros) of small sweeps
@@ -248,21 +250,24 @@ class TestMinorChecks:
             # the package's exact path: (b-a) x^c + (a-c) x^b + (c-b) x^a
             vanish = unity_combos_vanish(evaluation_table(n), [[p * c, p * b, p * a]], [b - a, a - c, c - b])
             assert vanish.tolist() == [tag == "EqualRows13"]
-            assert (exponent_minor_explanation(n, p, a, b, c) is not None) == (tag == "EqualRows13")
+            assert exponent_minor_vanishes(n, [p], [(a, b, c)]).tolist() == [[tag == "EqualRows13"]]
 
     def test_exponent_matrix_property(self):
-        # every vanishing ones/exponents/powers determinant
-        # (b-a) x^c + (a-c) x^b + (c-b) x^a has x^a = x^b = x^c
-        triples = list(itertools.combinations(range(-6, 7), 3))
-        a, b, c = np.array(triples).T
-        row_exps = np.stack([c, b, a], axis=1)
-        coefs = np.stack([b - a, a - c, c - b], axis=1)
-        for n in range(1, 31):
-            exps = np.arange(n)[:, None, None] * row_exps
-            vanish = unity_combos_vanish(evaluation_table(n), exps, coefs)
-            for p, t in np.argwhere(vanish).tolist():
-                out = exponent_minor_explanation(n, p, *triples[t])
-                assert out == MinorCheck("EqualRows13", rows=(1, 3)), (n, p, triples[t])
+        # the ones/exponents/powers determinant (b-a) x^c + (a-c) x^b + (c-b) x^a
+        # vanishes exactly where the closed form says, x^a = x^b = x^c: both
+        # ways, for n <= 36, 0 <= p < n and (0, b, c) with 0 < b < c < n
+        zeros = 0
+        for n in range(3, 37):
+            triples = np.array([(0, b, c) for b, c in itertools.combinations(range(1, n), 2)])
+            a, b, c = triples.T
+            ps = np.arange(n)
+            coefs = np.stack([b - a, a - c, c - b], axis=1)
+            vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
+            closed = exponent_minor_vanishes(n, ps, triples)
+            wrong = [(p, triples[t].tolist()) for p, t in np.argwhere(closed != vanish)[:3].tolist()]
+            assert wrong == [], n
+            zeros += int(vanish.sum())
+        assert zeros == 8862
 
     def test_distinct_exponents_required(self):
         with pytest.raises(ValueError):
