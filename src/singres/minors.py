@@ -7,9 +7,11 @@ p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or the columns
 (p*b mod n, q*b mod n) take at most two values over B.  That is not the
 same as a two-residue-class split of B: an order-2 root with x^g, y^g or
 (x/y)^g = 1 kills every minor without a split.  The scan below checks the
-two against each other exhaustively: one closed-form pass per support over
-the admissible pairs of every modulus, and one split certificate per
-(B, n) from the one split search of `singres.supports`.  A single minor has
+two against each other exhaustively, in one array pass over every support
+and every admissible pair of every modulus: both sides read one table of
+residue counts |B mod k| (`supports.class_count`), and the splits it uses
+are backed by one verified certificate per (B, k) from the one split search
+of `singres.supports`.  A single minor has
 a closed form too (`power_minor_vanishes`, `exponent_minor_vanishes`), which
 the verification sweeps compare with the zero test of `singres.kernels`.
 
@@ -26,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .supports import SupportSet, gap_gcd, split_dividing
+from .supports import SupportSet, class_count, gap_gcd, split_dividing
 
 __all__ = [
     "residues",
@@ -100,10 +102,17 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     ns = np.asarray(n, dtype=np.int64)
     m = _order(ns, np.gcd(ps, qs))  # the period of the column keys
     periods = sorted(set(m.tolist()))  # np.unique would import numpy.ma, about 0.5 MB
-    counts = np.array([len({e % k for e in b.elements}) for k in periods], dtype=np.int64)
+    counts = np.array([class_count(b, k) for k in periods], dtype=np.int64)
     h = _order(ns, residues((gap_gcd(b),), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
-    # rank 1 for one key; else 2 for two keys or a gap root, else 3
-    return np.minimum(counts[np.searchsorted(periods, m)], 3 - gap_root(h, ps, qs))
+    return _rank(counts[np.searchsorted(periods, m)], gap_root(h, ps, qs))
+
+
+def _rank(keys, root):
+    """The rank lemma of `unity_power_rank` from its two tests: `keys`, the
+    number |B mod m| of distinct column keys, and `root`, the gap test
+    `gap_root`.  Rank 1 for one key; else 2 for two keys or a gap root,
+    else 3.  Elementwise, broadcasting; int8 inputs give an int8 rank."""
+    return np.minimum(keys, 3 - root)
 
 
 def _order(n, r):
@@ -256,8 +265,18 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
     [a two-class split certificate exists], plus the per-pair forward
     direction (minors vanish implies split exists).
 
-    Each B is one unity_power_rank call over the admissible pairs of every
-    modulus n <= n_max at once; each (B, n) gets one split certificate.
+    Both sides are questions about |B mod k|, so the scan reads one table,
+    counts[s, k - 3] = min(|B_s mod k|, 3) for every support B_s and
+    3 <= k <= n_max (`supports.class_count`), in one array pass over every
+    support and every admissible pair of every modulus n <= n_max.  The
+    rank at (B_s, p, q) is the rank lemma of `unity_power_rank` at
+    counts[s, m - 3], m the period n/gcd(n, p, q).  B_s splits at n iff some
+    k >= 3 dividing n has counts[s, k - 3] <= 2.  For each distinct
+    (B_s, k), k the smallest such divisor of some n (that is, a split k
+    with no split proper divisor), one certificate from
+    `two_class_split(B_s, k)` is verified and must have that k; it serves
+    every n that k divides.
+
     Counterexamples are listed by n, then B, then pair (p-major).  n <= 2
     admits no pair with x, y != 1, x != y and is skipped.  Every forward
     counterexample is classified (see ScanReport): the order-2 family is a
@@ -273,29 +292,43 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
         for size in sizes
         for comb in combinations(universe, size)
     ]
+    moduli = np.arange(3, n_max + 1)  # the column n - 3, and k - 3 of counts
+    counts = np.array([[class_count(b, k) for k in moduli.tolist()] for b in subsets], dtype=np.int64)
+    # neither test tells 3 classes from more, so (supports, pairs) arrays stay int8
+    counts = np.minimum(counts.reshape(len(subsets), len(moduli)), 3).astype(np.int8)
+    gaps = np.array([gap_gcd(b) for b in subsets], dtype=np.int64)
     ns, ps, qs = _admissible_table(n_max)
-    moduli = np.arange(3, n_max + 1)  # the (B, n) cell of a pair is ns - 3
-    forward, converse = [], []
-    for s, b in enumerate(subsets):
-        split = np.array([two_class_split(b, n) is not None for n in moduli.tolist()], dtype=bool)
-        vanish = unity_power_rank(b, ns, ps, qs) <= 2
-        hit = np.bincount(ns[vanish] - 3, minlength=len(moduli)) > 0
-        forward += [(int(ns[i]), s, i) for i in np.flatnonzero(vanish & ~split[ns - 3]).tolist()]
-        converse += [(n, s) for n in moduli[split & ~hit].tolist()]
+    # the gap test per gap gcd 0 <= g <= spread_max, then per support
+    roots = gap_root(_order(ns, np.arange(spread_max + 1)[:, None]), ps, qs).astype(np.int8)
+    # the period n/gcd(n, p, q) is at least 3: a divisor d >= n/2 of n has
+    # one multiple in [1, n), so it cannot divide both p < q
+    vanish = _rank(counts[:, _order(ns, np.gcd(ps, qs)) - 3], roots[gaps]) <= 2
+    divides = moduli % moduli[:, None] == 0  # [k - 3, n - 3]: does k divide n?
+    small = counts <= 2  # [s, k - 3]: is B_s in at most two classes mod k?
+    split = small @ divides
+    # the smallest split divisor of some n: a split k with no split proper divisor
+    for s, c in np.argwhere(small & ~(small @ np.triu(divides, 1))).tolist():
+        k = c + 3
+        w = two_class_split(subsets[s], k)
+        if w is None or w.k != k:
+            raise AssertionError(f"no split certificate mod {k} for B={subsets[s].elements}")
+    hit = vanish @ (ns[:, None] == moduli)  # some pair of modulus n kills every minor
+    s_f, i_f = np.nonzero(vanish & ~split[:, ns - 3])
     report.pairs_checked = len(ns) * len(subsets)
     report.sets_checked = len(moduli) * len(subsets)
-    for n, s, i in sorted(forward):
-        b = subsets[s]
-        p, q = int(ps[i]), int(qs[i])
-        cex = {"n": n, "B": list(b.elements), "p": p, "q": q}
+    for j in np.lexsort((i_f, s_f, ns[i_f])).tolist():
+        s, i = int(s_f[j]), int(i_f[j])
+        n, p, q = int(ns[i]), int(ps[i]), int(qs[i])
+        cex = {"n": n, "B": list(subsets[s].elements), "p": p, "q": q}
         report.forward_counterexamples.append(cex)
-        mech = _order2_mechanism(gap_gcd(b), n, p, q)
+        mech = _order2_mechanism(int(gaps[s]), n, p, q)
         if mech is not None:
             report.order2_explained.append({**cex, "mechanism": mech})
         else:
             report.unexplained.append(cex)
     report.converse_counterexamples = [
-        {"n": n, "B": list(subsets[s].elements)} for n, s in sorted(converse)
+        {"n": int(moduli[c]), "B": list(subsets[s].elements)}
+        for c, s in np.argwhere((split & ~hit).T).tolist()
     ]
     report.wall_time = time.perf_counter() - start
     return report

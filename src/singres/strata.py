@@ -56,7 +56,7 @@ from .exact import (
 )
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
 from .minors import gap_root, residues, unity_power_rank
-from .supports import SupportPair, SupportSet, gap_gcd, split_dividing
+from .supports import SupportPair, SupportSet, class_count, gap_gcd, split_dividing
 
 __all__ = [
     "StratumLabel",
@@ -503,7 +503,7 @@ def _corank_tally(sides, n_max):
     distinct = sides[:1] if sides[0] == sides[1] else sides
     strata, broken = {}, []
     for n in _modulus_slices(k, n_max):
-        cuts = [(len({e % n for e in s.support.elements}), n // gcd(n, s.gap)) for s in distinct]
+        cuts = [(class_count(s.support, n), n // gcd(n, s.gap)) for s in distinct]
         (c1, h1), (c2, h2) = cuts if len(cuts) == 2 else cuts * 2
         for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
             key = (k - min(c1, 3 - flag1), k - min(c2, 3 - flag2))

@@ -18,6 +18,7 @@ __all__ = [
     "SubsetGuarantee",
     "Verdict",
     "gap_gcd",
+    "class_count",
     "split_dividing",
     "check_conditions",
     "classify",
@@ -130,19 +131,19 @@ class SplitWitness:
         return {"k": self.k, "part_main": list(self.part_main), "part_rest": list(self.part_rest)}
 
 
+def class_count(b: SupportSet, k: int) -> int:
+    """|B mod k|, the number of residue classes mod k that B meets."""
+    return len({e % k for e in b.elements})
+
+
 def split_dividing(target: SupportSet, m: int):
     """Smallest k >= 3 dividing m whose residues split target into at most
-    two classes, with the residue-class partition (part_main holds the class
-    of the minimum); None if none."""
+    two classes (`class_count` <= 2), with the residue-class partition
+    (part_main holds the class of the minimum); None if none."""
     for k in range(3, m + 1):
-        if m % k:
-            continue
-        classes = {}
-        for e in target.elements:
-            classes.setdefault(e % k, []).append(e)
-        if len(classes) <= 2:
-            main = tuple(classes.pop(target.min % k))
-            rest = tuple(next(iter(classes.values()), ()))
+        if m % k == 0 and class_count(target, k) <= 2:
+            main = tuple(e for e in target.elements if (e - target.min) % k == 0)
+            rest = tuple(e for e in target.elements if (e - target.min) % k)
             return SplitWitness(k, main, rest)
     return None
 

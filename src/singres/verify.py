@@ -5,7 +5,7 @@ The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
 computed by the stated independent oracles.  The single-minor unity sweeps
 make one batched split-prime zero test per modulus (see `singres.kernels`)
-and compare its zero set with the closed forms of `singres.minors`.
+and compare its zero set with the closed forms of `singres.minors`, both ways.
 """
 
 from __future__ import annotations
@@ -139,47 +139,55 @@ def check_minors_split_equivalence():
 
 
 def check_unity_minor_explanations(n_max=24, span=5):
-    """Every vanishing 3x3 minor over roots of unity is explained.
+    """Every vanishing 3x3 minor over roots of unity is explained, and
+    every closed-form zero vanishes.
 
     Two sweeps over the triples a < b < c of [-span, span]: the power matrix
     [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] for x = z^p, y = z^q with
     1 <= p < q < n, and the ones/exponents/powers matrix
     [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for x = z^p, 0 <= p < n.  Each sweep
-    makes one batched split-prime zero test per modulus n, and a zero is
-    explained when the closed form of `minors.power_minor_vanishes` or
-    `minors.exponent_minor_vanishes` also says it vanishes: one array pass
-    per modulus, listing the unexplained zeros in (n, p, q, triple) order.
+    makes one batched split-prime zero test per modulus n and compares its
+    zero set with the closed form of `minors.power_minor_vanishes` or
+    `minors.exponent_minor_vanishes`, both ways, in one array pass per
+    modulus: `unexplained` lists zeros the closed form misses and
+    `closed_form_only` closed-form zeros the test finds nonzero, each in
+    (n, p, q, triple) order.
     """
     triples = np.array(list(itertools.combinations(range(-span, span + 1), 3)), dtype=np.int64)
     a, b, c = triples.T
-    unexplained = []
+    unexplained, closed_form_only = [], []
     zeros = checked = 0
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
         vanish = unity_combos_vanish(evaluation_table(n), det3_exponents(triples, ps, qs), DET3_SIGNS)
+        closed = power_minor_vanishes(n, ps, qs, triples)
         checked += vanish.size
         zeros += int(vanish.sum())
-        unexplained += [
-            {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()}
-            for i, t in np.argwhere(vanish & ~power_minor_vanishes(n, ps, qs, triples)).tolist()
-        ]
+        for cells, out in ((vanish & ~closed, unexplained), (closed & ~vanish, closed_form_only)):
+            out += [
+                {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()}
+                for i, t in np.argwhere(cells).tolist()
+            ]
     # ones / exponents / powers matrix: det = (b-a) x^c + (a-c) x^b + (c-b) x^a
     zeros65 = 0
     coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
         ps = np.arange(n)
         vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
+        closed = exponent_minor_vanishes(n, ps, triples)
         checked += vanish.size
         zeros65 += int(vanish.sum())
-        unexplained += [
-            {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"}
-            for p, t in np.argwhere(vanish & ~exponent_minor_vanishes(n, ps, triples)).tolist()
-        ]
-    return not unexplained, {
+        for cells, out in ((vanish & ~closed, unexplained), (closed & ~vanish, closed_form_only)):
+            out += [
+                {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"}
+                for p, t in np.argwhere(cells).tolist()
+            ]
+    return not unexplained and not closed_form_only, {
         "checked": checked,
         "zeros_power_matrix": zeros,
         "zeros_exponent_matrix": zeros65,
         "unexplained": unexplained[:5],
+        "closed_form_only": closed_form_only[:5],
     }
 
 

@@ -99,7 +99,7 @@ def test_minors_split_equivalence_regression():
 
 def test_criterion_05_unity_minor_explanations():
     result = _run("unity-minor-explanations", 300.0)
-    assert result.passed, result.details["unexplained"]
+    assert result.passed, (result.details["unexplained"], result.details["closed_form_only"])
 
 
 def test_criterion_06_corank2_dichotomy():

@@ -7,7 +7,7 @@ import pytest
 
 import cyclo_oracle
 from cyclo_oracle import CycloElement, RootOfUnity, UnityPair, cyclo_det3, power_rank
-from singres import kernels
+from singres import kernels, minors
 from singres.exact import split_prime
 from singres.kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from singres.minors import (
@@ -21,7 +21,7 @@ from singres.minors import (
     two_class_split,
     unity_power_rank,
 )
-from singres.supports import SupportSet, gap_gcd
+from singres.supports import SplitWitness, SupportSet, gap_gcd
 from singres.verify import check_unity_minor_explanations
 
 
@@ -159,7 +159,10 @@ class TestEquivalenceScan:
 
     @pytest.mark.parametrize(
         "args",
-        [(10, 8, (3, 4))] + [(n, 5, sizes) for n in (6, 7, 8) for sizes in ((3,), (4,), (3, 4))],
+        [(10, 8, (3, 4))]
+        + [(n, 5, sizes) for n in (6, 7, 8) for sizes in ((3,), (4,), (3, 4))]
+        # one modulus; singletons and two-element sets; n_max < 3; no subset
+        + [(3, 2, (3,)), (3, 5, (1, 2)), (2, 4, (3,)), (5, 3, (5,)), (9, 6, (2, 3))],
     )
     def test_matches_per_modulus_reference(self, args):
         got, want = minors_split_equivalence_scan(*args), reference_equivalence_scan(*args)
@@ -167,6 +170,22 @@ class TestEquivalenceScan:
             rep.wall_time = 0.0
         assert got.to_json() == want.to_json()
         assert (got.order2_explained, got.unexplained) == (want.order2_explained, want.unexplained)
+
+    def test_split_flags_need_verified_certificates(self, monkeypatch):
+        monkeypatch.setattr(SplitWitness, "verify", lambda self, target: False)
+        with pytest.raises(AssertionError):
+            minors_split_equivalence_scan(8, 5, (3, 4))
+
+    def test_one_certificate_per_support_and_divisor(self, monkeypatch):
+        calls = []
+
+        def counted(b, k):
+            calls.append((b.elements, k))
+            return two_class_split(b, k)
+
+        monkeypatch.setattr(minors, "two_class_split", counted)
+        minors_split_equivalence_scan(10, 8, (3, 4))
+        assert len(calls) == len(set(calls)) == 209
 
     def test_hand_enumeration_n3_size3(self):
         # triples of [0, 8] mod 3: minors vanish for some admissible pair
