@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -42,11 +43,15 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def admissible_pairs(n: int):
     """Every admissible (p, q) at modulus n up to swapping, 1 <= p < q < n,
-    as two int arrays in p-major order."""
+    as two read-only int arrays in p-major order, built once per n."""
     ps, qs = np.triu_indices(n - 1, k=1)
-    return ps + 1, qs + 1
+    ps, qs = ps + 1, qs + 1
+    ps.setflags(write=False)
+    qs.setflags(write=False)
+    return ps, qs
 
 
 def residues(values, moduli) -> np.ndarray:

@@ -13,13 +13,16 @@ kernel combinations.
 The generic component's dimension is certified by a closed form
 (`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
 so is every root-of-unity component (`_unity_components`: the side coranks
-plus one orbit direction).  Each minor curve is decided mod small primes at
+plus one orbit direction).  Every minor curve is probed once, one per class
+of translated exponent triples, and decided mod small primes at
 Hensel-liftable points of its branches (`_minor_certificates`), with no
-floating point.  The corank-strata scan and the estimator read one set of
-root-of-unity corank classes (`_corank_classes`: the closed form tallied
-per modulus, or a rank mod a split prime, with the conjugates at several
-split primes where that is not full); the scan takes the generic corank
-from Descartes' rule, and its seed only picks witness tuples.
+floating point; a curve out of the certificate's reach is listed undecided
+with its reason, never dropped.  The corank-strata scan and the estimator
+read one set of root-of-unity corank classes (`_corank_classes`: the
+closed form tallied per modulus, or a rank mod a split prime, with the
+conjugates at several split primes where that is not full); the scan takes
+the generic corank from Descartes' rule, and its seed only picks witness
+tuples.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -71,15 +74,12 @@ __all__ = [
     "ScanSReport",
 ]
 
-# Largest exponent spread of a minor curve that estimate_codim probes; a
-# wider curve is skipped.
-MINOR_SPREAD_MAX = 60
-# Most minor curves that estimate_codim probes, after shuffling them.
-MINOR_CURVES_MAX = 48
-# The minor-curve certificate draws up to CERT_T_TRIES * g parameters t0 at
-# each of CERT_PRIMES primes p = 1 mod g, the triple's gap gcd, above
-# CERT_PRIME_MIN; a class that none of them decides leaves its curve
-# undecided.
+# The minor-curve certificate decides the curve of a triple whose gap gcd g
+# is at most CERT_GAP_MAX (every triple of spread <= 60 is); it draws up to
+# CERT_T_TRIES * g parameters t0 at each of CERT_PRIMES primes p = 1 mod g
+# above CERT_PRIME_MIN.  A curve past that gcd, or with a class that none of
+# the draws decides, is listed undecided.
+CERT_GAP_MAX = 30
 CERT_PRIME_MIN = 1000
 CERT_PRIMES = 3
 CERT_T_TRIES = 8
@@ -340,11 +340,12 @@ class CodimEstimate:
 
     best_dim_found is the certified side (a dimension actually realized);
     codim_lower_bound_claimed = ambient - best_dim_found is heuristic.
-    `exact` maps each decided component (generic, root-of-unity and
-    minor-curve) to its kd1, kd2 and r, and a minor curve also to its
-    certificate (see `estimate_codim`); a component outside it is a minor
-    curve left undecided, listed with dimension None.  `timings` gives the
-    seconds spent in the generic, root-of-unity and minor-curve phases.
+    `details` maps each component to its report fields (see
+    `estimate_codim`): a decided one (generic, root-of-unity and minor-curve)
+    to its kd1, kd2 and r, a minor curve also to its triple count and
+    certificate; a minor curve left undecided, listed with dimension None,
+    to its triple count and the `reason`.  `timings` gives the seconds spent
+    in the generic, root-of-unity and minor-curve phases.
     """
 
     ambient_dim: int
@@ -354,7 +355,7 @@ class CodimEstimate:
     seed: int = 0
     label: str = ""
     pair: dict | None = None
-    exact: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     @property
@@ -365,8 +366,8 @@ class CodimEstimate:
 
     def to_json(self):
         def component(desc, dim):
-            decided = desc in self.exact
-            return {"component": desc, "dim_found": dim, "exact": decided, **self.exact.get(desc, {})}
+            fields = self.details.get(desc, {})
+            return {"component": desc, "dim_found": dim, "exact": "reason" not in fields, **fields}
 
         return {
             "ambient_dim": self.ambient_dim,
@@ -534,14 +535,19 @@ def estimate_codim(
     class (`_unity_components`): one entry per class, under its first tuple,
     of dimension kd1 + kd2 + 1 when both side kernels are nonempty, none for
     an empty kernel or the coranks (0, 0); each tuple counts as one sample.
-    The minor curves of a three-point label (the first MINOR_CURVES_MAX of a
-    seeded shuffle, spread at most MINOR_SPREAD_MAX) are decided mod small
-    primes at points drawn from the same seeded stream
-    (`_minor_certificates`); each certified point counts as one sample.  A
-    curve that no retry decides is listed with no dimension.  The report gives every decided component's kd1, kd2 and r
-    (k, 1 and 2 for the generic, root-of-unity and minor-curve components),
-    each root-of-unity class's tuple count, each minor curve's certificate
-    (p, t0, u0), and the time of each phase."""
+    Every minor curve of a three-point label is probed once: the triples
+    (a, b, c) of both sides are grouped by (b - a, c - a), since translates
+    have one curve (`_minor_certificates`), and each group is listed under
+    its first triple, side 1 before side 2 in combination order, with its
+    triple count.  The curves are decided mod small primes at points drawn
+    from random.Random(seed), which picks nothing else; each certified point
+    counts as one sample.  A curve decided empty is not listed; a curve of
+    gap gcd above CERT_GAP_MAX, or one that no retry decides, is listed with
+    no dimension, `exact` false and the `reason`.  The report gives every
+    decided component's kd1, kd2 and r (k, 1 and 2 for the generic,
+    root-of-unity and minor-curve components), each root-of-unity class's
+    tuple count, each minor curve's triple count and certificate (p, t0,
+    u0), and the time of each phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -552,10 +558,9 @@ def estimate_codim(
         pair=pair.to_json(),
     )
 
-    def record(desc, dim, exact=None):
+    def record(desc, dim, details):
         est.components_probed.append((desc, dim))
-        if exact is not None:
-            est.exact[desc] = exact
+        est.details[desc] = details
         if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
             est.best_dim_found = dim
 
@@ -578,21 +583,24 @@ def estimate_codim(
         record(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1, {"kd1": kd1, "kd2": kd2, "r": 1, "tuples": count})
     est.timings["unity_s"] = time.perf_counter() - start
 
-    # single-minor curves (three-point labels only)
+    # single-minor curves (three-point labels only), one per translation class
     start = time.perf_counter()
     if k == 3:
-        curves = [(side, triple) for side, b in ((1, pair.b1), (2, pair.b2)) for triple in combinations(b.elements, 3)]
-        rng.shuffle(curves)
-        curves = curves[:MINOR_CURVES_MAX]
-        decided, points = _minor_certificates(sides, curves, rng)
+        curves = {}  # (b - a, c - a) -> [side, first triple, triple count]
+        for side, support in ((1, pair.b1), (2, pair.b2)):
+            for a, b, c in combinations(support.elements, 3):
+                curves.setdefault((b - a, c - a), [side, (a, b, c), 0])[2] += 1
+        decided, points = _minor_certificates(sides, [triple for _, triple, _ in curves.values()], rng)
         est.sample_count += points
-        for i, (side, triple) in enumerate(curves):
+        for i, ((d1, d2), (side, triple, count)) in enumerate(curves.items()):
             desc = f"minor-curve(side={side}, triple={triple})"
             if i not in decided:
-                record(desc, None)
+                g = gcd(d1, d2)
+                reason = f"gap gcd {g} above {CERT_GAP_MAX}" if g > CERT_GAP_MAX else "a branch class no draw decided"
+                record(desc, None, {"triples": count, "reason": reason})
             elif decided[i] is not None:
                 dim, kd1, kd2, p, t0, u0 = decided[i]
-                record(desc, dim, {"kd1": kd1, "kd2": kd2, "r": 2, "certificate": {"p": p, "t0": t0, "u0": u0}})
+                record(desc, dim, {"kd1": kd1, "kd2": kd2, "r": 2, "triples": count, "certificate": {"p": p, "t0": t0, "u0": u0}})
     est.timings["minor_curve_s"] = time.perf_counter() - start
     return est
 
@@ -890,7 +898,7 @@ def _branch_points(triples, gaps, p, taus):
     shifts = [(b - a, c - a) for a, b, c in triples]
     taus = np.asarray(taus, dtype=np.int64)
     ta, tb, tc = powers[taus[:, None] * [[e % n for e in triple] for triple in triples] % n].T
-    # int32 holds A + B v + C w < 3 p^2 for the primes used (p < 2^15)
+    # int32 holds A + B v + C w < 3 p^2 for the primes of g <= CERT_GAP_MAX (p < 2^15)
     coef = (np.stack([tb - tc, tc - ta, ta - tb]) % p).astype(np.int32)
     residues = sorted({d % n for pair in shifts for d in pair})
     rows = powers[np.outer(residues, np.arange(n)) % n].astype(np.int32)
@@ -959,11 +967,13 @@ def _certify_points(sides, points, seed):
     return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
 
 
-def _minor_certificates(sides, curves, rng):
-    """Decide the minor curves of a three-point label mod small primes:
-    (decided, points) with decided[i] the best certified class of curve i,
-    (dim, kd1, kd2, p, t0, u0), or None when every class is empty; a curve
-    no retry decides is absent.  `points` counts the certified points.
+def _minor_certificates(sides, triples, rng):
+    """Decide the minor curves of exponent triples under a three-point label
+    mod small primes: (decided, points) with decided[i] the best certified
+    class of the curve of triples[i], (dim, kd1, kd2, p, t0, u0), or None
+    when every class is empty; a triple whose gap gcd exceeds CERT_GAP_MAX,
+    or whose curve no retry decides, is absent.  `points` counts the
+    certified points.
 
     The curve of the triple (a, b, c) is P(t, u) = 0, P the minor
     (t^b - t^c) u^a + (t^c - t^a) u^b + (t^a - t^b) u^c at x = (1, t, u);
@@ -974,7 +984,21 @@ def _minor_certificates(sides, curves, rng):
     CERT_T_TRIES * g draws each), and on each class that is still open,
     the first simple root u0 of P(t0, .) with u0 not in {0, 1, t0}
     (`_branch_points`).  All points of a prime index are decided by one
-    `_certify_points` call; each decided point counts once.
+    `_certify_points` call; each decided point counts once.  The cost of a
+    curve, and the int32 bound of `_branch_points`, depend on g alone: the
+    primes are those of g (all below 2^15 for g <= CERT_GAP_MAX), each draw
+    evaluates P(t0, .) once over F_p^*, and exponents enter reduced mod p - 1.
+
+    Lemma (translation).  The minor of (a + s, b + s, c + s) is (t u)^s P,
+    so translates have one curve, and every helper runs on the translate
+    T' = (0, b - a, c - a): each reads T only through b - a and c - a, and
+    T and T + s give the same result from the same rng for every integer s.
+    On the torus P and P' = (t u)^(-a) P have the same zeros, and at a zero
+    the gradient of P is (t u)^a times that of P', so a root u0 is simple
+    for both or neither and du/dt = -P_t / P_u (`_minor_slope`) agrees; the
+    roots and their classes (`_branch_points`) are those of P'.  The class
+    keys (`_branch_classes`) read g and c - a, the kernel floors
+    (`_kernel_floor`) the differences e - a, and the primes and draws g.
 
     Lemma (lines).  P(t, zeta t) and P(t, zeta) vanish identically iff
     zeta^g = 1: the coefficients of P(t, zeta t) at the distinct powers
@@ -1021,12 +1045,11 @@ def _minor_certificates(sides, curves, rng):
     bundle's dimension L1 + L2 + 2, and the rank at a point bounds the
     generic rank, the component's dimension, from below.
     """
+    shapes = [(0, b - a, c - a) for a, b, c in triples]
     if not (sides[0].support and sides[1].support):
-        return {i: None for i in range(len(curves))}, 0
+        return {i: None for i in range(len(shapes))}, 0
     gaps = [s.gap for s in sides]
-    open_ = {
-        i: _branch_classes(triple, gaps) for i, (_, triple) in enumerate(curves) if triple[2] - triple[0] <= MINOR_SPREAD_MAX
-    }
+    open_ = {i: _branch_classes(shape, gaps) for i, shape in enumerate(shapes) if gcd(*shape) <= CERT_GAP_MAX}
     found = {i: [] for i in open_}
     points = 0
     for index in range(CERT_PRIMES):
@@ -1040,8 +1063,7 @@ def _minor_certificates(sides, curves, rng):
         while wanted:
             by_prime = {}
             for i in wanted:
-                triple = curves[i][1]
-                g = gcd(triple[1] - triple[0], triple[2] - triple[0])
+                g = gcd(*shapes[i])
                 p = _certificate_prime(g, index)
                 draws = min(max(drawn[i], 1), CERT_T_TRIES * g - drawn[i])
                 if draws:
@@ -1052,7 +1074,7 @@ def _minor_certificates(sides, curves, rng):
             for p, draws in by_prime.items():
                 for start in range(0, len(draws), 64):  # bounds the (draws, p - 1) arrays
                     chunk = draws[start : start + 64]
-                    roots = _branch_points([curves[i][1] for i, _ in chunk], gaps, p, [tau for _, tau in chunk])
+                    roots = _branch_points([shapes[i] for i, _ in chunk], gaps, p, [tau for _, tau in chunk])
                     for (i, tau), found_roots in zip(chunk, roots):
                         for key, iu in found_roots:
                             if key in wanted[i]:
@@ -1061,10 +1083,10 @@ def _minor_certificates(sides, curves, rng):
             wanted = {i: keys for i, keys in wanted.items() if keys}
         if not probes:
             continue
-        points_mod_p = [(p, (0, tau, iu), _minor_slope(curves[i][1], p, tau, iu)) for i, _, p, tau, iu in probes]
+        points_mod_p = [(p, (0, tau, iu), _minor_slope(shapes[i], p, tau, iu)) for i, _, p, tau, iu in probes]
         kd1, kd2, rho = _certify_points(sides, points_mod_p, rng.getrandbits(64))
         for (i, key, p, tau, iu), k1, k2, r in zip(probes, kd1.tolist(), kd2.tolist(), rho.tolist()):
-            floors = [_kernel_floor(b.elements, js, curves[i][1], coincide) for (b, js, _), coincide in zip(sides, key)]
+            floors = [_kernel_floor(b.elements, js, shapes[i], coincide) for (b, js, _), coincide in zip(sides, key)]
             if min(k1, k2) == 0:
                 open_[i].discard(key)
             elif [k1, k2] == floors and r == 2:
@@ -1075,7 +1097,6 @@ def _minor_certificates(sides, curves, rng):
                 continue
             points += 1
     decided = {i: max(found[i], default=None, key=lambda c: c[0]) for i, keys in open_.items() if not keys}
-    decided.update({i: None for i in range(len(curves)) if i not in open_})
     return decided, points
 
 

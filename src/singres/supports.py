@@ -124,8 +124,9 @@ class SplitWitness:
         merged = tuple(sorted(self.part_main + self.part_rest))
         if merged != target.elements:
             return False
+        # a part's gap gcd is the gcd of its differences from any one element
         parts = (self.part_main, self.part_rest)
-        return all(gap_gcd(SupportSet.of(*part)) % self.k == 0 for part in parts if part)
+        return all(math.gcd(*(e - part[0] for e in part)) % self.k == 0 for part in parts if part)
 
     def to_json(self):
         return {"k": self.k, "part_main": list(self.part_main), "part_rest": list(self.part_rest)}

@@ -18,10 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from singres.laurent import falling
-from singres.strata import MINOR_SPREAD_MAX, _effective_elements
+from singres.strata import _effective_elements
 
 SVD_RTOL = 1e-7
 VOTE_SAMPLES = 5
+# Largest exponent spread of a triple whose minor `np.roots` solves; a wider
+# triple gets no sample.
+ROOTS_SPREAD_MAX = 60
 # Largest row exponent that a float holds exactly.  Past it x^e rounds its
 # exponent, so a sample row carries no information even where it is finite.
 FLOAT_EXACT_EXPONENT = 2**53
@@ -47,11 +50,11 @@ def draw_minor_tuple(triple, rng):
     Returns (points, tangent_directions), each direction a length-3 vector
     spanning the curve's tangent at the sample, or None when no tuple is
     found (among others, for a triple that spreads wider than
-    MINOR_SPREAD_MAX, and for (a, a+1, a+2): its det t^a u^a (t-1)(u-1)(u-t)
+    ROOTS_SPREAD_MAX, and for (a, a+1, a+2): its det t^a u^a (t-1)(u-1)(u-t)
     has no root off {0, 1, t}, so its twelve t are drawn and no root solved).
     """
     a_, b_, c_ = triple
-    if c_ - a_ > MINOR_SPREAD_MAX:
+    if c_ - a_ > ROOTS_SPREAD_MAX:
         return None
     for _ in range(12):
         t = random_unit_annulus(rng)

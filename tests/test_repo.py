@@ -153,6 +153,19 @@ def test_every_export_is_used():
     (`self.expected_codim`) is not, since it may name another object.  A
     re-export in singres/__init__.py is not a use either, or every exported
     name would pass."""
+    used = _names_read_in_package()
+    unused = [
+        f"{m.name}.{name}"
+        for m in pkgutil.iter_modules(singres.__path__)
+        for name in getattr(importlib.import_module(f"singres.{m.name}"), "__all__", ())
+        if name not in used
+    ]
+    assert unused == []
+
+
+def _names_read_in_package():
+    """Every name the package's modules read, as `test_every_export_is_used`
+    counts a use."""
     package = Path(singres.__file__).parent
     modules = {m.name for m in pkgutil.iter_modules(singres.__path__)}
     used = set()
@@ -165,13 +178,28 @@ def test_every_export_is_used():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and not (reexports and node.level == 1):
                 used.update(alias.name for alias in node.names)
-    unused = [
-        f"{m.name}.{name}"
-        for m in pkgutil.iter_modules(singres.__path__)
-        for name in getattr(importlib.import_module(f"singres.{m.name}"), "__all__", ())
-        if name not in used
-    ]
-    assert unused == []
+    return used
+
+
+def test_every_constant_is_read():
+    """Every module-level UPPER_CASE constant of the package is read somewhere
+    in it besides its definition, under the rules of
+    `test_every_export_is_used`: a cap or bound whose check is gone, read
+    only by the tests, is dead code."""
+    used = _names_read_in_package()
+    defined = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined += [(path.name, name) for name in names if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)]
+    assert len(defined) > 5
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []
 
 
 def test_importing_the_package_loads_no_submodule():

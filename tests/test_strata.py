@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from singres.strata import (
     scan_corank_strata,
 )
 from singres.strata import (
+    CERT_GAP_MAX,
     CERT_PRIME_MIN,
-    MINOR_CURVES_MAX,
     CodimEstimate,
     _branch_classes,
     _branch_points,
@@ -1037,12 +1037,26 @@ def reference_unity_votes(pair, label, seed, n_max, stacked=False):
     return out
 
 
-def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48):
+def minor_curve_groups(p):
+    """The minor curves of a pair, {(b - a, c - a): (side, first triple,
+    triple count)}: the triples (a, b, c) of side 1, then side 2, in
+    combination order, grouped by translation."""
+    groups = {}
+    for side, b in ((1, p.b1), (2, p.b2)):
+        for triple in itertools.combinations(b.elements, 3):
+            shape = (triple[1] - triple[0], triple[2] - triple[0])
+            first_side, first, count = groups.get(shape, (side, triple, 0))
+            groups[shape] = (first_side, first, count + 1)
+    return groups
+
+
+def reference_estimate_codim(pair, label, seed=0, n_max=12):
     """estimate_codim one sample at a time, with reference_span_dimension;
     the generic component is the best of three exact samples at signed
     rational tuples, and the root-of-unity components are float votes
-    (reference_unity_votes), each drawn from a generator of its own; the
-    minor curves take the estimator's stream, random.Random(seed)."""
+    (reference_unity_votes), each drawn from a generator of its own; each
+    minor curve (`minor_curve_groups`) takes VOTE_SAMPLES draws on its first
+    triple from one stream, random.Random(seed)."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(ambient, None, seed=seed, label=label.notation(), pair=pair.to_json())
@@ -1070,12 +1084,7 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12, max_minor_curves=48)
         record(desc, dim)
     est.sample_count += len(unity_configs(k, n_max))  # one per tuple, decided exactly
     if k == 3:
-        curves = []
-        for side, b in ((1, pair.b1), (2, pair.b2)):
-            for triple in itertools.combinations(b.elements, 3):
-                curves.append((side, triple))
-        rng.shuffle(curves)
-        for side, triple in curves[:max_minor_curves]:
+        for side, triple, _ in minor_curve_groups(pair).values():
             dims = []
             for _ in range(VOTE_SAMPLES):
                 drawn = draw_minor_tuple(triple, rng)
@@ -1131,29 +1140,29 @@ class TestBatchedEstimate:
 
     def test_failed_samples_are_reported(self, monkeypatch):
         # most side-1 minor curves of this pair fail their float tangent
-        # solve.  At seed 11, unscaled float rows gave curve (3, 6, 7) one
-        # spurious 8-vote (a side-2 kernel from row scale alone) and the
+        # solve.  At seed 11, unscaled float rows gave the curve of (3, 6, 7)
+        # one spurious 8-vote (a side-2 kernel from row scale alone) and the
         # estimate 1; the certificate decides it empty, as the float oracle's
-        # equilibrated rows, whose five samples all fail
+        # equilibrated rows, whose five samples all fail.  (3, 6, 7) is a
+        # translate of (0, 3, 4), which names its curve
         points = counted_certified_points(monkeypatch)
         p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label("N(1,1,1)")
         est = estimate_codim(p, label, seed=11)
         data = est.to_json()
         assert without_vote_fields(data) == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=11).to_json()), p, label)
         minors = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
-        assert "minor-curve(side=1, triple=(3, 6, 7))" not in minors
-        assert all(c["exact"] and c["dim_found"] == 6 for c in minors.values())
+        assert minor_curve_groups(p)[3, 4] == (1, (0, 3, 4), 2)
+        assert "minor-curve(side=1, triple=(0, 3, 4))" not in minors
         assert (data["codim_estimate"], data["best_dim_found"]) == (2, 7)
-        # all 21 curves are decided, each class at one certified point; only
-        # three curves have a nonempty class
+        # the 21 triples are 15 curves, all decided, each class at one
+        # certified point; only one curve has a nonempty class: that of
+        # (0, 3, 6), (1, 4, 7) and side 2's (0, 3, 6), listed once
         gaps = [gap_gcd(p.b1), gap_gcd(p.b2)]
-        classes = sum(len(_branch_classes(t, gaps)) for t in itertools.combinations(p.b1.elements, 3))
-        assert points[-1] == classes + len(_branch_classes((0, 3, 6), gaps)) == 24
+        assert len(minor_curve_groups(p)) == 15
+        assert points[-1] == sum(len(_branch_classes((0, *shape), gaps)) for shape in minor_curve_groups(p)) == 16
         assert data["sample_count"] == 1 + len(_scan_table(3, 12)[2]) + points[-1]
-        assert sorted(minors) == [
-            "minor-curve(side=1, triple=(0, 3, 6))",
-            "minor-curve(side=1, triple=(1, 4, 7))",
-            "minor-curve(side=2, triple=(0, 3, 6))",
+        assert [(c["component"], c["exact"], c["dim_found"], c["triples"]) for c in minors.values()] == [
+            ("minor-curve(side=1, triple=(0, 3, 6))", True, 6, 3),
         ]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1162,15 +1171,17 @@ class TestBatchedEstimate:
         # has lost the exponent, and such rows once gave the side-2 curve
         # (0, 3, 6) dimension-4 votes.  The certificate reduces the exponent
         # mod p - 1 exactly and decides that curve empty: on both its line
-        # classes side 1 keeps rank 3, kd1 = 0; the side-1 curve spreads past
-        # MINOR_SPREAD_MAX and is not probed
+        # classes side 1 keeps rank 3, kd1 = 0.  The side-1 curve has gap gcd
+        # gcd(2, 2^62 + 1) = 1, so it is probed too, at one class, and
+        # decided empty: side 2 keeps rank 3 off the lines, kd2 = 0
         p, label = pair((0, 2, 2**62 + 1), (0, 3, 6)), parse_label("N(1,1,1)")
         data = estimate_codim(p, label, seed=seed).to_json()
         assert [c["component"] for c in data["components_probed"] if c["component"].startswith("minor")] == []
         assert data["codim_estimate"] == 2
-        curves = [(2, (0, 3, 6)), (1, (0, 2, 2**62 + 1))]
+        triples = [(0, 2, 2**62 + 1), (0, 3, 6)]
         assert _branch_classes((0, 3, 6), [1, 3]) == {(None, (1, 2)), (None, (0, 2))}
-        assert _minor_certificates(_sides(p, label), curves, random.Random(seed)) == ({0: None, 1: None}, 2)
+        assert _branch_classes((0, 2, 2**62 + 1), [1, 3]) == {(None, None)}
+        assert _minor_certificates(_sides(p, label), triples, random.Random(seed)) == ({0: None, 1: None}, 3)
         # the float oracle's samples of that curve all fail
         rng = random.Random(seed)
         stack = [draw_minor_tuple((0, 3, 6), rng) for _ in range(VOTE_SAMPLES)]
@@ -1261,14 +1272,13 @@ class TestBatchedEstimate:
 
 def float_minor_votes(p, label, seed):
     """The float oracle's minor-curve components, {desc: majority dim}: the
-    estimator's seeded shuffle of the curves, VOTE_SAMPLES draws per curve
-    from the same stream, evaluated as one stack (the float path the
+    curves of `minor_curve_groups`, VOTE_SAMPLES draws on each first triple
+    from random.Random(seed), evaluated as one stack (the float path the
     certificate replaced)."""
     rng = random.Random(seed)
-    curves = [(side, triple) for side, b in ((1, p.b1), (2, p.b2)) for triple in itertools.combinations(b.elements, 3)]
-    rng.shuffle(curves)
+    curves = [(side, triple) for side, triple, _ in minor_curve_groups(p).values()]
     owners, stack = [], []
-    for i, (_, triple) in enumerate(curves[:MINOR_CURVES_MAX]):
+    for i, (_, triple) in enumerate(curves):
         for _ in range(VOTE_SAMPLES):
             drawn = draw_minor_tuple(triple, rng)
             if drawn is not None:
@@ -1277,7 +1287,7 @@ def float_minor_votes(p, label, seed):
     pts = np.array([s[0] for s in stack], dtype=complex).reshape(-1, 3)
     dims = span_dimensions(p, label, pts, [s[1] for s in stack])
     out = {}
-    for i, (side, triple) in enumerate(curves[:MINOR_CURVES_MAX]):
+    for i, (side, triple) in enumerate(curves):
         top = vote([d for owner, d in zip(owners, dims) if owner == i])
         if top is not None:
             out[f"minor-curve(side={side}, triple={triple})"] = top
@@ -1324,7 +1334,8 @@ class TestMinorCertificate:
     def test_grid_matches_float_votes(self, seed):
         # every pair of supports {0} u S of spread <= 4 with at least three
         # points under N(1,1,1): every minor curve is certified, and the
-        # certified components are exactly the float oracle's voted ones
+        # certified components are exactly the float oracle's voted ones;
+        # `compared` counts the triples of the compared curves
         label = parse_label("N(1,1,1)")
         supports = [(0,) + s for r in (2, 3, 4) for s in itertools.combinations(range(1, 5), r)]
         compared = 0
@@ -1335,7 +1346,7 @@ class TestMinorCertificate:
                 minors = {c["component"]: c for c in comps if c["component"].startswith("minor")}
                 assert all(c["exact"] for c in minors.values()), (b1, b2)
                 assert {d: c["dim_found"] for d, c in minors.items()} == float_minor_votes(p, label, seed), (b1, b2)
-                compared += len(minors)
+                compared += sum(c["triples"] for c in minors.values())
         assert len(supports) == 11 and compared > 150
 
     def test_line_classes_over_z(self):
@@ -1367,10 +1378,10 @@ class TestMinorCertificate:
         # t0 where its 3 x 3 minor vanishes mod p at the curve's root, kd2 = 1
         # mod p: the point certifies nothing, and the next prime decides the
         # curve empty
-        p_, label, curve = pair((0, 1, 3), (0, 2, 3)), parse_label("N(1,1,1)"), (1, (0, 1, 3))
+        p_, label, triple = pair((0, 1, 3), (0, 2, 3)), parse_label("N(1,1,1)"), (0, 1, 3)
         prime = _certificate_prime(1, 0)
         taus = list(range(1, prime - 1))
-        roots = _branch_points([curve[1]] * len(taus), [1, 1], prime, taus)
+        roots = _branch_points([triple] * len(taus), [1, 1], prime, taus)
         probes = [(tau, i) for tau, found in zip(taus, roots) for key, i in found]
         points = [(prime, (0, tau, i), 0) for tau, i in probes]
         kd1, kd2, _ = _certify_points(_sides(p_, label), points, 0)
@@ -1378,7 +1389,7 @@ class TestMinorCertificate:
         assert floors == [1, 0] and set(kd1.tolist()) == {1}
         bad = [probe for probe, k2 in zip(probes, kd2.tolist()) if k2 > 0]
         assert bad and len(bad) < len(probes) // 50
-        clean = _minor_certificates(_sides(p_, label), [curve], random.Random(3))
+        clean = _minor_certificates(_sides(p_, label), [triple], random.Random(3))
         assert clean == ({0: None}, 1)
         # planted as the first draw, the bad point is probed, certifies
         # nothing, and the next prime decides the curve
@@ -1389,7 +1400,7 @@ class TestMinorCertificate:
             return rounds[-1]
 
         monkeypatch.setattr(singres.strata, "_certify_points", recorded)
-        assert _minor_certificates(_sides(p_, label), [curve], PlantedRandom(3, [bad[0][0]])) == clean
+        assert _minor_certificates(_sides(p_, label), [triple], PlantedRandom(3, [bad[0][0]])) == clean
         assert [(k1.tolist(), k2.tolist()) for k1, k2, _ in rounds] == [([1], [1]), ([1], [0])]
 
     def test_spurious_coincidence_mod_p_is_not_certified(self):
@@ -1400,7 +1411,7 @@ class TestMinorCertificate:
         # would certify dimension 1 + 2 + 2.  The point's class is that of its
         # branch, with L2 = 0, so it certifies nothing, and _branch_points
         # skips it before any rank is taken
-        p_, label, curve = pair((0, 1, 3), (0, 3, 6)), parse_label("N(1,1,1)"), (1, (0, 1, 3))
+        p_, label, triple = pair((0, 1, 3), (0, 3, 6)), parse_label("N(1,1,1)"), (0, 1, 3)
         prime = _certificate_prime(1, 0)
         powers = _log_powers(prime).tolist()
         n = prime - 1
@@ -1408,13 +1419,13 @@ class TestMinorCertificate:
         tau = n // 3
         iu = powers.index(powers[tau] ** 2 % prime)
         assert (1 + powers[tau] + powers[iu]) % prime == 0  # u0 = -1 - t0
-        assert _branch_points([curve[1]], [1, 3], prime, [tau]) == [[]]
-        assert _branch_points([curve[1]], [1, 1], prime, [tau]) == [[((None, None), iu)]]
+        assert _branch_points([triple], [1, 3], prime, [tau]) == [[]]
+        assert _branch_points([triple], [1, 1], prime, [tau]) == [[((None, None), iu)]]
         kd1, kd2, _ = _certify_points(_sides(p_, label), [(prime, (0, tau, iu), 0)], 0)
         assert (kd1.tolist(), kd2.tolist()) == ([1], [2])
         assert [_kernel_floor(eff, (1, 1, 1), (0, 1, 3), None) for eff in ((0, 1, 3), (0, 3, 6))] == [1, 0]
-        clean = _minor_certificates(_sides(p_, label), [curve], random.Random(4))
-        assert _minor_certificates(_sides(p_, label), [curve], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
+        clean = _minor_certificates(_sides(p_, label), [triple], random.Random(4))
+        assert _minor_certificates(_sides(p_, label), [triple], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
         # (0, 2, 8) has the lines u = -t and u = -1 and other branches.  At t0 =
         # gamma^126 mod 1009 the root u0 = gamma^252 is on no line (u0^2 != 1,
         # (u0 / t0)^2 != 1), yet u0^4 = 1 mod p; beside side 2's gap 4 that
@@ -1438,7 +1449,7 @@ class TestMinorCertificate:
             p = pair(*sides)
             name = rng.choice(("N(1,1,1)", "N(2,1,1)", "N(1,1,1;1,2,1)", "N_1(1,1,1)"))
             label = parse_label(name)
-            for side, b in ((1, p.b1), (2, p.b2)):
+            for b in (p.b1, p.b2):
                 for triple in itertools.combinations(b.elements, 3):
                     if triple[1] - triple[0] != 2 or triple[2] - triple[1] != 2:
                         continue
@@ -1447,10 +1458,128 @@ class TestMinorCertificate:
                         for u, dudt in ((-t, -1), (Fraction(-1), 0))
                     ]
                     want = max((d for d in dims if d is not None), default=None)
-                    decided, _ = _minor_certificates(_sides(p, label), [(side, triple)], random.Random(0))
+                    decided, _ = _minor_certificates(_sides(p, label), [triple], random.Random(0))
                     assert (decided[0] and decided[0][0]) == want, (sides, name, triple, dims)
                     checked.add((name, want))
         assert len(checked) > 8
+
+    def test_translates_share_one_certificate(self):
+        # the minor of T + s is (t u)^s times that of T: from the same rng,
+        # _minor_certificates decides T and its translates alike, for shifts
+        # below zero and past 2^62, one triple or several at once
+        rng = random.Random(43)
+        labels = [parse_label(name) for name in ("N(1,1,1)", "N(2,1,1)", "N_1(1,1,1)")]
+        checked, nonempty = 0, 0
+        for _ in range(40):
+            p, label = pair(*(sorted(rng.sample(range(-4, 9), rng.randint(3, 6))) for _ in range(2))), rng.choice(labels)
+            triples = [tuple(sorted(rng.sample(range(-8, 12), 3))) for _ in range(rng.randint(1, 3))]
+            seed = rng.randrange(1000)
+            want = _minor_certificates(_sides(p, label), triples, random.Random(seed))
+            for shift in (rng.randint(-40, -1), rng.randint(1, 40), 2**62 + rng.randint(0, 9), -(2**63) - rng.randint(0, 9)):
+                shifted = [tuple(e + shift for e in t) for t in triples]
+                assert _minor_certificates(_sides(p, label), shifted, random.Random(seed)) == want, (p, label, triples, shift)
+                checked += 1
+            nonempty += sum(c is not None for c in want[0].values())
+        assert checked == 160 and nonempty > 10
+
+    def test_float_votes_agree_on_translates(self):
+        # the float oracle solves one curve for T and T + s: from the same
+        # rng, its votes agree (small shifts only: t^e past the float range
+        # leaves no sample)
+        rng = random.Random(47)
+        label = parse_label("N(1,1,1)")
+        voted = 0
+        for _ in range(30):
+            p = pair(*(sorted(rng.sample(range(0, 8), rng.randint(3, 5))) for _ in range(2)))
+            triple, seed = tuple(sorted(rng.sample(range(0, 8), 3))), rng.randrange(1000)
+            votes = []
+            for shift in (0, rng.randint(-6, -1), rng.randint(1, 6)):
+                draws = random.Random(seed)
+                stack = [draw_minor_tuple(tuple(e + shift for e in triple), draws) for _ in range(VOTE_SAMPLES)]
+                stack = [s for s in stack if s is not None]
+                pts = np.array([s[0] for s in stack], dtype=complex).reshape(-1, 3)
+                votes.append(vote(span_dimensions(p, label, pts, [s[1] for s in stack])))
+            assert votes[0] == votes[1] == votes[2], (p, triple, votes)
+            voted += votes[0] is not None
+        assert voted > 12
+
+    def test_each_curve_is_certified_once(self, monkeypatch):
+        # estimate_codim passes each translation class of triples once, as
+        # its first triple, to one _minor_certificates call, and every
+        # (side, triple) of the pair lands in exactly one listed,
+        # decided-empty or undecided curve
+        calls = []
+        real = singres.strata._minor_certificates
+
+        def recorded(sides, triples, rng):
+            calls.append((list(triples), real(sides, triples, rng)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(singres.strata, "_minor_certificates", recorded)
+        cases = [((0, 1, 3, 4, 6, 7), (0, 3, 6)), (tuple(range(8)), (0, 2, 4, 6)), ((0, 1, 2, 3), (0, 1, 32, 63)), ((-3, 0, 2, 5), (1, 4, 6, 9))]
+        landed = Counter()
+        for b1, b2 in cases:
+            p = pair(b1, b2)
+            calls.clear()
+            data = estimate_codim(p, parse_label("N(1,1,1)"), seed=5).to_json()
+            ((triples, (decided, _)),) = calls
+            shapes = [(b - a, c - a) for a, b, c in triples]
+            assert len(set(shapes)) == len(shapes) == len(minor_curve_groups(p))
+            members = [[] for _ in triples]
+            for side, b in ((1, p.b1), (2, p.b2)):
+                for a, b_, c in itertools.combinations(b.elements, 3):
+                    members[shapes.index((b_ - a, c - a))].append((side, (a, b_, c)))
+            listed = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
+            for i, triple in enumerate(triples):
+                side, first = members[i][0]
+                assert first == triple
+                comp = listed.pop(f"minor-curve(side={side}, triple={triple})", None)
+                if i not in decided:
+                    kind = "undecided"
+                    assert (comp["dim_found"], comp["exact"], comp["triples"]) == (None, False, len(members[i])) and comp["reason"]
+                elif decided[i] is None:
+                    kind = "empty"
+                    assert comp is None
+                else:
+                    kind = "listed"
+                    assert (comp["dim_found"], comp["exact"], comp["triples"]) == (decided[i][0], True, len(members[i]))
+                landed[kind] += len(members[i])
+            assert listed == {}
+        assert sum(landed.values()) == sum(comb(len(b), 3) for b1, b2 in cases for b in (b1, b2))
+        assert min(landed.values()) > 0 and len(landed) == 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_curve_sets_the_codim(self, seed):
+        # the curve of (0, 3, 61) spreads past 60 with gap gcd 1: it has
+        # dimension 4 in ambient 7, so the codim is 3, where skipping the
+        # curve left 4
+        data = estimate_codim(pair((0, 1, 2, 3), (0, 3, 61)), parse_label("N(1,1,1)"), seed=seed).to_json()
+        minors = [(c["component"], c["dim_found"], c["exact"], c["triples"]) for c in data["components_probed"] if c["component"].startswith("minor")]
+        assert minors == [("minor-curve(side=2, triple=(0, 3, 61))", 4, True, 1)]
+        assert (data["codim_estimate"], data["ambient_dim"]) == (3, 7)
+
+    def test_undecided_curves_are_listed_with_a_reason(self, monkeypatch):
+        # a curve of gap gcd above CERT_GAP_MAX draws nothing and is listed
+        # undecided with its reason; at the bound it is decided
+        p, label = pair((0, 1, 2, 3), (0, 1, 32, 63)), parse_label("N(1,1,1)")
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert CERT_GAP_MAX == 30
+        assert _minor_certificates(_sides(p, label), [(1, 32, 63)], rng) == ({}, 0) and rng.getstate() == state
+        assert 0 in _minor_certificates(_sides(p, label), [(0, 30, 60)], rng)[0]
+        data = estimate_codim(p, label, seed=0).to_json()
+        undecided = [c for c in data["components_probed"] if not c["exact"]]
+        want = {"component": "minor-curve(side=2, triple=(1, 32, 63))", "dim_found": None, "exact": False, "triples": 1}
+        assert undecided == [{**want, "reason": "gap gcd 31 above 30"}]
+        assert data["codim_estimate"] == 3
+        # a curve whose every point certifies nothing is listed the same way
+        monkeypatch.setattr(
+            singres.strata,
+            "_certify_points",
+            lambda sides, points, seed: (np.full(len(points), 9), np.full(len(points), 9), np.zeros(len(points), dtype=np.int64)),
+        )
+        comps = estimate_codim(pair((0, 1, 3), (0, 1, 3)), label, seed=0).to_json()["components_probed"]
+        assert comps[-1] == {**want, "component": "minor-curve(side=1, triple=(0, 1, 3))", "triples": 2, "reason": "a branch class no draw decided"}
 
     @pytest.mark.parametrize("seed", range(40))
     def test_verify_cases_run_no_float_path(self, seed, monkeypatch):
