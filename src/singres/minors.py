@@ -116,7 +116,9 @@ def _rank(keys, root):
     """The rank lemma of `unity_power_rank` from its two tests: `keys`, the
     number |B mod m| of distinct column keys, and `root`, the gap test
     `gap_root`.  Rank 1 for one key; else 2 for two keys or a gap root,
-    else 3.  Elementwise, broadcasting; int8 inputs give an int8 rank."""
+    else 3.  Elementwise, broadcasting; int8 inputs give an int8 rank, and
+    Python scalars a numpy scalar (`strata._modulus_classes` takes int() of
+    it, so that stratum keys stay Python ints)."""
     return np.minimum(keys, 3 - root)
 
 

@@ -14,15 +14,16 @@ The generic component's dimension is certified by a closed form
 (`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
 so is every root-of-unity component (`_unity_components`: the side coranks
 plus one orbit direction).  Every minor curve is probed once, one per class
-of translated exponent triples, and decided mod small primes at
-Hensel-liftable points of its branches (`_minor_certificates`), with no
-floating point; a curve out of the certificate's reach is listed undecided
-with its reason, never dropped.  The corank-strata scan and the estimator
-read one set of root-of-unity corank classes (`_corank_classes`: the
-closed form tallied per modulus, or a rank mod a split prime, with the
-conjugates at several split primes where that is not full); the scan takes
-the generic corank from Descartes' rule, and its seed only picks witness
-tuples.
+of translated triples of the effective supports, and decided mod small
+primes at Hensel-liftable points of its branches (`_minor_certificates`),
+with no floating point; a curve out of the certificate's reach is listed
+undecided with its reason, never dropped.  The corank-strata scan and the
+estimator read one set of root-of-unity corank classes (`_corank_classes`:
+for a multiplicity-free label, two numbers per side and modulus that select
+a cached table of the modulus's classes, `_modulus_classes`; otherwise a
+rank mod a split prime, with the conjugates at several split primes where
+that is not full); the scan takes the generic corank from Descartes' rule,
+and its seed only picks witness tuples.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -40,8 +41,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, isqrt, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +60,7 @@ from .exact import (
     split_primes,
 )
 from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
-from .minors import gap_root, residues, unity_power_rank
+from .minors import _rank, gap_root, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, class_count, gap_gcd, split_dividing
 
 __all__ = [
@@ -111,7 +113,7 @@ class StratumLabel:
         return all(j1 == j2 for j1, j2 in self.roots)
 
     def side_orders(self, side):
-        return tuple(r[side - 1] for r in self.roots)
+        return tuple(map(itemgetter(side - 1), self.roots))
 
     @classmethod
     def symmetric(cls, j0, jinf, orders):
@@ -265,7 +267,7 @@ def _sides(pair, label):
         if label.j0 or label.jinf:
             eff = _effective_elements(b, label.j0, label.jinf)
             b = SupportSet(eff) if eff else None
-        out.append(_Side(b, label.side_orders(side), gap_gcd(b) if b else 0))
+        out.append(_Side(b, label.side_orders(side), gap_gcd(b) if b is not None else 0))
     return tuple(out)
 
 
@@ -413,7 +415,7 @@ def _generic_kernel_dims(sides):
     that derivative is not identically zero on ker M_i.  Rows of distinct
     points are thus independent.
     """
-    return tuple((len(s.support) if s.support else 0) - sum(s.js) for s in sides)
+    return tuple((len(s.support.elements) if s.support is not None else 0) - sum(s.js) for s in sides)
 
 
 @lru_cache(maxsize=None)
@@ -459,7 +461,8 @@ def _modulus_slices(k, n_max):
 def _tuple_groups(k, n_max, n, h1, h2):
     """The tuples of _scan_table(k, n_max) at modulus n grouped by their
     gap flags at h1 and h2 and their gap form at h1: ((flag1, flag2, form1),
-    size, first scan index) per group, in order of first index.
+    size, first scan index) per group, in order of first index.  Read only
+    by `_modulus_classes`, once per (n, h1, h2) whatever the residue counts.
 
     A tuple's flag at h is gap_root(h, p, q) and its gap form h | p and h | q,
     with (p, q) the exponent columns that `_unity_coranks` ranks at order 1:
@@ -477,11 +480,37 @@ def _tuple_groups(k, n_max, n, h1, h2):
     return tuple((key, size, least) for key, (size, least) in groups.items())
 
 
+@lru_cache(maxsize=None)
+def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
+    """The nonzero corank classes of the tuples of _scan_table(k, n_max) at
+    modulus n, for sides with c_s = min(|B_s mod n|, 3) and h_s = n/gcd(n,
+    g_s): (((c1', c2'), size, first scan index) per class, in order of first
+    index; the number of corank-2 side-1 tuples not of gap form).
+
+    The rank lemma's last step (`minors._rank`) runs once per group of
+    `_tuple_groups` here, and every scan that meets the same key reads the
+    result.  The key space is bounded by n_max: n <= n_max, c_s <= 3 and
+    h_s | n.  Capping c_s at 3 changes no rank, which is at most 3.
+    """
+    classes, broken = {}, 0
+    for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
+        key = (k - int(_rank(c1, flag1)), k - int(_rank(c2, flag2)))
+        if key != (0, 0):
+            count, least = classes.get(key, (0, first))
+            classes[key] = (count + size, least)
+        if key[0] == 2 and not form1:
+            broken += size
+    return tuple((key, count, least) for key, (count, least) in classes.items()), broken
+
+
 def _corank_tally(sides, n_max):
     """The `_corank_classes` of a label whose orders are all 1, from
-    per-modulus group tallies: ({(c1, c2): (count, first scan index)} for
+    per-modulus class tables: ({(c1, c2): (count, first scan index)} for
     every nonzero corank pair, [n of each corank-2 side-1 tuple not of gap
-    form, in scan order]).  Equal side records are cut once per modulus.
+    form, in scan order]).  Per modulus n a request computes c_s = min(|B_s
+    mod n|, 3) and h_s = n/gcd(n, g_s) for each distinct side, and reads
+    that modulus's classes from the cached `_modulus_classes`; it takes
+    residues only at n <= spread (`supports.class_count`).
 
     Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
     corank k - min(|B_s mod n|, 3 - gap_root(h_s, p, q)), h_s = n/gcd(n, g_s)
@@ -492,6 +521,9 @@ def _corank_tally(sides, n_max):
     modulus n a tuple's corank pair depends only on its two gap flags, and
     the sizes and first indices of the groups of `_tuple_groups` give each
     pair's count and first witness: O(n_max) work, with no per-tuple array.
+    The dict comes in scan order with no sort: the moduli come in
+    increasing order, each modulus's classes in order of first index, and a
+    class keeps the first index of the first modulus that meets it.
 
     Lemma (gap form).  The second list is empty.  A corank-2 tuple on side
     1 (k = 3) has min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n
@@ -501,18 +533,18 @@ def _corank_tally(sides, n_max):
     computed, from each tuple's exponents, as a check.
     """
     k = len(sides[0].js)
-    distinct = sides[:1] if sides[0] == sides[1] else sides
+    moduli = _modulus_slices(k, n_max)
+    rows = []  # c_s and h_s at every modulus, per distinct side
+    for b, _, g in sides[:1] if sides[0] == sides[1] else sides:
+        rows += [[min(class_count(b, n), 3) for n in moduli], [n // gcd(n, g) for n in moduli]]
+    tables = map(_modulus_classes, repeat(k), repeat(n_max), moduli, *(rows if len(rows) == 4 else rows * 2))
     strata, broken = {}, []
-    for n in _modulus_slices(k, n_max):
-        cuts = [(class_count(s.support, n), n // gcd(n, s.gap)) for s in distinct]
-        (c1, h1), (c2, h2) = cuts if len(cuts) == 2 else cuts * 2
-        for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
-            key = (k - min(c1, 3 - flag1), k - min(c2, 3 - flag2))
-            if key != (0, 0):
-                count, least = strata.get(key, (0, first))
-                strata[key] = (count + size, min(least, first))
-            if key[0] == 2 and not form1:
-                broken += [n] * size
+    for n, (classes, off_form) in zip(moduli, tables):
+        for key, size, first in classes:
+            count, least = strata.get(key, (0, first))
+            strata[key] = (count + size, least)
+        if off_form:
+            broken += [n] * off_form
     return strata, broken
 
 
@@ -536,18 +568,35 @@ def estimate_codim(
     of dimension kd1 + kd2 + 1 when both side kernels are nonempty, none for
     an empty kernel or the coranks (0, 0); each tuple counts as one sample.
     Every minor curve of a three-point label is probed once: the triples
-    (a, b, c) of both sides are grouped by (b - a, c - a), since translates
-    have one curve (`_minor_certificates`), and each group is listed under
-    its first triple, side 1 before side 2 in combination order, with its
-    triple count.  The curves are decided mod small primes at points drawn
-    from random.Random(seed), which picks nothing else; each certified point
-    counts as one sample.  A curve decided empty is not listed; a curve of
-    gap gcd above CERT_GAP_MAX, or one that no retry decides, is listed with
-    no dimension, `exact` false and the `reason`.  The report gives every
-    decided component's kd1, kd2 and r (k, 1 and 2 for the generic,
-    root-of-unity and minor-curve components), each root-of-unity class's
-    tuple count, each minor curve's triple count and certificate (p, t0,
-    u0), and the time of each phase."""
+    (a, b, c) of both effective supports (`_sides`) are grouped by (b - a,
+    c - a), since translates have one curve (`_minor_certificates`), and
+    each group is listed under its first triple, side 1 before side 2 in
+    combination order, with its triple count.  The curves are decided mod
+    small primes at points drawn from random.Random(seed), which picks
+    nothing else; each certified point counts as one sample.  A curve
+    decided empty is not listed; a curve of gap gcd above CERT_GAP_MAX, or
+    one that no retry decides, is listed with no dimension, `exact` false
+    and the `reason`.  The report gives every decided component's kd1, kd2
+    and r (k, 1 and 2 for the generic, root-of-unity and minor-curve
+    components), each root-of-unity class's tuple count, each minor curve's
+    triple count and certificate (p, t0, u0), and the time of each phase.
+
+    Lemma (effective triples).  A triple T of B_s that no effective support
+    has up to translation, a curve that boundary orders leave unprobed,
+    never sets the estimate.  Proof.  Let kd_s = max(|eff_s| - sum(js_s),
+    0), the generic kernel dimensions.  No eff_s is a translate of T, so
+    `_kernel_floor` caps no side at 2 along T.  On a class of T with no
+    coincidence the floors are thus L_s = |eff_s| - min(sum(js_s), |eff_s|)
+    = kd_s: the class is certified at most at kd1 + kd2 + 2, and only with
+    both L_s > 0 (a zero floor certifies nothing), when the generic
+    component, recorded first, has the larger dimension kd1 + kd2 + 3.  A
+    line class with a coincidence on side s holds a line of order d >= 2
+    with d | g_s.  If |eff_s| <= 2 its floor there is 0, as the cap
+    sum(js_s) - min(j_m, j_n) = max(j_m, j_n) + j_l is at least 2, so it
+    certifies nothing.  Otherwise g_s divides the gap gcd of every triple of
+    eff_s, whose curve therefore holds the same line under the same class
+    key (`_branch_classes` reads only d and the gaps): that class is probed
+    on an effective triple's curve."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -587,8 +636,8 @@ def estimate_codim(
     start = time.perf_counter()
     if k == 3:
         curves = {}  # (b - a, c - a) -> [side, first triple, triple count]
-        for side, support in ((1, pair.b1), (2, pair.b2)):
-            for a, b, c in combinations(support.elements, 3):
+        for side, (support, _, _) in enumerate(sides, 1):
+            for a, b, c in combinations(support.elements if support else (), 3):
                 curves.setdefault((b - a, c - a), [side, (a, b, c), 0])[2] += 1
         decided, points = _minor_certificates(sides, [triple for _, triple, _ in curves.values()], rng)
         est.sample_count += points
@@ -627,11 +676,6 @@ class ScanSReport:
         if self.generic_corank is not None:
             keys.add(self.generic_corank)
         return any(key[side - 1] == corank for key in keys)
-
-    def joint_observed(self, c1: int, c2: int) -> bool:
-        if self.generic_corank == (c1, c2):
-            return True
-        return (c1, c2) in self.found
 
     def to_json(self):
         return {
@@ -812,23 +856,21 @@ def _corank_classes(sides, n_max):
     """The nonzero corank classes of _scan_table(k, n_max), for the scan and
     the estimator: ({(c1, c2): (count, first scan index)} in scan order, [n
     of each corank-2 side-1 tuple not of gap form]).  A label whose orders
-    all equal 1 reads them off per-modulus group tallies (`_corank_tally`),
+    all equal 1 reads them off per-modulus class tables (`_corank_tally`),
     with no per-tuple array: at modulus n the closed-form rank depends on a
     tuple only through its gap flags at n/gcd(n, g_s), and the gap-form list
     is empty by the tally's lemma.  A label with multiplicities reads them
-    off both sides' corank arrays (`_side_coranks`)."""
-    if all(j == 1 for s in sides for j in s.js):
-        classes, broken = _corank_tally(sides, n_max)
-    else:
-        ns, exps, _ = _scan_table(len(sides[0].js), n_max)
-        cork1, cork2 = _side_coranks(sides, ns, exps)
-        # a corank is at most the row count sum(js)
-        codes = cork1 * (sum(sides[1].js) + 1) + cork2
-        live = np.flatnonzero(codes)
-        _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
-        classes = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
-        broken = []
-    return dict(sorted(classes.items(), key=lambda item: item[1][1])), broken
+    off both sides' corank arrays (`_side_coranks`), sorted by first index."""
+    if {*sides[0].js, *sides[1].js} == {1}:
+        return _corank_tally(sides, n_max)
+    ns, exps, _ = _scan_table(len(sides[0].js), n_max)
+    cork1, cork2 = _side_coranks(sides, ns, exps)
+    # a corank is at most the row count sum(js)
+    codes = cork1 * (sum(sides[1].js) + 1) + cork2
+    live = np.flatnonzero(codes)
+    _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
+    classes = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
+    return dict(sorted(classes.items(), key=lambda item: item[1][1])), []
 
 
 # --- minor-curve certificate -------------------------------------------------
@@ -1119,13 +1161,13 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     spent on the unity and the generic tuples.  Labels with boundary orders
     j0 or jinf raise ValueError: the scan ranks finite tuples only.
     """
-    if label.k < 1 or label.k > 3:
+    k = label.k
+    if k < 1 or k > 3:
         raise ValueError("scan supports labels with 1..3 roots")
     if label.j0 or label.jinf:
         raise ValueError(f"scan supports labels without boundary orders, got {label.notation()}")
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
-    k = label.k
     sides = _sides(pair, label)
     configs = _scan_table(k, n_max)[2]
     report.configs_scanned = len(configs)
@@ -1137,7 +1179,8 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     unity_done = time.perf_counter()
 
     # generic tuples: Descartes' rule, with positive rational witnesses
-    gen_cork = tuple(max(0, -d) for d in _generic_kernel_dims(sides))
+    d1, d2 = _generic_kernel_dims(sides)
+    gen_cork = (max(0, -d1), max(0, -d2))
     if gen_cork != (0, 0):
         rng = random.Random(seed)
         for _ in range(4):
@@ -1153,16 +1196,14 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}
 
     report.predictions = _stratum_predictions(sides)
+    # the names of the observed strata, from one set of corank pairs: the
+    # found classes and the generic corank
+    observed_strata = {
+        name for c1, c2 in {*report.found, gen_cork} for name in (f"side1:{c1}", f"side2:{c2}", f"joint:{c1},{c2}")
+    }
     for key, predicted in report.predictions.items():
-        kind, spec = key.split(":")
-        if kind == "side1":
-            observed = report.side_observed(1, int(spec))
-        elif kind == "side2":
-            observed = report.side_observed(2, int(spec))
-        else:
-            c1, c2 = (int(t) for t in spec.split(","))
-            observed = report.joint_observed(c1, c2)
-        if bool(predicted) != observed:
+        observed = key in observed_strata
+        if predicted != observed:
             report.mismatches.append(
                 {"stratum": key, "predicted_nonempty": predicted, "observed": observed}
             )
@@ -1178,7 +1219,7 @@ def _stratum_predictions(sides):
     Strata without a sharp criterion are omitted.
     """
     (b1, js1, g1), (b2, js2, g2) = sides
-    if any(j != 1 for j in js1 + js2):
+    if {*js1, *js2} != {1}:
         return {}
     k = len(js1)
     out = {}

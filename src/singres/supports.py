@@ -8,6 +8,7 @@ builds the per-filtration-subset guarantee table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -100,10 +101,8 @@ def gap_gcd(b: SupportSet) -> int:
     The 0 convention makes singletons (and the empty part of a split)
     divisible by every modulus, matching how empty split parts behave.
     """
-    g = 0
-    for a, c in zip(b.elements, b.elements[1:]):
-        g = math.gcd(g, c - a)
-    return g
+    e = b.elements
+    return math.gcd(*map(operator.sub, e[1:], e))
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,15 @@ class SplitWitness:
 
 
 def class_count(b: SupportSet, k: int) -> int:
-    """|B mod k|, the number of residue classes mod k that B meets."""
-    return len({e % k for e in b.elements})
+    """|B mod k|, the number of residue classes mod k >= 1 that B meets.
+
+    Every difference of two elements lies in (0, spread], so for k > spread
+    no two share a class and the count is |B|, with no residue taken.
+    """
+    elems = b.elements
+    if k > elems[-1] - elems[0]:
+        return len(elems)
+    return len({e % k for e in elems})
 
 
 def split_dividing(target: SupportSet, m: int):

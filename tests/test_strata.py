@@ -1166,6 +1166,22 @@ class TestBatchedEstimate:
         ]
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_boundary_label_probes_effective_triples(self, seed):
+        # N_1^1 leaves (1, 2, 3, 4) of (0..5) on both sides; its triple
+        # shapes (1, 2), (1, 3) and (2, 3) are the only curves probed, and
+        # (1, 2), an arithmetic progression of gap gcd 1, has no class.  The
+        # other shapes of (0..5) would certify at most kd1 + kd2 + 2 = 4
+        p, label = pair(range(6), range(6)), parse_label("N_1^1(1,1,1)")
+        assert [s.support.elements for s in _sides(p, label)] == [(1, 2, 3, 4)] * 2
+        data = estimate_codim(p, label, seed=seed).to_json()
+        minors = [(c["component"], c["dim_found"], c["triples"]) for c in data["components_probed"] if c["component"].startswith("minor")]
+        assert minors == [
+            ("minor-curve(side=1, triple=(1, 2, 4))", 4, 2),
+            ("minor-curve(side=1, triple=(1, 3, 4))", 4, 2),
+        ]
+        assert (data["codim_estimate"], data["best_dim_found"]) == (7, 5)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_exponents_past_float_precision_give_no_votes(self, seed):
         # side 1 holds x^(2^62+1): a float row of it that stays finite (|x| <= 1)
         # has lost the exponent, and such rows once gave the side-2 curve

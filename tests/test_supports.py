@@ -9,6 +9,7 @@ from singres.supports import (
     SupportSet,
     SplitWitness,
     check_conditions,
+    class_count,
     classify,
     gap_gcd,
     split_dividing,
@@ -57,6 +58,27 @@ class TestGapGcd:
             for k in range(2, 10):
                 one_class = len({e % k for e in elems}) == 1
                 assert one_class == (g % k == 0)
+
+
+
+class TestClassCount:
+    # the sides of the corank tally's negative and huge exponent test
+    # (tests/test_strata.py), past int64 and below zero
+    BIG = (2**62 + 1, 2**63 + 5, 2**64 + 1, -(2**70) - 1)
+    SIDES = [S(0, 2, b) for b in BIG] + [S(-7, -2, 0, 5), S(-(2**65), 3, 2**63), S(-12, -6, 0, 6), S(0, 3)]
+
+    def test_matches_residue_set(self):
+        # every k <= spread + 3: the moduli past the spread take the |B|
+        # shortcut, those up to it the residues; a huge spread is checked at
+        # the small moduli and on both sides of the spread
+        sides = self.SIDES + [S(0, *mid, top) for top in range(1, 9) for r in range(top) for mid in combinations(range(1, top), r)]
+        checked = 0
+        for b in sides:
+            ks = set(range(1, min(b.spread + 3, 64) + 1)) | {b.spread + d for d in range(-3, 4) if b.spread + d >= 1}
+            for k in sorted(ks):
+                assert class_count(b, k) == len({e % k for e in b}), (b.elements, k)
+                checked += 1
+        assert len(sides) == 263 and checked > 2000
 
 
 def brute_force_split(target: SupportSet, other: SupportSet):
