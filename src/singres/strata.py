@@ -14,16 +14,16 @@ The generic component's dimension is certified by a closed form
 (`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
 so is every root-of-unity component (`_unity_components`: the side coranks
 plus one orbit direction).  Every minor curve is probed once, one per class
-of translated triples of the effective supports, and decided mod small
-primes at Hensel-liftable points of its branches (`_minor_certificates`),
-with no floating point; a curve out of the certificate's reach is listed
-undecided with its reason, never dropped.  The corank-strata scan and the
-estimator read one set of root-of-unity corank classes (`_corank_classes`:
-for a multiplicity-free label, two numbers per side and modulus that select
-a cached table of the modulus's classes, `_modulus_classes`; otherwise a
-rank mod a split prime, with the conjugates at several split primes where
-that is not full); the scan takes the generic corank from Descartes' rule,
-and its seed only picks witness tuples.
+of translated exponent triples, and decided mod small primes at
+Hensel-liftable points of its branches (`_minor_certificates`), with no
+floating point; a curve out of the certificate's reach is listed undecided
+with its reason, never dropped.  The corank-strata scan and the estimator
+read one set of root-of-unity corank classes (`_corank_classes`: for a
+multiplicity-free label, two numbers per side and modulus that select a
+cached table of the modulus's classes, `_modulus_classes`; otherwise a rank
+mod a split prime, with the conjugates at several split primes where that
+is not full); the scan takes the generic corank from Descartes' rule, and
+its seed only picks witness tuples.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -41,9 +41,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import gcd, isqrt, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +112,7 @@ class StratumLabel:
         return all(j1 == j2 for j1, j2 in self.roots)
 
     def side_orders(self, side):
-        return tuple(map(itemgetter(side - 1), self.roots))
+        return tuple(r[side - 1] for r in self.roots)
 
     @classmethod
     def symmetric(cls, j0, jinf, orders):
@@ -267,7 +266,7 @@ def _sides(pair, label):
         if label.j0 or label.jinf:
             eff = _effective_elements(b, label.j0, label.jinf)
             b = SupportSet(eff) if eff else None
-        out.append(_Side(b, label.side_orders(side), gap_gcd(b) if b is not None else 0))
+        out.append(_Side(b, label.side_orders(side), gap_gcd(b) if b else 0))
     return tuple(out)
 
 
@@ -415,7 +414,7 @@ def _generic_kernel_dims(sides):
     that derivative is not identically zero on ker M_i.  Rows of distinct
     points are thus independent.
     """
-    return tuple((len(s.support.elements) if s.support is not None else 0) - sum(s.js) for s in sides)
+    return tuple((len(s.support) if s.support else 0) - sum(s.js) for s in sides)
 
 
 @lru_cache(maxsize=None)
@@ -537,9 +536,9 @@ def _corank_tally(sides, n_max):
     rows = []  # c_s and h_s at every modulus, per distinct side
     for b, _, g in sides[:1] if sides[0] == sides[1] else sides:
         rows += [[min(class_count(b, n), 3) for n in moduli], [n // gcd(n, g) for n in moduli]]
-    tables = map(_modulus_classes, repeat(k), repeat(n_max), moduli, *(rows if len(rows) == 4 else rows * 2))
     strata, broken = {}, []
-    for n, (classes, off_form) in zip(moduli, tables):
+    for n, c1, h1, c2, h2 in zip(moduli, *(rows if len(rows) == 4 else rows * 2)):
+        classes, off_form = _modulus_classes(k, n_max, n, c1, h1, c2, h2)
         for key, size, first in classes:
             count, least = strata.get(key, (0, first))
             strata[key] = (count + size, least)
@@ -568,35 +567,23 @@ def estimate_codim(
     of dimension kd1 + kd2 + 1 when both side kernels are nonempty, none for
     an empty kernel or the coranks (0, 0); each tuple counts as one sample.
     Every minor curve of a three-point label is probed once: the triples
-    (a, b, c) of both effective supports (`_sides`) are grouped by (b - a,
-    c - a), since translates have one curve (`_minor_certificates`), and
-    each group is listed under its first triple, side 1 before side 2 in
-    combination order, with its triple count.  The curves are decided mod
-    small primes at points drawn from random.Random(seed), which picks
-    nothing else; each certified point counts as one sample.  A curve
-    decided empty is not listed; a curve of gap gcd above CERT_GAP_MAX, or
-    one that no retry decides, is listed with no dimension, `exact` false
-    and the `reason`.  The report gives every decided component's kd1, kd2
-    and r (k, 1 and 2 for the generic, root-of-unity and minor-curve
-    components), each root-of-unity class's tuple count, each minor curve's
-    triple count and certificate (p, t0, u0), and the time of each phase.
-
-    Lemma (effective triples).  A triple T of B_s that no effective support
-    has up to translation, a curve that boundary orders leave unprobed,
-    never sets the estimate.  Proof.  Let kd_s = max(|eff_s| - sum(js_s),
-    0), the generic kernel dimensions.  No eff_s is a translate of T, so
-    `_kernel_floor` caps no side at 2 along T.  On a class of T with no
-    coincidence the floors are thus L_s = |eff_s| - min(sum(js_s), |eff_s|)
-    = kd_s: the class is certified at most at kd1 + kd2 + 2, and only with
-    both L_s > 0 (a zero floor certifies nothing), when the generic
-    component, recorded first, has the larger dimension kd1 + kd2 + 3.  A
-    line class with a coincidence on side s holds a line of order d >= 2
-    with d | g_s.  If |eff_s| <= 2 its floor there is 0, as the cap
-    sum(js_s) - min(j_m, j_n) = max(j_m, j_n) + j_l is at least 2, so it
-    certifies nothing.  Otherwise g_s divides the gap gcd of every triple of
-    eff_s, whose curve therefore holds the same line under the same class
-    key (`_branch_classes` reads only d and the gaps): that class is probed
-    on an effective triple's curve."""
+    (a, b, c) of both sides are grouped by (b - a, c - a), since translates
+    have one curve (`_minor_certificates`), and each group is listed under
+    its first triple, side 1 before side 2 in combination order, with its
+    triple count.  Under boundary orders the triples still come from the
+    full supports: a curve with no translate in an effective support can
+    certify a line class that no effective triple's curve decides (on B_1 =
+    B_2 = (0, 1, 63, 125, 127) under N_1^1(1,1,1) the effective (1, 63, 125)
+    has gap gcd 62, and (63, 125, 127) certifies u = -t at the estimate).
+    The curves are decided mod small primes at points drawn
+    from random.Random(seed), which picks nothing else; each certified point
+    counts as one sample.  A curve decided empty is not listed; a curve of
+    gap gcd above CERT_GAP_MAX, or one that no retry decides, is listed with
+    no dimension, `exact` false and the `reason`.  The report gives every
+    decided component's kd1, kd2 and r (k, 1 and 2 for the generic,
+    root-of-unity and minor-curve components), each root-of-unity class's
+    tuple count, each minor curve's triple count and certificate (p, t0,
+    u0), and the time of each phase."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
     est = CodimEstimate(
@@ -636,8 +623,8 @@ def estimate_codim(
     start = time.perf_counter()
     if k == 3:
         curves = {}  # (b - a, c - a) -> [side, first triple, triple count]
-        for side, (support, _, _) in enumerate(sides, 1):
-            for a, b, c in combinations(support.elements if support else (), 3):
+        for side, support in ((1, pair.b1), (2, pair.b2)):
+            for a, b, c in combinations(support.elements, 3):
                 curves.setdefault((b - a, c - a), [side, (a, b, c), 0])[2] += 1
         decided, points = _minor_certificates(sides, [triple for _, triple, _ in curves.values()], rng)
         est.sample_count += points
@@ -670,12 +657,18 @@ class ScanSReport:
     configs_scanned: int = 0
     timings: dict = field(default_factory=dict)
 
-    def side_observed(self, side: int, corank: int) -> bool:
-        """Did any probed tuple realize the given corank on the given side?"""
+    def observed_strata(self) -> set:
+        """The names of the strata that a probed tuple realized, in the
+        notation of `predictions` (side1:c1, side2:c2 and joint:c1,c2), from
+        the found corank pairs and the generic corank."""
         keys = set(self.found)
         if self.generic_corank is not None:
             keys.add(self.generic_corank)
-        return any(key[side - 1] == corank for key in keys)
+        return {name for c1, c2 in keys for name in (f"side1:{c1}", f"side2:{c2}", f"joint:{c1},{c2}")}
+
+    def side_observed(self, side: int, corank: int) -> bool:
+        """Did any probed tuple realize the given corank on the given side?"""
+        return f"side{side}:{corank}" in self.observed_strata()
 
     def to_json(self):
         return {
@@ -861,7 +854,7 @@ def _corank_classes(sides, n_max):
     tuple only through its gap flags at n/gcd(n, g_s), and the gap-form list
     is empty by the tally's lemma.  A label with multiplicities reads them
     off both sides' corank arrays (`_side_coranks`), sorted by first index."""
-    if {*sides[0].js, *sides[1].js} == {1}:
+    if all(j == 1 for s in sides for j in s.js):
         return _corank_tally(sides, n_max)
     ns, exps, _ = _scan_table(len(sides[0].js), n_max)
     cork1, cork2 = _side_coranks(sides, ns, exps)
@@ -1161,13 +1154,13 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     spent on the unity and the generic tuples.  Labels with boundary orders
     j0 or jinf raise ValueError: the scan ranks finite tuples only.
     """
-    k = label.k
-    if k < 1 or k > 3:
+    if label.k < 1 or label.k > 3:
         raise ValueError("scan supports labels with 1..3 roots")
     if label.j0 or label.jinf:
         raise ValueError(f"scan supports labels without boundary orders, got {label.notation()}")
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
+    k = label.k
     sides = _sides(pair, label)
     configs = _scan_table(k, n_max)[2]
     report.configs_scanned = len(configs)
@@ -1179,8 +1172,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     unity_done = time.perf_counter()
 
     # generic tuples: Descartes' rule, with positive rational witnesses
-    d1, d2 = _generic_kernel_dims(sides)
-    gen_cork = (max(0, -d1), max(0, -d2))
+    gen_cork = tuple(max(0, -d) for d in _generic_kernel_dims(sides))
     if gen_cork != (0, 0):
         rng = random.Random(seed)
         for _ in range(4):
@@ -1196,13 +1188,9 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}
 
     report.predictions = _stratum_predictions(sides)
-    # the names of the observed strata, from one set of corank pairs: the
-    # found classes and the generic corank
-    observed_strata = {
-        name for c1, c2 in {*report.found, gen_cork} for name in (f"side1:{c1}", f"side2:{c2}", f"joint:{c1},{c2}")
-    }
+    realized = report.observed_strata()
     for key, predicted in report.predictions.items():
-        observed = key in observed_strata
+        observed = key in realized
         if predicted != observed:
             report.mismatches.append(
                 {"stratum": key, "predicted_nonempty": predicted, "observed": observed}
@@ -1219,7 +1207,7 @@ def _stratum_predictions(sides):
     Strata without a sharp criterion are omitted.
     """
     (b1, js1, g1), (b2, js2, g2) = sides
-    if {*js1, *js2} != {1}:
+    if any(j != 1 for j in js1 + js2):
         return {}
     k = len(js1)
     out = {}

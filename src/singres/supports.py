@@ -8,7 +8,6 @@ builds the per-filtration-subset guarantee table.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -101,8 +100,10 @@ def gap_gcd(b: SupportSet) -> int:
     The 0 convention makes singletons (and the empty part of a split)
     divisible by every modulus, matching how empty split parts behave.
     """
-    e = b.elements
-    return math.gcd(*map(operator.sub, e[1:], e))
+    g = 0
+    for a, c in zip(b.elements, b.elements[1:]):
+        g = math.gcd(g, c - a)
+    return g
 
 
 @dataclass(frozen=True)

@@ -1165,21 +1165,27 @@ class TestBatchedEstimate:
             ("minor-curve(side=1, triple=(0, 3, 6))", True, 6, 3),
         ]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_boundary_label_probes_effective_triples(self, seed):
-        # N_1^1 leaves (1, 2, 3, 4) of (0..5) on both sides; its triple
-        # shapes (1, 2), (1, 3) and (2, 3) are the only curves probed, and
-        # (1, 2), an arithmetic progression of gap gcd 1, has no class.  The
-        # other shapes of (0..5) would certify at most kd1 + kd2 + 2 = 4
-        p, label = pair(range(6), range(6)), parse_label("N_1^1(1,1,1)")
-        assert [s.support.elements for s in _sides(p, label)] == [(1, 2, 3, 4)] * 2
-        data = estimate_codim(p, label, seed=seed).to_json()
-        minors = [(c["component"], c["dim_found"], c["triples"]) for c in data["components_probed"] if c["component"].startswith("minor")]
-        assert minors == [
-            ("minor-curve(side=1, triple=(1, 2, 4))", 4, 2),
-            ("minor-curve(side=1, triple=(1, 3, 4))", 4, 2),
-        ]
-        assert (data["codim_estimate"], data["best_dim_found"]) == (7, 5)
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize(
+        "b, name, estimate, setter",
+        [
+            (tuple(range(6)), "N_1^1(1,1,1)", (7, 5), "generic"),
+            ((0, 1, 63, 125, 127), "N_1^1(1,1,1)", (6, 4), "minor-curve(side=1, triple=(63, 125, 127))"),
+            ((0, 29, 87, 145), "N^1(1,1,1)", (4, 4), "minor-curve(side=1, triple=(0, 29, 145))"),
+        ],
+    )
+    def test_boundary_label_probes_full_support_triples(self, b, name, estimate, setter, seed):
+        # a boundary label ranks the effective supports, but its curves come
+        # from the full supports, since a curve with no effective translate
+        # can set the estimate.  The effective (1, 63, 125) has gap gcd 62,
+        # out of reach, while (63, 125, 127) certifies the line u = -t at 4;
+        # the effective (0, 29, 87) is left undecided by a branch class,
+        # while (0, 29, 145) certifies a line class at 4.  On (0..5) the
+        # shapes of no effective translate certify only 4 < 5
+        data = estimate_codim(pair(b, b), parse_label(name), seed=seed).to_json()
+        assert (data["codim_estimate"], data["best_dim_found"]) == estimate
+        dims = {c["component"]: c["dim_found"] for c in data["components_probed"]}
+        assert dims[setter] == estimate[1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exponents_past_float_precision_give_no_votes(self, seed):
