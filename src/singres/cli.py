@@ -2,7 +2,10 @@
 
 Subcommands: classify, resultant, point-classify, germ-classify,
 verify-paper, project3d, scan.  Outputs are machine-readable JSON (and CSV
-for grid scans); every report embeds the flags its subcommand read.
+for grid scans); every report embeds the flags its subcommand read.  A
+report's bytes are those of `json.dumps(report, indent=2, sort_keys=True,
+allow_nan=False)` plus a newline, written by this module's own writer
+(`_emit`); no other module writes JSON.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
 3 degenerate projection.  A subcommand refuses its input by raising; `main`
 alone maps the exception to its exit code (DegenerateProjectionError 3,
@@ -20,6 +23,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__, verify
@@ -119,16 +123,113 @@ def _require_finite(args, *dests):
         raise ValueError(f"--tolerance must be nonnegative, got {args.tolerance}")
 
 
+def _float_text(value):
+    """The JSON text of a float: its repr; NaN and the infinities raise
+    ValueError, as `json.dumps(..., allow_nan=False)` does."""
+    if value != value or value == math.inf or value == -math.inf:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _key_text(key):
+    """The text a dict key that is not a str stands for in JSON, by the
+    standard library's tests and in their order."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# The JSON text of a value whose type is exactly one of these; the isinstance
+# tests of `_json_text` would give each the same text.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value, indent, path):
+    """`json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`, byte
+    for byte, for a value nested at the level whose newline and indentation
+    is `indent` (a bare newline at the top).  `path` holds the ids of the
+    containers being written.
+
+    The type tests follow the standard library's encoder (Python 3.11
+    `json.encoder._make_iterencode`) in its order, with isinstance for
+    subclasses: a subclass of int or float (IntEnum, numpy.float64) is
+    written by int.__repr__ or float.__repr__, and a bool is never an int.
+    Any other type raises the same TypeError, a container inside itself the
+    same ValueError, and so do keys that do not sort or are not JSON
+    scalars.  A value of exactly dict, list, tuple or a `_SCALAR_TEXT` type
+    skips those tests, which it would pass in the same way.  Each container
+    is one join of its items' texts."""
+    cls = value.__class__
+    if cls is dict:
+        is_dict = True
+    elif cls is list or cls is tuple:
+        is_dict = False
+    else:
+        text = _SCALAR_TEXT.get(cls)
+        if text is not None:
+            return text(value)
+        if isinstance(value, str):
+            return _encode_str(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _float_text(value)
+        if isinstance(value, (list, tuple)):
+            is_dict = False
+        elif isinstance(value, dict):
+            is_dict = True
+        else:
+            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if is_dict else "[]"
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(value))
+    inner = indent + "  "
+    get = _SCALAR_TEXT.get
+    if is_dict:
+        parts = [
+            f"{_encode_str(key if isinstance(key, str) else _key_text(key))}: "
+            f"{_json_text(item, inner, path) if (text := get(item.__class__)) is None else text(item)}"
+            for key, item in sorted(value.items())
+        ]
+    else:
+        parts = [_json_text(item, inner, path) if (text := get(item.__class__)) is None else text(item) for item in value]
+    path.remove(id(value))
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{inner}{f',{inner}'.join(parts)}{indent}{closing}"
+
+
 def _emit(payload, args):
     """Print the report, with its `config`, or write it to --out.  A report
     holding a NaN or an infinity raises ValueError: it would not be JSON.
+
+    The text is that of `json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)` plus a newline, byte for byte, written by
+    `_json_text`: with an indent, Python 3.11's json module uses its
+    pure-Python encoder, a generator per container, which cost a CLI
+    request as much as some of the computations it reports.
 
     An existing directory or a suffix-less path is a directory, created if
     missing, that receives <command>[-<kind>]-<timestamp>.json; a report
     there never replaces an existing file, but takes the next free -<i>
     suffix.  Any other path is the report file itself."""
     payload["config"] = {dest: getattr(args, dest) for dest in args.shared}
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(payload, "\n", set()) + "\n"
     if not args.out:
         print(text, end="")
         return

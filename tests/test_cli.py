@@ -1,12 +1,15 @@
 import argparse
+import enum
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import singres
@@ -307,6 +310,122 @@ class TestErrorContract:
         out = capsys.readouterr().out
         text = report.read_text() if command == "verify-paper" else out
         json.loads(text, parse_constant=self._raise(AssertionError("NaN or Infinity in the report")))
+
+
+def _stdlib_text(payload):
+    """The oracle of the report writer."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _outcome(encode, payload):
+    """The text `encode` gives, or the type and message of its error."""
+    try:
+        return encode(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Loud(str):
+    def __repr__(self):
+        return "LOUD"
+
+
+class Big(int):
+    def __repr__(self):
+        return "big"
+
+
+def _cycle(container):
+    container["self" if isinstance(container, dict) else 0] = container
+    return container
+
+
+TEXT = 'caf\u00e9 \u65e5\u672c \U0001f600 "q" back\\slash \n\t\r\x00\x1f\x7f'
+# payloads the writer must write as the standard library does
+EDGE_PAYLOADS = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, [[]], [{}]], "d": ()},
+    {"t": (1, (2, 3), ()), "l": [(), [()]]},
+    (1, "two", [3.5, None]),
+    {TEXT: TEXT, "\u00e9": ["\\", '"', "\b\f"], "": ""},
+    {1: "one", 10: "ten", 2: "two", -3: "minus three"},
+    {2.5: "a", -0.0: "b", 1e16: "c", 5e-324: "d"},
+    {0: "zero", 2.5: "half", True: "true"},
+    {True: 1, False: 0},
+    {None: None},
+    {Level.HIGH: "enum key", Level.LOW: "low"},
+    {"neg_zero": -0.0, "tiny": 5e-324, "big_float": 1e16, "huge": 2**100, "neg_huge": -(2**100)},
+    {"np": np.float64(0.1), "np_list": [np.float64(1e-7), np.float64(-2.5)]},
+    {np.float64(3.25): "np key", 1.5: "float key"},
+    {"bools": [True, False], "none": None, "enum": Level.HIGH, "enum_list": [Level.LOW]},
+    {"sub_str": Loud("x"), "sub_int": Big(7), Loud("k"): Big(8), "ordered": OrderedDict([("b", 1), ("a", 2)])},
+    {"deep": [[[[{"x": [[1]]}]]]]},
+    "top-level string",
+    3.0,
+    None,
+]
+# payloads both must refuse, with the same error
+REFUSED_PAYLOADS = [
+    ({"x": float("nan")}, ValueError),
+    ({"x": [1.0, float("inf")]}, ValueError),
+    ({"x": {"y": -float("inf")}}, ValueError),
+    ({float("nan"): 1}, ValueError),
+    ({"x": np.float64("nan")}, ValueError),
+    ({"x": np.int64(3)}, TypeError),
+    ({"x": {1, 2}}, TypeError),
+    ({"x": b"bytes"}, TypeError),
+    ({1: "a", "b": 2}, TypeError),
+    ({None: 1, 2: 3}, TypeError),
+    ({(1, 2): 3}, TypeError),
+    ({"ok": 1, "zz": [float("nan"), {3}]}, ValueError),
+    (_cycle({}), ValueError),
+    ([_cycle([None])], ValueError),
+]
+
+
+class TestReportWriter:
+    """`_emit` writes the bytes of `json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)` plus a newline."""
+
+    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
+    def test_every_report_matches_the_stdlib(self, capsys, monkeypatch, tmp_path, command):
+        args, stdin = STRICT_RUNS[command]
+        payloads = []
+
+        def recording(payload, args):
+            real_emit(payload, args)
+            payloads.append(payload)
+
+        real_emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", recording)
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        report = tmp_path / "report.json"
+        if command == "verify-paper":
+            args = [*args, "--out", str(report)]
+        assert main([*command.split(), *args]) == 0
+        out = capsys.readouterr().out
+        assert len(payloads) == 1
+        assert (report.read_text() if command == "verify-paper" else out) == _stdlib_text(payloads[0]) + "\n"
+
+    @pytest.mark.parametrize("payload", EDGE_PAYLOADS, ids=range(len(EDGE_PAYLOADS)))
+    def test_edge_payloads(self, payload):
+        assert cli._json_text(payload, "\n", set()) == _stdlib_text(payload)
+
+    @pytest.mark.parametrize("payload, error", REFUSED_PAYLOADS, ids=range(len(REFUSED_PAYLOADS)))
+    def test_refusals_match_the_stdlib(self, payload, error):
+        got = _outcome(lambda p: cli._json_text(p, "\n", set()), payload)
+        assert got == _outcome(_stdlib_text, payload)
+        assert got[0] is error
+        if error is ValueError and "Circular" not in got[1]:
+            assert got[1].startswith("Out of range float values are not JSON compliant")
 
 
 class TestVerifyPaper:

@@ -1,31 +1,46 @@
-"""Frozen digests of the corank-strata scan's reports.
+"""Frozen digests of the corank-strata scan's reports and of CLI output.
 
-Each digest is the sha256 of the sorted-key JSON of a list of
+A scan digest is the sha256 of the sorted-key JSON of a list of
 `scan_corank_strata` reports, with the fields that do not describe the
 result stripped (`wall_time_s`, `timings` and the package `version`).  A
-one-byte change in any covered report changes its digest, so a change meant
-to keep every report byte-identical is checked here, not by a one-off
-script.  A change that alters a report on purpose updates the expected
-digest below and says why in CHANGES.md.
+CLI digest is the sha256 of the stdout bytes of a list of `singres` runs,
+or, for `project3d --scan`, of the scan's decisions alone.  A one-byte
+change in any covered report changes its digest, so a change meant to keep
+every report byte-identical is checked here, not by a one-off script.  A
+change that alters a report on purpose updates the expected digest below
+and says why in CHANGES.md.
 
 The sets:
 - the 1,013 symmetric supports of the corank2-dichotomy check (min 0,
   spread 2..10, at least three points) under N(1,1,1);
 - every ordered pair of supports of spread <= 5 (min 0) under N(1,1) and
   N(1,1,1), plus every seventh pair under N(2,1) and N(2,1;1,1); the scan
-  seed is the pair's index, so the generic witnesses are covered too.
+  seed is the pair's index, so the generic witnesses are covered too;
+- the stdout of `classify` over every ordered pair of supports of
+  spread 1..4 (min 0);
+- the stdout of `germ-classify` and `point-classify` on fixed inputs
+  (GERM_INPUTS, POINT_INPUTS);
+- the verdict, cell count, retry count and near-zero cell indices of 60
+  seeded `project3d --scan` requests on the default grid.  Their |R|
+  values are left out: a change of evaluation order moves them in the
+  last digits.
 
 Print the current digests by hand from the root of a checkout:
 
     PYTHONPATH=src python tests/test_digests.py
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import random
+import sys
 
 import pytest
 
+from singres import cli
 from singres.strata import parse_label, scan_corank_strata
 from singres.supports import SupportPair, SupportSet
 from singres.verify import _normalized_supports
@@ -44,9 +59,13 @@ def symmetric_scans():
     return [scan_corank_strata(SupportPair(b, b), label, N_MAX) for b in _normalized_supports(10)]
 
 
+def _supports(max_spread):
+    """Every support of spread 1..max_spread with min 0."""
+    return [SupportSet((0, *mid, top)) for top in range(1, max_spread + 1) for r in range(top) for mid in itertools.combinations(range(1, top), r)]
+
+
 def pair_scans():
-    supports = [SupportSet((0, *mid, top)) for top in range(1, 6) for r in range(top) for mid in itertools.combinations(range(1, top), r)]
-    pairs = list(itertools.product(supports, repeat=2))
+    pairs = list(itertools.product(_supports(5), repeat=2))
     reports = []
     for name, step in (("N(1,1)", 1), ("N(1,1,1)", 1), ("N(2,1)", 7), ("N(2,1;1,1)", 7)):
         label = parse_label(name)
@@ -55,11 +74,99 @@ def pair_scans():
     return reports
 
 
+def _stdout(argv, stdin=None):
+    """The stdout of `singres argv` run in process, `stdin` (JSON) on stdin."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(stdin))
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+    finally:
+        sys.stdin = saved
+    return out.getvalue()
+
+
+def _bytes_digest(outputs):
+    return hashlib.sha256("".join(outputs).encode()).hexdigest()
+
+
+def classify_outputs():
+    csv = [",".join(map(str, b.elements)) for b in _supports(4)]
+    return [_stdout(["classify", "--b1", b1, "--b2", b2]) for b1, b2 in itertools.product(csv, repeat=2)]
+
+
+def _laurent(support, coeffs):
+    return {"support": list(support), "coeffs": dict(zip(map(str, support), coeffs))}
+
+
+GERM_INPUTS = (
+    {"terms": [{"exp": [1, 1], "coef": "1"}]},
+    {"terms": [{"exp": [3, 0], "coef": "1"}, {"exp": [0, 3], "coef": "-1"}]},
+    {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}]},
+    {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [1, 1], "coef": "-2"}, {"exp": [2, 0], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}]},
+    {"terms": [{"exp": [1, 0], "coef": "1"}, {"exp": [2, 0], "coef": "3"}]},
+    {"terms": [{"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "1"}]},
+    {"terms": [{"exp": [2, 0], "coef": "1/2"}, {"exp": [0, 2], "coef": "-3/7"}, {"exp": [3, 1], "coef": "5"}]},
+    {"terms": [{"exp": [0, 3], "coef": "2"}, {"exp": [5, 0], "coef": "-1"}, {"exp": [2, 2], "coef": "1"}]},
+)
+POINT_INPUTS = (
+    {"f": _laurent((0, 1, 2), ("2", "-3", "1")), "g": _laurent((0, 1, 2), ("3", "-4", "1"))},
+    {"f": _laurent((0, 1, 2), ("2", "-3", "1")), "g": _laurent((0, 1, 2), ("5", "-7", "2"))},
+    {"f": _laurent((0, 1), ("1", "-1")), "g": _laurent((0, 1), ("2", "-2"))},
+    {"f": _laurent((0, 1, 2, 3), ("-6", "11", "-6", "1")), "g": _laurent((0, 1, 2, 3), ("-6", "5", "2", "-1"))},
+    {"f": _laurent((0, 2, 3), ("4", "-5", "1")), "g": _laurent((0, 1, 3), ("1", "3/2", "-1/2"))},
+    {"f": _laurent((0, 1, 2), ("1", "-2", "1")), "g": _laurent((0, 1, 2), ("1", "-3", "2"))},
+    {"f": _laurent((0, 1, 2), ([2.0, 0.5], [-3.0, 0.0], [1.0, 0.0])), "g": _laurent((0, 1, 2), ([3.0, 0.0], [-4.0, 0.0], [1.0, 0.0]))},
+)
+
+
+def germ_outputs():
+    return [_stdout(["germ-classify", "--input", "-"], data) for data in GERM_INPUTS]
+
+
+def point_outputs():
+    return [_stdout(["point-classify", "--input", "-"], data) for data in POINT_INPUTS]
+
+
+def _points3d(rng, count):
+    while True:
+        pts = sorted({(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)) for _ in range(count)})
+        if len({p[2] for p in pts}) >= 2:
+            return [list(p) for p in pts]
+
+
+def project3d_decisions():
+    rng = random.Random("project3d")
+    rows = []
+    for i in range(60):
+        data = {"a1": _points3d(rng, 2 + i % 3), "a2": _points3d(rng, 2 + (i + 1) % 3)}
+        report = json.loads(_stdout(["project3d", "--input", "-", "--scan", "--seed", str(rng.randrange(2**31))], data))
+        scan = report["curve_scan"]
+        row = [report["projection_verdict"], scan["cells"], scan["retries"], [c["index"] for c in scan["near_zero_cells"]]]
+        rows.append(json.dumps(row) + "\n")
+    return rows
+
+
 SETS = {"symmetric_1013": symmetric_scans, "pairs_spread_5": pair_scans}
+CLI_SETS = {
+    "classify_spread_4": classify_outputs,
+    "germ_classify": germ_outputs,
+    "point_classify": point_outputs,
+    "project3d_decisions": project3d_decisions,
+}
 
 EXPECTED = {  # (report count, digest)
     "symmetric_1013": (1013, "447c0d788eb8f9011c0ddf84eec4691277d407bdc254271eb5ee39bc9b78a752"),
     "pairs_spread_5": (2 * 961 + 2 * 138, "7df8993958c8d834e59e0069a08b436feb572bee3f077fc464a58e508ab09f53"),
+}
+
+
+CLI_EXPECTED = {  # (output count, digest)
+    "classify_spread_4": (225, "c89ccfa4b2034badd1bf38ec8e9b811865c111d7be08d65a1a0ccb46718fceae"),
+    "germ_classify": (len(GERM_INPUTS), "9c564876543e39a60d754ba5518f788ead5aa026305b6c08f513d63d88361fc5"),
+    "point_classify": (len(POINT_INPUTS), "1e9524ef8ba39c8ea8b18a11d2c2cf64f4c5cb35bc484504f15cd1f970b646a8"),
+    "project3d_decisions": (60, "74fb30a75947650cd93e219b94d84cf06455ecb1baa85c3b7462cab32ac66fad"),
 }
 
 
@@ -69,6 +176,14 @@ def test_scan_digest(name):
     assert (len(reports), digest(reports)) == EXPECTED[name]
 
 
+@pytest.mark.parametrize("name", CLI_SETS)
+def test_cli_digest(name):
+    outputs = CLI_SETS[name]()
+    assert (len(outputs), _bytes_digest(outputs)) == CLI_EXPECTED[name]
+
+
 if __name__ == "__main__":
     for name, run in SETS.items():
         print(name, digest(run()))
+    for name, run in CLI_SETS.items():
+        print(name, _bytes_digest(run()))

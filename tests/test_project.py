@@ -174,6 +174,37 @@ class TestHybridBezout:
                 assert abs(_exact_det(h[0])) == abs(_exact_det(_reference_sylvester(f, g, object)))
 
 
+class TestStackedDet:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_closed_forms_match_lapack(self, order):
+        # seeded complex stacks: every determinant within 1e-12 relative of
+        # np.linalg.det's LU
+        rng = np.random.default_rng(order)
+        shape = (2000, order, order)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = project._stacked_det(stack)
+        assert got.shape == (len(stack),)
+        np.testing.assert_allclose(got, np.linalg.det(stack), rtol=1e-12, atol=0)
+
+    def test_closed_forms_are_exact_on_integers(self):
+        # integer stacks of orders 1-3, with singular matrices among them:
+        # the products are exact in float, so the determinants are too
+        rng = random.Random(3)
+        for order in (1, 2, 3):
+            mats = [[[rng.randint(-2, 2) for _ in range(order)] for _ in range(order)] for _ in range(200)]
+            got = project._stacked_det(np.array(mats, dtype=complex))
+            assert [complex(_exact_det(m)) for m in mats] == got.tolist()
+
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_higher_orders_are_lapack(self, degree):
+        # order max(d1, d2) >= 4: the determinants np.linalg.det gives, bit for bit
+        rng = np.random.default_rng(degree)
+        shapes = ((60, degree + 1), (60, degree - 1))
+        c1, c2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes)
+        want = np.linalg.det(project._hybrid_bezout(c1, c2))
+        np.testing.assert_array_equal(project._bezout_dets(c1, c2), want)
+
+
 class TestGridScan:
     def test_constructed_common_root_cell(self):
         a1, a2, c1, c2 = CONSTRUCTED

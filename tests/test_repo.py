@@ -126,6 +126,24 @@ def test_no_numpy_random_in_src():
     assert found == []
 
 
+def test_reports_have_one_writer():
+    """No module of the package calls `json.dumps` or `json.dump`: every
+    report is written by `cli._emit`, whose writer `tests/test_cli.py`
+    checks byte for byte against `json.dumps`."""
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = node.value.id == "json" and node.attr in ("dumps", "dump")
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "json" and any(a.name in ("dumps", "dump") for a in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_codim_scan_leaves_numpy_random_unloaded():
     """A three-point `scan codim`, whose minor-curve certificate draws
     kernel vectors, runs in a fresh interpreter without importing
