@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -428,9 +429,44 @@ def branch_covector(f: LaurentPoly, g: LaurentPoly, x):
 
 def _covector(f, g, x):
     """The covector g'(x)*x^i, i in B1, then -f'(x)*x^j, j in B2, with no
-    check of the root's orders."""
+    check of the root's orders.  At an exact x with exact coefficients it is
+    `_exact_covector`, in Fractions."""
+    if _is_exact_scalar(x) and f.is_exact and g.is_exact:
+        return _exact_covector(f, g, x)
     gp, fp = g.derivative_value(x), f.derivative_value(x)
     return [gp * x**i for i in f.support] + [-fp * x**j for j in g.support]
+
+
+def _exact_covector(f, g, x):
+    """`_covector` at a nonzero rational x = u/d over exact coefficients,
+    evaluated in integers with x's denominator cleared once: one Fraction,
+    and so one gcd, per entry.
+
+    Take lo <= 0 <= hi bounding every exponent b - 1 (b in B1 or B2) and
+    every exponent of B1 and B2, and T(e) = u^(e - lo) d^(hi - e), an
+    integer; then x^e = T(e) / N with N = u^(-lo) d^hi.  For h = f, g let
+    D_h be the lcm of its coefficients' denominators, so that
+    S_h = sum_b (D_h c_b) b T(b - 1) is an integer and h'(x) = S_h / (D_h N).
+    The entries are g'(x) x^i = S_g T(i) / (D_g N^2) and
+    -f'(x) x^j = -S_f T(j) / (D_f N^2)."""
+    u, d = x.numerator, x.denominator
+    exps = [*f.support, *g.support]
+    lo, hi = min(0, min(exps) - 1), max(0, max(exps))
+    u_pow = [u**k for k in range(hi - lo + 1)]
+    d_pow = [d**k for k in range(hi - lo + 1)]
+    n2 = (u_pow[-lo] * d_pow[hi]) ** 2
+
+    def cleared(h):
+        """(S_h, D_h N^2)."""
+        den = lcm(*(c.denominator for c in h.coeffs.values()))
+        terms = h.coeffs.items()
+        s = sum(c.numerator * (den // c.denominator) * b * u_pow[b - 1 - lo] * d_pow[hi - b + 1] for b, c in terms)
+        return s, den * n2
+
+    (sg, dg), (sf, df) = cleared(g), cleared(f)
+    return [Fraction(sg * u_pow[i - lo] * d_pow[hi - i], dg) for i in f.support] + [
+        Fraction(-sf * u_pow[j - lo] * d_pow[hi - j], df) for j in g.support
+    ]
 
 
 def boundary_covector(f: LaurentPoly, g: LaurentPoly, at_zero: bool):

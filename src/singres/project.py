@@ -68,17 +68,28 @@ class GridConfig:
     rho_steps: int = 5
     theta_steps: int = 8
 
-    def axis_points(self):
+    @functools.cached_property
+    def axes(self):
+        """(rhos, thetas), built on first read and read-only."""
         rhos = np.linspace(self.rho_min, self.rho_max, self.rho_steps)
         thetas = np.linspace(0.0, 2 * np.pi, self.theta_steps, endpoint=False)
+        rhos.flags.writeable = thetas.flags.writeable = False
         return rhos, thetas
+
+    @functools.cached_property
+    def points(self):
+        """The axis points exp(rho + i theta), point r * theta_steps + s at
+        (rhos[r], thetas[s]); built on first read and read-only."""
+        rhos, thetas = self.axes
+        p = np.exp(np.add.outer(rhos, 1j * thetas).ravel())
+        p.flags.writeable = False
+        return p
 
     def cell_coordinates(self, index):
         """(rho1, theta1, rho2, theta2) arrays of the cells `index`.  Cell
         i * g + j, g = rho_steps * theta_steps, pairs axis point i for x1
-        with axis point j for x2, and axis point r * theta_steps + s is
-        (rhos[r], thetas[s])."""
-        rhos, thetas = self.axis_points()
+        with axis point j for x2."""
+        rhos, thetas = self.axes
         first, second = np.divmod(index, rhos.size * thetas.size)
         steps = thetas.size
         return rhos[first // steps], thetas[first % steps], rhos[second // steps], thetas[second % steps]
@@ -192,22 +203,25 @@ def random_coefficients(a: Support3D, rng: random.Random):
     return out
 
 
-def _specialized_coeffs(coeffs, support, p):
+def _specialized_coeffs(coeffs, support, powers, cells):
     """Coefficient vectors of f(x1, x2, t) over the projected t-support, one
-    row per cell (x1, x2) = (p[i], p[j]), cell i * len(p) + j: shape
-    (len(p) ** 2, len(support)).  Term c x1^u x2^v t^w adds the outer product
-    of c * p**u and p**v, so each cell gets (c * x1**u) * x2**v."""
-    out = np.zeros((len(p) ** 2, len(support)), dtype=complex)
+    column per cell (x1, x2) = (p[i], p[j]), cell i * len(p) + j: shape
+    (len(support), cells), cells = len(p) ** 2, where powers[e] is p**e for
+    every exponent e of x1 and x2 in `coeffs`.  Term c x1^u x2^v t^w adds
+    the outer product of c * p**u and p**v to row w, so each cell gets
+    (c * x1**u) * x2**v."""
+    out = np.zeros((len(support), cells), dtype=complex)
     for (u, v, w), c in coeffs.items():
-        out[:, support.index(w)] += np.multiply.outer(complex(c) * p**u, p**v).ravel()
+        out[support.index(w)] += np.multiply.outer(complex(c) * powers[u], powers[v]).ravel()
     return out
 
 
 def _hybrid_bezout(coeffs1, coeffs2):
     """The hybrid Bezout matrices of two stacks of coefficient vectors
-    (ascending exponent along the convex hull of the projected support, one
-    row pair per cell), of order m = max(d1, d2) where the Sylvester matrix
-    has order d1 + d2: shape (cells, m, m), in the inputs' dtype.
+    (ascending exponent along the convex hull of the projected support down
+    the rows, one column per cell), of order m = max(d1, d2) where the
+    Sylvester matrix has order d1 + d2: shape (m, m, cells), in the inputs'
+    dtype, so that each step below is a product of contiguous rows.
 
     Name f = sum a_i t^i the side of degree m and g = sum b_j t^j the other,
     of degree n <= m.  For k = 1..n split f = t^(m-k+1) F_k + f_k and
@@ -236,22 +250,22 @@ def _hybrid_bezout(coeffs1, coeffs2):
     ring gives det S = +-det H as a polynomial identity, which holds at any
     value of the coefficients, b_n = 0 included.  Swapping f and g changes
     det S only in sign.  QED"""
-    f, g = (coeffs1, coeffs2) if coeffs1.shape[1] >= coeffs2.shape[1] else (coeffs2, coeffs1)
-    m, n = f.shape[1] - 1, g.shape[1] - 1
-    h = np.zeros((m, len(f), m), dtype=np.result_type(f, g))  # row, cell, column
+    f, g = (coeffs1, coeffs2) if len(coeffs1) >= len(coeffs2) else (coeffs2, coeffs1)
+    m, n = len(f) - 1, len(g) - 1
+    h = np.zeros((m, m, f.shape[1]), dtype=np.result_type(f, g))  # row, column, cell
     for j in range(m - n):
-        h[j, :, j : j + n + 1] = g
+        h[j, j : j + n + 1] = g
     for k in range(1, n + 1):
         q = h[m - n + k - 1]  # Q_k
         if k > 1:
-            q[:, 1:] = h[m - n + k - 2, :, :-1]
-        q[:, m - n :] += f[:, m - k + 1, None] * g[:, :n]
-        q -= g[:, n - k + 1, None] * f[:, :m]
-    return h.transpose(1, 0, 2)
+            q[1:] = h[m - n + k - 2, :-1]
+        q[m - n :] += f[m - k + 1] * g[:n]
+        q -= g[n - k + 1] * f[:m]
+    return h
 
 
 def _stacked_det(mats):
-    """The determinants of a stack of square matrices, shape (cells, m, m).
+    """The determinants of a stack of square matrices, shape (m, m, cells).
 
     Orders 1, 2 and 3 are closed forms over the cell axis: the entry,
     ad - bc, and the cofactors of the first row; a few vector products where
@@ -259,15 +273,15 @@ def _stacked_det(mats):
     Order 4 and up is np.linalg.det.  Every project3d request of the
     pair-queries benchmark has order <= 3 (last coordinates 0..3), so there
     order 4 and up is reached only by the tests."""
-    m = mats.shape[-1]
+    m = len(mats)
     if m == 1:
-        return mats[:, 0, 0]
+        return mats[0, 0]
     if m == 2:
-        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
     if m == 3:
-        (a, b, c), (d, e, f), (g, h, i) = mats.transpose(1, 2, 0)
+        (a, b, c), (d, e, f), (g, h, i) = mats
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(mats)
+    return np.linalg.det(mats.transpose(2, 0, 1))
 
 
 def _bezout_dets(coeffs1, coeffs2):
@@ -276,16 +290,16 @@ def _bezout_dets(coeffs1, coeffs2):
     `_stacked_det`, which picks a closed form or np.linalg.det by the
     matrices' order.
 
-    The matrices are built and evaluated in blocks of rows, each block
+    The matrices are built and evaluated in blocks of cells, each block
     holding at most kernels.BATCH_ELEMENTS matrix entries; a stacked
     determinant is computed matrix by matrix, so the blocking changes no
     value."""
-    m = max(coeffs1.shape[1], coeffs2.shape[1]) - 1
-    out = np.empty(len(coeffs1), dtype=complex)
+    m = max(len(coeffs1), len(coeffs2)) - 1
+    out = np.empty(coeffs1.shape[1], dtype=complex)
     chunk = kernels._chunk_length(m * m)
     for start in range(0, len(out), chunk):
         stop = start + chunk
-        out[start:stop] = _stacked_det(_hybrid_bezout(coeffs1[start:stop], coeffs2[start:stop]))
+        out[start:stop] = _stacked_det(_hybrid_bezout(coeffs1[:, start:stop], coeffs2[:, start:stop]))
     return out
 
 
@@ -296,11 +310,17 @@ def _dense_support(values):
 
 def _collapses(coeffs):
     """Whether the specialized polynomial vanishes numerically (every
-    coefficient below 1e-12 in modulus) at some cell.  A modulus bounds the
-    real and imaginary parts, so only the cells whose parts all lie below
-    1e-12 can collapse, and their moduli alone are taken."""
-    small = ((np.abs(coeffs.real) < 1e-12) & (np.abs(coeffs.imag) < 1e-12)).all(axis=1)
-    return bool((np.abs(coeffs[small]).max(axis=1) < 1e-12).any())
+    coefficient below 1e-12 in modulus) at some cell; `coeffs` has one
+    column per cell.  A modulus bounds the real and imaginary parts, so a
+    cell can collapse only where both parts of every coefficient lie below
+    1e-12: one comparison on the float view, whose columns are the real and
+    imaginary parts of the cells in turn.  Moduli are taken only when some
+    part passes, and then only for the cells whose two parts both pass."""
+    small = (np.abs(coeffs.view(np.float64)) < 1e-12).all(axis=0)
+    if not small.any():
+        return False
+    cells = small[0::2] & small[1::2]
+    return bool((np.abs(coeffs[:, cells]).max(axis=0) < 1e-12).any())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite |R|, refused below
@@ -326,30 +346,32 @@ def grid_scan(
     same near-zero cells.
 
     Cells run over (rho1, theta1, rho2, theta2) in row-major order and are
-    evaluated together: one coefficient stack per side, built from powers
-    of the grid's axis points, and stacked determinants over blocks of cells
-    of bounded size.  Coefficients default to seeded random generic draws;
-    degenerate draws (a specialized polynomial collapsing numerically at
-    some cell) trigger a reseeded retry, at most GRID_MAX_RETRIES times, and
-    the report counts the retries used.  Explicit coefficient maps are never
-    retried.  A |R| that is not finite (coefficients or a rho range too
+    evaluated together: one coefficient stack per side, cells along the last
+    axis, and stacked determinants over blocks of cells of bounded size.
+    The grid's axis points are built once per GridConfig, and their powers
+    once per call, whatever the retries; cell coordinates are taken only
+    for the near-zero cells.  Coefficients default to seeded random generic
+    draws; degenerate draws (a specialized polynomial collapsing numerically
+    at some cell) trigger a reseeded retry, at most GRID_MAX_RETRIES times,
+    and the report counts the retries used.  Explicit coefficient maps are
+    never retried.  A |R| that is not finite (coefficients or a rho range too
     large for double precision) raises ValueError.
     """
     grid = grid or GridConfig()
     explicit = coeffs1 is not None and coeffs2 is not None
     rng = random.Random(seed)
-    sup1 = _dense_support(Support3D(a1.points).last_coordinates())
-    sup2 = _dense_support(Support3D(a2.points).last_coordinates())
-    rhos, thetas = grid.axis_points()
-    rho, theta = (axis.ravel() for axis in np.meshgrid(rhos, thetas, indexing="ij"))
-    p = np.exp(rho + 1j * theta)
+    sup1 = _dense_support(a1.last_coordinates())
+    sup2 = _dense_support(a2.last_coordinates())
+    p = grid.points
+    terms = (*coeffs1, *coeffs2) if explicit else (*a1.points, *a2.points)
+    powers = {e: p**e for e in {e for u, v, _ in terms for e in (u, v)}}
     attempt = 0
     while True:
         c1 = coeffs1 if explicit else random_coefficients(a1, rng)
         c2 = coeffs2 if explicit else random_coefficients(a2, rng)
-        v1 = _specialized_coeffs(c1, sup1, p)
-        v2 = _specialized_coeffs(c2, sup2, p)
-        if (_collapses(v1) or _collapses(v2)) and not explicit and attempt < GRID_MAX_RETRIES:
+        v1 = _specialized_coeffs(c1, sup1, powers, p.size**2)
+        v2 = _specialized_coeffs(c2, sup2, powers, p.size**2)
+        if not explicit and attempt < GRID_MAX_RETRIES and (_collapses(v1) or _collapses(v2)):
             attempt += 1
             continue
         break
@@ -363,10 +385,12 @@ def grid_scan(
     scan = CurveScan(grid=grid, threshold=threshold, abs_r=abs_r, retries=attempt)
     scan.max_abs = float(abs_r.max()) if abs_r.size else 0.0
     near = abs_r <= threshold * max(scan.max_abs, 1e-300)
+    if not near.any():
+        return scan
     index = np.flatnonzero(near)
     columns = (index, *grid.cell_coordinates(index), abs_r[index])
     names = ("index", "rho1", "theta1", "rho2", "theta2", "absR")
     scan.near_zero_cells = [dict(zip(names, cell)) for cell in zip(*(col.tolist() for col in columns))]
-    if near.any() and not near.all():
+    if not near.all():
         scan.near_zero_margin = float(abs_r[near].max() / abs_r[~near].min())
     return scan

@@ -1,10 +1,12 @@
-"""Frozen digests of the corank-strata scan's reports and of CLI output.
+"""Frozen digests of the corank-strata scan's reports, of the
+`verify-paper` results and of CLI output.
 
-A scan digest is the sha256 of the sorted-key JSON of a list of
-`scan_corank_strata` reports, with the fields that do not describe the
-result stripped (`wall_time_s`, `timings` and the package `version`).  A
-CLI digest is the sha256 of the stdout bytes of a list of `singres` runs,
-or, for `project3d --scan`, of the scan's decisions alone.  A one-byte
+A report digest is the sha256 of the sorted-key JSON of a list of
+`scan_corank_strata` reports or `verify` check results, with the fields
+that do not describe the result stripped (`wall_time_s`, `timings`,
+`elapsed_s` and the package `version`).  A CLI digest is the sha256 of
+the stdout bytes of a list of `singres` runs, or, for `project3d --scan`,
+of the scan's decisions alone.  A one-byte
 change in any covered report changes its digest, so a change meant to keep
 every report byte-identical is checked here, not by a one-off script.  A
 change that alters a report on purpose updates the expected digest below
@@ -23,7 +25,9 @@ The sets:
 - the verdict, cell count, retry count and near-zero cell indices of 60
   seeded `project3d --scan` requests on the default grid.  Their |R|
   values are left out: a change of evaluation order moves them in the
-  last digits.
+  last digits;
+- the ten `verify-paper` results (`verify.run_checks()`), with their
+  `elapsed_s` stripped.
 
 Print the current digests by hand from the root of a checkout:
 
@@ -43,10 +47,10 @@ import pytest
 from singres import cli
 from singres.strata import parse_label, scan_corank_strata
 from singres.supports import SupportPair, SupportSet
-from singres.verify import _normalized_supports
+from singres.verify import _normalized_supports, run_checks
 
 N_MAX = 12
-STRIPPED = ("wall_time_s", "timings", "version")
+STRIPPED = ("wall_time_s", "timings", "elapsed_s", "version")
 
 
 def digest(reports):
@@ -148,7 +152,7 @@ def project3d_decisions():
     return rows
 
 
-SETS = {"symmetric_1013": symmetric_scans, "pairs_spread_5": pair_scans}
+SETS = {"symmetric_1013": symmetric_scans, "pairs_spread_5": pair_scans, "verify_paper": run_checks}
 CLI_SETS = {
     "classify_spread_4": classify_outputs,
     "germ_classify": germ_outputs,
@@ -159,6 +163,7 @@ CLI_SETS = {
 EXPECTED = {  # (report count, digest)
     "symmetric_1013": (1013, "447c0d788eb8f9011c0ddf84eec4691277d407bdc254271eb5ee39bc9b78a752"),
     "pairs_spread_5": (2 * 961 + 2 * 138, "7df8993958c8d834e59e0069a08b436feb572bee3f077fc464a58e508ab09f53"),
+    "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
 }
 
 

@@ -8,6 +8,7 @@ from singres.exact import exact_rank, poly_gcd
 from singres.laurent import (
     LaurentPoly,
     ProjPoint,
+    _covector,
     _rank_two,
     branch_covector,
     classify_point,
@@ -223,7 +224,38 @@ class TestCommonRoots:
         assert abs(recs[0].point.value - 1) < 1e-6
 
 
+def reference_covector(f, g, x):
+    """The branch covector term by term in Fractions: g'(x) x^i, i in B1,
+    then -f'(x) x^j, j in B2, each derivative summed term by term."""
+    x = Fraction(x)
+    gp, fp = (sum(c * b * x ** (b - 1) for b, c in h.coeffs.items()) for h in (g, f))
+    return [gp * x**i for i in f.support] + [-fp * x**j for j in g.support]
+
+
 class TestCovector:
+    def test_integer_evaluation_matches_term_by_term_fractions(self):
+        # Laurent supports in [-4, 6], int and Fraction coefficients with
+        # zeros among them, rational and integer x of either sign
+        rng = random.Random(41)
+
+        def side():
+            support = rng.sample(range(-4, 7), rng.randint(2, 5))
+            coeffs = {}
+            for b in support:
+                r = rng.random()
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                coeffs[b] = 0 if r < 0.15 else c.numerator if r < 0.5 else c
+            return lp(support, coeffs)
+
+        for _ in range(500):
+            f, g = side(), side()
+            x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+            if rng.random() < 0.3:
+                x = x.numerator
+            got = _covector(f, g, x)
+            assert got == reference_covector(f, g, x)
+            assert all(type(c) is Fraction for c in got)
+
     def test_example(self):
         f = lp((0, 1), {0: -1, 1: 1})
         g = lp((0, 1, 2), {0: -1, 2: 1})

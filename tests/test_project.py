@@ -65,7 +65,7 @@ def reference_grid_scan(a1, a2, coeffs1=None, coeffs2=None, grid=None, threshold
     rng = random.Random(seed)
     sup1 = list(range(min(a1.last_coordinates()), max(a1.last_coordinates()) + 1))
     sup2 = list(range(min(a2.last_coordinates()), max(a2.last_coordinates()) + 1))
-    rhos, thetas = grid.axis_points()
+    rhos, thetas = grid.axes
     attempt = 0
     while True:
         c1 = coeffs1 if explicit else project.random_coefficients(a1, rng)
@@ -169,9 +169,9 @@ class TestHybridBezout:
                 f, g = ([rng.randint(-3, 3) for _ in range(d + 1)] for d in (d1, d2))
                 if rng.random() < 1 / 3:
                     (f if rng.random() < 0.5 else g)[-1] = 0
-                h = project._hybrid_bezout(np.array([f], dtype=object), np.array([g], dtype=object))
-                assert h.shape == (1, max(d1, d2), max(d1, d2))
-                assert abs(_exact_det(h[0])) == abs(_exact_det(_reference_sylvester(f, g, object)))
+                h = project._hybrid_bezout(np.array([f], dtype=object).T, np.array([g], dtype=object).T)
+                assert h.shape == (max(d1, d2), max(d1, d2), 1)
+                assert abs(_exact_det(h[..., 0])) == abs(_exact_det(_reference_sylvester(f, g, object)))
 
 
 class TestStackedDet:
@@ -182,7 +182,7 @@ class TestStackedDet:
         rng = np.random.default_rng(order)
         shape = (2000, order, order)
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = project._stacked_det(stack)
+        got = project._stacked_det(stack.transpose(1, 2, 0))
         assert got.shape == (len(stack),)
         np.testing.assert_allclose(got, np.linalg.det(stack), rtol=1e-12, atol=0)
 
@@ -192,17 +192,41 @@ class TestStackedDet:
         rng = random.Random(3)
         for order in (1, 2, 3):
             mats = [[[rng.randint(-2, 2) for _ in range(order)] for _ in range(order)] for _ in range(200)]
-            got = project._stacked_det(np.array(mats, dtype=complex))
+            got = project._stacked_det(np.array(mats, dtype=complex).transpose(1, 2, 0))
             assert [complex(_exact_det(m)) for m in mats] == got.tolist()
 
     @pytest.mark.parametrize("degree", [4, 5, 6])
     def test_higher_orders_are_lapack(self, degree):
         # order max(d1, d2) >= 4: the determinants np.linalg.det gives, bit for bit
         rng = np.random.default_rng(degree)
-        shapes = ((60, degree + 1), (60, degree - 1))
+        shapes = ((degree + 1, 60), (degree - 1, 60))
         c1, c2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes)
-        want = np.linalg.det(project._hybrid_bezout(c1, c2))
+        want = np.linalg.det(project._hybrid_bezout(c1, c2).transpose(2, 0, 1))
         np.testing.assert_array_equal(project._bezout_dets(c1, c2), want)
+
+
+class TestCollapses:
+    @staticmethod
+    def stack(cell):
+        # three coefficients, one column per cell; the other cells are far from 0
+        out = np.full((3, 5), 1 + 1j)
+        out[:, 2] = cell
+        return out
+
+    def test_small_parts_with_a_modulus_above_the_cut_do_not_collapse(self):
+        assert not project._collapses(self.stack(9e-13 + 9e-13j))
+        assert not project._collapses(self.stack([9e-13, 9e-13 + 9e-13j, 0]))
+
+    def test_every_modulus_below_the_cut_collapses(self):
+        assert project._collapses(self.stack([9e-13, 7e-13 - 7e-13j, -5e-13j]))
+
+    def test_matches_the_moduli(self):
+        # seeded stacks with parts around 1e-12: the moduli decide alone
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            shape = (rng.integers(1, 5), rng.integers(1, 9))
+            stack = (rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)) * 1e-12
+            assert project._collapses(stack) == (np.abs(stack) < 1e-12).all(axis=0).any()
 
 
 class TestGridScan:
