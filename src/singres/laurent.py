@@ -28,7 +28,6 @@ __all__ = [
     "homogenize",
     "ord_at",
     "common_roots",
-    "branch_covector",
     "classify_point",
     "CLUSTER_TOL",
 ]
@@ -412,23 +411,9 @@ def common_roots(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL):
     return records
 
 
-def branch_covector(f: LaurentPoly, g: LaurentPoly, x):
-    """Tangent covector of the resultant branch through a simple common root.
-
-    Entries indexed by B1 then B2: g'(x)*x^i on the f side, -f'(x)*x^j on
-    the g side.  Requires pair multiplicity exactly 1 at x.
-    """
-    if not x:
-        raise ValueError("covector at a boundary point needs boundary_covector")
-    of = ord_at(f, ProjPoint.finite(x))
-    og = ord_at(g, ProjPoint.finite(x))
-    if min(of, og) != 1:
-        raise ValueError("covector undefined")
-    return _covector(f, g, x)
-
-
 def _covector(f, g, x):
-    """The covector g'(x)*x^i, i in B1, then -f'(x)*x^j, j in B2, with no
+    """Tangent covector of the resultant branch through a nonzero simple
+    common root x: g'(x)*x^i, i in B1, then -f'(x)*x^j, j in B2, with no
     check of the root's orders.  At an exact x with exact coefficients it is
     `_exact_covector`, in Fractions."""
     if _is_exact_scalar(x) and f.is_exact and g.is_exact:

@@ -9,7 +9,9 @@ parameterization's differential: the dimension found certifies an upper
 bound on the codimension, while the claimed lower bound stays heuristic.
 The sampler of a filtration subset is exact: distinct rational points,
 rational kernels of the multiplicity Vandermonde matrices and rational
-kernel combinations.
+kernel combinations, in one draw that is always a member (None only for an
+empty side kernel); `verify`'s point-classifier constructions draw through
+it too (`_draw_filtration_pair`).
 The generic component's dimension is certified by a closed form
 (`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
 so is every root-of-unity component (`_unity_components`: the side coranks
@@ -275,11 +277,22 @@ def _embed(vec, eff, b: SupportSet):
     return [vec[pos[e]] if e in pos else 0 for e in b.elements]
 
 
-def _random_fraction(rng, lo=-9, hi=9):
+def _random_fraction(rng):
+    """A nonzero rational num/den, num in [-9, 9] and den in [1, 6]."""
     while True:
-        num = rng.randint(lo, hi)
+        num = rng.randint(-9, 9)
         if num:
             return Fraction(num, rng.randint(1, 6))
+
+
+def _distinct_points(rng, k):
+    """k pairwise distinct nonzero `_random_fraction` points, in draw order."""
+    pts = []
+    while len(pts) < k:
+        x = _random_fraction(rng)
+        if x not in pts:
+            pts.append(x)
+    return pts
 
 
 def _side_matrices(sides, pts):
@@ -296,43 +309,57 @@ def _kernel_of(mat, ncols):
     return kernel_basis(mat)
 
 
-def sample_filtration_subset(pair: SupportPair, label: StratumLabel, seed=0):
-    """Draw an exact (f, g, xs) from the filtration subset, or None.
+def _kernel_combination(b: SupportSet, eff, kern, rng):
+    """The Laurent polynomial on b whose coefficients on eff are the
+    combination of the kernel basis kern with one `_random_fraction` weight
+    per vector, and zero outside eff."""
+    w = [_random_fraction(rng) for _ in kern]
+    vec = [sum(wi * v[i] for wi, v in zip(w, kern)) for i in range(len(eff))]
+    return LaurentPoly(b, dict(zip(b.elements, _embed(vec, eff, b))))
 
-    xs are label.k distinct nonzero rationals, and f, g random rational
-    combinations of the kernels of the multiplicity Vandermonde matrices at
-    xs over the effective supports (boundary orders are imposed by zeroing
-    convex-hull coefficients).  The pair is verified to lie in the
-    filtration subset; None when a side kernel is empty or eight draws of
-    the combinations miss.
-    """
-    rng = random.Random(seed)
-    pts = []
-    while len(pts) < label.k:
-        x = _random_fraction(rng)
-        if x not in pts:
-            pts.append(x)
+
+def _draw_filtration_pair(pair: SupportPair, label: StratumLabel, rng):
+    """One draw (f, g, xs) of `sample_filtration_subset` from rng: label.k
+    distinct points, the side kernels there and one combination per side,
+    in that order of rng calls.  None when a side kernel is empty."""
+    pts = _distinct_points(rng, label.k)
     mats = _side_matrices(_sides(pair, label), pts)
     if mats is None:
         return None
     eff1, eff2, m1, m2 = mats
-    k1 = _kernel_of(m1, len(eff1))
-    k2 = _kernel_of(m2, len(eff2))
+    k1, k2 = _kernel_of(m1, len(eff1)), _kernel_of(m2, len(eff2))
     if not k1 or not k2:
         return None
+    return _kernel_combination(pair.b1, eff1, k1, rng), _kernel_combination(pair.b2, eff2, k2, rng), pts
 
-    def combo(kern, rng):
-        w = [_random_fraction(rng) for _ in kern]
-        return [sum(wi * v[i] for wi, v in zip(w, kern)) for i in range(len(kern[0]))]
 
-    for _ in range(8):
-        f = LaurentPoly(pair.b1, dict(zip(pair.b1.elements, _embed(combo(k1, rng), eff1, pair.b1))))
-        g = LaurentPoly(pair.b2, dict(zip(pair.b2.elements, _embed(combo(k2, rng), eff2, pair.b2))))
-        if f.is_zero or g.is_zero:
-            continue
-        if in_filtration_subset(f, g, label):
-            return f, g, pts
-    return None
+def sample_filtration_subset(pair: SupportPair, label: StratumLabel, seed=0):
+    """Draw an exact (f, g, xs) from the filtration subset in one draw, or
+    None when a side kernel is empty.
+
+    xs are label.k distinct nonzero rationals, and f, g random rational
+    combinations of the kernels of the multiplicity Vandermonde matrices at
+    xs over the effective supports (boundary orders are imposed by zeroing
+    convex-hull coefficients).
+
+    The draw is always a member, so it is never repeated.  Each kernel basis
+    is the rref basis of `kernel_basis` (the identity with no rows): its
+    vector for a free column has a 1 there and 0 in every other free column.
+    So the combination's coordinate at that column is the vector's weight,
+    which `_random_fraction` never draws 0, and f and g are nonzero.  The
+    coefficient vector of f on eff1 lies in the kernel of M1, whose rows are
+    f^(d)(x_m) for d < j1_m, so f vanishes to order >= j1_m at each x_m;
+    likewise g.  Its coefficients below min(B1) + j0 and above
+    max(B1) - jinf are zero, so its orders at 0 and infinity are >= j0 and
+    >= jinf; likewise g.  The x_m are distinct, nonzero and finite, so
+    root pair m -> x_m is an injective assignment to common roots of orders
+    at least the label's.  The draw is still checked by
+    `in_filtration_subset`, and a failure raises AssertionError.
+    """
+    drawn = _draw_filtration_pair(pair, label, random.Random(seed))
+    if drawn is not None and not in_filtration_subset(drawn[0], drawn[1], label):
+        raise AssertionError(f"a draw of {label.notation()} is not a member")
+    return drawn
 
 
 @dataclass

@@ -18,19 +18,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import exact_rank, kernel_basis, primitive, prs_gcd, root_multiplicity
+from .exact import exact_rank, primitive, prs_gcd, root_multiplicity
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
-from .laurent import LaurentPoly, branch_covector, classify_point
+from .laurent import _covector, classify_point
 from .minors import admissible_pairs, exponent_minor_vanishes, minors_split_equivalence_scan, power_minor_vanishes
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
     StratumLabel,
+    _draw_filtration_pair,
     estimate_codim,
     in_filtration_subset,
     label_dominates,
-    multiplicity_vandermonde,
     parse_label,
     sample_filtration_subset,
     scan_corank_strata,
@@ -217,18 +217,20 @@ def check_corank2_dichotomy(max_spread=10, n_max=12):
     return not bad, {"supports_checked": len(supports), "failures": bad[:5]}
 
 
+CODIM_CASES = [  # (supports, label, expected codim estimate)
+    (((0, 1, 2, 3), (0, 1, 2, 3)), "N(1)", 1),
+    (((0, 1, 2, 3), (0, 1, 2, 3)), "N(1,1)", 2),
+    (((0, 1, 2, 3), (0, 1, 2, 3)), "N(2)", 3),
+    (((0, 1, 2, 3), (0, 1, 2, 3)), "N(1,1,1)", 3),
+    (((0, 3, 6), (0, 3, 6)), "N(1,1)", 1),
+    (((0, 1, 3, 4, 6, 7), (0, 3, 6)), "N(1,1,1)", 2),
+]
+
+
 def check_codim_estimates(seed=7):
-    cases = [
-        (((0, 1, 2, 3), (0, 1, 2, 3)), "N(1)", 1),
-        (((0, 1, 2, 3), (0, 1, 2, 3)), "N(1,1)", 2),
-        (((0, 1, 2, 3), (0, 1, 2, 3)), "N(2)", 3),
-        (((0, 1, 2, 3), (0, 1, 2, 3)), "N(1,1,1)", 3),
-        (((0, 3, 6), (0, 3, 6)), "N(1,1)", 1),
-        (((0, 1, 3, 4, 6, 7), (0, 3, 6)), "N(1,1,1)", 2),
-    ]
     results = []
     ok = True
-    for (b1, b2), name, want in cases:
+    for (b1, b2), name, want in CODIM_CASES:
         est = estimate_codim(_pair(b1, b2), parse_label(name), seed=seed)
         got = est.estimate
         results.append({"pair": [list(b1), list(b2)], "label": name, "estimate": got, "expected": want})
@@ -307,70 +309,32 @@ def check_stratum_order(seed=11):
     return ok, details
 
 
-def _random_kernel_poly(support, constraints, rng):
-    """Random exact polynomial on the support vanishing to the prescribed
-    orders: constraints = [(point, order), ...], at least one."""
-    pts = [p for p, _ in constraints]
-    js = [j for _, j in constraints]
-    kern = kernel_basis(multiplicity_vandermonde(support, pts, js))
-    if not kern:
-        return None
-    for _ in range(6):
-        weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in kern]
-        vec = [sum(w * v[i] for w, v in zip(weights, kern)) for i in range(len(support.elements))]
-        if any(vec):
-            return LaurentPoly(support, dict(zip(support.elements, vec)))
-    return None
-
-
-def _distinct_rationals(rng, count):
-    out = []
-    while len(out) < count:
-        x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        if x and x not in out:
-            out.append(x)
-    return out
-
-
 def check_point_classifier(per_scenario=67, seed=23):
     """>= 200 constructed pairs per support family, across the three
-    scenarios (one simple root, two simple roots, a double root)."""
+    scenarios N(1), N(1,1) and N(2) (one simple root, two simple roots, a
+    double root), drawn by the filtration-subset sampler.  Every side has at
+    least 3 exponents and at most 2 conditions, so no draw has an empty
+    side kernel."""
     families = [
         ((0, 1, 2, 3), (0, 1, 2, 3)),
         ((0, 1, 2), (0, 1, 2, 3)),
         ((0, 1, 2, 4), (0, 1, 3, 4)),
     ]
+    names = (("N(1)", "SmoothPoint"), ("N(1,1)", "NodeA1"), ("N(2)", "MultipleRoot"))
+    scenarios = {parse_label(name): want for name, want in names}
     rng = random.Random(seed)
     mis = []
-    counts = {"SmoothPoint": 0, "NodeA1": 0, "MultipleRoot": 0}
+    counts = dict.fromkeys(scenarios.values(), 0)
     for fam in families:
         pair = _pair(*fam)
-        done = {"smooth": 0, "node": 0, "double": 0}
+        done = dict.fromkeys(scenarios, 0)
         while min(done.values()) < per_scenario:
-            scenario = min(done, key=done.get)
-            if scenario == "smooth":
-                (r,) = _distinct_rationals(rng, 1)
-                f = _random_kernel_poly(pair.b1, [(r, 1)], rng)
-                g = _random_kernel_poly(pair.b2, [(r, 1)], rng)
-                want = "SmoothPoint"
-                needed = [(r, 1, 1)]
-            elif scenario == "node":
-                r1, r2 = _distinct_rationals(rng, 2)
-                f = _random_kernel_poly(pair.b1, [(r1, 1), (r2, 1)], rng)
-                g = _random_kernel_poly(pair.b2, [(r1, 1), (r2, 1)], rng)
-                want = "NodeA1"
-                needed = [(r1, 1, 1), (r2, 1, 1)]
-            else:
-                (r,) = _distinct_rationals(rng, 1)
-                f = _random_kernel_poly(pair.b1, [(r, 2)], rng)
-                g = _random_kernel_poly(pair.b2, [(r, 2)], rng)
-                want = "MultipleRoot"
-                needed = [(r, 2, 2)]
-            if f is None or g is None:
+            label = min(done, key=done.get)
+            want = scenarios[label]
+            f, g, pts = _draw_filtration_pair(pair, label, rng)
+            if not _construction_is_clean(f, g, [(x, *orders) for x, orders in zip(pts, label.roots)]):
                 continue
-            if not _construction_is_clean(f, g, needed):
-                continue
-            done[scenario] += 1
+            done[label] += 1
             got = classify_point(f, g)
             tag = got.reason if got.tag == "Degenerate" else got.tag
             if tag != want:
@@ -378,8 +342,7 @@ def check_point_classifier(per_scenario=67, seed=23):
             else:
                 counts[want] += 1
             if want == "NodeA1" and got.tag == "NodeA1":
-                cov = [branch_covector(f, g, x) for x, _, _ in needed]
-                if exact_rank(cov) != 2:
+                if exact_rank([_covector(f, g, x) for x in pts]) != 2:
                     mis.append({"family": fam, "want": "rank-2 covectors"})
     return not mis, {"classified": counts, "misclassifications": mis[:5]}
 

@@ -27,7 +27,10 @@ The sets:
   values are left out: a change of evaluation order moves them in the
   last digits;
 - the ten `verify-paper` results (`verify.run_checks()`), with their
-  `elapsed_s` stripped.
+  `elapsed_s` stripped;
+- the `estimate_codim` reports of the six `check_codim_estimates` cases
+  (`verify.CODIM_CASES`) at seeds 0..39, with `timings` and `version`
+  stripped.
 
 Print the current digests by hand from the root of a checkout:
 
@@ -45,9 +48,9 @@ import sys
 import pytest
 
 from singres import cli
-from singres.strata import parse_label, scan_corank_strata
+from singres.strata import estimate_codim, parse_label, scan_corank_strata
 from singres.supports import SupportPair, SupportSet
-from singres.verify import _normalized_supports, run_checks
+from singres.verify import CODIM_CASES, _normalized_supports, run_checks
 
 N_MAX = 12
 STRIPPED = ("wall_time_s", "timings", "elapsed_s", "version")
@@ -76,6 +79,14 @@ def pair_scans():
         for i in range(0, len(pairs), step):
             reports.append(scan_corank_strata(SupportPair(*pairs[i]), label, N_MAX, seed=i))
     return reports
+
+
+def codim_reports():
+    return [
+        estimate_codim(SupportPair(SupportSet(b1), SupportSet(b2)), parse_label(name), seed=seed)
+        for seed in range(40)
+        for (b1, b2), name, _ in CODIM_CASES
+    ]
 
 
 def _stdout(argv, stdin=None):
@@ -152,7 +163,12 @@ def project3d_decisions():
     return rows
 
 
-SETS = {"symmetric_1013": symmetric_scans, "pairs_spread_5": pair_scans, "verify_paper": run_checks}
+SETS = {
+    "symmetric_1013": symmetric_scans,
+    "pairs_spread_5": pair_scans,
+    "verify_paper": run_checks,
+    "codim_verify_cases": codim_reports,
+}
 CLI_SETS = {
     "classify_spread_4": classify_outputs,
     "germ_classify": germ_outputs,
@@ -164,6 +180,7 @@ EXPECTED = {  # (report count, digest)
     "symmetric_1013": (1013, "447c0d788eb8f9011c0ddf84eec4691277d407bdc254271eb5ee39bc9b78a752"),
     "pairs_spread_5": (2 * 961 + 2 * 138, "7df8993958c8d834e59e0069a08b436feb572bee3f077fc464a58e508ab09f53"),
     "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
+    "codim_verify_cases": (6 * 40, "5c1969465155c3437fbb6216ef112fd0514cceba06ff07fcf2652a3dabb96d4e"),
 }
 
 

@@ -10,7 +10,6 @@ from singres.laurent import (
     ProjPoint,
     _covector,
     _rank_two,
-    branch_covector,
     classify_point,
     common_roots,
     homogenize,
@@ -259,14 +258,8 @@ class TestCovector:
     def test_example(self):
         f = lp((0, 1), {0: -1, 1: 1})
         g = lp((0, 1, 2), {0: -1, 2: 1})
-        cov = branch_covector(f, g, Fraction(1))
+        cov = _covector(f, g, Fraction(1))
         assert cov == [2, 2, -1, -1, -1]
-
-    def test_requires_simple_root(self):
-        f = lp((0, 1, 2), {0: 1, 1: -2, 2: 1})
-        g = lp((0, 1, 2), {0: 1, 1: -2, 2: 1})
-        with pytest.raises(ValueError, match="covector undefined"):
-            branch_covector(f, g, Fraction(1))
 
     def test_rank_two_matches_exact_rank(self):
         """The 2x2-minor test equals the rational rank on random pairs,
@@ -315,8 +308,8 @@ class TestClassifyPoint:
         g = lp((0, 1, 2, 3), {0: 2, 1: -1, 2: -2, 3: 1})
         out = classify_point(f, g)
         assert out.tag == "NodeA1"
-        c1 = branch_covector(f, g, Fraction(1))
-        c2 = branch_covector(f, g, Fraction(2))
+        c1 = _covector(f, g, Fraction(1))
+        c2 = _covector(f, g, Fraction(2))
         assert exact_rank([c1, c2]) == 2
 
     def test_multiple_root(self):
@@ -392,7 +385,7 @@ class TestLaurentSupports:
         recs = common_roots(f, g)
         assert len(recs) == 1 and recs[0].point.value == 1
         assert classify_point(f, g).tag == "SmoothPoint"
-        cov = branch_covector(f, g, Fraction(1))
+        cov = _covector(f, g, Fraction(1))
         assert all(isinstance(c, (int, Fraction)) for c in cov)
 
     def test_negative_support_orders(self):

@@ -144,6 +144,26 @@ def test_reports_have_one_writer():
     assert found == []
 
 
+def test_one_kernel_sampler():
+    """`strata` is the one module of the package that reads `kernel_basis`
+    or `multiplicity_vandermonde`: its filtration-subset sampler is the one
+    exact kernel sampler, and `verify` draws its constructions through it."""
+    readers = set()
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            else:
+                continue
+            if names & {"kernel_basis", "multiplicity_vandermonde"}:
+                readers.add(path.stem)
+    assert readers == {"strata"}
+
+
 def test_codim_scan_leaves_numpy_random_unloaded():
     """A three-point `scan codim`, whose minor-curve certificate draws
     kernel vectors, runs in a fresh interpreter without importing

@@ -36,6 +36,8 @@ from singres.strata import (
     _certify_points,
     _conjugate_ranks,
     _corank_tally,
+    _distinct_points,
+    _draw_filtration_pair,
     _embed,
     _effective_elements,
     _generic_kernel_dims,
@@ -55,7 +57,7 @@ from singres.strata import (
     _unity_coranks,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
-from singres.verify import _normalized_supports, check_codim_estimates, check_stratum_order
+from singres.verify import _construction_is_clean, _normalized_supports, check_codim_estimates, check_stratum_order
 from test_guarantees import LABELS as GUARANTEE_LABELS
 from test_guarantees import PAIRS as GUARANTEE_PAIRS
 from test_guarantees import expected_codim
@@ -288,6 +290,58 @@ class TestSampling:
         p = pair((0, 1), (0, 1))
         label = parse_label("N(1,1)")  # two roots need kernel dim >= 1 each
         assert sample_filtration_subset(p, label, seed=62) is None
+
+    def test_one_draw_is_a_member_unless_a_side_kernel_is_empty(self):
+        # every ordered pair of supports of spread <= 3: the one draw is None
+        # exactly when a side's effective support is empty or its multiplicity
+        # Vandermonde at the drawn points has full column rank, and a member
+        # at those points otherwise
+        sups = [(0, *mid, top) for top in (1, 2, 3) for r in range(top) for mid in itertools.combinations(range(1, top), r)]
+        names = ("N(1)", "N(1,1)", "N(2)", "N(1,1,1)", "N(2,1;1,1)", "N_1^0(1)", "N(2,2;1,1)")
+
+        def kernel_is_empty(b, label, pts, side):
+            eff = [e for e in b if b[0] + label.j0 <= e <= b[-1] - label.jinf]
+            js = label.side_orders(side)
+            return not eff or bool(js) and exact_rank(multiplicity_vandermonde(S(*eff), pts, js)) == len(eff)
+
+        outcomes = Counter()
+        for b1, b2 in itertools.product(sups, repeat=2):
+            for name in names:
+                label = parse_label(name)
+                for seed in (0, 1):
+                    pts = _distinct_points(random.Random(seed), label.k)
+                    empty = kernel_is_empty(b1, label, pts, 1) or kernel_is_empty(b2, label, pts, 2)
+                    got = sample_filtration_subset(pair(b1, b2), label, seed=seed)
+                    outcomes[empty] += 1
+                    if empty:
+                        assert got is None, (b1, b2, name, seed)
+                    else:
+                        f, g, xs = got
+                        assert xs == pts and in_filtration_subset(f, g, label), (b1, b2, name, seed)
+        assert sum(outcomes.values()) == 49 * 7 * 2 and outcomes[True] and outcomes[False]
+        # the membership proof rests on nonzero weights and points
+        rng = random.Random(0)
+        assert all(_random_fraction(rng) for _ in range(2000))
+
+    def test_point_classifier_draws_are_frozen(self):
+        # verify-paper's point-classifier draws its N(1), N(1,1) and N(2)
+        # constructions from one rng at seed 23; on the first family its
+        # first three draws are clean, so they are the first construction of
+        # each scenario, and a changed draw stream shows here
+        p = pair((0, 1, 2, 3), (0, 1, 2, 3))
+        rng = random.Random(23)
+        got = []
+        for name in ("N(1)", "N(1,1)", "N(2)"):
+            label = parse_label(name)
+            f, g, pts = _draw_filtration_pair(p, label, rng)
+            assert _construction_is_clean(f, g, [(x, *orders) for x, orders in zip(pts, label.roots)]), name
+            got.append((pts, [f.coeffs[e] for e in range(4)], [g.coeffs[e] for e in range(4)]))
+        F = Fraction
+        assert got == [
+            ([-7], [F(2317, 3), 3, 1, F(7, 3)], [F(10549, 6), F(-5, 6), -1, 5]),
+            ([F(-2, 5), 5], [F(-9, 5), F(-357, 50), -6, F(3, 2)], [F(-26, 3), F(-113, 5), F(-9, 5), F(4, 3)]),
+            ([-4], [F(-1024, 15), F(-144, 5), F(-8, 5), F(1, 3)], [F(256, 5), F(88, 5), F(-4, 5), F(-1, 2)]),
+        ]
 
     def test_stratum_order_draws_are_frozen(self):
         # verify-paper's stratum-order check samples N(2,2;1,1) on the classical
@@ -882,14 +936,9 @@ def solve_exact(matrix, rhs):
 
 
 def draw_generic_tuple(k, rng):
-    """k distinct nonzero rationals drawn by _random_fraction, with the k
+    """k distinct nonzero rationals drawn by `_distinct_points`, with the k
     coordinate tangent directions."""
-    pts = []
-    while len(pts) < k:
-        x = _random_fraction(rng)
-        if x not in pts:
-            pts.append(x)
-    return pts, [[int(i == m) for i in range(k)] for m in range(k)]
+    return _distinct_points(rng, k), [[int(i == m) for i in range(k)] for m in range(k)]
 
 
 def reference_span_dimension_exact(pair, label, pts, dirs):
