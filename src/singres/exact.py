@@ -3,8 +3,9 @@
 An integer-primitive univariate core, and exact rank / kernel computations
 over Q.  A polynomial over Q enters the univariate core as its primitive
 part in Z[x] (content and primitive part, pseudo-remainders, the primitive
-PRS gcd, exact division), and a `Fraction` appears only in an answer, the
-monic gcd; the matrices are over Q, in ints and `fractions.Fraction`s.
+PRS gcd, exact division), a tuple of ints ascending in degree, and stays in
+integers throughout; there is no polynomial class.  The matrices are over
+Q, in ints and `fractions.Fraction`s.
 Nothing in this module touches floating point.  Facts in Z[zeta_n] are
 decided modulo primes p = 1 mod n (`split_primes`), which split completely
 in Q(zeta_n): the phi(n) maps zeta_n -> z^k mod p, k a unit mod n, are the
@@ -24,13 +25,11 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "UniPoly",
     "primitive",
     "prs_gcd",
     "exact_quo",
     "root_multiplicity",
     "is_prime",
-    "poly_gcd",
     "exact_rank",
     "split_primes",
     "split_prime",
@@ -49,39 +48,6 @@ def _exact_div(a, b):
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return a / b
-
-
-class UniPoly:
-    """Dense univariate polynomial, coefficients indexed by ascending degree:
-    the answer type of the univariate core (`poly_gcd`, class factors).
-
-    The zero polynomial is the empty coefficient tuple and has degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)!r})"
 
 
 def clear_denominators(values):
@@ -192,18 +158,6 @@ def root_multiplicity(a, x) -> int:
             a, m = exact_quo(a, lin), m + 1
     except ArithmeticError:
         return m
-
-
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals: `prs_gcd` of the primitive parts, made
-    monic."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("undefined gcd")
-    if p.is_zero or q.is_zero:
-        g = primitive(p.coeffs or q.coeffs)
-    else:
-        g = prs_gcd(primitive(p.coeffs), primitive(q.coeffs))
-    return UniPoly(Fraction(c, g[-1]) for c in g)
 
 
 def is_prime(m):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import UniPoly, clear_denominators, derivative, poly_gcd
+from .exact import clear_denominators, derivative, primitive, prs_gcd
 from .mpoly import MPoly
 
 __all__ = ["PlaneGerm", "GermClass", "slice_germ", "classify_germ"]
@@ -134,31 +134,29 @@ def _germ_mul(a, b):
 
 
 def _form_profile(lowest, m):
-    """(t_mult, s_mult, reduced univariate q~) of the degree-m binary form.
+    """(t_mult, s_mult, q~) of the degree-m binary form, q~ a primitive
+    integer coefficient tuple ascending in degree.
 
     Writing L = sum c_i s^i t^(m-i), q(z) = sum c_i z^i factors as
     z^s_mult * q~(z) with q~(0) != 0, and t divides L exactly m - deg(q)
-    times.
+    times.  q~ is the primitive part, so a nonzero rational scale of L
+    gives the same triple.
     """
-    coeffs = [Fraction(0)] * (m + 1)
-    for (i, j), c in lowest.items():
+    coeffs = [0] * (m + 1)
+    for (i, _), c in lowest.items():
         coeffs[i] = c
-    q = UniPoly(coeffs)
-    t_mult = m - q.degree
-    s_mult = 0
-    qs = list(q.coeffs)
-    while qs and qs[0] == 0:
-        qs.pop(0)
-        s_mult += 1
-    return t_mult, s_mult, UniPoly(qs)
+    q = primitive(coeffs)
+    s_mult = next(i for i, c in enumerate(q) if c)
+    return m + 1 - len(q), s_mult, q[s_mult:]
 
 
 def classify_germ(germ: PlaneGerm) -> GermClass:
     """Classify by the lowest homogeneous form; exact, no root finding.
 
-    Squarefreeness of the form and the distinct-tangent count come from
-    gcds with derivatives.  Single repeated tangents are rotated onto the
-    t = 0 form and read off the Newton polygon's steepest edge from (0, m).
+    Squarefreeness of the form and the distinct-tangent count come from the
+    primitive gcd of q~ and its derivative (`prs_gcd`), in integers.  Single
+    repeated tangents are rotated onto the t = 0 form and read off the
+    Newton polygon's steepest edge from (0, m).
     """
     if germ.is_zero:
         raise ValueError("cannot classify the zero germ")
@@ -169,15 +167,11 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
         return GermClass("Smooth", 1)
     lowest = germ.lowest_form()
     t_mult, s_mult, q = _form_profile(lowest, m)
-    if q.degree > 0:
-        qsq = poly_gcd(q, UniPoly(derivative(q.coeffs)))
-        q_distinct = q.degree - qsq.degree
-        q_squarefree = qsq.degree == 0
-    else:
-        q_distinct = 0
-        q_squarefree = True
-    tangents = (1 if t_mult else 0) + (1 if s_mult else 0) + q_distinct
-    squarefree = t_mult <= 1 and s_mult <= 1 and q_squarefree
+    deg = len(q) - 1
+    # deg gcd(q~, q~') sums multiplicity - 1 over the roots of q~
+    repeated = len(prs_gcd(q, derivative(q))) - 1 if deg else 0
+    tangents = (1 if t_mult else 0) + (1 if s_mult else 0) + deg - repeated
+    squarefree = t_mult <= 1 and s_mult <= 1 and not repeated
     if squarefree:
         return GermClass("NodeA1", 2) if m == 2 else GermClass("OrdinaryMultiple", m)
     if tangents != 1:
@@ -190,8 +184,7 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
     else:
         # q~ = unit * (z - r)^m, z = s/t, so the tangent factor is (s - r*t);
         # swapping axes turns it into (t - r*s), then shift t -> t + r*s
-        deg = q.degree
-        r = -Fraction(q.coeffs[deg - 1], deg * q.coeffs[deg])
+        r = Fraction(-q[-2], deg * q[-1])
         normalized = germ.swap_axes().linear_change(1, 0, r, 1)
     slope = None
     for (i, j), _ in normalized.terms.items():

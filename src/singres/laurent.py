@@ -3,10 +3,10 @@
 Multiplicity bookkeeping runs on the projective line: the order at 0 (resp.
 infinity) counts vanishing leftmost (rightmost) coefficients along the
 convex hull of the support, and finite orders are root multiplicities of the
-x-part.  Two scalar instantiations share the contract: exact rationals
-(authoritative), decided on the primitive integer x-parts, and complex
-floats.  Nothing in the package builds a complex polynomial; only JSON
-input that gives a coefficient as [re, im] does.
+homogenized form.  Two scalar instantiations share the contract: exact
+rationals (authoritative), decided on the primitive integer forms, and
+complex floats.  Nothing in the package builds a complex polynomial; only
+JSON input that gives a coefficient as [re, im] does.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import lcm
 
 import numpy as np
 
-from .exact import UniPoly, derivative, exact_quo, is_prime, primitive, prs_gcd, root_multiplicity
+from .exact import derivative, exact_quo, is_prime, primitive, prs_gcd, root_multiplicity
 from .supports import SupportSet
 
 __all__ = [
@@ -80,15 +80,17 @@ class RootRecord:
     """Common root with its per-polynomial vanishing orders.
 
     For exact irrational roots `min_poly` holds the root's order-class
-    factor with its rational roots divided out: the monic product of x - r
-    over the irrational common roots r with the same (ord1, ord2).  `value`
-    is a numeric approximation; order bookkeeping never depends on it.
+    factor with its rational roots divided out, as a primitive integer
+    coefficient tuple ascending in degree: a positive multiple of the product
+    of x - r over the irrational common roots r with the same (ord1, ord2).
+    `value` is a numeric approximation; order bookkeeping never depends on
+    it.
     """
 
     point: ProjPoint
     ord1: int
     ord2: int
-    min_poly: UniPoly | None = None
+    min_poly: tuple | None = None
 
     @property
     def pair_ord(self):
@@ -137,26 +139,12 @@ class LaurentPoly:
     def is_exact(self):
         return all(_is_exact_scalar(c) for c in self.coeffs.values())
 
-    def x_part(self) -> UniPoly:
-        """The polynomial sum c_b x^(b - min B); exact scalars only."""
-        lo = self.support.min
-        out = [0] * (self.support.spread + 1)
-        for b, c in self.coeffs.items():
-            out[b - lo] = c
-        return UniPoly(out)
-
-    def evaluate(self, x):
-        return sum(c * x**b for b, c in self.coeffs.items() if c)
-
-    def derivative_value(self, x, order=1):
-        """Value of the order-th derivative at nonzero x (Laurent exponents)."""
+    def derivative_value(self, x):
+        """Value of the first derivative at nonzero x (Laurent exponents)."""
         acc = 0
         for b, c in self.coeffs.items():
-            if not c:
-                continue
-            fall = falling(b, order)
-            if fall:
-                acc += c * fall * x ** (b - order)
+            if c and b:
+                acc += c * b * x ** (b - 1)
         return acc
 
     def to_json(self):
@@ -187,7 +175,8 @@ class LaurentPoly:
 
 
 def homogenize(f: LaurentPoly):
-    """Coefficients of the degree-spread binary form, ascending in x-degree.
+    """Coefficients of the degree-spread binary form, ascending in x-degree:
+    the one dense coefficient list of a Laurent polynomial.
 
     Position j carries the coefficient of x^j y^(spread-j), i.e. the support
     exponent min B + j.
@@ -204,53 +193,40 @@ def _float_tol(coeffs, tol):
 
 
 def ord_at(f: LaurentPoly, p: ProjPoint, tol=CLUSTER_TOL) -> int:
-    """Vanishing order of the homogenized form at a projective point.
-
-    At 0 / infinity this counts zero coefficients from the respective end of
-    the convex hull; at finite x it is the root multiplicity of the x-part
-    (exact for rational scalars, deflation within `tol` for floats).
+    """Vanishing order of the homogenized form at 0 or infinity: the number
+    of zero coefficients from the respective end of the convex hull (exact
+    scalars exactly, floats within `tol` of the largest modulus).  A finite
+    point has no order here; `common_roots` gives the orders of the finite
+    common roots.
     """
+    if p.kind == "finite":
+        raise ValueError("orders are taken at 0 and infinity only")
     if f.is_zero:
         raise ValueError("order of the zero polynomial is undefined")
-    form = homogenize(f)
     if f.is_exact:
-        nonzero = [j for j, c in enumerate(form) if c]
+        nonzero = [b for b, c in f.coeffs.items() if c]
     else:
-        cut = _float_tol(form, tol)
-        nonzero = [j for j, c in enumerate(form) if abs(complex(c)) > cut]
+        cut = _float_tol(f.coeffs.values(), tol)
+        nonzero = [b for b, c in f.coeffs.items() if abs(complex(c)) > cut]
         if not nonzero:
             raise ValueError("polynomial is numerically zero")
     if p.kind == "zero":
-        return nonzero[0]
-    if p.kind == "infinity":
-        return len(form) - 1 - nonzero[-1]
-    x = p.value
-    if f.is_exact and _is_exact_scalar(x):
-        return root_multiplicity(primitive(f.x_part().coeffs), x)
-    # float path: deflate by evaluating successive derivatives
-    scale = max(abs(complex(c)) for c in form)
-    m = 0
-    xf = complex(x)
-    while m <= f.support.spread:
-        val = f.derivative_value(xf, order=m) if m else f.evaluate(xf)
-        if abs(complex(val)) > tol * scale * max(1.0, abs(xf)) ** (f.support.max - m):
-            return m
-        m += 1
-    return m
+        return min(nonzero) - f.support.min
+    return f.support.max - max(nonzero)
 
 
 def _exact_finite_common_roots(f: LaurentPoly, g: LaurentPoly):
     """RootRecords over nonzero finite points, exact path, in Z[x].
 
     Every common root is a root of h = gcd(pf, pg), pf and pg the primitive
-    x-parts.  The root at 0 is stripped from h (it belongs to the boundary
-    bookkeeping), and the squarefree part s = h / gcd(h, h') is split by
-    root order in pf, then each class by order in pg, so every common root
-    lands in exactly one (a, b) order class.  Irrational roots keep the
-    irrational part of their class factor, made monic, and get a numeric
-    approximation per root.
+    homogenized forms.  The root at 0 is stripped from h (it belongs to the
+    boundary bookkeeping), and the squarefree part s = h / gcd(h, h') is
+    split by root order in pf, then each class by order in pg, so every
+    common root lands in exactly one (a, b) order class.  Irrational roots keep the
+    irrational part of their class factor and get a numeric approximation
+    per root.
     """
-    pf, pg = primitive(f.x_part().coeffs), primitive(g.x_part().coeffs)
+    pf, pg = primitive(homogenize(f)), primitive(homogenize(g))
     h = prs_gcd(pf, pg)
     h = h[next(i for i, c in enumerate(h) if c) :]
     if len(h) <= 1:
@@ -288,16 +264,16 @@ def _split_by_order(s, p):
 
 def _roots_of_squarefree(q):
     """(root, min_poly): rational roots exactly, with no min_poly, then the
-    others numerically, with the monic quotient by the rational factors."""
+    others numerically, with the primitive quotient rem of q by the rational
+    factors; np.roots gets rem made monic, each coefficient rounded once."""
     out = []
     rem = q
     for r in _rational_roots(q):
         out.append((r, None))
         rem = exact_quo(rem, (-r.numerator, r.denominator))
     if len(rem) > 1:
-        monic = UniPoly(Fraction(c, rem[-1]) for c in rem)
-        for z in np.roots([complex(c) for c in reversed(monic.coeffs)]):
-            out.append((complex(z), monic))
+        for z in np.roots([complex(c / rem[-1]) for c in reversed(rem)]):
+            out.append((complex(z), rem))
     return out
 
 
@@ -359,7 +335,7 @@ def _reconstruct(x, m, bound_n, bound_d):
 
 
 def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, tol):
-    """Float path: cluster the roots of both x-parts and intersect clusters."""
+    """Float path: cluster the roots of both forms and intersect clusters."""
 
     def clusters(poly: LaurentPoly):
         form = [complex(c) for c in homogenize(poly)]
@@ -394,7 +370,13 @@ def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, tol):
 
 
 def common_roots(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL):
-    """All projective points where both orders are >= 1, with both orders."""
+    """All projective points where both orders are >= 1, with both orders.
+
+    The records at 0 and infinity come first, from `ord_at`; a boundary
+    record exists exactly when both orders there are >= 1, so a caller reads
+    min(ord f, ord g) at 0 or infinity as its pair order, or 0 without one.
+    The finite records come from one homogenized form per polynomial.
+    """
     if f.is_zero or g.is_zero:
         raise ValueError("common roots of a zero polynomial are undefined")
     records = []

@@ -70,19 +70,20 @@ def residues(values, moduli) -> np.ndarray:
         return table.astype(np.int64)[inverse]
 
 
-def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
+def unity_power_rank(b: SupportSet, g: int, n, ps, qs) -> np.ndarray:
     """Rank of M(B; x, y), x = zeta_n^p, y = zeta_n^q, for every pair
     (ps[i], qs[i]): an int array with entries 1, 2 or 3.
 
+    `g` is the gap gcd of B (`supports.gap_gcd`), which the caller holds.
     `n` is one modulus for every pair or an int array aligned with ps/qs,
     one modulus per pair.  Only (pairs,) arrays are built: the periods, one
     residue count |B mod m| per period m that occurs (in Python ints, so
     exponents of any size stay exact) and the gap test, with no product.
 
-    Lemma (rank).  Let g be the gap gcd of B and call (p*b mod n, q*b mod n)
-    the key of the column b.  The rank is 1 iff the key is constant over B,
-    and at most 2 iff p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, or the key
-    takes at most two values over B.
+    Lemma (rank).  Call (p*b mod n, q*b mod n) the key of the column b.
+    The rank is 1 iff the key is constant over B, and at most 2 iff
+    p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, or the key takes at most two
+    values over B.
 
     Proof.  The rank is at most 2 iff some nonzero (alpha, beta, gamma) has
     alpha + beta x^b + gamma y^b = 0 for every b in B.  gamma = 0 forces x^b
@@ -108,7 +109,7 @@ def unity_power_rank(b: SupportSet, n, ps, qs) -> np.ndarray:
     m = _order(ns, np.gcd(ps, qs))  # the period of the column keys
     periods = sorted(set(m.tolist()))  # np.unique would import numpy.ma, about 0.5 MB
     counts = np.array([class_count(b, k) for k in periods], dtype=np.int64)
-    h = _order(ns, residues((gap_gcd(b),), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
+    h = _order(ns, residues((g,), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
     return _rank(counts[np.searchsorted(periods, m)], gap_root(h, ps, qs))
 
 

@@ -60,7 +60,7 @@ from .exact import (
     split_prime,
     split_primes,
 )
-from .laurent import LaurentPoly, ProjPoint, common_roots, falling, ord_at
+from .laurent import LaurentPoly, common_roots, falling
 from .minors import _rank, gap_root, residues, unity_power_rank
 from .supports import SupportPair, SupportSet, class_count, gap_gcd, split_dividing
 
@@ -211,14 +211,19 @@ def _match_size(left_adj, n_right):
 
 def in_filtration_subset(f: LaurentPoly, g: LaurentPoly, label: StratumLabel) -> bool:
     """Membership test: boundary orders and an injective assignment of the
-    label's root pairs to distinct finite common roots (bipartite matching)."""
+    label's root pairs to distinct finite common roots (bipartite matching).
+
+    One `common_roots` call gives both: min(ord f, ord g) at 0 is the pair
+    order of its record at 0, and 0 when it has none (a boundary record
+    exists exactly when both orders are >= 1); likewise at infinity.
+    """
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
-    if min(ord_at(f, ProjPoint.zero()), ord_at(g, ProjPoint.zero())) < label.j0:
+    records = common_roots(f, g)
+    ends = {r.point.kind: r.pair_ord for r in records}
+    if ends.get("zero", 0) < label.j0 or ends.get("infinity", 0) < label.jinf:
         return False
-    if min(ord_at(f, ProjPoint.infinity()), ord_at(g, ProjPoint.infinity())) < label.jinf:
-        return False
-    finite = [r for r in common_roots(f, g) if r.point.kind == "finite"]
+    finite = [r for r in records if r.point.kind == "finite"]
     adj = [
         [ri for ri, rec in enumerate(finite) if rec.ord1 >= j1 and rec.ord2 >= j2]
         for j1, j2 in label.roots
@@ -726,10 +731,10 @@ def _unity_coranks(side, ns, exps):
     |b|), so a full rank_p is the rank, and only the other tuples take the
     conjugate ranks of `_conjugate_ranks`.
     """
-    b, js, _ = side
+    b, js, gap = side
     if all(j == 1 for j in js):
         k = exps.shape[1]
-        return k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
+        return k - unity_power_rank(b, gap, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
     primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
     rank = modular_rank(_hermite_stack(b.elements, js, exps, ns, primes, roots), primes)
     short = np.flatnonzero(rank < min(sum(js), len(b)))

@@ -21,7 +21,7 @@ import numpy as np
 from .exact import exact_rank, primitive, prs_gcd, root_multiplicity
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
-from .laurent import _covector, classify_point
+from .laurent import _covector, classify_point, homogenize
 from .minors import admissible_pairs, exponent_minor_vanishes, minors_split_equivalence_scan, power_minor_vanishes
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
@@ -351,11 +351,11 @@ def _construction_is_clean(f, g, needed):
     """Independent sanity of a constructed pair: exactly the prescribed
     common roots, with exactly the prescribed orders, and nothing at the
     boundary."""
-    pf, pg = f.x_part(), g.x_part()
-    # a zero constant term is a root at 0, a degree below the spread one at infinity
-    if any(part.degree != h.support.spread or not part.coeffs[0] for h, part in ((f, pf), (g, pg))):
+    forms = homogenize(f), homogenize(g)
+    # a zero constant term is a root at 0, a zero top coefficient one at infinity
+    if not all(form[0] and form[-1] for form in forms):
         return False
-    pf, pg = primitive(pf.coeffs), primitive(pg.coeffs)
+    pf, pg = (primitive(form) for form in forms)
     want_deg = sum(min(o1, o2) for _, o1, o2 in needed)
     if len(prs_gcd(pf, pg)) - 1 != want_deg:
         return False

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from singres.exact import UniPoly, _exact_div, clear_denominators
+from singres.exact import _exact_div, clear_denominators
 from singres.laurent import falling
 
 
@@ -39,14 +39,40 @@ def divisors(n):
     return sorted(out)
 
 
-class QPoly(UniPoly):
+class QPoly:
     """Dense polynomial over Q with Fraction arithmetic: long division, the
     Euclidean gcd and root multiplicity by repeated division.  The oracle
     for the package's integer-primitive univariate core, and the Q-division
-    that `poly_xgcd` and the cyclotomic reduction need.  Operands may be any
-    UniPoly; results are QPolys."""
+    that `poly_xgcd` and the cyclotomic reduction need.
 
-    __slots__ = ()
+    Coefficients are indexed by ascending degree; the zero polynomial is the
+    empty coefficient tuple and has degree -1.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"QPoly({list(self.coeffs)!r})"
 
     @classmethod
     def zero(cls):
@@ -85,7 +111,7 @@ class QPoly(UniPoly):
         return self + (-QPoly(other.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, UniPoly):
+        if isinstance(other, QPoly):
             if not self.coeffs or not other.coeffs:
                 return QPoly(())
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -159,7 +185,7 @@ class QPoly(UniPoly):
                 return m
 
 
-def q_gcd(p: UniPoly, q: UniPoly) -> QPoly:
+def q_gcd(p: QPoly, q: QPoly) -> QPoly:
     """Monic gcd over the rationals by the Euclidean algorithm."""
     if p.is_zero and q.is_zero:
         raise ValueError("undefined gcd")
@@ -169,7 +195,7 @@ def q_gcd(p: UniPoly, q: UniPoly) -> QPoly:
     return a.monic()
 
 
-def poly_xgcd(p: UniPoly, q: UniPoly):
+def poly_xgcd(p: QPoly, q: QPoly):
     """Extended gcd: returns (g, u, v) monic with u*p + v*q = g."""
     if p.is_zero and q.is_zero:
         raise ValueError("undefined gcd")
@@ -344,7 +370,7 @@ class CycloElement:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        g, u, _ = poly_xgcd(UniPoly(self.coeffs), cyclotomic_polynomial(self.n))
+        g, u, _ = poly_xgcd(QPoly(self.coeffs), cyclotomic_polynomial(self.n))
         if g.degree != 0:
             raise ArithmeticError("element not invertible (unreduced input?)")
         return CycloElement.from_poly(self.n, u.coeffs)

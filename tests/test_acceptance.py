@@ -93,7 +93,7 @@ def test_minors_split_equivalence_regression():
     assert census == {"x": 102, "y": 102, "x/y": 102}
     witness = SupportSet.of(0, 2, 4)
     assert all_minors_vanish(witness, UnityPair(6, 1, 3))
-    assert unity_power_rank(witness, 6, [1], [3]).tolist() == [2]
+    assert unity_power_rank(witness, gap_gcd(witness), 6, [1], [3]).tolist() == [2]
     assert two_class_split(witness, 6) is None
 
 

@@ -124,6 +124,10 @@ GERM_INPUTS = (
     {"terms": [{"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "1"}]},
     {"terms": [{"exp": [2, 0], "coef": "1/2"}, {"exp": [0, 2], "coef": "-3/7"}, {"exp": [3, 1], "coef": "5"}]},
     {"terms": [{"exp": [0, 3], "coef": "2"}, {"exp": [5, 0], "coef": "-1"}, {"exp": [2, 2], "coef": "1"}]},
+    # a repeated tangent on the s axis: s^2 + t^3
+    {"terms": [{"exp": [2, 0], "coef": "1"}, {"exp": [0, 3], "coef": "1"}]},
+    # a non-monic rational repeated tangent, 4/3 (s - 3/2 t)^2 + s^3: the rotated branch
+    {"terms": [{"exp": [2, 0], "coef": "4/3"}, {"exp": [1, 1], "coef": "-4"}, {"exp": [0, 2], "coef": "3"}, {"exp": [3, 0], "coef": "1"}]},
 )
 POINT_INPUTS = (
     {"f": _laurent((0, 1, 2), ("2", "-3", "1")), "g": _laurent((0, 1, 2), ("3", "-4", "1"))},
@@ -133,6 +137,10 @@ POINT_INPUTS = (
     {"f": _laurent((0, 2, 3), ("4", "-5", "1")), "g": _laurent((0, 1, 3), ("1", "3/2", "-1/2"))},
     {"f": _laurent((0, 1, 2), ("1", "-2", "1")), "g": _laurent((0, 1, 2), ("1", "-3", "2"))},
     {"f": _laurent((0, 1, 2), ([2.0, 0.5], [-3.0, 0.0], [1.0, 0.0])), "g": _laurent((0, 1, 2), ([3.0, 0.0], [-4.0, 0.0], [1.0, 0.0]))},
+    # irrational common roots: (x^2 - 2)(x - 3) against (x^2 - 2)(x + 5), a node
+    # decided by the float SVD, and against (x^2 - 2)^2, an order class (1, 2)
+    {"f": _laurent((0, 1, 2, 3), ("6", "-2", "-3", "1")), "g": _laurent((0, 1, 2, 3), ("-10", "-2", "5", "1"))},
+    {"f": _laurent((0, 1, 2, 3), ("6", "-2", "-3", "1")), "g": _laurent((0, 2, 4), ("4", "-4", "1"))},
 )
 
 
@@ -186,8 +194,8 @@ EXPECTED = {  # (report count, digest)
 
 CLI_EXPECTED = {  # (output count, digest)
     "classify_spread_4": (225, "c89ccfa4b2034badd1bf38ec8e9b811865c111d7be08d65a1a0ccb46718fceae"),
-    "germ_classify": (len(GERM_INPUTS), "9c564876543e39a60d754ba5518f788ead5aa026305b6c08f513d63d88361fc5"),
-    "point_classify": (len(POINT_INPUTS), "1e9524ef8ba39c8ea8b18a11d2c2cf64f4c5cb35bc484504f15cd1f970b646a8"),
+    "germ_classify": (len(GERM_INPUTS), "c79bd65b5b0af73dcf80bcff850d836683884a6c1644eddd321e40e4c8c65673"),
+    "point_classify": (len(POINT_INPUTS), "32f46a4271d5e9b5c17eccb6e832e2313e3122a119ac41b41ce831106ea7dbca"),
     "project3d_decisions": (60, "74fb30a75947650cd93e219b94d84cf06455ecb1baa85c3b7462cab32ac66fad"),
 }
 

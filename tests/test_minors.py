@@ -33,7 +33,7 @@ def all_minors_vanish(b, u):
     """The oracle's all-minors test in Z[zeta_n], asserted equal to the
     closed-form rank of unity_power_rank."""
     want = cyclo_oracle.all_minors_vanish(b, u)
-    assert (unity_power_rank(b, u.n, [u.p], [u.q]) <= 2).tolist() == [want], (b, u)
+    assert (unity_power_rank(b, gap_gcd(b), u.n, [u.p], [u.q]) <= 2).tolist() == [want], (b, u)
     return want
 
 
@@ -100,7 +100,7 @@ def reference_equivalence_scan(n_max, spread_max, sizes):
         for elems in subsets:
             b = SupportSet(elems)
             split = two_class_split(b, n)
-            vanish = unity_power_rank(b, n, ps, qs) <= 2
+            vanish = unity_power_rank(b, gap_gcd(b), n, ps, qs) <= 2
             report.pairs_checked += len(ps)
             if split is None:
                 for i in np.flatnonzero(vanish):
@@ -401,7 +401,8 @@ class TestComboKernel:
             exact = [cyclo_det3(n, *t, p, q).is_zero for t in triples]
             assert got.tolist() == exact, (n, p, q, elems)
             assert all_minors_oracle(n, elems, [p], [q]).tolist() == [all(exact)]
-            assert (unity_power_rank(SupportSet(tuple(elems)), n, [p], [q]) <= 2).tolist() == [all(exact)]
+            b = SupportSet(tuple(elems))
+            assert (unity_power_rank(b, gap_gcd(b), n, [p], [q]) <= 2).tolist() == [all(exact)]
 
     def test_combo_matches_cyclo_arithmetic(self, monkeypatch):
         rng = random.Random(44)
@@ -491,7 +492,8 @@ class TestBatchKernel:
     @staticmethod
     def _agrees(n, elems):
         ps, qs = np.divmod(np.arange(n * n), n)
-        lemma = unity_power_rank(SupportSet(elems), n, ps, qs) <= 2
+        b = SupportSet(elems)
+        lemma = unity_power_rank(b, gap_gcd(b), n, ps, qs) <= 2
         return lemma.tolist() == all_minors_oracle(n, elems, ps, qs).tolist()
 
     def test_matches_per_call_kernel(self):
@@ -512,9 +514,10 @@ class TestBatchKernel:
             n = rng.randint(2, 12)
             p, q = rng.randrange(n), rng.randrange(n)
             elems = tuple(sorted(rng.sample(range(-5, 9), rng.randint(1, 5))))
-            rank = unity_power_rank(SupportSet(elems), n, [p], [q])
-            assert rank.tolist() == [power_rank(SupportSet(elems), n, p, q)], (n, p, q, elems)
-            assert sorted_key_rank(SupportSet(elems), n, [p], [q]).tolist() == rank.tolist()
+            b = SupportSet(elems)
+            rank = unity_power_rank(b, gap_gcd(b), n, [p], [q])
+            assert rank.tolist() == [power_rank(b, n, p, q)], (n, p, q, elems)
+            assert sorted_key_rank(b, n, [p], [q]).tolist() == rank.tolist()
 
     def test_chunked(self, monkeypatch):
         # six det3 terms x 10 triples x phi(7) = 360 entries per pair: 2 pairs a chunk
@@ -532,9 +535,9 @@ class TestBatchKernel:
             want = np.empty(len(ns), dtype=np.int64)
             for n in set(ns.tolist()):
                 rows = np.flatnonzero(ns == n)
-                want[rows] = unity_power_rank(b, n, ps[rows], qs[rows])
-            assert unity_power_rank(b, ns, ps, qs).tolist() == want.tolist(), b
-        assert unity_power_rank(S(0, 1, 3), np.zeros(0, dtype=np.int64), [], []).shape == (0,)
+                want[rows] = unity_power_rank(b, gap_gcd(b), n, ps[rows], qs[rows])
+            assert unity_power_rank(b, gap_gcd(b), ns, ps, qs).tolist() == want.tolist(), b
+        assert unity_power_rank(S(0, 1, 3), 1, np.zeros(0, dtype=np.int64), [], []).shape == (0,)
 
     def test_huge_exponents_reduce_exactly(self):
         # products of unreduced exponents would wrap in int64; the reference
@@ -545,8 +548,9 @@ class TestBatchKernel:
             for _ in range(30):
                 n = rng.randint(2, 12)
                 p, q = rng.randrange(n), rng.randrange(n)
-                rank = unity_power_rank(SupportSet(elems), n, [p], [q])
-                assert rank.tolist() == [power_rank(SupportSet(elems), n, p, q)], (big, n, p, q)
+                b = SupportSet(elems)
+                rank = unity_power_rank(b, gap_gcd(b), n, [p], [q])
+                assert rank.tolist() == [power_rank(b, n, p, q)], (big, n, p, q)
             values = [big, -big, 2, rng.randrange(2**80)]
             moduli = np.array([3, 7, 3, 1, 12])
             assert residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
@@ -572,14 +576,14 @@ class TestBatchKernel:
                 qs.append(rng.choice([d, n // rng.choice(divisors)]) * rng.randrange(-(2**20), 2**20))
         ranks = set()
         for b in supports:
-            got = unity_power_rank(b, np.array(ns), ps, qs)
+            got = unity_power_rank(b, gap_gcd(b), np.array(ns), ps, qs)
             assert got.tolist() == sorted_key_rank(b, ns, ps, qs).tolist(), b
             ranks.update(got.tolist())
         assert ranks == {1, 2, 3}
 
     def test_small_support_vacuous(self):
         assert all_minors_oracle(5, (0, 4), [1, 2], [3, 4]).tolist() == [True, True]
-        assert unity_power_rank(S(0, 4), 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
+        assert unity_power_rank(S(0, 4), 4, 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
 
     def test_cached_table_is_read_only(self):
         table = evaluation_table(9)

@@ -106,6 +106,25 @@ def test_no_cyclotomic_element_arithmetic_in_src():
     assert found == []
 
 
+def test_one_univariate_representation():
+    """A univariate polynomial in the package is a primitive integer
+    coefficient tuple: no module defines or imports a polynomial class
+    (`UniPoly`) or a gcd over the rationals (`poly_gcd`); the `Fraction`
+    polynomial lives on as the test oracle `QPoly`."""
+    retired = {"UniPoly", "poly_gcd"}
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in sorted(names & retired)]
+    assert found == []
+
+
 def test_no_numpy_random_in_src():
     """Every draw comes from a seeded `random.Random`: no module of the
     package imports or reads `numpy.random`, whose import costs a process
@@ -217,6 +236,23 @@ def _names_read_in_package():
             elif isinstance(node, ast.ImportFrom) and not (reexports and node.level == 1):
                 used.update(alias.name for alias in node.names)
     return used
+
+
+def test_every_public_method_is_read():
+    """Every public method or property of a class of the package is read as
+    an attribute, of any object, somewhere in the package's modules (its
+    `def` is not a read): a method only the tests call is dead code."""
+    package = Path(singres.__file__).parent
+    read, defined = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                    defined.append((path.name, cls.name, node.name))
+    assert len(defined) > 20
+    assert [f"{module}: {cls}.{name}" for module, cls, name in defined if name not in read] == []
 
 
 def test_every_constant_is_read():

@@ -198,6 +198,51 @@ class TestMembership:
         assert in_filtration_subset(f, g, parse_label("N_1^0"))
         assert not in_filtration_subset(f, g, parse_label("N(1,1)"))
 
+    def test_boundary_orders_match_end_zero_counts(self):
+        # every ordered pair of min-0 supports of spread <= 4 under five
+        # labels with boundary orders or multiplicities, seeds 0-1: each draw
+        # is a member, and zeroing the lowest or highest coefficient of f or
+        # g leaves a member exactly when the oracle says so.  The oracle
+        # counts zero coefficients from each end of the form for the orders
+        # at 0 and infinity, and matches the label's root pairs to the finite
+        # common roots by brute force
+        def end_zeros(h):
+            nonzero = [j for j, c in enumerate(h.coeff(e) for e in range(h.support.min, h.support.max + 1)) if c]
+            return nonzero[0], h.support.spread - nonzero[-1]
+
+        def oracle(f, g, label):
+            (f0, finf), (g0, ginf) = end_zeros(f), end_zeros(g)
+            if min(f0, g0) < label.j0 or min(finf, ginf) < label.jinf:
+                return False
+            finite = [r for r in common_roots(f, g) if r.point.kind == "finite"]
+            return any(
+                all(r.ord1 >= j1 and r.ord2 >= j2 for r, (j1, j2) in zip(chosen, label.roots))
+                for chosen in itertools.permutations(finite, label.k)
+            )
+
+        sups = [(0, *mid, top) for top in range(1, 5) for r in range(top) for mid in itertools.combinations(range(1, top), r)]
+        members, outcomes = 0, Counter()
+        for b1, b2 in itertools.product(sups, repeat=2):
+            for name in ("N_1^0(1)", "N_0^1(1)", "N_1^1(1,1)", "N_2^0", "N(2,1;1,1)"):
+                label = parse_label(name)
+                for seed in (0, 1):
+                    got = sample_filtration_subset(pair(b1, b2), label, seed=seed)
+                    if got is None:
+                        continue
+                    f, g, _ = got
+                    assert in_filtration_subset(f, g, label) and oracle(f, g, label), (b1, b2, name, seed)
+                    members += 1
+                    for side, h in enumerate((f, g)):
+                        for end in (h.support.min, h.support.max):
+                            cut = LaurentPoly(h.support, {**h.coeffs, end: 0})
+                            if cut.is_zero:
+                                continue
+                            fg = (cut, g) if side == 0 else (f, cut)
+                            want = oracle(*fg, label)
+                            assert in_filtration_subset(*fg, label) == want, (b1, b2, name, seed, side, end)
+                            outcomes[want] += 1
+        assert members == 988 and outcomes[True] and outcomes[False], (members, outcomes)
+
 
 class TestVandermonde:
     def test_derivative_rows(self):
@@ -1686,9 +1731,9 @@ def tuple_kernel_dims(p, label, n_max=12):
         return []
     ns, exps, configs = _scan_table(k, n_max)
     kds, ranked = [], None
-    for i, (b, js, _) in enumerate(sides):
+    for i, (b, js, gap) in enumerate(sides):
         if set(js) == {1}:
-            cork = k - unity_power_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
+            cork = k - unity_power_rank(b, gap, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
         else:
             ranked = _side_coranks(sides, ns, exps) if ranked is None else ranked
             cork = ranked[i]
@@ -1953,19 +1998,23 @@ class TestSideRecord:
     def test_each_side_is_derived_once(self, name, monkeypatch):
         # one scan and one codim estimate derive each side's effective
         # support, root orders and gap gcd once (`_sides`), however many
-        # helpers read them; the scan refuses the boundary-order label
+        # helpers read them, and `unity_power_rank` takes the record's gap
+        # gcd, so `minors` derives none; the scan refuses the boundary-order
+        # label
         counts = Counter()
 
         def count(owner, attr):
             real = getattr(owner, attr)
+            key = f"{getattr(owner, '__name__', owner)}.{attr}"
 
             def counted(*args):
-                counts[attr] += 1
+                counts[key] += 1
                 return real(*args)
 
             monkeypatch.setattr(owner, attr, counted)
 
-        for owner, attr in ((singres.strata, "gap_gcd"), (singres.strata, "_effective_elements"), (StratumLabel, "side_orders")):
+        owners = (singres.strata, "gap_gcd"), (singres.minors, "gap_gcd"), (singres.strata, "_effective_elements"), (StratumLabel, "side_orders")
+        for owner, attr in owners:
             count(owner, attr)
         p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label(name)
         runs = {"estimate_codim": lambda: estimate_codim(p, label)}
@@ -1974,7 +2023,8 @@ class TestSideRecord:
         for entry, run in runs.items():
             counts.clear()
             run()
-            assert counts["side_orders"] == 2 and max(counts.values()) <= 2, (name, entry, counts)
+            assert counts["StratumLabel.side_orders"] == 2 and max(counts.values()) <= 2, (name, entry, counts)
+            assert counts["singres.minors.gap_gcd"] == 0, (name, entry, counts)
 
 
 class TestUnityClasses:
