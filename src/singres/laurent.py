@@ -26,7 +26,6 @@ __all__ = [
     "RootRecord",
     "PointClass",
     "homogenize",
-    "ord_at",
     "common_roots",
     "classify_point",
     "CLUSTER_TOL",
@@ -192,27 +191,19 @@ def _float_tol(coeffs, tol):
     return tol * max(scale, 1e-300)
 
 
-def ord_at(f: LaurentPoly, p: ProjPoint, tol=CLUSTER_TOL) -> int:
-    """Vanishing order of the homogenized form at 0 or infinity: the number
-    of zero coefficients from the respective end of the convex hull (exact
-    scalars exactly, floats within `tol` of the largest modulus).  A finite
-    point has no order here; `common_roots` gives the orders of the finite
-    common roots.
-    """
-    if p.kind == "finite":
-        raise ValueError("orders are taken at 0 and infinity only")
-    if f.is_zero:
-        raise ValueError("order of the zero polynomial is undefined")
-    if f.is_exact:
-        nonzero = [b for b, c in f.coeffs.items() if c]
+def _end_orders(f: LaurentPoly, exact: bool, tol) -> tuple:
+    """The vanishing orders of a nonzero f's homogenized form at 0 and at
+    infinity: the number of zero coefficients from each end of the convex
+    hull (exact scalars exactly, floats within `tol` of the largest
+    modulus), both from one pass over the coefficients."""
+    if exact:
+        live = [b for b, c in f.coeffs.items() if c]
     else:
         cut = _float_tol(f.coeffs.values(), tol)
-        nonzero = [b for b, c in f.coeffs.items() if abs(complex(c)) > cut]
-        if not nonzero:
+        live = [b for b, c in f.coeffs.items() if abs(complex(c)) > cut]
+        if not live:
             raise ValueError("polynomial is numerically zero")
-    if p.kind == "zero":
-        return min(nonzero) - f.support.min
-    return f.support.max - max(nonzero)
+    return min(live) - f.support.min, f.support.max - max(live)
 
 
 def _exact_finite_common_roots(f: LaurentPoly, g: LaurentPoly):
@@ -372,24 +363,22 @@ def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, tol):
 def common_roots(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL):
     """All projective points where both orders are >= 1, with both orders.
 
-    The records at 0 and infinity come first, from `ord_at`; a boundary
-    record exists exactly when both orders there are >= 1, so a caller reads
-    min(ord f, ord g) at 0 or infinity as its pair order, or 0 without one.
-    The finite records come from one homogenized form per polynomial.
+    The records at 0 and infinity come first, from `_end_orders`; a
+    boundary record exists exactly when both orders there are >= 1, so a
+    caller reads min(ord f, ord g) at 0 or infinity as its pair order, or 0
+    without one.  Each polynomial's exactness is decided once, and the
+    finite records come from one homogenized form per polynomial.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("common roots of a zero polynomial are undefined")
-    records = []
-    o0f, o0g = ord_at(f, ProjPoint.zero(), tol), ord_at(g, ProjPoint.zero(), tol)
-    if o0f >= 1 and o0g >= 1:
-        records.append(RootRecord(ProjPoint.zero(), o0f, o0g))
-    oif, oig = ord_at(f, ProjPoint.infinity(), tol), ord_at(g, ProjPoint.infinity(), tol)
-    if oif >= 1 and oig >= 1:
-        records.append(RootRecord(ProjPoint.infinity(), oif, oig))
-    if f.is_exact and g.is_exact:
-        records.extend(_exact_finite_common_roots(f, g))
-    else:
-        records.extend(_numeric_common_roots(f, g, tol))
+    exact = f.is_exact, g.is_exact
+    (o0f, oif), (o0g, oig) = _end_orders(f, exact[0], tol), _end_orders(g, exact[1], tol)
+    records = [
+        RootRecord(point, a, b)
+        for point, a, b in ((ProjPoint.zero(), o0f, o0g), (ProjPoint.infinity(), oif, oig))
+        if a >= 1 and b >= 1
+    ]
+    records += _exact_finite_common_roots(f, g) if all(exact) else _numeric_common_roots(f, g, tol)
     return records
 
 

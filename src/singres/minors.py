@@ -2,18 +2,19 @@
 
 The central object is M(B; x, y) with rows (1...1), (x^b)_b, (y^b)_b for
 roots of unity x = zeta_n^p, y = zeta_n^q.  Its rank has a closed form in
-integer congruences (`unity_power_rank`): all 3x3 minors vanish iff one of
-p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or the columns
-(p*b mod n, q*b mod n) take at most two values over B.  That is not the
-same as a two-residue-class split of B: an order-2 root with x^g, y^g or
-(x/y)^g = 1 kills every minor without a split.  The scan below checks the
-two against each other exhaustively, in one array pass over every support
-and every admissible pair of every modulus: both sides read one table of
-residue counts |B mod k| (`supports.class_count`), and the splits it uses
-are backed by one verified certificate per (B, k) from the one split search
-of `singres.supports`.  A single minor has
-a closed form too (`power_minor_vanishes`, `exponent_minor_vanishes`), which
-the verification sweeps compare with the zero test of `singres.kernels`.
+integer congruences (`_rank`, from a residue count and `gap_root`), which
+`singres.strata` reads per modulus for its corank classes: all 3x3 minors
+vanish iff one of p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or
+the columns (p*b mod n, q*b mod n) take at most two values over B.  That is
+not the same as a two-residue-class split of B: an order-2 root with x^g,
+y^g or (x/y)^g = 1 kills every minor without a split.  The scan below
+checks the two against each other exhaustively, in one array pass over
+every support and every admissible pair of every modulus: both sides read
+one table of residue counts |B mod k| (`supports.class_count`), and the
+splits it uses are backed by one verified certificate per (B, k) from the
+one split search of `singres.supports`.  A single minor has a closed form
+too (`power_minor_vanishes`, `exponent_minor_vanishes`), which the
+verification sweeps compare with the zero test of `singres.kernels`.
 
 Negative and arbitrarily large exponents are harmless: they are reduced in
 Python ints (`residues`, which `singres.strata` also uses for its corank
@@ -34,7 +35,6 @@ from .supports import SupportSet, class_count, gap_gcd, split_dividing
 __all__ = [
     "residues",
     "gap_root",
-    "unity_power_rank",
     "two_class_split",
     "power_minor_vanishes",
     "exponent_minor_vanishes",
@@ -70,20 +70,19 @@ def residues(values, moduli) -> np.ndarray:
         return table.astype(np.int64)[inverse]
 
 
-def unity_power_rank(b: SupportSet, g: int, n, ps, qs) -> np.ndarray:
-    """Rank of M(B; x, y), x = zeta_n^p, y = zeta_n^q, for every pair
-    (ps[i], qs[i]): an int array with entries 1, 2 or 3.
-
-    `g` is the gap gcd of B (`supports.gap_gcd`), which the caller holds.
-    `n` is one modulus for every pair or an int array aligned with ps/qs,
-    one modulus per pair.  Only (pairs,) arrays are built: the periods, one
-    residue count |B mod m| per period m that occurs (in Python ints, so
-    exponents of any size stay exact) and the gap test, with no product.
+def _rank(keys, root):
+    """The rank of M(B; x, y), x = zeta_n^p, y = zeta_n^q, from its two
+    tests: `keys`, the number |B mod m| of distinct column keys, m the
+    period below, and `root`, the gap test `gap_root`.  Rank 1 for one key;
+    else 2 for two keys or a gap root, else 3.  Elementwise, broadcasting;
+    int8 inputs give an int8 rank, and Python scalars a numpy scalar
+    (`strata._modulus_classes` takes int() of it, so that stratum keys stay
+    Python ints).
 
     Lemma (rank).  Call (p*b mod n, q*b mod n) the key of the column b.
     The rank is 1 iff the key is constant over B, and at most 2 iff
-    p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, or the key takes at most two
-    values over B.
+    p*g = 0, q*g = 0 or (p - q)*g = 0 mod n, g the gap gcd of B, or the key
+    takes at most two values over B.
 
     Proof.  The rank is at most 2 iff some nonzero (alpha, beta, gamma) has
     alpha + beta x^b + gamma y^b = 0 for every b in B.  gamma = 0 forces x^b
@@ -103,23 +102,6 @@ def unity_power_rank(b: SupportSet, g: int, n, ps, qs) -> np.ndarray:
     v(n) - min(v(n), v(p), v(q)).  Likewise r*g = 0 mod n iff h | r, with
     h = n/gcd(n, g) the order of zeta_n^g.
     """
-    ps = np.asarray(ps, dtype=np.int64)
-    qs = np.asarray(qs, dtype=np.int64)
-    ns = np.asarray(n, dtype=np.int64)
-    m = _order(ns, np.gcd(ps, qs))  # the period of the column keys
-    periods = sorted(set(m.tolist()))  # np.unique would import numpy.ma, about 0.5 MB
-    counts = np.array([class_count(b, k) for k in periods], dtype=np.int64)
-    h = _order(ns, residues((g,), ns.reshape(-1))[:, 0])  # the order of zeta_n^g
-    return _rank(counts[np.searchsorted(periods, m)], gap_root(h, ps, qs))
-
-
-def _rank(keys, root):
-    """The rank lemma of `unity_power_rank` from its two tests: `keys`, the
-    number |B mod m| of distinct column keys, and `root`, the gap test
-    `gap_root`.  Rank 1 for one key; else 2 for two keys or a gap root,
-    else 3.  Elementwise, broadcasting; int8 inputs give an int8 rank, and
-    Python scalars a numpy scalar (`strata._modulus_classes` takes int() of
-    it, so that stratum keys stay Python ints)."""
     return np.minimum(keys, 3 - root)
 
 
@@ -129,7 +111,7 @@ def _order(n, r):
 
 
 def gap_root(h, p, q):
-    """The gap test of `unity_power_rank`: is x^g, y^g or (x/y)^g equal to 1
+    """The gap test of `_rank`: is x^g, y^g or (x/y)^g equal to 1
     at x = zeta_n^p, y = zeta_n^q, given h = n/gcd(n, g), the order of
     zeta_n^g?  That is, does h divide p, q or p - q?  Elementwise on int
     arrays; a bool on ints."""
@@ -156,7 +138,7 @@ def power_minor_vanishes(n: int, ps, qs, triples) -> np.ndarray:
     proportional rows, `gap_root`) or the period m = n/gcd(n, p, q) divides
     b - a, c - b or c - a (two equal columns).  Proof: the minor is
     det M(B; x, y), zero iff the rank is at most 2.  By the rank lemma of
-    `unity_power_rank`, proved for any x, y on the unit circle, that holds
+    `_rank`, proved for any x, y on the unit circle, that holds
     iff x^g, y^g or (x/y)^g is 1 or the column keys take at most two values
     over B; by the period lemma two keys agree iff m divides the difference
     of their exponents.
@@ -277,7 +259,7 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
     counts[s, k - 3] = min(|B_s mod k|, 3) for every support B_s and
     3 <= k <= n_max (`supports.class_count`), in one array pass over every
     support and every admissible pair of every modulus n <= n_max.  The
-    rank at (B_s, p, q) is the rank lemma of `unity_power_rank` at
+    rank at (B_s, p, q) is the rank lemma of `_rank` at
     counts[s, m - 3], m the period n/gcd(n, p, q).  B_s splits at n iff some
     k >= 3 dividing n has counts[s, k - 3] <= 2.  For each distinct
     (B_s, k), k the smallest such divisor of some n (that is, a split k

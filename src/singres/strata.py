@@ -21,11 +21,12 @@ Hensel-liftable points of its branches (`_minor_certificates`), with no
 floating point; a curve out of the certificate's reach is listed undecided
 with its reason, never dropped.  The corank-strata scan and the estimator
 read one set of root-of-unity corank classes (`_corank_classes`: for a
-multiplicity-free label, two numbers per side and modulus that select a
-cached table of the modulus's classes, `_modulus_classes`; otherwise a rank
-mod a split prime, with the conjugates at several split primes where that
-is not full); the scan takes the generic corank from Descartes' rule, and
-its seed only picks witness tuples.
+label whose sides have orders all 1, or (2, 1) or (1, 2) at two roots, two
+numbers per side and modulus that select a cached table of the modulus's
+classes, `_modulus_classes`; otherwise a rank mod a split prime, tuple by
+tuple, with the conjugates at several split primes where that is not
+full); the scan takes the generic corank from Descartes' rule, and its seed
+only picks witness tuples.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -61,7 +62,7 @@ from .exact import (
     split_primes,
 )
 from .laurent import LaurentPoly, common_roots, falling
-from .minors import _rank, gap_root, residues, unity_power_rank
+from .minors import _rank, gap_root, residues
 from .supports import SupportPair, SupportSet, class_count, gap_gcd, split_dividing
 
 __all__ = [
@@ -461,7 +462,7 @@ def _scan_table(k, n_max):
     (1, zeta_n^p, zeta_n^q) = (1, zeta_m^(p/d), zeta_m^(q/d)) with d =
     gcd(n, p, q) and m = n/d, so every tuple appears with d = 1.  A modulus
     m gives the tuple iff n | m p and n | m q, that is (the period lemma of
-    `unity_power_rank`) iff n/d | m; with d = 1 no m < n does.  Distinct
+    `minors._rank`) iff n/d | m; with d = 1 no m < n does.  Distinct
     exponents at one modulus give distinct tuples.
     """
     configs = tuple(
@@ -475,6 +476,17 @@ def _scan_table(k, n_max):
     ns.setflags(write=False)
     exps.setflags(write=False)
     return ns, exps, configs
+
+
+def _classes_of(groups):
+    """{key: (count, first scan index)} from (key, size, first scan index)
+    groups in scan order: a class sums its groups' sizes and keeps the first
+    index that met it, so the dict comes in scan order with no sort."""
+    classes = {}
+    for key, size, first in groups:
+        count, least = classes.get(key, (0, first))
+        classes[key] = (count + size, least)
+    return classes
 
 
 @lru_cache(maxsize=None)
@@ -496,87 +508,109 @@ def _tuple_groups(k, n_max, n, h1, h2):
     by `_modulus_classes`, once per (n, h1, h2) whatever the residue counts.
 
     A tuple's flag at h is gap_root(h, p, q) and its gap form h | p and h | q,
-    with (p, q) the exponent columns that `_unity_coranks` ranks at order 1:
-    (p, q) for k = 3, (p, p) for k = 2 and (0, 0) for k = 1.
+    with x = zeta_n^p, y = zeta_n^q the power rows of an order-1 side's
+    matrix M(B; x, y) (`minors._rank`): (p, q) for k = 3, (p, p) for k = 2
+    and (0, 0) for k = 1.
     """
     configs = _scan_table(k, n_max)[2]
     first, stop = _modulus_slices(k, n_max)[n]
-    groups = {}
+    tuples = []
     for i in range(first, stop):
         tup = configs[i][1]
         p, q = tup[min(k, 2) - 1], tup[k - 1]
-        key = (gap_root(h1, p, q), gap_root(h2, p, q), p % h1 == 0 and q % h1 == 0)
-        size, least = groups.get(key, (0, i))
-        groups[key] = (size + 1, least)
-    return tuple((key, size, least) for key, (size, least) in groups.items())
+        tuples.append(((gap_root(h1, p, q), gap_root(h2, p, q), p % h1 == 0 and q % h1 == 0), 1, i))
+    return tuple((key, size, least) for key, (size, least) in _classes_of(tuples).items())
 
 
 @lru_cache(maxsize=None)
 def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
     """The nonzero corank classes of the tuples of _scan_table(k, n_max) at
-    modulus n, for sides with c_s = min(|B_s mod n|, 3) and h_s = n/gcd(n,
-    g_s): (((c1', c2'), size, first scan index) per class, in order of first
-    index; the number of corank-2 side-1 tuples not of gap form).
+    modulus n, for sides with the table values c_s and h_s = n/gcd(n, g_s)
+    of `_corank_tally`: (((c1', c2'), size, first scan index) per class, in
+    order of first index; the number of corank-2 side-1 tuples not of gap
+    form).
 
     The rank lemma's last step (`minors._rank`) runs once per group of
     `_tuple_groups` here, and every scan that meets the same key reads the
     result.  The key space is bounded by n_max: n <= n_max, c_s <= 3 and
     h_s | n.  Capping c_s at 3 changes no rank, which is at most 3.
     """
-    classes, broken = {}, 0
+    groups, broken = [], 0
     for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
         key = (k - int(_rank(c1, flag1)), k - int(_rank(c2, flag2)))
         if key != (0, 0):
-            count, least = classes.get(key, (0, first))
-            classes[key] = (count + size, least)
+            groups.append((key, size, first))
         if key[0] == 2 and not form1:
             broken += size
-    return tuple((key, count, least) for key, (count, least) in classes.items()), broken
+    return tuple((key, count, least) for key, (count, least) in _classes_of(groups).items()), broken
 
 
 def _corank_tally(sides, n_max):
-    """The `_corank_classes` of a label whose orders are all 1, from
-    per-modulus class tables: ({(c1, c2): (count, first scan index)} for
-    every nonzero corank pair, [n of each corank-2 side-1 tuple not of gap
-    form, in scan order]).  Per modulus n a request computes c_s = min(|B_s
-    mod n|, 3) and h_s = n/gcd(n, g_s) for each distinct side, and reads
-    that modulus's classes from the cached `_modulus_classes`; it takes
-    residues only at n <= spread (`supports.class_count`).
+    """The `_corank_classes` of a label whose sides have a closed-form rank
+    (orders all 1, or (2, 1) or (1, 2) at k = 2), from per-modulus class
+    tables: ({(c1, c2): (count, first scan index)} for every nonzero corank
+    pair, [n of each corank-2 side-1 tuple not of gap form, in scan order]).
+    Per modulus n a request computes the table values (`_table_values`) c_s
+    and h_s = n/gcd(n, g_s) for each distinct side, g_s the gap gcd of its
+    effective support B_s, and reads that modulus's classes from the cached
+    `_modulus_classes`.  c_s is min(|B_s mod n|, 3) for an order-1 side, with
+    residues only at n <= spread (`supports.class_count`), and min(|B_s| -
+    1, 2 - [n | g_s]) for orders (2, 1) or (1, 2).
 
     Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
-    corank k - min(|B_s mod n|, 3 - gap_root(h_s, p, q)), h_s = n/gcd(n, g_s)
-    and g_s the gap gcd of B_s, with (p, q) as in `_tuple_groups`.  Proof:
-    this is `unity_power_rank` at that tuple (as `_unity_coranks` calls it),
-    whose period n/gcd(n, p, q) is n because the table lists
-    gcd(n, p, q) = 1 only; for k = 2 the gap flag is always set.  So at
-    modulus n a tuple's corank pair depends only on its two gap flags, and
-    the sizes and first indices of the groups of `_tuple_groups` give each
-    pair's count and first witness: O(n_max) work, with no per-tuple array.
-    The dict comes in scan order with no sort: the moduli come in
-    increasing order, each modulus's classes in order of first index, and a
-    class keeps the first index of the first modulus that meets it.
+    corank k - min(c_s, 3 - gap_root(h_s, p, q)), with (p, q) as in
+    `_tuple_groups`.  Proof.  An order-1 side's matrix is M(B_s; zeta_n^p,
+    zeta_n^q), of rank min(|B_s mod m|, 3 - [gap test]) by the lemmas of
+    `minors._rank`, and its period m = n/gcd(n, p, q) is n because the
+    table lists gcd(n, p, q) = 1 only.  At k = 2 the gap flag is always set
+    (h | p - p), so the corank is 2 - min(c_s, 2).  A side of orders (2, 1)
+    at (1, w), w = zeta_n^p of order n, has the rows f(1), f'(1), f(w), that
+    is 1, e and w^e over e in B_s.  Its rank is min(|B_s|, 3 - [n | g_s]):
+    rank < 3 means alpha + beta e + gamma w^e = 0 on B_s, (alpha, beta,
+    gamma) nonzero.  gamma = 0 leaves |B_s| <= 1.  Otherwise the points w^e
+    lie on a line, which meets the unit circle in at most two points; with
+    beta != 0, e -> w^e is injective and |B_s| <= 2; with beta = 0, w^e is
+    constant on B_s, that is n | g_s, and (-w^e, 0, 1) does vanish.  The
+    rows 1 and e keep the rank at 2 once |B_s| >= 2.  Orders (1, 2) give the
+    rows 1, w^e, e w^(e - 1); the last row times w and the column e times
+    w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also of order n.
+    So the corank is 3 - min(|B_s|, 3 - [n | g_s]) = 2 - min(c_s, 2), as the
+    cached table of an order-1 side computes it.  Hence at modulus n a tuple's
+    corank pair depends only on its two gap flags, and the groups of
+    `_tuple_groups` give each pair's count and first witness: O(n_max) work,
+    with no per-tuple array.  The dict comes in scan order with no sort
+    (`_classes_of`): the moduli come in increasing order and each modulus's
+    classes in order of first index.
 
-    Lemma (gap form).  The second list is empty.  A corank-2 tuple on side
-    1 (k = 3) has min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n
-    divides g_1, so h_1 = 1, which divides p and q.  Conversely h | p and
-    h | q with h | n give h | gcd(n, p, q) = 1, so the gap form at h_1
-    holds exactly when h_1 = 1 and splits no group.  The list is still
+    Lemma (gap form).  The second list is empty.  At k = 3 a corank-2 tuple
+    on side 1 has min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n
+    divides g_1, so h_1 = 1, which divides p and q.  At k = 2 it has c_1 =
+    0: never on an order-1 side, and on a side of orders (2, 1) or (1, 2)
+    only for |B_1| = 1, whose gap gcd 0 gives h_1 = 1 again.  Conversely
+    h | p and h | q with h | n give h | gcd(n, p, q) = 1, so the gap form at
+    h_1 holds exactly when h_1 = 1 and splits no group.  The list is still
     computed, from each tuple's exponents, as a check.
     """
     k = len(sides[0].js)
     moduli = _modulus_slices(k, n_max)
-    rows = []  # c_s and h_s at every modulus, per distinct side
-    for b, _, g in sides[:1] if sides[0] == sides[1] else sides:
-        rows += [[min(class_count(b, n), 3) for n in moduli], [n // gcd(n, g) for n in moduli]]
-    strata, broken = {}, []
+    rows = [row for side in (sides[:1] if sides[0] == sides[1] else sides) for row in _table_values(side, moduli)]
+    groups, broken = [], []
     for n, c1, h1, c2, h2 in zip(moduli, *(rows if len(rows) == 4 else rows * 2)):
         classes, off_form = _modulus_classes(k, n_max, n, c1, h1, c2, h2)
-        for key, size, first in classes:
-            count, least = strata.get(key, (0, first))
-            strata[key] = (count + size, least)
+        groups += classes
         if off_form:
             broken += [n] * off_form
-    return strata, broken
+    return _classes_of(groups), broken
+
+
+def _table_values(side, moduli):
+    """The table values (c_s, h_s) of `_corank_tally` of a side record at
+    every modulus of moduli, as two lists."""
+    b, js, g = side
+    h = [n // gcd(n, g) for n in moduli]
+    if max(js) == 1:
+        return [min(class_count(b, n), 3) for n in moduli], h
+    return [min(len(b) - 1, 2 - (m == 1)) for m in h], h
 
 
 def estimate_codim(
@@ -723,18 +757,13 @@ def _unity_coranks(side, ns, exps):
     record's support b and orders js at every root-of-unity tuple of a scan
     table (ns, exps); an int array.
 
-    An order-1 side of a mixed label such as N(2,1;1,1) takes the closed
-    form, one unity_power_rank call on the columns (p, q) of each row (0, p[,
-    q]), for k < 3 the last repeated.  A side with multiplicities is ranked
-    mod split_prime(n) for every tuple at
-    once (`_hermite_stack`, `modular_rank`): rank_p <= rank <= min(rows,
-    |b|), so a full rank_p is the rank, and only the other tuples take the
-    conjugate ranks of `_conjugate_ranks`.
+    The side is ranked mod split_prime(n) for every tuple at once
+    (`_hermite_stack`, `modular_rank`): rank_p <= rank <= min(rows, |b|),
+    so a full rank_p is the rank, and only the other tuples take the
+    conjugate ranks of `_conjugate_ranks`.  Only labels with no closed form
+    (`_corank_classes`) come here, every side of them, order-1 sides too.
     """
-    b, js, gap = side
-    if all(j == 1 for j in js):
-        k = exps.shape[1]
-        return k - unity_power_rank(b, gap, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
+    b, js, _ = side
     primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
     rank = modular_rank(_hermite_stack(b.elements, js, exps, ns, primes, roots), primes)
     short = np.flatnonzero(rank < min(sum(js), len(b)))
@@ -744,7 +773,7 @@ def _unity_coranks(side, ns, exps):
 
 
 def _side_coranks(sides, ns, exps):
-    """The `_unity_coranks` of both sides of a label with multiplicities at
+    """The `_unity_coranks` of both sides of a label with no closed form at
     every tuple of a scan table: side 2 reuses side 1's when they are equal."""
     cork1 = _unity_coranks(sides[0], ns, exps)
     return cork1, cork1 if sides[1] == sides[0] else _unity_coranks(sides[1], ns, exps)
@@ -880,22 +909,19 @@ def _unity_components(sides, n_max):
 def _corank_classes(sides, n_max):
     """The nonzero corank classes of _scan_table(k, n_max), for the scan and
     the estimator: ({(c1, c2): (count, first scan index)} in scan order, [n
-    of each corank-2 side-1 tuple not of gap form]).  A label whose orders
-    all equal 1 reads them off per-modulus class tables (`_corank_tally`),
-    with no per-tuple array: at modulus n the closed-form rank depends on a
-    tuple only through its gap flags at n/gcd(n, g_s), and the gap-form list
-    is empty by the tally's lemma.  A label with multiplicities reads them
-    off both sides' corank arrays (`_side_coranks`), sorted by first index."""
-    if all(j == 1 for s in sides for j in s.js):
+    of each corank-2 side-1 tuple not of gap form]).  A label whose every
+    side has orders all 1, or (2, 1) or (1, 2) at k = 2, reads them off
+    per-modulus class tables (`_corank_tally`), with no per-tuple array: at
+    modulus n the closed-form rank depends on a tuple only through its gap
+    flags at n/gcd(n, g_s), and the gap-form list is empty by the tally's
+    lemma.  Any other label, such as N(2,2;1,1) or k = 3 with
+    multiplicities, reads them off both sides' corank arrays
+    (`_side_coranks`), tuple by tuple in scan order."""
+    if all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
         return _corank_tally(sides, n_max)
     ns, exps, _ = _scan_table(len(sides[0].js), n_max)
-    cork1, cork2 = _side_coranks(sides, ns, exps)
-    # a corank is at most the row count sum(js)
-    codes = cork1 * (sum(sides[1].js) + 1) + cork2
-    live = np.flatnonzero(codes)
-    _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
-    classes = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
-    return dict(sorted(classes.items(), key=lambda item: item[1][1])), []
+    keys = zip(*(cork.tolist() for cork in _side_coranks(sides, ns, exps)))
+    return _classes_of((key, 1, i) for i, key in enumerate(keys) if key != (0, 0)), []
 
 
 # --- minor-curve certificate -------------------------------------------------

@@ -66,15 +66,17 @@ def test_minors_split_equivalence_regression():
     counterexample is an order-2 row degeneracy, the converse direction is
     clean, and the known witness reproduces.
 
-    Census by the clauses of minors.unity_power_rank: each counterexample
-    meets exactly one gap clause (x^g, y^g or (x/y)^g = 1, g the gap gcd of
-    B), its root has order 2, and none meets the two-column clause."""
+    Census by the clauses of the rank lemma of minors._rank: each
+    counterexample meets exactly one gap clause (x^g, y^g or (x/y)^g = 1, g
+    the gap gcd of B), its root has order 2, and none meets the two-column
+    clause."""
     import math
     from collections import Counter
 
     from cyclo_oracle import UnityPair, all_minors_vanish
-    from singres.minors import minors_split_equivalence_scan, two_class_split, unity_power_rank
+    from singres.minors import minors_split_equivalence_scan, two_class_split
     from singres.supports import SupportSet, gap_gcd
+    from test_minors import closed_form_rank
 
     rep = minors_split_equivalence_scan(10, 8, (3, 4))
     assert rep.unexplained == []
@@ -93,7 +95,7 @@ def test_minors_split_equivalence_regression():
     assert census == {"x": 102, "y": 102, "x/y": 102}
     witness = SupportSet.of(0, 2, 4)
     assert all_minors_vanish(witness, UnityPair(6, 1, 3))
-    assert unity_power_rank(witness, gap_gcd(witness), 6, [1], [3]).tolist() == [2]
+    assert closed_form_rank(witness, 6, [1], [3]).tolist() == [2]
     assert two_class_split(witness, 6) is None
 
 

@@ -18,6 +18,10 @@ The sets:
 - every ordered pair of supports of spread <= 5 (min 0) under N(1,1) and
   N(1,1,1), plus every seventh pair under N(2,1) and N(2,1;1,1); the scan
   seed is the pair's index, so the generic witnesses are covered too;
+- every seventh such pair under N(1,1;2,1), seeded alike;
+- the `estimate_codim` reports of every seventh such pair under N(2,1),
+  N(2,1;1,1) and N(1,1;2,1) at seed 0, with `timings` and `version`
+  stripped;
 - the stdout of `classify` over every ordered pair of supports of
   spread 1..4 (min 0);
 - the stdout of `germ-classify` and `point-classify` on fixed inputs
@@ -71,14 +75,34 @@ def _supports(max_spread):
     return [SupportSet((0, *mid, top)) for top in range(1, max_spread + 1) for r in range(top) for mid in itertools.combinations(range(1, top), r)]
 
 
-def pair_scans():
-    pairs = list(itertools.product(_supports(5), repeat=2))
+def _pairs():
+    """Every ordered pair of supports of spread 1..5 with min 0."""
+    return [SupportPair(*p) for p in itertools.product(_supports(5), repeat=2)]
+
+
+def _pair_scans(labels):
+    """The scans of every step-th pair of `_pairs` under each (name, step)
+    of `labels`, seeded by the pair's index."""
+    pairs = _pairs()
     reports = []
-    for name, step in (("N(1,1)", 1), ("N(1,1,1)", 1), ("N(2,1)", 7), ("N(2,1;1,1)", 7)):
+    for name, step in labels:
         label = parse_label(name)
         for i in range(0, len(pairs), step):
-            reports.append(scan_corank_strata(SupportPair(*pairs[i]), label, N_MAX, seed=i))
+            reports.append(scan_corank_strata(pairs[i], label, N_MAX, seed=i))
     return reports
+
+
+def pair_scans():
+    return _pair_scans((("N(1,1)", 1), ("N(1,1,1)", 1), ("N(2,1)", 7), ("N(2,1;1,1)", 7)))
+
+
+def mixed_pair_scans():
+    return _pair_scans((("N(1,1;2,1)", 7),))
+
+
+def multiplicity_codim_reports():
+    pairs = _pairs()[::7]
+    return [estimate_codim(p, parse_label(name), seed=0) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)") for p in pairs]
 
 
 def codim_reports():
@@ -174,8 +198,10 @@ def project3d_decisions():
 SETS = {
     "symmetric_1013": symmetric_scans,
     "pairs_spread_5": pair_scans,
+    "pairs_spread_5_mixed": mixed_pair_scans,
     "verify_paper": run_checks,
     "codim_verify_cases": codim_reports,
+    "codim_multiplicity_pairs": multiplicity_codim_reports,
 }
 CLI_SETS = {
     "classify_spread_4": classify_outputs,
@@ -187,8 +213,10 @@ CLI_SETS = {
 EXPECTED = {  # (report count, digest)
     "symmetric_1013": (1013, "447c0d788eb8f9011c0ddf84eec4691277d407bdc254271eb5ee39bc9b78a752"),
     "pairs_spread_5": (2 * 961 + 2 * 138, "7df8993958c8d834e59e0069a08b436feb572bee3f077fc464a58e508ab09f53"),
+    "pairs_spread_5_mixed": (138, "2bbdce6b9b8190b5e997f3e0d54332586f533ebf06bd6c8461c8d547183f35e1"),
     "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
     "codim_verify_cases": (6 * 40, "5c1969465155c3437fbb6216ef112fd0514cceba06ff07fcf2652a3dabb96d4e"),
+    "codim_multiplicity_pairs": (3 * 138, "da35530ad370ed35addc3562e9211d38428fa1595e76e202c9a9775f5d11d5d8"),
 }
 
 

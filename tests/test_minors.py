@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,16 +13,17 @@ from singres.exact import split_prime
 from singres.kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from singres.minors import (
     _order2_mechanism,
+    _rank,
     ScanReport,
     admissible_pairs,
     exponent_minor_vanishes,
+    gap_root,
     minors_split_equivalence_scan,
     power_minor_vanishes,
     residues,
     two_class_split,
-    unity_power_rank,
 )
-from singres.supports import SplitWitness, SupportSet, gap_gcd
+from singres.supports import SplitWitness, SupportSet, class_count, gap_gcd
 from singres.verify import check_unity_minor_explanations
 
 
@@ -29,11 +31,27 @@ def S(*xs):
     return SupportSet.of(*xs)
 
 
+def closed_form_rank(b, n, ps, qs):
+    """The rank of M(B; zeta_n^p, zeta_n^q) for every pair (ps[i], qs[i]),
+    n one modulus or one per pair, composed from the lemmas of
+    `minors._rank`: the period m = n/gcd(n, p, q), the residue count
+    |B mod m| (`class_count`, once per distinct period) and the gap test
+    (`gap_root`) at h = n/gcd(n, g), the order of zeta_n^g, g the gap gcd
+    of B (in Python ints, so a huge g stays exact)."""
+    ps, qs = np.asarray(ps, dtype=np.int64), np.asarray(qs, dtype=np.int64)
+    ns = np.broadcast_to(np.asarray(n, dtype=np.int64), ps.shape)
+    periods = (ns // np.gcd(ns, np.gcd(ps, qs))).tolist()
+    counts = {m: class_count(b, m) for m in set(periods)}
+    g = gap_gcd(b)
+    h = np.array([k // gcd(k, g) for k in ns.tolist()], dtype=np.int64)
+    return _rank(np.array([counts[m] for m in periods], dtype=np.int64), gap_root(h, ps, qs))
+
+
 def all_minors_vanish(b, u):
     """The oracle's all-minors test in Z[zeta_n], asserted equal to the
-    closed-form rank of unity_power_rank."""
+    closed form of closed_form_rank."""
     want = cyclo_oracle.all_minors_vanish(b, u)
-    assert (unity_power_rank(b, gap_gcd(b), u.n, [u.p], [u.q]) <= 2).tolist() == [want], (b, u)
+    assert (closed_form_rank(b, u.n, [u.p], [u.q]) <= 2).tolist() == [want], (b, u)
     return want
 
 
@@ -90,7 +108,7 @@ class TestAllMinorsVanish:
 
 def reference_equivalence_scan(n_max, spread_max, sizes):
     """minors_split_equivalence_scan one (B, n) at a time: one
-    unity_power_rank call per support and modulus over that modulus's
+    closed_form_rank call per support and modulus over that modulus's
     admissible pairs, the report filled in n, B, pair order as it goes."""
     sizes = tuple(sorted(set(sizes)))
     report = ScanReport(n_max, spread_max, sizes)
@@ -100,7 +118,7 @@ def reference_equivalence_scan(n_max, spread_max, sizes):
         for elems in subsets:
             b = SupportSet(elems)
             split = two_class_split(b, n)
-            vanish = unity_power_rank(b, gap_gcd(b), n, ps, qs) <= 2
+            vanish = closed_form_rank(b, n, ps, qs) <= 2
             report.pairs_checked += len(ps)
             if split is None:
                 for i in np.flatnonzero(vanish):
@@ -402,7 +420,7 @@ class TestComboKernel:
             assert got.tolist() == exact, (n, p, q, elems)
             assert all_minors_oracle(n, elems, [p], [q]).tolist() == [all(exact)]
             b = SupportSet(tuple(elems))
-            assert (unity_power_rank(b, gap_gcd(b), n, [p], [q]) <= 2).tolist() == [all(exact)]
+            assert (closed_form_rank(b, n, [p], [q]) <= 2).tolist() == [all(exact)]
 
     def test_combo_matches_cyclo_arithmetic(self, monkeypatch):
         rng = random.Random(44)
@@ -468,7 +486,7 @@ class TestComboKernel:
 
 def sorted_key_rank(b, n, ps, qs):
     """The rank of M(B; zeta_n^p, zeta_n^q) from the rank lemma of
-    unity_power_rank alone, without the period lemma: every column key
+    `minors._rank` alone, without the period lemma: every column key
     (p*b mod n, q*b mod n) is formed, the keys are sorted and their distinct
     values counted, and the gap test reduces p*g and q*g mod n.  Python ints
     throughout, so products past int64 stay exact at any modulus."""
@@ -485,7 +503,7 @@ def sorted_key_rank(b, n, ps, qs):
 
 
 class TestBatchKernel:
-    """The closed-form rank of minors.unity_power_rank against the
+    """The closed-form rank (closed_form_rank) against the
     all-minors oracle, over every p and q in [0, n), and against the
     sorted column keys of sorted_key_rank where no oracle reaches."""
 
@@ -493,7 +511,7 @@ class TestBatchKernel:
     def _agrees(n, elems):
         ps, qs = np.divmod(np.arange(n * n), n)
         b = SupportSet(elems)
-        lemma = unity_power_rank(b, gap_gcd(b), n, ps, qs) <= 2
+        lemma = closed_form_rank(b, n, ps, qs) <= 2
         return lemma.tolist() == all_minors_oracle(n, elems, ps, qs).tolist()
 
     def test_matches_per_call_kernel(self):
@@ -515,7 +533,7 @@ class TestBatchKernel:
             p, q = rng.randrange(n), rng.randrange(n)
             elems = tuple(sorted(rng.sample(range(-5, 9), rng.randint(1, 5))))
             b = SupportSet(elems)
-            rank = unity_power_rank(b, gap_gcd(b), n, [p], [q])
+            rank = closed_form_rank(b, n, [p], [q])
             assert rank.tolist() == [power_rank(b, n, p, q)], (n, p, q, elems)
             assert sorted_key_rank(b, n, [p], [q]).tolist() == rank.tolist()
 
@@ -535,9 +553,9 @@ class TestBatchKernel:
             want = np.empty(len(ns), dtype=np.int64)
             for n in set(ns.tolist()):
                 rows = np.flatnonzero(ns == n)
-                want[rows] = unity_power_rank(b, gap_gcd(b), n, ps[rows], qs[rows])
-            assert unity_power_rank(b, gap_gcd(b), ns, ps, qs).tolist() == want.tolist(), b
-        assert unity_power_rank(S(0, 1, 3), 1, np.zeros(0, dtype=np.int64), [], []).shape == (0,)
+                want[rows] = closed_form_rank(b, n, ps[rows], qs[rows])
+            assert closed_form_rank(b, ns, ps, qs).tolist() == want.tolist(), b
+        assert closed_form_rank(S(0, 1, 3), np.zeros(0, dtype=np.int64), [], []).shape == (0,)
 
     def test_huge_exponents_reduce_exactly(self):
         # products of unreduced exponents would wrap in int64; the reference
@@ -549,7 +567,7 @@ class TestBatchKernel:
                 n = rng.randint(2, 12)
                 p, q = rng.randrange(n), rng.randrange(n)
                 b = SupportSet(elems)
-                rank = unity_power_rank(b, gap_gcd(b), n, [p], [q])
+                rank = closed_form_rank(b, n, [p], [q])
                 assert rank.tolist() == [power_rank(b, n, p, q)], (big, n, p, q)
             values = [big, -big, 2, rng.randrange(2**80)]
             moduli = np.array([3, 7, 3, 1, 12])
@@ -576,14 +594,14 @@ class TestBatchKernel:
                 qs.append(rng.choice([d, n // rng.choice(divisors)]) * rng.randrange(-(2**20), 2**20))
         ranks = set()
         for b in supports:
-            got = unity_power_rank(b, gap_gcd(b), np.array(ns), ps, qs)
+            got = closed_form_rank(b, np.array(ns), ps, qs)
             assert got.tolist() == sorted_key_rank(b, ns, ps, qs).tolist(), b
             ranks.update(got.tolist())
         assert ranks == {1, 2, 3}
 
     def test_small_support_vacuous(self):
         assert all_minors_oracle(5, (0, 4), [1, 2], [3, 4]).tolist() == [True, True]
-        assert unity_power_rank(S(0, 4), 4, 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
+        assert closed_form_rank(S(0, 4), 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
 
     def test_cached_table_is_read_only(self):
         table = evaluation_table(9)

@@ -15,7 +15,7 @@ import float_oracle
 from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
 from singres.exact import exact_quo, exact_rank, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
-from singres.minors import admissible_pairs, residues, unity_power_rank
+from singres.minors import _rank, admissible_pairs, residues
 from singres.strata import (
     StratumLabel,
     estimate_codim,
@@ -49,10 +49,10 @@ from singres.strata import (
     _random_fraction,
     _scan_table,
     _Side,
-    _side_coranks,
     _side_matrices,
     _sides,
     _stratum_predictions,
+    _table_values,
     _unity_components,
     _unity_coranks,
 )
@@ -61,7 +61,7 @@ from singres.verify import _construction_is_clean, _normalized_supports, check_c
 from test_guarantees import LABELS as GUARANTEE_LABELS
 from test_guarantees import PAIRS as GUARANTEE_PAIRS
 from test_guarantees import expected_codim
-from test_minors import all_minors_oracle
+from test_minors import all_minors_oracle, closed_form_rank
 
 
 def S(*xs):
@@ -639,19 +639,22 @@ class TestScan:
 
     def test_multiplicity_free_scan_needs_no_split_prime(self, monkeypatch):
         # the closed-form rank needs no arithmetic mod p, and the tally
-        # (`_corank_tally`) ranks no tuple: it reads |B mod n| and gcd(n, g)
-        # per modulus
+        # (`_corank_tally`) ranks no tuple: it reads |B mod n| (order-1
+        # sides), |B| (sides of orders (2, 1) and (1, 2)) and gcd(n, g) per
+        # modulus, for the scan and the estimator alike
         def forbidden(*args):
-            raise AssertionError(f"split-prime arithmetic or a per-tuple rank in a multiplicity-free scan: {args}")
+            raise AssertionError(f"split-prime arithmetic or a per-tuple rank in a closed-form scan: {args}")
 
         monkeypatch.setattr(singres.kernels, "evaluation_table", forbidden)
-        monkeypatch.setattr(singres.strata, "split_prime", forbidden)
-        monkeypatch.setattr(singres.strata, "modular_rank", forbidden)
-        monkeypatch.setattr(singres.strata, "unity_power_rank", forbidden)
-        for name in ("N(1)", "N(1,1)", "N(1,1,1)"):
-            for b1, b2 in [((0, 3, 6, 7), (0, 2, 4)), ((0, 3, 6), (0, 3, 6)), ((0, 2, 2**62 + 1), (0, 3))]:
-                rep = scan_corank_strata(pair(b1, b2), parse_label(name), 12)
+        for attr in ("split_prime", "modular_rank", "_hermite_stack"):
+            monkeypatch.setattr(singres.strata, attr, forbidden)
+        for name in ("N(1)", "N(1,1)", "N(1,1,1)", "N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)"):
+            label = parse_label(name)
+            for b1, b2 in [((0, 3, 6, 7), (0, 2, 4)), ((0, 3, 6), (0, 3, 6)), ((0, 2, 2**62 + 1), (0, 3)), ((0, 1), (0, 4))]:
+                rep = scan_corank_strata(pair(b1, b2), label, 12)
                 assert rep.mismatches == []
+                if label.k == 2:
+                    estimate_codim(pair(b1, b2), label)
 
     def test_boundary_orders_rejected(self):
         # the scan ranks finite tuples only, so a j0/jinf label would be
@@ -686,9 +689,9 @@ def supports_up_to(spread):
 
 class PerTupleScan:
     """The per-tuple oracle of the multiplicity-free scan: each support's
-    coranks at every tuple of _scan_table(k, 12), from one order-1
-    `_unity_coranks` call (the closed-form rank, tuple by tuple),
-    and its gap form there; the strata at n_max <= 12 come from the
+    coranks at every tuple of _scan_table(k, 12), from one closed_form_rank
+    call on the tuples' power rows (p, q) (the closed-form rank, tuple by
+    tuple), and its gap form there; the strata at n_max <= 12 come from the
     table's prefix with n <= n_max, by np.unique, as the scan read them
     before its tally by modulus."""
 
@@ -700,7 +703,8 @@ class PerTupleScan:
     def side(self, b):
         if b not in self.sides:
             gap_form = (self.exps * residues((gap_gcd(b),), self.ns) % self.ns[:, None] == 0).all(axis=1)
-            self.sides[b] = (_unity_coranks(_Side(b, (1,) * self.k, gap_gcd(b)), self.ns, self.exps), gap_form)
+            k, exps = self.k, self.exps
+            self.sides[b] = (k - closed_form_rank(b, self.ns, exps[:, min(k, 2) - 1], exps[:, k - 1]), gap_form)
         return self.sides[b]
 
     def tally(self, p, n_max):
@@ -788,6 +792,34 @@ class TestCorankTally:
                 p = SupportPair(b1, b2)
                 for n_max in range(1, 13):
                     assert _corank_tally(_sides(p, label), n_max) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
+
+    def test_two_one_sides_match_hermite_path(self):
+        # the closed form of a side of orders (2, 1) or (1, 2) against the
+        # Hermite path (`_unity_coranks`) at all 45 tuples of
+        # _scan_table(2, 12), on every support of spread <= 8 with min 0,
+        # plus {0}, and on their translates by -3: per tuple from the table
+        # value c_s (`_table_values`) as the cached table reads it, 2 -
+        # min(c_s, 2), and per support through the whole tally, with the
+        # (2, 1) side on side 1 and the (1, 2) side on side 2
+        ns, exps, _ = _scan_table(2, 12)
+        moduli = sorted(set(ns.tolist()))
+        sups = [S(0)] + supports_up_to(8)
+        sups += [SupportSet(tuple(e - 3 for e in b.elements)) for b in sups]
+        checked = 0
+        for b in sups:
+            sides = tuple(_Side(b, js, gap_gcd(b)) for js in ((2, 1), (1, 2)))
+            hermite = [_unity_coranks(side, ns, exps).tolist() for side in sides]
+            for side, want in zip(sides, hermite):
+                value = dict(zip(moduli, _table_values(side, moduli)[0]))
+                assert [2 - int(_rank(value[n], True)) for n in ns.tolist()] == want, (b.elements, side.js)
+                checked += len(want)
+            classes = {}
+            for i, key in enumerate(zip(*hermite)):
+                if key != (0, 0):
+                    count, first = classes.get(key, (0, i))
+                    classes[key] = (count + 1, first)
+            assert _corank_tally(sides, 12) == (classes, []), b.elements
+        assert (len(sups), checked) == (512, 46080)
 
 def reference_corank_monomial(b_elems, exps, n):
     """Corank of the k x |B| matrix with rows zeta_n^(p*e), e in B, for one
@@ -1725,18 +1757,21 @@ def tuple_kernel_dims(p, label, n_max=12):
     """The side kernel dimensions kd_s = |eff_s| - rank M_s at every tuple
     of _scan_table(k, n_max), [((n, exps), kd1, kd2)] in scan order; empty
     for k = 1 or an empty side.  An order-1 side is ranked tuple by tuple by
-    minors.unity_power_rank, a side with multiplicities by `_side_coranks`."""
+    closed_form_rank, a side with multiplicities by the Hermite path
+    (`_unity_coranks`), once per distinct side."""
     sides, k = _sides(p, label), label.k
     if k not in (2, 3) or not (sides[0].support and sides[1].support):
         return []
     ns, exps, configs = _scan_table(k, n_max)
-    kds, ranked = [], None
-    for i, (b, js, gap) in enumerate(sides):
+    kds, ranked = [], {}
+    for side in sides:
+        b, js, _ = side
         if set(js) == {1}:
-            cork = k - unity_power_rank(b, gap, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
+            cork = k - closed_form_rank(b, ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
         else:
-            ranked = _side_coranks(sides, ns, exps) if ranked is None else ranked
-            cork = ranked[i]
+            if side not in ranked:
+                ranked[side] = _unity_coranks(side, ns, exps)
+            cork = ranked[side]
         kds.append((len(b) - sum(js) + cork).tolist())
     return list(zip(configs, *kds))
 
@@ -1796,10 +1831,10 @@ class TestExactUnity:
             assert unity_components(p, label, 8) == class_components(p, label, 8), name
 
     def test_uncertified_tuples_take_conjugate_rank(self, monkeypatch):
-        # with a first rank mod p that certifies nothing, every
-        # multiplicity-side rank comes from the conjugate ranks, with
-        # identical components
-        labels = [parse_label(name) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)", "N(2,2)", "N(2,1,1)", "N_1(2,1)")]
+        # with a first rank mod p that certifies nothing, every Hermite-path
+        # rank comes from the conjugate ranks, with identical components
+        no_closed_form = ("N(2,2)", "N(3,1)", "N(2,1,1)", "N(2,2;1,1)")
+        labels = [parse_label(name) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)", "N_1(2,1)", *no_closed_form)]
         cases = [(p, label, 8) for p in GUARANTEE_PAIRS for label in labels]
         cases += [(pair((0, 3, 6), (0, 1, 3, 6, 9)), label, 9) for label in labels]
         want = [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases]
@@ -1823,19 +1858,22 @@ class TestExactUnity:
         monkeypatch.setattr(singres.strata, "modular_rank", first_pass_fails)
         monkeypatch.setattr(singres.strata, "_conjugate_ranks", counted)
         assert [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases] == want
-        # one conjugate rank per tuple and distinct multiplicity side (none
-        # where a side's effective support is empty; a side with the first
-        # side's effective support and orders is ranked once)
-        ranked = 0
+        # the estimator takes one conjugate rank per tuple and distinct side
+        # of a label with no closed form, order-1 sides included, and none
+        # for the others; the oracle one per tuple and distinct multiplicity
+        # side (none where a side's effective support is empty; a side with
+        # the first side's effective support and orders is ranked once)
+        ranked = oracle_ranked = 0
         for (p, label, _), (decided, _) in zip(cases, want):
             sides = {(_effective_elements(b, label.j0, label.jinf), label.side_orders(side)) for side, b in ((1, p.b1), (2, p.b2))}
             if all(eff for eff, _ in sides):
-                ranked += decided * sum(max(js) > 1 for _, js in sides)
+                ranked += decided * len(sides) * (label.notation() in no_closed_form)
+                oracle_ranked += decided * sum(max(js) > 1 for _, js in sides)
         assert len(calls) == ranked > 1000
         # and tuple by tuple
         calls.clear()
         assert [tuple_kernel_dims(p, label, n_max) for p, label, n_max in cases] == tuples
-        assert len(calls) == ranked
+        assert len(calls) == oracle_ranked > ranked
         assert sum(kd1 > 0 and kd2 > 0 for dims in tuples for _, kd1, kd2 in dims) > 100
 
     def test_equal_sides_are_ranked_once(self, monkeypatch):
@@ -1848,10 +1886,11 @@ class TestExactUnity:
             return real(side, ns, exps)
 
         monkeypatch.setattr(singres.strata, "_unity_coranks", counted)
-        # an order-1 label ranks no tuple: its classes are tallied, each
+        # a closed-form label ranks no tuple: its classes are tallied, each
         # distinct side cut once per modulus (TestCorankTally)
-        cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 0), ((0, 3, 6), (0, 3, 6), "N(2,1)", 1)]
-        cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 2), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 0)]
+        cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 0), ((0, 3, 6), (0, 3, 6), "N(2,1)", 0)]
+        cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 0), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 0)]
+        cases += [((0, 3, 6, 9), (0, 3, 6, 9), "N(2,2)", 1), ((0, 3, 6, 9), (0, 3, 6, 9), "N(2,2;1,1)", 2)]
         for b1, b2, name, ranked in cases:
             calls.clear()
             p, label = pair(b1, b2), parse_label(name)
@@ -1998,7 +2037,7 @@ class TestSideRecord:
     def test_each_side_is_derived_once(self, name, monkeypatch):
         # one scan and one codim estimate derive each side's effective
         # support, root orders and gap gcd once (`_sides`), however many
-        # helpers read them, and `unity_power_rank` takes the record's gap
+        # helpers read them, and the class tables take the record's gap
         # gcd, so `minors` derives none; the scan refuses the boundary-order
         # label
         counts = Counter()
@@ -2053,21 +2092,22 @@ class TestUnityClasses:
 
     @pytest.mark.parametrize("name", ["N(1,1)", "N(1,1,1)", "N_1(1,1)"])
     def test_order_one_estimate_ranks_no_tuple(self, name, monkeypatch):
-        # an order-1 label reads the scan's tally; a mixed label still ranks
-        # per tuple, which shows that the wraps count
+        # an order-1 label reads the scan's tally; N(2,2;1,1), a label with
+        # no closed form, still ranks per tuple, which shows that the wraps
+        # count
         calls = Counter()
-        for attr in ("unity_power_rank", "_side_coranks"):
-            real = getattr(singres.strata, attr, None)
+        for attr in ("_side_coranks", "_unity_coranks"):
+            real = getattr(singres.strata, attr)
 
             def counted(*args, attr=attr, real=real):
                 calls[attr] += 1
                 return real(*args)
 
-            monkeypatch.setattr(singres.strata, attr, counted, raising=False)
+            monkeypatch.setattr(singres.strata, attr, counted)
         pairs = [pair((0, 1, 2, 3), (0, 1, 2, 3)), pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), pair((0, 3, 6), (0, 3, 6))]
         for p in pairs:
             estimate_codim(p, parse_label(name))
         assert calls == Counter(), name
         for p in pairs:
-            estimate_codim(p, parse_label("N(2,1;1,1)"))
-        assert calls == Counter(unity_power_rank=3, _side_coranks=3)
+            estimate_codim(p, parse_label("N(2,2;1,1)"))
+        assert calls == Counter(_side_coranks=3, _unity_coranks=6)
