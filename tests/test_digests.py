@@ -19,9 +19,15 @@ The sets:
   N(1,1,1), plus every seventh pair under N(2,1) and N(2,1;1,1); the scan
   seed is the pair's index, so the generic witnesses are covered too;
 - every seventh such pair under N(1,1;2,1), seeded alike;
+- every seventh such pair under N(2), N(3), N(2,2), N(2,2;1,1) and
+  N(2,1,1), seeded alike: labels with no closed-form rank, whose sides are
+  ranked tuple by tuple;
 - the `estimate_codim` reports of every seventh such pair under N(2,1),
   N(2,1;1,1) and N(1,1;2,1) at seed 0, with `timings` and `version`
   stripped;
+- the `estimate_codim` reports of every seventh such pair under the 14
+  labels of CODIM_LABELS (no roots, one to three roots, multiplicities and
+  boundary orders) at seed 0, stripped alike;
 - the stdout of `classify` over every ordered pair of supports of
   spread 1..4 (min 0);
 - the stdout of `germ-classify` and `point-classify` on fixed inputs
@@ -98,6 +104,21 @@ def pair_scans():
 
 def mixed_pair_scans():
     return _pair_scans((("N(1,1;2,1)", 7),))
+
+
+def no_closed_form_scans():
+    return _pair_scans(tuple((name, 7) for name in ("N(2)", "N(3)", "N(2,2)", "N(2,2;1,1)", "N(2,1,1)")))
+
+
+CODIM_LABELS = (
+    "N", "N(1)", "N(1,1)", "N(2)", "N(3)", "N(1,1,1)", "N(2,2)", "N(2,2;1,1)",
+    "N_1^0", "N_0^1(1)", "N_1^0(1)", "N_1(1,1)", "N_1^1(1,1,1)", "N^1(1,1,1)",
+)
+
+
+def label_codim_reports():
+    pairs = _pairs()[::7]
+    return [estimate_codim(p, parse_label(name), seed=0) for name in CODIM_LABELS for p in pairs]
 
 
 def multiplicity_codim_reports():
@@ -199,9 +220,11 @@ SETS = {
     "symmetric_1013": symmetric_scans,
     "pairs_spread_5": pair_scans,
     "pairs_spread_5_mixed": mixed_pair_scans,
+    "pairs_spread_5_no_closed_form": no_closed_form_scans,
     "verify_paper": run_checks,
     "codim_verify_cases": codim_reports,
     "codim_multiplicity_pairs": multiplicity_codim_reports,
+    "codim_label_pairs": label_codim_reports,
 }
 CLI_SETS = {
     "classify_spread_4": classify_outputs,
@@ -217,6 +240,8 @@ EXPECTED = {  # (report count, digest)
     "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
     "codim_verify_cases": (6 * 40, "5c1969465155c3437fbb6216ef112fd0514cceba06ff07fcf2652a3dabb96d4e"),
     "codim_multiplicity_pairs": (3 * 138, "da35530ad370ed35addc3562e9211d38428fa1595e76e202c9a9775f5d11d5d8"),
+    "pairs_spread_5_no_closed_form": (5 * 138, "2476add54a2902c56ec8cae1cd34087d143a9c536b8ecdcbf99b7334b5955082"),
+    "codim_label_pairs": (14 * 138, "c0ea613b10bf75efee1a5021c00da5c5938c8a3252d47695079ff9b7c3a531e7"),
 }
 
 
