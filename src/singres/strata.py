@@ -1,32 +1,29 @@
 """Filtration-subset labels, multiplicity Vandermonde matrices, the exact
-kernel sampler, and codimension estimation.
+kernel sampler, and the stratification of the solution space (§4) that the
+codimension estimator and the corank-strata scan both read.
 
 A label (j0, jinf, multiset of per-root order pairs) indexes the subset of
 coefficient pairs whose common roots have at least the prescribed orders.
-The codimension estimator parameterizes each probed locus component by
-(solution tuple, kernel coordinates) and reports the rank of the
-parameterization's differential: the dimension found certifies an upper
-bound on the codimension, while the claimed lower bound stays heuristic.
 The sampler of a filtration subset is exact: distinct rational points,
 rational kernels of the multiplicity Vandermonde matrices and rational
 kernel combinations, in one draw that is always a member (None only for an
 empty side kernel); `verify`'s point-classifier constructions draw through
 it too (`_draw_filtration_pair`).
-The generic component's dimension is certified by a closed form
-(`_generic_kernel_dims`, Descartes' rule of signs), with no sampling, and
-so is every root-of-unity component (`_unity_components`: the side coranks
-plus one orbit direction).  Every minor curve is probed once, one per class
-of translated exponent triples, and decided mod small primes at
-Hensel-liftable points of its branches (`_minor_certificates`), with no
-floating point; a curve out of the certificate's reach is listed undecided
-with its reason, never dropped.  The corank-strata scan and the estimator
-read one set of root-of-unity corank classes (`_corank_classes`: for a
-label whose sides have orders all 1, or (2, 1) or (1, 2) at two roots, two
-numbers per side and modulus that select a cached table of the modulus's
-classes, `_modulus_classes`; otherwise a rank mod a split prime, tuple by
-tuple, with the conjugates at several split primes where that is not
-full); the scan takes the generic corank from Descartes' rule, and its seed
-only picks witness tuples.
+One enumeration (`_solution_strata`) lists the strata of the solution space
+{(x, f1, f2): f_s in ker M_s(x)}, sets of point tuples x with constant side
+ranks, in three kinds; each kind proves its strata's dimension kd1 + kd2 +
+r where it builds them, with no sampling and no floating point:
+- generic, by Descartes' rule of signs (`_solution_strata` itself);
+- unity, one stratum per nonzero root-of-unity corank class
+  (`_corank_classes`), by the torus orbit (`_unity_strata`);
+- minor_curve, three roots only, one per class of translated exponent
+  triples, decided mod small primes at Hensel-liftable points of its
+  branches (`_minor_certificates`); a curve out of the certificate's reach
+  is listed undecided with its reason, never dropped.
+The estimator reports the ambient dimension minus the largest stratum
+dimension, an upper bound on the codimension (the claimed lower bound is
+heuristic).  The scan reports the strata's nonzero side coranks, never
+computes a curve, and takes from its seed only the generic witness.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
 builder (`_hermite_stack`), and the scan and the estimator read their
@@ -291,11 +288,12 @@ def _random_fraction(rng):
             return Fraction(num, rng.randint(1, 6))
 
 
-def _distinct_points(rng, k):
-    """k pairwise distinct nonzero `_random_fraction` points, in draw order."""
+def _distinct_points(rng, k, positive=False):
+    """k pairwise distinct nonzero `_random_fraction` points, in draw order;
+    with positive=True their absolute values, distinct after abs()."""
     pts = []
     while len(pts) < k:
-        x = _random_fraction(rng)
+        x = abs(_random_fraction(rng)) if positive else _random_fraction(rng)
         if x not in pts:
             pts.append(x)
     return pts
@@ -374,12 +372,12 @@ class CodimEstimate:
 
     best_dim_found is the certified side (a dimension actually realized);
     codim_lower_bound_claimed = ambient - best_dim_found is heuristic.
-    `details` maps each component to its report fields (see
-    `estimate_codim`): a decided one (generic, root-of-unity and minor-curve)
-    to its kd1, kd2 and r, a minor curve also to its triple count and
-    certificate; a minor curve left undecided, listed with dimension None,
-    to its triple count and the `reason`.  `timings` gives the seconds spent
-    in the generic, root-of-unity and minor-curve phases.
+    `details` maps each listed stratum to its report fields
+    (`_Stratum.details`): a decided one to its kd1, kd2 and r, a
+    root-of-unity class also to its tuple count, a minor curve to its
+    triple count and certificate; a minor curve left undecided, listed with
+    dimension None, to its triple count and the `reason`.  `timings` gives
+    the seconds spent on each kind of stratum.
     """
 
     ambient_dim: int
@@ -420,34 +418,11 @@ class CodimEstimate:
 
 
 def _generic_kernel_dims(sides):
-    """(|eff1| - sum(j1), |eff2| - sum(j2)): per side, the label's effective
-    support size minus the sum of that side's root orders.
-
-    Where positive it is the kernel dimension of the side's multiplicity
-    Vandermonde M_i (rows f^(d)(x_m), d < j_m; columns eff_i) at a generic
-    tuple of distinct points x_1..x_k; where negative, minus its corank.  By
-    Descartes' rule of signs a nonzero Laurent polynomial with m terms has
-    at most m - 1 positive roots counted with multiplicity.  So any r <= m
-    Hermite conditions at distinct positive points are independent (the
-    total positivity of generalized Vandermonde matrices, Gantmacher-Krein):
-    there M_i has rank min(sum(j_i), |eff_i|), the largest any tuple allows.
-    Signed points are not safe: (1, -1) on B = (0, 2, 4) repeats a row.
-
-    It also gives the dimension of the label's generic locus component.  The
-    parameters (x, f1, f2) with f_i in ker M_i(x) span k + dims[0] + dims[1]
-    dimensions when both kernels are nonempty, and the differential of
-    (x, f1, f2) -> (f1, f2) reaches that rank at positive points.  Its image
-    is ker M1 + ker M2 plus one tangent row (df1, df2) per point x_m, where
-    M_i df_i = -(dM_i/dx_m) f_i.  The right side vanishes outside point m's
-    last row, where it is -f_i^(j_i,m)(x_m), and M_i is injective modulo its
-    kernel; so modulo the kernels the row of point m is
-    (f1^(j1_m)(x_m), f2^(j2_m)(x_m)), placed in point m's rows only.  It is
-    nonzero for generic f_i: with sum(j_i) + 1 <= |eff_i| the Hermite
-    conditions plus f^(j_m)(x_m) = 0 are independent at positive points, so
-    that derivative is not identically zero on ker M_i.  Rows of distinct
-    points are thus independent.
-    """
-    return tuple((len(s.support) if s.support else 0) - sum(s.js) for s in sides)
+    """d = (|eff1| - sum(j1), |eff2| - sum(j2)), |eff_s| = 0 for an empty
+    side: where positive, the side kernel dimension on the generic stratum;
+    where negative, minus the side corank there (`_solution_strata`)."""
+    (b1, js1, _), (b2, js2, _) = sides
+    return (0 if b1 is None else len(b1.elements)) - sum(js1), (0 if b2 is None else len(b2.elements)) - sum(js2)
 
 
 @lru_cache(maxsize=None)
@@ -503,14 +478,14 @@ def _modulus_slices(k, n_max):
 @lru_cache(maxsize=None)
 def _tuple_groups(k, n_max, n, h1, h2):
     """The tuples of _scan_table(k, n_max) at modulus n grouped by their
-    gap flags at h1 and h2 and their gap form at h1: ((flag1, flag2, form1),
-    size, first scan index) per group, in order of first index.  Read only
-    by `_modulus_classes`, once per (n, h1, h2) whatever the residue counts.
+    gap flags at h1 and h2: ((flag1, flag2), size, first scan index) per
+    group, in order of first index.  Read only by `_modulus_classes`, once
+    per (n, h1, h2) whatever the residue counts.
 
-    A tuple's flag at h is gap_root(h, p, q) and its gap form h | p and h | q,
-    with x = zeta_n^p, y = zeta_n^q the power rows of an order-1 side's
-    matrix M(B; x, y) (`minors._rank`): (p, q) for k = 3, (p, p) for k = 2
-    and (0, 0) for k = 1.
+    A tuple's flag at h is gap_root(h, p, q), with x = zeta_n^p, y =
+    zeta_n^q the power rows of an order-1 side's matrix M(B; x, y)
+    (`minors._rank`): (p, q) for k = 3, (p, p) for k = 2 and (0, 0) for
+    k = 1.
     """
     configs = _scan_table(k, n_max)[2]
     first, stop = _modulus_slices(k, n_max)[n]
@@ -518,7 +493,7 @@ def _tuple_groups(k, n_max, n, h1, h2):
     for i in range(first, stop):
         tup = configs[i][1]
         p, q = tup[min(k, 2) - 1], tup[k - 1]
-        tuples.append(((gap_root(h1, p, q), gap_root(h2, p, q), p % h1 == 0 and q % h1 == 0), 1, i))
+        tuples.append(((gap_root(h1, p, q), gap_root(h2, p, q)), 1, i))
     return tuple((key, size, least) for key, (size, least) in _classes_of(tuples).items())
 
 
@@ -526,30 +501,27 @@ def _tuple_groups(k, n_max, n, h1, h2):
 def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
     """The nonzero corank classes of the tuples of _scan_table(k, n_max) at
     modulus n, for sides with the table values c_s and h_s = n/gcd(n, g_s)
-    of `_corank_tally`: (((c1', c2'), size, first scan index) per class, in
-    order of first index; the number of corank-2 side-1 tuples not of gap
-    form).
+    of `_corank_tally`: ((c1', c2'), size, first scan index) per class, in
+    order of first index.
 
     The rank lemma's last step (`minors._rank`) runs once per group of
     `_tuple_groups` here, and every scan that meets the same key reads the
     result.  The key space is bounded by n_max: n <= n_max, c_s <= 3 and
     h_s | n.  Capping c_s at 3 changes no rank, which is at most 3.
     """
-    groups, broken = [], 0
-    for (flag1, flag2, form1), size, first in _tuple_groups(k, n_max, n, h1, h2):
+    groups = []
+    for (flag1, flag2), size, first in _tuple_groups(k, n_max, n, h1, h2):
         key = (k - int(_rank(c1, flag1)), k - int(_rank(c2, flag2)))
         if key != (0, 0):
             groups.append((key, size, first))
-        if key[0] == 2 and not form1:
-            broken += size
-    return tuple((key, count, least) for key, (count, least) in _classes_of(groups).items()), broken
+    return tuple((key, count, least) for key, (count, least) in _classes_of(groups).items())
 
 
 def _corank_tally(sides, n_max):
     """The `_corank_classes` of a label whose sides have a closed-form rank
     (orders all 1, or (2, 1) or (1, 2) at k = 2), from per-modulus class
-    tables: ({(c1, c2): (count, first scan index)} for every nonzero corank
-    pair, [n of each corank-2 side-1 tuple not of gap form, in scan order]).
+    tables: {(c1, c2): (count, first scan index)} for every nonzero corank
+    pair.
     Per modulus n a request computes the table values (`_table_values`) c_s
     and h_s = n/gcd(n, g_s) for each distinct side, g_s the gap gcd of its
     effective support B_s, and reads that modulus's classes from the cached
@@ -582,25 +554,14 @@ def _corank_tally(sides, n_max):
     (`_classes_of`): the moduli come in increasing order and each modulus's
     classes in order of first index.
 
-    Lemma (gap form).  The second list is empty.  At k = 3 a corank-2 tuple
-    on side 1 has min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n
-    divides g_1, so h_1 = 1, which divides p and q.  At k = 2 it has c_1 =
-    0: never on an order-1 side, and on a side of orders (2, 1) or (1, 2)
-    only for |B_1| = 1, whose gap gcd 0 gives h_1 = 1 again.  Conversely
-    h | p and h | q with h | n give h | gcd(n, p, q) = 1, so the gap form at
-    h_1 holds exactly when h_1 = 1 and splits no group.  The list is still
-    computed, from each tuple's exponents, as a check.
     """
     k = len(sides[0].js)
     moduli = _modulus_slices(k, n_max)
     rows = [row for side in (sides[:1] if sides[0] == sides[1] else sides) for row in _table_values(side, moduli)]
-    groups, broken = [], []
+    groups = []
     for n, c1, h1, c2, h2 in zip(moduli, *(rows if len(rows) == 4 else rows * 2)):
-        classes, off_form = _modulus_classes(k, n_max, n, c1, h1, c2, h2)
-        groups += classes
-        if off_form:
-            broken += [n] * off_form
-    return _classes_of(groups), broken
+        groups += _modulus_classes(k, n_max, n, c1, h1, c2, h2)
+    return _classes_of(groups)
 
 
 def _table_values(side, moduli):
@@ -613,97 +574,195 @@ def _table_values(side, moduli):
     return [min(len(b) - 1, 2 - (m == 1)) for m in h], h
 
 
+# --- solution strata (§4) ----------------------------------------------------
+
+
+@dataclass(slots=True)
+class _Stratum:
+    """A stratum of `_solution_strata`: kind, report name, side kernel
+    dimensions kd (None for a minor curve left undecided), side coranks kd_s
+    - d_s (d = `_generic_kernel_dims`), the dimension r of its point tuples,
+    the rest of its report entry, and the first tuple (n, exps) of a
+    root-of-unity class."""
+
+    kind: str
+    name: str
+    kd: tuple | None
+    corank: tuple | None
+    r: int
+    fields: dict
+    at: tuple | None = None
+
+    @property
+    def dim(self):
+        """kd1 + kd2 + r when both side kernels are nonempty, else None."""
+        return self.kd[0] + self.kd[1] + self.r if self.kd and min(self.kd) > 0 else None
+
+    def details(self):
+        return ({"kd1": self.kd[0], "kd2": self.kd[1], "r": self.r} if self.kd else {}) | self.fields
+
+
+def _solution_strata(pair, sides, n_max, seed):
+    """The solution strata (§4) of a pair under a label with side records
+    sides, lazily one kind at a time: (kind, strata, samples) for the kinds
+    generic, unity (root-of-unity tuples with n <= n_max) and minor_curve
+    in that order, the last two only when the label has roots.  A stratum's
+    solution space has dimension kd1 + kd2 + r when both side kernels are
+    nonempty and is empty otherwise.  samples counts the kind's exact
+    decisions: 1, every tuple of the table at k >= 2 (the tuple (1,) of k =
+    1 is a generic point), and every decided branch class of the curves,
+    drawn from random.Random(seed), which no other kind reads.  A kind is
+    computed only when a caller reaches it: the scan stops after unity.
+
+    The generic stratum has kd_s = max(d_s, 0) and side corank max(0, -d_s),
+    d = `_generic_kernel_dims`, and r = k; at k = 0 it is the coordinate
+    subspace of the effective supports.
+
+    Lemma (Descartes).  At distinct positive points x_1..x_k the side's
+    multiplicity Vandermonde M_s (rows f^(d)(x_m), d < j_m; columns eff_s)
+    has rank min(sum(j_s), |eff_s|), the largest any tuple allows.  By
+    Descartes' rule of signs a nonzero Laurent polynomial with m terms has
+    at most m - 1 positive roots counted with multiplicity.  So any r <= m
+    Hermite conditions at distinct positive points are independent (the
+    total positivity of generalized Vandermonde matrices, Gantmacher-Krein).
+    Signed points are not safe: (1, -1) on B = (0, 2, 4) repeats a row.
+
+    Dimension.  The parameters (x, f1, f2) with f_s in ker M_s(x) span k +
+    kd1 + kd2 dimensions when both kernels are nonempty, and the
+    differential of (x, f1, f2) -> (f1, f2) reaches that rank at positive
+    points.  Its image is ker M1 + ker M2 plus one tangent row (df1, df2) per
+    point x_m, where M_s df_s = -(dM_s/dx_m) f_s.  The right side vanishes
+    outside point m's last row, where it is -f_s^(j_s,m)(x_m), and M_s is
+    injective modulo its kernel; so modulo the kernels the row of point m is
+    (f1^(j1_m)(x_m), f2^(j2_m)(x_m)), placed in point m's rows only.  It is
+    nonzero for generic f_s: with sum(j_s) + 1 <= |eff_s| the Hermite
+    conditions plus f^(j_m)(x_m) = 0 are independent at positive points, so
+    that derivative is not identically zero on ker M_s.  Rows of distinct
+    points are thus independent.
+    """
+    k = len(sides[0].js)
+    d1, d2 = d = _generic_kernel_dims(sides)
+    yield "generic", [_Stratum("generic", "generic" if k else "coordinate-subspace", (max(d1, 0), max(d2, 0)), (max(-d1, 0), max(-d2, 0)), k, {})], 1
+    if k:
+        yield "unity", _unity_strata(sides, n_max, d), len(_scan_table(k, n_max)[2]) if k > 1 else 0
+        yield "minor_curve", *(_curve_strata(pair, sides, d, random.Random(seed)) if k == 3 else ([], 0))
+
+
+def _unity_strata(sides, n_max, d):
+    """The root-of-unity strata: one per nonzero corank class (c1, c2) of
+    `_corank_classes` in scan order, under its first tuple, with its tuple
+    count, kd_s = d_s + c_s (d = `_generic_kernel_dims`) and r = 1; none for
+    an empty effective support, whose kernels are all empty.
+
+    Claim.  Let omega be a tuple with x1 = 1, M_s = M_s(omega) side s's
+    multiplicity Vandermonde on eff_s and kd_s = |eff_s| - rank M_s.  When
+    both kd_s > 0 the stratum through omega has dimension kd1 + kd2 + r with
+    r = 1; otherwise it is empty.
+
+    Proof.  T_c maps f to f(x/c), that is f_b to c^(-b) f_b.  Since
+    (T_c f)^(d)(c x) = c^(-d) f^(d)(x), ker M_s(c omega) = T_c ker M_s(omega),
+    so the stratum is the orbit {(T_c f1, T_c f2)}: f_s in ker M_s(omega),
+    c nonzero.  Its dimension is constant along the orbit, so c = 1
+    suffices, and a random annulus factor c, as a float sample draws it,
+    adds nothing.  At c = 1 the differential spans ker M1 + ker M2 and the
+    orbit's tangent row d/dc (T_c f1, T_c f2) = -(D f1, D f2), D = diag(b),
+    b in eff_s.  For generic (f1, f2) that row lies in ker M1 + ker M2 iff
+    M_s D vanishes on ker M_s on both sides, that is iff rank [M_s; M_s D]
+    = rank M_s, and then D maps ker M_s into itself.  It never does: D has
+    the distinct eigenvalues b, so a nonzero D-invariant subspace contains
+    some coordinate vector e_b, while M_s e_b, the column of b, holds the
+    entry x_m^b != 0 of every order-0 row.  So r = 1.
+
+    So a stratum depends on its tuple only through the coranks.  The class
+    (0, 0) has kd_s = d_s, so it is empty or of dimension d1 + d2 + 1 < d1
+    + d2 + k (k >= 2), inside the generic stratum's closure; at k = 1 the
+    tuple (1,) is a positive point, of the generic class.
+    """
+    if sides[0].support is None or sides[1].support is None:
+        return []
+    k = len(sides[0].js)
+    configs = _scan_table(k, n_max)[2]
+    if k == 1:
+        corank = (max(-d[0], 0), max(-d[1], 0))
+        classes = {corank: (1, 0)} if configs and corank != (0, 0) else {}
+    else:
+        classes = _corank_classes(sides, n_max)
+    return [
+        _Stratum("unity", f"unity(n={configs[first][0]}, exps={list(configs[first][1])})", (d[0] + c1, d[1] + c2), (c1, c2), 1, {"tuples": count}, configs[first])
+        for (c1, c2), (count, first) in classes.items()
+    ]
+
+
+def _curve_strata(pair, sides, d, rng):
+    """(strata, branch classes decided) of a three-point label: one stratum
+    per curve of the exponent triples (a, b, c) of both sides, grouped by
+    (b - a, c - a) as translates have one curve, under its first triple,
+    side 1 before side 2 in combination order, with its triple count and
+    its certificate (p, t0, u0) from `_minor_certificates`, which proves
+    its dimension kd1 + kd2 + 2, or with kd None and the `reason` when no
+    draw decides it.  A curve decided empty is no stratum.
+
+    Under boundary orders the triples still come from the full supports: a
+    curve with no translate in an effective support can certify a line
+    class that no effective triple's curve decides (on B_1 = B_2 = (0, 1,
+    63, 125, 127) under N_1^1(1,1,1) the effective (1, 63, 125) has gap gcd
+    62, and (63, 125, 127) certifies u = -t at the estimate).
+    """
+    curves = {}  # (b - a, c - a) -> [side, first triple, triple count]
+    for side, support in ((1, pair.b1), (2, pair.b2)):
+        for a, b, c in combinations(support.elements, 3):
+            curves.setdefault((b - a, c - a), [side, (a, b, c), 0])[2] += 1
+    decided, points = _minor_certificates(sides, [triple for _, triple, _ in curves.values()], rng)
+    strata = []
+    for i, ((d1, d2), (side, triple, count)) in enumerate(curves.items()):
+        name = f"minor-curve(side={side}, triple={triple})"
+        if i not in decided:
+            g = gcd(d1, d2)
+            reason = f"gap gcd {g} above {CERT_GAP_MAX}" if g > CERT_GAP_MAX else "a branch class no draw decided"
+            strata.append(_Stratum("minor_curve", name, None, None, 2, {"triples": count, "reason": reason}))
+        elif decided[i] is not None:
+            _, kd1, kd2, p, t0, u0 = decided[i]
+            fields = {"triples": count, "certificate": {"p": p, "t0": t0, "u0": u0}}
+            strata.append(_Stratum("minor_curve", name, (kd1, kd2), (kd1 - d[0], kd2 - d[1]), 2, fields))
+    return strata, points
+
+
 def estimate_codim(
     pair: SupportPair,
     label: StratumLabel,
     seed: int = 0,
     n_max: int = 12,
 ) -> CodimEstimate:
-    """Estimate the codimension of the filtration subset by probing locus
-    components: generic tuples, every root-of-unity configuration with
-    n <= n_max, and single-minor curves.
+    """Estimate the codimension of the filtration subset: the ambient
+    dimension minus the largest dimension over the strata of
+    `_solution_strata` (generic, root-of-unity tuples with n <= n_max, and
+    single-minor curves), each decided exactly.
 
-    The generic component (the coordinate subspace of the effective
-    supports when the label has no finite roots) is certified, not
-    sampled: its dimension is (|eff1| - sum(j1)) + (|eff2| - sum(j2)) + k
-    when both side kernels are nonempty, and it is empty otherwise (see
-    `_generic_kernel_dims`); it counts as one sample.  Every root-of-unity
-    tuple is decided exactly, with no sampling and no rng draw, by its corank
-    class (`_unity_components`): one entry per class, under its first tuple,
-    of dimension kd1 + kd2 + 1 when both side kernels are nonempty, none for
-    an empty kernel or the coranks (0, 0); each tuple counts as one sample.
-    Every minor curve of a three-point label is probed once: the triples
-    (a, b, c) of both sides are grouped by (b - a, c - a), since translates
-    have one curve (`_minor_certificates`), and each group is listed under
-    its first triple, side 1 before side 2 in combination order, with its
-    triple count.  Under boundary orders the triples still come from the
-    full supports: a curve with no translate in an effective support can
-    certify a line class that no effective triple's curve decides (on B_1 =
-    B_2 = (0, 1, 63, 125, 127) under N_1^1(1,1,1) the effective (1, 63, 125)
-    has gap gcd 62, and (63, 125, 127) certifies u = -t at the estimate).
-    The curves are decided mod small primes at points drawn
-    from random.Random(seed), which picks nothing else; each certified point
-    counts as one sample.  A curve decided empty is not listed; a curve of
-    gap gcd above CERT_GAP_MAX, or one that no retry decides, is listed with
-    no dimension, `exact` false and the `reason`.  The report gives every
-    decided component's kd1, kd2 and r (k, 1 and 2 for the generic,
-    root-of-unity and minor-curve components), each root-of-unity class's
-    tuple count, each minor curve's triple count and certificate (p, t0,
-    u0), and the time of each phase."""
-    rng = random.Random(seed)
-    ambient = len(pair.b1.elements) + len(pair.b2.elements)
+    The report lists the strata in enumeration order, with kd1, kd2 and r
+    when decided, but not an empty root-of-unity class, which only the scan
+    reads: the generic stratum whatever its dimension, each root-of-unity
+    class with its tuple count, and each minor curve of a three-point label
+    with its triple count and certificate (p, t0, u0), or, left undecided,
+    with no dimension, `exact` false and the `reason`.  The curves draw from
+    random.Random(seed).  `sample_count` sums the kinds' exact decisions and
+    `timings` gives the seconds of each kind."""
     est = CodimEstimate(
-        ambient_dim=ambient,
+        ambient_dim=len(pair.b1.elements) + len(pair.b2.elements),
         best_dim_found=None,
         seed=seed,
         label=label.notation(),
         pair=pair.to_json(),
     )
-
-    def record(desc, dim, details):
-        est.components_probed.append((desc, dim))
-        est.details[desc] = details
-        if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
-            est.best_dim_found = dim
-
-    k = label.k
     start = time.perf_counter()
-    sides = _sides(pair, label)
-    dims = _generic_kernel_dims(sides)
-    kd1, kd2 = (max(d, 0) for d in dims)
-    record("generic" if k else "coordinate-subspace", kd1 + kd2 + k if min(dims) > 0 else None, {"kd1": kd1, "kd2": kd2, "r": k})
-    est.sample_count = 1
-    est.timings["generic_s"] = time.perf_counter() - start
-    if k == 0:
-        return est
-
-    # root-of-unity components: decided exactly per corank class, one sample per tuple
-    start = time.perf_counter()
-    decided, components = _unity_components(sides, n_max)
-    est.sample_count += decided
-    for (n, exps), kd1, kd2, count in components:
-        record(f"unity(n={n}, exps={list(exps)})", kd1 + kd2 + 1, {"kd1": kd1, "kd2": kd2, "r": 1, "tuples": count})
-    est.timings["unity_s"] = time.perf_counter() - start
-
-    # single-minor curves (three-point labels only), one per translation class
-    start = time.perf_counter()
-    if k == 3:
-        curves = {}  # (b - a, c - a) -> [side, first triple, triple count]
-        for side, support in ((1, pair.b1), (2, pair.b2)):
-            for a, b, c in combinations(support.elements, 3):
-                curves.setdefault((b - a, c - a), [side, (a, b, c), 0])[2] += 1
-        decided, points = _minor_certificates(sides, [triple for _, triple, _ in curves.values()], rng)
-        est.sample_count += points
-        for i, ((d1, d2), (side, triple, count)) in enumerate(curves.items()):
-            desc = f"minor-curve(side={side}, triple={triple})"
-            if i not in decided:
-                g = gcd(d1, d2)
-                reason = f"gap gcd {g} above {CERT_GAP_MAX}" if g > CERT_GAP_MAX else "a branch class no draw decided"
-                record(desc, None, {"triples": count, "reason": reason})
-            elif decided[i] is not None:
-                dim, kd1, kd2, p, t0, u0 = decided[i]
-                record(desc, dim, {"kd1": kd1, "kd2": kd2, "r": 2, "triples": count, "certificate": {"p": p, "t0": t0, "u0": u0}})
-    est.timings["minor_curve_s"] = time.perf_counter() - start
+    for kind, strata, samples in _solution_strata(pair, _sides(pair, label), n_max, seed):
+        est.sample_count += samples
+        for stratum in strata:
+            if stratum.kind != "unity" or stratum.dim is not None:
+                est.components_probed.append((stratum.name, stratum.dim))
+                est.details[stratum.name] = stratum.details()
+        now = time.perf_counter()
+        est.timings[f"{kind}_s"], start = now - start, now
+    est.best_dim_found = max((dim for _, dim in est.components_probed if dim is not None), default=None)
     return est
 
 
@@ -863,65 +922,20 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
     return stack
 
 
-def _unity_components(sides, n_max):
-    """The nonempty root-of-unity components of the label, decided exactly:
-    (tuples decided, [((n, exps), kd1, kd2, tuples)]), one per nonzero class
-    (c1, c2) of `_corank_classes` under its first tuple, in scan order, with
-    kd_s = |eff_s| - sum(js_s) + c_s.  Each has dimension kd1 + kd2 + 1.
-
-    Claim.  Let omega be a tuple with x1 = 1, M_i = M_i(omega) side i's
-    multiplicity Vandermonde on eff_i and kd_i = |eff_i| - rank M_i.  When
-    both kd_i > 0 the component through omega has dimension kd1 + kd2 + r
-    with r = 1; otherwise it is empty.
-
-    Proof.  T_c maps f to f(x/c), that is f_b to c^(-b) f_b.  Since
-    (T_c f)^(d)(c x) = c^(-d) f^(d)(x), ker M_i(c omega) = T_c ker M_i(omega),
-    so the component is the orbit {(T_c f1, T_c f2)}: f_i in ker M_i(omega),
-    c nonzero.  Its dimension is constant along the orbit, so c = 1
-    suffices, and a random annulus factor c, as a float sample draws it,
-    adds nothing.  At c = 1 the differential spans ker M1 + ker M2 and the
-    orbit's tangent row d/dc (T_c f1, T_c f2) = -(D f1, D f2), D = diag(b),
-    b in eff_i.  For generic (f1, f2) that row lies in ker M1 + ker M2 iff
-    M_i D vanishes on ker M_i on both sides, that is iff rank [M_i; M_i D]
-    = rank M_i, and then D maps ker M_i into itself.  It never does: D has
-    the distinct eigenvalues b, so a nonzero D-invariant subspace contains
-    some coordinate vector e_b, while M_i e_b, the column of b, holds the
-    entry x_m^b != 0 of every order-0 row.  So r = 1.
-
-    So a component depends on its tuple only through the coranks.  The class
-    (0, 0) is not listed, as it never sets the estimate: there kd_s = d_s,
-    the generic kernel dimension (`_generic_kernel_dims`), so its component
-    is empty or has dimension d1 + d2 + 1 < d1 + d2 + k (k >= 2), that of
-    the generic component, which `estimate_codim` records first and which
-    only a larger dimension replaces.
-    """
-    k = len(sides[0].js)
-    if k not in (2, 3):
-        return 0, []
-    configs = _scan_table(k, n_max)[2]
-    if not (sides[0].support and sides[1].support):
-        return len(configs), []
-    d1, d2 = _generic_kernel_dims(sides)
-    classes = [(configs[first], d1 + c1, d2 + c2, count) for (c1, c2), (count, first) in _corank_classes(sides, n_max)[0].items()]
-    return len(configs), [c for c in classes if min(c[1], c[2]) > 0]
-
-
 def _corank_classes(sides, n_max):
-    """The nonzero corank classes of _scan_table(k, n_max), for the scan and
-    the estimator: ({(c1, c2): (count, first scan index)} in scan order, [n
-    of each corank-2 side-1 tuple not of gap form]).  A label whose every
-    side has orders all 1, or (2, 1) or (1, 2) at k = 2, reads them off
-    per-modulus class tables (`_corank_tally`), with no per-tuple array: at
-    modulus n the closed-form rank depends on a tuple only through its gap
-    flags at n/gcd(n, g_s), and the gap-form list is empty by the tally's
-    lemma.  Any other label, such as N(2,2;1,1) or k = 3 with
-    multiplicities, reads them off both sides' corank arrays
-    (`_side_coranks`), tuple by tuple in scan order."""
+    """The nonzero corank classes of _scan_table(k, n_max), for the
+    root-of-unity strata: {(c1, c2): (count, first scan index)} in scan
+    order.  A label whose every side has orders all 1, or (2, 1) or (1, 2)
+    at k = 2, reads them off per-modulus class tables (`_corank_tally`),
+    with no per-tuple array: at modulus n the closed-form rank depends on a
+    tuple only through its gap flags at n/gcd(n, g_s).  Any other label,
+    such as N(2,2;1,1) or k = 3 with multiplicities, reads them off both
+    sides' corank arrays (`_side_coranks`), tuple by tuple in scan order."""
     if all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
         return _corank_tally(sides, n_max)
     ns, exps, _ = _scan_table(len(sides[0].js), n_max)
     keys = zip(*(cork.tolist() for cork in _side_coranks(sides, ns, exps)))
-    return _classes_of((key, 1, i) for i, key in enumerate(keys) if key != (0, 0)), []
+    return _classes_of((key, 1, i) for i, key in enumerate(keys) if key != (0, 0))
 
 
 # --- minor-curve certificate -------------------------------------------------
@@ -1070,7 +1084,7 @@ def _minor_certificates(sides, triples, rng):
 
     The curve of the triple (a, b, c) is P(t, u) = 0, P the minor
     (t^b - t^c) u^a + (t^c - t^a) u^b + (t^a - t^b) u^c at x = (1, t, u);
-    the torus factor c is 1 by the orbit argument of `_unity_components`,
+    the torus factor c is 1 by the orbit argument of `_unity_strata`,
     and its direction is the orbit row below.  Each curve takes t0 =
     gamma^tau from rng at a prime p = 1 mod g, g = gcd(b - a, c - a) (the
     index-th of `_certificate_prime`, CERT_PRIMES primes with up to
@@ -1194,22 +1208,16 @@ def _minor_certificates(sides, triples, rng):
 
 
 def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, seed: int = 0):
-    """Enumerate projectivized root-of-unity tuples (x1 = 1, others n-th
-    roots, n <= n_max), compute both coranks exactly, add the certified
-    generic corank, and compare the nonempty corank strata against the
-    predicted ones (gap-gcd and split criteria).
+    """The nonzero side coranks (c1, c2) of the generic and root-of-unity
+    strata of `_solution_strata` (n <= n_max), compared against the
+    predicted nonempty corank strata (gap-gcd and split criteria).
 
-    `found` holds each nonzero corank class of `_corank_classes` with its
-    tuple count and first tuple, in scan order; the gap-form list becomes
-    the mismatch check.
-
-    The generic corank is certified as max(0, sum(js) - |B|) per side, with
-    no elimination, by Descartes' rule of signs (`_generic_kernel_dims`).
-    `seed` only picks the four positive rational witness tuples counted
-    under that corank in `found`.
-
+    `found` holds each root-of-unity class with its tuple count and first
+    tuple, in scan order, then a nonzero generic corank, counted as four
+    tuples, with k distinct positive rationals from random.Random(seed) as
+    its witness: Descartes' rule certifies it there (`_solution_strata`).
     The report records the tuples scanned, the package version and the time
-    spent on the unity and the generic tuples.  Labels with boundary orders
+    spent on the unity and the generic strata.  Labels with boundary orders
     j0 or jinf raise ValueError: the scan ranks finite tuples only.
     """
     if label.k < 1 or label.k > 3:
@@ -1218,30 +1226,19 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
         raise ValueError(f"scan supports labels without boundary orders, got {label.notation()}")
     start = time.perf_counter()
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
-    k = label.k
     sides = _sides(pair, label)
-    configs = _scan_table(k, n_max)[2]
-    report.configs_scanned = len(configs)
-    classes, broken = _corank_classes(sides, n_max)
-    for key, (count, first) in classes.items():
-        n, tup = configs[first]
-        report.found[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
-    report.mismatches += [{"reason": "corank-2 witness not of root-of-unity gap form", "n": n} for n in broken]
+    kinds = _solution_strata(pair, sides, n_max, seed)
+    (_, (generic,), _), (_, classes, _) = next(kinds), next(kinds)
+    report.configs_scanned = len(_scan_table(label.k, n_max)[2])
+    for stratum in classes:
+        n, tup = stratum.at
+        report.found[stratum.corank] = {"count": stratum.fields["tuples"], "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
     unity_done = time.perf_counter()
 
-    # generic tuples: Descartes' rule, with positive rational witnesses
-    gen_cork = tuple(max(0, -d) for d in _generic_kernel_dims(sides))
-    if gen_cork != (0, 0):
-        rng = random.Random(seed)
-        for _ in range(4):
-            pts = []
-            while len(pts) < k:
-                x = abs(_random_fraction(rng))
-                if x not in pts:
-                    pts.append(x)
-            witness = {"kind": "generic", "points": [str(x) for x in pts]}
-            report.found.setdefault(gen_cork, {"count": 0, "witness": witness})["count"] += 1
-    report.generic_corank = gen_cork
+    report.generic_corank = generic.corank
+    if generic.corank != (0, 0):
+        witness = {"kind": "generic", "points": [str(x) for x in _distinct_points(random.Random(seed), label.k, positive=True)]}
+        report.found.setdefault(generic.corank, {"count": 0, "witness": witness})["count"] += 4
     generic_done = time.perf_counter()
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}
 
@@ -1265,7 +1262,7 @@ def _stratum_predictions(sides):
     Strata without a sharp criterion are omitted.
     """
     (b1, js1, g1), (b2, js2, g2) = sides
-    if any(j != 1 for j in js1 + js2):
+    if max(js1 + js2) > 1:
         return {}
     k = len(js1)
     out = {}

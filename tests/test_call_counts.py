@@ -18,12 +18,12 @@ from singres.supports import SupportPair, SupportSet
 
 # (request, b1, b2, label, seed): scans at n_max 12, codim estimates at n_max 12
 EXPECTED = {
-    ("scan", (0, 1, 3, 7), (0, 2, 5), "N(1,1,1)", 3): 210,
-    ("scan", (0, 2, 4, 6), (0, 2, 4, 6), "N(1,1,1)", 3): 164,
-    ("scan", (0, 1, 4), (0, 3, 5), "N(1,1)", 3): 205,
-    ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 212,
-    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 2256,
-    ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 172,
+    ("scan", (0, 1, 3, 7), (0, 2, 5), "N(1,1,1)", 3): 203,
+    ("scan", (0, 2, 4, 6), (0, 2, 4, 6), "N(1,1,1)", 3): 156,
+    ("scan", (0, 1, 4), (0, 3, 5), "N(1,1)", 3): 198,
+    ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 208,
+    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 2244,
+    ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 140,
 }
 
 

@@ -48,6 +48,7 @@ Print the current digests by hand from the root of a checkout:
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -226,6 +227,8 @@ SETS = {
     "codim_multiplicity_pairs": multiplicity_codim_reports,
     "codim_label_pairs": label_codim_reports,
 }
+# each set is built once per process: `test_strata.py` reads the same reports
+SETS = {name: functools.cache(build) for name, build in SETS.items()}
 CLI_SETS = {
     "classify_spread_4": classify_outputs,
     "germ_classify": germ_outputs,

@@ -51,13 +51,14 @@ from singres.strata import (
     _Side,
     _side_matrices,
     _sides,
+    _solution_strata,
     _stratum_predictions,
     _table_values,
-    _unity_components,
     _unity_coranks,
 )
 from singres.supports import SupportPair, SupportSet, gap_gcd
 from singres.verify import _construction_is_clean, _normalized_supports, check_codim_estimates, check_stratum_order
+from test_digests import CODIM_LABELS, SETS, _pairs
 from test_guarantees import LABELS as GUARANTEE_LABELS
 from test_guarantees import PAIRS as GUARANTEE_PAIRS
 from test_guarantees import expected_codim
@@ -735,6 +736,22 @@ class PerTupleScan:
         return out
 
 
+def assert_tally(oracle, p, label, n_max):
+    """The tally of `_corank_tally` is the per-tuple oracle's strata, and
+    the oracle finds no corank-2 side-1 tuple off the root-of-unity gap form.
+
+    Lemma (gap form).  Every corank-2 tuple (n, (0, p, q)) of the table on
+    side 1 has h_1 = n/gcd(n, g_1) dividing p and q.  At k = 3 it has
+    min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n divides g_1, so
+    h_1 = 1.  At k = 2 it has c_1 = 0: never on an order-1 side, and on a
+    side of orders (2, 1) or (1, 2) only for |B_1| = 1, whose gap gcd 0
+    gives h_1 = 1 again.  A table that lists a tuple with gcd(n, p, q) > 1
+    breaks it."""
+    strata, broken = oracle.tally(p, n_max)
+    assert broken == [], (p.b1.elements, p.b2.elements, n_max)
+    assert _corank_tally(_sides(p, label), n_max) == strata, (p.b1.elements, p.b2.elements, n_max)
+
+
 class TestCorankTally:
     """The multiplicity-free scan's per-modulus group tallies
     (`_corank_tally`) against the per-tuple coranks."""
@@ -772,7 +789,7 @@ class TestCorankTally:
         for i, (b1, b2) in enumerate(pairs):
             p = SupportPair(b1, b2)
             for n_max in range(1, 13) if i % 7 == 0 else (12,):
-                assert _corank_tally(_sides(p, label), n_max) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
+                assert_tally(oracle, p, label, n_max)
                 checked += 1
         assert (len(sups), checked) == (63, 3969 + 567 * 11)
         # whole reports on a sample
@@ -791,7 +808,7 @@ class TestCorankTally:
             for b1, b2 in itertools.product(sides, repeat=2):
                 p = SupportPair(b1, b2)
                 for n_max in range(1, 13):
-                    assert _corank_tally(_sides(p, label), n_max) == oracle.tally(p, n_max), (b1.elements, b2.elements, n_max)
+                    assert_tally(oracle, p, label, n_max)
 
     def test_two_one_sides_match_hermite_path(self):
         # the closed form of a side of orders (2, 1) or (1, 2) against the
@@ -818,7 +835,7 @@ class TestCorankTally:
                 if key != (0, 0):
                     count, first = classes.get(key, (0, i))
                     classes[key] = (count + 1, first)
-            assert _corank_tally(sides, 12) == (classes, []), b.elements
+            assert _corank_tally(sides, 12) == classes, b.elements
         assert (len(sups), checked) == (512, 46080)
 
 def reference_corank_monomial(b_elems, exps, n):
@@ -1747,6 +1764,15 @@ class TestMinorCertificate:
             assert all(c["exact"] for c in comps), (b1, b2, name)
 
 
+def unity_kind(p, label, n_max=12):
+    """The root-of-unity kind of `_solution_strata`: (samples, [((n, exps),
+    kd1, kd2, tuples)] over its nonempty strata, in order); (0, []) for a
+    label with no roots.  The minor-curve kind is not computed."""
+    kinds = itertools.islice(_solution_strata(p, _sides(p, label), n_max, 0), 2)
+    samples, strata = {kind: (samples, strata) for kind, strata, samples in kinds}.get("unity", (0, []))
+    return samples, [(s.at, *s.kd, s.fields["tuples"]) for s in strata if s.dim is not None]
+
+
 def unity_components(p, label, n_max=12):
     """The estimator's root-of-unity components, (desc, dim) in order."""
     est = estimate_codim(p, label, n_max=n_max)
@@ -1787,7 +1813,7 @@ def grouped_classes(p, label, n_max=12):
     """tuple_kernel_dims grouped by (kd1, kd2), each group under its first
     tuple with its size, in scan order, less the groups with an empty kernel
     and the group of coranks (0, 0), whose kd are the generic
-    `_generic_kernel_dims`: the oracle of `_unity_components`."""
+    `_generic_kernel_dims`: the oracle of the root-of-unity strata (`unity_kind`)."""
     generic = _generic_kernel_dims(_sides(p, label))
     groups = {}
     for config, kd1, kd2 in tuple_kernel_dims(p, label, n_max):
@@ -1808,7 +1834,7 @@ def cyclo_mod(value, p, z):
 
 
 class TestExactUnity:
-    """The root-of-unity components decided exactly (_unity_components)
+    """The root-of-unity strata decided exactly (`_unity_strata`)
     against the float votes they replaced and against the CycloElement
     oracle."""
 
@@ -1837,7 +1863,7 @@ class TestExactUnity:
         labels = [parse_label(name) for name in ("N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)", "N_1(2,1)", *no_closed_form)]
         cases = [(p, label, 8) for p in GUARANTEE_PAIRS for label in labels]
         cases += [(pair((0, 3, 6), (0, 1, 3, 6, 9)), label, 9) for label in labels]
-        want = [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases]
+        want = [unity_kind(p, label, n_max) for p, label, n_max in cases]
         tuples = [tuple_kernel_dims(p, label, n_max) for p, label, n_max in cases]
         assert [comps for _, comps in want] == [grouped_classes(p, label, n_max) for p, label, n_max in cases]
         calls, inside = [], []
@@ -1857,7 +1883,7 @@ class TestExactUnity:
 
         monkeypatch.setattr(singres.strata, "modular_rank", first_pass_fails)
         monkeypatch.setattr(singres.strata, "_conjugate_ranks", counted)
-        assert [_unity_components(_sides(p, label), n_max) for p, label, n_max in cases] == want
+        assert [unity_kind(p, label, n_max) for p, label, n_max in cases] == want
         # the estimator takes one conjugate rank per tuple and distinct side
         # of a label with no closed form, order-1 sides included, and none
         # for the others; the oracle one per tuple and distinct multiplicity
@@ -1894,7 +1920,7 @@ class TestExactUnity:
         for b1, b2, name, ranked in cases:
             calls.clear()
             p, label = pair(b1, b2), parse_label(name)
-            decided, components = _unity_components(_sides(p, label), 12)
+            decided, components = unity_kind(p, label, 12)
             assert len(calls) == ranked, (b1, b2, name)
             assert decided == len(_scan_table(label.k, 12)[2]) and live_tuple_components(p, label), (b1, b2, name)
             assert components == grouped_classes(p, label), (b1, b2, name)
@@ -1906,7 +1932,7 @@ class TestExactUnity:
         cases += [(p, label, 6) for p in GUARANTEE_PAIRS for label in GUARANTEE_LABELS.values()]
         checked = 0
         for p, label, n_max in cases:
-            assert _unity_components(_sides(p, label), n_max)[1] == grouped_classes(p, label, n_max)
+            assert unity_kind(p, label, n_max)[1] == grouped_classes(p, label, n_max)
             for (n, exps), *kds in tuple_kernel_dims(p, label, n_max):
                 if min(kds) <= 0:
                     continue
@@ -1924,13 +1950,13 @@ class TestExactUnity:
         # at (1, zeta_3), one class of two tuples, and 1 at (1, -1), the
         # generic kernels, which is not listed
         p, label = pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)")
-        decided, comps = _unity_components(_sides(p, label), 3)
+        decided, comps = unity_kind(p, label, 3)
         assert decided == len(_scan_table(2, 3)[2]) == 3
         assert tuple_kernel_dims(p, label, 3) == [((2, (0, 1)), 1, 1), ((3, (0, 1)), 2, 2), ((3, (0, 2)), 2, 2)]
         assert comps == [((3, (0, 1)), 2, 2, 2)]
-        assert _unity_components(_sides(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)")), 6) == (len(_scan_table(2, 6)[2]), [])
-        assert _unity_components(_sides(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)")), 12) == (0, [])
-        assert _unity_components(_sides(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)")), 2) == (0, [])
+        assert unity_kind(pair((0, 1), (0, 1, 2)), parse_label("N(1,1)"), 6) == (len(_scan_table(2, 6)[2]), [])
+        assert unity_kind(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1)"), 12) == (0, [])
+        assert unity_kind(pair((0, 1, 2), (0, 1, 2)), parse_label("N(1,1,1)"), 2) == (0, [])
 
     def test_huge_exponents_reduce_exactly(self):
         # 2^62 + 1 = 13865 mod 27720 = lcm(2..12): the same components as
@@ -1947,7 +1973,7 @@ class TestExactUnity:
             label = parse_label(name)
             b1 = S(0, 1, 2, 2**62 + 1)
             p = SupportPair(b1, S(0, 3, 6, 9))
-            decided, comps = _unity_components(_sides(p, label), 12)
+            decided, comps = unity_kind(p, label, 12)
             assert comps and comps == grouped_classes(p, label)
             live = [(config, kd1) for config, kd1, kd2 in tuple_kernel_dims(p, label) if kd1 > 0 and kd2 > 0]
             assert live
@@ -2111,3 +2137,95 @@ class TestUnityClasses:
         for p in pairs:
             estimate_codim(p, parse_label("N(2,2;1,1)"))
         assert calls == Counter(_side_coranks=3, _unity_coranks=6)
+
+
+KINDS = ("generic", "unity", "minor_curve")
+
+
+class TestSolutionStrata:
+    """§4's solution strata (`_solution_strata`) against the reports of
+    both readers, on the report sets of `test_digests.py`."""
+
+    # per label of CODIM_LABELS, the kinds of the strata it enumerates on
+    # every seventh pair of spread <= 5 (empty strata included)
+    LABEL_KINDS = {
+        "N": ("generic",),
+        "N(1)": ("generic",),
+        "N(1,1)": ("generic", "unity"),
+        "N(2)": ("generic",),
+        "N(3)": ("generic", "unity"),
+        "N(1,1,1)": KINDS,
+        "N(2,2)": ("generic", "unity"),
+        "N(2,2;1,1)": ("generic", "unity"),
+        "N_1^0": ("generic",),
+        "N_0^1(1)": ("generic",),
+        "N_1^0(1)": ("generic",),
+        "N_1(1,1)": ("generic", "unity"),
+        "N_1^1(1,1,1)": KINDS,
+        "N^1(1,1,1)": KINDS,
+    }
+
+    def test_codim_is_the_largest_stratum(self):
+        # every report of the codim_label_pairs set: the estimate is the
+        # ambient dimension minus the largest stratum dimension, the report
+        # lists every stratum but the empty root-of-unity classes, and the
+        # samples are the kinds' decisions
+        reports = iter(SETS["codim_label_pairs"]())
+        for name in CODIM_LABELS:
+            label, seen = parse_label(name), set()
+            for p in _pairs()[::7]:
+                est = next(reports)
+                assert (est.pair, est.label) == (p.to_json(), label.notation())
+                batches = list(_solution_strata(p, _sides(p, label), 12, 0))
+                assert [kind for kind, _, _ in batches] == list(KINDS if label.k else KINDS[:1]), name
+                assert all(stratum.kind == kind for kind, strata, _ in batches for stratum in strata)
+                strata = [stratum for _, strata, _ in batches for stratum in strata]
+                dims = [stratum.dim for stratum in strata if stratum.dim is not None]
+                assert est.estimate == (est.ambient_dim - max(dims) if dims else None), (p, name)
+                assert est.components_probed == [(st.name, st.dim) for st in strata if st.kind != "unity" or st.dim is not None]
+                assert est.sample_count == sum(samples for _, _, samples in batches)
+                seen.update(stratum.kind for stratum in strata)
+            assert tuple(kind for kind in KINDS if kind in seen) == self.LABEL_KINDS[name]
+        assert next(reports, None) is None
+
+    @pytest.mark.parametrize("name", ["symmetric_1013", "pairs_spread_5", "pairs_spread_5_mixed", "pairs_spread_5_no_closed_form"])
+    def test_scan_keys_are_the_nonzero_coranks(self, name):
+        # every scan of the digest sets: found's keys are the nonzero kd - d
+        # of the root-of-unity strata in order, then of the generic stratum,
+        # d the generic kernel dimensions; the minor-curve kind is not reached
+        for rep in SETS[name]():
+            p, label = SupportPair.from_json(rep.pair), parse_label(rep.label)
+            sides = _sides(p, label)
+            d = _generic_kernel_dims(sides)
+            strata = [stratum for _, batch, _ in itertools.islice(_solution_strata(p, sides, rep.n_max, 0), 2) for stratum in batch]
+            coranks = [tuple(kd - ds for kd, ds in zip(stratum.kd, d)) for stratum in strata]
+            assert coranks == [stratum.corank for stratum in strata]
+            assert list(rep.found) == list(dict.fromkeys(c for c in coranks[1:] + coranks[:1] if c != (0, 0)))
+            assert rep.generic_corank == coranks[0]
+
+    def test_codim_invariant_under_reflection_swap_and_translation(self):
+        # the estimate of every fourteenth pair of spread <= 5 under every
+        # label of CODIM_LABELS but N stays put under B -> max B - B on both
+        # sides with j0 and jinf swapped, under swapping the supports with
+        # each root's order pair, and under moving side 1 by 3 and side 2 by -2
+        reports, pairs = SETS["codim_label_pairs"](), _pairs()[::7]
+
+        def moved(b, shift, sign=1):
+            return SupportSet.of(*(sign * e + shift for e in b.elements))
+
+        checked = 0
+        for row, name in enumerate(CODIM_LABELS):
+            label = parse_label(name)
+            if label == StratumLabel():
+                continue
+            images = (
+                (lambda p: SupportPair(moved(p.b1, p.b1.max, -1), moved(p.b2, p.b2.max, -1)), StratumLabel(label.jinf, label.j0, label.roots)),
+                (lambda p: SupportPair(p.b2, p.b1), StratumLabel(label.j0, label.jinf, tuple((j2, j1) for j1, j2 in label.roots))),
+                (lambda p: SupportPair(moved(p.b1, 3), moved(p.b2, -2)), label),
+            )
+            for i in range(0, len(pairs), 2):
+                want = reports[row * len(pairs) + i].estimate
+                for move, image in images:
+                    assert estimate_codim(move(pairs[i]), image).estimate == want, (pairs[i], name, image.notation())
+                    checked += 1
+        assert checked == 3 * 69 * 13
