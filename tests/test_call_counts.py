@@ -1,4 +1,5 @@
-"""Python call counts of fixed `strata` requests, pinned like the digests.
+"""Python call counts of fixed `strata` and CLI requests, pinned like the
+digests.
 
 A count is the number of `call` and `c_call` events that one
 `sys.setprofile` hook sees while a warm request runs: its caches are filled
@@ -9,10 +10,14 @@ timing on a shared host would drift.  A change that moves a count updates
 EXPECTED and says why in CHANGES.md, as a digest change does.
 """
 
+import contextlib
+import io
+import json
 import sys
 
 import pytest
 
+from singres import cli
 from singres.strata import estimate_codim, parse_label, scan_corank_strata
 from singres.supports import SupportPair, SupportSet
 
@@ -54,3 +59,41 @@ def test_warm_call_count(case):
         thunk = lambda: estimate_codim(p, label, seed=seed)  # noqa: E731
     thunk()
     assert calls(thunk) == calls(thunk) == EXPECTED[case]
+
+
+# (leaf command, its arguments, its --input JSON text on stdin) -> the warm
+# count of one `cli.main` run with stdout captured
+POINT_INPUT = {
+    "f": {"support": [0, 1, 2], "coeffs": {"0": "1", "1": "-2", "2": "1"}},
+    "g": {"support": [0, 1], "coeffs": {"0": "-1", "1": "1"}},
+}
+GERM_INPUT = {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}]}
+SUPPORTS_3D = {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}
+CLI_EXPECTED = {
+    ("classify", ("--b1", "0,1,3", "--b2", "0,3"), None): 901,
+    ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 1046,
+    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 545,
+    ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 335,
+    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 904,
+    ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 941,
+    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 1159,
+}
+
+
+@pytest.mark.parametrize("case", CLI_EXPECTED, ids=lambda case: case[0])
+def test_warm_cli_call_count(case):
+    command, args, stdin = case
+    argv = [*command.split(), *args]
+
+    def thunk():
+        if stdin is not None:
+            sys.stdin = io.StringIO(stdin)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+
+    saved = sys.stdin
+    try:
+        thunk()
+        assert calls(thunk) == calls(thunk) == CLI_EXPECTED[case]
+    finally:
+        sys.stdin = saved
