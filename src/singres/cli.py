@@ -3,9 +3,11 @@
 Subcommands: classify, resultant, point-classify, germ-classify,
 verify-paper, project3d, scan.  Outputs are machine-readable JSON (and CSV
 for grid scans); every report embeds the flags its subcommand read.  A
-report's bytes are those of `json.dumps(report, indent=2, sort_keys=True,
-allow_nan=False)` plus a newline, written by this module's own writer
-(`_emit`); no other module writes JSON.
+report holds dicts with str keys, lists, tuples, strs, ints, finite
+floats, bools and None, and nothing else.  Its bytes are those of
+`json.dumps(report, indent=2, sort_keys=True, allow_nan=False)` plus a
+newline, written by this module's own writer (`_emit`), which refuses any
+other type; no other module writes JSON.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
 3 degenerate projection.  A subcommand refuses its input by raising; `main`
 alone maps the exception to its exit code (DegenerateProjectionError 3,
@@ -131,24 +133,7 @@ def _float_text(value):
     return float.__repr__(value)
 
 
-def _key_text(key):
-    """The text a dict key that is not a str stands for in JSON, by the
-    standard library's tests and in their order."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-# The JSON text of a value whose type is exactly one of these; the isinstance
-# tests of `_json_text` would give each the same text.
+# The JSON text of a value whose type is exactly one of these.
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
@@ -158,65 +143,41 @@ _SCALAR_TEXT = {
 }
 
 
-def _json_text(value, indent, path):
+def _json_text(value, indent):
     """`json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`, byte
     for byte, for a value nested at the level whose newline and indentation
-    is `indent` (a bare newline at the top).  `path` holds the ids of the
-    containers being written.
+    is `indent` (a bare newline at the top).
 
-    The type tests follow the standard library's encoder (Python 3.11
-    `json.encoder._make_iterencode`) in its order, with isinstance for
-    subclasses: a subclass of int or float (IntEnum, numpy.float64) is
-    written by int.__repr__ or float.__repr__, and a bool is never an int.
-    Any other type raises the same TypeError, a container inside itself the
-    same ValueError, and so do keys that do not sort or are not JSON
-    scalars.  A value of exactly dict, list, tuple or a `_SCALAR_TEXT` type
-    skips those tests, which it would pass in the same way.  Each container
-    is one join of its items' texts."""
+    It writes the types reports hold: exactly dict with str keys, list,
+    tuple, and the `_SCALAR_TEXT` types.  Any other type, a subclass of
+    one of these included, raises the standard library's TypeError, and a
+    key that is not a str raises TypeError too; a NaN or an infinity
+    raises ValueError.  Each container is one join of its items' texts."""
     cls = value.__class__
-    if cls is dict:
-        is_dict = True
-    elif cls is list or cls is tuple:
-        is_dict = False
-    else:
+    if cls is not dict and cls is not list and cls is not tuple:
         text = _SCALAR_TEXT.get(cls)
-        if text is not None:
-            return text(value)
-        if isinstance(value, str):
-            return _encode_str(value)
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _float_text(value)
-        if isinstance(value, (list, tuple)):
-            is_dict = False
-        elif isinstance(value, dict):
-            is_dict = True
-        else:
+        if text is None:
             raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+        return text(value)
+    opening, closing = "{}" if cls is dict else "[]"
     if not value:
-        return "{}" if is_dict else "[]"
-    if id(value) in path:
-        raise ValueError("Circular reference detected")
-    path.add(id(value))
+        return opening + closing
     inner = indent + "  "
     get = _SCALAR_TEXT.get
-    if is_dict:
+    if cls is dict:
         parts = [
-            f"{_encode_str(key if isinstance(key, str) else _key_text(key))}: "
-            f"{_json_text(item, inner, path) if (text := get(item.__class__)) is None else text(item)}"
+            f"{_encode_str(key)}: {_json_text(item, inner) if (text := get(item.__class__)) is None else text(item)}"
             for key, item in sorted(value.items())
         ]
     else:
-        parts = [_json_text(item, inner, path) if (text := get(item.__class__)) is None else text(item) for item in value]
-    path.remove(id(value))
-    opening, closing = "{}" if is_dict else "[]"
+        parts = [_json_text(item, inner) if (text := get(item.__class__)) is None else text(item) for item in value]
     return f"{opening}{inner}{f',{inner}'.join(parts)}{indent}{closing}"
 
 
 def _emit(payload, args):
     """Print the report, with its `config`, or write it to --out.  A report
     holding a NaN or an infinity raises ValueError: it would not be JSON.
+    A value of a type `_json_text` does not write raises TypeError.
 
     The text is that of `json.dumps(payload, indent=2, sort_keys=True,
     allow_nan=False)` plus a newline, byte for byte, written by
@@ -229,7 +190,7 @@ def _emit(payload, args):
     there never replaces an existing file, but takes the next free -<i>
     suffix.  Any other path is the report file itself."""
     payload["config"] = {dest: getattr(args, dest) for dest in args.shared}
-    text = _json_text(payload, "\n", set()) + "\n"
+    text = _json_text(payload, "\n") + "\n"
     if not args.out:
         print(text, end="")
         return

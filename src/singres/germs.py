@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .exact import clear_denominators, derivative, primitive, prs_gcd
 from .mpoly import MPoly
+from .supports import _exponents
 
 __all__ = ["PlaneGerm", "GermClass", "slice_germ", "classify_germ"]
 
@@ -58,12 +59,17 @@ class PlaneGerm:
                 acc[e] = acc.get(e, 0) + c
         return PlaneGerm(acc)
 
-    def to_json(self):
-        return {"terms": [{"exp": list(e), "coef": str(c)} for e, c in sorted(self.terms.items())]}
-
     @classmethod
     def from_json(cls, data):
-        return cls({tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]})
+        """The germ of {"terms": [{"exp": [i, j], "coef": "p/q"}, ...]}; an
+        exp that is not a pair of nonnegative integers raises ValueError."""
+        terms = {}
+        for t in data["terms"]:
+            exp = _exponents(t["exp"])
+            if len(exp) != 2 or min(exp) < 0:
+                raise ValueError(f"germ exponents must be pairs of nonnegative integers, got {t['exp']!r}")
+            terms[exp] = Fraction(t["coef"])
+        return cls(terms)
 
     def __repr__(self):
         bits = " + ".join(f"{c}*s^{i}*t^{j}" for (i, j), c in sorted(self.terms.items()))

@@ -113,30 +113,28 @@ class PointClass:
 
 
 class LaurentPoly:
-    """Polynomial with prescribed integer support; scalars exact or complex."""
+    """Polynomial with prescribed integer support; scalars exact or complex.
 
-    __slots__ = ("support", "coeffs")
+    `is_zero` (every coefficient is zero) and `is_exact` (every coefficient
+    is an int or a Fraction) are decided once, by the constructor: nothing
+    changes `coeffs` after it."""
+
+    __slots__ = ("support", "coeffs", "is_zero", "is_exact")
 
     def __init__(self, support: SupportSet, coeffs):
         if not isinstance(support, SupportSet):
             support = SupportSet(tuple(support))
         coeffs = dict(coeffs)
         for b in coeffs:
-            if b not in support:
+            if b not in support.elements:
                 raise ValueError(f"coefficient exponent {b} outside support")
         self.support = support
         self.coeffs = coeffs
+        self.is_zero = not any(coeffs.values())
+        self.is_exact = all(map(_is_exact_scalar, coeffs.values()))
 
     def coeff(self, b):
         return self.coeffs.get(b, 0)
-
-    @property
-    def is_zero(self):
-        return not any(self.coeffs.values())
-
-    @property
-    def is_exact(self):
-        return all(_is_exact_scalar(c) for c in self.coeffs.values())
 
     def derivative_value(self, x):
         """Value of the first derivative at nonzero x (Laurent exponents)."""
@@ -145,17 +143,6 @@ class LaurentPoly:
             if c and b:
                 acc += c * b * x ** (b - 1)
         return acc
-
-    def to_json(self):
-        def enc(c):
-            if _is_exact_scalar(c):
-                return str(c)
-            return [c.real, c.imag]
-
-        return {
-            "support": self.support.to_json(),
-            "coeffs": {str(b): enc(c) for b, c in self.coeffs.items()},
-        }
 
     @classmethod
     def from_json(cls, data):

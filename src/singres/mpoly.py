@@ -59,10 +59,6 @@ class MPoly:
         exp[i] = 1
         return cls(vars, {tuple(exp): 1})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -135,15 +131,6 @@ class MPoly:
                 for e, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for t in data["terms"]:
-            c = t["coef"]
-            coef = Fraction(c) if "/" in c else int(c)
-            terms[tuple(t["exp"])] = coef
-        return cls(tuple(data["vars"]), terms)
 
     def pretty(self):
         if not self.terms:

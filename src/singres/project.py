@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .supports import SupportPair, SupportSet, check_conditions, classify
+from .supports import SupportPair, SupportSet, _exponents, check_conditions, classify
 
 __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project_supports", "grid_scan", "random_coefficients"]
 
@@ -39,7 +39,7 @@ class Support3D:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(int(x) for x in p) for p in self.points)
+        pts = tuple(_exponents(p) for p in self.points)
         if not pts:
             raise ValueError("3d support must be nonempty")
         if any(len(p) != 3 for p in pts):
@@ -50,9 +50,6 @@ class Support3D:
 
     def last_coordinates(self):
         return sorted({p[2] for p in self.points})
-
-    def to_json(self):
-        return [list(p) for p in self.points]
 
     @classmethod
     def from_json(cls, data):

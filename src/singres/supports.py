@@ -8,6 +8,7 @@ builds the per-filtration-subset guarantee table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -26,6 +27,20 @@ __all__ = [
 ]
 
 
+def _exponents(values):
+    """The tuple of ints that `operator.index` gives for values, so numpy
+    ints pass; a bool, or a value that is not an integer (1.5, "2"), raises
+    ValueError naming it.  The maps keep the cost per call, not per value."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    bad = next(e for e in values if isinstance(e, bool) or not hasattr(e, "__index__"))
+    raise ValueError(f"exponents must be integers, got {bad!r}")
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """Strictly increasing finite set of integer exponents."""
@@ -33,7 +48,7 @@ class SupportSet:
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(int(e) for e in self.elements)
+        elems = _exponents(self.elements)
         if not elems:
             raise ValueError("support set must be nonempty")
         if any(b <= a for a, b in zip(elems, elems[1:])):
@@ -183,10 +198,7 @@ class ConditionReport:
 
     def to_json(self):
         out = {f"cond{i}": self.flag(i) for i in range(1, 7)}
-        out["witnesses"] = {
-            key: (w.to_json() if isinstance(w, SplitWitness) else w)
-            for key, w in self.witnesses.items()
-        }
+        out["witnesses"] = dict(self.witnesses)
         return out
 
 

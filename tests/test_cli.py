@@ -287,6 +287,29 @@ class TestErrorContract:
         assert err.startswith("error: |R| overflows double precision at 1600 of 1600 grid cells")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, stdin, message",
+        [
+            ("classify", {"b1": [0, 1.5, 3], "b2": [0, 2]}, "exponents must be integers, got 1.5"),
+            ("classify", {"b1": [0, True, 3], "b2": [0, 2]}, "exponents must be integers, got True"),
+            ("classify", {"b1": [0, "2", 3], "b2": [0, 3]}, "exponents must be integers, got '2'"),
+            ("project3d", {"a1": [[0, 0, 0], [1, 0.5, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}, "exponents must be integers, got 0.5"),
+            ("project3d", {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, True, 1]]}, "exponents must be integers, got True"),
+            (
+                "point-classify",
+                {"f": {"support": [0, 1.5], "coeffs": {"0": "1"}}, "g": {"support": [0, 1], "coeffs": {"0": "1", "1": "-1"}}},
+                "exponents must be integers, got 1.5",
+            ),
+            ("germ-classify", {"terms": [{"exp": [1.5, 0.5], "coef": "1"}]}, "exponents must be integers, got 1.5"),
+            ("germ-classify", {"terms": [{"exp": [-1, 2], "coef": "1"}]}, "germ exponents must be pairs of nonnegative integers, got [-1, 2]"),
+            ("germ-classify", {"terms": [{"exp": [1, 0, 2], "coef": "1"}]}, "germ exponents must be pairs of nonnegative integers, got [1, 0, 2]"),
+        ],
+    )
+    def test_non_integer_exponent_exits_2(self, capsys, monkeypatch, command, stdin, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        code = main([command, "--input", "-"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
     def test_non_finite_report_exits_2(self, capsys, monkeypatch):
         class Report:
             def to_json(self):
@@ -321,7 +344,7 @@ def _outcome(encode, payload):
     """The text `encode` gives, or the type and message of its error."""
     try:
         return encode(payload)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         return type(exc), str(exc)
 
 
@@ -346,53 +369,60 @@ def _cycle(container):
 
 
 TEXT = 'caf\u00e9 \u65e5\u672c \U0001f600 "q" back\\slash \n\t\r\x00\x1f\x7f'
-# payloads the writer must write as the standard library does
+# (payload, the error the writer raises): with None it writes the payload as
+# the standard library does.  A report holds only exact dicts with str keys,
+# lists, tuples and scalars, so keys of other types, subclasses (IntEnum,
+# numpy.float64, OrderedDict) and the like are refused, though the standard
+# library writes them.
 EDGE_PAYLOADS = [
-    {},
-    [],
-    (),
-    {"a": {}, "b": [], "c": [[], {}, [[]], [{}]], "d": ()},
-    {"t": (1, (2, 3), ()), "l": [(), [()]]},
-    (1, "two", [3.5, None]),
-    {TEXT: TEXT, "\u00e9": ["\\", '"', "\b\f"], "": ""},
-    {1: "one", 10: "ten", 2: "two", -3: "minus three"},
-    {2.5: "a", -0.0: "b", 1e16: "c", 5e-324: "d"},
-    {0: "zero", 2.5: "half", True: "true"},
-    {True: 1, False: 0},
-    {None: None},
-    {Level.HIGH: "enum key", Level.LOW: "low"},
-    {"neg_zero": -0.0, "tiny": 5e-324, "big_float": 1e16, "huge": 2**100, "neg_huge": -(2**100)},
-    {"np": np.float64(0.1), "np_list": [np.float64(1e-7), np.float64(-2.5)]},
-    {np.float64(3.25): "np key", 1.5: "float key"},
-    {"bools": [True, False], "none": None, "enum": Level.HIGH, "enum_list": [Level.LOW]},
-    {"sub_str": Loud("x"), "sub_int": Big(7), Loud("k"): Big(8), "ordered": OrderedDict([("b", 1), ("a", 2)])},
-    {"deep": [[[[{"x": [[1]]}]]]]},
-    "top-level string",
-    3.0,
-    None,
+    ({}, None),
+    ([], None),
+    ((), None),
+    ({"a": {}, "b": [], "c": [[], {}, [[]], [{}]], "d": ()}, None),
+    ({"t": (1, (2, 3), ()), "l": [(), [()]]}, None),
+    ((1, "two", [3.5, None]), None),
+    ({TEXT: TEXT, "\u00e9": ["\\", '"', "\b\f"], "": ""}, None),
+    ({1: "one", 10: "ten", 2: "two", -3: "minus three"}, TypeError),
+    ({2.5: "a", -0.0: "b", 1e16: "c", 5e-324: "d"}, TypeError),
+    ({0: "zero", 2.5: "half", True: "true"}, TypeError),
+    ({True: 1, False: 0}, TypeError),
+    ({None: None}, TypeError),
+    ({Level.HIGH: "enum key", Level.LOW: "low"}, TypeError),
+    ({"neg_zero": -0.0, "tiny": 5e-324, "big_float": 1e16, "huge": 2**100, "neg_huge": -(2**100)}, None),
+    ({"np": np.float64(0.1), "np_list": [np.float64(1e-7), np.float64(-2.5)]}, TypeError),
+    ({np.float64(3.25): "np key", 1.5: "float key"}, TypeError),
+    ({"bools": [True, False], "none": None, "enum": Level.HIGH, "enum_list": [Level.LOW]}, TypeError),
+    ({"sub_str": Loud("x"), "sub_int": Big(7), Loud("k"): Big(8), "ordered": OrderedDict([("b", 1), ("a", 2)])}, TypeError),
+    ({"deep": [[[[{"x": [[1]]}]]]]}, None),
+    ("top-level string", None),
+    (3.0, None),
+    (None, None),
 ]
-# payloads both must refuse, with the same error
+# (payload, the error the writer raises, whether the standard library
+# raises it too, with the same message); a container inside itself is not
+# looked for, so it runs into the recursion limit
 REFUSED_PAYLOADS = [
-    ({"x": float("nan")}, ValueError),
-    ({"x": [1.0, float("inf")]}, ValueError),
-    ({"x": {"y": -float("inf")}}, ValueError),
-    ({float("nan"): 1}, ValueError),
-    ({"x": np.float64("nan")}, ValueError),
-    ({"x": np.int64(3)}, TypeError),
-    ({"x": {1, 2}}, TypeError),
-    ({"x": b"bytes"}, TypeError),
-    ({1: "a", "b": 2}, TypeError),
-    ({None: 1, 2: 3}, TypeError),
-    ({(1, 2): 3}, TypeError),
-    ({"ok": 1, "zz": [float("nan"), {3}]}, ValueError),
-    (_cycle({}), ValueError),
-    ([_cycle([None])], ValueError),
+    ({"x": float("nan")}, ValueError, True),
+    ({"x": [1.0, float("inf")]}, ValueError, True),
+    ({"x": {"y": -float("inf")}}, ValueError, True),
+    ({float("nan"): 1}, TypeError, False),
+    ({"x": np.float64("nan")}, TypeError, False),
+    ({"x": np.int64(3)}, TypeError, True),
+    ({"x": {1, 2}}, TypeError, True),
+    ({"x": b"bytes"}, TypeError, True),
+    ({1: "a", "b": 2}, TypeError, True),
+    ({None: 1, 2: 3}, TypeError, True),
+    ({(1, 2): 3}, TypeError, False),
+    ({"ok": 1, "zz": [float("nan"), {3}]}, ValueError, True),
+    (_cycle({}), RecursionError, False),
+    ([_cycle([None])], RecursionError, False),
 ]
 
 
 class TestReportWriter:
     """`_emit` writes the bytes of `json.dumps(payload, indent=2,
-    sort_keys=True, allow_nan=False)` plus a newline."""
+    sort_keys=True, allow_nan=False)` plus a newline, for the types a report
+    holds, and refuses any other."""
 
     @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
     def test_every_report_matches_the_stdlib(self, capsys, monkeypatch, tmp_path, command):
@@ -415,16 +445,21 @@ class TestReportWriter:
         assert len(payloads) == 1
         assert (report.read_text() if command == "verify-paper" else out) == _stdlib_text(payloads[0]) + "\n"
 
-    @pytest.mark.parametrize("payload", EDGE_PAYLOADS, ids=range(len(EDGE_PAYLOADS)))
-    def test_edge_payloads(self, payload):
-        assert cli._json_text(payload, "\n", set()) == _stdlib_text(payload)
+    @pytest.mark.parametrize("payload, error", EDGE_PAYLOADS, ids=range(len(EDGE_PAYLOADS)))
+    def test_edge_payloads(self, payload, error):
+        if error is None:
+            assert cli._json_text(payload, "\n") == _stdlib_text(payload)
+        else:
+            _stdlib_text(payload)  # which the standard library writes
+            with pytest.raises(error):
+                cli._json_text(payload, "\n")
 
-    @pytest.mark.parametrize("payload, error", REFUSED_PAYLOADS, ids=range(len(REFUSED_PAYLOADS)))
-    def test_refusals_match_the_stdlib(self, payload, error):
-        got = _outcome(lambda p: cli._json_text(p, "\n", set()), payload)
-        assert got == _outcome(_stdlib_text, payload)
+    @pytest.mark.parametrize("payload, error, as_stdlib", REFUSED_PAYLOADS, ids=range(len(REFUSED_PAYLOADS)))
+    def test_refusals_match_the_stdlib(self, payload, error, as_stdlib):
+        got = _outcome(lambda p: cli._json_text(p, "\n"), payload)
         assert got[0] is error
-        if error is ValueError and "Circular" not in got[1]:
+        assert (got == _outcome(_stdlib_text, payload)) is as_stdlib
+        if error is ValueError:
             assert got[1].startswith("Out of range float values are not JSON compliant")
 
 

@@ -398,13 +398,18 @@ class TestLaurentSupports:
 
 
 class TestSerialization:
-    def test_exact_roundtrip(self):
-        f = lp((-1, 0, 2), {-1: Fraction(3, 7), 0: -2, 2: 1})
-        back = LaurentPoly.from_json(f.to_json())
-        assert back.support == f.support
-        assert all(back.coeff(b) == f.coeff(b) for b in f.support)
+    """`LaurentPoly.from_json` on the --input format of point-classify."""
 
-    def test_complex_roundtrip(self):
-        f = lp((0, 1), {0: 1.5 - 2j, 1: 0.25j})
-        back = LaurentPoly.from_json(f.to_json())
-        assert all(abs(back.coeff(b) - f.coeff(b)) < 1e-15 for b in f.support)
+    def test_exact_strings(self):
+        f = LaurentPoly.from_json({"support": [-1, 0, 2], "coeffs": {"-1": "3/7", "0": "-2", "2": "1"}})
+        assert f.support == S(-1, 0, 2)
+        assert f.coeffs == {-1: Fraction(3, 7), 0: -2, 2: 1}
+        assert [type(f.coeff(b)) for b in (-1, 0, 2)] == [Fraction, int, int]
+        assert (f.is_zero, f.is_exact) == (False, True)
+        zero = LaurentPoly.from_json({"support": [0, 1], "coeffs": {"0": "0", "1": "0/5"}})
+        assert (zero.is_zero, zero.is_exact) == (True, True)
+
+    def test_complex_pairs(self):
+        f = LaurentPoly.from_json({"support": [0, 1], "coeffs": {"0": [1.5, -2], "1": [0, 0.25]}})
+        assert f.coeffs == {0: 1.5 - 2j, 1: 0.25j}
+        assert (f.is_zero, f.is_exact) == (False, False)

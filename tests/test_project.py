@@ -134,6 +134,13 @@ class TestProjection:
         a = Support3D(((0, 0, 2), (1, 5, 0), (2, 2, 2), (0, 1, 1)))
         assert a.last_coordinates() == [0, 1, 2]
 
+    def test_points_are_integer_triples(self):
+        a = Support3D(((np.int64(1), 0, np.int32(2)), (0, 0, 0)))
+        assert a.points == ((1, 0, 2), (0, 0, 0)) and {type(x) for p in a.points for x in p} == {int}
+        for bad in (0.5, False, "1"):
+            with pytest.raises(ValueError, match=f"exponents must be integers, got {bad!r}"):
+                Support3D(((0, 0, 0), (1, bad, 1)))
+
     def test_point_order_irrelevant(self):
         pts = ((0, 0, 0), (1, 0, 1), (0, 1, 2))
         a = Support3D(pts)

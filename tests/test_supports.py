@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,13 @@ class TestSupportSet:
             SupportSet(())
         with pytest.raises(ValueError):
             SupportSet((3, 1))
+
+    def test_exponents_are_integers(self):
+        b = SupportSet((np.int64(0), np.int32(2), 5))
+        assert b.elements == (0, 2, 5) and {type(e) for e in b} == {int}
+        for bad in (1.5, True, "2", 2.0):
+            with pytest.raises(ValueError, match=f"exponents must be integers, got {bad!r}"):
+                SupportSet((0, bad, 3))
 
     def test_json_roundtrip(self):
         b = S(0, 1, 3)
