@@ -53,7 +53,7 @@ class Support3D:
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple(tuple(p) for p in data))
+        return cls(tuple(data))
 
 
 @dataclass(frozen=True)

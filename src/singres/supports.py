@@ -30,7 +30,7 @@ __all__ = [
 def _exponents(values):
     """The tuple of ints that `operator.index` gives for values, so numpy
     ints pass; a bool, or a value that is not an integer (1.5, "2"), raises
-    ValueError naming it.  The maps keep the cost per call, not per value."""
+    ValueError naming it.  Both maps run in C: no Python call per value."""
     values = tuple(values)
     if bool not in map(type, values):
         try:

@@ -77,7 +77,7 @@ CLI_EXPECTED = {
     ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 319,
     ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 821,
     ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 865,
-    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 960,
+    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 954,
 }
 
 
