@@ -32,6 +32,9 @@ The sets:
   spread 1..4 (min 0);
 - the stdout of `germ-classify` and `point-classify` on fixed inputs
   (GERM_INPUTS, POINT_INPUTS);
+- the stdout of `resultant --det-bound 100`, with `timings` and `version`
+  stripped, over the RESULTANT_SHAPES, the anchor ((0,1,40),(0,40)) and
+  every ordered pair of supports of spread 1..3 (min 0);
 - the verdict, cell count, retry count and near-zero cell indices of 60
   seeded `project3d --scan` requests on the default grid.  Their |R|
   values are left out: a change of evaluation order moves them in the
@@ -157,6 +160,29 @@ def classify_outputs():
     return [_stdout(["classify", "--b1", b1, "--b2", b2]) for b1, b2 in itertools.product(csv, repeat=2)]
 
 
+# fifteen resultant shapes of Sylvester size 5..40, and the anchor
+RESULTANT_SHAPES = (
+    ((0, 1, 3), (0, 2)), ((0, 2, 5), (0, 3)), ((0, 1, 4), (0, 2, 5)),
+    ((0, 3, 6), (0, 1, 4)), ((0, 1, 5), (0, 3, 5)), ((0, 1, 2), (0, 1, 8)),
+    ((0, 3, 7), (0, 3)), ((0, 2, 7), (0, 1, 8)), ((0, 4, 9), (0, 9)),
+    ((0, 5, 10), (0, 10)), ((0, 1, 12), (0, 12)), ((0, 5, 13), (0, 13)),
+    ((0, 7, 14), (0, 14)), ((0, 11, 16), (0, 16)), ((0, 3, 20), (0, 20)),
+    ((0, 1, 40), (0, 40)),
+)
+
+
+def resultant_outputs():
+    """The stdout of `resultant --det-bound 100`, `timings` and `version`
+    stripped, over RESULTANT_SHAPES and every ordered pair of supports of
+    spread 1..3."""
+    small = [b.elements for b in _supports(3)]
+    outputs = []
+    for b1, b2 in (*RESULTANT_SHAPES, *itertools.product(small, repeat=2)):
+        out = _stdout(["resultant", "--b1", ",".join(map(str, b1)), "--b2", ",".join(map(str, b2)), "--det-bound", "100"])
+        outputs.append(json.dumps({k: v for k, v in json.loads(out).items() if k not in STRIPPED}, sort_keys=True) + "\n")
+    return outputs
+
+
 def _laurent(support, coeffs):
     return {"support": list(support), "coeffs": dict(zip(map(str, support), coeffs))}
 
@@ -234,6 +260,7 @@ CLI_SETS = {
     "germ_classify": germ_outputs,
     "point_classify": point_outputs,
     "project3d_decisions": project3d_decisions,
+    "resultant": resultant_outputs,
 }
 
 EXPECTED = {  # (report count, digest)
@@ -253,6 +280,7 @@ CLI_EXPECTED = {  # (output count, digest)
     "germ_classify": (len(GERM_INPUTS), "c79bd65b5b0af73dcf80bcff850d836683884a6c1644eddd321e40e4c8c65673"),
     "point_classify": (len(POINT_INPUTS), "32f46a4271d5e9b5c17eccb6e832e2313e3122a119ac41b41ce831106ea7dbca"),
     "project3d_decisions": (60, "74fb30a75947650cd93e219b94d84cf06455ecb1baa85c3b7462cab32ac66fad"),
+    "resultant": (16 + 49, "1c2d39fa15e544af57f5ac10281c200bedbbd79ed2a54db8a15d922d5ec9a6a8"),
 }
 
 
