@@ -7,7 +7,8 @@ report holds dicts with str keys, lists, tuples, strs, ints, finite
 floats, bools and None, and nothing else.  Its bytes are those of
 `json.dumps(report, indent=2, sort_keys=True, allow_nan=False)` plus a
 newline, written by this module's own writer (`_emit`), which refuses any
-other type; no other module writes JSON.
+other type; no other module writes JSON.  Likewise this module alone reads
+input (--input, --b1, --b2): the library layers take constructed objects.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
 3 degenerate projection.  A subcommand refuses its input by raising; `main`
 alone maps the exception to its exit code (DegenerateProjectionError 3,
@@ -22,9 +23,10 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import time
-from contextlib import contextmanager
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
@@ -41,13 +43,15 @@ from .project import (
     project_supports,
 )
 from .strata import estimate_codim, parse_label, scan_corank_strata
-from .supports import SupportPair, SupportSet, check_conditions, classify
+from .supports import SupportPair, SupportSet, _exponents, check_conditions, classify
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
+
+_LONG_EXPONENT = re.compile(r"[eE][+-]?0*[0-9]{5}[0-9]*\s*$")
 
 # The flags a report echoes in its `config`: dest -> (option, type, default,
 # help).  A subcommand registers only those it reads.
@@ -60,22 +64,71 @@ SHARED_FLAGS = {
 }
 
 
-def _parse_support(text: str) -> SupportSet:
-    return SupportSet.of(*(int(t) for t in text.replace(" ", "").split(",") if t))
+def _integers(text):
+    """The ints of integer text: decimal integers separated by commas, blank
+    items skipped ('0, 1,3,' reads as (0, 1, 3)).  Every --b1, --b2 and
+    --sizes value and every --input map key is integer text; a key of one
+    integer is read by `int`."""
+    return tuple(map(int, filter(str.strip, text.split(","))))
 
 
-def _load_json_input(args):
-    """The JSON object named by --input ('-' for stdin), or None without
-    --input.  A missing or unreadable file, bytes that do not decode as
-    text, malformed JSON and JSON that is not an object raise ValueError."""
-    if not getattr(args, "input", None):
+def _exact(value):
+    """The exact scalar of an --input coefficient: an integer, "p/q" or
+    decimal string, or a JSON number (a float is its binary value), as an
+    int for an integer string or JSON integer and else as a Fraction.  Any
+    other type (bool too), a string that is no number, a float that is not
+    finite, and a decimal exponent of five digits or more (whose power of
+    ten would be built in full) raise ValueError."""
+    cls = value.__class__
+    if cls is int:
+        return value
+    if cls is str:
+        try:
+            return int(value)
+        except ValueError:
+            if _LONG_EXPONENT.search(value):
+                raise ValueError(f"decimal exponent of five digits or more: {value!r}") from None
+    elif cls is not float or not math.isfinite(value):
+        raise ValueError(f"not an exact number: {value!r}")
+    return Fraction(value)
+
+
+def _complex(value):
+    """The complex scalar of an --input coefficient, [re, im] or a number;
+    one that is not finite raises ValueError."""
+    z = complex(*value) if value.__class__ is list and len(value) == 2 else complex(value)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"not finite: {value!r}")
+    return z
+
+
+def _coefficient_map(coeffs, where, points, point_of, scalar):
+    """The --input map `coeffs` as {point: coefficient}: each key, read by
+    `point_of`, names a point of `points` once, and each value is [re, im]
+    or what `scalar` reads.  A bad key or value raises ValueError naming it."""
+    out = {}
+    for key, value in coeffs.items():
+        try:
+            point = point_of(key)
+            if point not in points:
+                raise ValueError("not a point of the support")
+            if point in out:
+                raise ValueError(f"point {point} is given twice")
+            out[point] = _complex(value) if value.__class__ is list else scalar(value)
+        except ValueError as exc:
+            raise ValueError(f"--input: {where}[{key!r}]: {exc}") from exc
+    return out
+
+
+def _read_input(args, read):
+    """read(data) of the JSON object that --input names ('-' for stdin), or
+    None without --input.  An unreadable file, bytes that are not text,
+    malformed JSON, JSON that is no object, and a TypeError or
+    AttributeError of `read` (a wrongly typed field) raise ValueError."""
+    if not args.input:
         return None
     try:
-        if args.input == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.input) as fh:
-                data = json.load(fh)
+        data = json.load(sys.stdin) if args.input == "-" else json.loads(Path(args.input).read_text())
     except OSError as exc:
         raise ValueError(f"--input: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -84,34 +137,58 @@ def _load_json_input(args):
         raise ValueError(f"--input: malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"--input: expected a JSON object, got {type(data).__name__}")
-    return data
-
-
-def _require_input(args, command):
-    data = _load_json_input(args)
-    if data is None:
-        raise ValueError(f"{command} requires --input")
-    return data
-
-
-@contextmanager
-def _typed_input():
-    """Report the TypeError or AttributeError that a from_json raises on
-    wrongly typed --input fields as a ValueError (a usage error)."""
     try:
-        yield
+        return read(data)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"--input: wrongly typed field: {exc}") from exc
 
 
+def _pair(data) -> SupportPair:
+    return SupportPair(SupportSet(data["b1"]), SupportSet(data["b2"]))
+
+
 def _pair_from_args(args) -> SupportPair:
-    data = _load_json_input(args)
-    if data is not None:
-        with _typed_input():
-            return SupportPair.from_json(data)
+    """The pair of --input, or of --b1 and --b2 (integer text in any order,
+    no exponent twice)."""
+    pair = _read_input(args, _pair)
+    if pair is not None:
+        return pair
     if args.b1 is None or args.b2 is None:
         raise ValueError("provide --input JSON or both --b1 and --b2")
-    return SupportPair(_parse_support(args.b1), _parse_support(args.b2))
+    supports = []
+    for flag, text in (("--b1", args.b1), ("--b2", args.b2)):
+        exps = sorted(_integers(text))
+        twice = [a for a, b in zip(exps, exps[1:]) if a == b]
+        if twice:
+            raise ValueError(f"{flag}: exponent {twice[0]} is given twice")
+        supports.append(SupportSet(tuple(exps)))
+    return SupportPair(*supports)
+
+
+def _laurent(poly, name) -> LaurentPoly:
+    support = SupportSet(poly["support"])
+    return LaurentPoly(support, _coefficient_map(poly["coeffs"], f"{name}.coeffs", support.elements, int, _exact))
+
+
+def _germ(data) -> PlaneGerm:
+    """The germ of {"terms": [...]}; each exp is a pair of nonnegative
+    integers, given once."""
+    terms = {}
+    for term in data["terms"]:
+        exp = _exponents(term["exp"])
+        if len(exp) != 2 or min(exp) < 0:
+            raise ValueError(f"germ exponents must be pairs of nonnegative integers, got {term['exp']!r}")
+        if exp in terms:
+            raise ValueError(f"--input: terms: exponent {exp} is given twice")
+        terms[exp] = _exact(term["coef"])
+    return PlaneGerm(terms)
+
+
+def _spatial(data, scan):
+    """(a1, a2, maps): for a scan [coeffs1, coeffs2], None where absent."""
+    a = Support3D(data["a1"]), Support3D(data["a2"])
+    names = ("coeffs1", "coeffs2") if scan else ()
+    return *a, [_coefficient_map(data[n], n, s.points, _integers, _complex) if n in data else None for n, s in zip(names, a)]
 
 
 def _require_finite(args, *dests):
@@ -243,18 +320,13 @@ def cmd_resultant(args) -> int:
 
 def cmd_point_classify(args) -> int:
     _require_finite(args, "tolerance")
-    data = _require_input(args, "point-classify")
-    with _typed_input():
-        f = LaurentPoly.from_json(data["f"])
-        g = LaurentPoly.from_json(data["g"])
+    f, g = _read_input(args, lambda data: [_laurent(data[name], name) for name in "fg"])
     _emit({"classification": classify_point(f, g, tol=args.tolerance).to_json()}, args)
     return EXIT_OK
 
 
 def cmd_germ_classify(args) -> int:
-    data = _require_input(args, "germ-classify")
-    with _typed_input():
-        germ = PlaneGerm.from_json(data)
+    germ = _read_input(args, _germ)
     _emit({"classification": classify_germ(germ).to_json()}, args)
     return EXIT_OK
 
@@ -269,27 +341,6 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_SUITE_FAILURE
 
 
-def _parse_coeffs(data, name, support: Support3D):
-    """The --input coefficient map `name` ({"i,j,k": [re, im] or a number}),
-    or None when absent; a malformed key or value, a value that is not
-    finite, or a key that is not a point of `support`, raises ValueError."""
-    if name not in data:
-        return None
-    out = {}
-    for key, val in data[name].items():
-        try:
-            u, v, w = (int(t) for t in key.split(","))
-            if (u, v, w) not in support.points:
-                raise ValueError("not a point of the support")
-            value = complex(*val) if isinstance(val, list) and len(val) == 2 else complex(val)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"not finite: {val!r}")
-            out[u, v, w] = value
-        except ValueError as exc:
-            raise ValueError(f"--input: {name}[{key!r}]: {exc}") from exc
-    return out
-
-
 def cmd_project3d(args) -> int:
     if args.csv and not args.scan:
         raise ValueError("--csv needs --scan")
@@ -297,11 +348,7 @@ def cmd_project3d(args) -> int:
         if steps < 1:
             raise ValueError(f"{flag} must be at least 1, got {steps}")
     _require_finite(args, "tolerance", "rho_min", "rho_max")
-    data = _require_input(args, "project3d")
-    with _typed_input():
-        a1 = Support3D.from_json(data["a1"])
-        a2 = Support3D.from_json(data["a2"])
-        coeffs = [_parse_coeffs(data, f"coeffs{i}", a) for i, a in ((1, a1), (2, a2))] if args.scan else []
+    a1, a2, coeffs = _read_input(args, lambda data: _spatial(data, args.scan))
     if coeffs.count(None) == 1:
         raise ValueError("--input: give both coeffs1 and coeffs2 or neither")
     outcome = project_supports(a1, a2)
@@ -324,7 +371,7 @@ def cmd_scan(args) -> int:
         if args.spread < 0:
             raise ValueError(f"--spread must be nonnegative, got {args.spread}")
         try:
-            sizes = tuple(int(s) for s in args.sizes.split(","))
+            sizes = _integers(args.sizes)
             if min(sizes) < 1:
                 raise ValueError(f"sizes must be positive, got {args.sizes!r}")
         except ValueError as exc:
@@ -375,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(
         sub, "point-classify", cmd_point_classify, ("tolerance", "out"), "classify a coefficient pair on the resultant"
     )
-    p.add_argument("--input", help="JSON file with Laurent polynomials {'f': {...}, 'g': {...}} ('-' for stdin)")
+    p.add_argument("--input", help="JSON file with Laurent polynomials {'f': {...}, 'g': {...}} ('-' for stdin)", required=True)
 
     p = _subcommand(sub, "germ-classify", cmd_germ_classify, ("out",), "classify a plane-curve germ at the origin")
-    p.add_argument("--input", help="JSON file with {'terms': [{'exp': [i, j], 'coef': ...}]} ('-' for stdin)")
+    p.add_argument("--input", help="JSON file with {'terms': [{'exp': [i, j], 'coef': ...}]} ('-' for stdin)", required=True)
 
     p = _subcommand(sub, "verify-paper", cmd_verify_paper, ("out",), "run the canned verification suite")
     p.add_argument("--only", help=f"run a single check; one of: {', '.join(verify.CHECK_IDS)}")
@@ -386,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(
         sub, "project3d", cmd_project3d, ("tolerance", "seed", "out"), "project 3d supports and scan the plane curve"
     )
-    p.add_argument("--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)")
+    p.add_argument("--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)", required=True)
     p.add_argument("--scan", action="store_true", help="evaluate |R| over the torus grid")
     p.add_argument("--csv", help="CSV output path for the grid scan (needs --scan)")
     p.add_argument("--rho-min", type=float, default=-0.5, dest="rho_min", help="smallest log-modulus rho of the grid")

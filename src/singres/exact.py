@@ -42,14 +42,6 @@ __all__ = [
 ]
 
 
-def _exact_div(a, b):
-    """a / b, staying in int when the division is exact."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return a / b
-
-
 def clear_denominators(values):
     """(ints, D): the ints and Fractions `values` times D, the lcm of their
     denominators (a rank- and root-preserving rescaling)."""

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .exact import clear_denominators, derivative, primitive, prs_gcd
 from .mpoly import MPoly
-from .supports import _exponents
 
 __all__ = ["PlaneGerm", "GermClass", "slice_germ", "classify_germ"]
 
@@ -58,18 +57,6 @@ class PlaneGerm:
             for e, c in term.items():
                 acc[e] = acc.get(e, 0) + c
         return PlaneGerm(acc)
-
-    @classmethod
-    def from_json(cls, data):
-        """The germ of {"terms": [{"exp": [i, j], "coef": "p/q"}, ...]}; an
-        exp that is not a pair of nonnegative integers raises ValueError."""
-        terms = {}
-        for t in data["terms"]:
-            exp = _exponents(t["exp"])
-            if len(exp) != 2 or min(exp) < 0:
-                raise ValueError(f"germ exponents must be pairs of nonnegative integers, got {t['exp']!r}")
-            terms[exp] = Fraction(t["coef"])
-        return cls(terms)
 
     def __repr__(self):
         bits = " + ".join(f"{c}*s^{i}*t^{j}" for (i, j), c in sorted(self.terms.items()))

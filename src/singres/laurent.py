@@ -122,8 +122,6 @@ class LaurentPoly:
     __slots__ = ("support", "coeffs", "is_zero", "is_exact")
 
     def __init__(self, support: SupportSet, coeffs):
-        if not isinstance(support, SupportSet):
-            support = SupportSet(tuple(support))
         coeffs = dict(coeffs)
         for b in coeffs:
             if b not in support.elements:
@@ -143,17 +141,6 @@ class LaurentPoly:
             if c and b:
                 acc += c * b * x ** (b - 1)
         return acc
-
-    @classmethod
-    def from_json(cls, data):
-        support = SupportSet.from_json(data["support"])
-        coeffs = {}
-        for key, enc in data["coeffs"].items():
-            if isinstance(enc, list):
-                coeffs[int(key)] = complex(enc[0], enc[1])
-            else:
-                coeffs[int(key)] = Fraction(enc) if "/" in enc else int(enc)
-        return cls(support, coeffs)
 
     def __repr__(self):
         bits = " + ".join(f"{c!r}*x^{b}" for b, c in sorted(self.coeffs.items()) if c)

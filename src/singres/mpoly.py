@@ -18,7 +18,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .exact import _exact_div, clear_denominators
+from .exact import clear_denominators
 from .supports import SupportPair
 
 __all__ = [
@@ -42,10 +42,6 @@ class MPoly:
             if c:
                 clean[tuple(exp)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, vars):
-        return cls(vars, {})
 
     @classmethod
     def const(cls, vars, c):
@@ -204,7 +200,8 @@ def _divexact_packed(rem, divisor, guard):
             q = m - lead
             if q < 0 or q & guard:
                 raise ArithmeticError("inexact polynomial division")
-            quo[q] = _exact_div(c, lc)
+            qc, r = divmod(c, lc)
+            quo[q] = Fraction(c) / lc if r else qc
         return quo
     get, pop = rem.get, rem.pop
     heap = [-m for m in rem]
@@ -218,8 +215,8 @@ def _divexact_packed(rem, divisor, guard):
         q = m - lead
         if q < 0 or q & guard:
             raise ArithmeticError("inexact polynomial division")
-        qc = _exact_div(c, lc)
-        quo[q] = qc
+        qc, r = divmod(c, lc)
+        qc = quo[q] = Fraction(c) / lc if r else qc
         for off, dc in tail:
             t = m + off
             v = get(t)
@@ -352,6 +349,12 @@ def resultant_poly(pair: SupportPair, bound=DEFAULT_DET_BOUND) -> MPoly:
     `_next_subresultant`, which never forms a full pseudo-remainder.  Every
     division is exact.
 
+    No remainder is zero: f and g are coprime over the field of the f/g
+    variables, as their resultant is nonzero at f = x^d1 - 2, g = x^d2 - 3
+    (leading coefficients 1, so it specializes there): a common root a
+    would make the even 2^d2 = a^(d1 d2) equal the odd 3^d1.  So the
+    sequence ends in a nonzero constant.
+
     Packing width.  Every coefficient here is homogeneous in the f/g
     variables, and all the coefficients of one polynomial in x share a total
     degree.  Each PRS element and each z is f, g or a subresultant, whose
@@ -398,8 +401,6 @@ def resultant_poly(pair: SupportPair, bound=DEFAULT_DET_BOUND) -> MPoly:
             c, hdiv = _lazard(b[-1], h, da - db - 1, guard), _divisor(h)
             z = [_divexact_packed(_dot([(c, cb)]), hdiv, guard) for cb in b]
         a, b, h = z, _next_subresultant(a, b, z, h, guard), z[-1]
-    if not b:
-        return MPoly.zero(vars)
     res = _lazard(b[0], h, len(a) - 1, guard)
     if sign < 0:
         res = _neg(res)

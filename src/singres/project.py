@@ -51,10 +51,6 @@ class Support3D:
     def last_coordinates(self):
         return sorted({p[2] for p in self.points})
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data))
-
 
 @dataclass(frozen=True)
 class GridConfig:

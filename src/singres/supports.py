@@ -55,10 +55,6 @@ class SupportSet:
             raise ValueError("support set must be strictly increasing")
         object.__setattr__(self, "elements", elems)
 
-    @classmethod
-    def of(cls, *elems):
-        return cls(tuple(sorted(set(elems))))
-
     def __iter__(self):
         return iter(self.elements)
 
@@ -87,10 +83,6 @@ class SupportSet:
     def to_json(self):
         return list(self.elements)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data))
-
 
 @dataclass(frozen=True)
 class SupportPair:
@@ -103,10 +95,6 @@ class SupportPair:
 
     def to_json(self):
         return {"b1": self.b1.to_json(), "b2": self.b2.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(SupportSet.from_json(data["b1"]), SupportSet.from_json(data["b2"]))
 
 
 def gap_gcd(b: SupportSet) -> int:

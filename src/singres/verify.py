@@ -64,7 +64,7 @@ class CheckResult:
 
 
 def _pair(b1, b2):
-    return SupportPair(SupportSet.of(*b1), SupportSet.of(*b2))
+    return SupportPair(SupportSet(b1), SupportSet(b2))
 
 
 # --- individual checks -------------------------------------------------------

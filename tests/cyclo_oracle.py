@@ -24,8 +24,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from singres.exact import _exact_div, clear_denominators
+from singres.exact import clear_denominators
 from singres.laurent import falling
+
+
+def _exact_div(a, b):
+    """a / b, staying in int when the division is exact."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return a / b
 
 
 def divisors(n):

@@ -93,7 +93,7 @@ def test_minors_split_equivalence_regression():
         assert len({(p * b % n, q * b % n) for b in elems}) > 2, cex
         census[name] += 1
     assert census == {"x": 102, "y": 102, "x/y": 102}
-    witness = SupportSet.of(0, 2, 4)
+    witness = SupportSet((0, 2, 4))
     assert all_minors_vanish(witness, UnityPair(6, 1, 3))
     assert closed_form_rank(witness, 6, [1], [3]).tolist() == [2]
     assert two_class_split(witness, 6) is None

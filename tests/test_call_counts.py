@@ -71,13 +71,13 @@ POINT_INPUT = {
 GERM_INPUT = {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}]}
 SUPPORTS_3D = {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}
 CLI_EXPECTED = {
-    ("classify", ("--b1", "0,1,3", "--b2", "0,3"), None): 695,
-    ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 921,
-    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 491,
-    ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 319,
-    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 821,
-    ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 865,
-    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 954,
+    ("classify", ("--b1", "0,1,3", "--b2", "0,3"), None): 687,
+    ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 874,
+    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 480,
+    ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 270,
+    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 810,
+    ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 856,
+    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 941,
 }
 
 

@@ -310,6 +310,40 @@ class TestErrorContract:
         code = main([command, "--input", "-"])
         assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (
+                # "00" names the exponent 0 again: (x - 1)^2 and x - 1 meet at a smooth point, not at 5 - 2x + x^2
+                ["point-classify", "--input", "-"],
+                {
+                    "f": {"support": [0, 1, 2], "coeffs": {"0": "1", "1": "-2", "2": "1", "00": "5"}},
+                    "g": {"support": [0, 1], "coeffs": {"0": "-1", "1": "1"}},
+                },
+                "--input: f.coeffs['00']: point 0 is given twice",
+            ),
+            (
+                ["project3d", "--input", "-", "--scan"],
+                {
+                    **SUPPORTS_3D,
+                    "coeffs1": {"0,0,0": [1, 0], "0,0,00": [0, 0], "1,0,1": [1, 0]},
+                    "coeffs2": {"0,0,0": [1, 0], "0,1,1": [1, 0]},
+                },
+                "--input: coeffs1['0,0,00']: point (0, 0, 0) is given twice",
+            ),
+            (
+                ["germ-classify", "--input", "-"],
+                {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}, {"exp": [0, 2], "coef": "2"}]},
+                "--input: terms: exponent (0, 2) is given twice",
+            ),
+            (["classify", "--b1", "0,1,1,3", "--b2", "0,3"], None, "--b1: exponent 1 is given twice"),
+        ],
+        ids=["point-classify", "project3d", "germ-classify", "b1"],
+    )
+    def test_repeated_exponent_or_point_exits_2(self, capsys, monkeypatch, argv, stdin, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        assert (main(argv), *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
     def test_non_finite_report_exits_2(self, capsys, monkeypatch):
         class Report:
             def to_json(self):

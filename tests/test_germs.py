@@ -125,24 +125,24 @@ class TestRandomizedProperties:
 
 class TestSliceGerm:
     def test_resultant_slices(self):
-        r = resultant_poly(SupportPair(SupportSet.of(0, 1, 3), SupportSet.of(0, 3)))
+        r = resultant_poly(SupportPair(SupportSet((0, 1, 3)), SupportSet((0, 3))))
         point = {"f3": 1, "f1": 0, "f0": 1, "g3": 1, "g0": 1}
         g = slice_germ(r, point, {"f1": 1}, {"f0": 1})
         assert dict(g.terms) == {(3, 0): Fraction(1), (0, 3): Fraction(-1)}
 
     def test_node_slice(self):
-        r = resultant_poly(SupportPair(SupportSet.of(0, 1), SupportSet.of(0, 1)))
+        r = resultant_poly(SupportPair(SupportSet((0, 1)), SupportSet((0, 1))))
         g = slice_germ(r, {v: 0 for v in r.vars}, {"f1": 1}, {"g0": 1})
         assert classify_germ(g).tag == "NodeA1"
 
     def test_dependent_directions_rejected(self):
-        r = resultant_poly(SupportPair(SupportSet.of(0, 1), SupportSet.of(0, 1)))
+        r = resultant_poly(SupportPair(SupportSet((0, 1)), SupportSet((0, 1))))
         with pytest.raises(ValueError, match="dependent"):
             slice_germ(r, {v: 0 for v in r.vars}, {"f1": 1}, {"f1": 2})
 
     def test_random_direction_cusp(self):
         rng = random.Random(35)
-        r = resultant_poly(SupportPair(SupportSet.of(0, 1, 3), SupportSet.of(0, 3)))
+        r = resultant_poly(SupportPair(SupportSet((0, 1, 3)), SupportSet((0, 3))))
         point = {"f3": 0, "f1": 2, "f0": 3, "g3": 0, "g0": 5}
         # generic rational directions hitting the (a, d) plane
         for _ in range(5):

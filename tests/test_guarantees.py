@@ -13,7 +13,7 @@ from singres.supports import GUARANTEE_TABLE, SupportPair, SupportSet, check_con
 
 
 def pair(b1, b2):
-    return SupportPair(SupportSet.of(*b1), SupportSet.of(*b2))
+    return SupportPair(SupportSet(sorted({*b1})), SupportSet(sorted({*b2})))
 
 
 PAIRS = [

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclo_oracle import QPoly, q_gcd
+from singres.cli import _laurent
 from singres.exact import exact_rank
 from singres.laurent import (
     LaurentPoly,
@@ -18,7 +19,7 @@ from singres.supports import SupportSet
 
 
 def S(*xs):
-    return SupportSet.of(*xs)
+    return SupportSet(sorted({*xs}))
 
 
 def lp(support, coeffs):
@@ -398,18 +399,18 @@ class TestLaurentSupports:
 
 
 class TestSerialization:
-    """`LaurentPoly.from_json` on the --input format of point-classify."""
+    """`cli._laurent`, the reader of point-classify's --input polynomials."""
 
     def test_exact_strings(self):
-        f = LaurentPoly.from_json({"support": [-1, 0, 2], "coeffs": {"-1": "3/7", "0": "-2", "2": "1"}})
+        f = _laurent({"support": [-1, 0, 2], "coeffs": {"-1": "3/7", "0": "-2", "2": "1"}}, "f")
         assert f.support == S(-1, 0, 2)
         assert f.coeffs == {-1: Fraction(3, 7), 0: -2, 2: 1}
         assert [type(f.coeff(b)) for b in (-1, 0, 2)] == [Fraction, int, int]
         assert (f.is_zero, f.is_exact) == (False, True)
-        zero = LaurentPoly.from_json({"support": [0, 1], "coeffs": {"0": "0", "1": "0/5"}})
+        zero = _laurent({"support": [0, 1], "coeffs": {"0": "0", "1": "0/5"}}, "f")
         assert (zero.is_zero, zero.is_exact) == (True, True)
 
     def test_complex_pairs(self):
-        f = LaurentPoly.from_json({"support": [0, 1], "coeffs": {"0": [1.5, -2], "1": [0, 0.25]}})
+        f = _laurent({"support": [0, 1], "coeffs": {"0": [1.5, -2], "1": [0, 0.25]}}, "f")
         assert f.coeffs == {0: 1.5 - 2j, 1: 0.25j}
         assert (f.is_zero, f.is_exact) == (False, False)

@@ -28,7 +28,7 @@ from singres.verify import check_unity_minor_explanations
 
 
 def S(*xs):
-    return SupportSet.of(*xs)
+    return SupportSet(sorted({*xs}))
 
 
 def closed_form_rank(b, n, ps, qs):
@@ -588,7 +588,7 @@ class TestBatchKernel:
                 bases = [rng.randrange(-n, n) for _ in range(rng.randint(1, 3))]
                 size = rng.randint(1, 5)
                 elems = {rng.choice(bases) + step * rng.randrange(-(2**70), 2**70) for _ in range(size)}
-                supports.append(SupportSet.of(*elems))
+                supports.append(SupportSet(sorted({*elems})))
                 ns.append(n)
                 ps.append(d * rng.randrange(-(2**20), 2**20))
                 qs.append(rng.choice([d, n // rng.choice(divisors)]) * rng.randrange(-(2**20), 2**20))

@@ -19,6 +19,7 @@ import pytest
 
 import singres
 from singres import cli
+from test_digests import GERM_INPUTS, POINT_INPUTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -163,6 +164,27 @@ def test_reports_have_one_writer():
     assert found == []
 
 
+def test_inputs_have_one_reader():
+    """No module of the package defines a `from_json`, and none but `cli`
+    calls `json.load` or `json.loads`: `cli` alone reads --input, --b1 and
+    --b2, as it alone writes reports, and the library layers take
+    constructed objects."""
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hit = node.name == "from_json"
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = path.name != "cli.py" and node.value.id == "json" and node.attr in ("load", "loads")
+            elif isinstance(node, ast.ImportFrom):
+                hit = path.name != "cli.py" and node.module == "json" and any(a.name in ("load", "loads") for a in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_one_kernel_sampler():
     """`strata` is the one module of the package that reads `kernel_basis`
     or `multiplicity_vandermonde`: its filtration-subset sampler is the one
@@ -253,6 +275,88 @@ def test_every_public_method_is_read():
                     defined.append((path.name, cls.name, node.name))
     assert len(defined) > 20
     assert [f"{module}: {cls}.{name}" for module, cls, name in defined if name not in read] == []
+
+
+def _public_members():
+    """The qualified name, as `co_qualname` gives it, of every public method
+    or property of a class of the package, by module file name."""
+    members = {}
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                        members.setdefault(path.name, set()).add(f"{cls.name}.{node.name}")
+    return members
+
+
+# The canonical CLI runs of `test_every_public_method_runs`: (argv, --input
+# JSON on stdin or None); "{tmp}" is a scratch directory.
+CANONICAL_RUNS = [
+    (["classify", "--b1", "0,1,3", "--b2", "0,3"], None),
+    (["classify", "--input", "-"], {"b1": [0, 1, 2, 3], "b2": [0, 1, 2, 3]}),
+    (["resultant", "--b1", "0,2,5", "--b2", "0,3"], None),
+    *((["point-classify", "--input", "-"], data) for data in POINT_INPUTS),
+    *((["germ-classify", "--input", "-"], data) for data in GERM_INPUTS),
+    *(
+        (["verify-paper", "--only", check, "--out", "{tmp}/verify"], None)
+        for check in ("closed-form-resultant", "minors-split-equivalence", "corank2-dichotomy", "stratum-order", "projection-pipeline")
+    ),
+    (
+        ["project3d", "--input", "-", "--scan", "--csv", "{tmp}/grid.csv", "--rho-steps", "3", "--theta-steps", "4"],
+        {
+            "a1": [[1, 0, 0], [0, 0, 2]],
+            "a2": [[0, 1, 0], [0, 0, 1]],
+            "coeffs1": {"1,0,0": [-1, 0], "0,0,2": [1, 0]},
+            "coeffs2": {"0,1,0": [-1, 0], "0,0,1": [1, 0]},
+        },
+    ),
+    (["scan", "minors", "--n-max", "4", "--spread", "4"], None),
+    (["scan", "strata", "--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--n-max", "6"], None),
+    (["scan", "codim", "--b1", "0,1,3,4,6,7", "--b2", "0,3,6", "--label", "N(1,1,1)", "--seed", "3"], None),
+]
+
+# Run CANONICAL_RUNS (JSON on stdin) under one profile hook, in a fresh
+# interpreter, so that no cache another test filled skips a call; print the
+# file name and `co_qualname` of every package function that ran.
+_RUN_CANONICAL = """
+import contextlib, io, json, sys
+from pathlib import Path
+import singres
+from singres import cli
+package, runs = str(Path(singres.__file__).parent), json.load(sys.stdin)
+ran = set()
+
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        ran.add((Path(frame.f_code.co_filename).name, frame.f_code.co_qualname))
+
+sys.setprofile(hook)
+for argv, stdin in runs:
+    sys.stdin = io.StringIO(json.dumps(stdin))
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    assert status in (0, 1), (argv, status)
+sys.setprofile(None)
+sys.stdout.write(json.dumps(sorted(ran)))
+"""
+
+
+def test_every_public_method_runs(tmp_path):
+    """Every public method or property of a class of the package runs in
+    the canonical CLI runs, matched by class and name (`co_qualname`): a
+    member that only the tests call is dead code, even where another class
+    has a member of its name, which `test_every_public_method_is_read`
+    cannot tell apart."""
+    src = str(Path(singres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = json.dumps([([arg.format(tmp=tmp_path) for arg in argv], stdin) for argv, stdin in CANONICAL_RUNS])
+    proc = subprocess.run([sys.executable, "-c", _RUN_CANONICAL], input=runs, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    ran = {tuple(entry) for entry in json.loads(proc.stdout)}
+    members = _public_members()
+    assert sum(map(len, members.values())) > 20
+    assert sorted(f"{module}: {name}" for module, names in members.items() for name in names if (module, name) not in ran) == []
 
 
 def test_every_constant_is_read():

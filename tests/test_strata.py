@@ -13,6 +13,7 @@ import singres
 from cyclo_oracle import CycloElement, RootOfUnity, cyclo_rank, cyclo_rref, cyclotomic_polynomial, unity_vandermonde
 import float_oracle
 from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
+from singres import cli
 from singres.exact import exact_quo, exact_rank, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
 from singres.minors import _rank, admissible_pairs, residues
@@ -66,7 +67,7 @@ from test_minors import all_minors_oracle, closed_form_rank
 
 
 def S(*xs):
-    return SupportSet.of(*xs)
+    return SupportSet(sorted({*xs}))
 
 
 def pair(b1, b2):
@@ -2194,7 +2195,7 @@ class TestSolutionStrata:
         # of the root-of-unity strata in order, then of the generic stratum,
         # d the generic kernel dimensions; the minor-curve kind is not reached
         for rep in SETS[name]():
-            p, label = SupportPair.from_json(rep.pair), parse_label(rep.label)
+            p, label = cli._pair(rep.pair), parse_label(rep.label)
             sides = _sides(p, label)
             d = _generic_kernel_dims(sides)
             strata = [stratum for _, batch, _ in itertools.islice(_solution_strata(p, sides, rep.n_max, 0), 2) for stratum in batch]
@@ -2211,7 +2212,7 @@ class TestSolutionStrata:
         reports, pairs = SETS["codim_label_pairs"](), _pairs()[::7]
 
         def moved(b, shift, sign=1):
-            return SupportSet.of(*(sign * e + shift for e in b.elements))
+            return SupportSet(sorted({*(sign * e + shift for e in b.elements)}))
 
         checked = 0
         for row, name in enumerate(CODIM_LABELS):
