@@ -1,5 +1,5 @@
-"""Python call counts of fixed `strata` and CLI requests, pinned like the
-digests.
+"""Python call counts of fixed `strata` and CLI requests, and the class
+table builds of a cold run of scans, pinned like the digests.
 
 A count is the number of `call` and `c_call` events that one
 `sys.setprofile` hook sees while a warm request runs: its caches are filled
@@ -7,7 +7,7 @@ by one earlier run of the same request, and the request's thunk and the
 hook's own removal count too.  The counts repeat across processes and hash
 seeds, so a change that adds work on a request path moves them where a
 timing on a shared host would drift.  A change that moves a count updates
-EXPECTED or CLI_EXPECTED and says why in CHANGES.md, as a digest change
+EXPECTED, CLI_EXPECTED or COLD_TABLES and says why in CHANGES.md, as a digest change
 does.
 """
 
@@ -18,9 +18,10 @@ import sys
 
 import pytest
 
-from singres import cli
+from singres import cli, strata
 from singres.strata import estimate_codim, parse_label, scan_corank_strata
 from singres.supports import SupportPair, SupportSet
+from singres.verify import _normalized_supports
 
 # (request, b1, b2, label, seed): scans at n_max 12, codim estimates at n_max 12
 EXPECTED = {
@@ -30,6 +31,17 @@ EXPECTED = {
     ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 208,
     ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 2244,
     ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 140,
+}
+
+
+# (hits, misses) of each class-table cache over the 1,013 scans of the
+# corank2-dichotomy check, every cache cleared first: the builds a fresh
+# process pays
+COLD_TABLES = {
+    "_scan_table": (3063, 1),
+    "_modulus_slices": (1036, 1),
+    "_tuple_groups": (12, 24),
+    "_modulus_classes": (10094, 36),
 }
 
 
@@ -60,6 +72,16 @@ def test_warm_call_count(case):
         thunk = lambda: estimate_codim(p, label, seed=seed)  # noqa: E731
     thunk()
     assert calls(thunk) == calls(thunk) == EXPECTED[case]
+
+
+def test_cold_class_table_builds():
+    caches = {name: getattr(strata, name) for name in COLD_TABLES}
+    for cache in caches.values():
+        cache.cache_clear()
+    label = parse_label("N(1,1,1)")
+    for b in _normalized_supports(10):
+        scan_corank_strata(SupportPair(b, b), label, 12)
+    assert {name: cache.cache_info()[:2] for name, cache in caches.items()} == COLD_TABLES
 
 
 # (leaf command, its arguments, its --input JSON text on stdin) -> the warm

@@ -43,7 +43,10 @@ The sets:
   `elapsed_s` stripped;
 - the `estimate_codim` reports of the six `check_codim_estimates` cases
   (`verify.CODIM_CASES`) at seeds 0..39, with `timings` and `version`
-  stripped.
+  stripped;
+- the scan reports of the benchmark's strata-scan request lists at seeds
+  1, 2, 3, 7 and 31 (`perfbench/workloads.py`, imported read-only), its
+  minor and unity sweeps left out.
 
 Print the current digests by hand from the root of a checkout:
 
@@ -58,6 +61,7 @@ import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,8 @@ from singres.supports import SupportPair, SupportSet
 from singres.verify import CODIM_CASES, _normalized_supports, run_checks
 
 N_MAX = 12
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+STRATA_SCAN_SEEDS = (1, 2, 3, 7, 31)
 STRIPPED = ("wall_time_s", "timings", "elapsed_s", "version")
 
 
@@ -135,6 +141,23 @@ def codim_reports():
         estimate_codim(SupportPair(SupportSet(b1), SupportSet(b2)), parse_label(name), seed=seed)
         for seed in range(40)
         for (b1, b2), name, _ in CODIM_CASES
+    ]
+
+
+def strata_scan_reports():
+    """The scans of the strata-scan request lists of STRATA_SCAN_SEEDS, in
+    request order."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from workloads import StrataScan
+    finally:
+        sys.path.remove(PERFBENCH)
+    return [
+        scan_corank_strata(pair, label, n_max, seed=seed)
+        for run in STRATA_SCAN_SEEDS
+        for req in StrataScan().requests(run)
+        if req.kind in ("symmetric", "asymmetric", "multiplicity")
+        for pair, label, n_max, seed in (req.args,)
     ]
 
 
@@ -252,6 +275,7 @@ SETS = {
     "codim_verify_cases": codim_reports,
     "codim_multiplicity_pairs": multiplicity_codim_reports,
     "codim_label_pairs": label_codim_reports,
+    "strata_scan_seeds": strata_scan_reports,
 }
 # each set is built once per process: `test_strata.py` reads the same reports
 SETS = {name: functools.cache(build) for name, build in SETS.items()}
@@ -272,6 +296,7 @@ EXPECTED = {  # (report count, digest)
     "codim_multiplicity_pairs": (3 * 138, "da35530ad370ed35addc3562e9211d38428fa1595e76e202c9a9775f5d11d5d8"),
     "pairs_spread_5_no_closed_form": (5 * 138, "2476add54a2902c56ec8cae1cd34087d143a9c536b8ecdcbf99b7334b5955082"),
     "codim_label_pairs": (14 * 138, "c0ea613b10bf75efee1a5021c00da5c5938c8a3252d47695079ff9b7c3a531e7"),
+    "strata_scan_seeds": (2250, "1848fe3f24536c80e998945c13c29588f261e6949a635f1c735b7c24a55f1e94"),
 }
 
 
