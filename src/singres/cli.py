@@ -95,8 +95,12 @@ def _exact(value):
 
 def _complex(value):
     """The complex scalar of an --input coefficient, [re, im] or a number;
-    one that is not finite raises ValueError."""
-    z = complex(*value) if value.__class__ is list and len(value) == 2 else complex(value)
+    a bool, alone or as re or im, and a value that is not finite raise
+    ValueError."""
+    parts = value if value.__class__ is list and len(value) == 2 else [value]
+    if bool in map(type, parts):
+        raise ValueError(f"not a number: {value!r}")
+    z = complex(*parts)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"not finite: {value!r}")
     return z

@@ -278,6 +278,31 @@ class TestErrorContract:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: --input: coeffs{side}['0,0,0']: not finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, stdin, message",
+        [
+            (
+                ["project3d", "--input", "-", "--scan"],
+                {**SUPPORTS_3D, "coeffs1": {"0,0,0": 1, "1,0,1": True}, "coeffs2": {"0,0,0": 1, "0,1,1": 1}},
+                "--input: coeffs1['1,0,1']: not a number: True",
+            ),
+            (
+                ["project3d", "--input", "-", "--scan"],
+                {**SUPPORTS_3D, "coeffs1": {"0,0,0": 1, "1,0,1": 1}, "coeffs2": {"0,0,0": 1, "0,1,1": [-1, False]}},
+                "--input: coeffs2['0,1,1']: not a number: [-1, False]",
+            ),
+            (
+                ["point-classify", "--input", "-"],
+                {"f": {"support": [0, 1], "coeffs": {"0": [-1, False], "1": "1"}}, "g": {"support": [0, 1], "coeffs": {"0": "1", "1": "1"}}},
+                "--input: f.coeffs['0']: not a number: [-1, False]",
+            ),
+        ],
+        ids=["project3d-alone", "project3d-pair", "point-classify-pair"],
+    )
+    def test_bool_complex_coefficient_exits_2(self, capsys, monkeypatch, command, stdin, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        assert (main(command), *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
     def test_overflowed_scan_exits_2(self, capsys, monkeypatch):
         coeffs = {f"coeffs{i}": {",".join(map(str, p)): 1e200 for p in SUPPORTS_3D[f"a{i}"]} for i in (1, 2)}
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**SUPPORTS_3D, **coeffs})))
