@@ -160,20 +160,16 @@ def homogenize(f: LaurentPoly):
     return [f.coeff(lo + j) for j in range(d + 1)]
 
 
-def _float_tol(coeffs, tol):
-    scale = max((abs(complex(c)) for c in coeffs), default=0.0)
-    return tol * max(scale, 1e-300)
-
-
 def _end_orders(f: LaurentPoly, exact: bool, tol) -> tuple:
     """The vanishing orders of a nonzero f's homogenized form at 0 and at
     infinity: the number of zero coefficients from each end of the convex
-    hull (exact scalars exactly, floats within `tol` of the largest
-    modulus), both from one pass over the coefficients."""
+    hull (exact scalars exactly, floats within `tol` times the largest
+    modulus), both from one pass over the coefficients.  The float path
+    cuts its forms at these orders too (`_numeric_common_roots`)."""
     if exact:
         live = [b for b, c in f.coeffs.items() if c]
     else:
-        cut = _float_tol(f.coeffs.values(), tol)
+        cut = tol * max(max(abs(complex(c)) for c in f.coeffs.values()), 1e-300)
         live = [b for b, c in f.coeffs.items() if abs(complex(c)) > cut]
         if not live:
             raise ValueError("polynomial is numerically zero")
@@ -299,20 +295,15 @@ def _reconstruct(x, m, bound_n, bound_d):
     return Fraction(r1, t1)
 
 
-def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, tol):
-    """Float path: cluster the roots of both forms and intersect clusters."""
+def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, ends, tol):
+    """Float path: cluster the roots of both forms, each cut at its end
+    orders ends = ((ord_0 f, ord_inf f), (ord_0 g, ord_inf g)) of
+    `_end_orders`, and intersect clusters."""
 
-    def clusters(poly: LaurentPoly):
+    def clusters(poly: LaurentPoly, lo, hi):
         form = [complex(c) for c in homogenize(poly)]
         scale = max(abs(c) for c in form)
-        form = [c / scale for c in form]
-        lo = 0
-        while lo < len(form) - 1 and abs(form[lo]) <= tol:
-            lo += 1
-        hi = len(form) - 1
-        while hi > lo and abs(form[hi]) <= tol:
-            hi -= 1
-        finite = form[lo : hi + 1]
+        finite = [c / scale for c in form[lo : len(form) - hi]]
         roots = list(np.roots(list(reversed(finite)))) if len(finite) > 1 else []
         groups = []
         for z in roots:
@@ -325,8 +316,8 @@ def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, tol):
         return [(sum(grp) / len(grp), len(grp)) for grp in groups]
 
     records = []
-    for center_f, mult_f in clusters(f):
-        for center_g, mult_g in clusters(g):
+    for center_f, mult_f in clusters(f, *ends[0]):
+        for center_g, mult_g in clusters(g, *ends[1]):
             if abs(center_f - center_g) <= max(tol, tol * abs(center_f)) * 10:
                 center = (center_f + center_g) / 2
                 if abs(center) > tol:
@@ -340,19 +331,20 @@ def common_roots(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL):
     The records at 0 and infinity come first, from `_end_orders`; a
     boundary record exists exactly when both orders there are >= 1, so a
     caller reads min(ord f, ord g) at 0 or infinity as its pair order, or 0
-    without one.  Each polynomial's exactness is decided once, and the
-    finite records come from one homogenized form per polynomial.
+    without one.  Each polynomial's exactness and end orders are decided
+    once, the float path cutting its forms at those orders, and the finite
+    records come from one homogenized form per polynomial.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("common roots of a zero polynomial are undefined")
     exact = f.is_exact, g.is_exact
-    (o0f, oif), (o0g, oig) = _end_orders(f, exact[0], tol), _end_orders(g, exact[1], tol)
+    ends = (o0f, oif), (o0g, oig) = _end_orders(f, exact[0], tol), _end_orders(g, exact[1], tol)
     records = [
         RootRecord(point, a, b)
         for point, a, b in ((ProjPoint.zero(), o0f, o0g), (ProjPoint.infinity(), oif, oig))
         if a >= 1 and b >= 1
     ]
-    records += _exact_finite_common_roots(f, g) if all(exact) else _numeric_common_roots(f, g, tol)
+    records += _exact_finite_common_roots(f, g) if all(exact) else _numeric_common_roots(f, g, ends, tol)
     return records
 
 
@@ -425,12 +417,10 @@ def boundary_covector(f: LaurentPoly, g: LaurentPoly, at_zero: bool):
 
 def _covector_for_record(f, g, rec: RootRecord):
     """The branch covector at a common root of pair order 1, whose orders
-    the record already carries; irrational and complex roots in floats."""
+    the record already carries, at the record's value: a Fraction at a
+    rational root, a complex (so floats) at an irrational or float one."""
     if rec.point.kind == "finite":
-        value = rec.point.value
-        if rec.min_poly is not None or not _is_exact_scalar(value):
-            value = complex(value)
-        return _covector(f, g, value)
+        return _covector(f, g, rec.point.value)
     return boundary_covector(f, g, rec.point.kind == "zero")
 
 

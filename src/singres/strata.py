@@ -30,7 +30,7 @@ builder (`_hermite_stack`), and the scan and the estimator read their
 root-of-unity tuples from one table that lists each tuple once
 (`_scan_table`).  Each request derives a side's effective support, root
 orders and gap gcd once, into the side record (`_sides`) that every helper
-reads; equal records are ranked once (`_side_coranks`).
+reads; equal records are ranked once (`_per_side`).
 """
 
 from __future__ import annotations
@@ -557,11 +557,19 @@ def _corank_tally(sides, n_max):
     """
     k = len(sides[0].js)
     moduli = _modulus_slices(k, n_max)
-    rows = [row for side in (sides[:1] if sides[0] == sides[1] else sides) for row in _table_values(side, moduli)]
+    (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, moduli)
     groups = []
-    for n, c1, h1, c2, h2 in zip(moduli, *(rows if len(rows) == 4 else rows * 2)):
+    for n, c1, h1, c2, h2 in zip(moduli, cs1, hs1, cs2, hs2):
         groups += _modulus_classes(k, n_max, n, c1, h1, c2, h2)
     return _classes_of(groups)
+
+
+def _per_side(value, sides, *args):
+    """(value(side 1, *args), value(side 2, *args)) for a label's two side
+    records, with value computed once when the records are equal: the one
+    equal-side rule of both corank paths (`_corank_classes`)."""
+    first = value(sides[0], *args)
+    return first, first if sides[1] == sides[0] else value(sides[1], *args)
 
 
 def _table_values(side, moduli):
@@ -831,13 +839,6 @@ def _unity_coranks(side, ns, exps):
     return sum(js) - rank
 
 
-def _side_coranks(sides, ns, exps):
-    """The `_unity_coranks` of both sides of a label with no closed form at
-    every tuple of a scan table: side 2 reuses side 1's when they are equal."""
-    cork1 = _unity_coranks(sides[0], ns, exps)
-    return cork1, cork1 if sides[1] == sides[0] else _unity_coranks(sides[1], ns, exps)
-
-
 def _conjugate_ranks(eff, js, ns, exps):
     """Exact rank over Q(zeta_n) of the multiplicity Vandermonde of the
     exponents eff at every root-of-unity tuple zeta_n^p, p in exps[s], n =
@@ -930,11 +931,12 @@ def _corank_classes(sides, n_max):
     with no per-tuple array: at modulus n the closed-form rank depends on a
     tuple only through its gap flags at n/gcd(n, g_s).  Any other label,
     such as N(2,2;1,1) or k = 3 with multiplicities, reads them off both
-    sides' corank arrays (`_side_coranks`), tuple by tuple in scan order."""
+    sides' corank arrays (`_unity_coranks`), tuple by tuple in scan order.
+    Either way a side equal to the first is computed once (`_per_side`)."""
     if all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
         return _corank_tally(sides, n_max)
     ns, exps, _ = _scan_table(len(sides[0].js), n_max)
-    keys = zip(*(cork.tolist() for cork in _side_coranks(sides, ns, exps)))
+    keys = zip(*(cork.tolist() for cork in _per_side(_unity_coranks, sides, ns, exps)))
     return _classes_of((key, 1, i) for i, key in enumerate(keys) if key != (0, 0))
 
 

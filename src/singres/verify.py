@@ -149,39 +149,39 @@ def check_unity_minor_explanations(n_max=24, span=5):
     makes one batched split-prime zero test per modulus n and compares its
     zero set with the closed form of `minors.power_minor_vanishes` or
     `minors.exponent_minor_vanishes`, both ways, in one array pass per
-    modulus: `unexplained` lists zeros the closed form misses and
+    modulus, with one comparison for both sweeps (`compare`):
+    `unexplained` lists zeros the closed form misses and
     `closed_form_only` closed-form zeros the test finds nonzero, each in
     (n, p, q, triple) order.
     """
     triples = np.array(list(itertools.combinations(range(-span, span + 1), 3)), dtype=np.int64)
     a, b, c = triples.T
     unexplained, closed_form_only = [], []
-    zeros = checked = 0
+    checked = 0
+
+    def compare(vanish, closed, entry):
+        """List each (row, triple) cell where the zero test vanish and the
+        closed form disagree, as entry(row, triple index), under the side
+        that misses it; return the zero count."""
+        nonlocal checked
+        checked += vanish.size
+        for cells, out in ((vanish & ~closed, unexplained), (closed & ~vanish, closed_form_only)):
+            out += [entry(i, t) for i, t in np.argwhere(cells).tolist()]
+        return int(vanish.sum())
+
+    zeros = zeros65 = 0
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
         vanish = unity_combos_vanish(evaluation_table(n), det3_exponents(triples, ps, qs), DET3_SIGNS)
         closed = power_minor_vanishes(n, ps, qs, triples)
-        checked += vanish.size
-        zeros += int(vanish.sum())
-        for cells, out in ((vanish & ~closed, unexplained), (closed & ~vanish, closed_form_only)):
-            out += [
-                {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()}
-                for i, t in np.argwhere(cells).tolist()
-            ]
+        zeros += compare(vanish, closed, lambda i, t: {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()})
     # ones / exponents / powers matrix: det = (b-a) x^c + (a-c) x^b + (c-b) x^a
-    zeros65 = 0
     coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
         ps = np.arange(n)
         vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
         closed = exponent_minor_vanishes(n, ps, triples)
-        checked += vanish.size
-        zeros65 += int(vanish.sum())
-        for cells, out in ((vanish & ~closed, unexplained), (closed & ~vanish, closed_form_only)):
-            out += [
-                {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"}
-                for p, t in np.argwhere(cells).tolist()
-            ]
+        zeros65 += compare(vanish, closed, lambda p, t: {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"})
     return not unexplained and not closed_form_only, {
         "checked": checked,
         "zeros_power_matrix": zeros,

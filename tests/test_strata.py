@@ -2123,21 +2123,20 @@ class TestUnityClasses:
         # no closed form, still ranks per tuple, which shows that the wraps
         # count
         calls = Counter()
-        for attr in ("_side_coranks", "_unity_coranks"):
-            real = getattr(singres.strata, attr)
+        real = singres.strata._unity_coranks
 
-            def counted(*args, attr=attr, real=real):
-                calls[attr] += 1
-                return real(*args)
+        def counted(*args):
+            calls["_unity_coranks"] += 1
+            return real(*args)
 
-            monkeypatch.setattr(singres.strata, attr, counted)
+        monkeypatch.setattr(singres.strata, "_unity_coranks", counted)
         pairs = [pair((0, 1, 2, 3), (0, 1, 2, 3)), pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), pair((0, 3, 6), (0, 3, 6))]
         for p in pairs:
             estimate_codim(p, parse_label(name))
         assert calls == Counter(), name
         for p in pairs:
             estimate_codim(p, parse_label("N(2,2;1,1)"))
-        assert calls == Counter(_side_coranks=3, _unity_coranks=6)
+        assert calls == Counter(_unity_coranks=6)
 
 
 KINDS = ("generic", "unity", "minor_curve")
