@@ -786,6 +786,7 @@ class ScanSReport:
     predictions: dict = field(default_factory=dict)
     mismatches: list = field(default_factory=list)
     generic_corank: tuple | None = None
+    generic_witness: dict | None = None
     wall_time: float = 0.0
     configs_scanned: int = 0
     timings: dict = field(default_factory=dict)
@@ -812,6 +813,7 @@ class ScanSReport:
             "predictions": {key: val for key, val in self.predictions.items()},
             "mismatches": self.mismatches,
             "generic_corank": self.generic_corank,
+            "generic_witness": self.generic_witness,
             "wall_time_s": self.wall_time,
             "configs_scanned": self.configs_scanned,
             "version": __version__,
@@ -1215,10 +1217,10 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     predicted nonempty corank strata (gap-gcd and split criteria).
 
     `found` holds each root-of-unity class with its tuple count and first
-    tuple, in scan order, then a nonzero generic corank, counted as four
-    tuples, with k distinct positive rationals from random.Random(seed) as
-    its witness: Descartes' rule certifies it there (`_solution_strata`).
-    The report records the tuples scanned, the package version and the time
+    tuple, in scan order.  A nonzero `generic_corank` has k distinct
+    positive rationals from random.Random(seed) as its `generic_witness`
+    (None at corank (0, 0)): Descartes' rule certifies it there
+    (`_solution_strata`), so no generic tuple is ranked.  The report records the tuples scanned, the package version and the time
     spent on the unity and the generic strata.  Labels with boundary orders
     j0 or jinf raise ValueError: the scan ranks finite tuples only.
     """
@@ -1239,8 +1241,8 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
 
     report.generic_corank = generic.corank
     if generic.corank != (0, 0):
-        witness = {"kind": "generic", "points": [str(x) for x in _distinct_points(random.Random(seed), label.k, positive=True)]}
-        report.found.setdefault(generic.corank, {"count": 0, "witness": witness})["count"] += 4
+        points = _distinct_points(random.Random(seed), label.k, positive=True)
+        report.generic_witness = {"kind": "generic", "points": [str(x) for x in points]}
     generic_done = time.perf_counter()
     report.timings = {"unity_s": unity_done - start, "generic_s": generic_done - unity_done}
 

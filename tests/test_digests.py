@@ -288,15 +288,15 @@ CLI_SETS = {
 }
 
 EXPECTED = {  # (report count, digest)
-    "symmetric_1013": (1013, "447c0d788eb8f9011c0ddf84eec4691277d407bdc254271eb5ee39bc9b78a752"),
-    "pairs_spread_5": (2 * 961 + 2 * 138, "7df8993958c8d834e59e0069a08b436feb572bee3f077fc464a58e508ab09f53"),
-    "pairs_spread_5_mixed": (138, "2bbdce6b9b8190b5e997f3e0d54332586f533ebf06bd6c8461c8d547183f35e1"),
+    "symmetric_1013": (1013, "cec0c96586e26a2b700c5884a2445ff3c6a73996558cb7818487684447141f54"),
+    "pairs_spread_5": (2 * 961 + 2 * 138, "566e205f62127a96105836a291da8d22b6dca59caed9dfb3eac282438aae34cb"),
+    "pairs_spread_5_mixed": (138, "ba74478855e9b24864b14a6d681f647420aead93945a421cbd4b90aaf2ac055f"),
     "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
     "codim_verify_cases": (6 * 40, "5c1969465155c3437fbb6216ef112fd0514cceba06ff07fcf2652a3dabb96d4e"),
     "codim_multiplicity_pairs": (3 * 138, "da35530ad370ed35addc3562e9211d38428fa1595e76e202c9a9775f5d11d5d8"),
-    "pairs_spread_5_no_closed_form": (5 * 138, "2476add54a2902c56ec8cae1cd34087d143a9c536b8ecdcbf99b7334b5955082"),
+    "pairs_spread_5_no_closed_form": (5 * 138, "5083c58defd8f9511b704c1b9fd62e9c3527dbf71404d5a0a8b7661aff0ce7eb"),
     "codim_label_pairs": (14 * 138, "c0ea613b10bf75efee1a5021c00da5c5938c8a3252d47695079ff9b7c3a531e7"),
-    "strata_scan_seeds": (2250, "1848fe3f24536c80e998945c13c29588f261e6949a635f1c735b7c24a55f1e94"),
+    "strata_scan_seeds": (2250, "0e4c898f972d13ac7e2a776bad4edff32d30d3eb7ff6d8a34316e90308d2c17f"),
 }
 
 

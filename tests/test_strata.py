@@ -591,8 +591,7 @@ class TestScan:
         for b1, b2, name, n_max in cases:
             p, label = pair(b1, b2), parse_label(name)
             rep = scan_corank_strata(p, label, n_max, seed=3)
-            found, generic = reference_scan(p, label, n_max, seed=3)
-            assert (rep.found, rep.generic_corank) == (found, generic), (b1, b2, name)
+            assert (rep.found, rep.generic_corank, rep.generic_witness) == reference_scan(p, label, n_max, seed=3), (b1, b2, name)
             assert rep.mismatches == []
 
     def test_scans_without_unity_tuples(self):
@@ -604,8 +603,8 @@ class TestScan:
                 p, label = pair(b1, b2), parse_label(name)
                 rep = scan_corank_strata(p, label, n_max, seed=2)
                 assert rep.configs_scanned == 0, (name, n_max)
-                assert all(v["witness"]["kind"] == "generic" for v in rep.found.values())
-                assert (rep.found, rep.generic_corank) == reference_scan(p, label, n_max, seed=2)
+                assert rep.found == {}
+                assert (rep.found, rep.generic_corank, rep.generic_witness) == reference_scan(p, label, n_max, seed=2)
                 assert json.loads(json.dumps(rep.to_json()))["configs_scanned"] == 0
 
     def test_single_root_scans(self):
@@ -616,7 +615,7 @@ class TestScan:
                 for n_max in (1, 12):
                     rep = scan_corank_strata(p, label, n_max, seed=4)
                     assert rep.configs_scanned == 1
-                    assert (rep.found, rep.generic_corank) == reference_scan(p, label, n_max, seed=4)
+                    assert (rep.found, rep.generic_corank, rep.generic_witness) == reference_scan(p, label, n_max, seed=4)
                     assert rep.mismatches == [], (name, b1, b2)
 
     def test_huge_exponents_match_python_int_reference(self):
@@ -625,9 +624,8 @@ class TestScan:
         # side has corank 1 at zeta_3, not 0
         p = pair((0, 2, 2**62 + 1), (0, 3))
         rep = scan_corank_strata(p, parse_label("N(1,1,1)"), 3)
-        assert list(rep.found) == [(1, 2), (0, 1)]
-        # at least k exponents a side, so the generic corank is (0, 0) and
-        # found holds unity strata only
+        assert (list(rep.found), rep.generic_corank) == ([(1, 2)], (0, 1))
+        # at least k exponents a side, so the generic corank is (0, 0)
         big = (2**62 + 1, 2**63 + 5, 2**64 + 1, -(2**70) - 1)
         cases = [((0, 2, b), (0, 3, 6)) for b in big] + [((0, 1, big[2]), (0, big[1], 2**66 + 4))]
         for b1, b2 in cases:
@@ -635,7 +633,7 @@ class TestScan:
                 p, label = pair(b1, b2), parse_label(name)
                 rep = scan_corank_strata(p, label, 12, seed=6)
                 assert rep.generic_corank == (0, 0)
-                want, _ = reference_scan(p, label, 12, seed=6, generic_tuples=False)
+                want, _, _ = reference_scan(p, label, 12, seed=6, generic_tuples=False)
                 assert rep.found == want, (b1, b2, name)
                 assert rep.mismatches == [], (b1, b2, name)
 
@@ -722,18 +720,14 @@ class PerTupleScan:
         broken = self.ns[:stop][(cork1 == 2) & ~gap_form].tolist() if self.k == 3 else []
         return strata, broken
 
-    def found(self, p, n_max, rep):
+    def found(self, p, n_max):
         """The scan's `found`: each nonzero corank pair with its count and
-        first witness, in order of first witness, then the four generic
-        tuples of the report rep under its generic corank."""
+        first witness, in order of first witness."""
         strata, _ = self.tally(p, n_max)
         out = {}
         for key, (count, i) in sorted(strata.items(), key=lambda item: item[1][1]):
             n, tup = self.configs[i]
             out[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
-        if rep.generic_corank != (0, 0):
-            witness = rep.found[rep.generic_corank]["witness"]
-            out.setdefault(rep.generic_corank, {"count": 0, "witness": witness})["count"] += 4
         return out
 
 
@@ -775,7 +769,7 @@ class TestCorankTally:
         for b in sups:
             p = SupportPair(b, b)
             rep = scan_corank_strata(p, label, 12, seed=5)
-            assert list(rep.found.items()) == list(oracle.found(p, 12, rep).items()), b.elements
+            assert list(rep.found.items()) == list(oracle.found(p, 12).items()), b.elements
             assert rep.mismatches == [] and oracle.tally(p, 12)[1] == [], b.elements
         assert len(sups) == 1013
 
@@ -797,7 +791,7 @@ class TestCorankTally:
         for b1, b2 in pairs[::97]:
             p = SupportPair(b1, b2)
             rep = scan_corank_strata(p, label, 12, seed=1)
-            assert list(rep.found.items()) == list(oracle.found(p, 12, rep).items()), (b1.elements, b2.elements)
+            assert list(rep.found.items()) == list(oracle.found(p, 12).items()), (b1.elements, b2.elements)
 
     def test_negative_and_huge_exponents(self):
         # residues and gap gcds of exponents past int64, and below zero
@@ -861,12 +855,13 @@ def reference_corank_elimination(b, exps, n, js):
 
 
 def reference_scan(p, label, n_max, seed, generic_tuples=True):
-    """The found strata and generic corank of scan_corank_strata, computed
-    one configuration and one side at a time: unity coranks from the
-    cyclotomic oracles, generic coranks by eliminating the four positive
-    witness tuples with corank_kernel.  generic_tuples=False leaves the
-    generic tuples out (their exact powers are out of reach for huge
-    exponents) and returns None for the generic corank."""
+    """The found strata, generic corank and generic witness of
+    scan_corank_strata, computed one configuration and one side at a time:
+    unity coranks from the cyclotomic oracles, generic coranks by
+    eliminating four positive tuples with corank_kernel, the first of them
+    the witness of a nonzero one.  generic_tuples=False leaves the generic
+    tuples out (their exact powers are out of reach for huge exponents) and
+    returns None for the generic corank and witness."""
     js = label.side_orders(1), label.side_orders(2)
     sides = (p.b1, p.b2)
     found = {}
@@ -883,7 +878,7 @@ def reference_scan(p, label, n_max, seed, generic_tuples=True):
         if key != (0, 0):
             note(key, {"kind": "unity", "n": n, "exponents": list(exps)})
     rng = random.Random(seed)
-    generic = None
+    generic = witness = None
     for _ in range(4 if generic_tuples else 0):
         pts = []
         while len(pts) < label.k:
@@ -893,10 +888,10 @@ def reference_scan(p, label, n_max, seed, generic_tuples=True):
         key = tuple(
             corank_kernel(multiplicity_vandermonde(b, pts, j))[0] for b, j in zip(sides, js)
         )
+        if generic is None and key != (0, 0):
+            witness = {"kind": "generic", "points": [str(x) for x in pts]}
         generic = key if generic is None else tuple(map(min, generic, key))
-        if key != (0, 0):
-            note(key, {"kind": "generic", "points": [str(x) for x in pts]})
-    return found, generic
+    return found, generic, witness
 
 
 def counted_certified_points(monkeypatch):
@@ -2111,7 +2106,7 @@ class TestUnityClasses:
                 want = []
                 for (c1, c2), val in scan_corank_strata(p, label, n_max).found.items():
                     witness = val["witness"]
-                    if witness["kind"] == "unity" and d1 + c1 > 0 and d2 + c2 > 0:
+                    if d1 + c1 > 0 and d2 + c2 > 0:
                         want.append((f"unity(n={witness['n']}, exps={witness['exponents']})", d1 + c1, d2 + c2, val["count"]))
                 assert got == want, (p, label, n_max)
                 listed += len(got)
