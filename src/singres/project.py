@@ -61,22 +61,18 @@ class GridConfig:
     rho_steps: int = 5
     theta_steps: int = 8
 
-    @functools.cached_property
+    @property
     def axes(self):
-        """(rhos, thetas), built on first read and read-only."""
+        """(rhos, thetas), built where they are read."""
         rhos = np.linspace(self.rho_min, self.rho_max, self.rho_steps)
-        thetas = np.linspace(0.0, 2 * np.pi, self.theta_steps, endpoint=False)
-        rhos.flags.writeable = thetas.flags.writeable = False
-        return rhos, thetas
+        return rhos, np.linspace(0.0, 2 * np.pi, self.theta_steps, endpoint=False)
 
-    @functools.cached_property
+    @property
     def points(self):
         """The axis points exp(rho + i theta), point r * theta_steps + s at
-        (rhos[r], thetas[s]); built on first read and read-only."""
+        (rhos[r], thetas[s]); `grid_scan` reads them once per call."""
         rhos, thetas = self.axes
-        p = np.exp(np.add.outer(rhos, 1j * thetas).ravel())
-        p.flags.writeable = False
-        return p
+        return np.exp(np.add.outer(rhos, 1j * thetas).ravel())
 
     def cell_coordinates(self, index):
         """(rho1, theta1, rho2, theta2) arrays of the cells `index`.  Cell

@@ -99,7 +99,7 @@ CLI_EXPECTED = {
     ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 270,
     ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 809,
     ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 858,
-    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 941,
+    ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 933,
 }
 
 
