@@ -1220,9 +1220,10 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     tuple, in scan order.  A nonzero `generic_corank` has k distinct
     positive rationals from random.Random(seed) as its `generic_witness`
     (None at corank (0, 0)): Descartes' rule certifies it there
-    (`_solution_strata`), so no generic tuple is ranked.  The report records the tuples scanned, the package version and the time
-    spent on the unity and the generic strata.  Labels with boundary orders
-    j0 or jinf raise ValueError: the scan ranks finite tuples only.
+    (`_solution_strata`), so no generic tuple is ranked.  The report
+    records the tuples scanned, the package version and the time spent on
+    the unity and the generic strata.  Labels with boundary orders j0 or
+    jinf raise ValueError: the scan ranks finite tuples only.
     """
     if label.k < 1 or label.k > 3:
         raise ValueError("scan supports labels with 1..3 roots")
