@@ -1,5 +1,5 @@
-"""Sparse multivariate polynomials over exact scalars and the Sylvester
-resultant of a support pair with symbolic coefficients.
+"""The Sylvester resultant of a support pair with symbolic coefficients,
+and `MPoly`, the sparse multivariate polynomial that holds it.
 
 Coefficient variables are named f<b> / g<b> after the exponents of the two
 supports.  The resultant is the determinant of the classical Sylvester
@@ -31,7 +31,10 @@ DEFAULT_DET_BOUND = 16
 
 
 class MPoly:
-    """Sparse multivariate polynomial: exponent tuples -> nonzero coefficients."""
+    """Sparse multivariate polynomial: exponent tuples -> nonzero
+    coefficients, the value type of `resultant_poly`.  It has no arithmetic:
+    the resultant is computed on packed monomials, and its readers
+    (`jacobian_vanishes`, `germs.slice_germ`) walk `terms`."""
 
     __slots__ = ("vars", "terms")
 
@@ -42,82 +45,6 @@ class MPoly:
             if c:
                 clean[tuple(exp)] = c
         self.terms = clean
-
-    @classmethod
-    def const(cls, vars, c):
-        return cls(vars, {(0,) * len(vars): c})
-
-    @classmethod
-    def var(cls, vars, name):
-        vars = tuple(vars)
-        i = vars.index(name)
-        exp = [0] * len(vars)
-        exp[i] = 1
-        return cls(vars, {tuple(exp): 1})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
-        return isinstance(other, MPoly) and self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.vars, other)
-        if isinstance(other, MPoly):
-            if other.vars != self.vars:
-                raise ValueError("mixed variable sets")
-            return other
-        return NotImplemented
-
-    def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(self.vars, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly(self.vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = MPoly.const(self.vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def to_json(self):
         return {

@@ -23,7 +23,7 @@ from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from .laurent import _covector, classify_point, homogenize
 from .minors import admissible_pairs, exponent_minor_vanishes, minors_split_equivalence_scan, power_minor_vanishes
-from .mpoly import MPoly, jacobian_vanishes, resultant_poly
+from .mpoly import jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
     StratumLabel,
@@ -70,23 +70,28 @@ def _pair(b1, b2):
 # --- individual checks -------------------------------------------------------
 
 
+def _matched_sign(r, terms):
+    """"+" when the resultant r has exactly the given terms, "-" when it has
+    their negatives, else None."""
+    if r.terms == terms:
+        return "+"
+    return "-" if r.terms == {e: -c for e, c in terms.items()} else None
+
+
 def check_closed_form_resultant():
-    pair = _pair((0, 1, 3), (0, 3))
-    r = resultant_poly(pair)
-    v = r.vars
-    a, b, c = (MPoly.var(v, n) for n in ("f3", "f1", "f0"))
-    d, e = (MPoly.var(v, n) for n in ("g3", "g0"))
-    expected = (a * e - c * d) ** 3 + b ** 3 * d ** 2 * e
-    ok = r == expected or r == -expected
-    return ok, {"matched_sign": "+" if r == expected else ("-" if r == -expected else None)}
+    r = resultant_poly(_pair((0, 1, 3), (0, 3)))
+    # (f3 g0 - f0 g3)^3 + f1^3 g3^2 g0, exponents over (f0, f1, f3, g0, g3)
+    sign = _matched_sign(
+        r, {(0, 0, 3, 3, 0): 1, (1, 0, 2, 2, 1): -3, (2, 0, 1, 1, 2): 3, (3, 0, 0, 0, 3): -1, (0, 3, 0, 1, 2): 1}
+    )
+    return sign is not None, {"matched_sign": sign}
 
 
 def check_degree_one_resultant():
-    pair = _pair((0, 1), (0, 1))
-    r = resultant_poly(pair)
+    r = resultant_poly(_pair((0, 1), (0, 1)))
     v = r.vars
-    expected = MPoly.var(v, "f1") * MPoly.var(v, "g0") - MPoly.var(v, "f0") * MPoly.var(v, "g1")
-    ok = r == expected or r == -expected
+    # f1 g0 - f0 g1, exponents over (f0, f1, g0, g1)
+    ok = _matched_sign(r, {(0, 1, 1, 0): 1, (1, 0, 0, 1): -1}) is not None
     origin = {name: 0 for name in v}
     ok = ok and jacobian_vanishes(r, origin)
     generic = {"f0": 1, "f1": 1, "g0": 1, "g1": 1}

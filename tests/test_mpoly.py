@@ -5,10 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from mpoly_oracle import RingPoly
 from singres.laurent import LaurentPoly, common_roots
 from singres.mpoly import (
     DEFAULT_DET_BOUND,
-    MPoly,
     _coefficient_vars,
     _divexact_packed,
     _divisor,
@@ -18,6 +18,7 @@ from singres.mpoly import (
     jacobian_vanishes,
     resultant_poly,
 )
+from singres import verify
 from singres.supports import SupportPair, SupportSet
 
 
@@ -48,7 +49,7 @@ def divexact(p, d):
 
 def substitute(poly, assignment):
     """Substitute scalars for a subset of the variables, in Fractions: an
-    MPoly over the same variable tuple, substituted variables at exponent 0."""
+    RingPoly over the same variable tuple, substituted variables at exponent 0."""
     idx = {poly.vars.index(name): value for name, value in assignment.items()}
     out = {}
     for e, c in poly.terms.items():
@@ -60,7 +61,7 @@ def substitute(poly, assignment):
                 ne[i] = 0
         key = tuple(ne)
         out[key] = out.get(key, 0) + val
-    return MPoly(poly.vars, out)
+    return RingPoly(poly.vars, out)
 
 
 def specialize(poly, assignment):
@@ -71,20 +72,20 @@ def specialize(poly, assignment):
 class TestMPoly:
     def test_arith(self):
         v = ("x", "y")
-        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
         p = (x + y) * (x - y)
         assert p == x * x - y * y
 
     def test_substitute_partial(self):
         v = ("x", "y")
-        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
         p = x * y + y
         q = substitute(p, {"x": Fraction(2)})
         assert q == 3 * y
 
     def test_json_format(self):
         v = ("x", "y")
-        p = MPoly.var(v, "x") ** 3 - Fraction(7, 2) * MPoly.var(v, "y")
+        p = RingPoly.var(v, "x") ** 3 - Fraction(7, 2) * RingPoly.var(v, "y")
         assert p.to_json() == {
             "vars": ["x", "y"],
             "terms": [{"exp": [0, 1], "coef": "-7/2"}, {"exp": [3, 0], "coef": "1"}],
@@ -92,13 +93,13 @@ class TestMPoly:
 
     def test_divexact(self):
         v = ("x", "y")
-        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
         p = (x + y) * (x * x + 3 * y)
         assert divexact(p, x + y) == x * x + 3 * y
 
     def test_divexact_one_term_divisor(self):
         v = ("x", "y", "z")
-        x, y, z = (MPoly.var(v, n) for n in v)
+        x, y, z = (RingPoly.var(v, n) for n in v)
         q = 2 * x**3 * z - 5 * y + 7 * x * y * z**2
         d = -3 * x**2 * y**4
         got = divexact(q * d, d)
@@ -107,17 +108,17 @@ class TestMPoly:
 
     def test_divexact_fraction_quotient(self):
         v = ("x", "y")
-        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
-        got = divexact(3 * x * y + 6 * y + 2, MPoly.const(v, 4))
+        x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
+        got = divexact(3 * x * y + 6 * y + 2, RingPoly.const(v, 4))
         assert got.terms == {(1, 1): Fraction(3, 4), (0, 1): Fraction(3, 2), (0, 0): Fraction(1, 2)}
         assert all(type(c) is Fraction for c in got.terms.values())
-        exact = divexact(4 * x * y - 8, MPoly.const(v, 4))
+        exact = divexact(4 * x * y - 8, RingPoly.const(v, 4))
         assert exact.terms == {(1, 1): 1, (0, 0): -2}
         assert all(type(c) is int for c in exact.terms.values())
 
     def test_divexact_errors(self):
         v = ("x", "y")
-        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
         with pytest.raises(ArithmeticError, match="inexact"):
             divexact(x * x + y, x + y)
         with pytest.raises(ArithmeticError, match="inexact"):
@@ -127,7 +128,7 @@ class TestMPoly:
         with pytest.raises(ArithmeticError, match="inexact"):
             divexact(x * y**2 + x, x**2 * y + x)
         with pytest.raises(ZeroDivisionError):
-            divexact(x, MPoly(v))
+            divexact(x, RingPoly(v))
 
 
 def _random_poly_with_root(rng, support, root):
@@ -195,7 +196,7 @@ def laplace_det(rows):
     """Reference determinant: cofactor expansion along the first row."""
     if len(rows) == 1:
         return rows[0][0]
-    acc = MPoly(rows[0][0].vars)
+    acc = RingPoly(rows[0][0].vars)
     for j, cell in enumerate(rows[0]):
         if cell:
             term = cell * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
@@ -206,7 +207,7 @@ def laplace_det(rows):
 @dataclass(frozen=True)
 class SylvesterMatrix:
     size: int
-    entries: tuple  # tuple of tuples of MPoly
+    entries: tuple  # tuple of tuples of RingPoly
     vars: tuple
 
 
@@ -228,14 +229,14 @@ def sylvester_matrix(pair: SupportPair) -> SylvesterMatrix:
         for t in range(degree + 1):
             b = support.min + degree - t
             if b in support:
-                row.append(MPoly.var(vars, f"{prefix}{b}"))
+                row.append(RingPoly.var(vars, f"{prefix}{b}"))
             else:
-                row.append(MPoly(vars))
+                row.append(RingPoly(vars))
         return row
 
     frow = coeff_row(pair.b1, "f", d1)
     grow = coeff_row(pair.b2, "g", d2)
-    zero = MPoly(vars)
+    zero = RingPoly(vars)
     entries = []
     for i in range(d2):
         entries.append(tuple([zero] * i + frow + [zero] * (size - d1 - 1 - i)))
@@ -245,7 +246,7 @@ def sylvester_matrix(pair: SupportPair) -> SylvesterMatrix:
 
 
 def determinant(entries, bound=DEFAULT_DET_BOUND):
-    """Reference determinant of a square MPoly matrix by fraction-free
+    """Reference determinant of a square RingPoly matrix by fraction-free
     elimination, the oracle for `resultant_poly`.
 
     Bareiss's recurrence a_ij <- (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) keeps
@@ -272,7 +273,7 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
-                return MPoly(vars)
+                return RingPoly(vars)
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         top = a[k]
@@ -303,10 +304,10 @@ class TestSylvester:
         names = [[next(iter(e.terms), None) for e in row] for row in syl.entries]
         # [[f1, f0], [g1, g0]] by descending x-degree
         v = syl.vars
-        assert syl.entries[0][0] == MPoly.var(v, "f1")
-        assert syl.entries[0][1] == MPoly.var(v, "f0")
-        assert syl.entries[1][0] == MPoly.var(v, "g1")
-        assert syl.entries[1][1] == MPoly.var(v, "g0")
+        assert syl.entries[0][0] == RingPoly.var(v, "f1")
+        assert syl.entries[0][1] == RingPoly.var(v, "f0")
+        assert syl.entries[1][0] == RingPoly.var(v, "g1")
+        assert syl.entries[1][1] == RingPoly.var(v, "g0")
 
     def test_gap_slots_zero(self):
         syl = sylvester_matrix(pair((0, 1, 3), (0, 3)))
@@ -323,9 +324,9 @@ class TestSylvester:
 
 
 def _random_entry(rng, vars, fractions):
-    """Sparse random MPoly of total degree at most 3, zero about a third of the time."""
+    """Sparse random RingPoly of total degree at most 3, zero about a third of the time."""
     if rng.random() < 0.35:
-        return MPoly(vars)
+        return RingPoly(vars)
     terms = {}
     for _ in range(rng.randint(1, 3)):
         exp = [0] * len(vars)
@@ -333,23 +334,42 @@ def _random_entry(rng, vars, fractions):
             exp[rng.randrange(len(vars))] += 1
         c = rng.choice((-3, -2, -1, 1, 2, 3))
         terms[tuple(exp)] = Fraction(c, rng.randint(1, 3)) if fractions else c
-    return MPoly(vars, terms)
+    return RingPoly(vars, terms)
 
 
 class TestResultant:
     def test_closed_form(self):
         r = resultant_poly(pair((0, 1, 3), (0, 3)))
         v = r.vars
-        a, b, c = (MPoly.var(v, n) for n in ("f3", "f1", "f0"))
-        d, e = (MPoly.var(v, n) for n in ("g3", "g0"))
+        a, b, c = (RingPoly.var(v, n) for n in ("f3", "f1", "f0"))
+        d, e = (RingPoly.var(v, n) for n in ("g3", "g0"))
         expected = (a * e - c * d) ** 3 + b**3 * d**2 * e
         assert r == expected or r == -expected
 
     def test_degree_one(self):
         r = resultant_poly(pair((0, 1), (0, 1)))
         v = r.vars
-        expected = MPoly.var(v, "f1") * MPoly.var(v, "g0") - MPoly.var(v, "f0") * MPoly.var(v, "g1")
+        expected = RingPoly.var(v, "f1") * RingPoly.var(v, "g0") - RingPoly.var(v, "f0") * RingPoly.var(v, "g1")
         assert r in (expected, -expected)
+
+    def test_verify_term_maps_are_the_closed_forms(self, monkeypatch):
+        # the two resultant checks of verify-paper compare r.terms with term
+        # maps written out by hand; fed the ring's expansions of the closed
+        # forms in place of resultant_poly, each check passes with the sign
+        # it is fed, and fails on a perturbed form
+        def closed_form(p):
+            x = {name: RingPoly.var(_coefficient_vars(p), name) for name in _coefficient_vars(p)}
+            if "f3" in x:
+                return (x["f3"] * x["g0"] - x["f0"] * x["g3"]) ** 3 + x["f1"] ** 3 * x["g3"] ** 2 * x["g0"]
+            return x["f1"] * x["g0"] - x["f0"] * x["g1"]
+
+        for sign, want in ((1, "+"), (-1, "-")):
+            monkeypatch.setattr(verify, "resultant_poly", lambda p: sign * closed_form(p))
+            assert verify.check_closed_form_resultant() == (True, {"matched_sign": want})
+            assert verify.check_degree_one_resultant() == (True, {})
+        monkeypatch.setattr(verify, "resultant_poly", lambda p: closed_form(p) + RingPoly.var(_coefficient_vars(p), "g0"))
+        assert verify.check_closed_form_resultant() == (False, {"matched_sign": None})
+        assert verify.check_degree_one_resultant() == (False, {})
 
     def test_size_bound(self):
         with pytest.raises(ValueError, match="determinant too large"):
@@ -473,13 +493,13 @@ class TestDeterminant:
         rng = random.Random(22)
         for n in (2, 4, 6):
             rows = self._matrix(rng, n)
-            rows[0][0] = MPoly(self.VARS)
-            rows[-1][0] = MPoly.var(self.VARS, "x")
+            rows[0][0] = RingPoly(self.VARS)
+            rows[-1][0] = RingPoly.var(self.VARS, "x")
             assert determinant(rows) == laplace_det(rows)
 
     def test_zero_pivot_mid_elimination(self):
         v = self.VARS
-        x, y, one, zero = MPoly.var(v, "x"), MPoly.var(v, "y"), MPoly.const(v, 1), MPoly(v)
+        x, y, one, zero = RingPoly.var(v, "x"), RingPoly.var(v, "y"), RingPoly.const(v, 1), RingPoly(v)
         # after the first step the (1, 1) entry is x*y - x*y = 0: a row swap at step 1
         rows = [[x, y, one], [x, y, zero], [one, zero, y]]
         got = determinant(rows)
@@ -488,14 +508,14 @@ class TestDeterminant:
 
     def test_fraction_entries(self):
         v = self.VARS
-        x, y = MPoly.var(v, "x"), MPoly.var(v, "y")
+        x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
         rows = [[Fraction(1, 2) * x, y], [Fraction(-2, 3) * y, 3 * x + Fraction(1, 5)]]
         assert determinant(rows) == Fraction(3, 2) * x * x + Fraction(1, 10) * x + Fraction(2, 3) * y * y
 
     def test_high_degree_entries(self):
         # entries of total degree 3 in one variable: exponents up to 2 * n * 3 while eliminating
         v = self.VARS
-        x, y, z = (MPoly.var(v, n) for n in v)
+        x, y, z = (RingPoly.var(v, n) for n in v)
         rows = [
             [x**3, y**3 + 1, z**3],
             [z**3 - x, x**3, 2 * y**3],
@@ -507,14 +527,14 @@ class TestDeterminant:
         rng = random.Random(23)
         for n in (2, 3, 5):
             rows = self._matrix(rng, n)
-            rows[1] = [MPoly.var(self.VARS, "y") * c for c in rows[0]]  # row 1 = y * row 0
+            rows[1] = [RingPoly.var(self.VARS, "y") * c for c in rows[0]]  # row 1 = y * row 0
             assert not determinant(rows).terms
-        empty_column = [[MPoly(self.VARS), MPoly.var(self.VARS, "x")]] * 2
+        empty_column = [[RingPoly(self.VARS), RingPoly.var(self.VARS, "x")]] * 2
         assert not determinant(empty_column).terms
 
     def test_one_by_one(self):
         v = self.VARS
-        cell = 2 * MPoly.var(v, "x") ** 3 - Fraction(1, 3)
+        cell = 2 * RingPoly.var(v, "x") ** 3 - Fraction(1, 3)
         assert determinant([[cell]]) == cell
         with pytest.raises(ValueError, match="determinant too large"):
             determinant([[cell]], bound=0)

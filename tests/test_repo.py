@@ -277,15 +277,25 @@ def test_every_public_method_is_read():
     assert [f"{module}: {cls}.{name}" for module, cls, name in defined if name not in read] == []
 
 
+# The operators that `_public_members` counts as public where a class body
+# defines them with `def`.
+OPERATORS = {
+    "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__", "__bool__", "__hash__", "__eq__",
+}
+
+
 def _public_members():
     """The qualified name, as `co_qualname` gives it, of every public method
-    or property of a class of the package, by module file name."""
+    or property, and every operator of OPERATORS, of a class of the package,
+    by module file name.  An operator bound as an alias (`__radd__ =
+    __add__`) runs under the name of the function it names, so it is
+    checked as that function."""
     members = {}
     for path in sorted(Path(singres.__file__).parent.glob("*.py")):
         for cls in ast.parse(path.read_text()).body:
             if isinstance(cls, ast.ClassDef):
                 for node in cls.body:
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (not node.name.startswith("_") or node.name in OPERATORS):
                         members.setdefault(path.name, set()).add(f"{cls.name}.{node.name}")
     return members
 
