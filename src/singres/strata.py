@@ -616,9 +616,10 @@ def _solution_strata(pair, sides, n_max, seed):
     generic, unity (root-of-unity tuples with n <= n_max) and minor_curve
     in that order, the last two only when the label has roots.  A stratum's
     solution space has dimension kd1 + kd2 + r when both side kernels are
-    nonempty and is empty otherwise.  samples counts the kind's exact
-    decisions: 1, every tuple of the table at k >= 2 (the tuple (1,) of k =
-    1 is a generic point), and every decided branch class of the curves,
+    nonempty and is empty otherwise.  At k = 1 the table's one tuple (1,) is
+    a positive point, so of the generic stratum, and the unity kind is
+    empty.  samples counts the kind's exact decisions: 1, every tuple of the
+    table at k >= 2, and every decided branch class of the curves,
     drawn from random.Random(seed), which no other kind reads.  A kind is
     computed only when a caller reaches it: the scan stops after unity.
 
@@ -652,7 +653,7 @@ def _solution_strata(pair, sides, n_max, seed):
     d1, d2 = d = _generic_kernel_dims(sides)
     yield "generic", [_Stratum("generic", "generic" if k else "coordinate-subspace", (max(d1, 0), max(d2, 0)), (max(-d1, 0), max(-d2, 0)), k, {})], 1
     if k:
-        yield "unity", _unity_strata(sides, n_max, d), len(_scan_table(k, n_max)[2]) if k > 1 else 0
+        yield "unity", *((_unity_strata(sides, n_max, d), len(_scan_table(k, n_max)[2])) if k > 1 else ([], 0))
         yield "minor_curve", *(_curve_strata(pair, sides, d, random.Random(seed)) if k == 3 else ([], 0))
 
 
@@ -683,21 +684,15 @@ def _unity_strata(sides, n_max, d):
 
     So a stratum depends on its tuple only through the coranks.  The class
     (0, 0) has kd_s = d_s, so it is empty or of dimension d1 + d2 + 1 < d1
-    + d2 + k (k >= 2), inside the generic stratum's closure; at k = 1 the
-    tuple (1,) is a positive point, of the generic class.
+    + d2 + k (k >= 2), inside the generic stratum's closure.  Called at k >=
+    2 only (`_solution_strata`).
     """
     if sides[0].support is None or sides[1].support is None:
         return []
-    k = len(sides[0].js)
-    configs = _scan_table(k, n_max)[2]
-    if k == 1:
-        corank = (max(-d[0], 0), max(-d[1], 0))
-        classes = {corank: (1, 0)} if configs and corank != (0, 0) else {}
-    else:
-        classes = _corank_classes(sides, n_max)
+    configs = _scan_table(len(sides[0].js), n_max)[2]
     return [
         _Stratum("unity", f"unity(n={configs[first][0]}, exps={list(configs[first][1])})", (d[0] + c1, d[1] + c2), (c1, c2), 1, {"tuples": count}, configs[first])
-        for (c1, c2), (count, first) in classes.items()
+        for (c1, c2), (count, first) in _corank_classes(sides, n_max).items()
     ]
 
 
@@ -1233,8 +1228,7 @@ def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, 
     report = ScanSReport(pair.to_json(), label.notation(), n_max)
     sides = _sides(pair, label)
     kinds = _solution_strata(pair, sides, n_max, seed)
-    (_, (generic,), _), (_, classes, _) = next(kinds), next(kinds)
-    report.configs_scanned = len(_scan_table(label.k, n_max)[2])
+    (_, (generic,), _), (_, classes, report.configs_scanned) = next(kinds), next(kinds)
     for stratum in classes:
         n, tup = stratum.at
         report.found[stratum.corank] = {"count": stratum.fields["tuples"], "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}

@@ -294,7 +294,7 @@ EXPECTED = {  # (report count, digest)
     "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
     "codim_verify_cases": (6 * 40, "5c1969465155c3437fbb6216ef112fd0514cceba06ff07fcf2652a3dabb96d4e"),
     "codim_multiplicity_pairs": (3 * 138, "da35530ad370ed35addc3562e9211d38428fa1595e76e202c9a9775f5d11d5d8"),
-    "pairs_spread_5_no_closed_form": (5 * 138, "5083c58defd8f9511b704c1b9fd62e9c3527dbf71404d5a0a8b7661aff0ce7eb"),
+    "pairs_spread_5_no_closed_form": (5 * 138, "4bf6f76bd0cb2fdd8c78ed3dac3b95c0c17e3c407092586bd22218f71ff40d06"),
     "codim_label_pairs": (14 * 138, "c0ea613b10bf75efee1a5021c00da5c5938c8a3252d47695079ff9b7c3a531e7"),
     "strata_scan_seeds": (2250, "0e4c898f972d13ac7e2a776bad4edff32d30d3eb7ff6d8a34316e90308d2c17f"),
 }

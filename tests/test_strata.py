@@ -607,13 +607,14 @@ class TestScan:
                 assert json.loads(json.dumps(rep.to_json()))["configs_scanned"] == 0
 
     def test_single_root_scans(self):
-        # k = 1 ranks the one projectivized tuple (1,), n = 1, whatever n_max
+        # k = 1 ranks no tuple, whatever n_max: the table's one tuple (1,),
+        # n = 1, is a positive point, of the generic stratum
         for name in ("N(1)", "N(2)", "N(3)", "N(1;2)"):
             for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1), (0, 2, 5, 6)), ((-4, 2), (0, 2))]:
                 p, label = pair(b1, b2), parse_label(name)
                 for n_max in (1, 12):
                     rep = scan_corank_strata(p, label, n_max, seed=4)
-                    assert rep.configs_scanned == 1
+                    assert (rep.configs_scanned, rep.found) == (0, {})
                     assert (rep.found, rep.generic_corank, rep.generic_witness) == reference_scan(p, label, n_max, seed=4)
                     assert rep.mismatches == [], (name, b1, b2)
 
@@ -868,8 +869,7 @@ def reference_scan(p, label, n_max, seed, generic_tuples=True):
     def note(key, payload):
         found.setdefault(key, {"count": 0, "witness": payload})["count"] += 1
 
-    configs = [(1, (0,))] if label.k == 1 else unity_configs(label.k, n_max)
-    for n, exps in configs:
+    for n, exps in unity_configs(label.k, n_max):  # none at k = 1, whose (1,) is a generic point
         if all(j == 1 for j in js[0] + js[1]):
             key = tuple(reference_corank_monomial(b.elements, exps, n) for b in sides)
         else:
@@ -2147,7 +2147,7 @@ class TestSolutionStrata:
         "N(1)": ("generic",),
         "N(1,1)": ("generic", "unity"),
         "N(2)": ("generic",),
-        "N(3)": ("generic", "unity"),
+        "N(3)": ("generic",),
         "N(1,1,1)": KINDS,
         "N(2,2)": ("generic", "unity"),
         "N(2,2;1,1)": ("generic", "unity"),
@@ -2184,9 +2184,10 @@ class TestSolutionStrata:
 
     @pytest.mark.parametrize("name", ["symmetric_1013", "pairs_spread_5", "pairs_spread_5_mixed", "pairs_spread_5_no_closed_form"])
     def test_scan_keys_are_the_nonzero_coranks(self, name):
-        # every scan of the digest sets: found's keys are the nonzero kd - d
-        # of the root-of-unity strata in order, then of the generic stratum,
-        # d the generic kernel dimensions; the minor-curve kind is not reached
+        # every scan of the digest sets: found's keys are the kd - d of the
+        # root-of-unity strata in order, each nonzero, and generic_corank is
+        # the generic stratum's, d the generic kernel dimensions; the
+        # minor-curve kind is not reached
         for rep in SETS[name]():
             p, label = cli._pair(rep.pair), parse_label(rep.label)
             sides = _sides(p, label)
@@ -2194,7 +2195,7 @@ class TestSolutionStrata:
             strata = [stratum for _, batch, _ in itertools.islice(_solution_strata(p, sides, rep.n_max, 0), 2) for stratum in batch]
             coranks = [tuple(kd - ds for kd, ds in zip(stratum.kd, d)) for stratum in strata]
             assert coranks == [stratum.corank for stratum in strata]
-            assert list(rep.found) == list(dict.fromkeys(c for c in coranks[1:] + coranks[:1] if c != (0, 0)))
+            assert list(rep.found) == coranks[1:] and (0, 0) not in rep.found
             assert rep.generic_corank == coranks[0]
 
     def test_codim_invariant_under_reflection_swap_and_translation(self):
