@@ -21,8 +21,8 @@ r where it builds them, with no sampling and no floating point:
   branches (`_minor_certificates`); a curve out of the certificate's reach
   is listed undecided with its reason, never dropped.
 The estimator reports the ambient dimension minus the largest stratum
-dimension, an upper bound on the codimension (the claimed lower bound is
-heuristic).  The scan reports the strata's nonzero side coranks, never
+dimension, an upper bound on the codimension, as every listed dimension
+is realized.  The scan reports the strata's nonzero side coranks, never
 computes a curve, and takes from its seed only the generic witness.
 Every multiplicity Vandermonde mod p, at a root-of-unity tuple under a
 split prime or at a point of a minor curve in F_p^*, comes from one
@@ -370,8 +370,9 @@ def sample_filtration_subset(pair: SupportPair, label: StratumLabel, seed=0):
 class CodimEstimate:
     """Codimension report for one filtration subset.
 
-    best_dim_found is the certified side (a dimension actually realized);
-    codim_lower_bound_claimed = ambient - best_dim_found is heuristic.
+    best_dim_found is the largest certified stratum dimension, a dimension
+    the subset realizes, so `estimate` = ambient_dim - best_dim_found,
+    reported once as codim_estimate, bounds the codimension from above.
     `details` maps each listed stratum to its report fields
     (`_Stratum.details`): a decided one to its kd1, kd2 and r, a
     root-of-unity class also to its tuple count, a minor curve to its
@@ -405,8 +406,6 @@ class CodimEstimate:
             "ambient_dim": self.ambient_dim,
             "best_dim_found": self.best_dim_found,
             "codim_estimate": self.estimate,
-            "codim_lower_bound_claimed": self.estimate,
-            "heuristic_lower_bound": True,
             "components_probed": [component(desc, dim) for desc, dim in self.components_probed],
             "sample_count": self.sample_count,
             "seed": self.seed,

@@ -97,7 +97,7 @@ CLI_EXPECTED = {
     ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 874,
     ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 480,
     ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 270,
-    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 809,
+    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 803,
     ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 855,
     ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 933,
 }

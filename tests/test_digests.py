@@ -292,10 +292,10 @@ EXPECTED = {  # (report count, digest)
     "pairs_spread_5": (2 * 961 + 2 * 138, "566e205f62127a96105836a291da8d22b6dca59caed9dfb3eac282438aae34cb"),
     "pairs_spread_5_mixed": (138, "ba74478855e9b24864b14a6d681f647420aead93945a421cbd4b90aaf2ac055f"),
     "verify_paper": (10, "a34336cf6047b391bedb6ad9516879981193e3300823a1e8c22b2b1bd8f86a36"),
-    "codim_verify_cases": (6 * 40, "5c1969465155c3437fbb6216ef112fd0514cceba06ff07fcf2652a3dabb96d4e"),
-    "codim_multiplicity_pairs": (3 * 138, "da35530ad370ed35addc3562e9211d38428fa1595e76e202c9a9775f5d11d5d8"),
+    "codim_verify_cases": (6 * 40, "52abfbca14abad37d1f095d2ac93227f0c8dbfda30658518baa6bdec1ecc8eb6"),
+    "codim_multiplicity_pairs": (3 * 138, "7f7bb25bfd371cdff43183893390962bac7b514fd7dd6979add0169c4ff9912c"),
     "pairs_spread_5_no_closed_form": (5 * 138, "4bf6f76bd0cb2fdd8c78ed3dac3b95c0c17e3c407092586bd22218f71ff40d06"),
-    "codim_label_pairs": (14 * 138, "c0ea613b10bf75efee1a5021c00da5c5938c8a3252d47695079ff9b7c3a531e7"),
+    "codim_label_pairs": (14 * 138, "594891b289e67cb96df2cf742946af459b40ac2deb00e03aeaa3e165ef9bace3"),
     "strata_scan_seeds": (2250, "0e4c898f972d13ac7e2a776bad4edff32d30d3eb7ff6d8a34316e90308d2c17f"),
 }
 
