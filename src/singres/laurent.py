@@ -161,19 +161,21 @@ def homogenize(f: LaurentPoly):
 
 
 def _end_orders(f: LaurentPoly, exact: bool, tol) -> tuple:
-    """The vanishing orders of a nonzero f's homogenized form at 0 and at
-    infinity: the number of zero coefficients from each end of the convex
-    hull (exact scalars exactly, floats within `tol` times the largest
-    modulus), both from one pass over the coefficients.  The float path
-    cuts its forms at these orders too (`_numeric_common_roots`)."""
+    """(order at 0, order at infinity, scale) of a nonzero f's homogenized
+    form: the number of zero coefficients from each end of the convex hull
+    (exact scalars exactly, floats within `tol` times the largest modulus),
+    both from one pass over the coefficients, and that largest modulus
+    (None for exact scalars).  The float path cuts its forms at these
+    orders and divides them by the scale (`_numeric_common_roots`)."""
     if exact:
-        live = [b for b, c in f.coeffs.items() if c]
+        live, scale = [b for b, c in f.coeffs.items() if c], None
     else:
-        cut = tol * max(max(abs(complex(c)) for c in f.coeffs.values()), 1e-300)
+        scale = max(abs(complex(c)) for c in f.coeffs.values())
+        cut = tol * max(scale, 1e-300)
         live = [b for b, c in f.coeffs.items() if abs(complex(c)) > cut]
         if not live:
             raise ValueError("polynomial is numerically zero")
-    return min(live) - f.support.min, f.support.max - max(live)
+    return min(live) - f.support.min, f.support.max - max(live), scale
 
 
 def _exact_finite_common_roots(f: LaurentPoly, g: LaurentPoly):
@@ -297,12 +299,12 @@ def _reconstruct(x, m, bound_n, bound_d):
 
 def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, ends, tol):
     """Float path: cluster the roots of both forms, each cut at its end
-    orders ends = ((ord_0 f, ord_inf f), (ord_0 g, ord_inf g)) of
-    `_end_orders`, and intersect clusters."""
+    orders and divided by its scale, ends = ((ord_0 f, ord_inf f, scale f),
+    (ord_0 g, ord_inf g, scale g)) of `_end_orders`, and intersect
+    clusters."""
 
-    def clusters(poly: LaurentPoly, lo, hi):
+    def clusters(poly: LaurentPoly, lo, hi, scale):
         form = [complex(c) for c in homogenize(poly)]
-        scale = max(abs(c) for c in form)
         finite = [c / scale for c in form[lo : len(form) - hi]]
         roots = list(np.roots(list(reversed(finite)))) if len(finite) > 1 else []
         groups = []
@@ -338,7 +340,7 @@ def common_roots(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL):
     if f.is_zero or g.is_zero:
         raise ValueError("common roots of a zero polynomial are undefined")
     exact = f.is_exact, g.is_exact
-    ends = (o0f, oif), (o0g, oig) = _end_orders(f, exact[0], tol), _end_orders(g, exact[1], tol)
+    ends = (o0f, oif, _), (o0g, oig, _) = _end_orders(f, exact[0], tol), _end_orders(g, exact[1], tol)
     records = [
         RootRecord(point, a, b)
         for point, a, b in ((ProjPoint.zero(), o0f, o0g), (ProjPoint.infinity(), oif, oig))
