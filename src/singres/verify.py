@@ -207,12 +207,16 @@ def _normalized_supports(max_spread):
     return out
 
 
-def check_corank2_dichotomy(max_spread=10, n_max=12):
+DICHOTOMY_MAX_SPREAD = 10  # the largest support spread checked
+DICHOTOMY_N_MAX = 12  # the scans' largest root-of-unity order
+
+
+def check_corank2_dichotomy():
     label = StratumLabel.symmetric(0, 0, (1, 1, 1))
-    supports = _normalized_supports(max_spread)
+    supports = _normalized_supports(DICHOTOMY_MAX_SPREAD)
     bad = []
     for b in supports:
-        rep = scan_corank_strata(SupportPair(b, b), label, n_max)
+        rep = scan_corank_strata(SupportPair(b, b), label, DICHOTOMY_N_MAX)
         observed = rep.side_observed(1, 2)
         predicted = gap_gcd(b) >= 3
         if observed != predicted:
@@ -261,7 +265,10 @@ def _partitions_up_to(total, minimum=1):
             yield (first,) + rest
 
 
-def check_stratum_order(seed=11):
+STRATUM_ORDER_SEED = 11  # the first of the 20 sampler seeds
+
+
+def check_stratum_order():
     ok = True
     details = {}
     boundary = parse_label("N_1^0(1)")
@@ -278,14 +285,14 @@ def check_stratum_order(seed=11):
     loose = parse_label("N(2,1;1,1)")
     sampled = 0
     for s in range(20):
-        drawn = sample_filtration_subset(classical, tight, seed=seed + s)
+        drawn = sample_filtration_subset(classical, tight, seed=STRATUM_ORDER_SEED + s)
         if drawn is None:
             continue
         f, g, _ = drawn
         sampled += 1
         if not in_filtration_subset(f, g, loose):
             ok = False
-            details["inclusion_failure_seed"] = seed + s
+            details["inclusion_failure_seed"] = STRATUM_ORDER_SEED + s
     details["inclusion_samples"] = sampled
     ok = ok and sampled >= 5
 
@@ -314,7 +321,11 @@ def check_stratum_order(seed=11):
     return ok, details
 
 
-def check_point_classifier(per_scenario=67, seed=23):
+CLASSIFIER_PER_SCENARIO = 67  # constructions per scenario and support family
+CLASSIFIER_SEED = 23
+
+
+def check_point_classifier():
     """>= 200 constructed pairs per support family, across the three
     scenarios N(1), N(1,1) and N(2) (one simple root, two simple roots, a
     double root), drawn by the filtration-subset sampler.  Every side has at
@@ -327,13 +338,13 @@ def check_point_classifier(per_scenario=67, seed=23):
     ]
     names = (("N(1)", "SmoothPoint"), ("N(1,1)", "NodeA1"), ("N(2)", "MultipleRoot"))
     scenarios = {parse_label(name): want for name, want in names}
-    rng = random.Random(seed)
+    rng = random.Random(CLASSIFIER_SEED)
     mis = []
     counts = dict.fromkeys(scenarios.values(), 0)
     for fam in families:
         pair = _pair(*fam)
         done = dict.fromkeys(scenarios, 0)
-        while min(done.values()) < per_scenario:
+        while min(done.values()) < CLASSIFIER_PER_SCENARIO:
             label = min(done, key=done.get)
             want = scenarios[label]
             f, g, pts = _draw_filtration_pair(pair, label, rng)
