@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from mpoly_oracle import RingPoly
+from singres import verify
 from singres.laurent import LaurentPoly, common_roots
 from singres.mpoly import (
     DEFAULT_DET_BOUND,
@@ -18,7 +19,6 @@ from singres.mpoly import (
     jacobian_vanishes,
     resultant_poly,
 )
-from singres import verify
 from singres.supports import SupportPair, SupportSet
 
 
