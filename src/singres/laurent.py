@@ -165,8 +165,9 @@ def _end_orders(f: LaurentPoly, exact: bool, tol) -> tuple:
     form: the number of zero coefficients from each end of the convex hull
     (exact scalars exactly, floats within `tol` times the largest modulus),
     both from one pass over the coefficients, and that largest modulus
-    (None for exact scalars).  The float path cuts its forms at these
-    orders and divides them by the scale (`_numeric_common_roots`)."""
+    (None for exact scalars, which the exact path never scales).  The
+    float path cuts its forms at these orders and divides them by the
+    scale (`_numeric_common_roots`)."""
     if exact:
         live, scale = [b for b, c in f.coeffs.items() if c], None
     else:
@@ -301,10 +302,13 @@ def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, ends, tol):
     """Float path: cluster the roots of both forms, each cut at its end
     orders and divided by its scale, ends = ((ord_0 f, ord_inf f, scale f),
     (ord_0 g, ord_inf g, scale g)) of `_end_orders`, and intersect
-    clusters."""
+    clusters.  An exact form beside a float one comes with no scale, and
+    its largest modulus is taken here."""
 
     def clusters(poly: LaurentPoly, lo, hi, scale):
         form = [complex(c) for c in homogenize(poly)]
+        if scale is None:
+            scale = max(map(abs, form))
         finite = [c / scale for c in form[lo : len(form) - hi]]
         roots = list(np.roots(list(reversed(finite)))) if len(finite) > 1 else []
         groups = []

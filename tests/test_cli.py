@@ -98,6 +98,17 @@ class TestPointAndGerm:
         assert code == 0
         assert json.loads(out)["classification"]["tag"] == "SmoothPoint"
 
+    def test_point_classify_exact_beside_complex(self, capsys, tmp_path):
+        payload = {
+            "f": {"support": [0, 1], "coeffs": {"0": 1, "1": -1}},
+            "g": {"support": [0, 1], "coeffs": {"0": [-1, 0], "1": [1, 0]}},
+        }
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, "point-classify", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["classification"] == {"reason": None, "tag": "SmoothPoint"}
+
     def test_germ_classify(self, capsys, tmp_path):
         payload = {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}]}
         path = tmp_path / "germ.json"

@@ -226,6 +226,16 @@ class TestCommonRoots:
         assert len(recs) == 1
         assert abs(recs[0].point.value - 1) < 1e-6
 
+    def test_mixed_exact_and_float_pair(self):
+        # one exact and one complex form take the float path, each divided by its largest modulus
+        f = lp((0, 1, 2), {0: 2000, 1: -3000, 2: 1000})
+        g = lp((-1, 0, 1), {-1: complex(3), 0: complex(-4), 1: complex(1)})
+        for a, b in ((f, g), (g, f)):
+            (rec,) = common_roots(a, b)
+            assert abs(rec.point.value - 1) < 1e-6 and (rec.ord1, rec.ord2) == (1, 1)
+        cubic = lp((0, 1, 2, 3), {0: complex(2), 1: complex(-1), 2: complex(-2), 3: complex(1)})
+        assert classify_point(f, cubic).tag == classify_point(cubic, f).tag == "NodeA1"
+
 
 def reference_covector(f, g, x):
     """The branch covector term by term in Fractions: g'(x) x^i, i in B1,
