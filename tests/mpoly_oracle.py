@@ -18,7 +18,7 @@ from singres.mpoly import MPoly
 class RingPoly(MPoly):
     """An `MPoly` with +, -, * and ** over one variable tuple; int and
     Fraction scalars act as constants.  Equal to any `MPoly` of the same
-    variables and terms, or to a scalar as a constant."""
+    variables and terms."""
 
     __slots__ = ()
 
@@ -37,52 +37,27 @@ class RingPoly(MPoly):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RingPoly.const(self.vars, other)
-        return isinstance(other, MPoly) and self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return self.vars == other.vars and self.terms == other.terms
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RingPoly.const(self.vars, other)
-        if isinstance(other, MPoly):
-            if other.vars != self.vars:
-                raise ValueError("mixed variable sets")
-            return other
-        return NotImplemented
+        return RingPoly.const(self.vars, other) if isinstance(other, (int, Fraction)) else other
 
     def __neg__(self):
         return RingPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         out = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in self._coerce(other).terms.items():
             out[e] = out.get(e, 0) + c
         return RingPoly(self.vars, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RingPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
+        other, out = self._coerce(other), {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
