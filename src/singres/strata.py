@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -370,43 +370,37 @@ def sample_filtration_subset(pair: SupportPair, label: StratumLabel, seed=0):
 class CodimEstimate:
     """Codimension report for one filtration subset.
 
-    best_dim_found is the largest certified stratum dimension, a dimension
-    the subset realizes, so `estimate` = ambient_dim - best_dim_found,
-    reported once as codim_estimate, bounds the codimension from above.
-    `details` maps each listed stratum to its report fields
-    (`_Stratum.details`): a decided one to its kd1, kd2 and r, a
-    root-of-unity class also to its tuple count, a minor curve to its
-    triple count and certificate; a minor curve left undecided, listed with
-    dimension None, to its triple count and the `reason`.  `timings` gives
-    the seconds spent on each kind of stratum.
+    `strata` holds the listed `_Stratum` records in enumeration order, and
+    each writes its own report entry (`_Stratum.entry`).  best_dim_found is
+    their largest certified dimension, a dimension the subset realizes, so
+    `estimate` = ambient_dim - best_dim_found, reported once as
+    codim_estimate, bounds the codimension from above.  `timings` gives the
+    seconds spent on each kind of stratum.
     """
 
     ambient_dim: int
-    best_dim_found: int | None
-    components_probed: list = field(default_factory=list)
+    strata: list = field(default_factory=list)
     sample_count: int = 0
     seed: int = 0
     label: str = ""
     pair: dict | None = None
-    details: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     @property
+    def best_dim_found(self):
+        return max([dim for stratum in self.strata if (dim := stratum.dim) is not None], default=None)
+
+    @property
     def estimate(self):
-        if self.best_dim_found is None:
-            return None
-        return self.ambient_dim - self.best_dim_found
+        best = self.best_dim_found
+        return None if best is None else self.ambient_dim - best
 
     def to_json(self):
-        def component(desc, dim):
-            fields = self.details.get(desc, {})
-            return {"component": desc, "dim_found": dim, "exact": "reason" not in fields, **fields}
-
         return {
             "ambient_dim": self.ambient_dim,
             "best_dim_found": self.best_dim_found,
             "codim_estimate": self.estimate,
-            "components_probed": [component(desc, dim) for desc, dim in self.components_probed],
+            "components_probed": [stratum.entry() for stratum in self.strata],
             "sample_count": self.sample_count,
             "seed": self.seed,
             "label": self.label,
@@ -427,10 +421,10 @@ def _generic_kernel_dims(sides):
 @lru_cache(maxsize=None)
 def _scan_table(k, n_max):
     """The projectivized root-of-unity tuples (x1 = 1) of k points with n <=
-    n_max, in scan order: (ns, exps, configs) with configs the (n, (0, p[,
-    q])) with 0 < p [< q] < n and gcd(n, p[, q]) = 1, in (n, p, q) order, ns
-    the read-only modulus array and exps the read-only (len(configs), k)
-    exponent array.  A single root is the one tuple (1,), n = 1.
+    n_max, in scan order: (ns, exps, configs, moduli) with configs the (n,
+    (0, p[, q])) with 0 < p [< q] < n and gcd(n, p[, q]) = 1, in (n, p, q)
+    order, moduli {n: the configs at n} in increasing n, ns the read-only
+    modulus array and exps the read-only (len(configs), k) exponent array.
 
     Lemma.  Each tuple appears once, at the least n that gives it.  Proof:
     (1, zeta_n^p, zeta_n^q) = (1, zeta_m^(p/d), zeta_m^(q/d)) with d =
@@ -449,13 +443,13 @@ def _scan_table(k, n_max):
     exps = np.array([e for _, e in configs], dtype=np.int64).reshape(len(configs), k)
     ns.setflags(write=False)
     exps.setflags(write=False)
-    return ns, exps, configs
+    return ns, exps, configs, {n: tuple(group) for n, group in groupby(configs, lambda config: config[0])}
 
 
 def _classes_of(groups):
-    """{key: (count, first scan index)} from (key, size, first scan index)
-    groups in scan order: a class sums its groups' sizes and keeps the first
-    index that met it, so the dict comes in scan order with no sort."""
+    """{key: (count, first tuple)} from (key, size, first tuple) groups in
+    scan order: a class sums its groups' sizes and keeps the first tuple
+    that met it, so the dict comes in scan order with no sort."""
     classes = {}
     for key, size, first in groups:
         count, least = classes.get(key, (0, first))
@@ -464,44 +458,30 @@ def _classes_of(groups):
 
 
 @lru_cache(maxsize=None)
-def _modulus_slices(k, n_max):
-    """{n: (first, stop)} for every modulus n of _scan_table(k, n_max), in
-    increasing n: configs[first:stop] are the tuples at n."""
-    configs = _scan_table(k, n_max)[2]
-    out = {}
-    for i, (n, _) in enumerate(configs):
-        out[n] = (out[n][0] if n in out else i, i + 1)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _tuple_groups(k, n_max, n, h1, h2):
     """The tuples of _scan_table(k, n_max) at modulus n grouped by their
-    gap flags at h1 and h2: ((flag1, flag2), size, first scan index) per
-    group, in order of first index.  Read only by `_modulus_classes`, once
+    gap flags at h1 and h2: ((flag1, flag2), size, first tuple) per group,
+    in scan order of first tuple.  Read only by `_modulus_classes`, once
     per (n, h1, h2) whatever the residue counts.
 
     A tuple's flag at h is gap_root(h, p, q), with x = zeta_n^p, y =
     zeta_n^q the power rows of an order-1 side's matrix M(B; x, y)
-    (`minors._rank`): (p, q) for k = 3, (p, p) for k = 2 and (0, 0) for
-    k = 1.
+    (`minors._rank`): (p, q) for k = 3 and (p, p) for k = 2.
     """
-    configs = _scan_table(k, n_max)[2]
-    first, stop = _modulus_slices(k, n_max)[n]
     tuples = []
-    for i in range(first, stop):
-        tup = configs[i][1]
-        p, q = tup[min(k, 2) - 1], tup[k - 1]
-        tuples.append(((gap_root(h1, p, q), gap_root(h2, p, q)), 1, i))
-    return tuple((key, size, least) for key, (size, least) in _classes_of(tuples).items())
+    for config in _scan_table(k, n_max)[3][n]:
+        exps = config[1]
+        p, q = exps[1], exps[-1]
+        tuples.append(((gap_root(h1, p, q), gap_root(h2, p, q)), 1, config))
+    return tuple((key, size, first) for key, (size, first) in _classes_of(tuples).items())
 
 
 @lru_cache(maxsize=None)
 def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
     """The nonzero corank classes of the tuples of _scan_table(k, n_max) at
     modulus n, for sides with the table values c_s and h_s = n/gcd(n, g_s)
-    of `_corank_tally`: ((c1', c2'), size, first scan index) per class, in
-    order of first index.
+    of `_corank_tally`: ((c1', c2'), size, first tuple) per class, in scan
+    order of first tuple.
 
     The rank lemma's last step (`minors._rank`) runs once per group of
     `_tuple_groups` here, and every scan that meets the same key reads the
@@ -513,14 +493,13 @@ def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
         key = (k - int(_rank(c1, flag1)), k - int(_rank(c2, flag2)))
         if key != (0, 0):
             groups.append((key, size, first))
-    return tuple((key, count, least) for key, (count, least) in _classes_of(groups).items())
+    return tuple((key, count, first) for key, (count, first) in _classes_of(groups).items())
 
 
 def _corank_tally(sides, n_max):
     """The `_corank_classes` of a label whose sides have a closed-form rank
     (orders all 1, or (2, 1) or (1, 2) at k = 2), from per-modulus class
-    tables: {(c1, c2): (count, first scan index)} for every nonzero corank
-    pair.
+    tables: {(c1, c2): (count, first tuple)} for every nonzero corank pair.
     Per modulus n a request computes the table values (`_table_values`) c_s
     and h_s = n/gcd(n, g_s) for each distinct side, g_s the gap gcd of its
     effective support B_s, and reads that modulus's classes from the cached
@@ -551,11 +530,10 @@ def _corank_tally(sides, n_max):
     `_tuple_groups` give each pair's count and first witness: O(n_max) work,
     with no per-tuple array.  The dict comes in scan order with no sort
     (`_classes_of`): the moduli come in increasing order and each modulus's
-    classes in order of first index.
-
+    classes in scan order of first tuple.
     """
     k = len(sides[0].js)
-    moduli = _modulus_slices(k, n_max)
+    moduli = _scan_table(k, n_max)[3]
     (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, moduli)
     groups = []
     for n, c1, h1, c2, h2 in zip(moduli, cs1, hs1, cs2, hs2):
@@ -605,8 +583,11 @@ class _Stratum:
         """kd1 + kd2 + r when both side kernels are nonempty, else None."""
         return self.kd[0] + self.kd[1] + self.r if self.kd and min(self.kd) > 0 else None
 
-    def details(self):
-        return ({"kd1": self.kd[0], "kd2": self.kd[1], "r": self.r} if self.kd else {}) | self.fields
+    def entry(self):
+        """Its report entry: name, dimension, whether it is decided, kd1, kd2
+        and r when it is, and the rest of its fields."""
+        decided = {"kd1": self.kd[0], "kd2": self.kd[1], "r": self.r} if self.kd else {}
+        return {"component": self.name, "dim_found": self.dim, "exact": self.kd is not None, **decided, **self.fields}
 
 
 def _solution_strata(pair, sides, n_max, seed):
@@ -615,8 +596,8 @@ def _solution_strata(pair, sides, n_max, seed):
     generic, unity (root-of-unity tuples with n <= n_max) and minor_curve
     in that order, the last two only when the label has roots.  A stratum's
     solution space has dimension kd1 + kd2 + r when both side kernels are
-    nonempty and is empty otherwise.  At k = 1 the table's one tuple (1,) is
-    a positive point, so of the generic stratum, and the unity kind is
+    nonempty and is empty otherwise.  At k = 1 the one root-of-unity tuple
+    (1,) is a positive point, so of the generic stratum, and the unity kind is
     empty.  samples counts the kind's exact decisions: 1, every tuple of the
     table at k >= 2, and every decided branch class of the curves,
     drawn from random.Random(seed), which no other kind reads.  A kind is
@@ -688,10 +669,9 @@ def _unity_strata(sides, n_max, d):
     """
     if sides[0].support is None or sides[1].support is None:
         return []
-    configs = _scan_table(len(sides[0].js), n_max)[2]
     return [
-        _Stratum("unity", f"unity(n={configs[first][0]}, exps={list(configs[first][1])})", (d[0] + c1, d[1] + c2), (c1, c2), 1, {"tuples": count}, configs[first])
-        for (c1, c2), (count, first) in _corank_classes(sides, n_max).items()
+        _Stratum("unity", f"unity(n={n}, exps={list(exps)})", (d[0] + c1, d[1] + c2), (c1, c2), 1, {"tuples": count}, (n, exps))
+        for (c1, c2), (count, (n, exps)) in _corank_classes(sides, n_max).items()
     ]
 
 
@@ -748,23 +728,13 @@ def estimate_codim(
     with no dimension, `exact` false and the `reason`.  The curves draw from
     random.Random(seed).  `sample_count` sums the kinds' exact decisions and
     `timings` gives the seconds of each kind."""
-    est = CodimEstimate(
-        ambient_dim=len(pair.b1.elements) + len(pair.b2.elements),
-        best_dim_found=None,
-        seed=seed,
-        label=label.notation(),
-        pair=pair.to_json(),
-    )
+    est = CodimEstimate(len(pair.b1.elements) + len(pair.b2.elements), seed=seed, label=label.notation(), pair=pair.to_json())
     start = time.perf_counter()
     for kind, strata, samples in _solution_strata(pair, _sides(pair, label), n_max, seed):
         est.sample_count += samples
-        for stratum in strata:
-            if stratum.kind != "unity" or stratum.dim is not None:
-                est.components_probed.append((stratum.name, stratum.dim))
-                est.details[stratum.name] = stratum.details()
+        est.strata += [stratum for stratum in strata if stratum.kind != "unity" or stratum.dim is not None]
         now = time.perf_counter()
         est.timings[f"{kind}_s"], start = now - start, now
-    est.best_dim_found = max((dim for _, dim in est.components_probed if dim is not None), default=None)
     return est
 
 
@@ -921,19 +891,19 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
 
 def _corank_classes(sides, n_max):
     """The nonzero corank classes of _scan_table(k, n_max), for the
-    root-of-unity strata: {(c1, c2): (count, first scan index)} in scan
-    order.  A label whose every side has orders all 1, or (2, 1) or (1, 2)
-    at k = 2, reads them off per-modulus class tables (`_corank_tally`),
-    with no per-tuple array: at modulus n the closed-form rank depends on a
-    tuple only through its gap flags at n/gcd(n, g_s).  Any other label,
+    root-of-unity strata: {(c1, c2): (count, first tuple)} in scan order.
+    A label whose every side has orders all 1, or (2, 1) or (1, 2) at k =
+    2, reads them off per-modulus class tables (`_corank_tally`), with no
+    per-tuple array: at modulus n the closed-form rank depends on a tuple
+    only through its gap flags at n/gcd(n, g_s).  Any other label,
     such as N(2,2;1,1) or k = 3 with multiplicities, reads them off both
     sides' corank arrays (`_unity_coranks`), tuple by tuple in scan order.
     Either way a side equal to the first is computed once (`_per_side`)."""
     if all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
         return _corank_tally(sides, n_max)
-    ns, exps, _ = _scan_table(len(sides[0].js), n_max)
+    ns, exps, configs, _ = _scan_table(len(sides[0].js), n_max)
     keys = zip(*(cork.tolist() for cork in _per_side(_unity_coranks, sides, ns, exps)))
-    return _classes_of((key, 1, i) for i, key in enumerate(keys) if key != (0, 0))
+    return _classes_of((key, 1, config) for config, key in zip(configs, keys) if key != (0, 0))
 
 
 # --- minor-curve certificate -------------------------------------------------

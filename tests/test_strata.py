@@ -30,7 +30,6 @@ from singres.strata import (
 from singres.strata import (
     CERT_GAP_MAX,
     CERT_PRIME_MIN,
-    CodimEstimate,
     _branch_classes,
     _branch_points,
     _certificate_prime,
@@ -508,7 +507,7 @@ class TestScan:
         for name in ("N(2,1)", "N(2,2)", "N(3,1)", "N(2,1,1)"):
             label = parse_label(name)
             js = label.side_orders(1)
-            ns, exps, configs = _scan_table(label.k, 8)
+            ns, exps, configs, _ = _scan_table(label.k, 8)
             for b in sups:
                 want = []
                 for n, tup in configs:
@@ -528,7 +527,7 @@ class TestScan:
         checked = 0
         for name in ("N(2,1)", "N(2,1;1,1)", "N(3)", "N(2,2)"):
             label = parse_label(name)
-            ns, exps, configs = _scan_table(label.k, 12)
+            ns, exps, configs, _ = _scan_table(label.k, 12)
             primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
             for b in _normalized_supports(7):
                 for js in {label.side_orders(1), label.side_orders(2)}:
@@ -549,7 +548,7 @@ class TestScan:
         b = S(0, 3, 2**62 + 3)
         label = parse_label("N(2,1)")
         js = label.side_orders(1)
-        ns, exps, configs = _scan_table(2, 12)
+        ns, exps, configs, _ = _scan_table(2, 12)
         primes_used = []
         real = singres.strata.split_primes
 
@@ -668,10 +667,11 @@ class TestScan:
         # order that deduplicating reduced fractions finds them
         for k in (1, 2, 3):
             for n_max in range(1, 31):
-                ns, exps, configs = _scan_table(k, n_max)
+                ns, exps, configs, moduli = _scan_table(k, n_max)
                 assert configs == (((1, (0,)),) if k == 1 else unity_configs(k, n_max)), (k, n_max)
                 assert ns.tolist() == [n for n, _ in configs]
                 assert exps.tolist() == [list(e) for _, e in configs]
+                assert list(moduli.items()) == [(n, tuple(c for c in configs if c[0] == n)) for n in sorted(set(ns.tolist()))]
 
     def test_report_observability(self):
         rep = scan_corank_strata(pair((0, 3, 6), (0, 1, 3)), parse_label("N(1,1,1)"), 12)
@@ -697,7 +697,7 @@ class PerTupleScan:
 
     def __init__(self, k):
         self.k = k
-        self.ns, self.exps, self.configs = _scan_table(k, 12)
+        self.ns, self.exps, self.configs, _ = _scan_table(k, 12)
         self.sides = {}
 
     def side(self, b):
@@ -708,15 +708,15 @@ class PerTupleScan:
         return self.sides[b]
 
     def tally(self, p, n_max):
-        """({(c1, c2): (count, first scan index)}, [n of each corank-2
-        side-1 tuple not of gap form]), as `_corank_tally` returns them."""
+        """({(c1, c2): (count, first tuple)}, [n of each corank-2 side-1
+        tuple not of gap form]), as `_corank_tally` returns them."""
         stop = len(_scan_table(self.k, n_max)[2])
         (cork1, gap_form), (cork2, _) = self.side(p.b1), self.side(p.b2)
         cork1, cork2, gap_form = cork1[:stop], cork2[:stop], gap_form[:stop]
         codes = cork1 * (self.k + 1) + cork2
         live = np.flatnonzero(codes)
         _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
-        strata = {(int(cork1[i]), int(cork2[i])): (count, i) for i, count in zip(live[first].tolist(), counts.tolist())}
+        strata = {(int(cork1[i]), int(cork2[i])): (count, self.configs[i]) for i, count in zip(live[first].tolist(), counts.tolist())}
         broken = self.ns[:stop][(cork1 == 2) & ~gap_form].tolist() if self.k == 3 else []
         return strata, broken
 
@@ -725,8 +725,7 @@ class PerTupleScan:
         first witness, in order of first witness."""
         strata, _ = self.tally(p, n_max)
         out = {}
-        for key, (count, i) in sorted(strata.items(), key=lambda item: item[1][1]):
-            n, tup = self.configs[i]
+        for key, (count, (n, tup)) in sorted(strata.items(), key=lambda item: item[1][1]):
             out[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
         return out
 
@@ -749,9 +748,10 @@ def assert_tally(oracle, p, label, n_max):
 
 class TestCorankTally:
     """The multiplicity-free scan's per-modulus group tallies
-    (`_corank_tally`) against the per-tuple coranks."""
+    (`_corank_tally`) against the per-tuple coranks.  The tally is read at
+    k = 2 and 3 only: a one-root label has no root-of-unity stratum."""
 
-    LABELS = ("N(1)", "N(1,1)", "N(1,1,1)")
+    LABELS = ("N(1,1)", "N(1,1,1)")
 
     def test_tables_are_prefixes(self):
         # the oracle reads the table at n_max <= 12 as a prefix of the one at 12
@@ -813,7 +813,7 @@ class TestCorankTally:
         # value c_s (`_table_values`) as the cached table reads it, 2 -
         # min(c_s, 2), and per support through the whole tally, with the
         # (2, 1) side on side 1 and the (1, 2) side on side 2
-        ns, exps, _ = _scan_table(2, 12)
+        ns, exps, configs, _ = _scan_table(2, 12)
         moduli = sorted(set(ns.tolist()))
         sups = [S(0)] + supports_up_to(8)
         sups += [SupportSet(tuple(e - 3 for e in b.elements)) for b in sups]
@@ -826,9 +826,9 @@ class TestCorankTally:
                 assert [2 - int(_rank(value[n], True)) for n in ns.tolist()] == want, (b.elements, side.js)
                 checked += len(want)
             classes = {}
-            for i, key in enumerate(zip(*hermite)):
+            for config, key in zip(configs, zip(*hermite)):
                 if key != (0, 0):
-                    count, first = classes.get(key, (0, i))
+                    count, first = classes.get(key, (0, config))
                     classes[key] = (count + 1, first)
             assert _corank_tally(sides, 12) == classes, b.elements
         assert (len(sups), checked) == (512, 46080)
@@ -924,8 +924,7 @@ class TestEstimates:
     def test_sublattice_deficiency(self):
         est = estimate_codim(pair((0, 3, 6), (0, 3, 6)), parse_label("N(1,1)"), seed=73)
         assert est.estimate == 1
-        comps = dict(est.components_probed)
-        assert any(k.startswith("unity") and v == 5 for k, v in comps.items())
+        assert any(s.kind == "unity" and s.dim == 5 for s in est.strata)
 
     def test_split_deficiency(self):
         est = estimate_codim(
@@ -1194,33 +1193,34 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12):
     rational tuples, and the root-of-unity components are float votes
     (reference_unity_votes), each drawn from a generator of its own; each
     minor curve (`minor_curve_groups`) takes VOTE_SAMPLES draws on its first
-    triple from one stream, random.Random(seed)."""
+    triple from one stream, random.Random(seed).  Its report holds the
+    fields of `CodimEstimate.to_json` that without_vote_fields keeps."""
     rng = random.Random(seed)
     ambient = len(pair.b1.elements) + len(pair.b2.elements)
-    est = CodimEstimate(ambient, None, seed=seed, label=label.notation(), pair=pair.to_json())
+    comps = []
 
     def record(desc, dim):
-        est.components_probed.append((desc, dim))
-        if dim is not None and (est.best_dim_found is None or dim > est.best_dim_found):
-            est.best_dim_found = dim
+        comps.append({"component": desc, "dim_found": dim})
+
+    def report():
+        best = max((c["dim_found"] for c in comps if c["dim_found"] is not None), default=None)
+        estimate = None if best is None else ambient - best
+        return {"ambient_dim": ambient, "best_dim_found": best, "codim_estimate": estimate, "components_probed": comps, "seed": seed, "label": label.notation(), "pair": pair.to_json()}
 
     k = label.k
     if k == 0:
         eff1 = _effective_elements(pair.b1, label.j0, label.jinf)
         eff2 = _effective_elements(pair.b2, label.j0, label.jinf)
         record("coordinate-subspace", len(eff1) + len(eff2) if eff1 and eff2 else None)
-        est.sample_count = 1
-        return est
+        return report()
     generic_rng = random.Random(seed)
     dims = [
         reference_span_dimension_exact(pair, label, *draw_generic_tuple(k, generic_rng))
         for _ in range(3)
     ]
     record("generic", max((d for d in dims if d is not None), default=None))
-    est.sample_count += 1
     for desc, dim in reference_unity_votes(pair, label, seed, n_max):
         record(desc, dim)
-    est.sample_count += len(unity_configs(k, n_max))  # one per tuple, decided exactly
     if k == 3:
         for side, triple, _ in minor_curve_groups(pair).values():
             dims = []
@@ -1229,12 +1229,11 @@ def reference_estimate_codim(pair, label, seed=0, n_max=12):
                 if drawn is None:
                     continue
                 dim = reference_span_dimension(pair, label, *drawn)
-                est.sample_count += 1
                 if dim is not None:
                     dims.append(dim)
             if dims:
                 record(f"minor-curve(side={side}, triple={triple})", majority(dims))
-    return est
+    return report()
 
 
 def without_vote_fields(data):
@@ -1267,13 +1266,13 @@ class TestBatchedEstimate:
     def test_verify_cases_match_reference(self, b1, b2, name, seed):
         p, label = pair(b1, b2), parse_label(name)
         got = without_vote_fields(estimate_codim(p, label, seed=seed).to_json())
-        assert got == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=seed).to_json()), p, label)
+        assert got == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=seed)), p, label)
 
     @pytest.mark.parametrize("p", GUARANTEE_PAIRS, ids=lambda p: f"{p.b1.elements}-{p.b2.elements}")
     def test_guarantee_cases_match_reference(self, p):
         for name, label in GUARANTEE_LABELS.items():
             got = estimate_codim(p, label, seed=17, n_max=8).to_json()
-            want = reference_estimate_codim(p, label, seed=17, n_max=8).to_json()
+            want = reference_estimate_codim(p, label, seed=17, n_max=8)
             assert without_vote_fields(got) == with_unity_classes(without_vote_fields(want), p, label, 8), name
 
     def test_failed_samples_are_reported(self, monkeypatch):
@@ -1287,7 +1286,7 @@ class TestBatchedEstimate:
         p, label = pair((0, 1, 3, 4, 6, 7), (0, 3, 6)), parse_label("N(1,1,1)")
         est = estimate_codim(p, label, seed=11)
         data = est.to_json()
-        assert without_vote_fields(data) == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=11).to_json()), p, label)
+        assert without_vote_fields(data) == with_unity_classes(without_vote_fields(reference_estimate_codim(p, label, seed=11)), p, label)
         minors = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
         assert minor_curve_groups(p)[3, 4] == (1, (0, 3, 4), 2)
         assert "minor-curve(side=1, triple=(0, 3, 4))" not in minors
@@ -1770,8 +1769,7 @@ def unity_kind(p, label, n_max=12):
 
 def unity_components(p, label, n_max=12):
     """The estimator's root-of-unity components, (desc, dim) in order."""
-    est = estimate_codim(p, label, n_max=n_max)
-    return [(desc, dim) for desc, dim in est.components_probed if desc.startswith("unity")]
+    return [(s.name, s.dim) for s in estimate_codim(p, label, n_max=n_max).strata if s.kind == "unity"]
 
 
 def tuple_kernel_dims(p, label, n_max=12):
@@ -1783,7 +1781,7 @@ def tuple_kernel_dims(p, label, n_max=12):
     sides, k = _sides(p, label), label.k
     if k not in (2, 3) or not (sides[0].support and sides[1].support):
         return []
-    ns, exps, configs = _scan_table(k, n_max)
+    ns, exps, configs, _ = _scan_table(k, n_max)
     kds, ranked = [], {}
     for side in sides:
         b, js, _ = side
@@ -2176,7 +2174,7 @@ class TestSolutionStrata:
                 strata = [stratum for _, strata, _ in batches for stratum in strata]
                 dims = [stratum.dim for stratum in strata if stratum.dim is not None]
                 assert est.estimate == (est.ambient_dim - max(dims) if dims else None), (p, name)
-                assert est.components_probed == [(st.name, st.dim) for st in strata if st.kind != "unity" or st.dim is not None]
+                assert est.strata == [st for st in strata if st.kind != "unity" or st.dim is not None]
                 assert est.sample_count == sum(samples for _, _, samples in batches)
                 seen.update(stratum.kind for stratum in strata)
             assert tuple(kind for kind in KINDS if kind in seen) == self.LABEL_KINDS[name]
