@@ -498,8 +498,9 @@ def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
 
 def _corank_tally(sides, n_max):
     """The `_corank_classes` of a label whose sides have a closed-form rank
-    (orders all 1, or (2, 1) or (1, 2) at k = 2), from per-modulus class
-    tables: {(c1, c2): (count, first tuple)} for every nonzero corank pair.
+    (orders all 1 at k <= 3, or (2, 1) or (1, 2) at k = 2), from
+    per-modulus class tables: {(c1, c2): (count, first tuple)} for every
+    nonzero corank pair.
     Per modulus n a request computes the table values (`_table_values`) c_s
     and h_s = n/gcd(n, g_s) for each distinct side, g_s the gap gcd of its
     effective support B_s, and reads that modulus's classes from the cached
@@ -892,16 +893,19 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
 def _corank_classes(sides, n_max):
     """The nonzero corank classes of _scan_table(k, n_max), for the
     root-of-unity strata: {(c1, c2): (count, first tuple)} in scan order.
-    A label whose every side has orders all 1, or (2, 1) or (1, 2) at k =
-    2, reads them off per-modulus class tables (`_corank_tally`), with no
-    per-tuple array: at modulus n the closed-form rank depends on a tuple
-    only through its gap flags at n/gcd(n, g_s).  Any other label,
-    such as N(2,2;1,1) or k = 3 with multiplicities, reads them off both
-    sides' corank arrays (`_unity_coranks`), tuple by tuple in scan order.
-    Either way a side equal to the first is computed once (`_per_side`)."""
-    if all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
+    A label of at most three roots whose every side has orders all 1, or
+    (2, 1) or (1, 2) at k = 2, reads them off per-modulus class tables
+    (`_corank_tally`), with no per-tuple array: at modulus n the
+    closed-form rank depends on a tuple only through its gap flags at
+    n/gcd(n, g_s).  The rank lemma behind them is one of three rows, so any
+    other label, such as N(2,2;1,1), k = 3 with multiplicities or k >= 4
+    roots, reads them off both sides' corank arrays (`_unity_coranks`),
+    tuple by tuple in scan order.  Either way a side equal to the first is
+    computed once (`_per_side`)."""
+    k = len(sides[0].js)
+    if k <= 3 and all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
         return _corank_tally(sides, n_max)
-    ns, exps, configs, _ = _scan_table(len(sides[0].js), n_max)
+    ns, exps, configs, _ = _scan_table(k, n_max)
     keys = zip(*(cork.tolist() for cork in _per_side(_unity_coranks, sides, ns, exps)))
     return _classes_of((key, 1, config) for config, key in zip(configs, keys) if key != (0, 0))
 

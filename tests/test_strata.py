@@ -35,6 +35,7 @@ from singres.strata import (
     _certificate_prime,
     _certify_points,
     _conjugate_ranks,
+    _corank_classes,
     _corank_tally,
     _distinct_points,
     _draw_filtration_pair,
@@ -2222,3 +2223,40 @@ class TestSolutionStrata:
                     assert estimate_codim(move(pairs[i]), image).estimate == want, (pairs[i], name, image.notation())
                     checked += 1
         assert checked == 3 * 35 * 13
+
+
+class TestFourRoots:
+    """Labels of four or more roots take the Hermite ranks (`_unity_coranks`),
+    order-1 sides too: the closed form of the tally is a lemma on three
+    rows, which at k = 4 gave every tuple a corank of at least 1."""
+
+    LABEL = parse_label("N(1,1,1,1)")
+
+    def test_four_shared_roots_leave_no_pair(self):
+        # two cubics that share four distinct roots are both zero, so the
+        # subset is empty, as N(2,1,1) reports for the same supports
+        p = pair((0, 1, 2, 3), (0, 1, 2, 3))
+        est = estimate_codim(p, self.LABEL)
+        assert est.estimate is None and [s.name for s in est.strata] == ["generic"]
+        assert estimate_codim(p, parse_label("N(2,1,1)")).estimate is None
+
+    def test_squares_list_their_classes(self):
+        # on (0, 2, 4, 6, 8) a tuple's rank is the number of distinct
+        # squares (at most 4): two at (1, i, -1, -i), three first at n = 6
+        est = estimate_codim(pair((0, 2, 4, 6, 8), (0, 2, 4, 6, 8)), self.LABEL)
+        unity = [(s.at, s.kd, s.fields["tuples"]) for s in est.strata if s.kind == "unity"]
+        assert est.estimate == 3 and unity == [((4, (0, 1, 2, 3)), (3, 3), 11), ((6, (0, 1, 2, 3)), (2, 2), 152)]
+
+    @pytest.mark.parametrize("b1,b2", [((0, 1, 2, 3), (0, 1, 2, 3)), ((0, 2, 4, 6, 8), (0, 2, 4, 6, 8)), ((0, 3, 6, 9, 12), (0, 1, 2, 4, 6)), ((0, 1, 3, 4, 6, 7), (0, 2, 4, 6, 8))])
+    def test_classes_match_the_cyclotomic_oracle(self, b1, b2):
+        # every tuple of _scan_table(4, 8) ranked over Q(zeta_n), grouped
+        # by its nonzero corank pair under its first tuple, with its count
+        p = pair(b1, b2)
+        classes = {}
+        for config in _scan_table(4, 8)[2]:
+            n, exps = config
+            key = tuple(4 - cyclo_rank(unity_vandermonde(b, [RootOfUnity(n, e) for e in exps], (1,) * 4)) for b in (p.b1, p.b2))
+            if key != (0, 0):
+                count, first = classes.get(key, (0, config))
+                classes[key] = (count + 1, first)
+        assert _corank_classes(_sides(p, self.LABEL), 8) == classes
