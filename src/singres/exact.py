@@ -30,7 +30,6 @@ __all__ = [
     "exact_quo",
     "root_multiplicity",
     "is_prime",
-    "exact_rank",
     "split_primes",
     "split_prime",
     "root_of_order",
@@ -324,13 +323,6 @@ def exact_rref(matrix):
         if r == len(rows):
             break
     return r, pivots, rows
-
-
-def exact_rank(matrix) -> int:
-    """Rank over Q: the number of pivots of `exact_rref`."""
-    if not matrix or not matrix[0]:
-        raise ValueError("matrix must be nonempty")
-    return exact_rref(matrix)[0]
 
 
 def kernel_basis(matrix):

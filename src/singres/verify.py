@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import exact_rank, primitive, prs_gcd, root_multiplicity
+from .exact import primitive, prs_gcd, root_multiplicity
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
-from .laurent import _covector, classify_point, homogenize
+from .laurent import _covector, _rank_two, classify_point, homogenize
 from .minors import admissible_pairs, exponent_minor_vanishes, minors_split_equivalence_scan, power_minor_vanishes
 from .mpoly import jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
@@ -358,7 +358,7 @@ def check_point_classifier():
             else:
                 counts[want] += 1
             if want == "NodeA1" and got.tag == "NodeA1":
-                if exact_rank([_covector(f, g, x) for x in pts]) != 2:
+                if not _rank_two(*(_covector(f, g, x) for x in pts)):
                     mis.append({"family": fam, "want": "rank-2 covectors"})
     return not mis, {"classified": counts, "misclassifications": mis[:5]}
 

@@ -5,7 +5,7 @@ import pytest
 
 from cyclo_oracle import QPoly, q_gcd
 from singres.cli import _laurent
-from singres.exact import exact_rank
+from singres.exact import exact_rref
 from singres.laurent import (
     LaurentPoly,
     ProjPoint,
@@ -297,7 +297,7 @@ class TestCovector:
                 v2 = [0] * n
             if rng.random() < 0.5:
                 v1, v2 = v2, v1
-            want = exact_rank([v1, v2]) == 2
+            want = exact_rref([v1, v2])[0] == 2
             kinds[kind] += want
             assert _rank_two(v1, v2) is want, (v1, v2)
         assert kinds["multiple"] == kinds["zero"] == 0 < kinds["random"]
@@ -324,7 +324,7 @@ class TestClassifyPoint:
         assert out.tag == "NodeA1"
         c1 = _covector(f, g, Fraction(1))
         c2 = _covector(f, g, Fraction(2))
-        assert exact_rank([c1, c2]) == 2
+        assert exact_rref([c1, c2])[0] == 2
 
     def test_multiple_root(self):
         f = lp((0, 1, 2), {0: 1, 1: -2, 2: 1})  # (x-1)^2

@@ -14,7 +14,7 @@ from cyclo_oracle import CycloElement, RootOfUnity, cyclo_rank, cyclo_rref, cycl
 import float_oracle
 from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in_u, random_unit_annulus, span_dimensions, vote
 from singres import cli
-from singres.exact import exact_quo, exact_rank, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
+from singres.exact import exact_quo, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
 from singres.minors import _rank, admissible_pairs, residues
 from singres.strata import (
@@ -349,7 +349,7 @@ class TestSampling:
         def kernel_is_empty(b, label, pts, side):
             eff = [e for e in b if b[0] + label.j0 <= e <= b[-1] - label.jinf]
             js = label.side_orders(side)
-            return not eff or bool(js) and exact_rank(multiplicity_vandermonde(S(*eff), pts, js)) == len(eff)
+            return not eff or bool(js) and exact_rref(multiplicity_vandermonde(S(*eff), pts, js))[0] == len(eff)
 
         outcomes = Counter()
         for b1, b2 in itertools.product(sups, repeat=2):
@@ -470,12 +470,11 @@ class TestScan:
             raise AssertionError("field elimination in the corank scan")
 
         monkeypatch.setattr(singres.exact, "exact_rref", forbidden)
-        monkeypatch.setattr(singres.exact, "exact_rank", forbidden)
         for name in ("N(2,1)", "N(2,1;1,1)", "N(2,2)"):
             for b1, b2 in [((0, 3, 6), (0, 3, 6)), ((0, 1, 4, 6), (0, 2, 5))]:
                 rep = scan_corank_strata(pair(b1, b2), parse_label(name), 8, seed=1)
                 assert rep.configs_scanned == len(_scan_table(2, 8)[2])
-        assert not hasattr(singres.strata, "exact_rref") and not hasattr(singres.strata, "exact_rank")
+        assert not hasattr(singres.strata, "exact_rref")
 
     def test_generic_corank_is_descartes_bound(self):
         # at distinct positive points the multiplicity Vandermonde has rank
@@ -493,7 +492,7 @@ class TestScan:
                     pts.append(x)
             rows = multiplicity_vandermonde(b, pts, js)
             want = max(0, sum(js) - len(b))
-            assert len(rows) - exact_rank(rows) == want, (b, pts, js)
+            assert len(rows) - exact_rref(rows)[0] == want, (b, pts, js)
             deficient += want > 0
         assert deficient > 20
         # signed points are not covered: (1, -1) on B = (0, 2, 4) repeats a row
@@ -1033,7 +1032,7 @@ def draw_generic_tuple(k, rng):
 def reference_span_dimension_exact(pair, label, pts, dirs):
     """One exact sample of the span dimension at a rational tuple, with
     rational tangent directions: Fraction kernels, solve_exact tangent
-    solves and exact_rank."""
+    solves and the rank of exact_rref."""
     sides = _side_matrices(_sides(pair, label), pts)
     if sides is None:
         return None
@@ -1064,7 +1063,7 @@ def reference_span_dimension_exact(pair, label, pts, dirs):
         if df is None or dg is None:
             return None
         rows.append(_embed(df, eff1, pair.b1) + _embed(dg, eff2, pair.b2))
-    return exact_rank(rows) if rows else 0
+    return exact_rref(rows)[0]
 
 
 def complex_side_matrices(pair, label, pts):
