@@ -440,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)", required=True)
     p.add_argument("--scan", action="store_true", help="evaluate |R| over the torus grid")
     p.add_argument("--csv", help="CSV output path for the grid scan (needs --scan)")
-    p.add_argument("--rho-min", type=float, default=-0.5, dest="rho_min", help="smallest log-modulus rho of the grid")
-    p.add_argument("--rho-max", type=float, default=0.5, dest="rho_max", help="largest log-modulus rho of the grid")
-    p.add_argument("--rho-steps", type=int, default=5, dest="rho_steps", help="grid points in rho, at least 1")
-    p.add_argument("--theta-steps", type=int, default=8, dest="theta_steps", help="grid points in theta, at least 1")
+    p.add_argument("--rho-min", type=float, default=GridConfig.rho_min, dest="rho_min", help="smallest log-modulus rho of the grid")
+    p.add_argument("--rho-max", type=float, default=GridConfig.rho_max, dest="rho_max", help="largest log-modulus rho of the grid")
+    p.add_argument("--rho-steps", type=int, default=GridConfig.rho_steps, dest="rho_steps", help="grid points in rho, at least 1")
+    p.add_argument("--theta-steps", type=int, default=GridConfig.theta_steps, dest="theta_steps", help="grid points in theta, at least 1")
 
     scan = sub.add_parser("scan", help="exhaustive scans: minors, strata, codim")
     kinds = scan.add_subparsers(dest="kind", required=True)

@@ -17,8 +17,8 @@ too (`power_minor_vanishes`, `exponent_minor_vanishes`), which the
 verification sweeps compare with the zero test of `singres.kernels`.
 
 Negative and arbitrarily large exponents are harmless: they are reduced in
-Python ints (`residues`, which `singres.strata` also uses for its corank
-scan and its mod-p certificates), and the rank multiplies no two residues.
+Python ints (`residues`, which `singres.strata` also uses for its mod-p
+certificates), and the rank multiplies no two residues.
 """
 
 from __future__ import annotations

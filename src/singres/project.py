@@ -30,6 +30,8 @@ __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project
 
 # Most reseeded draws grid_scan makes after a degenerate one.
 GRID_MAX_RETRIES = 5
+# What a grid scan cannot see, stated in every CurveScan report.
+COVERAGE_NOTE = "compact torus patch only; roots escaping to the boundary are not seen"
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,6 @@ class CurveScan:
     max_abs: float = 0.0
     retries: int = 0
     near_zero_margin: float | None = None
-    coverage_note: str = "compact torus patch only; roots escaping to the boundary are not seen"
 
     @functools.cached_property
     def rows(self):
@@ -126,7 +127,7 @@ class CurveScan:
             "near_zero_cells": self.near_zero_cells,
             "near_zero_margin": self.near_zero_margin,
             "retries": self.retries,
-            "coverage": self.coverage_note,
+            "coverage": COVERAGE_NOTE,
         }
 
 

@@ -254,8 +254,7 @@ def _symmetric_labels_up_to_weight(w):
             rest = w - j0 - jinf
             for part in _partitions_up_to(rest):
                 labels.append(StratumLabel.symmetric(j0, jinf, part))
-    # dedupe (partitions of every total <= rest are generated)
-    return sorted(set(labels), key=lambda l: (l.j0, l.jinf, l.roots))
+    return sorted(labels, key=lambda l: (l.j0, l.jinf, l.roots))
 
 
 def _partitions_up_to(total, minimum=1):
