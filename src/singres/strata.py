@@ -729,7 +729,12 @@ def estimate_codim(
     with no dimension, `exact` false and the `reason`.  The curves draw from
     random.Random(seed).  `sample_count` sums the kinds' exact decisions and
     `timings` gives the seconds of each kind."""
-    est = CodimEstimate(len(pair.b1.elements) + len(pair.b2.elements), seed=seed, label=label.notation(), pair=pair.to_json())
+    est = CodimEstimate(
+        ambient_dim=len(pair.b1.elements) + len(pair.b2.elements),
+        seed=seed,
+        label=label.notation(),
+        pair=pair.to_json(),
+    )
     start = time.perf_counter()
     for kind, strata, samples in _solution_strata(pair, _sides(pair, label), n_max, seed):
         est.sample_count += samples
