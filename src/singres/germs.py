@@ -40,9 +40,6 @@ class PlaneGerm:
         m = self.multiplicity()
         return {e: c for e, c in self.terms.items() if sum(e) == m}
 
-    def swap_axes(self):
-        return PlaneGerm({(j, i): c for (i, j), c in self.terms.items()})
-
     def linear_change(self, a, b, c, d):
         """Germ of p(a*s + b*t, c*s + d*t)."""
         acc = {}
@@ -173,12 +170,12 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
     if t_mult == m:
         normalized = germ
     elif s_mult == m:
-        normalized = germ.swap_axes()
+        normalized = germ.linear_change(0, 1, 1, 0)
     else:
         # q~ = unit * (z - r)^m, z = s/t, so the tangent factor is (s - r*t);
-        # swapping axes turns it into (t - r*s), then shift t -> t + r*s
+        # p(r*s + t, s), axes swapped and t shifted to t + r*s, turns it into t
         r = Fraction(-q[-2], deg * q[-1])
-        normalized = germ.swap_axes().linear_change(1, 0, r, 1)
+        normalized = germ.linear_change(r, 1, 1, 0)
     slope = None
     for (i, j), _ in normalized.terms.items():
         if j < m and i > 0:

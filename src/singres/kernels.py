@@ -8,8 +8,8 @@ iff the same combination of table rows is 0 mod p.  `unity_combos_vanish`
 asks that question for a whole array of combinations at once, in plain
 numpy, and `det3_exponents` phrases the 3x3 power-matrix minors as such an
 array, to be weighted by `DET3_SIGNS`.  Whether all minors of a power
-matrix, or one, vanish needs no table: `minors._rank` and
-`minors.power_minor_vanishes` answer it in closed form.
+matrix, or one, vanish needs no table: the closed-form rank `minors._rank`
+answers it, and the unity-minor check compares the two.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ checks the two against each other exhaustively, in one array pass over
 every support and every admissible pair of every modulus: both sides read
 one table of residue counts |B mod k| (`supports.class_count`), and the
 splits it uses are backed by one verified certificate per (B, k) from the
-one split search of `singres.supports`.  A single minor has a closed form
-too (`power_minor_vanishes`, `exponent_minor_vanishes`), which the
-verification sweeps compare with the zero test of `singres.kernels`.
+one split search of `singres.supports`.  A single minor is the rank at
+|B| = 3, so `_rank` is also what the verification sweeps compare with the
+zero test of `singres.kernels`.
 
-Negative and arbitrarily large exponents are harmless: they are reduced in
-Python ints (`residues`, which `singres.strata` also uses for its mod-p
-certificates), and the rank multiplies no two residues.
+Negative and arbitrarily large exponents are harmless: residue counts are
+taken in Python ints (`supports.class_count`), and the rank multiplies no
+two residues.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ import numpy as np
 from .supports import SupportSet, class_count, gap_gcd, split_dividing
 
 __all__ = [
-    "residues",
     "gap_root",
     "two_class_split",
-    "power_minor_vanishes",
-    "exponent_minor_vanishes",
     "minors_split_equivalence_scan",
     "ScanReport",
 ]
@@ -54,22 +51,6 @@ def admissible_pairs(n: int):
     return ps, qs
 
 
-def residues(values, moduli) -> np.ndarray:
-    """values[j] mod moduli[i] for every modulus, exactly: an int64 array of
-    shape (len(moduli), len(values)) whose entries lie in [0, moduli[i]).
-
-    Values that fit in int64 are reduced by numpy's exact integer
-    remainder; larger ones in Python ints, once per distinct modulus.
-    """
-    moduli = np.asarray(moduli, dtype=np.int64)
-    try:
-        return np.array(values, dtype=np.int64) % moduli[:, None]
-    except OverflowError:
-        distinct, inverse = np.unique(moduli, return_inverse=True)
-        table = np.array(values, dtype=object) % distinct.astype(object)[:, None]
-        return table.astype(np.int64)[inverse]
-
-
 def _rank(keys, root):
     """The rank of M(B; x, y), x = zeta_n^p, y = zeta_n^q, from its two
     tests: `keys`, the number |B mod m| of distinct column keys, m the
@@ -77,7 +58,8 @@ def _rank(keys, root):
     else 2 for two keys or a gap root, else 3.  Elementwise, broadcasting;
     int8 inputs give an int8 rank, and Python scalars a numpy scalar
     (`strata._modulus_classes` takes int() of it, so that stratum keys stay
-    Python ints).
+    Python ints).  The same call ranks the rows 1, e, w^e over B (lemma
+    (2, 1) rows), with keys = |B| and root = [ord w | g].
 
     Lemma (rank).  Call (p*b mod n, q*b mod n) the key of the column b.
     The rank is 1 iff the key is constant over B, and at most 2 iff
@@ -101,6 +83,15 @@ def _rank(keys, root):
     n/gcd(n, p, q), as at each prime l both have the valuation
     v(n) - min(v(n), v(p), v(q)).  Likewise r*g = 0 mod n iff h | r, with
     h = n/gcd(n, g) the order of zeta_n^g.
+
+    Lemma ((2, 1) rows).  For w on the unit circle the rows 1, e, w^e over
+    e in B have rank min(|B|, 3 - [ord w | g]).  Proof.  Rank < 3 means
+    alpha + beta e + gamma w^e = 0 on B, (alpha, beta, gamma) nonzero.
+    gamma = 0 leaves |B| <= 1.  Otherwise the points w^e lie on a line,
+    which meets the unit circle in at most two points; with beta != 0,
+    e -> w^e is injective and |B| <= 2; with beta = 0, w^e is constant on
+    B, that is w^g = 1, and (-w^e, 0, 1) does vanish.  The rows 1 and e keep
+    the rank at 2 once |B| >= 2.  At w = zeta_n^p, w^g = 1 iff h | p.
     """
     return np.minimum(keys, 3 - root)
 
@@ -117,55 +108,6 @@ def gap_root(h, p, q):
     arrays; a bool on ints."""
     xg, yg = p % h, q % h
     return (xg == 0) | (yg == 0) | (xg == yg)
-
-
-def _triple_gaps(n, triples):
-    """The differences b - a, c - b, c - a of each row (a, b, c) of
-    `triples`, an int array (triples, 3), and h = n/gcd(n, g) per row,
-    g = gcd(b - a, c - b)."""
-    t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    gaps = t[:, [1, 2, 2]] - t[:, [0, 1, 0]]
-    return gaps, _order(n, np.gcd(gaps[:, 0], gaps[:, 1]))
-
-
-def power_minor_vanishes(n: int, ps, qs, triples) -> np.ndarray:
-    """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish at x = zeta_n^p,
-    y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
-    `triples`?  A bool array (pairs, triples).
-
-    Corollary (the rank lemma at B = {a, b, c}).  With g = gcd(b - a, c - b)
-    and h = n/gcd(n, g), it vanishes iff h divides p, q or p - q (two
-    proportional rows, `gap_root`) or the period m = n/gcd(n, p, q) divides
-    b - a, c - b or c - a (two equal columns).  Proof: the minor is
-    det M(B; x, y), zero iff the rank is at most 2.  By the rank lemma of
-    `_rank`, proved for any x, y on the unit circle, that holds
-    iff x^g, y^g or (x/y)^g is 1 or the column keys take at most two values
-    over B; by the period lemma two keys agree iff m divides the difference
-    of their exponents.
-    """
-    gaps, h = _triple_gaps(n, triples)
-    ps = np.asarray(ps, dtype=np.int64)[:, None]
-    qs = np.asarray(qs, dtype=np.int64)[:, None]
-    m = _order(n, np.gcd(ps, qs))  # the period, per pair
-    return gap_root(h, ps, qs) | (gaps % m[..., None] == 0).any(axis=-1)
-
-
-def exponent_minor_vanishes(n: int, ps, triples) -> np.ndarray:
-    """Does det [[1,1,1],[a,b,c],[x^a,x^b,x^c]] = (b-a) x^c + (a-c) x^b +
-    (c-b) x^a vanish at x = zeta_n^p, for every p of `ps` and row (a, b, c)
-    of `triples`, a, b, c distinct?  A bool array (ps, triples).
-
-    Corollary.  It vanishes iff x^a = x^b = x^c, that is iff h = n/gcd(n, g)
-    divides p, g = gcd(b - a, c - b).  Proof: the weights are nonzero reals
-    with sum 0, so equal powers give 0.  If exactly two powers coincide, the
-    sum is a nonzero weight times the difference of two distinct powers.  If
-    u, v, w are distinct, alpha u + beta v + gamma w = 0 with
-    alpha + beta + gamma = 0 gives alpha (u - w) = -beta (v - w), so the
-    three lie on one line, which meets the unit circle in at most two
-    points.  And x^a = x^b = x^c iff x^g = 1 iff h divides p.
-    """
-    _, h = _triple_gaps(n, triples)
-    return np.asarray(ps, dtype=np.int64)[:, None] % h == 0
 
 
 def two_class_split(b: SupportSet, n: int):

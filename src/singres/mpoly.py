@@ -56,8 +56,9 @@ class MPoly:
         }
 
     def pretty(self):
-        if not self.terms:
-            return "0"
+        """The terms by falling total degree, as "x^2*y - 3*z".  Only a
+        resultant is printed, which is nonzero with no constant term
+        (`resultant_poly`), so every term has a monomial."""
         bits = []
         for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
             mono = "*".join(
@@ -65,9 +66,7 @@ class MPoly:
             )
             sign = "+" if c > 0 else "-"
             mag = abs(c)
-            if not mono:
-                bits.append(f"{sign} {mag}")
-            elif mag == 1:
+            if mag == 1:
                 bits.append(f"{sign} {mono}")
             else:
                 bits.append(f"{sign} {mag}*{mono}")

@@ -59,7 +59,7 @@ from .exact import (
     split_primes,
 )
 from .laurent import LaurentPoly, common_roots, falling
-from .minors import _rank, gap_root, residues
+from .minors import _rank, gap_root
 from .supports import SupportPair, SupportSet, class_count, gap_gcd, split_dividing
 
 __all__ = [
@@ -505,8 +505,8 @@ def _corank_tally(sides, n_max):
     and h_s = n/gcd(n, g_s) for each distinct side, g_s the gap gcd of its
     effective support B_s, and reads that modulus's classes from the cached
     `_modulus_classes`.  c_s is min(|B_s mod n|, 3) for an order-1 side, with
-    residues only at n <= spread (`supports.class_count`), and min(|B_s| -
-    1, 2 - [n | g_s]) for orders (2, 1) or (1, 2).
+    residues only at n <= spread (`supports.class_count`), and
+    _rank(|B_s|, h_s == 1) - 1 for orders (2, 1) or (1, 2).
 
     Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
     corank k - min(c_s, 3 - gap_root(h_s, p, q)), with (p, q) as in
@@ -516,15 +516,11 @@ def _corank_tally(sides, n_max):
     table lists gcd(n, p, q) = 1 only.  At k = 2 the gap flag is always set
     (h | p - p), so the corank is 2 - min(c_s, 2).  A side of orders (2, 1)
     at (1, w), w = zeta_n^p of order n, has the rows f(1), f'(1), f(w), that
-    is 1, e and w^e over e in B_s.  Its rank is min(|B_s|, 3 - [n | g_s]):
-    rank < 3 means alpha + beta e + gamma w^e = 0 on B_s, (alpha, beta,
-    gamma) nonzero.  gamma = 0 leaves |B_s| <= 1.  Otherwise the points w^e
-    lie on a line, which meets the unit circle in at most two points; with
-    beta != 0, e -> w^e is injective and |B_s| <= 2; with beta = 0, w^e is
-    constant on B_s, that is n | g_s, and (-w^e, 0, 1) does vanish.  The
-    rows 1 and e keep the rank at 2 once |B_s| >= 2.  Orders (1, 2) give the
-    rows 1, w^e, e w^(e - 1); the last row times w and the column e times
-    w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also of order n.
+    is 1, e and w^e over e in B_s, of rank min(|B_s|, 3 - [n | g_s]) by the
+    lemma (2, 1) rows of `minors._rank`, and n | g_s iff h_s = 1.  Orders
+    (1, 2) give the rows 1, w^e, e w^(e - 1); the last row times w and the
+    column e times w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also
+    of order n.
     So the corank is 3 - min(|B_s|, 3 - [n | g_s]) = 2 - min(c_s, 2), as the
     cached table of an order-1 side computes it.  Hence at modulus n a tuple's
     corank pair depends only on its two gap flags, and the groups of
@@ -557,7 +553,7 @@ def _table_values(side, moduli):
     h = [n // gcd(n, g) for n in moduli]
     if max(js) == 1:
         return [min(class_count(b, n), 3) for n in moduli], h
-    return [min(len(b) - 1, 2 - (m == 1)) for m in h], h
+    return (_rank(len(b), np.equal(h, 1)) - 1).tolist(), h
 
 
 # --- solution strata (§4) ----------------------------------------------------
@@ -1023,6 +1019,22 @@ def _minor_slope(triple, p, tau, i):
     return -p_t * pow(p_u, -1, p) % p
 
 
+def _residues(values, moduli) -> np.ndarray:
+    """values[j] mod moduli[i] for every modulus, exactly: an int64 array of
+    shape (len(moduli), len(values)) whose entries lie in [0, moduli[i]).
+
+    Values that fit in int64 are reduced by numpy's exact integer
+    remainder; larger ones in Python ints, once per distinct modulus.
+    """
+    moduli = np.asarray(moduli, dtype=np.int64)
+    try:
+        return np.array(values, dtype=np.int64) % moduli[:, None]
+    except OverflowError:
+        distinct, inverse = np.unique(moduli, return_inverse=True)
+        table = np.array(values, dtype=object) % distinct.astype(object)[:, None]
+        return table.astype(np.int64)[inverse]
+
+
 def _certify_points(sides, points, seed):
     """(kd1, kd2, rank) mod p at every point (p, logs, du/dt) of a stack,
     logs = (0, tau, i) naming x0 = (1, t0, u0) in F_p^*: per side the kernel
@@ -1046,7 +1058,7 @@ def _certify_points(sides, points, seed):
         rank, f = modular_kernel_vector(mat, primes, [[gen.getrandbits(31) for _ in eff] for _ in range(count)])
         kds.append(len(eff) - rank)
         rows.append(np.repeat(moves, js, axis=1) * ((dmat @ f[:, :, None])[:, :, 0] % col) % col)
-        rows.append((mat @ (residues(eff, primes) * f % col)[:, :, None])[:, :, 0] % col)
+        rows.append((mat @ (_residues(eff, primes) * f % col)[:, :, None])[:, :, 0] % col)
     tangent, orbit = np.concatenate(rows[0::2], axis=1), np.concatenate(rows[1::2], axis=1)
     return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
 

@@ -5,7 +5,7 @@ The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
 computed by the stated independent oracles.  The single-minor unity sweeps
 make one batched split-prime zero test per modulus (see `singres.kernels`)
-and compare its zero set with the closed forms of `singres.minors`, both ways.
+and compare its zero set with the closed-form rank `minors._rank`, both ways.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .exact import primitive, prs_gcd, root_multiplicity
 from .germs import PlaneGerm, classify_germ, slice_germ
 from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from .laurent import _covector, _rank_two, classify_point, homogenize
-from .minors import admissible_pairs, exponent_minor_vanishes, minors_split_equivalence_scan, power_minor_vanishes
+from .minors import _order, _rank, admissible_pairs, gap_root, minors_split_equivalence_scan
 from .mpoly import jacobian_vanishes, resultant_poly
 from .project import GridConfig, Support3D, grid_scan, project_supports
 from .strata import (
@@ -152,15 +152,19 @@ def check_unity_minor_explanations(n_max=24, span=5):
     1 <= p < q < n, and the ones/exponents/powers matrix
     [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for x = z^p, 0 <= p < n.  Each sweep
     makes one batched split-prime zero test per modulus n and compares its
-    zero set with the closed form of `minors.power_minor_vanishes` or
-    `minors.exponent_minor_vanishes`, both ways, in one array pass per
-    modulus, with one comparison for both sweeps (`compare`):
-    `unexplained` lists zeros the closed form misses and
-    `closed_form_only` closed-form zeros the test finds nonzero, each in
-    (n, p, q, triple) order.
+    zero set with rank <= 2 by the closed form `minors._rank` at
+    B = {a, b, c}, both ways, in one array pass per modulus, with one
+    comparison for both sweeps (`compare`): `unexplained` lists zeros the
+    closed form misses and `closed_form_only` closed-form zeros the test
+    finds nonzero, each in (n, p, q, triple) order.  The power matrix is
+    M(B; x, y), whose keys |B mod m| are 3 - z + z // 3, z the number of
+    differences b - a, c - b, c - a that the period m = n/gcd(n, p, q)
+    divides; the other has the rows 1, e, x^e of lemma (2, 1) rows, of keys
+    |B| = 3.  Both gap tests read h = n/gcd(n, g), g = gcd(b - a, c - b).
     """
     triples = np.array(list(itertools.combinations(range(-span, span + 1), 3)), dtype=np.int64)
     a, b, c = triples.T
+    diffs, g = np.stack([b - a, c - b, c - a], axis=1), np.gcd(b - a, c - b)
     unexplained, closed_form_only = [], []
     checked = 0
 
@@ -178,14 +182,15 @@ def check_unity_minor_explanations(n_max=24, span=5):
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
         vanish = unity_combos_vanish(evaluation_table(n), det3_exponents(triples, ps, qs), DET3_SIGNS)
-        closed = power_minor_vanishes(n, ps, qs, triples)
+        z = (diffs % _order(n, np.gcd(ps, qs))[:, None, None] == 0).sum(axis=-1)
+        closed = _rank(3 - z + z // 3, gap_root(_order(n, g), ps[:, None], qs[:, None])) <= 2
         zeros += compare(vanish, closed, lambda i, t: {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()})
     # ones / exponents / powers matrix: det = (b-a) x^c + (a-c) x^b + (c-b) x^a
     coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
         ps = np.arange(n)
         vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
-        closed = exponent_minor_vanishes(n, ps, triples)
+        closed = _rank(3, ps[:, None] % _order(n, g) == 0) <= 2
         zeros65 += compare(vanish, closed, lambda p, t: {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"})
     return not unexplained and not closed_form_only, {
         "checked": checked,

@@ -535,8 +535,8 @@ def power_minor_explanation(n, p, q, a, b, c):
     """Why det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanishes at x = zeta_n^p,
     y = zeta_n^q, from integer congruences: a MinorCheck naming two
     proportional rows or columns, or None when no such pair exists.  The
-    six congruences are those of `singres.minors.power_minor_vanishes`, one
-    at a time, named."""
+    six congruences are those of the rank lemma of `singres.minors._rank` at
+    B = {a, b, c}, one at a time, named."""
     exps = (a, b, c)
     pairs = list(combinations(range(3), 2))
 

@@ -1,5 +1,6 @@
-"""Python call counts of fixed `strata` and CLI requests, and the class
-table builds of a cold run of scans, pinned like the digests.
+"""Python call counts of fixed `strata` and CLI requests and of one small
+unity-minor sweep, and the class table builds of a cold run of scans,
+pinned like the digests.
 
 A count is the number of `call` and `c_call` events that one
 `sys.setprofile` hook sees while a warm request runs: its caches are filled
@@ -7,7 +8,7 @@ by one earlier run of the same request, and the request's thunk and the
 hook's own removal count too.  The counts repeat across processes and hash
 seeds, so a change that adds work on a request path moves them where a
 timing on a shared host would drift.  A change that moves a count updates
-EXPECTED, CLI_EXPECTED or COLD_TABLES and says why in CHANGES.md, as a
+EXPECTED, CLI_EXPECTED, SWEEP_EXPECTED or COLD_TABLES and says why in CHANGES.md, as a
 digest change does.
 """
 
@@ -18,7 +19,7 @@ import sys
 
 import pytest
 
-from singres import cli, strata
+from singres import cli, strata, verify
 from singres.strata import estimate_codim, parse_label, scan_corank_strata
 from singres.supports import SupportPair, SupportSet
 from singres.verify import _normalized_supports
@@ -28,7 +29,7 @@ EXPECTED = {
     ("scan", (0, 1, 3, 7), (0, 2, 5), "N(1,1,1)", 3): 199,
     ("scan", (0, 2, 4, 6), (0, 2, 4, 6), "N(1,1,1)", 3): 152,
     ("scan", (0, 1, 4), (0, 3, 5), "N(1,1)", 3): 194,
-    ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 204,
+    ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 164,
     ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 2225,
     ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 135,
 }
@@ -71,6 +72,17 @@ def test_warm_call_count(case):
         thunk = lambda: estimate_codim(p, label, seed=seed)  # noqa: E731
     thunk()
     assert calls(thunk) == calls(thunk) == EXPECTED[case]
+
+
+# the warm count of check_unity_minor_explanations(8, 4), one of the unity
+# sweeps that every strata-scan benchmark pass runs
+SWEEP_EXPECTED = 1428
+
+
+def test_warm_unity_sweep_call_count():
+    thunk = lambda: verify.check_unity_minor_explanations(8, 4)  # noqa: E731
+    thunk()
+    assert calls(thunk) == calls(thunk) == SWEEP_EXPECTED
 
 
 def test_cold_class_table_builds():

@@ -8,7 +8,7 @@ import pytest
 
 import cyclo_oracle
 from cyclo_oracle import CycloElement, RootOfUnity, UnityPair, cyclo_det3, power_rank
-from singres import kernels, minors
+from singres import kernels, minors, verify
 from singres.exact import split_prime
 from singres.kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
 from singres.minors import (
@@ -16,13 +16,11 @@ from singres.minors import (
     _rank,
     ScanReport,
     admissible_pairs,
-    exponent_minor_vanishes,
     gap_root,
     minors_split_equivalence_scan,
-    power_minor_vanishes,
-    residues,
     two_class_split,
 )
+from singres.strata import _residues
 from singres.supports import SplitWitness, SupportSet, class_count, gap_gcd
 from singres.verify import check_unity_minor_explanations
 
@@ -45,6 +43,20 @@ def closed_form_rank(b, n, ps, qs):
     g = gap_gcd(b)
     h = np.array([k // gcd(k, g) for k in ns.tolist()], dtype=np.int64)
     return _rank(np.array([counts[m] for m in periods], dtype=np.int64), gap_root(h, ps, qs))
+
+
+def power_minor_rank(n, ps, qs, triples):
+    """closed_form_rank at B = {a, b, c} for every row of triples: an int
+    array (pairs, triples)."""
+    return np.stack([closed_form_rank(S(*t), n, ps, qs) for t in triples], axis=-1)
+
+
+def exponent_minor_rank(n, ps, triples):
+    """The rank of the rows 1, e, x^e over e in {a, b, c}, x = zeta_n^p, for
+    every p of ps and row of triples, by `minors._rank` (lemma (2, 1) rows):
+    an int array (ps, triples)."""
+    g = np.array([gap_gcd(S(*t)) for t in np.asarray(triples).tolist()], dtype=np.int64)
+    return _rank(3, np.asarray(ps, dtype=np.int64)[:, None] % (n // np.gcd(n, g)) == 0)
 
 
 def all_minors_vanish(b, u):
@@ -235,11 +247,12 @@ class TestMinorChecks:
         # the package's two paths: the split-prime zero test and the closed form
         want = [[False, True], [False, True]]
         assert det3_vanish(evaluation_table(4), [(0, 1, 2), (0, 2, 4)], [1, 2], [2, 1]).tolist() == want
-        assert power_minor_vanishes(4, [1, 2], [2, 1], [(0, 1, 2), (0, 2, 4)]).tolist() == want
+        assert (power_minor_rank(4, [1, 2], [2, 1], [(0, 1, 2), (0, 2, 4)]) <= 2).tolist() == want
 
     def test_power_matrix_property(self):
-        # the closed form equals the split-prime zero set, both ways, at every
-        # residue: n <= 36, 1 <= p < q < n and (0, b, c) with 0 < b < c < n.
+        # rank <= 2 by the closed form equals the split-prime zero set, both
+        # ways, at every residue: n <= 36, 1 <= p < q < n and (0, b, c) with
+        # 0 < b < c < n.
         # a = 0 loses nothing: shifting every exponent by s scales the
         # determinant by (xy)^s
         zeros = 0
@@ -247,7 +260,7 @@ class TestMinorChecks:
             ps, qs = admissible_pairs(n)
             triples = [(0, b, c) for b, c in itertools.combinations(range(1, n), 2)]
             vanish = det3_vanish(evaluation_table(n), triples, ps, qs)
-            closed = power_minor_vanishes(n, ps, qs, triples)
+            closed = power_minor_rank(n, ps, qs, triples) <= 2
             wrong = [(int(ps[i]), int(qs[i]), triples[t]) for i, t in np.argwhere(closed != vanish)[:3].tolist()]
             assert wrong == [], n
             zeros += int(vanish.sum())
@@ -265,7 +278,7 @@ class TestMinorChecks:
             assert (out.tag, out.rows, out.cols) == want, (triple, n, p, q)
             vanish = det3_vanish(evaluation_table(n), [triple], [p], [q])[0, 0]
             assert vanish == (out.tag != "Nondegenerate")
-            assert power_minor_vanishes(n, [p], [q], [triple])[0, 0] == vanish
+            assert (power_minor_rank(n, [p], [q], [triple]) <= 2)[0, 0] == vanish
 
     def test_unity_sweep_counts(self):
         # frozen (checked, power-matrix zeros, exponent-row zeros) of small sweeps
@@ -280,6 +293,13 @@ class TestMinorChecks:
             assert ok and d["unexplained"] == []
             assert (d["checked"], d["zeros_power_matrix"], d["zeros_exponent_matrix"]) == counts
 
+    def test_sweep_reads_the_rank(self, monkeypatch):
+        # a rank with no gap test misses the proportional-row zeros, and the
+        # check must say so
+        monkeypatch.setattr(verify, "_rank", lambda keys, root: _rank(keys, False))
+        ok, d = check_unity_minor_explanations(8, 4)
+        assert not ok and d["unexplained"] and not d["closed_form_only"]
+
     def test_exponent_matrix_examples(self):
         cases = [((0, 1, 2), 1, 0, "EqualRows13"), ((0, 1, 2), 4, 1, "Nondegenerate"), ((0, 2, 4), 2, 1, "EqualRows13")]
         for (a, b, c), n, p, tag in cases:
@@ -287,11 +307,11 @@ class TestMinorChecks:
             # the package's exact path: (b-a) x^c + (a-c) x^b + (c-b) x^a
             vanish = unity_combos_vanish(evaluation_table(n), [[p * c, p * b, p * a]], [b - a, a - c, c - b])
             assert vanish.tolist() == [tag == "EqualRows13"]
-            assert exponent_minor_vanishes(n, [p], [(a, b, c)]).tolist() == [[tag == "EqualRows13"]]
+            assert (exponent_minor_rank(n, [p], [(a, b, c)]) <= 2).tolist() == [[tag == "EqualRows13"]]
 
     def test_exponent_matrix_property(self):
         # the ones/exponents/powers determinant (b-a) x^c + (a-c) x^b + (c-b) x^a
-        # vanishes exactly where the closed form says, x^a = x^b = x^c: both
+        # vanishes exactly where `_rank` gives rank <= 2, x^a = x^b = x^c: both
         # ways, for n <= 36, 0 <= p < n and (0, b, c) with 0 < b < c < n
         zeros = 0
         for n in range(3, 37):
@@ -300,7 +320,7 @@ class TestMinorChecks:
             ps = np.arange(n)
             coefs = np.stack([b - a, a - c, c - b], axis=1)
             vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
-            closed = exponent_minor_vanishes(n, ps, triples)
+            closed = exponent_minor_rank(n, ps, triples) <= 2
             wrong = [(p, triples[t].tolist()) for p, t in np.argwhere(closed != vanish)[:3].tolist()]
             assert wrong == [], n
             zeros += int(vanish.sum())
@@ -571,7 +591,7 @@ class TestBatchKernel:
                 assert rank.tolist() == [power_rank(b, n, p, q)], (big, n, p, q)
             values = [big, -big, 2, rng.randrange(2**80)]
             moduli = np.array([3, 7, 3, 1, 12])
-            assert residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
+            assert _residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
 
     def test_large_moduli_match_sorted_keys(self):
         # moduli near 2^40 with gcd(n, p, q) > 1, huge and negative exponents:

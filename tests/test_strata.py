@@ -16,7 +16,7 @@ from float_oracle import SVD_RTOL, VOTE_SAMPLES, draw_minor_tuple, minor_poly_in
 from singres import cli
 from singres.exact import exact_quo, exact_rref, kernel_basis, modular_rank, prs_gcd, root_of_order, split_prime, split_primes
 from singres.laurent import LaurentPoly, common_roots, falling
-from singres.minors import _rank, admissible_pairs, residues
+from singres.minors import _rank, admissible_pairs
 from singres.strata import (
     StratumLabel,
     estimate_codim,
@@ -48,6 +48,7 @@ from singres.strata import (
     _log_powers,
     _minor_certificates,
     _random_fraction,
+    _residues,
     _scan_table,
     _Side,
     _side_matrices,
@@ -702,7 +703,7 @@ class PerTupleScan:
 
     def side(self, b):
         if b not in self.sides:
-            gap_form = (self.exps * residues((gap_gcd(b),), self.ns) % self.ns[:, None] == 0).all(axis=1)
+            gap_form = (self.exps * _residues((gap_gcd(b),), self.ns) % self.ns[:, None] == 0).all(axis=1)
             k, exps = self.k, self.exps
             self.sides[b] = (k - closed_form_rank(b, self.ns, exps[:, min(k, 2) - 1], exps[:, k - 1]), gap_form)
         return self.sides[b]
