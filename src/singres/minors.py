@@ -3,21 +3,23 @@
 The central object is M(B; x, y) with rows (1...1), (x^b)_b, (y^b)_b for
 roots of unity x = zeta_n^p, y = zeta_n^q.  Its rank has a closed form in
 integer congruences (`_rank`, from a residue count and `gap_root`), which
-`singres.strata` reads per modulus for its corank classes: all 3x3 minors
+`singres.strata` reads per modulus when it builds the corank classes of a
+pair of side signatures: all 3x3 minors
 vanish iff one of p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or
 the columns (p*b mod n, q*b mod n) take at most two values over B.  That is
 not the same as a two-residue-class split of B: an order-2 root with x^g,
 y^g or (x/y)^g = 1 kills every minor without a split.  The scan below
 checks the two against each other exhaustively, in one array pass over
 every support and every admissible pair of every modulus: both sides read
-one table of residue counts |B mod k| (`supports.class_count`), and the
+one table of residue counts |B mod k| (`supports.class_counts`, one call
+per support), and the
 splits it uses are backed by one verified certificate per (B, k) from the
 one split search of `singres.supports`.  A single minor is the rank at
 |B| = 3, so `_rank` is also what the verification sweeps compare with the
 zero test of `singres.kernels`.
 
 Negative and arbitrarily large exponents are harmless: residue counts are
-taken in Python ints (`supports.class_count`), and the rank multiplies no
+taken in Python ints (`supports.class_counts`), and the rank multiplies no
 two residues.
 """
 
@@ -30,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .supports import SupportSet, class_count, gap_gcd, split_dividing
+from .supports import SupportSet, class_counts, gap_gcd, split_dividing
 
 __all__ = [
     "gap_root",
@@ -56,10 +58,11 @@ def _rank(keys, root):
     tests: `keys`, the number |B mod m| of distinct column keys, m the
     period below, and `root`, the gap test `gap_root`.  Rank 1 for one key;
     else 2 for two keys or a gap root, else 3.  Elementwise, broadcasting;
-    int8 inputs give an int8 rank, and Python scalars a numpy scalar
-    (`strata._modulus_classes` takes int() of it, so that stratum keys stay
-    Python ints).  The same call ranks the rows 1, e, w^e over B (lemma
-    (2, 1) rows), with keys = |B| and root = [ord w | g].
+    int8 inputs give an int8 rank.  `strata._modulus_classes` ranks every
+    group of a class table in one call on arrays and reads Python ints off
+    `.tolist()`, so that stratum keys stay Python ints.  The same call
+    ranks the rows 1, e, w^e over B (lemma (2, 1) rows), with keys = |B|
+    and root = [ord w | g].
 
     Lemma (rank).  Call (p*b mod n, q*b mod n) the key of the column b.
     The rank is 1 iff the key is constant over B, and at most 2 iff
@@ -199,13 +202,13 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
 
     Both sides are questions about |B mod k|, so the scan reads one table,
     counts[s, k - 3] = min(|B_s mod k|, 3) for every support B_s and
-    3 <= k <= n_max (`supports.class_count`), in one array pass over every
-    support and every admissible pair of every modulus n <= n_max.  The
-    rank at (B_s, p, q) is the rank lemma of `_rank` at
-    counts[s, m - 3], m the period n/gcd(n, p, q).  B_s splits at n iff some
-    k >= 3 dividing n has counts[s, k - 3] <= 2.  For each distinct
-    (B_s, k), k the smallest such divisor of some n (that is, a split k
-    with no split proper divisor), one certificate from
+    3 <= k <= n_max (one `supports.class_counts` call per support), in
+    one array pass over every support and every admissible pair of every
+    modulus n <= n_max.  The rank at (B_s, p, q) is the rank lemma of
+    `_rank` at counts[s, m - 3], m the period n/gcd(n, p, q).  B_s splits
+    at n iff some k >= 3 dividing n has counts[s, k - 3] <= 2.  For each
+    distinct (B_s, k), k the smallest such divisor of some n (that is, a
+    split k with no split proper divisor), one certificate from
     `two_class_split(B_s, k)` is verified and must have that k; it serves
     every n that k divides.
 
@@ -225,7 +228,7 @@ def minors_split_equivalence_scan(n_max: int, spread_max: int, sizes) -> ScanRep
         for comb in combinations(universe, size)
     ]
     moduli = np.arange(3, n_max + 1)  # the column n - 3, and k - 3 of counts
-    counts = np.array([[class_count(b, k) for k in moduli.tolist()] for b in subsets], dtype=np.int64)
+    counts = np.array([class_counts(b, moduli.tolist()) for b in subsets], dtype=np.int64)
     # neither test tells 3 classes from more, so (supports, pairs) arrays stay int8
     counts = np.minimum(counts.reshape(len(subsets), len(moduli)), 3).astype(np.int8)
     gaps = np.array([gap_gcd(b) for b in subsets], dtype=np.int64)

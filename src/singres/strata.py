@@ -30,7 +30,9 @@ builder (`_hermite_stack`), and the scan and the estimator read their
 root-of-unity tuples from one table that lists each tuple once
 (`_scan_table`).  Each request derives a side's effective support, root
 orders and gap gcd once, into the side record (`_sides`) that every helper
-reads; equal records are ranked once (`_per_side`).
+reads; equal records are ranked once (`_per_side`).  A label with a
+closed-form rank reads its root-of-unity classes from a cache keyed by its
+two sides' signatures (`_corank_tally`).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import gcd, isqrt, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +63,7 @@ from .exact import (
 )
 from .laurent import LaurentPoly, common_roots, falling
 from .minors import _rank, gap_root
-from .supports import SupportPair, SupportSet, class_count, gap_gcd, split_dividing
+from .supports import SupportPair, SupportSet, class_counts, gap_gcd, split_dividing
 
 __all__ = [
     "StratumLabel",
@@ -88,7 +91,11 @@ CERT_T_TRIES = 8
 
 @dataclass(frozen=True)
 class StratumLabel:
-    """(j0, jinf, multiset of per-root order pairs), canonically sorted."""
+    """(j0, jinf, multiset of per-root order pairs), canonically sorted.
+
+    Its notation is written once, here, since every scan and codim report
+    names its label; it is no field, so equality, hash and repr read the
+    three fields alone."""
 
     j0: int = 0
     jinf: int = 0
@@ -102,6 +109,12 @@ class StratumLabel:
             if j1 < 1 or j2 < 1:
                 raise ValueError("root orders must be >= 1")
         object.__setattr__(self, "roots", roots)
+        sub = f"_{self.j0}" if self.j0 else ""
+        sup = f"^{self.jinf}" if self.jinf else ""
+        body = ",".join(str(r[0]) for r in roots)
+        if not self.is_symmetric:
+            body += ";" + ",".join(str(r[1]) for r in roots)
+        object.__setattr__(self, "_notation", f"N{sub}{sup}({body})" if roots else f"N{sub}{sup}")
 
     @property
     def k(self):
@@ -119,17 +132,9 @@ class StratumLabel:
         return cls(j0, jinf, tuple((j, j) for j in orders))
 
     def notation(self):
-        sub = f"_{self.j0}" if self.j0 else ""
-        sup = f"^{self.jinf}" if self.jinf else ""
-        if not self.roots:
-            return f"N{sub}{sup}"
-        if self.is_symmetric:
-            body = ",".join(str(r[0]) for r in self.roots)
-        else:
-            body = ",".join(str(r[0]) for r in self.roots) + ";" + ",".join(
-                str(r[1]) for r in self.roots
-            )
-        return f"N{sub}{sup}({body})"
+        """'N(1,1,1)', 'N_1^0(1)', 'N(2,1;1,1)' style notation, as
+        `parse_label` reads it."""
+        return self._notation
 
 
 _LABEL_RE = re.compile(r"^N(?:_(\d+))?(?:\^(\d+))?(?:\(([^)]*)\))?$")
@@ -483,30 +488,44 @@ def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
     of `_corank_tally`: ((c1', c2'), size, first tuple) per class, in scan
     order of first tuple.
 
-    The rank lemma's last step (`minors._rank`) runs once per group of
-    `_tuple_groups` here, and every scan that meets the same key reads the
-    result.  The key space is bounded by n_max: n <= n_max, c_s <= 3 and
-    h_s | n.  Capping c_s at 3 changes no rank, which is at most 3.
+    The rank lemma's last step (`minors._rank`) runs once per table here,
+    on the array of every group's gap flags from `_tuple_groups`, and every
+    signature that meets the same key reads the result.  The key space is
+    bounded by n_max: n <= n_max, c_s <= 3 and h_s | n.  Capping c_s at 3
+    changes no rank, which is at most 3.
     """
+    groups = _tuple_groups(k, n_max, n, h1, h2)
+    keys = (k - _rank((c1, c2), np.array([flags for flags, _, _ in groups]))).tolist()
+    live = [(tuple(key), size, first) for key, (_, size, first) in zip(keys, groups) if key != [0, 0]]
+    return tuple((key, count, first) for key, (count, first) in _classes_of(live).items())
+
+
+@lru_cache(maxsize=None)
+def _signature_classes(k, n_max, cs1, hs1, cs2, hs2):
+    """The nonzero corank classes of _scan_table(k, n_max) for two sides
+    with the signatures (cs1, hs1) and (cs2, hs2) of `_table_values`, as a
+    read-only {(c1, c2): (count, first tuple)} in scan order: the classes of
+    `_modulus_classes` merged over the moduli in increasing order.  Every
+    caller gets the same mapping, so it admits no writes.  The key space is
+    bounded by n_max, as that of `_modulus_classes` is."""
     groups = []
-    for (flag1, flag2), size, first in _tuple_groups(k, n_max, n, h1, h2):
-        key = (k - int(_rank(c1, flag1)), k - int(_rank(c2, flag2)))
-        if key != (0, 0):
-            groups.append((key, size, first))
-    return tuple((key, count, first) for key, (count, first) in _classes_of(groups).items())
+    for n, c1, h1, c2, h2 in zip(_scan_table(k, n_max)[3], cs1, hs1, cs2, hs2):
+        groups += _modulus_classes(k, n_max, n, c1, h1, c2, h2)
+    return MappingProxyType(_classes_of(groups))
 
 
 def _corank_tally(sides, n_max):
     """The `_corank_classes` of a label whose sides have a closed-form rank
     (orders all 1 at k <= 3, or (2, 1) or (1, 2) at k = 2), from
-    per-modulus class tables: {(c1, c2): (count, first tuple)} for every
-    nonzero corank pair.
-    Per modulus n a request computes the table values (`_table_values`) c_s
-    and h_s = n/gcd(n, g_s) for each distinct side, g_s the gap gcd of its
-    effective support B_s, and reads that modulus's classes from the cached
-    `_modulus_classes`.  c_s is min(|B_s mod n|, 3) for an order-1 side, with
-    residues only at n <= spread (`supports.class_count`), and
-    _rank(|B_s|, h_s == 1) - 1 for orders (2, 1) or (1, 2).
+    per-modulus class tables: a read-only {(c1, c2): (count, first tuple)}
+    for every nonzero corank pair.
+    A request computes each distinct side's signature (`_table_values`):
+    its table values c_s and h_s = n/gcd(n, g_s) at every modulus n of the
+    table, g_s the gap gcd of its effective support B_s.  c_s is
+    min(|B_s mod n|, 3) for an order-1 side (`supports.class_counts`) and
+    _rank(|B_s|, h_s == 1) - 1 for orders (2, 1) or (1, 2).  The classes are
+    one lookup in the cache of `_signature_classes`, keyed by (k, n_max) and
+    the two signatures.
 
     Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
     corank k - min(c_s, 3 - gap_root(h_s, p, q)), with (p, q) as in
@@ -528,14 +547,18 @@ def _corank_tally(sides, n_max):
     with no per-tuple array.  The dict comes in scan order with no sort
     (`_classes_of`): the moduli come in increasing order and each modulus's
     classes in scan order of first tuple.
+
+    Lemma (signature).  The tally is a function of (k, n_max) and the two
+    sides' signatures alone.  Proof.  By the lemma above each tuple's
+    corank pair is a function of k, its modulus n, its exponents and
+    (c_s, h_s) at n for both sides; the tuples are those of
+    _scan_table(k, n_max), and the signatures list (c_s, h_s) at each of its
+    moduli.  So scans whose sides share their signatures share their
+    classes, and the cached mapping serves them all.
     """
     k = len(sides[0].js)
-    moduli = _scan_table(k, n_max)[3]
-    (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, moduli)
-    groups = []
-    for n, c1, h1, c2, h2 in zip(moduli, cs1, hs1, cs2, hs2):
-        groups += _modulus_classes(k, n_max, n, c1, h1, c2, h2)
-    return _classes_of(groups)
+    (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, tuple(_scan_table(k, n_max)[3]))
+    return _signature_classes(k, n_max, cs1, hs1, cs2, hs2)
 
 
 def _per_side(value, sides, *args):
@@ -546,14 +569,23 @@ def _per_side(value, sides, *args):
     return first, first if sides[1] == sides[0] else value(sides[1], *args)
 
 
+@lru_cache(maxsize=256)
+def _gap_orders(g, moduli):
+    """h = n/gcd(n, g), the order of zeta_n^g, at every n of the tuple
+    moduli, as a tuple.  Bounded: g comes from the input."""
+    return tuple([n // gcd(n, g) for n in moduli])
+
+
 def _table_values(side, moduli):
-    """The table values (c_s, h_s) of `_corank_tally` of a side record at
-    every modulus of moduli, as two lists."""
+    """The signature (cs, hs) of a side record: its table values c_s and h_s
+    of `_corank_tally` at every modulus of the tuple moduli, as two tuples.
+    The residues come from one `class_counts` call and h_s from the cache
+    of `_gap_orders`, which depends on the gap gcd alone."""
     b, js, g = side
-    h = [n // gcd(n, g) for n in moduli]
+    h = _gap_orders(g, moduli)
     if max(js) == 1:
-        return [min(class_count(b, n), 3) for n in moduli], h
-    return (_rank(len(b), np.equal(h, 1)) - 1).tolist(), h
+        return tuple([c if c < 3 else 3 for c in class_counts(b, moduli)]), h
+    return tuple((_rank(len(b), np.equal(h, 1)) - 1).tolist()), h
 
 
 # --- solution strata (§4) ----------------------------------------------------
@@ -893,11 +925,12 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
 
 def _corank_classes(sides, n_max):
     """The nonzero corank classes of _scan_table(k, n_max), for the
-    root-of-unity strata: {(c1, c2): (count, first tuple)} in scan order.
+    root-of-unity strata: {(c1, c2): (count, first tuple)} in scan order,
+    a mapping that no caller writes to.
     A label of at most three roots whose every side has orders all 1, or
-    (2, 1) or (1, 2) at k = 2, reads them off per-modulus class tables
-    (`_corank_tally`), with no per-tuple array: at modulus n the
-    closed-form rank depends on a tuple only through its gap flags at
+    (2, 1) or (1, 2) at k = 2, reads them, read-only, from the cache of its
+    side signatures (`_corank_tally`), with no per-tuple array: at modulus
+    n the closed-form rank depends on a tuple only through its gap flags at
     n/gcd(n, g_s).  The rank lemma behind them is one of three rows, so any
     other label, such as N(2,2;1,1), k = 3 with multiplicities or k >= 4
     roots, reads them off both sides' corank arrays (`_unity_coranks`),

@@ -19,7 +19,7 @@ __all__ = [
     "SubsetGuarantee",
     "Verdict",
     "gap_gcd",
-    "class_count",
+    "class_counts",
     "split_dividing",
     "check_conditions",
     "classify",
@@ -135,24 +135,26 @@ class SplitWitness:
         return {"k": self.k, "part_main": list(self.part_main), "part_rest": list(self.part_rest)}
 
 
-def class_count(b: SupportSet, k: int) -> int:
-    """|B mod k|, the number of residue classes mod k >= 1 that B meets.
+def class_counts(b: SupportSet, moduli) -> list:
+    """|B mod n| for every n >= 1 of moduli, the number of residue classes
+    mod n that B meets, as a list in the order of moduli.
 
-    Every difference of two elements lies in (0, spread], so for k > spread
-    no two share a class and the count is |B|, with no residue taken.
+    Every difference of two elements lies in (0, spread], so for n > spread
+    no two share a class and the count is |B|, with no residue taken.  The
+    one residue count of the package: O(|B|) per modulus, whatever the
+    spread.
     """
     elems = b.elements
-    if k > elems[-1] - elems[0]:
-        return len(elems)
-    return len({e % k for e in elems})
+    size, spread = len(elems), elems[-1] - elems[0]
+    return [len({e % n for e in elems}) if n <= spread else size for n in moduli]
 
 
 def split_dividing(target: SupportSet, m: int):
     """Smallest k >= 3 dividing m whose residues split target into at most
-    two classes (`class_count` <= 2), with the residue-class partition
+    two classes (`class_counts` <= 2), with the residue-class partition
     (part_main holds the class of the minimum); None if none."""
     for k in range(3, m + 1):
-        if m % k == 0 and class_count(target, k) <= 2:
+        if m % k == 0 and class_counts(target, (k,))[0] <= 2:
             main = tuple(e for e in target.elements if (e - target.min) % k == 0)
             rest = tuple(e for e in target.elements if (e - target.min) % k)
             return SplitWitness(k, main, rest)

@@ -21,7 +21,7 @@ from singres.minors import (
     two_class_split,
 )
 from singres.strata import _residues
-from singres.supports import SplitWitness, SupportSet, class_count, gap_gcd
+from singres.supports import SplitWitness, SupportSet, class_counts, gap_gcd
 from singres.verify import check_unity_minor_explanations
 
 
@@ -33,13 +33,14 @@ def closed_form_rank(b, n, ps, qs):
     """The rank of M(B; zeta_n^p, zeta_n^q) for every pair (ps[i], qs[i]),
     n one modulus or one per pair, composed from the lemmas of
     `minors._rank`: the period m = n/gcd(n, p, q), the residue count
-    |B mod m| (`class_count`, once per distinct period) and the gap test
+    |B mod m| (`class_counts`, once per distinct period) and the gap test
     (`gap_root`) at h = n/gcd(n, g), the order of zeta_n^g, g the gap gcd
     of B (in Python ints, so a huge g stays exact)."""
     ps, qs = np.asarray(ps, dtype=np.int64), np.asarray(qs, dtype=np.int64)
     ns = np.broadcast_to(np.asarray(n, dtype=np.int64), ps.shape)
     periods = (ns // np.gcd(ns, np.gcd(ps, qs))).tolist()
-    counts = {m: class_count(b, m) for m in set(periods)}
+    distinct = sorted(set(periods))
+    counts = dict(zip(distinct, class_counts(b, distinct)))
     g = gap_gcd(b)
     h = np.array([k // gcd(k, g) for k in ns.tolist()], dtype=np.int64)
     return _rank(np.array([counts[m] for m in periods], dtype=np.int64), gap_root(h, ps, qs))

@@ -41,18 +41,21 @@ from singres.strata import (
     _draw_filtration_pair,
     _embed,
     _effective_elements,
+    _gap_orders,
     _generic_kernel_dims,
     _hermite_stack,
     _kernel_floor,
     _kernel_of,
     _log_powers,
     _minor_certificates,
+    _modulus_classes,
     _random_fraction,
     _residues,
     _scan_table,
     _Side,
     _side_matrices,
     _sides,
+    _signature_classes,
     _solution_strata,
     _stratum_predictions,
     _table_values,
@@ -777,17 +780,24 @@ class TestCorankTally:
     @pytest.mark.parametrize("name", LABELS)
     def test_asymmetric_pairs_match_per_tuple_scan(self, name):
         # every ordered pair of supports of spread <= 6 at n_max 12, and at
-        # every n_max from 1 to 11 on every seventh pair
+        # every n_max from 1 to 11 on every seventh pair, twice: right after
+        # the class caches are cleared, and warm, when every tally is a hit
+        # of the signature cache, so a wrong or stale cached mapping fails
         label = parse_label(name)
         oracle, sups = PerTupleScan(label.k), supports_up_to(6)
         pairs = list(itertools.product(sups, repeat=2))
-        checked = 0
-        for i, (b1, b2) in enumerate(pairs):
-            p = SupportPair(b1, b2)
-            for n_max in range(1, 13) if i % 7 == 0 else (12,):
-                assert_tally(oracle, p, label, n_max)
-                checked += 1
-        assert (len(sups), checked) == (63, 3969 + 567 * 11)
+        for cache in (_signature_classes, _modulus_classes, _gap_orders):
+            cache.cache_clear()
+        for warm in (False, True):
+            misses = _signature_classes.cache_info().misses
+            checked = 0
+            for i, (b1, b2) in enumerate(pairs):
+                p = SupportPair(b1, b2)
+                for n_max in range(1, 13) if i % 7 == 0 else (12,):
+                    assert_tally(oracle, p, label, n_max)
+                    checked += 1
+            assert (len(sups), checked) == (63, 3969 + 567 * 11)
+            assert (_signature_classes.cache_info().misses == misses) == warm
         # whole reports on a sample
         for b1, b2 in pairs[::97]:
             p = SupportPair(b1, b2)
@@ -806,6 +816,22 @@ class TestCorankTally:
                 for n_max in range(1, 13):
                     assert_tally(oracle, p, label, n_max)
 
+    def test_cached_classes_are_read_only(self):
+        # every scan whose sides share their signatures reads one cached
+        # mapping, so no caller may write to it
+        for name in ("N(1,1)", "N(1,1,1)", "N(2,1)"):
+            sides = _sides(pair((0, 3, 6), (0, 2, 5)), parse_label(name))
+            classes = _corank_classes(sides, 12)
+            assert classes is _corank_classes(sides, 12) and classes
+            key, (count, (n, exps)) = next(iter(classes.items()))
+            with pytest.raises(TypeError):
+                classes[key] = (count + 1, (n, exps))
+            with pytest.raises(TypeError):
+                del classes[key]
+            for method in ("clear", "pop", "popitem", "setdefault", "update"):
+                assert not hasattr(classes, method), method
+            assert type(exps) is tuple and _corank_classes(sides, 12)[key] == (count, (n, exps))
+
     def test_two_one_sides_match_hermite_path(self):
         # the closed form of a side of orders (2, 1) or (1, 2) against the
         # Hermite path (`_unity_coranks`) at all 45 tuples of
@@ -815,7 +841,7 @@ class TestCorankTally:
         # min(c_s, 2), and per support through the whole tally, with the
         # (2, 1) side on side 1 and the (1, 2) side on side 2
         ns, exps, configs, _ = _scan_table(2, 12)
-        moduli = sorted(set(ns.tolist()))
+        moduli = tuple(sorted(set(ns.tolist())))
         sups = [S(0)] + supports_up_to(8)
         sups += [SupportSet(tuple(e - 3 for e in b.elements)) for b in sups]
         checked = 0

@@ -11,7 +11,7 @@ from singres.supports import (
     SupportSet,
     SplitWitness,
     check_conditions,
-    class_count,
+    class_counts,
     classify,
     gap_gcd,
     split_dividing,
@@ -72,22 +72,25 @@ class TestGapGcd:
 
 class TestClassCount:
     # the sides of the corank tally's negative and huge exponent test
-    # (tests/test_strata.py), past int64 and below zero
+    # (tests/test_strata.py), past int64 and below zero, and a spread past
+    # any modulus the package asks for
     BIG = (2**62 + 1, 2**63 + 5, 2**64 + 1, -(2**70) - 1)
-    SIDES = [S(0, 2, b) for b in BIG] + [S(-7, -2, 0, 5), S(-(2**65), 3, 2**63), S(-12, -6, 0, 6), S(0, 3)]
+    SIDES = [S(0, 2, b) for b in BIG] + [S(-7, -2, 0, 5), S(-(2**65), 3, 2**63), S(-12, -6, 0, 6), S(0, 3), S(0, 10**6), S(-(10**6), -3, 0)]
 
     def test_matches_residue_set(self):
-        # every k <= spread + 3: the moduli past the spread take the |B|
-        # shortcut, those up to it the residues; a huge spread is checked at
-        # the small moduli and on both sides of the spread
+        # one call per support over every n <= 12 and every n <= spread + 3:
+        # the moduli past the spread take the |B| shortcut, those up to it
+        # the residues; a huge spread is checked at the small moduli and on
+        # both sides of the spread
         sides = self.SIDES + [S(0, *mid, top) for top in range(1, 9) for r in range(top) for mid in combinations(range(1, top), r)]
         checked = 0
-        for b in sides:
-            ks = set(range(1, min(b.spread + 3, 64) + 1)) | {b.spread + d for d in range(-3, 4) if b.spread + d >= 1}
-            for k in sorted(ks):
-                assert class_count(b, k) == len({e % k for e in b}), (b.elements, k)
-                checked += 1
-        assert len(sides) == 263 and checked > 2000
+        for i, b in enumerate(sides):
+            ns = set(range(1, max(12, min(b.spread + 3, 64)) + 1)) | {b.spread + d for d in range(-3, 4) if b.spread + d >= 1}
+            ns = sorted(ns, reverse=i % 2 == 1)  # the moduli may come in any order
+            assert class_counts(b, ns) == [len({e % n for e in b}) for n in ns], b.elements
+            checked += len(ns)
+        assert len(sides) == 265 and checked > 3000
+        assert class_counts(S(0, 1), []) == []
 
 
 def brute_force_split(target: SupportSet, other: SupportSet):
