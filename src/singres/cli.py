@@ -465,13 +465,13 @@ def _parser() -> argparse.ArgumentParser:
     Sharing it between `main` calls is safe: parsing mutates nothing on a
     parser.  `parse_args` (Python 3.11 argparse) writes every value, every
     action default and every `set_defaults` entry into the Namespace it
-    returns; `_SubParsersAction.__call__` parses the chosen subparser into
-    a fresh Namespace and copies it over; the store actions only `setattr`
-    on the Namespace; `set_defaults` itself runs only while building.  No
-    action has a mutable default, so no value outlives its call.  The
-    Namespace's `parser` is the chosen subcommand's own parser (stored by
-    `_subcommand`), which `main` uses to report a flag that subcommand
-    does not take under its own usage line."""
+    returns; `argparse._SubParsersAction.__call__` parses the chosen
+    subparser into a fresh Namespace and copies it over; the store actions
+    only `setattr` on the Namespace; `set_defaults` itself runs only while
+    building.  No action has a mutable default, so no value outlives its
+    call.  The Namespace's `parser` is the chosen subcommand's own parser
+    (stored by `_subcommand`), which `main` uses to report a flag that
+    subcommand does not take under its own usage line."""
     return build_parser()
 
 

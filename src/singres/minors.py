@@ -3,8 +3,8 @@
 The central object is M(B; x, y) with rows (1...1), (x^b)_b, (y^b)_b for
 roots of unity x = zeta_n^p, y = zeta_n^q.  Its rank has a closed form in
 integer congruences (`_rank`, from a residue count and `gap_root`), which
-`singres.strata` reads per modulus when it builds the corank classes of a
-pair of side signatures: all 3x3 minors
+`singres.strata` reads at every tuple of its scan table when it builds the
+corank classes of a pair of side signatures: all 3x3 minors
 vanish iff one of p*g, q*g, (p - q)*g is 0 mod n, g the gap gcd of B, or
 the columns (p*b mod n, q*b mod n) take at most two values over B.  That is
 not the same as a two-residue-class split of B: an order-2 root with x^g,
@@ -58,9 +58,8 @@ def _rank(keys, root):
     tests: `keys`, the number |B mod m| of distinct column keys, m the
     period below, and `root`, the gap test `gap_root`.  Rank 1 for one key;
     else 2 for two keys or a gap root, else 3.  Elementwise, broadcasting;
-    int8 inputs give an int8 rank.  `strata._modulus_classes` ranks every
-    group of a class table in one call on arrays and reads Python ints off
-    `.tolist()`, so that stratum keys stay Python ints.  The same call
+    int8 inputs give an int8 rank.  `strata._side_coranks` ranks a side at
+    every tuple of the scan table in one call on arrays.  The same call
     ranks the rows 1, e, w^e over B (lemma (2, 1) rows), with keys = |B|
     and root = [ord w | g].
 

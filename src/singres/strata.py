@@ -30,9 +30,13 @@ builder (`_hermite_stack`), and the scan and the estimator read their
 root-of-unity tuples from one table that lists each tuple once
 (`_scan_table`).  Each request derives a side's effective support, root
 orders and gap gcd once, into the side record (`_sides`) that every helper
-reads; equal records are ranked once (`_per_side`).  A label with a
-closed-form rank reads its root-of-unity classes from a cache keyed by its
-two sides' signatures (`_corank_tally`).
+reads; equal records are ranked once (`_per_side`).  Both ranks of the
+root-of-unity tuples give one corank array per side over the whole table,
+and one grouping turns two such arrays into the classes (`_classes_of`):
+a label with a closed-form rank reads each side's array from a cache keyed
+by its signature (`_side_coranks`), and the classes from a cache keyed by
+both signatures (`_signature_classes`); any other label ranks every tuple
+mod split primes (`_unity_coranks`).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 from math import gcd, isqrt, prod
 from types import MappingProxyType
 from typing import NamedTuple
@@ -270,13 +274,17 @@ class _Side(NamedTuple):
 
 def _sides(pair, label):
     """The two `_Side` records of (pair, label), each fact derived once;
-    with no boundary orders the effective support is B_s itself."""
+    with no boundary orders the effective support is B_s itself.  When side
+    2's support and orders equal side 1's, side 2 is side 1's record."""
     out = []
     for side, b in ((1, pair.b1), (2, pair.b2)):
+        js = label.side_orders(side)
+        if out and js == out[0].js and b.elements == pair.b1.elements:
+            return out[0], out[0]
         if label.j0 or label.jinf:
             eff = _effective_elements(b, label.j0, label.jinf)
             b = SupportSet(eff) if eff else None
-        out.append(_Side(b, label.side_orders(side), gap_gcd(b) if b else 0))
+        out.append(_Side(b, js, gap_gcd(b) if b else 0))
     return tuple(out)
 
 
@@ -426,10 +434,11 @@ def _generic_kernel_dims(sides):
 @lru_cache(maxsize=None)
 def _scan_table(k, n_max):
     """The projectivized root-of-unity tuples (x1 = 1) of k points with n <=
-    n_max, in scan order: (ns, exps, configs, moduli) with configs the (n,
-    (0, p[, q])) with 0 < p [< q] < n and gcd(n, p[, q]) = 1, in (n, p, q)
-    order, moduli {n: the configs at n} in increasing n, ns the read-only
-    modulus array and exps the read-only (len(configs), k) exponent array.
+    n_max, in scan order: (ns, exps, configs, moduli, at) with configs the
+    (n, (0, p[, q])) with 0 < p [< q] < n and gcd(n, p[, q]) = 1, in (n, p,
+    q) order, ns the read-only modulus array, exps the read-only
+    (len(configs), k) exponent array, moduli the distinct n in increasing
+    order and at the read-only array of each tuple's index into moduli.
 
     Lemma.  Each tuple appears once, at the least n that gives it.  Proof:
     (1, zeta_n^p, zeta_n^q) = (1, zeta_m^(p/d), zeta_m^(q/d)) with d =
@@ -446,119 +455,77 @@ def _scan_table(k, n_max):
     )
     ns = np.array([n for n, _ in configs], dtype=np.int64)
     exps = np.array([e for _, e in configs], dtype=np.int64).reshape(len(configs), k)
-    ns.setflags(write=False)
-    exps.setflags(write=False)
-    return ns, exps, configs, {n: tuple(group) for n, group in groupby(configs, lambda config: config[0])}
+    moduli, at = np.unique(ns, return_inverse=True)
+    for table in (ns, exps, at):
+        table.setflags(write=False)
+    return ns, exps, configs, tuple(moduli.tolist()), at
 
 
-def _classes_of(groups):
-    """{key: (count, first tuple)} from (key, size, first tuple) groups in
-    scan order: a class sums its groups' sizes and keeps the first tuple
-    that met it, so the dict comes in scan order with no sort."""
-    classes = {}
-    for key, size, first in groups:
-        count, least = classes.get(key, (0, first))
-        classes[key] = (count + size, least)
-    return classes
-
-
-@lru_cache(maxsize=None)
-def _tuple_groups(k, n_max, n, h1, h2):
-    """The tuples of _scan_table(k, n_max) at modulus n grouped by their
-    gap flags at h1 and h2: ((flag1, flag2), size, first tuple) per group,
-    in scan order of first tuple.  Read only by `_modulus_classes`, once
-    per (n, h1, h2) whatever the residue counts.
-
-    A tuple's flag at h is gap_root(h, p, q), with x = zeta_n^p, y =
-    zeta_n^q the power rows of an order-1 side's matrix M(B; x, y)
-    (`minors._rank`): (p, q) for k = 3 and (p, p) for k = 2.
-    """
-    tuples = []
-    for config in _scan_table(k, n_max)[3][n]:
-        exps = config[1]
-        p, q = exps[1], exps[-1]
-        tuples.append(((gap_root(h1, p, q), gap_root(h2, p, q)), 1, config))
-    return tuple((key, size, first) for key, (size, first) in _classes_of(tuples).items())
+def _classes_of(cork1, cork2, configs):
+    """The nonzero corank classes of the tuples configs, given both sides'
+    coranks there as int arrays: {(c1, c2): (count, first tuple)} for every
+    pair but (0, 0), in scan order of first tuple, with Python int keys and
+    counts.  Each pair is coded c1 * base + c2, base above every c2, so
+    only (0, 0) codes 0; one bincount gives the counts, and each of the few
+    codes that occur its first tuple."""
+    base = int(cork2.max(initial=0)) + 1
+    codes = cork1 * base + cork2
+    counts = np.bincount(codes).tolist()
+    firsts = sorted((int((codes == code).argmax()), code) for code in range(1, len(counts)) if counts[code])
+    return {divmod(code, base): (counts[code], configs[i]) for i, code in firsts}
 
 
 @lru_cache(maxsize=None)
-def _modulus_classes(k, n_max, n, c1, h1, c2, h2):
-    """The nonzero corank classes of the tuples of _scan_table(k, n_max) at
-    modulus n, for sides with the table values c_s and h_s = n/gcd(n, g_s)
-    of `_corank_tally`: ((c1', c2'), size, first tuple) per class, in scan
-    order of first tuple.
-
-    The rank lemma's last step (`minors._rank`) runs once per table here,
-    on the array of every group's gap flags from `_tuple_groups`, and every
-    signature that meets the same key reads the result.  The key space is
-    bounded by n_max: n <= n_max, c_s <= 3 and h_s | n.  Capping c_s at 3
+def _side_coranks(k, n_max, cs, hs):
+    """The corank k - _rank(c_s, gap_root(h_s, p, q)) of a side with the
+    signature (cs, hs) of `_table_values` at every tuple (n, (0, p[, q])) of
+    _scan_table(k, n_max), with q = p at k = 2: a read-only int array in
+    scan order, built in one array pass and cached per signature.  The key
+    space is bounded by n_max: c_s <= 3 and h_s | n.  Capping c_s at 3
     changes no rank, which is at most 3.
+
+    Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
+    corank k - min(c_s, 3 - gap_root(h_s, p, q)).  Proof.  An order-1
+    side's matrix is M(B_s; zeta_n^p, zeta_n^q), of rank
+    min(|B_s mod m|, 3 - [gap test]) by the lemmas of `minors._rank`, and
+    its period m = n/gcd(n, p, q) is n because the table lists
+    gcd(n, p, q) = 1 only.  At k = 2 the gap flag is always set (h | p - p),
+    so the corank is 2 - min(c_s, 2).  A side of orders (2, 1) at (1, w),
+    w = zeta_n^p of order n, has the rows f(1), f'(1), f(w), that is 1, e
+    and w^e over e in B_s, of rank min(|B_s|, 3 - [n | g_s]) by the lemma
+    (2, 1) rows of `minors._rank`, and n | g_s iff h_s = 1.  Orders (1, 2)
+    give the rows 1, w^e, e w^(e - 1); the last row times w and the column
+    e times w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also of
+    order n.  So the corank is 3 - min(|B_s|, 3 - [n | g_s]) =
+    2 - min(c_s, 2), as for an order-1 side.
     """
-    groups = _tuple_groups(k, n_max, n, h1, h2)
-    keys = (k - _rank((c1, c2), np.array([flags for flags, _, _ in groups]))).tolist()
-    live = [(tuple(key), size, first) for key, (_, size, first) in zip(keys, groups) if key != [0, 0]]
-    return tuple((key, count, first) for key, (count, first) in _classes_of(live).items())
+    _, exps, _, _, at = _scan_table(k, n_max)
+    flags = gap_root(np.array(hs, dtype=np.int64)[at], exps[:, 1], exps[:, -1])
+    cork = k - _rank(np.array(cs, dtype=np.int64)[at], flags)
+    cork.setflags(write=False)
+    return cork
 
 
 @lru_cache(maxsize=None)
 def _signature_classes(k, n_max, cs1, hs1, cs2, hs2):
     """The nonzero corank classes of _scan_table(k, n_max) for two sides
     with the signatures (cs1, hs1) and (cs2, hs2) of `_table_values`, as a
-    read-only {(c1, c2): (count, first tuple)} in scan order: the classes of
-    `_modulus_classes` merged over the moduli in increasing order.  Every
-    caller gets the same mapping, so it admits no writes.  The key space is
-    bounded by n_max, as that of `_modulus_classes` is."""
-    groups = []
-    for n, c1, h1, c2, h2 in zip(_scan_table(k, n_max)[3], cs1, hs1, cs2, hs2):
-        groups += _modulus_classes(k, n_max, n, c1, h1, c2, h2)
-    return MappingProxyType(_classes_of(groups))
+    read-only {(c1, c2): (count, first tuple)} in scan order, grouped from
+    the two sides' `_side_coranks` arrays.  Every caller gets the same
+    mapping, so it admits no writes.  The key space is bounded by n_max, as
+    that of `_side_coranks` is.
 
-
-def _corank_tally(sides, n_max):
-    """The `_corank_classes` of a label whose sides have a closed-form rank
-    (orders all 1 at k <= 3, or (2, 1) or (1, 2) at k = 2), from
-    per-modulus class tables: a read-only {(c1, c2): (count, first tuple)}
-    for every nonzero corank pair.
-    A request computes each distinct side's signature (`_table_values`):
-    its table values c_s and h_s = n/gcd(n, g_s) at every modulus n of the
-    table, g_s the gap gcd of its effective support B_s.  c_s is
-    min(|B_s mod n|, 3) for an order-1 side (`supports.class_counts`) and
-    _rank(|B_s|, h_s == 1) - 1 for orders (2, 1) or (1, 2).  The classes are
-    one lookup in the cache of `_signature_classes`, keyed by (k, n_max) and
-    the two signatures.
-
-    Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
-    corank k - min(c_s, 3 - gap_root(h_s, p, q)), with (p, q) as in
-    `_tuple_groups`.  Proof.  An order-1 side's matrix is M(B_s; zeta_n^p,
-    zeta_n^q), of rank min(|B_s mod m|, 3 - [gap test]) by the lemmas of
-    `minors._rank`, and its period m = n/gcd(n, p, q) is n because the
-    table lists gcd(n, p, q) = 1 only.  At k = 2 the gap flag is always set
-    (h | p - p), so the corank is 2 - min(c_s, 2).  A side of orders (2, 1)
-    at (1, w), w = zeta_n^p of order n, has the rows f(1), f'(1), f(w), that
-    is 1, e and w^e over e in B_s, of rank min(|B_s|, 3 - [n | g_s]) by the
-    lemma (2, 1) rows of `minors._rank`, and n | g_s iff h_s = 1.  Orders
-    (1, 2) give the rows 1, w^e, e w^(e - 1); the last row times w and the
-    column e times w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also
-    of order n.
-    So the corank is 3 - min(|B_s|, 3 - [n | g_s]) = 2 - min(c_s, 2), as the
-    cached table of an order-1 side computes it.  Hence at modulus n a tuple's
-    corank pair depends only on its two gap flags, and the groups of
-    `_tuple_groups` give each pair's count and first witness: O(n_max) work,
-    with no per-tuple array.  The dict comes in scan order with no sort
-    (`_classes_of`): the moduli come in increasing order and each modulus's
-    classes in scan order of first tuple.
-
-    Lemma (signature).  The tally is a function of (k, n_max) and the two
-    sides' signatures alone.  Proof.  By the lemma above each tuple's
-    corank pair is a function of k, its modulus n, its exponents and
-    (c_s, h_s) at n for both sides; the tuples are those of
-    _scan_table(k, n_max), and the signatures list (c_s, h_s) at each of its
-    moduli.  So scans whose sides share their signatures share their
-    classes, and the cached mapping serves them all.
+    Lemma (signature).  The classes of a label with a closed-form rank are
+    a function of (k, n_max) and the two sides' signatures alone.  Proof.
+    By the lemma (tally) of `_side_coranks` each tuple's corank pair is a
+    function of k, its modulus n, its exponents and (c_s, h_s) at n for
+    both sides; the tuples are those of _scan_table(k, n_max), and the
+    signatures list (c_s, h_s) at each of its moduli.  So scans whose sides
+    share their signatures share their classes, and the cached mapping
+    serves them all.
     """
-    k = len(sides[0].js)
-    (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, tuple(_scan_table(k, n_max)[3]))
-    return _signature_classes(k, n_max, cs1, hs1, cs2, hs2)
+    cork1, cork2 = _side_coranks(k, n_max, cs1, hs1), _side_coranks(k, n_max, cs2, hs2)
+    return MappingProxyType(_classes_of(cork1, cork2, _scan_table(k, n_max)[2]))
 
 
 def _per_side(value, sides, *args):
@@ -578,9 +545,12 @@ def _gap_orders(g, moduli):
 
 def _table_values(side, moduli):
     """The signature (cs, hs) of a side record: its table values c_s and h_s
-    of `_corank_tally` at every modulus of the tuple moduli, as two tuples.
-    The residues come from one `class_counts` call and h_s from the cache
-    of `_gap_orders`, which depends on the gap gcd alone."""
+    = n/gcd(n, g_s) at every modulus n of the tuple moduli, as two tuples,
+    g_s the gap gcd of its effective support B_s.  c_s is min(|B_s mod n|,
+    3) for an order-1 side and _rank(|B_s|, h_s == 1) - 1 for orders (2, 1)
+    or (1, 2) (`_side_coranks` reads them).  The residues come from one
+    `class_counts` call and h_s from the cache of `_gap_orders`, which
+    depends on the gap gcd alone."""
     b, js, g = side
     h = _gap_orders(g, moduli)
     if max(js) == 1:
@@ -886,11 +856,12 @@ def _conjugate_ranks(eff, js, ns, exps):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _hermite_layout(eff, js, n, p, shift):
     """The layout of `_hermite_stack` at one (n, p), as read-only arrays: the
     point m of each row (m, d), e - d - shift mod n and falling(e, d + shift)
-    mod p for its entries.  Huge exponents reduce in Python ints."""
+    mod p for its entries.  Huge exponents reduce in Python ints.  Bounded,
+    as eff comes from the input; a request at n_max 12 reads a few dozen."""
     rows = [(m, d + shift) for m, j in enumerate(js) for d in range(j)]
     tables = (
         np.array([m for m, _ in rows]),
@@ -926,22 +897,23 @@ def _hermite_stack(eff, js, logs, orders, primes, roots, shift=0):
 def _corank_classes(sides, n_max):
     """The nonzero corank classes of _scan_table(k, n_max), for the
     root-of-unity strata: {(c1, c2): (count, first tuple)} in scan order,
-    a mapping that no caller writes to.
+    a mapping that no caller writes to, grouped by `_classes_of` from both
+    sides' corank arrays.
     A label of at most three roots whose every side has orders all 1, or
-    (2, 1) or (1, 2) at k = 2, reads them, read-only, from the cache of its
-    side signatures (`_corank_tally`), with no per-tuple array: at modulus
-    n the closed-form rank depends on a tuple only through its gap flags at
-    n/gcd(n, g_s).  The rank lemma behind them is one of three rows, so any
-    other label, such as N(2,2;1,1), k = 3 with multiplicities or k >= 4
-    roots, reads them off both sides' corank arrays (`_unity_coranks`),
-    tuple by tuple in scan order.  Either way a side equal to the first is
-    computed once (`_per_side`)."""
+    (2, 1) or (1, 2) at k = 2, has a closed-form rank: each distinct side's
+    signature (`_table_values`) is computed once, and the classes are one
+    lookup in the cache of `_signature_classes`, read-only and keyed by (k,
+    n_max) and the two signatures.  The rank lemma behind them is one of
+    three rows, so any other label, such as N(2,2;1,1), k = 3 with
+    multiplicities or k >= 4 roots, ranks both sides at every tuple mod
+    split primes (`_unity_coranks`).  Either way a side equal to the first
+    is computed once (`_per_side`)."""
     k = len(sides[0].js)
+    ns, exps, configs, moduli, _ = _scan_table(k, n_max)
     if k <= 3 and all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
-        return _corank_tally(sides, n_max)
-    ns, exps, configs, _ = _scan_table(k, n_max)
-    keys = zip(*(cork.tolist() for cork in _per_side(_unity_coranks, sides, ns, exps)))
-    return _classes_of((key, 1, config) for config, key in zip(configs, keys) if key != (0, 0))
+        (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, moduli)
+        return _signature_classes(k, n_max, cs1, hs1, cs2, hs2)
+    return _classes_of(*_per_side(_unity_coranks, sides, ns, exps), configs)
 
 
 # --- minor-curve certificate -------------------------------------------------

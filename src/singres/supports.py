@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "SupportSet",
@@ -149,12 +150,41 @@ def class_counts(b: SupportSet, moduli) -> list:
     return [len({e % n for e in elems}) if n <= spread else size for n in moduli]
 
 
+@lru_cache(maxsize=256)
+def _split_candidates(m, diffs):
+    """Every k >= 3 that divides m and, unless diffs is empty, one of the
+    differences diffs, in increasing order: the moduli `split_dividing`
+    tries.  Trial division up to the square root of each gcd(m, d), or of m;
+    bounded, as m and diffs come from the input."""
+    gcds = {math.gcd(m, d) for d in diffs} if diffs else {m}
+    divisors = {k for g in gcds for d in range(1, math.isqrt(g) + 1) if g % d == 0 for k in (d, g // d)}
+    return tuple(sorted(k for k in divisors if k >= 3))
+
+
 def split_dividing(target: SupportSet, m: int):
     """Smallest k >= 3 dividing m whose residues split target into at most
     two classes (`class_counts` <= 2), with the residue-class partition
-    (part_main holds the class of the minimum); None if none."""
-    for k in range(3, m + 1):
-        if m % k == 0 and class_counts(target, (k,))[0] <= 2:
+    (part_main holds the class of the minimum); None if none, so for every
+    m <= 2, 0 included.
+
+    Lemma (pigeonhole).  A target of at most two elements splits mod every
+    k.  A target of three or more, a < b < c its three smallest elements,
+    splits mod k only if k divides b - a, c - a or c - b.  Proof.  Two
+    elements meet at most two classes.  If the target meets at most two
+    classes mod k, two of a, b and c share one, and k divides their
+    difference.  So the candidates of `_split_candidates`, every divisor
+    k >= 3 of m (at most two elements) or of gcd(m, b - a), gcd(m, c - a)
+    or gcd(m, c - b) (three or more), in increasing order, hold every
+    k >= 3 dividing m that splits the target, and the first that splits is
+    the least such k.  The search takes O(sqrt(m)) steps, or O(sqrt(c - a))
+    with three elements, in place of a residue count at every k up to m.
+    """
+    if m <= 2:
+        return None
+    elems = target.elements
+    diffs = (elems[1] - elems[0], elems[2] - elems[0], elems[2] - elems[1]) if elems[2:] else ()
+    for k in _split_candidates(m, diffs):
+        if class_counts(target, (k,))[0] <= 2:
             main = tuple(e for e in target.elements if (e - target.min) % k == 0)
             rest = tuple(e for e in target.elements if (e - target.min) % k)
             return SplitWitness(k, main, rest)

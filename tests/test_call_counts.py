@@ -26,23 +26,22 @@ from singres.verify import _normalized_supports
 
 # (request, b1, b2, label, seed): scans at n_max 12, codim estimates at n_max 12
 EXPECTED = {
-    ("scan", (0, 1, 3, 7), (0, 2, 5), "N(1,1,1)", 3): 117,
-    ("scan", (0, 2, 4, 6), (0, 2, 4, 6), "N(1,1,1)", 3): 101,
-    ("scan", (0, 1, 4), (0, 3, 5), "N(1,1)", 3): 107,
-    ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 99,
-    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 2142,
-    ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 85,
+    ("scan", (0, 1, 3, 7), (0, 2, 5), "N(1,1,1)", 3): 115,
+    ("scan", (0, 2, 4, 6), (0, 2, 4, 6), "N(1,1,1)", 3): 89,
+    ("scan", (0, 1, 4), (0, 3, 5), "N(1,1)", 3): 105,
+    ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 97,
+    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 2140,
+    ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 73,
 }
 
 
 # (hits, misses) of each class-table cache over the 1,013 scans of the
 # corank2-dichotomy check, every cache cleared first: the builds a fresh
-# process pays.  The signature cache is cleared too, or the tables that
-# `_modulus_classes` builds would depend on which earlier test filled it
+# process pays.  The signature cache is cleared too, or the side arrays
+# that `_side_coranks` builds would depend on which earlier test filled it
 COLD_TABLES = {
-    "_scan_table": (2082, 1),
-    "_tuple_groups": (12, 24),
-    "_modulus_classes": (294, 36),
+    "_scan_table": (2091, 1),
+    "_side_coranks": (33, 33),
     "_signature_classes": (980, 33),
     "_gap_orders": (1008, 5),
 }
@@ -111,8 +110,8 @@ CLI_EXPECTED = {
     ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 874,
     ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 480,
     ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 270,
-    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 769,
-    ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 777,
+    ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 757,
+    ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 775,
     ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 933,
 }
 

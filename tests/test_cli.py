@@ -64,6 +64,20 @@ class TestClassify:
         assert err.startswith("usage: singres classify ")
         assert "singres classify: error: argument --b1: expected one argument" in err
 
+    @pytest.mark.parametrize("command", [("classify",), ("scan", "strata")])
+    def test_huge_gap_gcd_is_fast(self, capsys, command):
+        # the split search tries only divisors of the first differences, not
+        # every k up to the other side's gap gcd 10^12
+        start = time.perf_counter()
+        code, out = run(capsys, *command, "--b1", "0,1,3", "--b2", "0,1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        data = json.loads(out)
+        if command == ("classify",):
+            assert data["conditions"]["cond2"] is False
+        else:
+            assert data["report"]["mismatches"] == []
+
 
 class TestResultant:
     def test_degree_one(self, capsys):

@@ -457,3 +457,39 @@ def test_benchmark_calls_resolve():
                         problems.append(f"{rel}:{node.lineno}: {label}() takes no {kw.arg}=")
     assert problems == []
     assert ("strata.scan_corank_strata", "seed") in keywords
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(singres.__path__))
+# `strata._scan_table`, `singres.cli.main`, `minors._rank.__doc__`: a
+# module of the package, then a dotted name in it
+QUALIFIED_NAME = re.compile(r"`(?:singres\.)?(" + "|".join(MODULES) + r")((?:\.\w+)+)`")
+# `_sides`, `_Stratum.entry`: a private name of the module whose text it is in
+OWN_NAME = re.compile(r"`(_\w+(?:\.\w+)*)`")
+
+
+def test_docs_name_live_code():
+    """Every backticked `module.name[.member]` in README.md and in the
+    package's sources names something that exists, and so does every
+    backticked `_name[.member]` in a module's own text, so a function
+    deleted or renamed cannot live on in the prose that explains it."""
+
+    def resolves(obj, dotted):
+        for part in dotted.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    texts = [("README.md", (ROOT / "README.md").read_text(), None)]
+    texts += [(path.name, path.read_text(), path.stem) for path in sorted(Path(singres.__file__).parent.glob("*.py"))]
+    checked, dead = 0, []
+    for name, text, stem in texts:
+        refs = [(module, dotted[1:]) for module, dotted in QUALIFIED_NAME.findall(text)]
+        if stem in MODULES:
+            refs += [(stem, dotted) for dotted in OWN_NAME.findall(text)]
+        for module, dotted in refs:
+            checked += 1
+            if not resolves(importlib.import_module(f"singres.{module}"), dotted):
+                dead.append(f"{name}: {module}.{dotted}")
+    assert dead == []
+    assert checked > 100

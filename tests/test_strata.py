@@ -36,7 +36,6 @@ from singres.strata import (
     _certify_points,
     _conjugate_ranks,
     _corank_classes,
-    _corank_tally,
     _distinct_points,
     _draw_filtration_pair,
     _embed,
@@ -48,12 +47,12 @@ from singres.strata import (
     _kernel_of,
     _log_powers,
     _minor_certificates,
-    _modulus_classes,
     _random_fraction,
     _residues,
     _scan_table,
     _Side,
     _side_matrices,
+    _side_coranks,
     _sides,
     _signature_classes,
     _solution_strata,
@@ -511,7 +510,7 @@ class TestScan:
         for name in ("N(2,1)", "N(2,2)", "N(3,1)", "N(2,1,1)"):
             label = parse_label(name)
             js = label.side_orders(1)
-            ns, exps, configs, _ = _scan_table(label.k, 8)
+            ns, exps, configs, *_ = _scan_table(label.k, 8)
             for b in sups:
                 want = []
                 for n, tup in configs:
@@ -531,7 +530,7 @@ class TestScan:
         checked = 0
         for name in ("N(2,1)", "N(2,1;1,1)", "N(3)", "N(2,2)"):
             label = parse_label(name)
-            ns, exps, configs, _ = _scan_table(label.k, 12)
+            ns, exps, configs, *_ = _scan_table(label.k, 12)
             primes, roots = np.array([split_prime(n) for n in ns.tolist()], dtype=np.int64).reshape(-1, 2).T
             for b in _normalized_supports(7):
                 for js in {label.side_orders(1), label.side_orders(2)}:
@@ -552,7 +551,7 @@ class TestScan:
         b = S(0, 3, 2**62 + 3)
         label = parse_label("N(2,1)")
         js = label.side_orders(1)
-        ns, exps, configs, _ = _scan_table(2, 12)
+        ns, exps, configs, *_ = _scan_table(2, 12)
         primes_used = []
         real = singres.strata.split_primes
 
@@ -573,6 +572,17 @@ class TestScan:
             assert got.tolist() == want, n
             assert (sum(js) - _unity_coranks(_Side(b, js, gap_gcd(b)), ns[sel], exps[sel])).tolist() == want, n
             assert [p for m, p in primes_used if m == n] == [p for p, _ in itertools.islice(real(n), 3)]
+
+    def test_hermite_layout_cache_is_bounded(self):
+        # the layout cache is keyed by the effective support, which comes
+        # from the input: 62 Hermite-path scans on distinct supports build
+        # over 1,000 layouts, and the cache keeps at most 256
+        singres.strata._hermite_layout.cache_clear()
+        label = parse_label("N(2,2;1,1)")
+        for b in supports_up_to(6):
+            scan_corank_strata(SupportPair(b, b), label, 12)
+        info = singres.strata._hermite_layout.cache_info()
+        assert info.misses > 1000 and info.currsize <= info.maxsize == 256
 
     def test_matches_per_config_reference(self):
         rng = random.Random(5)
@@ -641,10 +651,10 @@ class TestScan:
                 assert rep.mismatches == [], (b1, b2, name)
 
     def test_multiplicity_free_scan_needs_no_split_prime(self, monkeypatch):
-        # the closed-form rank needs no arithmetic mod p, and the tally
-        # (`_corank_tally`) ranks no tuple: it reads |B mod n| (order-1
-        # sides), |B| (sides of orders (2, 1) and (1, 2)) and gcd(n, g) per
-        # modulus, for the scan and the estimator alike
+        # the closed-form rank needs no arithmetic mod p, and the side
+        # coranks (`_side_coranks`) take no rank mod p: they read |B mod n|
+        # (order-1 sides), |B| (sides of orders (2, 1) and (1, 2)) and
+        # gcd(n, g) per modulus, for the scan and the estimator alike
         def forbidden(*args):
             raise AssertionError(f"split-prime arithmetic or a per-tuple rank in a closed-form scan: {args}")
 
@@ -671,11 +681,12 @@ class TestScan:
         # order that deduplicating reduced fractions finds them
         for k in (1, 2, 3):
             for n_max in range(1, 31):
-                ns, exps, configs, moduli = _scan_table(k, n_max)
+                ns, exps, configs, moduli, at = _scan_table(k, n_max)
                 assert configs == (((1, (0,)),) if k == 1 else unity_configs(k, n_max)), (k, n_max)
                 assert ns.tolist() == [n for n, _ in configs]
                 assert exps.tolist() == [list(e) for _, e in configs]
-                assert list(moduli.items()) == [(n, tuple(c for c in configs if c[0] == n)) for n in sorted(set(ns.tolist()))]
+                assert moduli == tuple(sorted(set(ns.tolist())))
+                assert [moduli[i] for i in at.tolist()] == ns.tolist()
 
     def test_report_observability(self):
         rep = scan_corank_strata(pair((0, 3, 6), (0, 1, 3)), parse_label("N(1,1,1)"), 12)
@@ -696,12 +707,11 @@ class PerTupleScan:
     coranks at every tuple of _scan_table(k, 12), from one closed_form_rank
     call on the tuples' power rows (p, q) (the closed-form rank, tuple by
     tuple), and its gap form there; the strata at n_max <= 12 come from the
-    table's prefix with n <= n_max, by np.unique, as the scan read them
-    before its tally by modulus."""
+    table's prefix with n <= n_max, by np.unique."""
 
     def __init__(self, k):
         self.k = k
-        self.ns, self.exps, self.configs, _ = _scan_table(k, 12)
+        self.ns, self.exps, self.configs, *_ = _scan_table(k, 12)
         self.sides = {}
 
     def side(self, b):
@@ -713,7 +723,7 @@ class PerTupleScan:
 
     def tally(self, p, n_max):
         """({(c1, c2): (count, first tuple)}, [n of each corank-2 side-1
-        tuple not of gap form]), as `_corank_tally` returns them."""
+        tuple not of gap form]), as `_corank_classes` returns them."""
         stop = len(_scan_table(self.k, n_max)[2])
         (cork1, gap_form), (cork2, _) = self.side(p.b1), self.side(p.b2)
         cork1, cork2, gap_form = cork1[:stop], cork2[:stop], gap_form[:stop]
@@ -735,7 +745,7 @@ class PerTupleScan:
 
 
 def assert_tally(oracle, p, label, n_max):
-    """The tally of `_corank_tally` is the per-tuple oracle's strata, and
+    """The classes of `_corank_classes` are the per-tuple oracle's strata, and
     the oracle finds no corank-2 side-1 tuple off the root-of-unity gap form.
 
     Lemma (gap form).  Every corank-2 tuple (n, (0, p, q)) of the table on
@@ -747,12 +757,12 @@ def assert_tally(oracle, p, label, n_max):
     of period below n, fails the comparison."""
     strata, broken = oracle.tally(p, n_max)
     assert broken == [], (p.b1.elements, p.b2.elements, n_max)
-    assert _corank_tally(_sides(p, label), n_max) == strata, (p.b1.elements, p.b2.elements, n_max)
+    assert _corank_classes(_sides(p, label), n_max) == strata, (p.b1.elements, p.b2.elements, n_max)
 
 
 class TestCorankTally:
-    """The multiplicity-free scan's per-modulus group tallies
-    (`_corank_tally`) against the per-tuple coranks.  The tally is read at
+    """The multiplicity-free scan's class tables (`_side_coranks`,
+    `_signature_classes`) against the per-tuple coranks.  They are read at
     k = 2 and 3 only: a one-root label has no root-of-unity stratum."""
 
     LABELS = ("N(1,1)", "N(1,1,1)")
@@ -786,7 +796,7 @@ class TestCorankTally:
         label = parse_label(name)
         oracle, sups = PerTupleScan(label.k), supports_up_to(6)
         pairs = list(itertools.product(sups, repeat=2))
-        for cache in (_signature_classes, _modulus_classes, _gap_orders):
+        for cache in (_signature_classes, _side_coranks, _gap_orders):
             cache.cache_clear()
         for warm in (False, True):
             misses = _signature_classes.cache_info().misses
@@ -840,7 +850,7 @@ class TestCorankTally:
         # value c_s (`_table_values`) as the cached table reads it, 2 -
         # min(c_s, 2), and per support through the whole tally, with the
         # (2, 1) side on side 1 and the (1, 2) side on side 2
-        ns, exps, configs, _ = _scan_table(2, 12)
+        ns, exps, configs, *_ = _scan_table(2, 12)
         moduli = tuple(sorted(set(ns.tolist())))
         sups = [S(0)] + supports_up_to(8)
         sups += [SupportSet(tuple(e - 3 for e in b.elements)) for b in sups]
@@ -857,7 +867,7 @@ class TestCorankTally:
                 if key != (0, 0):
                     count, first = classes.get(key, (0, config))
                     classes[key] = (count + 1, first)
-            assert _corank_tally(sides, 12) == classes, b.elements
+            assert _corank_classes(sides, 12) == classes, b.elements
         assert (len(sups), checked) == (512, 46080)
 
 def reference_corank_monomial(b_elems, exps, n):
@@ -1808,7 +1818,7 @@ def tuple_kernel_dims(p, label, n_max=12):
     sides, k = _sides(p, label), label.k
     if k not in (2, 3) or not (sides[0].support and sides[1].support):
         return []
-    ns, exps, configs, _ = _scan_table(k, n_max)
+    ns, exps, configs, *_ = _scan_table(k, n_max)
     kds, ranked = [], {}
     for side in sides:
         b, js, _ = side
@@ -1932,8 +1942,8 @@ class TestExactUnity:
             return real(side, ns, exps)
 
         monkeypatch.setattr(singres.strata, "_unity_coranks", counted)
-        # a closed-form label ranks no tuple: its classes are tallied, each
-        # distinct side cut once per modulus (TestCorankTally)
+        # a closed-form label ranks no tuple mod p: its classes come from
+        # the cached side arrays of its signatures (TestCorankTally)
         cases = [((0, 1, 2, 3), (0, 1, 2, 3), "N(1,1,1)", 0), ((0, 3, 6), (0, 3, 6), "N(2,1)", 0)]
         cases += [((0, 3, 6), (0, 3, 6), "N(2,1;1,1)", 0), ((0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 0)]
         cases += [((0, 3, 6, 9), (0, 3, 6, 9), "N(2,2)", 1), ((0, 3, 6, 9), (0, 3, 6, 9), "N(2,2;1,1)", 2)]
@@ -2110,6 +2120,20 @@ class TestSideRecord:
             run()
             assert counts["StratumLabel.side_orders"] == 2 and max(counts.values()) <= 2, (name, entry, counts)
             assert counts["singres.minors.gap_gcd"] == 0, (name, entry, counts)
+
+    def test_equal_sides_share_one_record(self):
+        # side 2 is side 1's record when its support and orders are side
+        # 1's, boundary orders or not; otherwise it is derived on its own
+        b, other = (0, 1, 3, 4, 6, 7), (0, 3, 6)
+        for b1, b2, name in [(b, b, "N(1,1,1)"), (b, b, "N_1(1,1)"), (b, b, "N(2,1;1,1)"), (b, other, "N(1,1,1)")]:
+            label = parse_label(name)
+            sides = _sides(pair(b1, b2), label)
+            want = []
+            for side, elems in ((1, b1), (2, b2)):
+                eff = _effective_elements(S(*elems), label.j0, label.jinf)
+                want.append(_Side(S(*eff), label.side_orders(side), gap_gcd(S(*eff))))
+            assert sides == tuple(want), name
+            assert (sides[1] is sides[0]) == (b1 == b2 and label.is_symmetric), (b1, b2, name)
 
 
 class TestUnityClasses:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -153,6 +154,48 @@ class TestSplitWitness:
                 t = SupportSet(c)
                 for o in others:
                     assert (split_dividing(t, gap_gcd(o)) is not None) == brute_force_split(t, o)
+
+
+def split_dividing_loop(target, m):
+    """The search over every k in 3..m: the oracle of `split_dividing`."""
+    for k in range(3, m + 1):
+        if m % k == 0 and class_counts(target, (k,))[0] <= 2:
+            main = tuple(e for e in target.elements if (e - target.min) % k == 0)
+            rest = tuple(e for e in target.elements if (e - target.min) % k)
+            return SplitWitness(k, main, rest)
+    return None
+
+
+class TestSplitDividing:
+    def test_matches_full_search(self):
+        # the pigeonhole candidates give the full search's witness, None
+        # included: targets of 1 to 6 elements, spread up to 40 and shifted
+        # by up to +-50, against moduli 0..360 and products of small primes
+        rng = random.Random(20261020)
+        moduli = list(range(0, 361)) + [2**a * 3**b * 5**c * 7**d for a in range(4) for b in range(3) for c in range(3) for d in range(2)]
+        found = 0
+        for _ in range(3000):
+            shift = rng.randint(-50, 50)
+            target = SupportSet(tuple(sorted(shift + e for e in rng.sample(range(41), rng.randint(1, 6)))))
+            m = rng.choice(moduli)
+            w = split_dividing(target, m)
+            assert w == split_dividing_loop(target, m), (target.elements, m)
+            found += w is not None
+        assert found > 1000
+
+    def test_huge_moduli(self):
+        # no search up to m: a two-element target takes the least divisor
+        # >= 3 of m, and a larger one only divisors of its first differences
+        big = 10**12
+        assert split_dividing(S(0, big), big).k == 4
+        assert split_dividing(S(0, 1, 3), big) is None
+        w = split_dividing(S(0, 1, 3, 7), 3 * big)
+        assert (w.k, w.part_main, w.part_rest) == (3, (0, 3), (1, 7))
+        prime = 10**12 + 39
+        assert split_dividing(S(5, 6), prime).k == prime
+        assert split_dividing(S(5, 6), 2 * prime).k == prime
+        for m in (-3, 0, 1, 2):
+            assert split_dividing(S(0, 3, 6), m) is None
 
 
 class TestConditions:
