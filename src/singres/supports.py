@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 __all__ = [
     "SupportSet",
@@ -150,17 +149,6 @@ def class_counts(b: SupportSet, moduli) -> list:
     return [len({e % n for e in elems}) if n <= spread else size for n in moduli]
 
 
-@lru_cache(maxsize=256)
-def _split_candidates(m, diffs):
-    """Every k >= 3 that divides m and, unless diffs is empty, one of the
-    differences diffs, in increasing order: the moduli `split_dividing`
-    tries.  Trial division up to the square root of each gcd(m, d), or of m;
-    bounded, as m and diffs come from the input."""
-    gcds = {math.gcd(m, d) for d in diffs} if diffs else {m}
-    divisors = {k for g in gcds for d in range(1, math.isqrt(g) + 1) if g % d == 0 for k in (d, g // d)}
-    return tuple(sorted(k for k in divisors if k >= 3))
-
-
 def split_dividing(target: SupportSet, m: int):
     """Smallest k >= 3 dividing m whose residues split target into at most
     two classes (`class_counts` <= 2), with the residue-class partition
@@ -172,21 +160,50 @@ def split_dividing(target: SupportSet, m: int):
     splits mod k only if k divides b - a, c - a or c - b.  Proof.  Two
     elements meet at most two classes.  If the target meets at most two
     classes mod k, two of a, b and c share one, and k divides their
-    difference.  So the candidates of `_split_candidates`, every divisor
-    k >= 3 of m (at most two elements) or of gcd(m, b - a), gcd(m, c - a)
-    or gcd(m, c - b) (three or more), in increasing order, hold every
-    k >= 3 dividing m that splits the target, and the first that splits is
-    the least such k.  The search takes O(sqrt(m)) steps, or O(sqrt(c - a))
-    with three elements, in place of a residue count at every k up to m.
+    difference.
+
+    Lemma (least split).  The least such k is 4 or an odd prime.  Proof.
+    If the target splits mod k and j >= 3 divides k, j divides m and the
+    target splits mod j: each class mod j is a union of classes mod k.  A
+    k >= 3 that is neither 4 nor a prime is a * b with 2 <= a <= b < k,
+    and b >= 3 unless k = 4, so b is such a j below k.
+
+    So the candidates are 4 and the odd primes that divide one of the gcds
+    of m with b - a, c - a and c - b (three or more elements), or m itself
+    (gcd(m, 0), at most two).  Such a k divides one of them iff it divides
+    their lcm L, a divisor of m, as a prime or 4 divides an lcm iff it
+    divides one of its terms.  Trial division of L's odd part finds its
+    primes in increasing order, each divided out once found, and the first
+    k that splits ends the search.  Once k * k exceeds the odd part left,
+    that part, if above 1, is a prime above every k tried, and is tried
+    last.  So the search takes O(min(k, sqrt(r))) steps, r the odd part
+    left, at most sqrt(m): a power of two m gives 4 on the second step,
+    whatever its size.
     """
     if m <= 2:
         return None
     elems = target.elements
-    diffs = (elems[1] - elems[0], elems[2] - elems[0], elems[2] - elems[1]) if elems[2:] else ()
-    for k in _split_candidates(m, diffs):
+    a, b, c = elems[:3] if elems[2:] else (0, 0, 0)
+    lcm = math.lcm(math.gcd(m, b - a), math.gcd(m, c - a), math.gcd(m, c - b))
+
+    def candidates(odd):
+        k = 3
+        while k <= 4 or k * k <= odd:
+            if k == 4:
+                if lcm % 4 == 0:
+                    yield 4
+            elif odd % k == 0:
+                yield k
+                while odd % k == 0:
+                    odd //= k
+            k += 1 if k < 5 else 2
+        if odd > 1:
+            yield odd
+
+    for k in candidates(lcm // (lcm & -lcm)):
         if class_counts(target, (k,))[0] <= 2:
-            main = tuple(e for e in target.elements if (e - target.min) % k == 0)
-            rest = tuple(e for e in target.elements if (e - target.min) % k)
+            main = tuple(e for e in elems if (e - elems[0]) % k == 0)
+            rest = tuple(e for e in elems if (e - elems[0]) % k)
             return SplitWitness(k, main, rest)
     return None
 

@@ -64,17 +64,21 @@ class TestClassify:
         assert err.startswith("usage: singres classify ")
         assert "singres classify: error: argument --b1: expected one argument" in err
 
+    @pytest.mark.parametrize("b1", ["0,1,3", "0,1"])
     @pytest.mark.parametrize("command", [("classify",), ("scan", "strata")])
-    def test_huge_gap_gcd_is_fast(self, capsys, command):
-        # the split search tries only divisors of the first differences, not
-        # every k up to the other side's gap gcd 10^12
+    def test_huge_gap_gcd_is_fast(self, capsys, command, b1):
+        # the split search tries only 4 and the odd primes dividing the gcds
+        # of the other side's gap gcd with the first differences, not every
+        # k up to that gap gcd: 10^12 here, or 2^60, whose one candidate 4
+        # splits (0, 1)
+        b2 = "0,1000000000000" if b1 == "0,1,3" else f"0,{2**60}"
         start = time.perf_counter()
-        code, out = run(capsys, *command, "--b1", "0,1,3", "--b2", "0,1000000000000")
+        code, out = run(capsys, *command, "--b1", b1, "--b2", b2)
         assert time.perf_counter() - start < 1.0
         assert code == 0
         data = json.loads(out)
         if command == ("classify",):
-            assert data["conditions"]["cond2"] is False
+            assert data["conditions"]["cond2"] is (b1 == "0,1")
         else:
             assert data["report"]["mismatches"] == []
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singres import cli
+from singres import cli, supports
 from singres.supports import (
     SupportPair,
     SupportSet,
@@ -196,6 +196,29 @@ class TestSplitDividing:
         assert split_dividing(S(5, 6), 2 * prime).k == prime
         for m in (-3, 0, 1, 2):
             assert split_dividing(S(0, 3, 6), m) is None
+
+    @pytest.mark.parametrize(
+        "target, m, k",
+        [
+            ((0, 1), 2**60, 4),
+            ((0, 1), 2**80, 4),
+            ((0, 2**60, 2**61), 2**80, 4),
+            ((0, 1), 3**60 * 5, 3),
+            ((0, 1), 5**40 * 2**3, 4),
+            ((0, 1), 7**30 * 5**30, 5),
+            # meets three classes mod 4 and mod every power of two
+            ((0, 2**80, 2**81, 2**81 + 1, 2**81 + 2), 2**80 * 3**40, None),
+        ],
+    )
+    def test_smooth_gcd_search_is_short(self, monkeypatch, target, m, k):
+        # a gcd with only small prime factors is divided down at once: the
+        # search tries 4 and the odd primes dividing it, with no trial
+        # division up to its square root, and stops at the first split
+        tried = []
+        monkeypatch.setattr(supports, "class_counts", lambda b, moduli: tried.extend(moduli) or class_counts(b, moduli))
+        w = split_dividing(SupportSet(target), m)
+        assert (w and w.k) == k
+        assert tried == ([k] if k else [4])
 
 
 class TestConditions:
