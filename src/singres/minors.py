@@ -99,7 +99,8 @@ def _rank(keys, root):
 
 
 def _order(n, r):
-    """n/gcd(n, r), the order of zeta_n^r, elementwise."""
+    """n/gcd(n, r), the order of zeta_n^r, elementwise: on int arrays, or
+    exactly on object arrays of Python ints (`strata._side_coranks`)."""
     return n // np.gcd(n, r)
 
 

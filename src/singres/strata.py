@@ -34,9 +34,10 @@ reads; equal records are ranked once (`_per_side`).  Both ranks of the
 root-of-unity tuples give one corank array per side over the whole table,
 and one grouping turns two such arrays into the classes (`_classes_of`):
 a label with a closed-form rank reads each side's array from a cache keyed
-by its signature (`_side_coranks`), and the classes from a cache keyed by
-both signatures (`_signature_classes`); any other label ranks every tuple
-mod split primes (`_unity_coranks`).
+by its signature, its table values and the gcd of its gap gcd with the lcm
+of the table's moduli (`_side_coranks`), and the classes from a cache
+keyed by both signatures (`_signature_classes`); any other label ranks
+every tuple mod split primes (`_unity_coranks`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -66,7 +67,7 @@ from .exact import (
     split_primes,
 )
 from .laurent import LaurentPoly, common_roots, falling
-from .minors import _rank, gap_root
+from .minors import _order, _rank, gap_root
 from .supports import SupportPair, SupportSet, class_counts, gap_gcd, split_dividing
 
 __all__ = [
@@ -476,13 +477,15 @@ def _classes_of(cork1, cork2, configs):
 
 
 @lru_cache(maxsize=None)
-def _side_coranks(k, n_max, cs, hs):
+def _side_coranks(k, n_max, cs, g):
     """The corank k - _rank(c_s, gap_root(h_s, p, q)) of a side with the
-    signature (cs, hs) of `_table_values` at every tuple (n, (0, p[, q])) of
-    _scan_table(k, n_max), with q = p at k = 2: a read-only int array in
-    scan order, built in one array pass and cached per signature.  The key
-    space is bounded by n_max: c_s <= 3 and h_s | n.  Capping c_s at 3
-    changes no rank, which is at most 3.
+    signature (cs, g) of `_table_values` at every tuple (n, (0, p[, q])) of
+    _scan_table(k, n_max), with q = p at k = 2 and h_s = n/gcd(n, g) the
+    order of zeta_n^(g_s) (`minors._order`, on Python ints, as g may pass
+    int64 at n_max >= 43): a read-only int array in scan order, built in
+    one array pass and cached per signature.  The key space is bounded by
+    n_max: c_s <= 3 and g divides the lcm of the table's moduli.
+    Capping c_s at 3 changes no rank, which is at most 3.
 
     Lemma (tally).  At the tuple (n, (0, p[, q])) of the table, side s has
     corank k - min(c_s, 3 - gap_root(h_s, p, q)).  Proof.  An order-1
@@ -497,19 +500,21 @@ def _side_coranks(k, n_max, cs, hs):
     give the rows 1, w^e, e w^(e - 1); the last row times w and the column
     e times w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also of
     order n.  So the corank is 3 - min(|B_s|, 3 - [n | g_s]) =
-    2 - min(c_s, 2), as for an order-1 side.
+    2 - min(c_s, 2), as for an order-1 side.  Each modulus n divides the
+    lcm of the moduli, so gcd(n, g_s) = gcd(n, g): h_s is read off g.
     """
-    _, exps, _, _, at = _scan_table(k, n_max)
-    flags = gap_root(np.array(hs, dtype=np.int64)[at], exps[:, 1], exps[:, -1])
+    _, exps, _, moduli, at = _scan_table(k, n_max)
+    hs = _order(np.array(moduli, dtype=object), g).astype(np.int64)
+    flags = gap_root(hs[at], exps[:, 1], exps[:, -1])
     cork = k - _rank(np.array(cs, dtype=np.int64)[at], flags)
     cork.setflags(write=False)
     return cork
 
 
 @lru_cache(maxsize=None)
-def _signature_classes(k, n_max, cs1, hs1, cs2, hs2):
+def _signature_classes(k, n_max, cs1, g1, cs2, g2):
     """The nonzero corank classes of _scan_table(k, n_max) for two sides
-    with the signatures (cs1, hs1) and (cs2, hs2) of `_table_values`, as a
+    with the signatures (cs1, g1) and (cs2, g2) of `_table_values`, as a
     read-only {(c1, c2): (count, first tuple)} in scan order, grouped from
     the two sides' `_side_coranks` arrays.  Every caller gets the same
     mapping, so it admits no writes.  The key space is bounded by n_max, as
@@ -519,12 +524,12 @@ def _signature_classes(k, n_max, cs1, hs1, cs2, hs2):
     a function of (k, n_max) and the two sides' signatures alone.  Proof.
     By the lemma (tally) of `_side_coranks` each tuple's corank pair is a
     function of k, its modulus n, its exponents and (c_s, h_s) at n for
-    both sides; the tuples are those of _scan_table(k, n_max), and the
-    signatures list (c_s, h_s) at each of its moduli.  So scans whose sides
-    share their signatures share their classes, and the cached mapping
-    serves them all.
+    both sides; the tuples are those of _scan_table(k, n_max), and each
+    signature lists c_s at every modulus and gives h_s = n/gcd(n, g) there.
+    So scans whose sides share their signatures share their classes, and
+    the cached mapping serves them all.
     """
-    cork1, cork2 = _side_coranks(k, n_max, cs1, hs1), _side_coranks(k, n_max, cs2, hs2)
+    cork1, cork2 = _side_coranks(k, n_max, cs1, g1), _side_coranks(k, n_max, cs2, g2)
     return MappingProxyType(_classes_of(cork1, cork2, _scan_table(k, n_max)[2]))
 
 
@@ -536,26 +541,24 @@ def _per_side(value, sides, *args):
     return first, first if sides[1] == sides[0] else value(sides[1], *args)
 
 
-@lru_cache(maxsize=256)
-def _gap_orders(g, moduli):
-    """h = n/gcd(n, g), the order of zeta_n^g, at every n of the tuple
-    moduli, as a tuple.  Bounded: g comes from the input."""
-    return tuple([n // gcd(n, g) for n in moduli])
-
-
-def _table_values(side, moduli):
-    """The signature (cs, hs) of a side record: its table values c_s and h_s
-    = n/gcd(n, g_s) at every modulus n of the tuple moduli, as two tuples,
-    g_s the gap gcd of its effective support B_s.  c_s is min(|B_s mod n|,
-    3) for an order-1 side and _rank(|B_s|, h_s == 1) - 1 for orders (2, 1)
-    or (1, 2) (`_side_coranks` reads them).  The residues come from one
-    `class_counts` call and h_s from the cache of `_gap_orders`, which
-    depends on the gap gcd alone."""
+def _table_values(side, moduli, top):
+    """The signature (cs, g) of a side record: its table values c_s at
+    every modulus n of the tuple moduli, as a tuple, and g = gcd(g_s, top),
+    g_s the gap gcd of its effective support B_s and top the lcm of moduli.
+    c_s is min(|B_s mod n|, 3) for an order-1 side and _rank(|B_s|, n | g)
+    - 1 for orders (2, 1) or (1, 2) (`_side_coranks` reads them).  As every
+    n divides top, gcd(n, g_s) = gcd(n, g), so g gives h_s = n/gcd(n, g_s)
+    at every modulus; and the h_s give g back, as each prime power l^a that
+    exactly divides top divides some modulus n, and then v_l(g) =
+    min(a, v_l(g_s)) = v_l(gcd(n, g_s)): the key (cs, g) is one-to-one with
+    (cs, h_s).
+    The residues come from one `class_counts` call; both branches reduce
+    in Python ints, so exponents of any size stay exact."""
     b, js, g = side
-    h = _gap_orders(g, moduli)
+    g = gcd(g, top)
     if max(js) == 1:
-        return tuple([c if c < 3 else 3 for c in class_counts(b, moduli)]), h
-    return tuple((_rank(len(b), np.equal(h, 1)) - 1).tolist()), h
+        return tuple([c if c < 3 else 3 for c in class_counts(b, moduli)]), g
+    return tuple((_rank(len(b), g % np.array(moduli, dtype=object) == 0) - 1).tolist()), g
 
 
 # --- solution strata (§4) ----------------------------------------------------
@@ -901,18 +904,20 @@ def _corank_classes(sides, n_max):
     sides' corank arrays.
     A label of at most three roots whose every side has orders all 1, or
     (2, 1) or (1, 2) at k = 2, has a closed-form rank: each distinct side's
-    signature (`_table_values`) is computed once, and the classes are one
-    lookup in the cache of `_signature_classes`, read-only and keyed by (k,
-    n_max) and the two signatures.  The rank lemma behind them is one of
-    three rows, so any other label, such as N(2,2;1,1), k = 3 with
-    multiplicities or k >= 4 roots, ranks both sides at every tuple mod
-    split primes (`_unity_coranks`).  Either way a side equal to the first
-    is computed once (`_per_side`)."""
+    signature (`_table_values`: its table values, and the gcd of its gap gcd
+    with the lcm of the moduli, which a request computes once) is computed
+    once, and the classes are one lookup in the cache of
+    `_signature_classes`, read-only and keyed by (k, n_max) and the two
+    signatures.  The rank lemma behind them is one of three rows, so any
+    other label, such as N(2,2;1,1), k = 3 with multiplicities or k >= 4
+    roots, ranks both sides at every tuple mod split primes
+    (`_unity_coranks`).  Either way a side equal to the first is computed
+    once (`_per_side`)."""
     k = len(sides[0].js)
     ns, exps, configs, moduli, _ = _scan_table(k, n_max)
     if k <= 3 and all(max(s.js) == 1 or sorted(s.js) == [1, 2] for s in sides):
-        (cs1, hs1), (cs2, hs2) = _per_side(_table_values, sides, moduli)
-        return _signature_classes(k, n_max, cs1, hs1, cs2, hs2)
+        (cs1, g1), (cs2, g2) = _per_side(_table_values, sides, moduli, lcm(*moduli))
+        return _signature_classes(k, n_max, cs1, g1, cs2, g2)
     return _classes_of(*_per_side(_unity_coranks, sides, ns, exps), configs)
 
 
@@ -1024,22 +1029,6 @@ def _minor_slope(triple, p, tau, i):
     return -p_t * pow(p_u, -1, p) % p
 
 
-def _residues(values, moduli) -> np.ndarray:
-    """values[j] mod moduli[i] for every modulus, exactly: an int64 array of
-    shape (len(moduli), len(values)) whose entries lie in [0, moduli[i]).
-
-    Values that fit in int64 are reduced by numpy's exact integer
-    remainder; larger ones in Python ints, once per distinct modulus.
-    """
-    moduli = np.asarray(moduli, dtype=np.int64)
-    try:
-        return np.array(values, dtype=np.int64) % moduli[:, None]
-    except OverflowError:
-        distinct, inverse = np.unique(moduli, return_inverse=True)
-        table = np.array(values, dtype=object) % distinct.astype(object)[:, None]
-        return table.astype(np.int64)[inverse]
-
-
 def _certify_points(sides, points, seed):
     """(kd1, kd2, rank) mod p at every point (p, logs, du/dt) of a stack,
     logs = (0, tau, i) naming x0 = (1, t0, u0) in F_p^*: per side the kernel
@@ -1048,7 +1037,9 @@ def _certify_points(sides, points, seed):
     random.Random(seed)), and the rank mod p of the two rows
     (dM1/dt f1, dM2/dt f2) and (M1 D f1, M2 D f2), D = diag(e), ranked by
     one `modular_rank` call on their transpose.  dM/dt moves x2 by 1 and x3
-    by du/dt; M and its derivatives in x_m come from `_hermite_stack`."""
+    by du/dt; M and its derivatives in x_m come from `_hermite_stack`, and
+    D's entries are reduced mod p in Python ints, so an exponent past int64
+    stays exact."""
     count = len(points)
     primes = np.array([p for p, _, _ in points], dtype=np.int64)
     logs = np.array([lg for _, lg, _ in points], dtype=np.int64)
@@ -1063,7 +1054,8 @@ def _certify_points(sides, points, seed):
         rank, f = modular_kernel_vector(mat, primes, [[gen.getrandbits(31) for _ in eff] for _ in range(count)])
         kds.append(len(eff) - rank)
         rows.append(np.repeat(moves, js, axis=1) * ((dmat @ f[:, :, None])[:, :, 0] % col) % col)
-        rows.append((mat @ (_residues(eff, primes) * f % col)[:, :, None])[:, :, 0] % col)
+        residues = (np.array(eff, dtype=object) % col).astype(np.int64)
+        rows.append((mat @ (residues * f % col)[:, :, None])[:, :, 0] % col)
     tangent, orbit = np.concatenate(rows[0::2], axis=1), np.concatenate(rows[1::2], axis=1)
     return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
 

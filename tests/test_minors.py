@@ -20,7 +20,6 @@ from singres.minors import (
     minors_split_equivalence_scan,
     two_class_split,
 )
-from singres.strata import _residues
 from singres.supports import SplitWitness, SupportSet, class_counts, gap_gcd
 from singres.verify import check_unity_minor_explanations
 
@@ -590,9 +589,6 @@ class TestBatchKernel:
                 b = SupportSet(elems)
                 rank = closed_form_rank(b, n, [p], [q])
                 assert rank.tolist() == [power_rank(b, n, p, q)], (big, n, p, q)
-            values = [big, -big, 2, rng.randrange(2**80)]
-            moduli = np.array([3, 7, 3, 1, 12])
-            assert _residues(values, moduli).tolist() == [[v % m for v in values] for m in moduli.tolist()]
 
     def test_large_moduli_match_sorted_keys(self):
         # moduli near 2^40 with gcd(n, p, q) > 1, huge and negative exponents:

@@ -463,33 +463,56 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(singres.__path__))
 # `strata._scan_table`, `singres.cli.main`, `minors._rank.__doc__`: a
 # module of the package, then a dotted name in it
 QUALIFIED_NAME = re.compile(r"`(?:singres\.)?(" + "|".join(MODULES) + r")((?:\.\w+)+)`")
-# `_sides`, `_Stratum.entry`: a private name of the module whose text it is in
+# `_sides`, `_Stratum.entry`: a private name of the module whose text it
+# is in, or, in a test file, of any module or of the file itself
 OWN_NAME = re.compile(r"`(_\w+(?:\.\w+)*)`")
 
 
+def _resolves(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _dead_names(text, homes, own=frozenset()):
+    """(checked, dead): the backticked names of text, and those that name
+    nothing.  A qualified name must resolve in its package module.  A bare
+    `_name[.member]`, unless homes is empty, must resolve in one of the
+    package modules homes or have every part defined in own."""
+    qualified = QUALIFIED_NAME.findall(text)
+    bare = OWN_NAME.findall(text) if homes else []
+    dead = [f"{module}{dotted}" for module, dotted in qualified if not _resolves(importlib.import_module(f"singres.{module}"), dotted[1:])]
+    dead += [dotted for dotted in bare if not set(dotted.split(".")) <= own and not any(_resolves(importlib.import_module(f"singres.{module}"), dotted) for module in homes)]
+    return len(qualified) + len(bare), dead
+
+
 def test_docs_name_live_code():
-    """Every backticked `module.name[.member]` in README.md and in the
-    package's sources names something that exists, and so does every
-    backticked `_name[.member]` in a module's own text, so a function
-    deleted or renamed cannot live on in the prose that explains it."""
-
-    def resolves(obj, dotted):
-        for part in dotted.split("."):
-            if not hasattr(obj, part):
-                return False
-            obj = getattr(obj, part)
-        return True
-
-    texts = [("README.md", (ROOT / "README.md").read_text(), None)]
-    texts += [(path.name, path.read_text(), path.stem) for path in sorted(Path(singres.__file__).parent.glob("*.py"))]
+    """Every backticked `module.name[.member]` in README.md, in the
+    package's sources and in the tests names something that exists; so
+    does every backticked `_name[.member]` in a module's own text, and in a
+    test file one of some package module or of the file's own definitions
+    (functions, classes and assigned names), so a function deleted or
+    renamed cannot live on in the prose that explains it or tests it."""
+    texts = [("README.md", (ROOT / "README.md").read_text(), ())]
+    texts += [(path.name, path.read_text(), {path.stem} & set(MODULES)) for path in sorted(Path(singres.__file__).parent.glob("*.py"))]
     checked, dead = 0, []
-    for name, text, stem in texts:
-        refs = [(module, dotted[1:]) for module, dotted in QUALIFIED_NAME.findall(text)]
-        if stem in MODULES:
-            refs += [(stem, dotted) for dotted in OWN_NAME.findall(text)]
-        for module, dotted in refs:
-            checked += 1
-            if not resolves(importlib.import_module(f"singres.{module}"), dotted):
-                dead.append(f"{name}: {module}.{dotted}")
+    for name, text, homes in texts:
+        count, found = _dead_names(text, homes)
+        checked += count
+        dead += [f"{name}: {ref}" for ref in found]
+    test_checked = 0
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        text = path.read_text()
+        nodes = list(ast.walk(ast.parse(text)))
+        own = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        own |= {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        count, found = _dead_names(text, MODULES, own)
+        test_checked += count
+        dead += [f"tests/{path.name}: {ref}" for ref in found]
     assert dead == []
-    assert checked > 100
+    assert checked > 100 and test_checked > 30
+    # a name deleted from the package is dead in a test file's prose
+    tick = "`"
+    assert _dead_names(f"{tick}_gap_orders{tick} {tick}strata._residues{tick}", MODULES)[1] == ["strata._residues", "_gap_orders"]

@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from singres.strata import (
     _draw_filtration_pair,
     _embed,
     _effective_elements,
-    _gap_orders,
     _generic_kernel_dims,
     _hermite_stack,
     _kernel_floor,
@@ -48,7 +47,6 @@ from singres.strata import (
     _log_powers,
     _minor_certificates,
     _random_fraction,
-    _residues,
     _scan_table,
     _Side,
     _side_matrices,
@@ -704,60 +702,54 @@ def supports_up_to(spread):
 
 class PerTupleScan:
     """The per-tuple oracle of the multiplicity-free scan: each support's
-    coranks at every tuple of _scan_table(k, 12), from one closed_form_rank
+    coranks at every tuple of _scan_table(k, top), from one closed_form_rank
     call on the tuples' power rows (p, q) (the closed-form rank, tuple by
-    tuple), and its gap form there; the strata at n_max <= 12 come from the
-    table's prefix with n <= n_max, by np.unique."""
+    tuple); the strata at n_max <= top come from the table's prefix with
+    n <= n_max, by np.unique."""
 
-    def __init__(self, k):
+    def __init__(self, k, top=12):
         self.k = k
-        self.ns, self.exps, self.configs, *_ = _scan_table(k, 12)
+        self.ns, self.exps, self.configs, *_ = _scan_table(k, top)
         self.sides = {}
 
     def side(self, b):
         if b not in self.sides:
-            gap_form = (self.exps * _residues((gap_gcd(b),), self.ns) % self.ns[:, None] == 0).all(axis=1)
             k, exps = self.k, self.exps
-            self.sides[b] = (k - closed_form_rank(b, self.ns, exps[:, min(k, 2) - 1], exps[:, k - 1]), gap_form)
+            self.sides[b] = k - closed_form_rank(b, self.ns, exps[:, min(k, 2) - 1], exps[:, k - 1])
         return self.sides[b]
 
     def tally(self, p, n_max):
-        """({(c1, c2): (count, first tuple)}, [n of each corank-2 side-1
-        tuple not of gap form]), as `_corank_classes` returns them."""
+        """{(c1, c2): (count, first tuple)}, as `_corank_classes` returns
+        them."""
         stop = len(_scan_table(self.k, n_max)[2])
-        (cork1, gap_form), (cork2, _) = self.side(p.b1), self.side(p.b2)
-        cork1, cork2, gap_form = cork1[:stop], cork2[:stop], gap_form[:stop]
+        cork1, cork2 = self.side(p.b1)[:stop], self.side(p.b2)[:stop]
         codes = cork1 * (self.k + 1) + cork2
         live = np.flatnonzero(codes)
         _, first, counts = np.unique(codes[live], return_index=True, return_counts=True)
-        strata = {(int(cork1[i]), int(cork2[i])): (count, self.configs[i]) for i, count in zip(live[first].tolist(), counts.tolist())}
-        broken = self.ns[:stop][(cork1 == 2) & ~gap_form].tolist() if self.k == 3 else []
-        return strata, broken
+        return {(int(cork1[i]), int(cork2[i])): (count, self.configs[i]) for i, count in zip(live[first].tolist(), counts.tolist())}
 
     def found(self, p, n_max):
         """The scan's `found`: each nonzero corank pair with its count and
         first witness, in order of first witness."""
-        strata, _ = self.tally(p, n_max)
         out = {}
-        for key, (count, (n, tup)) in sorted(strata.items(), key=lambda item: item[1][1]):
+        for key, (count, (n, tup)) in sorted(self.tally(p, n_max).items(), key=lambda item: item[1][1]):
             out[key] = {"count": count, "witness": {"kind": "unity", "n": n, "exponents": list(tup)}}
         return out
 
 
 def assert_tally(oracle, p, label, n_max):
-    """The classes of `_corank_classes` are the per-tuple oracle's strata, and
-    the oracle finds no corank-2 side-1 tuple off the root-of-unity gap form.
+    """The classes of `_corank_classes` are the per-tuple oracle's strata.
+    A table that lists a tuple with gcd(n, p, q) > 1, of period below n,
+    fails the comparison.
 
+    The oracle checks no gap form beside the tally, as none can fail.
     Lemma (gap form).  Every corank-2 tuple (n, (0, p, q)) of the table on
     side 1 has h_1 = n/gcd(n, g_1) dividing p and q.  At k = 3 it has
     min(|B_1 mod n|, 3 - flag) = 1, so |B_1 mod n| = 1: n divides g_1, so
     h_1 = 1.  At k = 2 it has c_1 = 0: never on an order-1 side, and on a
     side of orders (2, 1) or (1, 2) only for |B_1| = 1, whose gap gcd 0
-    gives h_1 = 1 again.  A table that lists a tuple with gcd(n, p, q) > 1,
-    of period below n, fails the comparison."""
-    strata, broken = oracle.tally(p, n_max)
-    assert broken == [], (p.b1.elements, p.b2.elements, n_max)
-    assert _corank_classes(_sides(p, label), n_max) == strata, (p.b1.elements, p.b2.elements, n_max)
+    gives h_1 = 1 again."""
+    assert _corank_classes(_sides(p, label), n_max) == oracle.tally(p, n_max), (p.b1.elements, p.b2.elements, n_max)
 
 
 class TestCorankTally:
@@ -784,7 +776,7 @@ class TestCorankTally:
             p = SupportPair(b, b)
             rep = scan_corank_strata(p, label, 12, seed=5)
             assert list(rep.found.items()) == list(oracle.found(p, 12).items()), b.elements
-            assert rep.mismatches == [] and oracle.tally(p, 12)[1] == [], b.elements
+            assert rep.mismatches == [], b.elements
         assert len(sups) == 1013
 
     @pytest.mark.parametrize("name", LABELS)
@@ -796,7 +788,7 @@ class TestCorankTally:
         label = parse_label(name)
         oracle, sups = PerTupleScan(label.k), supports_up_to(6)
         pairs = list(itertools.product(sups, repeat=2))
-        for cache in (_signature_classes, _side_coranks, _gap_orders):
+        for cache in (_signature_classes, _side_coranks):
             cache.cache_clear()
         for warm in (False, True):
             misses = _signature_classes.cache_info().misses
@@ -826,6 +818,25 @@ class TestCorankTally:
                 for n_max in range(1, 13):
                     assert_tally(oracle, p, label, n_max)
 
+    def test_gap_gcd_past_int64(self):
+        # at n_max 47 the lcm of the moduli passes int64, and so does the key
+        # g = gcd(g_s, lcm) of a side whose gap gcd is lcm/9: its orders
+        # n/gcd(n, g), 9 at n = 27, and its (2, 1) flags n | g are exact
+        top = lcm(*range(1, 48))
+        assert top // 9 > 2**63
+        sides = [S(0, top // 9, 2 * top // 9), S(0, top // 9, 5 * top // 9, top), S(0, top), S(0, 2, top + 2), S(0, 1, 3)]
+        for name in self.LABELS:
+            label = parse_label(name)
+            oracle = PerTupleScan(label.k, 47)
+            for b1, b2 in itertools.product(sides, repeat=2):
+                assert_tally(oracle, SupportPair(b1, b2), label, 47)
+        ns, exps, _, moduli, _ = _scan_table(2, 47)
+        for b in sides:
+            side = _Side(b, (2, 1), gap_gcd(b))
+            value = dict(zip(moduli, _table_values(side, moduli, top)[0]))
+            want = _unity_coranks(side, ns, exps).tolist()
+            assert [2 - int(_rank(value[n], True)) for n in ns.tolist()] == want, b.elements
+
     def test_cached_classes_are_read_only(self):
         # every scan whose sides share their signatures reads one cached
         # mapping, so no caller may write to it
@@ -852,6 +863,7 @@ class TestCorankTally:
         # (2, 1) side on side 1 and the (1, 2) side on side 2
         ns, exps, configs, *_ = _scan_table(2, 12)
         moduli = tuple(sorted(set(ns.tolist())))
+        top = lcm(*moduli)
         sups = [S(0)] + supports_up_to(8)
         sups += [SupportSet(tuple(e - 3 for e in b.elements)) for b in sups]
         checked = 0
@@ -859,7 +871,7 @@ class TestCorankTally:
             sides = tuple(_Side(b, js, gap_gcd(b)) for js in ((2, 1), (1, 2)))
             hermite = [_unity_coranks(side, ns, exps).tolist() for side in sides]
             for side, want in zip(sides, hermite):
-                value = dict(zip(moduli, _table_values(side, moduli)[0]))
+                value = dict(zip(moduli, _table_values(side, moduli, top)[0]))
                 assert [2 - int(_rank(value[n], True)) for n in ns.tolist()] == want, (b.elements, side.js)
                 checked += len(want)
             classes = {}
@@ -1567,6 +1579,32 @@ class TestMinorCertificate:
                 assert ((None, None) in _branch_classes(triple, [g, g])) == (len(rest) - 1 > 2 * (g - 1))
                 checked += 1
         assert checked == 495
+
+    def test_certify_points_reduces_huge_exponents(self):
+        # an exponent e enters the rows mod p - 1 (the powers x^e) and mod p
+        # (the falling factorials and D = diag(e)), so 2^63 + 5 and a
+        # positive exponent congruent to it mod p(p - 1) give one answer.
+        # p = 823 divides 2^63 + 5; when it divides every exponent of both
+        # sides, both rows vanish mod p (each term has a factor e): rank 0 at
+        # every point, where a wrapped int64 residue, -2^63 + 5 = 10 mod p,
+        # gives rank 2
+        prime, big = 823, 2**63 + 5
+        small = big % (prime * (prime - 1)) + prime * (prime - 1)
+        assert big % prime == 0 and small < 2**63
+        rng = random.Random(5)
+        points = [(prime, (0, rng.randrange(1, prime - 1), rng.randrange(1, prime - 1)), rng.randrange(prime)) for _ in range(30)]
+        for name in ("N(1,1,1)", "N(2,1,1)"):
+            label = parse_label(name)
+            for other in ((0, 2 * prime, 5 * prime), (0, 2, 5, 7)):
+                for flip in (False, True):
+                    answers = []
+                    for e in (big, small):
+                        sides = ((0, prime, 3 * prime, e), other)
+                        kd1, kd2, rank = _certify_points(_sides(pair(*sides[:: -1 if flip else 1]), label), points, 7)
+                        answers.append((kd1.tolist(), kd2.tolist(), rank.tolist()))
+                    assert answers[0] == answers[1], (name, other, flip)
+                    if other[1] % prime == 0:
+                        assert max(answers[0][2]) == 0, (name, flip)
 
     def test_planted_rank_drop_is_retried(self, monkeypatch):
         # (0, 2, 3) is no translate of the curve's triple (0, 1, 3), so side 2
