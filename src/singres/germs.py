@@ -41,19 +41,9 @@ class PlaneGerm:
         return {e: c for e, c in self.terms.items() if sum(e) == m}
 
     def linear_change(self, a, b, c, d):
-        """Germ of p(a*s + b*t, c*s + d*t)."""
-        acc = {}
-        s_new = {(1, 0): Fraction(a), (0, 1): Fraction(b)}
-        t_new = {(1, 0): Fraction(c), (0, 1): Fraction(d)}
-        for (i, j), coef in self.terms.items():
-            term = {(0, 0): Fraction(coef)}
-            for _ in range(i):
-                term = _germ_mul(term, s_new)
-            for _ in range(j):
-                term = _germ_mul(term, t_new)
-            for e, c in term.items():
-                acc[e] = acc.get(e, 0) + c
-        return PlaneGerm(acc)
+        """Germ of p(a*s + b*t, c*s + d*t): the slice at the origin along
+        (a, c) and (b, d), an invertible change."""
+        return slice_germ(MPoly(("s", "t"), self.terms), {"s": 0, "t": 0}, {"s": a, "t": c}, {"s": b, "t": d})
 
     def __repr__(self):
         bits = " + ".join(f"{c}*s^{i}*t^{j}" for (i, j), c in sorted(self.terms.items()))

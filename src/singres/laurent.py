@@ -401,23 +401,15 @@ def boundary_covector(f: LaurentPoly, g: LaurentPoly, at_zero: bool):
     """Two-term covector of the branch at 0 or infinity.
 
     In the affine chart at the boundary point the x-parts start (or end)
-    with a zero coefficient; the derivative there is the adjacent convex-hull
-    coefficient.
+    with a zero coefficient; the derivative there is the adjacent
+    coefficient, 0 off the support (`LaurentPoly.coeff`).
     """
-    n1, n2 = len(f.support), len(g.support)
-
-    def chart_derivative(poly: LaurentPoly):
-        if at_zero:
-            return poly.coeff(poly.support.min + 1) if (poly.support.min + 1) in poly.support else 0
-        return poly.coeff(poly.support.max - 1) if (poly.support.max - 1) in poly.support else 0
-
-    fp = chart_derivative(f)
-    gp = chart_derivative(g)
-    row = [0] * (n1 + n2)
-    slot_f = 0 if at_zero else n1 - 1
-    slot_g = n1 if at_zero else n1 + n2 - 1
-    row[slot_f] = gp
-    row[slot_g] = -fp
+    n1 = len(f.support)
+    row = [0] * (n1 + len(g.support))
+    if at_zero:
+        row[0], row[n1] = g.coeff(g.support.min + 1), -f.coeff(f.support.min + 1)
+    else:
+        row[n1 - 1], row[-1] = g.coeff(g.support.max - 1), -f.coeff(f.support.max - 1)
     return row
 
 

@@ -493,19 +493,19 @@ def _side_coranks(k, n_max, cs, g):
     min(|B_s mod m|, 3 - [gap test]) by the lemmas of `minors._rank`, and
     its period m = n/gcd(n, p, q) is n because the table lists
     gcd(n, p, q) = 1 only.  At k = 2 the gap flag is always set (h | p - p),
-    so the corank is 2 - min(c_s, 2).  A side of orders (2, 1) at (1, w),
-    w = zeta_n^p of order n, has the rows f(1), f'(1), f(w), that is 1, e
-    and w^e over e in B_s, of rank min(|B_s|, 3 - [n | g_s]) by the lemma
-    (2, 1) rows of `minors._rank`, and n | g_s iff h_s = 1.  Orders (1, 2)
-    give the rows 1, w^e, e w^(e - 1); the last row times w and the column
-    e times w^(-e) give w^(-e), 1, e, the case (2, 1) at w^(-1), also of
-    order n.  So the corank is 3 - min(|B_s|, 3 - [n | g_s]) =
-    2 - min(c_s, 2), as for an order-1 side.  Each modulus n divides the
-    lcm of the moduli, so gcd(n, g_s) = gcd(n, g): h_s is read off g.
+    so the corank is 2 - min(c_s, 2), and the build takes the flag as set.
+    A side of orders (2, 1) at (1, w), w = zeta_n^p of order n, has the rows
+    f(1), f'(1), f(w), that is 1, e and w^e over e in B_s, of rank
+    min(|B_s|, 3 - [n | g_s]) by the lemma (2, 1) rows of `minors._rank`,
+    and n | g_s iff h_s = 1.  Orders (1, 2) give the rows 1, w^e,
+    e w^(e - 1); the last row times w and the column e times w^(-e) give
+    w^(-e), 1, e, the case (2, 1) at w^(-1), also of order n.  So the
+    corank is 3 - min(|B_s|, 3 - [n | g_s]) = 2 - min(c_s, 2), as for an
+    order-1 side.  Each modulus n divides the lcm of the moduli, so
+    gcd(n, g_s) = gcd(n, g): h_s is read off g.
     """
     _, exps, _, moduli, at = _scan_table(k, n_max)
-    hs = _order(np.array(moduli, dtype=object), g).astype(np.int64)
-    flags = gap_root(hs[at], exps[:, 1], exps[:, -1])
+    flags = k == 2 or gap_root(_order(np.array(moduli, dtype=object), g).astype(np.int64)[at], exps[:, 1], exps[:, -1])
     cork = k - _rank(np.array(cs, dtype=np.int64)[at], flags)
     cork.setflags(write=False)
     return cork
@@ -945,64 +945,70 @@ def _log_powers(p):
 
 def _class_key(coincide, order, gaps):
     """Per side, the pair of points whose g_s-th powers agree along a line
-    branch of the given root-of-unity order (ord | g_s), or None."""
-    return tuple(coincide if coincide is not None and g % order == 0 else None for g in gaps)
+    branch of the given root-of-unity order if ord | g_s, else None."""
+    g1, g2 = gaps
+    return coincide if g1 % order == 0 else None, coincide if g2 % order == 0 else None
 
 
 def _branch_classes(triple, gaps):
-    """The class keys of the minor curve's branches over t: one per line
-    u = zeta t and u = zeta, zeta^g = 1 != zeta (g the triple's gap gcd),
-    merged by key, and (None, None) for the other branches, which exist iff
-    the triple is no arithmetic progression (see `_minor_certificates`)."""
-    a, b, c = triple
-    g = gcd(b - a, c - a)
+    """The class keys of the minor curve's branches over t for the
+    translate (0, d1, d2): one per line u = zeta t and u = zeta, zeta^g = 1
+    != zeta (g = gcd(d1, d2), the triple's gap gcd), merged by key, and
+    (None, None) for the other branches, which exist iff the triple is no
+    arithmetic progression (see `_minor_certificates`)."""
+    _, d1, d2 = triple
+    g = gcd(d1, d2)
     keys = {_class_key(pair, d, gaps) for d in range(2, g + 1) if g % d == 0 for pair in ((1, 2), (0, 2))}
-    if c - a > 2 * g:
+    if d2 > 2 * g:
         keys.add((None, None))
     return keys
 
 
 def _kernel_floor(eff, js, triple, coincide):
     """L_s = |eff_s| - (a rank cap of side s along a branch class): the
-    cap is the row count sum(js), less min(j_m, j_n) when points m and n
-    coincide in their g_s-th powers (their rows of each order are then
-    proportional), and 2 for three order-1 rows when eff_s is a translate
-    of the triple (the curve's minor, times a monomial per row)."""
-    cap = sum(js) - (min(js[m] for m in coincide) if coincide else 0)
-    if all(j == 1 for j in js) and len(eff) == 3 and {e - eff[0] for e in eff} == {e - triple[0] for e in triple}:
-        cap = min(cap, 2)
+    cap is the row count sum(js), less min(j_m, j_n) when the points
+    coincide = (m, n) agree in their g_s-th powers (their rows of each order
+    are then proportional), and 2 for three order-1 rows when eff_s is a
+    translate of the triple (0, d1, d2) (the curve's minor, times a monomial
+    per row)."""
+    if js == (1, 1, 1) and len(eff) == 3 and (eff[1] - eff[0], eff[2] - eff[0]) == triple[1:]:
+        return 1
+    cap = sum(js) - (min(js[coincide[0]], js[coincide[1]]) if coincide else 0)
     return len(eff) - min(cap, len(eff))
 
 
 def _branch_points(triples, gaps, p, taus):
-    """Per triple, (class key, log i) for every simple root u0 = gamma^i of
-    its minor polynomial at t0 = gamma^tau mod p with u0 not in {1, t0}
-    whose coincidences x_m^(g_s) = x_n^(g_s) mod p are those of its class, in
-    increasing i, from one evaluation at every point of F_p^* for all the
-    triples at once.
+    """Per translate (0, d1, d2), (class key, log i, du/dt) for every simple
+    root u0 = gamma^i of its minor polynomial at t0 = gamma^tau mod p with
+    u0 not in {1, t0} whose coincidences x_m^(g_s) = x_n^(g_s) mod p are
+    those of its class, in increasing i, from one evaluation at every point
+    of F_p^* for all the triples at once.
 
-    The minor divided by u^a is A + B u^(b - a) + C u^(c - a) with A = t^b -
-    t^c, B = t^c - t^a, C = t^a - t^b; a root u0 is simple iff u0 times the
-    derivative, (b - a) B u0^(b - a) + (c - a) C u0^(c - a), is nonzero."""
+    The minor is P = A + B u^d1 + C u^d2 with A = t^d1 - t^d2, B = t^d2 - 1,
+    C = 1 - t^d1; a root u0 is simple iff u P_u = d1 B u0^d1 + d2 C u0^d2 is
+    nonzero, and there the slope of the curve, du/dt = -P_t / P_u =
+    -(u0 / t0) (t P_t) / (u P_u) with t P_t = d1 t0^d1 (1 - u0^d2) +
+    d2 t0^d2 (u0^d1 - 1), is read off the same values."""
     powers, n = _log_powers(p), p - 1
-    shifts = [(b - a, c - a) for a, b, c in triples]
     taus = np.asarray(taus, dtype=np.int64)
-    ta, tb, tc = powers[taus[:, None] * [[e % n for e in triple] for triple in triples] % n].T
+    tb, tc = powers[taus[:, None] * [[d1 % n, d2 % n] for _, d1, d2 in triples] % n].T
     # int32 holds A + B v + C w < 3 p^2 for the primes of g <= CERT_GAP_MAX (p < 2^15)
-    coef = (np.stack([tb - tc, tc - ta, ta - tb]) % p).astype(np.int32)
-    residues = sorted({d % n for pair in shifts for d in pair})
+    coef = (np.stack([tb - tc, tc - 1, 1 - tb]) % p).astype(np.int32)
+    residues = sorted({d % n for _, d1, d2 in triples for d in (d1, d2)})
     rows = powers[np.outer(residues, np.arange(n)) % n].astype(np.int32)
     at = {d: k for k, d in enumerate(residues)}
-    v = rows[[at[d % n] for d, _ in shifts]]
-    w = rows[[at[d % n] for _, d in shifts]]
+    v = rows[[at[d1 % n] for _, d1, _ in triples]]
+    w = rows[[at[d2 % n] for _, _, d2 in triples]]
     value = (coef[0][:, None] + coef[1][:, None] * v + coef[2][:, None] * w) % p
     value[:, 0] = value[np.arange(len(taus)), taus] = 1  # drop u0 = 1 = gamma^0 and u0 = t0
+    gs = {triple: gcd(*triple) for triple in set(triples)}
     out = [[] for _ in triples]
     for c, i in zip(*(x.tolist() for x in np.nonzero(value == 0))):
-        (d1, d2), tau = shifts[c], int(taus[c])
-        if (d1 * int(coef[1][c]) * int(v[c, i]) + d2 * int(coef[2][c]) * int(w[c, i])) % p == 0:
+        _, d1, d2 = triple = triples[c]
+        tau, g, vi, wi = int(taus[c]), gs[triple], int(v[c, i]), int(w[c, i])
+        u_pu = (d1 * int(coef[1][c]) * vi + d2 * int(coef[2][c]) * wi) % p
+        if u_pu == 0:
             continue
-        g = gcd(d1, d2)
         if (i - tau) * g % n == 0:
             key = _class_key((1, 2), n // gcd(i - tau, n), gaps)
         elif i * g % n == 0:
@@ -1013,20 +1019,9 @@ def _branch_points(triples, gaps, p, taus):
         # not: its rank mod p drops, and it would certify nothing
         if any((tau * h % n == 0, (i - tau) * h % n == 0, i * h % n == 0) != (False, k == (1, 2), k == (0, 2)) for h, k in zip(gaps, key) if h):
             continue
-        out[c].append((key, i))
+        t_pt = d1 * int(tb[c]) * (1 - wi) + d2 * int(tc[c]) * (vi - 1)
+        out[c].append((key, i, -int(powers[(i - tau) % n]) * t_pt * pow(u_pu, -1, p) % p))
     return out
-
-
-def _minor_slope(triple, p, tau, i):
-    """du/dt = -P_t / P_u at (t0, u0) = (gamma^tau, gamma^i) mod p, a simple
-    root (P_u a unit)."""
-    powers, n = _log_powers(p), p - 1
-    t, u = ([int(powers[k * (e % n) % n]) for e in triple] for k in (tau, i))
-    t1, u1 = ([e % p * int(powers[k * ((e - 1) % n) % n]) for e in triple] for k in (tau, i))
-    # P = sum over the cyclic (x, y, z) of (t^y - t^z) u^x
-    p_t = (t1[1] - t1[2]) * u[0] + (t1[2] - t1[0]) * u[1] + (t1[0] - t1[1]) * u[2]
-    p_u = (t[1] - t[2]) * u1[0] + (t[2] - t[0]) * u1[1] + (t[0] - t[1]) * u1[2]
-    return -p_t * pow(p_u, -1, p) % p
 
 
 def _certify_points(sides, points, seed):
@@ -1075,22 +1070,23 @@ def _minor_certificates(sides, triples, rng):
     gamma^tau from rng at a prime p = 1 mod g, g = gcd(b - a, c - a) (the
     index-th of `_certificate_prime`, CERT_PRIMES primes with up to
     CERT_T_TRIES * g draws each), and on each class that is still open,
-    the first simple root u0 of P(t0, .) with u0 not in {0, 1, t0}
-    (`_branch_points`).  All points of a prime index are decided by one
-    `_certify_points` call; each decided point counts once.  The cost of a
-    curve, and the int32 bound of `_branch_points`, depend on g alone: the
-    primes are those of g (all below 2^15 for g <= CERT_GAP_MAX), each draw
-    evaluates P(t0, .) once over F_p^*, and exponents enter reduced mod p - 1.
+    the first simple root u0 of P(t0, .) with u0 not in {0, 1, t0} and the
+    slope du/dt there, both from one evaluation (`_branch_points`).  All
+    points of a prime index are decided by one `_certify_points` call; each
+    decided point counts once.  The cost of a curve, and the int32 bound of
+    `_branch_points`, depend on g alone: the primes are those of g (all
+    below 2^15 for g <= CERT_GAP_MAX), each draw evaluates P(t0, .) once
+    over F_p^*, and exponents enter reduced mod p - 1.
 
     Lemma (translation).  The minor of (a + s, b + s, c + s) is (t u)^s P,
     so translates have one curve, and every helper runs on the translate
-    T' = (0, b - a, c - a): each reads T only through b - a and c - a, and
-    T and T + s give the same result from the same rng for every integer s.
-    On the torus P and P' = (t u)^(-a) P have the same zeros, and at a zero
-    the gradient of P is (t u)^a times that of P', so a root u0 is simple
-    for both or neither and du/dt = -P_t / P_u (`_minor_slope`) agrees; the
-    roots and their classes (`_branch_points`) are those of P'.  The class
-    keys (`_branch_classes`) read g and c - a, the kernel floors
+    T' = (0, b - a, c - a), with g computed once per curve: T and T + s give
+    the same result from the same rng for every integer s.  On the torus P
+    and P' = (t u)^(-a) P have the same zeros, and at a zero the gradient
+    of P is (t u)^a times that of P', so a root u0 is simple for both or
+    neither and du/dt = -P_t / P_u agrees; the roots, their classes and
+    their slopes (`_branch_points`) are those of P'.  The class keys
+    (`_branch_classes`) read g and c - a, the kernel floors
     (`_kernel_floor`) the differences e - a, and the primes and draws g.
 
     Lemma (lines).  P(t, zeta t) and P(t, zeta) vanish identically iff
@@ -1142,7 +1138,8 @@ def _minor_certificates(sides, triples, rng):
     if not (sides[0].support and sides[1].support):
         return {i: None for i in range(len(shapes))}, 0
     gaps = [s.gap for s in sides]
-    open_ = {i: _branch_classes(shape, gaps) for i, shape in enumerate(shapes) if gcd(*shape) <= CERT_GAP_MAX}
+    gs = [gcd(d1, d2) for _, d1, d2 in shapes]
+    open_ = {i: _branch_classes(shape, gaps) for i, shape in enumerate(shapes) if gs[i] <= CERT_GAP_MAX}
     found = {i: [] for i in open_}
     points = 0
     for index in range(CERT_PRIMES):
@@ -1156,7 +1153,7 @@ def _minor_certificates(sides, triples, rng):
         while wanted:
             by_prime = {}
             for i in wanted:
-                g = gcd(*shapes[i])
+                g = gs[i]
                 p = _certificate_prime(g, index)
                 draws = min(max(drawn[i], 1), CERT_T_TRIES * g - drawn[i])
                 if draws:
@@ -1169,16 +1166,16 @@ def _minor_certificates(sides, triples, rng):
                     chunk = draws[start : start + 64]
                     roots = _branch_points([shapes[i] for i, _ in chunk], gaps, p, [tau for _, tau in chunk])
                     for (i, tau), found_roots in zip(chunk, roots):
-                        for key, iu in found_roots:
+                        for key, iu, dudt in found_roots:
                             if key in wanted[i]:
                                 wanted[i].discard(key)
-                                probes.append((i, key, p, tau, iu))
+                                probes.append((i, key, p, tau, iu, dudt))
             wanted = {i: keys for i, keys in wanted.items() if keys}
         if not probes:
             continue
-        points_mod_p = [(p, (0, tau, iu), _minor_slope(shapes[i], p, tau, iu)) for i, _, p, tau, iu in probes]
+        points_mod_p = [(p, (0, tau, iu), dudt) for _, _, p, tau, iu, dudt in probes]
         kd1, kd2, rho = _certify_points(sides, points_mod_p, rng.getrandbits(64))
-        for (i, key, p, tau, iu), k1, k2, r in zip(probes, kd1.tolist(), kd2.tolist(), rho.tolist()):
+        for (i, key, p, tau, iu, _), k1, k2, r in zip(probes, kd1.tolist(), kd2.tolist(), rho.tolist()):
             floors = [_kernel_floor(b.elements, js, shapes[i], coincide) for (b, js, _), coincide in zip(sides, key)]
             if min(k1, k2) == 0:
                 open_[i].discard(key)

@@ -122,6 +122,20 @@ class TestRandomizedProperties:
             moved = classify_germ(cusp.linear_change(a, b, c, d))
             assert moved.tag == "UniTangent" and moved.m == 2
 
+    def test_linear_change_round_trip(self):
+        # p(a s + b t, c s + d t) under the inverse change is p again, term
+        # for term; s t under s -> s + t is s t + t^2
+        assert germ({(1, 1): 1}).linear_change(1, 1, 0, 1).terms == {(1, 1): 1, (0, 2): 1}
+        rng = random.Random(35)
+        for _ in range(60):
+            g = germ({(rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))})
+            a, b, c, d = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4))
+            det = a * d - b * c
+            if g.is_zero or not det:
+                continue
+            inverse = (d / det, -b / det, -c / det, a / det)
+            assert g.linear_change(a, b, c, d).linear_change(*inverse).terms == g.terms, (g, a, b, c, d)
+
 
 class TestSliceGerm:
     def test_resultant_slices(self):

@@ -11,6 +11,7 @@ from singres.laurent import (
     ProjPoint,
     _covector,
     _rank_two,
+    boundary_covector,
     classify_point,
     common_roots,
     homogenize,
@@ -371,6 +372,25 @@ class TestClassifyPoint:
         g = lp((0, 1, 2), {1: -1, 2: 1})
         out = classify_point(f, g)
         assert out.tag == "NodeA1"
+
+    def test_boundary_covector_rows(self):
+        # the chart derivative at 0 (at infinity) is the coefficient one step
+        # inside the lowest (highest) exponent, 0 where that step leaves the
+        # support: f = x - x^2 on {0, ..., 3}, g = 2 + 3x^2 on {-1, 0, 2, 4}
+        f = lp((0, 1, 2, 3), {1: 1, 2: -1})
+        g = lp((-1, 0, 2, 4), {0: 2, 2: 3})
+        assert boundary_covector(f, g, True) == [2, 0, 0, 0, -1, 0, 0, 0]
+        assert boundary_covector(f, g, False) == [0, 0, 0, 0, 0, 0, 0, 1]
+
+    def test_infinity_node(self):
+        # 1 - x and (1 - x)(x + 2) = 2 - x - x^2, each on a support one step
+        # past its degree: simple common roots at x = 1 and at infinity, a
+        # node whose boundary branch is read in the chart at infinity
+        f = lp((0, 1, 2), {0: 1, 1: -1})
+        g = lp((0, 1, 2, 3), {0: 2, 1: -1, 2: -1})
+        assert [(r.point.kind, r.ord1, r.ord2) for r in common_roots(f, g)] == [("infinity", 1, 1), ("finite", 1, 1)]
+        assert boundary_covector(f, g, False) == [0, 0, -1, 0, 0, 0, 1]
+        assert classify_point(f, g).tag == classify_point(g, f).tag == "NodeA1"
 
     def test_infinity_boundary_orders(self):
         f = lp((0, 1, 2), {0: 1, 1: -1})  # 1 - x: ord at infinity 1

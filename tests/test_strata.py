@@ -1576,7 +1576,7 @@ class TestMinorCertificate:
                     for root in (t, 1):
                         binomial = (-(root**h),) + (0,) * (h - 1) + (1,)
                         assert len(prs_gcd(rest, binomial)) - 1 == g - 1, (triple, t, h)
-                assert ((None, None) in _branch_classes(triple, [g, g])) == (len(rest) - 1 > 2 * (g - 1))
+                assert ((None, None) in _branch_classes((0, b - a, c - a), [g, g])) == (len(rest) - 1 > 2 * (g - 1))
                 checked += 1
         assert checked == 495
 
@@ -1616,7 +1616,7 @@ class TestMinorCertificate:
         prime = _certificate_prime(1, 0)
         taus = list(range(1, prime - 1))
         roots = _branch_points([triple] * len(taus), [1, 1], prime, taus)
-        probes = [(tau, i) for tau, found in zip(taus, roots) for key, i in found]
+        probes = [(tau, i) for tau, found in zip(taus, roots) for _, i, _ in found]
         points = [(prime, (0, tau, i), 0) for tau, i in probes]
         kd1, kd2, _ = _certify_points(_sides(p_, label), points, 0)
         floors = [_kernel_floor((0, 1, 3), (1, 1, 1), (0, 1, 3), None), _kernel_floor((0, 2, 3), (1, 1, 1), (0, 1, 3), None)]
@@ -1654,7 +1654,7 @@ class TestMinorCertificate:
         iu = powers.index(powers[tau] ** 2 % prime)
         assert (1 + powers[tau] + powers[iu]) % prime == 0  # u0 = -1 - t0
         assert _branch_points([triple], [1, 3], prime, [tau]) == [[]]
-        assert _branch_points([triple], [1, 1], prime, [tau]) == [[((None, None), iu)]]
+        assert _branch_points([triple], [1, 1], prime, [tau]) == [[((None, None), iu, prime - 1)]]  # du/dt = -1
         kd1, kd2, _ = _certify_points(_sides(p_, label), [(prime, (0, tau, iu), 0)], 0)
         assert (kd1.tolist(), kd2.tolist()) == ([1], [2])
         assert [_kernel_floor(eff, (1, 1, 1), (0, 1, 3), None) for eff in ((0, 1, 3), (0, 3, 6))] == [1, 0]
@@ -1666,9 +1666,37 @@ class TestMinorCertificate:
         # reads like the line u = -1, whose class it must not join
         prime, tau, iu = _certificate_prime(2, 0), 126, 252
         assert prime == 1009 and iu * 4 % (prime - 1) == 0 and iu * 2 % (prime - 1) and (iu - tau) * 2 % (prime - 1)
-        assert ((None, None), iu) in _branch_points([(0, 2, 8)], [1, 1], prime, [tau])[0]
+        assert ((None, None), iu) in [root[:2] for root in _branch_points([(0, 2, 8)], [1, 1], prime, [tau])[0]]
         (found,) = _branch_points([(0, 2, 8)], [2, 4], prime, [tau])
-        assert found and all(key[1] is None or i != iu for key, i in found)
+        assert found and all(key[1] is None or i != iu for key, i, _ in found)
+
+    @pytest.mark.parametrize("triple", [(0, 1, 3), (0, 2, 8), (0, 3, 6)])
+    def test_branch_point_slopes(self, triple):
+        # at every root (t0, u0) that _branch_points returns over all t0, with
+        # gaps that skip none, du/dt solves P_t + P_u du/dt = 0 mod p, the
+        # partials taken from the minor P = (t^b - t^c) u^a + (t^c - t^a) u^b
+        # + (t^a - t^b) u^c
+        a, b, c = triple
+        prime = _certificate_prime(gcd(b - a, c - a), 0)
+        powers = _log_powers(prime).tolist()
+        taus = list(range(1, prime - 1))
+
+        def d(e, x):
+            return e * pow(x, e - 1, prime)
+
+        checked = 0
+        for tau, found in zip(taus, _branch_points([triple] * len(taus), [1, 1], prime, taus)):
+            t = powers[tau]
+            tp = [pow(t, e, prime) for e in triple]
+            for _, i, dudt in found:
+                u = powers[i]
+                up = [pow(u, e, prime) for e in triple]
+                assert ((tp[1] - tp[2]) * up[0] + (tp[2] - tp[0]) * up[1] + (tp[0] - tp[1]) * up[2]) % prime == 0
+                p_t = (d(b, t) - d(c, t)) * up[0] + (d(c, t) - d(a, t)) * up[1] + (d(a, t) - d(b, t)) * up[2]
+                p_u = (tp[1] - tp[2]) * d(a, u) + (tp[2] - tp[0]) * d(b, u) + (tp[0] - tp[1]) * d(c, u)
+                assert p_u % prime and (p_t + p_u * dudt) % prime == 0, (triple, tau, i)
+                checked += 1
+        assert checked > len(taus) // 2
 
     def test_even_lines_match_exact_rational_samples(self):
         # (a, a + 2, a + 4) has only the lines u = -t and u = -1, which carry
