@@ -14,6 +14,13 @@ Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
 alone maps the exception to its exit code (DegenerateProjectionError 3,
 any other ValueError or KeyError 2) and prints one `error: <message>` line
 on stderr, with no traceback.
+
+`build_parser` declares every flag, and argparse writes all help, usage
+lines and refusals.  `main` reads a well-formed argv itself, off a table of
+the leaf parser's options built with the parser (`_read_argv`): the command
+words, then exact flags, each value not starting with '-'.  Any other argv
+(-h, `--flag=value`, an abbreviation, `--b1=-3,1,2` and every refusal) goes
+to argparse, and both give the same Namespace.
 """
 
 from __future__ import annotations
@@ -303,6 +310,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_resultant(args) -> int:
+    if args.det_bound < 2:  # each support has two exponents at least, so d1 + d2 >= 2
+        raise ValueError(f"--det-bound must be at least 2, got {args.det_bound}")
     pair = _pair_from_args(args)
     start = time.perf_counter()
     poly = resultant_poly(pair, bound=args.det_bound)
@@ -458,27 +467,135 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built by `build_parser` on first use.
+def _leaf_options(parser):
+    """(option -> (dest, convert), required dests) of a leaf parser, where
+    `convert` is the type of a store of one value with no choices (`str`
+    when it has none) and None for a store_true flag.  None for a leaf with
+    any other action, -h aside: argparse reads all its argvs."""
+    options, required = {}, set()
+    for action in parser._actions:
+        kind = action.__class__
+        if kind is argparse._StoreTrueAction:
+            convert = None
+        elif kind is argparse._StoreAction and action.nargs is None and action.choices is None:
+            if isinstance(action.default, str) and action.type:
+                return None  # argparse converts such a default on every parse
+            convert = action.type or str
+        elif kind is argparse._HelpAction:
+            continue
+        else:
+            return None
+        options.update(dict.fromkeys(action.option_strings, (action.dest, convert)))
+        if action.required:
+            required.add(action.dest)
+    return options, frozenset(required)
 
-    Sharing it between `main` calls is safe: parsing mutates nothing on a
-    parser.  `parse_args` (Python 3.11 argparse) writes every value, every
-    action default and every `set_defaults` entry into the Namespace it
-    returns; `argparse._SubParsersAction.__call__` parses the chosen
-    subparser into a fresh Namespace and copies it over; the store actions
-    only `setattr` on the Namespace; `set_defaults` itself runs only while
-    building.  No action has a mutable default, so no value outlives its
-    call.  The Namespace's `parser` is the chosen subcommand's own parser
-    (stored by `_subcommand`), which `main` uses to report a flag that
-    subcommand does not take under its own usage line."""
-    return build_parser()
+
+def _argv_table(parser, base):
+    """The argv reader's table below `parser`, whose Namespace starts from
+    the entries `base` that its parents wrote: command word -> such a table
+    for a parser with subcommands, and for a leaf (its whole Namespace
+    before any flag, its options, its required dests), or None.
+
+    Each parser writes its actions' defaults and then its `set_defaults`
+    entries that no action holds; a subparsers action writes the command
+    word under its dest; a subcommand's entries replace its parents'."""
+    own = {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            own.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        own.setdefault(dest, value)
+    base = {**base, **own}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {word: _argv_table(sub, {**base, action.dest: word}) for word, sub in action.choices.items()}
+    leaf = _leaf_options(parser)
+    return None if leaf is None else (base, *leaf)
+
+
+def _read_argv(table, argv):
+    """The Namespace that `parse_known_args(argv)` returns for a canonical
+    argv, read off the `_argv_table`; None for any other argv.
+
+    A canonical argv is a leaf's command words, then exact options of that
+    leaf, each dest at most once and every required one present: a
+    store_true flag alone, any other option followed by a value that its
+    type converts and that is '-' or does not start with '-'.  argparse
+    reads such an argv the same way: after the command words every token
+    goes to the leaf parser, an exact option string is that option, and
+    such a value is no option."""
+    node, i, n = table, 0, len(argv)
+    while node.__class__ is dict:
+        if i == n:
+            return None
+        node = node.get(argv[i])
+        i += 1
+    if node is None:
+        return None
+    base, options, required = node
+    values = {}
+    while i < n:
+        spec = options.get(argv[i])
+        if spec is None or spec[0] in values:
+            return None
+        dest, convert = spec
+        i += 1
+        if convert is None:
+            values[dest] = True
+            continue
+        if i == n:
+            return None
+        text = argv[i]
+        if text[:1] == "-" and text != "-":
+            return None
+        try:
+            values[dest] = convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        i += 1
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace()
+    vars(args).update(base, **values)
+    return args
+
+
+@functools.cache
+def _parser():
+    """(the process's one parser, its argv reader's table), built by
+    `build_parser` and `_argv_table` on first use.
+
+    `main` reads a canonical argv (see `_read_argv`) off the table, and
+    hands every other argv to the parser: -h and --help, `--flag=value`,
+    an abbreviated flag, a value starting with '-' (`--b1=-3,1,2` or
+    `--rho-min -1`), an unknown, repeated or missing flag, a failed type
+    conversion and an unknown command.  So argparse alone writes help,
+    usage lines and refusals, and `build_parser` alone declares the flags.
+
+    Sharing the parser between `main` calls is safe: parsing mutates
+    nothing on a parser.  `parse_args` (Python 3.11 argparse) writes every
+    value, every action default and every `set_defaults` entry into the
+    Namespace it returns; `argparse._SubParsersAction.__call__` parses the
+    chosen subparser into a fresh Namespace and copies it over; the store
+    actions only `setattr` on the Namespace; `set_defaults` itself runs
+    only while building.  No action has a mutable default, so no value
+    outlives its call, and the reader copies the table's entries into a
+    fresh Namespace.  The Namespace's `parser` is the chosen subcommand's
+    own parser (stored by `_subcommand`), which `main` uses to report a
+    flag that subcommand does not take under its own usage line."""
+    parser = build_parser()
+    return parser, _argv_table(parser, {})
 
 
 def main(argv=None) -> int:
-    args, extra = _parser().parse_known_args(argv)
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    parser, table = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(table, argv)
+    if args is None:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (ValueError, KeyError) as exc:  # DegenerateProjectionError included

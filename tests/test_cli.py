@@ -3,6 +3,8 @@ import enum
 import io
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import time
@@ -16,7 +18,8 @@ import singres
 from singres import cli
 from singres.cli import main
 from singres.project import DegenerateProjectionError
-from test_repo import _leaf_commands
+from test_call_counts import CLI_EXPECTED
+from test_repo import ROOT, _leaf_commands
 
 
 def run(capsys, *argv):
@@ -398,6 +401,13 @@ class TestErrorContract:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
         assert (main(argv), *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags", [("--det-bound", "1"), ("--det-bound", "0"), ("--det-bound=-1",), ("--det-bound", "-1")])
+    def test_det_bound_below_2_exits_2(self, capsys, flags):
+        # every Sylvester matrix has size d1 + d2 >= 2: each support has two exponents at least
+        code = main(["resultant", "--b1", "0,1", "--b2", "0,1", *flags])
+        value = flags[-1].rpartition("=")[2]
+        assert (code, *capsys.readouterr()) == (2, "", f"error: --det-bound must be at least 2, got {value}\n")
+
     def test_non_finite_report_exits_2(self, capsys, monkeypatch):
         class Report:
             def to_json(self):
@@ -689,19 +699,20 @@ def test_every_option_has_help():
     assert missing == []
 
 
+# (argv, the `config` its report echoes)
+CONFIG_ECHOES = [
+    (("classify", "--b1", "0,1,3", "--b2", "0,3"), {"out": None}),
+    (("germ-classify", "--input", "-"), {"out": None}),
+    (("resultant", "--b1", "0,1", "--b2", "0,1", "--det-bound", "9"), {"det_bound": 9, "out": None}),
+    (("point-classify", "--input", "-", "--tolerance", "1e-6"), {"tolerance": 1e-6, "out": None}),
+    (("project3d", "--input", "-", "--seed", "3"), {"tolerance": 1e-8, "seed": 3, "out": None}),
+    (("scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3"), {"n_max": 2, "out": None}),
+    (("scan", "strata", "--b1", "0,1,3", "--b2", "0,3", "--label", "N(1)", "--n-max", "2"), {"n_max": 2, "seed": 0, "out": None}),
+]
+
+
 class TestSharedFlags:
-    @pytest.mark.parametrize(
-        "argv, shared",
-        [
-            (("classify", "--b1", "0,1,3", "--b2", "0,3"), {"out": None}),
-            (("germ-classify", "--input", "-"), {"out": None}),
-            (("resultant", "--b1", "0,1", "--b2", "0,1", "--det-bound", "9"), {"det_bound": 9, "out": None}),
-            (("point-classify", "--input", "-", "--tolerance", "1e-6"), {"tolerance": 1e-6, "out": None}),
-            (("project3d", "--input", "-", "--seed", "3"), {"tolerance": 1e-8, "seed": 3, "out": None}),
-            (("scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3"), {"n_max": 2, "out": None}),
-            (("scan", "strata", "--b1", "0,1,3", "--b2", "0,3", "--label", "N(1)", "--n-max", "2"), {"n_max": 2, "seed": 0, "out": None}),
-        ],
-    )
+    @pytest.mark.parametrize("argv, shared", CONFIG_ECHOES)
     def test_config_echoes_exactly_the_flags_taken(self, capsys, monkeypatch, argv, shared):
         stdin = {
             "germ-classify": {"terms": [{"exp": [2, 0], "coef": "1"}, {"exp": [0, 2], "coef": "1"}]},
@@ -888,7 +899,10 @@ class TestSharedParser:
     CLASSIFY = ("classify", "--b1", "0,1,3", "--b2", "0,3")
     PROJECT = {"a1": [[1, 0, 0], [0, 0, 2]], "a2": [[0, 1, 0], [0, 0, 1]]}
 
-    def test_parser_is_built_once(self, capsys, monkeypatch):
+    def test_parser_is_built_once(self, capsys, monkeypatch, fresh_parser):
+        """One build serves every call, and after `_parser.cache_clear()` the
+        argv reader reads the new build's table, never one that outlived
+        its parser."""
         builds = []
 
         def counting_build():
@@ -907,6 +921,24 @@ class TestSharedParser:
         capsys.readouterr()
         assert run(capsys, *self.CLASSIFY) == first
         assert len(builds) == 1
+
+        seen = []
+
+        def build_with_flag():
+            parser = real_build()
+            leaf = dict(_leaf_parsers(parser))["classify"]
+            leaf.add_argument("--extra", type=int, default=3, help="a flag of the new build")
+            leaf.set_defaults(fn=lambda args: seen.append(args) or 0)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", build_with_flag)
+        cli._parser.cache_clear()
+        argvs = [list(self.CLASSIFY), [*self.CLASSIFY, "--extra", "7"]]
+        assert [main(argv) for argv in argvs] == [0, 0]
+        parser, table = cli._parser()
+        assert all(cli._read_argv(table, argv) is not None for argv in argvs)
+        assert [(args.extra, args.parser.prog) for args in seen] == [(3, "singres classify"), (7, "singres classify")]
+        assert [vars(args) for args in seen] == [vars(parser.parse_known_args(argv)[0]) for argv in argvs]
 
     def _project3d(self, capsys, monkeypatch, *flags):
         """stdout of a successful `project3d --scan` on PROJECT."""
@@ -943,6 +975,156 @@ class TestSharedParser:
         csv_path.unlink()
         assert json.loads(self._project3d(capsys, monkeypatch, *flags))["config"]["out"] is None
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "pair.json"]
+
+
+@pytest.fixture
+def fresh_parser():
+    """Clear the cached parser before and after the test, which builds its own."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every leaf command below `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*words, name))
+
+
+def _readme_argvs():
+    """The argv of every `singres ...` line of the README's examples."""
+    readme = (ROOT / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:] for line in readme.splitlines() if line.startswith("singres ")]
+
+
+def _canonical_argvs():
+    """Every argv of the canonical CLI runs of the tests and the README."""
+    yield from ([*command.split(), *args] for command, args, _ in CLI_EXPECTED)
+    yield from ([*command.split(), *args] for command, (args, _) in STRICT_RUNS.items())
+    yield from ([*command.split(), *args] for command, (args, _, _) in COMPUTES_WITH.items())
+    yield from (list(argv) for argv, _ in CONFIG_ECHOES)
+    yield from _readme_argvs()
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# (values a flag's type converts, values it refuses or that start with '-'), by type
+FLAG_VALUES = {
+    int: (["3", "0", "12", " 4"], ["x", "1.5", "-2"]),
+    float: (["1e-6", "0.5", "2", "inf"], ["x", "-0.5", "-inf"]),
+    str: (["0,1,3", "0,3", "-", "N(1,1)", "", "a b"], ["-3,1,2", "-1"]),
+}
+# tokens that are no flag of a leaf or that argparse reads in its own way
+STRAY_TOKENS = ["-h", "--help", "-", "--", "-3", "-1.5", "-3,1,2", "--nonsense", "x", "classify", "--seed", "--scan", "--n-max", "--b1", "--tolerance"]
+
+
+def _token_streams(words, parser, rng, count):
+    """`count` seeded argvs of the leaf `parser`: its command words, then
+    items drawn from its flags with values, `=` forms, unique and ambiguous
+    prefixes of its options, negative numbers, '-', '--', -h and unknown
+    or repeated flags.  Half the streams draw only flags with values their
+    types convert, so that many streams are canonical."""
+    actions = [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    options = [o for a in parser._actions for o in a.option_strings]
+    prefixes = [o[:k] for o in options if o.startswith("--") for k in range(3, len(o))]
+    for _ in range(count):
+        items = []
+        if rng.random() < 0.7 and "--input" in options:
+            items.append(["--input", "-"])
+        clean = rng.random() < 0.5
+        for _ in range(rng.randrange(5)):
+            action = rng.choice(actions)
+            option = rng.choice(action.option_strings)
+            good, bad = FLAG_VALUES[action.type or str]
+            value = rng.choice(good if clean or rng.random() < 0.5 else bad) if action.nargs is None else None
+            draw = 0 if clean else rng.random()
+            if draw < 0.6:
+                items.append([option] if value is None else [option, value])
+            elif draw < 0.7:
+                items.append([f"{option}={value or ''}"])
+            elif draw < 0.8:
+                items.append([rng.choice(prefixes), rng.choice(FLAG_VALUES[str][0])])
+            else:
+                items.append([rng.choice(STRAY_TOKENS)])
+        rng.shuffle(items)
+        yield [*words.split(), *(token for item in items for token in item)]
+
+
+class TestArgvReader:
+    """`main` reads a canonical argv off the leaf parser's option table; any
+    other argv goes to argparse, which alone prints help and refusals."""
+
+    @pytest.mark.parametrize("argv", list(_canonical_argvs()), ids=" ".join)
+    def test_canonical_argv_reads_as_argparse(self, argv):
+        parser, table = cli._parser()
+        args = cli._read_argv(table, argv)
+        assert args is not None
+        expected, extra = parser.parse_known_args(argv)
+        assert (vars(args), extra) == (vars(expected), [])
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in REFUSED_FLAGS], ids=" ".join)
+    def test_refused_argv_goes_to_argparse(self, argv):
+        assert cli._read_argv(cli._parser()[1], list(argv)) is None
+
+    def test_token_streams(self, capsys, monkeypatch, fresh_parser):
+        """On 2,000 seeded token streams per leaf the reader declines or
+        returns argparse's Namespace, and `main` prints and exits as it
+        does with the reader switched off, argparse reading every argv.
+        Each leaf runs a stand-in that prints its Namespace."""
+
+        def echo(args):
+            print(args.parser.prog, sorted((k, repr(v)) for k, v in vars(args).items() if k not in ("fn", "parser")))
+            return 0
+
+        real_build = cli.build_parser
+
+        def build_with_echo():
+            parser = real_build()
+            for _, leaf in _leaf_parsers(parser):
+                leaf.set_defaults(fn=echo)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", build_with_echo)
+        parser, table = cli._parser()
+        argvs = [argv for words, leaf in _leaf_parsers(parser) for argv in _token_streams(words, leaf, random.Random(f"argv {words}"), 2000)]
+        read_directly = 0
+        for argv in argvs:
+            args = cli._read_argv(table, argv)
+            if args is not None:
+                read_directly += 1
+                expected, extra = parser.parse_known_args(argv)
+                assert (vars(args), extra) == (vars(expected), []), argv
+        outcomes = [_main_outcome(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_read_argv", lambda table, argv: None)
+        for argv, outcome in zip(argvs, outcomes):
+            assert _main_outcome(capsys, argv) == outcome, argv
+        assert read_directly > len(argvs) // 3
+
+    @pytest.mark.parametrize("words", ["", "scan", *(path for path, _ in _leaf_commands(cli.build_parser()))])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, words, flag):
+        """-h prints argparse's help and exits 0, alone or after a leaf's flags."""
+        argvs = [[*words.split(), flag]]
+        if words in STRICT_RUNS:
+            argvs.append([*words.split(), *STRICT_RUNS[words][0], flag])
+        for argv in argvs:
+            assert cli._read_argv(cli._parser()[1], argv) is None
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, err) == (0, "")
+            assert out.startswith(f"usage: {' '.join(['singres', *words.split()])} [-h]")
 
 
 def test_python_m_singres():
