@@ -38,10 +38,10 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__, verify
-from .germs import PlaneGerm, classify_germ
+from .germs import classify_germ
 from .laurent import LaurentPoly, classify_point
 from .minors import minors_split_equivalence_scan
-from .mpoly import DEFAULT_DET_BOUND, resultant_poly
+from .mpoly import DEFAULT_DET_BOUND, MPoly, resultant_poly
 from .project import (
     DegenerateProjectionError,
     GridConfig,
@@ -181,7 +181,7 @@ def _laurent(poly, name) -> LaurentPoly:
     return LaurentPoly(support, _coefficient_map(poly["coeffs"], f"{name}.coeffs", support.elements, int, _exact))
 
 
-def _germ(data) -> PlaneGerm:
+def _germ(data) -> MPoly:
     """The germ of {"terms": [...]}; each exp is a pair of nonnegative
     integers, given once."""
     terms = {}
@@ -192,7 +192,7 @@ def _germ(data) -> PlaneGerm:
         if exp in terms:
             raise ValueError(f"--input: terms: exponent {exp} is given twice")
         terms[exp] = _exact(term["coef"])
-    return PlaneGerm(terms)
+    return MPoly(("s", "t"), terms)
 
 
 def _spatial(data, scan):

@@ -1,9 +1,10 @@
 """Plane-curve germ classification for transversal singularity types.
 
-A germ is a bivariate polynomial in local coordinates (s, t) around the
-origin.  Classification looks at the lowest homogeneous form: squarefree
-forms give nodes / ordinary multiple points, a single repeated tangent leads
-to a Newton-polygon slope signature (2/3 for the cusp), anything else is the
+A germ is an `MPoly` in the local coordinates (s, t) around the origin,
+`MPoly(("s", "t"), terms)`, the type of the resultant it is sliced from.
+Classification looks at the lowest homogeneous form: squarefree forms give
+nodes / ordinary multiple points, a single repeated tangent leads to a
+Newton-polygon slope signature (2/3 for the cusp), anything else is the
 safe fallback Other.
 """
 
@@ -15,39 +16,7 @@ from fractions import Fraction
 from .exact import clear_denominators, derivative, primitive, prs_gcd
 from .mpoly import MPoly
 
-__all__ = ["PlaneGerm", "GermClass", "slice_germ", "classify_germ"]
-
-
-class PlaneGerm:
-    """Bivariate polynomial germ: exponent pairs (deg_s, deg_t) -> Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {tuple(e): Fraction(c) for e, c in dict(terms).items() if c}
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def multiplicity(self):
-        """Lowest total degree of a term (the germ's multiplicity)."""
-        if self.is_zero:
-            raise ValueError("zero germ")
-        return min(i + j for i, j in self.terms)
-
-    def lowest_form(self):
-        m = self.multiplicity()
-        return {e: c for e, c in self.terms.items() if sum(e) == m}
-
-    def linear_change(self, a, b, c, d):
-        """Germ of p(a*s + b*t, c*s + d*t): the slice at the origin along
-        (a, c) and (b, d), an invertible change."""
-        return slice_germ(MPoly(("s", "t"), self.terms), {"s": 0, "t": 0}, {"s": a, "t": c}, {"s": b, "t": d})
-
-    def __repr__(self):
-        bits = " + ".join(f"{c}*s^{i}*t^{j}" for (i, j), c in sorted(self.terms.items()))
-        return f"PlaneGerm({bits or '0'})"
+__all__ = ["GermClass", "slice_germ", "classify_germ"]
 
 
 @dataclass(frozen=True)
@@ -64,8 +33,9 @@ class GermClass:
         }
 
 
-def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> PlaneGerm:
-    """Restrict a polynomial to the plane point + s*dir1 + t*dir2, exactly.
+def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> MPoly:
+    """Restrict a polynomial to the plane point + s*dir1 + t*dir2, exactly:
+    the germ in (s, t), with Fraction coefficients.
 
     Directions must be linearly independent as coefficient vectors.  Each
     variable is (P + s*U + t*W) / D in ints, D one common denominator, so a
@@ -100,7 +70,7 @@ def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> PlaneGerm:
         for e, c in term.items():
             acc[e] = acc.get(e, 0) + c
     scale = lcd * den**top
-    return PlaneGerm({e: Fraction(c, scale) for e, c in acc.items()})
+    return MPoly(("s", "t"), {e: Fraction(c, scale) for e, c in acc.items()})
 
 
 def _germ_mul(a, b):
@@ -113,9 +83,9 @@ def _germ_mul(a, b):
     return out
 
 
-def _form_profile(lowest, m):
-    """(t_mult, s_mult, q~) of the degree-m binary form, q~ a primitive
-    integer coefficient tuple ascending in degree.
+def _form_profile(terms, m):
+    """(t_mult, s_mult, q~) of the degree-m form of a germ's terms, q~ a
+    primitive integer coefficient tuple ascending in degree.
 
     Writing L = sum c_i s^i t^(m-i), q(z) = sum c_i z^i factors as
     z^s_mult * q~(z) with q~(0) != 0, and t divides L exactly m - deg(q)
@@ -123,14 +93,15 @@ def _form_profile(lowest, m):
     gives the same triple.
     """
     coeffs = [0] * (m + 1)
-    for (i, _), c in lowest.items():
-        coeffs[i] = c
+    for (i, j), c in terms.items():
+        if i + j == m:
+            coeffs[i] = c
     q = primitive(coeffs)
     s_mult = next(i for i, c in enumerate(q) if c)
     return m + 1 - len(q), s_mult, q[s_mult:]
 
 
-def classify_germ(germ: PlaneGerm) -> GermClass:
+def classify_germ(germ: MPoly) -> GermClass:
     """Classify by the lowest homogeneous form; exact, no root finding.
 
     Squarefreeness of the form and the distinct-tangent count come from the
@@ -138,15 +109,14 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
     repeated tangents are rotated onto the t = 0 form and read off the
     Newton polygon's steepest edge from (0, m).
     """
-    if germ.is_zero:
+    if not germ.terms:
         raise ValueError("cannot classify the zero germ")
-    m = germ.multiplicity()
+    m = min(i + j for i, j in germ.terms)
     if m == 0:
         return GermClass("NotOnCurve")
     if m == 1:
         return GermClass("Smooth", 1)
-    lowest = germ.lowest_form()
-    t_mult, s_mult, q = _form_profile(lowest, m)
+    t_mult, s_mult, q = _form_profile(germ.terms, m)
     deg = len(q) - 1
     # deg gcd(q~, q~') sums multiplicity - 1 over the roots of q~
     repeated = len(prs_gcd(q, derivative(q))) - 1 if deg else 0
@@ -156,16 +126,18 @@ def classify_germ(germ: PlaneGerm) -> GermClass:
         return GermClass("NodeA1", 2) if m == 2 else GermClass("OrdinaryMultiple", m)
     if tangents != 1:
         return GermClass("Other", m)
-    # single repeated tangent: normalize it to the pure t^m form
+    # single repeated tangent: normalize it to the pure t^m form by a slice
+    # at the origin ({})
     if t_mult == m:
         normalized = germ
     elif s_mult == m:
-        normalized = germ.linear_change(0, 1, 1, 0)
+        # p(t, s): the axes swapped
+        normalized = slice_germ(germ, {}, {"t": 1}, {"s": 1})
     else:
         # q~ = unit * (z - r)^m, z = s/t, so the tangent factor is (s - r*t);
         # p(r*s + t, s), axes swapped and t shifted to t + r*s, turns it into t
         r = Fraction(-q[-2], deg * q[-1])
-        normalized = germ.linear_change(r, 1, 1, 0)
+        normalized = slice_germ(germ, {}, {"s": r, "t": 1}, {"s": 1})
     slope = None
     for (i, j), _ in normalized.terms.items():
         if j < m and i > 0:

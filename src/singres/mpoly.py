@@ -32,9 +32,10 @@ DEFAULT_DET_BOUND = 16
 
 class MPoly:
     """Sparse multivariate polynomial: exponent tuples -> nonzero
-    coefficients, the value type of `resultant_poly`.  It has no arithmetic:
+    coefficients, the value type of `resultant_poly` and of the plane germs
+    in (s, t) that `germs.slice_germ` cuts from it.  It has no arithmetic:
     the resultant is computed on packed monomials, and its readers
-    (`jacobian_vanishes`, `germs.slice_germ`) walk `terms`."""
+    (`jacobian_vanishes`, `germs`) walk `terms`."""
 
     __slots__ = ("vars", "terms")
 
@@ -56,9 +57,9 @@ class MPoly:
         }
 
     def pretty(self):
-        """The terms by falling total degree, as "x^2*y - 3*z".  Only a
-        resultant is printed, which is nonzero with no constant term
-        (`resultant_poly`), so every term has a monomial."""
+        """The terms by falling total degree, as "x^2*y - 3*z + 1": a
+        constant term is written as its value, and the zero polynomial as
+        "0"."""
         bits = []
         for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
             mono = "*".join(
@@ -66,10 +67,14 @@ class MPoly:
             )
             sign = "+" if c > 0 else "-"
             mag = abs(c)
-            if mag == 1:
+            if not mono:
+                bits.append(f"{sign} {mag}")
+            elif mag == 1:
                 bits.append(f"{sign} {mono}")
             else:
                 bits.append(f"{sign} {mag}*{mono}")
+        if not bits:
+            return "0"
         s = " ".join(bits)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 

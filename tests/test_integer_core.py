@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import QPoly, divisors, q_gcd
 from singres.exact import exact_quo, primitive, prs_gcd, root_multiplicity
-from singres.germs import PlaneGerm, slice_germ
+from singres.germs import slice_germ
 from singres.laurent import LaurentPoly, ProjPoint, RootRecord, classify_point, common_roots
-from singres.mpoly import jacobian_vanishes, resultant_poly
+from singres.mpoly import MPoly, jacobian_vanishes, resultant_poly
 from singres.supports import SupportPair, SupportSet
 
 # irreducible factors over Q that give the class factors irrational roots
@@ -206,7 +206,7 @@ def slice_oracle(poly, point, dir1, dir2):
                 term = mul(term, base)
         for e, c in term.items():
             acc[e] = acc.get(e, Fraction(0)) + c
-    return PlaneGerm(acc)
+    return MPoly(("s", "t"), acc)
 
 
 def jacobian_oracle(poly, point):

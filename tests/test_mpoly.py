@@ -10,6 +10,7 @@ from singres import verify
 from singres.laurent import LaurentPoly, common_roots
 from singres.mpoly import (
     DEFAULT_DET_BOUND,
+    MPoly,
     _coefficient_vars,
     _divexact_packed,
     _divisor,
@@ -129,6 +130,15 @@ class TestMPoly:
             divexact(x * y**2 + x, x**2 * y + x)
         with pytest.raises(ZeroDivisionError):
             divexact(x, RingPoly(v))
+
+    def test_pretty_constant_term(self):
+        # a germ off the curve has a constant term, written as its value
+        st = ("s", "t")
+        assert repr(MPoly(st, {(0, 0): 3, (1, 0): -1})) == "MPoly(-s + 3)"
+        assert repr(MPoly(st, {(0, 0): -1})) == "MPoly(-1)"
+        assert MPoly(st, {(0, 0): Fraction(1, 2), (1, 1): -2}).pretty() == "-2*s*t + 1/2"
+        assert MPoly(st, {}).pretty() == "0"
+        assert MPoly(("f0", "g1"), {(1, 1): 1, (2, 0): -3}).pretty() == "f0*g1 - 3*f0^2"
 
 
 def _random_poly_with_root(rng, support, root):

@@ -126,6 +126,32 @@ def test_one_univariate_representation():
     assert found == []
 
 
+def test_one_polynomial_type():
+    """A multivariate polynomial in the package, a resultant or a plane
+    germ in (s, t), is an `mpoly.MPoly`: no other class of the package
+    holds a `terms` map, as a `self.terms` store, a class attribute or
+    field, or a slot."""
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or (path.name, cls.name) == ("mpoly.py", "MPoly"):
+                continue
+            stores = [
+                node.lineno
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and node.attr == "terms" and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ]
+            for stmt in cls.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                slots = {c.value for c in ast.walk(stmt) if isinstance(c, ast.Constant)} if "__slots__" in names else set()
+                if "terms" in names or "terms" in slots:
+                    stores.append(stmt.lineno)
+            found += [f"{path.name}:{line}: {cls.name}" for line in stores]
+    assert found == []
+
+
 def test_no_numpy_random_in_src():
     """Every draw comes from a seeded `random.Random`: no module of the
     package imports or reads `numpy.random`, whose import costs a process
