@@ -96,7 +96,7 @@ def _exact(value):
             if _LONG_EXPONENT.search(value):
                 raise ValueError(f"decimal exponent of five digits or more: {value!r}") from None
     elif cls is not float or not math.isfinite(value):
-        raise ValueError(f"not an exact number: {value!r}")
+        raise ValueError(f"not an exact rational: {value!r}; give an integer, a 'p/q' or decimal string, or a JSON number")
     return Fraction(value)
 
 
@@ -115,8 +115,8 @@ def _complex(value):
 
 def _coefficient_map(coeffs, where, points, point_of, scalar):
     """The --input map `coeffs` as {point: coefficient}: each key, read by
-    `point_of`, names a point of `points` once, and each value is [re, im]
-    or what `scalar` reads.  A bad key or value raises ValueError naming it."""
+    `point_of`, names a point of `points` once, and each value is what
+    `scalar` reads.  A bad key or value raises ValueError naming it."""
     out = {}
     for key, value in coeffs.items():
         try:
@@ -125,7 +125,7 @@ def _coefficient_map(coeffs, where, points, point_of, scalar):
                 raise ValueError("not a point of the support")
             if point in out:
                 raise ValueError(f"point {point} is given twice")
-            out[point] = _complex(value) if value.__class__ is list else scalar(value)
+            out[point] = scalar(value)
         except ValueError as exc:
             raise ValueError(f"--input: {where}[{key!r}]: {exc}") from exc
     return out
@@ -332,9 +332,8 @@ def cmd_resultant(args) -> int:
 
 
 def cmd_point_classify(args) -> int:
-    _require_finite(args, "tolerance")
     f, g = _read_input(args, lambda data: [_laurent(data[name], name) for name in "fg"])
-    _emit({"classification": classify_point(f, g, tol=args.tolerance).to_json()}, args)
+    _emit({"classification": classify_point(f, g).to_json()}, args)
     return EXIT_OK
 
 
@@ -432,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "resultant", cmd_resultant, ("det_bound", "out"), "symbolic sparse resultant of a support pair")
     _pair_flags(p)
 
-    p = _subcommand(
-        sub, "point-classify", cmd_point_classify, ("tolerance", "out"), "classify a coefficient pair on the resultant"
-    )
+    p = _subcommand(sub, "point-classify", cmd_point_classify, ("out",), "classify a coefficient pair on the resultant")
     p.add_argument("--input", help="JSON file with Laurent polynomials {'f': {...}, 'g': {...}} ('-' for stdin)", required=True)
 
     p = _subcommand(sub, "germ-classify", cmd_germ_classify, ("out",), "classify a plane-curve germ at the origin")

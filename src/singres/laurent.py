@@ -1,24 +1,24 @@
-"""Univariate Laurent polynomials with prescribed support.
+"""Univariate Laurent polynomials with prescribed support and exact
+rational coefficients, and the classification of a pair of them as a point
+of the resultant hypersurface.
 
 Multiplicity bookkeeping runs on the projective line: the order at 0 (resp.
 infinity) counts vanishing leftmost (rightmost) coefficients along the
 convex hull of the support, and finite orders are root multiplicities of the
-homogenized form.  Two scalar instantiations share the contract: exact
-rationals (authoritative), decided on the primitive integer forms, and
-complex floats.  Nothing in the package builds a complex polynomial; only
-JSON input that gives a coefficient as [re, im] does.
+homogenized form.  Every decision is exact, made on the primitive integer
+forms; floats appear only as the printed value of an irrational root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .exact import derivative, exact_quo, is_prime, primitive, prs_gcd, root_multiplicity
-from .supports import SupportSet
+from .supports import SupportSet, gap_gcd
 
 __all__ = [
     "LaurentPoly",
@@ -28,10 +28,7 @@ __all__ = [
     "homogenize",
     "common_roots",
     "classify_point",
-    "CLUSTER_TOL",
 ]
-
-CLUSTER_TOL = 1e-8
 
 
 def falling(b, d):
@@ -41,10 +38,6 @@ def falling(b, d):
     for t in range(d):
         out *= b - t
     return out
-
-
-def _is_exact_scalar(c):
-    return isinstance(c, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -78,12 +71,12 @@ class ProjPoint:
 class RootRecord:
     """Common root with its per-polynomial vanishing orders.
 
-    For exact irrational roots `min_poly` holds the root's order-class
-    factor with its rational roots divided out, as a primitive integer
-    coefficient tuple ascending in degree: a positive multiple of the product
-    of x - r over the irrational common roots r with the same (ord1, ord2).
-    `value` is a numeric approximation; order bookkeeping never depends on
-    it.
+    For irrational roots `min_poly` holds the root's order-class factor
+    with its rational roots divided out, as a primitive integer coefficient
+    tuple ascending in degree: a positive multiple of the product of x - r
+    over the irrational common roots r with the same (ord1, ord2).  The
+    point's value is then a complex approximation, for printing only: no
+    decision reads it.
     """
 
     point: ProjPoint
@@ -113,13 +106,13 @@ class PointClass:
 
 
 class LaurentPoly:
-    """Polynomial with prescribed integer support; scalars exact or complex.
+    """Polynomial with prescribed integer support and int or Fraction
+    coefficients.
 
-    `is_zero` (every coefficient is zero) and `is_exact` (every coefficient
-    is an int or a Fraction) are decided once, by the constructor: nothing
-    changes `coeffs` after it."""
+    `is_zero` (every coefficient is zero) is decided once, by the
+    constructor: nothing changes `coeffs` after it."""
 
-    __slots__ = ("support", "coeffs", "is_zero", "is_exact")
+    __slots__ = ("support", "coeffs", "is_zero")
 
     def __init__(self, support: SupportSet, coeffs):
         coeffs = dict(coeffs)
@@ -129,18 +122,9 @@ class LaurentPoly:
         self.support = support
         self.coeffs = coeffs
         self.is_zero = not any(coeffs.values())
-        self.is_exact = all(map(_is_exact_scalar, coeffs.values()))
 
     def coeff(self, b):
         return self.coeffs.get(b, 0)
-
-    def derivative_value(self, x):
-        """Value of the first derivative at nonzero x (Laurent exponents)."""
-        acc = 0
-        for b, c in self.coeffs.items():
-            if c and b:
-                acc += c * b * x ** (b - 1)
-        return acc
 
     def __repr__(self):
         bits = " + ".join(f"{c!r}*x^{b}" for b, c in sorted(self.coeffs.items()) if c)
@@ -160,27 +144,15 @@ def homogenize(f: LaurentPoly):
     return [f.coeff(lo + j) for j in range(d + 1)]
 
 
-def _end_orders(f: LaurentPoly, exact: bool, tol) -> tuple:
-    """(order at 0, order at infinity, scale) of a nonzero f's homogenized
-    form: the number of zero coefficients from each end of the convex hull
-    (exact scalars exactly, floats within `tol` times the largest modulus),
-    both from one pass over the coefficients, and that largest modulus
-    (None for exact scalars, which the exact path never scales).  The
-    float path cuts its forms at these orders and divides them by the
-    scale (`_numeric_common_roots`)."""
-    if exact:
-        live, scale = [b for b, c in f.coeffs.items() if c], None
-    else:
-        scale = max(abs(complex(c)) for c in f.coeffs.values())
-        cut = tol * max(scale, 1e-300)
-        live = [b for b, c in f.coeffs.items() if abs(complex(c)) > cut]
-        if not live:
-            raise ValueError("polynomial is numerically zero")
-    return min(live) - f.support.min, f.support.max - max(live), scale
+def _end_orders(f: LaurentPoly) -> tuple:
+    """(order at 0, order at infinity) of a nonzero f's homogenized form:
+    the number of zero coefficients from each end of the convex hull."""
+    live = [b for b, c in f.coeffs.items() if c]
+    return min(live) - f.support.min, f.support.max - max(live)
 
 
-def _exact_finite_common_roots(f: LaurentPoly, g: LaurentPoly):
-    """RootRecords over nonzero finite points, exact path, in Z[x].
+def _finite_common_roots(f: LaurentPoly, g: LaurentPoly):
+    """RootRecords over nonzero finite points, in Z[x].
 
     Every common root is a root of h = gcd(pf, pg), pf and pg the primitive
     homogenized forms.  The root at 0 is stripped from h (it belongs to the
@@ -229,15 +201,16 @@ def _split_by_order(s, p):
 def _roots_of_squarefree(q):
     """(root, min_poly): rational roots exactly, with no min_poly, then the
     others numerically, with the primitive quotient rem of q by the rational
-    factors; np.roots gets rem made monic, each coefficient rounded once."""
+    factors; np.roots gets rem made monic, each coefficient rounded once,
+    and gives each root's value, a complex, for printing only."""
     out = []
     rem = q
     for r in _rational_roots(q):
         out.append((r, None))
         rem = exact_quo(rem, (-r.numerator, r.denominator))
     if len(rem) > 1:
-        for z in np.roots([complex(c / rem[-1]) for c in reversed(rem)]):
-            out.append((complex(z), rem))
+        for z in np.roots(np.array([float(c / rem[-1]) for c in reversed(rem)], dtype=complex)).tolist():
+            out.append((z, rem))
     return out
 
 
@@ -298,77 +271,31 @@ def _reconstruct(x, m, bound_n, bound_d):
     return Fraction(r1, t1)
 
 
-def _numeric_common_roots(f: LaurentPoly, g: LaurentPoly, ends, tol):
-    """Float path: cluster the roots of both forms, each cut at its end
-    orders and divided by its scale, ends = ((ord_0 f, ord_inf f, scale f),
-    (ord_0 g, ord_inf g, scale g)) of `_end_orders`, and intersect
-    clusters.  An exact form beside a float one comes with no scale, and
-    its largest modulus is taken here."""
-
-    def clusters(poly: LaurentPoly, lo, hi, scale):
-        form = [complex(c) for c in homogenize(poly)]
-        if scale is None:
-            scale = max(map(abs, form))
-        finite = [c / scale for c in form[lo : len(form) - hi]]
-        roots = list(np.roots(list(reversed(finite)))) if len(finite) > 1 else []
-        groups = []
-        for z in roots:
-            for grp in groups:
-                if abs(z - grp[0]) <= max(tol, tol * abs(grp[0])) * 10:
-                    grp.append(z)
-                    break
-            else:
-                groups.append([z])
-        return [(sum(grp) / len(grp), len(grp)) for grp in groups]
-
-    records = []
-    for center_f, mult_f in clusters(f, *ends[0]):
-        for center_g, mult_g in clusters(g, *ends[1]):
-            if abs(center_f - center_g) <= max(tol, tol * abs(center_f)) * 10:
-                center = (center_f + center_g) / 2
-                if abs(center) > tol:
-                    records.append(RootRecord(ProjPoint.finite(center), mult_f, mult_g))
-    return records
-
-
-def common_roots(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL):
+def common_roots(f: LaurentPoly, g: LaurentPoly):
     """All projective points where both orders are >= 1, with both orders.
 
     The records at 0 and infinity come first, from `_end_orders`; a
     boundary record exists exactly when both orders there are >= 1, so a
     caller reads min(ord f, ord g) at 0 or infinity as its pair order, or 0
-    without one.  Each polynomial's exactness and end orders are decided
-    once, the float path cutting its forms at those orders, and the finite
-    records come from one homogenized form per polynomial.
+    without one.  The finite records follow (`_finite_common_roots`).
     """
     if f.is_zero or g.is_zero:
         raise ValueError("common roots of a zero polynomial are undefined")
-    exact = f.is_exact, g.is_exact
-    ends = (o0f, oif, _), (o0g, oig, _) = _end_orders(f, exact[0], tol), _end_orders(g, exact[1], tol)
+    (o0f, oif), (o0g, oig) = _end_orders(f), _end_orders(g)
     records = [
         RootRecord(point, a, b)
         for point, a, b in ((ProjPoint.zero(), o0f, o0g), (ProjPoint.infinity(), oif, oig))
         if a >= 1 and b >= 1
     ]
-    records += _exact_finite_common_roots(f, g) if all(exact) else _numeric_common_roots(f, g, ends, tol)
-    return records
+    return records + _finite_common_roots(f, g)
 
 
 def _covector(f, g, x):
     """Tangent covector of the resultant branch through a nonzero simple
-    common root x: g'(x)*x^i, i in B1, then -f'(x)*x^j, j in B2, with no
-    check of the root's orders.  At an exact x with exact coefficients it is
-    `_exact_covector`, in Fractions."""
-    if _is_exact_scalar(x) and f.is_exact and g.is_exact:
-        return _exact_covector(f, g, x)
-    gp, fp = g.derivative_value(x), f.derivative_value(x)
-    return [gp * x**i for i in f.support] + [-fp * x**j for j in g.support]
-
-
-def _exact_covector(f, g, x):
-    """`_covector` at a nonzero rational x = u/d over exact coefficients,
-    evaluated in integers with x's denominator cleared once: one Fraction,
-    and so one gcd, per entry.
+    rational common root x = u/d: g'(x)*x^i, i in B1, then -f'(x)*x^j, j in
+    B2, with no check of the root's orders, in Fractions.  It is evaluated
+    in integers with x's denominator cleared once: one Fraction, and so one
+    gcd, per entry.
 
     Take lo <= 0 <= hi bounding every exponent b - 1 (b in B1 or B2) and
     every exponent of B1 and B2, and T(e) = u^(e - lo) d^(hi - e), an
@@ -414,9 +341,8 @@ def boundary_covector(f: LaurentPoly, g: LaurentPoly, at_zero: bool):
 
 
 def _covector_for_record(f, g, rec: RootRecord):
-    """The branch covector at a common root of pair order 1, whose orders
-    the record already carries, at the record's value: a Fraction at a
-    rational root, a complex (so floats) at an irrational or float one."""
+    """The branch covector at a rational or boundary common root of pair
+    order 1, whose orders the record already carries."""
     if rec.point.kind == "finite":
         return _covector(f, g, rec.point.value)
     return boundary_covector(f, g, rec.point.kind == "zero")
@@ -431,26 +357,47 @@ def _rank_two(v1, v2) -> bool:
     return k is not None and any(v1[k] * b != a * v2[k] for a, b in zip(v1, v2))
 
 
-def _covectors_independent(f, g, r1, r2):
-    v1 = _covector_for_record(f, g, r1)
-    v2 = _covector_for_record(f, g, r2)
-    if all(_is_exact_scalar(c) for c in v1 + v2):
-        return _rank_two(v1, v2)
-    m = np.array([[complex(c) for c in v1], [complex(c) for c in v2]])
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[-1] > 1e-9 * max(s[0], 1e-300)
-
-
-def classify_point(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL) -> PointClass:
+def classify_point(f: LaurentPoly, g: LaurentPoly) -> PointClass:
     """Classify (f, g) as a point of the resultant hypersurface.
 
-    Node detection additionally checks that the two branch covectors span a
-    rank-2 space; under the no-common-sublattice hypothesis (which the caller
-    is responsible for) that check always passes.
+    A node needs two common roots of pair order 1, not both multiple in the
+    same polynomial, whose branch covectors have rank 2.  Under the
+    no-common-sublattice hypothesis (which the caller is responsible for)
+    they do, and proportional covectors raise ValueError.  At rational and
+    boundary roots the covectors are exact rows, ranked by `_rank_two`.
+    At irrational roots the test is one gcd and one comparison:
+
+    Lemma.  Let the covector test be reached with a finite irrational
+    record r1, and let g1, g2 be the gap gcds of B1 and B2 and G =
+    gcd(g1, g2).  Then the two records are the roots a, b of one
+    irreducible quadratic m = m0 + m1 x + m2 x^2, which is `r1.min_poly`,
+    and their covectors are proportional iff m1 = 0 (b = -a) and G is
+    even; and G even already gives m1 = 0.
+
+    Proof.  (1) f and g have rational coefficients, so the set of common
+    roots, with their orders, is Galois-stable: r1's conjugates are records
+    too.  With two records, r1 and one conjugate are all of them, and
+    `r1.min_poly` is their quadratic m.  (2) Conjugates share their orders.
+    MultipleRoot has returned if the pair order is 2 or more, and
+    TwoDoubleForSameFactor if both roots are multiple in f or both in g;
+    so a and b are simple roots of f and of g, and f', g' vanish at
+    neither.  (3) Let v(x) = (g'(x) x^i, i in B1; -f'(x) x^j, j in B2) and
+    r = b/a.  If v(b) = k v(a), then k != 0 and the B1 block gives
+    r^(i - i') = 1 for all i, i' in B1, so r^g1 = 1; the B2 block gives
+    r^g2 = 1; so r^G = 1.  Conversely, if r^G = 1, every exponent of B1 is
+    min B1 = s mod G, so f(r x) = r^s f(x), likewise g(r x) = r^t g(x)
+    with t = min B2, and differentiating gives v(r a) = r^(s + t - 1)
+    v(a).  (4) The same identities make the common roots closed under
+    x -> r x when r^G = 1.  So if v(b) is proportional to v(a), the order
+    of r is at most 2, or a, r a, r^2 a would be three records and
+    ThreeRoots would have returned; r != 1, so r = -1: m1 = 0, and r^G = 1
+    says G is even.  Conversely, if G is even, (4) with r = -1 makes -a a
+    common root other than a, so -a = b, m1 = 0, and (3) makes the
+    covectors proportional.  So the test reads G alone.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("cannot classify a zero polynomial")
-    records = common_roots(f, g, tol)
+    records = common_roots(f, g)
     if not records:
         return PointClass("NotOnResultant")
     if any(r.pair_ord >= 2 for r in records):
@@ -463,7 +410,11 @@ def classify_point(f: LaurentPoly, g: LaurentPoly, tol=CLUSTER_TOL) -> PointClas
     both_interior = r1.point.kind == "finite" and r2.point.kind == "finite"
     if both_interior and ((r1.ord1 >= 2 and r2.ord1 >= 2) or (r1.ord2 >= 2 and r2.ord2 >= 2)):
         return PointClass("Degenerate", "TwoDoubleForSameFactor")
-    if not _covectors_independent(f, g, r1, r2):
+    if r1.min_poly is None:  # a rational or boundary root, so r2 is one too
+        independent = _rank_two(_covector_for_record(f, g, r1), _covector_for_record(f, g, r2))
+    else:
+        independent = gcd(gap_gcd(f.support), gap_gcd(g.support)) % 2 == 1
+    if not independent:
         raise ValueError(
             "branch covectors are proportional; the supports violate the "
             "no-common-sublattice hypothesis"

@@ -334,6 +334,8 @@ class Verdict:
 
 
 def classify(report: ConditionReport) -> Verdict:
+    """The verdict and guarantee table of a condition report.  Condition (1)
+    implies (3) and (4), so part (i) never rests on (1) alone."""
     rows = []
     for name, codim, breaking in GUARANTEE_TABLE:
         blocking = tuple(i for i in breaking if report.flag(i))

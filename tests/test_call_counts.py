@@ -119,7 +119,7 @@ SUPPORTS_3D = {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}
 CLI_EXPECTED = {
     ("classify", ("--b1", "0,1,3", "--b2", "0,3"), None): 497,
     ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 678,
-    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 341,
+    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 319,
     ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 114,
     ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 296,
     ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 315,

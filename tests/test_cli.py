@@ -119,16 +119,18 @@ class TestPointAndGerm:
         assert code == 0
         assert json.loads(out)["classification"]["tag"] == "SmoothPoint"
 
-    def test_point_classify_exact_beside_complex(self, capsys, tmp_path):
+    def test_point_classify_conjugate_node(self, capsys, monkeypatch):
+        # 2x(x + 1)(x^2 - 3x + 1)(x^2 + 5x + 1) on 1..6 and
+        # x^2(x^2 + 5x + 1)(x^3 - 3x^2 - 4x + 2) on 2..7: a node at the two
+        # roots of x^2 + 5x + 1, with gap gcd 1 on both sides
         payload = {
-            "f": {"support": [0, 1], "coeffs": {"0": 1, "1": -1}},
-            "g": {"support": [0, 1], "coeffs": {"0": [-1, 0], "1": [1, 0]}},
+            "f": {"support": [1, 2, 3, 4, 5, 6], "coeffs": {"1": "2", "2": "6", "3": "-22", "4": "-22", "5": "6", "6": "2"}},
+            "g": {"support": [2, 3, 4, 5, 6, 7], "coeffs": {"2": "2", "3": "6", "4": "-21", "5": "-18", "6": "2", "7": "1"}},
         }
-        path = tmp_path / "pt.json"
-        path.write_text(json.dumps(payload))
-        code, out = run(capsys, "point-classify", "--input", str(path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        code, out = run(capsys, "point-classify", "--input", "-")
         assert code == 0
-        assert json.loads(out)["classification"] == {"reason": None, "tag": "SmoothPoint"}
+        assert json.loads(out)["classification"] == {"reason": None, "tag": "NodeA1"}
 
     def test_germ_classify(self, capsys, tmp_path):
         payload = {"terms": [{"exp": [0, 2], "coef": "1"}, {"exp": [3, 0], "coef": "-1"}]}
@@ -225,6 +227,8 @@ class TestInputErrors:
 
 
 PAIR_ARGS = ["--b1", "0,1,3", "--b2", "0,3"]
+# the refusal of a point-classify coefficient that is no exact rational
+NOT_EXACT = "not an exact rational: {}; give an integer, a 'p/q' or decimal string, or a JSON number"
 SUPPORTS_3D = {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}
 # leaf command -> (its arguments, its --input JSON on stdin, the module
 # attribute it computes with)
@@ -281,7 +285,7 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "argv, flag, value",
         [
-            (["point-classify", "--input", "-"], "--tolerance", "nan"),
+            (["project3d", "--input", "-"], "--tolerance", "nan"),
             (["project3d", "--input", "-"], "--tolerance", "inf"),
             (["project3d", "--input", "-", "--scan"], "--rho-min", "nan"),
             (["project3d", "--input", "-", "--scan"], "--rho-max", "-inf"),
@@ -292,7 +296,7 @@ class TestErrorContract:
         code = main([*argv, f"{flag}={value}"])
         assert (code, *capsys.readouterr()) == (2, "", f"error: {flag} must be finite, got {value}\n")
 
-    @pytest.mark.parametrize("argv", [["point-classify", "--input", "-"], ["project3d", "--input", "-", "--scan"]])
+    @pytest.mark.parametrize("argv", [["project3d", "--input", "-"], ["project3d", "--input", "-", "--scan"]])
     def test_negative_tolerance_exits_2(self, capsys, monkeypatch, argv):
         # a negative threshold would find no near-zero cell, silently
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SUPPORTS_3D)))
@@ -326,7 +330,7 @@ class TestErrorContract:
             (
                 ["point-classify", "--input", "-"],
                 {"f": {"support": [0, 1], "coeffs": {"0": [-1, False], "1": "1"}}, "g": {"support": [0, 1], "coeffs": {"0": "1", "1": "1"}}},
-                "--input: f.coeffs['0']: not a number: [-1, False]",
+                "--input: f.coeffs['0']: " + NOT_EXACT.format("[-1, False]"),
             ),
         ],
         ids=["project3d-alone", "project3d-pair", "point-classify-pair"],
@@ -334,6 +338,24 @@ class TestErrorContract:
     def test_bool_complex_coefficient_exits_2(self, capsys, monkeypatch, command, stdin, message):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
         assert (main(command), *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_complex_point_coefficient_exits_2(self, capsys, monkeypatch, side):
+        # point-classify decides exactly, so it reads no [re, im] pair
+        stdin = {
+            "f": {"support": [0, 1, 2], "coeffs": {"0": "2", "1": "-3", "2": "1"}},
+            "g": {"support": [0, 1, 2], "coeffs": {"0": "3", "1": "-4", "2": "1"}},
+        }
+        stdin[side]["coeffs"]["0"] = [2.0, 0.5]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        message = f"--input: {side}.coeffs['0']: " + NOT_EXACT.format("[2.0, 0.5]")
+        assert (main(["point-classify", "--input", "-"]), *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    def test_point_classify_takes_no_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["point-classify", "--input", "-", "--tolerance", "1e-6"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: singres point-classify [-h]")
 
     def test_overflowed_scan_exits_2(self, capsys, monkeypatch):
         coeffs = {f"coeffs{i}": {",".join(map(str, p)): 1e200 for p in SUPPORTS_3D[f"a{i}"]} for i in (1, 2)}
@@ -704,7 +726,7 @@ CONFIG_ECHOES = [
     (("classify", "--b1", "0,1,3", "--b2", "0,3"), {"out": None}),
     (("germ-classify", "--input", "-"), {"out": None}),
     (("resultant", "--b1", "0,1", "--b2", "0,1", "--det-bound", "9"), {"det_bound": 9, "out": None}),
-    (("point-classify", "--input", "-", "--tolerance", "1e-6"), {"tolerance": 1e-6, "out": None}),
+    (("point-classify", "--input", "-"), {"out": None}),
     (("project3d", "--input", "-", "--seed", "3"), {"tolerance": 1e-8, "seed": 3, "out": None}),
     (("scan", "minors", "--n-max", "2", "--spread", "2", "--sizes", "3"), {"n_max": 2, "out": None}),
     (("scan", "strata", "--b1", "0,1,3", "--b2", "0,3", "--label", "N(1)", "--n-max", "2"), {"n_max": 2, "seed": 0, "out": None}),

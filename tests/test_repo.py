@@ -172,6 +172,25 @@ def test_no_numpy_random_in_src():
     assert found == []
 
 
+def test_point_classifier_decides_without_floats():
+    """`laurent` decides every point exactly: it reads no `np.linalg` and
+    calls no `complex`, and numpy appears only in
+    `laurent._roots_of_squarefree`, which gives an irrational root's value
+    for printing."""
+    tree = ast.parse((Path(singres.__file__).parent / "laurent.py").read_text())
+    found, users = [], set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                found.append(f"{node.lineno}: linalg")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex":
+                found.append(f"{node.lineno}: complex(")
+            elif isinstance(node, ast.Name) and node.id == "np":
+                users.add(getattr(top, "name", f"line {node.lineno}"))
+    assert found == []
+    assert users == {"_roots_of_squarefree"}
+
+
 def test_reports_have_one_writer():
     """No module of the package calls `json.dumps` or `json.dump`: every
     report is written by `cli._emit`, whose writer `tests/test_cli.py`

@@ -236,6 +236,19 @@ class TestConditions:
         assert r.witnesses["cond1"]["k"] == 3
         assert r.witnesses["cond6"]["k"] == 3
 
+    def test_end_gap_witnesses(self):
+        # the differences themselves, on supports whose minima are not 0
+        r = check_conditions(pair((1, 3, 6), (2, 5, 9)))
+        assert r.witnesses["cond3"] == {"leftmost_gaps": [2, 3]}
+        assert r.witnesses["cond4"] == {"rightmost_gaps": [3, 4]}
+
+    def test_cond1_implies_cond3_and_cond4(self):
+        # every gap is a multiple of the common k >= 2
+        sets = [S(*c) for n in (2, 3, 4) for c in combinations(range(7), n)]
+        for b1, b2 in combinations(sets, 2):
+            r = check_conditions(SupportPair(b1, b2))
+            assert not r.cond1 or (r.cond3 and r.cond4)
+
     def test_swap_symmetry(self):
         import itertools
 
