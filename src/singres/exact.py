@@ -19,6 +19,7 @@ ranked in int64 arrays (`modular_rank`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,14 +44,16 @@ __all__ = [
 
 def clear_denominators(values):
     """(ints, D): the ints and Fractions `values` times D, the lcm of their
-    denominators (a rank- and root-preserving rescaling)."""
-    lcm = 1
-    for c in values:
+    denominators (a rank- and root-preserving rescaling).  Any other value
+    raises TypeError: a float is not an exact rational, and truncating it
+    would move roots.  An integer type such as numpy's passes, as an int."""
+    ints, lcm = list(values), 1
+    for i, c in enumerate(ints):
         if isinstance(c, Fraction):
             lcm = math.lcm(lcm, c.denominator)
-    if lcm == 1:
-        return [int(c) for c in values], 1
-    return [c.numerator * (lcm // c.denominator) for c in values], lcm
+        else:
+            ints[i] = operator.index(c)
+    return [c.numerator * (lcm // c.denominator) for c in ints], lcm
 
 
 # The univariate core works in Z[x] on coefficient sequences, ascending in

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 
 from .exact import clear_denominators
 from .supports import SupportPair
@@ -115,9 +114,12 @@ def _divexact_packed(rem, divisor, guard):
     """Exact quotient of packed polynomials; `rem` is consumed as the remainder.
 
     A quotient monomial q = lead(rem) - lead(div) is valid iff q >= 0 and no
-    field borrowed, i.e. no guard bit is set; otherwise the division is
-    inexact.  Valid q plus a divisor monomial cannot carry out of a field, so
-    the remainder's monomials stay faithful even where they leave the
+    field borrowed, i.e. no guard bit is set, and its coefficient iff the
+    divisor's lead coefficient divides it in Z; otherwise the division is
+    inexact.  Brown's and Ducos's divisions are exact in the domain
+    Z[f, g] itself, so no quotient the resultant divides out leaves Z.
+    Valid q plus a divisor monomial cannot carry out of a field, so the
+    remainder's monomials stay faithful even where they leave the
     dividend's exponent range (which only an inexact division does).  The
     remainder's monomials wait in a max-heap with lazy deletion: a popped
     monomial that has since cancelled is skipped, and a monomial, once
@@ -129,10 +131,10 @@ def _divexact_packed(rem, divisor, guard):
     if not tail:
         for m, c in rem.items():
             q = m - lead
-            if q < 0 or q & guard:
-                raise ArithmeticError("inexact polynomial division")
             qc, r = divmod(c, lc)
-            quo[q] = Fraction(c) / lc if r else qc
+            if q < 0 or q & guard or r:
+                raise ArithmeticError("inexact polynomial division")
+            quo[q] = qc
         return quo
     get, pop = rem.get, rem.pop
     heap = [-m for m in rem]
@@ -144,10 +146,10 @@ def _divexact_packed(rem, divisor, guard):
         if not c:
             continue
         q = m - lead
-        if q < 0 or q & guard:
-            raise ArithmeticError("inexact polynomial division")
         qc, r = divmod(c, lc)
-        qc = quo[q] = Fraction(c) / lc if r else qc
+        if q < 0 or q & guard or r:
+            raise ArithmeticError("inexact polynomial division")
+        quo[q] = qc
         for off, dc in tail:
             t = m + off
             v = get(t)

@@ -228,10 +228,10 @@ def in_filtration_subset(f: LaurentPoly, g: LaurentPoly, label: StratumLabel) ->
     if f.is_zero or g.is_zero:
         raise ValueError("zero polynomial")
     records = common_roots(f, g)
-    ends = {r.point.kind: r.pair_ord for r in records}
+    ends = {r.kind: r.pair_ord for r in records}
     if ends.get("zero", 0) < label.j0 or ends.get("infinity", 0) < label.jinf:
         return False
-    finite = [r for r in records if r.point.kind == "finite"]
+    finite = [r for r in records if r.kind == "finite"]
     adj = [
         [ri for ri, rec in enumerate(finite) if rec.ord1 >= j1 and rec.ord2 >= j2]
         for j1, j2 in label.roots

@@ -119,8 +119,8 @@ SUPPORTS_3D = {"a1": [[0, 0, 0], [1, 0, 1]], "a2": [[0, 0, 0], [0, 1, 1]]}
 CLI_EXPECTED = {
     ("classify", ("--b1", "0,1,3", "--b2", "0,3"), None): 497,
     ("resultant", ("--b1", "0,2,5", "--b2", "0,3"), None): 678,
-    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 319,
-    ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 114,
+    ("point-classify", ("--input", "-"), json.dumps(POINT_INPUT)): 301,
+    ("germ-classify", ("--input", "-"), json.dumps(GERM_INPUT)): 117,
     ("scan codim", ("--b1", "0,1,2,3", "--b2", "0,1,2,3", "--label", "N(1,1)", "--seed", "7"), None): 296,
     ("scan strata", ("--b1", "0,1,4", "--b2", "0,3,5", "--label", "N(1,1)", "--seed", "3"), None): 315,
     ("project3d", ("--input", "-", "--scan", "--seed", "1"), json.dumps(SUPPORTS_3D)): 677,

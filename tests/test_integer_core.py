@@ -1,21 +1,21 @@
 """The integer-primitive univariate core, the germ slice and the Jacobian test
-against Fraction oracles: `QPoly` long division and Euclidean gcd, the
-divisor-scan root search, Fraction germ products and Fraction substitution."""
+against Fraction oracles: `QPoly` long division and Euclidean gcd, Fraction
+germ products and Fraction substitution."""
 
-import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclo_oracle import QPoly, divisors, q_gcd
-from singres.exact import exact_quo, primitive, prs_gcd, root_multiplicity
+from cyclo_oracle import QPoly, q_gcd
+from singres.exact import clear_denominators, exact_quo, primitive, prs_gcd, root_multiplicity
 from singres.germs import slice_germ
-from singres.laurent import LaurentPoly, ProjPoint, RootRecord, classify_point, common_roots
+from singres.laurent import LaurentPoly, classify_point, common_roots
 from singres.mpoly import MPoly, jacobian_vanishes, resultant_poly
 from singres.supports import SupportPair, SupportSet
 
@@ -78,21 +78,18 @@ class TestAgainstQOracle:
     def test_common_roots_records(self, data):
         pf, pg, _ = data
         f, g = _dense(pf), _dense(pg)
-        got = [r for r in common_roots(f, g) if r.point.kind == "finite"]
-        assert got == q_finite_common_roots(pf, pg)
+        assert finite_records(f, g) == q_finite_common_roots(pf, pg)
 
-
-    def test_rational_root_order(self):
-        """Roots in one order class come in the divisor scan's order: by
-        |numerator|, then denominator, the positive one first."""
+    def test_one_class_of_fifteen_rational_roots(self):
+        """Fifteen rational roots of orders (1, 1), and the roots of the
+        other factors, which are not common."""
         roots = sorted({Fraction(p, q) for p in (1, 2, 3, 6) for q in (1, 2, 5)})
         roots += [-r for r in roots]
         random.Random(4).shuffle(roots)
         pf = QPoly.from_roots(roots) * 3
         pg = QPoly.from_roots(roots[:15] + [Fraction(7)]) * QPoly(IRREDUCIBLE[2])
-        got = [r for r in common_roots(_dense(pf), _dense(pg)) if r.point.kind == "finite"]
-        assert got == q_finite_common_roots(pf, pg)
-        assert len(got) == 15
+        got = finite_records(_dense(pf), _dense(pg))
+        assert got == q_finite_common_roots(pf, pg) == Counter({(1, 1): 15})
 
 
 class TestLargeRoots:
@@ -106,10 +103,7 @@ class TestLargeRoots:
         start = time.perf_counter()
         recs = common_roots(_dense(pf), _dense(pg))
         assert time.perf_counter() - start < 1.0
-        assert recs == [
-            RootRecord(ProjPoint.finite(r1), 1, 2),
-            RootRecord(ProjPoint.finite(r2), 2, 1),
-        ]
+        assert [(r.kind, r.ord1, r.ord2) for r in recs] == [("finite", 1, 2), ("finite", 2, 1)]
 
     def test_classify_in_under_a_second(self):
         start = time.perf_counter()
@@ -128,25 +122,26 @@ def _dense(p):
     return LaurentPoly(SupportSet(range(p.degree + 1)), dict(enumerate(p.coeffs)))
 
 
+def finite_records(f, g):
+    """The (ord1, ord2) multiset of the finite records of common_roots."""
+    return Counter((r.ord1, r.ord2) for r in common_roots(f, g) if r.kind == "finite")
+
+
 def q_finite_common_roots(pf, pg):
-    """The finite nonzero common roots of pf and pg as RootRecords, over Q:
-    Euclidean gcds, long division and the divisor scan for rational roots."""
+    """The (ord1, ord2) multiset of the finite nonzero common roots of pf
+    and pg, over Q: Euclidean gcds and long division split the gcd's
+    squarefree part by order, and a class factor of degree d holds d
+    roots."""
     h = q_gcd(pf, pg)
     while not h.coeffs[0]:
         h = QPoly(h.coeffs[1:])
+    out = Counter()
     if h.degree <= 0:
-        return []
-    records = []
+        return out
     for a, fa in _q_split_by_order(h // q_gcd(h, h.derivative()), pf):
         for b, q in _q_split_by_order(fa, pg):
-            rem = q
-            for r in _q_rational_roots(q):
-                records.append(RootRecord(ProjPoint.finite(r), a, b))
-                rem = rem // QPoly((-r, 1))
-            if rem.degree > 0:
-                for z in np.roots([complex(c) for c in reversed(rem.coeffs)]):
-                    records.append(RootRecord(ProjPoint.finite(complex(z)), a, b, min_poly=primitive(rem.coeffs)))
-    return records
+            out[a, b] += q.degree
+    return out
 
 
 def _q_split_by_order(s, p):
@@ -158,19 +153,6 @@ def _q_split_by_order(s, p):
         if q.degree > 0:
             yield a, q
         s, a = nxt, a + 1
-
-
-def _q_rational_roots(h):
-    """Rational roots by testing every +-p/q with p | a0 and q | an."""
-    lcm = math.lcm(*(Fraction(c).denominator for c in h.coeffs))
-    a0, an = abs(h.coeffs[0] * lcm), abs(h.coeffs[-1] * lcm)
-    roots = []
-    for p in divisors(int(a0)):
-        for q in divisors(int(an)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if h.evaluate(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
 
 
 # --- germ slices and the Jacobian test -----------------------------------------
@@ -267,3 +249,32 @@ class TestSliceAndJacobian:
             assert jacobian_vanishes(r, point) == want
             singular += want
         assert singular >= 100
+
+
+class TestFloatsRefused:
+    """A float is not an exact rational: the integer core refuses it with a
+    TypeError rather than truncate it, while numpy integers pass as ints."""
+
+    def test_classify_point(self):
+        # f = 1 - 2.5x + x^2 = (x - 2)(x - 1/2) and g = (x - 1)(x - 3) share
+        # no root; 2.5 truncated to 2 would make x = 1 a common root
+        s = SupportSet((0, 1, 2))
+        g = LaurentPoly(s, {0: 3, 1: -4, 2: 1})
+        with pytest.raises(TypeError):
+            classify_point(LaurentPoly(s, {0: 1, 1: -2.5, 2: 1}), g)
+        assert classify_point(LaurentPoly(s, {0: 1, 1: Fraction(-5, 2), 2: 1}), g).tag == "NotOnResultant"
+
+    def test_jacobian_vanishes(self):
+        r = resultant_poly(SupportPair(SupportSet((0, 1)), SupportSet((0, 1, 2))))
+        point = {v: 0 for v in r.vars}
+        assert jacobian_vanishes(r, point)
+        with pytest.raises(TypeError):
+            jacobian_vanishes(r, {**point, "f0": 0.5})
+        assert not jacobian_vanishes(r, {**point, "f0": Fraction(1, 2)})
+
+    def test_clear_denominators(self):
+        assert clear_denominators([np.int64(3), Fraction(1, 2), True]) == ([6, 1, 2], 2)
+        assert [type(c) for c in clear_denominators([np.int64(3), Fraction(4, 2)])[0]] == [int, int]
+        for bad in (2.5, np.float64(2.0), 1j, "3"):
+            with pytest.raises(TypeError):
+                clear_denominators([1, bad])

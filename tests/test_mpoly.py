@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +40,7 @@ def pack(packing, poly):
 
 def divexact(p, d):
     """p / d by the package's packed exact division; raises ArithmeticError
-    if it leaves a remainder.  An int quotient coefficient stays int when it
-    divides exactly and becomes a Fraction otherwise."""
+    if it leaves a remainder, a quotient coefficient outside Z included."""
     if not d.terms:
         raise ZeroDivisionError("division by zero polynomial")
     packing = _Packing(len(p.vars), _max_exponent((p, d)))
@@ -108,11 +108,14 @@ class TestMPoly:
         assert all(type(c) is int for c in got.terms.values())
 
     def test_divexact_fraction_quotient(self):
+        # a quotient coefficient outside Z is an inexact division, with a
+        # one-term divisor and with a longer one
         v = ("x", "y")
         x, y = RingPoly.var(v, "x"), RingPoly.var(v, "y")
-        got = divexact(3 * x * y + 6 * y + 2, RingPoly.const(v, 4))
-        assert got.terms == {(1, 1): Fraction(3, 4), (0, 1): Fraction(3, 2), (0, 0): Fraction(1, 2)}
-        assert all(type(c) is Fraction for c in got.terms.values())
+        with pytest.raises(ArithmeticError, match="inexact"):
+            divexact(3 * x * y + 6 * y + 2, RingPoly.const(v, 4))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            divexact(x * x + 2 * x * y + y, 2 * x + y)
         exact = divexact(4 * x * y - 8, RingPoly.const(v, 4))
         assert exact.terms == {(1, 1): 1, (0, 0): -2}
         assert all(type(c) is int for c in exact.terms.values())
@@ -260,8 +263,9 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
     elimination, the oracle for `resultant_poly`.
 
     Bareiss's recurrence a_ij <- (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) keeps
-    every entry a minor of the input, so each division is exact.  A zero
-    pivot is replaced by the first nonzero entry below it (a row swap, which
+    every entry a minor of the input, so each division is exact, in Z once
+    the entries are scaled to integer coefficients: with D the lcm of their
+    denominators, det M = det(D M) / D^n.  A zero pivot is replaced by the first nonzero entry below it (a row swap, which
     flips the sign); a column with no nonzero pivot makes the matrix
     singular.
     """
@@ -276,7 +280,8 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
     # carry, and its exact quotient is again a valid minor
     packing = _Packing(len(vars), n * _max_exponent(cell for row in entries for cell in row))
     guard = packing.guard
-    a = [[pack(packing, cell) for cell in row] for row in entries]
+    den = math.lcm(*(c.denominator for row in entries for cell in row for c in cell.terms.values()))
+    a = [[{m: int(c * den) for m, c in pack(packing, cell).items()} for cell in row] for row in entries]
     sign = 1
     prev, divisor = None, None  # the previous pivot; None stands for 1
     for k in range(n - 1):
@@ -298,7 +303,7 @@ def determinant(entries, bound=DEFAULT_DET_BOUND):
                     num = _dot([(pivot, row[j]), (_neg(lead), top[j])])
                     row[j] = _divexact_packed(num, divisor, guard) if divisor and num else num
         prev, divisor = pivot, _divisor(pivot)
-    det = a[n - 1][n - 1]
+    det = {m: Fraction(c, den**n) if den > 1 else c for m, c in a[n - 1][n - 1].items()}
     return packing.unpack(vars, _neg(det) if sign < 0 else det)
 
 

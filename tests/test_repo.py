@@ -173,22 +173,23 @@ def test_no_numpy_random_in_src():
 
 
 def test_point_classifier_decides_without_floats():
-    """`laurent` decides every point exactly: it reads no `np.linalg` and
-    calls no `complex`, and numpy appears only in
-    `laurent._roots_of_squarefree`, which gives an irrational root's value
-    for printing."""
+    """`laurent` decides every point exactly, from the orders of the common
+    roots: it imports no numpy, reads no `np.linalg` and calls no
+    `complex`."""
     tree = ast.parse((Path(singres.__file__).parent / "laurent.py").read_text())
-    found, users = [], set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr == "linalg":
-                found.append(f"{node.lineno}: linalg")
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex":
-                found.append(f"{node.lineno}: complex(")
-            elif isinstance(node, ast.Name) and node.id == "np":
-                users.add(getattr(top, "name", f"line {node.lineno}"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append(f"{node.lineno}: from {node.module}")
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(f"{node.lineno}: linalg")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex":
+            found.append(f"{node.lineno}: complex(")
+        elif isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+            found.append(f"{node.lineno}: {node.id}")
     assert found == []
-    assert users == {"_roots_of_squarefree"}
 
 
 def test_reports_have_one_writer():

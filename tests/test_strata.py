@@ -154,9 +154,9 @@ def actual_label(f, g):
     j0 = jinf = 0
     roots = []
     for r in common_roots(f, g):
-        if r.point.kind == "zero":
+        if r.kind == "zero":
             j0 = r.pair_ord
-        elif r.point.kind == "infinity":
+        elif r.kind == "infinity":
             jinf = r.pair_ord
         else:
             roots.append((r.ord1, r.ord2))
@@ -217,7 +217,7 @@ class TestMembership:
             (f0, finf), (g0, ginf) = end_zeros(f), end_zeros(g)
             if min(f0, g0) < label.j0 or min(finf, ginf) < label.jinf:
                 return False
-            finite = [r for r in common_roots(f, g) if r.point.kind == "finite"]
+            finite = [r for r in common_roots(f, g) if r.kind == "finite"]
             return any(
                 all(r.ord1 >= j1 and r.ord2 >= j2 for r, (j1, j2) in zip(chosen, label.roots))
                 for chosen in itertools.permutations(finite, label.k)
