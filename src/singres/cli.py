@@ -43,13 +43,14 @@ from .laurent import LaurentPoly, classify_point
 from .minors import minors_split_equivalence_scan
 from .mpoly import DEFAULT_DET_BOUND, MPoly, resultant_poly
 from .project import (
+    DEFAULT_TOLERANCE,
     DegenerateProjectionError,
     GridConfig,
     Support3D,
     grid_scan,
     project_supports,
 )
-from .strata import estimate_codim, parse_label, scan_corank_strata
+from .strata import DEFAULT_N_MAX, estimate_codim, parse_label, scan_corank_strata
 from .supports import SupportPair, SupportSet, _exponents, check_conditions, classify
 
 EXIT_OK = 0
@@ -64,8 +65,8 @@ _LONG_EXPONENT = re.compile(r"[eE][+-]?0*[0-9]{5}[0-9]*\s*$")
 # help).  A subcommand registers only those it reads.
 SHARED_FLAGS = {
     "seed": ("--seed", int, 0, "seed of the random draws"),
-    "tolerance": ("--tolerance", float, 1e-8, "numeric zero tolerance"),
-    "n_max": ("--n-max", int, 12, "largest root-of-unity order scanned"),
+    "tolerance": ("--tolerance", float, DEFAULT_TOLERANCE, "numeric zero tolerance"),
+    "n_max": ("--n-max", int, DEFAULT_N_MAX, "largest root-of-unity order scanned"),
     "det_bound": ("--det-bound", int, DEFAULT_DET_BOUND, "largest Sylvester size d1 + d2"),
     "out": ("--out", str, None, "report file, or directory of timestamped reports"),
 }
@@ -384,6 +385,8 @@ def cmd_scan(args) -> int:
             raise ValueError(f"--spread must be nonnegative, got {args.spread}")
         try:
             sizes = _integers(args.sizes)
+            if not sizes:
+                raise ValueError("no size given")
             if min(sizes) < 1:
                 raise ValueError(f"sizes must be positive, got {args.sizes!r}")
         except ValueError as exc:

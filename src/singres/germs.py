@@ -130,13 +130,11 @@ def classify_germ(germ: MPoly) -> GermClass:
     # at the origin ({})
     if t_mult == m:
         normalized = germ
-    elif s_mult == m:
-        # p(t, s): the axes swapped
-        normalized = slice_germ(germ, {}, {"t": 1}, {"s": 1})
     else:
-        # q~ = unit * (z - r)^m, z = s/t, so the tangent factor is (s - r*t);
-        # p(r*s + t, s), axes swapped and t shifted to t + r*s, turns it into t
-        r = Fraction(-q[-2], deg * q[-1])
+        # q~ = unit * (z - r)^m, z = s/t, so the tangent factor is (s - r*t),
+        # with r = 0 for the tangent s (s_mult = m, deg = 0); p(r*s + t, s),
+        # axes swapped and t shifted to t + r*s, turns it into t
+        r = Fraction(-q[-2], deg * q[-1]) if deg else 0
         normalized = slice_germ(germ, {}, {"s": r, "t": 1}, {"s": 1})
     slope = None
     for (i, j), _ in normalized.terms.items():

@@ -180,10 +180,14 @@ def common_roots(f: LaurentPoly, g: LaurentPoly):
 def classify_point(f: LaurentPoly, g: LaurentPoly) -> PointClass:
     """Classify (f, g) as a point of the resultant hypersurface.
 
-    A node needs two common roots of pair order 1, not both multiple in the
-    same polynomial, whose branch covectors have rank 2.  Under the
-    no-common-sublattice hypothesis (which the caller is responsible for)
-    they do, and proportional covectors raise ValueError.  No covector is
+    A node needs two common roots of pair order 1 whose branch covectors
+    have rank 2; two finite roots both multiple in f, or both in g, are
+    TwoDoubleForSameFactor.  A boundary record beside a finite one, both
+    double in f, answers NodeA1 by the gap-gcd rule (f = x^2 (x - 1)^2 on
+    0..4, g = x (x - 1) on 0..2); whether the paper counts a double root at
+    0 or infinity toward that stratum is open.  Under the
+    no-common-sublattice hypothesis (the caller's to meet) the covectors
+    have rank 2, and proportional ones raise ValueError.  No covector is
     built: the test reads one gcd.
 
     The covector at a finite common root x is v(x) = (g'(x) x^i, i in B1;

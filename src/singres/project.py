@@ -30,6 +30,8 @@ __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project
 
 # Most reseeded draws grid_scan makes after a degenerate one.
 GRID_MAX_RETRIES = 5
+# A cell is near zero when |R| is at most this fraction of the grid's largest.
+DEFAULT_TOLERANCE = 1e-8
 # What a grid scan cannot see, stated in every CurveScan report.
 COVERAGE_NOTE = "compact torus patch only; roots escaping to the boundary are not seen"
 
@@ -131,24 +133,30 @@ class CurveScan:
         }
 
 
+# What a projection verdict means, by `verdict.part_i_generic_a1`, which decides it.
+INTERPRETATION = {
+    True: "generic projections have only transversal double points away from an exceptional set",
+    False: "other singularity types are not excluded (the criterion is one-directional; a negative verdict asserts nothing further)",
+}
+
+
 @dataclass
 class ProjectionOutcome:
     b1: SupportSet
     b2: SupportSet
     conditions: object
     verdict: object
-    positive: bool
-    interpretation: str
     scan: CurveScan | None = None
 
     def to_json(self):
+        positive = self.verdict.part_i_generic_a1
         out = {
             "projection_b1": self.b1.to_json(),
             "projection_b2": self.b2.to_json(),
             "conditions": self.conditions.to_json(),
             "verdict": self.verdict.to_json(),
-            "projection_verdict": "positive" if self.positive else "negative",
-            "interpretation": self.interpretation,
+            "projection_verdict": "positive" if positive else "negative",
+            "interpretation": INTERPRETATION[positive],
         }
         if self.scan is not None:
             out["curve_scan"] = self.scan.to_json()
@@ -168,19 +176,7 @@ def project_supports(a1: Support3D, a2: Support3D) -> ProjectionOutcome:
         )
     pair = SupportPair(SupportSet(tuple(c1)), SupportSet(tuple(c2)))
     report = check_conditions(pair)
-    verdict = classify(report)
-    positive = verdict.part_i_generic_a1
-    if positive:
-        interpretation = (
-            "generic projections have only transversal double points away "
-            "from an exceptional set"
-        )
-    else:
-        interpretation = (
-            "other singularity types are not excluded (the criterion is "
-            "one-directional; a negative verdict asserts nothing further)"
-        )
-    return ProjectionOutcome(pair.b1, pair.b2, report, verdict, positive, interpretation)
+    return ProjectionOutcome(pair.b1, pair.b2, report, classify(report))
 
 
 def random_coefficients(a: Support3D, rng: random.Random):
@@ -320,7 +316,7 @@ def grid_scan(
     coeffs1=None,
     coeffs2=None,
     grid: GridConfig | None = None,
-    threshold: float = 1e-8,
+    threshold: float = DEFAULT_TOLERANCE,
     seed: int = 0,
 ) -> CurveScan:
     """Evaluate |R(x1, x2)| = |Res_t(f, g)| of the specialized third-variable

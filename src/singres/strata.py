@@ -83,6 +83,8 @@ __all__ = [
     "ScanSReport",
 ]
 
+DEFAULT_N_MAX = 12  # the largest root-of-unity order of a scan or an estimate
+
 # The minor-curve certificate decides the curve of a triple whose gap gcd g
 # is at most CERT_GAP_MAX (every triple of spread <= 60 is); it draws up to
 # CERT_T_TRIES * g parameters t0 at each of CERT_PRIMES primes p = 1 mod g
@@ -600,10 +602,12 @@ def _solution_strata(pair, sides, n_max, seed):
     solution space has dimension kd1 + kd2 + r when both side kernels are
     nonempty and is empty otherwise.  At k = 1 the one root-of-unity tuple
     (1,) is a positive point, so of the generic stratum, and the unity kind is
-    empty.  samples counts the kind's exact decisions: 1, every tuple of the
-    table at k >= 2, and every decided branch class of the curves,
-    drawn from random.Random(seed), which no other kind reads.  A kind is
-    computed only when a caller reaches it: the scan stops after unity.
+    empty.  A side whose boundary orders leave no exponent has only empty
+    kernels, so both later kinds are empty, decided here alone.  samples
+    counts the kind's exact decisions: 1, every tuple of the table at k >= 2,
+    and every decided branch class of the curves, drawn from
+    random.Random(seed), which no other kind reads.  A kind is computed only
+    when a caller reaches it: the scan stops after unity.
 
     The generic stratum has kd_s = max(d_s, 0) and side corank max(0, -d_s),
     d = `_generic_kernel_dims`, and r = k; at k = 0 it is the coordinate
@@ -635,15 +639,16 @@ def _solution_strata(pair, sides, n_max, seed):
     d1, d2 = d = _generic_kernel_dims(sides)
     yield "generic", [_Stratum("generic", "generic" if k else "coordinate-subspace", (max(d1, 0), max(d2, 0)), (max(-d1, 0), max(-d2, 0)), k, {})], 1
     if k:
-        yield "unity", *((_unity_strata(sides, n_max, d), len(_scan_table(k, n_max)[2])) if k > 1 else ([], 0))
-        yield "minor_curve", *(_curve_strata(pair, sides, d, random.Random(seed)) if k == 3 else ([], 0))
+        full = sides[0].support is not None and sides[1].support is not None
+        unity = _unity_strata(sides, n_max, d) if full and k > 1 else []
+        yield "unity", unity, len(_scan_table(k, n_max)[2]) if k > 1 else 0
+        yield "minor_curve", *(_curve_strata(pair, sides, d, random.Random(seed)) if full and k == 3 else ([], 0))
 
 
 def _unity_strata(sides, n_max, d):
     """The root-of-unity strata: one per nonzero corank class (c1, c2) of
     `_corank_classes` in scan order, under its first tuple, with its tuple
-    count, kd_s = d_s + c_s (d = `_generic_kernel_dims`) and r = 1; none for
-    an empty effective support, whose kernels are all empty.
+    count, kd_s = d_s + c_s (d = `_generic_kernel_dims`) and r = 1.
 
     Claim.  Let omega be a tuple with x1 = 1, M_s = M_s(omega) side s's
     multiplicity Vandermonde on eff_s and kd_s = |eff_s| - rank M_s.  When
@@ -667,10 +672,8 @@ def _unity_strata(sides, n_max, d):
     So a stratum depends on its tuple only through the coranks.  The class
     (0, 0) has kd_s = d_s, so it is empty or of dimension d1 + d2 + 1 < d1
     + d2 + k (k >= 2), inside the generic stratum's closure.  Called at k >=
-    2 only (`_solution_strata`).
+    2 with both effective supports nonempty only (`_solution_strata`).
     """
-    if sides[0].support is None or sides[1].support is None:
-        return []
     return [
         _Stratum("unity", f"unity(n={n}, exps={list(exps)})", (d[0] + c1, d[1] + c2), (c1, c2), 1, {"tuples": count}, (n, exps))
         for (c1, c2), (count, (n, exps)) in _corank_classes(sides, n_max).items()
@@ -680,11 +683,21 @@ def _unity_strata(sides, n_max, d):
 def _curve_strata(pair, sides, d, rng):
     """(strata, branch classes decided) of a three-point label: one stratum
     per curve of the exponent triples (a, b, c) of both sides, grouped by
-    (b - a, c - a) as translates have one curve, under its first triple,
-    side 1 before side 2 in combination order, with its triple count and
-    its certificate (p, t0, u0) from `_minor_certificates`, which proves
-    its dimension kd1 + kd2 + 2, or with kd None and the `reason` when no
-    draw decides it.  A curve decided empty is no stratum.
+    their translate (0, b - a, c - a), under its first triple, side 1
+    before side 2 in combination order, with its triple count and its
+    certificate (p, t0, u0) from `_minor_certificates`, which proves its
+    dimension kd1 + kd2 + 2, or with kd None and the `reason` when no draw
+    decides it.  A curve decided empty is no stratum.  The certificate gets
+    each curve as its translate and gap gcd g = gcd(b - a, c - a), once.
+
+    Lemma (translation).  The minor of (a + s, b + s, c + s) is (t u)^s P,
+    so translates have one curve, decided on the translate T' = (0, b - a,
+    c - a).  On the torus P and P' = (t u)^(-a) P have the same zeros, and
+    at a zero the gradient of P is (t u)^a times that of P', so a root u0 is
+    simple for both or neither and du/dt = -P_t / P_u agrees; the roots,
+    their classes and their slopes (`_branch_points`) are those of P'.  The
+    class keys (`_branch_classes`) read g and c - a, the kernel floors
+    (`_kernel_floor`) the differences e - a, and the primes and draws g.
 
     Under boundary orders the triples still come from the full supports: a
     curve with no translate in an effective support can certify a line
@@ -692,16 +705,16 @@ def _curve_strata(pair, sides, d, rng):
     63, 125, 127) under N_1^1(1,1,1) the effective (1, 63, 125) has gap gcd
     62, and (63, 125, 127) certifies u = -t at the estimate).
     """
-    curves = {}  # (b - a, c - a) -> [side, first triple, triple count]
+    groups = {}  # translate -> [side, first triple, triple count]
     for side, support in ((1, pair.b1), (2, pair.b2)):
         for a, b, c in combinations(support.elements, 3):
-            curves.setdefault((b - a, c - a), [side, (a, b, c), 0])[2] += 1
-    decided, points = _minor_certificates(sides, [triple for _, triple, _ in curves.values()], rng)
+            groups.setdefault((0, b - a, c - a), [side, (a, b, c), 0])[2] += 1
+    curves = [(shape, gcd(*shape)) for shape in groups]
+    decided, points = _minor_certificates(sides, curves, rng)
     strata = []
-    for i, ((d1, d2), (side, triple, count)) in enumerate(curves.items()):
+    for i, ((_, g), (side, triple, count)) in enumerate(zip(curves, groups.values())):
         name = f"minor-curve(side={side}, triple={triple})"
         if i not in decided:
-            g = gcd(d1, d2)
             reason = f"gap gcd {g} above {CERT_GAP_MAX}" if g > CERT_GAP_MAX else "a branch class no draw decided"
             strata.append(_Stratum("minor_curve", name, None, None, 2, {"triples": count, "reason": reason}))
         elif decided[i] is not None:
@@ -715,7 +728,7 @@ def estimate_codim(
     pair: SupportPair,
     label: StratumLabel,
     seed: int = 0,
-    n_max: int = 12,
+    n_max: int = DEFAULT_N_MAX,
 ) -> CodimEstimate:
     """Estimate the codimension of the filtration subset: the ambient
     dimension minus the largest dimension over the strata of
@@ -950,14 +963,13 @@ def _class_key(coincide, order, gaps):
     return coincide if g1 % order == 0 else None, coincide if g2 % order == 0 else None
 
 
-def _branch_classes(triple, gaps):
-    """The class keys of the minor curve's branches over t for the
-    translate (0, d1, d2): one per line u = zeta t and u = zeta, zeta^g = 1
-    != zeta (g = gcd(d1, d2), the triple's gap gcd), merged by key, and
-    (None, None) for the other branches, which exist iff the triple is no
-    arithmetic progression (see `_minor_certificates`)."""
-    _, d1, d2 = triple
-    g = gcd(d1, d2)
+def _branch_classes(curve, gaps):
+    """The class keys of the branches over t of the minor curve ((0, d1,
+    d2), g), g = gcd(d1, d2) its gap gcd: one per line u = zeta t and u =
+    zeta, zeta^g = 1 != zeta, merged by key, and (None, None) for the other
+    branches, which exist iff the triple is no arithmetic progression (see
+    `_minor_certificates`)."""
+    (_, _, d2), g = curve
     keys = {_class_key(pair, d, gaps) for d in range(2, g + 1) if g % d == 0 for pair in ((1, 2), (0, 2))}
     if d2 > 2 * g:
         keys.add((None, None))
@@ -977,12 +989,12 @@ def _kernel_floor(eff, js, triple, coincide):
     return len(eff) - min(cap, len(eff))
 
 
-def _branch_points(triples, gaps, p, taus):
-    """Per translate (0, d1, d2), (class key, log i, du/dt) for every simple
-    root u0 = gamma^i of its minor polynomial at t0 = gamma^tau mod p with
-    u0 not in {1, t0} whose coincidences x_m^(g_s) = x_n^(g_s) mod p are
-    those of its class, in increasing i, from one evaluation at every point
-    of F_p^* for all the triples at once.
+def _branch_points(curves, gaps, p, taus):
+    """Per minor curve ((0, d1, d2), g), (class key, log i, du/dt) for every
+    simple root u0 = gamma^i of its minor polynomial at t0 = gamma^tau mod p
+    with u0 not in {1, t0} whose coincidences x_m^(g_s) = x_n^(g_s) mod p
+    are those of its class, in increasing i, from one evaluation at every
+    point of F_p^* for all the curves at once.
 
     The minor is P = A + B u^d1 + C u^d2 with A = t^d1 - t^d2, B = t^d2 - 1,
     C = 1 - t^d1; a root u0 is simple iff u P_u = d1 B u0^d1 + d2 C u0^d2 is
@@ -991,21 +1003,20 @@ def _branch_points(triples, gaps, p, taus):
     d2 t0^d2 (u0^d1 - 1), is read off the same values."""
     powers, n = _log_powers(p), p - 1
     taus = np.asarray(taus, dtype=np.int64)
-    tb, tc = powers[taus[:, None] * [[d1 % n, d2 % n] for _, d1, d2 in triples] % n].T
+    tb, tc = powers[taus[:, None] * [[d1 % n, d2 % n] for (_, d1, d2), _ in curves] % n].T
     # int32 holds A + B v + C w < 3 p^2 for the primes of g <= CERT_GAP_MAX (p < 2^15)
     coef = (np.stack([tb - tc, tc - 1, 1 - tb]) % p).astype(np.int32)
-    residues = sorted({d % n for _, d1, d2 in triples for d in (d1, d2)})
+    residues = sorted({d % n for (_, d1, d2), _ in curves for d in (d1, d2)})
     rows = powers[np.outer(residues, np.arange(n)) % n].astype(np.int32)
     at = {d: k for k, d in enumerate(residues)}
-    v = rows[[at[d1 % n] for _, d1, _ in triples]]
-    w = rows[[at[d2 % n] for _, _, d2 in triples]]
+    v = rows[[at[d1 % n] for (_, d1, _), _ in curves]]
+    w = rows[[at[d2 % n] for (_, _, d2), _ in curves]]
     value = (coef[0][:, None] + coef[1][:, None] * v + coef[2][:, None] * w) % p
     value[:, 0] = value[np.arange(len(taus)), taus] = 1  # drop u0 = 1 = gamma^0 and u0 = t0
-    gs = {triple: gcd(*triple) for triple in set(triples)}
-    out = [[] for _ in triples]
+    out = [[] for _ in curves]
     for c, i in zip(*(x.tolist() for x in np.nonzero(value == 0))):
-        _, d1, d2 = triple = triples[c]
-        tau, g, vi, wi = int(taus[c]), gs[triple], int(v[c, i]), int(w[c, i])
+        (_, d1, d2), g = curves[c]
+        tau, vi, wi = int(taus[c]), int(v[c, i]), int(w[c, i])
         u_pu = (d1 * int(coef[1][c]) * vi + d2 * int(coef[2][c]) * wi) % p
         if u_pu == 0:
             continue
@@ -1055,39 +1066,28 @@ def _certify_points(sides, points, seed):
     return kds[0], kds[1], modular_rank(np.stack([tangent, orbit], axis=2), primes)
 
 
-def _minor_certificates(sides, triples, rng):
-    """Decide the minor curves of exponent triples under a three-point label
-    mod small primes: (decided, points) with decided[i] the best certified
-    class of the curve of triples[i], (dim, kd1, kd2, p, t0, u0), or None
-    when every class is empty; a triple whose gap gcd exceeds CERT_GAP_MAX,
-    or whose curve no retry decides, is absent.  `points` counts the
-    certified points.
+def _minor_certificates(sides, curves, rng):
+    """Decide minor curves under a three-point label mod small primes, each
+    given as its translate and gap gcd ((0, d1, d2), g) (`_curve_strata`):
+    (decided, points) with decided[i] the best certified class of
+    curves[i], (dim, kd1, kd2, p, t0, u0), or None when every class is
+    empty; a curve whose gap gcd exceeds CERT_GAP_MAX, or which no retry
+    decides, is absent.  `points` counts the certified points.
 
-    The curve of the triple (a, b, c) is P(t, u) = 0, P the minor
-    (t^b - t^c) u^a + (t^c - t^a) u^b + (t^a - t^b) u^c at x = (1, t, u);
-    the torus factor c is 1 by the orbit argument of `_unity_strata`,
+    The curve of the triple (a, b, c) = (0, d1, d2) is P(t, u) = 0, P the
+    minor (t^b - t^c) u^a + (t^c - t^a) u^b + (t^a - t^b) u^c at x = (1, t,
+    u); the torus factor c is 1 by the orbit argument of `_unity_strata`,
     and its direction is the orbit row below.  Each curve takes t0 =
-    gamma^tau from rng at a prime p = 1 mod g, g = gcd(b - a, c - a) (the
-    index-th of `_certificate_prime`, CERT_PRIMES primes with up to
-    CERT_T_TRIES * g draws each), and on each class that is still open,
-    the first simple root u0 of P(t0, .) with u0 not in {0, 1, t0} and the
-    slope du/dt there, both from one evaluation (`_branch_points`).  All
-    points of a prime index are decided by one `_certify_points` call; each
-    decided point counts once.  The cost of a curve, and the int32 bound of
+    gamma^tau from rng at a prime p = 1 mod g (the index-th of
+    `_certificate_prime`, CERT_PRIMES primes with up to CERT_T_TRIES * g
+    draws each), and on each class that is still open, the first simple
+    root u0 of P(t0, .) with u0 not in {0, 1, t0} and the slope du/dt
+    there, both from one evaluation (`_branch_points`).  All points of a
+    prime index are decided by one `_certify_points` call; each decided
+    point counts once.  The cost of a curve, and the int32 bound of
     `_branch_points`, depend on g alone: the primes are those of g (all
     below 2^15 for g <= CERT_GAP_MAX), each draw evaluates P(t0, .) once
     over F_p^*, and exponents enter reduced mod p - 1.
-
-    Lemma (translation).  The minor of (a + s, b + s, c + s) is (t u)^s P,
-    so translates have one curve, and every helper runs on the translate
-    T' = (0, b - a, c - a), with g computed once per curve: T and T + s give
-    the same result from the same rng for every integer s.  On the torus P
-    and P' = (t u)^(-a) P have the same zeros, and at a zero the gradient
-    of P is (t u)^a times that of P', so a root u0 is simple for both or
-    neither and du/dt = -P_t / P_u agrees; the roots, their classes and
-    their slopes (`_branch_points`) are those of P'.  The class keys
-    (`_branch_classes`) read g and c - a, the kernel floors
-    (`_kernel_floor`) the differences e - a, and the primes and draws g.
 
     Lemma (lines).  P(t, zeta t) and P(t, zeta) vanish identically iff
     zeta^g = 1: the coefficients of P(t, zeta t) at the distinct powers
@@ -1134,12 +1134,8 @@ def _minor_certificates(sides, triples, rng):
     bundle's dimension L1 + L2 + 2, and the rank at a point bounds the
     generic rank, the component's dimension, from below.
     """
-    shapes = [(0, b - a, c - a) for a, b, c in triples]
-    if not (sides[0].support and sides[1].support):
-        return {i: None for i in range(len(shapes))}, 0
     gaps = [s.gap for s in sides]
-    gs = [gcd(d1, d2) for _, d1, d2 in shapes]
-    open_ = {i: _branch_classes(shape, gaps) for i, shape in enumerate(shapes) if gs[i] <= CERT_GAP_MAX}
+    open_ = {i: _branch_classes(curve, gaps) for i, curve in enumerate(curves) if curve[1] <= CERT_GAP_MAX}
     found = {i: [] for i in open_}
     points = 0
     for index in range(CERT_PRIMES):
@@ -1153,7 +1149,7 @@ def _minor_certificates(sides, triples, rng):
         while wanted:
             by_prime = {}
             for i in wanted:
-                g = gs[i]
+                _, g = curves[i]
                 p = _certificate_prime(g, index)
                 draws = min(max(drawn[i], 1), CERT_T_TRIES * g - drawn[i])
                 if draws:
@@ -1164,7 +1160,7 @@ def _minor_certificates(sides, triples, rng):
             for p, draws in by_prime.items():
                 for start in range(0, len(draws), 64):  # bounds the (draws, p - 1) arrays
                     chunk = draws[start : start + 64]
-                    roots = _branch_points([shapes[i] for i, _ in chunk], gaps, p, [tau for _, tau in chunk])
+                    roots = _branch_points([curves[i] for i, _ in chunk], gaps, p, [tau for _, tau in chunk])
                     for (i, tau), found_roots in zip(chunk, roots):
                         for key, iu, dudt in found_roots:
                             if key in wanted[i]:
@@ -1176,7 +1172,7 @@ def _minor_certificates(sides, triples, rng):
         points_mod_p = [(p, (0, tau, iu), dudt) for _, _, p, tau, iu, dudt in probes]
         kd1, kd2, rho = _certify_points(sides, points_mod_p, rng.getrandbits(64))
         for (i, key, p, tau, iu, _), k1, k2, r in zip(probes, kd1.tolist(), kd2.tolist(), rho.tolist()):
-            floors = [_kernel_floor(b.elements, js, shapes[i], coincide) for (b, js, _), coincide in zip(sides, key)]
+            floors = [_kernel_floor(b.elements, js, curves[i][0], coincide) for (b, js, _), coincide in zip(sides, key)]
             if min(k1, k2) == 0:
                 open_[i].discard(key)
             elif [k1, k2] == floors and r == 2:
@@ -1190,7 +1186,7 @@ def _minor_certificates(sides, triples, rng):
     return decided, points
 
 
-def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = 12, seed: int = 0):
+def scan_corank_strata(pair: SupportPair, label: StratumLabel, n_max: int = DEFAULT_N_MAX, seed: int = 0):
     """The nonzero side coranks (c1, c2) of the generic and root-of-unity
     strata of `_solution_strata` (n <= n_max), compared against the
     predicted nonempty corank strata (gap-gcd and split criteria).

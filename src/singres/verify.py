@@ -239,13 +239,14 @@ CODIM_CASES = [  # (supports, label, expected codim estimate)
     (((0, 3, 6), (0, 3, 6)), "N(1,1)", 1),
     (((0, 1, 3, 4, 6, 7), (0, 3, 6)), "N(1,1,1)", 2),
 ]
+CODIM_SEED = 7  # the seed of every codim case's minor-curve draws
 
 
-def check_codim_estimates(seed=7):
+def check_codim_estimates():
     results = []
     ok = True
     for (b1, b2), name, want in CODIM_CASES:
-        est = estimate_codim(_pair(b1, b2), parse_label(name), seed=seed)
+        est = estimate_codim(_pair(b1, b2), parse_label(name), seed=CODIM_SEED)
         got = est.estimate
         results.append({"pair": [list(b1), list(b2)], "label": name, "estimate": got, "expected": want})
         ok = ok and got == want
@@ -388,12 +389,12 @@ def check_projection_pipeline():
     a1 = Support3D(((0, 0, 0), (1, 0, 1)))
     a2 = Support3D(((0, 0, 0), (0, 1, 1), (1, 1, 2), (0, 0, 3)))
     out = project_supports(a1, a2)
-    ok = ok and not out.positive and out.conditions.cond5
+    ok = ok and not out.verdict.part_i_generic_a1 and out.conditions.cond5
     details["negative_case"] = out.to_json()["projection_verdict"]
 
     a1b = Support3D(((0, 0, 0), (1, 0, 1), (0, 1, 2)))
     out2 = project_supports(a1b, a2)
-    ok = ok and out2.positive
+    ok = ok and out2.verdict.part_i_generic_a1
     details["positive_case"] = out2.to_json()["projection_verdict"]
 
     # constructed common root at (x1, x2) = (1, 1), t = 1
@@ -402,7 +403,7 @@ def check_projection_pipeline():
     coeffs1 = {(1, 0, 0): -1 + 0j, (0, 0, 2): 1 + 0j}
     coeffs2 = {(0, 1, 0): -1 + 0j, (0, 0, 1): 1 + 0j}
     grid = GridConfig(rho_min=-0.4, rho_max=0.4, rho_steps=3, theta_steps=4)
-    scan = grid_scan(c1, c2, coeffs1, coeffs2, grid, threshold=1e-8)
+    scan = grid_scan(c1, c2, coeffs1, coeffs2, grid)
     hit = any(
         abs(cell["rho1"]) < 1e-12
         and abs(cell["theta1"]) < 1e-12

@@ -31,11 +31,11 @@ EXPECTED = {
     ("scan", (0, 2, 4, 6), (0, 2, 4, 6), "N(1,1,1)", 3): 91,
     ("scan", (0, 1, 4), (0, 3, 5), "N(1,1)", 3): 108,
     ("scan", (0, 1, 2, 3), (0, 1, 2, 3), "N(2,1;1,1)", 3): 101,
-    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 1659,
+    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(1,1,1)", 7): 1613,
     ("codim", (0, 1, 2, 3), (0, 1, 2, 3), "N(1,1)", 7): 75,
     # the minor-curve certificate with boundary orders and with multiplicities
-    ("codim", (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), "N_1^1(1,1,1)", 0): 1261,
-    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(2,1,1)", 7): 2305,
+    ("codim", (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), "N_1^1(1,1,1)", 0): 1227,
+    ("codim", (0, 1, 3, 4, 6, 7), (0, 3, 6), "N(2,1,1)", 7): 2259,
 }
 
 

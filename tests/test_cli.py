@@ -818,6 +818,8 @@ class TestScan:
         [
             ("minors", "--sizes", "3,x"),
             ("minors", "--sizes", "0"),
+            ("minors", "--sizes", ""),
+            ("minors", "--sizes", ","),
             ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--label", "N(1,1,1,1)"),
             ("strata", "--b1", "0,1,3", "--b2", "0,1,3", "--label", "N(1,1"),
             ("strata", "--b1", "0,1,3,6", "--b2", "0,2,3", "--label", "N_1(1,1)"),
@@ -827,6 +829,12 @@ class TestScan:
         code = main(["scan", *argv])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("sizes", ["", ",", " , "])
+    def test_empty_sizes_name_the_flag(self, capsys, sizes):
+        # an empty size list is refused in the flag's words, not by min()
+        assert main(["scan", "minors", "--sizes", sizes]) == 2
+        assert capsys.readouterr().err == "error: --sizes: no size given\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -147,7 +147,7 @@ class TestProjection:
         b = Support3D(tuple(reversed(pts)))
         out_a = project_supports(a, a)
         out_b = project_supports(b, b)
-        assert out_a.positive == out_b.positive
+        assert out_a.verdict.part_i_generic_a1 == out_b.verdict.part_i_generic_a1
         assert out_a.b1 == out_b.b1
 
     def test_degenerate_raises(self):
@@ -160,9 +160,9 @@ class TestProjection:
         two = Support3D(((0, 0, 0), (1, 0, 1)))
         wide = Support3D(((0, 0, 0), (0, 1, 1), (1, 1, 2), (0, 0, 3)))
         out = project_supports(two, wide)
-        assert not out.positive and out.conditions.cond5
+        assert not out.verdict.part_i_generic_a1 and out.conditions.cond5
         three = Support3D(((0, 0, 0), (1, 0, 1), (0, 1, 2)))
-        assert project_supports(three, wide).positive
+        assert project_supports(three, wide).verdict.part_i_generic_a1
 
 
 class TestHybridBezout:

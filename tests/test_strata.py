@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -1025,9 +1026,10 @@ class TestEstimates:
         assert est.sample_count == 1 + len(_scan_table(3, 12)[2]) + points[-1] and points[-1] >= len(minors)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_paper_values_at_every_seed(self, seed):
+    def test_paper_values_at_every_seed(self, seed, monkeypatch):
         # the six verify-paper codim cases; never shrink this seed range
-        ok, details = check_codim_estimates(seed)
+        monkeypatch.setattr(singres.verify, "CODIM_SEED", seed)
+        ok, details = check_codim_estimates()
         assert ok, details
 
 
@@ -1236,6 +1238,13 @@ def minor_curve_groups(p):
     return groups
 
 
+def minor_curve(triple):
+    """The curve of an exponent triple (a, b, c) as `_minor_certificates`
+    takes it: its translate (0, b - a, c - a) and its gap gcd."""
+    a, b, c = triple
+    return (0, b - a, c - a), gcd(b - a, c - a)
+
+
 def reference_estimate_codim(pair, label, seed=0, n_max=12):
     """estimate_codim one sample at a time, with reference_span_dimension;
     the generic component is the best of three exact samples at signed
@@ -1345,7 +1354,7 @@ class TestBatchedEstimate:
         # (0, 3, 6), (1, 4, 7) and side 2's (0, 3, 6), listed once
         gaps = [gap_gcd(p.b1), gap_gcd(p.b2)]
         assert len(minor_curve_groups(p)) == 15
-        assert points[-1] == sum(len(_branch_classes((0, *shape), gaps)) for shape in minor_curve_groups(p)) == 16
+        assert points[-1] == sum(len(_branch_classes(minor_curve((0, *shape)), gaps)) for shape in minor_curve_groups(p)) == 16
         assert data["sample_count"] == 1 + len(_scan_table(3, 12)[2]) + points[-1]
         assert [(c["component"], c["exact"], c["dim_found"], c["triples"]) for c in minors.values()] == [
             ("minor-curve(side=1, triple=(0, 3, 6))", True, 6, 3),
@@ -1387,9 +1396,9 @@ class TestBatchedEstimate:
         assert [c["component"] for c in data["components_probed"] if c["component"].startswith("minor")] == []
         assert data["codim_estimate"] == 2
         triples = [(0, 2, 2**62 + 1), (0, 3, 6)]
-        assert _branch_classes((0, 3, 6), [1, 3]) == {(None, (1, 2)), (None, (0, 2))}
-        assert _branch_classes((0, 2, 2**62 + 1), [1, 3]) == {(None, None)}
-        assert _minor_certificates(_sides(p, label), triples, random.Random(seed)) == ({0: None, 1: None}, 3)
+        assert _branch_classes(minor_curve((0, 3, 6)), [1, 3]) == {(None, (1, 2)), (None, (0, 2))}
+        assert _branch_classes(minor_curve((0, 2, 2**62 + 1)), [1, 3]) == {(None, None)}
+        assert _minor_certificates(_sides(p, label), list(map(minor_curve, triples)), random.Random(seed)) == ({0: None, 1: None}, 3)
         # the float oracle's samples of that curve all fail
         rng = random.Random(seed)
         stack = [draw_minor_tuple((0, 3, 6), rng) for _ in range(VOTE_SAMPLES)]
@@ -1576,7 +1585,7 @@ class TestMinorCertificate:
                     for root in (t, 1):
                         binomial = (-(root**h),) + (0,) * (h - 1) + (1,)
                         assert len(prs_gcd(rest, binomial)) - 1 == g - 1, (triple, t, h)
-                assert ((None, None) in _branch_classes((0, b - a, c - a), [g, g])) == (len(rest) - 1 > 2 * (g - 1))
+                assert ((None, None) in _branch_classes(minor_curve(triple), [g, g])) == (len(rest) - 1 > 2 * (g - 1))
                 checked += 1
         assert checked == 495
 
@@ -1615,7 +1624,7 @@ class TestMinorCertificate:
         p_, label, triple = pair((0, 1, 3), (0, 2, 3)), parse_label("N(1,1,1)"), (0, 1, 3)
         prime = _certificate_prime(1, 0)
         taus = list(range(1, prime - 1))
-        roots = _branch_points([triple] * len(taus), [1, 1], prime, taus)
+        roots = _branch_points([minor_curve(triple)] * len(taus), [1, 1], prime, taus)
         probes = [(tau, i) for tau, found in zip(taus, roots) for _, i, _ in found]
         points = [(prime, (0, tau, i), 0) for tau, i in probes]
         kd1, kd2, _ = _certify_points(_sides(p_, label), points, 0)
@@ -1623,7 +1632,7 @@ class TestMinorCertificate:
         assert floors == [1, 0] and set(kd1.tolist()) == {1}
         bad = [probe for probe, k2 in zip(probes, kd2.tolist()) if k2 > 0]
         assert bad and len(bad) < len(probes) // 50
-        clean = _minor_certificates(_sides(p_, label), [triple], random.Random(3))
+        clean = _minor_certificates(_sides(p_, label), [minor_curve(triple)], random.Random(3))
         assert clean == ({0: None}, 1)
         # planted as the first draw, the bad point is probed, certifies
         # nothing, and the next prime decides the curve
@@ -1634,7 +1643,7 @@ class TestMinorCertificate:
             return rounds[-1]
 
         monkeypatch.setattr(singres.strata, "_certify_points", recorded)
-        assert _minor_certificates(_sides(p_, label), [triple], PlantedRandom(3, [bad[0][0]])) == clean
+        assert _minor_certificates(_sides(p_, label), [minor_curve(triple)], PlantedRandom(3, [bad[0][0]])) == clean
         assert [(k1.tolist(), k2.tolist()) for k1, k2, _ in rounds] == [([1], [1]), ([1], [0])]
 
     def test_spurious_coincidence_mod_p_is_not_certified(self):
@@ -1653,21 +1662,21 @@ class TestMinorCertificate:
         tau = n // 3
         iu = powers.index(powers[tau] ** 2 % prime)
         assert (1 + powers[tau] + powers[iu]) % prime == 0  # u0 = -1 - t0
-        assert _branch_points([triple], [1, 3], prime, [tau]) == [[]]
-        assert _branch_points([triple], [1, 1], prime, [tau]) == [[((None, None), iu, prime - 1)]]  # du/dt = -1
+        assert _branch_points([minor_curve(triple)], [1, 3], prime, [tau]) == [[]]
+        assert _branch_points([minor_curve(triple)], [1, 1], prime, [tau]) == [[((None, None), iu, prime - 1)]]  # du/dt = -1
         kd1, kd2, _ = _certify_points(_sides(p_, label), [(prime, (0, tau, iu), 0)], 0)
         assert (kd1.tolist(), kd2.tolist()) == ([1], [2])
         assert [_kernel_floor(eff, (1, 1, 1), (0, 1, 3), None) for eff in ((0, 1, 3), (0, 3, 6))] == [1, 0]
-        clean = _minor_certificates(_sides(p_, label), [triple], random.Random(4))
-        assert _minor_certificates(_sides(p_, label), [triple], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
+        clean = _minor_certificates(_sides(p_, label), [minor_curve(triple)], random.Random(4))
+        assert _minor_certificates(_sides(p_, label), [minor_curve(triple)], PlantedRandom(4, [tau])) == clean == ({0: None}, 1)
         # (0, 2, 8) has the lines u = -t and u = -1 and other branches.  At t0 =
         # gamma^126 mod 1009 the root u0 = gamma^252 is on no line (u0^2 != 1,
         # (u0 / t0)^2 != 1), yet u0^4 = 1 mod p; beside side 2's gap 4 that
         # reads like the line u = -1, whose class it must not join
         prime, tau, iu = _certificate_prime(2, 0), 126, 252
         assert prime == 1009 and iu * 4 % (prime - 1) == 0 and iu * 2 % (prime - 1) and (iu - tau) * 2 % (prime - 1)
-        assert ((None, None), iu) in [root[:2] for root in _branch_points([(0, 2, 8)], [1, 1], prime, [tau])[0]]
-        (found,) = _branch_points([(0, 2, 8)], [2, 4], prime, [tau])
+        assert ((None, None), iu) in [root[:2] for root in _branch_points([minor_curve((0, 2, 8))], [1, 1], prime, [tau])[0]]
+        (found,) = _branch_points([minor_curve((0, 2, 8))], [2, 4], prime, [tau])
         assert found and all(key[1] is None or i != iu for key, i, _ in found)
 
     @pytest.mark.parametrize("triple", [(0, 1, 3), (0, 2, 8), (0, 3, 6)])
@@ -1685,7 +1694,7 @@ class TestMinorCertificate:
             return e * pow(x, e - 1, prime)
 
         checked = 0
-        for tau, found in zip(taus, _branch_points([triple] * len(taus), [1, 1], prime, taus)):
+        for tau, found in zip(taus, _branch_points([minor_curve(triple)] * len(taus), [1, 1], prime, taus)):
             t = powers[tau]
             tp = [pow(t, e, prime) for e in triple]
             for _, i, dudt in found:
@@ -1720,29 +1729,39 @@ class TestMinorCertificate:
                         for u, dudt in ((-t, -1), (Fraction(-1), 0))
                     ]
                     want = max((d for d in dims if d is not None), default=None)
-                    decided, _ = _minor_certificates(_sides(p, label), [triple], random.Random(0))
+                    decided, _ = _minor_certificates(_sides(p, label), [minor_curve(triple)], random.Random(0))
                     assert (decided[0] and decided[0][0]) == want, (sides, name, triple, dims)
                     checked.add((name, want))
         assert len(checked) > 8
 
-    def test_translates_share_one_certificate(self):
-        # the minor of T + s is (t u)^s times that of T: from the same rng,
-        # _minor_certificates decides T and its translates alike, for shifts
-        # below zero and past 2^62, one triple or several at once
+    def test_shifted_supports_keep_every_certificate(self):
+        # moving both supports by s moves every triple by s, so each curve
+        # keeps its translate (Lemma (translation) of `_curve_strata`), and
+        # at every point M_s of the shifted side is M_s times an invertible
+        # row operation: estimate_codim's estimate and each curve's kd1, kd2
+        # and certificate stay put, under the curve's triple moved by s, for
+        # shifts below zero, small ones and shifts past +-2^62
         rng = random.Random(43)
         labels = [parse_label(name) for name in ("N(1,1,1)", "N(2,1,1)", "N_1(1,1,1)")]
-        checked, nonempty = 0, 0
-        for _ in range(40):
-            p, label = pair(*(sorted(rng.sample(range(-4, 9), rng.randint(3, 6))) for _ in range(2))), rng.choice(labels)
-            triples = [tuple(sorted(rng.sample(range(-8, 12), 3))) for _ in range(rng.randint(1, 3))]
-            seed = rng.randrange(1000)
-            want = _minor_certificates(_sides(p, label), triples, random.Random(seed))
+
+        def minors(sides, label, seed, shift):
+            data = estimate_codim(pair(*([e + shift for e in b] for b in sides)), label, seed=seed).to_json()
+            entries = [c for c in data["components_probed"] if c["component"].startswith("minor")]
+            for c in entries:
+                side, *triple = map(int, re.findall(r"-?\d+", c.pop("component")))
+                c["at"] = (side, [e - shift for e in triple])
+            return data["codim_estimate"], entries
+
+        checked, certified = 0, Counter()
+        for i in range(12):
+            sides = [sorted(rng.sample(range(-4, 9), rng.randint(4, 8))) for _ in range(2)]
+            label, seed = labels[i % 3], rng.randrange(1000)
+            want = minors(sides, label, seed, 0)
             for shift in (rng.randint(-40, -1), rng.randint(1, 40), 2**62 + rng.randint(0, 9), -(2**63) - rng.randint(0, 9)):
-                shifted = [tuple(e + shift for e in t) for t in triples]
-                assert _minor_certificates(_sides(p, label), shifted, random.Random(seed)) == want, (p, label, triples, shift)
+                assert minors(sides, label, seed, shift) == want, (sides, label, shift)
                 checked += 1
-            nonempty += sum(c is not None for c in want[0].values())
-        assert checked == 160 and nonempty > 10
+            certified[label] += sum("certificate" in c for c in want[1])
+        assert checked == 48 and min(certified[label] for label in labels) > 10
 
     def test_float_votes_agree_on_translates(self):
         # the float oracle solves one curve for T and T + s: from the same
@@ -1767,14 +1786,14 @@ class TestMinorCertificate:
 
     def test_each_curve_is_certified_once(self, monkeypatch):
         # estimate_codim passes each translation class of triples once, as
-        # its first triple, to one _minor_certificates call, and every
-        # (side, triple) of the pair lands in exactly one listed,
-        # decided-empty or undecided curve
+        # its translate (0, d1, d2) and gap gcd, to one _minor_certificates
+        # call, and every (side, triple) of the pair lands in exactly one
+        # listed, decided-empty or undecided curve, named by its first triple
         calls = []
         real = singres.strata._minor_certificates
 
-        def recorded(sides, triples, rng):
-            calls.append((list(triples), real(sides, triples, rng)))
+        def recorded(sides, curves, rng):
+            calls.append((list(curves), real(sides, curves, rng)))
             return calls[-1][1]
 
         monkeypatch.setattr(singres.strata, "_minor_certificates", recorded)
@@ -1784,18 +1803,18 @@ class TestMinorCertificate:
             p = pair(b1, b2)
             calls.clear()
             data = estimate_codim(p, parse_label("N(1,1,1)"), seed=5).to_json()
-            ((triples, (decided, _)),) = calls
-            shapes = [(b - a, c - a) for a, b, c in triples]
+            ((curves, (decided, _)),) = calls
+            shapes = [shape for shape, _ in curves]
+            assert curves == [(shape, gcd(*shape)) for shape in shapes] and all(shape[0] == 0 for shape in shapes)
             assert len(set(shapes)) == len(shapes) == len(minor_curve_groups(p))
-            members = [[] for _ in triples]
+            members = [[] for _ in curves]
             for side, b in ((1, p.b1), (2, p.b2)):
                 for a, b_, c in itertools.combinations(b.elements, 3):
-                    members[shapes.index((b_ - a, c - a))].append((side, (a, b_, c)))
+                    members[shapes.index((0, b_ - a, c - a))].append((side, (a, b_, c)))
             listed = {c["component"]: c for c in data["components_probed"] if c["component"].startswith("minor")}
-            for i, triple in enumerate(triples):
+            for i in range(len(curves)):
                 side, first = members[i][0]
-                assert first == triple
-                comp = listed.pop(f"minor-curve(side={side}, triple={triple})", None)
+                comp = listed.pop(f"minor-curve(side={side}, triple={first})", None)
                 if i not in decided:
                     kind = "undecided"
                     assert (comp["dim_found"], comp["exact"], comp["triples"]) == (None, False, len(members[i])) and comp["reason"]
@@ -1827,8 +1846,8 @@ class TestMinorCertificate:
         rng = random.Random(0)
         state = rng.getstate()
         assert CERT_GAP_MAX == 30
-        assert _minor_certificates(_sides(p, label), [(1, 32, 63)], rng) == ({}, 0) and rng.getstate() == state
-        assert 0 in _minor_certificates(_sides(p, label), [(0, 30, 60)], rng)[0]
+        assert _minor_certificates(_sides(p, label), [minor_curve((1, 32, 63))], rng) == ({}, 0) and rng.getstate() == state
+        assert 0 in _minor_certificates(_sides(p, label), [minor_curve((0, 30, 60))], rng)[0]
         data = estimate_codim(p, label, seed=0).to_json()
         undecided = [c for c in data["components_probed"] if not c["exact"]]
         want = {"component": "minor-curve(side=2, triple=(1, 32, 63))", "dim_found": None, "exact": False, "triples": 1}
@@ -1854,7 +1873,8 @@ class TestMinorCertificate:
             monkeypatch.setattr(owner, name, banned)
         for name in ("span_dimensions", "draw_minor_tuple"):
             monkeypatch.setattr(float_oracle, name, banned)
-        ok, details = check_codim_estimates(seed)
+        monkeypatch.setattr(singres.verify, "CODIM_SEED", seed)
+        ok, details = check_codim_estimates()
         assert ok, details
         for b1, b2, name in VERIFY_CODIM_CASES:
             comps = estimate_codim(pair(b1, b2), parse_label(name), seed=seed).to_json()["components_probed"]
@@ -2296,6 +2316,25 @@ class TestSolutionStrata:
                 seen.update(stratum.kind for stratum in strata)
             assert tuple(kind for kind in KINDS if kind in seen) == self.LABEL_KINDS[name]
         assert next(reports, None) is None
+
+    @pytest.mark.parametrize("name", ["N_2^1(1,1)", "N_2^1(1,1,1)", "N_1^2(2,1,1)"])
+    def test_an_empty_side_ranks_nothing(self, name, monkeypatch):
+        # boundary orders that leave side 1 no exponent empty every kernel of
+        # that side: the unity and minor-curve kinds are decided empty in
+        # `_solution_strata` alone, with no corank class and no certificate,
+        # and the unity kind still counts every tuple of the table
+        def refused(*args):
+            raise AssertionError("an empty side reached a stratum helper")
+
+        monkeypatch.setattr(singres.strata, "_corank_classes", refused)
+        monkeypatch.setattr(singres.strata, "_minor_certificates", refused)
+        p, label = pair((0, 1, 2), (0, 1, 2, 3, 4, 5, 6)), parse_label(name)
+        sides = _sides(p, label)
+        assert sides[0].support is None and sides[1].support is not None
+        batches = list(_solution_strata(p, sides, 12, 0))
+        assert [(kind, strata, samples) for kind, strata, samples in batches[1:]] == [("unity", [], len(_scan_table(label.k, 12)[2])), ("minor_curve", [], 0)]
+        est = estimate_codim(p, label)
+        assert [stratum.kind for stratum in est.strata] == ["generic"] and est.sample_count == 1 + len(_scan_table(label.k, 12)[2])
 
     @pytest.mark.parametrize("name", ["symmetric_1013", "pairs_spread_5", "pairs_spread_5_mixed", "pairs_spread_5_no_closed_form"])
     def test_scan_keys_are_the_nonzero_coranks(self, name):
