@@ -135,8 +135,9 @@ def _coefficient_map(coeffs, where, points, point_of, scalar):
 def _read_input(args, read):
     """read(data) of the JSON object that --input names ('-' for stdin), or
     None without --input.  An unreadable file, bytes that are not text,
-    malformed JSON, JSON that is no object, and a TypeError or
-    AttributeError of `read` (a wrongly typed field) raise ValueError."""
+    malformed JSON, JSON that is no object, a KeyError of `read` (a missing
+    field) and a TypeError or AttributeError of `read` (a wrongly typed
+    field) raise ValueError."""
     if not args.input:
         return None
     try:
@@ -151,6 +152,8 @@ def _read_input(args, read):
         raise ValueError(f"--input: expected a JSON object, got {type(data).__name__}")
     try:
         return read(data)
+    except KeyError as exc:
+        raise ValueError(f"--input: missing field {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"--input: wrongly typed field: {exc}") from exc
 

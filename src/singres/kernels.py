@@ -1,110 +1,78 @@
-"""The cyclotomic zero-test kernel: the independent side of the unity check.
+"""The cyclotomic zero test of the unity check.
 
-An evaluation table for zeta_n has shape (n, phi(n)); its row j holds the
-images of zeta_n^j under the phi(n) maps zeta_n -> z^k mod p of a split
-prime (p, z) = `split_prime(n)`.  A signed integer combination
-sum_t c_t zeta_n^(e_t) with sum |c_t| < p is therefore zero in Z[zeta_n]
-iff the same combination of table rows is 0 mod p.  `unity_combos_vanish`
-asks that question for a whole array of combinations at once, in plain
-numpy, and `det3_exponents` phrases the 3x3 power-matrix minors as such an
-array, to be weighted by `DET3_SIGNS`.  Whether all minors of a power
-matrix, or one, vanish needs no table: the closed-form rank `minors._rank`
-answers it, and the unity-minor check compares the two.
+`conjugate_zeros` decides which of an array of signed sums of powers of
+zeta_n are zero, evaluating each sum once modulo a split prime: the rows
+of a sweep closed under the units mod n hold every Galois conjugate.  The
+closed-form rank `minors._rank` needs no such test, and the unity-minor
+check compares the two.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from .exact import power_table, split_prime
 
-# Upper bound on the int64 entries of one gathered block of table rows in
-# unity_combos_vanish: the leading axis is processed in chunks below it.
+# Upper bound on the matrix entries of one block of `project._bezout_dets`:
+# the leading axis is processed in chunks below it.
 BATCH_ELEMENTS = 1 << 15
-
-# det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] with x = z^p, y = z^q is
-# z^(pb+qc) - z^(pc+qb) - z^(pa+qc) + z^(pc+qa) + z^(pa+qb) - z^(pb+qa):
-# term t is DET3_SIGNS[t] * z^(p * triple[_DET3_X[t]] + q * triple[_DET3_Y[t]]).
-_DET3_X = (1, 2, 0, 2, 0, 1)
-_DET3_Y = (2, 1, 2, 0, 1, 0)
-DET3_SIGNS = (1, -1, -1, 1, 1, -1)
-
-
-@lru_cache(maxsize=None)
-def evaluation_table(n: int) -> np.ndarray:
-    """Evaluation table for zeta_n as a C-contiguous, read-only int64 array
-    (n, phi(n)): row j, column i is z^(k_i * j) mod p, (p, z) =
-    split_prime(n), k_i the i-th unit mod n: z has order n, so the entry is
-    `power_table(z, n, p)` at k_i * j mod n.  Cached per n, so every caller
-    shares one array."""
-    p, z = split_prime(n)
-    units = [k for k in range(n) if gcd(k, n) == 1]
-    arr = power_table(z, n, p)[np.outer(np.arange(n), units) % n]
-    arr.setflags(write=False)
-    return arr
 
 
 def _chunk_length(row_elements):
-    """Leading-axis rows per chunk when one row gathers `row_elements`
-    table entries: as many as fit in BATCH_ELEMENTS, at least one."""
+    """Leading-axis rows per chunk when one row holds `row_elements`
+    entries: as many as fit in BATCH_ELEMENTS, at least one."""
     return max(1, BATCH_ELEMENTS // max(1, row_elements))
 
 
-def unity_combos_vanish(table, exps, coefs) -> np.ndarray:
-    """Is alpha = sum_t coefs[..., t] * zeta_n^exps[..., t] zero in Z[zeta_n]?
+def units(n: int) -> np.ndarray:
+    """The units k mod n, 0 <= k < n, ascending (k = 0 alone for n = 1)."""
+    return (np.gcd(np.arange(n), n) == 1).nonzero()[0]
 
-    `table` is evaluation_table(n).  `exps` is an integer array of at least
-    two axes whose last axis runs over the terms of one combination (any
-    exponent, reduced mod n here); `coefs` broadcasts against it.  Returns
-    a bool array of shape exps.shape[:-1].  The leading axis is processed in
-    chunks so that a gathered block of table rows holds at most
-    BATCH_ELEMENTS entries.
 
-    Claim.  With p the table's prime and sum_t |coefs[..., t]| < p, alpha
-    is zero iff every column of coefs @ rows is 0 mod p.
+def conjugate_zeros(n: int, exps, coefs, conj) -> np.ndarray:
+    """Is alpha_r = sum_t coefs[..., t] * zeta_n^exps[r, ..., t] zero in
+    Z[zeta_n], for every row r?  A bool array of shape exps.shape[:-1].
 
-    Proof.  Column i is alpha's image under zeta_n -> z^(k_i) in F_p, so a
-    zero alpha gives zero columns.  Conversely, the phi(n) maps are the
-    reductions at the phi(n) distinct primes P_i above p; p = 1 mod n is
-    unramified, so pZ[zeta_n] is their product and also their intersection.
-    Zero columns put alpha in every P_i, hence alpha = p * beta with beta
-    in Z[zeta_n].  If alpha were nonzero, its norm p^phi(n) N(beta) would
-    be at least p^phi(n) in absolute value, so some embedding would give
-    |sigma(alpha)| >= p; but |sigma(alpha)| <= sum_t |coefs[..., t]| < p,
-    since every sigma(zeta_n^e) has modulus 1.  So alpha = 0.
+    `exps` is an integer array, rows first and the terms of one sum last
+    (any exponent, reduced mod n here); `coefs` broadcasts against it, a
+    term axis of length 1 to every term.  conj[r, i] is the row whose sum is
+    +-sigma_k(alpha_r), sigma_k: zeta_n -> zeta_n^k, k = units(n)[i].
 
-    A combination with sum |coefs| >= p raises ValueError.  Below that
-    bound |coefs @ rows| < p^2 < 2^62, so the int64 products are exact.
+    Claim.  With (p, z) = split_prime(n) and sum_t |coefs[..., t]| < p,
+    alpha_r is zero iff the sum of every row conj[r, i] is 0 mod p under
+    zeta_n -> z.
+
+    Proof.  That value is +- the image of alpha_r under zeta_n -> z^k, so a
+    zero alpha_r gives zero values.  Conversely, the phi(n) maps
+    zeta_n -> z^k are the reductions at the phi(n) distinct primes P_i above
+    p; p = 1 mod n is unramified, so pZ[zeta_n] is their product and also
+    their intersection.  Zero values put alpha_r in every P_i, hence
+    alpha_r = p * beta with beta in Z[zeta_n].  If alpha_r were nonzero,
+    its norm p^phi(n) N(beta) would be at least p^phi(n) in absolute value,
+    so some embedding would give |sigma(alpha_r)| >= p; but
+    |sigma(alpha_r)| <= sum_t |coefs[..., t]| < p, since every
+    sigma(zeta_n^e) has modulus 1.  So alpha_r = 0.
+
+    The unity sweeps of `verify` are closed.  sigma_k takes the power minor
+    det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] at x = zeta_n^u, y = zeta_n^v,
+    1 <= u < v < n, to the minor at ku, kv mod n, again two distinct
+    nonzero residues; in ascending order they name an admissible pair, and
+    the swap of x and y only negates the minor.  It takes the exponent-row
+    minor at x = zeta_n^u, 0 <= u < n, to the one at ku mod n.
+
+    A sum with sum |coefs| >= p raises ValueError, and so does an index that
+    is not phi(n) rows of the sweep per row: a row set that is not closed
+    misses some image.  Below that bound |sum_t coefs * z^e| < p^2 < 2^62,
+    so the int64 sums are exact.
     """
-    n, phi = table.shape
-    p, _ = split_prime(n)
+    p, z = split_prime(n)
     exps = np.asarray(exps, dtype=np.int64)
-    coefs = np.atleast_1d(np.asarray(coefs, dtype=np.int64))
-    # a term axis of length 1 broadcasts its coefficient to every term
-    norm = int(np.abs(coefs).sum(axis=-1).max(initial=0)) * (exps.shape[-1] // max(1, coefs.shape[-1]))
+    coefs = np.asarray(coefs, dtype=np.int64)
+    conj = np.asarray(conj, dtype=np.int64)
+    norm = int(np.abs(coefs).sum(axis=-1).max(initial=0)) * (exps.shape[-1] // coefs.shape[-1])
     if norm >= p:
         raise ValueError(f"combination with sum |coefs| = {norm} >= p = {p}: no exact zero test")
-    coefs = np.broadcast_to(coefs, exps.shape)
-    out = np.empty(exps.shape[:-1], dtype=bool)
-    chunk = _chunk_length(phi * int(np.prod(exps.shape[1:])))
-    for start in range(0, len(exps), chunk):
-        stop = start + chunk
-        rows = np.take(table, exps[start:stop] % n, axis=0)
-        acc = (coefs[start:stop, ..., None, :] @ rows)[..., 0, :]
-        out[start:stop] = ~(acc % p).any(axis=-1)
-    return out
-
-
-def det3_exponents(triples, ps, qs) -> np.ndarray:
-    """Exponents of the six det3 terms for every pair (ps[i], qs[i]) and
-    every row (a, b, c) of `triples`: an int array (pairs, triples, 6),
-    to be weighted by DET3_SIGNS."""
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    p = np.asarray(ps, dtype=np.int64)[:, None, None]
-    q = np.asarray(qs, dtype=np.int64)[:, None, None]
-    exps = p * np.ascontiguousarray(triples[:, _DET3_X])
-    exps += q * np.ascontiguousarray(triples[:, _DET3_Y])
-    return exps
+    if conj.shape != (len(exps), len(units(n))) or not ((conj >= 0) & (conj < len(exps))).all():
+        raise ValueError(f"conjugate-row index of shape {conj.shape} does not close {len(exps)} rows under the units mod {n}")
+    value = (coefs * power_table(z, n, p)[exps % n]).sum(axis=-1) % p
+    return ~value.astype(bool)[conj].any(axis=1)

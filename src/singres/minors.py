@@ -16,7 +16,7 @@ per support), and the
 splits it uses are backed by one verified certificate per (B, k) from the
 one split search of `singres.supports`.  A single minor is the rank at
 |B| = 3, so `_rank` is also what the verification sweeps compare with the
-zero test of `singres.kernels`.
+Galois-conjugate zero test `kernels.conjugate_zeros`.
 
 Negative and arbitrarily large exponents are harmless: residue counts are
 taken in Python ints (`supports.class_counts`), and the rank multiplies no

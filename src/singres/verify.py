@@ -4,8 +4,9 @@ facts at desk scale and reports pass/fail with timings.
 The checks are deliberately self-contained so both the CLI and the test
 suite can run them; expected values are either exact worked examples or
 computed by the stated independent oracles.  The single-minor unity sweeps
-make one batched split-prime zero test per modulus (see `singres.kernels`)
-and compare its zero set with the closed-form rank `minors._rank`, both ways.
+make one split-prime zero test per modulus over rows closed under the units
+mod n (`kernels.conjugate_zeros`) and compare its zero set with the
+closed-form rank `minors._rank`, both ways.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .exact import primitive, prs_gcd, root_multiplicity
 from .germs import classify_germ, slice_germ
-from .kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
+from .kernels import conjugate_zeros, units
 from .laurent import classify_point, homogenize
 from .minors import _order, _rank, admissible_pairs, gap_root, minors_split_equivalence_scan
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
@@ -143,6 +144,29 @@ def check_minors_split_equivalence():
     return ok, details, note
 
 
+# det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] with x = z^p, y = z^q is
+# z^(pb+qc) - z^(pc+qb) - z^(pa+qc) + z^(pc+qa) + z^(pa+qb) - z^(pb+qa):
+# term t is _DET3_SIGNS[t] * z^(p * triple[_DET3_X[t]] + q * triple[_DET3_Y[t]]).
+_DET3_X = (1, 2, 0, 2, 0, 1)
+_DET3_Y = (2, 1, 2, 0, 1, 0)
+_DET3_SIGNS = (1, -1, -1, 1, 1, -1)
+
+
+def _conjugate_rows(n, ps, qs=None):
+    """The conjugate-row index of a unity sweep at modulus n, column i for
+    k = units(n)[i]: for the exponent rows ps = 0, ..., n - 1, k p mod n;
+    for power pairs (ps[r], qs[r]), the row of the sorted (k p mod n,
+    k q mod n), or -1 where there is none.  `kernels.conjugate_zeros`
+    proves both sweeps closed."""
+    ks = units(n)
+    kp = ps[:, None] * ks % n
+    if qs is None:
+        return kp
+    kq, at = qs[:, None] * ks % n, np.full((n, n), -1)
+    at[ps, qs] = np.arange(len(ps))
+    return at[np.minimum(kp, kq), np.maximum(kp, kq)]
+
+
 def check_unity_minor_explanations(n_max=24, span=5):
     """Every vanishing 3x3 minor over roots of unity is explained, and
     every closed-form zero vanishes.
@@ -150,17 +174,19 @@ def check_unity_minor_explanations(n_max=24, span=5):
     Two sweeps over the triples a < b < c of [-span, span]: the power matrix
     [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] for x = z^p, y = z^q with
     1 <= p < q < n, and the ones/exponents/powers matrix
-    [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for x = z^p, 0 <= p < n.  Each sweep
-    makes one batched split-prime zero test per modulus n and compares its
-    zero set with rank <= 2 by the closed form `minors._rank` at
-    B = {a, b, c}, both ways, in one array pass per modulus, with one
-    comparison for both sweeps (`compare`): `unexplained` lists zeros the
-    closed form misses and `closed_form_only` closed-form zeros the test
-    finds nonzero, each in (n, p, q, triple) order.  The power matrix is
-    M(B; x, y), whose keys |B mod m| are 3 - z + z // 3, z the number of
-    differences b - a, c - b, c - a that the period m = n/gcd(n, p, q)
-    divides; the other has the rows 1, e, x^e of lemma (2, 1) rows, of keys
-    |B| = 3.  Both gap tests read h = n/gcd(n, g), g = gcd(b - a, c - b).
+    [[1,1,1],[a,b,c],[x^a,x^b,x^c]] for x = z^p, 0 <= p < n.  The rows of
+    each sweep are closed under the units mod n, so one split-prime zero
+    test per modulus evaluates each minor once (`kernels.conjugate_zeros`
+    over `_conjugate_rows`); its zero set is compared with rank <= 2 by the
+    closed form `minors._rank` at B = {a, b, c}, both ways, in one array
+    pass per modulus, with one comparison for both sweeps (`compare`):
+    `unexplained` lists zeros the closed form misses and `closed_form_only`
+    closed-form zeros the test finds nonzero, each in (n, p, q, triple)
+    order.  The power matrix is M(B; x, y), whose keys |B mod m| are
+    3 - z + z // 3, z the number of differences b - a, c - b, c - a that the
+    period m = n/gcd(n, p, q) divides; the other has the rows 1, e, x^e of
+    lemma (2, 1) rows, of keys |B| = 3.  Both gap tests read h = n/gcd(n, g),
+    g = gcd(b - a, c - b).
     """
     triples = np.array(list(itertools.combinations(range(-span, span + 1), 3)), dtype=np.int64)
     a, b, c = triples.T
@@ -175,13 +201,14 @@ def check_unity_minor_explanations(n_max=24, span=5):
         nonlocal checked
         checked += vanish.size
         for cells, out in ((vanish & ~closed, unexplained), (closed & ~vanish, closed_form_only)):
-            out += [entry(i, t) for i, t in np.argwhere(cells).tolist()]
+            out += [entry(int(i), int(t)) for i, t in zip(*cells.nonzero())]
         return int(vanish.sum())
 
     zeros = zeros65 = 0
     for n in range(3, n_max + 1):
         ps, qs = admissible_pairs(n)
-        vanish = unity_combos_vanish(evaluation_table(n), det3_exponents(triples, ps, qs), DET3_SIGNS)
+        exps = ps[:, None, None] * triples[:, _DET3_X] + qs[:, None, None] * triples[:, _DET3_Y]
+        vanish = conjugate_zeros(n, exps, _DET3_SIGNS, _conjugate_rows(n, ps, qs))
         z = (diffs % _order(n, np.gcd(ps, qs))[:, None, None] == 0).sum(axis=-1)
         closed = _rank(3 - z + z // 3, gap_root(_order(n, g), ps[:, None], qs[:, None])) <= 2
         zeros += compare(vanish, closed, lambda i, t: {"n": n, "p": int(ps[i]), "q": int(qs[i]), "triple": triples[t].tolist()})
@@ -189,7 +216,7 @@ def check_unity_minor_explanations(n_max=24, span=5):
     coefs = np.stack([b - a, a - c, c - b], axis=1)
     for n in range(1, n_max + 1):
         ps = np.arange(n)
-        vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
+        vanish = conjugate_zeros(n, ps[:, None, None] * triples[:, ::-1], coefs, _conjugate_rows(n, ps))
         closed = _rank(3, ps[:, None] % _order(n, g) == 0) <= 2
         zeros65 += compare(vanish, closed, lambda p, t: {"n": n, "p": p, "triple": triples[t].tolist(), "kind": "exponent-row"})
     return not unexplained and not closed_form_only, {
@@ -437,7 +464,7 @@ CHECK_IDS = tuple(cid for cid, _ in _CHECKS)
 def run_one(check_id: str) -> CheckResult:
     fn = dict(_CHECKS).get(check_id)
     if fn is None:
-        raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+        raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     start = time.perf_counter()
     out = fn()
     elapsed = time.perf_counter() - start

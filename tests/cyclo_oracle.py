@@ -12,8 +12,9 @@ columns of a vanishing minor (`power_minor_explanation`,
 Euclidean gcd `q_gcd`) that the cyclotomic reduction needs; it is also the
 oracle for the package's integer-primitive univariate core.  The
 package decides the same facts modulo primes that split completely in
-Q(zeta_n) (`singres.kernels`, `singres.strata._conjugate_ranks`); these
-tests compare the two.
+Q(zeta_n), each at the conjugates of an element
+(`singres.kernels.conjugate_zeros`, `singres.strata._conjugate_ranks`);
+these tests compare the two.
 """
 
 from __future__ import annotations

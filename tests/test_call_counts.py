@@ -89,7 +89,7 @@ def test_warm_call_count(case):
 
 # the warm count of check_unity_minor_explanations(8, 4), one of the unity
 # sweeps that every strata-scan benchmark pass runs
-SWEEP_EXPECTED = 1428
+SWEEP_EXPECTED = 664
 
 
 def test_warm_unity_sweep_call_count():

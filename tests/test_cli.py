@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import singres
-from singres import cli
+from singres import cli, verify
 from singres.cli import main
 from singres.project import DegenerateProjectionError
 from test_call_counts import CLI_EXPECTED
@@ -338,6 +338,23 @@ class TestErrorContract:
     def test_bool_complex_coefficient_exits_2(self, capsys, monkeypatch, command, stdin, message):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
         assert (main(command), *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, stdin, field",
+        [
+            ("classify", {"b1": [0, 1]}, "b2"),
+            ("point-classify", {"f": {"support": [0, 1], "coeffs": {"0": "1", "1": "1"}}}, "g"),
+            ("germ-classify", {"terms": [{"exp": [0, 2]}]}, "coef"),
+        ],
+    )
+    def test_missing_input_field_exits_2(self, capsys, monkeypatch, command, stdin, field):
+        # a KeyError of the reader is named like every other --input refusal
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        assert (main([command, "--input", "-"]), *capsys.readouterr()) == (2, "", f"error: --input: missing field '{field}'\n")
+
+    def test_unknown_check_exits_2(self, capsys):
+        known = ", ".join(verify.CHECK_IDS)
+        assert (main(["verify-paper", "--only", "nope"]), *capsys.readouterr()) == (2, "", f"error: unknown check 'nope'; known: {known}\n")
 
     @pytest.mark.parametrize("side", ["f", "g"])
     def test_complex_point_coefficient_exits_2(self, capsys, monkeypatch, side):

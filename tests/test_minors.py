@@ -8,9 +8,9 @@ import pytest
 
 import cyclo_oracle
 from cyclo_oracle import CycloElement, RootOfUnity, UnityPair, cyclo_det3, power_rank
-from singres import kernels, minors, verify
+from singres import minors, verify
 from singres.exact import split_prime
-from singres.kernels import DET3_SIGNS, det3_exponents, evaluation_table, unity_combos_vanish
+from singres.kernels import conjugate_zeros, units
 from singres.minors import (
     _order2_mechanism,
     _rank,
@@ -21,7 +21,7 @@ from singres.minors import (
     two_class_split,
 )
 from singres.supports import SplitWitness, SupportSet, class_counts, gap_gcd
-from singres.verify import check_unity_minor_explanations
+from singres.verify import _DET3_SIGNS, _DET3_X, _DET3_Y, _conjugate_rows, check_unity_minor_explanations
 
 
 def S(*xs):
@@ -231,12 +231,50 @@ class TestEquivalenceScan:
             assert got == expect
 
 
-def det3_vanish(table, triples, ps, qs):
+def det3_zeros(n, triples, ps, qs):
     """Does det [[1,1,1],[x^a,x^b,x^c],[y^a,y^b,y^c]] vanish, x = zeta_n^p,
     y = zeta_n^q, for every pair (ps[i], qs[i]) and row (a, b, c) of
     `triples`?  A bool array (pairs, triples), from one zero test of the six
-    det3 terms."""
-    return unity_combos_vanish(table, det3_exponents(triples, ps, qs), DET3_SIGNS)
+    det3 terms; the pairs must be closed under the units mod n, up to
+    swapping p and q."""
+    ps, qs = np.asarray(ps, dtype=np.int64), np.asarray(qs, dtype=np.int64)
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    exps = ps[:, None, None] * triples[:, _DET3_X] + qs[:, None, None] * triples[:, _DET3_Y]
+    return conjugate_zeros(n, exps, _DET3_SIGNS, _conjugate_rows(n, ps, qs))
+
+
+def det3_vanish(n, triples, ps, qs):
+    """det3_zeros at any pairs (ps[i], qs[i]), read off the zero test at
+    every (p, q) in [0, n)^2, a closed row set."""
+    grid_p, grid_q = np.divmod(np.arange(n * n), n)
+    return det3_zeros(n, triples, grid_p, grid_q)[np.asarray(ps) % n * n + np.asarray(qs) % n]
+
+
+def exponent_vanish(n, triples, ps):
+    """Does (b-a) x^c + (a-c) x^b + (c-b) x^a vanish, x = zeta_n^p, for
+    every ps[i] and row (a, b, c) of `triples`?  A bool array (len(ps),
+    triples), read off one zero test at every p in [0, n), a closed row
+    set."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    a, b, c = triples.T
+    rows = np.arange(n)
+    vanish = conjugate_zeros(n, rows[:, None, None] * triples[:, ::-1], np.stack([b - a, a - c, c - b], axis=1), _conjugate_rows(n, rows))
+    return vanish[np.asarray(ps) % n]
+
+
+def orbit_vanish(n, exps, coefs):
+    """Is sum_t coefs[s][t] zeta_n^exps[s][t] zero in Z[zeta_n], for each
+    sum s?  A bool list from one zero test over the phi(n) conjugates of
+    every sum: row i * len(exps) + s is sum s with its exponents times the
+    unit k_i, so sigma_(k_j) takes it to the row of the unit k_i k_j mod n."""
+    ks, exps = units(n), np.asarray(exps, dtype=np.int64)
+    at = np.full(n, -1)
+    at[ks] = np.arange(len(ks))
+    index = at[np.outer(ks, ks) % n][:, None, :] * len(exps) + np.arange(len(exps))[:, None]
+    orbit = (ks[:, None, None] * exps).reshape(-1, exps.shape[-1])
+    vanish = conjugate_zeros(n, orbit, np.tile(coefs, (len(ks), 1)), index.reshape(-1, len(ks))).reshape(len(ks), -1)
+    assert (vanish == vanish[0]).all()  # a sum and its conjugates vanish together
+    return vanish[0].tolist()
 
 
 class TestMinorChecks:
@@ -246,7 +284,7 @@ class TestMinorChecks:
         assert (out.tag, out.rows) == ("PropRows", (1, 2))
         # the package's two paths: the split-prime zero test and the closed form
         want = [[False, True], [False, True]]
-        assert det3_vanish(evaluation_table(4), [(0, 1, 2), (0, 2, 4)], [1, 2], [2, 1]).tolist() == want
+        assert det3_vanish(4, [(0, 1, 2), (0, 2, 4)], [1, 2], [2, 1]).tolist() == want
         assert (power_minor_rank(4, [1, 2], [2, 1], [(0, 1, 2), (0, 2, 4)]) <= 2).tolist() == want
 
     def test_power_matrix_property(self):
@@ -259,7 +297,7 @@ class TestMinorChecks:
         for n in range(3, 37):
             ps, qs = admissible_pairs(n)
             triples = [(0, b, c) for b, c in itertools.combinations(range(1, n), 2)]
-            vanish = det3_vanish(evaluation_table(n), triples, ps, qs)
+            vanish = det3_zeros(n, triples, ps, qs)
             closed = power_minor_rank(n, ps, qs, triples) <= 2
             wrong = [(int(ps[i]), int(qs[i]), triples[t]) for i, t in np.argwhere(closed != vanish)[:3].tolist()]
             assert wrong == [], n
@@ -276,7 +314,7 @@ class TestMinorChecks:
         for triple, n, p, q, want in spot:
             out = cyclo_oracle.unity_minor_check(*triple, RootOfUnity(n, p), RootOfUnity(n, q))
             assert (out.tag, out.rows, out.cols) == want, (triple, n, p, q)
-            vanish = det3_vanish(evaluation_table(n), [triple], [p], [q])[0, 0]
+            vanish = det3_vanish(n, [triple], [p], [q])[0, 0]
             assert vanish == (out.tag != "Nondegenerate")
             assert (power_minor_rank(n, [p], [q], [triple]) <= 2)[0, 0] == vanish
 
@@ -305,8 +343,8 @@ class TestMinorChecks:
         for (a, b, c), n, p, tag in cases:
             assert cyclo_oracle.exponent_power_minor_check(a, b, c, RootOfUnity(n, p)).tag == tag
             # the package's exact path: (b-a) x^c + (a-c) x^b + (c-b) x^a
-            vanish = unity_combos_vanish(evaluation_table(n), [[p * c, p * b, p * a]], [b - a, a - c, c - b])
-            assert vanish.tolist() == [tag == "EqualRows13"]
+            vanish = exponent_vanish(n, [(a, b, c)], [p])
+            assert vanish.tolist() == [[tag == "EqualRows13"]]
             assert (exponent_minor_rank(n, [p], [(a, b, c)]) <= 2).tolist() == [[tag == "EqualRows13"]]
 
     def test_exponent_matrix_property(self):
@@ -316,10 +354,8 @@ class TestMinorChecks:
         zeros = 0
         for n in range(3, 37):
             triples = np.array([(0, b, c) for b, c in itertools.combinations(range(1, n), 2)])
-            a, b, c = triples.T
             ps = np.arange(n)
-            coefs = np.stack([b - a, a - c, c - b], axis=1)
-            vanish = unity_combos_vanish(evaluation_table(n), ps[:, None, None] * triples[:, ::-1], coefs)
+            vanish = exponent_vanish(n, triples, ps)
             closed = exponent_minor_rank(n, ps, triples) <= 2
             wrong = [(p, triples[t].tolist()) for p, t in np.argwhere(closed != vanish)[:3].tolist()]
             assert wrong == [], n
@@ -422,7 +458,7 @@ def all_minors_oracle(n, elems, ps, qs):
     zeta_n^q) vanish in Z[zeta_n]?  One det3 zero test per 3-subset of B,
     so vacuously true below three exponents."""
     triples = list(itertools.combinations(elems, 3))
-    return det3_vanish(evaluation_table(n), triples, ps, qs).all(axis=1)
+    return det3_vanish(n, triples, ps, qs).all(axis=1)
 
 
 class TestComboKernel:
@@ -430,19 +466,18 @@ class TestComboKernel:
         rng = random.Random(43)
         for _ in range(150):
             n = rng.randint(3, 14)
-            table = evaluation_table(n)
             p = rng.randint(1, n - 1)
             q = rng.randint(1, n - 1)
             elems = sorted(rng.sample(range(-5, 10), rng.randint(3, 5)))
             triples = list(itertools.combinations(elems, 3))
-            got = unity_combos_vanish(table, det3_exponents(triples, [p], [q]), DET3_SIGNS)[0]
+            got = det3_vanish(n, triples, [p], [q])[0]
             exact = [cyclo_det3(n, *t, p, q).is_zero for t in triples]
             assert got.tolist() == exact, (n, p, q, elems)
             assert all_minors_oracle(n, elems, [p], [q]).tolist() == [all(exact)]
             b = SupportSet(tuple(elems))
             assert (closed_form_rank(b, n, [p], [q]) <= 2).tolist() == [all(exact)]
 
-    def test_combo_matches_cyclo_arithmetic(self, monkeypatch):
+    def test_combo_matches_cyclo_arithmetic(self):
         rng = random.Random(44)
         cases = {}
         for _ in range(100):
@@ -452,16 +487,12 @@ class TestComboKernel:
             acc = CycloElement.zero(n)
             for e, c in zip(exps, coefs):
                 acc = acc + CycloElement.root_power(n, e) * c
-            table = evaluation_table(n)
-            assert unity_combos_vanish(table, [exps], [coefs]).tolist() == [acc.is_zero]
+            assert orbit_vanish(n, [exps], [coefs]) == [acc.is_zero]
             cases.setdefault(n, []).append((exps, coefs, acc.is_zero))
-        # the same combinations, one batch per modulus, whole and one row a chunk
-        for budget in (kernels.BATCH_ELEMENTS, 1):
-            monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
-            for n, group in cases.items():
-                exps, coefs, expect = zip(*group)
-                got = unity_combos_vanish(evaluation_table(n), exps, coefs)
-                assert got.tolist() == list(expect)
+        # the same combinations, one zero test per modulus
+        for n, group in cases.items():
+            exps, coefs, expect = zip(*group)
+            assert orbit_vanish(n, exps, coefs) == list(expect)
 
     def test_split_prime_zero_test_matches_oracle(self):
         # random signed combinations of up to eight terms, n 1..30, with
@@ -485,22 +516,54 @@ class TestComboKernel:
                 exps.append(e)
                 coefs.append(c)
                 want.append(acc.is_zero)
-            assert unity_combos_vanish(evaluation_table(n), exps, coefs).tolist() == want, n
+            assert orbit_vanish(n, exps, coefs) == want, n
             zeros += sum(want)
         assert zeros > 100
+
+    def test_sweep_zeros_match_cyclo_arithmetic(self):
+        # both unity sweeps of `verify` at n <= 12 and span 3, every cell
+        # against Z[zeta_n] arithmetic; each conjugate-row index names rows
+        # of its sweep, the sorted (kp mod n, kq mod n) or kp mod n, and
+        # k = 1 keeps every row
+        triples = list(itertools.combinations(range(-3, 4), 3))
+        for n in range(1, 13):
+            ks = units(n).tolist()
+            ps = np.arange(n)
+            rows = _conjugate_rows(n, ps)
+            assert rows.tolist() == [[k * p % n for k in ks] for p in range(n)]
+            assert rows[:, ks.index(1 % n)].tolist() == list(range(n))
+            got = exponent_vanish(n, triples, ps)
+            want = [[cyclo_oracle.exponent_power_minor_check(*t, RootOfUnity(n, p)).tag != "Nondegenerate" for t in triples] for p in range(n)]
+            assert got.tolist() == want, n
+            if n < 3:
+                continue
+            ps, qs = admissible_pairs(n)
+            pairs = list(zip(ps.tolist(), qs.tolist()))
+            rows = _conjugate_rows(n, ps, qs)
+            assert rows.tolist() == [[pairs.index(tuple(sorted((k * p % n, k * q % n)))) for k in ks] for p, q in pairs]
+            assert rows[:, ks.index(1)].tolist() == list(range(len(pairs)))
+            want = [[cyclo_det3(n, *t, p, q).is_zero for t in triples] for p, q in pairs]
+            assert det3_zeros(n, triples, ps, qs).tolist() == want, n
+
+    def test_open_row_set_raises(self):
+        # (1, 2) and (2, 1) at n = 4: the unit 3 takes (1, 2) to (3, 2),
+        # which is no row, so the zero test would miss a conjugate
+        with pytest.raises(ValueError, match="does not close"):
+            det3_zeros(4, [(0, 1, 2)], [1, 2], [2, 1])
+        with pytest.raises(ValueError, match="does not close"):
+            conjugate_zeros(5, [[0, 1]], [1, -1], [[0]])
 
     def test_norm_bound_raises(self):
         # sum |coefs| must stay below the split prime
         p, _ = split_prime(7)
-        table = evaluation_table(7)
-        assert unity_combos_vanish(table, [[0, 1]], [[p - 2, 1]]).tolist() == [False]
+        assert orbit_vanish(7, [[0, 1]], [[p - 2, 1]]) == [False]
         with pytest.raises(ValueError, match="sum"):
-            unity_combos_vanish(table, [[0, 1]], [[p - 1, 1]])
+            orbit_vanish(7, [[0, 1]], [[p - 1, 1]])
         with pytest.raises(ValueError, match="sum"):
-            unity_combos_vanish(table, [[0, 0], [0, 1]], [[1, -1], [-p, 0]])
+            orbit_vanish(7, [[0, 0], [0, 1]], [[1, -1], [-p, 0]])
 
     def test_empty_batch(self):
-        out = unity_combos_vanish(evaluation_table(5), np.zeros((0, 4, 6), dtype=np.int64), DET3_SIGNS)
+        out = conjugate_zeros(5, np.zeros((0, 4, 6), dtype=np.int64), _DET3_SIGNS, np.zeros((0, 4), dtype=np.int64))
         assert out.shape == (0, 4)
 
 
@@ -556,12 +619,6 @@ class TestBatchKernel:
             rank = closed_form_rank(b, n, [p], [q])
             assert rank.tolist() == [power_rank(b, n, p, q)], (n, p, q, elems)
             assert sorted_key_rank(b, n, [p], [q]).tolist() == rank.tolist()
-
-    def test_chunked(self, monkeypatch):
-        # six det3 terms x 10 triples x phi(7) = 360 entries per pair: 2 pairs a chunk
-        monkeypatch.setattr(kernels, "BATCH_ELEMENTS", 720)
-        for elems in [(0, 1, 3, 4, 6), (0, 2, 3, 5, 7), (-2, 0, 5, 7, 12)]:
-            assert self._agrees(7, elems)
 
     def test_mixed_moduli_match_per_modulus_calls(self):
         rng = random.Random(46)
@@ -619,10 +676,3 @@ class TestBatchKernel:
     def test_small_support_vacuous(self):
         assert all_minors_oracle(5, (0, 4), [1, 2], [3, 4]).tolist() == [True, True]
         assert closed_form_rank(S(0, 4), 5, [1, 2, 0], [3, 4, 0]).tolist() == [2, 2, 1]
-
-    def test_cached_table_is_read_only(self):
-        table = evaluation_table(9)
-        assert evaluation_table(9) is table
-        with pytest.raises(ValueError):
-            table[0, 0] = 7
-

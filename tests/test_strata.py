@@ -657,7 +657,7 @@ class TestScan:
         def forbidden(*args):
             raise AssertionError(f"split-prime arithmetic or a per-tuple rank in a closed-form scan: {args}")
 
-        monkeypatch.setattr(singres.kernels, "evaluation_table", forbidden)
+        monkeypatch.setattr(singres.kernels, "conjugate_zeros", forbidden)
         for attr in ("split_prime", "modular_rank", "_hermite_stack"):
             monkeypatch.setattr(singres.strata, attr, forbidden)
         for name in ("N(1)", "N(1,1)", "N(1,1,1)", "N(2,1)", "N(2,1;1,1)", "N(1,1;2,1)"):
