@@ -16,8 +16,8 @@ any other ValueError or KeyError 2) and prints one `error: <message>` line
 on stderr, with no traceback.
 
 `build_parser` declares every flag, and argparse writes all help, usage
-lines and refusals.  `main` reads a well-formed argv itself, off a table of
-the leaf parser's options built with the parser (`_read_argv`): the command
+lines and refusals.  `main` reads a well-formed argv itself, off the table
+that `_flag` writes as it declares each flag (`_read_argv`): the command
 words, then exact flags, each value not starting with '-'.  Any other argv
 (-h, `--flag=value`, an abbreviation, `--b1=-3,1,2` and every refusal) goes
 to argparse, and both give the same Namespace.
@@ -158,13 +158,21 @@ def _read_input(args, read):
         raise ValueError(f"--input: wrongly typed field: {exc}") from exc
 
 
+def _support(where, exponents):
+    """SupportSet(exponents); its refusal names the flag or field `where`."""
+    try:
+        return SupportSet(exponents)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _pair(data) -> SupportPair:
-    return SupportPair(SupportSet(data["b1"]), SupportSet(data["b2"]))
+    return SupportPair(_support("--input: b1", data["b1"]), _support("--input: b2", data["b2"]))
 
 
 def _pair_from_args(args) -> SupportPair:
     """The pair of --input, or of --b1 and --b2 (integer text in any order,
-    no exponent twice)."""
+    no exponent twice); a refusal names the field or flag it reads."""
     pair = _read_input(args, _pair)
     if pair is not None:
         return pair
@@ -172,11 +180,14 @@ def _pair_from_args(args) -> SupportPair:
         raise ValueError("provide --input JSON or both --b1 and --b2")
     supports = []
     for flag, text in (("--b1", args.b1), ("--b2", args.b2)):
-        exps = sorted(_integers(text))
-        twice = [a for a, b in zip(exps, exps[1:]) if a == b]
-        if twice:
-            raise ValueError(f"{flag}: exponent {twice[0]} is given twice")
-        supports.append(SupportSet(tuple(exps)))
+        try:
+            exps = sorted(_integers(text))
+            twice = [a for a, b in zip(exps, exps[1:]) if a == b]
+            if twice:
+                raise ValueError(f"exponent {twice[0]} is given twice")
+            supports.append(SupportSet(tuple(exps)))
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from exc
     return SupportPair(*supports)
 
 
@@ -406,120 +417,104 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _flag(leaf, option, **kwargs):
+    """Declare `option` on a leaf, (its parser, its table entry), and write
+    it into the entry: (the Namespace before any flag, option -> (dest,
+    convert), required dests), `convert` being the type (`str` if none) or
+    None for store_true.  A flag that `_read_argv` could not read exactly
+    as argparse does raises ValueError as it is declared: another action,
+    an nargs, choices, a typed str default (argparse converts it on every
+    parse) or a dest the Namespace already holds."""
+    parser, (base, options, required) = leaf
+    action = parser.add_argument(option, **kwargs)
+    kind = kwargs.get("action", "store")
+    plain = kind == "store" and action.nargs is None and action.choices is None
+    exact = kind == "store_true" or plain and not (action.type and isinstance(action.default, str))
+    if not exact or action.dest in base:
+        raise ValueError(f"{parser.prog} {option}: a flag the argv reader cannot read as argparse does")
+    base[action.dest] = action.default
+    options.update(dict.fromkeys(action.option_strings, (action.dest, action.type or str if plain else None)))
+    if action.required:
+        required.add(action.dest)
+
+
 def _subcommand(sub, name, fn, shared, help):
-    """Add subcommand `name`, run by `fn`, with the SHARED_FLAGS in `shared`;
-    its parser rides along in the Namespace as `parser`."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(fn=fn, shared=shared, parser=p)
+    """Add subcommand `name` below `sub` = (a subparsers action, the table
+    of its words, the Namespace its parents wrote), run by `fn`, with the
+    SHARED_FLAGS in `shared`; its parser rides along in the Namespace as
+    `parser`.  Returns the leaf for `_flag`: (its parser, its table entry)."""
+    action, words, base = sub
+    p = action.add_parser(name, help=help)
+    defaults = {"fn": fn, "shared": shared, "parser": p}
+    p.set_defaults(**defaults)
+    leaf = p, ({**base, action.dest: name, **defaults}, {}, set())
+    words[name] = leaf[1]
     for dest in shared:
         option, type_, default, help_ = SHARED_FLAGS[dest]
-        p.add_argument(option, type=type_, default=default, dest=dest, help=help_)
-    return p
+        _flag(leaf, option, type=type_, default=default, dest=dest, help=help_)
+    return leaf
 
 
-def _pair_flags(p):
-    """Register the support-pair flags that `_pair_from_args` reads."""
-    p.add_argument("--input", help="JSON file with {'b1': [...], 'b2': [...]} ('-' for stdin)")
-    p.add_argument("--b1", help="comma-separated exponents of the first support")
-    p.add_argument("--b2", help="comma-separated exponents of the second support")
+def _pair_flags(leaf):
+    """Declare the support-pair flags that `_pair_from_args` reads."""
+    _flag(leaf, "--input", help="JSON file with {'b1': [...], 'b2': [...]} ('-' for stdin)")
+    _flag(leaf, "--b1", help="comma-separated exponents of the first support")
+    _flag(leaf, "--b2", help="comma-separated exponents of the second support")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """(the parser, its argv reader's table), from one pass that declares
+    every flag through `_flag`.  The table maps a command word to the
+    table of the words below it, or to a leaf's entry; see `_read_argv`."""
     parser = argparse.ArgumentParser(
         prog="singres",
         description="singular-locus analysis of sparse resultants of support pairs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    table = {}
+    sub = parser.add_subparsers(dest="command", required=True), table, {}
 
-    p = _subcommand(sub, "classify", cmd_classify, ("out",), "condition report and verdict for a support pair")
-    _pair_flags(p)
+    leaf = _subcommand(sub, "classify", cmd_classify, ("out",), "condition report and verdict for a support pair")
+    _pair_flags(leaf)
 
-    p = _subcommand(sub, "resultant", cmd_resultant, ("det_bound", "out"), "symbolic sparse resultant of a support pair")
-    _pair_flags(p)
+    leaf = _subcommand(sub, "resultant", cmd_resultant, ("det_bound", "out"), "symbolic sparse resultant of a support pair")
+    _pair_flags(leaf)
 
-    p = _subcommand(sub, "point-classify", cmd_point_classify, ("out",), "classify a coefficient pair on the resultant")
-    p.add_argument("--input", help="JSON file with Laurent polynomials {'f': {...}, 'g': {...}} ('-' for stdin)", required=True)
+    leaf = _subcommand(sub, "point-classify", cmd_point_classify, ("out",), "classify a coefficient pair on the resultant")
+    _flag(leaf, "--input", help="JSON file with Laurent polynomials {'f': {...}, 'g': {...}} ('-' for stdin)", required=True)
 
-    p = _subcommand(sub, "germ-classify", cmd_germ_classify, ("out",), "classify a plane-curve germ at the origin")
-    p.add_argument("--input", help="JSON file with {'terms': [{'exp': [i, j], 'coef': ...}]} ('-' for stdin)", required=True)
+    leaf = _subcommand(sub, "germ-classify", cmd_germ_classify, ("out",), "classify a plane-curve germ at the origin")
+    _flag(leaf, "--input", help="JSON file with {'terms': [{'exp': [i, j], 'coef': ...}]} ('-' for stdin)", required=True)
 
-    p = _subcommand(sub, "verify-paper", cmd_verify_paper, ("out",), "run the canned verification suite")
-    p.add_argument("--only", help=f"run a single check; one of: {', '.join(verify.CHECK_IDS)}")
+    leaf = _subcommand(sub, "verify-paper", cmd_verify_paper, ("out",), "run the canned verification suite")
+    _flag(leaf, "--only", help=f"run a single check; one of: {', '.join(verify.CHECK_IDS)}")
 
-    p = _subcommand(
+    leaf = _subcommand(
         sub, "project3d", cmd_project3d, ("tolerance", "seed", "out"), "project 3d supports and scan the plane curve"
     )
-    p.add_argument("--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)", required=True)
-    p.add_argument("--scan", action="store_true", help="evaluate |R| over the torus grid")
-    p.add_argument("--csv", help="CSV output path for the grid scan (needs --scan)")
-    p.add_argument("--rho-min", type=float, default=GridConfig.rho_min, dest="rho_min", help="smallest log-modulus rho of the grid")
-    p.add_argument("--rho-max", type=float, default=GridConfig.rho_max, dest="rho_max", help="largest log-modulus rho of the grid")
-    p.add_argument("--rho-steps", type=int, default=GridConfig.rho_steps, dest="rho_steps", help="grid points in rho, at least 1")
-    p.add_argument("--theta-steps", type=int, default=GridConfig.theta_steps, dest="theta_steps", help="grid points in theta, at least 1")
+    _flag(leaf, "--input", help="JSON with a1, a2 (and optional coeffs1/coeffs2)", required=True)
+    _flag(leaf, "--scan", action="store_true", help="evaluate |R| over the torus grid")
+    _flag(leaf, "--csv", help="CSV output path for the grid scan (needs --scan)")
+    _flag(leaf, "--rho-min", type=float, default=GridConfig.rho_min, dest="rho_min", help="smallest log-modulus rho of the grid")
+    _flag(leaf, "--rho-max", type=float, default=GridConfig.rho_max, dest="rho_max", help="largest log-modulus rho of the grid")
+    _flag(leaf, "--rho-steps", type=int, default=GridConfig.rho_steps, dest="rho_steps", help="grid points in rho, at least 1")
+    _flag(leaf, "--theta-steps", type=int, default=GridConfig.theta_steps, dest="theta_steps", help="grid points in theta, at least 1")
 
-    scan = sub.add_parser("scan", help="exhaustive scans: minors, strata, codim")
-    kinds = scan.add_subparsers(dest="kind", required=True)
-    p = _subcommand(kinds, "minors", cmd_scan, ("n_max", "out"), "minors/split equivalence over small supports")
-    p.add_argument("--spread", type=int, default=8, help="largest support exponent scanned (supports lie in 0..spread)")
-    p.add_argument("--sizes", default="3,4", help="comma-separated support sizes scanned")
+    scan = sub[0].add_parser("scan", help="exhaustive scans: minors, strata, codim")
+    kinds = scan.add_subparsers(dest="kind", required=True), table.setdefault("scan", {}), {"command": "scan"}
+    leaf = _subcommand(kinds, "minors", cmd_scan, ("n_max", "out"), "minors/split equivalence over small supports")
+    _flag(leaf, "--spread", type=int, default=8, help="largest support exponent scanned (supports lie in 0..spread)")
+    _flag(leaf, "--sizes", default="3,4", help="comma-separated support sizes scanned")
     for kind, help_ in (("strata", "corank strata of a support pair"), ("codim", "codimension estimate of a stratum")):
-        p = _subcommand(kinds, kind, cmd_scan, ("n_max", "seed", "out"), help_)
-        _pair_flags(p)
-        p.add_argument("--label", default="N(1,1,1)", help="stratum label, such as N(1,1,1) or N_1^0(1)")
+        leaf = _subcommand(kinds, kind, cmd_scan, ("n_max", "seed", "out"), help_)
+        _pair_flags(leaf)
+        _flag(leaf, "--label", default="N(1,1,1)", help="stratum label, such as N(1,1,1) or N_1^0(1)")
 
-    return parser
-
-
-def _leaf_options(parser):
-    """(option -> (dest, convert), required dests) of a leaf parser, where
-    `convert` is the type of a store of one value with no choices (`str`
-    when it has none) and None for a store_true flag.  None for a leaf with
-    any other action, -h aside: argparse reads all its argvs."""
-    options, required = {}, set()
-    for action in parser._actions:
-        kind = action.__class__
-        if kind is argparse._StoreTrueAction:
-            convert = None
-        elif kind is argparse._StoreAction and action.nargs is None and action.choices is None:
-            if isinstance(action.default, str) and action.type:
-                return None  # argparse converts such a default on every parse
-            convert = action.type or str
-        elif kind is argparse._HelpAction:
-            continue
-        else:
-            return None
-        options.update(dict.fromkeys(action.option_strings, (action.dest, convert)))
-        if action.required:
-            required.add(action.dest)
-    return options, frozenset(required)
-
-
-def _argv_table(parser, base):
-    """The argv reader's table below `parser`, whose Namespace starts from
-    the entries `base` that its parents wrote: command word -> such a table
-    for a parser with subcommands, and for a leaf (its whole Namespace
-    before any flag, its options, its required dests), or None.
-
-    Each parser writes its actions' defaults and then its `set_defaults`
-    entries that no action holds; a subparsers action writes the command
-    word under its dest; a subcommand's entries replace its parents'."""
-    own = {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            own.setdefault(action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        own.setdefault(dest, value)
-    base = {**base, **own}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {word: _argv_table(sub, {**base, action.dest: word}) for word, sub in action.choices.items()}
-    leaf = _leaf_options(parser)
-    return None if leaf is None else (base, *leaf)
+    return parser, table
 
 
 def _read_argv(table, argv):
     """The Namespace that `parse_known_args(argv)` returns for a canonical
-    argv, read off the `_argv_table`; None for any other argv.
+    argv, read off `build_parser`'s table; None for any other argv.
 
     A canonical argv is a leaf's command words, then exact options of that
     leaf, each dest at most once and every required one present: a
@@ -566,8 +561,8 @@ def _read_argv(table, argv):
 
 @functools.cache
 def _parser():
-    """(the process's one parser, its argv reader's table), built by
-    `build_parser` and `_argv_table` on first use.
+    """(the process's one parser, its argv reader's table), from one
+    `build_parser()` on first use.
 
     `main` reads a canonical argv (see `_read_argv`) off the table, and
     hands every other argv to the parser: -h and --help, `--flag=value`,
@@ -579,16 +574,15 @@ def _parser():
     Sharing the parser between `main` calls is safe: parsing mutates
     nothing on a parser.  `parse_args` (Python 3.11 argparse) writes every
     value, every action default and every `set_defaults` entry into the
-    Namespace it returns; `argparse._SubParsersAction.__call__` parses the
-    chosen subparser into a fresh Namespace and copies it over; the store
-    actions only `setattr` on the Namespace; `set_defaults` itself runs
-    only while building.  No action has a mutable default, so no value
-    outlives its call, and the reader copies the table's entries into a
-    fresh Namespace.  The Namespace's `parser` is the chosen subcommand's
-    own parser (stored by `_subcommand`), which `main` uses to report a
-    flag that subcommand does not take under its own usage line."""
-    parser = build_parser()
-    return parser, _argv_table(parser, {})
+    Namespace it returns; a subparsers action parses the chosen subparser
+    into a fresh Namespace and copies it over; the store actions only
+    `setattr` on the Namespace; `set_defaults` itself runs only while
+    building.  No action has a mutable default, so no value outlives its
+    call, and the reader copies the table's entries into a fresh
+    Namespace.  The Namespace's `parser` is the chosen subcommand's own
+    parser (stored by `_subcommand`), which `main` uses to report a flag
+    that subcommand does not take under its own usage line."""
+    return build_parser()
 
 
 def main(argv=None) -> int:

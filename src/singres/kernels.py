@@ -13,17 +13,6 @@ import numpy as np
 
 from .exact import power_table, split_prime
 
-# Upper bound on the matrix entries of one block of `project._bezout_dets`:
-# the leading axis is processed in chunks below it.
-BATCH_ELEMENTS = 1 << 15
-
-
-def _chunk_length(row_elements):
-    """Leading-axis rows per chunk when one row holds `row_elements`
-    entries: as many as fit in BATCH_ELEMENTS, at least one."""
-    return max(1, BATCH_ELEMENTS // max(1, row_elements))
-
-
 def units(n: int) -> np.ndarray:
     """The units k mod n, 0 <= k < n, ascending (k = 0 alone for n = 1)."""
     return (np.gcd(np.arange(n), n) == 1).nonzero()[0]

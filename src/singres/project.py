@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .supports import SupportPair, SupportSet, _exponents, check_conditions, classify
 
 __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project_supports", "grid_scan", "random_coefficients"]
@@ -32,6 +31,9 @@ __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project
 GRID_MAX_RETRIES = 5
 # A cell is near zero when |R| is at most this fraction of the grid's largest.
 DEFAULT_TOLERANCE = 1e-8
+# Upper bound on the matrix entries of one block of `_bezout_dets`: the
+# cells are processed in chunks below it.
+BATCH_ELEMENTS = 1 << 15
 # What a grid scan cannot see, stated in every CurveScan report.
 COVERAGE_NOTE = "compact torus patch only; roots escaping to the boundary are not seen"
 
@@ -270,6 +272,12 @@ def _stacked_det(mats):
     return np.linalg.det(mats.transpose(2, 0, 1))
 
 
+def _chunk_length(row_elements):
+    """Leading-axis rows per chunk when one row holds `row_elements`
+    entries: as many as fit in BATCH_ELEMENTS, at least one."""
+    return max(1, BATCH_ELEMENTS // max(1, row_elements))
+
+
 def _bezout_dets(coeffs1, coeffs2):
     """Numeric resultants, up to sign, of two stacks of coefficient vectors:
     the determinants of their hybrid Bezout matrices (`_hybrid_bezout`), by
@@ -277,12 +285,11 @@ def _bezout_dets(coeffs1, coeffs2):
     matrices' order.
 
     The matrices are built and evaluated in blocks of cells, each block
-    holding at most kernels.BATCH_ELEMENTS matrix entries; a stacked
-    determinant is computed matrix by matrix, so the blocking changes no
-    value."""
+    holding at most BATCH_ELEMENTS matrix entries; a stacked determinant is
+    computed matrix by matrix, so the blocking changes no value."""
     m = max(len(coeffs1), len(coeffs2)) - 1
     out = np.empty(coeffs1.shape[1], dtype=complex)
-    chunk = kernels._chunk_length(m * m)
+    chunk = _chunk_length(m * m)
     for start in range(0, len(out), chunk):
         stop = start + chunk
         out[start:stop] = _stacked_det(_hybrid_bezout(coeffs1[:, start:stop], coeffs2[:, start:stop]))

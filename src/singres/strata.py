@@ -144,11 +144,13 @@ class StratumLabel:
         return self._notation
 
 
-_LABEL_RE = re.compile(r"^N(?:_(\d+))?(?:\^(\d+))?(?:\(([^)]*)\))?$")
+_ORDERS = r"\d+(?:,\d+)*"
+_LABEL_RE = re.compile(rf"^N(?:_(\d+))?(?:\^(\d+))?(?:\(({_ORDERS}(?:;{_ORDERS})?)?\))?$")
 
 
 def parse_label(text: str) -> StratumLabel:
-    """Parse 'N(1,1,1)', 'N_1^0(1)', 'N(2,1;1,1)' style notation."""
+    """Parse 'N(1,1,1)', 'N_1^0(1)', 'N(2,1;1,1)' style notation.  Any other
+    text, two rows of unequal length included, raises ValueError naming it."""
     m = _LABEL_RE.match(text.strip().replace(" ", ""))
     if not m:
         raise ValueError(f"cannot parse label {text!r}")
@@ -162,7 +164,7 @@ def parse_label(text: str) -> StratumLabel:
         j1s = [int(x) for x in top.split(",")]
         j2s = [int(x) for x in bottom.split(",")]
         if len(j1s) != len(j2s):
-            raise ValueError("mismatched row lengths in general label")
+            raise ValueError(f"cannot parse label {text!r}")
         return StratumLabel(j0, jinf, tuple(zip(j1s, j2s)))
     js = [int(x) for x in body.split(",")]
     return StratumLabel.symmetric(j0, jinf, js)
@@ -603,9 +605,9 @@ def _solution_strata(pair, sides, n_max, seed):
     nonempty and is empty otherwise.  At k = 1 the one root-of-unity tuple
     (1,) is a positive point, so of the generic stratum, and the unity kind is
     empty.  A side whose boundary orders leave no exponent has only empty
-    kernels, so both later kinds are empty, decided here alone.  samples
-    counts the kind's exact decisions: 1, every tuple of the table at k >= 2,
-    and every decided branch class of the curves, drawn from
+    kernels, so both later kinds are empty, decided here alone, and rank
+    no sample.  samples counts the kind's exact decisions: 1, every tuple of
+    the table at k >= 2, and every decided branch class of the curves, drawn from
     random.Random(seed), which no other kind reads.  A kind is computed only
     when a caller reaches it: the scan stops after unity.
 
@@ -641,7 +643,7 @@ def _solution_strata(pair, sides, n_max, seed):
     if k:
         full = sides[0].support is not None and sides[1].support is not None
         unity = _unity_strata(sides, n_max, d) if full and k > 1 else []
-        yield "unity", unity, len(_scan_table(k, n_max)[2]) if k > 1 else 0
+        yield "unity", unity, len(_scan_table(k, n_max)[2]) if full and k > 1 else 0
         yield "minor_curve", *(_curve_strata(pair, sides, d, random.Random(seed)) if full and k == 3 else ([], 0))
 
 

@@ -267,7 +267,7 @@ class TestErrorContract:
 
         return raiser
 
-    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
+    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser()[0])])
     def test_value_error_of_the_computation_exits_2(self, capsys, monkeypatch, command):
         args, stdin, (owner, name) = COMPUTES_WITH[command]
         monkeypatch.setattr(owner, name, self._raise(ValueError("boom")))
@@ -404,7 +404,36 @@ class TestErrorContract:
     def test_non_integer_exponent_exits_2(self, capsys, monkeypatch, command, stdin, message):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
         code = main([command, "--input", "-"])
-        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+        where = "--input: b1: " if command == "classify" else ""  # classify names the field of its pair
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {where}{message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (["classify", "--b1", "0,x", "--b2", "0,1"], None, "--b1: invalid literal for int() with base 10: 'x'"),
+            (["resultant", "--b1", "0,1", "--b2", "0,1.5"], None, "--b2: invalid literal for int() with base 10: '1.5'"),
+            (["classify", "--b1", ",", "--b2", "0,1"], None, "--b1: support set must be nonempty"),
+            (["classify", "--input", "-"], {"b1": ["x", 1], "b2": [0, 1]}, "--input: b1: exponents must be integers, got 'x'"),
+            (["classify", "--input", "-"], {"b1": [1, 0], "b2": [0, 1]}, "--input: b1: support set must be strictly increasing"),
+            (["scan", "strata", "--input", "-"], {"b1": [0, 1], "b2": [0, 2, 2]}, "--input: b2: support set must be strictly increasing"),
+            *(
+                (["scan", kind, *PAIR_ARGS, "--label", label], None, f"cannot parse label {label!r}")
+                for kind, label in [
+                    ("strata", "N(1;1;1)"),
+                    ("codim", "N(a)"),
+                    ("codim", "N(1;)"),
+                    ("strata", "N(1,,1)"),
+                    ("codim", "N(2,1;1)"),
+                    ("strata", "N_x"),
+                ]
+            ),
+        ],
+        ids=["b1-text", "b2-float", "b1-empty", "input-b1-text", "input-b1-order", "input-b2-repeat", "label-three-rows", "label-letter", "label-empty-row", "label-empty-order", "label-unequal-rows", "label-no-body"],
+    )
+    def test_refusal_names_its_input(self, capsys, monkeypatch, argv, stdin, message):
+        # a refusal of --b1, --b2, an --input pair field or --label says which
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        assert (main(argv), *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, stdin, message",
@@ -458,7 +487,7 @@ class TestErrorContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: Out of range float values are not JSON compliant")
 
-    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
+    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser()[0])])
     def test_every_report_is_strict_json(self, capsys, monkeypatch, tmp_path, command):
         args, stdin = STRICT_RUNS[command]
         if stdin is not None:
@@ -561,7 +590,7 @@ class TestReportWriter:
     sort_keys=True, allow_nan=False)` plus a newline, for the types a report
     holds, and refuses any other."""
 
-    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser())])
+    @pytest.mark.parametrize("command", [path for path, _ in _leaf_commands(cli.build_parser()[0])])
     def test_every_report_matches_the_stdlib(self, capsys, monkeypatch, tmp_path, command):
         args, stdin = STRICT_RUNS[command]
         payloads = []
@@ -734,7 +763,7 @@ def test_every_option_has_help():
             elif action.option_strings and not isinstance(action, argparse._HelpAction):
                 yield path, action
 
-    missing = [f"{path} {a.option_strings[0]}" for path, a in options(cli.build_parser(), "singres") if not a.help]
+    missing = [f"{path} {a.option_strings[0]}" for path, a in options(cli.build_parser()[0], "singres") if not a.help]
     assert missing == []
 
 
@@ -972,12 +1001,12 @@ class TestSharedParser:
         seen = []
 
         def build_with_flag():
-            parser = real_build()
-            leaf = dict(_leaf_parsers(parser))["classify"]
-            leaf.add_argument("--extra", type=int, default=3, help="a flag of the new build")
-            leaf.set_defaults(fn=lambda args: seen.append(args) or 0)
-            return parser
+            parser, table = real_build()
+            leaf = dict(_leaf_parsers(parser))["classify"], table["classify"]
+            cli._flag(leaf, "--extra", type=int, default=3, help="a flag of the new build")
+            return parser, table
 
+        monkeypatch.setattr(cli, "cmd_classify", lambda args: seen.append(args) or 0)
         monkeypatch.setattr(cli, "build_parser", build_with_flag)
         cli._parser.cache_clear()
         argvs = [list(self.CLASSIFY), [*self.CLASSIFY, "--extra", "7"]]
@@ -1134,15 +1163,8 @@ class TestArgvReader:
             print(args.parser.prog, sorted((k, repr(v)) for k, v in vars(args).items() if k not in ("fn", "parser")))
             return 0
 
-        real_build = cli.build_parser
-
-        def build_with_echo():
-            parser = real_build()
-            for _, leaf in _leaf_parsers(parser):
-                leaf.set_defaults(fn=echo)
-            return parser
-
-        monkeypatch.setattr(cli, "build_parser", build_with_echo)
+        for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, echo)
         parser, table = cli._parser()
         argvs = [argv for words, leaf in _leaf_parsers(parser) for argv in _token_streams(words, leaf, random.Random(f"argv {words}"), 2000)]
         read_directly = 0
@@ -1158,7 +1180,20 @@ class TestArgvReader:
             assert _main_outcome(capsys, argv) == outcome, argv
         assert read_directly > len(argvs) // 3
 
-    @pytest.mark.parametrize("words", ["", "scan", *(path for path, _ in _leaf_commands(cli.build_parser()))])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"choices": ["a", "b"]}, {"nargs": "?"}, {"nargs": 2}, {"action": "append"}, {"action": "count"}, {"type": int, "default": "3"}, {"dest": "fn"}, {"dest": "out"}],
+        ids=["choices", "nargs-optional", "nargs-2", "append", "count", "typed-str-default", "dest-fn", "dest-out"],
+    )
+    def test_unreadable_flag_is_refused_when_built(self, kwargs):
+        """A flag the reader could not read exactly as argparse does is
+        refused as it is declared, not declined on every read."""
+        parser, table = cli.build_parser()
+        leaf = dict(_leaf_parsers(parser))["classify"], table["classify"]
+        with pytest.raises(ValueError, match="^singres classify --extra: a flag the argv reader cannot read"):
+            cli._flag(leaf, "--extra", help="a flag", **kwargs)
+
+    @pytest.mark.parametrize("words", ["", "scan", *(path for path, _ in _leaf_commands(cli.build_parser()[0]))])
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help(self, capsys, words, flag):
         """-h prints argparse's help and exits 0, alone or after a leaf's flags."""

@@ -294,7 +294,7 @@ EXPECTED = {  # (report count, digest)
     "codim_verify_cases": (6 * 40, "52abfbca14abad37d1f095d2ac93227f0c8dbfda30658518baa6bdec1ecc8eb6"),
     "codim_multiplicity_pairs": (3 * 138, "7f7bb25bfd371cdff43183893390962bac7b514fd7dd6979add0169c4ff9912c"),
     "pairs_spread_5_no_closed_form": (5 * 138, "4bf6f76bd0cb2fdd8c78ed3dac3b95c0c17e3c407092586bd22218f71ff40d06"),
-    "codim_label_pairs": (14 * 138, "594891b289e67cb96df2cf742946af459b40ac2deb00e03aeaa3e165ef9bace3"),
+    "codim_label_pairs": (14 * 138, "2e8cadd2777a548a0b11365d75626d6956abcbf89007e86be9299b436f06ab0b"),
     "strata_scan_seeds": (2250, "0e4c898f972d13ac7e2a776bad4edff32d30d3eb7ff6d8a34316e90308d2c17f"),
 }
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import random
 from math import gcd
@@ -243,11 +244,21 @@ def det3_zeros(n, triples, ps, qs):
     return conjugate_zeros(n, exps, _DET3_SIGNS, _conjugate_rows(n, ps, qs))
 
 
-def det3_vanish(n, triples, ps, qs):
-    """det3_zeros at any pairs (ps[i], qs[i]), read off the zero test at
-    every (p, q) in [0, n)^2, a closed row set."""
+@functools.cache
+def _det3_grid(n, triples):
+    """det3_zeros at every (p, q) in [0, n)^2, a closed row set, as a
+    read-only bool array (n * n, triples), row p * n + q; cached, since the
+    oracles ask one (n, triples) again and again."""
     grid_p, grid_q = np.divmod(np.arange(n * n), n)
-    return det3_zeros(n, triples, grid_p, grid_q)[np.asarray(ps) % n * n + np.asarray(qs) % n]
+    zeros = det3_zeros(n, triples, grid_p, grid_q)
+    zeros.setflags(write=False)
+    return zeros
+
+
+def det3_vanish(n, triples, ps, qs):
+    """det3_zeros at any pairs (ps[i], qs[i]), read off `_det3_grid`."""
+    grid = _det3_grid(n, tuple(map(tuple, triples)))
+    return grid[np.asarray(ps) % n * n + np.asarray(qs) % n]
 
 
 def exponent_vanish(n, triples, ps):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from singres import kernels, project
+from singres import project
 from singres.project import (
     CurveScan,
     DegenerateProjectionError,
@@ -300,8 +300,8 @@ class TestGridScan:
         cases = [(CONSTRUCTED, GridConfig(-0.4, 0.4, 3, 4)), ((a1, a2), GridConfig())]
         for supports, grid in cases:
             scans = []
-            for budget in (kernels.BATCH_ELEMENTS, 1):
-                monkeypatch.setattr(kernels, "BATCH_ELEMENTS", budget)
+            for budget in (project.BATCH_ELEMENTS, 1):
+                monkeypatch.setattr(project, "BATCH_ELEMENTS", budget)
                 scans.append(grid_scan(*supports, grid=grid, seed=3))
             assert [r[4] for r in scans[0].rows] == [r[4] for r in scans[1].rows]
             assert scans[0].near_zero_cells == scans[1].near_zero_cells

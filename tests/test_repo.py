@@ -74,9 +74,29 @@ def test_readme_lists_each_subcommands_flags():
         names, _, flags = item.partition(":")
         for name in re.findall(r"`([a-z0-9 -]+)`", names):
             documented[name] = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
-    registered = dict(_leaf_commands(cli.build_parser()))
+    registered = dict(_leaf_commands(cli.build_parser()[0]))
     assert "scan minors" in registered
     assert documented == registered
+
+
+def test_no_private_argparse_names_in_src():
+    """The package uses argparse through its documented names alone: no
+    module of src/ reads a private name of argparse, or the _actions or
+    _defaults of a parser (the test helpers may walk a built parser)."""
+    found = []
+    for path in sorted(Path(singres.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                private = node.attr in ("_actions", "_defaults") or (
+                    node.attr.startswith("_") and isinstance(node.value, ast.Name) and node.value.id == "argparse"
+                )
+                names = [node.attr] if private else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names]
+    assert found == []
 
 
 def test_no_cyclotomic_element_arithmetic_in_src():
@@ -274,7 +294,7 @@ def test_every_export_is_used():
     besides its definition (by another module or by its own module's code):
     an export that only the tests reach is dead code.  A use is a load of
     the bare name, a `from .module import name`, or an attribute of a
-    package module (`kernels._chunk_length`); an attribute of anything else
+    package module (`verify.CHECK_IDS`); an attribute of anything else
     (`self.expected_codim`) is not, since it may name another object.  A
     re-export in singres/__init__.py is not a use either, or every exported
     name would pass."""
