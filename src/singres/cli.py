@@ -167,7 +167,11 @@ def _support(where, exponents):
 
 
 def _pair(data) -> SupportPair:
-    return SupportPair(_support("--input: b1", data["b1"]), _support("--input: b2", data["b2"]))
+    sides = _support("--input: b1", data["b1"]), _support("--input: b2", data["b2"])
+    try:
+        return SupportPair(*sides)
+    except ValueError as exc:  # a side of one exponent
+        raise ValueError(f"--input: b{1 + (len(sides[0]) >= 2)}: {exc}") from exc
 
 
 def _pair_from_args(args) -> SupportPair:
@@ -188,11 +192,17 @@ def _pair_from_args(args) -> SupportPair:
             supports.append(SupportSet(tuple(exps)))
         except ValueError as exc:
             raise ValueError(f"{flag}: {exc}") from exc
-    return SupportPair(*supports)
+    try:
+        return SupportPair(*supports)
+    except ValueError as exc:  # a side of one exponent
+        raise ValueError(f"--b{1 + (len(supports[0]) >= 2)}: {exc}") from exc
 
 
 def _laurent(poly, name) -> LaurentPoly:
-    support = SupportSet(poly["support"])
+    try:
+        support = SupportSet(poly["support"])
+    except ValueError as exc:
+        raise ValueError(f"--input: {name}.support: {exc}") from exc
     return LaurentPoly(support, _coefficient_map(poly["coeffs"], f"{name}.coeffs", support.elements, int, _exact))
 
 
@@ -200,19 +210,30 @@ def _germ(data) -> MPoly:
     """The germ of {"terms": [...]}; each exp is a pair of nonnegative
     integers, given once."""
     terms = {}
-    for term in data["terms"]:
-        exp = _exponents(term["exp"])
-        if len(exp) != 2 or min(exp) < 0:
-            raise ValueError(f"germ exponents must be pairs of nonnegative integers, got {term['exp']!r}")
+    for i, term in enumerate(data["terms"]):
+        try:
+            exp = _exponents(term["exp"])
+            if len(exp) != 2 or min(exp) < 0:
+                raise ValueError(f"germ exponents must be pairs of nonnegative integers, got {term['exp']!r}")
+        except ValueError as exc:
+            raise ValueError(f"--input: terms[{i}].exp: {exc}") from exc
         if exp in terms:
             raise ValueError(f"--input: terms: exponent {exp} is given twice")
-        terms[exp] = _exact(term["coef"])
+        try:
+            terms[exp] = _exact(term["coef"])
+        except ValueError as exc:
+            raise ValueError(f"--input: terms[{i}].coef: {exc}") from exc
     return MPoly(("s", "t"), terms)
 
 
 def _spatial(data, scan):
     """(a1, a2, maps): for a scan [coeffs1, coeffs2], None where absent."""
-    a = Support3D(data["a1"]), Support3D(data["a2"])
+    a = []
+    for name in ("a1", "a2"):
+        try:
+            a.append(Support3D(data[name]))
+        except ValueError as exc:
+            raise ValueError(f"--input: {name}: {exc}") from exc
     names = ("coeffs1", "coeffs2") if scan else ()
     return *a, [_coefficient_map(data[n], n, s.points, _integers, _complex) if n in data else None for n, s in zip(names, a)]
 
@@ -328,6 +349,9 @@ def cmd_resultant(args) -> int:
     if args.det_bound < 2:  # each support has two exponents at least, so d1 + d2 >= 2
         raise ValueError(f"--det-bound must be at least 2, got {args.det_bound}")
     pair = _pair_from_args(args)
+    size = pair.b1.spread + pair.b2.spread
+    if size > args.det_bound:
+        raise ValueError(f"--det-bound: determinant too large: Sylvester size {size} > {args.det_bound}")
     start = time.perf_counter()
     poly = resultant_poly(pair, bound=args.det_bound)
     det_s = time.perf_counter() - start
@@ -336,7 +360,7 @@ def cmd_resultant(args) -> int:
             "pair": pair.to_json(),
             "resultant": poly.to_json(),
             "pretty": poly.pretty(),
-            "sylvester_size": pair.b1.spread + pair.b2.spread,
+            "sylvester_size": size,
             "terms": len(poly.terms),
             "timings": {"det_s": det_s},
             "version": __version__,
@@ -408,7 +432,10 @@ def cmd_scan(args) -> int:
         report = minors_split_equivalence_scan(args.n_max, args.spread, sizes)
     else:
         pair = _pair_from_args(args)
-        label = parse_label(args.label)
+        try:
+            label = parse_label(args.label)
+        except ValueError as exc:
+            raise ValueError(f"--label: {exc}") from exc
         if args.kind == "strata":
             report = scan_corank_strata(pair, label, args.n_max, seed=args.seed)
         else:  # codim; argparse admits no other kind

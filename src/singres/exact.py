@@ -33,6 +33,7 @@ __all__ = [
     "is_prime",
     "split_primes",
     "split_prime",
+    "units",
     "root_of_order",
     "power_table",
     "modular_rank",
@@ -192,6 +193,15 @@ def split_primes(n: int):
     for p in range((2**31 - 2) // n * n + 1, n, -n):
         if is_prime(p):
             yield p, root_of_order(n, p)
+
+
+@lru_cache(maxsize=None)
+def units(n: int) -> np.ndarray:
+    """The units k mod n, 0 <= k < n, ascending (k = 0 alone for n = 1), as
+    a read-only array cached per n."""
+    ks = (np.gcd(np.arange(n), n) == 1).nonzero()[0]
+    ks.setflags(write=False)
+    return ks
 
 
 @lru_cache(maxsize=None)

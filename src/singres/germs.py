@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import clear_denominators, derivative, primitive, prs_gcd
-from .mpoly import MPoly
+from .mpoly import MPoly, _dot, _Packing
 
 __all__ = ["GermClass", "slice_germ", "classify_germ"]
 
@@ -41,7 +41,8 @@ def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> MPoly:
     variable is (P + s*U + t*W) / D in ints, D one common denominator, so a
     term c * x^e of total degree k is (L*c) * D^(top - k) * prod (P + s*U +
     t*W)^e over L * D^top, L that of the coefficients: the germ is computed
-    in ints, each power of a linear germ once, with one Fraction per term.
+    in ints on `mpoly`'s packed monomials (each field sized for the degree
+    top), each power of a linear germ once, with one Fraction per term.
     """
     values = [Fraction(d.get(v, 0)) for v in poly.vars for d in (point, dir1, dir2)]
     ints, den = clear_denominators(values)
@@ -51,36 +52,27 @@ def slice_germ(poly: MPoly, point: dict, dir1: dict, dir2: dict) -> MPoly:
         raise ValueError("slice directions are linearly dependent")
     coefs, lcd = clear_denominators(list(poly.terms.values()))
     top = max((sum(e) for e in poly.terms), default=0)
+    packing = _Packing(2, top)
+    s, t = (1 << shift for shift in packing.shifts)
     powers = {}
 
     def power(v, e):
         key = (v, e)
         if key not in powers:
             p, u, w = lin[v]
-            base = {k: c for k, c in (((0, 0), p), ((1, 0), u), ((0, 1), w)) if c}
-            powers[key] = base if e == 1 else _germ_mul(power(v, e - 1), base)
+            base = {m: c for m, c in ((0, p), (s, u), (t, w)) if c}
+            powers[key] = base if e == 1 else _dot([(power(v, e - 1), base)])
         return powers[key]
 
-    acc = {}
+    pairs = []  # (scaled coefficient, product of powers) per term
     for exp, coef in zip(poly.terms, coefs):
-        term = {(0, 0): coef * den ** (top - sum(exp))}
+        product = {0: 1}
         for v, e in zip(poly.vars, exp):
             if e:
-                term = _germ_mul(term, power(v, e))
-        for e, c in term.items():
-            acc[e] = acc.get(e, 0) + c
+                product = _dot([(product, power(v, e))])
+        pairs.append(({0: coef * den ** (top - sum(exp))}, product))
     scale = lcd * den**top
-    return MPoly(("s", "t"), {e: Fraction(c, scale) for e, c in acc.items()})
-
-
-def _germ_mul(a, b):
-    """Product of two bivariate term dicts {(i, j): coefficient}."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = (e1[0] + e2[0], e1[1] + e2[1])
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+    return packing.unpack(("s", "t"), {m: Fraction(c, scale) for m, c in _dot(pairs).items()})
 
 
 def _form_profile(terms, m):

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import power_table, split_prime
-
-def units(n: int) -> np.ndarray:
-    """The units k mod n, 0 <= k < n, ascending (k = 0 alone for n = 1)."""
-    return (np.gcd(np.arange(n), n) == 1).nonzero()[0]
+from .exact import power_table, split_prime, units
 
 
 def conjugate_zeros(n: int, exps, coefs, conj) -> np.ndarray:

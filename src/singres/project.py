@@ -27,8 +27,6 @@ from .supports import SupportPair, SupportSet, _exponents, check_conditions, cla
 
 __all__ = ["Support3D", "GridConfig", "CurveScan", "ProjectionOutcome", "project_supports", "grid_scan", "random_coefficients"]
 
-# Most reseeded draws grid_scan makes after a degenerate one.
-GRID_MAX_RETRIES = 5
 # A cell is near zero when |R| is at most this fraction of the grid's largest.
 DEFAULT_TOLERANCE = 1e-8
 # Upper bound on the matrix entries of one block of `_bezout_dets`: the
@@ -107,7 +105,6 @@ class CurveScan:
     abs_r: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False, compare=False)  # |R| per cell
     near_zero_cells: list = field(default_factory=list)
     max_abs: float = 0.0
-    retries: int = 0
     near_zero_margin: float | None = None
 
     @functools.cached_property
@@ -130,7 +127,6 @@ class CurveScan:
             "cells": self.abs_r.size,
             "near_zero_cells": self.near_zero_cells,
             "near_zero_margin": self.near_zero_margin,
-            "retries": self.retries,
             "coverage": COVERAGE_NOTE,
         }
 
@@ -301,21 +297,6 @@ def _dense_support(values):
     return list(range(lo, hi + 1))
 
 
-def _collapses(coeffs):
-    """Whether the specialized polynomial vanishes numerically (every
-    coefficient below 1e-12 in modulus) at some cell; `coeffs` has one
-    column per cell.  A modulus bounds the real and imaginary parts, so a
-    cell can collapse only where both parts of every coefficient lie below
-    1e-12: one comparison on the float view, whose columns are the real and
-    imaginary parts of the cells in turn.  Moduli are taken only when some
-    part passes, and then only for the cells whose two parts both pass."""
-    small = (np.abs(coeffs.view(np.float64)) < 1e-12).all(axis=0)
-    if not small.any():
-        return False
-    cells = small[0::2] & small[1::2]
-    return bool((np.abs(coeffs[:, cells]).max(axis=0) < 1e-12).any())
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite |R|, refused below
 def grid_scan(
     a1: Support3D,
@@ -342,32 +323,20 @@ def grid_scan(
     evaluated together: one coefficient stack per side, cells along the last
     axis, and stacked determinants over blocks of cells of bounded size.
     The grid's axis points are built once per GridConfig, and their powers
-    once per call, whatever the retries; cell coordinates are taken only
-    for the near-zero cells.  Coefficients default to seeded random generic
-    draws; degenerate draws (a specialized polynomial collapsing numerically
-    at some cell) trigger a reseeded retry, at most GRID_MAX_RETRIES times,
-    and the report counts the retries used.  Explicit coefficient maps are
-    never retried.  A |R| that is not finite (coefficients or a rho range too
-    large for double precision) raises ValueError.
+    once per call; cell coordinates are taken only for the near-zero cells.
+    A side whose coefficient map is not given takes one seeded random
+    generic draw (`random_coefficients`), side 1 first, and is evaluated as
+    drawn.  A |R| that is not finite (coefficients or a rho range too large
+    for double precision) raises ValueError.
     """
     grid = grid or GridConfig()
-    explicit = coeffs1 is not None and coeffs2 is not None
     rng = random.Random(seed)
-    sup1 = _dense_support(a1.last_coordinates())
-    sup2 = _dense_support(a2.last_coordinates())
+    c1 = random_coefficients(a1, rng) if coeffs1 is None else coeffs1
+    c2 = random_coefficients(a2, rng) if coeffs2 is None else coeffs2
     p = grid.points
-    terms = (*coeffs1, *coeffs2) if explicit else (*a1.points, *a2.points)
-    powers = {e: p**e for e in {e for u, v, _ in terms for e in (u, v)}}
-    attempt = 0
-    while True:
-        c1 = coeffs1 if explicit else random_coefficients(a1, rng)
-        c2 = coeffs2 if explicit else random_coefficients(a2, rng)
-        v1 = _specialized_coeffs(c1, sup1, powers, p.size**2)
-        v2 = _specialized_coeffs(c2, sup2, powers, p.size**2)
-        if not explicit and attempt < GRID_MAX_RETRIES and (_collapses(v1) or _collapses(v2)):
-            attempt += 1
-            continue
-        break
+    powers = {e: p**e for e in {e for u, v, _ in (*c1, *c2) for e in (u, v)}}
+    v1 = _specialized_coeffs(c1, _dense_support(a1.last_coordinates()), powers, p.size**2)
+    v2 = _specialized_coeffs(c2, _dense_support(a2.last_coordinates()), powers, p.size**2)
     abs_r = np.abs(_bezout_dets(v1, v2))
     finite = np.isfinite(abs_r)
     if not finite.all():
@@ -375,7 +344,7 @@ def grid_scan(
             f"|R| overflows double precision at {finite.size - finite.sum()} of {finite.size} grid cells; "
             "scale the coefficients or the rho range down"
         )
-    scan = CurveScan(grid=grid, threshold=threshold, abs_r=abs_r, retries=attempt)
+    scan = CurveScan(grid=grid, threshold=threshold, abs_r=abs_r)
     scan.max_abs = float(abs_r.max()) if abs_r.size else 0.0
     near = abs_r <= threshold * max(scan.max_abs, 1e-300)
     if not near.any():

@@ -65,6 +65,7 @@ from .exact import (
     root_of_order,
     split_prime,
     split_primes,
+    units,
 )
 from .laurent import LaurentPoly, common_roots, falling
 from .minors import _order, _rank, gap_root
@@ -321,7 +322,7 @@ def _side_matrices(sides, pts):
     """(eff1, eff2, M1, M2) at the points pts; None for an empty side."""
     if not (sides[0].support and sides[1].support):
         return None
-    m1, m2 = (multiplicity_vandermonde(s.support, pts, s.js) if s.js else [] for s in sides)
+    m1, m2 = (multiplicity_vandermonde(s.support, pts, s.js) for s in sides)
     return sides[0].support.elements, sides[1].support.elements, m1, m2
 
 
@@ -864,8 +865,7 @@ def _conjugate_ranks(eff, js, ns, exps):
         (s, n, [t * k % n for t in tup], p, z)
         for s, (n, tup) in enumerate(zip(ns.tolist(), exps.tolist()))
         for p, z in chosen[n]
-        for k in range(n)
-        if gcd(k, n) == 1
+        for k in units(n).tolist()
     ]
     owner, cns, cexps, primes, roots = (np.array(col, dtype=np.int64) for col in zip(*cases))
     ranks = modular_rank(_hermite_stack(eff, js, cexps, cns, primes, roots), primes)

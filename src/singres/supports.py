@@ -65,10 +65,6 @@ class SupportSet:
         return x in self.elements
 
     @property
-    def size(self):
-        return len(self.elements)
-
-    @property
     def min(self):
         return self.elements[0]
 
@@ -90,7 +86,7 @@ class SupportPair:
     b2: SupportSet
 
     def __post_init__(self):
-        if self.b1.size < 2 or self.b2.size < 2:
+        if len(self.b1.elements) < 2 or len(self.b2.elements) < 2:
             raise ValueError("each support set needs at least two elements")
 
     def to_json(self):
@@ -210,7 +206,8 @@ def split_dividing(target: SupportSet, m: int):
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Flags for the six degeneracy conditions, each with its witness.
+    """The six degeneracy conditions, each held by its witness: condition i
+    holds iff `witnesses` has the key f"cond{i}".
 
     cond1: both gap gcds share a divisor k >= 2.
     cond2: one side splits into two residue classes mod some k >= 3 dividing
@@ -222,16 +219,10 @@ class ConditionReport:
     cond6: both sides are two-element sets with the same gap.
     """
 
-    cond1: bool
-    cond2: bool
-    cond3: bool
-    cond4: bool
-    cond5: bool
-    cond6: bool
     witnesses: dict = field(default_factory=dict)
 
     def flag(self, i: int) -> bool:
-        return getattr(self, f"cond{i}")
+        return f"cond{i}" in self.witnesses
 
     def to_json(self):
         out = {f"cond{i}": self.flag(i) for i in range(1, 7)}
@@ -245,38 +236,34 @@ def check_conditions(pair: SupportPair) -> ConditionReport:
     witnesses = {}
 
     common = math.gcd(g1, g2)
-    cond1 = common >= 2
-    if cond1:
+    if common >= 2:
         witnesses["cond1"] = {"k": common}
 
     # a set shifts into kZ iff it lies in one residue class mod k iff k divides
     # its gap gcd, so searching the divisors of the other gap gcd is complete
     w12 = split_dividing(b1, g2)
     w21 = split_dividing(b2, g1)
-    cond2 = w12 is not None or w21 is not None
     if w12 is not None:
         witnesses["cond2"] = {"side_split": 1, **w12.to_json()}
     elif w21 is not None:
         witnesses["cond2"] = {"side_split": 2, **w21.to_json()}
 
-    cond3 = all(b.elements[1] - b.elements[0] > 1 for b in (b1, b2))
-    if cond3:
+    if all(b.elements[1] - b.elements[0] > 1 for b in (b1, b2)):
         witnesses["cond3"] = {
             "leftmost_gaps": [b1.elements[1] - b1.elements[0], b2.elements[1] - b2.elements[0]]
         }
-    cond4 = all(b.elements[-1] - b.elements[-2] > 1 for b in (b1, b2))
-    if cond4:
+    if all(b.elements[-1] - b.elements[-2] > 1 for b in (b1, b2)):
         witnesses["cond4"] = {
             "rightmost_gaps": [b1.elements[-1] - b1.elements[-2], b2.elements[-1] - b2.elements[-2]]
         }
-    cond5 = (b1.size == 2 and b2.spread > 2) or (b2.size == 2 and b1.spread > 2)
-    if cond5:
-        witnesses["cond5"] = {"two_element_side": 1 if b1.size == 2 and b2.spread > 2 else 2}
-    cond6 = b1.size == 2 and b2.size == 2 and b1.spread == b2.spread
-    if cond6:
+    if len(b1) == 2 and b2.spread > 2:
+        witnesses["cond5"] = {"two_element_side": 1}
+    elif len(b2) == 2 and b1.spread > 2:
+        witnesses["cond5"] = {"two_element_side": 2}
+    if len(b1) == 2 and len(b2) == 2 and b1.spread == b2.spread:
         witnesses["cond6"] = {"k": b1.spread}
 
-    return ConditionReport(cond1, cond2, cond3, cond4, cond5, cond6, witnesses)
+    return ConditionReport(witnesses)
 
 
 # (subset name, expected codimension, conditions that break the guarantee)
@@ -341,5 +328,5 @@ def classify(report: ConditionReport) -> Verdict:
         blocking = tuple(i for i in breaking if report.flag(i))
         rows.append(SubsetGuarantee(name, codim, not blocking, blocking))
     part_i = not any(report.flag(i) for i in range(1, 6))
-    part_ii = not report.cond6
+    part_ii = not report.flag(6)
     return Verdict(part_i, part_ii, tuple(rows))

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import primitive, prs_gcd, root_multiplicity
+from .exact import primitive, prs_gcd, root_multiplicity, units
 from .germs import classify_germ, slice_germ
-from .kernels import conjugate_zeros, units
+from .kernels import conjugate_zeros
 from .laurent import classify_point, homogenize
 from .minors import _order, _rank, admissible_pairs, gap_root, minors_split_equivalence_scan
 from .mpoly import MPoly, jacobian_vanishes, resultant_poly
@@ -416,7 +416,7 @@ def check_projection_pipeline():
     a1 = Support3D(((0, 0, 0), (1, 0, 1)))
     a2 = Support3D(((0, 0, 0), (0, 1, 1), (1, 1, 2), (0, 0, 3)))
     out = project_supports(a1, a2)
-    ok = ok and not out.verdict.part_i_generic_a1 and out.conditions.cond5
+    ok = ok and not out.verdict.part_i_generic_a1 and out.conditions.flag(5)
     details["negative_case"] = out.to_json()["projection_verdict"]
 
     a1b = Support3D(((0, 0, 0), (1, 0, 1), (0, 1, 2)))

@@ -10,8 +10,8 @@ import pytest
 import cyclo_oracle
 from cyclo_oracle import CycloElement, RootOfUnity, UnityPair, cyclo_det3, power_rank
 from singres import minors, verify
-from singres.exact import split_prime
-from singres.kernels import conjugate_zeros, units
+from singres.exact import split_prime, units
+from singres.kernels import conjugate_zeros
 from singres.minors import (
     _order2_mechanism,
     _rank,

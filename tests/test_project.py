@@ -57,37 +57,25 @@ def _exact_det(matrix):
     return det
 
 
-def reference_grid_scan(a1, a2, coeffs1=None, coeffs2=None, grid=None, threshold=1e-8, seed=0, max_retries=5):
+def reference_grid_scan(a1, a2, coeffs1=None, coeffs2=None, grid=None, threshold=1e-8, seed=0):
     """Per-cell oracle for grid_scan: one Sylvester matrix and one det per
-    cell, with the same draws, retry rule and cut."""
+    cell, with the same draws and cut."""
     grid = grid or GridConfig()
-    explicit = coeffs1 is not None and coeffs2 is not None
     rng = random.Random(seed)
+    c1 = project.random_coefficients(a1, rng) if coeffs1 is None else coeffs1
+    c2 = project.random_coefficients(a2, rng) if coeffs2 is None else coeffs2
     sup1 = list(range(min(a1.last_coordinates()), max(a1.last_coordinates()) + 1))
     sup2 = list(range(min(a2.last_coordinates()), max(a2.last_coordinates()) + 1))
     rhos, thetas = grid.axes
-    attempt = 0
-    while True:
-        c1 = coeffs1 if explicit else project.random_coefficients(a1, rng)
-        c2 = coeffs2 if explicit else project.random_coefficients(a2, rng)
-        scan = CurveScan(grid=grid, threshold=threshold, retries=attempt)
-        degenerate = False
-        for r1 in rhos:
-            for t1 in thetas:
-                x1 = cmath.exp(complex(r1, t1))
-                for r2 in rhos:
-                    for t2 in thetas:
-                        x2 = cmath.exp(complex(r2, t2))
-                        v1 = _reference_coeffs(c1, sup1, x1, x2)
-                        v2 = _reference_coeffs(c2, sup2, x1, x2)
-                        if max(abs(z) for z in v1) < 1e-12 or max(abs(z) for z in v2) < 1e-12:
-                            degenerate = True
-                        val = abs(_reference_det(v1, v2))
-                        scan.rows.append((float(r1), float(t1), float(r2), float(t2), float(val)))
-        if degenerate and not explicit and attempt < max_retries:
-            attempt += 1
-            continue
-        break
+    scan = CurveScan(grid=grid, threshold=threshold)
+    for r1 in rhos:
+        for t1 in thetas:
+            x1 = cmath.exp(complex(r1, t1))
+            for r2 in rhos:
+                for t2 in thetas:
+                    x2 = cmath.exp(complex(r2, t2))
+                    val = abs(_reference_det(_reference_coeffs(c1, sup1, x1, x2), _reference_coeffs(c2, sup2, x1, x2)))
+                    scan.rows.append((float(r1), float(t1), float(r2), float(t2), float(val)))
     scan.max_abs = max((r[4] for r in scan.rows), default=0.0)
     cut = threshold * max(scan.max_abs, 1e-300)
     for i, row in enumerate(scan.rows):
@@ -99,11 +87,10 @@ def reference_grid_scan(a1, a2, coeffs1=None, coeffs2=None, grid=None, threshold
 
 
 def assert_scans_agree(got, want):
-    """Same cells, near-zero indices and retries; every |R| within 1e-12
-    relative, floored at the rounding level of the scan's largest |R|."""
+    """Same cells and near-zero indices; every |R| within 1e-12 relative,
+    floored at the rounding level of the scan's largest |R|."""
     assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
     assert [c["index"] for c in got.near_zero_cells] == [c["index"] for c in want.near_zero_cells]
-    assert got.retries == want.retries
     floor = np.finfo(float).eps * want.max_abs
     for g, w in zip(got.rows, want.rows):
         assert abs(g[4] - w[4]) <= 1e-12 * max(w[4], floor)
@@ -160,7 +147,7 @@ class TestProjection:
         two = Support3D(((0, 0, 0), (1, 0, 1)))
         wide = Support3D(((0, 0, 0), (0, 1, 1), (1, 1, 2), (0, 0, 3)))
         out = project_supports(two, wide)
-        assert not out.verdict.part_i_generic_a1 and out.conditions.cond5
+        assert not out.verdict.part_i_generic_a1 and out.conditions.flag(5)
         three = Support3D(((0, 0, 0), (1, 0, 1), (0, 1, 2)))
         assert project_supports(three, wide).verdict.part_i_generic_a1
 
@@ -210,30 +197,6 @@ class TestStackedDet:
         c1, c2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes)
         want = np.linalg.det(project._hybrid_bezout(c1, c2).transpose(2, 0, 1))
         np.testing.assert_array_equal(project._bezout_dets(c1, c2), want)
-
-
-class TestCollapses:
-    @staticmethod
-    def stack(cell):
-        # three coefficients, one column per cell; the other cells are far from 0
-        out = np.full((3, 5), 1 + 1j)
-        out[:, 2] = cell
-        return out
-
-    def test_small_parts_with_a_modulus_above_the_cut_do_not_collapse(self):
-        assert not project._collapses(self.stack(9e-13 + 9e-13j))
-        assert not project._collapses(self.stack([9e-13, 9e-13 + 9e-13j, 0]))
-
-    def test_every_modulus_below_the_cut_collapses(self):
-        assert project._collapses(self.stack([9e-13, 7e-13 - 7e-13j, -5e-13j]))
-
-    def test_matches_the_moduli(self):
-        # seeded stacks with parts around 1e-12: the moduli decide alone
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            shape = (rng.integers(1, 5), rng.integers(1, 9))
-            stack = (rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)) * 1e-12
-            assert project._collapses(stack) == (np.abs(stack) < 1e-12).all(axis=0).any()
 
 
 class TestGridScan:
@@ -314,7 +277,7 @@ class TestGridScan:
         near = {c["index"] for c in scan.near_zero_cells}
         above = [r[4] for i, r in enumerate(scan.rows) if i not in near]
         out = scan.to_json()
-        assert out["retries"] == 0
+        assert "retries" not in out
         assert out["near_zero_margin"] == max(c["absR"] for c in scan.near_zero_cells) / min(above)
         assert out["near_zero_margin"] <= scan.threshold
         a1 = Support3D(((0, 0, 0), (1, 0, 1)))
@@ -322,39 +285,25 @@ class TestGridScan:
         generic = grid_scan(a1, a2, grid=GridConfig(-0.1, 0.1, 2, 2), seed=1).to_json()
         assert generic["near_zero_cells"] == [] and generic["near_zero_margin"] is None
 
-    def test_collapsed_draw_is_retried(self, monkeypatch):
-        # the first draw makes f1 = (x1 - 1)(1 + 2t): it collapses only on
-        # the cells with x1 = 1, which the grid's rho = theta = 0 point hits
-        a1 = Support3D(((1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 0, 1)))
-        a2 = Support3D(((0, 0, 0), (0, 1, 1), (1, 0, 2)))
-        collapsing = {(1, 0, 0): 1, (0, 0, 0): -1, (1, 0, 1): 2, (0, 0, 1): -2}
-        draws = []
+    def test_magnitude_collapse_scans_its_first_draw(self):
+        # |x1^6 x2^6| = e^-36 at rho1 = rho2 = -3 puts every coefficient of
+        # side 2 below 1e-12 there, whatever the draw: the first draw is the scan
+        a1 = Support3D(((0, 0, 0), (1, 0, 1), (0, 1, 2)))
+        a2 = Support3D(((6, 6, 1), (6, 6, 3)))
+        grid = GridConfig(-3, 3, 5, 8)
+        rng = random.Random(11)
+        draws = random_coefficients(a1, rng), random_coefficients(a2, rng)
+        scan = grid_scan(a1, a2, grid=grid, seed=11)
+        assert [r[4] for r in scan.rows] == [r[4] for r in grid_scan(a1, a2, *draws, grid).rows]
+        assert_scans_agree(scan, reference_grid_scan(a1, a2, grid=grid, seed=11))
 
-        def first_collapses(a, rng):
-            coeffs = collapsing if not draws else random_coefficients(a, rng)
-            draws.append(coeffs)
-            return coeffs
-
-        monkeypatch.setattr(project, "random_coefficients", first_collapses)
-        grid = GridConfig(-0.2, 0.2, 3, 3)
-        first = grid_scan(a1, a2, collapsing, random_coefficients(a2, random.Random(0)), grid)
-        assert sum(r[4] == 0 for r in first.rows) == 3 * 3  # x1 = 1 against every x2
-        scan = grid_scan(a1, a2, grid=grid, seed=4)
-        assert scan.retries == 1 and len(draws) == 4
-        assert scan.rows == grid_scan(a1, a2, draws[2], draws[3], grid).rows
-        draws.clear()
-        assert_scans_agree(scan, reference_grid_scan(a1, a2, grid=grid, seed=4))
-
-    def test_retries_are_bounded_and_explicit_never_retried(self, monkeypatch):
-        a1 = Support3D(((0, 0, 0), (1, 0, 1)))
-        a2 = Support3D(((0, 0, 0), (0, 1, 1)))
-
-        def zeros(a, rng):
-            return {p: 0j for p in a.points}
-
-        grid = GridConfig(-0.1, 0.1, 2, 2)
-        assert grid_scan(a1, a2, zeros(a1, None), zeros(a2, None), grid).retries == 0
-        monkeypatch.setattr(project, "random_coefficients", zeros)
-        assert grid_scan(a1, a2, grid=grid).retries == project.GRID_MAX_RETRIES
-        monkeypatch.setattr(project, "GRID_MAX_RETRIES", 3)
-        assert grid_scan(a1, a2, grid=grid).retries == 3
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_a_map_given_for_one_side_is_used(self, side):
+        # the other side takes the seed's first draw
+        a1, a2, c1, c2 = CONSTRUCTED
+        grid = GridConfig(-0.4, 0.4, 3, 4)
+        drawn = random_coefficients((a2, a1)[side - 1], random.Random(5))
+        maps = (c1, drawn) if side == 1 else (drawn, c2)
+        scan = grid_scan(a1, a2, *((c1, None) if side == 1 else (None, c2)), grid, seed=5)
+        assert [r[4] for r in scan.rows] == [r[4] for r in grid_scan(a1, a2, *maps, grid).rows]
+        assert_scans_agree(scan, reference_grid_scan(a1, a2, *maps, grid))

@@ -97,7 +97,7 @@ class TestClassCount:
 def brute_force_split(target: SupportSet, other: SupportSet):
     """Independent oracle: all 2-colorings of target, all k in [3, g]."""
     g = gap_gcd(other)
-    n = target.size
+    n = len(target)
     for k in range(3, g + 1):
         if g % k:
             continue
@@ -232,7 +232,7 @@ class TestConditions:
 
     def test_equal_gap_two_element(self):
         r = check_conditions(pair((2, 5), (7, 10)))
-        assert r.cond1 and r.cond6
+        assert r.flag(1) and r.flag(6)
         assert r.witnesses["cond1"]["k"] == 3
         assert r.witnesses["cond6"]["k"] == 3
 
@@ -247,7 +247,7 @@ class TestConditions:
         sets = [S(*c) for n in (2, 3, 4) for c in combinations(range(7), n)]
         for b1, b2 in combinations(sets, 2):
             r = check_conditions(SupportPair(b1, b2))
-            assert not r.cond1 or (r.cond3 and r.cond4)
+            assert not r.flag(1) or (r.flag(3) and r.flag(4))
 
     def test_swap_symmetry(self):
         import itertools
